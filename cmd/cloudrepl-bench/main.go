@@ -23,7 +23,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -48,6 +50,8 @@ func main() {
 	kernelBaseline := flag.String("kernel-baseline", "", "checked-in kernel baseline JSON to gate against: fail when micro ns/event regresses >20% (update with: cp <jsondir>/BENCH_kernel.json bench/kernel_baseline.json)")
 	benchPlan := flag.Bool("bench-plan", false, "measure executor speed by query shape (point read, index scan, hash join, grouped aggregate) and emit BENCH_planner.json; also runs as part of -all")
 	planBaseline := flag.String("plan-baseline", "", "checked-in planner baseline JSON to gate against: fail when any shape's rate regresses >20% (update with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile (every allocation since start, not only live heap) to this file on exit")
 	quiet := flag.Bool("q", false, "suppress per-run progress lines")
 	gogc := flag.Int("gogc", 300, "GC target percentage for the bench process (simulation runs allocate in bursts and retain little, so a larger heap-growth target trades memory for wall-clock; 0 leaves the runtime default)")
 	flag.Parse()
@@ -55,6 +59,11 @@ func main() {
 	if *gogc > 0 {
 		debug.SetGCPercent(*gogc)
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	defer stopProfiles()
 
 	want := map[string]bool{}
 	for _, f := range strings.Split(*figs, ",") {
@@ -368,6 +377,44 @@ func main() {
 
 	//cloudrepl:allow-simtime the CLI reports real elapsed wall time, not simulated time
 	fmt.Fprintf(os.Stderr, "total wall time: %v\n", time.Since(start).Round(time.Second))
+}
+
+// startProfiles begins the CPU profile, if asked for, and returns the
+// function that ends it and writes the allocation profile. A run that ends
+// in fatal leaves no profiles behind.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			_ = cpuFile.Close() // the profile never started; its error is the one to report
+			return nil, err
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // fold the last cycle's allocations into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+	}, nil
 }
 
 func banner(s string) {

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,5 +45,37 @@ func TestAblationPlanCostBeatsNaive(t *testing.T) {
 	}
 	if _, err := json.Marshal(PlanJSON(r)); err != nil {
 		t.Fatalf("PlanJSON not marshalable: %v", err)
+	}
+}
+
+// TestCheckPlanBaselineGatesRateAndAllocs pins both halves of the planner
+// bench gate: a shape more than 20% slower than the baseline fails, and so
+// does one that allocates more than 5% above it, whatever its speed.
+func TestCheckPlanBaselineGatesRateAndAllocs(t *testing.T) {
+	m := PlanBenchMeasure{OpsPerSec: 1000, RowsPerSec: 1000, AllocsPerOp: 100}
+	base := PlanBenchResult{PointRead: m, IndexScan: m, HashJoin: m, GroupAgg: m}
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "planner_baseline.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckPlanBaseline(path, base); err != nil {
+		t.Fatalf("identical run failed the gate: %v", err)
+	}
+	slower, hungrier, within := base, base, base
+	slower.HashJoin.RowsPerSec = 800
+	hungrier.GroupAgg.AllocsPerOp = 106
+	within.GroupAgg.AllocsPerOp, within.PointRead.OpsPerSec = 104, 900
+	if err := CheckPlanBaseline(path, slower); err == nil || !strings.Contains(err.Error(), "hash_join rows") {
+		t.Errorf("a 20%% slower hash join passed: %v", err)
+	}
+	if err := CheckPlanBaseline(path, hungrier); err == nil || !strings.Contains(err.Error(), "group_agg 106.0 allocs/op") {
+		t.Errorf("6%% more allocations passed: %v", err)
+	}
+	if err := CheckPlanBaseline(path, within); err != nil {
+		t.Errorf("a run within both tolerances failed: %v", err)
 	}
 }

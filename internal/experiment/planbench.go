@@ -221,7 +221,9 @@ func RenderPlanBench(r PlanBenchResult) string {
 // CheckPlanBaseline compares a fresh planner bench against the checked-in
 // baseline and fails when any shape's rows/sec has regressed more than 20%
 // (point read gates ops/sec instead — it examines one row per statement, so
-// per-statement overhead is what it exists to catch). Refresh deliberately
+// per-statement overhead is what it exists to catch) or its allocs/op has
+// risen more than 5% — allocation counts repeat exactly, so the tolerance
+// only absorbs amortized growth of reused buffers. Refresh deliberately
 // with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json
 func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 	raw, err := os.ReadFile(path)
@@ -232,28 +234,31 @@ func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("planner baseline %s: %w", path, err)
 	}
-	check := func(shape string, curRate, baseRate float64) error {
+	for _, sh := range []struct {
+		name      string
+		cur, base PlanBenchMeasure
+		perOp     bool // gate ops/sec rather than rows/sec
+	}{
+		{"point_read", cur.PointRead, base.PointRead, true},
+		{"index_scan", cur.IndexScan, base.IndexScan, false},
+		{"hash_join", cur.HashJoin, base.HashJoin, false},
+		{"group_agg", cur.GroupAgg, base.GroupAgg, false},
+	} {
+		unit, curRate, baseRate := "rows", sh.cur.RowsPerSec, sh.base.RowsPerSec
+		if sh.perOp {
+			unit, curRate, baseRate = "ops", sh.cur.OpsPerSec, sh.base.OpsPerSec
+		}
 		if baseRate <= 0 {
-			return fmt.Errorf("planner baseline %s: %s rate missing or zero", path, shape)
+			return fmt.Errorf("planner baseline %s: %s %s rate missing or zero", path, sh.name, unit)
 		}
-		limit := baseRate / 1.20
-		if curRate < limit {
-			return fmt.Errorf("planner regression: %s %.0f/sec is more than 20%% below baseline %.0f/sec (limit %.0f); if intentional, refresh %s",
-				shape, curRate, baseRate, limit, path)
+		if limit := baseRate / 1.20; curRate < limit {
+			return fmt.Errorf("planner regression: %s %s %.0f/sec is more than 20%% below baseline %.0f/sec (limit %.0f); if intentional, refresh %s",
+				sh.name, unit, curRate, baseRate, limit, path)
 		}
-		return nil
-	}
-	if err := check("point_read ops", cur.PointRead.OpsPerSec, base.PointRead.OpsPerSec); err != nil {
-		return err
-	}
-	if err := check("index_scan rows", cur.IndexScan.RowsPerSec, base.IndexScan.RowsPerSec); err != nil {
-		return err
-	}
-	if err := check("hash_join rows", cur.HashJoin.RowsPerSec, base.HashJoin.RowsPerSec); err != nil {
-		return err
-	}
-	if err := check("group_agg rows", cur.GroupAgg.RowsPerSec, base.GroupAgg.RowsPerSec); err != nil {
-		return err
+		if limit := sh.base.AllocsPerOp * 1.05; sh.cur.AllocsPerOp > limit {
+			return fmt.Errorf("planner regression: %s %.1f allocs/op is more than 5%% above baseline %.1f (limit %.1f); if intentional, refresh %s",
+				sh.name, sh.cur.AllocsPerOp, sh.base.AllocsPerOp, limit, path)
+		}
 	}
 	return nil
 }

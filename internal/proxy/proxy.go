@@ -363,6 +363,7 @@ type Proxy struct {
 	CheckOwner func(sql string, args []sqlengine.Value) error
 
 	inflight    map[*repl.Slave]int
+	candidates  []*repl.Slave // readCandidates' scratch
 	health      map[*repl.Slave]*slaveHealth
 	quarantined map[*repl.Slave]bool
 	readsServed map[*repl.Slave]uint64
@@ -395,19 +396,6 @@ func (px *Proxy) Admit(sl *repl.Slave) { delete(px.quarantined, sl) }
 
 // Quarantined reports whether sl is currently gated out of the rotation.
 func (px *Proxy) Quarantined(sl *repl.Slave) bool { return px.quarantined[sl] }
-
-// AdmittedSlaves returns the live, attached, non-quarantined slaves — the
-// set reads are actually balanced over right now.
-func (px *Proxy) AdmittedSlaves() []*repl.Slave {
-	live := liveSlaves(px.master)
-	out := live[:0:0]
-	for _, sl := range live {
-		if !px.quarantined[sl] {
-			out = append(out, sl)
-		}
-	}
-	return out
-}
 
 // InflightReads returns the number of reads this proxy currently has
 // outstanding against sl — the drain condition for graceful scale-in.
@@ -640,41 +628,7 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 		// then picks among the qualifiers. An empty candidate set falls back
 		// to the master below.
 		tier := px.tier()
-		var candidates []*repl.Slave
-		switch tier {
-		case Strong:
-			// Master only; never consult the slave set.
-		case Session:
-			candidates = px.eligibleSlaves(p)
-			if !c.token.IsZero() {
-				if c.token.Epoch != px.master.Epoch {
-					// Token minted under a previous master: its sequence is
-					// not comparable here. Serve from the master and re-mint
-					// the token on the new timeline (below).
-					candidates = nil
-				} else {
-					fresh := candidates[:0:0]
-					for _, sl := range candidates {
-						if sl.AppliedSeq() >= c.token.Seq {
-							fresh = append(fresh, sl)
-						}
-					}
-					candidates = fresh
-				}
-			}
-		case Bounded:
-			bound := px.staleBound()
-			candidates = px.eligibleSlaves(p)
-			fresh := candidates[:0:0]
-			for _, sl := range candidates {
-				if sl.EventsBehindMaster() <= bound {
-					fresh = append(fresh, sl)
-				}
-			}
-			candidates = fresh
-		default: // Eventual
-			candidates = px.eligibleSlaves(p)
-		}
+		candidates := c.readCandidates(p, tier)
 		var sl *repl.Slave
 		if tier != Strong {
 			sl = px.balancer.Pick(&PickContext{
@@ -758,19 +712,29 @@ func (px *Proxy) masterUsable(p *sim.Proc) bool {
 	return m.Srv.Up()
 }
 
-// eligibleSlaves filters live slaves through the admission gate (warm-up
-// quarantine) and the eviction bench: benched slaves are skipped until
-// their ReadmitAfter window passes, then counted as readmitted and probed
-// again.
-func (px *Proxy) eligibleSlaves(p *sim.Proc) []*repl.Slave {
-	slaves := px.AdmittedSlaves()
-	if px.Retry.EvictAfter <= 0 {
-		return slaves
+// readCandidates collects the slaves a read at the given tier may be served
+// by, in one pass over the master's attached slaves: running, past the
+// admission gate (warm-up quarantine), off the eviction bench — benched
+// slaves are skipped until their ReadmitAfter window passes, then counted as
+// readmitted and probed again — and fresh enough for the tier. The set lives
+// in proxy-owned scratch: the balancer consumes it before the calling process
+// can park, so no two reads ever hold it at once.
+func (c *Conn) readCandidates(p *sim.Proc, tier Consistency) []*repl.Slave {
+	px := c.px
+	if tier == Strong {
+		return nil // master only; never consult the slave set
 	}
-	out := slaves[:0:0]
-	for _, sl := range slaves {
-		h := px.health[sl]
-		if h != nil && h.evicted {
+	var bound uint64
+	if tier == Bounded {
+		bound = px.staleBound()
+	}
+	all := px.master.AppendSlaves(px.candidates[:0])
+	out := all[:0]
+	for _, sl := range all {
+		if !sl.Srv.Up() || px.quarantined[sl] {
+			continue
+		}
+		if h := px.health[sl]; px.Retry.EvictAfter > 0 && h != nil && h.evicted {
 			if p.Now() < h.evictedUntil {
 				continue
 			}
@@ -778,7 +742,20 @@ func (px *Proxy) eligibleSlaves(p *sim.Proc) []*repl.Slave {
 			h.consecErrs = 0
 			px.stats.SlaveReadmissions++
 		}
+		if tier == Session && !c.token.IsZero() && sl.AppliedSeq() < c.token.Seq {
+			continue
+		}
+		if tier == Bounded && sl.EventsBehindMaster() > bound {
+			continue
+		}
 		out = append(out, sl)
+	}
+	px.candidates = all
+	if tier == Session && !c.token.IsZero() && c.token.Epoch != px.master.Epoch {
+		// Token minted under a previous master: its sequence is not
+		// comparable here. Serve from the master, which re-mints the token
+		// on the new timeline.
+		return nil
 	}
 	return out
 }
@@ -863,16 +840,4 @@ func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.
 	}
 	asp.End(p)
 	return res, nil
-}
-
-// liveSlaves filters the master's attached slaves to running instances.
-func liveSlaves(m *repl.Master) []*repl.Slave {
-	slaves := m.Slaves()
-	out := slaves[:0:0]
-	for _, sl := range slaves {
-		if sl.Srv.Up() {
-			out = append(out, sl)
-		}
-	}
-	return out
 }

@@ -177,13 +177,18 @@ func NewMaster(env *sim.Env, srv *server.DBServer, net *cloud.Network, mode Mode
 
 // Slaves returns the attached slaves.
 func (m *Master) Slaves() []*Slave {
-	out := make([]*Slave, 0, len(m.slaves))
+	return m.AppendSlaves(make([]*Slave, 0, len(m.slaves)))
+}
+
+// AppendSlaves appends the attached slaves to dst — Slaves for a caller that
+// asks on every statement and brings its own buffer.
+func (m *Master) AppendSlaves(dst []*Slave) []*Slave {
 	for _, sl := range m.slaves {
 		if !m.detached[sl] {
-			out = append(out, sl)
+			dst = append(dst, sl)
 		}
 	}
-	return out
+	return dst
 }
 
 // ack is a slave acknowledgement message.

@@ -205,8 +205,9 @@ func (s *DBServer) Exec(p *sim.Proc, sess *sqlengine.Session, sql string, args .
 	sp := s.Tracer.StartSpan(p, "server", "exec")
 	sp.SetAttr("server", s.Name)
 	before := s.Log.LastSeq()
-	// Prepared-statement path: parse and normalization are cached per text,
-	// and SELECT plans are shared across argument vectors via the plan cache.
+	// Prepare returns the engine's one Statement for this text — parsed,
+	// normalized and holding its SELECT plan — so a repeated statement pays
+	// for neither a handle nor a plan lookup key.
 	var res *sqlengine.Result
 	stmt, err := s.Eng.Prepare(sql)
 	if err == nil {

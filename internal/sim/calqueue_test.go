@@ -240,16 +240,26 @@ func TestWaitTimeoutSteadyStateAllocs(t *testing.T) {
 		e.Run()
 	}
 	cycle() // prime pools
-	allocs := testing.AllocsPerRun(100, cycle)
 	// Go() itself allocates the Proc and goroutine stack; measure the
-	// remainder by comparing against a spawn that never waits.
+	// remainder by comparing against a spawn that never waits. Whether a
+	// spawn finds a dead goroutine to reuse is the runtime's business: it
+	// adds an object or two to either side for a few rounds at a time. So
+	// the two sides alternate round by round and each reports its minimum —
+	// noise only ever adds, while a waiter or timer that stopped being pooled
+	// adds to every cycle of every round — and rounds continue, up to a cap,
+	// while the minima still disagree.
 	noop := func(p *Proc) {}
 	tick := func() {}
-	base := testing.AllocsPerRun(100, func() {
+	spawn := func() {
 		e.Go("noop", noop)
 		e.After(Time(time.Millisecond), tick)
 		e.Run()
-	})
+	}
+	allocs, base := testing.AllocsPerRun(100, cycle), testing.AllocsPerRun(100, spawn)
+	for round := 1; round < 64 && (round < 8 || allocs > base); round++ {
+		allocs = min(allocs, testing.AllocsPerRun(100, cycle))
+		base = min(base, testing.AllocsPerRun(100, spawn))
+	}
 	if allocs > base {
 		t.Fatalf("WaitTimeout cycle allocates %.1f objects vs %.1f spawn baseline; waiter/timer pooling regressed", allocs, base)
 	}

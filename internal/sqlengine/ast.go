@@ -8,8 +8,8 @@ import (
 // Stmt is a parsed SQL statement (the AST root). String renders it back to
 // SQL; for statements with bound parameters, rendering after Bind produces
 // the fully-interpolated text recorded in the binlog. The canonical String
-// rendering also serves as the normalized-SQL key of the plan cache: two
-// texts differing only in whitespace or keyword case share one entry.
+// rendering also identifies a prepared statement: two texts differing only in
+// whitespace or keyword case share one Statement and its plans.
 //
 // Stmt is the raw parse-tree layer. The prepared-statement handle the engine
 // hands out is *Statement (prepare.go), which wraps a Stmt together with its
@@ -311,19 +311,6 @@ type SelectStmt struct {
 	OrderBy  []OrderItem
 	Limit    Expr // nil when absent
 	Offset   Expr
-
-	// norm caches the canonical String() rendering used as the plan-cache
-	// key. Written only under the engine mutex (planner) and cleared by the
-	// binder when it copies the statement.
-	norm string
-}
-
-// normKey returns the memoized canonical rendering of the statement.
-func (s *SelectStmt) normKey() string {
-	if s.norm == "" {
-		s.norm = s.String()
-	}
-	return s.norm
 }
 
 func (s *SelectStmt) String() string {
@@ -417,19 +404,8 @@ func (*Param) String() string { return "?" }
 func (*Param) expr()          {}
 
 // ColRef references a column, optionally qualified by table name or alias.
-// The unexported fields memoize name resolution: parsed ASTs are cached
-// and re-executed many times, and resolving the same column to the same
-// position on every row was the single hottest line of the executor. The
-// cache is written only under the engine's execution mutex (the binder
-// shares ColRef nodes rather than cloning them, so bound statements reuse
-// it too) and is keyed by table pointer, so DDL that rebuilds a table
-// invalidates it naturally.
 type ColRef struct {
 	Table, Name string
-
-	lname string // Table lowered once, "" until first qualified resolve
-	ctbl  *Table // table the ref last resolved against
-	cpos  int    // column position in ctbl
 }
 
 func (c *ColRef) String() string {
@@ -601,7 +577,6 @@ func (b *binder) stmt(s Stmt) Stmt {
 		return &out
 	case *SelectStmt:
 		out := *s
-		out.norm = "" // bound copy renders differently from the original
 		out.Exprs = make([]SelectExpr, len(s.Exprs))
 		for i, se := range s.Exprs {
 			out.Exprs[i] = SelectExpr{se.Star, b.expr(se.Expr), se.Alias}

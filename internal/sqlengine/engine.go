@@ -124,29 +124,20 @@ type Engine struct {
 	gcVersions uint64
 	gcRows     uint64
 
-	parseCache sync.Map // sql string -> parseEntry
+	// parseCache maps statement text to its *Statement (prepare.go): the
+	// text as written and its normalized rendering share one entry, so
+	// textual variants share one parse and one set of plans.
+	parseCache sync.Map
 
-	// Planner state (planner.go, prepare.go). statsEpoch advances on
-	// ANALYZE, DDL and snapshot Restore; a cached *Plan embeds table and
-	// index pointers plus cost estimates, so any epoch mismatch retires it.
-	// planCache is keyed on db + normalized SQL + planner mode and, like the
-	// catalog it points into, is only touched under mu.
+	// statsEpoch advances on ANALYZE, DDL and snapshot Restore; a *Plan
+	// embeds table and index pointers plus cost estimates, so any epoch
+	// mismatch retires it (planner.go).
 	statsEpoch uint64
-	planCache  map[string]*Plan
 
 	// NaivePlan forces the syntax-order, no-pushdown planner for every
 	// statement — the A-PLAN ablation's baseline arm, mirroring the
 	// pre-planner executor's access-path choices exactly.
 	NaivePlan bool
-}
-
-// parseEntry is a parse-cache value: the immutable AST plus its canonical
-// String rendering (which keys the plan cache across textual variants) and
-// parameter count, both computed once per distinct text.
-type parseEntry struct {
-	stmt    Stmt
-	norm    string
-	nparams int
 }
 
 // Database is a named collection of tables.
@@ -170,7 +161,6 @@ func NewEngine() *Engine {
 	return &Engine{
 		dbs:       make(map[string]*Database),
 		NowMicros: func() int64 { return 0 },
-		planCache: make(map[string]*Plan),
 	}
 }
 
@@ -198,31 +188,6 @@ func (e *Engine) Databases() []string {
 		out = append(out, d.Name)
 	}
 	return out
-}
-
-// parse returns the cached AST for sql, parsing on first use. Cached ASTs
-// are never mutated: execution works on bound copies.
-func (e *Engine) parse(sql string) (Stmt, error) {
-	ent, err := e.parseEntry(sql)
-	if err != nil {
-		return nil, err
-	}
-	return ent.stmt, nil
-}
-
-// parseEntry returns the cached AST plus its normalized rendering, parsing
-// and rendering on first use.
-func (e *Engine) parseEntry(sql string) (parseEntry, error) {
-	if v, ok := e.parseCache.Load(sql); ok {
-		return v.(parseEntry), nil
-	}
-	stmt, err := Parse(sql)
-	if err != nil {
-		return parseEntry{}, err
-	}
-	ent := parseEntry{stmt: stmt, norm: stmt.String(), nparams: countParams(stmt)}
-	e.parseCache.Store(sql, ent)
-	return ent, nil
 }
 
 // Session is a connection-scoped execution context: current database,
@@ -280,22 +245,28 @@ func (s *Session) ExecUncached(sql string, args ...Value) (*Result, error) {
 	return s.ExecStmt(stmt, args...)
 }
 
-// ExecStmt executes a pre-parsed statement with bound args.
+// ExecStmt executes a pre-parsed statement with bound args. The statement
+// is not prepared, so a SELECT plans afresh on every call.
+func (s *Session) ExecStmt(stmt Stmt, args ...Value) (*Result, error) {
+	return s.run(&Statement{eng: s.eng, stmt: stmt, nparams: countParams(stmt)}, args)
+}
+
+// run executes a statement with args.
 //
 // Reads (SELECT, EXPLAIN) are not bound: the planner works on the original
-// parameterized AST so one cached plan serves every argument vector, and the
+// parameterized AST so one plan serves every argument vector, and the
 // executor resolves ? placeholders against args at evaluation time. Writes
 // still bind eagerly — the binlog replicates their interpolated text.
-func (s *Session) ExecStmt(stmt Stmt, args ...Value) (*Result, error) {
-	bound := stmt
+func (s *Session) run(st *Statement, args []Value) (*Result, error) {
+	bound := st.stmt
 	var readArgs []Value
-	switch stmt.(type) {
+	switch bound.(type) {
 	case *SelectStmt, *ExplainStmt:
 		readArgs = args
 	default:
-		if len(args) > 0 || hasParams(stmt) {
+		if len(args) > 0 || st.nparams > 0 {
 			var err error
-			bound, err = Bind(stmt, args)
+			bound, err = Bind(bound, args)
 			if err != nil {
 				return nil, err
 			}
@@ -330,7 +301,7 @@ func (s *Session) ExecStmt(stmt Stmt, args ...Value) (*Result, error) {
 
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
-	res, err := s.eng.execLocked(s, bound, readArgs)
+	res, err := s.eng.execLocked(s, st, bound, readArgs)
 	if err != nil {
 		return nil, err
 	}
@@ -446,17 +417,6 @@ func (s *Session) resolveTable(ref TableRef) (*Database, *Table, error) {
 		return db, nil, fmt.Errorf("sqlengine: unknown table %s.%s", dbName, ref.Name)
 	}
 	return db, t, nil
-}
-
-// hasParams reports whether any Param node appears in the statement.
-func hasParams(stmt Stmt) bool {
-	found := false
-	walkStmt(stmt, func(e Expr) {
-		if _, ok := e.(*Param); ok {
-			found = true
-		}
-	})
-	return found
 }
 
 // walkStmt visits every expression in a statement.

@@ -2,15 +2,14 @@ package sqlengine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // execLocked executes a non-transaction statement. The engine mutex is held
 // by the caller. Write statements arrive pre-bound (args interpolated);
 // reads arrive as the original parameterized AST with args carried
-// separately for plan-cache sharing.
-func (e *Engine) execLocked(s *Session, stmt Stmt, args []Value) (*Result, error) {
+// separately, and find their plan on owner, the prepared statement.
+func (e *Engine) execLocked(s *Session, owner *Statement, stmt Stmt, args []Value) (*Result, error) {
 	switch st := stmt.(type) {
 	case *CreateDatabaseStmt:
 		if err := e.createDatabaseLocked(st.Name, st.IfNotExists); err != nil {
@@ -37,9 +36,13 @@ func (e *Engine) execLocked(s *Session, stmt Stmt, args []Value) (*Result, error
 	case *DeleteStmt:
 		return e.execDelete(s, st)
 	case *SelectStmt:
-		return e.execSelect(s, st, args)
+		p, err := e.planFor(s, owner, st)
+		if err != nil {
+			return nil, err
+		}
+		return e.execPlan(s, p, args, nil)
 	case *ExplainStmt:
-		return e.execExplain(s, st, args)
+		return e.execExplain(s, owner, st, args)
 	case *ShowStmt:
 		return e.execShow(s, st)
 	case *DescribeStmt:
@@ -198,7 +201,7 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 	cands, usedIdx := pickCandidates(tbl, st.Table.refName(), st.Where, e)
 	stats.UsedIndex = usedIdx
 	stats.RowsExamined = len(cands)
-	sc := &scope{eng: e, tables: []scopeTable{{strings.ToLower(st.Table.refName()), tbl, nil}}}
+	sc := &scope{eng: e, tables: []planTable{{lower: strings.ToLower(st.Table.refName()), tbl: tbl}}}
 
 	// Pre-resolve SET columns.
 	var setPos []int
@@ -212,7 +215,7 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 
 	var targets []*Row
 	for _, r := range cands {
-		sc.tables[0].vals = r.vals
+		sc.vals = r.vals
 		if st.Where != nil {
 			ok, err := sc.eval(st.Where)
 			if err != nil {
@@ -238,7 +241,7 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 	}
 	var undos []undoRec
 	for _, r := range targets {
-		sc.tables[0].vals = r.vals
+		sc.vals = r.vals
 		newVals := append([]Value(nil), r.vals...)
 		changed := false
 		for i, a := range st.Sets {
@@ -315,10 +318,10 @@ func (e *Engine) execDelete(s *Session, st *DeleteStmt) (*Result, error) {
 	cands, usedIdx := pickCandidates(tbl, st.Table.refName(), st.Where, e)
 	stats.UsedIndex = usedIdx
 	stats.RowsExamined = len(cands)
-	sc := &scope{eng: e, tables: []scopeTable{{strings.ToLower(st.Table.refName()), tbl, nil}}}
+	sc := &scope{eng: e, tables: []planTable{{lower: strings.ToLower(st.Table.refName()), tbl: tbl}}}
 	var targets []*Row
 	for _, r := range cands {
-		sc.tables[0].vals = r.vals
+		sc.vals = r.vals
 		if st.Where != nil {
 			ok, err := sc.eval(st.Where)
 			if err != nil {
@@ -423,141 +426,12 @@ func pickCandidates(tbl *Table, refName string, where Expr, eng *Engine) ([]*Row
 			if !ok {
 				continue
 			}
-			if rows, usable := tbl.lookupEq(pos, v); usable {
+			if rows, usable := tbl.lookupEq(pos, v, new([1]*Row)); usable {
 				return rows, true
 			}
 		}
 	}
 	return tbl.Rows(), false
-}
-
-// jrow is one joined row: per scope table, its values (nil = LEFT JOIN miss).
-type jrow [][]Value
-
-func (e *Engine) execSelect(s *Session, st *SelectStmt, args []Value) (*Result, error) {
-	p, err := e.planSelectLocked(s, st)
-	if err != nil {
-		return nil, err
-	}
-	return e.execPlan(s, p, args, nil)
-}
-
-// execPlan runs a built plan: the iterator pipeline (operators.go) streams
-// joined rows into chunked jrow backing, and the shared projection /
-// aggregation / order / limit tail finishes the result. acts, when non-nil,
-// receives per-node output counts for EXPLAIN ANALYZE.
-func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Result, error) {
-	if err := p.checkArgs(args); err != nil {
-		return nil, err
-	}
-	st := p.stmt
-	stats := ExecStats{Class: ClassRead}
-	sc := &scope{eng: e, args: args}
-
-	// Table-less SELECT: evaluate once against the empty scope.
-	if st.From == nil {
-		var cols []string
-		var row []Value
-		for _, se := range st.Exprs {
-			if se.Star {
-				return nil, fmt.Errorf("sqlengine: SELECT * requires FROM")
-			}
-			v, err := sc.eval(se.Expr)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-			cols = append(cols, selectColName(se))
-		}
-		if acts != nil && len(p.tail) > 0 {
-			acts[p.tail[0].id] = 1
-		}
-		stats.RowsReturned = 1
-		return &Result{Set: &ResultSet{Columns: cols, Rows: [][]Value{row}}, Stats: stats}, nil
-	}
-
-	for _, pt := range p.tables {
-		sc.tables = append(sc.tables, scopeTable{pt.lower, pt.tbl, nil})
-	}
-
-	// Visibility is decided per execution, never per plan: a latest-version
-	// reader uses heaps and indexes directly, a snapshot reader degrades
-	// index access to chain-resolving scans inside the operators.
-	readV, mvccScan := e.readViewFor(s)
-	ctx := &execCtx{e: e, s: s, sc: sc, readV: readV, mvcc: mvccScan, stats: &stats, acts: acts}
-	it := buildIter(ctx, p.root)
-
-	// Materialize surviving joined rows out of chunked backing arrays — one
-	// allocation per 64 rows rather than one per row; only rows that pass
-	// every pushed filter are ever copied.
-	nt := len(sc.tables)
-	var rows []jrow
-	var chunk jrow
-	for {
-		ok, err := it.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if len(chunk) < nt {
-			chunk = make(jrow, 64*nt)
-		}
-		row := chunk[0:nt:nt]
-		chunk = chunk[nt:]
-		for i := range sc.tables {
-			row[i] = sc.tables[i].vals
-		}
-		rows = append(rows, row)
-	}
-
-	aggregated := len(st.GroupBy) > 0
-	for _, se := range st.Exprs {
-		if !se.Star && containsAggregate(se.Expr) {
-			aggregated = true
-		}
-	}
-
-	var set *ResultSet
-	var err error
-	if aggregated {
-		set, err = e.aggSelect(sc, st, rows)
-	} else {
-		set, err = e.plainSelect(sc, st, rows)
-	}
-	if err != nil {
-		return nil, err
-	}
-	setTailActs := func(kinds ...opKind) {
-		if acts == nil {
-			return
-		}
-		for _, n := range p.tail {
-			for _, k := range kinds {
-				if n.kind == k {
-					acts[n.id] = int64(len(set.Rows))
-				}
-			}
-		}
-	}
-	setTailActs(opHashAgg, opProject, opSort, opTopN)
-	if st.Distinct {
-		set.Rows = distinctRows(set.Rows)
-		setTailActs(opDistinct)
-	}
-	if set.Rows, err = applyLimit(st, set.Rows, sc); err != nil {
-		return nil, err
-	}
-	setTailActs(opLimit)
-	stats.RowsReturned = len(set.Rows)
-	return &Result{Set: set, Stats: stats}, nil
-}
-
-func setScope(sc *scope, row jrow) {
-	for i := range sc.tables {
-		sc.tables[i].vals = row[i]
-	}
 }
 
 // joinEqPattern finds `rightRef.col = expr` (or mirrored) in the ON clause
@@ -589,522 +463,4 @@ func joinEqPattern(on Expr, rightRef string, rightTbl *Table) (int, Expr) {
 		}
 	}
 	return -1, nil
-}
-
-// sortableRow pairs projected values with ORDER BY keys.
-type sortableRow struct {
-	proj []Value
-	keys []Value
-}
-
-func (e *Engine) plainSelect(sc *scope, st *SelectStmt, rows []jrow) (*ResultSet, error) {
-	cols := projectionColumns(sc, st)
-	// One alias map per query, values overwritten per row (orderKeys reads
-	// them before the next row) — and none at all unless ORDER BY could
-	// reference an alias. The per-row map was the engine's top allocator.
-	aliases := aliasMapFor(st)
-	width, nk := len(cols), len(st.OrderBy)
-	if top, ok := topNBound(st, sc, aliases); ok && top < len(rows) {
-		return e.topNSelect(sc, st, rows, cols, top)
-	}
-	out := make([]sortableRow, 0, len(rows))
-	// All rows' projections and sort keys live in one backing array sized
-	// up front: one allocation per query instead of one per row (full scans
-	// with ORDER BY were the engine's top allocator). The full-cap reslices
-	// keep each row's region — and its proj/keys halves — disjoint; if a
-	// projection ever outgrows its stride, append spills it to a fresh
-	// array and the reserved region simply goes unused.
-	stride := width + nk
-	backing := make([]Value, len(rows)*stride)
-	for i, row := range rows {
-		setScope(sc, row)
-		buf := backing[i*stride : i*stride : (i+1)*stride]
-		buf, err := appendProjection(buf, sc, st, aliases)
-		if err != nil {
-			return nil, err
-		}
-		projLen := len(buf)
-		buf, err = appendOrderKeys(buf, sc, st, aliases, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sortableRow{buf[:projLen:projLen], buf[projLen:]})
-	}
-	sortRows(st, out)
-	set := &ResultSet{Columns: cols, Rows: make([][]Value, len(out))}
-	for i, r := range out {
-		set.Rows[i] = r.proj
-	}
-	return set, nil
-}
-
-// topNBound reports how many leading sorted rows the query can ever return
-// (LIMIT + OFFSET) when bounded selection is equivalent to sorting
-// everything: ORDER BY present, constant LIMIT/OFFSET (parameters resolve
-// through the scope's args), no DISTINCT (which dedups before the limit),
-// and no SELECT alias in play (aliases force projection-first evaluation).
-func topNBound(st *SelectStmt, sc *scope, aliases map[string]Value) (int, bool) {
-	if len(st.OrderBy) == 0 || st.Distinct || st.Limit == nil || aliases != nil {
-		return 0, false
-	}
-	lv, ok := limitConst(sc, st.Limit)
-	if !ok {
-		return 0, false
-	}
-	n := int(lv.Int())
-	if st.Offset != nil {
-		ov, ok := limitConst(sc, st.Offset)
-		if !ok {
-			return 0, false
-		}
-		n += int(ov.Int())
-	}
-	if n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// topNSelect keeps only the top rows of the stable sort order while
-// scanning: each row's sort keys are computed first, rows that cannot make
-// the cut are dropped before their projection is ever evaluated, and
-// survivors are inserted into a bounded buffer kept in stable sorted order
-// (ties lose to rows already present, exactly as a stable full sort would
-// place them). The result is byte-identical to sort-everything-then-limit
-// at a fraction of the cost: ORDER BY ... LIMIT over a full scan is the
-// workload's hottest read shape.
-func (e *Engine) topNSelect(sc *scope, st *SelectStmt, rows []jrow, cols []string, top int) (*ResultSet, error) {
-	width, nk := len(cols), len(st.OrderBy)
-	lessKeys := func(a, b []Value) bool {
-		for k := range st.OrderBy {
-			c := Compare(a[k], b[k])
-			if c == 0 {
-				continue
-			}
-			if st.OrderBy[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	}
-	best := make([]sortableRow, 0, top)
-	scratch := make([]Value, 0, nk)
-	// Accepted rows draw their backing from chunks: a scan that arrives in
-	// worst-case order (every row beats the current cut) would otherwise
-	// allocate per row. Evicted rows' regions are simply abandoned — memory
-	// stays bounded by the scan size, exactly like the sort-everything path.
-	stride := width + nk
-	var chunk []Value
-	for _, row := range rows {
-		setScope(sc, row)
-		scratch = scratch[:0]
-		var err error
-		scratch, err = appendOrderKeys(scratch, sc, st, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(best) == top && (top == 0 || !lessKeys(scratch, best[len(best)-1].keys)) {
-			continue
-		}
-		if len(chunk) < stride {
-			chunk = make([]Value, 64*stride)
-		}
-		buf := chunk[0:0:stride]
-		chunk = chunk[stride:]
-		buf, err = appendProjection(buf, sc, st, nil)
-		if err != nil {
-			return nil, err
-		}
-		projLen := len(buf)
-		buf = append(buf, scratch...)
-		nr := sortableRow{buf[:projLen:projLen], buf[projLen:]}
-		pos := sort.Search(len(best), func(i int) bool { return lessKeys(nr.keys, best[i].keys) })
-		if len(best) == top {
-			best = best[:len(best)-1] // evict the worst; pos ≤ len-1 since nr beat it
-		}
-		best = append(best, sortableRow{})
-		copy(best[pos+1:], best[pos:])
-		best[pos] = nr
-	}
-	set := &ResultSet{Columns: cols, Rows: make([][]Value, len(best))}
-	for i, r := range best {
-		set.Rows[i] = r.proj
-	}
-	return set, nil
-}
-
-// aliasMapFor returns a reusable SELECT-alias map when st's ORDER BY could
-// resolve against one, nil otherwise (projectRow skips alias bookkeeping
-// on nil).
-func aliasMapFor(st *SelectStmt) map[string]Value {
-	if len(st.OrderBy) == 0 {
-		return nil
-	}
-	for _, se := range st.Exprs {
-		if se.Alias != "" {
-			return make(map[string]Value, 4)
-		}
-	}
-	return nil
-}
-
-// aggSelect groups rows and evaluates aggregate projections per group.
-func (e *Engine) aggSelect(sc *scope, st *SelectStmt, rows []jrow) (*ResultSet, error) {
-	type group struct {
-		key  string
-		rows []jrow
-	}
-	var groups []*group
-	index := map[string]*group{}
-	if len(st.GroupBy) == 0 {
-		g := &group{key: ""}
-		g.rows = rows
-		groups = append(groups, g)
-	} else {
-		var kb []byte // reused per row; a string materializes only on a new group
-		for _, row := range rows {
-			setScope(sc, row)
-			kb = kb[:0]
-			for _, ge := range st.GroupBy {
-				v, err := sc.eval(ge)
-				if err != nil {
-					return nil, err
-				}
-				kb = v.appendKey(kb)
-				kb = append(kb, 0x1f)
-			}
-			g, ok := index[string(kb)]
-			if !ok {
-				k := string(kb)
-				g = &group{key: k}
-				index[k] = g
-				groups = append(groups, g)
-			}
-			g.rows = append(g.rows, row)
-		}
-	}
-
-	cols := projectionColumns(sc, st)
-	aliases := aliasMapFor(st)
-	out := make([]sortableRow, 0, len(groups))
-	for _, g := range groups {
-		if st.Having != nil {
-			v, err := evalAgg(sc, st.Having, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || !v.Bool() {
-				continue
-			}
-		}
-		// Shared backing array for projection + keys, as in plainSelect.
-		buf := make([]Value, 0, len(cols)+len(st.OrderBy))
-		for _, se := range st.Exprs {
-			if se.Star {
-				return nil, fmt.Errorf("sqlengine: SELECT * cannot be mixed with aggregates")
-			}
-			v, err := evalAgg(sc, se.Expr, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, v)
-			if se.Alias != "" && aliases != nil {
-				aliases[strings.ToLower(se.Alias)] = v
-			}
-		}
-		projLen := len(buf)
-		buf, err := appendOrderKeys(buf, sc, st, aliases, g.rows, evalAgg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sortableRow{buf[:projLen:projLen], buf[projLen:]})
-	}
-	sortRows(st, out)
-	set := &ResultSet{Columns: cols}
-	for _, r := range out {
-		set.Rows = append(set.Rows, r.proj)
-	}
-	return set, nil
-}
-
-// evalAgg evaluates an expression over a group: aggregates fold the group,
-// other nodes evaluate against the group's first row.
-func evalAgg(sc *scope, e Expr, group []jrow) (Value, error) {
-	switch e := e.(type) {
-	case *FuncCall:
-		if !isAggregate(e.Name) {
-			if len(group) > 0 {
-				setScope(sc, group[0])
-			}
-			return sc.eval(e)
-		}
-		return foldAggregate(sc, e, group)
-	case *Binary:
-		l, err := evalAgg(sc, e.L, group)
-		if err != nil {
-			return Null, err
-		}
-		r, err := evalAgg(sc, e.R, group)
-		if err != nil {
-			return Null, err
-		}
-		tmp := &Binary{e.Op, &Literal{l}, &Literal{r}}
-		return sc.evalBinary(tmp)
-	case *Unary:
-		x, err := evalAgg(sc, e.X, group)
-		if err != nil {
-			return Null, err
-		}
-		return sc.eval(&Unary{e.Op, &Literal{x}})
-	default:
-		if len(group) > 0 {
-			setScope(sc, group[0])
-		}
-		return sc.eval(e)
-	}
-}
-
-func foldAggregate(sc *scope, f *FuncCall, group []jrow) (Value, error) {
-	if f.Name == "COUNT" && f.Star {
-		return NewInt(int64(len(group))), nil
-	}
-	if len(f.Args) != 1 {
-		return Null, fmt.Errorf("sqlengine: %s expects one argument", f.Name)
-	}
-	var count int64
-	var sumF float64
-	var sumI int64
-	anyFloat := false
-	var minV, maxV Value
-	seen := map[string]bool{}
-	for _, row := range group {
-		setScope(sc, row)
-		v, err := sc.eval(f.Args[0])
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if f.Distinct {
-			k := v.key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		count++
-		if v.Kind() == KindFloat {
-			anyFloat = true
-		}
-		sumF += v.Float()
-		sumI += v.Int()
-		if minV.IsNull() || Compare(v, minV) < 0 {
-			minV = v
-		}
-		if maxV.IsNull() || Compare(v, maxV) > 0 {
-			maxV = v
-		}
-	}
-	switch f.Name {
-	case "COUNT":
-		return NewInt(count), nil
-	case "SUM":
-		if count == 0 {
-			return Null, nil
-		}
-		if anyFloat {
-			return NewFloat(sumF), nil
-		}
-		return NewInt(sumI), nil
-	case "AVG":
-		if count == 0 {
-			return Null, nil
-		}
-		return NewFloat(sumF / float64(count)), nil
-	case "MIN":
-		return minV, nil
-	case "MAX":
-		return maxV, nil
-	}
-	return Null, fmt.Errorf("sqlengine: unknown aggregate %s", f.Name)
-}
-
-// projectionColumns derives output column names.
-func projectionColumns(sc *scope, st *SelectStmt) []string {
-	var cols []string
-	for _, se := range st.Exprs {
-		if se.Star {
-			for _, t := range sc.tables {
-				for _, c := range t.tbl.Columns {
-					cols = append(cols, c.Name)
-				}
-			}
-			continue
-		}
-		cols = append(cols, selectColName(se))
-	}
-	return cols
-}
-
-func selectColName(se SelectExpr) string {
-	if se.Alias != "" {
-		return se.Alias
-	}
-	if c, ok := se.Expr.(*ColRef); ok {
-		return c.Name
-	}
-	return se.Expr.String()
-}
-
-// appendProjection evaluates the projection for the current scope row,
-// appending onto buf (callers size buf for projection + ORDER BY keys so
-// both live in one allocation). Aliased values are published into aliases
-// when the caller passes one (nil means no ORDER BY alias can need them).
-func appendProjection(buf []Value, sc *scope, st *SelectStmt, aliases map[string]Value) ([]Value, error) {
-	proj := buf
-	for _, se := range st.Exprs {
-		if se.Star {
-			for _, t := range sc.tables {
-				if t.vals == nil {
-					for range t.tbl.Columns {
-						proj = append(proj, Null)
-					}
-				} else {
-					proj = append(proj, t.vals...)
-				}
-			}
-			continue
-		}
-		v, err := sc.eval(se.Expr)
-		if err != nil {
-			return nil, err
-		}
-		proj = append(proj, v)
-		if se.Alias != "" && aliases != nil {
-			aliases[strings.ToLower(se.Alias)] = v
-		}
-	}
-	return proj, nil
-}
-
-// appendOrderKeys computes ORDER BY sort keys for the current row/group,
-// appending onto buf. Bare column references matching a projection alias
-// use the projected value.
-func appendOrderKeys(buf []Value, sc *scope, st *SelectStmt, aliases map[string]Value, group []jrow,
-	aggEval func(*scope, Expr, []jrow) (Value, error)) ([]Value, error) {
-	for _, item := range st.OrderBy {
-		if c, ok := item.Expr.(*ColRef); ok && c.Table == "" {
-			if v, hit := aliases[strings.ToLower(c.Name)]; hit {
-				buf = append(buf, v)
-				continue
-			}
-		}
-		var v Value
-		var err error
-		if aggEval != nil {
-			v, err = aggEval(sc, item.Expr, group)
-		} else {
-			v, err = sc.eval(item.Expr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, v)
-	}
-	return buf, nil
-}
-
-// rowSorter is a concrete sort.Interface over sortable rows: ORDER BY runs
-// on every scanned row of a sorted scan, and sort.SliceStable's
-// reflection-based swapper was ~20% of a full experiment cell's CPU.
-type rowSorter struct {
-	rows  []sortableRow
-	order []OrderItem
-}
-
-func (s *rowSorter) Len() int      { return len(s.rows) }
-func (s *rowSorter) Swap(i, j int) { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
-func (s *rowSorter) Less(i, j int) bool {
-	for k := range s.order {
-		c := Compare(s.rows[i].keys[k], s.rows[j].keys[k])
-		if c == 0 {
-			continue
-		}
-		if s.order[k].Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-func sortRows(st *SelectStmt, rows []sortableRow) {
-	if len(st.OrderBy) == 0 {
-		return
-	}
-	// Stable sort output is uniquely determined by the comparator and input
-	// order, so swapping implementations cannot perturb determinism.
-	sort.Stable(&rowSorter{rows: rows, order: st.OrderBy})
-}
-
-func distinctRows(rows [][]Value) [][]Value {
-	seen := map[string]bool{}
-	out := rows[:0]
-	for _, r := range rows {
-		var kb strings.Builder
-		for _, v := range r {
-			kb.WriteString(v.key())
-			kb.WriteByte(0x1f)
-		}
-		k := kb.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-// limitConst evaluates a LIMIT/OFFSET expression: it must reference no
-// columns, but may reference ? parameters resolved through the scope's args.
-func limitConst(sc *scope, e Expr) (Value, bool) {
-	if !runtimeConst(e) {
-		return Null, false
-	}
-	v, err := sc.eval(e)
-	if err != nil {
-		return Null, false
-	}
-	return v, true
-}
-
-func applyLimit(st *SelectStmt, rows [][]Value, sc *scope) ([][]Value, error) {
-	offset := 0
-	if st.Offset != nil {
-		v, ok := limitConst(sc, st.Offset)
-		if !ok {
-			return nil, fmt.Errorf("sqlengine: OFFSET must be constant")
-		}
-		offset = int(v.Int())
-	}
-	if offset > 0 {
-		if offset >= len(rows) {
-			return nil, nil
-		}
-		rows = rows[offset:]
-	}
-	if st.Limit != nil {
-		v, ok := limitConst(sc, st.Limit)
-		if !ok {
-			return nil, fmt.Errorf("sqlengine: LIMIT must be constant")
-		}
-		n := int(v.Int())
-		if n < len(rows) {
-			rows = rows[:n]
-		}
-	}
-	return rows, nil
 }

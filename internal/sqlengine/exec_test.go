@@ -540,17 +540,103 @@ func TestUnknownColumnAndTableErrors(t *testing.T) {
 		"INSERT INTO users (nope) VALUES (1)",
 		"UPDATE users SET nope = 1",
 		"SELECT * FROM users WHERE nope = 1",
+		// Resolution must not depend on a row reaching the evaluator: no
+		// row matches, a false conjunct short-circuits, the table is empty.
+		"SELECT nope FROM users WHERE id = -5",
+		"SELECT id FROM users WHERE id = -5 AND nope = 1",
+		"SELECT id FROM users WHERE 1 = 0 AND nope = 1",
+		"SELECT id FROM users ORDER BY nope",
+		"SELECT karma, COUNT(*) FROM users WHERE id = -5 GROUP BY nope",
+		"SELECT u.nope FROM users u WHERE u.id = -5",
+		"SELECT x.id FROM users u WHERE u.id = -5",
+		"SELECT e.id FROM users u JOIN events e ON e.nope = u.id WHERE u.id = -5",
 	} {
-		if _, err := s.Exec(sql); err == nil {
+		_, err := s.Exec(sql)
+		if err == nil {
 			t.Errorf("%s: expected error", sql)
+		} else if !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("%s: error %q does not name the unknown reference", sql, err)
 		}
+	}
+	if _, err := s.Exec("TRUNCATE TABLE events"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("SELECT nope FROM events"); err == nil || err.Error() != "sqlengine: unknown column nope" {
+		t.Errorf("unknown column over an empty table: %v", err)
 	}
 }
 
 func TestAmbiguousColumn(t *testing.T) {
 	s := newTestDB(t)
-	if _, err := s.Exec("SELECT id FROM users u JOIN events e ON u.id = e.creator_id"); err == nil {
-		t.Fatal("ambiguous column accepted")
+	for _, sql := range []string{
+		"SELECT id FROM users u JOIN events e ON u.id = e.creator_id",
+		"SELECT u.id FROM users u JOIN events e ON u.id = e.creator_id WHERE u.id = -5 ORDER BY id",
+		"SELECT u.id FROM users u JOIN events e ON u.id = e.creator_id WHERE 1 = 0 AND id = 1",
+	} {
+		if _, err := s.Exec(sql); err == nil || err.Error() != "sqlengine: ambiguous column id" {
+			t.Errorf("%s: want ambiguous-column error, got %v", sql, err)
+		}
+	}
+}
+
+// TestNegativeLimitOffsetRejected: a negative LIMIT used to panic inside the
+// engine lock (slicing rows[:-1]) and a negative OFFSET shortened an ordered
+// result by one row; both are errors now, ordered or not.
+func TestNegativeLimitOffsetRejected(t *testing.T) {
+	s := newTestDB(t)
+	for _, sql := range []string{
+		"SELECT id FROM events LIMIT ?",
+		"SELECT id FROM events ORDER BY id LIMIT ?",
+		"SELECT id FROM events LIMIT 5 OFFSET ?",
+		"SELECT id FROM events ORDER BY id LIMIT 5 OFFSET ?",
+	} {
+		if _, err := s.Exec(sql, NewInt(-1)); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Errorf("%s with -1: want a negative-bound error, got %v", sql, err)
+		}
+		if res, err := s.Exec(sql, NewInt(2)); err != nil || res.Stats.RowsReturned == 0 {
+			t.Errorf("%s with 2: %v", sql, err)
+		}
+	}
+}
+
+// TestResultRowsDoNotAliasPlanState: a caller scribbling over a returned
+// ResultSet's rows must not change what the same plan returns next — nothing
+// in a Result may alias plan scratch or a stored row image.
+func TestResultRowsDoNotAliasPlanState(t *testing.T) {
+	s := newTestDB(t)
+	for _, sql := range []string{
+		"SELECT * FROM users WHERE id = 3",
+		"SELECT * FROM users u JOIN events e ON e.creator_id = u.id WHERE u.id = 1",
+		"SELECT name, karma FROM users ORDER BY karma DESC LIMIT 3",
+		"SELECT creator_id, COUNT(*) AS cnt, MAX(title) FROM events GROUP BY creator_id ORDER BY creator_id",
+		"SELECT DISTINCT creator_id FROM events",
+	} {
+		st, err := s.eng.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := st.Query(s)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		want := canonRows(first, true)
+		for _, r := range first.Rows {
+			for i := range r {
+				r[i] = NewString("scribble")
+			}
+		}
+		again, err := st.Query(s)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if got := canonRows(again, true); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: second execution changed after the first result was mutated\n got %q\nwant %q", sql, got, want)
+		}
+	}
+	// The stored rows themselves must be untouched too.
+	set, err := s.Query("SELECT name FROM users WHERE id = 3")
+	if err != nil || set.Rows[0][0].Str() != "userc" {
+		t.Fatalf("stored row changed: %v %v", set, err)
 	}
 }
 

@@ -28,11 +28,11 @@ func (*ExplainStmt) stmt() {}
 // on planNode.line — the A-PLAN decision log and the EXPLAIN golden test
 // both pin it. SELECT goes through the planner; UPDATE and DELETE render
 // their driving access with the same operator vocabulary.
-func (e *Engine) execExplain(s *Session, st *ExplainStmt, args []Value) (*Result, error) {
+func (e *Engine) execExplain(s *Session, owner *Statement, st *ExplainStmt, args []Value) (*Result, error) {
 	var lines []string
 	switch inner := st.Inner.(type) {
 	case *SelectStmt:
-		p, err := e.planSelectLocked(s, inner)
+		p, err := e.planFor(s, owner, inner)
 		if err != nil {
 			return nil, err
 		}

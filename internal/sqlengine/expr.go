@@ -5,131 +5,328 @@ import (
 	"strings"
 )
 
-// scopeTable is one table visible to expression evaluation, with the
-// current row's values (nil for a LEFT JOIN miss: all columns read NULL).
-type scopeTable struct {
-	name string // ref name (alias or table name), lower-case
-	tbl  *Table
-	vals []Value
+// Expressions are evaluated by two walkers over one set of scalar kernels
+// (unaryOp, decides/logicOp, binaryOp, betweenOp, likeOp, callBuiltin), so no
+// SQL semantics exists twice:
+//
+//   - bexpr.eval runs SELECT. The resolver (resolve.go) binds every expression
+//     a plan holds once, at plan-build time, to frame positions and operator
+//     codes; a bound column is frame[slot][col] and no name is looked at, no
+//     case folded and no operator string compared while rows flow.
+//   - scope.eval walks the AST directly for what executes once per freshly
+//     parameter-substituted statement — INSERT values, UPDATE SET/WHERE,
+//     DELETE WHERE and constant folding — where binding per call would cost
+//     more than it saves.
+
+// exprOp is an operator or bound-node code.
+type exprOp uint8
+
+const (
+	eInvalid exprOp = iota
+	eAnd
+	eOr
+	eEq
+	eNe
+	eLt
+	eLe
+	eGt
+	eGe
+	eAdd
+	eSub
+	eMul
+	eDiv
+	eMod
+	eNot
+	eNeg
+	// Bound-node kinds with no operator spelling.
+	eConst
+	eParam
+	eCol
+	eAgg
+	eFunc
+	eIn
+	eBetween
+	eIsNull
+	eLike
+)
+
+// binaryOpOf maps a Binary node's operator spelling to its code.
+func binaryOpOf(op string) exprOp {
+	switch op {
+	case "AND":
+		return eAnd
+	case "OR":
+		return eOr
+	case "=":
+		return eEq
+	case "!=":
+		return eNe
+	case "<":
+		return eLt
+	case "<=":
+		return eLe
+	case ">":
+		return eGt
+	case ">=":
+		return eGe
+	case "+":
+		return eAdd
+	case "-":
+		return eSub
+	case "*":
+		return eMul
+	case "/":
+		return eDiv
+	case "%":
+		return eMod
+	}
+	return eInvalid
 }
 
-// scope is the row context for evaluating expressions. args carries the
-// statement's positional arguments for reads executed against the original
-// parameterized AST (writes interpolate via Bind and never see a Param).
+// unaryOp is NOT x or -x.
+func unaryOp(op exprOp, x Value) Value {
+	switch {
+	case x.IsNull():
+		return Null
+	case op == eNot:
+		return NewBool(!x.Bool())
+	case x.Kind() == KindFloat:
+		return NewFloat(-x.Float())
+	default:
+		return NewInt(-x.Int())
+	}
+}
+
+// decides reports whether v alone fixes the outcome of AND (a false operand)
+// or OR (a true one) — the short-circuit test.
+func decides(op exprOp, v Value) bool { return !v.IsNull() && v.Bool() == (op == eOr) }
+
+// logicOp is three-valued AND/OR: NULL is an unknown that only matters when
+// it decides the outcome.
+func logicOp(op exprOp, l, r Value) Value {
+	switch {
+	case decides(op, l) || decides(op, r):
+		return NewBool(op == eOr)
+	case l.IsNull() || r.IsNull():
+		return Null
+	default:
+		return NewBool(op == eAnd)
+	}
+}
+
+// binaryOp evaluates a comparison or arithmetic operator; NULL operands yield
+// NULL. String concatenation is spelled CONCAT, not +: arithmetic on strings
+// coerces numerically like MySQL.
+func binaryOp(op exprOp, l, r Value) Value {
+	if l.IsNull() || r.IsNull() {
+		return Null
+	}
+	switch op {
+	case eEq:
+		return NewBool(Compare(l, r) == 0)
+	case eNe:
+		return NewBool(Compare(l, r) != 0)
+	case eLt:
+		return NewBool(Compare(l, r) < 0)
+	case eLe:
+		return NewBool(Compare(l, r) <= 0)
+	case eGt:
+		return NewBool(Compare(l, r) > 0)
+	case eGe:
+		return NewBool(Compare(l, r) >= 0)
+	case eDiv:
+		if r.Float() == 0 {
+			return Null // MySQL: division by zero yields NULL
+		}
+		return NewFloat(l.Float() / r.Float())
+	case eMod:
+		if r.Int() == 0 {
+			return Null
+		}
+		return NewInt(l.Int() % r.Int())
+	}
+	if l.Kind() == KindFloat || r.Kind() == KindFloat || l.Kind() == KindString || r.Kind() == KindString {
+		switch op {
+		case eAdd:
+			return NewFloat(l.Float() + r.Float())
+		case eSub:
+			return NewFloat(l.Float() - r.Float())
+		default:
+			return NewFloat(l.Float() * r.Float())
+		}
+	}
+	switch op {
+	case eAdd:
+		return NewInt(l.Int() + r.Int())
+	case eSub:
+		return NewInt(l.Int() - r.Int())
+	default:
+		return NewInt(l.Int() * r.Int())
+	}
+}
+
+// betweenOp is x [NOT] BETWEEN lo AND hi.
+func betweenOp(x, lo, hi Value, not bool) Value {
+	if x.IsNull() || lo.IsNull() || hi.IsNull() {
+		return Null
+	}
+	return NewBool((Compare(x, lo) >= 0 && Compare(x, hi) <= 0) != not)
+}
+
+// likeOp is x [NOT] LIKE pattern.
+func likeOp(x, pat Value, not bool) Value {
+	if x.IsNull() || pat.IsNull() {
+		return Null
+	}
+	return NewBool(likeMatch(x.String(), pat.String()) != not)
+}
+
+// bexpr is a bound expression node: an operator code over resolved operands.
+type bexpr struct {
+	op   exprOp
+	not  bool   // negated eIn / eBetween / eIsNull / eLike
+	slot int    // eCol: frame slot
+	col  int    // eCol: column position; eParam: argument index; eAgg: aggregate index
+	val  Value  // eConst
+	name string // eFunc: builtin name
+	kids []*bexpr
+}
+
+// eval evaluates the bound expression against the run state's current frame.
+func (x *bexpr) eval(rt *runState) (Value, error) {
+	switch x.op {
+	case eConst:
+		return x.val, nil
+	case eParam:
+		return rt.args[x.col], nil
+	case eCol:
+		if row := rt.frame[x.slot]; row != nil {
+			return row[x.col], nil
+		}
+		return Null, nil // LEFT JOIN miss
+	case eAgg:
+		return rt.aggs[x.col], nil
+	case eFunc:
+		var buf [4]Value
+		args := buf[:0]
+		for _, k := range x.kids {
+			v, err := k.eval(rt)
+			if err != nil {
+				return Null, err
+			}
+			args = append(args, v)
+		}
+		return callBuiltin(rt.e, x.name, args)
+	case eIn:
+		v, err := x.kids[0].eval(rt)
+		if err != nil || v.IsNull() {
+			return Null, err
+		}
+		for _, k := range x.kids[1:] {
+			item, err := k.eval(rt)
+			if err != nil {
+				return Null, err
+			}
+			if !item.IsNull() && Compare(v, item) == 0 {
+				return NewBool(!x.not), nil
+			}
+		}
+		return NewBool(x.not), nil
+	}
+	l, err := x.kids[0].eval(rt)
+	if err != nil {
+		return Null, err
+	}
+	switch x.op {
+	case eNot, eNeg:
+		return unaryOp(x.op, l), nil
+	case eIsNull:
+		return NewBool(l.IsNull() != x.not), nil
+	case eAnd, eOr:
+		if decides(x.op, l) {
+			return NewBool(x.op == eOr), nil
+		}
+	}
+	r, err := x.kids[1].eval(rt)
+	if err != nil {
+		return Null, err
+	}
+	switch x.op {
+	case eAnd, eOr:
+		return logicOp(x.op, l, r), nil
+	case eLike:
+		return likeOp(l, r, x.not), nil
+	case eBetween:
+		hi, err := x.kids[2].eval(rt)
+		return betweenOp(l, r, hi, x.not), err
+	}
+	return binaryOp(x.op, l, r), nil
+}
+
+// scope is the tree walker's row context: at most one table (the UPDATE or
+// DELETE target) with the current row's values.
 type scope struct {
-	tables []scopeTable
 	eng    *Engine
-	args   []Value
+	tables []planTable // empty (INSERT values, constant folding) or the target
+	vals   []Value
 }
 
-// resolve finds the value for a column reference, memoizing the column
-// position on the ColRef node (see its cache fields). Ambiguity checking
-// across multi-table scopes stays on the uncached slow path.
-func (sc *scope) resolve(c *ColRef) (Value, error) {
-	if c.Table != "" {
-		if c.lname == "" {
-			c.lname = strings.ToLower(c.Table)
-		}
-		for i := range sc.tables {
-			st := &sc.tables[i]
-			if st.name != c.lname {
-				continue
-			}
-			if st.tbl != c.ctbl {
-				pos, ok := st.tbl.ColPos(c.Name)
-				if !ok {
-					return Null, fmt.Errorf("sqlengine: unknown column %s.%s", c.Table, c.Name)
-				}
-				c.ctbl, c.cpos = st.tbl, pos
-			}
-			if st.vals == nil {
-				return Null, nil
-			}
-			return st.vals[c.cpos], nil
-		}
-		return Null, fmt.Errorf("sqlengine: unknown table %s in expression", c.Table)
-	}
-	if len(sc.tables) == 1 {
-		st := &sc.tables[0]
-		if st.tbl != c.ctbl {
-			pos, ok := st.tbl.ColPos(c.Name)
-			if !ok {
-				return Null, fmt.Errorf("sqlengine: unknown column %s", c.Name)
-			}
-			c.ctbl, c.cpos = st.tbl, pos
-		}
-		if st.vals == nil {
-			return Null, nil
-		}
-		return st.vals[c.cpos], nil
-	}
-	found := -1
-	var out Value
-	for _, st := range sc.tables {
-		if pos, ok := st.tbl.ColPos(c.Name); ok {
-			if found >= 0 {
-				return Null, fmt.Errorf("sqlengine: ambiguous column %s", c.Name)
-			}
-			found = pos
-			if st.vals == nil {
-				out = Null
-			} else {
-				out = st.vals[pos]
-			}
-		}
-	}
-	if found < 0 {
-		return Null, fmt.Errorf("sqlengine: unknown column %s", c.Name)
-	}
-	return out, nil
-}
-
-// eval evaluates a scalar expression in the row scope. Aggregate calls are
-// rejected here; the aggregate path evaluates them over groups.
+// eval evaluates a scalar expression in the row scope. Writes arrive with
+// their parameters substituted, so a Param here is unbound; aggregates have
+// no meaning outside SELECT.
 func (sc *scope) eval(e Expr) (Value, error) {
 	switch e := e.(type) {
 	case *Literal:
 		return e.V, nil
 	case *Param:
-		if e.Index < len(sc.args) {
-			return sc.args[e.Index], nil
-		}
 		return Null, fmt.Errorf("sqlengine: unbound parameter")
 	case *ColRef:
-		return sc.resolve(e)
-	case *Unary:
-		x, err := sc.eval(e.X)
+		_, pos, err := resolveCol(sc.tables, e)
 		if err != nil {
 			return Null, err
 		}
+		return sc.vals[pos], nil
+	case *Unary:
+		x, err := sc.eval(e.X)
+		op := eNeg
 		if e.Op == "NOT" {
-			if x.IsNull() {
-				return Null, nil
-			}
-			return NewBool(!x.Bool()), nil
+			op = eNot
 		}
-		switch x.Kind() {
-		case KindFloat:
-			return NewFloat(-x.Float()), nil
-		case KindNull:
-			return Null, nil
-		default:
-			return NewInt(-x.Int()), nil
-		}
+		return unaryOp(op, x), err
 	case *Binary:
-		return sc.evalBinary(e)
+		op := binaryOpOf(e.Op)
+		if op == eInvalid {
+			return Null, fmt.Errorf("sqlengine: unknown operator %q", e.Op)
+		}
+		l, err := sc.eval(e.L)
+		if err != nil {
+			return Null, err
+		}
+		if (op == eAnd || op == eOr) && decides(op, l) {
+			return NewBool(op == eOr), nil
+		}
+		r, err := sc.eval(e.R)
+		if op == eAnd || op == eOr {
+			return logicOp(op, l, r), err
+		}
+		return binaryOp(op, l, r), err
 	case *FuncCall:
 		if isAggregate(e.Name) {
 			return Null, fmt.Errorf("sqlengine: aggregate %s not allowed here", e.Name)
 		}
-		return sc.evalFunc(e)
+		args := make([]Value, len(e.Args))
+		for i, a := range e.Args {
+			v, err := sc.eval(a)
+			if err != nil {
+				return Null, err
+			}
+			args[i] = v
+		}
+		return callBuiltin(sc.eng, e.Name, args)
 	case *InExpr:
 		x, err := sc.eval(e.X)
-		if err != nil {
+		if err != nil || x.IsNull() {
 			return Null, err
-		}
-		if x.IsNull() {
-			return Null, nil
 		}
 		for _, item := range e.List {
 			v, err := sc.eval(item)
@@ -151,165 +348,20 @@ func (sc *scope) eval(e Expr) (Value, error) {
 			return Null, err
 		}
 		hi, err := sc.eval(e.Hi)
-		if err != nil {
-			return Null, err
-		}
-		if x.IsNull() || lo.IsNull() || hi.IsNull() {
-			return Null, nil
-		}
-		in := Compare(x, lo) >= 0 && Compare(x, hi) <= 0
-		return NewBool(in != e.Not), nil
+		return betweenOp(x, lo, hi, e.Not), err
 	case *IsNullExpr:
 		x, err := sc.eval(e.X)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(x.IsNull() != e.Not), nil
+		return NewBool(x.IsNull() != e.Not), err
 	case *LikeExpr:
 		x, err := sc.eval(e.X)
 		if err != nil {
 			return Null, err
 		}
 		pat, err := sc.eval(e.Pattern)
-		if err != nil {
-			return Null, err
-		}
-		if x.IsNull() || pat.IsNull() {
-			return Null, nil
-		}
-		m := likeMatch(x.String(), pat.String())
-		return NewBool(m != e.Not), nil
+		return likeOp(x, pat, e.Not), err
 	default:
 		return Null, fmt.Errorf("sqlengine: cannot evaluate %T", e)
 	}
-}
-
-func (sc *scope) evalBinary(e *Binary) (Value, error) {
-	// AND/OR short-circuit with three-valued-ish logic (NULL treated as
-	// unknown that only matters when it decides the outcome).
-	if e.Op == "AND" {
-		l, err := sc.eval(e.L)
-		if err != nil {
-			return Null, err
-		}
-		if !l.IsNull() && !l.Bool() {
-			return NewBool(false), nil
-		}
-		r, err := sc.eval(e.R)
-		if err != nil {
-			return Null, err
-		}
-		if !r.IsNull() && !r.Bool() {
-			return NewBool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		return NewBool(true), nil
-	}
-	if e.Op == "OR" {
-		l, err := sc.eval(e.L)
-		if err != nil {
-			return Null, err
-		}
-		if !l.IsNull() && l.Bool() {
-			return NewBool(true), nil
-		}
-		r, err := sc.eval(e.R)
-		if err != nil {
-			return Null, err
-		}
-		if !r.IsNull() && r.Bool() {
-			return NewBool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		return NewBool(false), nil
-	}
-
-	l, err := sc.eval(e.L)
-	if err != nil {
-		return Null, err
-	}
-	r, err := sc.eval(e.R)
-	if err != nil {
-		return Null, err
-	}
-	switch e.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		c := Compare(l, r)
-		var out bool
-		switch e.Op {
-		case "=":
-			out = c == 0
-		case "!=":
-			out = c != 0
-		case "<":
-			out = c < 0
-		case "<=":
-			out = c <= 0
-		case ">":
-			out = c > 0
-		case ">=":
-			out = c >= 0
-		}
-		return NewBool(out), nil
-	case "+", "-", "*", "/", "%":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		// String concatenation is spelled CONCAT, not +; arithmetic on
-		// strings coerces numerically like MySQL.
-		lf, rf := l.Float(), r.Float()
-		useFloat := l.Kind() == KindFloat || r.Kind() == KindFloat || e.Op == "/"
-		if l.Kind() == KindString || r.Kind() == KindString {
-			useFloat = true
-		}
-		switch e.Op {
-		case "+":
-			if useFloat {
-				return NewFloat(lf + rf), nil
-			}
-			return NewInt(l.Int() + r.Int()), nil
-		case "-":
-			if useFloat {
-				return NewFloat(lf - rf), nil
-			}
-			return NewInt(l.Int() - r.Int()), nil
-		case "*":
-			if useFloat {
-				return NewFloat(lf * rf), nil
-			}
-			return NewInt(l.Int() * r.Int()), nil
-		case "/":
-			if rf == 0 {
-				return Null, nil // MySQL: division by zero yields NULL
-			}
-			return NewFloat(lf / rf), nil
-		case "%":
-			if r.Int() == 0 {
-				return Null, nil
-			}
-			return NewInt(l.Int() % r.Int()), nil
-		}
-	}
-	return Null, fmt.Errorf("sqlengine: unknown operator %q", e.Op)
-}
-
-func (sc *scope) evalFunc(e *FuncCall) (Value, error) {
-	args := make([]Value, len(e.Args))
-	for i, a := range e.Args {
-		v, err := sc.eval(a)
-		if err != nil {
-			return Null, err
-		}
-		args[i] = v
-	}
-	return callBuiltin(sc.eng, e.Name, args)
 }
 
 // callBuiltin dispatches scalar builtins.
@@ -482,6 +534,17 @@ func containsAggregate(e Expr) bool {
 		}
 	})
 	return found
+}
+
+// aggregated reports whether the SELECT groups or aggregates: GROUP BY, or an
+// aggregate call in the select list.
+func (st *SelectStmt) aggregated() bool {
+	for _, se := range st.Exprs {
+		if !se.Star && containsAggregate(se.Expr) {
+			return true
+		}
+	}
+	return len(st.GroupBy) > 0
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (one byte),

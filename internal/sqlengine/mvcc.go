@@ -66,9 +66,9 @@ func (r *Row) visibleTo(s *Session, readV uint64) []Value {
 
 // scanVisible collects the row images a reader at readV sees: the live heap
 // resolved through version chains plus graveyard rows whose delete is not
-// yet visible. Indexes are bypassed — they cover only latest images.
-func (t *Table) scanVisible(s *Session, readV uint64) [][]Value {
-	out := make([][]Value, 0, len(t.rows))
+// yet visible, appended to out (the caller's reusable buffer). Indexes are
+// bypassed — they cover only latest images.
+func (t *Table) scanVisible(s *Session, readV uint64, out [][]Value) [][]Value {
 	for _, r := range t.rows {
 		if v := r.visibleTo(s, readV); v != nil {
 			out = append(out, v)

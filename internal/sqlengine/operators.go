@@ -1,58 +1,91 @@
 package sqlengine
 
-// Iterator operators execute a Plan's relational chain. Each operator fills
-// its scope slot (sc.tables[slot].vals) and pulls from its outer input; the
-// scope itself is the current row, so expression evaluation needs no
-// per-operator row buffers. A true next() leaves every slot at or below the
-// operator populated; the executor (exec.go) materializes surviving rows
-// into jrows for the projection/aggregation tail.
+// Source iterators execute a Plan's relational chain. The run state's frame
+// is the current joined row: each operator stores the row image it produces
+// in frame[slot] and pulls from its outer input, and every bound expression
+// reads columns as frame[slot][col], so rows are never copied while they
+// flow. A true next() leaves every slot at or below the operator populated;
+// the tail (tail.go) consumes the frames.
 //
-// Plans never fix visibility: at execution time a latest-version reader uses
-// heaps and indexes directly, while a snapshot reader (behind the latest
-// commit, or with concurrent provisional writers) degrades every index
-// access to a chain-resolving visible-image scan. The recheck filters the
-// planner leaves on index and join nodes keep degraded access exact.
+// Iterators are built once per plan and reset per execution. Plans never fix
+// visibility: at execution time a latest-version reader uses heaps and
+// indexes directly, while a snapshot reader (behind the latest commit, or
+// with concurrent provisional writers) degrades every index access to a
+// chain-resolving visible-image scan. The recheck filters the planner leaves
+// on index and join nodes keep degraded access exact.
 
-// execCtx is the per-execution state shared by a pipeline's operators.
-type execCtx struct {
+// runState is a plan's execution state: what one run reads (engine, session,
+// arguments, read view), what it counts (ExecStats, EXPLAIN ANALYZE actuals)
+// and the scratch the operators reuse from run to run. Row images are
+// immutable under MVCC and a run holds Engine.mu, so holding references to
+// them for the length of one run is safe; end drops them.
+type runState struct {
 	e     *Engine
 	s     *Session
-	sc    *scope
+	args  []Value
 	readV uint64
 	mvcc  bool // chain-resolving visibility scan required
-	stats *ExecStats
+	stats ExecStats
 	acts  []int64 // EXPLAIN ANALYZE per-node output counts (nil otherwise)
+
+	live  [][]Value // the frame the source iterators fill, slot → row image
+	frame [][]Value // what bound expressions read: live, or a gathered entry
+	aggs  []Value   // the current group's finalized aggregates
+	src   rowIter
+
+	// Tail scratch (tail.go): gathered entries and their sort keys in flat
+	// arrays, the output order, per-group accumulators.
+	refs   [][]Value
+	keys   []Value
+	ktmp   []Value
+	order  []int32
+	by     []orderKey
+	accs   []aggAcc
+	aggv   []Value
+	groups map[string]int32
+	kb     []byte
 }
 
-func (c *execCtx) emit(n *planNode) {
-	if c.acts != nil {
-		c.acts[n.id]++
+func (rt *runState) emit(n *planNode) {
+	if rt.acts != nil {
+		rt.acts[n.id]++
 	}
 }
 
-// rowIter is the operator interface: next advances to the following row,
-// returning false at end of stream.
+// rowIter is the source operator interface: reset rewinds for a new run,
+// next advances to the following row, returning false at end of stream.
 type rowIter interface {
+	reset()
 	next() (bool, error)
 }
 
 // buildIter constructs the iterator pipeline for a plan chain.
-func buildIter(ctx *execCtx, n *planNode) rowIter {
+func buildIter(rt *runState, n *planNode) rowIter {
 	switch n.kind {
 	case opScan, opIndexScan:
-		return &scanIter{ctx: ctx, n: n}
+		return &scanIter{rt: rt, n: n}
 	case opFilter:
-		return &filterIter{ctx: ctx, n: n, input: buildIter(ctx, n.input)}
+		return &filterIter{rt: rt, n: n, input: buildIter(rt, n.input)}
 	default:
-		return &joinIter{ctx: ctx, n: n, input: buildIter(ctx, n.input)}
+		return &joinIter{rt: rt, n: n, input: buildIter(rt, n.input)}
 	}
 }
 
-// evalFilters evaluates a conjunct list against the current scope row,
-// stopping at the first non-true conjunct (matching AND short-circuit).
-func evalFilters(sc *scope, filters []Expr) (bool, error) {
+// onceIter is the source of a table-less SELECT: one empty row.
+type onceIter struct{ done bool }
+
+func (it *onceIter) reset() { it.done = false }
+func (it *onceIter) next() (bool, error) {
+	first := !it.done
+	it.done = true
+	return first, nil
+}
+
+// pass evaluates a conjunct list against the current frame, stopping at the
+// first non-true conjunct (matching AND short-circuit).
+func (rt *runState) pass(filters []*bexpr) (bool, error) {
 	for _, f := range filters {
-		v, err := sc.eval(f)
+		v, err := f.eval(rt)
 		if err != nil {
 			return false, err
 		}
@@ -64,73 +97,63 @@ func evalFilters(sc *scope, filters []Expr) (bool, error) {
 }
 
 // scanIter is the driving access: full heap scan or index-equality bucket,
-// degraded to a visible-image scan for snapshot readers.
+// degraded to a visible-image scan for snapshot readers. It charges its
+// candidate rows when the run opens it, before the first pull — which is why
+// a LIMIT over a lone scan may stop pulling early without moving ExecStats.
 type scanIter struct {
-	ctx    *execCtx
+	rt     *runState
 	n      *planNode
-	inited bool
 	rows   []*Row    // latest-version candidates
-	images [][]Value // snapshot-reader candidates
+	images [][]Value // snapshot-reader candidates (reused backing)
+	pk     [1]*Row   // backing of a primary-key probe's one-row bucket
 	i      int
 }
 
-func (it *scanIter) init() error {
-	it.inited = true
-	ctx, n := it.ctx, it.n
-	if ctx.mvcc {
+func (it *scanIter) reset() {
+	rt, n := it.rt, it.n
+	it.i, it.rows, it.images = 0, nil, it.images[:0]
+	if rt.mvcc {
 		// Indexes cover only latest images: resolve visibility through the
 		// chains over heap plus graveyard, then rely on the node's filters
 		// (which include the index equality as a recheck) for exactness.
-		it.images = n.tbl.scanVisible(ctx.s, ctx.readV)
-		ctx.stats.RowsExamined += len(it.images)
-		return nil
+		it.images = n.tbl.scanVisible(rt.s, rt.readV, it.images)
+		rt.stats.RowsExamined += len(it.images)
+		return
 	}
 	if n.kind == opIndexScan {
 		// The key expression is runtime-const; an evaluation error falls
-		// back to the full scan, surfacing the error through the residual
-		// predicate exactly where the pre-planner executor surfaced it.
-		if v, err := ctx.sc.eval(n.eqExpr); err == nil {
-			if rows, usable := n.tbl.lookupEq(n.eqCol, v); usable {
+		// back to the full scan and surfaces through the recheck filter.
+		if v, err := n.eq.eval(rt); err == nil {
+			if rows, usable := n.tbl.lookupEq(n.eqCol, v, &it.pk); usable {
 				it.rows = rows
-				ctx.stats.RowsExamined += len(rows)
-				ctx.stats.UsedIndex = true
-				return nil
+				rt.stats.RowsExamined += len(rows)
+				rt.stats.UsedIndex = true
+				return
 			}
 		}
 	}
 	it.rows = n.tbl.Rows()
-	ctx.stats.RowsExamined += len(it.rows)
-	return nil
+	rt.stats.RowsExamined += len(it.rows)
 }
 
 func (it *scanIter) next() (bool, error) {
-	if !it.inited {
-		if err := it.init(); err != nil {
-			return false, err
-		}
-	}
-	sc, n := it.ctx.sc, it.n
+	rt, n := it.rt, it.n
 	for {
-		var vals []Value
-		if it.images != nil {
-			if it.i >= len(it.images) {
-				return false, nil
-			}
-			vals = it.images[it.i]
-		} else {
-			if it.i >= len(it.rows) {
-				return false, nil
-			}
-			vals = it.rows[it.i].vals
+		switch {
+		case it.i < len(it.rows):
+			rt.live[n.slot] = it.rows[it.i].vals
+		case it.i < len(it.images):
+			rt.live[n.slot] = it.images[it.i]
+		default:
+			return false, nil
 		}
 		it.i++
-		sc.tables[n.slot].vals = vals
-		ok, err := evalFilters(sc, n.filters)
+		ok, err := rt.pass(n.where)
 		if err != nil {
 			return false, err
 		}
 		if ok {
-			it.ctx.emit(n)
+			rt.emit(n)
 			return true, nil
 		}
 	}
@@ -138,10 +161,12 @@ func (it *scanIter) next() (bool, error) {
 
 // filterIter applies residual conjuncts over fully joined rows.
 type filterIter struct {
-	ctx   *execCtx
+	rt    *runState
 	n     *planNode
 	input rowIter
 }
+
+func (it *filterIter) reset() { it.input.reset() }
 
 func (it *filterIter) next() (bool, error) {
 	for {
@@ -149,12 +174,12 @@ func (it *filterIter) next() (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		pass, err := evalFilters(it.ctx.sc, it.n.filters)
+		pass, err := it.rt.pass(it.n.where)
 		if err != nil {
 			return false, err
 		}
 		if pass {
-			it.ctx.emit(it.n)
+			it.rt.emit(it.n)
 			return true, nil
 		}
 	}
@@ -168,118 +193,142 @@ func (it *filterIter) next() (bool, error) {
 //   - nl_join: the whole inner heap per outer row.
 //   - inl_join: the index-equality bucket for the outer key; a key
 //     evaluation error falls back to the full heap (the residual equality
-//     filter then reports the error against the first pair, exactly as the
-//     pre-planner nested loop did).
-//   - hash_join: a one-time build of inner rows keyed by the join column,
-//     probed per outer row. Per-key buckets keep heap insertion order, so
-//     output order is identical to the nested loop's.
+//     filter then reports the error against the first pair).
+//   - hash_join: a one-time build over the inner rows keyed by the join
+//     column, probed per outer row. Rows sharing a key are chained in heap
+//     order, so output order is identical to the nested loop's.
 //
 // A snapshot reader degrades nl/inl to a nested loop over the inner table's
 // visible images (resolved once, reused for every outer row); hash builds
 // from the same visible images and needs no further degradation.
 type joinIter struct {
-	ctx   *execCtx
+	rt    *runState
 	n     *planNode
 	input rowIter
 
-	// inner-side candidate sources, resolved lazily
-	images     []([]Value) // visible images (snapshot readers)
+	// inner-side candidate sources, resolved lazily once per run
+	images     [][]Value // visible images (snapshot readers) or the hash build side
 	haveImages bool
-	built      bool
-	buckets    map[string][][]Value // hash build, keyed by Value.appendKey
-	kb         []byte               // hash key scratch
+	heads      map[hashKey]int32 // hash build: key → first image of its chain
+	chain      []int32           // next image with the same key, -1 at the end
 
 	// per-outer iteration state
 	rowMatches []*Row    // latest-version candidates (nl/inl)
-	valMatches [][]Value // image or hash-bucket candidates
+	valMatches [][]Value // image candidates
+	pk         [1]*Row   // backing of a primary-key probe's one-row bucket
 	mi         int
-	active     bool // an outer row is in flight
-	matched    bool // it produced at least one surviving pair
+	hit        int32 // hash probe cursor into images, -1 when exhausted
+	active     bool  // an outer row is in flight
+	matched    bool  // it produced at least one surviving pair
 }
 
-func (it *joinIter) innerImages() [][]Value {
+func (it *joinIter) reset() {
+	it.input.reset()
+	it.haveImages, it.active = false, false
+}
+
+// loadImages collects the inner side's row images once per run: the visible
+// images for a snapshot reader, the latest heap for a hash build.
+func (it *joinIter) loadImages() [][]Value {
 	if !it.haveImages {
-		it.images = it.n.tbl.scanVisible(it.ctx.s, it.ctx.readV)
 		it.haveImages = true
+		if it.rt.mvcc {
+			it.images = it.n.tbl.scanVisible(it.rt.s, it.rt.readV, it.images[:0])
+		} else {
+			it.images = it.images[:0]
+			for _, r := range it.n.tbl.Rows() {
+				it.images = append(it.images, r.vals)
+			}
+		}
 	}
 	return it.images
 }
 
 // build constructs the hash table over the inner side. NULL keys never join,
-// so they are left out of the table entirely.
+// so they are left out of the table entirely. Walking the images backwards
+// and pushing each onto the front of its chain leaves every chain in heap
+// order.
 func (it *joinIter) build() {
-	it.built = true
-	it.buckets = make(map[string][][]Value)
-	add := func(vals []Value) {
-		v := vals[it.n.eqCol]
-		if v.IsNull() {
-			return
-		}
-		it.kb = v.appendKey(it.kb[:0])
-		it.buckets[string(it.kb)] = append(it.buckets[string(it.kb)], vals)
+	images := it.loadImages()
+	it.rt.stats.RowsExamined += len(images)
+	if it.heads == nil {
+		it.heads = make(map[hashKey]int32)
 	}
-	if it.ctx.mvcc {
-		for _, vals := range it.innerImages() {
-			add(vals)
+	clear(it.heads)
+	if cap(it.chain) < len(images) {
+		it.chain = make([]int32, len(images))
+	}
+	it.chain = it.chain[:len(images)]
+	for i := len(images) - 1; i >= 0; i-- {
+		it.chain[i] = -1
+		if v := images[i][it.n.eqCol]; !v.IsNull() {
+			k := v.hashKey()
+			if next, ok := it.heads[k]; ok {
+				it.chain[i] = next
+			}
+			it.heads[k] = int32(i)
 		}
-		it.ctx.stats.RowsExamined += len(it.images)
-	} else {
-		rows := it.n.tbl.Rows()
-		for _, r := range rows {
-			add(r.vals)
-		}
-		it.ctx.stats.RowsExamined += len(rows)
 	}
 }
 
 // beginOuter resolves the candidate inner rows for the outer row currently
-// in scope.
+// in the frame.
 func (it *joinIter) beginOuter() error {
-	ctx, n := it.ctx, it.n
-	it.rowMatches, it.valMatches = nil, nil
+	rt, n := it.rt, it.n
+	it.rowMatches, it.valMatches, it.hit, it.mi, it.matched = nil, nil, -1, 0, false
 	switch {
 	case n.kind == opHashJoin:
-		if !it.built {
+		if !it.haveImages {
 			it.build()
 		}
-		if len(it.buckets) == 0 {
+		if len(it.heads) == 0 {
 			return nil // empty build: probe keys need not be evaluated
 		}
-		v, err := ctx.sc.eval(n.eqExpr)
-		if err != nil {
+		v, err := n.eq.eval(rt)
+		if err != nil || v.IsNull() {
 			return err
 		}
-		if v.IsNull() {
-			return nil
+		if first, ok := it.heads[v.hashKey()]; ok {
+			it.hit = first
 		}
-		it.kb = v.appendKey(it.kb[:0])
-		it.valMatches = it.buckets[string(it.kb)]
-		ctx.stats.RowsExamined += len(it.valMatches)
-	case ctx.mvcc:
+	case rt.mvcc:
 		// nl/inl degrade to a nested loop over visible images.
-		it.valMatches = it.innerImages()
-		ctx.stats.RowsExamined += len(it.valMatches)
-	case n.kind == opINLJoin:
-		indexed := false
-		if v, err := ctx.sc.eval(n.eqExpr); err == nil {
-			if rows, usable := n.tbl.lookupEq(n.eqCol, v); usable {
-				it.rowMatches = rows
-				indexed = true
+		it.valMatches = it.loadImages()
+		rt.stats.RowsExamined += len(it.valMatches)
+	default:
+		it.rowMatches = n.tbl.Rows()
+		if n.kind == opINLJoin {
+			if v, err := n.eq.eval(rt); err == nil {
+				if rows, usable := n.tbl.lookupEq(n.eqCol, v, &it.pk); usable {
+					it.rowMatches = rows
+				}
 			}
 		}
-		if !indexed {
-			it.rowMatches = n.tbl.Rows()
-		}
-		ctx.stats.RowsExamined += len(it.rowMatches)
-	default: // opNLJoin
-		it.rowMatches = n.tbl.Rows()
-		ctx.stats.RowsExamined += len(it.rowMatches)
+		rt.stats.RowsExamined += len(it.rowMatches)
 	}
 	return nil
 }
 
+// candidate returns the next inner row image for the outer row in flight.
+func (it *joinIter) candidate() ([]Value, bool) {
+	switch {
+	case it.hit >= 0:
+		vals := it.images[it.hit]
+		it.hit = it.chain[it.hit]
+		it.rt.stats.RowsExamined++
+		return vals, true
+	case it.mi < len(it.rowMatches):
+		it.mi++
+		return it.rowMatches[it.mi-1].vals, true
+	case it.mi < len(it.valMatches):
+		it.mi++
+		return it.valMatches[it.mi-1], true
+	}
+	return nil, false
+}
+
 func (it *joinIter) next() (bool, error) {
-	sc, n := it.ctx.sc, it.n
+	rt, n := it.rt, it.n
 	for {
 		if !it.active {
 			ok, err := it.input.next()
@@ -289,32 +338,24 @@ func (it *joinIter) next() (bool, error) {
 			if err := it.beginOuter(); err != nil {
 				return false, err
 			}
-			it.active, it.matched, it.mi = true, false, 0
+			it.active = true
 		}
-		nm := len(it.rowMatches) + len(it.valMatches)
-		for it.mi < nm {
-			var vals []Value
-			if it.rowMatches != nil {
-				vals = it.rowMatches[it.mi].vals
-			} else {
-				vals = it.valMatches[it.mi]
-			}
-			it.mi++
-			sc.tables[n.slot].vals = vals
-			ok, err := evalFilters(sc, n.filters)
+		for vals, more := it.candidate(); more; vals, more = it.candidate() {
+			rt.live[n.slot] = vals
+			ok, err := rt.pass(n.where)
 			if err != nil {
 				return false, err
 			}
 			if ok {
 				it.matched = true
-				it.ctx.emit(n)
+				rt.emit(n)
 				return true, nil
 			}
 		}
 		it.active = false
 		if !it.matched && n.left {
-			sc.tables[n.slot].vals = nil
-			it.ctx.emit(n)
+			rt.live[n.slot] = nil
+			rt.emit(n)
 			return true, nil
 		}
 	}

@@ -6,40 +6,48 @@ import (
 	"strings"
 )
 
-// A Plan is an immutable operator tree for one SELECT, built by the planner
-// (planner.go) and executed by the iterator operators (operators.go). Plans
-// are cached on the engine keyed by database + normalized SQL + planner
-// mode; they embed *Table and *Index pointers, so a plan is only valid while
-// Engine.statsEpoch equals the epoch it was built under — ANALYZE, DDL and
-// snapshot Restore all advance the epoch and retire every cached plan.
+// A Plan is the operator tree for one SELECT, built by the planner
+// (planner.go), bound by the resolver (resolve.go) and executed by the source
+// iterators (operators.go) and the tail (tail.go). A prepared Statement keeps
+// its current plan per (database, planner mode); plans embed *Table and *Index
+// pointers, so a plan is only valid while Engine.statsEpoch equals the epoch
+// it was built under — ANALYZE, DDL and snapshot Restore all advance the
+// epoch and retire every plan.
 //
-// A plan fixes access paths, join order and join algorithms, never
-// visibility: operators resolve rows through the session's MVCC read view at
-// execution time, degrading index access to chain-resolving scans when the
-// reader is behind the latest commit (operators.go). Cost estimates are in
-// rows-examined units — the same unit the server's virtual CPU model charges
-// per row — so the cheapest plan is the one that minimizes simulated CPU.
+// A plan fixes access paths, join order, join algorithms and every bound
+// expression, never visibility: operators resolve rows through the session's
+// MVCC read view at execution time, degrading index access to chain-resolving
+// scans when the reader is behind the latest commit (operators.go). Cost
+// estimates are in rows-examined units — the same unit the server's virtual
+// CPU model charges per row — so the cheapest plan is the one that minimizes
+// simulated CPU. The shape is immutable once built; rt is execution scratch
+// reused by every run, which Engine.mu serializes.
 type Plan struct {
 	db    string // lower-cased session database the plan was built for
-	norm  string // normalized SQL (canonical AST rendering)
 	naive bool   // built by the naive (pre-planner parity) planner
 	epoch uint64 // Engine.statsEpoch at build time
 
-	stmt    *SelectStmt // the statement (projection/aggregate/order tail)
-	tables  []planTable // scope tables in syntax order (jrow slot order)
+	tables  []planTable // scope tables in syntax order (frame slot order)
 	root    *planNode   // relational pipeline: filter → joins → driving scan
 	tail    []*planNode // presentation nodes above root, outermost first
 	nodes   []*planNode // every node by id (actual-count slots)
 	nparams int         // number of ? parameters the statement requires
 
-	// topN is the bound for the in-flight bounded sort (LIMIT+OFFSET with
-	// constant literals, ORDER BY, no DISTINCT, no usable alias), -1 when
-	// the plain sort path applies.
-	topN int
+	// The bound tail (resolve.go). cols is shared by every ResultSet the plan
+	// produces; consumers reslice it but never write.
+	cols       []string
+	proj       []*bexpr
+	aggregated bool
+	groupBy    []*bexpr
+	aggs       []aggSpec
+	having     *bexpr
+	order      []orderKey
+	distinct   bool
+	limit      *bexpr
+	offset     *bexpr
+	joins      bool // the pipeline has a join: LIMIT must drain it
 
-	// usedIndex mirrors the legacy ExecStats.UsedIndex contract: true when
-	// the driving access is an index lookup.
-	usedIndex bool
+	rt runState
 
 	totalCost float64 // summed estimated rows examined across the pipeline
 }
@@ -122,6 +130,8 @@ type planNode struct {
 	// degrades index access to a chain-resolving scan the recheck keeps the
 	// operator exact.
 	filters []Expr
+	where   []*bexpr // filters, bound
+	eq      *bexpr   // eqExpr, bound
 
 	detail  string  // pre-rendered operand text (deterministic)
 	estRows float64 // estimated output rows
@@ -211,9 +221,6 @@ func (p *Plan) staleStats() bool {
 
 // Naive reports whether the naive (parity) planner built this plan.
 func (p *Plan) Naive() bool { return p.naive }
-
-// Norm returns the normalized SQL the plan was built from.
-func (p *Plan) Norm() string { return p.norm }
 
 // renderFilters renders a conjunct list as " filter (a AND b)" or "".
 func renderFilters(filters []Expr) string {

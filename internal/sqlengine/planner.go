@@ -1,9 +1,6 @@
 package sqlengine
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // The planner builds a Plan (plan.go) for a SELECT in one of two modes.
 //
@@ -37,30 +34,6 @@ const (
 	defaultBetweenSel = 0.25
 	defaultSel        = 1.0 / 3
 )
-
-// planSelectLocked returns the cached or freshly built plan for st under the
-// session's database and the engine's current planner mode. Engine lock held.
-func (e *Engine) planSelectLocked(s *Session, st *SelectStmt) (*Plan, error) {
-	mode := "c"
-	if e.NaivePlan {
-		mode = "n"
-	}
-	key := strings.ToLower(s.db) + "\x00" + mode + "\x00" + st.normKey()
-	if p, ok := e.planCache[key]; ok && p.epoch == e.statsEpoch {
-		// Writes don't advance the stats epoch, so a hot cached plan could
-		// otherwise outlive arbitrary data drift: re-plan (which re-analyzes)
-		// when any involved table has drifted past the staleness threshold.
-		if e.NaivePlan || !p.staleStats() {
-			return p, nil
-		}
-	}
-	p, err := e.buildPlanLocked(s, st, e.NaivePlan)
-	if err != nil {
-		return nil, err
-	}
-	e.planCache[key] = p
-	return p, nil
-}
 
 // countParams returns the number of ? parameters in the statement.
 func countParams(st Stmt) int {
@@ -122,10 +95,7 @@ func (b *planBuilder) newNode(kind opKind) *planNode {
 func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan, error) {
 	p := &Plan{
 		db:      strings.ToLower(s.db),
-		norm:    st.normKey(),
 		naive:   naive,
-		stmt:    st,
-		topN:    -1,
 		nparams: countParams(st),
 	}
 	b := &planBuilder{e: e, s: s, st: st, p: p}
@@ -137,10 +107,10 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		proj.estRows = 1
 		p.tail = []*planNode{proj}
 		p.epoch = e.statsEpoch
-		return p, nil
+		return p, p.resolve(st)
 	}
 
-	// Resolve scope tables in syntax order — jrow slots and column
+	// Resolve scope tables in syntax order — frame slots and column
 	// resolution never depend on join order.
 	refs := make([]TableRef, 0, 1+len(st.Joins))
 	refs = append(refs, *st.From)
@@ -167,24 +137,19 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		}
 	}
 
-	var err error
 	if naive {
-		err = b.buildNaiveAccess()
+		b.buildNaiveAccess()
 	} else {
-		err = b.buildCostAccess()
-	}
-	if err != nil {
-		return nil, err
+		b.buildCostAccess()
 	}
 	b.buildTail()
-	p.totalCost = 0
 	for _, n := range p.nodes {
 		if n.hasCost() {
 			p.totalCost += n.estCost
 		}
 	}
 	p.epoch = e.statsEpoch
-	return p, nil
+	return p, p.resolve(st)
 }
 
 // ---------------------------------------------------------------------------
@@ -217,70 +182,22 @@ func (b *planBuilder) colOf(expr Expr, slot int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	pt := b.p.tables[slot]
-	if c.Table != "" {
-		if strings.ToLower(c.Table) != pt.lower {
-			return 0, false
-		}
-		pos, ok := pt.tbl.ColPos(c.Name)
-		return pos, ok
-	}
-	// Bare column: it belongs to this slot only if no other table has it.
-	owner, pos := -1, 0
-	for i, t := range b.p.tables {
-		if p, ok := t.tbl.ColPos(c.Name); ok {
-			if owner >= 0 {
-				return 0, false // ambiguous
-			}
-			owner, pos = i, p
-		}
-	}
-	return pos, owner == slot
+	owner, pos, err := resolveCol(b.p.tables, c)
+	return pos, err == nil && owner == slot
 }
 
-// refMaskOf computes which scope slots an expression references. ok is false
-// when any reference cannot be resolved (unknown table/column, or an
-// ambiguous bare column) — such conjuncts stay at the top filter so runtime
-// errors surface exactly as the naive executor would surface them.
-func (b *planBuilder) refMaskOf(expr Expr) (mask uint64, ok bool) {
-	ok = true
+// refMaskOf computes which scope slots an expression references. A reference
+// that does not resolve contributes nothing: the resolver rejects the plan
+// once it is built.
+func (b *planBuilder) refMaskOf(expr Expr) (mask uint64) {
 	walkExpr(expr, func(x Expr) {
-		c, isCol := x.(*ColRef)
-		if !isCol || !ok {
-			return
-		}
-		if c.Table != "" {
-			lt := strings.ToLower(c.Table)
-			for i, t := range b.p.tables {
-				if t.lower == lt {
-					if _, has := t.tbl.ColPos(c.Name); !has {
-						ok = false
-						return
-					}
-					mask |= 1 << uint(i)
-					return
-				}
-			}
-			ok = false
-			return
-		}
-		owner := -1
-		for i, t := range b.p.tables {
-			if _, has := t.tbl.ColPos(c.Name); has {
-				if owner >= 0 {
-					ok = false
-					return
-				}
-				owner = i
+		if c, isCol := x.(*ColRef); isCol {
+			if slot, _, err := resolveCol(b.p.tables, c); err == nil {
+				mask |= 1 << uint(slot)
 			}
 		}
-		if owner < 0 {
-			ok = false
-			return
-		}
-		mask |= 1 << uint(owner)
 	})
-	return mask, ok
+	return mask
 }
 
 // selOf estimates the fraction of rows a single-table conjunct keeps. slot
@@ -398,7 +315,7 @@ func (b *planBuilder) classOfExpr(e Expr) kindClass {
 // buildNaiveAccess mirrors the legacy execSelect shape: pickCandidates on
 // the driving table, syntax-order joins with per-join index lookups, whole
 // WHERE evaluated after all joins.
-func (b *planBuilder) buildNaiveAccess() error {
+func (b *planBuilder) buildNaiveAccess() {
 	st, p := b.st, b.p
 
 	drive := b.naiveDriving()
@@ -452,7 +369,6 @@ func (b *planBuilder) buildNaiveAccess() error {
 		outEst = f.estRows
 	}
 	p.root = chain
-	return nil
 }
 
 // naiveDriving reproduces pickCandidates as a plan node: the first WHERE
@@ -488,7 +404,6 @@ func (b *planBuilder) naiveDriving() *planNode {
 				n.estCost = eqBucketEst(tbl, pos, unique)
 				n.estRows = n.estCost
 				n.detail = accessDetail(p.tables[0].display, n)
-				p.usedIndex = true
 				return n
 			}
 		}
@@ -504,8 +419,8 @@ func (b *planBuilder) naiveDriving() *planNode {
 // whereSel estimates a WHERE conjunct's selectivity: single-table conjuncts
 // use column statistics, everything else the default.
 func (b *planBuilder) whereSel(c Expr) float64 {
-	mask, ok := b.refMaskOf(c)
-	if !ok || mask == 0 || mask&(mask-1) != 0 {
+	mask := b.refMaskOf(c)
+	if mask == 0 || mask&(mask-1) != 0 {
 		return defaultSel
 	}
 	slot := 0
@@ -537,37 +452,36 @@ func joinFilterSel(b *planBuilder, c Expr, slot int) float64 {
 type pooledConjunct struct {
 	expr Expr
 	mask uint64
-	ok   bool // resolvable (eligible for pushdown)
 	used bool // attached to some node already
 }
 
 // buildCostAccess builds the cost-based access chain.
-func (b *planBuilder) buildCostAccess() error {
+func (b *planBuilder) buildCostAccess() {
 	for _, j := range b.st.Joins {
 		if j.Left {
-			return b.buildCostSyntaxOrder()
+			b.buildCostSyntaxOrder()
+			return
 		}
 	}
-	return b.buildCostReorder()
+	b.buildCostReorder()
 }
 
 // pool collects conjuncts with their reference masks.
 func (b *planBuilder) pool(exprs []Expr) []*pooledConjunct {
 	out := make([]*pooledConjunct, 0, len(exprs))
 	for _, e := range exprs {
-		mask, ok := b.refMaskOf(e)
-		out = append(out, &pooledConjunct{expr: e, mask: mask, ok: ok})
+		out = append(out, &pooledConjunct{expr: e, mask: b.refMaskOf(e)})
 	}
 	return out
 }
 
-// attach collects every unused resolvable conjunct whose references are
+// attach collects every unused conjunct whose references are
 // covered by bound, marking them used. Order follows the pool (WHERE first,
 // then ON clauses in syntax order) for deterministic plans.
 func attach(pool []*pooledConjunct, bound uint64) []Expr {
 	var out []Expr
 	for _, pc := range pool {
-		if pc.used || !pc.ok || pc.mask&^bound != 0 {
+		if pc.used || pc.mask&^bound != 0 {
 			continue
 		}
 		pc.used = true
@@ -590,7 +504,7 @@ func (b *planBuilder) eqCandidatesFor(pool []*pooledConjunct, slot int, bound ui
 	var out []eqCandidate
 	slotBit := uint64(1) << uint(slot)
 	for _, pc := range pool {
-		if pc.used || !pc.ok {
+		if pc.used {
 			continue
 		}
 		bin, isBin := pc.expr.(*Binary)
@@ -602,8 +516,8 @@ func (b *planBuilder) eqCandidatesFor(pool []*pooledConjunct, slot int, bound ui
 			if !ok {
 				continue
 			}
-			otherMask, otherOK := b.refMaskOf(try[1])
-			if !otherOK || otherMask&slotBit != 0 || otherMask&^bound != 0 {
+			otherMask := b.refMaskOf(try[1])
+			if otherMask&slotBit != 0 || otherMask&^bound != 0 {
 				continue
 			}
 			innerClass := classOfKind(b.p.tables[slot].tbl.Columns[col].Type)
@@ -652,7 +566,7 @@ func (b *planBuilder) drivingChoice(pool []*pooledConjunct, slot int) accessChoi
 	out := best.cost
 	slotBit := uint64(1) << uint(slot)
 	for _, pc := range pool {
-		if pc.used || !pc.ok || pc.mask&^slotBit != 0 || pc == best.eqPC {
+		if pc.used || pc.mask&^slotBit != 0 || pc == best.eqPC {
 			continue
 		}
 		out *= b.selOf(pc.expr, slot)
@@ -673,7 +587,7 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 	var lookupPCs []*pooledConjunct
 	cands := b.eqCandidatesFor(pool, slot, bound)
 	for _, pc := range pool {
-		if pc.used || !pc.ok || pc.mask&^newBound != 0 || pc.mask&(1<<uint(slot)) == 0 {
+		if pc.used || pc.mask&^newBound != 0 || pc.mask&(1<<uint(slot)) == 0 {
 			continue
 		}
 		isEq := false
@@ -740,7 +654,7 @@ func eqColOf(cands []eqCandidate, pc *pooledConjunct) int {
 
 // buildCostReorder is the inner-join-only path: pooled predicates, greedy
 // join order, per-join algorithm choice.
-func (b *planBuilder) buildCostReorder() error {
+func (b *planBuilder) buildCostReorder() {
 	st, p := b.st, b.p
 	exprs := conjuncts(st.Where)
 	for _, j := range st.Joins {
@@ -791,7 +705,6 @@ func (b *planBuilder) buildCostReorder() error {
 		n.estRows = best.outRows
 		if chain == nil {
 			n.detail = accessDetail(pt.display, n)
-			p.usedIndex = n.kind == opIndexScan
 		} else {
 			n.detail = joinDetail(pt.display, n)
 		}
@@ -799,33 +712,15 @@ func (b *planBuilder) buildCostReorder() error {
 		outEst = best.outRows
 	}
 
-	// Conjuncts that never became attachable (unresolvable references) are
-	// evaluated after all joins, where the naive executor would evaluate
-	// them — runtime errors surface identically.
-	var residual []Expr
-	for _, pc := range pool {
-		if !pc.used {
-			residual = append(residual, pc.expr)
-		}
-	}
-	if len(residual) > 0 {
-		f := b.newNode(opFilter)
-		f.filters = residual
-		f.input = chain
-		f.estRows = outEst * defaultSel
-		f.detail = strings.TrimPrefix(renderFilters(residual), " filter ")
-		chain = f
-		outEst = f.estRows
-	}
+	// Every conjunct's references are bound by now, so each was attached.
 	p.root = chain
-	return nil
 }
 
 // buildCostSyntaxOrder handles queries with LEFT joins: syntax order, ON
 // conjuncts at their join, driving-only WHERE conjuncts pushed to the scan,
 // everything else in the post-join filter. Join algorithms are still chosen
 // by cost.
-func (b *planBuilder) buildCostSyntaxOrder() error {
+func (b *planBuilder) buildCostSyntaxOrder() {
 	st, p := b.st, b.p
 	wherePool := b.pool(conjuncts(st.Where))
 
@@ -838,7 +733,6 @@ func (b *planBuilder) buildCostSyntaxOrder() error {
 	dn.estCost = drive.cost
 	dn.estRows = drive.outRows
 	dn.detail = accessDetail(p.tables[0].display, dn)
-	p.usedIndex = dn.kind == opIndexScan
 
 	chain := dn
 	outEst := dn.estRows
@@ -893,14 +787,13 @@ func (b *planBuilder) buildCostSyntaxOrder() error {
 		outEst = f.estRows
 	}
 	p.root = chain
-	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Tail (projection / aggregation / order / limit)
 
 // buildTail appends the presentation operators above the relational root,
-// outermost first, and fixes the top-N bound when the bounded sort applies.
+// outermost first.
 func (b *planBuilder) buildTail() {
 	st, p := b.st, b.p
 	outEst := 1.0
@@ -908,12 +801,7 @@ func (b *planBuilder) buildTail() {
 		outEst = p.root.estRows
 	}
 
-	aggregated := len(st.GroupBy) > 0
-	for _, se := range st.Exprs {
-		if !se.Star && containsAggregate(se.Expr) {
-			aggregated = true
-		}
-	}
+	aggregated := st.aggregated()
 
 	var tail []*planNode // built innermost-first, reversed at the end
 
@@ -955,7 +843,6 @@ func (b *planBuilder) buildTail() {
 				outEst = f
 			}
 			top.estRows = outEst
-			p.topN = bound
 			tail = append(tail, top)
 		} else {
 			srt := b.newNode(opSort)
@@ -1000,11 +887,19 @@ func (b *planBuilder) buildTail() {
 	}
 }
 
-// staticTopNBound mirrors topNBound with plan-time (literal-only) constants:
-// ORDER BY with literal LIMIT/OFFSET, no DISTINCT, no SELECT alias in play.
+// staticTopNBound reports the plan-time bound of a topn node: ORDER BY with
+// literal LIMIT/OFFSET, no DISTINCT (which dedups before the limit). The tail
+// bounds its sort whenever the limit is known at run time, parameters
+// included, so topn versus sort + limit is only the label EXPLAIN prints — a
+// SELECT with an alias has always printed the latter, and still does.
 func staticTopNBound(st *SelectStmt) (int, bool) {
-	if len(st.OrderBy) == 0 || st.Distinct || st.Limit == nil || aliasMapFor(st) != nil {
+	if len(st.OrderBy) == 0 || st.Distinct || st.Limit == nil {
 		return 0, false
+	}
+	for _, se := range st.Exprs {
+		if se.Alias != "" {
+			return 0, false
+		}
 	}
 	lv, ok := st.Limit.(*Literal)
 	if !ok {
@@ -1115,13 +1010,4 @@ func orderDetail(st *SelectStmt) string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// checkArgs validates the argument count against the plan's parameter count,
-// matching Bind's error text.
-func (p *Plan) checkArgs(args []Value) error {
-	if len(args) != p.nparams {
-		return fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", p.nparams, len(args))
-	}
-	return nil
 }

@@ -246,9 +246,13 @@ func TestPlanCacheKeyedByMode(t *testing.T) {
 	if _, err := s.Query(q); err != nil {
 		t.Fatal(err)
 	}
+	st, err := s.eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.eng.mu.Lock()
 	modes := map[bool]int{}
-	for _, p := range s.eng.planCache {
+	for _, p := range st.plans {
 		modes[p.Naive()]++
 	}
 	s.eng.mu.Unlock()

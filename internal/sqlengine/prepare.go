@@ -1,56 +1,85 @@
 package sqlengine
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Statement is a prepared statement: the SQL text parsed and normalized
-// once, shareable across sessions and argument vectors. SELECT statements
-// plan lazily through the engine's plan cache — one plan per (database,
-// normalized SQL, planner mode) until a statistics epoch change retires it —
-// so preparing is cheap and repeated Runs do no per-call planning work.
+// once, shareable across sessions and argument vectors. The engine keeps one
+// Statement per normalized text, so Prepare of a known text allocates
+// nothing. A SELECT keeps its current plan per (database, planner mode) on
+// the statement itself until a statistics epoch change retires it, so
+// repeated Runs do no per-call planning work either.
 //
 // The handle carries no resources beyond cache entries, but dropping it
 // unused almost always indicates a lost result: cloudrepl-lint's closecheck
 // flags Prepare results that are never consumed.
 type Statement struct {
 	eng     *Engine
-	sql     string
 	norm    string
 	stmt    Stmt
 	nparams int
+	plans   []*Plan // guarded by eng.mu
 }
 
 // Prepare parses sql (through the parse cache) and returns a prepared
 // statement. Any statement kind can be prepared; only SELECTs are planned.
 func (e *Engine) Prepare(sql string) (*Statement, error) {
-	ent, err := e.parseEntry(sql)
+	if v, ok := e.parseCache.Load(sql); ok {
+		return v.(*Statement), nil
+	}
+	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &Statement{
-		eng:     e,
-		sql:     sql,
-		norm:    ent.norm,
-		stmt:    ent.stmt,
-		nparams: ent.nparams,
-	}, nil
+	norm := stmt.String()
+	v, _ := e.parseCache.LoadOrStore(norm, &Statement{eng: e, norm: norm, stmt: stmt, nparams: countParams(stmt)})
+	e.parseCache.Store(sql, v)
+	return v.(*Statement), nil
 }
 
-// SQL returns the original statement text.
-func (st *Statement) SQL() string { return st.sql }
+// planFor returns the statement's current plan for sel (the statement itself,
+// or the SELECT an EXPLAIN wraps) under the session's database and the
+// engine's planner mode, building it on first use and rebuilding it when the
+// statistics epoch has moved or a table has drifted past the staleness
+// threshold — writes don't advance the epoch, so a hot plan could otherwise
+// outlive arbitrary data drift. Engine lock held.
+func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, error) {
+	slot := -1
+	for i, p := range st.plans {
+		if p.naive == e.NaivePlan && strings.EqualFold(p.db, s.db) {
+			if p.epoch == e.statsEpoch && (p.naive || !p.staleStats()) {
+				return p, nil
+			}
+			slot = i
+		}
+	}
+	p, err := e.buildPlanLocked(s, sel, e.NaivePlan)
+	if err != nil {
+		return nil, err
+	}
+	if slot < 0 {
+		st.plans = append(st.plans, p)
+	} else {
+		st.plans[slot] = p
+	}
+	return p, nil
+}
 
-// Norm returns the normalized (canonical) rendering that keys the plan
-// cache: textual variants with identical structure share one plan.
+// Norm returns the normalized (canonical) rendering that identifies the
+// statement: textual variants with identical structure share one Statement.
 func (st *Statement) Norm() string { return st.norm }
 
 // NumParams returns the number of ? placeholders the statement requires.
 func (st *Statement) NumParams() int { return st.nparams }
 
 // Run executes the statement on a session with the given arguments. SELECTs
-// resolve their plan from the engine's plan cache (building it on first use
-// or after a statistics epoch change); writes bind args into the statement
-// text for the binlog, exactly as Session.Exec always has.
+// run their current plan (built on first use or after a statistics epoch
+// change); writes bind args into the statement text for the binlog, exactly
+// as Session.Exec always has.
 func (st *Statement) Run(s *Session, args ...Value) (*Result, error) {
-	return s.ExecStmt(st.stmt, args...)
+	return s.run(st, args)
 }
 
 // Query is Run for statements expected to return rows.
@@ -78,7 +107,7 @@ func (st *Statement) Plan(s *Session) (*Plan, error) {
 	e := st.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.planSelectLocked(s, sel)
+	return e.planFor(s, st, sel)
 }
 
 // ExplainString renders the plan tree for this statement (SELECT only) in

@@ -281,8 +281,9 @@ func (t *Table) LookupPK(vals []Value) (*Row, bool) {
 }
 
 // lookupEq returns rows matching col = v via the best available index, and
-// whether an index was usable.
-func (t *Table) lookupEq(col int, v Value) ([]*Row, bool) {
+// whether an index was usable. A primary-key hit is returned as a one-row
+// bucket backed by the caller's pk, so a probe allocates nothing.
+func (t *Table) lookupEq(col int, v Value, pk *[1]*Row) ([]*Row, bool) {
 	// Keys are built in a stack buffer: map lookups through string(bytes)
 	// compile to zero-allocation probes, and point lookups dominate the
 	// read workload.
@@ -290,7 +291,8 @@ func (t *Table) lookupEq(col int, v Value) ([]*Row, bool) {
 	// Single-column primary key.
 	if len(t.pkCols) == 1 && t.pkCols[0] == col {
 		if r, ok := t.pk[string(v.appendKey(kb[:0]))]; ok {
-			return []*Row{r}, true
+			pk[0] = r
+			return pk[:], true
 		}
 		return nil, true
 	}

@@ -35,7 +35,7 @@ func TestTableInsertLookup(t *testing.T) {
 		t.Fatal("PK lookup failed")
 	}
 	pos, _ := tbl.ColPos("grp")
-	rows, usable := tbl.lookupEq(pos, NewInt(1))
+	rows, usable := tbl.lookupEq(pos, NewInt(1), new([1]*Row))
 	if !usable || len(rows) != 4 { // 1, 4, 7 — wait: i%3==1 for 1,4,7 → 3 rows... recompute below
 		// ids 0..9 with grp i%3==1: 1,4,7 → 3 rows; plus none others.
 		if len(rows) != 3 {

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -247,5 +248,30 @@ func (v Value) appendKey(b []byte) []byte {
 		return strconv.AppendFloat(append(b, 'n'), v.f, 'g', -1, 64)
 	default: // int, bool, time
 		return strconv.AppendInt(append(b, 'n'), v.i, 10)
+	}
+}
+
+// hashKey is v's map key in comparable form — equal exactly when the key
+// bytes are — for hash tables probed once per row, where building a string
+// per probe would be the table's whole allocation cost.
+type hashKey struct {
+	kind byte // 0 NULL, 'n' integral number, 'f' other float, 's' string
+	n    int64
+	s    string
+}
+
+func (v Value) hashKey() hashKey {
+	switch v.kind {
+	case KindNull:
+		return hashKey{}
+	case KindString:
+		return hashKey{kind: 's', s: v.s}
+	case KindFloat:
+		if v.f == float64(int64(v.f)) {
+			return hashKey{kind: 'n', n: int64(v.f)}
+		}
+		return hashKey{kind: 'f', n: int64(math.Float64bits(v.f))}
+	default: // int, bool, time
+		return hashKey{kind: 'n', n: v.i}
 	}
 }
