@@ -89,17 +89,18 @@ consist-smoke:
 
 # Kernel-speed smoke: measure the sim kernel (micro workload + one
 # experiment cell), write BENCH_kernel.json into results/, and fail if the
-# micro ns/event regresses >20% against the checked-in baseline. Refresh
-# the baseline deliberately with:
+# micro ns/event regresses >20% or the cell's allocs/event rises >5%
+# against the checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_kernel.json bench/kernel_baseline.json
 bench-kernel:
 	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -short -q -json results -kernel-baseline bench/kernel_baseline.json
 
-# Planner-speed smoke: executor microbenchmarks on the four query shapes
-# (point read, index scan, hash join, grouped aggregate), each best-of-3,
-# with BENCH_planner.json written into results/ and a failure if any shape's
-# rate regresses >20% against the checked-in baseline. Refresh the baseline
-# deliberately with:
+# Planner-speed smoke: executor microbenchmarks on four query shapes (point
+# read, index scan, hash join, grouped aggregate) and three write shapes
+# (insert, point update, apply of a logged insert on a second engine), each
+# best-of-3, with BENCH_planner.json written into results/ and a failure if
+# any shape's rate regresses >20% or its allocs/op rises >5% against the
+# checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_planner.json bench/planner_baseline.json
 bench-plan:
 	$(GO) run ./cmd/cloudrepl-bench -bench-plan -q -json results -plan-baseline bench/planner_baseline.json

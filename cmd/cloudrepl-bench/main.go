@@ -48,7 +48,7 @@ func main() {
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_*.json files into")
 	benchKernel := flag.Bool("bench-kernel", false, "measure raw sim-kernel speed (events/sec, ns/event, allocs/event) and emit BENCH_kernel.json; also runs as part of -all")
 	kernelBaseline := flag.String("kernel-baseline", "", "checked-in kernel baseline JSON to gate against: fail when micro ns/event regresses >20% (update with: cp <jsondir>/BENCH_kernel.json bench/kernel_baseline.json)")
-	benchPlan := flag.Bool("bench-plan", false, "measure executor speed by query shape (point read, index scan, hash join, grouped aggregate) and emit BENCH_planner.json; also runs as part of -all")
+	benchPlan := flag.Bool("bench-plan", false, "measure executor speed by statement shape (point read, index scan, hash join, grouped aggregate; insert, point update, apply insert) and emit BENCH_planner.json; also runs as part of -all")
 	planBaseline := flag.String("plan-baseline", "", "checked-in planner baseline JSON to gate against: fail when any shape's rate regresses >20% (update with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (every allocation since start, not only live heap) to this file on exit")
@@ -360,7 +360,7 @@ func main() {
 	}
 
 	if want["planner"] {
-		banner("planner bench: executor speed by query shape (point read, index scan, hash join, group agg)")
+		banner("planner bench: executor speed by statement shape (four reads, three writes)")
 		r, err := experiment.PlanBench()
 		if err != nil {
 			fatal(err)

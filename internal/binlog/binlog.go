@@ -2,6 +2,14 @@
 // MySQL 5.x: an append-only sequence of committed write statements, each
 // tagged with the master's local commit timestamp, plus blocking readers
 // (one per replication dump thread) that tail the log.
+//
+// An entry is two things. On the wire (WireSize, Encode, Bytes) it is
+// sequence, timestamp, database and the interpolated statement text, and
+// nothing else. In memory it may also hold the statement's prepared form —
+// parameterised text plus argument values — so that a replica handed the
+// entry without a trip through the codec re-executes its own compiled plan
+// instead of parsing the text; Decode leaves that form empty and the replica
+// parses.
 package binlog
 
 import (
@@ -9,6 +17,7 @@ import (
 	"fmt"
 
 	"cloudrepl/internal/sim"
+	"cloudrepl/internal/sqlengine"
 )
 
 // Entry is one committed statement in the log.
@@ -21,6 +30,18 @@ type Entry struct {
 	SQL string
 	// TimestampMicros is the master's local clock at commit, in µs.
 	TimestampMicros int64
+
+	// Stmt and Args are the statement's prepared form (see
+	// sqlengine.LoggedWrite): in-memory only, never encoded, empty for an
+	// entry that has none. Args is shared by every copy of the entry and
+	// must not be modified.
+	Stmt string
+	Args []sqlengine.Value
+}
+
+// Logged returns the entry as the write a replica's session replays.
+func (e Entry) Logged() sqlengine.LoggedWrite {
+	return sqlengine.LoggedWrite{SQL: e.SQL, Stmt: e.Stmt, Args: e.Args}
 }
 
 // WireSize returns the encoded size in bytes, used for transfer accounting.
@@ -148,11 +169,17 @@ func New(env *sim.Env) *Log {
 	return &Log{env: env, appended: sim.NewSignal(env).Named("binlog-appended")}
 }
 
-// Append adds a statement to the log and wakes tailing readers. It returns
-// the assigned sequence number.
+// Append adds a statement known only by its text to the log and wakes
+// tailing readers. It returns the assigned sequence number.
 func (l *Log) Append(database, sql string, tsMicros int64) uint64 {
+	return l.AppendWrite(database, sqlengine.LoggedWrite{SQL: sql}, tsMicros)
+}
+
+// AppendWrite is Append for a committed write as the engine's commit hook
+// reports it, prepared form included.
+func (l *Log) AppendWrite(database string, w sqlengine.LoggedWrite, tsMicros int64) uint64 {
 	seq := uint64(len(l.entries)) + 1
-	e := Entry{Seq: seq, Database: database, SQL: sql, TimestampMicros: tsMicros}
+	e := Entry{Seq: seq, Database: database, SQL: w.SQL, TimestampMicros: tsMicros, Stmt: w.Stmt, Args: w.Args}
 	l.entries = append(l.entries, e)
 	l.committedAt = append(l.committedAt, l.env.Now())
 	l.bytes += int64(e.WireSize())

@@ -1,11 +1,14 @@
 package binlog
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"cloudrepl/internal/sim"
+	"cloudrepl/internal/sqlengine"
 )
 
 func TestAppendAssignsDenseSequences(t *testing.T) {
@@ -92,11 +95,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != e {
+	if !reflect.DeepEqual(got, e) {
 		t.Fatalf("round trip: %+v != %+v", got, e)
 	}
 	if len(e.Encode()) != e.WireSize() {
 		t.Fatalf("WireSize %d != encoded %d", e.WireSize(), len(e.Encode()))
+	}
+}
+
+// The prepared form is in-memory only: it adds no wire bytes, Encode never
+// writes it and a decoded entry comes back without it.
+func TestPreparedFormStaysOffTheWire(t *testing.T) {
+	bare := Entry{Seq: 7, Database: "app", SQL: "INSERT INTO t (id) VALUES (9)", TimestampMicros: 5}
+	e := bare
+	e.Stmt, e.Args = "INSERT INTO t (id) VALUES (?)", []sqlengine.Value{sqlengine.NewInt(9)}
+	if e.WireSize() != bare.WireSize() || !bytes.Equal(e.Encode(), bare.Encode()) {
+		t.Fatal("prepared form reached the wire encoding")
+	}
+	got, err := DecodeBatch(EncodeBatch([]Entry{e}))
+	if err != nil || !reflect.DeepEqual(got, []Entry{bare}) {
+		t.Fatalf("decoded %+v (%v), want the bare entry", got, err)
+	}
+	l := New(sim.NewEnv(1))
+	l.AppendWrite(e.Database, e.Logged(), e.TimestampMicros)
+	if at, _ := l.At(1); at.Stmt != e.Stmt || len(at.Args) != 1 || l.Bytes() != int64(bare.WireSize()) {
+		t.Fatalf("log entry %+v, %d bytes", at, l.Bytes())
 	}
 }
 
@@ -115,7 +138,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seq uint64, ts int64, db, sql string) bool {
 		e := Entry{Seq: seq, Database: db, SQL: sql, TimestampMicros: ts}
 		got, err := Decode(e.Encode())
-		return err == nil && got == e
+		return err == nil && reflect.DeepEqual(got, e)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package binlog
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -67,7 +68,7 @@ func TestWireSizeMatchesEncode(t *testing.T) {
 			return false
 		}
 		dec, err := DecodeBatch(enc)
-		return err == nil && len(dec) == 2 && dec[0] == e
+		return err == nil && len(dec) == 2 && reflect.DeepEqual(dec[0], e)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -82,11 +83,11 @@ func TestDecodeFromStream(t *testing.T) {
 	stream := append(a.Encode(), b.Encode()...)
 
 	got, n, err := DecodeFrom(stream)
-	if err != nil || got != a || n != a.WireSize() {
+	if err != nil || !reflect.DeepEqual(got, a) || n != a.WireSize() {
 		t.Fatalf("first entry: %+v n=%d err=%v", got, n, err)
 	}
 	got, n, err = DecodeFrom(stream[n:])
-	if err != nil || got != b || n != b.WireSize() {
+	if err != nil || !reflect.DeepEqual(got, b) || n != b.WireSize() {
 		t.Fatalf("second entry: %+v n=%d err=%v", got, n, err)
 	}
 	// Decode (exact-length contract) must reject the concatenation.

@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"cloudrepl/internal/binlog"
 	"cloudrepl/internal/cloud"
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
+	"cloudrepl/internal/sqlengine"
 )
 
 // TestReadPageAllocCeilings holds every read page to an allocation ceiling at
@@ -58,4 +60,101 @@ func TestReadPageAllocCeilings(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per page, ceiling %.0f", pq.name, allocs, max)
 		}
 	}
+}
+
+// TestWriteAllocCeilings pins the host allocations of the five Cloudstone
+// write statements on both ends of replication: through Prepare + Run on the
+// master (what DBServer.Exec does) and through DBServer.Apply, on a second
+// server, of the binlog entry the master logged. An INSERT has to allocate
+// the row image, the Row, a key per map it enters and — on the master — the
+// Result, the replayable text and the logged copy of the arguments; the
+// replica reuses the master's text and arguments, and parses nothing. -v logs
+// the measured counts.
+func TestWriteAllocCeilings(t *testing.T) {
+	env := sim.NewEnv(11)
+	defer env.Shutdown()
+	c := cloud.New(env, cloud.Config{})
+	at := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	master := server.New(env, "m", c.Launch("m", cloud.Small, at), server.DefaultCostModel())
+	replica := server.New(env, "s", c.Launch("s", cloud.Small, at), server.DefaultCostModel())
+	for _, srv := range []*server.DBServer{master, replica} {
+		if err := Preload(300)(srv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := int64(1 << 40) // clear of every preloaded and generated id
+	fresh := func() sqlengine.Value { id++; return sqlengine.NewInt(id) }
+	seed := sqlengine.NewInt(7)
+	writes := []struct {
+		name string
+		sql  string
+		args func() []sqlengine.Value
+	}{
+		{"create-event", "INSERT INTO events (id, creator_id, title, description, event_date, created) VALUES (?, ?, ?, ?, UTC_MICROS(), UTC_MICROS())",
+			func() []sqlengine.Value {
+				return []sqlengine.Value{fresh(), seed, sqlengine.NewString("Event meetup"), sqlengine.NewString("created during the benchmark run")}
+			}},
+		{"join-event", "INSERT INTO attendance (id, event_id, user_id, created) VALUES (?, ?, ?, UTC_MICROS())",
+			func() []sqlengine.Value { return []sqlengine.Value{fresh(), seed, seed} }},
+		{"tag-event", "INSERT INTO event_tags (id, event_id, tag_id) VALUES (?, ?, ?)",
+			func() []sqlengine.Value { return []sqlengine.Value{fresh(), seed, seed} }},
+		{"add-comment", "INSERT INTO comments (id, event_id, user_id, body, created) VALUES (?, ?, ?, ?, UTC_MICROS())",
+			func() []sqlengine.Value {
+				return []sqlengine.Value{fresh(), seed, seed, sqlengine.NewString("sounds great, count me in")}
+			}},
+		{"update-event", "UPDATE events SET description = ? WHERE id = ?",
+			func() []sqlengine.Value {
+				return []sqlengine.Value{sqlengine.NewString("updated during the benchmark run"), seed}
+			}},
+	}
+	sess := master.Eng.NewSession(DatabaseName)
+	// Measured 8–10 and 6–8; the parent's tree-walking path took 31 and 62.
+	const runs, runCeiling, applyCeiling = 200, 12, 10
+	env.Go("measure", func(p *sim.Proc) {
+		applySess := replica.Session("")
+		for _, w := range writes {
+			// The argument vectors are built outside the measured call, as a
+			// client's are.
+			argv := make([][]sqlengine.Value, 0, runs+1)
+			for i := 0; i <= runs; i++ {
+				argv = append(argv, w.args())
+			}
+			from := master.Log.LastSeq()
+			next := 0
+			got := testing.AllocsPerRun(runs, func() {
+				st, err := master.Eng.Prepare(w.sql)
+				if err == nil {
+					_, err = st.Run(sess, argv[next]...)
+				}
+				if err != nil {
+					t.Errorf("%s: %v", w.name, err)
+				}
+				next++
+			})
+			entries := make([]binlog.Entry, 0, runs+1)
+			for seq := from + 1; seq <= master.Log.LastSeq(); seq++ {
+				e, err := master.Log.At(seq)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				entries = append(entries, e)
+			}
+			next = 0
+			applied := testing.AllocsPerRun(runs, func() {
+				if err := replica.Apply(p, applySess, entries[next]); err != nil {
+					t.Errorf("%s apply: %v", w.name, err)
+				}
+				next++
+			})
+			t.Logf("%-12s run %5.1f allocs, apply %5.1f allocs", w.name, got, applied)
+			if got > runCeiling {
+				t.Errorf("%s: %.1f allocs per Prepare+Run, ceiling %d", w.name, got, runCeiling)
+			}
+			if applied > applyCeiling {
+				t.Errorf("%s: %.1f allocs per Apply, ceiling %d", w.name, applied, applyCeiling)
+			}
+		}
+	})
+	env.Run()
 }

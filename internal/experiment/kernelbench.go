@@ -25,7 +25,8 @@ type KernelMeasure struct {
 // KernelBenchResult is the BENCH_kernel.json payload: the raw speed of the
 // simulation kernel, tracked PR-over-PR so scheduler and allocation
 // regressions surface immediately (`make bench-kernel` gates on
-// micro.ns_per_event against the checked-in bench/kernel_baseline.json).
+// micro.ns_per_event and cell.allocs_per_event against the checked-in
+// bench/kernel_baseline.json).
 type KernelBenchResult struct {
 	// Micro is a pure-kernel workload — timers, signal waits with
 	// timeouts, cross-proc message delivery — with no SQL or middleware on
@@ -169,8 +170,11 @@ func RenderKernelBench(r KernelBenchResult) string {
 
 // CheckKernelBaseline compares a fresh kernel bench against the checked-in
 // baseline and fails when the micro workload's ns/event has regressed more
-// than 20%. The micro number gates (it is the least noisy on shared CI
-// hardware); the cell number is informational.
+// than 20% (of the wall numbers it is the least noisy on shared CI hardware;
+// the cell's ns/event is informational) or the cell's allocs/event has risen
+// more than 5%: the full stack's allocation count repeats exactly from run to
+// run, so it gates what the wall clock cannot — the simulator's host cost
+// above the kernel.
 func CheckKernelBaseline(path string, cur KernelBenchResult) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -187,6 +191,13 @@ func CheckKernelBaseline(path string, cur KernelBenchResult) error {
 	if cur.Micro.NsPerEvent > limit {
 		return fmt.Errorf("kernel regression: micro ns/event %.1f exceeds baseline %.1f by more than 20%% (limit %.1f); if intentional, refresh %s",
 			cur.Micro.NsPerEvent, base.Micro.NsPerEvent, limit, path)
+	}
+	if base.Cell.AllocsPerEvent <= 0 {
+		return fmt.Errorf("kernel baseline %s: cell.allocs_per_event missing or zero", path)
+	}
+	if limit := base.Cell.AllocsPerEvent * 1.05; cur.Cell.AllocsPerEvent > limit {
+		return fmt.Errorf("kernel regression: cell allocs/event %.2f exceeds baseline %.2f by more than 5%% (limit %.2f); if intentional, refresh %s",
+			cur.Cell.AllocsPerEvent, base.Cell.AllocsPerEvent, limit, path)
 	}
 	return nil
 }

@@ -24,9 +24,10 @@ type PlanBenchMeasure struct {
 }
 
 // PlanBenchResult is the BENCH_planner.json payload: the executor's speed on
-// the four query shapes the planner work rebuilt — tracked PR-over-PR so
-// operator-tree regressions surface immediately (`make bench-plan` gates
-// rows/sec against the checked-in bench/planner_baseline.json).
+// the four query shapes the planner work rebuilt and the three write shapes
+// of the compiled write path — tracked PR-over-PR so operator-tree and
+// write-plan regressions surface immediately (`make bench-plan` gates rates
+// and allocs/op against the checked-in bench/planner_baseline.json).
 type PlanBenchResult struct {
 	// PointRead is a unique-key lookup: plan-cache hit + one index probe,
 	// the executor's minimum per-statement overhead.
@@ -38,6 +39,16 @@ type PlanBenchResult struct {
 	HashJoin PlanBenchMeasure `json:"hash_join"`
 	// GroupAgg is a grouped COUNT over the full table.
 	GroupAgg PlanBenchMeasure `json:"group_agg"`
+	// Insert is a parameterised one-row INSERT into a table with a primary
+	// key and one secondary index: the compiled write plan, the replayable
+	// text and the logged argument copy, a commit hook attached.
+	Insert PlanBenchMeasure `json:"insert"`
+	// PointUpdate is a parameterised UPDATE of one row by primary key.
+	PointUpdate PlanBenchMeasure `json:"point_update"`
+	// ApplyInsert replays the entries Insert logged on a second engine — the
+	// replication apply path: a parse-cache hit per entry, the replica's own
+	// write plan, the master's text reused.
+	ApplyInsert PlanBenchMeasure `json:"apply_insert"`
 }
 
 // planBenchRows is the benchmark table size, small enough that the whole
@@ -56,6 +67,7 @@ func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 		"USE bench",
 		"CREATE TABLE items (id BIGINT PRIMARY KEY, grp BIGINT, val VARCHAR(32), INDEX idx_grp (grp))",
 		"CREATE TABLE lines (id BIGINT PRIMARY KEY, ref BIGINT, qty BIGINT)",
+		"CREATE TABLE notes (id BIGINT PRIMARY KEY, item BIGINT, body VARCHAR(64), created TIMESTAMP, INDEX idx_item (item))",
 	}
 	for _, q := range ddl {
 		if _, err := sess.Exec(q); err != nil {
@@ -87,16 +99,15 @@ func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 	return eng, sess, nil
 }
 
-// measurePlanBench runs one prepared query shape for iters iterations and
-// derives the rates. One untimed warm-up execution populates the plan cache
-// and refreshes statistics, so the loop measures steady-state execution.
+// measurePlanBench runs one statement shape for iters iterations and derives
+// the rates. One untimed warm-up execution populates the plan cache and
+// refreshes statistics, so the loop measures steady-state execution.
 // The timed loop repeats three times and the fastest repetition is reported:
 // wall-clock noise (GC pauses, scheduler preemption) is one-sided, so
 // best-of-N is what makes a 20% regression gate hold on shared hardware.
 // Allocations are averaged over every repetition — they are deterministic.
-func measurePlanBench(sess *sqlengine.Session, st *sqlengine.Statement, iters int,
-	args func(i int) []sqlengine.Value) (PlanBenchMeasure, error) {
-	if _, err := st.Run(sess, args(0)...); err != nil {
+func measurePlanBench(iters int, run func(i int) (*sqlengine.Result, error)) (PlanBenchMeasure, error) {
+	if _, err := run(0); err != nil {
 		return PlanBenchMeasure{}, err
 	}
 	const reps = 3
@@ -110,7 +121,7 @@ func measurePlanBench(sess *sqlengine.Session, st *sqlengine.Statement, iters in
 		//cloudrepl:allow-simtime the planner bench measures real elapsed wall time per statement
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			res, err := st.Run(sess, args(i)...)
+			res, err := run(i)
 			if err != nil {
 				return PlanBenchMeasure{}, err
 			}
@@ -139,24 +150,29 @@ func measurePlanBench(sess *sqlengine.Session, st *sqlengine.Statement, iters in
 	return m, nil
 }
 
-// PlanBench measures executor speed on the four query shapes. The hash-join
-// plan choice is asserted, not assumed: if the planner stops picking the
-// hash algorithm for the unindexed join, the bench fails rather than
-// silently measuring a different operator.
+// PlanBench measures executor speed on the four query shapes and the three
+// write shapes. The hash-join plan choice is asserted, not assumed: if the
+// planner stops picking the hash algorithm for the unindexed join, the bench
+// fails rather than silently measuring a different operator.
 func PlanBench() (PlanBenchResult, error) {
 	var res PlanBenchResult
 	eng, sess, err := planBenchDB()
 	if err != nil {
 		return res, err
 	}
+	// runs adapts a prepared statement and an argument generator to the
+	// measured call. args fills a reused vector, as a client's loop would.
+	runs := func(st *sqlengine.Statement, args func(i int) []sqlengine.Value) func(int) (*sqlengine.Result, error) {
+		return func(i int) (*sqlengine.Result, error) { return st.Run(sess, args(i)...) }
+	}
 
 	point, err := eng.Prepare("SELECT * FROM items WHERE id = ?")
 	if err != nil {
 		return res, err
 	}
-	res.PointRead, err = measurePlanBench(sess, point, 20000, func(i int) []sqlengine.Value {
+	res.PointRead, err = measurePlanBench(20000, runs(point, func(i int) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewInt(int64(i%planBenchRows) + 1)}
-	})
+	}))
 	if err != nil {
 		return res, fmt.Errorf("planbench point read: %w", err)
 	}
@@ -165,9 +181,9 @@ func PlanBench() (PlanBenchResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.IndexScan, err = measurePlanBench(sess, scan, 4000, func(i int) []sqlengine.Value {
+	res.IndexScan, err = measurePlanBench(4000, runs(scan, func(i int) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewInt(int64(i % 50))}
-	})
+	}))
 	if err != nil {
 		return res, fmt.Errorf("planbench index scan: %w", err)
 	}
@@ -183,9 +199,9 @@ func PlanBench() (PlanBenchResult, error) {
 	if !strings.Contains(jp.Explain(), "hash_join") {
 		return res, fmt.Errorf("planbench: join plan is not a hash join:\n%s", jp.Explain())
 	}
-	res.HashJoin, err = measurePlanBench(sess, join, 100, func(i int) []sqlengine.Value {
+	res.HashJoin, err = measurePlanBench(100, runs(join, func(i int) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewInt(int64(i % 7))}
-	})
+	}))
 	if err != nil {
 		return res, fmt.Errorf("planbench hash join: %w", err)
 	}
@@ -194,9 +210,56 @@ func PlanBench() (PlanBenchResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.GroupAgg, err = measurePlanBench(sess, agg, 200, func(int) []sqlengine.Value { return nil })
+	res.GroupAgg, err = measurePlanBench(200, runs(agg, func(int) []sqlengine.Value { return nil }))
 	if err != nil {
 		return res, fmt.Errorf("planbench group agg: %w", err)
+	}
+
+	// The write shapes run last: they change what the read shapes scan.
+	const writeIters = 20000
+	_, replicaSess, err := planBenchDB()
+	if err != nil {
+		return res, err
+	}
+	var logged []sqlengine.LoggedWrite
+	eng.OnCommit = func(_ string, writes []sqlengine.LoggedWrite) { logged = append(logged, writes...) }
+	insert, err := eng.Prepare("INSERT INTO notes (id, item, body, created) VALUES (?, ?, ?, UTC_MICROS())")
+	if err != nil {
+		return res, err
+	}
+	logged = make([]sqlengine.LoggedWrite, 0, 3*writeIters+1)
+	next := int64(0)
+	insertArgs := make([]sqlengine.Value, 3)
+	res.Insert, err = measurePlanBench(writeIters, runs(insert, func(int) []sqlengine.Value {
+		next++ // the timed loop repeats: ids keep counting across repetitions
+		insertArgs[0], insertArgs[1] = sqlengine.NewInt(next), sqlengine.NewInt(next%planBenchRows+1)
+		insertArgs[2] = sqlengine.NewString("a note on an item")
+		return insertArgs
+	}))
+	if err != nil {
+		return res, fmt.Errorf("planbench insert: %w", err)
+	}
+	inserted := logged
+	logged = nil
+	update, err := eng.Prepare("UPDATE items SET val = ? WHERE id = ?")
+	if err != nil {
+		return res, err
+	}
+	updateArgs := []sqlengine.Value{sqlengine.NewString("rewritten"), sqlengine.Null}
+	res.PointUpdate, err = measurePlanBench(writeIters, runs(update, func(i int) []sqlengine.Value {
+		updateArgs[1] = sqlengine.NewInt(int64(i%planBenchRows) + 1)
+		return updateArgs
+	}))
+	if err != nil {
+		return res, fmt.Errorf("planbench point update: %w", err)
+	}
+	applied := 0
+	res.ApplyInsert, err = measurePlanBench(writeIters, func(int) (*sqlengine.Result, error) {
+		applied++
+		return replicaSess.Replay(inserted[applied-1])
+	})
+	if err != nil {
+		return res, fmt.Errorf("planbench apply insert: %w", err)
 	}
 	return res, nil
 }
@@ -215,13 +278,17 @@ func RenderPlanBench(r PlanBenchResult) string {
 	row("index scan", r.IndexScan)
 	row("hash join", r.HashJoin)
 	row("group aggregate", r.GroupAgg)
+	row("insert", r.Insert)
+	row("point update", r.PointUpdate)
+	row("apply insert", r.ApplyInsert)
 	return b.String()
 }
 
 // CheckPlanBaseline compares a fresh planner bench against the checked-in
 // baseline and fails when any shape's rows/sec has regressed more than 20%
-// (point read gates ops/sec instead — it examines one row per statement, so
-// per-statement overhead is what it exists to catch) or its allocs/op has
+// (point read and the write shapes gate ops/sec instead — they touch one row
+// per statement, so per-statement overhead is what they exist to catch) or its
+// allocs/op has
 // risen more than 5% — allocation counts repeat exactly, so the tolerance
 // only absorbs amortized growth of reused buffers. Refresh deliberately
 // with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json
@@ -243,6 +310,9 @@ func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 		{"index_scan", cur.IndexScan, base.IndexScan, false},
 		{"hash_join", cur.HashJoin, base.HashJoin, false},
 		{"group_agg", cur.GroupAgg, base.GroupAgg, false},
+		{"insert", cur.Insert, base.Insert, true},
+		{"point_update", cur.PointUpdate, base.PointUpdate, true},
+		{"apply_insert", cur.ApplyInsert, base.ApplyInsert, true},
 	} {
 		unit, curRate, baseRate := "rows", sh.cur.RowsPerSec, sh.base.RowsPerSec
 		if sh.perOp {

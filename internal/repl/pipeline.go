@@ -107,7 +107,7 @@ func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int)
 				return
 			}
 			var dep uint64
-			tables, exclusive := conflictTables(e.Database, e.SQL)
+			tables, exclusive := conflictTables(sl.Srv.Eng, e)
 			if exclusive {
 				// DDL and anything we cannot attribute to a table is a
 				// full barrier: it runs after everything dispatched so
@@ -169,28 +169,21 @@ func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int)
 }
 
 // conflictTables extracts the tables a replicated statement writes,
-// qualified by the entry's default database. Statements whose write set
-// cannot be determined (DDL, USE, parse failures) report exclusive=true
-// and are scheduled as full barriers.
-func conflictTables(db, sql string) (tables []string, exclusive bool) {
-	stmt, err := sqlengine.Parse(sql)
+// qualified by the entry's default database. The statement is the one apply
+// will run — prepared from the entry's parameterised text when it carries
+// one, parsed otherwise. Statements whose write set cannot be determined
+// (DDL, USE, parse failures) report exclusive=true and are scheduled as full
+// barriers.
+func conflictTables(eng *sqlengine.Engine, e binlog.Entry) (tables []string, exclusive bool) {
+	st, err := eng.PrepareLogged(e.Logged())
 	if err != nil {
 		return nil, true
 	}
-	var ref sqlengine.TableRef
-	switch s := stmt.(type) {
-	case *sqlengine.InsertStmt:
-		ref = s.Table
-	case *sqlengine.UpdateStmt:
-		ref = s.Table
-	case *sqlengine.DeleteStmt:
-		ref = s.Table
-	case *sqlengine.TruncateStmt:
-		ref = s.Table
-	default:
+	ref, ok := st.Table()
+	if !ok {
 		return nil, true
 	}
-	return []string{tableKey(db, ref)}, false
+	return []string{tableKey(e.Database, ref)}, false
 }
 
 // tableKey canonicalizes a table reference to "db.table" (identifiers are

@@ -168,10 +168,10 @@ func New(env *sim.Env, name string, inst *cloud.Instance, cost CostModel) *DBSer
 	}
 	s.Eng.NowMicros = func() int64 { return inst.Clock.NowMicros() }
 	// s.Eng.Format stays FormatStatement unless SetRowFormat is called.
-	s.Eng.OnCommit = func(db string, sqls []string) {
+	s.Eng.OnCommit = func(db string, writes []sqlengine.LoggedWrite) {
 		ts := inst.Clock.NowMicros()
-		for _, sql := range sqls {
-			s.Log.Append(db, sql, ts)
+		for _, w := range writes {
+			s.Log.AppendWrite(db, w, ts)
 		}
 	}
 	return s
@@ -202,17 +202,42 @@ func (s *DBServer) Exec(p *sim.Proc, sess *sqlengine.Session, sql string, args .
 	if !s.Up() {
 		return nil, ErrServerDown
 	}
-	sp := s.Tracer.StartSpan(p, "server", "exec")
-	sp.SetAttr("server", s.Name)
-	before := s.Log.LastSeq()
+	sp, before := s.startExec(p)
 	// Prepare returns the engine's one Statement for this text — parsed,
-	// normalized and holding its SELECT plan — so a repeated statement pays
-	// for neither a handle nor a plan lookup key.
+	// normalized and holding its plan — so a repeated statement pays for
+	// neither a handle nor a plan lookup key.
 	var res *sqlengine.Result
 	stmt, err := s.Eng.Prepare(sql)
 	if err == nil {
 		res, err = stmt.Run(sess, args...)
 	}
+	return s.finishExec(p, sess, sp, before, res, err)
+}
+
+// ExecLogged executes a logged write as a client statement — a shard split
+// catching its target up from the source's binlog: full client cost, this
+// server's own binlog and counters, unlike Apply's replica path.
+func (s *DBServer) ExecLogged(p *sim.Proc, sess *sqlengine.Session, e binlog.Entry) (*sqlengine.Result, error) {
+	if !s.Up() {
+		return nil, ErrServerDown
+	}
+	sp, before := s.startExec(p)
+	res, err := sess.Replay(e.Logged())
+	return s.finishExec(p, sess, sp, before, res, err)
+}
+
+// startExec opens a client statement's server span and notes the binlog
+// position it starts from.
+func (s *DBServer) startExec(p *sim.Proc) (*obs.Span, uint64) {
+	sp := s.Tracer.StartSpan(p, "server", "exec")
+	sp.SetAttr("server", s.Name)
+	return sp, s.Log.LastSeq()
+}
+
+// finishExec accounts for an executed client statement: counters, trace
+// links to the binlog entries it committed, and the CPU it costs.
+func (s *DBServer) finishExec(p *sim.Proc, sess *sqlengine.Session, sp *obs.Span, before uint64,
+	res *sqlengine.Result, err error) (*sqlengine.Result, error) {
 	if err != nil {
 		sp.SetAttr("error", "sql")
 		sp.End(p)
@@ -227,9 +252,9 @@ func (s *DBServer) Exec(p *sim.Proc, sess *sqlengine.Session, sql string, args .
 		s.stats.DDL++
 	}
 	if s.Tracer != nil && res.Stats.Class != sqlengine.ClassRead {
-		// sess.Exec runs without yielding, so (before, LastSeq] is exactly
-		// the set of binlog entries this statement committed; registering
-		// them lets the dump and apply threads join this write's trace.
+		// The statement ran without yielding, so (before, LastSeq] is exactly
+		// the set of binlog entries it committed; registering them lets the
+		// dump and apply threads join this write's trace.
 		for seq := before + 1; seq <= s.Log.LastSeq(); seq++ {
 			s.Tracer.LinkSeq(seq, sp)
 		}
@@ -309,7 +334,7 @@ func (s *DBServer) Apply(p *sim.Proc, sess *sqlengine.Session, e binlog.Entry) e
 			return err
 		}
 	}
-	res, err := sess.ExecUncached(e.SQL)
+	res, err := sess.Replay(e.Logged())
 	if err != nil {
 		return err
 	}

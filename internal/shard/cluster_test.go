@@ -317,6 +317,18 @@ func TestSplitOnline(t *testing.T) {
 	if st.Splits != 1 {
 		t.Fatalf("splits = %d", st.Splits)
 	}
+	// Catch-up replays the source's binlog on the target master. Every
+	// replayed text carries its own literals: parsing them through the
+	// target's parse cache would leave two entries per replayed write there
+	// for the life of the engine.
+	cached := sc.Cell(1).Clu.Master().Srv.Eng.CachedStatements()
+	t.Logf("replayed %d entries, target caches %d statements", st.ReplayedEntries, cached)
+	if st.ReplayedEntries < 10 {
+		t.Fatalf("catch-up replayed %d entries: too few to show cache growth", st.ReplayedEntries)
+	}
+	if cached >= int(st.ReplayedEntries) {
+		t.Fatalf("target parse cache holds %d statements after %d replayed writes", cached, st.ReplayedEntries)
+	}
 	env.Stop()
 	env.Shutdown()
 }

@@ -397,7 +397,7 @@ func (s *Cluster) replayRange(p *sim.Proc, mig *migration, srcM, dstM *repl.Mast
 		if !all {
 			continue
 		}
-		if _, err := dstM.Srv.Exec(p, dstSess, e.SQL); err != nil && !errors.Is(err, sqlengine.ErrDuplicateKey) {
+		if _, err := dstM.Srv.ExecLogged(p, dstSess, e); err != nil && !errors.Is(err, sqlengine.ErrDuplicateKey) {
 			return replayed, fmt.Errorf("shard: split replay seq %d: %w", seq, err)
 		}
 		mig.recordKeys(ri.table, keys)

@@ -6,10 +6,11 @@ import (
 )
 
 // Stmt is a parsed SQL statement (the AST root). String renders it back to
-// SQL; for statements with bound parameters, rendering after Bind produces
-// the fully-interpolated text recorded in the binlog. The canonical String
-// rendering also identifies a prepared statement: two texts differing only in
-// whitespace or keyword case share one Statement and its plans.
+// SQL, placeholders as ?; the fully-interpolated text recorded in the binlog
+// is that rendering with each ? replaced by its argument's literal
+// (Statement.Logged). The canonical String rendering also identifies a
+// prepared statement: two texts differing only in whitespace or keyword case
+// share one Statement and its plans.
 //
 // Stmt is the raw parse-tree layer. The prepared-statement handle the engine
 // hands out is *Statement (prepare.go), which wraps a Stmt together with its
@@ -178,9 +179,6 @@ type InsertStmt struct {
 
 func (s *InsertStmt) String() string {
 	var b strings.Builder
-	// Sized for the common one-row insert: replication interpolates every
-	// write through here, so repeated Builder growth is measurable.
-	b.Grow(64 + 16*len(s.Columns) + 24*len(s.Rows)*(1+len(s.Columns)))
 	b.WriteString("INSERT INTO ")
 	b.WriteString(s.Table.String())
 	if len(s.Columns) > 0 {
@@ -530,117 +528,3 @@ func (e *LikeExpr) String() string {
 	return "(" + e.X.String() + op + e.Pattern.String() + ")"
 }
 func (*LikeExpr) expr() {}
-
-// Bind returns a deep copy of stmt with every Param replaced by the
-// corresponding argument as a literal. The rendered String of the result is
-// the replayable statement text that goes into the binlog.
-func Bind(stmt Stmt, args []Value) (Stmt, error) {
-	b := &binder{args: args}
-	out := b.stmt(stmt)
-	if b.err != nil {
-		return nil, b.err
-	}
-	if b.used != len(args) {
-		return nil, fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", b.used, len(args))
-	}
-	return out, nil
-}
-
-type binder struct {
-	args []Value
-	used int
-	err  error
-}
-
-func (b *binder) stmt(s Stmt) Stmt {
-	switch s := s.(type) {
-	case *ExplainStmt:
-		return &ExplainStmt{Inner: b.stmt(s.Inner)}
-	case *InsertStmt:
-		out := *s
-		out.Rows = make([][]Expr, len(s.Rows))
-		for i, row := range s.Rows {
-			out.Rows[i] = b.exprs(row)
-		}
-		return &out
-	case *UpdateStmt:
-		out := *s
-		out.Sets = make([]Assignment, len(s.Sets))
-		for i, a := range s.Sets {
-			out.Sets[i] = Assignment{a.Column, b.expr(a.Value)}
-		}
-		out.Where = b.expr(s.Where)
-		return &out
-	case *DeleteStmt:
-		out := *s
-		out.Where = b.expr(s.Where)
-		return &out
-	case *SelectStmt:
-		out := *s
-		out.Exprs = make([]SelectExpr, len(s.Exprs))
-		for i, se := range s.Exprs {
-			out.Exprs[i] = SelectExpr{se.Star, b.expr(se.Expr), se.Alias}
-		}
-		out.Joins = make([]JoinClause, len(s.Joins))
-		for i, j := range s.Joins {
-			out.Joins[i] = JoinClause{j.Left, j.Table, b.expr(j.On)}
-		}
-		out.Where = b.expr(s.Where)
-		out.GroupBy = b.exprs(s.GroupBy)
-		out.Having = b.expr(s.Having)
-		out.OrderBy = make([]OrderItem, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			out.OrderBy[i] = OrderItem{b.expr(o.Expr), o.Desc}
-		}
-		out.Limit = b.expr(s.Limit)
-		out.Offset = b.expr(s.Offset)
-		return &out
-	default:
-		return s
-	}
-}
-
-func (b *binder) exprs(es []Expr) []Expr {
-	if es == nil {
-		return nil
-	}
-	out := make([]Expr, len(es))
-	for i, e := range es {
-		out[i] = b.expr(e)
-	}
-	return out
-}
-
-func (b *binder) expr(e Expr) Expr {
-	if e == nil || b.err != nil {
-		return e
-	}
-	switch e := e.(type) {
-	case *Param:
-		if e.Index >= len(b.args) {
-			b.err = fmt.Errorf("sqlengine: missing argument for parameter %d", e.Index+1)
-			return e
-		}
-		b.used++
-		return &Literal{b.args[e.Index]}
-	case *Literal, *ColRef:
-		return e
-	case *Unary:
-		return &Unary{e.Op, b.expr(e.X)}
-	case *Binary:
-		return &Binary{e.Op, b.expr(e.L), b.expr(e.R)}
-	case *FuncCall:
-		return &FuncCall{e.Name, b.exprs(e.Args), e.Star, e.Distinct}
-	case *InExpr:
-		return &InExpr{b.expr(e.X), b.exprs(e.List), e.Not}
-	case *BetweenExpr:
-		return &BetweenExpr{b.expr(e.X), b.expr(e.Lo), b.expr(e.Hi), e.Not}
-	case *IsNullExpr:
-		return &IsNullExpr{b.expr(e.X), e.Not}
-	case *LikeExpr:
-		return &LikeExpr{b.expr(e.X), b.expr(e.Pattern), e.Not}
-	default:
-		b.err = fmt.Errorf("sqlengine: cannot bind expression %T", e)
-		return e
-	}
-}

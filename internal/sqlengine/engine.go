@@ -74,9 +74,25 @@ type Result struct {
 	RowSQL []string
 }
 
-// CommitHook observes committed write statements in commit order. database
-// is the session's current database; sqls are replayable statement texts.
-type CommitHook func(database string, sqls []string)
+// LoggedWrite is one committed write as the commit hook hands it to the
+// binlog, and as Session.Replay takes it back on a replica.
+type LoggedWrite struct {
+	// SQL is the replayable statement text with parameters interpolated —
+	// the only part a wire encoding carries.
+	SQL string
+	// Stmt is the parameterised text the statement was prepared from
+	// (Statement.Norm) and Args an owned copy of the argument vector it ran
+	// with: text and values, so any engine can prepare Stmt for itself and
+	// run its own compiled plan instead of parsing SQL. Both are empty when
+	// the write has no prepared form — a statement without parameters, a
+	// row-format image, an entry that came off the wire.
+	Stmt string
+	Args []Value
+}
+
+// CommitHook observes committed writes in commit order. database is the
+// session's current database. The slice is only valid during the call.
+type CommitHook func(database string, writes []LoggedWrite)
 
 // BinlogFormat selects how committed writes are rendered for replication.
 type BinlogFormat uint8
@@ -128,6 +144,10 @@ type Engine struct {
 	// text as written and its normalized rendering share one entry, so
 	// textual variants share one parse and one set of plans.
 	parseCache sync.Map
+
+	// text is the buffer a write's replayable text is rendered into before
+	// it is materialised as one string (Statement.logged).
+	text []byte
 
 	// statsEpoch advances on ANALYZE, DDL and snapshot Restore; a *Plan
 	// embeds table and index pointers plus cost estimates, so any epoch
@@ -197,15 +217,17 @@ type Session struct {
 	db  string
 
 	inTxn   bool
-	readV   uint64   // snapshot read version while inTxn (set at BEGIN)
-	pending []string // bound SQL texts awaiting commit, in order
-	undo    []func() // undo actions, applied in reverse on rollback
-	// stamps finalize provisional MVCC version marks with the commit
-	// version assigned at commit time (mvcc.go).
-	stamps []func(cv uint64)
-	// provisional counts this session's outstanding in-transaction stamps,
+	readV   uint64        // snapshot read version while inTxn (set at BEGIN)
+	pending []LoggedWrite // writes awaiting commit, in order
+	// effects are the write statements not yet committed: stamped with the
+	// commit version at commit, undone newest first on rollback (mvcc.go).
+	effects []effect
+	// provisional counts this session's outstanding in-transaction effects,
 	// mirrored into Engine.provisional for the fast-path read check.
 	provisional int
+	// one backs the single-write slice an autocommit statement hands the
+	// commit hook.
+	one [1]LoggedWrite
 }
 
 // NewSession opens a session with the given current database (may be "").
@@ -230,49 +252,64 @@ func (s *Session) Exec(sql string, args ...Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return stmt.Run(s, args...)
+	return s.run(stmt, args, LoggedWrite{})
 }
 
-// ExecUncached parses and executes one statement without touching the
-// parse cache. Replication apply uses it: replicated texts carry
-// interpolated literals, so they would never hit the cache again — caching
-// them only grows it without bound over a run.
-func (s *Session) ExecUncached(sql string, args ...Value) (*Result, error) {
-	stmt, err := Parse(sql)
+// Replay re-executes a logged write — replication apply, multi-master apply
+// and split catch-up all come through here. An entry that carries its
+// prepared form runs this engine's own compiled plan for Stmt with Args: a
+// parse-cache hit per template, whatever the literals. One that does not is
+// parsed from SQL without touching the parse cache: such texts carry
+// interpolated literals, so caching them would only grow it without bound
+// over a run. Either way w is what this engine's own commit hook receives:
+// the master's text is reused verbatim, not rendered again.
+func (s *Session) Replay(w LoggedWrite) (*Result, error) {
+	st, err := s.eng.PrepareLogged(w)
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecStmt(stmt, args...)
+	return s.run(st, w.Args, w)
 }
 
-// ExecStmt executes a pre-parsed statement with bound args. The statement
-// is not prepared, so a SELECT plans afresh on every call.
-func (s *Session) ExecStmt(stmt Stmt, args ...Value) (*Result, error) {
-	return s.run(&Statement{eng: s.eng, stmt: stmt, nparams: countParams(stmt)}, args)
+// PrepareLogged returns the statement that re-executes w: the engine's prepared
+// statement for w.Stmt, or an uncached parse of w.SQL when the entry has no
+// prepared form.
+func (e *Engine) PrepareLogged(w LoggedWrite) (*Statement, error) {
+	if w.Stmt != "" {
+		return e.Prepare(w.Stmt)
+	}
+	stmt, err := Parse(w.SQL)
+	if err != nil {
+		return nil, err
+	}
+	return &Statement{eng: e, stmt: stmt, nparams: countParams(stmt)}, nil
 }
 
-// run executes a statement with args.
-//
-// Reads (SELECT, EXPLAIN) are not bound: the planner works on the original
-// parameterized AST so one plan serves every argument vector, and the
-// executor resolves ? placeholders against args at evaluation time. Writes
-// still bind eagerly — the binlog replicates their interpolated text.
-func (s *Session) run(st *Statement, args []Value) (*Result, error) {
-	bound := st.stmt
-	var readArgs []Value
-	switch bound.(type) {
+// checkArgs matches an argument vector against a statement's placeholders.
+func checkArgs(nparams int, args []Value) error {
+	switch {
+	case len(args) < nparams:
+		return fmt.Errorf("sqlengine: missing argument for parameter %d", len(args)+1)
+	case len(args) > nparams:
+		return fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", nparams, len(args))
+	}
+	return nil
+}
+
+// run executes a statement with args. Nothing substitutes the arguments into
+// the statement: plans read ? placeholders from args at evaluation time, and
+// a write's replayable text is rendered from the statement's template. from
+// is the logged write being replayed (zero for a client statement).
+func (s *Session) run(st *Statement, args []Value, from LoggedWrite) (*Result, error) {
+	switch st.stmt.(type) {
 	case *SelectStmt, *ExplainStmt:
-		readArgs = args
+		// Checked against the plan, which knows the SELECT's own count.
 	default:
-		if len(args) > 0 || st.nparams > 0 {
-			var err error
-			bound, err = Bind(bound, args)
-			if err != nil {
-				return nil, err
-			}
+		if err := checkArgs(st.nparams, args); err != nil {
+			return nil, err
 		}
 	}
-	switch st := bound.(type) {
+	switch stmt := st.stmt.(type) {
 	case *BeginStmt:
 		if s.inTxn {
 			return nil, fmt.Errorf("sqlengine: nested BEGIN")
@@ -292,26 +329,34 @@ func (s *Session) run(st *Statement, args []Value) (*Result, error) {
 		s.rollback()
 		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: "ROLLBACK"}, nil
 	case *UseStmt:
-		if _, ok := s.eng.Database(st.DB); !ok {
-			return nil, fmt.Errorf("sqlengine: unknown database %s", st.DB)
+		if _, ok := s.eng.Database(stmt.DB); !ok {
+			return nil, fmt.Errorf("sqlengine: unknown database %s", stmt.DB)
 		}
-		s.db = st.DB
-		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: bound.String()}, nil
+		s.db = stmt.DB
+		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: stmt.String()}, nil
 	}
 
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
-	res, err := s.eng.execLocked(s, st, bound, readArgs)
+	res, err := s.eng.execLocked(s, st, args)
 	if err != nil {
 		return nil, err
 	}
-	if res.Stats.Class == ClassWrite && !s.inTxn {
-		// Autocommit: the statement is its own commit — stamp its version
-		// marks before the lock drops and anything else can observe them.
-		s.finalizeStampsLocked()
-	}
-	if res.Stats.Class == ClassWrite || res.Stats.Class == ClassDDL {
-		s.recordCommit(res)
+	switch res.Stats.Class {
+	case ClassWrite:
+		if from.SQL == "" {
+			from, s.eng.text = st.logged(s.eng.text, args)
+		}
+		res.SQL = from.SQL
+		if !s.inTxn {
+			// Autocommit: the statement is its own commit — stamp its
+			// version marks before the lock drops and anything else can
+			// observe them.
+			s.finalizeStampsLocked()
+		}
+		s.recordCommit(res, from)
+	case ClassDDL:
+		s.recordCommit(res, LoggedWrite{SQL: res.SQL})
 	}
 	return res, nil
 }
@@ -331,12 +376,17 @@ func (s *Session) Query(sql string, args ...Value) (*ResultSet, error) {
 // recordCommit routes a completed write to the commit hook, immediately in
 // autocommit mode or buffered until COMMIT inside a transaction. DDL always
 // commits immediately (MySQL's implicit-commit behaviour).
-func (s *Session) recordCommit(res *Result) {
-	sqls := []string{res.SQL}
+func (s *Session) recordCommit(res *Result, w LoggedWrite) {
+	s.one[0] = w
+	writes := s.one[:]
 	if s.eng.Format == FormatRow && res.Stats.Class == ClassWrite {
-		sqls = res.RowSQL
-		if len(sqls) == 0 {
+		if len(res.RowSQL) == 0 {
 			return // write touched no rows: nothing to replicate
+		}
+		// Row images are literal text: they have no prepared form.
+		writes = make([]LoggedWrite, len(res.RowSQL))
+		for i, img := range res.RowSQL {
+			writes[i] = LoggedWrite{SQL: img}
 		}
 	}
 	if res.Stats.Class == ClassDDL || !s.inTxn {
@@ -347,11 +397,11 @@ func (s *Session) recordCommit(res *Result) {
 			s.commitLocked()
 		}
 		if s.eng.OnCommit != nil {
-			s.eng.OnCommit(s.db, sqls)
+			s.eng.OnCommit(s.db, writes)
 		}
 		return
 	}
-	s.pending = append(s.pending, sqls...)
+	s.pending = append(s.pending, writes...)
 }
 
 func (s *Session) commit() {
@@ -370,33 +420,23 @@ func (s *Session) commitLocked() {
 	}
 	s.eng.dropTxnLocked(s)
 	s.pending = nil
-	s.undo = nil
 	s.inTxn = false
 }
 
-// rollback is the write-side abort path: the undo log physically restores
-// heap/index state and pops the chain entries the transaction pushed, and
-// the provisional version marks are discarded unstamped.
+// rollback is the write-side abort path: the transaction's effects are
+// undone newest first — heap and index state physically restored, the chain
+// entries it pushed popped — and its provisional version marks are discarded
+// unstamped.
 func (s *Session) rollback() {
 	s.eng.mu.Lock()
-	for i := len(s.undo) - 1; i >= 0; i-- {
-		s.undo[i]()
+	for i := len(s.effects) - 1; i >= 0; i-- {
+		s.effects[i].undo()
 	}
-	s.eng.provisional -= s.provisional
-	s.provisional = 0
-	s.stamps = nil
+	s.dropEffects()
 	s.eng.dropTxnLocked(s)
 	s.eng.mu.Unlock()
 	s.pending = nil
-	s.undo = nil
 	s.inTxn = false
-}
-
-// addUndo records an undo action when inside a transaction.
-func (s *Session) addUndo(fn func()) {
-	if s.inTxn {
-		s.undo = append(s.undo, fn)
-	}
 }
 
 // resolveTable finds the table named by ref in the session's engine.

@@ -297,15 +297,29 @@ func TestTransactionCommitAndRollback(t *testing.T) {
 	}
 }
 
+// logSQL appends the text of every write the commit hook receives to sink.
+func logSQL(e *Engine, sink *[]string) {
+	e.OnCommit = func(_ string, writes []LoggedWrite) {
+		for _, w := range writes {
+			*sink = append(*sink, w.SQL)
+		}
+	}
+}
+
 func TestCommitHookAutocommit(t *testing.T) {
 	s := newTestDB(t)
 	var gotDB string
 	var gotSQL []string
-	s.eng.OnCommit = func(db string, sqls []string) {
+	var got []LoggedWrite
+	s.eng.OnCommit = func(db string, writes []LoggedWrite) {
 		gotDB = db
-		gotSQL = append(gotSQL, sqls...)
+		got = append(got, writes...)
+		for _, w := range writes {
+			gotSQL = append(gotSQL, w.SQL)
+		}
 	}
-	if _, err := s.Exec("INSERT INTO users (id, name) VALUES (?, ?)", NewInt(80), NewString("hook")); err != nil {
+	args := []Value{NewInt(80), NewString("hook")}
+	if _, err := s.Exec("INSERT INTO users (id, name) VALUES (?, ?)", args...); err != nil {
 		t.Fatal(err)
 	}
 	if gotDB != "app" || len(gotSQL) != 1 {
@@ -313,6 +327,12 @@ func TestCommitHookAutocommit(t *testing.T) {
 	}
 	if !strings.Contains(gotSQL[0], "80") || !strings.Contains(gotSQL[0], "'hook'") {
 		t.Fatalf("hook SQL not interpolated: %s", gotSQL[0])
+	}
+	// The prepared form rides along: the parameterised text and a copy of
+	// the arguments the caller is free to reuse.
+	args[0] = NewInt(-1)
+	if w := got[0]; w.Stmt != "INSERT INTO users (id, name) VALUES (?, ?)" || len(w.Args) != 2 || w.Args[0].Int() != 80 {
+		t.Fatalf("hook prepared form: %+v", w)
 	}
 	// Reads never hit the hook.
 	gotSQL = nil
@@ -327,7 +347,7 @@ func TestCommitHookAutocommit(t *testing.T) {
 func TestCommitHookTransactionBuffersUntilCommit(t *testing.T) {
 	s := newTestDB(t)
 	var got []string
-	s.eng.OnCommit = func(db string, sqls []string) { got = append(got, sqls...) }
+	logSQL(s.eng, &got)
 	s.Exec("BEGIN")
 	s.Exec("INSERT INTO users (id, name) VALUES (81, 'a')")
 	s.Exec("UPDATE users SET karma = 1 WHERE id = 81")
@@ -346,7 +366,7 @@ func TestCommitHookTransactionBuffersUntilCommit(t *testing.T) {
 func TestRolledBackStatementsNeverReachHook(t *testing.T) {
 	s := newTestDB(t)
 	var got []string
-	s.eng.OnCommit = func(db string, sqls []string) { got = append(got, sqls...) }
+	logSQL(s.eng, &got)
 	s.Exec("BEGIN")
 	s.Exec("INSERT INTO users (id, name) VALUES (82, 'x')")
 	s.Exec("ROLLBACK")
@@ -897,7 +917,7 @@ func TestRowFormatRendersRowImages(t *testing.T) {
 	s.eng.Format = FormatRow
 	s.eng.NowMicros = func() int64 { return 777 }
 	var logged []string
-	s.eng.OnCommit = func(db string, sqls []string) { logged = append(logged, sqls...) }
+	logSQL(s.eng, &logged)
 
 	// INSERT with a time builtin: the row image carries the literal 777,
 	// not the builtin call.
@@ -948,7 +968,7 @@ func TestRowImagesReplayToIdenticalState(t *testing.T) {
 	src := newTestDB(t)
 	src.eng.Format = FormatRow
 	var images []string
-	src.eng.OnCommit = func(db string, sqls []string) { images = append(images, sqls...) }
+	logSQL(src.eng, &images)
 	for _, sql := range []string{
 		"INSERT INTO users (id, name, karma) VALUES (50, 'fresh', 5)",
 		"UPDATE users SET karma = karma * 2 WHERE karma >= 50",

@@ -5,18 +5,13 @@ import (
 	"strings"
 )
 
-// Expressions are evaluated by two walkers over one set of scalar kernels
-// (unaryOp, decides/logicOp, binaryOp, betweenOp, likeOp, callBuiltin), so no
-// SQL semantics exists twice:
-//
-//   - bexpr.eval runs SELECT. The resolver (resolve.go) binds every expression
-//     a plan holds once, at plan-build time, to frame positions and operator
-//     codes; a bound column is frame[slot][col] and no name is looked at, no
-//     case folded and no operator string compared while rows flow.
-//   - scope.eval walks the AST directly for what executes once per freshly
-//     parameter-substituted statement — INSERT values, UPDATE SET/WHERE,
-//     DELETE WHERE and constant folding — where binding per call would cost
-//     more than it saves.
+// Every expression a statement evaluates is bound once — when its SELECT
+// plan or write plan is built — by the resolver (resolve.go) to frame
+// positions and operator codes, and evaluated by bexpr.eval over one set of
+// scalar kernels (unaryOp, decides/logicOp, binaryOp, betweenOp, likeOp,
+// callBuiltin): a bound column is frame[slot][col], a ? placeholder is
+// args[i], and no name is looked at, no case folded and no operator string
+// compared while rows flow.
 
 // exprOp is an operator or bound-node code.
 type exprOp uint8
@@ -261,107 +256,6 @@ func (x *bexpr) eval(rt *runState) (Value, error) {
 		return betweenOp(l, r, hi, x.not), err
 	}
 	return binaryOp(x.op, l, r), nil
-}
-
-// scope is the tree walker's row context: at most one table (the UPDATE or
-// DELETE target) with the current row's values.
-type scope struct {
-	eng    *Engine
-	tables []planTable // empty (INSERT values, constant folding) or the target
-	vals   []Value
-}
-
-// eval evaluates a scalar expression in the row scope. Writes arrive with
-// their parameters substituted, so a Param here is unbound; aggregates have
-// no meaning outside SELECT.
-func (sc *scope) eval(e Expr) (Value, error) {
-	switch e := e.(type) {
-	case *Literal:
-		return e.V, nil
-	case *Param:
-		return Null, fmt.Errorf("sqlengine: unbound parameter")
-	case *ColRef:
-		_, pos, err := resolveCol(sc.tables, e)
-		if err != nil {
-			return Null, err
-		}
-		return sc.vals[pos], nil
-	case *Unary:
-		x, err := sc.eval(e.X)
-		op := eNeg
-		if e.Op == "NOT" {
-			op = eNot
-		}
-		return unaryOp(op, x), err
-	case *Binary:
-		op := binaryOpOf(e.Op)
-		if op == eInvalid {
-			return Null, fmt.Errorf("sqlengine: unknown operator %q", e.Op)
-		}
-		l, err := sc.eval(e.L)
-		if err != nil {
-			return Null, err
-		}
-		if (op == eAnd || op == eOr) && decides(op, l) {
-			return NewBool(op == eOr), nil
-		}
-		r, err := sc.eval(e.R)
-		if op == eAnd || op == eOr {
-			return logicOp(op, l, r), err
-		}
-		return binaryOp(op, l, r), err
-	case *FuncCall:
-		if isAggregate(e.Name) {
-			return Null, fmt.Errorf("sqlengine: aggregate %s not allowed here", e.Name)
-		}
-		args := make([]Value, len(e.Args))
-		for i, a := range e.Args {
-			v, err := sc.eval(a)
-			if err != nil {
-				return Null, err
-			}
-			args[i] = v
-		}
-		return callBuiltin(sc.eng, e.Name, args)
-	case *InExpr:
-		x, err := sc.eval(e.X)
-		if err != nil || x.IsNull() {
-			return Null, err
-		}
-		for _, item := range e.List {
-			v, err := sc.eval(item)
-			if err != nil {
-				return Null, err
-			}
-			if !v.IsNull() && Compare(x, v) == 0 {
-				return NewBool(!e.Not), nil
-			}
-		}
-		return NewBool(e.Not), nil
-	case *BetweenExpr:
-		x, err := sc.eval(e.X)
-		if err != nil {
-			return Null, err
-		}
-		lo, err := sc.eval(e.Lo)
-		if err != nil {
-			return Null, err
-		}
-		hi, err := sc.eval(e.Hi)
-		return betweenOp(x, lo, hi, e.Not), err
-	case *IsNullExpr:
-		x, err := sc.eval(e.X)
-		return NewBool(x.IsNull() != e.Not), err
-	case *LikeExpr:
-		x, err := sc.eval(e.X)
-		if err != nil {
-			return Null, err
-		}
-		pat, err := sc.eval(e.Pattern)
-		return likeOp(x, pat, e.Not), err
-	default:
-		return Null, fmt.Errorf("sqlengine: cannot evaluate %T", e)
-	}
 }
 
 // callBuiltin dispatches scalar builtins.

@@ -25,25 +25,38 @@ type token struct {
 	pos  int    // byte offset for error messages
 }
 
-// keywords recognized by the dialect. Idents matching these (case
-// insensitively) lex as keywords.
-var keywords = map[string]bool{
-	"SELECT": true, "INSERT": true, "UPDATE": true, "DELETE": true,
-	"CREATE": true, "DROP": true, "TABLE": true, "DATABASE": true,
-	"INTO": true, "VALUES": true, "SET": true, "FROM": true, "WHERE": true,
-	"AND": true, "OR": true, "NOT": true, "NULL": true, "TRUE": true,
-	"FALSE": true, "ORDER": true, "BY": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "OFFSET": true, "GROUP": true, "JOIN": true, "INNER": true,
-	"LEFT": true, "ON": true, "AS": true, "IN": true, "IS": true,
-	"LIKE": true, "BETWEEN": true, "PRIMARY": true, "KEY": true,
-	"INDEX": true, "UNIQUE": true, "IF": true, "EXISTS": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "USE": true,
-	"EXPLAIN": true, "ANALYZE": true, "SHOW": true, "DESCRIBE": true,
-	"INT": true, "INTEGER": true, "BIGINT": true, "DOUBLE": true,
-	"FLOAT": true, "VARCHAR": true, "TEXT": true, "BOOLEAN": true,
-	"BOOL": true, "TIMESTAMP": true, "DATETIME": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"DISTINCT": true, "HAVING": true, "TRUNCATE": true,
+// keywords recognized by the dialect, keyed by their canonical upper-case
+// spelling (the text a keyword token carries). Idents matching these case
+// insensitively lex as keywords.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`
+		SELECT INSERT UPDATE DELETE CREATE DROP TABLE DATABASE INTO VALUES SET FROM WHERE
+		AND OR NOT NULL TRUE FALSE ORDER BY ASC DESC LIMIT OFFSET GROUP JOIN INNER LEFT ON AS
+		IN IS LIKE BETWEEN PRIMARY KEY INDEX UNIQUE IF EXISTS BEGIN COMMIT ROLLBACK USE
+		EXPLAIN ANALYZE SHOW DESCRIBE INT INTEGER BIGINT DOUBLE FLOAT VARCHAR TEXT BOOLEAN
+		BOOL TIMESTAMP DATETIME COUNT SUM AVG MIN MAX DISTINCT HAVING TRUNCATE`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keywordOf returns the canonical spelling of word if it is a keyword. The
+// upper-cased probe lives on the stack: the lexer sees every identifier of
+// every statement, and a copy per identifier was its largest allocation.
+func keywordOf(word string) (string, bool) {
+	var up [12]byte // longer than any keyword
+	if len(word) > len(up) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		up[i] = word[i]
+		if 'a' <= up[i] && up[i] <= 'z' {
+			up[i] -= 'a' - 'A'
+		}
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
 }
 
 // lexError is a tokenization failure.
@@ -58,7 +71,7 @@ func (e *lexError) Error() string { return fmt.Sprintf("lex error at offset %d: 
 func lex(sql string) ([]token, error) {
 	// Sized so typical statements tokenize in one allocation — replication
 	// apply lexes every shipped write, so repeated slice growth adds up.
-	toks := make([]token, 0, len(sql)/5+4)
+	toks := make([]token, 0, len(sql)/3+4)
 	i := 0
 	n := len(sql)
 	for i < n {
@@ -88,6 +101,12 @@ func lex(sql string) ([]token, error) {
 		case c == '\'':
 			start := i
 			i++
+			// A literal without escapes is a substring of the input.
+			if j := strings.IndexAny(sql[i:], `'\`); j >= 0 && sql[i+j] == '\'' && (i+j+1 >= n || sql[i+j+1] != '\'') {
+				toks = append(toks, token{tokString, sql[i : i+j], start})
+				i += j + 1
+				continue
+			}
 			var b strings.Builder
 			closed := false
 			for i < n {
@@ -127,12 +146,10 @@ func lex(sql string) ([]token, error) {
 			for i < n && isIdentPart(sql[i]) {
 				i++
 			}
-			word := sql[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{tokKeyword, upper, start})
+			if kw, ok := keywordOf(sql[start:i]); ok {
+				toks = append(toks, token{tokKeyword, kw, start})
 			} else {
-				toks = append(toks, token{tokIdent, word, start})
+				toks = append(toks, token{tokIdent, sql[start:i], start})
 			}
 		case c == '`': // quoted identifier
 			start := i
@@ -147,23 +164,20 @@ func lex(sql string) ([]token, error) {
 			toks = append(toks, token{tokParam, "?", i})
 			i++
 		default:
-			start := i
-			// Multi-byte operators first.
-			for _, op := range []string{"<=", ">=", "<>", "!="} {
-				if strings.HasPrefix(sql[i:], op) {
-					toks = append(toks, token{tokSymbol, op, start})
-					i += 2
-					goto next
+			// Symbol tokens are substrings of the input: multi-byte
+			// operators first, then the one-byte ones.
+			width := 1
+			if i+1 < n {
+				switch sql[i : i+2] {
+				case "<=", ">=", "<>", "!=":
+					width = 2
 				}
 			}
-			switch c {
-			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', '.', ';':
-				toks = append(toks, token{tokSymbol, string(c), start})
-				i++
-			default:
-				return nil, &lexError{start, fmt.Sprintf("unexpected character %q", c)}
+			if width == 1 && !strings.ContainsRune("(),*+-/%=<>.;", rune(c)) {
+				return nil, &lexError{i, fmt.Sprintf("unexpected character %q", c)}
 			}
-		next:
+			toks = append(toks, token{tokSymbol, sql[i : i+width], i})
+			i += width
 		}
 	}
 	toks = append(toks, token{tokEOF, "", n})

@@ -9,12 +9,13 @@ package sqlengine
 // the write-side abort path: rollback physically restores heap/index state
 // and pops the chain entries the transaction pushed.
 //
-// Version stamps are assigned at commit time through stamp closures: each
-// write statement appends a closure taking the final commit version, and
-// commit runs them all with commitV+1 before publishing it. Until then the
-// affected images hold provisionalVersion and the owning session in txn,
-// which routes every other reader to the chain (or, for a pending DELETE of
-// a committed image, to the still-visible current image).
+// Version stamps are assigned at commit time: each write statement leaves an
+// effect record on its session — the rows it inserted, rewrote or buried —
+// and commit stamps them all with commitV+1 before publishing it, while
+// rollback undoes them newest first. Until then the affected images hold
+// provisionalVersion and the owning session in txn, which routes every other
+// reader to the chain (or, for a pending DELETE of a committed image, to the
+// still-visible current image).
 
 // provisionalVersion marks a begin/end stamp belonging to an open
 // transaction: numerically above every real commit version, so committed-
@@ -167,15 +168,79 @@ func (e *Engine) readViewFor(s *Session) (uint64, bool) {
 	return readV, true
 }
 
-// addStamp defers an MVCC version mark to commit time; inside a transaction
-// it also counts toward the engine's provisional-write total that forces
-// concurrent readers onto the chain-resolving scan.
-func (s *Session) addStamp(fn func(cv uint64)) {
-	s.stamps = append(s.stamps, fn)
+// effect is what one write statement did to a table, kept on its session
+// until the statement's transaction commits (stamp) or rolls back (undo). An
+// autocommit statement is stamped before the engine lock drops.
+type effect struct {
+	tbl      *Table
+	inserted []*Row
+	updated  []rewrite
+	deleted  []*Row
+}
+
+// rewrite is one row an UPDATE rewrote: the image it superseded and, when
+// that image was committed, the chain entry now holding it.
+type rewrite struct {
+	r      *Row
+	old    []Value
+	pushed *rowVersion
+}
+
+// undo puts the superseded image back and pops the chain entry.
+func (w rewrite) undo(t *Table) {
+	_ = t.replace(w.r, w.old)
+	if w.pushed != nil {
+		w.r.prev = w.pushed.prev
+		w.r.begin = w.pushed.begin
+		w.r.txn = nil
+	}
+}
+
+func (ef *effect) stamp(cv uint64) {
+	for _, r := range ef.inserted {
+		r.begin, r.txn = cv, nil
+	}
+	for _, w := range ef.updated {
+		if w.pushed != nil {
+			w.pushed.end = cv
+			w.r.begin, w.r.txn = cv, nil
+		}
+	}
+	for _, r := range ef.deleted {
+		r.end, r.txn = cv, nil
+	}
+}
+
+func (ef *effect) undo() {
+	for i := len(ef.inserted) - 1; i >= 0; i-- {
+		ef.tbl.Delete(ef.inserted[i])
+	}
+	for i := len(ef.updated) - 1; i >= 0; i-- {
+		ef.updated[i].undo(ef.tbl)
+	}
+	for i := len(ef.deleted) - 1; i >= 0; i-- {
+		ef.deleted[i].end, ef.deleted[i].txn = 0, nil
+		ef.tbl.relink(ef.deleted[i])
+	}
+}
+
+// addEffect records a write statement's effect; inside a transaction it also
+// counts toward the engine's provisional-write total that forces concurrent
+// readers onto the chain-resolving scan.
+func (s *Session) addEffect(ef effect) {
+	s.effects = append(s.effects, ef)
 	if s.inTxn {
 		s.provisional++
 		s.eng.provisional++
 	}
+}
+
+// dropEffects forgets the session's effects, keeping the list's capacity.
+func (s *Session) dropEffects() {
+	clear(s.effects)
+	s.effects = s.effects[:0]
+	s.eng.provisional -= s.provisional
+	s.provisional = 0
 }
 
 // finalizeStampsLocked assigns the next commit version to every provisional
@@ -183,17 +248,15 @@ func (s *Session) addStamp(fn func(cv uint64)) {
 // under the engine lock — right after an autocommit write executes, or at
 // COMMIT for an explicit transaction.
 func (s *Session) finalizeStampsLocked() {
-	if len(s.stamps) > 0 {
+	if len(s.effects) > 0 {
 		cv := s.eng.commitV + 1
-		for _, f := range s.stamps {
-			f(cv)
+		for i := range s.effects {
+			s.effects[i].stamp(cv)
 		}
 		s.eng.commitV = cv
-		s.stamps = nil
 		s.eng.maybeGCLocked()
 	}
-	s.eng.provisional -= s.provisional
-	s.provisional = 0
+	s.dropEffects()
 }
 
 // dropTxnLocked removes s from the engine's open-transaction set.

@@ -314,45 +314,81 @@ func genExpr(rng *rand.Rand, depth int) Expr {
 	}
 }
 
-// Property: Bind replaces every parameter and renders literal text with no
-// remaining '?' placeholders.
-func TestBindInterpolationProperty(t *testing.T) {
+// Property: interpolation replaces every parameter and renders literal text
+// with no remaining '?' placeholders that re-parses to itself.
+func TestInterpolationProperty(t *testing.T) {
+	st, err := NewEngine().Prepare("INSERT INTO t (x, y) VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(a int64, s string) bool {
-		if strings.ContainsAny(s, "'\\") || len(s) > 50 {
+		if strings.Contains(s, "?") || len(s) > 50 {
 			return true
 		}
-		stmt, err := Parse("INSERT INTO t (x, y) VALUES (?, ?)")
-		if err != nil {
-			return false
-		}
-		bound, err := Bind(stmt, []Value{NewInt(a), NewString(s)})
-		if err != nil {
-			return false
-		}
-		out := bound.String()
-		if strings.Contains(out, "?") {
+		w, err := st.Logged([]Value{NewInt(a), NewString(s)})
+		out := w.SQL
+		if err != nil || strings.Contains(out, "?") {
 			return false
 		}
 		re, err := Parse(out)
 		if err != nil {
 			return false
 		}
-		return re.String() == out
+		lit := re.(*InsertStmt).Rows[0][1].(*Literal)
+		return re.String() == out && lit.V.Str() == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBindArityErrors(t *testing.T) {
-	stmt := mustParse(t, "SELECT * FROM t WHERE a = ? AND b = ?")
-	if _, err := Bind(stmt, []Value{NewInt(1)}); err == nil {
+func TestLoggedArityErrors(t *testing.T) {
+	st, err := NewEngine().Prepare("UPDATE t SET a = ? WHERE b = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Logged([]Value{NewInt(1)}); err == nil {
 		t.Fatal("missing arg accepted")
 	}
-	if _, err := Bind(stmt, []Value{NewInt(1), NewInt(2), NewInt(3)}); err == nil {
+	if _, err := st.Logged([]Value{NewInt(1), NewInt(2), NewInt(3)}); err == nil {
 		t.Fatal("extra arg accepted")
 	}
-	if _, err := Bind(stmt, []Value{NewInt(1), NewInt(2)}); err != nil {
+	if _, err := st.Logged([]Value{NewInt(1), NewInt(2)}); err != nil {
 		t.Fatalf("exact args rejected: %v", err)
+	}
+}
+
+// TestLexAllocs holds the lexer to one allocation per statement — the token
+// slice. Keywords are classified without an upper-cased copy, symbols and
+// escape-free string literals are substrings of the input; only a literal
+// with an escape builds its own text.
+func TestLexAllocs(t *testing.T) {
+	for sql, ceiling := range map[string]float64{
+		"INSERT INTO comments (id, event_id, user_id, body, created) VALUES (7, 8, 9, 'sounds great', UTC_MICROS())": 1,
+		"update events set description = 'x' where id <= 5 and creator_id <> 3":                                      1,
+		"SELECT e.id, COUNT(*) FROM events e JOIN users u ON u.id = e.creator_id WHERE e.title LIKE ? GROUP BY e.id": 1,
+		`INSERT INTO t (a) VALUES ('it''s \'escaped\'')`:                                                             3,
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := lex(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("lex(%q): %.1f allocs, ceiling %.0f", sql, got, ceiling)
+		}
+	}
+}
+
+// A quoted identifier renders unquoted, so one holding a ? would put a second
+// placeholder into the replayable text. Such a write is refused when it is
+// prepared rather than logged as text no replica can parse.
+func TestPrepareRejectsUnreplayableWrite(t *testing.T) {
+	e := NewEngine()
+	if _, err := e.Prepare("INSERT INTO t (`a?b`) VALUES (?)"); err == nil || !strings.Contains(err.Error(), "replayable") {
+		t.Fatalf("err = %v, want a replayable-text error", err)
+	}
+	if _, err := e.Prepare("INSERT INTO t (a) VALUES ('a?b', ?)"); err != nil {
+		t.Fatalf("a ? inside a string literal is not a placeholder: %v", err)
 	}
 }

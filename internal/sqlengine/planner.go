@@ -312,8 +312,8 @@ func (b *planBuilder) classOfExpr(e Expr) kindClass {
 // ---------------------------------------------------------------------------
 // Naive mode — parity with the pre-planner executor
 
-// buildNaiveAccess mirrors the legacy execSelect shape: pickCandidates on
-// the driving table, syntax-order joins with per-join index lookups, whole
+// buildNaiveAccess mirrors the legacy execSelect shape: the rule-based access
+// on the driving table, syntax-order joins with per-join index lookups, whole
 // WHERE evaluated after all joins.
 func (b *planBuilder) buildNaiveAccess() {
 	st, p := b.st, b.p
@@ -371,49 +371,47 @@ func (b *planBuilder) buildNaiveAccess() {
 	p.root = chain
 }
 
-// naiveDriving reproduces pickCandidates as a plan node: the first WHERE
-// conjunct that is `col = const` over an indexed driving-table column wins.
+// naiveDriving is the naive mode's driving access: the rule UPDATE and DELETE
+// use (drivingAccess), with the WHERE itself left to the filter above.
 func (b *planBuilder) naiveDriving() *planNode {
-	st, p := b.st, b.p
-	tbl := p.tables[0].tbl
-	ref := p.tables[0].lower
-	for _, c := range conjuncts(st.Where) {
+	n := b.newNode(opScan)
+	drivingAccess(n, b.p.tables[0], b.st.Where)
+	return n
+}
+
+// drivingAccess decides how a single table is entered given a WHERE clause,
+// by rule: the first conjunct that is `col = expr` (either way round) over a
+// column with a point-lookup index, expr reading no column, picks that
+// index; otherwise the heap is scanned. n arrives with any filters set and
+// leaves with table, kind, key, estimates and detail.
+func drivingAccess(n *planNode, pt planTable, where Expr) {
+	tbl := pt.tbl
+	n.tbl, n.kind, n.estCost = tbl, opScan, rowsOf(tbl)
+search:
+	for _, c := range conjuncts(where) {
 		bin, ok := c.(*Binary)
 		if !ok || bin.Op != "=" {
 			continue
 		}
 		for _, try := range [2][2]Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
 			col, ok := try[0].(*ColRef)
-			if !ok {
-				continue
-			}
-			if col.Table != "" && strings.ToLower(col.Table) != ref {
+			if !ok || (col.Table != "" && !strings.EqualFold(col.Table, pt.lower)) || !runtimeConst(try[1]) {
 				continue
 			}
 			pos, ok := tbl.ColPos(col.Name)
 			if !ok {
 				continue
 			}
-			if !runtimeConst(try[1]) {
-				continue
-			}
 			if name, unique, usable := usableEqIndex(tbl, pos); usable {
-				n := b.newNode(opIndexScan)
-				n.slot, n.tbl = 0, tbl
+				n.kind = opIndexScan
 				n.eqCol, n.eqExpr, n.idxName = pos, try[1], name
 				n.estCost = eqBucketEst(tbl, pos, unique)
-				n.estRows = n.estCost
-				n.detail = accessDetail(p.tables[0].display, n)
-				return n
+				break search
 			}
 		}
 	}
-	n := b.newNode(opScan)
-	n.slot, n.tbl = 0, tbl
-	n.estCost = rowsOf(tbl)
 	n.estRows = n.estCost
-	n.detail = accessDetail(p.tables[0].display, n)
-	return n
+	n.detail = accessDetail(pt.display, n)
 }
 
 // whereSel estimates a WHERE conjunct's selectivity: single-table conjuncts

@@ -9,8 +9,9 @@ import (
 // once, shareable across sessions and argument vectors. The engine keeps one
 // Statement per normalized text, so Prepare of a known text allocates
 // nothing. A SELECT keeps its current plan per (database, planner mode) on
-// the statement itself until a statistics epoch change retires it, so
-// repeated Runs do no per-call planning work either.
+// the statement itself until a statistics epoch change retires it, and an
+// INSERT, UPDATE or DELETE its compiled write plan per database (write.go),
+// so repeated Runs do no per-call planning work either.
 //
 // The handle carries no resources beyond cache entries, but dropping it
 // unused almost always indicates a lost result: cloudrepl-lint's closecheck
@@ -20,11 +21,16 @@ type Statement struct {
 	norm    string
 	stmt    Stmt
 	nparams int
-	plans   []*Plan // guarded by eng.mu
+	// segs is a write's norm cut at its ? placeholders: its replayable text is
+	// segs[0] + literal(args[0]) + segs[1] + … (nil without parameters).
+	segs   []string
+	plans  []*Plan      // guarded by eng.mu
+	writes []*writePlan // guarded by eng.mu
 }
 
 // Prepare parses sql (through the parse cache) and returns a prepared
-// statement. Any statement kind can be prepared; only SELECTs are planned.
+// statement. Any statement kind can be prepared; SELECTs are planned and
+// INSERT/UPDATE/DELETE compiled on first Run.
 func (e *Engine) Prepare(sql string) (*Statement, error) {
 	if v, ok := e.parseCache.Load(sql); ok {
 		return v.(*Statement), nil
@@ -33,10 +39,96 @@ func (e *Engine) Prepare(sql string) (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	norm := stmt.String()
-	v, _ := e.parseCache.LoadOrStore(norm, &Statement{eng: e, norm: norm, stmt: stmt, nparams: countParams(stmt)})
+	st := &Statement{eng: e, norm: stmt.String(), stmt: stmt, nparams: countParams(stmt)}
+	if _, write := st.Table(); write && st.nparams > 0 {
+		if st.segs, err = splitParams(st.norm, st.nparams); err != nil {
+			return nil, err
+		}
+	}
+	v, _ := e.parseCache.LoadOrStore(st.norm, st)
 	e.parseCache.Store(sql, v)
 	return v.(*Statement), nil
+}
+
+// CachedStatements returns the number of parse-cache entries (statement texts
+// as written plus their normalized renderings). It grows with the distinct
+// texts handed to Prepare and never shrinks, so it must stay bounded by the
+// application's template set however many writes are replayed.
+func (e *Engine) CachedStatements() int {
+	n := 0
+	e.parseCache.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// splitParams cuts a normalized statement text at its ? placeholders. The
+// lexer finds them: the rendering re-parses to the same statement (the fixed
+// point FuzzParse holds the parser to), so its parameter tokens are the
+// statement's parameters, in order, and a ? inside a string literal is not
+// one of them.
+func splitParams(norm string, nparams int) ([]string, error) {
+	toks, err := lex(norm)
+	if err != nil {
+		return nil, err
+	}
+	segs := make([]string, 0, nparams+1)
+	from := 0
+	for _, t := range toks {
+		if t.kind == tokParam {
+			segs = append(segs, norm[from:t.pos])
+			from = t.pos + 1
+		}
+	}
+	if len(segs) != nparams {
+		return nil, fmt.Errorf("sqlengine: statement does not render to replayable text: %s", norm)
+	}
+	return append(segs, norm[from:]), nil
+}
+
+// appendText appends the statement's replayable text — its normalized
+// rendering with every placeholder replaced by the SQL literal of its
+// argument — to b. len(args) must equal NumParams, which is not zero.
+func (st *Statement) appendText(b []byte, args []Value) []byte {
+	for i, a := range args {
+		b = a.appendSQL(append(b, st.segs[i]...))
+	}
+	return append(b, st.segs[len(args)]...)
+}
+
+// Logged returns what the commit hook receives when the statement, a write,
+// runs with args: the replayable text a statement-format binlog records and,
+// for a parameterised statement, the prepared form with the argument vector
+// copied (callers reuse theirs).
+func (st *Statement) Logged(args []Value) (LoggedWrite, error) {
+	if err := checkArgs(st.nparams, args); err != nil {
+		return LoggedWrite{}, err
+	}
+	w, _ := st.logged(nil, args)
+	return w, nil
+}
+
+// logged is Logged rendering into buf, which it returns for reuse: the text
+// is appended there and materialised once.
+func (st *Statement) logged(buf []byte, args []Value) (LoggedWrite, []byte) {
+	if st.segs == nil {
+		return LoggedWrite{SQL: st.norm}, buf
+	}
+	buf = st.appendText(buf[:0], args)
+	return LoggedWrite{SQL: string(buf), Stmt: st.norm, Args: append([]Value(nil), args...)}, buf
+}
+
+// Table returns the table an INSERT, UPDATE, DELETE or TRUNCATE writes.
+func (st *Statement) Table() (TableRef, bool) {
+	switch s := st.stmt.(type) {
+	case *InsertStmt:
+		return s.Table, true
+	case *UpdateStmt:
+		return s.Table, true
+	case *DeleteStmt:
+		return s.Table, true
+	case *TruncateStmt:
+		return s.Table, true
+	}
+	return TableRef{}, false
 }
 
 // planFor returns the statement's current plan for sel (the statement itself,
@@ -75,11 +167,11 @@ func (st *Statement) Norm() string { return st.norm }
 func (st *Statement) NumParams() int { return st.nparams }
 
 // Run executes the statement on a session with the given arguments. SELECTs
-// run their current plan (built on first use or after a statistics epoch
-// change); writes bind args into the statement text for the binlog, exactly
-// as Session.Exec always has.
+// run their current plan and writes their compiled write plan (built on first
+// use, rebuilt after a statistics epoch change); a write's text for the
+// binlog is rendered from the statement's template.
 func (st *Statement) Run(s *Session, args ...Value) (*Result, error) {
-	return s.run(st, args)
+	return s.run(st, args, LoggedWrite{})
 }
 
 // Query is Run for statements expected to return rows.

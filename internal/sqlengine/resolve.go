@@ -10,8 +10,7 @@ import (
 // frame positions, operator spellings become codes, SELECT * expands, and an
 // ORDER BY item naming a SELECT alias becomes that projection. Unknown and
 // ambiguous references therefore fail when the plan is built, whatever the
-// data holds. (It is unrelated to ast.go's binder, which substitutes
-// parameters into write statements.)
+// data holds. SELECT plans and write plans (write.go) both bind through it.
 
 // resolveCol finds the scope slot and column position c names among tables.
 func resolveCol(tables []planTable, c *ColRef) (slot, pos int, err error) {

@@ -34,34 +34,40 @@ type Index struct {
 	buckets map[string][]*Row
 }
 
-func (ix *Index) keyOf(vals []Value) string {
-	var b strings.Builder
-	for i, c := range ix.Cols {
+// appendRowKey appends the map key of vals' columns cols to b. Keys are built
+// in the caller's stack buffer: probing a map through string(bytes) allocates
+// nothing, so only storing a key costs a string.
+func appendRowKey(b []byte, vals []Value, cols []int) []byte {
+	for i, c := range cols {
 		if i > 0 {
-			b.WriteByte(0x1f)
+			b = append(b, 0x1f)
 		}
-		b.WriteString(vals[c].key())
+		b = vals[c].appendKey(b)
 	}
-	return b.String()
+	return b
 }
 
 func (ix *Index) add(r *Row) error {
-	k := ix.keyOf(r.vals)
-	if ix.Unique && len(ix.buckets[k]) > 0 {
+	var kb [64]byte
+	k := appendRowKey(kb[:0], r.vals, ix.Cols)
+	bucket := ix.buckets[string(k)]
+	if ix.Unique && len(bucket) > 0 {
 		return fmt.Errorf("%w: index %s", ErrDuplicateKey, ix.Name)
 	}
-	ix.buckets[k] = append(ix.buckets[k], r)
+	ix.buckets[string(k)] = append(bucket, r)
 	return nil
 }
 
 func (ix *Index) remove(r *Row) {
-	k := ix.keyOf(r.vals)
-	bucket := ix.buckets[k]
+	var kb [64]byte
+	k := appendRowKey(kb[:0], r.vals, ix.Cols)
+	bucket := ix.buckets[string(k)]
 	for i, x := range bucket {
 		if x == r {
-			ix.buckets[k] = append(bucket[:i], bucket[i+1:]...)
-			if len(ix.buckets[k]) == 0 {
-				delete(ix.buckets, k)
+			if len(bucket) == 1 {
+				delete(ix.buckets, string(k))
+			} else {
+				ix.buckets[string(k)] = append(bucket[:i], bucket[i+1:]...)
 			}
 			return
 		}
@@ -141,37 +147,40 @@ func (t *Table) Rows() []*Row { return t.rows }
 func (t *Table) HasPK() bool { return len(t.pkCols) > 0 }
 
 func (t *Table) pkKey(vals []Value) string {
-	var b strings.Builder
-	for i, c := range t.pkCols {
-		if i > 0 {
-			b.WriteByte(0x1f)
+	var kb [64]byte
+	return string(appendRowKey(kb[:0], vals, t.pkCols))
+}
+
+// coerceRow converts vals in place to the column kinds, enforcing NOT NULL.
+func (t *Table) coerceRow(vals []Value) error {
+	for i, v := range vals {
+		cv, err := coerce(v, t.Columns[i])
+		if err != nil {
+			return fmt.Errorf("sqlengine: column %s.%s: %w", t.Name, t.Columns[i].Name, err)
 		}
-		b.WriteString(vals[c].key())
+		vals[i] = cv
 	}
-	return b.String()
+	return nil
 }
 
 // Insert adds a row, enforcing NOT NULL, primary-key and unique-index
-// constraints and coercing values to column kinds.
+// constraints and coercing values to column kinds. The table takes ownership
+// of vals: it becomes the row's stored image.
 func (t *Table) Insert(vals []Value) (*Row, error) {
 	if len(vals) != len(t.Columns) {
 		return nil, fmt.Errorf("sqlengine: table %s has %d columns, got %d values", t.Name, len(t.Columns), len(vals))
 	}
-	stored := make([]Value, len(vals))
-	for i, v := range vals {
-		cv, err := coerce(v, t.Columns[i])
-		if err != nil {
-			return nil, fmt.Errorf("sqlengine: column %s.%s: %w", t.Name, t.Columns[i].Name, err)
-		}
-		stored[i] = cv
+	if err := t.coerceRow(vals); err != nil {
+		return nil, err
 	}
-	r := &Row{vals: stored}
+	r := &Row{vals: vals}
 	if t.HasPK() {
-		k := t.pkKey(stored)
-		if _, exists := t.pk[k]; exists {
+		var kb [64]byte
+		k := appendRowKey(kb[:0], vals, t.pkCols)
+		if _, exists := t.pk[string(k)]; exists {
 			return nil, fmt.Errorf("%w: primary key of table %s", ErrDuplicateKey, t.Name)
 		}
-		t.pk[k] = r
+		t.pk[string(k)] = r
 	}
 	for _, ix := range t.indexes {
 		if err := ix.add(r); err != nil {
@@ -183,13 +192,13 @@ func (t *Table) Insert(vals []Value) (*Row, error) {
 				prev.remove(r)
 			}
 			if t.HasPK() {
-				delete(t.pk, t.pkKey(stored))
+				delete(t.pk, t.pkKey(vals))
 			}
 			return nil, fmt.Errorf("sqlengine: table %s: %w", t.Name, err)
 		}
 	}
 	t.rows = append(t.rows, r)
-	t.stats.observeInsert(stored)
+	t.stats.observeInsert(vals)
 	return r, nil
 }
 
@@ -209,17 +218,20 @@ func (t *Table) Delete(r *Row) {
 	}
 }
 
-// Update replaces a row's values in place, maintaining all indexes. It
-// fails without side effects on constraint violations.
+// Update replaces a row's image, maintaining all indexes. It fails without
+// side effects on constraint violations. The table takes ownership of
+// newVals, coerced in place to the column kinds; the image it supersedes is
+// left untouched (snapshot readers may still hold it).
 func (t *Table) Update(r *Row, newVals []Value) error {
-	stored := make([]Value, len(newVals))
-	for i, v := range newVals {
-		cv, err := coerce(v, t.Columns[i])
-		if err != nil {
-			return fmt.Errorf("sqlengine: column %s.%s: %w", t.Name, t.Columns[i].Name, err)
-		}
-		stored[i] = cv
+	if err := t.coerceRow(newVals); err != nil {
+		return err
 	}
+	return t.replace(r, newVals)
+}
+
+// replace is Update for an image that is already coerced — a fresh one, or a
+// superseded one being put back by an undo.
+func (t *Table) replace(r *Row, stored []Value) error {
 	if t.HasPK() {
 		oldKey, newKey := t.pkKey(r.vals), t.pkKey(stored)
 		if oldKey != newKey {

@@ -108,7 +108,7 @@ func checkConsistent(tbl *Table) error {
 		n := 0
 		for k, bucket := range ix.buckets {
 			for _, r := range bucket {
-				if ix.keyOf(r.vals) != k {
+				if string(appendRowKey(nil, r.vals, ix.Cols)) != k {
 					return fmt.Errorf("index %s entry under stale key", ix.Name)
 				}
 				n++

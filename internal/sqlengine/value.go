@@ -145,15 +145,27 @@ func (v Value) String() string {
 // binlog uses this to interpolate bound parameters into replayable
 // statement text, the way MySQL's statement-based log records fully-formed
 // statements.
-func (v Value) SQL() string {
+func (v Value) SQL() string { return string(v.appendSQL(nil)) }
+
+// appendSQL appends the SQL literal to b: the renderer of replayable text
+// interpolates every argument of every write through here.
+func (v Value) appendSQL(b []byte) []byte {
 	switch v.kind {
+	case KindInt, KindTime:
+		return strconv.AppendInt(b, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
 	case KindString:
-		s := strings.ReplaceAll(v.s, `\`, `\\`)
-		s = strings.ReplaceAll(s, "'", "''")
-		return "'" + s + "'"
-	default:
-		return v.String()
+		b = append(b, '\'')
+		for i := 0; i < len(v.s); i++ {
+			if c := v.s[i]; c == '\\' || c == '\'' {
+				b = append(b, c)
+			}
+			b = append(b, v.s[i])
+		}
+		return append(b, '\'')
 	}
+	return append(b, v.String()...)
 }
 
 // Compare orders two values: -1, 0, or +1. NULL sorts before everything and
