@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards bench bench-smoke bench-kernel bench-plan plan-smoke shard-smoke consist-smoke determinism-smoke trace-smoke fuzz-seed figures examples vet fmt fmt-check lint lint-nocache clean check
+.PHONY: all build test race race-shards bench bench-smoke bench-kernel bench-plan bench-history plan-smoke shard-smoke consist-smoke determinism-smoke trace-smoke fuzz-seed figures examples vet fmt fmt-check lint lint-nocache clean check
 
 all: build vet lint test
 
@@ -96,14 +96,27 @@ bench-kernel:
 	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -short -q -json results -kernel-baseline bench/kernel_baseline.json
 
 # Planner-speed smoke: executor microbenchmarks on four query shapes (point
-# read, index scan, hash join, grouped aggregate) and three write shapes
-# (insert, point update, apply of a logged insert on a second engine), each
-# best-of-3, with BENCH_planner.json written into results/ and a failure if
+# read, index scan, hash join, grouped aggregate), three write shapes
+# (insert, point update, apply of a logged insert on a second engine) and one
+# ANALYZE pass over the 60 k rows the insert shape leaves, each best-of-3, with BENCH_planner.json written into results/ and a failure if
 # any shape's rate regresses >20% or its allocs/op rises >5% against the
 # checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_planner.json bench/planner_baseline.json
 bench-plan:
 	$(GO) run ./cmd/cloudrepl-bench -bench-plan -q -json results -plan-baseline bench/planner_baseline.json
+
+# Performance trajectory: append this tree's row — kernel bench (micro and cell
+# ns/event + allocs/event), the planner bench's shapes and the four benchmark
+# cells' allocs_per_op — to the append-only bench/history.jsonl. One row per
+# PR, added by the PR itself, so its commit reads as the parent plus "+":
+#   make bench-history LABEL="PR 15"
+# Takes about two minutes (one untraced rep of each cell after its warm-up).
+LABEL ?= unlabelled
+bench-history:
+	$(GO) run ./benchmark -reps 1 -trace 0 -out results/cells
+	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -bench-plan -short -q -json results \
+		-history bench/history.jsonl -history-label "$(LABEL)" \
+		-history-commit "$$(git describe --always --dirty=+)" -history-cells results/cells/results.json
 
 # Planner smoke: the EXPLAIN golden rendering and the cost-based plan
 # choices (join-algorithm flip) at unit scale, the A-PLAN regression test

@@ -48,8 +48,12 @@ func main() {
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_*.json files into")
 	benchKernel := flag.Bool("bench-kernel", false, "measure raw sim-kernel speed (events/sec, ns/event, allocs/event) and emit BENCH_kernel.json; also runs as part of -all")
 	kernelBaseline := flag.String("kernel-baseline", "", "checked-in kernel baseline JSON to gate against: fail when micro ns/event regresses >20% (update with: cp <jsondir>/BENCH_kernel.json bench/kernel_baseline.json)")
-	benchPlan := flag.Bool("bench-plan", false, "measure executor speed by statement shape (point read, index scan, hash join, grouped aggregate; insert, point update, apply insert) and emit BENCH_planner.json; also runs as part of -all")
+	benchPlan := flag.Bool("bench-plan", false, "measure executor speed by statement shape (point read, index scan, hash join, grouped aggregate; insert, point update, apply insert; analyze) and emit BENCH_planner.json; also runs as part of -all")
 	planBaseline := flag.String("plan-baseline", "", "checked-in planner baseline JSON to gate against: fail when any shape's rate regresses >20% (update with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json)")
+	history := flag.String("history", "", "append one row — this run's -bench-kernel and -bench-plan results plus the cells' allocs_per_op from -history-cells — to this JSON-lines file (make bench-history)")
+	historyLabel := flag.String("history-label", "", "label of the -history row, e.g. \"PR 15\"")
+	historyCommit := flag.String("history-commit", "", "commit the -history row's numbers were taken on")
+	historyCells := flag.String("history-cells", "", "results.json of a `go run ./benchmark -out DIR` run, for the -history row")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (every allocation since start, not only live heap) to this file on exit")
 	quiet := flag.Bool("q", false, "suppress per-run progress lines")
@@ -89,6 +93,9 @@ func main() {
 	}
 	if *benchPlan {
 		want["planner"] = true
+	}
+	if *history != "" && !(want["kernel"] && want["planner"]) {
+		fatal(fmt.Errorf("-history needs -bench-kernel and -bench-plan in the same run"))
 	}
 	opts := experiment.SweepOpts{Short: *short, Parallelism: *par, Seed: *seed}
 	if !*quiet {
@@ -342,6 +349,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d spans)\n", *tracePath, len(spans))
 	}
 
+	var kernelRes experiment.KernelBenchResult
+	var planRes experiment.PlanBenchResult
 	if want["kernel"] {
 		banner("kernel bench: raw scheduler speed (micro workload + one experiment cell)")
 		//cloudrepl:allow-simtime the kernel bench records the surrounding sweep's real wall-clock
@@ -349,6 +358,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		kernelRes = r
 		fmt.Println(experiment.RenderKernelBench(r))
 		writeJSON("kernel", r)
 		if *kernelBaseline != "" {
@@ -360,11 +370,12 @@ func main() {
 	}
 
 	if want["planner"] {
-		banner("planner bench: executor speed by statement shape (four reads, three writes)")
+		banner("planner bench: executor speed by statement shape (four reads, three writes, one ANALYZE pass)")
 		r, err := experiment.PlanBench()
 		if err != nil {
 			fatal(err)
 		}
+		planRes = r
 		fmt.Println(experiment.RenderPlanBench(r))
 		writeJSON("planner", r)
 		if *planBaseline != "" {
@@ -373,6 +384,17 @@ func main() {
 			}
 			fmt.Printf("planner baseline gate passed (%s)\n", *planBaseline)
 		}
+	}
+
+	if *history != "" {
+		row, err := experiment.NewHistoryRow(*historyLabel, *historyCommit, kernelRes, planRes, *historyCells)
+		if err == nil {
+			err = experiment.AppendHistory(*history, row)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("appended %q to %s\n", *historyLabel, *history)
 	}
 
 	//cloudrepl:allow-simtime the CLI reports real elapsed wall time, not simulated time

@@ -151,7 +151,10 @@ func DecodeBatch(buf []byte) ([]Entry, error) {
 	return entries, nil
 }
 
-// Log is an in-memory append-only binlog with blocking tail readers.
+// Log is an in-memory append-only binlog with blocking tail readers. Readers
+// hand out windows onto entries (Reader.NextBatch), so nothing may truncate
+// the slice or assign to an element once it is appended; growing it is safe,
+// because a window keeps the array it was cut from.
 type Log struct {
 	env      *sim.Env
 	entries  []Entry
@@ -225,22 +228,40 @@ func (l *Log) NewReader(pos uint64) *Reader { return &Reader{log: l, pos: pos} }
 // Pos returns the last delivered sequence.
 func (r *Reader) Pos() uint64 { return r.pos }
 
-// Next returns the next entry, blocking until one is appended.
-func (r *Reader) Next(p *sim.Proc) Entry {
+// NextBatch blocks until the reader is behind the tail, then returns the
+// run of entries after its position that one dump-thread transit carries: at
+// least one, at most maxEntries (a value below 1 counts as 1), and no further
+// once their encoded sizes have reached maxBytes (0 = no byte cap). It never
+// waits for a run to fill.
+//
+// The run is a window onto the log's own storage, not a copy. The log is
+// append-only and its entries are never rewritten, so the window stays
+// valid for as long as it is held, through any number of later appends;
+// its capacity equals its length, so appending to it copies. Holders must
+// not assign to its elements.
+func (r *Reader) NextBatch(p *sim.Proc, maxEntries, maxBytes int) []Entry {
 	for r.pos >= r.log.LastSeq() {
 		r.log.appended.Wait(p)
 	}
-	r.pos++
-	return r.log.entries[r.pos-1]
+	return r.TryNextBatch(maxEntries, maxBytes)
 }
 
-// TryNext returns the next entry without blocking.
-func (r *Reader) TryNext() (Entry, bool) {
-	if r.pos >= r.log.LastSeq() {
-		return Entry{}, false
+// TryNextBatch is NextBatch without blocking: nil when the reader is at the
+// tail.
+func (r *Reader) TryNextBatch(maxEntries, maxBytes int) []Entry {
+	entries := r.log.entries
+	from := int(r.pos)
+	if from >= len(entries) {
+		return nil
 	}
-	r.pos++
-	return r.log.entries[r.pos-1], true
+	to := from + 1
+	bytes := entries[from].WireSize()
+	for to < len(entries) && to-from < maxEntries && (maxBytes <= 0 || bytes < maxBytes) {
+		bytes += entries[to].WireSize()
+		to++
+	}
+	r.pos = uint64(to)
+	return entries[from:to:to]
 }
 
 // Backlog returns how many entries the reader is behind the tail.

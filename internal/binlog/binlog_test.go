@@ -41,8 +41,9 @@ func TestReaderTailsBlocking(t *testing.T) {
 	var got []uint64
 	env.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			e := r.Next(p)
-			got = append(got, e.Seq)
+			for _, e := range r.NextBatch(p, 1, 0) {
+				got = append(got, e.Seq)
+			}
 		}
 	})
 	env.Go("writer", func(p *sim.Proc) {
@@ -63,13 +64,13 @@ func TestReaderStartsMidLog(t *testing.T) {
 	l.Append("db", "A", 0)
 	l.Append("db", "B", 0)
 	r := l.NewReader(l.LastSeq())
-	if _, ok := r.TryNext(); ok {
-		t.Fatal("reader at tail returned an entry")
+	if b := r.TryNextBatch(1, 0); b != nil {
+		t.Fatalf("reader at tail returned %+v", b)
 	}
 	l.Append("db", "C", 0)
-	e, ok := r.TryNext()
-	if !ok || e.SQL != "C" {
-		t.Fatalf("got %+v/%v, want C", e, ok)
+	b := r.TryNextBatch(1, 0)
+	if len(b) != 1 || b[0].SQL != "C" {
+		t.Fatalf("got %+v, want C", b)
 	}
 	if r.Backlog() != 0 {
 		t.Fatalf("backlog = %d", r.Backlog())
@@ -82,10 +83,9 @@ func TestMultipleReadersIndependent(t *testing.T) {
 	l.Append("db", "A", 0)
 	l.Append("db", "B", 0)
 	r1, r2 := l.NewReader(0), l.NewReader(1)
-	e1, _ := r1.TryNext()
-	e2, _ := r2.TryNext()
-	if e1.SQL != "A" || e2.SQL != "B" {
-		t.Fatalf("readers interfered: %q %q", e1.SQL, e2.SQL)
+	b1, b2 := r1.TryNextBatch(1, 0), r2.TryNextBatch(1, 0)
+	if len(b1) != 1 || len(b2) != 1 || b1[0].SQL != "A" || b2[0].SQL != "B" {
+		t.Fatalf("readers interfered: %+v %+v", b1, b2)
 	}
 }
 
@@ -154,5 +154,98 @@ func TestBytesAccounting(t *testing.T) {
 	e2, _ := l.At(2)
 	if l.Bytes() != int64(e1.WireSize()+e2.WireSize()) {
 		t.Fatalf("Bytes = %d", l.Bytes())
+	}
+}
+
+// coalesce is the dump thread's batching rule as it stood when batches were
+// built entry by entry: one entry unconditionally, then more while both caps
+// allow. NextBatch must cut the same runs.
+func coalesce(entries []Entry, maxEntries, maxBytes int) []Entry {
+	if maxEntries < 1 {
+		maxEntries = 1
+	}
+	batch := []Entry{entries[0]}
+	bytes := entries[0].WireSize()
+	for len(batch) < maxEntries && (maxBytes <= 0 || bytes < maxBytes) && len(batch) < len(entries) {
+		next := entries[len(batch)]
+		batch = append(batch, next)
+		bytes += next.WireSize()
+	}
+	return batch
+}
+
+func TestNextBatchCutsTheSameRuns(t *testing.T) {
+	f := func(sizes []uint8, maxEntries uint8, maxBytes uint16) bool {
+		if len(sizes) == 0 {
+			return true
+		}
+		l := New(sim.NewEnv(1))
+		var all []Entry
+		for i, n := range sizes {
+			l.Append("db", string(make([]byte, n)), int64(i))
+			e, _ := l.At(uint64(i + 1))
+			all = append(all, e)
+		}
+		// -1 and 0 exercise "no batching" and "no byte cap".
+		me, mb := int(maxEntries%70)-1, int(maxBytes%600)
+		r := l.NewReader(0)
+		for rest := all; len(rest) > 0; {
+			want := coalesce(rest, me, mb)
+			got := r.TryNextBatch(me, mb)
+			if !reflect.DeepEqual(got, want) || r.Pos() != want[len(want)-1].Seq {
+				return false
+			}
+			rest = rest[len(want):]
+		}
+		return r.TryNextBatch(me, mb) == nil && r.Backlog() == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A batch is a window onto the log's storage, not a copy: it aliases the
+// entries while they are where they were, it is still intact after the log
+// has been reallocated under it ten times over, and appending to it — what
+// the I/O thread's coalescing does — copies instead of writing into the log.
+func TestNextBatchIsAWindowOntoTheLog(t *testing.T) {
+	l := New(sim.NewEnv(1))
+	for i := 0; i < 8; i++ {
+		l.Append("db", "stmt", int64(i))
+	}
+	r := l.NewReader(2)
+	b := r.TryNextBatch(3, 0)
+	if len(b) != 3 || cap(b) != 3 || b[0].Seq != 3 {
+		t.Fatalf("window len %d cap %d first seq %d, want 3, 3, 3", len(b), cap(b), b[0].Seq)
+	}
+	if &b[0] != &l.entries[2] {
+		t.Fatal("the batch is a copy, not a window onto the log")
+	}
+	held := append([]Entry(nil), b...)
+
+	grown := append(b, Entry{Seq: 99, SQL: "scribble"})
+	if e, _ := l.At(6); e.Seq != 6 || e.SQL != "stmt" {
+		t.Fatalf("appending to a batch wrote into the log: entry 6 is now %+v", e)
+	}
+	if &grown[0] == &b[0] {
+		t.Fatal("append to a batch did not copy")
+	}
+
+	reallocs, arr := 0, &l.entries[0]
+	for reallocs < 10 {
+		l.Append("db", "later", 0)
+		if &l.entries[0] != arr {
+			reallocs, arr = reallocs+1, &l.entries[0]
+		}
+	}
+	if !reflect.DeepEqual(b, held) {
+		t.Fatalf("batch changed under %d log reallocations: %+v", reallocs, b)
+	}
+	if &b[0] == &l.entries[2] {
+		t.Fatal("log never moved; the test proved nothing")
+	}
+	// The reader goes on from where the window ended, in the new array.
+	if next := r.TryNextBatch(2, 0); len(next) != 2 || next[0].Seq != 6 || &next[0] != &l.entries[5] {
+		t.Fatalf("next batch %+v", next)
 	}
 }

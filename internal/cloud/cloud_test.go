@@ -191,6 +191,47 @@ func TestPingMatchesPaperRTTs(t *testing.T) {
 	env.Run()
 }
 
+// TestPipeSteadyStateAllocs: one message in flight at a time — the binlog
+// stream of a master that is not saturated — crosses the pipe and its
+// delivery queue without allocating, also after a partition has backed the
+// pipe up and healed.
+func TestPipeSteadyStateAllocs(t *testing.T) {
+	env := sim.NewEnv(5)
+	net := NewNetwork(env, DefaultLatencies())
+	a, b := Placement{USWest1, "a"}, Placement{EUWest1, "a"}
+	q := sim.NewQueue[int](env, "relay")
+	pipe := NewPipe(net, a, b, q)
+	env.Go("receiver", func(p *sim.Proc) {
+		for {
+			if _, ok := q.Get(p); !ok {
+				return
+			}
+		}
+	})
+	net.Partition(a, b)
+	for i := 0; i < 20000; i++ {
+		pipe.Send(i)
+	}
+	env.RunFor(time.Second)
+	if pipe.InFlight() != 20000 {
+		t.Fatalf("%d in flight behind the partition, want 20000", pipe.InFlight())
+	}
+	net.Heal(a, b)
+	env.Run()
+	if pipe.InFlight() != 0 || q.Puts() != 20000 {
+		t.Fatalf("%d in flight, %d delivered after heal", pipe.InFlight(), q.Puts())
+	}
+	cycle := func() {
+		pipe.Send(1)
+		env.Run()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("Send + pump + Get allocates %.2f objects; want 0", allocs)
+	}
+	q.Close()
+	env.Run()
+}
+
 func TestPipePreservesOrderDespiteJitter(t *testing.T) {
 	env := sim.NewEnv(5)
 	lat := DefaultLatencies()

@@ -261,7 +261,7 @@ type Pipe[T any] struct {
 	q        *sim.Queue[T]
 	lastAt   sim.Time
 
-	pending []pipeMsg[T] // in-flight messages, FIFO
+	pending sim.Ring[pipeMsg[T]] // in-flight messages, FIFO
 	pumping bool
 	pumpFn  func() // pump as a func value, built once — not per reschedule
 }
@@ -285,7 +285,7 @@ func (pp *Pipe[T]) Send(v T) {
 		at = pp.lastAt // preserve FIFO despite jitter
 	}
 	pp.lastAt = at
-	pp.pending = append(pp.pending, pipeMsg[T]{v: v, at: at})
+	pp.pending.Push(pipeMsg[T]{v: v, at: at})
 	if !pp.pumping {
 		pp.pumping = true
 		pp.net.env.After(at-pp.net.env.Now(), pp.pumpFn)
@@ -296,11 +296,11 @@ func (pp *Pipe[T]) Send(v T) {
 // and the path is reachable, then reschedules itself for the next one.
 func (pp *Pipe[T]) pump() {
 	now := pp.net.env.Now()
-	if len(pp.pending) == 0 {
+	head, ok := pp.pending.Peek()
+	if !ok {
 		pp.pumping = false
 		return
 	}
-	head := pp.pending[0]
 	if now < head.at {
 		pp.net.env.After(head.at-now, pp.pumpFn)
 		return
@@ -310,12 +310,13 @@ func (pp *Pipe[T]) pump() {
 		return
 	}
 	pp.q.Put(head.v)
-	pp.pending = pp.pending[1:]
-	if len(pp.pending) == 0 {
+	pp.pending.Pop()
+	head, ok = pp.pending.Peek()
+	if !ok {
 		pp.pumping = false
 		return
 	}
-	next := pp.pending[0].at
+	next := head.at
 	if next < now {
 		next = now
 	}
@@ -323,7 +324,7 @@ func (pp *Pipe[T]) pump() {
 }
 
 // InFlight returns the number of sent-but-undelivered messages.
-func (pp *Pipe[T]) InFlight() int { return len(pp.pending) }
+func (pp *Pipe[T]) InFlight() int { return pp.pending.Len() }
 
 // Queue returns the delivery queue.
 func (pp *Pipe[T]) Queue() *sim.Queue[T] { return pp.q }

@@ -1,0 +1,97 @@
+package experiment
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+)
+
+// HistoryRow is one line of bench/history.jsonl, the append-only record of
+// where the host-side numbers stood after each PR: the kernel bench, the
+// planner bench's shapes and the four benchmark cells' allocations per page.
+// A value the PR did not record is left out of its row.
+type HistoryRow struct {
+	Label string `json:"label"`
+	// Commit is the commit the numbers were taken on; a trailing "+" means
+	// "plus the uncommitted change this row was added with".
+	Commit  string                  `json:"commit"`
+	Kernel  HistoryKernel           `json:"kernel"`
+	Planner map[string]HistoryShape `json:"planner"`
+	// CellAllocsPerOp is `allocs_per_op` of `go run ./benchmark`, by workload.
+	CellAllocsPerOp map[string]float64 `json:"cells_allocs_per_op"`
+}
+
+// HistoryKernel is the kernel bench's two workloads, per event.
+type HistoryKernel struct {
+	MicroNsPerEvent     float64 `json:"micro_ns_per_event,omitempty"`
+	MicroAllocsPerEvent float64 `json:"micro_allocs_per_event,omitempty"`
+	CellNsPerEvent      float64 `json:"cell_ns_per_event,omitempty"`
+	CellAllocsPerEvent  float64 `json:"cell_allocs_per_event,omitempty"`
+}
+
+// HistoryShape is one planner-bench shape.
+type HistoryShape struct {
+	OpsPerSec   float64 `json:"ops_per_sec"`
+	RowsPerSec  float64 `json:"rows_per_sec"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
+// NewHistoryRow assembles a row from this process's kernel and planner bench
+// and the results.json a `go run ./benchmark -out DIR` left behind.
+func NewHistoryRow(label, commit string, k KernelBenchResult, p PlanBenchResult, cellsPath string) (HistoryRow, error) {
+	row := HistoryRow{
+		Label: label, Commit: commit,
+		Kernel: HistoryKernel{
+			MicroNsPerEvent: k.Micro.NsPerEvent, MicroAllocsPerEvent: k.Micro.AllocsPerEvent,
+			CellNsPerEvent: k.Cell.NsPerEvent, CellAllocsPerEvent: k.Cell.AllocsPerEvent,
+		},
+		Planner:         make(map[string]HistoryShape),
+		CellAllocsPerOp: make(map[string]float64),
+	}
+	for _, sh := range planShapes {
+		m := sh.get(&p)
+		row.Planner[sh.name] = HistoryShape{OpsPerSec: m.OpsPerSec, RowsPerSec: m.RowsPerSec, AllocsPerOp: m.AllocsPerOp}
+	}
+	raw, err := os.ReadFile(cellsPath)
+	if err != nil {
+		return row, fmt.Errorf("history: %w", err)
+	}
+	var cells struct {
+		Workloads map[string]struct {
+			EndToEnd map[string]struct {
+				Value float64 `json:"value"`
+			} `json:"end_to_end"`
+		} `json:"workloads"`
+	}
+	if err := json.Unmarshal(raw, &cells); err != nil {
+		return row, fmt.Errorf("history: %s: %w", cellsPath, err)
+	}
+	missing := 0
+	for name, w := range cells.Workloads {
+		row.CellAllocsPerOp[name] = w.EndToEnd["allocs_per_op"].Value
+		if row.CellAllocsPerOp[name] == 0 {
+			missing++
+		}
+	}
+	if len(cells.Workloads) == 0 || missing > 0 {
+		return row, fmt.Errorf("history: %s: %d workloads, %d without allocs_per_op", cellsPath, len(cells.Workloads), missing)
+	}
+	return row, nil
+}
+
+// AppendHistory adds row to the file at path as one JSON line.
+func AppendHistory(path string, row HistoryRow) error {
+	line, err := json.Marshal(row)
+	if err != nil {
+		return fmt.Errorf("history: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("history: %w", err)
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return fmt.Errorf("history: %w", err)
+	}
+	return f.Close()
+}

@@ -1,0 +1,60 @@
+package experiment
+
+import (
+	"bufio"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestHistoryAppendsOneRowPerRun: a row carries every planner shape and every
+// cell of the results file it was given, and appending leaves the earlier
+// lines of the file as they were.
+func TestHistoryAppendsOneRowPerRun(t *testing.T) {
+	dir := t.TempDir()
+	cells := filepath.Join(dir, "results.json")
+	if err := os.WriteFile(cells, []byte(`{"workloads":{
+		"geo_light":{"end_to_end":{"allocs_per_op":{"value":22.9},"ops_per_vsec":{"value":6.7}}},
+		"master_bound":{"end_to_end":{"allocs_per_op":{"value":15.9}}}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var k KernelBenchResult
+	k.Cell.AllocsPerEvent = 3.5
+	var p PlanBenchResult
+	p.Analyze.RowsPerSec = 2e6
+	path := filepath.Join(dir, "history.jsonl")
+	for _, label := range []string{"PR 1", "PR 2"} {
+		row, err := NewHistoryRow(label, "abc1234+", k, p, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AppendHistory(path, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var rows []HistoryRow
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		var row HistoryRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatalf("line %d: %v", len(rows)+1, err)
+		}
+		rows = append(rows, row)
+	}
+	if len(rows) != 2 || rows[0].Label != "PR 1" || rows[1].Label != "PR 2" {
+		t.Fatalf("rows %+v", rows)
+	}
+	r := rows[1]
+	if len(r.Planner) != len(planShapes) || r.Planner["analyze"].RowsPerSec != 2e6 ||
+		len(r.CellAllocsPerOp) != 2 || r.CellAllocsPerOp["geo_light"] != 22.9 || r.Kernel.CellAllocsPerEvent != 3.5 {
+		t.Fatalf("row %+v", r)
+	}
+	if _, err := NewHistoryRow("x", "y", k, p, filepath.Join(dir, "missing.json")); err == nil {
+		t.Fatal("a missing results file produced a row")
+	}
+}

@@ -53,7 +53,8 @@ func TestAblationPlanCostBeatsNaive(t *testing.T) {
 // does one that allocates more than 5% above it, whatever its speed.
 func TestCheckPlanBaselineGatesRateAndAllocs(t *testing.T) {
 	m := PlanBenchMeasure{OpsPerSec: 1000, RowsPerSec: 1000, AllocsPerOp: 100}
-	base := PlanBenchResult{PointRead: m, IndexScan: m, HashJoin: m, GroupAgg: m, Insert: m, PointUpdate: m, ApplyInsert: m}
+	base := PlanBenchResult{PointRead: m, IndexScan: m, HashJoin: m, GroupAgg: m, Insert: m, PointUpdate: m, ApplyInsert: m,
+		Analyze: PlanBenchMeasure{OpsPerSec: 40, RowsPerSec: 2e6}}
 	raw, err := json.Marshal(base)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +85,16 @@ func TestCheckPlanBaselineGatesRateAndAllocs(t *testing.T) {
 	if err := CheckPlanBaseline(path, hungrier); err == nil || !strings.Contains(err.Error(), "group_agg 106.0 allocs/op") {
 		t.Errorf("6%% more allocations passed: %v", err)
 	}
+	// The analyze shape's baseline is zero objects per pass: a stray object
+	// or two is inside its allowance, a per-row allocation is not.
+	within.Analyze.AllocsPerOp = 1.5
 	if err := CheckPlanBaseline(path, within); err != nil {
 		t.Errorf("a run within both tolerances failed: %v", err)
+	}
+	perRow := base
+	perRow.Analyze.AllocsPerOp = 60000
+	if err := CheckPlanBaseline(path, perRow); err == nil || !strings.Contains(err.Error(), "analyze 60000.0 allocs/op") {
+		t.Errorf("an ANALYZE allocating per row passed: %v", err)
 	}
 }
 

@@ -24,8 +24,8 @@ type PlanBenchMeasure struct {
 }
 
 // PlanBenchResult is the BENCH_planner.json payload: the executor's speed on
-// the four query shapes the planner work rebuilt and the three write shapes
-// of the compiled write path — tracked PR-over-PR so operator-tree and
+// the four query shapes the planner work rebuilt, the three write shapes of
+// the compiled write path and the statistics pass — tracked PR-over-PR so operator-tree and
 // write-plan regressions surface immediately (`make bench-plan` gates rates
 // and allocs/op against the checked-in bench/planner_baseline.json).
 type PlanBenchResult struct {
@@ -49,11 +49,46 @@ type PlanBenchResult struct {
 	// replication apply path: a parse-cache hit per entry, the replica's own
 	// write plan, the master's text reused.
 	ApplyInsert PlanBenchMeasure `json:"apply_insert"`
+	// Analyze is one statistics pass over the notes table as the write
+	// shapes left it (planBenchAnalyzeRows rows, four columns): what a
+	// replica pays each time apply has grown a table by a fifth.
+	Analyze PlanBenchMeasure `json:"analyze"`
+}
+
+// planShapes lists the measured shapes in report order, with how each is
+// gated: the one table RenderPlanBench, CheckPlanBaseline and the history
+// row (history.go) walk.
+var planShapes = []struct {
+	name  string // the shape's JSON key
+	get   func(*PlanBenchResult) *PlanBenchMeasure
+	perOp bool // gate ops/sec rather than rows/sec
+	// slack is an absolute allowance in allocs/op on top of the 5%: an
+	// analyze op is a pass over planBenchAnalyzeRows rows whose baseline is
+	// zero objects, so a stray runtime allocation must not trip the gate,
+	// while the regression it exists for costs one per row.
+	slack float64
+}{
+	{"point_read", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointRead }, true, 0},
+	{"index_scan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.IndexScan }, false, 0},
+	{"hash_join", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.HashJoin }, false, 0},
+	{"group_agg", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.GroupAgg }, false, 0},
+	{"insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Insert }, true, 0},
+	{"point_update", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate }, true, 0},
+	{"apply_insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.ApplyInsert }, true, 0},
+	{"analyze", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Analyze }, false, 2},
 }
 
 // planBenchRows is the benchmark table size, small enough that the whole
 // suite runs in a few seconds, large enough that per-row costs dominate.
 const planBenchRows = 4000
+
+// planBenchWriteIters is the iteration count of each write shape;
+// planBenchAnalyzeRows is what the insert shape's warm-up and three timed
+// repetitions leave in the notes table for the analyze shape to read.
+const (
+	planBenchWriteIters  = 20000
+	planBenchAnalyzeRows = 3*planBenchWriteIters + 1
+)
 
 // planBenchDB loads the synthetic benchmark schema: items (unique PK,
 // indexed non-unique group column) and lines (one child per item, with the
@@ -216,7 +251,7 @@ func PlanBench() (PlanBenchResult, error) {
 	}
 
 	// The write shapes run last: they change what the read shapes scan.
-	const writeIters = 20000
+	const writeIters = planBenchWriteIters
 	_, replicaSess, err := planBenchDB()
 	if err != nil {
 		return res, err
@@ -261,6 +296,25 @@ func PlanBench() (PlanBenchResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("planbench apply insert: %w", err)
 	}
+	// Two passes before the measured ones (measurePlanBench adds the second):
+	// the first sizes the engine's distinct-value sets, and the runtime
+	// re-seeds a map when it is cleared, so the second still grows a few of
+	// their tables. From the third on a pass allocates nothing.
+	if _, err := eng.Analyze("bench", "notes"); err != nil {
+		return res, fmt.Errorf("planbench analyze: %w", err)
+	}
+	var pass sqlengine.Result // reused: the shape's allocations are the pass's own
+	res.Analyze, err = measurePlanBench(20, func(int) (*sqlengine.Result, error) {
+		rows, err := eng.Analyze("bench", "notes")
+		if err == nil && rows != planBenchAnalyzeRows {
+			err = fmt.Errorf("notes holds %d rows, want %d", rows, planBenchAnalyzeRows)
+		}
+		pass.Stats.RowsExamined = rows
+		return &pass, err
+	})
+	if err != nil {
+		return res, fmt.Errorf("planbench analyze: %w", err)
+	}
 	return res, nil
 }
 
@@ -270,17 +324,11 @@ func RenderPlanBench(r PlanBenchResult) string {
 	b.WriteString("BENCH-PLANNER — executor speed by query shape\n\n")
 	fmt.Fprintf(&b, "%-16s %9s %14s %12s %12s %14s\n",
 		"shape", "ops", "rows examined", "ops/sec", "rows/sec", "allocs/op")
-	row := func(name string, m PlanBenchMeasure) {
+	for _, sh := range planShapes {
+		m := sh.get(&r)
 		fmt.Fprintf(&b, "%-16s %9d %14d %12.0f %12.0f %14.1f\n",
-			name, m.Ops, m.RowsExamined, m.OpsPerSec, m.RowsPerSec, m.AllocsPerOp)
+			sh.name, m.Ops, m.RowsExamined, m.OpsPerSec, m.RowsPerSec, m.AllocsPerOp)
 	}
-	row("point read", r.PointRead)
-	row("index scan", r.IndexScan)
-	row("hash join", r.HashJoin)
-	row("group aggregate", r.GroupAgg)
-	row("insert", r.Insert)
-	row("point update", r.PointUpdate)
-	row("apply insert", r.ApplyInsert)
 	return b.String()
 }
 
@@ -288,10 +336,10 @@ func RenderPlanBench(r PlanBenchResult) string {
 // baseline and fails when any shape's rows/sec has regressed more than 20%
 // (point read and the write shapes gate ops/sec instead — they touch one row
 // per statement, so per-statement overhead is what they exist to catch) or its
-// allocs/op has
-// risen more than 5% — allocation counts repeat exactly, so the tolerance
-// only absorbs amortized growth of reused buffers. Refresh deliberately
-// with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json
+// allocs/op has risen more than 5% (plus the shape's slack, see planShapes) —
+// allocation counts repeat exactly, so the tolerance only absorbs amortized
+// growth of reused buffers. Refresh deliberately with:
+// cp <jsondir>/BENCH_planner.json bench/planner_baseline.json
 func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -301,22 +349,11 @@ func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("planner baseline %s: %w", path, err)
 	}
-	for _, sh := range []struct {
-		name      string
-		cur, base PlanBenchMeasure
-		perOp     bool // gate ops/sec rather than rows/sec
-	}{
-		{"point_read", cur.PointRead, base.PointRead, true},
-		{"index_scan", cur.IndexScan, base.IndexScan, false},
-		{"hash_join", cur.HashJoin, base.HashJoin, false},
-		{"group_agg", cur.GroupAgg, base.GroupAgg, false},
-		{"insert", cur.Insert, base.Insert, true},
-		{"point_update", cur.PointUpdate, base.PointUpdate, true},
-		{"apply_insert", cur.ApplyInsert, base.ApplyInsert, true},
-	} {
-		unit, curRate, baseRate := "rows", sh.cur.RowsPerSec, sh.base.RowsPerSec
+	for _, sh := range planShapes {
+		cur, base := sh.get(&cur), sh.get(&base)
+		unit, curRate, baseRate := "rows", cur.RowsPerSec, base.RowsPerSec
 		if sh.perOp {
-			unit, curRate, baseRate = "ops", sh.cur.OpsPerSec, sh.base.OpsPerSec
+			unit, curRate, baseRate = "ops", cur.OpsPerSec, base.OpsPerSec
 		}
 		if baseRate <= 0 {
 			return fmt.Errorf("planner baseline %s: %s %s rate missing or zero", path, sh.name, unit)
@@ -325,9 +362,9 @@ func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 			return fmt.Errorf("planner regression: %s %s %.0f/sec is more than 20%% below baseline %.0f/sec (limit %.0f); if intentional, refresh %s",
 				sh.name, unit, curRate, baseRate, limit, path)
 		}
-		if limit := sh.base.AllocsPerOp * 1.05; sh.cur.AllocsPerOp > limit {
+		if limit := base.AllocsPerOp*1.05 + sh.slack; cur.AllocsPerOp > limit {
 			return fmt.Errorf("planner regression: %s %.1f allocs/op is more than 5%% above baseline %.1f (limit %.1f); if intentional, refresh %s",
-				sh.name, sh.cur.AllocsPerOp, sh.base.AllocsPerOp, limit, path)
+				sh.name, cur.AllocsPerOp, base.AllocsPerOp, limit, path)
 		}
 	}
 	return nil

@@ -362,8 +362,12 @@ type Proxy struct {
 	// retrying here.
 	CheckOwner func(sql string, args []sqlengine.Value) error
 
-	inflight    map[*repl.Slave]int
-	candidates  []*repl.Slave // readCandidates' scratch
+	inflight   map[*repl.Slave]int
+	candidates []*repl.Slave // readCandidates' scratch
+	// pick is the context every read hands the balancer, filled in per read:
+	// the balancer is done with it before the calling process yields, as it
+	// is with candidates.
+	pick        PickContext
 	health      map[*repl.Slave]*slaveHealth
 	quarantined map[*repl.Slave]bool
 	readsServed map[*repl.Slave]uint64
@@ -375,7 +379,7 @@ func New(env *sim.Env, net *cloud.Network, master *repl.Master, clientPlace clou
 	if balancer == nil {
 		balancer = &RoundRobin{}
 	}
-	return &Proxy{
+	px := &Proxy{
 		env: env, net: net, master: master, balancer: balancer,
 		client:      clientPlace,
 		inflight:    make(map[*repl.Slave]int),
@@ -383,6 +387,8 @@ func New(env *sim.Env, net *cloud.Network, master *repl.Master, clientPlace clou
 		quarantined: make(map[*repl.Slave]bool),
 		readsServed: make(map[*repl.Slave]uint64),
 	}
+	px.pick.Inflight = px.InflightReads
+	return px
 }
 
 // Quarantine removes sl from the read rotation without detaching it from
@@ -631,12 +637,8 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 		candidates := c.readCandidates(p, tier)
 		var sl *repl.Slave
 		if tier != Strong {
-			sl = px.balancer.Pick(&PickContext{
-				Master:   px.master,
-				Slaves:   candidates,
-				Inflight: func(s *repl.Slave) int { return px.inflight[s] },
-				Rng:      p.Rand(),
-			})
+			px.pick.Master, px.pick.Slaves, px.pick.Rng = px.master, candidates, p.Rand()
+			sl = px.balancer.Pick(&px.pick)
 		}
 		if sl == nil {
 			// Master fallback (strong tier, no slaves, or none fresh enough).

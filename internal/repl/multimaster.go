@@ -89,7 +89,7 @@ func NewMultiMaster(env *sim.Env, net *cloud.Network, servers []*server.DBServer
 
 func (n *MMNode) apply(p *sim.Proc, sess *sqlengine.Session, e mmEvent) error {
 	if e.Database != "" && sess.DB() != e.Database {
-		if _, err := sess.Exec("USE " + e.Database); err != nil {
+		if err := sess.Use(e.Database); err != nil {
 			return err
 		}
 	}

@@ -309,33 +309,21 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 	}
 
 	maxEntries := m.Pipeline.BatchMaxEntries
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
 	maxBytes := m.Pipeline.BatchMaxBytes
 
 	reader := m.Srv.Log.NewReader(startPos)
 	m.env.Go(m.Srv.Name+"/dump→"+sl.Srv.Name, func(p *sim.Proc) {
 		for !sl.stopped && m.Srv.Up() {
-			e := reader.Next(p)
+			// Whatever backlog exists, up to the entry/byte caps, goes out
+			// as one transit. The reader never waits for more: an idle
+			// master ships a batch of one immediately, so unloaded latency
+			// is the per-entry path's. The batch is a read-only window onto
+			// the master's log, not a copy (binlog.Reader.NextBatch).
+			batch := reader.NextBatch(p, maxEntries, maxBytes)
 			// The master may have died or the slave detached while the
 			// reader was blocked at the log tail.
 			if sl.stopped || !m.Srv.Up() {
 				return
-			}
-			// Coalesce whatever backlog exists, up to the entry/byte caps,
-			// into one transit. Never wait for more: an idle master ships
-			// a batch of one immediately, so unloaded latency is the
-			// per-entry path's.
-			batch := []binlog.Entry{e}
-			bytes := e.WireSize()
-			for len(batch) < maxEntries && (maxBytes <= 0 || bytes < maxBytes) {
-				next, ok := reader.TryNext()
-				if !ok {
-					break
-				}
-				batch = append(batch, next)
-				bytes += next.WireSize()
 			}
 			// A ship span joins the trace of the write that committed the
 			// batch's first entry (a mixed batch still records the other
@@ -502,12 +490,17 @@ func (m *Master) WaitCommitted(p *sim.Proc, seq uint64) bool {
 			deadline = p.Now() + m.SemiSyncTimeout
 		}
 		for {
-			for _, sl := range m.Slaves() {
+			attached := 0
+			for _, sl := range m.slaves {
+				if m.detached[sl] {
+					continue
+				}
 				if sl.masterAckReceipt >= seq {
 					return true
 				}
+				attached++
 			}
-			if len(m.Slaves()) == 0 {
+			if attached == 0 {
 				m.degraded = true
 				m.degradedCommits++
 				return false
@@ -526,8 +519,8 @@ func (m *Master) WaitCommitted(p *sim.Proc, seq uint64) bool {
 	default: // Sync
 		for {
 			all := true
-			for _, sl := range m.Slaves() {
-				if sl.masterAckApplied < seq {
+			for _, sl := range m.slaves {
+				if !m.detached[sl] && sl.masterAckApplied < seq {
 					all = false
 					break
 				}

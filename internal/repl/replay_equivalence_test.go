@@ -212,7 +212,7 @@ func TestReplayEquivalentAcrossEntryForms(t *testing.T) {
 	// The appliers — one SQL thread, then four workers scheduling by the
 	// table each entry's prepared statement names — land on the same contents.
 	for _, workers := range []int{1, 4} {
-		if got := appliedContents(t, workers); got != dumpA {
+		if got := appliedContents(t, repl.PipelineConfig{BatchMaxEntries: 8, ApplyWorkers: workers}); got != dumpA {
 			t.Fatalf("%d apply worker(s): slave contents differ from the replayed replica's:\n%s\nvs\n%s", workers, got, dumpA)
 		}
 	}
@@ -220,19 +220,19 @@ func TestReplayEquivalentAcrossEntryForms(t *testing.T) {
 
 // appliedContents replicates the write mix to one slave through the real
 // pipeline and returns the slave's contents once it has caught up.
-func appliedContents(t *testing.T, workers int) string {
+func appliedContents(t *testing.T, pc repl.PipelineConfig) string {
 	t.Helper()
 	env := sim.NewEnv(5)
 	defer env.Shutdown()
 	c := cloud.New(env, cloud.Config{})
 	m := repl.NewMaster(env, newEquivalenceServer(t, env, c, "master"), c.Network(), repl.Async)
-	m.Pipeline = repl.PipelineConfig{BatchMaxEntries: 8, ApplyWorkers: workers}
+	m.Pipeline = pc
 	sl := repl.NewSlave(env, newReplica(t, env, c, "slave"))
 	m.Attach(sl, m.Srv.Log.LastSeq())
 	env.Go("client", func(p *sim.Proc) { writeMix(t, p, m.Srv, 140) })
 	env.RunUntil(time.Hour)
 	if sl.AppliedSeq() != m.Srv.Log.LastSeq() || sl.ApplyErrors() != 0 {
-		t.Fatalf("%d worker(s): slave applied %d of %d with %d errors", workers, sl.AppliedSeq(), m.Srv.Log.LastSeq(), sl.ApplyErrors())
+		t.Fatalf("%+v: slave applied %d of %d with %d errors", pc, sl.AppliedSeq(), m.Srv.Log.LastSeq(), sl.ApplyErrors())
 	}
 	return dumpTables(t, sl.Srv)
 }

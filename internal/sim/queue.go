@@ -7,8 +7,8 @@ package sim
 type Queue[T any] struct {
 	env     *Env
 	name    string
-	items   []T
-	waiters []*Proc
+	items   Ring[T]
+	waiters Ring[*Proc]
 	closed  bool
 
 	puts uint64
@@ -26,7 +26,7 @@ func NewQueue[T any](env *Env, name string) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // MaxDepth returns the highest buffered depth observed.
 func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
@@ -45,15 +45,12 @@ func (q *Queue[T]) Put(v T) {
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.puts++
-	if len(q.items) > q.maxDepth {
-		q.maxDepth = len(q.items)
+	if q.items.Len() > q.maxDepth {
+		q.maxDepth = q.items.Len()
 	}
-	if len(q.waiters) > 0 {
-		next := q.waiters[0]
-		copy(q.waiters, q.waiters[1:])
-		q.waiters = q.waiters[:len(q.waiters)-1]
+	if next, ok := q.waiters.Pop(); ok {
 		q.env.scheduleProc(q.env.now, next)
 	}
 }
@@ -61,41 +58,27 @@ func (q *Queue[T]) Put(v T) {
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. ok is false when the queue has been closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		if q.closed {
 			return v, false
 		}
-		q.waiters = append(q.waiters, p)
+		q.waiters.Push(p)
 		p.wait(ParkQueue, q.name)
 	}
-	v = q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
 	q.gets++
-	return v, true
+	return q.items.Pop()
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
+	if v, ok = q.items.Pop(); ok {
+		q.gets++
 	}
-	v = q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	q.gets++
-	return v, true
+	return v, ok
 }
 
 // Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	return q.items[0], true
-}
+func (q *Queue[T]) Peek() (v T, ok bool) { return q.items.Peek() }
 
 // Close marks the queue closed and wakes all waiting consumers; their Get
 // calls return ok=false once the buffer drains. Further Puts are dropped.
@@ -104,8 +87,7 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for _, p := range q.waiters {
+	for p, ok := q.waiters.Pop(); ok; p, ok = q.waiters.Pop() {
 		q.env.scheduleProc(q.env.now, p)
 	}
-	q.waiters = nil
 }

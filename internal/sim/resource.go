@@ -15,8 +15,8 @@ type Resource struct {
 	cap  int
 
 	inUse   int
-	waiters []*Proc // normal-priority FIFO
-	urgent  []*Proc // high-priority FIFO, always served first
+	waiters Ring[*Proc] // normal-priority FIFO
+	urgent  Ring[*Proc] // high-priority FIFO, always served first
 
 	// Integrals for time-weighted statistics.
 	lastChange    Time
@@ -46,14 +46,14 @@ func (r *Resource) Cap() int { return r.cap }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) + len(r.urgent) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() + r.urgent.Len() }
 
 func (r *Resource) accumulate() {
 	now := r.env.now
 	dt := (now - r.lastChange).Seconds()
 	if dt > 0 {
 		r.busyIntegral += dt * float64(r.inUse)
-		r.queueIntegral += dt * float64(len(r.waiters)+len(r.urgent))
+		r.queueIntegral += dt * float64(r.QueueLen())
 	}
 	r.lastChange = now
 }
@@ -73,14 +73,14 @@ func (r *Resource) acquire(p *Proc, high bool) {
 	start := r.env.now
 	r.accumulate()
 	r.acquires++
-	if r.inUse < r.cap && len(r.waiters) == 0 && len(r.urgent) == 0 {
+	if r.inUse < r.cap && r.QueueLen() == 0 {
 		r.inUse++
 		return
 	}
 	if high {
-		r.urgent = append(r.urgent, p)
+		r.urgent.Push(p)
 	} else {
-		r.waiters = append(r.waiters, p)
+		r.waiters.Push(p)
 	}
 	p.wait(ParkResource, r.name)
 	// The releasing side already claimed the slot on our behalf.
@@ -98,18 +98,11 @@ func (r *Resource) Release() {
 	if r.inUse >= r.cap {
 		return
 	}
-	var next *Proc
-	switch {
-	case len(r.urgent) > 0:
-		next = r.urgent[0]
-		copy(r.urgent, r.urgent[1:])
-		r.urgent = r.urgent[:len(r.urgent)-1]
-	case len(r.waiters) > 0:
-		next = r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
-	default:
-		return
+	next, ok := r.urgent.Pop()
+	if !ok {
+		if next, ok = r.waiters.Pop(); !ok {
+			return
+		}
 	}
 	r.inUse++ // claim the slot for the woken process
 	r.env.scheduleProc(r.env.now, next)

@@ -20,6 +20,53 @@ type Stmt interface {
 	stmt()
 }
 
+// quoteIdent renders an identifier so that it lexes back as itself: bare when
+// it is a word the lexer reads as an identifier, back-quoted when it is a
+// keyword, empty, or holds a byte no bare identifier can. A statement's
+// rendering is the text the binlog ships, so it has to re-parse.
+func quoteIdent(name string) string {
+	if bareWord(name) {
+		if _, kw := keywordOf(name); !kw {
+			return name
+		}
+	}
+	return "`" + name + "`"
+}
+
+// quoteFunc is quoteIdent for a function name, which may also be one of the
+// keywords the parser reads as a call.
+func quoteFunc(name string) string {
+	switch name {
+	case "COUNT", "SUM", "AVG", "MIN", "MAX", "IF":
+		return name
+	}
+	return quoteIdent(name)
+}
+
+func bareWord(s string) bool {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentPart(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// quoteIdents renders a comma-separated identifier list.
+func quoteIdents(names []string) string {
+	var b strings.Builder
+	for i, n := range names {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(quoteIdent(n))
+	}
+	return b.String()
+}
+
 // TableRef names a table, optionally database-qualified and aliased.
 type TableRef struct {
 	DB    string
@@ -28,12 +75,12 @@ type TableRef struct {
 }
 
 func (t TableRef) String() string {
-	s := t.Name
+	s := quoteIdent(t.Name)
 	if t.DB != "" {
-		s = t.DB + "." + t.Name
+		s = quoteIdent(t.DB) + "." + s
 	}
 	if t.Alias != "" {
-		s += " AS " + t.Alias
+		s += " AS " + quoteIdent(t.Alias)
 	}
 	return s
 }
@@ -56,7 +103,7 @@ type ColumnDef struct {
 }
 
 func (c ColumnDef) String() string {
-	s := c.Name + " " + typeName(c.Type, c.TypeArg)
+	s := quoteIdent(c.Name) + " " + typeName(c.Type, c.TypeArg)
 	if c.NotNull {
 		s += " NOT NULL"
 	}
@@ -101,7 +148,7 @@ func (ix IndexDef) String() string {
 	if ix.Unique {
 		kw = "UNIQUE INDEX"
 	}
-	return fmt.Sprintf("%s %s(%s)", kw, ix.Name, strings.Join(ix.Columns, ", "))
+	return fmt.Sprintf("%s %s(%s)", kw, quoteIdent(ix.Name), quoteIdents(ix.Columns))
 }
 
 // CreateDatabaseStmt is CREATE DATABASE.
@@ -115,7 +162,7 @@ func (s *CreateDatabaseStmt) String() string {
 	if s.IfNotExists {
 		ifne = "IF NOT EXISTS "
 	}
-	return "CREATE DATABASE " + ifne + s.Name
+	return "CREATE DATABASE " + ifne + quoteIdent(s.Name)
 }
 func (*CreateDatabaseStmt) stmt() {}
 
@@ -134,7 +181,7 @@ func (s *CreateTableStmt) String() string {
 		parts = append(parts, c.String())
 	}
 	if len(s.PrimaryKey) > 0 {
-		parts = append(parts, "PRIMARY KEY ("+strings.Join(s.PrimaryKey, ", ")+")")
+		parts = append(parts, "PRIMARY KEY ("+quoteIdents(s.PrimaryKey)+")")
 	}
 	for _, ix := range s.Indexes {
 		parts = append(parts, ix.String())
@@ -182,14 +229,7 @@ func (s *InsertStmt) String() string {
 	b.WriteString("INSERT INTO ")
 	b.WriteString(s.Table.String())
 	if len(s.Columns) > 0 {
-		b.WriteString(" (")
-		for i, c := range s.Columns {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c)
-		}
-		b.WriteString(")")
+		b.WriteString(" (" + quoteIdents(s.Columns) + ")")
 	}
 	b.WriteString(" VALUES ")
 	for i, row := range s.Rows {
@@ -225,7 +265,7 @@ type UpdateStmt struct {
 func (s *UpdateStmt) String() string {
 	var sets []string
 	for _, a := range s.Sets {
-		sets = append(sets, a.Column+" = "+a.Value.String())
+		sets = append(sets, quoteIdent(a.Column)+" = "+a.Value.String())
 	}
 	out := "UPDATE " + s.Table.String() + " SET " + strings.Join(sets, ", ")
 	if s.Where != nil {
@@ -263,7 +303,7 @@ func (se SelectExpr) String() string {
 	}
 	s := se.Expr.String()
 	if se.Alias != "" {
-		s += " AS " + se.Alias
+		s += " AS " + quoteIdent(se.Alias)
 	}
 	return s
 }
@@ -380,7 +420,7 @@ func (*RollbackStmt) stmt()          {}
 // UseStmt is USE db.
 type UseStmt struct{ DB string }
 
-func (s *UseStmt) String() string { return "USE " + s.DB }
+func (s *UseStmt) String() string { return "USE " + quoteIdent(s.DB) }
 func (*UseStmt) stmt()            {}
 
 // Expr is an expression node.
@@ -408,9 +448,9 @@ type ColRef struct {
 
 func (c *ColRef) String() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Name
+		return quoteIdent(c.Table) + "." + quoteIdent(c.Name)
 	}
-	return c.Name
+	return quoteIdent(c.Name)
 }
 func (*ColRef) expr() {}
 
@@ -451,7 +491,7 @@ type FuncCall struct {
 
 func (f *FuncCall) String() string {
 	if f.Star {
-		return f.Name + "(*)"
+		return quoteFunc(f.Name) + "(*)"
 	}
 	var args []string
 	for _, a := range f.Args {
@@ -461,7 +501,7 @@ func (f *FuncCall) String() string {
 	if f.Distinct {
 		d = "DISTINCT "
 	}
-	return f.Name + "(" + d + strings.Join(args, ", ") + ")"
+	return quoteFunc(f.Name) + "(" + d + strings.Join(args, ", ") + ")"
 }
 func (*FuncCall) expr() {}
 

@@ -153,6 +153,9 @@ type Engine struct {
 	// embeds table and index pointers plus cost estimates, so any epoch
 	// mismatch retires it (planner.go).
 	statsEpoch uint64
+	// distinct is ANALYZE's scratch: one set of distinct values per column
+	// position, left empty between passes (stats.go).
+	distinct []map[hashKey]struct{}
 
 	// NaivePlan forces the syntax-order, no-pushdown planner for every
 	// statement — the A-PLAN ablation's baseline arm, mirroring the
@@ -237,6 +240,16 @@ func (e *Engine) NewSession(db string) *Session {
 
 // DB returns the session's current database name.
 func (s *Session) DB() string { return s.db }
+
+// Use makes db the session's current database, as a USE statement does — for
+// a caller that holds the name, not a statement.
+func (s *Session) Use(db string) error {
+	if _, ok := s.eng.Database(db); !ok {
+		return fmt.Errorf("sqlengine: unknown database %s", db)
+	}
+	s.db = db
+	return nil
+}
 
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.inTxn }
@@ -329,10 +342,9 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite) (*Result, e
 		s.rollback()
 		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: "ROLLBACK"}, nil
 	case *UseStmt:
-		if _, ok := s.eng.Database(stmt.DB); !ok {
-			return nil, fmt.Errorf("sqlengine: unknown database %s", stmt.DB)
+		if err := s.Use(stmt.DB); err != nil {
+			return nil, err
 		}
-		s.db = stmt.DB
 		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: stmt.String()}, nil
 	}
 

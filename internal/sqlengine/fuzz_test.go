@@ -7,7 +7,8 @@ import (
 // FuzzParse feeds arbitrary strings through the SQL parser. Parse must never
 // panic, and any statement it accepts must satisfy the render fixed point:
 // String() re-parses, and re-rendering reproduces the same text — the same
-// normalization invariant the plan cache keys on. The seeds extend the
+// normalization invariant the plan cache keys on, and the property that makes
+// a statement's rendering safe to ship in the binlog. The seeds extend the
 // dialect corpus with the planner PR's surface: JOIN ... ON chains, LEFT
 // JOIN, GROUP BY/HAVING with grouped aggregates, and EXPLAIN [ANALYZE].
 func FuzzParse(f *testing.F) {
@@ -29,6 +30,14 @@ func FuzzParse(f *testing.F) {
 		"EXPLAIN EXPLAIN SELECT 1",
 		"SELECT ((((1",
 		"JOIN JOIN ON ON",
+		// Identifiers that only lex back as themselves inside back-quotes.
+		"SELECT` `",
+		"SELECT `select`, `a b`.`c?d` AS `` FROM `from` AS `as` WHERE `1x` = ?",
+		"INSERT INTO `my db`.`t-1` (`key`, `a?b`) VALUES (?, `f g`(1))",
+		"UPDATE `update` SET `set` = 1 WHERE `where` = 2",
+		"CREATE TABLE `table` (`int` INT PRIMARY KEY, b TEXT, INDEX `index`(`int`, b))",
+		"USE `use`",
+		"SELECT-0.",
 	}
 	for _, s := range seeds {
 		f.Add(s)

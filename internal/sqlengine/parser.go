@@ -813,7 +813,9 @@ func (p *parser) unaryExpr() (Expr, error) {
 			case KindInt:
 				return &Literal{NewInt(-lit.V.Int())}, nil
 			case KindFloat:
-				return &Literal{NewFloat(-lit.V.Float())}, nil
+				// 0 - x, not -x: a negative zero would render as "-0",
+				// which reads back as the integer 0.
+				return &Literal{NewFloat(0 - lit.V.Float())}, nil
 			}
 		}
 		return &Unary{"-", x}, nil

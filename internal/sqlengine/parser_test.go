@@ -380,13 +380,28 @@ func TestLexAllocs(t *testing.T) {
 	}
 }
 
-// A quoted identifier renders unquoted, so one holding a ? would put a second
-// placeholder into the replayable text. Such a write is refused when it is
-// prepared rather than logged as text no replica can parse.
-func TestPrepareRejectsUnreplayableWrite(t *testing.T) {
+// An identifier that needs its back-quotes keeps them when rendered, so a ?
+// inside one stays part of the name: the replayable text has the statement's
+// one placeholder and parses back to the same statement.
+func TestQuotedIdentifierStaysReplayable(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.Prepare("INSERT INTO t (`a?b`) VALUES (?)"); err == nil || !strings.Contains(err.Error(), "replayable") {
-		t.Fatalf("err = %v, want a replayable-text error", err)
+	st, err := e.Prepare("INSERT INTO t (`a?b`, `select`) VALUES (?, 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := st.Logged([]Value{NewInt(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "INSERT INTO t (`a?b`, `select`) VALUES (7, 1)"; w.SQL != want {
+		t.Fatalf("logged text %q, want %q", w.SQL, want)
+	}
+	back, err := Parse(w.SQL)
+	if err != nil {
+		t.Fatalf("logged text does not parse: %v", err)
+	}
+	if got := back.(*InsertStmt).Columns; len(got) != 2 || got[0] != "a?b" || got[1] != "select" {
+		t.Fatalf("columns read back as %q", got)
 	}
 	if _, err := e.Prepare("INSERT INTO t (a) VALUES ('a?b', ?)"); err != nil {
 		t.Fatalf("a ? inside a string literal is not a placeholder: %v", err)

@@ -11,13 +11,13 @@ import "strings"
 func renderRowInsert(tbl *Table, vals []Value) string {
 	var b strings.Builder
 	b.WriteString("INSERT INTO ")
-	b.WriteString(tbl.Name)
+	b.WriteString(quoteIdent(tbl.Name))
 	b.WriteString(" (")
 	for i, c := range tbl.Columns {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(c.Name)
+		b.WriteString(quoteIdent(c.Name))
 	}
 	b.WriteString(") VALUES (")
 	for i, v := range vals {
@@ -44,7 +44,7 @@ func rowPredicate(tbl *Table, before []Value) string {
 		if i > 0 {
 			b.WriteString(" AND ")
 		}
-		b.WriteString(tbl.Columns[pos].Name)
+		b.WriteString(quoteIdent(tbl.Columns[pos].Name))
 		if before[pos].IsNull() {
 			b.WriteString(" IS NULL")
 		} else {
@@ -60,7 +60,7 @@ func rowPredicate(tbl *Table, before []Value) string {
 func renderRowUpdate(tbl *Table, before, after []Value) string {
 	var b strings.Builder
 	b.WriteString("UPDATE ")
-	b.WriteString(tbl.Name)
+	b.WriteString(quoteIdent(tbl.Name))
 	b.WriteString(" SET ")
 	first := true
 	for i, c := range tbl.Columns {
@@ -71,7 +71,7 @@ func renderRowUpdate(tbl *Table, before, after []Value) string {
 			b.WriteString(", ")
 		}
 		first = false
-		b.WriteString(c.Name)
+		b.WriteString(quoteIdent(c.Name))
 		b.WriteString(" = ")
 		b.WriteString(after[i].SQL())
 	}
@@ -81,7 +81,7 @@ func renderRowUpdate(tbl *Table, before, after []Value) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(c.Name)
+			b.WriteString(quoteIdent(c.Name))
 			b.WriteString(" = ")
 			b.WriteString(after[i].SQL())
 		}
@@ -94,5 +94,5 @@ func renderRowUpdate(tbl *Table, before, after []Value) string {
 // renderRowDelete renders one deleted row as a literal DELETE keyed on the
 // before-image.
 func renderRowDelete(tbl *Table, before []Value) string {
-	return "DELETE FROM " + tbl.Name + " WHERE " + rowPredicate(tbl, before)
+	return "DELETE FROM " + quoteIdent(tbl.Name) + " WHERE " + rowPredicate(tbl, before)
 }

@@ -88,18 +88,25 @@ func (ts *tableStats) observeInsert(vals []Value) {
 
 // analyzeLocked rebuilds t's column profile from the latest committed images.
 // The engine write lock is held by the caller; the pass reads only row value
-// slices, which are immutable while the lock is held.
+// slices, which are immutable while the lock is held. It works in storage it
+// keeps: t's own profile is overwritten in place and distinct values are
+// counted in the engine's sets, so re-analyzing a table whose distinct values
+// fit what some earlier pass saw allocates nothing.
 func (e *Engine) analyzeLocked(t *Table) {
 	ts := &t.stats
 	ncols := len(t.Columns)
-	ts.cols = make([]colStats, ncols)
-	// One distinct-key set per column. Value.key normalizes kinds that
-	// compare equal (1 and 1.0), matching index and GROUP BY identity.
-	seen := make([]map[string]struct{}, ncols)
-	for i := range seen {
-		seen[i] = make(map[string]struct{})
+	if len(ts.cols) == ncols {
+		clear(ts.cols)
+	} else {
+		ts.cols = make([]colStats, ncols)
 	}
-	var kb []byte
+	// One distinct-key set per column. Value.hashKey normalizes kinds that
+	// compare equal (1 and 1.0), matching index and GROUP BY identity; a
+	// string key shares the row's bytes.
+	for len(e.distinct) < ncols {
+		e.distinct = append(e.distinct, make(map[hashKey]struct{}))
+	}
+	seen := e.distinct[:ncols]
 	for _, r := range t.rows {
 		for i, v := range r.vals {
 			cs := &ts.cols[i]
@@ -107,10 +114,7 @@ func (e *Engine) analyzeLocked(t *Table) {
 				cs.nulls++
 				continue
 			}
-			kb = v.appendKey(kb[:0])
-			if _, dup := seen[i][string(kb)]; !dup {
-				seen[i][string(kb)] = struct{}{}
-			}
+			seen[i][v.hashKey()] = struct{}{}
 			if !cs.bounded {
 				cs.min, cs.max, cs.bounded = v, v, true
 				continue
@@ -128,10 +132,27 @@ func (e *Engine) analyzeLocked(t *Table) {
 		if ts.cols[i].ndv == 0 {
 			ts.cols[i].ndv = 1 // avoid zero denominators on all-NULL columns
 		}
+		// Emptied now, not at the next pass: a set left full would keep this
+		// table's strings reachable after their rows are gone.
+		clear(seen[i])
 	}
 	ts.analyzedRows = len(t.rows)
 	ts.analyzedV = e.commitV
 	e.bumpStatsEpochLocked()
+}
+
+// Analyze rebuilds the statistics of db.table now, stale or not, and returns
+// the number of rows the pass read — for a caller that wants the pass itself
+// (the planner bench times it), not a plan.
+func (e *Engine) Analyze(db, table string) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, t, err := (&Session{eng: e}).resolveTable(TableRef{DB: db, Name: table})
+	if err != nil {
+		return 0, err
+	}
+	e.analyzeLocked(t)
+	return len(t.rows), nil
 }
 
 // refreshStatsLocked re-analyzes t if its profile is stale, returning the
