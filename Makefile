@@ -107,13 +107,15 @@ bench-plan:
 
 # Performance trajectory: append this tree's row — kernel bench (micro and cell
 # ns/event + allocs/event), the planner bench's shapes and the four benchmark
-# cells' allocs_per_op — to the append-only bench/history.jsonl. One row per
-# PR, added by the PR itself, so its commit reads as the parent plus "+":
+# cells' allocs_per_op, host.alloc_kb_per_op and setup_s — to the append-only
+# bench/history.jsonl. One row per PR, added by the PR itself, so its commit
+# reads as the parent plus "+":
 #   make bench-history LABEL="PR 15"
-# Takes about two minutes (one untraced rep of each cell after its warm-up).
+# Takes about three minutes (one untimed warm-up, one timed rep and the traced
+# pass — which is what reports per-layer metrics — of each cell).
 LABEL ?= unlabelled
 bench-history:
-	$(GO) run ./benchmark -reps 1 -trace 0 -out results/cells
+	$(GO) run ./benchmark -reps 1 -out results/cells
 	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -bench-plan -short -q -json results \
 		-history bench/history.jsonl -history-label "$(LABEL)" \
 		-history-commit "$$(git describe --always --dirty=+)" -history-cells results/cells/results.json

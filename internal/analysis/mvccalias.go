@@ -2,256 +2,127 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 )
 
-// MVCCAlias flags mutations of live MVCC storage reached through an aliasing
-// accessor. (*sqlengine.Table).Rows and (*sqlengine.Row).Values hand out the
-// engine's own backing slices for speed — the documented contract is
-// read-only. A caller that writes through such a reference (element
-// assignment, copy-into, in-place sort, append into spare capacity) mutates
-// committed row versions behind the back of the commit-stamped write path
-// (Insert/Update/Delete), silently corrupting every snapshot and MVCC read
-// that shares the chain.
+// MVCCAlias holds the tree to one file boundary: internal/sqlengine/store.go
+// is the only place that writes row storage. Rows, row images, version chains,
+// index buckets and the heap all sit behind the row store's methods (DESIGN.md
+// §12), which keep commit stamps, undo records and the chain GC's bookkeeping
+// in step with every change; a field write from anywhere else — another file
+// of the engine included — changes what snapshot readers see behind their
+// backs.
 //
-// Taint is tracked per function: a variable assigned from an aliasing
-// accessor — or from an element, subslice or copy of a tainted value — is
-// tainted. Functions that return tainted values export AliasFact, so
-// accessor wrappers in other packages are treated as sources by their
-// callers too. The sqlengine package itself is exempt: it IS the write path.
+// What counts as row storage is every struct type store.go declares. Outside
+// that file a composite literal may build one, and methods may be called on
+// it, but nothing may assign, increment, append to, copy into, clear, delete
+// from or sort in place a field of one — nor an element of what a store.go
+// function returns (Row.Values hands out the live image). There is no alias
+// tracking: a write laundered through a local of slice type goes unseen, so
+// the store's read accessors stay few.
 var MVCCAlias = &Analyzer{
 	Name: "mvccalias",
-	Doc: "flag writes through live sqlengine storage aliases (Table.Rows / " +
-		"Row.Values results) outside the commit-stamped write path",
+	Doc: "flag writes to sqlengine row storage (fields of the types " +
+		"internal/sqlengine/store.go declares, results of its functions) from outside that file",
 	Run: runMVCCAlias,
 }
 
-// AliasFact marks a function whose result aliases live sqlengine storage;
-// downstream packages treat its calls as taint sources.
-type AliasFact struct{}
-
-// AFact marks AliasFact as a Fact.
-func (*AliasFact) AFact() {}
-
-// aliasAccessors are the sqlengine methods that return live backing storage.
-var aliasAccessors = map[string]string{
-	"Rows":   "Table",
-	"Values": "Row",
-}
+const (
+	storePkgSuffix = "internal/sqlengine"
+	storeFile      = "store.go"
+)
 
 func runMVCCAlias(pass *Pass) error {
-	if strings.HasSuffix(pass.Path, "internal/sqlengine") {
-		return nil // the engine is the write path; its own mutations are stamped
-	}
-	ma := &mvccAliasPass{pass: pass, returnsAlias: map[*types.Func]bool{}}
-	// Two rounds: the first discovers local wrapper functions that return
-	// tainted values (exporting AliasFact), the second re-runs with those
-	// wrappers as sources and reports. Cross-package wrappers come in
-	// through facts either round.
-	for round := 0; round < 2; round++ {
-		ma.report = round == 1
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					ma.checkFunc(fd)
+	for _, file := range pass.Files {
+		if inStore(pass, pass.Pkg, file.Pos()) {
+			continue
+		}
+		ast.Inspect(file, func(node ast.Node) bool {
+			switch st := node.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range st.Lhs {
+					checkStorageWrite(pass, lhs, "write to", false)
+				}
+			case *ast.IncDecStmt:
+				checkStorageWrite(pass, st.X, "write to", false)
+			case *ast.CallExpr:
+				if verb := mutatingCall(pass.Info, st); verb != "" && len(st.Args) > 0 {
+					checkStorageWrite(pass, st.Args[0], verb, true)
 				}
 			}
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-type mvccAliasPass struct {
-	pass         *Pass
-	returnsAlias map[*types.Func]bool
-	report       bool
+// inStore reports whether pos, a position in pkg, lies in the store file.
+func inStore(pass *Pass, pkg *types.Package, pos token.Pos) bool {
+	return pkg != nil && strings.HasSuffix(pkg.Path(), storePkgSuffix) &&
+		filepath.Base(pass.Fset.Position(pos).Filename) == storeFile
 }
 
-func (ma *mvccAliasPass) checkFunc(fd *ast.FuncDecl) {
-	tainted := map[types.Object]bool{}
-	// Flow-insensitive fixpoint: repeat until the taint set stops growing,
-	// so `rows := tbl.Rows(); alias := rows` converges regardless of order.
-	for {
-		n := len(tainted)
-		ast.Inspect(fd.Body, func(node ast.Node) bool {
-			switch st := node.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range st.Lhs {
-					if i >= len(st.Rhs) {
-						break // tuple assignment from a call: no alias sources return tuples
-					}
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-						if obj := ma.pass.ObjectOf(id); obj != nil && ma.exprTainted(tainted, st.Rhs[i]) {
-							tainted[obj] = true
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for i, name := range st.Names {
-					if i < len(st.Values) && name.Name != "_" {
-						if obj := ma.pass.ObjectOf(name); obj != nil && ma.exprTainted(tainted, st.Values[i]) {
-							tainted[obj] = true
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				// for _, r := range rows { ... }: the element var aliases
-				// storage when the ranged value does.
-				if ma.exprTainted(tainted, st.X) && st.Value != nil {
-					if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
-						if obj := ma.pass.ObjectOf(id); obj != nil {
-							tainted[obj] = true
-						}
-					}
-				}
+// checkStorageWrite reports target when it is row storage: a store-type field, or
+// something reached from one, or the contents of a store function's result.
+// inside says the write lands in what target refers to (an in-place call)
+// rather than replacing target itself.
+func checkStorageWrite(pass *Pass, target ast.Expr, verb string, inside bool) {
+	for e := target; ; {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e, inside = x.X, true
+		case *ast.SliceExpr:
+			e, inside = x.X, true
+		case *ast.StarExpr:
+			e, inside = x.X, true
+		case *ast.SelectorExpr:
+			if sel, ok := pass.Info.Selections[x]; ok && sel.Kind() == types.FieldVal &&
+				inStore(pass, sel.Obj().Pkg(), sel.Obj().Pos()) {
+				pass.Reportf(target.Pos(), "%s row storage field %s outside %s: rows, images, chains and buckets change only through the row store's methods",
+					verb, x.Sel.Name, storeFile)
+				return
 			}
-			return true
-		})
-		if len(tainted) == n {
-			break
-		}
-	}
-
-	if fn, ok := ma.pass.Info.Defs[fd.Name].(*types.Func); ok && !ma.report {
-		// Round one: does this function hand a live alias to its callers?
-		ast.Inspect(fd.Body, func(node ast.Node) bool {
-			ret, ok := node.(*ast.ReturnStmt)
-			if !ok {
-				return true
-			}
-			for _, res := range ret.Results {
-				if ma.exprTainted(tainted, res) {
-					ma.returnsAlias[fn] = true
-					ma.pass.ExportObjectFact(fn, &AliasFact{})
-				}
-			}
-			return true
-		})
-	}
-
-	if !ma.report {
-		return
-	}
-	ast.Inspect(fd.Body, func(node ast.Node) bool {
-		switch st := node.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				ma.checkWrite(tainted, lhs)
-			}
-		case *ast.IncDecStmt:
-			ma.checkWrite(tainted, st.X)
+			e = x.X
 		case *ast.CallExpr:
-			ma.checkMutatingCall(tainted, st)
-		}
-		return true
-	})
-}
-
-// checkWrite reports an assignment target that reaches into tainted storage:
-// an element write (vals[i] = x, rows[j] = r) or a field write through a
-// tainted base (rows[i].f = x — only reachable in-package, but cheap to
-// cover).
-func (ma *mvccAliasPass) checkWrite(tainted map[types.Object]bool, lhs ast.Expr) {
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.IndexExpr:
-		if ma.exprTainted(tainted, x.X) {
-			ma.pass.Reportf(lhs.Pos(), "write through live MVCC storage alias %s: this slice is the engine's backing array (Table.Rows/Row.Values); mutate via the engine write path or copy first", renderExpr(x.X))
-		}
-	case *ast.SelectorExpr:
-		if ma.exprTainted(tainted, x.X) {
-			ma.pass.Reportf(lhs.Pos(), "field write through live MVCC storage alias %s: committed row versions must only change via the commit-stamped write path", renderExpr(x.X))
-		}
-	case *ast.StarExpr:
-		if ma.exprTainted(tainted, x.X) {
-			ma.pass.Reportf(lhs.Pos(), "write through dereferenced MVCC storage alias %s", renderExpr(x.X))
+			if fn := staticCallee(pass, x); inside && fn != nil && inStore(pass, fn.Pkg(), fn.Pos()) {
+				pass.Reportf(target.Pos(), "%s the result of %s outside %s: it is the store's live storage; copy first",
+					verb, fn.Name(), storeFile)
+			}
+			return
+		default:
+			return
 		}
 	}
 }
 
-// checkMutatingCall reports builtins and sort helpers that mutate a tainted
-// slice in place: copy(t, ...), append(t, ...) (spare capacity writes into
-// the backing array), sort.Slice/sort.SliceStable/sort.Sort(t, ...).
-func (ma *mvccAliasPass) checkMutatingCall(tainted map[types.Object]bool, call *ast.CallExpr) {
-	if len(call.Args) == 0 {
-		return
-	}
+// mutatingCall names what call does to its first argument in place — the
+// builtins append (spare capacity is the backing array), copy, clear and
+// delete, and the sort package's in-place sorts — or returns "".
+func mutatingCall(info *types.Info, call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if ma.pass.Info.Uses[fun] == types.Universe.Lookup(fun.Name) {
+		if _, builtin := info.Uses[fun].(*types.Builtin); builtin {
 			switch fun.Name {
-			case "copy":
-				if ma.exprTainted(tainted, call.Args[0]) {
-					ma.pass.Reportf(call.Pos(), "copy into live MVCC storage alias %s overwrites committed row versions in place", renderExpr(call.Args[0]))
-				}
 			case "append":
-				if ma.exprTainted(tainted, call.Args[0]) {
-					ma.pass.Reportf(call.Pos(), "append to live MVCC storage alias %s may write into the engine's backing array via spare capacity; copy first", renderExpr(call.Args[0]))
-				}
+				return "append to"
+			case "copy":
+				return "copy into"
+			case "clear", "delete":
+				return fun.Name + " of"
 			}
 		}
 	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok && isNamedPkg(ma.pass.Info, id, "sort") {
-			switch fun.Sel.Name {
-			case "Slice", "SliceStable", "Sort", "Stable":
-				if ma.exprTainted(tainted, call.Args[0]) {
-					ma.pass.Reportf(call.Pos(), "in-place sort of live MVCC storage alias %s reorders the engine's backing array; sort a copy", renderExpr(call.Args[0]))
+		if id, ok := fun.X.(*ast.Ident); ok {
+			if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "sort" {
+				switch fun.Sel.Name {
+				case "Slice", "SliceStable", "Sort", "Stable":
+					return "in-place sort of"
 				}
 			}
 		}
 	}
-}
-
-// exprTainted reports whether e denotes (or derives from) live storage: an
-// aliasing accessor call, a call to a function carrying AliasFact, a tainted
-// variable, or an element/subslice of a tainted value.
-func (ma *mvccAliasPass) exprTainted(tainted map[types.Object]bool, e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := ma.pass.ObjectOf(x)
-		return obj != nil && tainted[obj]
-	case *ast.IndexExpr:
-		return ma.exprTainted(tainted, x.X)
-	case *ast.SliceExpr:
-		return ma.exprTainted(tainted, x.X)
-	case *ast.CallExpr:
-		fn := staticCallee(ma.pass, x)
-		if fn == nil {
-			return false
-		}
-		if typ, ok := aliasAccessors[fn.Name()]; ok && isMethodOf(fn, "internal/sqlengine", typ) {
-			return true
-		}
-		if ma.returnsAlias[fn.Origin()] {
-			return true
-		}
-		var fact AliasFact
-		return ma.pass.ImportObjectFact(fn.Origin(), &fact)
-	}
-	return false
-}
-
-// isNamedPkg reports whether id resolves to an import of the given path.
-func isNamedPkg(info *types.Info, id *ast.Ident, path string) bool {
-	pn, ok := info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == path
-}
-
-// renderExpr prints a compact source-like form of e for diagnostics.
-func renderExpr(e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return renderExpr(x.X) + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		return renderExpr(x.X) + "[...]"
-	case *ast.SliceExpr:
-		return renderExpr(x.X) + "[...]"
-	case *ast.CallExpr:
-		return calleeName(x) + "(...)"
-	case *ast.StarExpr:
-		return "*" + renderExpr(x.X)
-	}
-	return "expression"
+	return ""
 }

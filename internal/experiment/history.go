@@ -8,8 +8,9 @@ import (
 
 // HistoryRow is one line of bench/history.jsonl, the append-only record of
 // where the host-side numbers stood after each PR: the kernel bench, the
-// planner bench's shapes and the four benchmark cells' allocations per page.
-// A value the PR did not record is left out of its row.
+// planner bench's shapes and the four benchmark cells' allocations (objects
+// and KB) per page and set-up time. A value the PR did not record is left out
+// of its row.
 type HistoryRow struct {
 	Label string `json:"label"`
 	// Commit is the commit the numbers were taken on; a trailing "+" means
@@ -17,8 +18,13 @@ type HistoryRow struct {
 	Commit  string                  `json:"commit"`
 	Kernel  HistoryKernel           `json:"kernel"`
 	Planner map[string]HistoryShape `json:"planner"`
-	// CellAllocsPerOp is `allocs_per_op` of `go run ./benchmark`, by workload.
-	CellAllocsPerOp map[string]float64 `json:"cells_allocs_per_op"`
+	// CellAllocsPerOp is `allocs_per_op` of `go run ./benchmark`, by workload;
+	// CellAllocKBPerOp its `host.alloc_kb_per_op` (present when the run included
+	// the traced pass, which is what reports per-layer metrics) and CellSetupS
+	// its `setup_s`.
+	CellAllocsPerOp  map[string]float64 `json:"cells_allocs_per_op"`
+	CellAllocKBPerOp map[string]float64 `json:"cells_alloc_kb_per_op,omitempty"`
+	CellSetupS       map[string]float64 `json:"cells_setup_s,omitempty"`
 }
 
 // HistoryKernel is the kernel bench's two workloads, per event.
@@ -45,8 +51,10 @@ func NewHistoryRow(label, commit string, k KernelBenchResult, p PlanBenchResult,
 			MicroNsPerEvent: k.Micro.NsPerEvent, MicroAllocsPerEvent: k.Micro.AllocsPerEvent,
 			CellNsPerEvent: k.Cell.NsPerEvent, CellAllocsPerEvent: k.Cell.AllocsPerEvent,
 		},
-		Planner:         make(map[string]HistoryShape),
-		CellAllocsPerOp: make(map[string]float64),
+		Planner:          make(map[string]HistoryShape),
+		CellAllocsPerOp:  make(map[string]float64),
+		CellAllocKBPerOp: make(map[string]float64),
+		CellSetupS:       make(map[string]float64),
 	}
 	for _, sh := range planShapes {
 		m := sh.get(&p)
@@ -56,11 +64,13 @@ func NewHistoryRow(label, commit string, k KernelBenchResult, p PlanBenchResult,
 	if err != nil {
 		return row, fmt.Errorf("history: %w", err)
 	}
+	type metrics map[string]struct {
+		Value float64 `json:"value"`
+	}
 	var cells struct {
 		Workloads map[string]struct {
-			EndToEnd map[string]struct {
-				Value float64 `json:"value"`
-			} `json:"end_to_end"`
+			EndToEnd metrics `json:"end_to_end"`
+			PerLayer metrics `json:"per_layer"`
 		} `json:"workloads"`
 	}
 	if err := json.Unmarshal(raw, &cells); err != nil {
@@ -71,6 +81,12 @@ func NewHistoryRow(label, commit string, k KernelBenchResult, p PlanBenchResult,
 		row.CellAllocsPerOp[name] = w.EndToEnd["allocs_per_op"].Value
 		if row.CellAllocsPerOp[name] == 0 {
 			missing++
+		}
+		if w.EndToEnd["setup_s"].Value != 0 {
+			row.CellSetupS[name] = w.EndToEnd["setup_s"].Value
+		}
+		if w.PerLayer["host.alloc_kb_per_op"].Value != 0 {
+			row.CellAllocKBPerOp[name] = w.PerLayer["host.alloc_kb_per_op"].Value
 		}
 	}
 	if len(cells.Workloads) == 0 || missing > 0 {

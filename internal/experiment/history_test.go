@@ -15,7 +15,8 @@ func TestHistoryAppendsOneRowPerRun(t *testing.T) {
 	dir := t.TempDir()
 	cells := filepath.Join(dir, "results.json")
 	if err := os.WriteFile(cells, []byte(`{"workloads":{
-		"geo_light":{"end_to_end":{"allocs_per_op":{"value":22.9},"ops_per_vsec":{"value":6.7}}},
+		"geo_light":{"end_to_end":{"allocs_per_op":{"value":22.9},"ops_per_vsec":{"value":6.7},"setup_s":{"value":0.02}},
+			"per_layer":{"host.alloc_kb_per_op":{"value":3.9}}},
 		"master_bound":{"end_to_end":{"allocs_per_op":{"value":15.9}}}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,8 @@ func TestHistoryAppendsOneRowPerRun(t *testing.T) {
 	}
 	r := rows[1]
 	if len(r.Planner) != len(planShapes) || r.Planner["analyze"].RowsPerSec != 2e6 ||
-		len(r.CellAllocsPerOp) != 2 || r.CellAllocsPerOp["geo_light"] != 22.9 || r.Kernel.CellAllocsPerEvent != 3.5 {
+		len(r.CellAllocsPerOp) != 2 || r.CellAllocsPerOp["geo_light"] != 22.9 || r.Kernel.CellAllocsPerEvent != 3.5 ||
+		len(r.CellSetupS) != 1 || r.CellSetupS["geo_light"] != 0.02 || r.CellAllocKBPerOp["geo_light"] != 3.9 {
 		t.Fatalf("row %+v", r)
 	}
 	if _, err := NewHistoryRow("x", "y", k, p, filepath.Join(dir, "missing.json")); err == nil {

@@ -45,6 +45,11 @@ type PlanBenchResult struct {
 	Insert PlanBenchMeasure `json:"insert"`
 	// PointUpdate is a parameterised UPDATE of one row by primary key.
 	PointUpdate PlanBenchMeasure `json:"point_update"`
+	// PointUpdate2k and PointUpdate60k are the same statement against tables
+	// of 2 000 and 60 000 rows and nothing else: a write — the chain GC's
+	// sweep included — must cost what it writes, not what the table holds.
+	PointUpdate2k  PlanBenchMeasure `json:"point_update_2k"`
+	PointUpdate60k PlanBenchMeasure `json:"point_update_60k"`
 	// ApplyInsert replays the entries Insert logged on a second engine — the
 	// replication apply path: a parse-cache hit per entry, the replica's own
 	// write plan, the master's text reused.
@@ -74,6 +79,8 @@ var planShapes = []struct {
 	{"group_agg", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.GroupAgg }, false, 0},
 	{"insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Insert }, true, 0},
 	{"point_update", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate }, true, 0},
+	{"point_update_2k", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate2k }, true, 0},
+	{"point_update_60k", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate60k }, true, 0},
 	{"apply_insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.ApplyInsert }, true, 0},
 	{"analyze", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Analyze }, false, 2},
 }
@@ -287,6 +294,37 @@ func PlanBench() (PlanBenchResult, error) {
 	}))
 	if err != nil {
 		return res, fmt.Errorf("planbench point update: %w", err)
+	}
+	for _, sized := range []struct {
+		rows int
+		into *PlanBenchMeasure
+	}{{2000, &res.PointUpdate2k}, {60000, &res.PointUpdate60k}} {
+		table := fmt.Sprintf("sized%d", sized.rows)
+		if _, err := sess.Exec("CREATE TABLE " + table + " (id BIGINT PRIMARY KEY, val VARCHAR(32))"); err != nil {
+			return res, err
+		}
+		fill, err := eng.Prepare("INSERT INTO " + table + " (id, val) VALUES (?, 'as loaded')")
+		if err != nil {
+			return res, err
+		}
+		for i := 0; i < sized.rows; i++ {
+			if _, err := fill.Run(sess, sqlengine.NewInt(int64(i))); err != nil {
+				return res, err
+			}
+		}
+		update, err := eng.Prepare("UPDATE " + table + " SET val = ? WHERE id = ?")
+		if err != nil {
+			return res, err
+		}
+		// Every row is rewritten in turn, so the larger table also has the
+		// larger set of rows with history behind them.
+		*sized.into, err = measurePlanBench(writeIters, runs(update, func(i int) []sqlengine.Value {
+			updateArgs[1] = sqlengine.NewInt(int64(i % sized.rows))
+			return updateArgs
+		}))
+		if err != nil {
+			return res, fmt.Errorf("planbench point update, %d rows: %w", sized.rows, err)
+		}
 	}
 	applied := 0
 	res.ApplyInsert, err = measurePlanBench(writeIters, func(int) (*sqlengine.Result, error) {

@@ -216,7 +216,8 @@ func (s *DBServer) Exec(p *sim.Proc, sess *sqlengine.Session, sql string, args .
 
 // ExecLogged executes a logged write as a client statement — a shard split
 // catching its target up from the source's binlog: full client cost, this
-// server's own binlog and counters, unlike Apply's replica path.
+// server's own binlog and counters, unlike Apply's replica path. The Result is
+// the session's own (sqlengine.Session.Replay): read it before sess runs again.
 func (s *DBServer) ExecLogged(p *sim.Proc, sess *sqlengine.Session, e binlog.Entry) (*sqlengine.Result, error) {
 	if !s.Up() {
 		return nil, ErrServerDown

@@ -250,6 +250,7 @@ func (s *Cluster) route(sql string) *routeInfo {
 // barrier it also rejects statements on moving keys and scatter legs on
 // the source cell, draining the source for the final catch-up.
 func (s *Cluster) checkOwner(cellID int) func(sql string, args []sqlengine.Value) error {
+	var keys []int64 // reused: the check never parks, so calls do not overlap
 	return func(sql string, args []sqlengine.Value) error {
 		ri := s.route(sql)
 		if ri.err != nil {
@@ -257,8 +258,8 @@ func (s *Cluster) checkOwner(cellID int) func(sql string, args []sqlengine.Value
 		}
 		switch ri.kind {
 		case routeSingle:
-			keys, err := ri.resolveKeys(args)
-			if err != nil {
+			var err error
+			if keys, err = ri.resolveKeys(keys, args); err != nil {
 				return nil
 			}
 			mig := s.mig
@@ -291,7 +292,8 @@ type Conn struct {
 	// dualSess caches direct sessions on split-target masters for the
 	// dual-write window.
 	dualSess map[*server.DBServer]*sqlengine.Session
-	anyN     uint64 // round-robin cursor for routeAny
+	anyN     uint64  // round-robin cursor for routeAny
+	keys     []int64 // single's resolved shard keys, reused per statement
 }
 
 // Connect opens a routed connection with the given default database.
@@ -412,10 +414,11 @@ func (c *Conn) execOnce(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine
 // single executes on the owning cell per the connection's snapshot, then
 // mirrors successful writes on moving keys to the split target.
 func (c *Conn) single(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine.Value) (*proxy.ExecResult, error) {
-	keys, err := ri.resolveKeys(args)
+	keys, err := ri.resolveKeys(c.keys, args)
 	if err != nil {
 		return nil, err
 	}
+	c.keys = keys
 	owner := c.snap.Owner(keys[0])
 	for _, k := range keys[1:] {
 		if c.snap.Owner(k) != owner {

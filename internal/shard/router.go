@@ -233,9 +233,10 @@ func keyRefOf(e sqlengine.Expr) (keyRef, bool) {
 }
 
 // resolveKeys materializes the statement's shard keys against its
-// arguments. Every key must be an integer.
-func (ri *routeInfo) resolveKeys(args []sqlengine.Value) ([]int64, error) {
-	out := make([]int64, 0, len(ri.keys))
+// arguments into buf's backing, which the caller owns and reuses. Every key
+// must be an integer.
+func (ri *routeInfo) resolveKeys(buf []int64, args []sqlengine.Value) ([]int64, error) {
+	out := buf[:0]
 	for _, kr := range ri.keys {
 		if kr.param < 0 {
 			out = append(out, kr.lit)

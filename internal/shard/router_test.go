@@ -74,14 +74,14 @@ func TestResolveKeysMultiRowInsert(t *testing.T) {
 	if ri.err != nil {
 		t.Fatal(ri.err)
 	}
-	keys, err := ri.resolveKeys([]sqlengine.Value{sqlengine.NewInt(40), sqlengine.NewString("a")})
+	keys, err := ri.resolveKeys(nil, []sqlengine.Value{sqlengine.NewInt(40), sqlengine.NewString("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != 2 || keys[0] != 40 || keys[1] != 41 {
 		t.Fatalf("keys = %v", keys)
 	}
-	if _, err := ri.resolveKeys([]sqlengine.Value{sqlengine.NewString("oops")}); err == nil {
+	if _, err := ri.resolveKeys(nil, []sqlengine.Value{sqlengine.NewString("oops")}); err == nil {
 		t.Fatal("non-integer key argument not rejected")
 	}
 }

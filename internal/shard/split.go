@@ -386,7 +386,7 @@ func (s *Cluster) replayRange(p *sim.Proc, mig *migration, srcM, dstM *repl.Mast
 		if ri.kind != routeSingle || !ri.write {
 			continue
 		}
-		keys, kerr := ri.resolveKeys(nil)
+		keys, kerr := ri.resolveKeys(nil, nil)
 		if kerr != nil {
 			continue
 		}

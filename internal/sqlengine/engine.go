@@ -222,15 +222,17 @@ type Session struct {
 	inTxn   bool
 	readV   uint64        // snapshot read version while inTxn (set at BEGIN)
 	pending []LoggedWrite // writes awaiting commit, in order
-	// effects are the write statements not yet committed: stamped with the
-	// commit version at commit, undone newest first on rollback (mvcc.go).
-	effects []effect
+	// log is the rows the uncommitted write statements touched, each one's
+	// effect a window onto it: stamped with the commit version at commit,
+	// undone newest first on rollback, then truncated and reused (mvcc.go).
+	log []rowChange
 	// provisional counts this session's outstanding in-transaction effects,
 	// mirrored into Engine.provisional for the fast-path read check.
 	provisional int
 	// one backs the single-write slice an autocommit statement hands the
 	// commit hook.
-	one [1]LoggedWrite
+	one      [1]LoggedWrite
+	replayed Result // what Replay hands back for a write
 }
 
 // NewSession opens a session with the given current database (may be "").
@@ -275,7 +277,8 @@ func (s *Session) Exec(sql string, args ...Value) (*Result, error) {
 // parsed from SQL without touching the parse cache: such texts carry
 // interpolated literals, so caching them would only grow it without bound
 // over a run. Either way w is what this engine's own commit hook receives:
-// the master's text is reused verbatim, not rendered again.
+// the master's text is reused verbatim, not rendered again. The Result is the
+// session's own, valid until the session's next call.
 func (s *Session) Replay(w LoggedWrite) (*Result, error) {
 	st, err := s.eng.PrepareLogged(w)
 	if err != nil {
@@ -350,7 +353,7 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite) (*Result, e
 
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
-	res, err := s.eng.execLocked(s, st, args)
+	res, err := s.eng.execLocked(s, st, args, from.SQL != "")
 	if err != nil {
 		return nil, err
 	}
@@ -441,9 +444,7 @@ func (s *Session) commitLocked() {
 // unstamped.
 func (s *Session) rollback() {
 	s.eng.mu.Lock()
-	for i := len(s.effects) - 1; i >= 0; i-- {
-		s.effects[i].undo()
-	}
+	s.undoTo(0)
 	s.dropEffects()
 	s.eng.dropTxnLocked(s)
 	s.eng.mu.Unlock()

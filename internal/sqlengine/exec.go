@@ -7,8 +7,8 @@ import (
 
 // execLocked executes a non-transaction statement. The engine mutex is held
 // by the caller. Reads and writes run the plan they keep on owner, the
-// prepared statement, with args carried separately.
-func (e *Engine) execLocked(s *Session, owner *Statement, args []Value) (*Result, error) {
+// prepared statement, with args carried separately; replay marks Replay's.
+func (e *Engine) execLocked(s *Session, owner *Statement, args []Value, replay bool) (*Result, error) {
 	switch st := owner.stmt.(type) {
 	case *CreateDatabaseStmt:
 		if err := e.createDatabaseLocked(st.Name, st.IfNotExists); err != nil {
@@ -25,7 +25,7 @@ func (e *Engine) execLocked(s *Session, owner *Statement, args []Value) (*Result
 			return nil, err
 		}
 		n := tbl.NumRows()
-		tbl.Truncate()
+		tbl.store.truncate()
 		e.bumpStatsEpochLocked()
 		return &Result{Stats: ExecStats{Class: ClassDDL, RowsAffected: n}, SQL: st.String()}, nil
 	case *InsertStmt, *UpdateStmt, *DeleteStmt:
@@ -33,7 +33,7 @@ func (e *Engine) execLocked(s *Session, owner *Statement, args []Value) (*Result
 		if err != nil {
 			return nil, err
 		}
-		return e.execWrite(s, wp, args)
+		return e.execWrite(s, wp, args, replay)
 	case *SelectStmt:
 		p, err := e.planFor(s, owner, st)
 		if err != nil {

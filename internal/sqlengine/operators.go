@@ -23,8 +23,7 @@ type runState struct {
 	e     *Engine
 	s     *Session
 	args  []Value
-	readV uint64
-	mvcc  bool // chain-resolving visibility scan required
+	view  readView // chains set: chain-resolving visibility scan required
 	stats ExecStats
 	acts  []int64 // EXPLAIN ANALYZE per-node output counts (nil otherwise)
 
@@ -101,53 +100,45 @@ func (rt *runState) pass(filters []*bexpr) (bool, error) {
 // candidate rows when the run opens it, before the first pull — which is why
 // a LIMIT over a lone scan may stop pulling early without moving ExecStats.
 type scanIter struct {
-	rt     *runState
-	n      *planNode
-	rows   []*Row    // latest-version candidates
-	images [][]Value // snapshot-reader candidates (reused backing)
-	pk     [1]*Row   // backing of a primary-key probe's one-row bucket
-	i      int
+	rt  *runState
+	n   *planNode
+	cur rowCursor
 }
 
 func (it *scanIter) reset() {
-	rt, n := it.rt, it.n
-	it.i, it.rows, it.images = 0, nil, it.images[:0]
-	if rt.mvcc {
-		// Indexes cover only latest images: resolve visibility through the
-		// chains over heap plus graveyard, then rely on the node's filters
-		// (which include the index equality as a recheck) for exactness.
-		it.images = n.tbl.scanVisible(rt.s, rt.readV, it.images)
-		rt.stats.RowsExamined += len(it.images)
-		return
+	if it.rt.open(it.n, it.n.kind == opIndexScan, &it.cur) {
+		it.rt.stats.UsedIndex = true
 	}
-	if n.kind == opIndexScan {
-		// The key expression is runtime-const; an evaluation error falls
-		// back to the full scan and surfaces through the recheck filter.
+}
+
+// open points c at the candidates of n's access and charges them: the index
+// bucket of n.eq when byIndex, else — or for a snapshot reader, indexes
+// covering only latest images — every row the read view must consider; the
+// node's filters, which recheck the equality, keep the degraded access exact.
+// A key evaluation error also falls back to the scan and surfaces through the
+// recheck. Reports whether the index answered.
+func (rt *runState) open(n *planNode, byIndex bool, c *rowCursor) bool {
+	indexed := false
+	if byIndex && !rt.view.chains {
 		if v, err := n.eq.eval(rt); err == nil {
-			if rows, usable := n.tbl.lookupEq(n.eqCol, v, &it.pk); usable {
-				it.rows = rows
-				rt.stats.RowsExamined += len(rows)
-				rt.stats.UsedIndex = true
-				return
-			}
+			indexed = n.tbl.store.probe(n.eqCol, v, c)
 		}
 	}
-	it.rows = n.tbl.Rows()
-	rt.stats.RowsExamined += len(it.rows)
+	if !indexed {
+		n.tbl.store.scan(rt.view, c)
+	}
+	rt.stats.RowsExamined += c.len()
+	return indexed
 }
 
 func (it *scanIter) next() (bool, error) {
 	rt, n := it.rt, it.n
 	for {
-		switch {
-		case it.i < len(it.rows):
-			rt.live[n.slot] = it.rows[it.i].vals
-		case it.i < len(it.images):
-			rt.live[n.slot] = it.images[it.i]
-		default:
+		vals, more := it.cur.next()
+		if !more {
 			return false, nil
 		}
-		it.i++
+		rt.live[n.slot] = vals
 		ok, err := rt.pass(n.where)
 		if err != nil {
 			return false, err
@@ -207,41 +198,21 @@ type joinIter struct {
 	input rowIter
 
 	// inner-side candidate sources, resolved lazily once per run
-	images     [][]Value // visible images (snapshot readers) or the hash build side
-	haveImages bool
-	heads      map[hashKey]int32 // hash build: key → first image of its chain
-	chain      []int32           // next image with the same key, -1 at the end
+	images [][]Value         // the hash build side
+	loaded bool              // images (hash) or cur's visible images (snapshot nl/inl) are this run's
+	heads  map[hashKey]int32 // hash build: key → first image of its chain
+	chain  []int32           // next image with the same key, -1 at the end
 
 	// per-outer iteration state
-	rowMatches []*Row    // latest-version candidates (nl/inl)
-	valMatches [][]Value // image candidates
-	pk         [1]*Row   // backing of a primary-key probe's one-row bucket
-	mi         int
-	hit        int32 // hash probe cursor into images, -1 when exhausted
-	active     bool  // an outer row is in flight
-	matched    bool  // it produced at least one surviving pair
+	cur     rowCursor // nl/inl candidates
+	hit     int32     // hash probe cursor into images, -1 when exhausted
+	active  bool      // an outer row is in flight
+	matched bool      // it produced at least one surviving pair
 }
 
 func (it *joinIter) reset() {
 	it.input.reset()
-	it.haveImages, it.active = false, false
-}
-
-// loadImages collects the inner side's row images once per run: the visible
-// images for a snapshot reader, the latest heap for a hash build.
-func (it *joinIter) loadImages() [][]Value {
-	if !it.haveImages {
-		it.haveImages = true
-		if it.rt.mvcc {
-			it.images = it.n.tbl.scanVisible(it.rt.s, it.rt.readV, it.images[:0])
-		} else {
-			it.images = it.images[:0]
-			for _, r := range it.n.tbl.Rows() {
-				it.images = append(it.images, r.vals)
-			}
-		}
-	}
-	return it.images
+	it.loaded, it.active = false, false
 }
 
 // build constructs the hash table over the inner side. NULL keys never join,
@@ -249,7 +220,9 @@ func (it *joinIter) loadImages() [][]Value {
 // and pushing each onto the front of its chain leaves every chain in heap
 // order.
 func (it *joinIter) build() {
-	images := it.loadImages()
+	it.loaded = true
+	it.images = it.n.tbl.store.images(it.rt.view, it.images[:0])
+	images := it.images
 	it.rt.stats.RowsExamined += len(images)
 	if it.heads == nil {
 		it.heads = make(map[hashKey]int32)
@@ -275,10 +248,10 @@ func (it *joinIter) build() {
 // in the frame.
 func (it *joinIter) beginOuter() error {
 	rt, n := it.rt, it.n
-	it.rowMatches, it.valMatches, it.hit, it.mi, it.matched = nil, nil, -1, 0, false
+	it.hit, it.matched = -1, false
 	switch {
 	case n.kind == opHashJoin:
-		if !it.haveImages {
+		if !it.loaded {
 			it.build()
 		}
 		if len(it.heads) == 0 {
@@ -291,40 +264,27 @@ func (it *joinIter) beginOuter() error {
 		if first, ok := it.heads[v.hashKey()]; ok {
 			it.hit = first
 		}
-	case rt.mvcc:
-		// nl/inl degrade to a nested loop over visible images.
-		it.valMatches = it.loadImages()
-		rt.stats.RowsExamined += len(it.valMatches)
+	case rt.view.chains && it.loaded:
+		// nl/inl degrade to a nested loop over the visible images, resolved
+		// once per run.
+		it.cur.rewind()
+		rt.stats.RowsExamined += it.cur.len()
 	default:
-		it.rowMatches = n.tbl.Rows()
-		if n.kind == opINLJoin {
-			if v, err := n.eq.eval(rt); err == nil {
-				if rows, usable := n.tbl.lookupEq(n.eqCol, v, &it.pk); usable {
-					it.rowMatches = rows
-				}
-			}
-		}
-		rt.stats.RowsExamined += len(it.rowMatches)
+		rt.open(n, n.kind == opINLJoin, &it.cur)
+		it.loaded = rt.view.chains
 	}
 	return nil
 }
 
 // candidate returns the next inner row image for the outer row in flight.
 func (it *joinIter) candidate() ([]Value, bool) {
-	switch {
-	case it.hit >= 0:
+	if it.hit >= 0 {
 		vals := it.images[it.hit]
 		it.hit = it.chain[it.hit]
 		it.rt.stats.RowsExamined++
 		return vals, true
-	case it.mi < len(it.rowMatches):
-		it.mi++
-		return it.rowMatches[it.mi-1].vals, true
-	case it.mi < len(it.valMatches):
-		it.mi++
-		return it.valMatches[it.mi-1], true
 	}
-	return nil, false
+	return it.cur.next()
 }
 
 func (it *joinIter) next() (bool, error) {

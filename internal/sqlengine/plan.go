@@ -212,7 +212,7 @@ func (p *Plan) Cost() float64 { return p.totalCost }
 // statistics staleness threshold since the plan was built. Engine lock held.
 func (p *Plan) staleStats() bool {
 	for _, pt := range p.tables {
-		if pt.tbl.stats.stale(len(pt.tbl.rows)) {
+		if pt.tbl.stats.stale(pt.tbl.NumRows()) {
 			return true
 		}
 	}

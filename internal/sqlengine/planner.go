@@ -60,7 +60,7 @@ func runtimeConst(e Expr) bool {
 }
 
 // usableEqIndex reports whether `col = v` on tbl can be answered by a point
-// lookup (single-column PK or single-column secondary index — the lookupEq
+// lookup (single-column PK or single-column secondary index — rowStore.probe's
 // contract), returning the index display name and whether it is unique.
 func usableEqIndex(tbl *Table, col int) (name string, unique, ok bool) {
 	if len(tbl.pkCols) == 1 && tbl.pkCols[0] == col {
@@ -156,14 +156,14 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 // Estimation helpers
 
 // rowsOf returns the live row count as a float with a floor of 0.
-func rowsOf(t *Table) float64 { return float64(len(t.rows)) }
+func rowsOf(t *Table) float64 { return float64(t.NumRows()) }
 
 // eqBucketEst estimates rows returned by an index point lookup.
 func eqBucketEst(t *Table, col int, unique bool) float64 {
 	if unique {
 		return 1
 	}
-	n := len(t.rows)
+	n := t.NumRows()
 	ndv := t.stats.ndvOf(col, n)
 	if ndv < 1 {
 		ndv = 1
@@ -220,9 +220,9 @@ func (b *planBuilder) selOf(c Expr, slot int) float64 {
 		}
 		switch op {
 		case "=":
-			return 1 / float64(ts.ndvOf(col, len(t.rows)))
+			return 1 / float64(ts.ndvOf(col, t.NumRows()))
 		case "!=", "<>":
-			return 1 - 1/float64(ts.ndvOf(col, len(t.rows)))
+			return 1 - 1/float64(ts.ndvOf(col, t.NumRows()))
 		case "<", "<=", ">", ">=":
 			if lit, isLit := other.(*Literal); isLit && col < len(ts.cols) {
 				return ts.cols[col].rangeFraction(op, lit.V)
@@ -235,7 +235,7 @@ func (b *planBuilder) selOf(c Expr, slot int) float64 {
 		if !colOK {
 			return defaultSel
 		}
-		f := float64(len(x.List)) / float64(ts.ndvOf(col, len(t.rows)))
+		f := float64(len(x.List)) / float64(ts.ndvOf(col, t.NumRows()))
 		if f > 1 {
 			f = 1
 		}
@@ -272,7 +272,7 @@ func flipCmp(op string) string {
 }
 
 // kindClass groups value kinds by hash-key compatibility: within one class,
-// Value.appendKey equality coincides with Compare equality, so a hash join
+// Value.hashKey equality coincides with Compare equality, so a hash join
 // finds exactly the matches a nested loop would.
 type kindClass uint8
 
@@ -436,7 +436,7 @@ func joinFilterSel(b *planBuilder, c Expr, slot int) float64 {
 		for _, try := range [2]Expr{bin.L, bin.R} {
 			if col, ok := b.colOf(try, slot); ok {
 				t := b.p.tables[slot].tbl
-				return 1 / float64(t.stats.ndvOf(col, len(t.rows)))
+				return 1 / float64(t.stats.ndvOf(col, t.NumRows()))
 			}
 		}
 	}
@@ -596,7 +596,7 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 			}
 		}
 		if isEq {
-			mpoAll *= 1 / float64(t.stats.ndvOf(eqColOf(cands, pc), len(t.rows)))
+			mpoAll *= 1 / float64(t.stats.ndvOf(eqColOf(cands, pc), t.NumRows()))
 			lookupPCs = append(lookupPCs, pc)
 		} else if pc.mask == 1<<uint(slot) {
 			mpoAll *= b.selOf(pc.expr, slot)
@@ -609,7 +609,7 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 
 	var choices []accessChoice
 	for _, cand := range cands {
-		bucket := rows / float64(t.stats.ndvOf(cand.col, len(t.rows)))
+		bucket := rows / float64(t.stats.ndvOf(cand.col, t.NumRows()))
 		if bucket < 1 {
 			bucket = 1
 		}
@@ -926,7 +926,7 @@ func estGroups(b *planBuilder, outEst float64) float64 {
 		for slot := range b.p.tables {
 			if col, ok := b.colOf(g, slot); ok {
 				t := b.p.tables[slot].tbl
-				prod *= float64(t.stats.ndvOf(col, len(t.rows)))
+				prod *= float64(t.stats.ndvOf(col, t.NumRows()))
 				hit = true
 				break
 			}

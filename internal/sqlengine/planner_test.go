@@ -109,8 +109,7 @@ func canonRows(set *ResultSet, ordered bool) []string {
 	for _, r := range set.Rows {
 		var b strings.Builder
 		for _, v := range r {
-			b.WriteString(v.key())
-			b.WriteByte(0x1f)
+			b.Write(v.hashKey().appendTo(nil))
 		}
 		out = append(out, b.String())
 	}

@@ -78,15 +78,11 @@ func (e *Engine) snapshotAtLocked(v uint64) *Snapshot {
 				}
 				st.indexes = append(st.indexes, def)
 			}
-			for _, r := range tbl.rows {
-				if img := r.visibleTo(nil, v); img != nil {
-					st.rows = append(st.rows, append([]Value(nil), img...))
-				}
-			}
-			for _, r := range tbl.graveyard {
-				if img := r.visibleTo(nil, v); img != nil {
-					st.rows = append(st.rows, append([]Value(nil), img...))
-				}
+			st.rows = tbl.store.images(readView{at: v, chains: true}, nil)
+			flat := make([]Value, 0, len(st.rows)*len(tbl.Columns))
+			for i, img := range st.rows {
+				flat = append(flat, img...)
+				st.rows[i] = flat[len(flat)-len(img) : len(flat) : len(flat)]
 			}
 			sd.tables = append(sd.tables, st)
 		}
@@ -163,7 +159,7 @@ func (e *Engine) Restore(snap *Snapshot) error {
 				return fmt.Errorf("sqlengine: restore %s.%s: %w", sd.name, st.name, err)
 			}
 			for _, row := range st.rows {
-				if _, err := tbl.Insert(append([]Value(nil), row...)); err != nil {
+				if _, err := tbl.Insert(tbl.store.image(row)); err != nil {
 					return fmt.Errorf("sqlengine: restore %s.%s row: %w", sd.name, st.name, err)
 				}
 			}

@@ -107,8 +107,10 @@ func (e *Engine) analyzeLocked(t *Table) {
 		e.distinct = append(e.distinct, make(map[hashKey]struct{}))
 	}
 	seen := e.distinct[:ncols]
-	for _, r := range t.rows {
-		for i, v := range r.vals {
+	var cur rowCursor
+	t.store.scan(readView{}, &cur)
+	for vals, more := cur.next(); more; vals, more = cur.next() {
+		for i, v := range vals {
 			cs := &ts.cols[i]
 			if v.IsNull() {
 				cs.nulls++
@@ -136,7 +138,7 @@ func (e *Engine) analyzeLocked(t *Table) {
 		// table's strings reachable after their rows are gone.
 		clear(seen[i])
 	}
-	ts.analyzedRows = len(t.rows)
+	ts.analyzedRows = t.NumRows()
 	ts.analyzedV = e.commitV
 	e.bumpStatsEpochLocked()
 }
@@ -152,13 +154,13 @@ func (e *Engine) Analyze(db, table string) (int, error) {
 		return 0, err
 	}
 	e.analyzeLocked(t)
-	return len(t.rows), nil
+	return t.NumRows(), nil
 }
 
 // refreshStatsLocked re-analyzes t if its profile is stale, returning the
 // (possibly rebuilt) statistics. Engine write lock held by the caller.
 func (e *Engine) refreshStatsLocked(t *Table) *tableStats {
-	if t.stats.stale(len(t.rows)) {
+	if t.stats.stale(t.NumRows()) {
 		e.analyzeLocked(t)
 	}
 	return &t.stats

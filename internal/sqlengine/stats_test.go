@@ -19,14 +19,14 @@ func analyzeOracle(e *Engine, t *Table) tableStats {
 	for i := range seen {
 		seen[i] = make(map[string]struct{})
 	}
-	for _, r := range t.rows {
+	for _, r := range t.store.rows {
 		for i, v := range r.vals {
 			cs := &ts.cols[i]
 			if v.IsNull() {
 				cs.nulls++
 				continue
 			}
-			seen[i][v.key()] = struct{}{}
+			seen[i][string(v.hashKey().appendTo(nil))] = struct{}{}
 			if !cs.bounded {
 				cs.min, cs.max, cs.bounded = v, v, true
 				continue
@@ -45,7 +45,7 @@ func analyzeOracle(e *Engine, t *Table) tableStats {
 			ts.cols[i].ndv = 1
 		}
 	}
-	ts.analyzedRows = len(t.rows)
+	ts.analyzedRows = t.NumRows()
 	ts.analyzedV = e.commitV
 	return ts
 }
@@ -125,7 +125,7 @@ func rawTable(t *testing.T, cols []string, rows ...[]Value) *Table {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		tbl.rows = append(tbl.rows, &Row{vals: r})
+		tbl.store.rows = append(tbl.store.rows, &Row{vals: r})
 	}
 	return tbl
 }

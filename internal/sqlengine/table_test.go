@@ -30,18 +30,25 @@ func TestTableInsertLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, ok := tbl.LookupPK([]Value{NewInt(7)})
-	if !ok || r.Values()[0].Int() != 7 {
+	if r := lookupPK(tbl, 7); r == nil || r.Values()[0].Int() != 7 {
 		t.Fatal("PK lookup failed")
 	}
 	pos, _ := tbl.ColPos("grp")
-	rows, usable := tbl.lookupEq(pos, NewInt(1), new([1]*Row))
-	if !usable || len(rows) != 4 { // 1, 4, 7 — wait: i%3==1 for 1,4,7 → 3 rows... recompute below
-		// ids 0..9 with grp i%3==1: 1,4,7 → 3 rows; plus none others.
-		if len(rows) != 3 {
-			t.Fatalf("index lookup found %d rows", len(rows))
-		}
+	var cur rowCursor
+	// ids 0..9 with grp i%3==1: 1, 4, 7.
+	if usable := tbl.store.probe(pos, NewInt(1), &cur); !usable || cur.len() != 3 {
+		t.Fatalf("index lookup usable=%v found %d rows", usable, cur.len())
 	}
+}
+
+// lookupPK probes tbl's single-column primary key for id.
+func lookupPK(tbl *Table, id int64) *Row {
+	var cur rowCursor
+	if !tbl.store.probe(tbl.pkCols[0], NewInt(id), &cur) || cur.len() == 0 {
+		return nil
+	}
+	cur.next()
+	return cur.row()
 }
 
 func TestTableUniqueIndexViolation(t *testing.T) {
@@ -65,7 +72,7 @@ func TestTableUniqueIndexViolation(t *testing.T) {
 	if tbl.NumRows() != 1 {
 		t.Fatalf("rows = %d after failed insert", tbl.NumRows())
 	}
-	if _, ok := tbl.LookupPK([]Value{NewInt(2)}); ok {
+	if lookupPK(tbl, 2) != nil {
 		t.Fatal("phantom PK entry after failed insert")
 	}
 }
@@ -75,20 +82,20 @@ func TestTableUpdatePKMove(t *testing.T) {
 	r, _ := tbl.Insert([]Value{NewInt(1), NewInt(0), NewString("a")})
 	tbl.Insert([]Value{NewInt(2), NewInt(0), NewString("b")})
 	// Moving PK 1 onto existing 2 must fail cleanly.
-	if err := tbl.Update(r, []Value{NewInt(2), NewInt(0), NewString("a")}); err == nil {
+	if _, err := tbl.put(r, []Value{NewInt(2), NewInt(0), NewString("a")}, 0, nil); err == nil {
 		t.Fatal("PK collision on update accepted")
 	}
-	if got, ok := tbl.LookupPK([]Value{NewInt(1)}); !ok || got != r {
+	if lookupPK(tbl, 1) != r {
 		t.Fatal("failed update corrupted PK index")
 	}
 	// Moving to a fresh key works and old key disappears.
-	if err := tbl.Update(r, []Value{NewInt(9), NewInt(0), NewString("a")}); err != nil {
+	if _, err := tbl.put(r, []Value{NewInt(9), NewInt(0), NewString("a")}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tbl.LookupPK([]Value{NewInt(1)}); ok {
+	if lookupPK(tbl, 1) != nil {
 		t.Fatal("old PK entry survives update")
 	}
-	if _, ok := tbl.LookupPK([]Value{NewInt(9)}); !ok {
+	if lookupPK(tbl, 9) != r {
 		t.Fatal("new PK entry missing")
 	}
 }
@@ -96,29 +103,39 @@ func TestTableUpdatePKMove(t *testing.T) {
 // checkConsistent verifies the structural invariants between heap, PK map
 // and secondary indexes.
 func checkConsistent(tbl *Table) error {
-	if len(tbl.pk) != len(tbl.rows) {
-		return fmt.Errorf("pk map has %d entries, heap has %d", len(tbl.pk), len(tbl.rows))
-	}
-	for _, r := range tbl.rows {
-		if got, ok := tbl.pk[tbl.pkKey(r.vals)]; !ok || got != r {
+	st := &tbl.store
+	for _, r := range st.rows {
+		if st.pk.buckets[st.pk.key(r.vals)].one != r {
 			return fmt.Errorf("heap row missing from pk map")
 		}
 	}
-	for _, ix := range tbl.indexes {
+	for _, ix := range st.keyed {
 		n := 0
-		for k, bucket := range ix.buckets {
-			for _, r := range bucket {
-				if string(appendRowKey(nil, r.vals, ix.Cols)) != k {
+		for k, b := range ix.buckets {
+			if (b.one == nil) == (b.many == nil) || b.many != nil && len(*b.many) == 0 {
+				return fmt.Errorf("index %s bucket has inline=%v, listed=%v", ix.Name, b.one != nil, b.many != nil)
+			}
+			for _, r := range b.rows() {
+				if ix.key(r.vals) != k {
 					return fmt.Errorf("index %s entry under stale key", ix.Name)
 				}
 				n++
 			}
 		}
-		if n != len(tbl.rows) {
-			return fmt.Errorf("index %s has %d entries, heap has %d", ix.Name, n, len(tbl.rows))
+		if n != len(st.rows) {
+			return fmt.Errorf("index %s has %d entries, heap has %d", ix.Name, n, len(st.rows))
 		}
 	}
 	return nil
+}
+
+// rows returns the bucket's rows in order (test helper: probes go through a
+// cursor's inline backing instead).
+func (b bucket) rows() []*Row {
+	if b.one != nil {
+		return []*Row{b.one}
+	}
+	return *b.many
 }
 
 // Property: under any random sequence of inserts, updates and deletes, the
@@ -149,18 +166,18 @@ func TestTableIndexConsistencyProperty(t *testing.T) {
 				if tbl.NumRows() == 0 {
 					continue
 				}
-				r := tbl.rows[rng.Intn(len(tbl.rows))]
+				r := tbl.store.rows[rng.Intn(tbl.NumRows())]
 				nv := append([]Value(nil), r.vals...)
 				nv[1] = NewInt(int64(rng.Intn(5)))
 				if op%2 == 0 {
 					nv[0] = NewInt(int64(rng.Intn(50))) // may collide; must fail cleanly
 				}
-				_ = tbl.Update(r, nv)
+				_, _ = tbl.put(r, nv, 0, nil)
 			case 2: // delete random row
 				if tbl.NumRows() == 0 {
 					continue
 				}
-				tbl.Delete(tbl.rows[rng.Intn(len(tbl.rows))])
+				_ = tbl.store.bury(tbl.store.rows[rng.Intn(tbl.NumRows())], nil)
 			}
 			if err := checkConsistent(tbl); err != nil {
 				t.Log(err)

@@ -38,7 +38,7 @@ type aggAcc struct {
 	sumF     float64
 	anyFloat bool
 	min, max Value
-	seen     map[string]struct{} // DISTINCT values folded so far
+	seen     map[hashKey]struct{} // DISTINCT values folded so far
 }
 
 func (a *aggAcc) add(v Value, distinct bool) {
@@ -47,9 +47,9 @@ func (a *aggAcc) add(v Value, distinct bool) {
 	}
 	if distinct {
 		if a.seen == nil {
-			a.seen = map[string]struct{}{}
+			a.seen = map[hashKey]struct{}{}
 		}
-		k := v.key()
+		k := v.hashKey()
 		if _, dup := a.seen[k]; dup {
 			return
 		}
@@ -95,7 +95,7 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Res
 	rt.e, rt.s, rt.args, rt.acts = e, s, args, acts
 	rt.stats = ExecStats{Class: ClassRead}
 	// Visibility is decided per execution, never per plan.
-	rt.readV, rt.mvcc = e.readViewFor(s)
+	rt.view = e.readViewFor(s)
 	rt.frame = rt.live
 	set, err := p.run(rt)
 	rt.end()
@@ -108,7 +108,7 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Res
 // end drops what the run referenced — session, arguments, row images — so a
 // cached plan pins nothing between executions; capacity stays.
 func (rt *runState) end() {
-	rt.s, rt.args, rt.acts, rt.aggs = nil, nil, nil, nil
+	rt.s, rt.view, rt.args, rt.acts, rt.aggs = nil, readView{}, nil, nil, nil
 	clear(rt.live)
 	clear(rt.refs)
 	clear(rt.keys)
@@ -335,7 +335,7 @@ func (p *Plan) gatherGroups(rt *runState) error {
 				if err != nil {
 					return err
 				}
-				rt.kb = append(v.appendKey(rt.kb), 0x1f)
+				rt.kb = v.hashKey().appendTo(rt.kb)
 			}
 			if g, ok = rt.groups[string(rt.kb)]; !ok {
 				g = int32(ng)
@@ -403,7 +403,7 @@ func (rt *runState) dedupe(rows [][]Value) [][]Value {
 	for _, r := range rows {
 		rt.kb = rt.kb[:0]
 		for _, v := range r {
-			rt.kb = append(v.appendKey(rt.kb), 0x1f)
+			rt.kb = v.hashKey().appendTo(rt.kb)
 		}
 		if _, dup := rt.groups[string(rt.kb)]; !dup {
 			rt.groups[string(rt.kb)] = 0

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -232,42 +233,12 @@ func cmpFloat(a, b float64) int {
 // handled by the caller when three-valued logic applies.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// key returns a map key identifying the value for index lookups. Values
-// that compare equal across kinds (1 and 1.0) share a key.
-func (v Value) key() string {
-	switch v.kind {
-	case KindNull:
-		return "\x00"
-	case KindString:
-		return "s" + v.s
-	default:
-		return string(v.appendKey(nil))
-	}
-}
-
-// appendKey appends v's map key (same bytes as key) to b, for callers that
-// build composite keys row-by-row and must not allocate one string per value.
-func (v Value) appendKey(b []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(b, 0x00)
-	case KindString:
-		return append(append(b, 's'), v.s...)
-	case KindFloat:
-		if v.f == float64(int64(v.f)) {
-			return strconv.AppendInt(append(b, 'n'), int64(v.f), 10)
-		}
-		return strconv.AppendFloat(append(b, 'n'), v.f, 'g', -1, 64)
-	default: // int, bool, time
-		return strconv.AppendInt(append(b, 'n'), v.i, 10)
-	}
-}
-
-// hashKey is v's map key in comparable form — equal exactly when the key
-// bytes are — for hash tables probed once per row, where building a string
-// per probe would be the table's whole allocation cost.
+// hashKey is v's map key in comparable form, for hash tables probed once per
+// row and the row store's index maps, where a string per probe or entry would
+// be the whole allocation cost. Values that compare equal across kinds (1 and
+// 1.0) share a key.
 type hashKey struct {
-	kind byte // 0 NULL, 'n' integral number, 'f' other float, 's' string
+	kind byte // 0 NULL, 'n' integral number, 'f' other float, 's' string, 'c' composite (store.go)
 	n    int64
 	s    string
 }
@@ -286,4 +257,12 @@ func (v Value) hashKey() hashKey {
 	default: // int, bool, time
 		return hashKey{kind: 'n', n: v.i}
 	}
+}
+
+// appendTo appends k to b as one part of a composite key (a GROUP BY tuple, a
+// multi-column index entry). A part is self-delimiting — fixed-width number,
+// length-prefixed string — so distinct tuples never render alike.
+func (k hashKey) appendTo(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(append(b, k.kind), uint64(k.n))
+	return append(binary.AppendUvarint(b, uint64(len(k.s))), k.s...)
 }

@@ -74,13 +74,13 @@ func TestSQLRenderingEscapesQuotes(t *testing.T) {
 }
 
 func TestKeyEqualValuesShareKeys(t *testing.T) {
-	if NewInt(1).key() != NewFloat(1.0).key() {
+	if NewInt(1).hashKey() != NewFloat(1.0).hashKey() {
 		t.Fatal("1 and 1.0 have different index keys")
 	}
-	if NewInt(1).key() != NewBool(true).key() {
+	if NewInt(1).hashKey() != NewBool(true).hashKey() {
 		t.Fatal("1 and TRUE have different index keys")
 	}
-	if NewInt(1).key() == NewString("1").key() {
+	if NewInt(1).hashKey() == NewString("1").hashKey() {
 		t.Fatal("int 1 and string \"1\" share an index key")
 	}
 }

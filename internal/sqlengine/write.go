@@ -26,6 +26,7 @@ type writePlan struct {
 	db    string // lower-cased session database the plan was compiled for
 	epoch uint64 // Engine.statsEpoch at compile time
 	tbl   *Table
+	kind  effectKind
 
 	// INSERT: the table position each VALUES column fills, and the rows.
 	pos  []int
@@ -37,6 +38,7 @@ type writePlan struct {
 	scan   scanIter
 	setPos []int
 	sets   []*bexpr
+	hits   []*Row // targets' reused backing
 
 	rt runState
 }
@@ -74,20 +76,21 @@ func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 		insert *InsertStmt
 		sets   []Assignment
 		where  Expr
+		kind   effectKind
 	)
 	switch st := stmt.(type) {
 	case *InsertStmt:
-		ref, insert = st.Table, st
+		ref, insert, kind = st.Table, st, effInsert
 	case *UpdateStmt:
-		ref, sets, where = st.Table, st.Sets, st.Where
+		ref, sets, where, kind = st.Table, st.Sets, st.Where, effUpdate
 	case *DeleteStmt:
-		ref, where = st.Table, st.Where
+		ref, where, kind = st.Table, st.Where, effDelete
 	}
 	_, tbl, err := s.resolveTable(ref)
 	if err != nil {
 		return nil, err
 	}
-	wp := &writePlan{db: strings.ToLower(s.db), epoch: e.statsEpoch, tbl: tbl}
+	wp := &writePlan{db: strings.ToLower(s.db), epoch: e.statsEpoch, tbl: tbl, kind: kind}
 	wp.rt.live = make([][]Value, 1)
 	wp.rt.frame = wp.rt.live
 
@@ -139,30 +142,37 @@ func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 // format, the verb marking it as a write.
 func (wp *writePlan) explainLine() string {
 	n, verb := wp.access, "delete"
-	if wp.sets != nil {
+	if wp.kind == effUpdate {
 		verb = "update"
 	}
 	est := strconv.Itoa(int(n.estRows))
 	return n.kind.String() + " " + n.detail + " (" + verb + " est=" + est + " cost=" + est + ")"
 }
 
-// execWrite runs a compiled write. Engine lock held.
-func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value) (*Result, error) {
+// execWrite runs a compiled write; a replayed one fills the session's own
+// Result (Session.Replay). Engine lock held.
+func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value, replay bool) (*Result, error) {
 	rt := &wp.rt
 	rt.e, rt.s, rt.args = e, s, args
 	rt.stats = ExecStats{Class: ClassWrite}
-	res := &Result{}
-	var err error
-	switch {
-	case wp.access == nil:
-		err = wp.insert(rt, res)
-	case wp.sets != nil:
-		err = wp.update(rt, res)
-	default:
-		err = wp.delete(rt, res)
+	res := &s.replayed
+	if !replay {
+		res = new(Result)
+	}
+	*res = Result{}
+	lo := len(s.log)
+	err := wp.run(rt, res)
+	if err != nil {
+		s.undoTo(lo)
+	}
+	if rt.stats.RowsAffected = len(s.log) - lo; rt.stats.RowsAffected > 0 && s.inTxn {
+		// Provisional writes force other readers onto the chain-resolving scan.
+		s.provisional++
+		e.provisional++
 	}
 	res.Stats = rt.stats
 	rt.end()
+	clear(wp.hits)
 	if err != nil {
 		return nil, err
 	}
@@ -181,126 +191,60 @@ func (rt *runState) fill(vals []Value, pos []int, xs []*bexpr) error {
 	return nil
 }
 
-func (wp *writePlan) insert(rt *runState, res *Result) error {
-	tbl := wp.tbl
-	inserted := make([]*Row, 0, len(wp.rows))
-	for _, row := range wp.rows {
-		var r *Row
-		vals := make([]Value, len(tbl.Columns)) // unset columns are NULL
-		err := rt.fill(vals, wp.pos, row)
-		if err == nil {
-			r, err = tbl.Insert(vals)
-		}
-		if err != nil {
-			// Undo prior rows of this statement for atomicity.
-			for _, prev := range inserted {
-				tbl.Delete(prev)
+// run executes the statement row by row, appending one change per row it
+// affects to the session's log — what execWrite undoes if it fails part-way.
+func (wp *writePlan) run(rt *runState, res *Result) error {
+	tbl, s, rowFormat := wp.tbl, rt.s, rt.e.Format == FormatRow
+	if wp.kind == effInsert {
+		for _, row := range wp.rows {
+			img := tbl.store.image(nil) // unset columns are NULL
+			if err := rt.fill(img, wp.pos, row); err != nil {
+				return err
 			}
-			return err
+			c, err := tbl.put(nil, img, provisionalVersion, s.writer())
+			if err != nil {
+				return err
+			}
+			s.log = append(s.log, c)
+			if rowFormat {
+				res.RowSQL = append(res.RowSQL, renderRowInsert(tbl, img))
+			}
 		}
-		inserted = append(inserted, r)
+		return nil
 	}
-	for _, r := range inserted {
-		r.begin = provisionalVersion
-		if rt.s.inTxn {
-			r.txn = rt.s
-		}
-		if rt.e.Format == FormatRow {
-			res.RowSQL = append(res.RowSQL, renderRowInsert(tbl, r.vals))
-		}
-	}
-	rt.stats.RowsAffected = len(inserted)
-	rt.s.addEffect(effect{tbl: tbl, inserted: inserted})
-	return nil
-}
-
-// targets runs the driving access and returns the rows the WHERE keeps,
-// collected before any of them changes (a change moves index buckets).
-func (wp *writePlan) targets() ([]*Row, error) {
+	// The rows the WHERE keeps are collected before any of them changes: a
+	// change moves index buckets.
 	it := &wp.scan
 	it.reset()
-	var out []*Row
-	for {
-		ok, err := it.next()
-		if err != nil || !ok {
-			return out, err
-		}
-		out = append(out, it.rows[it.i-1])
-	}
-}
-
-func (wp *writePlan) update(rt *runState, res *Result) error {
-	tbl, s := wp.tbl, rt.s
-	targets, err := wp.targets()
-	if err != nil {
-		return err
-	}
-	done := make([]rewrite, 0, len(targets))
-	for _, r := range targets {
-		// Assignments read the row as it was: one never sees another's.
-		rt.live[0] = r.vals
-		newVals := append([]Value(nil), r.vals...)
-		err := rt.fill(newVals, wp.setPos, wp.sets)
-		w := rewrite{r: r, old: r.vals}
-		if r.txn == nil {
-			// Committed image: supersede it on the version chain. A row
-			// already provisional (same-transaction rewrite, or a foreign
-			// open writer) is overwritten in place — intra-transaction
-			// rewrites create no versions, and concurrent writers to one
-			// row keep the engine's last-write-wins semantics.
-			w.pushed = &rowVersion{vals: r.vals, begin: r.begin, prev: r.prev}
-		}
-		if err == nil {
-			err = tbl.Update(r, newVals)
-		}
+	wp.hits = wp.hits[:0]
+	for ok, err := it.next(); ok || err != nil; ok, err = it.next() {
 		if err != nil {
-			for i := len(done) - 1; i >= 0; i-- {
-				done[i].undo(tbl)
-			}
 			return err
 		}
-		if w.pushed != nil {
-			r.prev = w.pushed
-			r.begin = provisionalVersion
-			if s.inTxn {
-				r.txn = s
+		wp.hits = append(wp.hits, it.cur.row())
+	}
+	for _, r := range wp.hits {
+		if wp.kind == effDelete {
+			s.log = append(s.log, tbl.store.bury(r, s.writer()))
+			if rowFormat {
+				res.RowSQL = append(res.RowSQL, renderRowDelete(tbl, r.Values()))
 			}
+			continue
 		}
-		done = append(done, w)
-		if rt.e.Format == FormatRow {
-			res.RowSQL = append(res.RowSQL, renderRowUpdate(tbl, w.old, r.vals))
+		// Assignments read the row as it was: one never sees another's.
+		rt.live[0] = r.Values()
+		img := tbl.store.image(r.Values())
+		if err := rt.fill(img, wp.setPos, wp.sets); err != nil {
+			return err
 		}
-	}
-	rt.stats.RowsAffected = len(done)
-	if len(done) > 0 {
-		s.addEffect(effect{tbl: tbl, updated: done})
-	}
-	return nil
-}
-
-func (wp *writePlan) delete(rt *runState, res *Result) error {
-	tbl, s := wp.tbl, rt.s
-	targets, err := wp.targets()
-	if err != nil {
-		return err
-	}
-	for _, r := range targets {
-		// MVCC delete: out of the heap, primary key and indexes (latest
-		// readers must not see it), into the graveyard for snapshot readers
-		// until chain GC reclaims it. The end stamp finalizes at commit.
-		tbl.Delete(r)
-		tbl.graveyard = append(tbl.graveyard, r)
-		r.end = provisionalVersion
-		if s.inTxn {
-			r.txn = s
+		c, err := tbl.put(r, img, provisionalVersion, s.writer())
+		if err != nil {
+			return err
 		}
-		if rt.e.Format == FormatRow {
-			res.RowSQL = append(res.RowSQL, renderRowDelete(tbl, r.vals))
+		s.log = append(s.log, c)
+		if rowFormat {
+			res.RowSQL = append(res.RowSQL, renderRowUpdate(tbl, c.old, img))
 		}
-	}
-	rt.stats.RowsAffected = len(targets)
-	if len(targets) > 0 {
-		s.addEffect(effect{tbl: tbl, deleted: targets})
 	}
 	return nil
 }
