@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards bench bench-smoke bench-kernel bench-plan bench-history plan-smoke shard-smoke consist-smoke determinism-smoke trace-smoke fuzz-seed figures examples vet fmt fmt-check lint lint-nocache clean check
+.PHONY: all build test race race-shards bench smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint lint-nocache clean check
 
 all: build vet lint test
 
@@ -10,10 +10,7 @@ check:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
-	$(MAKE) trace-smoke
-	$(MAKE) shard-smoke
-	$(MAKE) consist-smoke
-	$(MAKE) plan-smoke
+	$(MAKE) smoke
 	$(MAKE) bench-kernel
 	$(MAKE) bench-plan
 
@@ -62,30 +59,23 @@ race-shards:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Quick end-to-end check that the bench CLI still runs and emits
-# machine-readable results: the A-ELASTIC and A-PIPELINE ablations on the
-# short protocol, with BENCH_*.json written into results/.
-bench-smoke:
-	$(GO) run ./cmd/cloudrepl-bench -ablation elastic -short -q -json results
-	$(GO) run ./cmd/cloudrepl-bench -ablation pipeline -short -q -json results
-
-# Sharding smoke: the online-split and chaos-kill-during-split paths at unit
-# scale (exactly-once row placement is asserted inside the tests), then the
-# small A-SHARD grid on the short protocol with BENCH_shard.json written
-# into results/.
-shard-smoke:
-	$(GO) test ./internal/shard -run 'TestSplitOnline|TestSplitChaosKillTarget' -count=1
-	$(GO) run ./cmd/cloudrepl-bench -ablation shard -short -q -json results
-
-# Consistency smoke: the MVCC snapshot-isolation oracle and the tier
-# regression tests (failover-safe RYW tokens, shard×RYW, zero-value
-# staleness bound) at unit scale, then the A-CONSIST tier grid on the short
-# protocol with BENCH_consist.json written into results/.
-consist-smoke:
-	$(GO) test ./internal/sqlengine -run 'TestConcurrentSnapshotAgainstOracle|TestSnapshotIsolationReads' -count=1
-	$(GO) test ./internal/proxy -run 'TestRYWTokenSurvivesFailover|TestStalenessBoundedZeroValueServesSlaves' -count=1
-	$(GO) test ./internal/shard -run 'TestScatterHonorsSessionRYW|TestSessionRYWAcrossSplit' -count=1
-	$(GO) run ./cmd/cloudrepl-bench -ablation consist -short -q -json results
+# End-to-end smoke of the bench CLI, after `check` has run every test under
+# -race: five ablations on the short protocol in one process, with
+# BENCH_{elastic,pipeline,shard,consist,plan}.json written into results/
+# (the last three are checked in and must come out byte-identical); a traced
+# pipeline run written as a Chrome trace-event file, which cloudrepl-trace
+# must find complete (every stage — client, pool, proxy, server, binlog,
+# apply — has a span and one trace covers the whole chain); the determinism
+# sanitizer over every arm the experiment registry declares; and its inject
+# self-test, which must fail.
+smoke:
+	$(GO) run ./cmd/cloudrepl-bench -ablation elastic,pipeline,shard,consist,plan -short -q -json results
+	$(GO) run ./cmd/cloudrepl-bench -trace results/trace.json -q
+	$(GO) run ./cmd/cloudrepl-trace -check results/trace.json
+	$(GO) run ./cmd/cloudrepl-bench -determinism -short -q
+	@if $(GO) run ./cmd/cloudrepl-bench -determinism-inject -short -q >/dev/null 2>&1; then \
+		echo "determinism-inject self-test did NOT fail"; exit 1; \
+	else echo "determinism-inject self-test failed as it must"; fi
 
 # Kernel-speed smoke: measure the sim kernel (micro workload + one
 # experiment cell), write BENCH_kernel.json into results/, and fail if the
@@ -119,32 +109,6 @@ bench-history:
 	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -bench-plan -short -q -json results \
 		-history bench/history.jsonl -history-label "$(LABEL)" \
 		-history-commit "$$(git describe --always --dirty=+)" -history-cells results/cells/results.json
-
-# Planner smoke: the EXPLAIN golden rendering and the cost-based plan
-# choices (join-algorithm flip) at unit scale, the A-PLAN regression test
-# (cost-based must beat naive end to end on the saturated grid), then the
-# A-PLAN ablation on the short protocol with BENCH_plan.json written into
-# results/.
-plan-smoke:
-	$(GO) test ./internal/sqlengine -run 'TestExplainGolden|TestPlannerJoinAlgorithmFlips' -count=1
-	$(GO) test ./internal/experiment -run TestAblationPlanCostBeatsNaive -count=1
-	$(GO) run ./cmd/cloudrepl-bench -ablation plan -short -q -json results
-
-# Determinism sanitizer: the A-PIPELINE corner grid twice with one seed,
-# byte-comparing the JSON; then the inject self-test, which must fail.
-determinism-smoke:
-	$(GO) run ./cmd/cloudrepl-bench -determinism -short -q
-	@if $(GO) run ./cmd/cloudrepl-bench -determinism-inject -short -q >/dev/null 2>&1; then \
-		echo "determinism-inject self-test did NOT fail"; exit 1; \
-	else echo "determinism-inject self-test failed as it must"; fi
-
-# Traced pipeline run end to end: write a Chrome trace-event file, then
-# have cloudrepl-trace parse it and check every pipeline stage (client,
-# pool, proxy, server, binlog, apply) produced at least one span and one
-# trace covers the whole chain.
-trace-smoke:
-	$(GO) run ./cmd/cloudrepl-bench -trace results/trace.json -q
-	$(GO) run ./cmd/cloudrepl-trace -check results/trace.json
 
 # One pass over the checked-in fuzz corpora (no new input generation: every
 # seed must keep passing) — binlog wire decoding and SQL parsing (the

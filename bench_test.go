@@ -150,7 +150,7 @@ func BenchmarkAblationBalancers(b *testing.B) {
 			}
 			if r.Name == "staleness-bounded(30)" {
 				b.ReportMetric(r.Res.Throughput, "tp_stalebound(ops/s)")
-				b.ReportMetric(float64(r.Res.MasterFallbacks), "fallbacks")
+				b.ReportMetric(float64(r.Res.ProxyStats.MasterFallbacks), "fallbacks")
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func main() {
 	fmt.Print(obs.Summarize(spans, *top))
 }
 
-// validate is the trace-smoke gate: the instrumentation must have produced
+// validate is `make smoke`'s trace gate: the instrumentation must have produced
 // at least one span for every pipeline stage, and at least one write's
 // causal chain must span the whole pipeline.
 func validate(spans []obs.ParsedSpan) error {

@@ -55,27 +55,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeFlag)
 		os.Exit(2)
 	}
-	var balancer func() proxy.Balancer
+	spec := experiment.RunSpec{
+		Seed: *seed, Users: *users, Slaves: *slaves, Scale: *scale,
+		ReadRatio: *ratio, Loc: loc, Mode: mode, Heterogeneous: *hetero,
+	}
 	switch *balFlag {
 	case "round-robin":
-		balancer = nil
 	case "random":
-		balancer = func() proxy.Balancer { return proxy.Random{} }
+		spec.Balancer = func() proxy.Balancer { return proxy.Random{} }
 	case "least-conn":
-		balancer = func() proxy.Balancer { return proxy.LeastConn{} }
+		spec.Balancer = func() proxy.Balancer { return proxy.LeastConn{} }
 	case "least-lag":
-		balancer = func() proxy.Balancer { return proxy.LeastLag{} }
-	case "staleness-bounded":
-		balancer = func() proxy.Balancer { return &proxy.StalenessBounded{MaxEventsBehind: 30} }
+		spec.Balancer = func() proxy.Balancer { return proxy.LeastLag{} }
+	case "staleness-bounded": // round-robin among slaves ≤ 30 events behind, else the master
+		spec.Consistency, spec.MaxStaleEvents = proxy.Bounded, 30
 	default:
 		fmt.Fprintf(os.Stderr, "unknown balancer %q\n", *balFlag)
 		os.Exit(2)
-	}
-
-	spec := experiment.RunSpec{
-		Seed: *seed, Users: *users, Slaves: *slaves, Scale: *scale,
-		ReadRatio: *ratio, Loc: loc, Mode: mode, Balancer: balancer,
-		Heterogeneous: *hetero,
 	}
 	if *short {
 		spec.RampUp, spec.Steady, spec.RampDown = 2*time.Minute, 5*time.Minute, time.Minute
@@ -97,8 +93,8 @@ func main() {
 	for i, u := range res.SlaveUtil {
 		fmt.Printf("slave%-2d CPU:           %8.0f%%   heartbeat delay %.1f ms\n", i+1, u*100, res.PerSlaveDelayMs[i])
 	}
-	if res.MasterFallbacks > 0 {
-		fmt.Printf("master fallback reads: %8d\n", res.MasterFallbacks)
+	if res.ProxyStats.MasterFallbacks > 0 {
+		fmt.Printf("master fallback reads: %8d\n", res.ProxyStats.MasterFallbacks)
 	}
 	sort.Float64s(res.PerSlaveDelayMs)
 	fmt.Printf("avg replication delay: %8.1f ms (raw, incl. clock offset)\n", res.AvgDelayMs)

@@ -2,7 +2,7 @@
 // Web 2.0 events calendar whose business logic talks straight to the
 // replicated database tier. It demonstrates the staleness anomaly of
 // asynchronous replication (a user who creates an event may not see it on
-// the next page load) and the staleness-bounded balancer that fixes it.
+// the next page load) and the two read-consistency tiers that address it.
 //
 //	go run ./examples/socialcalendar
 package main
@@ -23,7 +23,7 @@ import (
 	"cloudrepl/internal/sqlengine"
 )
 
-func buildTierOpts(env *sim.Env, extra ...core.Option) *core.DB {
+func buildTier(env *sim.Env, extra ...core.Option) *core.DB {
 	provider := cloud.New(env, cloud.DefaultConfig())
 	zone := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	clu, err := cluster.New(env, provider, cluster.Config{
@@ -41,10 +41,6 @@ func buildTierOpts(env *sim.Env, extra ...core.Option) *core.DB {
 		core.WithClientPlace(zone),
 	}, extra...)
 	return core.Open(clu, opts...)
-}
-
-func buildTier(env *sim.Env, balancer proxy.Balancer) *core.DB {
-	return buildTierOpts(env, core.WithBalancer(balancer))
 }
 
 // bgWrite issues one background-load insert. No fault injection runs in
@@ -74,10 +70,10 @@ func createAndCheck(p *sim.Proc, db *core.DB, eventID int64) bool {
 }
 
 func main() {
-	// Round 1: default round-robin balancer. The read after the write
+	// Round 1: round-robin, eventual consistency. The read after the write
 	// often lands on a slave that has not applied the INSERT yet.
 	env := sim.NewEnv(7)
-	db := buildTier(env, nil)
+	db := buildTier(env)
 	// Background writers keep the applier busy so the anomaly window is
 	// realistic rather than microscopic.
 	for w := 0; w < 12; w++ {
@@ -105,11 +101,14 @@ func main() {
 	env.Stop()
 	env.Shutdown()
 
-	// Round 2: the staleness-bounded balancer (the paper's proposed smart
-	// load balancer) routes reads to the master whenever every slave is
-	// too far behind, so the fresh event is always visible.
+	// Round 2: the Bounded tier (the paper's proposed smart load balancer)
+	// reads only from slaves at most 64 binlog events behind, else from the
+	// master. The twelve writers push both slaves past 64 by the first page
+	// load, so every load here falls back to the master and sees the event.
+	// A bound caps staleness; it does not promise a session its own writes
+	// (a slave 60 events behind qualifies and may miss the INSERT).
 	env2 := sim.NewEnv(7)
-	db2 := buildTier(env2, &proxy.StalenessBounded{MaxEventsBehind: 0})
+	db2 := buildTier(env2, core.WithConsistency(proxy.Bounded), core.WithMaxStaleEvents(64))
 	for w := 0; w < 12; w++ {
 		w := w
 		env2.Go(fmt.Sprintf("writer%d", w), func(p *sim.Proc) {
@@ -130,16 +129,17 @@ func main() {
 		}
 	})
 	env2.RunUntil(3 * time.Minute)
-	fmt.Printf("staleness-bounded balancer:  %2d/%d page loads missed the just-created event", stale2, trials)
+	fmt.Printf("bounded tier (≤64 events):   %2d/%d page loads missed the just-created event", stale2, trials)
 	fmt.Printf(" (%d reads fell back to the master)\n", db2.Proxy().Stats().MasterFallbacks)
 	env2.Stop()
 	env2.Shutdown()
 
-	// Round 3: read-your-writes session consistency — only the *writer's
-	// own* reads are pinned to fresh replicas (or the master); everyone
-	// else keeps balancing freely. The cheapest fix for this anomaly.
+	// Round 3: the Session tier, read-your-writes — only the *writer's
+	// own* reads are pinned to replicas that have applied its newest write
+	// (or the master); everyone else keeps balancing freely. The cheapest
+	// fix for this anomaly, and the one of the two that guarantees it.
 	env4 := sim.NewEnv(7)
-	db4 := buildTierOpts(env4, core.WithReadYourWrites())
+	db4 := buildTier(env4, core.WithConsistency(proxy.Session))
 	for w := 0; w < 12; w++ {
 		w := w
 		env4.Go(fmt.Sprintf("writer%d", w), func(p *sim.Proc) {
@@ -160,13 +160,13 @@ func main() {
 		}
 	})
 	env4.RunUntil(3 * time.Minute)
-	fmt.Printf("read-your-writes sessions:   %2d/%d page loads missed the just-created event\n", stale4, trials)
+	fmt.Printf("session tier (own writes):   %2d/%d page loads missed the just-created event\n", stale4, trials)
 	env4.Stop()
 	env4.Shutdown()
 
 	// A calendar page rendered from a slave, for flavor.
 	env3 := sim.NewEnv(9)
-	db3 := buildTier(env3, nil)
+	db3 := buildTier(env3)
 	env3.Go("render", func(p *sim.Proc) {
 		set, err := db3.Query(p, `SELECT e.title, u.username FROM events e
 			JOIN users u ON u.id = e.creator_id ORDER BY e.created DESC LIMIT 5`)

@@ -83,14 +83,8 @@ type Cluster struct {
 
 // New builds and starts the cluster.
 func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
-	if cfg.Master.Type.Name == "" {
-		cfg.Master.Type = cloud.Small
-	}
 	c := &Cluster{env: env, cloud: cl, cfg: cfg}
-	mName := cfg.NamePrefix + "master"
-	mInst := cl.Launch(mName, cfg.Master.Type, cfg.Master.Place)
-	mSrv := server.New(env, mName, mInst, cfg.Cost)
-	mSrv.Eng.NaivePlan = cfg.NaivePlan
+	mSrv := c.launch("master", cfg.Master)
 	if cfg.Preload != nil {
 		if err := cfg.Preload(mSrv); err != nil {
 			return nil, fmt.Errorf("cluster: preload master: %w", err)
@@ -106,6 +100,28 @@ func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// launch starts one database node — instance (Small unless spec says
+// otherwise), server, planner mode, tracer — under the cluster's name prefix.
+func (c *Cluster) launch(name string, spec NodeSpec) *server.DBServer {
+	if spec.Type.Name == "" {
+		spec.Type = cloud.Small
+	}
+	name = c.cfg.NamePrefix + name
+	srv := server.New(c.env, name, c.cloud.Launch(name, spec.Type, spec.Place), c.cfg.Cost)
+	srv.Eng.NaivePlan = c.cfg.NaivePlan
+	srv.Tracer = c.tracer
+	return srv
+}
+
+// launchSlave starts the next replica node ("slave1", "slave2", ...) with the
+// cluster's applier priority.
+func (c *Cluster) launchSlave(spec NodeSpec) *server.DBServer {
+	c.nextID++
+	srv := c.launch(fmt.Sprintf("slave%d", c.nextID), spec)
+	srv.PriorityApply = c.cfg.PriorityApply
+	return srv
 }
 
 // Env returns the simulation environment.
@@ -132,19 +148,10 @@ func (c *Cluster) Slaves() []*repl.Slave { return c.master.Slaves() }
 // AddSlave launches, preloads and attaches a new replica. The new node
 // replays every write committed after the preload snapshot, in order.
 func (c *Cluster) AddSlave(spec NodeSpec) (*repl.Slave, error) {
-	if spec.Type.Name == "" {
-		spec.Type = cloud.Small
-	}
-	c.nextID++
-	name := fmt.Sprintf("%sslave%d", c.cfg.NamePrefix, c.nextID)
-	inst := c.cloud.Launch(name, spec.Type, spec.Place)
-	srv := server.New(c.env, name, inst, c.cfg.Cost)
-	srv.Eng.NaivePlan = c.cfg.NaivePlan
-	srv.PriorityApply = c.cfg.PriorityApply
-	srv.Tracer = c.tracer
+	srv := c.launchSlave(spec)
 	if c.cfg.Preload != nil {
 		if err := c.cfg.Preload(srv); err != nil {
-			return nil, fmt.Errorf("cluster: preload %s: %w", name, err)
+			return nil, fmt.Errorf("cluster: preload %s: %w", srv.Name, err)
 		}
 	}
 	sl := repl.NewSlave(c.env, srv)
@@ -255,16 +262,7 @@ func (c *Cluster) ProvisionSlave(p *sim.Proc, spec NodeSpec) (*repl.Slave, error
 // it, returning the server and the binlog position the snapshot captured
 // (consistent by construction: both are taken at the same virtual instant).
 func (c *Cluster) snapshotProvision(spec NodeSpec) (*server.DBServer, uint64, error) {
-	if spec.Type.Name == "" {
-		spec.Type = cloud.Small
-	}
-	c.nextID++
-	name := fmt.Sprintf("%sslave%d", c.cfg.NamePrefix, c.nextID)
-	inst := c.cloud.Launch(name, spec.Type, spec.Place)
-	srv := server.New(c.env, name, inst, c.cfg.Cost)
-	srv.Eng.NaivePlan = c.cfg.NaivePlan
-	srv.PriorityApply = c.cfg.PriorityApply
-	srv.Tracer = c.tracer
+	srv := c.launchSlave(spec)
 	// Pin the master's commit version at the recorded binlog position, then
 	// materialize: a non-quiescent versioned read — concurrent writers keep
 	// committing, chain GC holds the pinned images until Close.
@@ -272,7 +270,7 @@ func (c *Cluster) snapshotProvision(spec NodeSpec) (*server.DBServer, uint64, er
 	h := c.master.Srv.Eng.Pin()
 	defer h.Close()
 	if err := srv.Eng.Restore(h.Materialize()); err != nil {
-		return nil, 0, fmt.Errorf("cluster: provision %s: %w", name, err)
+		return nil, 0, fmt.Errorf("cluster: provision %s: %w", srv.Name, err)
 	}
 	return srv, pos, nil
 }

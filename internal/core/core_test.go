@@ -128,14 +128,16 @@ func TestStalenessReporting(t *testing.T) {
 func TestScaleOutAndIn(t *testing.T) {
 	env, db := newDB(t, 4, 1)
 	env.Go("app", func(p *sim.Proc) {
-		if err := db.ScaleOut(cluster.NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}}); err != nil {
+		if err := db.Scale(nil, 1, ScaleOpts{Spec: cluster.NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}}}); err != nil {
 			t.Errorf("scale out: %v", err)
 			return
 		}
 		if got := len(db.Cluster().Slaves()); got != 2 {
 			t.Errorf("slaves after scale-out: %d", got)
 		}
-		db.ScaleIn()
+		if err := db.Scale(nil, -1, ScaleOpts{}); err != nil {
+			t.Errorf("scale in: %v", err)
+		}
 		if got := len(db.Cluster().Slaves()); got != 1 {
 			t.Errorf("slaves after scale-in: %d", got)
 		}
@@ -174,19 +176,20 @@ func TestFailoverRepointsProxy(t *testing.T) {
 }
 
 func TestStalenessBoundedOptionIntegration(t *testing.T) {
-	// Strict: a literally-zero bound. WithStalenessBound(0) now means "the
-	// default bound", under which a freshly-frozen slave still qualifies.
-	env, db := newDB(t, 6, 1, WithBalancer(&proxy.StalenessBounded{Strict: true}))
+	// A frozen slave three events behind a bound of two serves nothing.
+	env, db := newDB(t, 6, 1, WithConsistency(proxy.Bounded), WithMaxStaleEvents(2))
 	db.Cluster().Slaves()[0].Stop()
 	env.Go("app", func(p *sim.Proc) {
-		db.Exec(p, "INSERT INTO t (id, v) VALUES (1, 'x')")
+		for i := 1; i <= 3; i++ {
+			db.Exec(p, "INSERT INTO t (id, v) VALUES (?, 'x')", sqlengine.NewInt(int64(i)))
+		}
 		set, err := db.Query(p, "SELECT COUNT(*) FROM t")
 		if err != nil {
 			t.Errorf("query: %v", err)
 			return
 		}
-		if set.Rows[0][0].Int() != 1 {
-			t.Error("staleness-bounded handle served stale read")
+		if set.Rows[0][0].Int() != 3 {
+			t.Error("bounded-tier handle served stale read")
 		}
 	})
 	env.RunUntil(time.Minute)
@@ -237,7 +240,7 @@ func TestStatsAndClose(t *testing.T) {
 }
 
 func TestReadYourWritesOption(t *testing.T) {
-	env, db := newDB(t, 9, 1, WithReadYourWrites())
+	env, db := newDB(t, 9, 1, WithConsistency(proxy.Session))
 	db.Cluster().Slaves()[0].Stop() // slave lags forever
 	env.Go("app", func(p *sim.Proc) {
 		db.Exec(p, "INSERT INTO t (id, v) VALUES (1, 'x')")
@@ -249,7 +252,7 @@ func TestReadYourWritesOption(t *testing.T) {
 			return
 		}
 		if set.Rows[0][0].Int() != 1 {
-			t.Error("read-your-writes option did not take effect")
+			t.Error("session tier did not take effect")
 		}
 	})
 	env.RunUntil(time.Minute)
@@ -288,12 +291,12 @@ func TestScaleBackDrainsInflightReads(t *testing.T) {
 	var scaleErr error
 	env.Go("operator", func(p *sim.Proc) {
 		p.Sleep(30 * time.Second)
-		scaleErr = db.ScaleBack(p, 0)
+		scaleErr = db.Scale(p, -1, ScaleOpts{})
 	})
 
 	env.RunUntil(sim.Time(end))
 	if scaleErr != nil {
-		t.Fatalf("ScaleBack: %v", scaleErr)
+		t.Fatalf("graceful scale-in: %v", scaleErr)
 	}
 	if readErrs != 0 {
 		t.Fatalf("%d client read(s) failed across a graceful scale-in", readErrs)
@@ -330,7 +333,7 @@ func TestRemoveSlaveGracefulTimesOut(t *testing.T) {
 	var gotErr error
 	env.Go("operator", func(p *sim.Proc) {
 		p.Sleep(10 * time.Second)
-		gotErr = db.RemoveSlaveGraceful(p, sl, 10*time.Millisecond)
+		gotErr = db.Scale(p, -1, ScaleOpts{Victim: sl, Drain: 10 * time.Millisecond})
 	})
 	env.RunUntil(sim.Time(time.Minute))
 	if gotErr == nil {

@@ -9,31 +9,41 @@ import (
 	"cloudrepl/internal/shard"
 )
 
-// Option configures a replicated database handle at Open. Options compose
-// left to right; a later option overrides an earlier one for the same knob.
+// Option configures a replicated database handle at Open or OpenSharded.
+// Options compose left to right; a later option overrides an earlier one for
+// the same knob. Every option but the three sharded-mode ones means the same
+// thing on either handle shape.
 type Option func(*config)
 
 // config is the accumulated Open configuration. It stays private so the
 // option set can grow without breaking callers.
 type config struct {
-	database       string
-	clientPlace    cloud.Placement
-	balancer       proxy.Balancer
-	readYourWrites bool
-	consistency    proxy.Consistency
-	maxStaleEvents uint64
-	retry          proxy.RetryPolicy
-	pool           pool.Config
-	tracer         *obs.Tracer
-	registry       *obs.Registry
-	noMetrics      bool
+	database string
+	routing  shard.Routing
+	pool     pool.Config
+	tracer   *obs.Tracer
 
 	// Sharded-mode knobs, consumed only by OpenSharded.
 	shards             int
-	shardSlots         int
 	keyspace           shard.Keyspace
 	partitionedPreload func(owns func(table string, key int64) bool) func(srv *server.DBServer) error
-	balancerFactory    func() proxy.Balancer
+}
+
+// newConfig folds opts and fills the defaults: a 64/64 pool, one cell.
+func newConfig(opts []Option) config {
+	var cfg config
+	for _, o := range opts {
+		if o != nil {
+			o(&cfg)
+		}
+	}
+	if cfg.shards < 1 {
+		cfg.shards = 1
+	}
+	if cfg.pool.MaxActive == 0 {
+		cfg.pool = pool.Config{MaxActive: 64, MaxIdle: 64}
+	}
+	return cfg
 }
 
 // WithDatabase sets the default database for every connection.
@@ -44,28 +54,14 @@ func WithDatabase(name string) Option {
 // WithClientPlace sets where the application tier runs; every statement pays
 // the network round trip from there to its backend.
 func WithClientPlace(p cloud.Placement) Option {
-	return func(c *config) { c.clientPlace = p }
+	return func(c *config) { c.routing.ClientPlace = p }
 }
 
-// WithBalancer sets the read balancer (default round-robin).
-func WithBalancer(b proxy.Balancer) Option {
-	return func(c *config) { c.balancer = b }
-}
-
-// WithReadYourWrites enables per-connection session consistency: after a
-// write, that connection's reads go only to slaves that have applied it
-// (master fallback otherwise).
-func WithReadYourWrites() Option {
-	return func(c *config) { c.readYourWrites = true }
-}
-
-// WithStalenessBound routes reads only to slaves within maxEvents binlog
-// events of the master, falling back to the master otherwise. It is shorthand
-// for WithBalancer(&proxy.StalenessBounded{MaxEventsBehind: maxEvents}).
-// Passing 0 applies proxy.DefaultMaxEventsBehind; for literally-zero
-// staleness use WithConsistency(proxy.Strong) or a Strict balancer.
-func WithStalenessBound(maxEvents uint64) Option {
-	return func(c *config) { c.balancer = &proxy.StalenessBounded{MaxEventsBehind: maxEvents} }
+// WithBalancer sets the read balancer's constructor (nil = round-robin). A
+// constructor because balancers keep per-slave state: a sharded handle
+// builds one per cell, a handle from Open calls it once.
+func WithBalancer(mk func() proxy.Balancer) Option {
+	return func(c *config) { c.routing.Balancer = mk }
 }
 
 // WithConsistency selects the read-consistency tier every connection gets:
@@ -76,27 +72,24 @@ func WithStalenessBound(maxEvents uint64) Option {
 // balancer picks among them. In sharded mode the tier applies per cell, with
 // session tokens tracked per cell.
 func WithConsistency(tier proxy.Consistency) Option {
-	return func(c *config) {
-		c.consistency = tier
-		c.readYourWrites = tier == proxy.Session
-	}
+	return func(c *config) { c.routing.Consistency = tier }
 }
 
 // WithMaxStaleEvents sets the Bounded tier's staleness bound in binlog
 // events (0 = proxy.DefaultMaxEventsBehind). Only meaningful with
 // WithConsistency(proxy.Bounded).
 func WithMaxStaleEvents(n uint64) Option {
-	return func(c *config) { c.maxStaleEvents = n }
+	return func(c *config) { c.routing.MaxStaleEvents = n }
 }
 
 // WithRetryPolicy configures client-side robustness (retry with backoff,
 // slave eviction, statement timeouts, automatic master failover). Without it
-// the handle keeps the legacy single-attempt behaviour; use
+// the handle makes a single attempt per statement; use
 // proxy.DefaultRetryPolicy() for the chaos-hardened defaults. When the
-// policy's FailoverOnMasterDown is set, the handle wires the proxy's
-// master-failure hook to cluster promotion automatically.
+// policy's FailoverOnMasterDown is set, each cell's proxy promotes a slave of
+// its own cluster when it finds the master dead.
 func WithRetryPolicy(rp proxy.RetryPolicy) Option {
-	return func(c *config) { c.retry = rp }
+	return func(c *config) { c.routing.Retry = rp }
 }
 
 // WithPool sizes the connection pool (default 64/64, wait forever).
@@ -112,49 +105,22 @@ func WithTracer(tr *obs.Tracer) Option {
 	return func(c *config) { c.tracer = tr }
 }
 
-// WithMetrics attaches a metrics registry: the handle records client-side
-// latency and errors into it live, and DB.Metrics snapshots every
-// component's counters through it. Without this option DB.Metrics allocates
-// a registry on first use.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(c *config) { c.registry = reg }
-}
-
-// WithoutMetrics disables the metrics registry entirely: Registry()
-// returns nil and every instrument the data path touches is a nil no-op,
-// so per-statement accounting costs no allocations and no map lookups.
-// For benchmarking the kernel itself, or fleets of throwaway envs.
-func WithoutMetrics() Option {
-	return func(c *config) { c.noMetrics = true }
-}
-
-// WithShards sets the initial cell count for OpenSharded. Ignored by Open.
+// WithShards sets the initial cell count for OpenSharded (default 1).
+// Ignored by Open.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
-// WithShardSlots sets the hash-slot count of the shard map (default 64);
-// it bounds how many cells the deployment can grow to.
-func WithShardSlots(n int) Option {
-	return func(c *config) { c.shardSlots = n }
-}
-
 // WithKeyspace declares which tables are sharded on which integer key
-// column (and which are replicated globally); see shard.Keyspace.
+// column (and which are replicated globally); see shard.Keyspace. Ignored by
+// Open.
 func WithKeyspace(ks shard.Keyspace) Option {
 	return func(c *config) { c.keyspace = ks }
 }
 
 // WithPartitionedPreload installs a preload builder for sharded cells:
 // each cell preloads exactly the rows the ownership predicate grants it.
-// cloudstone.PreloadOwned composes directly with this.
+// cloudstone.PreloadOwned composes directly with this. Ignored by Open.
 func WithPartitionedPreload(f func(owns func(table string, key int64) bool) func(srv *server.DBServer) error) Option {
 	return func(c *config) { c.partitionedPreload = f }
-}
-
-// WithBalancerFactory sets the per-cell read balancer constructor for
-// OpenSharded (balancers keep per-slave state, so cells cannot share one
-// instance). Default: a round-robin per cell.
-func WithBalancerFactory(f func() proxy.Balancer) Option {
-	return func(c *config) { c.balancerFactory = f }
 }

@@ -83,34 +83,36 @@ type BalancerResult struct {
 
 // AblationBalancers compares read balancers at a workload past slave
 // saturation — including the staleness-bounded strategy the paper's §IV-B
-// proposes ("a smart load balancer ... balancing the operations"). The
-// staleness-bounded balancer trades master load (fallback reads) for a
-// bounded client-visible staleness window.
+// proposes ("a smart load balancer ... balancing the operations"): the
+// Bounded tier over round-robin, which trades master load (fallback reads)
+// for a bounded client-visible staleness window.
 func AblationBalancers(opts SweepOpts) ([]BalancerResult, error) {
 	ramp, steady, down := opts.phases()
 	cases := []struct {
-		name string
-		mk   func() proxy.Balancer
+		name  string
+		mk    func() proxy.Balancer
+		tier  proxy.Consistency
+		bound uint64
 	}{
-		{"round-robin", func() proxy.Balancer { return &proxy.RoundRobin{} }},
-		{"random", func() proxy.Balancer { return proxy.Random{} }},
-		{"least-conn", func() proxy.Balancer { return proxy.LeastConn{} }},
-		{"least-lag", func() proxy.Balancer { return proxy.LeastLag{} }},
-		{"staleness-bounded(30)", func() proxy.Balancer { return &proxy.StalenessBounded{MaxEventsBehind: 30} }},
+		{name: "round-robin", mk: func() proxy.Balancer { return &proxy.RoundRobin{} }},
+		{name: "random", mk: func() proxy.Balancer { return proxy.Random{} }},
+		{name: "least-conn", mk: func() proxy.Balancer { return proxy.LeastConn{} }},
+		{name: "least-lag", mk: func() proxy.Balancer { return proxy.LeastLag{} }},
+		{name: "staleness-bounded(30)", tier: proxy.Bounded, bound: 30},
 	}
 	specs := make([]RunSpec, len(cases))
 	for i, c := range cases {
 		specs[i] = RunSpec{
 			Seed: opts.Seed + int64(i), Users: 150, Slaves: 2,
 			Scale: 300, ReadRatio: 0.5, Loc: SameZone,
-			Balancer: c.mk,
-			RampUp:   ramp, Steady: steady, RampDown: down,
+			Balancer: c.mk, Consistency: c.tier, MaxStaleEvents: c.bound,
+			RampUp: ramp, Steady: steady, RampDown: down,
 		}
 	}
 	results, err := RunShards(specs, opts.Parallelism, func(i int, res RunResult) {
 		if opts.Progress != nil {
 			opts.Progress(fmt.Sprintf("balancer %-22s tp=%6.2f delay=%10.1fms fallbacks=%d",
-				cases[i].name, res.Throughput, res.AvgDelayMs, res.MasterFallbacks))
+				cases[i].name, res.Throughput, res.AvgDelayMs, res.ProxyStats.MasterFallbacks))
 		}
 	})
 	if err != nil {
@@ -131,7 +133,7 @@ func RenderBalancers(rows []BalancerResult) string {
 		"balancer", "tp (ops/s)", "delay (ms)", "master fallbacks", "master util")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-24s %12.2f %14.1f %18d %11.0f%%\n",
-			r.Name, r.Res.Throughput, r.Res.AvgDelayMs, r.Res.MasterFallbacks, r.Res.MasterUtil*100)
+			r.Name, r.Res.Throughput, r.Res.AvgDelayMs, r.Res.ProxyStats.MasterFallbacks, r.Res.MasterUtil*100)
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/shard"
 	"cloudrepl/internal/sim"
-	"cloudrepl/internal/vclock"
 )
 
 // ShardArmResult is one arm of the A-SHARD ablation: the Cloudstone mix at
@@ -176,13 +174,7 @@ func runShardArm(s shardArmSpec) (shardArmOut, error) {
 		return shardArmOut{}, fmt.Errorf("shard arm (%d cells): %w", s.cells, err)
 	}
 
-	for _, inst := range c.Instances() {
-		bias := time.Duration(env.Rand().NormFloat64() * float64(1650*time.Microsecond))
-		vclock.StartDaemon(env, inst.Name+"/ntp", inst.Clock, vclock.NTPConfig{
-			Interval: time.Second, Bias: bias,
-			JitterSigma: 600 * time.Microsecond, Servers: 4,
-		})
-	}
+	startNTP(env, c)
 
 	driver := cloudstone.NewDriver(db, cloudstone.Config{
 		Scale: s.scale, ReadRatio: s.readRatio, Users: s.users,
@@ -253,37 +245,27 @@ func runShardArm(s shardArmSpec) (shardArmOut, error) {
 	return shardArmOut{arm: arm, split: split}, nil
 }
 
-// ShardDeterminism runs the 2-cell arm (with a mid-steady split, the most
-// event-interleaved configuration the subsystem has) twice from one seed
-// and fails on any byte difference in the marshalled results.
-func ShardDeterminism(opts SweepOpts) error {
-	ramp, steady, down := opts.phases()
-	if opts.Short {
+// shardArm is the 2-cell arm with a mid-steady split, the most
+// event-interleaved configuration the subsystem has.
+func shardArm(o SweepOpts) func() (any, error) {
+	ramp, steady, down := o.phases()
+	if o.Short {
 		ramp, steady, down = time.Minute, 3*time.Minute, 30*time.Second
 	}
 	spec := shardArmSpec{
-		seed: opts.Seed, users: 150, cells: 2, slaves: 2,
+		seed: o.Seed, users: 150, cells: 2, slaves: 2,
 		scale: 300, readRatio: 0.5, ramp: ramp, steady: steady, down: down, split: true,
 	}
-	marshal := func() ([]byte, error) {
+	return func() (any, error) {
 		r, err := runShardArm(spec)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(r)
+		return struct {
+			Arm   ShardArmResult
+			Split ShardSplitResult
+		}{r.arm, r.split}, nil
 	}
-	a, err := marshal()
-	if err != nil {
-		return err
-	}
-	b, err := marshal()
-	if err != nil {
-		return err
-	}
-	if string(a) != string(b) {
-		return fmt.Errorf("shard determinism: two runs of seed %d differ (%d vs %d bytes)", spec.seed, len(a), len(b))
-	}
-	return nil
 }
 
 // RenderSharding formats the A-SHARD ablation for the terminal.

@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"cloudrepl/internal/proxy"
-	"cloudrepl/internal/repl"
 )
 
 // ConsistArmResult is one consistency tier measured on the shared A-CONSIST
@@ -55,14 +53,7 @@ type ConsistencyResult struct {
 // enough that pinning all reads to the master (Strong) costs real
 // throughput, loaded enough that the slaves visibly lag (so Eventual's
 // compliance drifts below Session's).
-type consistGrid struct {
-	users, slaves, scale int
-	readRatio            float64
-}
-
-func defaultConsistGrid() consistGrid {
-	return consistGrid{users: 300, slaves: 2, scale: 300, readRatio: 0.8}
-}
+var consistGrid = grid{users: 300, slaves: 2, scale: 300, readRatio: 0.8}
 
 // consistTiers is the sweep order, weakest to strongest.
 var consistTiers = []proxy.Consistency{proxy.Eventual, proxy.Bounded, proxy.Session, proxy.Strong}
@@ -76,7 +67,7 @@ var consistTiers = []proxy.Consistency{proxy.Eventual, proxy.Bounded, proxy.Sess
 // staleness without per-session bookkeeping, Eventual is the paper's
 // configuration.
 func AblationConsistency(opts SweepOpts) (ConsistencyResult, error) {
-	g := defaultConsistGrid()
+	g := consistGrid
 	out := ConsistencyResult{Users: g.users, Slaves: g.slaves, ReadRatio: g.readRatio}
 	for _, tier := range consistTiers {
 		arm, err := runConsistArm(opts, g, tier)
@@ -94,17 +85,11 @@ func AblationConsistency(opts SweepOpts) (ConsistencyResult, error) {
 	return out, nil
 }
 
-// runConsistArm executes one tier on its own virtual timeline. Every arm
-// shares one seed so the workload arrival pattern is identical across tiers
-// and the comparison is paired.
-func runConsistArm(opts SweepOpts, g consistGrid, tier proxy.Consistency) (ConsistArmResult, error) {
-	ramp, steady, down := opts.phases()
-	res, err := Run(RunSpec{
-		Seed: opts.Seed, Users: g.users, Slaves: g.slaves, Scale: g.scale,
-		ReadRatio: g.readRatio, Loc: SameZone, Mode: repl.Async,
-		Consistency: tier,
-		RampUp:      ramp, Steady: steady, RampDown: down,
-	})
+// runConsistArm executes one tier on its own virtual timeline.
+func runConsistArm(opts SweepOpts, g grid, tier proxy.Consistency) (ConsistArmResult, error) {
+	spec := g.spec(opts)
+	spec.Consistency = tier
+	res, err := Run(spec)
 	if err != nil {
 		return ConsistArmResult{}, fmt.Errorf("consist arm %s: %w", tier, err)
 	}
@@ -127,35 +112,16 @@ func runConsistArm(opts SweepOpts, g consistGrid, tier proxy.Consistency) (Consi
 	return arm, nil
 }
 
-// ConsistDeterminism runs the Session arm (the most stateful tier: token
-// minting, epoch checks, per-slave watermark filtering, and the MVCC
-// version stamps underneath) twice from one seed and fails on any byte
-// difference in the marshalled result — commit-version streams included,
-// since AvgDelayMs and the staleness counters are derived from them.
-func ConsistDeterminism(opts SweepOpts) error {
-	g := defaultConsistGrid()
-	if opts.Short {
+// consistArm is the Session tier, the most stateful one: token minting,
+// epoch checks, per-slave watermark filtering, and the MVCC version stamps
+// underneath — commit-version streams included, since AvgDelayMs and the
+// staleness counters are derived from them.
+func consistArm(o SweepOpts) func() (any, error) {
+	g := consistGrid
+	if o.Short {
 		g.users = 150
 	}
-	marshal := func() ([]byte, error) {
-		arm, err := runConsistArm(opts, g, proxy.Session)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(arm)
-	}
-	a, err := marshal()
-	if err != nil {
-		return err
-	}
-	b, err := marshal()
-	if err != nil {
-		return err
-	}
-	if string(a) != string(b) {
-		return fmt.Errorf("consist determinism: two runs of seed %d differ (%d vs %d bytes)", opts.Seed, len(a), len(b))
-	}
-	return nil
+	return func() (any, error) { return runConsistArm(o, g, proxy.Session) }
 }
 
 // RenderConsistency formats the A-CONSIST ablation for the terminal.

@@ -46,6 +46,9 @@ func runEncoded(run func() (any, error)) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(b) <= len("null") { // "{}", "[]", "null": nothing was exported to compare
+		return nil, fmt.Errorf("result %T encodes to %s: two runs would compare equal whatever they did", v, b)
+	}
 	if InjectNondeterminism {
 		//cloudrepl:allow-simrand deliberate self-test entropy: -determinism-inject must make the check fail
 		b = append(b, fmt.Sprintf("\ninjected-entropy: %d", rand.Int63())...)
@@ -70,45 +73,4 @@ func firstDivergence(a, b []byte) string {
 	}
 	return fmt.Sprintf("encodings agree on the first %d lines but differ in length: %d vs %d lines",
 		n, len(al), len(bl))
-}
-
-// PipelineDeterminism runs the A-PIPELINE ablation twice with the same
-// SweepOpts (hence the same seed schedule) and byte-compares the JSON the
-// bench would write. quick trims the grid to the corner points — two
-// variants, 1 and 4 slaves, two workloads — which exercises every pipeline
-// stage (group commit, batching, parallel apply) in a fraction of the time;
-// the full grid is the real A-PIPELINE sweep.
-func PipelineDeterminism(opts SweepOpts, quick bool) error {
-	variants := PipelineVariants()
-	slaveNums := []int{1, 2, 4}
-	userNums := []int{50, 100, 150, 200, 250, 300}
-	if quick {
-		variants = []PipelineVariant{variants[0], variants[len(variants)-1]}
-		slaveNums = []int{1, 4}
-		userNums = []int{50, 150}
-	}
-	return CheckDeterminism("A-PIPELINE", func() (any, error) {
-		r, err := ablationPipelineGrid(opts, variants, slaveNums, userNums)
-		if err != nil {
-			return nil, err
-		}
-		return PipelineJSON(r), nil
-	})
-}
-
-// TraceDeterminism runs the traced pipeline point twice with one seed and
-// byte-compares the Chrome trace export together with the metrics snapshot:
-// span IDs, virtual timestamps and registry values must all be identical
-// run to run, or tracing has leaked nondeterminism into the simulation.
-func TraceDeterminism(opts SweepOpts) error {
-	return CheckDeterminism("A-TRACE", func() (any, error) {
-		r, err := TraceRun(opts)
-		if err != nil {
-			return nil, err
-		}
-		return struct {
-			Trace   json.RawMessage    `json:"trace"`
-			Metrics map[string]float64 `json:"metrics"`
-		}{json.RawMessage(r.TraceJSON), r.Metrics}, nil
-	})
 }

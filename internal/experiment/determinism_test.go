@@ -47,16 +47,46 @@ func TestInjectNondeterminismFailsTheCheck(t *testing.T) {
 	}
 }
 
-// TestPipelineDeterminism is the regression guard for the repo's core
-// contract: the A-PIPELINE ablation (short protocol, corner grid) run twice
-// with one seed emits byte-identical JSON. Any global rand, wall-clock read
-// or unordered map range on the hot path breaks this test before it breaks
-// a figure.
-func TestPipelineDeterminism(t *testing.T) {
+// TestDeterminismArms is the regression guard for the repo's core contract,
+// and what `cloudrepl-bench -determinism -short` runs: every arm the registry
+// declares — the A-PIPELINE corner grid and traced point, the sharded tier
+// with a live split, the session tier, the cost-based planner, the sharded
+// runner serial vs parallel — twice with one seed must emit byte-identical
+// JSON. Any global rand, wall-clock read or unordered map range on the hot
+// path breaks this test before it breaks a figure.
+func TestDeterminismArms(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the corner-grid ablation twice; skipped in -short")
+		t.Skip("runs every determinism arm twice; skipped in -short")
 	}
-	if err := PipelineDeterminism(SweepOpts{Short: true, Seed: 42}, true); err != nil {
-		t.Fatal(err)
+	arms := 0
+	for _, e := range Registry {
+		for _, arm := range e.Arms {
+			e, arm := e, arm
+			arms++
+			t.Run(e.ID+"/"+arm.Name, func(t *testing.T) {
+				if err := CheckDeterminism(e.ID+"/"+arm.Name, arm.Build(SweepOpts{Short: true, Seed: 42})); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if arms == 0 {
+		t.Fatal("the registry declares no determinism arm")
+	}
+}
+
+// TestCheckDeterminismRejectsEmptyEncoding: a result that marshals to
+// nothing compares equal whatever happened inside the run. The A-SHARD arm
+// once marshalled a struct of unexported fields — "{}" twice, a check that
+// could not fail.
+func TestCheckDeterminismRejectsEmptyEncoding(t *testing.T) {
+	type opaque struct{ arm, split int }
+	n := 0
+	err := CheckDeterminism("opaque", func() (any, error) {
+		n++
+		return opaque{arm: n}, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "encodes to") {
+		t.Fatalf("an empty encoding passed the check: %v", err)
 	}
 }

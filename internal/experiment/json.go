@@ -109,7 +109,7 @@ func BalancersJSON(rows []BalancerResult) any {
 	}
 	var out []row
 	for _, r := range rows {
-		out = append(out, row{newRunRow(r.Res), r.Name, r.Res.MasterFallbacks})
+		out = append(out, row{newRunRow(r.Res), r.Name, r.Res.ProxyStats.MasterFallbacks})
 	}
 	return out
 }

@@ -202,24 +202,23 @@ func CheckKernelBaseline(path string, cur KernelBenchResult) error {
 	return nil
 }
 
-// KernelDeterminism is the sharded-runner arm of the determinism
-// sanitizer: the same small spec grid through RunShards twice — once
-// serial, once at full parallelism — byte-comparing the merged JSON. Any
-// cross-worker state leak or completion-order dependence shows up as a
-// byte difference.
-func KernelDeterminism(opts SweepOpts) error {
-	ramp, steady, down := opts.phases()
+// runShardsArm is the same small spec grid through RunShards, serial on one
+// call and at full parallelism on the next: any cross-worker state leak or
+// completion-order dependence shows up as a byte difference in the merged
+// rows.
+func runShardsArm(o SweepOpts) func() (any, error) {
+	ramp, steady, down := o.phases()
 	var specs []RunSpec
 	for i := 0; i < 4; i++ {
 		specs = append(specs, RunSpec{
-			Seed: opts.Seed + int64(i), Users: 50 + 25*i, Slaves: 1 + i%2,
+			Seed: o.Seed + int64(i), Users: 50 + 25*i, Slaves: 1 + i%2,
 			Scale: 300, ReadRatio: 0.5, Loc: SameZone,
 			RampUp: ramp, Steady: steady, RampDown: down,
 		})
 	}
 	parallelism := []int{1, 0} // serial first, then GOMAXPROCS
 	call := 0
-	return CheckDeterminism("KERNEL-SHARDS", func() (any, error) {
+	return func() (any, error) {
 		par := parallelism[call%len(parallelism)]
 		call++
 		results, err := RunShards(specs, par, nil)
@@ -231,5 +230,5 @@ func KernelDeterminism(opts SweepOpts) error {
 			rows[i] = newRunRow(r)
 		}
 		return rows, nil
-	})
+	}
 }

@@ -156,6 +156,28 @@ func ablationPipelineGrid(opts SweepOpts, variants []PipelineVariant, slaveNums,
 	return out, nil
 }
 
+// pipelineArm is A-PIPELINE's grid: the full one, or under o.Short its
+// corner points — two variants, 1 and 4 slaves, two workloads — which
+// exercise every pipeline stage (group commit, batching, parallel apply) in a
+// fraction of the time.
+func pipelineArm(o SweepOpts) func() (any, error) {
+	variants := PipelineVariants()
+	slaveNums := []int{1, 2, 4}
+	userNums := []int{50, 100, 150, 200, 250, 300}
+	if o.Short {
+		variants = []PipelineVariant{variants[0], variants[len(variants)-1]}
+		slaveNums = []int{1, 4}
+		userNums = []int{50, 150}
+	}
+	return func() (any, error) {
+		r, err := ablationPipelineGrid(o, variants, slaveNums, userNums)
+		if err != nil {
+			return nil, err
+		}
+		return PipelineJSON(r), nil
+	}
+}
+
 // Curve returns the curve for one variant × slave count (nil if absent).
 func (r *PipelineResult) Curve(variant string, slaves int) *PipelineCurve {
 	for i := range r.Curves {

@@ -51,14 +51,7 @@ type PlanResult struct {
 // read-heavy mix at the larger data size, loaded enough that the slaves
 // saturate — so per-read CPU (rows examined) converts directly into
 // end-to-end ops/s, which is where a better plan must show up.
-type planGrid struct {
-	users, slaves, scale int
-	readRatio            float64
-}
-
-func defaultPlanGrid() planGrid {
-	return planGrid{users: 150, slaves: 2, scale: 600, readRatio: 0.8}
-}
+var planGrid = grid{users: 150, slaves: 2, scale: 600, readRatio: 0.8}
 
 // AblationPlan measures what the cost-based planner buys end to end: the
 // same Cloudstone grid once with the default planner and once with every
@@ -68,7 +61,7 @@ func defaultPlanGrid() planGrid {
 // the selective index and index-nested-loops the children — the throughput
 // gap is that difference times the feed's share of the mix.
 func AblationPlan(opts SweepOpts) (PlanResult, error) {
-	g := defaultPlanGrid()
+	g := planGrid
 	out := PlanResult{Users: g.users, Slaves: g.slaves, Scale: g.scale, ReadRatio: g.readRatio}
 	for _, naive := range []bool{false, true} {
 		arm, err := runPlanArm(opts, g, naive)
@@ -85,17 +78,11 @@ func AblationPlan(opts SweepOpts) (PlanResult, error) {
 	return out, nil
 }
 
-// runPlanArm executes one planner mode on its own virtual timeline. Both
-// arms share one seed so the workload arrival pattern is identical and the
-// comparison is paired.
-func runPlanArm(opts SweepOpts, g planGrid, naive bool) (PlanArmResult, error) {
-	ramp, steady, down := opts.phases()
-	res, err := Run(RunSpec{
-		Seed: opts.Seed, Users: g.users, Slaves: g.slaves, Scale: g.scale,
-		ReadRatio: g.readRatio, Loc: SameZone, Mode: repl.Async,
-		NaivePlan: naive,
-		RampUp:    ramp, Steady: steady, RampDown: down,
-	})
+// runPlanArm executes one planner mode on its own virtual timeline.
+func runPlanArm(opts SweepOpts, g grid, naive bool) (PlanArmResult, error) {
+	spec := g.spec(opts)
+	spec.NaivePlan = naive
+	res, err := Run(spec)
 	name := "cost-based"
 	if naive {
 		name = "naive"
@@ -147,22 +134,15 @@ func planDecisionLog(seed int64, scale int, naive bool) (string, float64, error)
 	return p.Explain(), p.Cost(), nil
 }
 
-// PlanDeterminism runs the cost-based arm (the stateful planner: statistics
-// refresh, plan cache, epoch invalidation) twice from one seed and fails on
-// any byte difference in the marshalled result — the EXPLAIN decision log
-// included, since a drifting plan choice must surface as a byte diff.
-func PlanDeterminism(opts SweepOpts) error {
-	g := defaultPlanGrid()
-	if opts.Short {
+// planArm is the cost-based arm, the stateful planner: statistics refresh,
+// plan cache, epoch invalidation — the EXPLAIN decision log included, since a
+// drifting plan choice must surface as a byte diff.
+func planArm(o SweepOpts) func() (any, error) {
+	g := planGrid
+	if o.Short {
 		g.users = 75
 	}
-	return CheckDeterminism("A-PLAN", func() (any, error) {
-		arm, err := runPlanArm(opts, g, false)
-		if err != nil {
-			return nil, err
-		}
-		return arm, nil
-	})
+	return func() (any, error) { return runPlanArm(o, g, false) }
 }
 
 // RenderPlan formats the A-PLAN ablation for the terminal.

@@ -164,10 +164,6 @@ type RunResult struct {
 	LatencyMsMean      float64
 	WriteLatencyMsMean float64
 
-	// MasterFallbacks counts reads served by the master (staleness-bounded
-	// balancer only).
-	MasterFallbacks uint64
-
 	// LagSeries samples each slave's events-behind-master every 15 virtual
 	// seconds across the whole run — the backlog growth curve behind
 	// Figs. 5/6.
@@ -204,6 +200,18 @@ type RunResult struct {
 	// KernelEvents counts the simulation-kernel events the run dispatched —
 	// the denominator for the kernel-speed benchmark (BENCH_kernel.json).
 	KernelEvents uint64
+}
+
+// startNTP has every instance discipline its clock with NTP against four
+// time servers every second, the paper's recommended configuration.
+func startNTP(env *sim.Env, c *cloud.Cloud) {
+	for _, inst := range c.Instances() {
+		bias := time.Duration(env.Rand().NormFloat64() * float64(1650*time.Microsecond))
+		vclock.StartDaemon(env, inst.Name+"/ntp", inst.Clock, vclock.NTPConfig{
+			Interval: time.Second, Bias: bias,
+			JitterSigma: 600 * time.Microsecond, Servers: 4,
+		})
+	}
 }
 
 // Run executes one experiment point on its own simulation environment.
@@ -247,22 +255,8 @@ func Run(spec RunSpec) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiment: %w", err)
 	}
 
-	// Every instance disciplines its clock with NTP against multiple time
-	// servers every second, the paper's recommended configuration.
-	for _, inst := range c.Instances() {
-		bias := time.Duration(env.Rand().NormFloat64() * float64(1650*time.Microsecond))
-		vclock.StartDaemon(env, inst.Name+"/ntp", inst.Clock, vclock.NTPConfig{
-			Interval:    time.Second,
-			Bias:        bias,
-			JitterSigma: 600 * time.Microsecond,
-			Servers:     4,
-		})
-	}
+	startNTP(env, c)
 
-	var balancer proxy.Balancer
-	if spec.Balancer != nil {
-		balancer = spec.Balancer()
-	}
 	var tracer *obs.Tracer
 	if spec.Trace {
 		tracer = obs.NewTracer(env)
@@ -270,12 +264,10 @@ func Run(spec RunSpec) (RunResult, error) {
 	coreOpts := []core.Option{
 		core.WithDatabase(cloudstone.DatabaseName),
 		core.WithClientPlace(MasterPlacement),
-		core.WithBalancer(balancer),
+		core.WithBalancer(spec.Balancer),
 		core.WithConsistency(spec.Consistency),
+		core.WithMaxStaleEvents(spec.MaxStaleEvents),
 		core.WithPool(pool.Config{MaxActive: spec.Users + 8, MaxIdle: spec.Users + 8}),
-	}
-	if spec.MaxStaleEvents > 0 {
-		coreOpts = append(coreOpts, core.WithMaxStaleEvents(spec.MaxStaleEvents))
 	}
 	if spec.Retry != nil {
 		coreOpts = append(coreOpts, core.WithRetryPolicy(*spec.Retry))
@@ -365,7 +357,6 @@ func Run(spec RunSpec) (RunResult, error) {
 	res.Errors = dres.Errors
 	res.LatencyMsMean = dres.Latency.Mean
 	res.WriteLatencyMsMean = dres.WriteLatency.Mean
-	res.MasterFallbacks = db.Proxy().Stats().MasterFallbacks
 
 	ids := hb.IDsInWindow(steadyFrom, steadyTo)
 	if len(ids) > 0 {

@@ -3,6 +3,8 @@ package experiment
 import (
 	"fmt"
 	"time"
+
+	"cloudrepl/internal/repl"
 )
 
 // SweepOpts controls a figure sweep.
@@ -24,6 +26,23 @@ func (o SweepOpts) phases() (ramp, steady, down time.Duration) {
 		return 2 * time.Minute, 5 * time.Minute, 1 * time.Minute
 	}
 	return 10 * time.Minute, 20 * time.Minute, 5 * time.Minute
+}
+
+// grid is one parameter point the arms of an ablation share: every arm runs
+// it in the same zone under async replication from one seed, so the workload
+// arrival pattern is identical across arms and the comparison is paired.
+type grid struct {
+	users, slaves, scale int
+	readRatio            float64
+}
+
+func (g grid) spec(o SweepOpts) RunSpec {
+	ramp, steady, down := o.phases()
+	return RunSpec{
+		Seed: o.Seed, Users: g.users, Slaves: g.slaves, Scale: g.scale,
+		ReadRatio: g.readRatio, Loc: SameZone, Mode: repl.Async,
+		RampUp: ramp, Steady: steady, RampDown: down,
+	}
 }
 
 // Key identifies a sweep point.

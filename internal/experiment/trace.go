@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"time"
 
 	"cloudrepl/internal/repl"
@@ -29,4 +30,21 @@ func TraceRun(opts SweepOpts) (RunResult, error) {
 		Pipeline:  pc,
 		Trace:     true,
 	})
+}
+
+// traceArm is the traced pipeline point: the Chrome trace export together
+// with the metrics snapshot. Span IDs, virtual timestamps and registry values
+// must all be identical run to run, or tracing has leaked nondeterminism into
+// the simulation.
+func traceArm(o SweepOpts) func() (any, error) {
+	return func() (any, error) {
+		r, err := TraceRun(o)
+		if err != nil {
+			return nil, err
+		}
+		return struct {
+			Trace   json.RawMessage    `json:"trace"`
+			Metrics map[string]float64 `json:"metrics"`
+		}{json.RawMessage(r.TraceJSON), r.Metrics}, nil
+	}
 }

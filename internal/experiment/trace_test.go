@@ -1,48 +1,10 @@
 package experiment
 
 import (
-	"bytes"
-	"sort"
 	"testing"
 
 	"cloudrepl/internal/obs"
 )
-
-// TestTraceDeterminism runs the traced pipeline point twice with one seed
-// and byte-compares the exported trace files — the -trace acceptance
-// criterion: span IDs, timestamps and ordering must be identical run to
-// run. The metrics snapshots must agree too.
-func TestTraceDeterminism(t *testing.T) {
-	opts := SweepOpts{Seed: 5}
-	r1, err := TraceRun(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := TraceRun(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.TraceJSON) == 0 {
-		t.Fatal("traced run produced no trace")
-	}
-	if !bytes.Equal(r1.TraceJSON, r2.TraceJSON) {
-		t.Fatalf("same-seed trace files differ\n%s", firstDivergence(r1.TraceJSON, r2.TraceJSON))
-	}
-
-	var keys []string
-	for k := range r1.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if r1.Metrics[k] != r2.Metrics[k] {
-			t.Errorf("metric %s differs across same-seed runs: %v vs %v", k, r1.Metrics[k], r2.Metrics[k])
-		}
-	}
-	if len(r2.Metrics) != len(r1.Metrics) {
-		t.Errorf("metric sets differ in size: %d vs %d", len(r1.Metrics), len(r2.Metrics))
-	}
-}
 
 // TestTraceCoversWholePipeline parses a traced run and checks the tentpole
 // invariant: every pipeline stage produced spans, and at least one write's

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 	"time"
 )
@@ -68,54 +67,6 @@ func (w *WindowedRate) Rate() float64 {
 	}
 	return (last.V - first.V) / span
 }
-
-// EWMA is an exponentially weighted moving average over irregularly spaced
-// observations: each update decays the previous average by
-// 2^(-Δt/halfLife), so a sample a full half-life old contributes half as
-// much as a fresh one regardless of the sampling cadence.
-type EWMA struct {
-	halfLife time.Duration
-	value    float64
-	weight   float64 // total decayed weight; 0 = no samples yet
-	lastT    time.Duration
-}
-
-// NewEWMA creates an average with the given half-life. A non-positive
-// half-life defaults to 30 s.
-func NewEWMA(halfLife time.Duration) *EWMA {
-	if halfLife <= 0 {
-		halfLife = 30 * time.Second
-	}
-	return &EWMA{halfLife: halfLife}
-}
-
-// Observe folds the sample v at virtual time t into the average.
-// Observations must arrive in non-decreasing time order.
-func (e *EWMA) Observe(t time.Duration, v float64) {
-	if e.weight > 0 {
-		dt := t - e.lastT
-		if dt < 0 {
-			dt = 0
-		}
-		decay := math.Exp2(-float64(dt) / float64(e.halfLife))
-		e.value *= decay
-		e.weight *= decay
-	}
-	e.value += v
-	e.weight++
-	e.lastT = t
-}
-
-// Value returns the current weighted average (0 before any observation).
-func (e *EWMA) Value() float64 {
-	if e.weight == 0 {
-		return 0
-	}
-	return e.value / e.weight
-}
-
-// N reports whether the average has seen at least one sample.
-func (e *EWMA) N() float64 { return e.weight }
 
 // RollingWindow keeps the samples observed during a trailing window of the
 // virtual timeline and answers order statistics over them — the elastic

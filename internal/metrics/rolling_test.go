@@ -80,67 +80,6 @@ func TestWindowedRateSubdivisionInvariance(t *testing.T) {
 	}
 }
 
-func TestEWMAConstantSeries(t *testing.T) {
-	e := NewEWMA(30 * time.Second)
-	for i := 0; i < 100; i++ {
-		e.Observe(time.Duration(i)*time.Second, 42)
-	}
-	if got := e.Value(); math.Abs(got-42) > 1e-9 {
-		t.Fatalf("EWMA of constant 42 = %v", got)
-	}
-}
-
-func TestEWMAConvergesToNewLevel(t *testing.T) {
-	e := NewEWMA(10 * time.Second)
-	for i := 0; i < 60; i++ {
-		e.Observe(time.Duration(i)*time.Second, 0)
-	}
-	for i := 60; i < 180; i++ {
-		e.Observe(time.Duration(i)*time.Second, 100)
-	}
-	// 120 s = 12 half-lives after the step: the old level's weight is
-	// ~2^-12, so the average must be within a fraction of a percent of 100.
-	if got := e.Value(); got < 99 || got > 100 {
-		t.Fatalf("EWMA after step = %v, want ≈100", got)
-	}
-}
-
-func TestEWMARecentSamplesDominate(t *testing.T) {
-	slow := NewEWMA(10 * time.Minute)
-	fast := NewEWMA(5 * time.Second)
-	for i := 0; i < 100; i++ {
-		slow.Observe(time.Duration(i)*time.Second, 10)
-		fast.Observe(time.Duration(i)*time.Second, 10)
-	}
-	slow.Observe(101*time.Second, 1000)
-	fast.Observe(101*time.Second, 1000)
-	if fast.Value() <= slow.Value() {
-		t.Fatalf("short half-life (%v) should track the spike harder than long (%v)",
-			fast.Value(), slow.Value())
-	}
-}
-
-// Property: an EWMA is a convex combination of its inputs, so it is bounded
-// by their min and max for any observation times.
-func TestEWMABoundedByInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
-		e := NewEWMA(time.Duration(1+rng.Intn(60)) * time.Second)
-		min, max := math.Inf(1), math.Inf(-1)
-		tm := time.Duration(0)
-		for i := 0; i < 200; i++ {
-			tm += time.Duration(rng.Intn(10000)) * time.Millisecond
-			v := rng.NormFloat64() * 50
-			min = math.Min(min, v)
-			max = math.Max(max, v)
-			e.Observe(tm, v)
-			if got := e.Value(); got < min-1e-9 || got > max+1e-9 {
-				t.Fatalf("trial %d: EWMA %v outside [%v, %v]", trial, got, min, max)
-			}
-		}
-	}
-}
-
 func TestRollingWindowEvictsOldSamples(t *testing.T) {
 	r := NewRollingWindow(time.Minute)
 	for i := 0; i < 120; i++ {

@@ -67,15 +67,6 @@ func (t Token) Max(o Token) Token {
 	return t
 }
 
-// tier resolves the proxy's effective consistency tier; the legacy
-// ReadYourWrites flag maps onto Session when no explicit tier is set.
-func (px *Proxy) tier() Consistency {
-	if px.Consistency == Eventual && px.ReadYourWrites {
-		return Session
-	}
-	return px.Consistency
-}
-
 // staleBound resolves the Bounded tier's event bound, applying the default
 // when unset.
 func (px *Proxy) staleBound() uint64 {

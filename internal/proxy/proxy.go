@@ -2,8 +2,8 @@
 // style of MySQL Connector/J's load-balancing driver, the routing component
 // of the paper's customized Cloudstone stack: every write statement goes to
 // the master, every read is distributed over the slave replicas by a
-// pluggable balancer. A staleness-bounded balancer (the paper's suggested
-// "smart load balancer" future work) is included.
+// pluggable balancer, among the backends the consistency tier admits (the
+// Bounded tier is the paper's suggested "smart load balancer" future work).
 package proxy
 
 import (
@@ -34,11 +34,6 @@ var ErrStatementTimeout = errors.New("proxy: statement timed out")
 // same cell can never succeed. The shard router handles it by refreshing
 // its map snapshot and re-routing to the current owner.
 var ErrWrongShard = errors.New("proxy: statement not owned by this shard cell")
-
-// ErrNotOwner is the ownership-check failure, under the name the shard
-// router's retry-after-refresh path matches on. It is the same sentinel as
-// ErrWrongShard, so errors.Is works with either.
-var ErrNotOwner = ErrWrongShard
 
 // PickContext is what a Balancer sees when routing one read.
 type PickContext struct {
@@ -146,57 +141,11 @@ func pickTie(ctx *PickContext, ties []*repl.Slave) *repl.Slave {
 // Name implements Balancer.
 func (LeastLag) Name() string { return "least-lag" }
 
-// DefaultMaxEventsBehind is the staleness bound applied when a
-// StalenessBounded balancer (or a Bounded-tier proxy) leaves its bound
-// unset: roughly the backlog a healthy zone-local slave clears within a
-// heartbeat interval, loose enough to keep reads off the master.
+// DefaultMaxEventsBehind is the staleness bound a Bounded-tier proxy applies
+// when MaxStaleEvents is left unset: roughly the backlog a healthy zone-local
+// slave clears within a heartbeat interval, loose enough to keep reads off
+// the master.
 const DefaultMaxEventsBehind = 64
-
-// StalenessBounded serves reads only from slaves within MaxEventsBehind of
-// the master, round-robin among them; when none qualify the read falls back
-// to the master — bounding the client-visible staleness window at the cost
-// of master load. This is the "smart load balancer" the paper's §IV-B
-// suggests for geo-replication.
-type StalenessBounded struct {
-	// MaxEventsBehind is the staleness bound in binlog events. Zero means
-	// "unset" and applies DefaultMaxEventsBehind: the zero value used to
-	// mean literally zero events behind, which under write load silently
-	// disqualified every slave and degenerated to master-only reads. Set
-	// Strict to get the literal-zero behaviour.
-	MaxEventsBehind uint64
-	// Strict makes a zero MaxEventsBehind mean exactly that — only fully
-	// caught-up slaves qualify — instead of the default bound.
-	Strict bool
-	next   int
-}
-
-// bound resolves the effective staleness bound.
-func (b *StalenessBounded) bound() uint64 {
-	if b.MaxEventsBehind == 0 && !b.Strict {
-		return DefaultMaxEventsBehind
-	}
-	return b.MaxEventsBehind
-}
-
-// Pick implements Balancer.
-func (b *StalenessBounded) Pick(ctx *PickContext) *repl.Slave {
-	max := b.bound()
-	var fresh []*repl.Slave
-	for _, sl := range ctx.Slaves {
-		if sl.EventsBehindMaster() <= max {
-			fresh = append(fresh, sl)
-		}
-	}
-	if len(fresh) == 0 {
-		return nil // master fallback
-	}
-	sl := fresh[b.next%len(fresh)]
-	b.next++
-	return sl
-}
-
-// Name implements Balancer.
-func (b *StalenessBounded) Name() string { return "staleness-bounded" }
 
 // Stats counts proxy routing decisions and robustness outcomes.
 type Stats struct {
@@ -228,6 +177,31 @@ type Stats struct {
 	StaleEventsObserved uint64
 	RYWChecked          uint64
 	RYWCompliant        uint64
+}
+
+// Add accumulates o into s, field by field — how a handle fronting several
+// cells reports one proxy total. TestStatsAddCoversEveryField fails when a
+// counter is added to the struct and not here.
+func (s *Stats) Add(o Stats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.MasterFallbacks += o.MasterFallbacks
+	s.Errors += o.Errors
+	s.Retries += o.Retries
+	s.Timeouts += o.Timeouts
+	s.SlaveEvictions += o.SlaveEvictions
+	s.SlaveReadmissions += o.SlaveReadmissions
+	s.Failovers += o.Failovers
+	s.DegradedCommits += o.DegradedCommits
+	s.WrongShard += o.WrongShard
+	s.EventualReads += o.EventualReads
+	s.BoundedReads += o.BoundedReads
+	s.SessionReads += o.SessionReads
+	s.StrongReads += o.StrongReads
+	s.EpochFallbacks += o.EpochFallbacks
+	s.StaleEventsObserved += o.StaleEventsObserved
+	s.RYWChecked += o.RYWChecked
+	s.RYWCompliant += o.RYWCompliant
 }
 
 // RetryPolicy configures client-side robustness: bounded retries with
@@ -333,21 +307,14 @@ type Proxy struct {
 	// events; zero applies DefaultMaxEventsBehind.
 	MaxStaleEvents uint64
 
-	// ReadYourWrites enables session consistency: after a connection
-	// writes, its reads are only served by slaves that have applied that
-	// write (falling back to the master when none has) — so a user always
-	// sees their own updates without bounding global staleness. Equivalent
-	// to Consistency = Session; kept for compatibility.
-	ReadYourWrites bool
-
-	// Retry configures client-side robustness; the zero value preserves
-	// the legacy single-attempt behaviour.
+	// Retry configures client-side robustness; the zero value is a single
+	// attempt per statement.
 	Retry RetryPolicy
 
 	// OnMasterFailure, when set together with Retry.FailoverOnMasterDown,
 	// is invoked (at most once per dead master) when a statement finds the
 	// master down; it should promote a replica and return the new master.
-	// core.Open wires it to cluster.Failover.
+	// shard.Routing.Proxy wires it to the cluster's Failover.
 	OnMasterFailure func(p *sim.Proc) (*repl.Master, error)
 
 	// Tracer, when set, records a "proxy" route span per statement and one
@@ -633,7 +600,7 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 		// The consistency tier filters which backends qualify; the balancer
 		// then picks among the qualifiers. An empty candidate set falls back
 		// to the master below.
-		tier := px.tier()
+		tier := px.Consistency
 		candidates := c.readCandidates(p, tier)
 		var sl *repl.Slave
 		if tier != Strong {

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -218,14 +219,20 @@ func TestLeastLagPrefersFreshSlave(t *testing.T) {
 	env.Shutdown()
 }
 
+// TestStalenessBoundedFallsBackToMaster: under the Bounded tier a slave
+// further behind than MaxStaleEvents serves nothing; the read goes to the
+// master and sees every write.
 func TestStalenessBoundedFallsBackToMaster(t *testing.T) {
-	env, px := topo(t, 7, 1, &StalenessBounded{Strict: true})
+	env, px := topo(t, 7, 1, &RoundRobin{})
+	px.Consistency, px.MaxStaleEvents = Bounded, 2
 	slaves := px.Master().Slaves()
 	slaves[0].Stop() // slave will lag forever
 	conn := px.Connect("app")
 	var fellBack bool
 	env.Go("client", func(p *sim.Proc) {
-		conn.Exec(p, "INSERT INTO t (id, v) VALUES (1, 'x')")
+		for i := 1; i <= 3; i++ { // one more event than the bound admits
+			conn.Exec(p, "INSERT INTO t (id, v) VALUES (?, 'x')", sqlengine.NewInt(int64(i)))
+		}
 		p.Sleep(5 * time.Second)
 		res, err := conn.Exec(p, "SELECT COUNT(*) FROM t")
 		if err != nil {
@@ -233,16 +240,16 @@ func TestStalenessBoundedFallsBackToMaster(t *testing.T) {
 			return
 		}
 		fellBack = res.OnMaster
-		if res.Result.Set.Rows[0][0].Int() != 1 {
-			t.Error("staleness-bounded read returned stale data")
+		if res.Result.Set.Rows[0][0].Int() != 3 {
+			t.Error("bounded-tier read returned stale data")
 		}
 	})
 	env.RunUntil(time.Minute)
 	if !fellBack {
 		t.Fatal("read should have fallen back to the master")
 	}
-	if px.Stats().MasterFallbacks != 1 {
-		t.Fatalf("stats: %+v", px.Stats())
+	if st := px.Stats(); st.MasterFallbacks != 1 || st.BoundedReads != 1 {
+		t.Fatalf("stats: %+v", st)
 	}
 	env.Stop()
 	env.Shutdown()
@@ -303,11 +310,10 @@ func TestNetworkRoundTripInLatency(t *testing.T) {
 
 func TestBalancerNames(t *testing.T) {
 	cases := map[string]Balancer{
-		"round-robin":       &RoundRobin{},
-		"random":            Random{},
-		"least-conn":        LeastConn{},
-		"least-lag":         LeastLag{},
-		"staleness-bounded": &StalenessBounded{},
+		"round-robin": &RoundRobin{},
+		"random":      Random{},
+		"least-conn":  LeastConn{},
+		"least-lag":   LeastLag{},
 	}
 	for want, b := range cases {
 		if b.Name() != want {
@@ -332,11 +338,13 @@ func TestQueryRejectsNonSelect(t *testing.T) {
 // TestMonotonicReadViolations reproduces the consumer-observed consistency
 // phenomenon of the authors' earlier CIDR work (cited as the paper's
 // motivation): with round-robin reads over unevenly-lagged slaves, a
-// client can read an older value after a newer one; the staleness-bounded
-// balancer eliminates the regressions.
+// client can read an older value after a newer one; the Session tier — this
+// connection is the only writer, so its own newest write is the newest
+// write — eliminates the regressions.
 func TestMonotonicReadViolations(t *testing.T) {
-	run := func(balancer Balancer) int {
-		env, px := topo(t, 42, 2, balancer)
+	run := func(tier Consistency) int {
+		env, px := topo(t, 42, 2, &RoundRobin{})
+		px.Consistency = tier
 		// Pin one slave's CPU with competing work so its applier lags far
 		// behind the other slave's.
 		slow := px.Master().Slaves()[1].Srv
@@ -369,13 +377,11 @@ func TestMonotonicReadViolations(t *testing.T) {
 		env.Shutdown()
 		return violations
 	}
-	rr := run(&RoundRobin{})
-	if rr == 0 {
+	if run(Eventual) == 0 {
 		t.Fatal("round-robin over unevenly lagged slaves showed no monotonic-read violations")
 	}
-	sb := run(&StalenessBounded{Strict: true})
-	if sb != 0 {
-		t.Fatalf("staleness-bounded balancer still produced %d violations", sb)
+	if n := run(Session); n != 0 {
+		t.Fatalf("session tier still produced %d violations", n)
 	}
 }
 
@@ -403,7 +409,7 @@ func TestBackendDyingMidFlightReturnsError(t *testing.T) {
 // slaves lag; other connections' reads still balance freely.
 func TestReadYourWritesSessionConsistency(t *testing.T) {
 	env, px := topo(t, 12, 2, &RoundRobin{})
-	px.ReadYourWrites = true
+	px.Consistency = Session
 	// Freeze both appliers so every slave lags behind the writes.
 	for _, sl := range px.Master().Slaves() {
 		sl.Stop()
@@ -440,7 +446,7 @@ func TestReadYourWritesSessionConsistency(t *testing.T) {
 // the same connection's reads return to the slaves.
 func TestReadYourWritesReleasesAfterCatchUp(t *testing.T) {
 	env, px := topo(t, 13, 2, &RoundRobin{})
-	px.ReadYourWrites = true
+	px.Consistency = Session
 	conn := px.Connect("app")
 	env.Go("client", func(p *sim.Proc) {
 		conn.Exec(p, "INSERT INTO t (id, v) VALUES (1, 'x')")
@@ -466,7 +472,7 @@ func TestReadYourWritesReleasesAfterCatchUp(t *testing.T) {
 // reading from slaves even when they lag (session, not global, consistency).
 func TestFreshConnectionUnaffectedByRYW(t *testing.T) {
 	env, px := topo(t, 14, 1, &RoundRobin{})
-	px.ReadYourWrites = true
+	px.Consistency = Session
 	px.Master().Slaves()[0].Stop()
 	writer := px.Connect("app")
 	reader := px.Connect("app")
@@ -579,12 +585,14 @@ func TestRYWTokenSurvivesFailover(t *testing.T) {
 	env.Shutdown()
 }
 
-// TestStalenessBoundedZeroValueServesSlaves: the zero value used to mean
-// "zero events behind", which under any write load disqualified every slave
-// and silently degenerated to master-only reads. Unset now means the
-// default bound: a mildly lagging slave keeps serving.
+// TestStalenessBoundedZeroValueServesSlaves: a Bounded tier whose
+// MaxStaleEvents is left at zero must not mean "zero events behind", which
+// under any write load disqualifies every slave and silently degenerates to
+// master-only reads. Unset means the default bound: a mildly lagging slave
+// keeps serving.
 func TestStalenessBoundedZeroValueServesSlaves(t *testing.T) {
-	env, px := topo(t, 33, 1, &StalenessBounded{})
+	env, px := topo(t, 33, 1, &RoundRobin{})
+	px.Consistency = Bounded
 	slow := px.Master().Slaves()[0].Srv
 	for h := 0; h < 2; h++ {
 		env.Go("hog", func(p *sim.Proc) {
@@ -612,10 +620,33 @@ func TestStalenessBoundedZeroValueServesSlaves(t *testing.T) {
 			return
 		}
 		if res.OnMaster {
-			t.Error("zero-value StalenessBounded degenerated to a master read")
+			t.Error("Bounded tier with an unset bound degenerated to a master read")
 		}
 	})
 	env.RunUntil(time.Minute)
 	env.Stop()
 	env.Shutdown()
+}
+
+// TestStatsAddCoversEveryField fills two Stats with 1 in every numeric field,
+// adds them, and fails on any field that is not 2 — a counter added to the
+// struct and forgotten in Add would silently vanish from every sharded
+// handle's totals.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var a, b Stats
+	for _, v := range []reflect.Value{reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Kind() != reflect.Uint64 {
+				t.Fatalf("Stats.%s is %s: teach this test (and Add) the new kind", v.Type().Field(i).Name, v.Field(i).Kind())
+			}
+			v.Field(i).SetUint(1)
+		}
+	}
+	a.Add(b)
+	v := reflect.ValueOf(a)
+	for i := 0; i < v.NumField(); i++ {
+		if got := v.Field(i).Uint(); got != 2 {
+			t.Errorf("Stats.Add drops %s: 1 + 1 = %d", v.Type().Field(i).Name, got)
+		}
+	}
 }

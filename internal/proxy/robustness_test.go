@@ -309,7 +309,7 @@ func TestNoFailoverWithoutPolicy(t *testing.T) {
 // via the master fallback.
 func TestReadYourWritesAllStaleFallsBackToMaster(t *testing.T) {
 	env, px := topo(t, 29, 2, &RoundRobin{})
-	px.ReadYourWrites = true
+	px.Consistency = Session
 	for _, sl := range px.Master().Slaves() {
 		sl.Srv.Inst.Terminate()
 	}

@@ -19,7 +19,7 @@ func TestWrongShardNotRetried(t *testing.T) {
 	checks := 0
 	px.CheckOwner = func(sql string, args []sqlengine.Value) error {
 		checks++
-		return ErrNotOwner // the shard alias; must satisfy errors.Is(ErrWrongShard)
+		return ErrWrongShard
 	}
 	conn := px.Connect("app")
 

@@ -141,22 +141,9 @@ func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int)
 				for !st.applied(it.dep) {
 					st.doneSig.Wait(p)
 				}
-				// Park across a crash, like the single-threaded applier.
-				sl.Srv.Inst.AwaitUp(p)
-				if sl.stopped {
+				if !m.applyEntry(p, sl, sess, it.e) {
 					return
 				}
-				asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(it.e.Seq))
-				asp.SetAttr("slave", sl.Srv.Name)
-				asp.SetAttrInt("seq", int64(it.e.Seq))
-				if err := sl.Srv.Apply(p, sess, it.e); err != nil {
-					sl.applyErrs++
-					asp.SetAttr("error", "apply")
-				}
-				asp.End(p)
-				// AdvanceVersion is a monotone max, so out-of-order worker
-				// completion still converges on the master's commit order.
-				sl.Srv.Eng.AdvanceVersion(it.e.Seq)
 				st.complete(it.e, p.Now())
 				if m.Mode == Sync {
 					// Ack the low-water mark: it is what "applied" means

@@ -22,6 +22,7 @@ import (
 	"cloudrepl/internal/obs"
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
+	"cloudrepl/internal/sqlengine"
 )
 
 // Mode selects the synchronization model.
@@ -406,24 +407,9 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 			if !ok {
 				return
 			}
-			// Park across a crash; re-apply resumes from the relay log when
-			// the instance comes back (the database layer retains state).
-			sl.Srv.Inst.AwaitUp(p)
-			if sl.stopped {
+			if !m.applyEntry(p, sl, sess, e) {
 				return
 			}
-			asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(e.Seq))
-			asp.SetAttr("slave", sl.Srv.Name)
-			asp.SetAttrInt("seq", int64(e.Seq))
-			if err := sl.Srv.Apply(p, sess, e); err != nil {
-				sl.applyErrs++
-				asp.SetAttr("error", "apply")
-			}
-			asp.End(p)
-			// Replica MVCC stamps track master commit order: every applied
-			// binlog sequence raises the engine's commit version, so
-			// snapshots taken from a replica carry comparable versions.
-			sl.Srv.Eng.AdvanceVersion(e.Seq)
 			sl.appliedSeq = e.Seq
 			sl.appliedTs = e.TimestampMicros
 			sl.appliedAt = p.Now()
@@ -432,6 +418,32 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 			}
 		}
 	})
+}
+
+// applyEntry is the body the single applier and the K-worker applier share;
+// they differ only in how entries reach it and how AppliedSeq advances after
+// it. It parks across a crash (re-apply resumes from the relay log when the
+// instance comes back: the database layer retains state), replays e under an
+// "apply" span linked to the write that logged it, counts a failed replay,
+// and raises the engine's commit version to e's sequence — replica MVCC
+// stamps track master commit order, and the raise is a monotone max, so
+// out-of-order workers still converge on it. It reports false, with e not
+// applied, once the slave has been stopped.
+func (m *Master) applyEntry(p *sim.Proc, sl *Slave, sess *sqlengine.Session, e binlog.Entry) bool {
+	sl.Srv.Inst.AwaitUp(p)
+	if sl.stopped {
+		return false
+	}
+	asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(e.Seq))
+	asp.SetAttr("slave", sl.Srv.Name)
+	asp.SetAttrInt("seq", int64(e.Seq))
+	if err := sl.Srv.Apply(p, sess, e); err != nil {
+		sl.applyErrs++
+		asp.SetAttr("error", "apply")
+	}
+	asp.End(p)
+	sl.Srv.Eng.AdvanceVersion(e.Seq)
+	return true
 }
 
 // Detach removes a slave from the replication topology and stops its

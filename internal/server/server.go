@@ -349,32 +349,18 @@ func (s *DBServer) Apply(p *sim.Proc, sess *sqlengine.Session, e binlog.Entry) e
 	return nil
 }
 
-// DumpWork charges the master CPU for shipping one binlog event to a slave.
-func (s *DBServer) DumpWork(p *sim.Proc) {
-	s.Inst.Work(p, s.Cost.DumpPerEvent)
-}
-
 // DumpBatchWork charges the master CPU for shipping a batch of n binlog
 // events in one network transit: the first event pays the full per-event
 // cost (connection handling, packet assembly), each additional one only the
-// batched marginal cost. n=1 is cost-identical to DumpWork.
+// batched marginal cost; a batch of one costs exactly DumpPerEvent.
 func (s *DBServer) DumpBatchWork(p *sim.Proc, n int) {
 	s.Inst.Work(p, batchCost(s.Cost.DumpPerEvent, s.Cost.DumpPerEntryBatched, n))
 }
 
-// RelayWork charges the slave CPU for persisting one event to its relay
-// log. PriorityApply covers the whole replication pipeline, so the I/O
-// thread is prioritized together with the SQL thread.
-func (s *DBServer) RelayWork(p *sim.Proc) {
-	if s.PriorityApply {
-		s.Inst.WorkHigh(p, s.Cost.RelayPerEvent)
-		return
-	}
-	s.Inst.Work(p, s.Cost.RelayPerEvent)
-}
-
 // RelayBatchWork is DumpBatchWork's slave-side counterpart: one relay-log
-// write for the whole received batch.
+// write for the whole received batch. PriorityApply covers the whole
+// replication pipeline, so the I/O thread is prioritized together with the
+// SQL thread.
 func (s *DBServer) RelayBatchWork(p *sim.Proc, n int) {
 	cost := batchCost(s.Cost.RelayPerEvent, s.Cost.RelayPerEntryBatched, n)
 	if s.PriorityApply {

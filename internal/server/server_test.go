@@ -220,8 +220,8 @@ func TestDumpAndRelayWorkChargeCPU(t *testing.T) {
 	env, srv := newTestServer(t, 5)
 	var after sim.Time
 	env.Go("threads", func(p *sim.Proc) {
-		srv.DumpWork(p)
-		srv.RelayWork(p)
+		srv.DumpBatchWork(p, 1)
+		srv.RelayBatchWork(p, 1)
 		after = p.Now()
 	})
 	env.Run()
@@ -375,27 +375,21 @@ func TestGroupCommitSkipsExplicitTransactions(t *testing.T) {
 // unconfigured pipeline cannot change baseline timing.
 func TestBatchWorkOfOneMatchesPerEvent(t *testing.T) {
 	env, srv := newTestServer(t, 1)
-	var tDump, tBatch, tRelay, tRelayBatch sim.Time
+	var tBatch, tRelayBatch sim.Time
 	env.Go("seq", func(p *sim.Proc) {
 		start := p.Now()
-		srv.DumpWork(p)
-		tDump = p.Now() - start
-		start = p.Now()
 		srv.DumpBatchWork(p, 1)
 		tBatch = p.Now() - start
-		start = p.Now()
-		srv.RelayWork(p)
-		tRelay = p.Now() - start
 		start = p.Now()
 		srv.RelayBatchWork(p, 1)
 		tRelayBatch = p.Now() - start
 	})
 	env.Run()
-	if tDump != tBatch {
-		t.Fatalf("DumpBatchWork(1) = %v, DumpWork = %v", tBatch, tDump)
+	if tBatch != srv.Cost.DumpPerEvent {
+		t.Fatalf("DumpBatchWork(1) = %v, DumpPerEvent = %v", tBatch, srv.Cost.DumpPerEvent)
 	}
-	if tRelay != tRelayBatch {
-		t.Fatalf("RelayBatchWork(1) = %v, RelayWork = %v", tRelayBatch, tRelay)
+	if tRelayBatch != srv.Cost.RelayPerEvent {
+		t.Fatalf("RelayBatchWork(1) = %v, RelayPerEvent = %v", tRelayBatch, srv.Cost.RelayPerEvent)
 	}
 }
 
@@ -410,7 +404,7 @@ func TestBatchWorkAmortizes(t *testing.T) {
 		tBatch = p.Now() - start
 		start = p.Now()
 		for i := 0; i < n; i++ {
-			srv.DumpWork(p)
+			srv.DumpBatchWork(p, 1)
 		}
 		tSingles = p.Now() - start
 	})

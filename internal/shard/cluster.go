@@ -38,28 +38,59 @@ type Config struct {
 	// predicate: the cell loads exactly the rows it owns (plus global
 	// tables, for which owns always reports true).
 	PartitionedPreload func(owns func(table string, key int64) bool) func(srv *server.DBServer) error
-	// ClientPlace locates the client tier for every cell proxy.
+	// Routing wires every cell's proxy.
+	Routing Routing
+}
+
+// Routing is the client-side half of a (cluster, proxy) cell: where the
+// clients sit and how the proxy picks a backend for them. It is the one
+// place a proxy is wired onto a cluster — core.Open builds its single cell
+// from it, New and Split every cell of a sharded tier.
+type Routing struct {
+	// ClientPlace locates the client tier.
 	ClientPlace cloud.Placement
-	// Balancer builds one read balancer per cell (each cell needs its own
-	// instance — balancers keep per-slave state).
+	// Balancer builds the read balancer (nil = round-robin). A constructor,
+	// not an instance: balancers keep per-slave state, so cells cannot share
+	// one.
 	Balancer func() proxy.Balancer
-	// ReadYourWrites and Retry configure every cell proxy.
-	ReadYourWrites bool
-	Retry          proxy.RetryPolicy
-	// Consistency is the read tier every cell proxy enforces. Session
-	// tokens are tracked per cell: each routed connection holds one proxy
-	// connection (and thus one token) per cell, and dual-writes during a
-	// split stamp the target cell's token so read-your-writes survives
-	// the ownership flip.
+	// Consistency is the read tier the proxy enforces. In a sharded tier
+	// session tokens are tracked per cell: each routed connection holds one
+	// proxy connection (and thus one token) per cell, and dual-writes during
+	// a split stamp the target cell's token so read-your-writes survives the
+	// ownership flip.
 	Consistency proxy.Consistency
-	// MaxStaleEvents bounds the Bounded tier per cell
+	// MaxStaleEvents bounds the Bounded tier
 	// (0 = proxy.DefaultMaxEventsBehind).
 	MaxStaleEvents uint64
+	// Retry configures client-side robustness; with FailoverOnMasterDown the
+	// proxy's master-failure hook is wired to the cluster's slave promotion.
+	Retry proxy.RetryPolicy
+}
+
+// Proxy builds the proxy that fronts clu, traced by tr when non-nil.
+func (r Routing) Proxy(clu *cluster.Cluster, tr *obs.Tracer) *proxy.Proxy {
+	var balancer proxy.Balancer
+	if r.Balancer != nil {
+		balancer = r.Balancer()
+	}
+	px := proxy.New(clu.Env(), clu.Cloud().Network(), clu.Master(), r.ClientPlace, balancer)
+	px.Consistency = r.Consistency
+	px.MaxStaleEvents = r.MaxStaleEvents
+	px.Retry = r.Retry
+	if r.Retry.FailoverOnMasterDown {
+		px.OnMasterFailure = func(*sim.Proc) (*repl.Master, error) { return clu.Failover() }
+	}
+	if tr != nil {
+		px.Tracer = tr
+		clu.SetTracer(tr)
+	}
+	return px
 }
 
 // Cell is one replicated partition: a full master/slaves cluster behind its
 // own proxy, with a private metrics registry that PublishMetrics merges
-// into the top-level one under "shard.cell<i>.".
+// into the top-level one under "shard.cell<i>.". A handle from core.Open is
+// one Cell with no router in front of it (and no ID or Reg of its own).
 type Cell struct {
 	ID  int
 	Clu *cluster.Cluster
@@ -121,9 +152,6 @@ func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
 	if err := cfg.Keyspace.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Balancer == nil {
-		cfg.Balancer = func() proxy.Balancer { return &proxy.RoundRobin{} }
-	}
 	s := &Cluster{
 		env:    env,
 		cloud:  cl,
@@ -155,21 +183,8 @@ func (s *Cluster) addCell(owns func(table string, key int64) bool) (*Cell, error
 	if err != nil {
 		return nil, fmt.Errorf("shard: cell %d: %w", id, err)
 	}
-	px := proxy.New(s.env, s.cloud.Network(), clu.Master(), s.cfg.ClientPlace, s.cfg.Balancer())
-	px.ReadYourWrites = s.cfg.ReadYourWrites
-	px.Consistency = s.cfg.Consistency
-	px.MaxStaleEvents = s.cfg.MaxStaleEvents
-	px.Retry = s.cfg.Retry
-	if s.cfg.Retry.FailoverOnMasterDown {
-		px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
-			return clu.Failover()
-		}
-	}
+	px := s.cfg.Routing.Proxy(clu, s.tracer)
 	px.CheckOwner = s.checkOwner(id)
-	if s.tracer != nil {
-		px.Tracer = s.tracer
-		clu.SetTracer(s.tracer)
-	}
 	reg := obs.NewRegistry()
 	reg.SetRand(s.env.Rand())
 	cell := &Cell{ID: id, Clu: clu, Px: px, Reg: reg}

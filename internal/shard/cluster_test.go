@@ -72,7 +72,7 @@ func newShard(t *testing.T, seed int64, cells, slots, rows int) (*sim.Env, *clou
 			Slaves: []cluster.NodeSpec{{Place: place}},
 		},
 		PartitionedPreload: kvPreload(rows),
-		ClientPlace:        place,
+		Routing:            Routing{ClientPlace: place},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,8 +468,7 @@ func newSessionShard(t *testing.T, seed int64, cells, slots, rows int) (*sim.Env
 			Slaves: []cluster.NodeSpec{{Place: place}},
 		},
 		PartitionedPreload: kvPreload(rows),
-		ClientPlace:        place,
-		Consistency:        proxy.Session,
+		Routing:            Routing{ClientPlace: place, Consistency: proxy.Session},
 	})
 	if err != nil {
 		t.Fatal(err)

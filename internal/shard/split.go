@@ -152,25 +152,6 @@ func (s *Cluster) Split(p *sim.Proc) (*SplitReport, error) {
 	return rep, err
 }
 
-// Rebalance moves an explicit slot set between two existing cells with the
-// same protocol. Unlike Split, an aborted rebalance may leave already
-// copied rows on the (still healthy, still non-owning) target; they are
-// invisible to routing and overwritten by a later retry.
-func (s *Cluster) Rebalance(p *sim.Proc, src, dst int, slots []int) (*SplitReport, error) {
-	if s.mig != nil {
-		return nil, fmt.Errorf("shard: a split is already in progress")
-	}
-	if src == dst || src < 0 || dst < 0 || src >= len(s.cells) || dst >= len(s.cells) {
-		return nil, fmt.Errorf("shard: bad rebalance %d -> %d", src, dst)
-	}
-	for _, sl := range slots {
-		if s.m.SlotOwner(sl) != src {
-			return nil, fmt.Errorf("shard: slot %d not owned by cell %d", sl, src)
-		}
-	}
-	return s.migrate(p, src, dst, slots)
-}
-
 // migrate runs the copy-then-cutover protocol on the calling process.
 func (s *Cluster) migrate(p *sim.Proc, src, dst int, slots []int) (*SplitReport, error) {
 	rep := &SplitReport{Src: src, Dst: dst, Slots: append([]int(nil), slots...)}
