@@ -80,7 +80,13 @@ smoke:
 # Kernel-speed smoke: measure the sim kernel (micro workload + one
 # experiment cell), write BENCH_kernel.json into results/, and fail if the
 # micro ns/event regresses >20% or the cell's allocs/event rises >5%
-# against the checked-in baseline. Refresh the baseline deliberately with:
+# against the checked-in baseline. The cell's ns/event is reported and
+# deliberately not gated: on a shared box one reading of it moves 15-25 %,
+# more than any change worth gating on. A claim about it is made the way
+# CHANGES.md makes them — parent and change built once each and run in
+# alternated pairs (ten or more), compared by median and quartiles, with
+# `go run ./benchmark -compare` for the virtual side — not by this target.
+# Refresh the baseline deliberately with:
 #   cp results/BENCH_kernel.json bench/kernel_baseline.json
 bench-kernel:
 	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -short -q -json results -kernel-baseline bench/kernel_baseline.json
@@ -97,9 +103,10 @@ bench-plan:
 
 # Performance trajectory: append this tree's row — kernel bench (micro and cell
 # ns/event + allocs/event), the planner bench's shapes and the four benchmark
-# cells' allocs_per_op, host.alloc_kb_per_op and setup_s — to the append-only
-# bench/history.jsonl. One row per PR, added by the PR itself, so its commit
-# reads as the parent plus "+":
+# cells' allocs_per_op, host.alloc_kb_per_op, setup_s and host-ledger seam
+# prices (each layer's self_wall_ns_per_op, sqlengine.run_read/run_write_wall_ns)
+# — to the append-only bench/history.jsonl. One row per PR, added by the PR
+# itself, so its commit reads as the parent plus "+":
 #   make bench-history LABEL="PR 15"
 # Takes about three minutes (one untimed warm-up, one timed rep and the traced
 # pass — which is what reports per-layer metrics — of each cell).

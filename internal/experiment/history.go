@@ -9,8 +9,8 @@ import (
 // HistoryRow is one line of bench/history.jsonl, the append-only record of
 // where the host-side numbers stood after each PR: the kernel bench, the
 // planner bench's shapes and the four benchmark cells' allocations (objects
-// and KB) per page and set-up time. A value the PR did not record is left out
-// of its row.
+// and KB) per page, set-up time and host-ledger seam prices. A value the PR
+// did not record is left out of its row.
 type HistoryRow struct {
 	Label string `json:"label"`
 	// Commit is the commit the numbers were taken on; a trailing "+" means
@@ -25,6 +25,20 @@ type HistoryRow struct {
 	CellAllocsPerOp  map[string]float64 `json:"cells_allocs_per_op"`
 	CellAllocKBPerOp map[string]float64 `json:"cells_alloc_kb_per_op,omitempty"`
 	CellSetupS       map[string]float64 `json:"cells_setup_s,omitempty"`
+	// CellSeamNs is what the host ledger prices each seam at, in wall
+	// nanoseconds, by workload and then by metric (historySeams): a layer's
+	// own share of a page, and one statement through the executor. Like
+	// CellAllocKBPerOp it needs the traced pass; a seam a cell does not have
+	// (the router, on an unsharded cell) reads zero there and is left out.
+	CellSeamNs map[string]map[string]float64 `json:"cells_seam_ns,omitempty"`
+}
+
+// historySeams are the per-layer metrics of the benchmark's host ledger a
+// row keeps.
+var historySeams = []string{
+	"core.self_wall_ns_per_op", "pool.self_wall_ns_per_op", "proxy.self_wall_ns_per_op",
+	"server.self_wall_ns_per_op", "shard.self_wall_ns_per_op",
+	"sqlengine.run_read_wall_ns", "sqlengine.run_write_wall_ns",
 }
 
 // HistoryKernel is the kernel bench's two workloads, per event.
@@ -55,6 +69,7 @@ func NewHistoryRow(label, commit string, k KernelBenchResult, p PlanBenchResult,
 		CellAllocsPerOp:  make(map[string]float64),
 		CellAllocKBPerOp: make(map[string]float64),
 		CellSetupS:       make(map[string]float64),
+		CellSeamNs:       make(map[string]map[string]float64),
 	}
 	for _, sh := range planShapes {
 		m := sh.get(&p)
@@ -87,6 +102,16 @@ func NewHistoryRow(label, commit string, k KernelBenchResult, p PlanBenchResult,
 		}
 		if w.PerLayer["host.alloc_kb_per_op"].Value != 0 {
 			row.CellAllocKBPerOp[name] = w.PerLayer["host.alloc_kb_per_op"].Value
+		}
+	}
+	for _, seam := range historySeams {
+		for name, w := range cells.Workloads {
+			if w.PerLayer[seam].Value != 0 {
+				if row.CellSeamNs[name] == nil {
+					row.CellSeamNs[name] = make(map[string]float64)
+				}
+				row.CellSeamNs[name][seam] = w.PerLayer[seam].Value
+			}
 		}
 	}
 	if len(cells.Workloads) == 0 || missing > 0 {

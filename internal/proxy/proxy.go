@@ -8,6 +8,7 @@ package proxy
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -41,6 +42,8 @@ type PickContext struct {
 	Slaves   []*repl.Slave // live, attached slaves
 	Inflight func(*repl.Slave) int
 	Rng      *rand.Rand
+
+	ties []*repl.Slave // pickLeast's scratch; the proxy's context keeps it from read to read
 }
 
 // Balancer chooses a slave for a read statement. Returning nil routes the
@@ -88,18 +91,7 @@ type LeastConn struct{}
 // idle cluster (every count equal) spreads reads instead of hot-spotting
 // the first slave.
 func (LeastConn) Pick(ctx *PickContext) *repl.Slave {
-	var ties []*repl.Slave
-	bestN := int(^uint(0) >> 1)
-	for _, sl := range ctx.Slaves {
-		switch n := ctx.Inflight(sl); {
-		case n < bestN:
-			bestN = n
-			ties = append(ties[:0], sl)
-		case n == bestN:
-			ties = append(ties, sl)
-		}
-	}
-	return pickTie(ctx, ties)
+	return pickLeast(ctx, func(sl *repl.Slave) uint64 { return uint64(ctx.Inflight(sl)) })
 }
 
 // Name implements Balancer.
@@ -112,22 +104,26 @@ type LeastLag struct{}
 // light load) are broken uniformly at random instead of always returning
 // the first slave.
 func (LeastLag) Pick(ctx *PickContext) *repl.Slave {
-	var ties []*repl.Slave
-	bestLag := uint64(1<<63 - 1)
+	return pickLeast(ctx, (*repl.Slave).EventsBehindMaster)
+}
+
+// pickLeast returns the slave with the lowest score, resolving a tie for
+// best via the routing RNG (which is drawn from only then); nil when there
+// are no slaves. The tie list is the context's scratch, so a pick allocates
+// nothing.
+func pickLeast(ctx *PickContext, score func(*repl.Slave) uint64) *repl.Slave {
+	ties := ctx.ties[:0]
+	best := uint64(math.MaxUint64)
 	for _, sl := range ctx.Slaves {
-		switch lag := sl.EventsBehindMaster(); {
-		case lag < bestLag:
-			bestLag = lag
+		switch n := score(sl); {
+		case n < best:
+			best = n
 			ties = append(ties[:0], sl)
-		case lag == bestLag:
+		case n == best:
 			ties = append(ties, sl)
 		}
 	}
-	return pickTie(ctx, ties)
-}
-
-// pickTie resolves a best-score tie via the routing RNG.
-func pickTie(ctx *PickContext, ties []*repl.Slave) *repl.Slave {
+	ctx.ties = ties
 	switch len(ties) {
 	case 0:
 		return nil

@@ -86,6 +86,32 @@ func TestLeastConnTieBreakSpreads(t *testing.T) {
 	}
 }
 
+// TestScoredPicksAllocateNothing: least-conn and least-lag collect their tied
+// best slaves in the pick context's own scratch, so routing a read through
+// either costs no allocation once that scratch has grown to the slave count.
+func TestScoredPicksAllocateNothing(t *testing.T) {
+	env, px := topo(t, 24, 3, nil)
+	defer env.Shutdown()
+	ctx := &PickContext{
+		Master:   px.Master(),
+		Slaves:   px.Master().Slaves(),
+		Inflight: func(*repl.Slave) int { return 0 },
+		Rng:      env.Rand(),
+	}
+	for _, b := range []Balancer{LeastConn{}, LeastLag{}} {
+		seen := map[*repl.Slave]bool{}
+		for i := 0; i < 64; i++ {
+			seen[b.Pick(ctx)] = true
+		}
+		if len(seen) != 3 || seen[nil] {
+			t.Errorf("%s: 64 three-way ties reached %d backends; want all 3 slaves", b.Name(), len(seen))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { b.Pick(ctx) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per pick; want 0", b.Name(), allocs)
+		}
+	}
+}
+
 // TestRetryMasksMidFlightCrash: the only slave dies while a read is on the
 // wire; with a retry policy the statement is re-attempted and lands on the
 // master instead of surfacing the error.

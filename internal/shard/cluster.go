@@ -309,11 +309,64 @@ type Conn struct {
 	dualSess map[*server.DBServer]*sqlengine.Session
 	anyN     uint64  // round-robin cursor for routeAny
 	keys     []int64 // single's resolved shard keys, reused per statement
+
+	// Scatter state. A connection runs one statement at a time, so one set
+	// of everything serves every scatter it issues: what a scatter costs
+	// beyond its legs' own statements is a Proc per leg and the merged
+	// result. None of it is ever reachable from a result handed to the
+	// caller.
+	legs    []*scatterLeg          // standing leg slot per cell id, built on first use
+	legSig  *sim.Signal            // broadcast by every finishing leg
+	legSQL  string                 // what the legs in flight run ...
+	legArgs []sqlengine.Value      // ... with these arguments (the caller's; held for the scatter only)
+	legsOut int                    // legs started and not yet finished
+	sets    []*sqlengine.ResultSet // the finished legs' sets, in cell order, for the merge
+	merge   mergeScratch
+}
+
+// scatterLeg is a connection's standing slot for the scatter legs it sends
+// to one cell: the function Env.Go runs, built once, and the fields that
+// function reports into. Only the leg's own process writes res and err, and
+// the gathering process reads them after legsOut has told it the leg is done.
+type scatterLeg struct {
+	c    *Conn
+	conn *proxy.Conn
+	run  func(*sim.Proc) // exec, bound to this slot
+	res  *proxy.ExecResult
+	err  error
+}
+
+func (l *scatterLeg) exec(lp *sim.Proc) {
+	c := l.c
+	l.res, l.err = l.conn.Exec(lp, c.legSQL, c.legArgs...)
+	c.legsOut--
+	c.legSig.Broadcast()
+}
+
+// scatterResult is a merged scatter's three result headers in one
+// allocation; they are only ever handed out together.
+type scatterResult struct {
+	exec proxy.ExecResult
+	res  sqlengine.Result
+	set  sqlengine.ResultSet
 }
 
 // Connect opens a routed connection with the given default database.
 func (s *Cluster) Connect(db string) *Conn {
 	return &Conn{sc: s, db: db, snap: s.m.Snapshot()}
+}
+
+// leg returns (building if needed) the scatter slot for cell id.
+func (c *Conn) leg(id int) *scatterLeg {
+	for len(c.legs) <= id {
+		c.legs = append(c.legs, nil)
+	}
+	if c.legs[id] == nil {
+		l := &scatterLeg{c: c, conn: c.cellConn(id)}
+		l.run = l.exec
+		c.legs[id] = l
+	}
+	return c.legs[id]
 }
 
 // cellConn returns (opening if needed) the proxy connection to cell id.
@@ -546,7 +599,8 @@ func (s *Cluster) trackKeys(keys []int64) (*migration, bool) {
 // simulation process per leg, and merges the per-cell results in cell
 // order. Legs run against the rewritten per-cell statement (ORDER BY
 // columns projected, LIMIT pushed down); a single-target scatter
-// short-circuits to the original statement.
+// short-circuits to the original statement. The legs run out of the
+// connection's standing slots and the merge out of its scratch.
 func (c *Conn) scatter(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine.Value) (*proxy.ExecResult, error) {
 	targets := c.snap.Cells()
 	mig := c.sc.activeMigration()
@@ -574,46 +628,51 @@ func (c *Conn) scatterLegs(p *sim.Proc, ri *routeInfo, sql string, args []sqleng
 		// complete there, no rewrite or merge needed.
 		return c.cellConn(targets[0]).Exec(p, sql, args...)
 	}
-	legSQL := ri.plan.cellSQL
-	results := make([]*proxy.ExecResult, len(targets))
-	errs := make([]error, len(targets))
-	done := 0
-	sig := sim.NewSignal(c.sc.env).Named("shard/scatter")
-	for i, id := range targets {
-		i, id := i, id
-		conn := c.cellConn(id)
-		c.sc.env.Go("shard/scatter-leg", func(lp *sim.Proc) {
-			results[i], errs[i] = conn.Exec(lp, legSQL, args...)
-			done++
-			sig.Broadcast()
-		})
+	if c.legSig == nil {
+		c.legSig = sim.NewSignal(c.sc.env).Named("shard/scatter")
 	}
-	for done < len(targets) {
-		sig.Wait(p)
+	c.legSQL, c.legArgs, c.legsOut = ri.plan.cellSQL, args, len(targets)
+	// Every leg is a process of its own, even the first: run inline on the
+	// caller's process it would reach the cell ahead of events already queued
+	// for this instant.
+	for _, id := range targets {
+		c.sc.env.Go("shard/scatter-leg", c.leg(id).run)
 	}
-	var sets []*sqlengine.ResultSet
-	var examined, returned int
-	for i := range targets {
-		if errs[i] != nil {
+	for c.legsOut > 0 {
+		c.legSig.Wait(p)
+	}
+	c.legArgs = nil
+	var firstErr error
+	examined := 0
+	for _, id := range targets {
+		l := c.legs[id]
+		switch {
+		case firstErr != nil: // a lower cell's leg has already failed the scatter
+		case l.err != nil:
 			// ErrWrongShard on any leg retries the whole scatter after a
 			// refresh; other failures surface as the scatter's error.
-			return nil, errs[i]
+			firstErr = l.err
+		case l.res.Result != nil && l.res.Result.Set != nil:
+			c.sets = append(c.sets, l.res.Result.Set)
+			examined += l.res.Result.Stats.RowsExamined
 		}
-		r := results[i].Result
-		if r != nil && r.Set != nil {
-			sets = append(sets, r.Set)
-			examined += r.Stats.RowsExamined
-		}
+		l.res, l.err = nil, nil
 	}
-	merged, err := ri.plan.merge(sets)
-	if err != nil {
-		return nil, err
+	var out *scatterResult
+	if firstErr == nil {
+		out = &scatterResult{}
+		firstErr = ri.plan.merge(&c.merge, c.sets, &out.set)
 	}
-	returned = len(merged.Rows)
-	out := &sqlengine.Result{Set: merged}
-	out.Stats.RowsExamined = examined
-	out.Stats.RowsReturned = returned
-	return &proxy.ExecResult{Result: out}, nil
+	clear(c.sets)
+	c.sets = c.sets[:0]
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	out.res.Set = &out.set
+	out.res.Stats.RowsExamined = examined
+	out.res.Stats.RowsReturned = len(out.set.Rows)
+	out.exec.Result = &out.res
+	return &out.exec, nil
 }
 
 // PublishMetrics snapshots the router and every cell into reg: top-level

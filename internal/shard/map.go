@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -16,6 +17,7 @@ type Map struct {
 	numSlots int
 	slots    []int // slot -> owning cell id
 	version  uint64
+	snap     *Snapshot // the current version's snapshot, built on first use
 }
 
 // NewMap assigns numSlots slots to cells in contiguous near-equal ranges.
@@ -75,13 +77,25 @@ func (m *Map) Move(slots []int, dst int) {
 		m.slots[s] = dst
 	}
 	m.version++
+	m.snap = nil
 }
 
-// Snapshot returns an immutable copy for a router to route against.
+// Snapshot returns an immutable copy for a router to route against. A
+// snapshot is never written once built, so every caller between two Moves
+// gets the same one, and what is derived from it — the scatter target list —
+// is computed once per map version.
 func (m *Map) Snapshot() *Snapshot {
-	s := &Snapshot{numSlots: m.numSlots, version: m.version, slots: make([]int, len(m.slots))}
-	copy(s.slots, m.slots)
-	return s
+	if m.snap == nil {
+		s := &Snapshot{numSlots: m.numSlots, version: m.version, slots: append([]int(nil), m.slots...)}
+		for _, c := range s.slots {
+			if !slices.Contains(s.cells, c) {
+				s.cells = append(s.cells, c)
+			}
+		}
+		sort.Ints(s.cells)
+		m.snap = s
+	}
+	return m.snap
 }
 
 // Snapshot is a frozen view of the map. Connections cache one and refresh
@@ -90,6 +104,7 @@ func (m *Map) Snapshot() *Snapshot {
 type Snapshot struct {
 	numSlots int
 	slots    []int
+	cells    []int // distinct owners in slots, ascending
 	version  uint64
 }
 
@@ -103,16 +118,6 @@ func (s *Snapshot) SlotOf(key int64) int { return slotOf(key, s.numSlots) }
 func (s *Snapshot) Owner(key int64) int { return s.slots[s.SlotOf(key)] }
 
 // Cells returns the distinct cell ids owning at least one slot, ascending —
-// the scatter-gather target set.
-func (s *Snapshot) Cells() []int {
-	seen := make(map[int]bool, 8)
-	var out []int
-	for _, c := range s.slots {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+// the scatter-gather target set. The slice belongs to the snapshot and is
+// shared by everyone routing on it: read it, do not modify it.
+func (s *Snapshot) Cells() []int { return s.cells }

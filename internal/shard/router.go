@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -482,129 +483,193 @@ func literalInt(e sqlengine.Expr) (int, bool) {
 	return int(l.V.Int()), true
 }
 
-// merge combines per-cell result sets (in ascending cell order) into the
-// global result. The concatenation order is deterministic and the sort is
-// stable, so merged output is byte-identical across runs.
-func (plan *mergePlan) merge(sets []*sqlengine.ResultSet) (*sqlengine.ResultSet, error) {
-	if len(sets) == 0 {
-		return &sqlengine.ResultSet{}, nil
-	}
-	out := &sqlengine.ResultSet{Columns: sets[0].Columns}
-	for _, s := range sets {
-		out.Rows = append(out.Rows, s.Rows...)
-	}
-	if plan.aggs != nil {
-		if err := plan.reaggregate(out); err != nil {
-			return nil, err
+// mergeScratch is the working memory of mergePlan.merge. A Conn owns one and
+// every scatter it runs reuses it. Nothing merge hands back points into it:
+// the rows of a plain merge are the legs' own row slices, the rows of an
+// aggregate merge are copied out into storage allocated for that result.
+type mergeScratch struct {
+	keys  []orderKey          // plan.orderBy, by-name keys resolved against this result's header
+	heads []int               // k-way merge: the next unread row of each leg
+	rows  [][]sqlengine.Value // the merged sequence: leg rows (plain), views of acc (aggregate)
+	acc   []sqlengine.Value   // aggregate fold: len(plan.aggs) values per group, in first-seen order
+	kb    []byte              // key of the row in hand
+	index keyIndex            // DISTINCT's seen-set, the fold's key → group number
+}
+
+// sort.Interface over the merged sequence by the resolved order keys, for
+// the aggregate shape (its groups arrive in first-seen order, not sorted).
+func (sc *mergeScratch) Len() int           { return len(sc.rows) }
+func (sc *mergeScratch) Swap(i, j int)      { sc.rows[i], sc.rows[j] = sc.rows[j], sc.rows[i] }
+func (sc *mergeScratch) Less(i, j int) bool { return sc.before(sc.rows[i], sc.rows[j]) }
+
+// before is the merge order: the comparison the cells' own ORDER BY ran
+// (sqlengine.Compare per key, flipped for DESC), so a leg that arrives sorted
+// by its cell is sorted under it.
+func (sc *mergeScratch) before(a, b []sqlengine.Value) bool {
+	for _, k := range sc.keys {
+		if c := sqlengine.Compare(a[k.pos], b[k.pos]); c != 0 {
+			return (c < 0) != k.desc
 		}
 	}
-	keys := make([]orderKey, len(plan.orderBy))
-	copy(keys, plan.orderBy)
-	for i, k := range keys {
+	return false
+}
+
+// merge combines per-cell result sets (in ascending cell order) into out.
+// The result is what concatenating the sets in cell order and sorting the
+// concatenation stably would give — rows that tie on every order key come
+// out lower cell first, and within a cell in the cell's order — so merged
+// output is byte-identical across runs.
+func (plan *mergePlan) merge(sc *mergeScratch, sets []*sqlengine.ResultSet, out *sqlengine.ResultSet) error {
+	*out = sqlengine.ResultSet{}
+	if len(sets) == 0 {
+		return nil
+	}
+	columns := sets[0].Columns
+	sc.keys = append(sc.keys[:0], plan.orderBy...)
+	for i, k := range sc.keys {
 		if k.pos >= 0 {
 			continue
 		}
 		found := -1
-		for ci, name := range out.Columns {
+		for ci, name := range columns {
 			if strings.EqualFold(name, k.byName) {
 				found = ci
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("shard: merge order column %q not in result", k.byName)
+			return fmt.Errorf("shard: merge order column %q not in result", k.byName)
 		}
-		keys[i].pos = found
+		sc.keys[i].pos = found
 	}
-	if len(keys) > 0 {
-		sort.SliceStable(out.Rows, func(i, j int) bool {
-			a, b := out.Rows[i], out.Rows[j]
-			for _, k := range keys {
-				c := sqlengine.Compare(a[k.pos], b[k.pos])
-				if c == 0 {
-					continue
-				}
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
+	if plan.aggs != nil && len(plan.aggs) != len(columns) {
+		return fmt.Errorf("shard: aggregate merge expected %d columns, got %d", len(plan.aggs), len(columns))
+	}
+	// Rows past OFFSET+LIMIT of the merged sequence are never looked at.
+	want := -1
+	if plan.limit >= 0 {
+		want = plan.offset + plan.limit
+	}
+	if plan.aggs != nil {
+		plan.fold(sc, sets)
+	} else {
+		plan.mergeSorted(sc, sets, want)
+	}
+	rows := sc.rows
+	if want >= 0 && len(rows) > want {
+		rows = rows[:want]
+	}
+	rows = rows[min(plan.offset, len(rows)):]
+	width := len(columns) - plan.dropCols
+	out.Columns = columns[:width:width]
+	if len(rows) > 0 {
+		out.Rows = make([][]sqlengine.Value, len(rows))
+		if plan.aggs == nil {
+			for i, r := range rows {
+				out.Rows[i] = r[:width:width]
 			}
-			return false
-		})
-	}
-	if plan.distinct {
-		seen := make(map[string]bool, len(out.Rows))
-		kept := out.Rows[:0]
-		for _, r := range out.Rows {
-			k := rowFingerprint(r)
-			if !seen[k] {
-				seen[k] = true
-				kept = append(kept, r)
-			}
-		}
-		out.Rows = kept
-	}
-	if plan.offset > 0 {
-		if plan.offset >= len(out.Rows) {
-			out.Rows = nil
 		} else {
-			out.Rows = out.Rows[plan.offset:]
+			// The folded groups live in scratch: the result gets its own copy.
+			own := make([]sqlengine.Value, 0, len(rows)*width)
+			for i, r := range rows {
+				own = append(own, r...)
+				out.Rows[i] = own[i*width : (i+1)*width : (i+1)*width]
+			}
 		}
 	}
-	if plan.limit >= 0 && len(out.Rows) > plan.limit {
-		out.Rows = out.Rows[:plan.limit]
-	}
-	if plan.dropCols > 0 {
-		keep := len(out.Columns) - plan.dropCols
-		out.Columns = out.Columns[:keep]
-		for i, r := range out.Rows {
-			out.Rows[i] = r[:keep]
-		}
-	}
-	return out, nil
+	// Scratch keeps its capacity and nothing else: no leg result stays
+	// reachable through it.
+	clear(sc.rows)
+	clear(sc.acc)
+	sc.rows, sc.acc = sc.rows[:0], sc.acc[:0]
+	return nil
 }
 
-// reaggregate folds concatenated per-cell partials into one row per group
-// key, in first-seen order (deterministic given the ordered concat).
-func (plan *mergePlan) reaggregate(rs *sqlengine.ResultSet) error {
-	if len(plan.aggs) != len(rs.Columns) {
-		return fmt.Errorf("shard: aggregate merge expected %d columns, got %d", len(plan.aggs), len(rs.Columns))
+// mergeSorted is the plain shape: a k-way merge of legs that each arrive
+// sorted by the plan's order keys (the per-cell statement keeps its ORDER
+// BY), stopping once want rows are out (want < 0: never). The smallest head
+// wins and a tie goes to the lower cell, which makes the merge equal to a
+// stable sort of the concatenation; without order keys every comparison
+// ties and the merge is the concatenation. The cell count is small, so the
+// heads are scanned rather than heaped.
+func (plan *mergePlan) mergeSorted(sc *mergeScratch, sets []*sqlengine.ResultSet, want int) {
+	sc.heads = sc.heads[:0]
+	for range sets {
+		sc.heads = append(sc.heads, 0)
 	}
-	index := make(map[string]int)
-	var merged [][]sqlengine.Value
-	for _, row := range rs.Rows {
-		var kb strings.Builder
-		for i, a := range plan.aggs {
-			if a.op == "group" {
-				kb.WriteString(row[i].SQL())
-				kb.WriteByte('\x00')
+	if plan.distinct {
+		sc.index.reset()
+	}
+	for want < 0 || len(sc.rows) < want {
+		var best []sqlengine.Value
+		from := -1
+		for i, s := range sets {
+			if h := sc.heads[i]; h < len(s.Rows) && (from < 0 || sc.before(s.Rows[h], best)) {
+				best, from = s.Rows[h], i
 			}
 		}
-		key := kb.String()
-		at, ok := index[key]
-		if !ok {
-			index[key] = len(merged)
-			merged = append(merged, append([]sqlengine.Value(nil), row...))
-			continue
+		if from < 0 {
+			return
 		}
-		acc := merged[at]
-		for i, a := range plan.aggs {
-			switch a.op {
-			case "group":
-			case "count", "sum":
-				acc[i] = addValues(acc[i], row[i])
-			case "min":
-				if sqlengine.Compare(row[i], acc[i]) < 0 {
-					acc[i] = row[i]
+		sc.heads[from]++
+		if plan.distinct {
+			sc.kb = sc.kb[:0]
+			for _, v := range best {
+				sc.kb = v.AppendKey(sc.kb)
+			}
+			if _, first := sc.index.lookup(sc.kb); !first {
+				continue
+			}
+		}
+		sc.rows = append(sc.rows, best)
+	}
+}
+
+// fold is the aggregate shape: per-cell partials fold into one row per group
+// key in first-seen order (deterministic: cells in order, each cell's rows
+// in its order), then sort stably by the order keys. Groups are keyed the
+// way the cells' own GROUP BY keyed them (Value.AppendKey), so two cells'
+// partials meet exactly when one engine would have put their rows together.
+// COUNT and SUM add, MIN and MAX compare and, as in one engine, skip NULL —
+// the partial of a cell that had no qualifying row.
+func (plan *mergePlan) fold(sc *mergeScratch, sets []*sqlengine.ResultSet) {
+	w := len(plan.aggs)
+	sc.index.reset()
+	for _, s := range sets {
+		for _, row := range s.Rows {
+			sc.kb = sc.kb[:0]
+			for i, a := range plan.aggs {
+				if a.op == "group" {
+					sc.kb = row[i].AppendKey(sc.kb)
 				}
-			case "max":
-				if sqlengine.Compare(row[i], acc[i]) > 0 {
-					acc[i] = row[i]
+			}
+			g, first := sc.index.lookup(sc.kb)
+			if first {
+				sc.acc = append(sc.acc, row[:w]...)
+				continue
+			}
+			acc := sc.acc[g*w : (g+1)*w]
+			for i, a := range plan.aggs {
+				switch a.op {
+				case "count", "sum":
+					acc[i] = addValues(acc[i], row[i])
+				case "min":
+					if !row[i].IsNull() && (acc[i].IsNull() || sqlengine.Compare(row[i], acc[i]) < 0) {
+						acc[i] = row[i]
+					}
+				case "max":
+					if sqlengine.Compare(row[i], acc[i]) > 0 {
+						acc[i] = row[i]
+					}
 				}
 			}
 		}
 	}
-	rs.Rows = merged
-	return nil
+	for g := 0; g*w < len(sc.acc); g++ {
+		sc.rows = append(sc.rows, sc.acc[g*w:(g+1)*w])
+	}
+	if len(sc.keys) > 0 {
+		sort.Stable(sc)
+	}
 }
 
 // addValues sums two partial COUNT/SUM results, staying integer when both
@@ -622,12 +687,64 @@ func addValues(a, b sqlengine.Value) sqlengine.Value {
 	return sqlengine.NewFloat(a.Float() + b.Float())
 }
 
-// rowFingerprint renders a row for DISTINCT comparison.
-func rowFingerprint(row []sqlengine.Value) string {
-	var b strings.Builder
-	for _, v := range row {
-		b.WriteString(v.SQL())
-		b.WriteByte('\x00')
+// keyIndex numbers distinct binary keys in first-seen order without
+// materialising a string per key: the keys lie end to end in one arena and
+// an open-addressed table holds their numbers. reset keeps every buffer, so
+// a Conn that merges the same statement again allocates nothing here.
+type keyIndex struct {
+	table []int32  // linear probing; key number + 1, 0 for an empty slot
+	hash  []uint64 // per key
+	end   []int    // per key: where it ends in arena (it starts where the one before ends)
+	arena []byte
+}
+
+func (ix *keyIndex) reset() {
+	clear(ix.table)
+	ix.hash, ix.end, ix.arena = ix.hash[:0], ix.end[:0], ix.arena[:0]
+}
+
+// lookup returns key's number, and whether this call is the one that
+// assigned it.
+func (ix *keyIndex) lookup(key []byte) (n int, first bool) {
+	if 2*(len(ix.hash)+1) > len(ix.table) {
+		ix.table = make([]int32, max(16, 2*len(ix.table)))
+		for n, h := range ix.hash {
+			ix.place(h, n)
+		}
 	}
-	return b.String()
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	mask := uint64(len(ix.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		t := int(ix.table[i])
+		if t == 0 {
+			break
+		}
+		start := 0
+		if t > 1 {
+			start = ix.end[t-2]
+		}
+		if ix.hash[t-1] == h && bytes.Equal(ix.arena[start:ix.end[t-1]], key) {
+			return t - 1, false
+		}
+	}
+	n = len(ix.hash)
+	ix.place(h, n)
+	ix.hash = append(ix.hash, h)
+	ix.arena = append(ix.arena, key...)
+	ix.end = append(ix.end, len(ix.arena))
+	return n, true
+}
+
+// place files key number n under hash h in the first free slot of its probe
+// sequence.
+func (ix *keyIndex) place(h uint64, n int) {
+	mask := uint64(len(ix.table) - 1)
+	i := h & mask
+	for ix.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	ix.table[i] = int32(n + 1)
 }

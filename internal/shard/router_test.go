@@ -86,6 +86,13 @@ func TestResolveKeysMultiRowInsert(t *testing.T) {
 	}
 }
 
+// mergeSets runs plan's merge over sets with scratch of its own.
+func mergeSets(plan *mergePlan, sets ...*sqlengine.ResultSet) (*sqlengine.ResultSet, error) {
+	out := &sqlengine.ResultSet{}
+	err := plan.merge(&mergeScratch{}, sets, out)
+	return out, err
+}
+
 func rows(vals ...int64) [][]sqlengine.Value {
 	out := make([][]sqlengine.Value, len(vals))
 	for i, v := range vals {
@@ -109,10 +116,11 @@ func TestMergePlainOrderLimit(t *testing.T) {
 	if cellRI.err != nil {
 		t.Fatalf("cellSQL %q does not re-analyze: %v", ri.plan.cellSQL, cellRI.err)
 	}
-	merged, err := ri.plan.merge([]*sqlengine.ResultSet{
-		{Columns: []string{"id"}, Rows: rows(5, 1, 9)},
-		{Columns: []string{"id"}, Rows: rows(7, 3)},
-	})
+	// Legs arrive the way the cells return them: sorted by the ORDER BY.
+	merged, err := mergeSets(ri.plan,
+		&sqlengine.ResultSet{Columns: []string{"id"}, Rows: rows(9, 5, 1)},
+		&sqlengine.ResultSet{Columns: []string{"id"}, Rows: rows(7, 3)},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +148,10 @@ func TestMergeHelperColumn(t *testing.T) {
 	mk := func(title string, created int64) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewString(title), sqlengine.NewInt(created)}
 	}
-	merged, err := ri.plan.merge([]*sqlengine.ResultSet{
-		{Columns: []string{"title", "created"}, Rows: [][]sqlengine.Value{mk("old", 1), mk("new", 9)}},
-		{Columns: []string{"title", "created"}, Rows: [][]sqlengine.Value{mk("mid", 5)}},
-	})
+	merged, err := mergeSets(ri.plan,
+		&sqlengine.ResultSet{Columns: []string{"title", "created"}, Rows: [][]sqlengine.Value{mk("new", 9), mk("old", 1)}},
+		&sqlengine.ResultSet{Columns: []string{"title", "created"}, Rows: [][]sqlengine.Value{mk("mid", 5)}},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +173,10 @@ func TestMergeSelectStarByName(t *testing.T) {
 	mk := func(id, created int64) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewInt(id), sqlengine.NewInt(created)}
 	}
-	merged, err := ri.plan.merge([]*sqlengine.ResultSet{
-		{Columns: []string{"id", "created"}, Rows: [][]sqlengine.Value{mk(1, 30)}},
-		{Columns: []string{"id", "created"}, Rows: [][]sqlengine.Value{mk(2, 10)}},
-	})
+	merged, err := mergeSets(ri.plan,
+		&sqlengine.ResultSet{Columns: []string{"id", "created"}, Rows: [][]sqlengine.Value{mk(1, 30)}},
+		&sqlengine.ResultSet{Columns: []string{"id", "created"}, Rows: [][]sqlengine.Value{mk(2, 10)}},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +205,10 @@ func TestMergeAggregates(t *testing.T) {
 	mk := func(tag, n int64) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewInt(tag), sqlengine.NewInt(n)}
 	}
-	merged, err := ri.plan.merge([]*sqlengine.ResultSet{
-		{Columns: []string{"tag_id", "cnt"}, Rows: [][]sqlengine.Value{mk(1, 4), mk(2, 1)}},
-		{Columns: []string{"tag_id", "cnt"}, Rows: [][]sqlengine.Value{mk(2, 9), mk(3, 2)}},
-	})
+	merged, err := mergeSets(ri.plan,
+		&sqlengine.ResultSet{Columns: []string{"tag_id", "cnt"}, Rows: [][]sqlengine.Value{mk(1, 4), mk(2, 1)}},
+		&sqlengine.ResultSet{Columns: []string{"tag_id", "cnt"}, Rows: [][]sqlengine.Value{mk(2, 9), mk(3, 2)}},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +231,10 @@ func TestMergeMinMax(t *testing.T) {
 	mk := func(lo, hi int64) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewInt(lo), sqlengine.NewInt(hi)}
 	}
-	merged, err := ri.plan.merge([]*sqlengine.ResultSet{
-		{Columns: []string{"MIN(id)", "MAX(id)"}, Rows: [][]sqlengine.Value{mk(4, 90)}},
-		{Columns: []string{"MIN(id)", "MAX(id)"}, Rows: [][]sqlengine.Value{mk(2, 60)}},
-	})
+	merged, err := mergeSets(ri.plan,
+		&sqlengine.ResultSet{Columns: []string{"MIN(id)", "MAX(id)"}, Rows: [][]sqlengine.Value{mk(4, 90)}},
+		&sqlengine.ResultSet{Columns: []string{"MIN(id)", "MAX(id)"}, Rows: [][]sqlengine.Value{mk(2, 60)}},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +248,10 @@ func TestMergeDistinct(t *testing.T) {
 	if ri.err != nil {
 		t.Fatal(ri.err)
 	}
-	merged, err := ri.plan.merge([]*sqlengine.ResultSet{
-		{Columns: []string{"creator_id"}, Rows: rows(3, 1)},
-		{Columns: []string{"creator_id"}, Rows: rows(1, 2, 3)},
-	})
+	merged, err := mergeSets(ri.plan,
+		&sqlengine.ResultSet{Columns: []string{"creator_id"}, Rows: rows(1, 3)},
+		&sqlengine.ResultSet{Columns: []string{"creator_id"}, Rows: rows(1, 2, 3)},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,6 +117,82 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 	}
 }
 
+// spawnHeavyScript replays the event traffic of a model that spawns all the
+// time — parents that fan out one to four legs at the current instant, legs
+// that sleep (sometimes for no time at all) and wake their parent at the
+// instant they finish, which is a scatter-gather and the place Env.Go is hot —
+// against one queue, and returns the pop order. Nearly every push ties with
+// others on `at`, so the order is carried by seq.
+func spawnHeavyScript(seed int64, push func(*event), pop func() *event) [][2]uint64 {
+	const (
+		parentRun = iota // a parent starts, or wakes from its think time
+		legStart
+		legDone
+		parentWake // a finished leg's broadcast reaching the parent
+	)
+	type what struct{ kind, parent int }
+	rng := rand.New(rand.NewSource(seed))
+	var seq uint64
+	meaning := map[uint64]what{}
+	sched := func(at Time, w what) {
+		seq++
+		meaning[seq] = w
+		push(&event{at: at, seq: seq})
+	}
+	const parents = 40
+	legsOut := make([]int, parents)
+	for i := 0; i < parents; i++ {
+		sched(0, what{parentRun, i})
+	}
+	var order [][2]uint64
+	for ev := pop(); ev != nil; ev = pop() {
+		order = append(order, [2]uint64{uint64(ev.at), ev.seq})
+		now, w := ev.at, meaning[ev.seq]
+		delete(meaning, ev.seq)
+		switch w.kind {
+		case parentRun:
+			if len(order) > 30000 {
+				break // wind down: no new fan-outs, the rest drains
+			}
+			legsOut[w.parent] = 1 + rng.Intn(4)
+			for i := 0; i < legsOut[w.parent]; i++ {
+				sched(now, what{legStart, w.parent})
+			}
+		case legStart:
+			sched(now+Time(rng.Int63n(3))*Time(time.Millisecond), what{legDone, w.parent})
+		case legDone:
+			legsOut[w.parent]--
+			sched(now, what{parentWake, w.parent})
+		case parentWake:
+			if legsOut[w.parent] == 0 {
+				legsOut[w.parent] = -1 // later wakes of the same gather find nothing to do
+				sched(now+Time(rng.Int63n(int64(5*time.Millisecond))), what{parentRun, w.parent})
+			}
+		}
+	}
+	return order
+}
+
+// TestCalQueueDifferentialSpawnHeavy: the calendar queue and the reference
+// heap agree on a spawn-dominated schedule, where whole bursts of start
+// events share one instant.
+func TestCalQueueDifferentialSpawnHeavy(t *testing.T) {
+	for _, seed := range []int64{1, 7, 4242} {
+		cq := &calQueue{free: func(*event) {}}
+		ref := &refHeap{}
+		got := spawnHeavyScript(seed, cq.push, cq.pop)
+		want := spawnHeavyScript(seed, func(ev *event) { heap.Push(ref, ev) }, ref.popLive)
+		if len(got) < 30000 || len(got) != len(want) {
+			t.Fatalf("seed %d: calendar queue popped %d events, heap %d; want the same and at least 30000", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d pop %d: order diverged: cal=%v heap=%v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestCalQueueTombstonesBounded is the regression test for the
 // cancelled-event leak: before the compaction pass, a workload that arms
 // and cancels far-future timers (exactly what Signal.WaitTimeout does on

@@ -72,8 +72,10 @@ type Env struct {
 
 	efree []*event     // recycled event structs
 	wfree []*sigWaiter // recycled signal waiters
+	idle  []*worker    // parked goroutines of finished processes, reused LIFO by Go
 
 	panicVal   any
+	panicProc  *Proc // the process panicVal came out of
 	panicStack []byte
 	procSeq    uint64
 	// procs indexes every live process by id so the deadlock detector can
@@ -248,10 +250,10 @@ func (k ParkKind) String() string {
 // Proc is a simulation process. All blocking methods must be called from the
 // process's own goroutine while it is the running process.
 type Proc struct {
-	env    *Env
-	name   string
-	id     uint64
-	resume chan struct{}
+	env  *Env
+	name string
+	id   uint64
+	w    *worker // the goroutine running this process, borrowed until it returns
 
 	// Park state: what the process is currently blocked on. Written by the
 	// process right before yielding and cleared when it resumes; read by
@@ -287,6 +289,26 @@ func (p *Proc) Now() Time { return p.env.now }
 // Rand returns the environment's deterministic random source.
 func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 
+// worker is a goroutine that runs processes, one after another, and the
+// channel the scheduler resumes it through. A process borrows a worker from
+// its spawn until fn returns; the scheduler then parks the worker on the
+// Env's idle list and the next Go takes it from there, so a spawn costs the
+// Proc and nothing else — no goroutine, no channel, and a stack that has
+// already grown to the depth the last process needed. Which worker runs a
+// process is invisible to the simulation: ids, the start event and its
+// (at, seq) are assigned by Go exactly as if the goroutine were new.
+type worker struct {
+	resume chan struct{}
+	// p and fn are the process to run at the next resume. Go writes them
+	// before the start event exists and the worker reads them after the
+	// resume it causes, so the channel orders the two.
+	p  *Proc
+	fn func(*Proc)
+	// gone is set when the goroutine is leaving for good (runtime.Goexit out
+	// of a process, which is what t.FailNow does): it must not be recycled.
+	gone bool
+}
+
 // Go starts a new simulation process running fn. The process is scheduled to
 // begin at the current virtual time. Go may be called before Run, from
 // another process, or from a callback.
@@ -295,32 +317,78 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		panic("sim: Go on a closed Env")
 	}
 	e.procSeq++
-	p := &Proc{env: e, name: name, id: e.procSeq, resume: make(chan struct{}), parkKind: ParkStart}
+	w := e.takeWorker()
+	p := &Proc{env: e, name: name, id: e.procSeq, w: w, parkKind: ParkStart}
+	w.p, w.fn = p, fn
 	e.alive++
 	e.procs[p.id] = p
+	e.scheduleProc(e.now, p)
+	return p
+}
+
+// takeWorker returns the most recently parked idle worker, or starts one.
+func (e *Env) takeWorker() *worker {
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return w
+	}
+	w := &worker{resume: make(chan struct{})}
 	// The kernel's own process launcher is the one place a goroutine may be
 	// created: the scheduler immediately owns it and resumes it one at a
 	// time against the virtual clock.
 	//cloudrepl:allow-rawgo the sim kernel implements Env.Go itself; the goroutine is scheduler-managed from birth
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(shutdownSentinel); !ok {
-					e.panicVal = r
-					e.panicStack = debug.Stack()
-				}
+	go e.work(w)
+	return w
+}
+
+// work is a worker goroutine's whole life: park on resume, run the process
+// it was handed, report it done, park again. Shutdown closes resume to let
+// the goroutine go.
+func (e *Env) work(w *worker) {
+	for range w.resume {
+		e.runProc(w)
+	}
+}
+
+// runProc runs w's process to completion on the calling worker goroutine and
+// yields yieldDone to the scheduler, whichever way the process ends: return,
+// panic (kept for the scheduler goroutine to re-raise under the process's
+// name), Shutdown's unwind, or runtime.Goexit.
+func (e *Env) runProc(w *worker) {
+	p := w.p
+	returned := false
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(shutdownSentinel); !ok {
+				e.panicVal, e.panicProc, e.panicStack = r, p, debug.Stack()
 			}
-			e.yield <- yieldMsg{p, yieldDone}
-		}()
-		<-p.resume
-		if e.closed {
-			panic(shutdownSentinel{})
+		} else if !returned {
+			w.gone = true
 		}
-		p.parkKind, p.parkObj = ParkNone, ""
-		fn(p)
+		e.yield <- yieldMsg{p, yieldDone}
 	}()
-	e.scheduleProc(e.now, p)
-	return p
+	if e.closed {
+		panic(shutdownSentinel{})
+	}
+	p.parkKind, p.parkObj = ParkNone, ""
+	w.fn(p)
+	returned = true
+}
+
+// retire takes a finished process off the books and parks its worker for
+// the next Go. Scheduler goroutine only; the worker itself is already on its
+// way back to its resume channel and touches nothing of the Env before it
+// is resumed again.
+func (e *Env) retire(p *Proc) {
+	e.alive--
+	delete(e.procs, p.id)
+	w := p.w
+	p.w, w.p, w.fn = nil, nil, nil
+	if !w.gone {
+		e.idle = append(e.idle, w)
+	}
 }
 
 // wait blocks the calling process until it is resumed by the scheduler,
@@ -338,7 +406,7 @@ func (p *Proc) wait(kind ParkKind, obj string) {
 	// process and a two-way select here costs ~25% of pure-kernel time.
 	// Shutdown wakes parked processes through this same channel and the
 	// closed flag turns the wakeup into an unwind.
-	<-p.resume
+	<-p.w.resume
 	if e.closed {
 		panic(shutdownSentinel{})
 	}
@@ -388,12 +456,11 @@ func (e *Env) step() bool {
 		e.signalTimeout(w)
 	default:
 		e.cur = p
-		p.resume <- struct{}{}
+		p.w.resume <- struct{}{}
 		m := <-e.yield
 		e.cur = nil
 		if m.kind == yieldDone {
-			e.alive--
-			delete(e.procs, m.p.id)
+			e.retire(m.p)
 		}
 		e.checkPanic()
 	}
@@ -402,9 +469,9 @@ func (e *Env) step() bool {
 
 func (e *Env) checkPanic() {
 	if e.panicVal != nil {
-		v, s := e.panicVal, e.panicStack
-		e.panicVal, e.panicStack = nil, nil
-		panic(fmt.Sprintf("sim: process panicked: %v\n%s", v, s))
+		v, p, s := e.panicVal, e.panicProc, e.panicStack
+		e.panicVal, e.panicProc, e.panicStack = nil, nil, nil
+		panic(fmt.Sprintf("sim: process %q (proc %d) panicked: %v\n%s", p.name, p.id, v, s))
 	}
 }
 
@@ -508,10 +575,10 @@ func (e *Env) WaitForGraph() string {
 // unwind before declaring the kernel wedged and dumping the wait-for graph.
 var shutdownWatchdog = 5 * time.Second
 
-// Shutdown unwinds every blocked process so that no goroutines leak. The
-// environment must not be used afterwards. It is safe to call Shutdown after
-// Run has returned, including when processes are still blocked on resources
-// or queues.
+// Shutdown unwinds every blocked process and releases every idle worker so
+// that no goroutines leak. The environment must not be used afterwards. It
+// is safe to call Shutdown after Run has returned, including when processes
+// are still blocked on resources or queues.
 //
 // If a process fails to unwind — deferred cleanup blocked on a kernel
 // primitive the scheduler does not manage, typically — Shutdown panics with
@@ -524,9 +591,9 @@ func (e *Env) Shutdown() {
 		return
 	}
 	e.closed = true
-	// Every alive process is parked on its own resume channel — either in
-	// wait() or in the spawn preamble — and observes the closed flag when
-	// woken. No process can be running because Shutdown is called from the
+	// Every alive process is parked on its worker's resume channel — in
+	// wait(), or not yet started — and observes the closed flag when woken.
+	// No process can be running because Shutdown is called from the
 	// scheduler goroutine between events. Wake one process at a time, in
 	// spawn order, and wait for it to finish unwinding before waking the
 	// next, so deferred cleanup never runs concurrently across processes.
@@ -542,7 +609,7 @@ func (e *Env) Shutdown() {
 		if !live {
 			continue
 		}
-		p.resume <- struct{}{}
+		p.w.resume <- struct{}{}
 		waitDone := true
 		for waitDone {
 			if !watchdog.Stop() {
@@ -555,8 +622,7 @@ func (e *Env) Shutdown() {
 			select {
 			case msg := <-e.yield:
 				if msg.kind == yieldDone {
-					e.alive--
-					delete(e.procs, msg.p.id)
+					e.retire(msg.p)
 					waitDone = false
 				}
 			case <-watchdog.C:
@@ -566,4 +632,10 @@ func (e *Env) Shutdown() {
 			}
 		}
 	}
+	// Every worker is idle now — parked on its resume channel, or a step
+	// away from it — and closing the channel ends its loop.
+	for _, w := range e.idle {
+		close(w.resume)
+	}
+	e.idle = nil
 }

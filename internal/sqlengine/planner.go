@@ -582,7 +582,6 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 	// Expected matches per outer row across all conjuncts that become
 	// evaluable here — the output cardinality, independent of algorithm.
 	mpoAll := rows
-	var lookupPCs []*pooledConjunct
 	cands := b.eqCandidatesFor(pool, slot, bound)
 	for _, pc := range pool {
 		if pc.used || pc.mask&^newBound != 0 || pc.mask&(1<<uint(slot)) == 0 {
@@ -597,14 +596,12 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 		}
 		if isEq {
 			mpoAll *= 1 / float64(t.stats.ndvOf(eqColOf(cands, pc), t.NumRows()))
-			lookupPCs = append(lookupPCs, pc)
 		} else if pc.mask == 1<<uint(slot) {
 			mpoAll *= b.selOf(pc.expr, slot)
 		} else {
 			mpoAll *= defaultSel
 		}
 	}
-	_ = lookupPCs
 	out := outEst * mpoAll
 
 	var choices []accessChoice
