@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards bench smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint lint-nocache clean check
+.PHONY: all build test race race-shards bench smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint clean check
 
 all: build vet lint test
 
@@ -19,14 +19,9 @@ check:
 # flow-aware ones (errdrop, lockorder, mvccalias, sharedstate) — behind the
 # gofmt cleanliness gate. cloudrepl-lint is the repo's own multichecker
 # (cmd/cloudrepl-lint); suppressions are //cloudrepl:allow-<analyzer> <reason>
-# comments and stale ones fail the lint (`-fix-stale` deletes them). Results
-# are cached in .cloudrepl-lint-cache.json keyed on file hashes; an unchanged
-# tree replays instantly.
+# comments and stale ones fail the lint (`-fix-stale` deletes them).
 lint: fmt-check
 	$(GO) run ./cmd/cloudrepl-lint ./...
-
-lint-nocache: fmt-check
-	$(GO) run ./cmd/cloudrepl-lint -nocache ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -10,11 +10,6 @@
 //	cloudrepl-lint -list                   # describe the analyzers
 //	cloudrepl-lint -only errdrop ./...     # run a subset
 //	cloudrepl-lint -fix-stale ./...        # delete stale allow directives
-//	cloudrepl-lint -nocache ./...          # bypass the incremental cache
-//
-// Results are cached in .cloudrepl-lint-cache.json at the module root, keyed
-// on per-package file hashes plus the analyzer set; an unchanged tree replays
-// instantly without type-checking.
 //
 // The container this repo builds in has no module proxy, so the tool
 // re-implements the go/analysis driver on the standard library instead of
@@ -38,7 +33,6 @@ func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	fixStale := flag.Bool("fix-stale", false, "delete stale allow directives from source files")
-	nocache := flag.Bool("nocache", false, "bypass the incremental lint cache")
 	flag.Parse()
 
 	analyzers := analysis.All()
@@ -75,11 +69,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cloudrepl-lint:", err)
 		os.Exit(2)
 	}
-	lint := analysis.LintDetailCached
-	if *nocache {
-		lint = analysis.LintDetail
-	}
-	res, err := lint(moduleDir, analyzers, patterns...)
+	res, err := analysis.LintDetail(moduleDir, analyzers, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cloudrepl-lint:", err)
 		os.Exit(2)
@@ -107,9 +97,6 @@ func main() {
 		diags = kept
 	}
 
-	if res.CacheHit {
-		fmt.Fprintln(os.Stderr, "cloudrepl-lint: cache hit")
-	}
 	for _, d := range diags {
 		fmt.Println(d)
 	}

@@ -26,9 +26,6 @@ func KnownNames() map[string]bool {
 type LintResult struct {
 	Diagnostics []Diagnostic
 	Stale       []*Directive
-	// CacheHit reports that the diagnostics were replayed from the lint
-	// cache without loading or type-checking anything.
-	CacheHit bool
 }
 
 // Lint loads the given patterns from moduleDir, runs every analyzer over the

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cloudrepl/internal/cloud"
-	"cloudrepl/internal/obs"
 	"cloudrepl/internal/sim"
 )
 
@@ -147,14 +146,15 @@ func (a Applied) String() string {
 	return fmt.Sprintf("[%v] %s%s", a.At, a.Event, skip)
 }
 
-// Counters tallies applied faults by kind.
+// Counters tallies applied faults by kind. The metric tag is the name
+// obs.Flatten publishes a field under (after "chaos.").
 type Counters struct {
-	Crashes    int
-	Restarts   int
-	Partitions int
-	Heals      int
-	Spikes     int
-	Skipped    int
+	Crashes    int `metric:"crashes"`
+	Restarts   int `metric:"restarts"`
+	Partitions int `metric:"partitions"`
+	Heals      int `metric:"heals"`
+	Spikes     int `metric:"spikes"`
+	Skipped    int `metric:"skipped"`
 }
 
 // Injector executes a Schedule against a provider. Create with Start.
@@ -188,21 +188,6 @@ func (inj *Injector) Log() []Applied { return inj.log }
 
 // Counters returns the tally of applied faults.
 func (inj *Injector) Counters() Counters { return inj.counters }
-
-// PublishMetrics snapshots the fault tally into reg under the "chaos."
-// prefix.
-func (inj *Injector) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	c := inj.counters
-	reg.Counter("chaos.crashes").Set(float64(c.Crashes))
-	reg.Counter("chaos.restarts").Set(float64(c.Restarts))
-	reg.Counter("chaos.partitions").Set(float64(c.Partitions))
-	reg.Counter("chaos.heals").Set(float64(c.Heals))
-	reg.Counter("chaos.spikes").Set(float64(c.Spikes))
-	reg.Counter("chaos.skipped").Set(float64(c.Skipped))
-}
 
 func (inj *Injector) apply(e Event) {
 	switch e.Kind {

@@ -38,9 +38,6 @@ type Placement struct {
 // String renders the placement like "us-west-1a".
 func (p Placement) String() string { return string(p.Region) + p.Zone }
 
-// ZoneID returns the full availability-zone identifier.
-func (p Placement) ZoneID() string { return p.String() }
-
 // SameZone reports whether two placements are in the same availability zone.
 func (p Placement) SameZone(o Placement) bool { return p == o }
 

@@ -222,25 +222,13 @@ func (c *Cluster) Failover() (*repl.Master, error) {
 	return newMaster, nil
 }
 
-// AddSlaveFromMaster provisions a replica from a live snapshot of the
-// master (the mysqldump/xtrabackup flow) instead of re-running the
-// deterministic preload: the new node restores the master's current state
-// and attaches at exactly the binlog position the snapshot captured, so no
-// history needs replaying and no write is applied twice. The transfer is
-// instantaneous on the virtual timeline; use ProvisionSlave from a
-// simulation process for the realistic snapshot + catch-up flow.
-func (c *Cluster) AddSlaveFromMaster(spec NodeSpec) (*repl.Slave, error) {
-	srv, pos, err := c.snapshotProvision(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.attachProvisioned(srv, pos), nil
-}
-
-// ProvisionSlave is AddSlaveFromMaster with the cost the paper's operators
-// actually pay: the snapshot is captured at the current binlog position,
-// then Config.ProvisionTime elapses for transfer + restore + boot, and only
-// then does the replica attach and start replicating. Every write committed
+// ProvisionSlave provisions a replica from a live snapshot of the master
+// (the mysqldump/xtrabackup flow) instead of re-running the deterministic
+// preload, at the cost the paper's operators actually pay: the snapshot is
+// captured at the current binlog position, then Config.ProvisionTime elapses
+// for transfer + restore + boot, and only then does the replica attach — at
+// exactly the position the snapshot captured, so no history needs replaying
+// and no write is applied twice — and start replicating. Every write committed
 // during that window is its catch-up backlog, so a freshly provisioned
 // slave comes up stale and converges — the reason elastic scale-out needs a
 // warm-up gate before the proxy may route reads to it. Must be called from

@@ -246,10 +246,12 @@ func TestAddSlaveFromMasterSnapshot(t *testing.T) {
 	// Mutate past the preload so the snapshot differs from it.
 	write(env, clu, 100)
 	env.RunUntil(10 * time.Second)
-	sl, err := clu.AddSlaveFromMaster(NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}})
+	// ProvisionSlave's two halves, with no provisioning time between them.
+	srv, pos, err := clu.snapshotProvision(NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sl := clu.attachProvisioned(srv, pos)
 	// Snapshot already contains the live write: nothing to replay yet.
 	if n := count(t, sl.Srv); n != 6 {
 		t.Fatalf("snapshot slave has %d rows, want 6", n)

@@ -151,10 +151,6 @@ func (db *DB) Shards() *shard.Cluster { return db.sc }
 // Pool returns the connection pool.
 func (db *DB) Pool() *pool.Pool[Conn] { return db.pool }
 
-// Registry returns the handle's metrics registry; external publishers
-// (chaos, elastic) share it.
-func (db *DB) Registry() *obs.Registry { return db.reg }
-
 // Exec borrows a connection, routes and executes one statement, and returns
 // the connection to the pool. It must be called from a simulation process.
 // With tracing on it opens the root "client" span of the statement's trace;
@@ -418,9 +414,9 @@ func (db *DB) ValidateInstances(p *sim.Proc, probes int) []InstanceReport {
 
 // Stats aggregates the handle's middleware counters. Proxy sums every cell's
 // proxy. Repl is the master's pipeline counters on a handle from Open and
-// stays zero on a sharded one (per-cell replication counters live in the
-// metrics registry under "shard.cell<i>.repl.*"), where Shard carries the
-// router counters instead.
+// stays zero on a sharded one (Metrics has each cell's replication counters
+// under "shard.cell<i>.repl.*"), where Shard carries the router counters
+// instead.
 type Stats struct {
 	Proxy proxy.Stats
 	Pool  pool.Stats
@@ -444,44 +440,56 @@ func (db *DB) Stats() Stats {
 	return st
 }
 
-// Metrics publishes every attached component's counters into the registry
-// and returns the flattened snapshot (name → value) that the bench JSON
-// output embeds. Proxy and replication metrics are published bare on a
-// handle from Open and per cell, namespaced "shard.cell<i>.", beside the
-// router's on a sharded one; external publishers (chaos, elastic) share the
-// same registry via Registry().
+// Metrics returns the flattened snapshot (name → value) that the bench JSON
+// output embeds, read at the moment of the call: the registry's live
+// instruments (client.exec, client.errors), then every component's Stats
+// struct through obs.Flatten — proxy and replication bare on a handle from
+// Open, per cell under "shard.cell<i>." beside the router's "shard.*" on a
+// sharded one — and the handful of values no Stats struct holds, computed
+// here. Nothing is registered ahead of time, so a cell a split added a moment
+// ago is in the next snapshot.
 func (db *DB) Metrics() map[string]float64 {
+	out := db.reg.Snapshot()
+	cells := db.cells()
 	if sc := db.sc; sc != nil {
-		sc.PublishMetrics(db.reg)
-	} else {
-		c := db.cells()[0]
-		c.Px.PublishMetrics(db.reg)
-		c.Clu.Master().PublishMetrics(db.reg)
+		out["shard.cells"] = float64(len(cells))
+		out["shard.slots"] = float64(sc.Map().NumSlots())
+		out["shard.map_version"] = float64(sc.Map().Version())
+		obs.Flatten(out, "shard.router.", sc.Stats())
+		// Tail latency of scatters is a headline shard metric: p99 too.
+		out["shard.latency.single.p99_ms"] = obs.FlattenHistogram(out, "shard.latency.single", sc.SingleLatency()).P99
+		out["shard.latency.scatter.p99_ms"] = obs.FlattenHistogram(out, "shard.latency.scatter", sc.ScatterLatency()).P99
 	}
-	db.pool.PublishMetrics(db.reg)
-	db.reg.Gauge("repl.max_events_behind").Set(float64(db.Staleness().MaxEvents))
-	db.publishEngineGC()
-	return db.reg.Snapshot()
-}
-
-// publishEngineGC sums MVCC version-chain GC counters over every engine in
-// the deployment (masters and slaves, all cells) into "sqlengine.gc.*" —
-// the evidence that chain memory is being reclaimed, not accreted.
-func (db *DB) publishEngineGC() {
-	var runs, versions, rows uint64
-	add := func(srv *server.DBServer) {
+	// MVCC version-chain GC, summed over every engine in the deployment — the
+	// evidence that chain memory is being reclaimed, not accreted.
+	var gcRuns, gcVersions, gcRows uint64
+	addGC := func(srv *server.DBServer) {
 		r, v, w := srv.Eng.GCStats()
-		runs, versions, rows = runs+r, versions+v, rows+w
+		gcRuns, gcVersions, gcRows = gcRuns+r, gcVersions+v, gcRows+w
 	}
-	for _, c := range db.cells() {
-		add(c.Clu.Master().Srv)
-		for _, sl := range c.Clu.Slaves() {
-			add(sl.Srv)
+	for _, c := range cells {
+		prefix := ""
+		if db.sc != nil {
+			prefix = fmt.Sprintf("shard.cell%d.", c.ID)
+		}
+		m := c.Clu.Master()
+		slaves := m.Slaves()
+		obs.Flatten(out, prefix+"proxy.", c.Px.Stats())
+		obs.Flatten(out, prefix+"repl.", m.Stats())
+		out[prefix+"repl.slaves"] = float64(len(slaves))
+		addGC(m.Srv)
+		for _, sl := range slaves {
+			addGC(sl.Srv)
 		}
 	}
-	db.reg.Counter("sqlengine.gc.runs").Set(float64(runs))
-	db.reg.Counter("sqlengine.gc.versions_pruned").Set(float64(versions))
-	db.reg.Counter("sqlengine.gc.rows_pruned").Set(float64(rows))
+	obs.Flatten(out, "pool.", db.pool.Stats())
+	out["pool.active"] = float64(db.pool.Active())
+	out["pool.idle"] = float64(db.pool.Idle())
+	out["repl.max_events_behind"] = float64(db.Staleness().MaxEvents)
+	out["sqlengine.gc.runs"] = float64(gcRuns)
+	out["sqlengine.gc.versions_pruned"] = float64(gcVersions)
+	out["sqlengine.gc.rows_pruned"] = float64(gcRows)
+	return out
 }
 
 // Close shuts the connection pool; the cluster keeps running (databases

@@ -2,11 +2,9 @@ package elastic
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"cloudrepl/internal/cluster"
-	"cloudrepl/internal/obs"
 	"cloudrepl/internal/repl"
 	"cloudrepl/internal/sim"
 )
@@ -188,31 +186,40 @@ func (c *Controller) Trace() []Sample { return c.trace }
 // Decisions returns the decision log.
 func (c *Controller) Decisions() []Decision { return c.decisions }
 
-// PublishMetrics snapshots the controller's scaling activity into reg under
-// the "elastic." prefix: one counter per decision kind, plus a master-bound
-// flag gauge.
-func (c *Controller) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
+// Counters tallies the decision log by action, plus the master-bound verdict
+// as a 0/1 flag. The metric tag is the name obs.Flatten publishes a field
+// under (after "elastic."); every action of the vocabulary has a field, so
+// the published names do not depend on which decisions happened to fire.
+type Counters struct {
+	ScaleOut        int `metric:"scale_out"`
+	Admit           int `metric:"admit"`
+	ScaleIn         int `metric:"scale_in"`
+	Drained         int `metric:"drained"`
+	MasterBound     int `metric:"master_bound"`
+	Rollback        int `metric:"rollback"`
+	ProvisionFailed int `metric:"provision_failed"`
+	CellAdded       int `metric:"cell_added"`
+	CellScaleFailed int `metric:"cell_scale_failed"`
+	IsMasterBound   int `metric:"is_master_bound"`
+}
+
+// Counters counts the decisions taken so far. An action recorded without a
+// field here (see Decision.Action) is a nil dereference, not a silent zero.
+func (c *Controller) Counters() Counters {
+	var n Counters
+	byAction := map[string]*int{
+		"scale-out": &n.ScaleOut, "admit": &n.Admit, "scale-in": &n.ScaleIn,
+		"drained": &n.Drained, "master-bound": &n.MasterBound, "rollback": &n.Rollback,
+		"provision-failed": &n.ProvisionFailed, "cell-added": &n.CellAdded,
+		"cell-scale-failed": &n.CellScaleFailed,
 	}
-	counts := map[string]int{}
 	for _, d := range c.decisions {
-		counts[d.Action]++
+		*byAction[d.Action]++
 	}
-	// Fixed action vocabulary (see Decision.Action) so the published set
-	// of names does not depend on which decisions happened to fire.
-	for _, action := range []string{"scale-out", "admit", "scale-in",
-		"drained", "master-bound", "rollback", "provision-failed",
-		"cell-added", "cell-scale-failed"} {
-		name := "elastic." + strings.ReplaceAll(action, "-", "_")
-		reg.Counter(name).Set(float64(counts[action]))
+	if c.masterBound {
+		n.IsMasterBound = 1
 	}
-	bound, _, _ := c.MasterBound()
-	v := 0.0
-	if bound {
-		v = 1
-	}
-	reg.Gauge("elastic.is_master_bound").Set(v)
+	return n
 }
 
 // MasterBound reports whether the controller has declared the tier

@@ -9,7 +9,6 @@ import (
 	"cloudrepl/internal/cloud"
 	"cloudrepl/internal/cluster"
 	"cloudrepl/internal/core"
-	"cloudrepl/internal/obs"
 	"cloudrepl/internal/repl"
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
@@ -122,7 +121,7 @@ func TestWarmupGateNoReadsUntilCaughtUp(t *testing.T) {
 				}
 			}
 			if added != nil && db.Proxy().Quarantined(added) {
-				if got := db.Proxy().ReadsServed(added); got != 0 {
+				if got := added.Srv.Stats().Reads; got != 0 {
 					t.Errorf("quarantined slave %s served %d read(s)", added.Srv.Name, got)
 					return
 				}
@@ -146,7 +145,7 @@ func TestWarmupGateNoReadsUntilCaughtUp(t *testing.T) {
 	if db.Proxy().Quarantined(added) {
 		t.Errorf("slave %s still quarantined at end of run (lag %d)", added.Srv.Name, added.EventsBehindMaster())
 	}
-	if got := db.Proxy().ReadsServed(added); got == 0 {
+	if got := added.Srv.Stats().Reads; got == 0 {
 		t.Error("admitted slave served no reads after warm-up")
 	}
 	if !hasDecision(ctrl.Decisions(), "scale-out") || !hasDecision(ctrl.Decisions(), "admit") {
@@ -297,10 +296,8 @@ func TestScaleCellOnMasterBound(t *testing.T) {
 	if c.lastScale != sim.Time(2*time.Minute+5*time.Second) {
 		t.Errorf("lastScale = %v, want 2m5s (cooldown restarts at split completion)", c.lastScale)
 	}
-	reg := obs.NewRegistry()
-	c.PublishMetrics(reg)
-	if got := reg.Counter("elastic.cell_added").Value(); got != 1 {
-		t.Errorf("elastic.cell_added = %v, want 1", got)
+	if n := c.Counters(); n.CellAdded != 1 || n.MasterBound != 1 || n.IsMasterBound != 0 {
+		t.Errorf("counters = %+v, want one cell-added, one master-bound declaration, verdict cleared", n)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"cloudrepl/internal/elastic"
 	"cloudrepl/internal/heartbeat"
 	"cloudrepl/internal/metrics"
+	"cloudrepl/internal/obs"
 	"cloudrepl/internal/pool"
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
@@ -49,8 +50,8 @@ type ElasticFleetResult struct {
 	// seconds; ThroughputSeries samples cumulative completed operations.
 	SlavesSeries     *metrics.TimeSeries
 	ThroughputSeries *metrics.TimeSeries
-	// Metrics is the arm's obs.Registry snapshot (client latency, proxy
-	// and pool counters, the controller's scaling activity).
+	// Metrics is the arm's end-of-run snapshot (client latency, proxy and
+	// pool counters, the controller's scaling activity).
 	Metrics map[string]float64
 }
 
@@ -226,8 +227,8 @@ func runElasticArm(seed int64, arm elasticArm, stages []cloudstone.Stage, sloMs 
 	dres := driver.Result()
 	fr.Throughput = dres.Throughput
 	fr.Errors = dres.Errors
-	ctrl.PublishMetrics(db.Registry())
 	fr.Metrics = db.Metrics()
+	obs.Flatten(fr.Metrics, "elastic.", ctrl.Counters())
 
 	ctrl.Stop()
 	hb.Stop()

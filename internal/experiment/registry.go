@@ -66,11 +66,14 @@ type Arm struct {
 // Session is one cloudrepl-bench invocation's state across experiments.
 type Session struct {
 	opts SweepOpts
-	// elapsed reports the invocation's wall-clock so far: the kernel bench
-	// records how long the sweep it rode along with took.
+	// elapsed reports the invocation's wall-clock so far.
 	elapsed func() time.Duration
-	sweeps  map[string]*Sweep // by File
-	results map[string]any    // Output.JSON by Key
+	// figuresWall is the wall-clock spent in the figures and ablations run so
+	// far: the kernel bench records how long the sweep it rode along with
+	// took, zero when it ran alone.
+	figuresWall time.Duration
+	sweeps      map[string]*Sweep // by File
+	results     map[string]any    // Output.JSON by Key
 }
 
 // NewSession starts an invocation.
@@ -80,9 +83,13 @@ func NewSession(o SweepOpts, elapsed func() time.Duration) *Session {
 
 // Run executes e and remembers its JSON payload for HistoryRow.
 func (s *Session) Run(e *Experiment) (Output, error) {
+	before := s.elapsed()
 	out, err := e.Run(s, e)
 	if err != nil {
 		return Output{}, fmt.Errorf("%s: %w", e.ID, err)
+	}
+	if e.Kind != KindSwitch {
+		s.figuresWall += s.elapsed() - before
 	}
 	s.results[e.Key] = out.JSON
 	return out, nil
@@ -194,7 +201,7 @@ var Registry = []*Experiment{
 		Run: run(AblationElastic, RenderElastic, ElasticJSON)},
 	{Kind: KindSwitch, Key: "bench-kernel", ID: "B-KERNEL", Title: "raw sim-kernel speed: events/sec, ns/event, allocs/event on a micro workload and one experiment cell", File: "kernel",
 		Run: func(s *Session, _ *Experiment) (Output, error) {
-			r, err := KernelBench(s.opts, s.elapsed())
+			r, err := KernelBench(s.opts, s.figuresWall)
 			if err != nil {
 				return Output{}, err
 			}

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRegistry checks the table everything else is derived from: keys and ids
@@ -88,6 +89,38 @@ func TestSelect(t *testing.T) {
 		if !strings.Contains(err.Error(), Keys(kind)) {
 			t.Errorf("Select(%q, %q): %v does not list %s", bad[0], bad[1], err, Keys(kind))
 		}
+	}
+}
+
+// TestSessionFiguresWall: the wall-clock the kernel bench reports beside its
+// own numbers is that of the figures and ablations the session ran before it
+// — not time since the process started, which made a standalone -bench-kernel
+// write a non-zero figures_wall_ms.
+func TestSessionFiguresWall(t *testing.T) {
+	var clock time.Duration
+	sess := NewSession(SweepOpts{}, func() time.Duration { return clock })
+	takes := func(kind Kind, d time.Duration) *Experiment {
+		return &Experiment{Kind: kind, Key: "k", ID: "X", Run: func(*Session, *Experiment) (Output, error) {
+			clock += d
+			return Output{}, nil
+		}}
+	}
+	clock = 5 * time.Second // flag parsing, profiles: not a sweep
+	for _, e := range []*Experiment{takes(KindSwitch, time.Second), takes(KindSwitch, time.Second)} {
+		if _, err := sess.Run(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sess.figuresWall != 0 {
+		t.Errorf("benches alone: figures wall %v, want 0", sess.figuresWall)
+	}
+	for _, e := range []*Experiment{takes(KindFigure, 3*time.Second), takes(KindAblation, 4*time.Second), takes(KindSwitch, time.Second)} {
+		if _, err := sess.Run(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sess.figuresWall != 7*time.Second {
+		t.Errorf("figure + ablation: figures wall %v, want 7s", sess.figuresWall)
 	}
 }
 

@@ -190,8 +190,8 @@ type RunResult struct {
 	ChaosLog      []chaos.Applied
 	ChaosCounters chaos.Counters
 
-	// Metrics is the end-of-run registry snapshot: every middleware
-	// component's counters flattened to "<component>.<metric>".
+	// Metrics is the end-of-run snapshot: every middleware component's
+	// counters (and the injector's) flattened to "<component>.<metric>".
 	Metrics map[string]float64
 
 	// TraceJSON is the Chrome trace-event export (Trace runs only).
@@ -384,8 +384,8 @@ func Run(spec RunSpec) (RunResult, error) {
 		res.P95DelayMs = metrics.Quantile(pooled, 0.95)
 	}
 
-	inj.PublishMetrics(db.Registry())
 	res.Metrics = db.Metrics()
+	obs.Flatten(res.Metrics, "chaos.", res.ChaosCounters)
 	if tracer != nil {
 		tj, err := tracer.ExportJSON()
 		if err != nil {

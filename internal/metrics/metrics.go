@@ -225,23 +225,6 @@ func (h *Histogram) Float64s() []float64 {
 // Summary summarizes the histogram in milliseconds.
 func (h *Histogram) Summary() Summary { return Summarize(h.Float64s()) }
 
-// Percentile returns the q-quantile sample.
-func (h *Histogram) Percentile(q float64) time.Duration {
-	if h == nil || len(h.samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), h.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// Reset discards all samples and the recorded total.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.total = 0
-}
-
 // Point is one time-series observation.
 type Point struct {
 	T time.Duration

@@ -26,7 +26,7 @@ func TestHistogramReservoirBoundsMemory(t *testing.T) {
 	}
 	// A uniform reservoir over a uniform ramp keeps the quantiles roughly in
 	// place; a wide tolerance still catches head-only or tail-only retention.
-	med := float64(h.Percentile(0.5)) / float64(time.Microsecond)
+	med := h.Summary().Median * 1000 // ms → µs
 	if med < n/4 || med > 3*n/4 {
 		t.Fatalf("median %v wildly off for a uniform ramp of %d", med, n)
 	}
@@ -81,7 +81,7 @@ func TestHistogramBelowCapKeepsEverySample(t *testing.T) {
 	}
 }
 
-func TestHistogramSetCapAndReset(t *testing.T) {
+func TestHistogramSetCap(t *testing.T) {
 	var h Histogram
 	h.SetCap(8)
 	for i := 0; i < 100; i++ {
@@ -92,9 +92,5 @@ func TestHistogramSetCapAndReset(t *testing.T) {
 	}
 	if h.Total() != 100 {
 		t.Fatalf("Total = %d, want 100", h.Total())
-	}
-	h.Reset()
-	if h.N() != 0 || h.Total() != 0 {
-		t.Fatalf("Reset left N=%d Total=%d", h.N(), h.Total())
 	}
 }

@@ -1,15 +1,17 @@
 // Package obs is the simulator's observability layer: per-query tracing on
-// the virtual timeline and a central metrics registry the middleware
-// publishes into.
+// the virtual timeline, and the metrics snapshot — a small registry of live
+// instruments plus Flatten, which reads the components' own Stats structs
+// when a snapshot is taken.
 //
 // Tracing follows one statement's causal chain across every component it
 // touches — client handle, pool checkout, proxy routing attempts, server
 // execution, binlog group commit and ship batches, slave appliers — and
 // links them into a single trace even across process boundaries (the write
 // runs on a client process; shipping and applying run on replication
-// threads). Cross-process links ride the binlog sequence number: the server
-// registers each committed entry against the write's span, and the dump and
-// SQL threads look the sequence up to join the trace.
+// threads). Cross-process links ride the binlog position — which master's log,
+// and the sequence number in it: the server registers each committed entry
+// against the write's span, and the dump and SQL threads look the position up
+// to join the trace.
 //
 // Everything is deterministic: span IDs come from a splitmix64 generator
 // seeded once from the simulation environment's RNG, and timestamps are
@@ -109,7 +111,15 @@ type Tracer struct {
 	idgen  uint64 // splitmix64 state, seeded once from the env RNG
 	spans  []*Span
 	stacks map[uint64][]*Span // proc ID → open spans, innermost last
-	seqRef map[uint64]Ref     // binlog seq → committing write's span
+	seqRef map[seqKey]Ref     // binlog position → committing write's span
+}
+
+// seqKey names one binlog entry among everything a tracer sees. The sequence
+// alone does not: every master numbers its own log from 1, and the cells of a
+// sharded tier share one tracer.
+type seqKey struct {
+	origin any // the log the entry was committed to (a *binlog.Log)
+	seq    uint64
 }
 
 // NewTracer creates a tracer whose span IDs are seeded from env's RNG (one
@@ -120,7 +130,7 @@ func NewTracer(env *sim.Env) *Tracer {
 		env:    env,
 		idgen:  env.Rand().Uint64() | 1, // never zero
 		stacks: make(map[uint64][]*Span),
-		seqRef: make(map[uint64]Ref),
+		seqRef: make(map[seqKey]Ref),
 	}
 }
 
@@ -204,22 +214,23 @@ func (tr *Tracer) pop(sp *Span) {
 	}
 }
 
-// LinkSeq registers sp as the span that committed binlog sequence seq; the
-// replication threads recover it with SeqRef. Nil-safe on both arguments.
-func (tr *Tracer) LinkSeq(seq uint64, sp *Span) {
+// LinkSeq registers sp as the span that committed sequence seq of the binlog
+// origin (the committing master's log; any comparable value that identifies
+// it); the replication threads recover it with SeqRef. Nil-safe on tr and sp.
+func (tr *Tracer) LinkSeq(origin any, seq uint64, sp *Span) {
 	if tr == nil || sp == nil {
 		return
 	}
-	tr.seqRef[seq] = sp.Ref()
+	tr.seqRef[seqKey{origin, seq}] = sp.Ref()
 }
 
-// SeqRef returns the span that committed binlog sequence seq (zero Ref when
-// unknown, e.g. preload writes). Nil-safe.
-func (tr *Tracer) SeqRef(seq uint64) Ref {
+// SeqRef returns the span that committed sequence seq of the binlog origin
+// (zero Ref when unknown, e.g. preload writes). Nil-safe.
+func (tr *Tracer) SeqRef(origin any, seq uint64) Ref {
 	if tr == nil {
 		return Ref{}
 	}
-	return tr.seqRef[seq]
+	return tr.seqRef[seqKey{origin, seq}]
 }
 
 // Spans returns every recorded span in creation order (ended or not).

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -133,41 +134,48 @@ func TestOrphanDetectionAndExportExclusion(t *testing.T) {
 func TestSeqLinksJoinTracesAcrossProcs(t *testing.T) {
 	env := sim.NewEnv(4)
 	tr := NewTracer(env)
+	origin, other := new(int), new(int) // two masters' logs
 	var writeTrace uint64
 	env.Go("writer", func(p *sim.Proc) {
 		sp := tr.StartSpan(p, "server", "exec")
 		writeTrace = sp.Trace
-		tr.LinkSeq(17, sp)
+		tr.LinkSeq(origin, 17, sp)
 		sp.End(p)
 	})
 	env.Go("applier", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond) // run after the writer
-		asp := tr.StartLinked(p, "apply", "apply", tr.SeqRef(17))
+		asp := tr.StartLinked(p, "apply", "apply", tr.SeqRef(origin, 17))
 		if asp.Trace != writeTrace {
 			t.Errorf("apply span trace %d, want the write's trace %d", asp.Trace, writeTrace)
 		}
 		asp.End(p)
 
 		// Unknown sequence → zero Ref → fresh trace.
-		fresh := tr.StartLinked(p, "apply", "apply", tr.SeqRef(999))
+		fresh := tr.StartLinked(p, "apply", "apply", tr.SeqRef(origin, 999))
 		if fresh.Trace == writeTrace || fresh.Parent != 0 {
 			t.Errorf("unknown seq did not root a fresh trace: %+v", fresh)
 		}
 		fresh.End(p)
+
+		// The same sequence number in another master's log is another entry.
+		if ref := tr.SeqRef(other, 17); ref != (Ref{}) {
+			t.Errorf("seq 17 of a different log resolved to %+v", ref)
+		}
 	})
 	env.Run()
 }
 
 func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	var tr *Tracer
+	origin := new(int)
 	env := sim.NewEnv(5)
 	env.Go("test", func(p *sim.Proc) {
 		sp := tr.StartSpan(p, "client", "exec")
 		sp.SetAttr("k", "v")
 		sp.SetAttrInt("n", 1)
 		sp.End(p)
-		tr.LinkSeq(1, sp)
-		lsp := tr.StartLinked(p, "apply", "apply", tr.SeqRef(1))
+		tr.LinkSeq(origin, 1, sp)
+		lsp := tr.StartLinked(p, "apply", "apply", tr.SeqRef(origin, 1))
 		lsp.End(p)
 	})
 	env.Run()
@@ -224,7 +232,6 @@ func TestRegistrySnapshotFlattens(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("proxy.retries").Inc()
 	r.Counter("proxy.retries").Add(2)
-	r.Gauge("pool.active").Set(5)
 	h := r.Histogram("client.exec")
 	h.Record(2 * time.Millisecond)
 	h.Record(4 * time.Millisecond)
@@ -232,9 +239,6 @@ func TestRegistrySnapshotFlattens(t *testing.T) {
 	snap := r.Snapshot()
 	if snap["proxy.retries"] != 3 {
 		t.Errorf("counter = %v, want 3", snap["proxy.retries"])
-	}
-	if snap["pool.active"] != 5 {
-		t.Errorf("gauge = %v, want 5", snap["pool.active"])
 	}
 	if snap["client.exec.count"] != 2 {
 		t.Errorf("hist count = %v, want 2", snap["client.exec.count"])
@@ -248,12 +252,54 @@ func TestRegistrySnapshotFlattens(t *testing.T) {
 	if _, ok := snap["client.exec.max_ms"]; !ok {
 		t.Error("hist max missing from snapshot")
 	}
-	// Counter Set is idempotent snapshot-style publishing.
-	r.Counter("chaos.crashes").Set(2)
-	r.Counter("chaos.crashes").Set(2)
-	if got := r.Snapshot()["chaos.crashes"]; got != 2 {
-		t.Errorf("snapshot-style counter = %v, want 2", got)
+	// A snapshot is the caller's own map: callers flatten Stats structs into it.
+	snap["proxy.retries"] = 0
+	if got := r.Snapshot()["proxy.retries"]; got != 3 {
+		t.Errorf("writing to a snapshot reached the registry: counter = %v, want 3", got)
 	}
+}
+
+// TestFlatten: every tagged numeric field lands under prefix+tag as a
+// float64, "-" keeps a field out, and what cannot be published is rejected
+// loudly rather than skipped.
+func TestFlatten(t *testing.T) {
+	type stats struct {
+		Reads    uint64  `metric:"reads"`
+		Idle     int     `metric:"pool.idle"`
+		Share    float64 `metric:"share"`
+		Small    uint8   `metric:"small"`
+		Degraded bool    `metric:"-"`
+		Hidden   uint64  `metric:"-"`
+		private  int
+	}
+	in := stats{Reads: 7, Idle: -2, Share: 0.25, Small: 3, Degraded: true, Hidden: 9, private: 1}
+	want := map[string]float64{"old": 1, "c0.reads": 7, "c0.pool.idle": -2, "c0.share": 0.25, "c0.small": 3}
+	for _, arg := range []any{in, &in} {
+		got := map[string]float64{"old": 1}
+		Flatten(got, "c0.", arg)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Flatten(%T) = %v, want %v", arg, got, want)
+		}
+	}
+
+	mustPanic := func(name string, stats any) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Flatten accepted %s", name)
+			}
+		}()
+		Flatten(map[string]float64{}, "", stats)
+	}
+	mustPanic("a non-struct", 42)
+	mustPanic("a nil pointer", (*stats)(nil))
+	mustPanic("an untagged exported field", struct{ N uint64 }{})
+	mustPanic("an empty tag", struct {
+		N uint64 `metric:""`
+	}{})
+	mustPanic("a named non-numeric field", struct {
+		On bool `metric:"on"`
+	}{})
 }
 
 // synthetic spans for the summary helpers: one full-pipeline trace (id 1)

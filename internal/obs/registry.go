@@ -1,16 +1,16 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"reflect"
 
 	"cloudrepl/internal/metrics"
 )
 
-// Counter is a monotone count. Publishers that snapshot an existing total
-// at the end of a run use Set; live instrumentation uses Add/Inc. A nil
-// *Counter (from a disabled registry) no-ops on every method, so call
-// sites need no guards and stay allocation-free.
+// Counter is a monotone count kept by live instrumentation. A nil *Counter
+// (from a disabled registry) no-ops on every method, so call sites need no
+// guards and stay allocation-free.
 type Counter struct{ v float64 }
 
 // Inc adds one.
@@ -27,14 +27,6 @@ func (c *Counter) Add(d float64) {
 	}
 }
 
-// Set replaces the count — snapshot-style publishing of a counter that is
-// maintained elsewhere (idempotent when publishing runs more than once).
-func (c *Counter) Set(v float64) {
-	if c != nil {
-		c.v = v
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() float64 {
 	if c == nil {
@@ -43,35 +35,17 @@ func (c *Counter) Value() float64 {
 	return c.v
 }
 
-// Gauge is a point-in-time value. A nil *Gauge no-ops, like a nil
-// *Counter.
-type Gauge struct{ v float64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Registry is the central named-metric store the middleware publishes into:
-// counters, gauges and (reservoir-sampled) duration histograms, snapshotted
-// into the bench's -json output. Metric names are dotted lowercase,
-// "<component>.<metric>" — e.g. "proxy.retries", "pool.waits",
-// "client.exec". The zero Registry is not usable; call NewRegistry. A nil
-// *Registry is "metrics off": every lookup returns a nil instrument whose
-// methods no-op, so instrumented code runs unguarded and unallocating.
+// Registry holds the instruments that have no component Stats struct to
+// live in: named counters and (reservoir-sampled) duration histograms that
+// are written as the run goes — core's client.errors and client.exec.
+// Everything a component already counts in its Stats struct is read from
+// there at snapshot time by Flatten, not copied in here. Metric names are
+// dotted lowercase, "<component>.<metric>". The zero Registry is not usable;
+// call NewRegistry. A nil *Registry is "metrics off": every lookup returns a
+// nil instrument whose methods no-op, so instrumented code runs unguarded and
+// unallocating.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*metrics.Histogram
 	rng      *rand.Rand
 }
@@ -82,7 +56,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*metrics.Histogram),
 	}
 }
@@ -110,20 +83,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use (nil on a nil
-// registry).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named duration histogram, creating it on first use
 // with the registry's reservoir RNG (nil on a nil registry).
 func (r *Registry) Histogram(name string) *metrics.Histogram {
@@ -139,32 +98,10 @@ func (r *Registry) Histogram(name string) *metrics.Histogram {
 	return h
 }
 
-// MergeInto publishes every metric of r into dst under prefix, as gauges
-// holding the flattened Snapshot values (histograms arrive pre-expanded to
-// .count/.mean_ms/.p95_ms/.max_ms). A sharded deployment keeps one private
-// registry per cell and merges them into the top-level registry as
-// "shard.<cell>.<component>.<metric>", so per-cell metrics never collide.
-// Iteration is over sorted names, keeping dst's creation order (and any
-// RNG draws downstream) deterministic. No-op when r or dst is nil.
-func (r *Registry) MergeInto(dst *Registry, prefix string) {
-	if r == nil || dst == nil {
-		return
-	}
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		dst.Gauge(prefix + name).Set(snap[name])
-	}
-}
-
-// Snapshot flattens every metric into a name→value map: counters and
-// gauges verbatim, histograms expanded to <name>.count, <name>.mean_ms,
-// <name>.p95_ms and <name>.max_ms. The map marshals with sorted keys, so a
-// snapshot in JSON output is deterministic.
+// Snapshot flattens every instrument into a fresh name→value map: counters
+// verbatim, histograms expanded by FlattenHistogram. The map marshals with
+// sorted keys, so a snapshot in JSON output is deterministic. Nil on a nil
+// registry.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
@@ -173,20 +110,61 @@ func (r *Registry) Snapshot() map[string]float64 {
 	for name, c := range r.counters {
 		out[name] = c.v
 	}
-	for name, g := range r.gauges {
-		out[name] = g.v
-	}
-	var hnames []string
-	for name := range r.hists {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		s := r.hists[name].Summary()
-		out[name+".count"] = float64(r.hists[name].Total())
-		out[name+".mean_ms"] = s.Mean
-		out[name+".p95_ms"] = s.P95
-		out[name+".max_ms"] = s.Max
+	//cloudrepl:allow-maporder each histogram fills its own keys of out and reading a summary draws nothing
+	for name, h := range r.hists {
+		FlattenHistogram(out, name, h)
 	}
 	return out
+}
+
+// FlattenHistogram writes h into dst as <name>.count (every sample ever
+// recorded), <name>.mean_ms, <name>.p95_ms and <name>.max_ms, and returns
+// the summary it read them from for a caller that publishes more of it.
+func FlattenHistogram(dst map[string]float64, name string, h *metrics.Histogram) metrics.Summary {
+	s := h.Summary()
+	dst[name+".count"] = float64(h.Total())
+	dst[name+".mean_ms"] = s.Mean
+	dst[name+".p95_ms"] = s.P95
+	dst[name+".max_ms"] = s.Max
+	return s
+}
+
+// Flatten reads a component's Stats struct into dst: every exported field
+// tagged `metric:"name"` becomes dst[prefix+name], converted to float64. A
+// field tagged `metric:"-"` is left out. The tag is mandatory — an exported
+// field without one, a tagged field that is not an integer or a float, or a
+// stats argument that is not a struct (or a pointer to one) is a programming
+// error and panics, so a counter cannot be added to a struct and silently go
+// unpublished. Fields are read when Flatten runs; nothing is registered
+// ahead of time, which is what lets a snapshot be taken at any instant and
+// see a cell that a split created a moment ago.
+func Flatten(dst map[string]float64, prefix string, stats any) {
+	v := reflect.Indirect(reflect.ValueOf(stats))
+	if v.Kind() != reflect.Struct {
+		panic(fmt.Sprintf("obs: Flatten of %T, want a struct", stats))
+	}
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		name, ok := f.Tag.Lookup("metric")
+		switch {
+		case !ok || name == "":
+			panic(fmt.Sprintf("obs: %s.%s has no metric tag", t, f.Name))
+		case name == "-":
+			continue
+		}
+		switch fv := v.Field(i); {
+		case fv.CanUint():
+			dst[prefix+name] = float64(fv.Uint())
+		case fv.CanInt():
+			dst[prefix+name] = float64(fv.Int())
+		case fv.CanFloat():
+			dst[prefix+name] = fv.Float()
+		default:
+			panic(fmt.Sprintf("obs: %s.%s is a %s, not a number", t, f.Name, f.Type))
+		}
+	}
 }

@@ -81,22 +81,3 @@ func TestTimeoutStatsUnderContention(t *testing.T) {
 		t.Fatalf("Borrows = %d, want only the holder's", st.Borrows)
 	}
 }
-
-// TestEvictorStopsPromptlyOnClose: Close wakes the evictor mid-sleep; the
-// simulation drains without the evictor sitting out its full interval.
-func TestEvictorStopsPromptlyOnClose(t *testing.T) {
-	env := sim.NewEnv(3)
-	pl, _ := newTestPool(env, Config{MaxActive: 2, MaxIdle: 2, MaxIdleTime: time.Second})
-	pl.StartEvictor(env, time.Hour)
-	env.Go("user", func(p *sim.Proc) {
-		c, _ := pl.Borrow(p)
-		pl.Return(c)
-		p.Sleep(time.Second)
-		pl.Close()
-	})
-	env.Run()
-	env.Shutdown()
-	if env.Now() >= time.Hour {
-		t.Fatalf("simulation ran to %v — the evictor slept out its interval past Close", env.Now())
-	}
-}

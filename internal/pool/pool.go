@@ -33,20 +33,17 @@ type Config struct {
 	// BorrowCost is the CPU-free virtual latency of a pool checkout
 	// (lock handoff); usually 0.
 	BorrowCost time.Duration
-	// MaxIdleTime, when positive, closes idle connections that have not
-	// been borrowed for this long (DBCP's timed eviction). Requires
-	// StartEvictor.
-	MaxIdleTime time.Duration
 }
 
-// Stats counts pool activity.
+// Stats counts pool activity. The metric tag is the name obs.Flatten
+// publishes a field under (after "pool.").
 type Stats struct {
-	Created  uint64
-	Closed   uint64
-	Borrows  uint64
-	Returns  uint64
-	Waits    uint64 // borrows that had to block
-	Timeouts uint64
+	Created  uint64 `metric:"created"`
+	Closed   uint64 `metric:"closed"`
+	Borrows  uint64 `metric:"borrows"`
+	Returns  uint64 `metric:"returns"`
+	Waits    uint64 `metric:"waits"` // borrows that had to block
+	Timeouts uint64 `metric:"timeouts"`
 }
 
 // Pool is a generic connection pool for any connection type.
@@ -55,18 +52,15 @@ type Pool[T any] struct {
 	// waited attribute when the borrow had to block). Nil disables tracing.
 	Tracer *obs.Tracer
 
-	env     *sim.Env
 	cfg     Config
 	factory func() T
 	closer  func(T)
 
-	idle     []T
-	idleAt   []sim.Time // per-idle-entry return time, parallel to idle
-	active   int        // total connections out or idle
-	waiters  *sim.Signal
-	closeSig *sim.Signal // broadcast once on Close (evictor shutdown)
-	closed   bool
-	stats    Stats
+	idle    []T
+	active  int // total connections out or idle
+	waiters *sim.Signal
+	closed  bool
+	stats   Stats
 }
 
 // New creates a pool. factory creates a connection; closer (optional)
@@ -81,8 +75,8 @@ func New[T any](env *sim.Env, cfg Config, factory func() T, closer func(T)) *Poo
 	if closer == nil {
 		closer = func(T) {}
 	}
-	return &Pool[T]{env: env, cfg: cfg, factory: factory, closer: closer,
-		waiters: sim.NewSignal(env).Named("pool-waiters"), closeSig: sim.NewSignal(env).Named("pool-close")}
+	return &Pool[T]{cfg: cfg, factory: factory, closer: closer,
+		waiters: sim.NewSignal(env).Named("pool-waiters")}
 }
 
 // Stats returns a snapshot of the counters.
@@ -124,7 +118,6 @@ func (pl *Pool[T]) Borrow(p *sim.Proc) (T, error) {
 		if n := len(pl.idle); n > 0 {
 			c := pl.idle[n-1]
 			pl.idle = pl.idle[:n-1]
-			pl.idleAt = pl.idleAt[:n-1]
 			pl.stats.Borrows++
 			done("", waited)
 			return c, nil
@@ -156,23 +149,6 @@ func (pl *Pool[T]) Borrow(p *sim.Proc) (T, error) {
 	}
 }
 
-// PublishMetrics snapshots the pool's counters and occupancy into reg under
-// the "pool." prefix.
-func (pl *Pool[T]) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s := pl.stats
-	reg.Counter("pool.created").Set(float64(s.Created))
-	reg.Counter("pool.closed").Set(float64(s.Closed))
-	reg.Counter("pool.borrows").Set(float64(s.Borrows))
-	reg.Counter("pool.returns").Set(float64(s.Returns))
-	reg.Counter("pool.waits").Set(float64(s.Waits))
-	reg.Counter("pool.timeouts").Set(float64(s.Timeouts))
-	reg.Gauge("pool.active").Set(float64(pl.active))
-	reg.Gauge("pool.idle").Set(float64(len(pl.idle)))
-}
-
 // Return checks a connection back in. Surplus beyond MaxIdle is closed.
 func (pl *Pool[T]) Return(c T) {
 	pl.stats.Returns++
@@ -184,7 +160,6 @@ func (pl *Pool[T]) Return(c T) {
 		return
 	}
 	pl.idle = append(pl.idle, c)
-	pl.idleAt = append(pl.idleAt, pl.env.Now())
 	pl.waiters.Broadcast()
 }
 
@@ -209,50 +184,5 @@ func (pl *Pool[T]) Close() {
 		pl.closer(c)
 	}
 	pl.idle = nil
-	pl.idleAt = nil
 	pl.waiters.Broadcast()
-	pl.closeSig.Broadcast() // stop the evictor mid-sleep
-}
-
-// EvictIdle closes idle connections unused for at least cfg.MaxIdleTime.
-// It returns the number evicted.
-func (pl *Pool[T]) EvictIdle() int {
-	if pl.cfg.MaxIdleTime <= 0 {
-		return 0
-	}
-	cutoff := pl.env.Now() - pl.cfg.MaxIdleTime
-	kept := pl.idle[:0]
-	keptAt := pl.idleAt[:0]
-	evicted := 0
-	for i, c := range pl.idle {
-		if pl.idleAt[i] <= cutoff {
-			pl.active--
-			pl.stats.Closed++
-			pl.closer(c)
-			evicted++
-			continue
-		}
-		kept = append(kept, c)
-		keptAt = append(keptAt, pl.idleAt[i])
-	}
-	pl.idle = kept
-	pl.idleAt = keptAt
-	if evicted > 0 {
-		pl.waiters.Broadcast()
-	}
-	return evicted
-}
-
-// StartEvictor launches a background process that runs EvictIdle every
-// interval — DBCP's evictor thread. It stops promptly when the pool
-// closes, even mid-sleep, instead of lingering for up to one interval.
-func (pl *Pool[T]) StartEvictor(env *sim.Env, interval time.Duration) {
-	env.Go("pool-evictor", func(p *sim.Proc) {
-		for !pl.closed {
-			if pl.closeSig.WaitTimeout(p, interval) {
-				return // woken by Close
-			}
-			pl.EvictIdle()
-		}
-	})
 }

@@ -247,62 +247,3 @@ func TestPoolCapacityInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEvictIdleClosesStaleConnections(t *testing.T) {
-	env := sim.NewEnv(1)
-	pl, _ := newTestPool(env, Config{MaxActive: 4, MaxIdle: 4, MaxIdleTime: 10 * time.Second})
-	env.Go("user", func(p *sim.Proc) {
-		var conns []*fakeConn
-		for i := 0; i < 3; i++ {
-			c, _ := pl.Borrow(p)
-			conns = append(conns, c)
-		}
-		for _, c := range conns {
-			pl.Return(c)
-		}
-		p.Sleep(5 * time.Second)
-		// Borrow one back so its idle clock resets on return.
-		c, _ := pl.Borrow(p)
-		pl.Return(c)
-		p.Sleep(6 * time.Second) // two conns now idle 11s, one idle 6s
-		if n := pl.EvictIdle(); n != 2 {
-			t.Errorf("evicted %d, want 2", n)
-		}
-		if pl.Idle() != 1 {
-			t.Errorf("idle = %d, want 1", pl.Idle())
-		}
-	})
-	env.Run()
-}
-
-func TestEvictorProcess(t *testing.T) {
-	env := sim.NewEnv(1)
-	pl, _ := newTestPool(env, Config{MaxActive: 2, MaxIdle: 2, MaxIdleTime: 5 * time.Second})
-	pl.StartEvictor(env, time.Second)
-	env.Go("user", func(p *sim.Proc) {
-		c, _ := pl.Borrow(p)
-		pl.Return(c)
-	})
-	env.RunUntil(10 * time.Second)
-	if pl.Idle() != 0 || pl.Active() != 0 {
-		t.Fatalf("idle=%d active=%d after evictor ran", pl.Idle(), pl.Active())
-	}
-	pl.Close()
-	env.RunUntil(20 * time.Second)
-	env.Stop()
-	env.Shutdown()
-}
-
-func TestEvictIdleNoopWithoutMaxIdleTime(t *testing.T) {
-	env := sim.NewEnv(1)
-	pl, _ := newTestPool(env, Config{MaxActive: 2, MaxIdle: 2})
-	env.Go("user", func(p *sim.Proc) {
-		c, _ := pl.Borrow(p)
-		pl.Return(c)
-		p.Sleep(time.Hour)
-		if n := pl.EvictIdle(); n != 0 {
-			t.Errorf("evicted %d without MaxIdleTime", n)
-		}
-	})
-	env.Run()
-}

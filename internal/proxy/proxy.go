@@ -143,21 +143,22 @@ func (LeastLag) Name() string { return "least-lag" }
 // the master.
 const DefaultMaxEventsBehind = 64
 
-// Stats counts proxy routing decisions and robustness outcomes.
+// Stats counts proxy routing decisions and robustness outcomes. The metric
+// tag is the name obs.Flatten publishes a field under (after "proxy.").
 type Stats struct {
-	Reads           uint64
-	Writes          uint64
-	MasterFallbacks uint64 // reads served by the master
-	Errors          uint64 // statements that failed after all retries
+	Reads           uint64 `metric:"reads"`
+	Writes          uint64 `metric:"writes"`
+	MasterFallbacks uint64 `metric:"master_fallbacks"` // reads served by the master
+	Errors          uint64 `metric:"errors"`           // statements that failed after all retries
 
 	// Robustness outcome counters.
-	Retries           uint64 // statement re-attempts after a retryable error
-	Timeouts          uint64 // attempts abandoned at the statement timeout
-	SlaveEvictions    uint64 // slaves benched after repeated errors
-	SlaveReadmissions uint64 // benched slaves returned to rotation
-	Failovers         uint64 // master promotions triggered by this proxy
-	DegradedCommits   uint64 // semi-sync commits that timed out to async
-	WrongShard        uint64 // statements rejected by the ownership check
+	Retries           uint64 `metric:"retries"`            // statement re-attempts after a retryable error
+	Timeouts          uint64 `metric:"timeouts"`           // attempts abandoned at the statement timeout
+	SlaveEvictions    uint64 `metric:"slave_evictions"`    // slaves benched after repeated errors
+	SlaveReadmissions uint64 `metric:"slave_readmissions"` // benched slaves returned to rotation
+	Failovers         uint64 `metric:"failovers"`          // master promotions triggered by this proxy
+	DegradedCommits   uint64 `metric:"degraded_commits"`   // semi-sync commits that timed out to async
+	WrongShard        uint64 `metric:"wrong_shard"`        // statements rejected by the ownership check
 
 	// Consistency-tier counters: reads served under each tier, epoch
 	// fallbacks (session reads forced to the master because their token
@@ -165,14 +166,14 @@ type Stats struct {
 	// backends were observed behind, and read-your-writes compliance
 	// (checked = reads with a comparable token, compliant = the backend had
 	// applied the connection's newest write).
-	EventualReads       uint64
-	BoundedReads        uint64
-	SessionReads        uint64
-	StrongReads         uint64
-	EpochFallbacks      uint64
-	StaleEventsObserved uint64
-	RYWChecked          uint64
-	RYWCompliant        uint64
+	EventualReads       uint64 `metric:"consistency.eventual.reads"`
+	BoundedReads        uint64 `metric:"consistency.bounded.reads"`
+	SessionReads        uint64 `metric:"consistency.session.reads"`
+	StrongReads         uint64 `metric:"consistency.strong.reads"`
+	EpochFallbacks      uint64 `metric:"consistency.epoch_fallbacks"`
+	StaleEventsObserved uint64 `metric:"consistency.stale_events_observed"`
+	RYWChecked          uint64 `metric:"consistency.ryw_checked"`
+	RYWCompliant        uint64 `metric:"consistency.ryw_compliant"`
 }
 
 // Add accumulates o into s, field by field — how a handle fronting several
@@ -333,7 +334,6 @@ type Proxy struct {
 	pick        PickContext
 	health      map[*repl.Slave]*slaveHealth
 	quarantined map[*repl.Slave]bool
-	readsServed map[*repl.Slave]uint64
 	stats       Stats
 }
 
@@ -348,7 +348,6 @@ func New(env *sim.Env, net *cloud.Network, master *repl.Master, clientPlace clou
 		inflight:    make(map[*repl.Slave]int),
 		health:      make(map[*repl.Slave]*slaveHealth),
 		quarantined: make(map[*repl.Slave]bool),
-		readsServed: make(map[*repl.Slave]uint64),
 	}
 	px.pick.Inflight = px.InflightReads
 	return px
@@ -369,9 +368,6 @@ func (px *Proxy) Quarantined(sl *repl.Slave) bool { return px.quarantined[sl] }
 // InflightReads returns the number of reads this proxy currently has
 // outstanding against sl — the drain condition for graceful scale-in.
 func (px *Proxy) InflightReads(sl *repl.Slave) int { return px.inflight[sl] }
-
-// ReadsServed returns the number of reads sl has completed for this proxy.
-func (px *Proxy) ReadsServed(sl *repl.Slave) uint64 { return px.readsServed[sl] }
 
 // Drain quarantines sl and blocks the calling process until no read is in
 // flight against it or timeout elapses (≤0 = 30 s). It returns the number
@@ -395,7 +391,6 @@ func (px *Proxy) Forget(sl *repl.Slave) {
 	delete(px.inflight, sl)
 	delete(px.health, sl)
 	delete(px.quarantined, sl)
-	delete(px.readsServed, sl)
 }
 
 // Stats returns a snapshot of the routing counters.
@@ -550,34 +545,6 @@ func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*ExecResu
 	return nil, lastErr
 }
 
-// PublishMetrics snapshots the proxy's routing and robustness counters into
-// reg under the "proxy." prefix.
-func (px *Proxy) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s := px.stats
-	reg.Counter("proxy.reads").Set(float64(s.Reads))
-	reg.Counter("proxy.writes").Set(float64(s.Writes))
-	reg.Counter("proxy.master_fallbacks").Set(float64(s.MasterFallbacks))
-	reg.Counter("proxy.errors").Set(float64(s.Errors))
-	reg.Counter("proxy.retries").Set(float64(s.Retries))
-	reg.Counter("proxy.timeouts").Set(float64(s.Timeouts))
-	reg.Counter("proxy.slave_evictions").Set(float64(s.SlaveEvictions))
-	reg.Counter("proxy.slave_readmissions").Set(float64(s.SlaveReadmissions))
-	reg.Counter("proxy.failovers").Set(float64(s.Failovers))
-	reg.Counter("proxy.degraded_commits").Set(float64(s.DegradedCommits))
-	reg.Counter("proxy.wrong_shard").Set(float64(s.WrongShard))
-	reg.Counter("proxy.consistency.eventual.reads").Set(float64(s.EventualReads))
-	reg.Counter("proxy.consistency.bounded.reads").Set(float64(s.BoundedReads))
-	reg.Counter("proxy.consistency.session.reads").Set(float64(s.SessionReads))
-	reg.Counter("proxy.consistency.strong.reads").Set(float64(s.StrongReads))
-	reg.Counter("proxy.consistency.epoch_fallbacks").Set(float64(s.EpochFallbacks))
-	reg.Counter("proxy.consistency.stale_events_observed").Set(float64(s.StaleEventsObserved))
-	reg.Counter("proxy.consistency.ryw_checked").Set(float64(s.RYWChecked))
-	reg.Counter("proxy.consistency.ryw_compliant").Set(float64(s.RYWCompliant))
-}
-
 // retryable reports whether an error may clear on a different backend or a
 // later attempt (infrastructure faults, not SQL errors). ErrWrongShard is
 // deliberately excluded: a misrouted statement fails identically on every
@@ -633,7 +600,6 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 			px.noteSlaveError(p, sl)
 			return nil, err
 		}
-		px.readsServed[sl]++
 		px.noteSlaveOK(sl)
 		px.noteRead(tier, c, sl)
 		return &ExecResult{Result: res, Latency: p.Now() - start}, nil

@@ -63,8 +63,8 @@ func (st *applyState) applied(dep uint64) bool {
 }
 
 // complete records an applied entry and advances the contiguous low-water
-// mark that AppliedSeq/LastApplied expose.
-func (st *applyState) complete(e binlog.Entry, now sim.Time) {
+// mark that AppliedSeq exposes.
+func (st *applyState) complete(e binlog.Entry) {
 	st.done[e.Seq] = e
 	for {
 		ne, ok := st.done[st.sl.appliedSeq+1]
@@ -73,8 +73,6 @@ func (st *applyState) complete(e binlog.Entry, now sim.Time) {
 		}
 		delete(st.done, st.sl.appliedSeq+1)
 		st.sl.appliedSeq = ne.Seq
-		st.sl.appliedTs = ne.TimestampMicros
-		st.sl.appliedAt = now
 	}
 	st.doneSig.Broadcast()
 }
@@ -144,7 +142,7 @@ func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int)
 				if !m.applyEntry(p, sl, sess, it.e) {
 					return
 				}
-				st.complete(it.e, p.Now())
+				st.complete(it.e)
 				if m.Mode == Sync {
 					// Ack the low-water mark: it is what "applied" means
 					// to WaitCommitted's all-slaves check.

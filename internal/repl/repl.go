@@ -96,37 +96,35 @@ type Master struct {
 	ackCh    *sim.Signal // broadcast whenever any slave ack arrives
 	detached map[*Slave]bool
 
-	// Semi-sync degradation state (MySQL rpl_semi_sync): after a timeout
-	// the master stops waiting per-commit and counts the commits it
-	// acknowledged without a slave receipt; it upgrades back once a slave
-	// acknowledges the current end of the binlog.
-	degraded        bool
-	degradedCommits uint64
-	reupgrades      uint64
-
-	batchesShipped uint64
-	entriesShipped uint64
+	// stats is where the master counts, Stats.Degraded included: semi-sync
+	// degradation (MySQL rpl_semi_sync) is state as well as a statistic —
+	// after a timeout the master stops waiting per-commit and counts the
+	// commits it acknowledged without a slave receipt; it upgrades back once
+	// a slave acknowledges the current end of the binlog. The two group-commit
+	// fields stay zero here; Stats fills them from the server.
+	stats Stats
 }
 
-// Stats snapshots the master's replication-path counters.
+// Stats snapshots the master's replication-path counters. The metric tag is
+// the name obs.Flatten publishes a field under (after "repl.").
 type Stats struct {
 	// Degraded reports whether semi-sync is currently degraded to async
 	// (always false in Async and Sync modes).
-	Degraded bool
+	Degraded bool `metric:"-"`
 	// DegradedCommits counts commits acknowledged without waiting for a
 	// slave receipt — MySQL's Rpl_semi_sync_master_no_tx.
-	DegradedCommits uint64
+	DegradedCommits uint64 `metric:"degraded_commits"`
 	// Reupgrades counts async→semi-sync recoveries after a slave caught
 	// back up to the end of the binlog.
-	Reupgrades uint64
+	Reupgrades uint64 `metric:"reupgrades"`
 	// BatchesShipped and EntriesShipped count dump-thread network transits
 	// and the binlog entries they carried, summed over all slaves.
-	BatchesShipped uint64
-	EntriesShipped uint64
+	BatchesShipped uint64 `metric:"batches_shipped"`
+	EntriesShipped uint64 `metric:"entries_shipped"`
 	// GroupCommits and GroupedWrites mirror the master server's group
 	// commit counters (fsync groups formed and writes that joined one).
-	GroupCommits  uint64
-	GroupedWrites uint64
+	GroupCommits  uint64 `metric:"group_commits"`
+	GroupedWrites uint64 `metric:"grouped_writes"`
 }
 
 // SetTracer wires tr (which may be nil) into the master, its server and
@@ -139,33 +137,11 @@ func (m *Master) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// PublishMetrics snapshots the replication-path counters into reg under the
-// "repl." prefix.
-func (m *Master) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s := m.Stats()
-	reg.Counter("repl.degraded_commits").Set(float64(s.DegradedCommits))
-	reg.Counter("repl.reupgrades").Set(float64(s.Reupgrades))
-	reg.Counter("repl.batches_shipped").Set(float64(s.BatchesShipped))
-	reg.Counter("repl.entries_shipped").Set(float64(s.EntriesShipped))
-	reg.Counter("repl.group_commits").Set(float64(s.GroupCommits))
-	reg.Counter("repl.grouped_writes").Set(float64(s.GroupedWrites))
-	reg.Gauge("repl.slaves").Set(float64(len(m.Slaves())))
-}
-
 // Stats returns a snapshot of the replication-path counters.
 func (m *Master) Stats() Stats {
-	return Stats{
-		Degraded:        m.degraded,
-		DegradedCommits: m.degradedCommits,
-		Reupgrades:      m.reupgrades,
-		BatchesShipped:  m.batchesShipped,
-		EntriesShipped:  m.entriesShipped,
-		GroupCommits:    m.Srv.Stats().GroupCommits,
-		GroupedWrites:   m.Srv.Stats().GroupedWrites,
-	}
+	st, srv := m.stats, m.Srv.Stats()
+	st.GroupCommits, st.GroupedWrites = srv.GroupCommits, srv.GroupedWrites
+	return st
 }
 
 // NewMaster creates a replication master around srv.
@@ -209,8 +185,6 @@ type Slave struct {
 
 	receivedSeq uint64 // newest seq in relay log
 	appliedSeq  uint64 // newest seq applied
-	appliedTs   int64  // master timestamp of newest applied event
-	appliedAt   sim.Time
 	applyErrs   int
 	stopped     bool
 
@@ -227,9 +201,6 @@ func NewSlave(env *sim.Env, srv *server.DBServer) *Slave {
 		relay: sim.NewQueue[binlog.Entry](env, srv.Name+"/relay"),
 	}
 }
-
-// ReceivedSeq returns the newest sequence in the relay log.
-func (s *Slave) ReceivedSeq() uint64 { return s.receivedSeq }
 
 // AppliedSeq returns the newest applied sequence.
 func (s *Slave) AppliedSeq() uint64 { return s.appliedSeq }
@@ -251,13 +222,6 @@ func (s *Slave) EventsBehindMaster() uint64 {
 		return 0
 	}
 	return last - s.appliedSeq
-}
-
-// LastApplied returns the master timestamp (µs) carried by the newest
-// applied event and the virtual time it was applied here — the raw
-// material of MySQL's Seconds_Behind_Master estimate.
-func (s *Slave) LastApplied() (masterTsMicros int64, appliedAt sim.Time) {
-	return s.appliedTs, s.appliedAt
 }
 
 // Staleness reports how far behind the master this slave's state is at
@@ -329,13 +293,13 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 			// A ship span joins the trace of the write that committed the
 			// batch's first entry (a mixed batch still records the other
 			// writes' entries under its entries attribute).
-			ssp := m.Tracer.StartLinked(p, "binlog", "ship", m.Tracer.SeqRef(batch[0].Seq))
+			ssp := m.Tracer.StartLinked(p, "binlog", "ship", m.Tracer.SeqRef(m.Srv.Log, batch[0].Seq))
 			ssp.SetAttr("slave", sl.Srv.Name)
 			ssp.SetAttrInt("entries", int64(len(batch)))
 			ssp.SetAttrInt("first_seq", int64(batch[0].Seq))
 			m.Srv.DumpBatchWork(p, len(batch))
-			m.batchesShipped++
-			m.entriesShipped += uint64(len(batch))
+			m.stats.BatchesShipped++
+			m.stats.EntriesShipped += uint64(len(batch))
 			pipe.Send(batch)
 			ssp.End(p)
 		}
@@ -411,8 +375,6 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 				return
 			}
 			sl.appliedSeq = e.Seq
-			sl.appliedTs = e.TimestampMicros
-			sl.appliedAt = p.Now()
 			if m.Mode == Sync {
 				ackPipe(ack{slave: sl, seq: e.Seq, applied: true})
 			}
@@ -434,7 +396,7 @@ func (m *Master) applyEntry(p *sim.Proc, sl *Slave, sess *sqlengine.Session, e b
 	if sl.stopped {
 		return false
 	}
-	asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(e.Seq))
+	asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(m.Srv.Log, e.Seq))
 	asp.SetAttr("slave", sl.Srv.Name)
 	asp.SetAttrInt("seq", int64(e.Seq))
 	if err := sl.Srv.Apply(p, sess, e); err != nil {
@@ -470,9 +432,9 @@ func (m *Master) deliverAck(a ack) {
 	// a slave acknowledges the current end of the binlog — not merely the
 	// old position that timed out — so commits that raced ahead while
 	// degraded are covered by the time waiting resumes.
-	if m.degraded && !m.detached[a.slave] && a.seq >= m.Srv.Log.LastSeq() {
-		m.degraded = false
-		m.reupgrades++
+	if m.stats.Degraded && !m.detached[a.slave] && a.seq >= m.Srv.Log.LastSeq() {
+		m.stats.Degraded = false
+		m.stats.Reupgrades++
 	}
 	m.ackCh.Broadcast()
 }
@@ -493,8 +455,8 @@ func (m *Master) WaitCommitted(p *sim.Proc, seq uint64) bool {
 		// instead of re-paying the timeout each — MySQL's master stops
 		// waiting after rpl_semi_sync_master_timeout fires and resumes
 		// only via the deliverAck re-upgrade.
-		if m.degraded {
-			m.degradedCommits++
+		if m.stats.Degraded {
+			m.stats.DegradedCommits++
 			return false
 		}
 		deadline := sim.MaxTime
@@ -513,15 +475,15 @@ func (m *Master) WaitCommitted(p *sim.Proc, seq uint64) bool {
 				attached++
 			}
 			if attached == 0 {
-				m.degraded = true
-				m.degradedCommits++
+				m.stats.Degraded = true
+				m.stats.DegradedCommits++
 				return false
 			}
 			if m.SemiSyncTimeout > 0 {
 				remain := deadline - p.Now()
 				if remain <= 0 || !m.ackCh.WaitTimeout(p, remain) {
-					m.degraded = true
-					m.degradedCommits++
+					m.stats.Degraded = true
+					m.stats.DegradedCommits++
 					return false
 				}
 			} else {

@@ -148,8 +148,19 @@ func TestReplicationDelayIncludesNetworkLatency(t *testing.T) {
 	env.Go("writer", func(p *sim.Proc) {
 		mSrv.Exec(p, sess, "INSERT INTO t (id) VALUES (1)")
 	})
+	var appliedAt [2]sim.Time
+	inserted := mSrv.Log.LastSeq() + 1
+	for i, sl := range slaves {
+		i, sl := i, sl
+		env.Go("watch", func(p *sim.Proc) {
+			for sl.AppliedSeq() < inserted {
+				p.Sleep(time.Millisecond)
+			}
+			appliedAt[i] = p.Now()
+		})
+	}
 	env.RunUntil(5 * time.Second)
-	near, far := slaves[0].appliedAt, slaves[1].appliedAt
+	near, far := appliedAt[0], appliedAt[1]
 	if near == 0 || far == 0 {
 		t.Fatal("writes not applied")
 	}

@@ -257,7 +257,7 @@ func (s *DBServer) finishExec(p *sim.Proc, sess *sqlengine.Session, sp *obs.Span
 		// the set of binlog entries it committed; registering them lets the
 		// dump and apply threads join this write's trace.
 		for seq := before + 1; seq <= s.Log.LastSeq(); seq++ {
-			s.Tracer.LinkSeq(seq, sp)
+			s.Tracer.LinkSeq(s.Log, seq, sp)
 		}
 	}
 	cost := s.Cost.StatementCost(res.Stats, false)

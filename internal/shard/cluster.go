@@ -88,31 +88,30 @@ func (r Routing) Proxy(clu *cluster.Cluster, tr *obs.Tracer) *proxy.Proxy {
 }
 
 // Cell is one replicated partition: a full master/slaves cluster behind its
-// own proxy, with a private metrics registry that PublishMetrics merges
-// into the top-level one under "shard.cell<i>.". A handle from core.Open is
-// one Cell with no router in front of it (and no ID or Reg of its own).
+// own proxy. A handle from core.Open is one Cell with no router in front of
+// it (and no ID of its own).
 type Cell struct {
 	ID  int
 	Clu *cluster.Cluster
 	Px  *proxy.Proxy
-	Reg *obs.Registry
 }
 
-// Stats are the router's cumulative counters.
+// Stats are the router's cumulative counters. The metric tag is the name
+// obs.Flatten publishes a field under (after "shard.router.").
 type Stats struct {
-	SingleKey         uint64 // statements routed to one owning cell
-	ScatterOps        uint64 // scatter-gather reads (whole operations)
-	ScatterLegs       uint64 // per-cell legs issued by scatters
-	Broadcasts        uint64 // statements sent to every cell
-	AnyReads          uint64 // global-table reads served by one cell
-	WrongShardRetries uint64 // ErrWrongShard observed and retried
-	MapRefreshes      uint64 // stale snapshots replaced after ErrWrongShard
-	DualWrites        uint64 // writes mirrored to the split target
-	Splits            uint64 // completed splits/rebalances
-	SplitAborts       uint64 // splits abandoned (dead target, topology change)
-	MovedRows         uint64 // rows copied by splits
-	ReplayedEntries   uint64 // binlog entries replayed during catch-up
-	Errors            uint64 // statements failed after routing
+	SingleKey         uint64 `metric:"single_key"`          // statements routed to one owning cell
+	ScatterOps        uint64 `metric:"scatter_ops"`         // scatter-gather reads (whole operations)
+	ScatterLegs       uint64 `metric:"scatter_legs"`        // per-cell legs issued by scatters
+	Broadcasts        uint64 `metric:"broadcasts"`          // statements sent to every cell
+	AnyReads          uint64 `metric:"any_reads"`           // global-table reads served by one cell
+	WrongShardRetries uint64 `metric:"wrong_shard_retries"` // ErrWrongShard observed and retried
+	MapRefreshes      uint64 `metric:"map_refreshes"`       // stale snapshots replaced after ErrWrongShard
+	DualWrites        uint64 `metric:"dual_writes"`         // writes mirrored to the split target
+	Splits            uint64 `metric:"splits"`              // completed splits/rebalances
+	SplitAborts       uint64 `metric:"split_aborts"`        // splits abandoned (dead target, topology change)
+	MovedRows         uint64 `metric:"moved_rows"`          // rows copied by splits
+	ReplayedEntries   uint64 `metric:"replayed_entries"`    // binlog entries replayed during catch-up
+	Errors            uint64 `metric:"errors"`              // statements failed after routing
 }
 
 // Cluster is the sharded database tier: N cells, the authoritative Map and
@@ -185,9 +184,7 @@ func (s *Cluster) addCell(owns func(table string, key int64) bool) (*Cell, error
 	}
 	px := s.cfg.Routing.Proxy(clu, s.tracer)
 	px.CheckOwner = s.checkOwner(id)
-	reg := obs.NewRegistry()
-	reg.SetRand(s.env.Rand())
-	cell := &Cell{ID: id, Clu: clu, Px: px, Reg: reg}
+	cell := &Cell{ID: id, Clu: clu, Px: px}
 	s.cells = append(s.cells, cell)
 	return cell, nil
 }
@@ -673,50 +670,6 @@ func (c *Conn) scatterLegs(p *sim.Proc, ri *routeInfo, sql string, args []sqleng
 	out.res.Stats.RowsReturned = len(out.set.Rows)
 	out.exec.Result = &out.res
 	return &out.exec, nil
-}
-
-// PublishMetrics snapshots the router and every cell into reg: top-level
-// "shard.*" gauges and counters, per-cell metrics namespaced
-// "shard.cell<i>.<component>.<metric>".
-func (s *Cluster) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("shard.cells").Set(float64(len(s.cells)))
-	reg.Gauge("shard.slots").Set(float64(s.m.NumSlots()))
-	reg.Gauge("shard.map_version").Set(float64(s.m.Version()))
-	st := s.stats
-	reg.Counter("shard.router.single_key").Set(float64(st.SingleKey))
-	reg.Counter("shard.router.scatter_ops").Set(float64(st.ScatterOps))
-	reg.Counter("shard.router.scatter_legs").Set(float64(st.ScatterLegs))
-	reg.Counter("shard.router.broadcasts").Set(float64(st.Broadcasts))
-	reg.Counter("shard.router.any_reads").Set(float64(st.AnyReads))
-	reg.Counter("shard.router.wrong_shard_retries").Set(float64(st.WrongShardRetries))
-	reg.Counter("shard.router.map_refreshes").Set(float64(st.MapRefreshes))
-	reg.Counter("shard.router.dual_writes").Set(float64(st.DualWrites))
-	reg.Counter("shard.router.splits").Set(float64(st.Splits))
-	reg.Counter("shard.router.split_aborts").Set(float64(st.SplitAborts))
-	reg.Counter("shard.router.moved_rows").Set(float64(st.MovedRows))
-	reg.Counter("shard.router.replayed_entries").Set(float64(st.ReplayedEntries))
-	reg.Counter("shard.router.errors").Set(float64(st.Errors))
-	publishHist(reg, "shard.latency.single", &s.hSingle)
-	publishHist(reg, "shard.latency.scatter", &s.hScatter)
-	for _, cell := range s.cells {
-		cell.Px.PublishMetrics(cell.Reg)
-		cell.Clu.Master().PublishMetrics(cell.Reg)
-		cell.Reg.MergeInto(reg, fmt.Sprintf("shard.cell%d.", cell.ID))
-	}
-}
-
-// publishHist exposes a histogram the router owns (p99 included — tail
-// latency of scatters is a headline shard metric) as gauges.
-func publishHist(reg *obs.Registry, name string, h *metrics.Histogram) {
-	sum := h.Summary()
-	reg.Gauge(name + ".count").Set(float64(h.Total()))
-	reg.Gauge(name + ".mean_ms").Set(sum.Mean)
-	reg.Gauge(name + ".p95_ms").Set(sum.P95)
-	reg.Gauge(name + ".p99_ms").Set(float64(h.Percentile(0.99)) / float64(time.Millisecond))
-	reg.Gauge(name + ".max_ms").Set(sum.Max)
 }
 
 // CellThroughput distributes served statements per cell: reads+writes seen

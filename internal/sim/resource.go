@@ -19,10 +19,9 @@ type Resource struct {
 	urgent  Ring[*Proc] // high-priority FIFO, always served first
 
 	// Integrals for time-weighted statistics.
-	lastChange    Time
-	busyIntegral  float64 // ∫ inUse dt, in seconds·servers
-	queueIntegral float64 // ∫ len(waiters) dt, in seconds·procs
-	statsStart    Time
+	lastChange   Time
+	busyIntegral float64 // ∫ inUse dt, in seconds·servers
+	statsStart   Time
 
 	acquires  uint64
 	totalWait time.Duration
@@ -53,7 +52,6 @@ func (r *Resource) accumulate() {
 	dt := (now - r.lastChange).Seconds()
 	if dt > 0 {
 		r.busyIntegral += dt * float64(r.inUse)
-		r.queueIntegral += dt * float64(r.QueueLen())
 	}
 	r.lastChange = now
 }
@@ -127,7 +125,6 @@ func (r *Resource) UseHigh(p *Proc, d time.Duration) {
 func (r *Resource) ResetStats() {
 	r.accumulate()
 	r.busyIntegral = 0
-	r.queueIntegral = 0
 	r.statsStart = r.env.now
 	r.acquires = 0
 	r.totalWait = 0
@@ -152,17 +149,6 @@ func (r *Resource) Utilization() float64 {
 func (r *Resource) BusySeconds() float64 {
 	r.accumulate()
 	return r.busyIntegral
-}
-
-// AvgQueueLen returns the time-averaged number of waiting processes since
-// the last ResetStats.
-func (r *Resource) AvgQueueLen() float64 {
-	r.accumulate()
-	elapsed := (r.env.now - r.statsStart).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return r.queueIntegral / elapsed
 }
 
 // Acquires returns the number of Acquire calls since the last ResetStats.

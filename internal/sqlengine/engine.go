@@ -169,9 +169,6 @@ type Database struct {
 	tables map[string]*Table
 }
 
-// Tables returns the table map (keyed by lower-case name).
-func (d *Database) Tables() map[string]*Table { return d.tables }
-
 // Table looks up a table by case-insensitive name.
 func (d *Database) Table(name string) (*Table, bool) {
 	t, ok := d.tables[strings.ToLower(name)]
@@ -200,17 +197,6 @@ func (e *Engine) Database(name string) (*Database, bool) {
 	defer e.mu.RUnlock()
 	d, ok := e.dbs[strings.ToLower(name)]
 	return d, ok
-}
-
-// Databases lists database names.
-func (e *Engine) Databases() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []string
-	for _, d := range e.dbs {
-		out = append(out, d.Name)
-	}
-	return out
 }
 
 // Session is a connection-scoped execution context: current database,

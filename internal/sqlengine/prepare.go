@@ -201,13 +201,3 @@ func (st *Statement) Plan(s *Session) (*Plan, error) {
 	defer e.mu.Unlock()
 	return e.planFor(s, st, sel)
 }
-
-// ExplainString renders the plan tree for this statement (SELECT only) in
-// the stable EXPLAIN format.
-func (st *Statement) ExplainString(s *Session) (string, error) {
-	p, err := st.Plan(s)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
-}
