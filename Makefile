@@ -87,9 +87,13 @@ bench-kernel:
 	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -short -q -json results -kernel-baseline bench/kernel_baseline.json
 
 # Planner-speed smoke: executor microbenchmarks on four query shapes (point
-# read, index scan, hash join, grouped aggregate), three write shapes
-# (insert, point update, apply of a logged insert on a second engine) and one
-# ANALYZE pass over the 60 k rows the insert shape leaves, each best-of-3, with BENCH_planner.json written into results/ and a failure if
+# read, index scan, hash join, grouped aggregate), the two scans a Cloudstone
+# page spends its host time in (topn_scan: ORDER BY ts DESC LIMIT 10 over the
+# same rows stored ascending, descending and shuffled — three rates that must
+# stay close; like_scan: title LIKE '%<n> m%' LIMIT 10 over every row), three
+# write shapes (insert, point update, apply of a logged insert on a second
+# engine) and one ANALYZE pass over the 60 k rows the insert shape leaves, each
+# best-of-3, with BENCH_planner.json written into results/ and a failure if
 # any shape's rate regresses >20% or its allocs/op rises >5% against the
 # checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_planner.json bench/planner_baseline.json
@@ -113,8 +117,9 @@ bench-history:
 		-history-commit "$$(git describe --always --dirty=+)" -history-cells results/cells/results.json
 
 # One pass over the checked-in fuzz corpora (no new input generation: every
-# seed must keep passing) — binlog wire decoding and SQL parsing (the
-# JOIN/GROUP BY/EXPLAIN grammar the planner PR added).
+# seed must keep passing) — binlog wire decoding, SQL parsing (the
+# JOIN/GROUP BY/EXPLAIN grammar the planner PR added) and the compiled LIKE
+# matcher against the matcher it replaced.
 fuzz-seed:
 	$(GO) test ./internal/binlog ./internal/sqlengine -run '^Fuzz' -count=1
 

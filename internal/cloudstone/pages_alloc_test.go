@@ -13,8 +13,10 @@ import (
 
 // TestReadPageAllocCeilings holds every read page to an allocation ceiling at
 // the read-heavy cell's data size, through Prepare + Run on one engine — the
-// path DBServer.Exec takes. A point read that returns one row needs a Result,
-// a ResultSet, the row slice and its values; everything the executor
+// path DBServer.Exec takes. A read that returns rows needs three objects: the
+// values, the row headers, and one block holding the Result and its ResultSet
+// (through a proxy the same block holds the ExecResult too). That is the
+// ceiling of every page, the aggregating one included; everything the executor
 // allocates beyond what it returns is host cost the simulator pays per page
 // and the GC pays again. -v logs the measured allocations and time per page.
 func TestReadPageAllocCeilings(t *testing.T) {
@@ -27,11 +29,7 @@ func TestReadPageAllocCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.Eng.NewSession(DatabaseName)
-	ceiling := map[string]float64{
-		"home": 10, "event-feed": 14, "event-detail": 6, "attendees": 6, "search-tag": 12,
-		"profile": 6, "user-events": 6, "friend-list": 6, "search-text": 8, "friend-feed": 10,
-		"tag-cloud": 2*NumTags + 12,
-	}
+	const ceiling = 3
 	seen := map[string]bool{}
 	for _, pq := range pageQueries() {
 		if seen[pq.name] {
@@ -54,10 +52,8 @@ func TestReadPageAllocCeilings(t *testing.T) {
 			run()
 		}
 		t.Logf("%-12s %6.1f allocs %8.1f us", pq.name, allocs, float64(time.Since(start).Microseconds())/timed)
-		if max, ok := ceiling[pq.name]; !ok {
-			t.Errorf("%s: no ceiling declared", pq.name)
-		} else if allocs > max {
-			t.Errorf("%s: %.1f allocs per page, ceiling %.0f", pq.name, allocs, max)
+		if allocs > ceiling {
+			t.Errorf("%s: %.1f allocs per page, ceiling %d", pq.name, allocs, ceiling)
 		}
 	}
 }

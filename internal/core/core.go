@@ -460,12 +460,15 @@ func (db *DB) Metrics() map[string]float64 {
 		out["shard.latency.single.p99_ms"] = obs.FlattenHistogram(out, "shard.latency.single", sc.SingleLatency()).P99
 		out["shard.latency.scatter.p99_ms"] = obs.FlattenHistogram(out, "shard.latency.scatter", sc.ScatterLatency()).P99
 	}
-	// MVCC version-chain GC, summed over every engine in the deployment — the
-	// evidence that chain memory is being reclaimed, not accreted.
-	var gcRuns, gcVersions, gcRows uint64
-	addGC := func(srv *server.DBServer) {
+	// Summed over every engine in the deployment: MVCC version-chain GC — the
+	// evidence that chain memory is being reclaimed, not accreted — and the
+	// plans built and statistics passes made, what re-ANALYZE costs a run.
+	var gcRuns, gcVersions, gcRows, planBuilds, analyzeRuns uint64
+	addEngine := func(srv *server.DBServer) {
 		r, v, w := srv.Eng.GCStats()
 		gcRuns, gcVersions, gcRows = gcRuns+r, gcVersions+v, gcRows+w
+		b, a := srv.Eng.PlanStats()
+		planBuilds, analyzeRuns = planBuilds+b, analyzeRuns+a
 	}
 	for _, c := range cells {
 		prefix := ""
@@ -477,9 +480,9 @@ func (db *DB) Metrics() map[string]float64 {
 		obs.Flatten(out, prefix+"proxy.", c.Px.Stats())
 		obs.Flatten(out, prefix+"repl.", m.Stats())
 		out[prefix+"repl.slaves"] = float64(len(slaves))
-		addGC(m.Srv)
+		addEngine(m.Srv)
 		for _, sl := range slaves {
-			addGC(sl.Srv)
+			addEngine(sl.Srv)
 		}
 	}
 	obs.Flatten(out, "pool.", db.pool.Stats())
@@ -489,6 +492,8 @@ func (db *DB) Metrics() map[string]float64 {
 	out["sqlengine.gc.runs"] = float64(gcRuns)
 	out["sqlengine.gc.versions_pruned"] = float64(gcVersions)
 	out["sqlengine.gc.rows_pruned"] = float64(gcRows)
+	out["sqlengine.plan.builds"] = float64(planBuilds)
+	out["sqlengine.plan.analyze_runs"] = float64(analyzeRuns)
 	return out
 }
 

@@ -53,9 +53,11 @@ func TestAblationPlanCostBeatsNaive(t *testing.T) {
 // does one that allocates more than 5% above it, whatever its speed.
 func TestCheckPlanBaselineGatesRateAndAllocs(t *testing.T) {
 	m := PlanBenchMeasure{OpsPerSec: 1000, RowsPerSec: 1000, AllocsPerOp: 100}
-	base := PlanBenchResult{PointRead: m, IndexScan: m, HashJoin: m, GroupAgg: m, Insert: m, PointUpdate: m,
-		PointUpdate2k: m, PointUpdate60k: m, ApplyInsert: m,
-		Analyze: PlanBenchMeasure{OpsPerSec: 40, RowsPerSec: 2e6}}
+	var base PlanBenchResult
+	for _, sh := range planShapes {
+		*sh.get(&base) = m
+	}
+	base.Analyze = PlanBenchMeasure{OpsPerSec: 40, RowsPerSec: 2e6}
 	raw, err := json.Marshal(base)
 	if err != nil {
 		t.Fatal(err)

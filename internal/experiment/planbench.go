@@ -24,8 +24,9 @@ type PlanBenchMeasure struct {
 }
 
 // PlanBenchResult is the BENCH_planner.json payload: the executor's speed on
-// the four query shapes the planner work rebuilt, the three write shapes of
-// the compiled write path and the statistics pass — tracked PR-over-PR so operator-tree and
+// the four query shapes the planner work rebuilt, the two scans a Cloudstone
+// page spends its host time in, the three write shapes of the compiled write
+// path and the statistics pass — tracked PR-over-PR so operator-tree and
 // write-plan regressions surface immediately (`make bench-plan` gates rates
 // and allocs/op against the checked-in bench/planner_baseline.json).
 type PlanBenchResult struct {
@@ -39,6 +40,17 @@ type PlanBenchResult struct {
 	HashJoin PlanBenchMeasure `json:"hash_join"`
 	// GroupAgg is a grouped COUNT over the full table.
 	GroupAgg PlanBenchMeasure `json:"group_agg"`
+	// TopNScan is the home page's shape, ORDER BY ts DESC LIMIT 10 over a full
+	// scan, with the rows stored in ascending ts: every row displaces one of
+	// the ten kept, the most a bounded top-N can be made to do. TopNScanDesc
+	// and TopNScanShuffled read the same rows stored descending (the least)
+	// and shuffled; the three rates must stay close.
+	TopNScan         PlanBenchMeasure `json:"topn_scan"`
+	TopNScanDesc     PlanBenchMeasure `json:"topn_scan_desc"`
+	TopNScanShuffled PlanBenchMeasure `json:"topn_scan_shuffled"`
+	// LikeScan is Cloudstone's text search, title LIKE '%<n> m%' LIMIT 10,
+	// for an n only one title carries: every row is matched.
+	LikeScan PlanBenchMeasure `json:"like_scan"`
 	// Insert is a parameterised one-row INSERT into a table with a primary
 	// key and one secondary index: the compiled write plan, the replayable
 	// text and the logged argument copy, a commit hook attached.
@@ -77,6 +89,10 @@ var planShapes = []struct {
 	{"index_scan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.IndexScan }, false, 0},
 	{"hash_join", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.HashJoin }, false, 0},
 	{"group_agg", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.GroupAgg }, false, 0},
+	{"topn_scan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.TopNScan }, false, 0},
+	{"topn_scan_desc", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.TopNScanDesc }, false, 0},
+	{"topn_scan_shuffled", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.TopNScanShuffled }, false, 0},
+	{"like_scan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.LikeScan }, false, 0},
 	{"insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Insert }, true, 0},
 	{"point_update", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate }, true, 0},
 	{"point_update_2k", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate2k }, true, 0},
@@ -97,10 +113,15 @@ const (
 	planBenchAnalyzeRows = 3*planBenchWriteIters + 1
 )
 
+// planBenchFeeds are the top-N shapes' tables: one set of rows (id, ts = id
+// seconds, a Cloudstone title), inserted in ascending, descending and shuffled
+// id order.
+var planBenchFeeds = [...]string{"feed_asc", "feed_desc", "feed_shuffled"}
+
 // planBenchDB loads the synthetic benchmark schema: items (unique PK,
-// indexed non-unique group column) and lines (one child per item, with the
+// indexed non-unique group column), lines (one child per item, with the
 // join column deliberately unindexed so an items⋈lines equi-join can only
-// choose between hash and nested-loop).
+// choose between hash and nested-loop) and the three feeds.
 func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 	eng := sqlengine.NewEngine()
 	sess := eng.NewSession("")
@@ -110,6 +131,9 @@ func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 		"CREATE TABLE items (id BIGINT PRIMARY KEY, grp BIGINT, val VARCHAR(32), INDEX idx_grp (grp))",
 		"CREATE TABLE lines (id BIGINT PRIMARY KEY, ref BIGINT, qty BIGINT)",
 		"CREATE TABLE notes (id BIGINT PRIMARY KEY, item BIGINT, body VARCHAR(64), created TIMESTAMP, INDEX idx_item (item))",
+	}
+	for _, feed := range planBenchFeeds {
+		ddl = append(ddl, "CREATE TABLE "+feed+" (id BIGINT PRIMARY KEY, ts TIMESTAMP, title VARCHAR(32))")
 	}
 	for _, q := range ddl {
 		if _, err := sess.Exec(q); err != nil {
@@ -136,6 +160,35 @@ func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 			sqlengine.NewInt(int64(i)),
 			sqlengine.NewInt(int64(i%7))); err != nil {
 			return nil, nil, err
+		}
+	}
+	// The shuffle is a Fisher–Yates over a fixed LCG stream: the same order
+	// on every run.
+	shuffled := make([]int, planBenchRows)
+	for i := range shuffled {
+		shuffled[i] = i + 1
+	}
+	for i, x := planBenchRows-1, uint64(1); i > 0; i-- {
+		x = x*6364136223846793005 + 1442695040888963407
+		j := int((x >> 33) % uint64(i+1))
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	idAt := [len(planBenchFeeds)]func(i int) int{
+		func(i int) int { return i },
+		func(i int) int { return planBenchRows + 1 - i },
+		func(i int) int { return shuffled[i-1] },
+	}
+	for f, feed := range planBenchFeeds {
+		fill, err := eng.Prepare("INSERT INTO " + feed + " (id, ts, title) VALUES (?, ?, ?)")
+		if err != nil {
+			return nil, nil, err
+		}
+		for i := 1; i <= planBenchRows; i++ {
+			id := idAt[f](i)
+			if _, err := fill.Run(sess, sqlengine.NewInt(int64(id)), sqlengine.NewTime(int64(id)*1e6),
+				sqlengine.NewString(fmt.Sprintf("Event %d meetup", id))); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	return eng, sess, nil
@@ -192,8 +245,8 @@ func measurePlanBench(iters int, run func(i int) (*sqlengine.Result, error)) (Pl
 	return m, nil
 }
 
-// PlanBench measures executor speed on the four query shapes and the three
-// write shapes. The hash-join plan choice is asserted, not assumed: if the
+// PlanBench measures executor speed on the read shapes and the write
+// shapes. The hash-join plan choice is asserted, not assumed: if the
 // planner stops picking the hash algorithm for the unindexed join, the bench
 // fails rather than silently measuring a different operator.
 func PlanBench() (PlanBenchResult, error) {
@@ -255,6 +308,33 @@ func PlanBench() (PlanBenchResult, error) {
 	res.GroupAgg, err = measurePlanBench(200, runs(agg, func(int) []sqlengine.Value { return nil }))
 	if err != nil {
 		return res, fmt.Errorf("planbench group agg: %w", err)
+	}
+
+	for i, into := range []*PlanBenchMeasure{&res.TopNScan, &res.TopNScanDesc, &res.TopNScanShuffled} {
+		topn, err := eng.Prepare("SELECT id, title FROM " + planBenchFeeds[i] + " ORDER BY ts DESC LIMIT 10")
+		if err != nil {
+			return res, err
+		}
+		*into, err = measurePlanBench(400, runs(topn, func(int) []sqlengine.Value { return nil }))
+		if err != nil {
+			return res, fmt.Errorf("planbench top-n scan of %s: %w", planBenchFeeds[i], err)
+		}
+	}
+
+	like, err := eng.Prepare("SELECT id, title FROM feed_asc WHERE title LIKE ? LIMIT 10")
+	if err != nil {
+		return res, err
+	}
+	// Four digits: no other title contains them before " m".
+	patterns := make([]sqlengine.Value, 400)
+	for i := range patterns {
+		patterns[i] = sqlengine.NewString(fmt.Sprintf("%%%d m%%", 1000+i*7))
+	}
+	res.LikeScan, err = measurePlanBench(len(patterns), runs(like, func(i int) []sqlengine.Value {
+		return patterns[i : i+1]
+	}))
+	if err != nil {
+		return res, fmt.Errorf("planbench like scan: %w", err)
 	}
 
 	// The write shapes run last: they change what the read shapes scan.

@@ -492,6 +492,15 @@ type ExecResult struct {
 	Latency time.Duration
 }
 
+// reply is everything a routed statement hands back, in one allocation: the
+// ExecResult the caller receives and the engine's Result and ResultSet it
+// points at. The three live and die together; a retried attempt overwrites
+// the engine's part.
+type reply struct {
+	exec ExecResult
+	eng  sqlengine.Reply
+}
+
 // Exec routes and executes one statement, blocking the calling process for
 // the network round trip, queueing and service time. Write statements also
 // honor the cluster's synchronization model before returning. Retryable
@@ -523,16 +532,18 @@ func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*ExecResu
 	}
 	attempts := px.Retry.attempts()
 	var lastErr error
+	out := new(reply)
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			px.stats.Retries++
 			p.Sleep(px.Retry.backoff(attempt-1, p.Rand()))
 		}
-		res, err := c.execOnce(p, isRead, sql, args, start)
+		err := c.execOnce(p, isRead, sql, args, out)
 		if err == nil {
+			out.exec.Latency = p.Now() - start
 			sp.SetAttrInt("attempts", int64(attempt))
 			sp.End(p)
-			return res, nil
+			return &out.exec, nil
 		}
 		lastErr = err
 		if !retryable(err) {
@@ -556,8 +567,8 @@ func retryable(err error) bool {
 		errors.Is(err, server.ErrServerDown)
 }
 
-// execOnce is a single routed attempt.
-func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.Value, start sim.Time) (*ExecResult, error) {
+// execOnce is a single routed attempt, answered in out.
+func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.Value, out *reply) error {
 	px := c.px
 	if isRead {
 		// The consistency tier filters which backends qualify; the balancer
@@ -573,12 +584,12 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 		if sl == nil {
 			// Master fallback (strong tier, no slaves, or none fresh enough).
 			if !px.masterUsable(p) {
-				return nil, ErrNoBackend
+				return ErrNoBackend
 			}
 			px.stats.MasterFallbacks++
-			res, err := c.execOn(p, nil, sql, args)
+			res, err := c.execOn(p, nil, sql, args, &out.eng)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			px.noteRead(tier, c, nil)
 			if !c.token.IsZero() && c.token.Epoch != px.master.Epoch {
@@ -591,26 +602,28 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 				px.stats.EpochFallbacks++
 				c.token = Token{Epoch: px.master.Epoch, Seq: px.master.Srv.Log.LastSeq()}
 			}
-			return &ExecResult{Result: res, OnMaster: true, Latency: p.Now() - start}, nil
+			out.exec = ExecResult{Result: res, OnMaster: true}
+			return nil
 		}
 		px.inflight[sl]++
-		res, err := c.execOn(p, sl, sql, args)
+		res, err := c.execOn(p, sl, sql, args, &out.eng)
 		px.inflight[sl]--
 		if err != nil {
 			px.noteSlaveError(p, sl)
-			return nil, err
+			return err
 		}
 		px.noteSlaveOK(sl)
 		px.noteRead(tier, c, sl)
-		return &ExecResult{Result: res, Latency: p.Now() - start}, nil
+		out.exec = ExecResult{Result: res}
+		return nil
 	}
 
 	if !px.masterUsable(p) {
-		return nil, ErrNoBackend
+		return ErrNoBackend
 	}
-	res, err := c.execOn(p, nil, sql, args)
+	res, err := c.execOn(p, nil, sql, args, &out.eng)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	degraded := false
 	if res.Stats.Class == sqlengine.ClassWrite {
@@ -620,7 +633,8 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 			px.stats.DegradedCommits++
 		}
 	}
-	return &ExecResult{Result: res, OnMaster: true, Degraded: degraded, Latency: p.Now() - start}, nil
+	out.exec = ExecResult{Result: res, OnMaster: true, Degraded: degraded}
+	return nil
 }
 
 // masterUsable reports whether the master can serve a statement, invoking
@@ -729,10 +743,11 @@ func (c *Conn) Query(p *sim.Proc, sql string, args ...sqlengine.Value) (*sqlengi
 	return res.Result.Set, nil
 }
 
-// execOn runs sql on the chosen backend (nil = master) with network legs.
-// Each leg honors the per-statement timeout: a partitioned path fails the
-// attempt with ErrStatementTimeout instead of hanging forever.
-func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.Value) (*sqlengine.Result, error) {
+// execOn runs sql on the chosen backend (nil = master) with network legs,
+// the engine answering in out. Each leg honors the per-statement timeout: a
+// partitioned path fails the attempt with ErrStatementTimeout instead of
+// hanging forever.
+func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.Value, out *sqlengine.Reply) (*sqlengine.Result, error) {
 	px := c.px
 	srv := px.master.Srv
 	if sl != nil {
@@ -757,7 +772,7 @@ func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.
 		asp.End(p)
 		return nil, ErrNoBackend
 	}
-	res, err := srv.Exec(p, sess, sql, args...)
+	res, err := srv.ExecInto(p, sess, out, sql, args...)
 	if err != nil {
 		asp.SetAttr("error", "exec")
 		asp.End(p)

@@ -199,6 +199,12 @@ func (s *DBServer) Session(db string) *sqlengine.Session { return s.Eng.NewSessi
 // instance's CPU according to the cost model. It must be called from a
 // simulation process.
 func (s *DBServer) Exec(p *sim.Proc, sess *sqlengine.Session, sql string, args ...sqlengine.Value) (*sqlengine.Result, error) {
+	return s.ExecInto(p, sess, nil, sql, args...)
+}
+
+// ExecInto is Exec answering in the caller's Reply (sqlengine.Statement.RunInto)
+// — the proxy's, which has its own header to put beside the engine's two.
+func (s *DBServer) ExecInto(p *sim.Proc, sess *sqlengine.Session, out *sqlengine.Reply, sql string, args ...sqlengine.Value) (*sqlengine.Result, error) {
 	if !s.Up() {
 		return nil, ErrServerDown
 	}
@@ -209,7 +215,7 @@ func (s *DBServer) Exec(p *sim.Proc, sess *sqlengine.Session, sql string, args .
 	var res *sqlengine.Result
 	stmt, err := s.Eng.Prepare(sql)
 	if err == nil {
-		res, err = stmt.Run(sess, args...)
+		res, err = stmt.RunInto(sess, out, args...)
 	}
 	return s.finishExec(p, sess, sp, before, res, err)
 }

@@ -341,11 +341,11 @@ func (l *scatterLeg) exec(lp *sim.Proc) {
 }
 
 // scatterResult is a merged scatter's three result headers in one
-// allocation; they are only ever handed out together.
+// allocation, as a cell's own reply is (proxy.Conn.Exec); they are only ever
+// handed out together.
 type scatterResult struct {
 	exec proxy.ExecResult
-	res  sqlengine.Result
-	set  sqlengine.ResultSet
+	eng  sqlengine.Reply
 }
 
 // Connect opens a routed connection with the given default database.
@@ -658,17 +658,18 @@ func (c *Conn) scatterLegs(p *sim.Proc, ri *routeInfo, sql string, args []sqleng
 	var out *scatterResult
 	if firstErr == nil {
 		out = &scatterResult{}
-		firstErr = ri.plan.merge(&c.merge, c.sets, &out.set)
+		firstErr = ri.plan.merge(&c.merge, c.sets, &out.eng.Set)
 	}
 	clear(c.sets)
 	c.sets = c.sets[:0]
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	out.res.Set = &out.set
-	out.res.Stats.RowsExamined = examined
-	out.res.Stats.RowsReturned = len(out.set.Rows)
-	out.exec.Result = &out.res
+	res := &out.eng.Result
+	res.Set = &out.eng.Set
+	res.Stats.RowsExamined = examined
+	res.Stats.RowsReturned = len(res.Set.Rows)
+	out.exec.Result = res
 	return &out.exec, nil
 }
 

@@ -74,6 +74,15 @@ type Result struct {
 	RowSQL []string
 }
 
+// Reply is the storage a statement's outcome is written to: the Result and,
+// when the statement returns rows, the ResultSet its Set points at. Run
+// allocates one per call; RunInto fills the caller's, and Replay the
+// session's. A filled Reply is overwritten by the next statement run into it.
+type Reply struct {
+	Result Result
+	Set    ResultSet
+}
+
 // LoggedWrite is one committed write as the commit hook hands it to the
 // binlog, and as Session.Replay takes it back on a replica.
 type LoggedWrite struct {
@@ -139,6 +148,12 @@ type Engine struct {
 	gcRuns     uint64
 	gcVersions uint64
 	gcRows     uint64
+
+	// planBuilds counts the SELECT plans and write plans built for a
+	// statement to run — its first, and one more each time a statistics epoch
+	// or drift retires the last; analyzeRuns the statistics passes (PlanStats).
+	planBuilds  uint64
+	analyzeRuns uint64
 
 	// parseCache maps statement text to its *Statement (prepare.go): the
 	// text as written and its normalized rendering share one entry, so
@@ -218,7 +233,7 @@ type Session struct {
 	// one backs the single-write slice an autocommit statement hands the
 	// commit hook.
 	one      [1]LoggedWrite
-	replayed Result // what Replay hands back for a write
+	replayed Reply // what Replay hands back
 }
 
 // NewSession opens a session with the given current database (may be "").
@@ -253,7 +268,7 @@ func (s *Session) Exec(sql string, args ...Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run(stmt, args, LoggedWrite{})
+	return s.run(stmt, args, LoggedWrite{}, nil)
 }
 
 // Replay re-executes a logged write — replication apply, multi-master apply
@@ -270,7 +285,7 @@ func (s *Session) Replay(w LoggedWrite) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run(st, w.Args, w)
+	return s.run(st, w.Args, w, &s.replayed)
 }
 
 // PrepareLogged returns the statement that re-executes w: the engine's prepared
@@ -301,8 +316,10 @@ func checkArgs(nparams int, args []Value) error {
 // run executes a statement with args. Nothing substitutes the arguments into
 // the statement: plans read ? placeholders from args at evaluation time, and
 // a write's replayable text is rendered from the statement's template. from
-// is the logged write being replayed (zero for a client statement).
-func (s *Session) run(st *Statement, args []Value, from LoggedWrite) (*Result, error) {
+// is the logged write being replayed (zero for a client statement). A SELECT
+// or a write answers in out — a new Reply when out is nil; the rarer kinds
+// allocate their own Result.
+func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply) (*Result, error) {
 	switch st.stmt.(type) {
 	case *SelectStmt, *ExplainStmt:
 		// Checked against the plan, which knows the SELECT's own count.
@@ -337,9 +354,12 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite) (*Result, e
 		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: stmt.String()}, nil
 	}
 
+	if out == nil {
+		out = new(Reply)
+	}
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
-	res, err := s.eng.execLocked(s, st, args, from.SQL != "")
+	res, err := s.eng.execLocked(s, st, args, out)
 	if err != nil {
 		return nil, err
 	}

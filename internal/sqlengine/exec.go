@@ -7,8 +7,8 @@ import (
 
 // execLocked executes a non-transaction statement. The engine mutex is held
 // by the caller. Reads and writes run the plan they keep on owner, the
-// prepared statement, with args carried separately; replay marks Replay's.
-func (e *Engine) execLocked(s *Session, owner *Statement, args []Value, replay bool) (*Result, error) {
+// prepared statement, with args carried separately, and answer in out.
+func (e *Engine) execLocked(s *Session, owner *Statement, args []Value, out *Reply) (*Result, error) {
 	switch st := owner.stmt.(type) {
 	case *CreateDatabaseStmt:
 		if err := e.createDatabaseLocked(st.Name, st.IfNotExists); err != nil {
@@ -33,13 +33,13 @@ func (e *Engine) execLocked(s *Session, owner *Statement, args []Value, replay b
 		if err != nil {
 			return nil, err
 		}
-		return e.execWrite(s, wp, args, replay)
+		return e.execWrite(s, wp, args, out)
 	case *SelectStmt:
 		p, err := e.planFor(s, owner, st)
 		if err != nil {
 			return nil, err
 		}
-		return e.execPlan(s, p, args, nil)
+		return e.execPlan(s, p, args, nil, out)
 	case *ExplainStmt:
 		return e.execExplain(s, owner, st, args)
 	case *ShowStmt:

@@ -424,31 +424,6 @@ func TestScalarFunctions(t *testing.T) {
 	}
 }
 
-func TestLikeSemantics(t *testing.T) {
-	cases := []struct {
-		s, pat string
-		want   bool
-	}{
-		{"hello", "hello", true},
-		{"hello", "h%", true},
-		{"hello", "%llo", true},
-		{"hello", "h_llo", true},
-		{"hello", "h_lo", false}, // length mismatch without %
-		{"hello", "%", true},
-		{"", "%", true},
-		{"", "_", false},
-		{"HeLLo", "hello", true}, // case-insensitive
-		{"abc", "a%c", true},
-		{"abc", "a%b", false},
-		{"aXbXc", "a%b%c", true},
-	}
-	for _, tc := range cases {
-		if got := likeMatch(tc.s, tc.pat); got != tc.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tc.s, tc.pat, got, tc.want)
-		}
-	}
-}
-
 func TestDivisionByZeroYieldsNull(t *testing.T) {
 	s := newTestDB(t)
 	set, err := s.Query("SELECT 1 / 0, 5 % 0")

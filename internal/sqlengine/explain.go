@@ -35,7 +35,7 @@ func (e *Engine) execExplain(s *Session, owner *Statement, st *ExplainStmt, args
 		var acts []int64
 		if st.Analyze {
 			acts = make([]int64, len(p.nodes))
-			if _, err := e.execPlan(s, p, args, acts); err != nil {
+			if _, err := e.execPlan(s, p, args, acts, new(Reply)); err != nil {
 				return nil, err
 			}
 		}

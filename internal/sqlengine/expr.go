@@ -8,10 +8,16 @@ import (
 // Every expression a statement evaluates is bound once — when its SELECT
 // plan or write plan is built — by the resolver (resolve.go) to frame
 // positions and operator codes, and evaluated by bexpr.eval over one set of
-// scalar kernels (unaryOp, decides/logicOp, binaryOp, betweenOp, likeOp,
+// scalar kernels (unaryOp, decides/logicOp, binaryOp, betweenOp, bexpr.like,
 // callBuiltin): a bound column is frame[slot][col], a ? placeholder is
 // args[i], and no name is looked at, no case folded and no operator string
 // compared while rows flow.
+//
+// What runs once per scanned row — a node's filters, sort keys, group keys —
+// reads a leaf (column, ?, constant, aggregate) where it lies (bexpr.ref) and
+// decides a comparison or LIKE between two leaves without building a Value
+// (bexpr.holds); anything else falls back to eval, which has the same answer
+// by construction: ref is eval's own leaf case and compare is Compare.
 
 // exprOp is an operator or bound-node code.
 type exprOp uint8
@@ -20,7 +26,7 @@ const (
 	eInvalid exprOp = iota
 	eAnd
 	eOr
-	eEq
+	eEq // the six comparisons stay together, in this order: holds tests the range
 	eNe
 	eLt
 	eLe
@@ -109,6 +115,23 @@ func logicOp(op exprOp, l, r Value) Value {
 	}
 }
 
+// cmpHolds reports whether comparison operator op holds of c, a Compare result.
+func cmpHolds(op exprOp, c int) bool {
+	switch op {
+	case eEq:
+		return c == 0
+	case eNe:
+		return c != 0
+	case eLt:
+		return c < 0
+	case eLe:
+		return c <= 0
+	case eGt:
+		return c > 0
+	}
+	return c >= 0
+}
+
 // binaryOp evaluates a comparison or arithmetic operator; NULL operands yield
 // NULL. String concatenation is spelled CONCAT, not +: arithmetic on strings
 // coerces numerically like MySQL.
@@ -117,18 +140,8 @@ func binaryOp(op exprOp, l, r Value) Value {
 		return Null
 	}
 	switch op {
-	case eEq:
-		return NewBool(Compare(l, r) == 0)
-	case eNe:
-		return NewBool(Compare(l, r) != 0)
-	case eLt:
-		return NewBool(Compare(l, r) < 0)
-	case eLe:
-		return NewBool(Compare(l, r) <= 0)
-	case eGt:
-		return NewBool(Compare(l, r) > 0)
-	case eGe:
-		return NewBool(Compare(l, r) >= 0)
+	case eEq, eNe, eLt, eLe, eGt, eGe:
+		return NewBool(cmpHolds(op, compare(&l, &r)))
 	case eDiv:
 		if r.Float() == 0 {
 			return Null // MySQL: division by zero yields NULL
@@ -165,71 +178,102 @@ func betweenOp(x, lo, hi Value, not bool) Value {
 	if x.IsNull() || lo.IsNull() || hi.IsNull() {
 		return Null
 	}
-	return NewBool((Compare(x, lo) >= 0 && Compare(x, hi) <= 0) != not)
-}
-
-// likeOp is x [NOT] LIKE pattern.
-func likeOp(x, pat Value, not bool) Value {
-	if x.IsNull() || pat.IsNull() {
-		return Null
-	}
-	return NewBool(likeMatch(x.String(), pat.String()) != not)
+	return NewBool((compare(&x, &lo) >= 0 && compare(&x, &hi) <= 0) != not)
 }
 
 // bexpr is a bound expression node: an operator code over resolved operands.
 type bexpr struct {
 	op   exprOp
-	not  bool   // negated eIn / eBetween / eIsNull / eLike
-	slot int    // eCol: frame slot
-	col  int    // eCol: column position; eParam: argument index; eAgg: aggregate index
-	val  Value  // eConst
-	name string // eFunc: builtin name
+	not  bool      // negated eIn / eBetween / eIsNull / eLike
+	slot int       // eCol: frame slot
+	col  int       // eCol: column position; eParam: argument index; eAgg: aggregate index
+	val  Value     // eConst
+	name string    // eFunc: builtin name
+	like *likeProg // eLike: the pattern as last compiled (like.go)
 	kids []*bexpr
+}
+
+// ref returns where a leaf's value already lies — a column in its row image,
+// a ? in the argument vector, a constant in its node, an aggregate among the
+// group's results — and nil for a node that has to be computed.
+func (x *bexpr) ref(rt *runState) *Value {
+	switch x.op {
+	case eCol:
+		if row := rt.frame[x.slot]; row != nil {
+			return &row[x.col]
+		}
+		return &rt.null // LEFT JOIN miss
+	case eParam:
+		return &rt.args[x.col]
+	case eConst:
+		return &x.val
+	case eAgg:
+		return &rt.aggs[x.col]
+	}
+	return nil
+}
+
+// into stores the expression's value for the current frame in dst.
+func (x *bexpr) into(rt *runState, dst *Value) (err error) {
+	if p := x.ref(rt); p != nil {
+		*dst = *p
+		return nil
+	}
+	*dst, err = x.eval(rt)
+	return err
+}
+
+// holds reports whether the predicate is true of the current frame — NULL is
+// not. A comparison or LIKE between leaves is decided where the operands lie.
+func (x *bexpr) holds(rt *runState) (bool, error) {
+	if x.op >= eEq && x.op <= eGe || x.op == eLike {
+		if l, r := x.kids[0].ref(rt), x.kids[1].ref(rt); l != nil && r != nil {
+			switch {
+			case l.kind == KindNull || r.kind == KindNull:
+				return false, nil
+			case x.op != eLike:
+				return cmpHolds(x.op, compare(l, r)), nil
+			case l.kind == KindString && r.kind == KindString:
+				return x.like.compiled(r.s).match(l.s) != x.not, nil
+			}
+		}
+	}
+	v, err := x.eval(rt)
+	return err == nil && v.kind != KindNull && v.Bool(), err
 }
 
 // eval evaluates the bound expression against the run state's current frame.
 func (x *bexpr) eval(rt *runState) (Value, error) {
+	if p := x.ref(rt); p != nil {
+		return *p, nil
+	}
+	var l, r Value
 	switch x.op {
-	case eConst:
-		return x.val, nil
-	case eParam:
-		return rt.args[x.col], nil
-	case eCol:
-		if row := rt.frame[x.slot]; row != nil {
-			return row[x.col], nil
-		}
-		return Null, nil // LEFT JOIN miss
-	case eAgg:
-		return rt.aggs[x.col], nil
 	case eFunc:
 		var buf [4]Value
 		args := buf[:0]
 		for _, k := range x.kids {
-			v, err := k.eval(rt)
-			if err != nil {
+			if err := k.into(rt, &l); err != nil {
 				return Null, err
 			}
-			args = append(args, v)
+			args = append(args, l)
 		}
 		return callBuiltin(rt.e, x.name, args)
 	case eIn:
-		v, err := x.kids[0].eval(rt)
-		if err != nil || v.IsNull() {
+		if err := x.kids[0].into(rt, &l); err != nil || l.IsNull() {
 			return Null, err
 		}
 		for _, k := range x.kids[1:] {
-			item, err := k.eval(rt)
-			if err != nil {
+			if err := k.into(rt, &r); err != nil {
 				return Null, err
 			}
-			if !item.IsNull() && Compare(v, item) == 0 {
+			if !r.IsNull() && compare(&l, &r) == 0 {
 				return NewBool(!x.not), nil
 			}
 		}
 		return NewBool(x.not), nil
 	}
-	l, err := x.kids[0].eval(rt)
-	if err != nil {
+	if err := x.kids[0].into(rt, &l); err != nil {
 		return Null, err
 	}
 	switch x.op {
@@ -242,17 +286,20 @@ func (x *bexpr) eval(rt *runState) (Value, error) {
 			return NewBool(x.op == eOr), nil
 		}
 	}
-	r, err := x.kids[1].eval(rt)
-	if err != nil {
+	if err := x.kids[1].into(rt, &r); err != nil {
 		return Null, err
 	}
 	switch x.op {
 	case eAnd, eOr:
 		return logicOp(x.op, l, r), nil
 	case eLike:
-		return likeOp(l, r, x.not), nil
+		if l.IsNull() || r.IsNull() {
+			return Null, nil
+		}
+		return NewBool(x.like.compiled(r.String()).match(l.String()) != x.not), nil
 	case eBetween:
-		hi, err := x.kids[2].eval(rt)
+		var hi Value
+		err := x.kids[2].into(rt, &hi)
 		return betweenOp(l, r, hi, x.not), err
 	}
 	return binaryOp(x.op, l, r), nil
@@ -439,58 +486,4 @@ func (st *SelectStmt) aggregated() bool {
 		}
 	}
 	return len(st.GroupBy) > 0
-}
-
-// likeMatch implements SQL LIKE with % (any run) and _ (one byte),
-// case-insensitively like MySQL's default collation.
-func likeMatch(s, pattern string) bool {
-	// ASCII inputs fold per byte during the match; allocating two lowered
-	// copies here ran once per scanned row on LIKE scans. Non-ASCII falls
-	// back to whole-string lowering so multi-byte case mapping (which can
-	// change byte lengths) behaves exactly as before; the redundant ASCII
-	// fold after it is a no-op on already-lowered bytes.
-	if !isASCII(s) || !isASCII(pattern) {
-		s = strings.ToLower(s)
-		pattern = strings.ToLower(pattern)
-	}
-	// Greedy two-pointer wildcard match over bytes.
-	si, pi := 0, 0
-	star, match := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || lowerASCII(pattern[pi]) == lowerASCII(s[si])):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi
-			match = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			match++
-			si = match
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
-}
-
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
-func lowerASCII(c byte) byte {
-	if 'A' <= c && c <= 'Z' {
-		return c + 32
-	}
-	return c
 }

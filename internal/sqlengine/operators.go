@@ -30,19 +30,23 @@ type runState struct {
 	live  [][]Value // the frame the source iterators fill, slot → row image
 	frame [][]Value // what bound expressions read: live, or a gathered entry
 	aggs  []Value   // the current group's finalized aggregates
+	null  Value     // what a column of a LEFT JOIN miss reads as, by reference
 	src   rowIter
 
-	// Tail scratch (tail.go): gathered entries and their sort keys in flat
-	// arrays, the output order, per-group accumulators.
+	// Tail scratch (tail.go): gathered entries — row images, sort keys and
+	// arrival numbers in flat arrays indexed by entry — the output order over
+	// them, per-group accumulators, and the table GROUP BY and DISTINCT file
+	// tuples in.
 	refs   [][]Value
 	keys   []Value
-	ktmp   []Value
+	seq    []int32
 	order  []int32
 	by     []orderKey
 	accs   []aggAcc
 	aggv   []Value
-	groups map[string]int32
-	kb     []byte
+	groups map[hashKey]int32
+	tuple  []Value // the current row's GROUP BY values
+	kb     []byte  // a tuple of several values, rendered
 }
 
 func (rt *runState) emit(n *planNode) {
@@ -84,12 +88,8 @@ func (it *onceIter) next() (bool, error) {
 // first non-true conjunct (matching AND short-circuit).
 func (rt *runState) pass(filters []*bexpr) (bool, error) {
 	for _, f := range filters {
-		v, err := f.eval(rt)
-		if err != nil {
+		if ok, err := f.holds(rt); !ok {
 			return false, err
-		}
-		if v.IsNull() || !v.Bool() {
-			return false, nil
 		}
 	}
 	return true, nil

@@ -151,6 +151,7 @@ func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
+	e.planBuilds++
 	if slot < 0 {
 		st.plans = append(st.plans, p)
 	} else {
@@ -171,7 +172,15 @@ func (st *Statement) NumParams() int { return st.nparams }
 // use, rebuilt after a statistics epoch change); a write's text for the
 // binlog is rendered from the statement's template.
 func (st *Statement) Run(s *Session, args ...Value) (*Result, error) {
-	return s.run(st, args, LoggedWrite{})
+	return s.run(st, args, LoggedWrite{}, nil)
+}
+
+// RunInto is Run answering in the caller's Reply instead of a new one (which
+// a nil out still gets) — for a caller that has a larger reply of its own to
+// make room in. The Result returned is out's whenever the statement is a
+// SELECT or a write.
+func (st *Statement) RunInto(s *Session, out *Reply, args ...Value) (*Result, error) {
+	return s.run(st, args, LoggedWrite{}, out)
 }
 
 // Query is Run for statements expected to return rows.

@@ -103,7 +103,7 @@ func (r *resolver) expr(e Expr) *bexpr {
 	case *IsNullExpr:
 		return &bexpr{op: eIsNull, not: e.Not, kids: r.exprs(e.X)}
 	case *LikeExpr:
-		return &bexpr{op: eLike, not: e.Not, kids: r.exprs(e.X, e.Pattern)}
+		return &bexpr{op: eLike, not: e.Not, like: new(likeProg), kids: r.exprs(e.X, e.Pattern)}
 	}
 	r.fail(fmt.Errorf("sqlengine: cannot evaluate %T", e))
 	return &bexpr{op: eConst}
@@ -208,6 +208,10 @@ func (p *Plan) resolve(st *SelectStmt) error {
 
 	p.rt.live = make([][]Value, len(p.tables))
 	p.rt.by = p.order
+	p.rt.tuple = make([]Value, len(p.groupBy))
+	if p.aggregated || p.distinct {
+		p.rt.groups = map[hashKey]int32{}
+	}
 	p.rt.src = &onceIter{}
 	if p.root != nil {
 		p.rt.src = buildIter(&p.rt, p.root)

@@ -93,6 +93,7 @@ func (ts *tableStats) observeInsert(vals []Value) {
 // counted in the engine's sets, so re-analyzing a table whose distinct values
 // fit what some earlier pass saw allocates nothing.
 func (e *Engine) analyzeLocked(t *Table) {
+	e.analyzeRuns++
 	ts := &t.stats
 	ncols := len(t.Columns)
 	if len(ts.cols) == ncols {
@@ -155,6 +156,15 @@ func (e *Engine) Analyze(db, table string) (int, error) {
 	}
 	e.analyzeLocked(t)
 	return t.NumRows(), nil
+}
+
+// PlanStats reports how many plans — SELECT plans and write plans — the engine
+// has built for statements to run, and how many statistics passes it has made:
+// what a re-ANALYZE costs is the pass plus every plan it retires.
+func (e *Engine) PlanStats() (builds, analyzeRuns uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.planBuilds, e.analyzeRuns
 }
 
 // refreshStatsLocked re-analyzes t if its profile is stale, returning the

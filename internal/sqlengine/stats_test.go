@@ -241,3 +241,44 @@ func TestAnalyzeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanStatsCountBuildsAndPasses pins what the two counters count: a plan
+// is built on a statement's first run and again after each statistics epoch,
+// a statistics pass is made on first planning and on every explicit ANALYZE.
+func TestPlanStatsCountBuildsAndPasses(t *testing.T) {
+	s := newTestDB(t)
+	eng := s.eng
+	builds0, passes0 := eng.PlanStats()
+	run := func(sql string, args ...Value) {
+		t.Helper()
+		if _, err := s.Exec(sql, args...); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run("SELECT name FROM users WHERE id = ?", NewInt(3))
+		run("UPDATE users SET karma = ? WHERE id = ?", NewInt(1), NewInt(3))
+	}
+	builds, passes := eng.PlanStats()
+	if builds-builds0 != 2 {
+		t.Errorf("%d plans built for two statements run three times each, want 2", builds-builds0)
+	}
+	if passes-passes0 != 1 {
+		t.Errorf("%d statistics passes to plan one SELECT over one table, want 1", passes-passes0)
+	}
+	if _, err := eng.Analyze("app", "users"); err != nil {
+		t.Fatal(err)
+	}
+	run("SELECT name FROM users WHERE id = ?", NewInt(3))
+	run("UPDATE users SET karma = ? WHERE id = ?", NewInt(2), NewInt(3))
+	builds2, passes2 := eng.PlanStats()
+	if builds2-builds != 2 || passes2-passes != 1 {
+		t.Errorf("after one ANALYZE: %d rebuilds and %d passes, want both plans rebuilt and 1 pass", builds2-builds, passes2-passes)
+	}
+	if _, err := s.Exec("EXPLAIN UPDATE users SET karma = 1 WHERE id = 3"); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := eng.PlanStats(); b != builds2 {
+		t.Errorf("EXPLAIN of a write counted as a plan built to run")
+	}
+}

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,7 +13,8 @@ import (
 //	gather  pull frames and keep what the result can need, by reference: the
 //	        row images of each surviving row (bounded to LIMIT+OFFSET), or one
 //	        entry per group with its accumulators folded as rows arrive
-//	order   bounded stable top-N while gathering, or one stable sort after it
+//	order   bounded top-N while gathering, or one sort after it, both by the
+//	        order a stable sort of every row would give (before)
 //	emit    project the survivors — and only them — into a result sized
 //	        exactly, then DISTINCT and the LIMIT/OFFSET it defers
 //
@@ -41,7 +43,7 @@ type aggAcc struct {
 	seen     map[hashKey]struct{} // DISTINCT values folded so far
 }
 
-func (a *aggAcc) add(v Value, distinct bool) {
+func (a *aggAcc) add(v *Value, distinct bool) {
 	if v.IsNull() {
 		return
 	}
@@ -59,11 +61,11 @@ func (a *aggAcc) add(v Value, distinct bool) {
 	a.anyFloat = a.anyFloat || v.Kind() == KindFloat
 	a.sumF += v.Float()
 	a.sumI += v.Int()
-	if a.min.IsNull() || Compare(v, a.min) < 0 {
-		a.min = v
+	if a.min.IsNull() || compare(v, &a.min) < 0 {
+		a.min = *v
 	}
-	if a.max.IsNull() || Compare(v, a.max) > 0 {
-		a.max = v
+	if a.max.IsNull() || compare(v, &a.max) > 0 {
+		a.max = *v
 	}
 }
 
@@ -85,9 +87,9 @@ func (a *aggAcc) result(fn string) Value {
 	return NewInt(a.sumI)
 }
 
-// execPlan runs a plan. acts, when non-nil, receives per-node output counts
-// for EXPLAIN ANALYZE. Engine lock held.
-func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Result, error) {
+// execPlan runs a plan into out. acts, when non-nil, receives per-node output
+// counts for EXPLAIN ANALYZE. Engine lock held.
+func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64, out *Reply) (*Result, error) {
 	if len(args) != p.nparams {
 		return nil, fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", p.nparams, len(args))
 	}
@@ -97,12 +99,14 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Res
 	// Visibility is decided per execution, never per plan.
 	rt.view = e.readViewFor(s)
 	rt.frame = rt.live
-	set, err := p.run(rt)
+	*out = Reply{}
+	err := p.run(rt, &out.Set)
 	rt.end()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: set, Stats: rt.stats}, nil
+	out.Result = Result{Set: &out.Set, Stats: rt.stats}
+	return &out.Result, nil
 }
 
 // end drops what the run referenced — session, arguments, row images — so a
@@ -112,10 +116,11 @@ func (rt *runState) end() {
 	clear(rt.live)
 	clear(rt.refs)
 	clear(rt.keys)
-	clear(rt.ktmp)
+	clear(rt.tuple)
 	clear(rt.aggv)
 	clear(rt.accs)
-	rt.refs, rt.keys, rt.order, rt.aggv, rt.accs = rt.refs[:0], rt.keys[:0], rt.order[:0], rt.aggv[:0], rt.accs[:0]
+	clear(rt.groups)
+	rt.refs, rt.keys, rt.seq, rt.order, rt.aggv, rt.accs = rt.refs[:0], rt.keys[:0], rt.seq[:0], rt.order[:0], rt.aggv[:0], rt.accs[:0]
 }
 
 // count records a tail node's actual output for EXPLAIN ANALYZE.
@@ -152,47 +157,46 @@ func (rt *runState) enter(p *Plan, i int32) {
 	rt.aggs = rt.aggv[int(i)*na : (int(i)+1)*na]
 }
 
-// sort.Interface over the output order, by the entries' sort keys.
-func (rt *runState) Len() int      { return len(rt.order) }
-func (rt *runState) Swap(i, j int) { rt.order[i], rt.order[j] = rt.order[j], rt.order[i] }
-func (rt *runState) Less(i, j int) bool {
-	return rt.less(rt.keysOf(rt.order[i]), rt.keysOf(rt.order[j]))
-}
-
-func (rt *runState) keysOf(i int32) []Value {
-	return rt.keys[int(i)*len(rt.by) : (int(i)+1)*len(rt.by)]
-}
-
-func (rt *runState) less(a, b []Value) bool {
-	for k, o := range rt.by {
-		if c := Compare(a[k], b[k]); c != 0 {
-			return (c < 0) != o.desc
+// before reports whether entry a precedes entry b in the output: by the sort
+// keys and, between equal keys, by arrival. That is where a stable sort of
+// every row in arrival order would put them, spelled as a total order, so
+// whatever orders by it — the bounded buffer, the final sort — produces
+// exactly that order.
+func (rt *runState) before(a, b int32) bool {
+	nk := len(rt.by)
+	ka, kb := rt.keys[int(a)*nk:][:nk], rt.keys[int(b)*nk:][:nk]
+	for k := range ka {
+		if c := compare(&ka[k], &kb[k]); c != 0 {
+			return (c < 0) != rt.by[k].desc
 		}
 	}
-	return false
+	return rt.seq[a] < rt.seq[b]
 }
 
-// evalKeys computes the current frame's sort keys into dst.
-func (rt *runState) evalKeys(dst []Value) ([]Value, error) {
-	for _, o := range rt.by {
-		v, err := o.x.eval(rt)
-		if err != nil {
-			return nil, err
+// sort.Interface over the output order.
+func (rt *runState) Len() int           { return len(rt.order) }
+func (rt *runState) Swap(i, j int)      { rt.order[i], rt.order[j] = rt.order[j], rt.order[i] }
+func (rt *runState) Less(i, j int) bool { return rt.before(rt.order[i], rt.order[j]) }
+
+// sortKeys computes the current frame's sort keys into dst.
+func (rt *runState) sortKeys(dst []Value) error {
+	for k := range rt.by {
+		if err := rt.by[k].x.into(rt, &dst[k]); err != nil {
+			return err
 		}
-		dst = append(dst, v)
 	}
-	return dst, nil
+	return nil
 }
 
 // run executes the tail over the source and materializes the result set.
-func (p *Plan) run(rt *runState) (*ResultSet, error) {
+func (p *Plan) run(rt *runState, set *ResultSet) error {
 	limit, err := rt.bound(p.limit, "LIMIT", -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	offset, err := rt.bound(p.offset, "OFFSET", 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	keep := -1 // entries the result can need; DISTINCT dedups before the limit
 	if limit >= 0 && !p.distinct {
@@ -205,7 +209,7 @@ func (p *Plan) run(rt *runState) (*ResultSet, error) {
 		err = p.gatherRows(rt, keep)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.count(rt, opSort, len(rt.order))
 	p.count(rt, opTopN, len(rt.order))
@@ -221,8 +225,8 @@ func (p *Plan) run(rt *runState) (*ResultSet, error) {
 		rt.enter(p, i)
 		row := vals[k*w : (k+1)*w : (k+1)*w]
 		for j, x := range p.proj {
-			if row[j], err = x.eval(rt); err != nil {
-				return nil, err
+			if err := x.into(rt, &row[j]); err != nil {
+				return err
 			}
 		}
 		rows[k] = row
@@ -235,8 +239,13 @@ func (p *Plan) run(rt *runState) (*ResultSet, error) {
 	}
 	p.count(rt, opLimit, len(rows))
 	rt.stats.RowsReturned = len(rows)
-	return &ResultSet{Columns: p.cols, Rows: rows}, nil
+	*set = ResultSet{Columns: p.cols, Rows: rows}
+	return nil
 }
+
+// extend returns s with n more elements: zero, fresh from the allocator or as
+// end left them.
+func extend[T any](s []T, n int) []T { return slices.Grow(s, n)[:len(s)+n] }
 
 // window applies OFFSET and LIMIT (-1: none) to a slice.
 func window[T any](s []T, offset, limit int) []T {
@@ -251,15 +260,17 @@ func window[T any](s []T, offset, limit int) []T {
 }
 
 // gatherRows collects the frames of a non-aggregated SELECT, at most keep of
-// them when keep ≥ 0. Without ORDER BY those are the first keep; with it they
-// are the top keep of the stable sort order: entries arrive unsorted until
-// the buffer fills, are sorted once, and from then on a row that cannot beat
-// the worst survivor is dropped on its keys alone, while one that can takes
-// the evicted entry's storage and is inserted behind its equals — ties lose
-// to earlier rows, exactly as sorting everything would place them.
+// them when keep ≥ 0. Without ORDER BY those are the first keep. With it they
+// are the first keep of the output order (before): entries arrive unsorted
+// until the buffer fills and are sorted once; from then on a row's keys are
+// computed straight into the spare slot and decide on their own whether the
+// row is kept (topN), in which case the slot of the entry it pushes out
+// becomes the spare.
 func (p *Plan) gatherRows(rt *runState, keep int) error {
-	n, sorted := 0, false
-	for {
+	nt, nk := len(rt.live), len(rt.by)
+	n, at, sorted := 0, 0, false // the buffer is rt.order[at:at+n]
+	free := 0                    // the slot the next row is written to
+	for arrival := int32(0); ; arrival++ {
 		ok, err := rt.src.next()
 		if err != nil {
 			return err
@@ -267,58 +278,130 @@ func (p *Plan) gatherRows(rt *runState, keep int) error {
 		if !ok {
 			break
 		}
-		if n == keep && len(rt.by) == 0 {
+		if n == keep && nk == 0 {
 			if !p.joins {
 				break
 			}
 			continue
 		}
-		if rt.ktmp, err = rt.evalKeys(rt.ktmp[:0]); err != nil {
+		if free == len(rt.seq) {
+			rt.seq = append(rt.seq, 0)
+			rt.keys = extend(rt.keys, nk)
+			rt.refs = extend(rt.refs, nt)
+		}
+		rt.seq[free] = arrival
+		if err := rt.sortKeys(rt.keys[free*nk : (free+1)*nk]); err != nil {
 			return err
 		}
-		if n < keep || keep < 0 {
-			rt.refs = append(rt.refs, rt.live...)
-			rt.keys = append(rt.keys, rt.ktmp...)
-			rt.order = append(rt.order, int32(n))
-			if n++; n == keep && len(rt.by) > 0 {
-				sort.Stable(rt)
-				sorted = true
+		row := int32(free)
+		switch {
+		case n < keep || keep < 0:
+			rt.order = append(rt.order, row)
+			n++
+			free = n
+		case keep == 0:
+			continue
+		default:
+			if !sorted {
+				sort.Sort(rt)
+				rt.order = append(rt.order, rt.order...) // the buffer, and as much room in front of it
+				at, sorted = n, true
 			}
-			continue
+			var out int32
+			if at, out = rt.topN(row, at, n); out == row {
+				continue
+			}
+			free = int(out)
 		}
-		if keep == 0 || !rt.less(rt.ktmp, rt.keysOf(rt.order[n-1])) {
-			continue
+		for t, img := range rt.live {
+			rt.refs[int(row)*nt+t] = img
 		}
-		slot := rt.order[n-1] // evict the worst; its storage takes the new row
-		pos := sort.Search(n-1, func(i int) bool { return rt.less(rt.ktmp, rt.keysOf(rt.order[i])) })
-		copy(rt.order[pos+1:], rt.order[pos:n-1])
-		rt.order[pos] = slot
-		copy(rt.refs[int(slot)*len(rt.live):], rt.live)
-		copy(rt.keysOf(slot), rt.ktmp)
 	}
-	if !sorted && len(rt.by) > 0 {
-		sort.Stable(rt)
+	if sorted {
+		rt.order = rt.order[:copy(rt.order, rt.order[at:at+n])]
+	} else if nk > 0 {
+		sort.Sort(rt)
 	}
 	return nil
+}
+
+// topN puts entry row where it belongs in the sorted buffer rt.order[at:at+n]
+// and returns the buffer's new start and the entry that no longer fits: row
+// itself when it follows everything kept.
+//
+// The row is asked first whether it leads — a table read in insertion order
+// for its newest rows, the home page, is the commonest top-N there is — then
+// whether it loses, and only then searched for. The array has room in front of
+// the buffer, which a leading row takes, so that row costs one comparison and
+// no move; one that loses costs two; any other at most 2 + log2(n) and a move
+// of the entries behind it. What order rows are stored in decides which of
+// the three a scan mostly pays, and they are within a comparison of each
+// other. A row that ties with a kept one arrived after it and goes behind it,
+// as it would in a stable sort of everything.
+func (rt *runState) topN(row int32, at, n int) (int, int32) {
+	h := rt.order[at : at+n]
+	last := h[n-1]
+	if rt.before(row, h[0]) {
+		if at == 0 { // out of room: the buffer moves back to the far end
+			at = n
+			copy(rt.order[at:], h)
+		}
+		at--
+		rt.order[at] = row
+		return at, last
+	}
+	if !rt.before(row, last) {
+		return at, row
+	}
+	lo, hi := 1, n-1 // row goes in front of the first entry of h[lo:hi] it precedes, or at hi
+	for lo < hi {
+		if mid := (lo + hi) / 2; rt.before(row, h[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	copy(h[lo+1:], h[lo:])
+	h[lo] = row
+	return at, last
+}
+
+// file returns the number tuple is filed under in the run's table, which is n
+// — filing it — when the table has not seen it. One value is keyed by its
+// hashKey, the key index maps and hash joins use; a longer tuple renders into
+// one, and only a new entry makes a string of the rendering.
+func (rt *runState) file(tuple []Value, n int32) int32 {
+	if len(tuple) == 1 {
+		k := tuple[0].hashKey()
+		if g, ok := rt.groups[k]; ok {
+			return g
+		}
+		rt.groups[k] = n
+		return n
+	}
+	rt.kb = rt.kb[:0]
+	for i := range tuple {
+		rt.kb = tuple[i].hashKey().appendTo(rt.kb)
+	}
+	if g, ok := rt.groups[hashKey{kind: 'c', s: string(rt.kb)}]; ok {
+		return g
+	}
+	rt.groups[hashKey{kind: 'c', s: string(rt.kb)}] = n
+	return n
 }
 
 // gatherGroups folds the source into one entry per group, in first-seen
 // order: the group's first row images (what non-aggregate expressions read)
 // and one accumulator per aggregate call. Groups that pass HAVING get their
-// sort keys and are stably sorted.
+// sort keys and are sorted.
 func (p *Plan) gatherGroups(rt *runState) error {
 	na := len(p.aggs)
-	if rt.groups == nil {
-		rt.groups = map[string]int32{}
-	}
-	clear(rt.groups)
 	newGroup := func() {
 		rt.refs = append(rt.refs, rt.live...)
-		for j := 0; j < na; j++ {
-			rt.accs = append(rt.accs, aggAcc{})
-		}
+		rt.accs = extend(rt.accs, na)
 	}
 	ng := 0
+	var v Value
 	for {
 		ok, err := rt.src.next()
 		if err != nil {
@@ -327,37 +410,30 @@ func (p *Plan) gatherGroups(rt *runState) error {
 		if !ok {
 			break
 		}
-		g := int32(0)
+		g := 0
 		if len(p.groupBy) > 0 {
-			rt.kb = rt.kb[:0]
-			for _, x := range p.groupBy {
-				v, err := x.eval(rt)
-				if err != nil {
+			for j, x := range p.groupBy {
+				if err := x.into(rt, &rt.tuple[j]); err != nil {
 					return err
 				}
-				rt.kb = v.hashKey().appendTo(rt.kb)
 			}
-			if g, ok = rt.groups[string(rt.kb)]; !ok {
-				g = int32(ng)
-				rt.groups[string(rt.kb)] = g
-			}
+			g = int(rt.file(rt.tuple, int32(ng)))
 		}
-		if int(g) == ng {
+		if g == ng {
 			newGroup()
 			ng++
 		}
-		accs := rt.accs[int(g)*na : (int(g)+1)*na]
+		accs := rt.accs[g*na : (g+1)*na]
 		for j := range p.aggs {
 			spec := &p.aggs[j]
 			if spec.star {
 				accs[j].count++
 				continue
 			}
-			v, err := spec.arg.eval(rt)
-			if err != nil {
+			if err := spec.arg.into(rt, &v); err != nil {
 				return err
 			}
-			accs[j].add(v, spec.distinct)
+			accs[j].add(&v, spec.distinct)
 		}
 	}
 	if ng == 0 && len(p.groupBy) == 0 {
@@ -369,44 +445,38 @@ func (p *Plan) gatherGroups(rt *runState) error {
 	for i := range rt.accs {
 		rt.aggv = append(rt.aggv, rt.accs[i].result(p.aggs[i%na].fn))
 	}
+	nk := len(rt.by)
 	for g := int32(0); int(g) < ng; g++ {
 		rt.enter(p, g)
-		var err error
-		if rt.keys, err = rt.evalKeys(rt.keys); err != nil {
+		rt.seq = append(rt.seq, g)
+		rt.keys = extend(rt.keys, nk)
+		if err := rt.sortKeys(rt.keys[int(g)*nk:]); err != nil {
 			return err
 		}
 		if p.having != nil {
-			v, err := p.having.eval(rt)
+			ok, err := p.having.holds(rt)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() || !v.Bool() {
+			if !ok {
 				continue
 			}
 		}
 		rt.order = append(rt.order, g)
 	}
 	p.count(rt, opHashAgg, len(rt.order))
-	if len(rt.by) > 0 {
-		sort.Stable(rt)
+	if nk > 0 {
+		sort.Sort(rt)
 	}
 	return nil
 }
 
 // dedupe drops rows equal to an earlier one, in place.
 func (rt *runState) dedupe(rows [][]Value) [][]Value {
-	if rt.groups == nil {
-		rt.groups = map[string]int32{}
-	}
 	clear(rt.groups)
 	out := rows[:0]
 	for _, r := range rows {
-		rt.kb = rt.kb[:0]
-		for _, v := range r {
-			rt.kb = v.hashKey().appendTo(rt.kb)
-		}
-		if _, dup := rt.groups[string(rt.kb)]; !dup {
-			rt.groups[string(rt.kb)] = 0
+		if n := int32(len(out)); rt.file(r, n) == n {
 			out = append(out, r)
 		}
 	}

@@ -174,7 +174,20 @@ func (v Value) appendSQL(b []byte) []byte {
 // compare lexicographically. Comparing string with numeric kinds compares
 // the string's numeric parse when possible, else string forms — mirroring
 // MySQL's permissive coercion.
-func Compare(a, b Value) int {
+func Compare(a, b Value) int { return compare(&a, &b) }
+
+// compare is Compare over values where they lie. What a typed column meets —
+// two integers, two timestamps, two strings — is decided before anything else
+// is asked; those are cases of the rules below, taken first.
+func compare(a, b *Value) int {
+	if a.kind == b.kind {
+		switch a.kind {
+		case KindInt, KindTime:
+			return cmpInt(a.i, b.i)
+		case KindString:
+			return strings.Compare(a.s, b.s)
+		}
+	}
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
 		case a.kind == b.kind:
@@ -190,9 +203,6 @@ func Compare(a, b Value) int {
 			return cmpFloat(a.Float(), b.Float())
 		}
 		return cmpInt(a.i, b.i)
-	}
-	if a.kind == KindString && b.kind == KindString {
-		return strings.Compare(a.s, b.s)
 	}
 	// Mixed string/numeric: try numeric parse of the string side.
 	if a.kind == KindString {
@@ -236,9 +246,10 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // hashKey is v's map key in comparable form, for hash tables probed once per
 // row and the row store's index maps, where a string per probe or entry would
 // be the whole allocation cost. Values that compare equal across kinds (1 and
-// 1.0) share a key.
+// 1.0) share a key. kind is a word wide so that it and n lie without padding
+// between them: a map then hashes and compares the two as one run of memory.
 type hashKey struct {
-	kind byte // 0 NULL, 'n' integral number, 'f' other float, 's' string, 'c' composite (store.go)
+	kind uint64 // 0 NULL, 'n' integral number, 'f' other float, 's' string, 'c' composite (store.go)
 	n    int64
 	s    string
 }
@@ -263,7 +274,7 @@ func (v Value) hashKey() hashKey {
 // multi-column index entry). A part is self-delimiting — fixed-width number,
 // length-prefixed string — so distinct tuples never render alike.
 func (k hashKey) appendTo(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(append(b, k.kind), uint64(k.n))
+	b = binary.LittleEndian.AppendUint64(append(b, byte(k.kind)), uint64(k.n))
 	return append(binary.AppendUvarint(b, uint64(len(k.s))), k.s...)
 }
 

@@ -60,6 +60,7 @@ func (e *Engine) writePlanFor(s *Session, st *Statement) (*writePlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.planBuilds++
 	if slot < 0 {
 		st.writes = append(st.writes, wp)
 	} else {
@@ -149,17 +150,13 @@ func (wp *writePlan) explainLine() string {
 	return n.kind.String() + " " + n.detail + " (" + verb + " est=" + est + " cost=" + est + ")"
 }
 
-// execWrite runs a compiled write; a replayed one fills the session's own
-// Result (Session.Replay). Engine lock held.
-func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value, replay bool) (*Result, error) {
+// execWrite runs a compiled write into out. Engine lock held.
+func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value, out *Reply) (*Result, error) {
 	rt := &wp.rt
 	rt.e, rt.s, rt.args = e, s, args
 	rt.stats = ExecStats{Class: ClassWrite}
-	res := &s.replayed
-	if !replay {
-		res = new(Result)
-	}
-	*res = Result{}
+	*out = Reply{}
+	res := &out.Result
 	lo := len(s.log)
 	err := wp.run(rt, res)
 	if err != nil {
