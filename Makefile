@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards bench smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint clean check
+.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint clean check
 
 all: build vet lint test
 
@@ -50,10 +50,6 @@ race:
 race-shards:
 	$(GO) test -race -count=2 ./internal/experiment/ ./internal/sim/
 
-# Compact per-figure benchmarks (one testing.B bench per table/figure).
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
 # End-to-end smoke of the bench CLI, after `check` has run every test under
 # -race: five ablations on the short protocol in one process, with
 # BENCH_{elastic,pipeline,shard,consist,plan}.json written into results/
@@ -84,7 +80,7 @@ smoke:
 # Refresh the baseline deliberately with:
 #   cp results/BENCH_kernel.json bench/kernel_baseline.json
 bench-kernel:
-	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -short -q -json results -kernel-baseline bench/kernel_baseline.json
+	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -short -q -json results -gate bench
 
 # Planner-speed smoke: executor microbenchmarks on four query shapes (point
 # read, index scan, hash join, grouped aggregate), the two scans a Cloudstone
@@ -98,23 +94,26 @@ bench-kernel:
 # checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_planner.json bench/planner_baseline.json
 bench-plan:
-	$(GO) run ./cmd/cloudrepl-bench -bench-plan -q -json results -plan-baseline bench/planner_baseline.json
+	$(GO) run ./cmd/cloudrepl-bench -bench-plan -q -json results -gate bench
 
 # Performance trajectory: append this tree's row — kernel bench (micro and cell
-# ns/event + allocs/event), the planner bench's shapes and the four benchmark
+# ns/event + allocs/event), the planner bench's shapes, the four benchmark
 # cells' allocs_per_op, host.alloc_kb_per_op, setup_s and host-ledger seam
 # prices (each layer's self_wall_ns_per_op, sqlengine.run_read/run_write_wall_ns)
-# — to the append-only bench/history.jsonl. One row per PR, added by the PR
-# itself, so its commit reads as the parent plus "+":
+# and the wall-clock of the whole `-all -short` sweep (all_short_wall_s) — to
+# the append-only bench/history.jsonl. One row per PR, added by the PR itself,
+# so the commit in its label reads as the parent plus "+":
 #   make bench-history LABEL="PR 15"
-# Takes about three minutes (one untimed warm-up, one timed rep and the traced
-# pass — which is what reports per-layer metrics — of each cell).
+# Takes about six minutes on two cores: the cells (one untimed warm-up, one
+# timed rep and the traced pass — which is what reports per-layer metrics — of
+# each, read back from results/cells beside the -json output), then `make
+# figures` with JSON and the row, its two benches run first while the process
+# is fresh. Take it on a quiet box: micro ns/event is one reading.
 LABEL ?= unlabelled
 bench-history:
 	$(GO) run ./benchmark -reps 1 -out results/cells
-	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -bench-plan -short -q -json results \
-		-history bench/history.jsonl -history-label "$(LABEL)" \
-		-history-commit "$$(git describe --always --dirty=+)" -history-cells results/cells/results.json
+	$(GO) run ./cmd/cloudrepl-bench -all -short -q -csv results -json results \
+		-history "bench/history.jsonl:$(LABEL) @ $$(git describe --always --dirty=+)"
 
 # One pass over the checked-in fuzz corpora (no new input generation: every
 # seed must keep passing) — binlog wire decoding, SQL parsing (the
@@ -143,4 +142,4 @@ examples:
 	$(GO) run ./examples/sharding
 
 clean:
-	rm -rf results test_output.txt bench_output.txt
+	rm -rf results test_output.txt

@@ -27,6 +27,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"sort"
+	"strings"
 	"time"
 
 	"cloudrepl/internal/experiment"
@@ -44,15 +46,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	figs := fs.String("fig", "", "comma-separated figures to regenerate ("+experiment.Keys(experiment.KindFigure)+")")
 	ablations := fs.String("ablation", "", "comma-separated ablations ("+experiment.Keys(experiment.KindAblation)+")")
 	switches := map[string]*bool{}
-	baselines := map[string]*string{}
 	for _, e := range experiment.Registry {
 		if e.Kind == experiment.KindSwitch {
 			switches[e.Key] = fs.Bool(e.Key, false, e.ID+" — "+e.Title+"; also runs as part of -all")
 		}
-		if e.Gate != nil {
-			baselines[e.Key] = fs.String(e.Baseline, "", "checked-in baseline JSON to gate "+e.ID+" against; refresh deliberately with: cp <jsondir>/BENCH_"+e.File+".json <this file>")
-		}
 	}
+	gateDir := fs.String("gate", "", "directory of checked-in baselines: every bench that runs is gated against DIR/<name>_baseline.json; refresh one deliberately with: cp <jsondir>/BENCH_<name>.json DIR/<name>_baseline.json")
 	determinism := fs.Bool("determinism", false, "run the determinism sanitizer: every registered arm twice with one seed, failing on any byte difference in the result JSON (with -short: quick protocol, trimmed grids)")
 	determinismInject := fs.Bool("determinism-inject", false, "deliberately salt the determinism check with global math/rand entropy; the check must then fail (self-test of the sanitizer)")
 	all := fs.Bool("all", false, "regenerate every figure, table, ablation and bench")
@@ -62,10 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "run one fully-traced pipeline point and write its Chrome trace-event JSON here (view in chrome://tracing or summarize with cloudrepl-trace)")
 	csvDir := fs.String("csv", "", "directory to write per-figure CSV files into")
 	jsonDir := fs.String("json", "", "directory to write machine-readable BENCH_*.json files into")
-	history := fs.String("history", "", "append one row — this run's -bench-kernel and -bench-plan results plus the cells' allocs_per_op from -history-cells — to this JSON-lines file (make bench-history)")
-	historyLabel := fs.String("history-label", "", "label of the -history row, e.g. \"PR 15\"")
-	historyCommit := fs.String("history-commit", "", "commit the -history row's numbers were taken on")
-	historyCells := fs.String("history-cells", "", "results.json of a `go run ./benchmark -out DIR` run, for the -history row")
+	history := fs.String("history", "", "`FILE:LABEL`: append one row labelled LABEL (e.g. \"PR 15 @ abc1234+\") to the JSON-lines FILE — this run's -bench-kernel and -bench-plan results, its wall-clock when it is -all -short, and the cells of the `go run ./benchmark -out <jsondir>/cells` run found beside the -json output (make bench-history)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile (every allocation since start, not only live heap) to this file on exit")
 	quiet := fs.Bool("q", false, "suppress per-run progress lines")
@@ -79,9 +75,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cloudrepl-bench:", err)
 		return 2
 	}
-	if len(selected) == 0 && *tracePath == "" && !*determinism && !*determinismInject {
+	historyFile, historyLabel, labelled := strings.Cut(*history, ":")
+	if len(selected) == 0 && *tracePath == "" && !*determinism && !*determinismInject || *history != "" && !labelled {
 		fs.Usage()
 		return 2
+	}
+	if *history != "" {
+		// A trajectory row's benches run first, on the process as it started:
+		// behind a sweep they would measure the heap the sweep left them.
+		sort.SliceStable(selected, func(i, j int) bool { return selected[i].Gate != nil && selected[j].Gate == nil })
 	}
 
 	fail := func(err error) int {
@@ -158,11 +160,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stderr, "wrote %s\n", filepath.Join(*jsonDir, "BENCH_"+e.File+".json"))
 		}
-		if path := baselines[e.Key]; path != nil && *path != "" {
-			if err := e.Gate(*path, out.JSON); err != nil {
+		if e.Gate != nil && *gateDir != "" {
+			path := filepath.Join(*gateDir, e.File+"_baseline.json")
+			if err := e.Gate(path, out.JSON); err != nil {
 				return fail(err)
 			}
-			fmt.Fprintf(stdout, "%s baseline gate passed (%s)\n", e.ID, *path)
+			fmt.Fprintf(stdout, "%s baseline gate passed (%s)\n", e.ID, path)
 		}
 	}
 
@@ -183,14 +186,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *history != "" {
-		row, err := sess.HistoryRow(*historyLabel, *historyCommit, *historyCells)
+		var allShortWall time.Duration
+		if *all && *short {
+			allShortWall = elapsed()
+		}
+		row, err := sess.HistoryRow(historyLabel, filepath.Join(*jsonDir, "cells", "results.json"), allShortWall)
 		if err == nil {
-			err = experiment.AppendHistory(*history, row)
+			err = experiment.AppendHistory(historyFile, row)
 		}
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "appended %q to %s\n", *historyLabel, *history)
+		fmt.Fprintf(stdout, "appended %q to %s\n", historyLabel, historyFile)
 	}
 
 	fmt.Fprintf(stderr, "total wall time: %v\n", elapsed().Round(time.Second))

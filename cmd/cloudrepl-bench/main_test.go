@@ -45,6 +45,23 @@ func TestNothingSelectedIsUsage(t *testing.T) {
 	}
 }
 
+// TestGateAndHistoryFlags: -gate DIR finds a bench's baseline by the name the
+// bench writes its JSON under, and -history takes the file and the row's label
+// in one value — without a label it is a usage error before anything runs.
+func TestGateAndHistoryFlags(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-rtt", "-q", "-history", "history.jsonl"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+		t.Errorf("-history without a label: exit %d, want 2 and nothing run:\n%s", code, stdout.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	// An empty directory has no kernel_baseline.json: the gate must say so.
+	if code := run([]string{"-bench-kernel", "-short", "-q", "-gate", t.TempDir()}, &stdout, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), "kernel_baseline.json") {
+		t.Errorf("-gate on an empty directory: exit %d, want 1 naming kernel_baseline.json:\n%s", code, stderr.String())
+	}
+}
+
 // TestRunsOneExperimentEndToEnd drives the whole loop — select, run, print,
 // write — on the cheapest registry entry.
 func TestRunsOneExperimentEndToEnd(t *testing.T) {

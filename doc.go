@@ -19,7 +19,6 @@
 //   - internal/heartbeat  — the replication-delay measurement plugin
 //   - internal/experiment — the harness regenerating every figure and table
 //
-// The benchmarks in bench_test.go regenerate each figure in compact form;
-// cmd/cloudrepl-bench produces the full panels. See README.md, DESIGN.md
-// and EXPERIMENTS.md.
+// cmd/cloudrepl-bench regenerates every figure, table and ablation. See
+// README.md, DESIGN.md and EXPERIMENTS.md.
 package cloudrepl

@@ -22,9 +22,9 @@ var wallClockFuncs = map[string]bool{
 
 // SimTime forbids wall-clock access (time.Now, time.Sleep, timers and
 // tickers) in simulation-driven code. Virtual time comes from sim.Env:
-// use Env.Now / Proc.Sleep / Env.Schedule instead. The two legitimate
-// wall-clock users — sim.RunRealtime's pacing loop and the bench CLI's
-// total-wall-time line — carry //cloudrepl:allow-simtime annotations.
+// use Env.Now / Proc.Sleep / Env.Schedule instead. The legitimate wall-clock
+// users — the bench CLI's total-wall-time line and the benches that measure
+// the host — carry //cloudrepl:allow-simtime annotations.
 var SimTime = &Analyzer{
 	Name: "simtime",
 	Doc: "forbid wall-clock access (time.Now/Sleep/After/Tick/NewTimer/NewTicker/Since/Until) " +

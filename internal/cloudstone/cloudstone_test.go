@@ -160,6 +160,32 @@ func TestThroughputCountsOnlySteadyWindow(t *testing.T) {
 	env.Shutdown()
 }
 
+// TestStagedWindowSpansRamp: a staged run is measured from the first stage's
+// first instant to the last stage's last — [start, start + Σ Dur) — and its
+// throughput is every operation of the ramp over the ramp's length. The phase
+// defaults are for the three-phase run and must not reach a staged one.
+func TestStagedWindowSpansRamp(t *testing.T) {
+	env, db := newBench(t, 8, 1, 30)
+	env.RunUntil(time.Minute) // a run need not start at zero
+	stages := []Stage{{Users: 2, Dur: 3 * time.Minute}, {Users: 4, Dur: 3 * time.Minute}}
+	d := NewDriver(db, Config{Scale: 30, Stages: stages, ThinkTime: time.Second})
+	start := env.Now()
+	d.Start(env)
+	if from, to := d.SteadyWindow(); from != start || to != start+6*time.Minute {
+		t.Fatalf("window [%v, %v), want [%v, %v)", time.Duration(from), time.Duration(to), time.Duration(start), time.Duration(start+6*time.Minute))
+	}
+	env.RunUntil(start + 6*time.Minute)
+	res := d.Result()
+	if n := res.Reads + res.Writes; n == 0 || n+res.Errors != d.CompletedOps()+d.TotalErrors() {
+		t.Errorf("window counted %d operations and %d errors of the ramp's %d and %d", n, res.Errors, d.CompletedOps(), d.TotalErrors())
+	}
+	if want := float64(res.Reads+res.Writes) / 360; res.Throughput != want {
+		t.Errorf("throughput %.3f ops/s, want %.3f: the ramp's operations over its six minutes", res.Throughput, want)
+	}
+	env.Stop()
+	env.Shutdown()
+}
+
 func TestUsersStaggerAcrossRampUp(t *testing.T) {
 	env, db := newBench(t, 6, 0, 30)
 	d := NewDriver(db, Config{

@@ -97,16 +97,25 @@ func (c *Config) stageActive(i int, t time.Duration) (bool, time.Duration) {
 	return false, -1
 }
 
-// DefaultPhases applies the paper's 35-minute run structure.
+// applyDefaults fills what the caller left zero: the paper's 35-minute run
+// structure, its 50/50 mix and its 300-row data set.
 func (c *Config) applyDefaults() {
 	if c.ThinkTime == 0 {
 		c.ThinkTime = 7 * time.Second
 	}
+	if c.ReadRatio == 0 {
+		c.ReadRatio = 0.5
+	}
+	if c.Scale == 0 {
+		c.Scale = 300
+	}
 	if len(c.Stages) > 0 {
 		// A staged ramp measures the whole run: the population ceiling is
-		// the largest stage and the "steady" divisor is the ramp length.
+		// the largest stage, the window opens with the first stage and closes
+		// with the last, and no phase default applies.
 		c.Users = c.maxStageUsers()
 		c.RampUp, c.Steady, c.RampDown = 0, c.stageTotal(), 0
+		return
 	}
 	if c.RampUp == 0 {
 		c.RampUp = 10 * time.Minute
@@ -116,12 +125,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RampDown == 0 {
 		c.RampDown = 5 * time.Minute
-	}
-	if c.ReadRatio == 0 {
-		c.ReadRatio = 0.5
-	}
-	if c.Scale == 0 {
-		c.Scale = 300
 	}
 }
 

@@ -51,30 +51,14 @@ type DB struct {
 	sc     *shard.Cluster // the router in front of the cells; nil from Open
 	pool   *pool.Pool[Conn]
 	tracer *obs.Tracer
-	reg    *obs.Registry
-
-	// Per-statement instruments, resolved on first use so the Exec hot path
-	// does one registry map lookup per handle, not per statement, and a
-	// snapshot only shows metrics that were touched.
-	mClientErrors *obs.Counter
-	mClientExec   *metrics.Histogram
+	client clientStats
 }
 
-// clientErrors lazily resolves the client.errors counter. Only error paths
-// reach it, so the lookup-on-miss never sits on the statement fast path.
-func (db *DB) clientErrors() *obs.Counter {
-	if db.mClientErrors == nil {
-		db.mClientErrors = db.reg.Counter("client.errors")
-	}
-	return db.mClientErrors
-}
-
-// clientExec lazily resolves the client.exec latency histogram.
-func (db *DB) clientExec() *metrics.Histogram {
-	if db.mClientExec == nil {
-		db.mClientExec = db.reg.Histogram("client.exec")
-	}
-	return db.mClientExec
+// clientStats is what the handle itself counts, written by Exec and read by
+// Metrics like every component's Stats.
+type clientStats struct {
+	errors uint64            // statements that failed, at the pool or behind it
+	exec   metrics.Histogram // end-to-end statement latency, failures included
 }
 
 // Open wires a handle onto a running cluster.
@@ -113,16 +97,15 @@ func OpenSharded(env *sim.Env, cl *cloud.Cloud, cellCfg cluster.Config, opts ...
 	return db, nil
 }
 
-// finishOpen completes construction once the cells exist: the handle's
-// registry, then the pool lending connections from connect. The order (cells
-// and their proxies, registry, pool) fixes proc names and RNG draws, so it is
-// part of the determinism contract.
+// finishOpen completes construction once the cells exist: the handle's own
+// instruments, then the pool lending connections from connect. The order
+// (cells and their proxies, instruments, pool) fixes proc names and RNG draws,
+// so it is part of the determinism contract.
 func (db *DB) finishOpen(env *sim.Env, cfg config, connect func() Conn) {
 	db.tracer = cfg.tracer
-	db.reg = obs.NewRegistry()
-	// Reservoir sampling in registry histograms uses the env RNG (only once
-	// a histogram exceeds its cap, so short runs draw nothing extra).
-	db.reg.SetRand(env.Rand())
+	// Reservoir sampling in the latency histogram uses the env RNG (only once
+	// it exceeds its cap, so short runs draw nothing extra).
+	db.client.exec.SetRand(env.Rand())
 	db.pool = pool.New(env, cfg.pool, connect, nil)
 	db.pool.Tracer = cfg.tracer
 }
@@ -154,23 +137,22 @@ func (db *DB) Pool() *pool.Pool[Conn] { return db.pool }
 // Exec borrows a connection, routes and executes one statement, and returns
 // the connection to the pool. It must be called from a simulation process.
 // With tracing on it opens the root "client" span of the statement's trace;
-// end-to-end latency is always recorded into the registry's client.exec
-// histogram.
+// end-to-end latency is always recorded into the client.exec histogram.
 func (db *DB) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*proxy.ExecResult, error) {
 	sp := db.tracer.StartSpan(p, "client", "exec")
 	start := p.Now()
 	conn, err := db.pool.Borrow(p)
 	if err != nil {
-		db.clientErrors().Inc()
+		db.client.errors++
 		sp.SetAttr("error", "pool")
 		sp.End(p)
 		return nil, err
 	}
 	res, err := conn.Exec(p, sql, args...)
 	db.pool.Return(conn)
-	db.clientExec().Record(time.Duration(p.Now() - start))
+	db.client.exec.Record(time.Duration(p.Now() - start))
 	if err != nil {
-		db.clientErrors().Inc()
+		db.client.errors++
 		sp.SetAttr("error", "exec")
 	}
 	sp.End(p)
@@ -441,15 +423,21 @@ func (db *DB) Stats() Stats {
 }
 
 // Metrics returns the flattened snapshot (name → value) that the bench JSON
-// output embeds, read at the moment of the call: the registry's live
-// instruments (client.exec, client.errors), then every component's Stats
-// struct through obs.Flatten — proxy and replication bare on a handle from
-// Open, per cell under "shard.cell<i>." beside the router's "shard.*" on a
-// sharded one — and the handful of values no Stats struct holds, computed
-// here. Nothing is registered ahead of time, so a cell a split added a moment
-// ago is in the next snapshot.
+// output embeds, read at the moment of the call: the handle's own instruments
+// (client.exec, client.errors — each once it has been touched), then every
+// component's Stats struct through obs.Flatten — proxy and replication bare on
+// a handle from Open, per cell under "shard.cell<i>." beside the router's
+// "shard.*" on a sharded one — and the handful of values no Stats struct
+// holds, computed here. Nothing is registered ahead of time, so a cell a split
+// added a moment ago is in the next snapshot.
 func (db *DB) Metrics() map[string]float64 {
-	out := db.reg.Snapshot()
+	out := make(map[string]float64)
+	if db.client.exec.Total() > 0 {
+		obs.FlattenHistogram(out, "client.exec", &db.client.exec)
+	}
+	if db.client.errors > 0 {
+		out["client.errors"] = float64(db.client.errors)
+	}
 	cells := db.cells()
 	if sc := db.sc; sc != nil {
 		out["shard.cells"] = float64(len(cells))

@@ -12,10 +12,11 @@ import (
 // and KB) per page, set-up time and host-ledger seam prices. A value the PR
 // did not record is left out of its row.
 type HistoryRow struct {
-	Label string `json:"label"`
-	// Commit is the commit the numbers were taken on; a trailing "+" means
-	// "plus the uncommitted change this row was added with".
-	Commit  string                  `json:"commit"`
+	// Label names the PR and the commit the numbers were taken on, as `make
+	// bench-history` composes it: "PR 21 @ 6d2c6ff+", the trailing "+" meaning
+	// "plus the uncommitted change this row was added with". (Rows up to PR 20
+	// carry the commit in a field of its own.)
+	Label   string                  `json:"label"`
 	Kernel  HistoryKernel           `json:"kernel"`
 	Planner map[string]HistoryShape `json:"planner"`
 	// CellAllocsPerOp is `allocs_per_op` of `go run ./benchmark`, by workload;
@@ -31,6 +32,9 @@ type HistoryRow struct {
 	// CellAllocKBPerOp it needs the traced pass; a seam a cell does not have
 	// (the router, on an unsharded cell) reads zero there and is left out.
 	CellSeamNs map[string]map[string]float64 `json:"cells_seam_ns,omitempty"`
+	// AllShortWallS is the wall-clock of the whole `-all -short` sweep, in
+	// seconds, when the row was appended by one (as `make bench-history` does).
+	AllShortWallS float64 `json:"all_short_wall_s,omitempty"`
 }
 
 // historySeams are the per-layer metrics of the benchmark's host ledger a
@@ -58,9 +62,9 @@ type HistoryShape struct {
 
 // NewHistoryRow assembles a row from this process's kernel and planner bench
 // and the results.json a `go run ./benchmark -out DIR` left behind.
-func NewHistoryRow(label, commit string, k KernelBenchResult, p PlanBenchResult, cellsPath string) (HistoryRow, error) {
+func NewHistoryRow(label string, k KernelBenchResult, p PlanBenchResult, cellsPath string) (HistoryRow, error) {
 	row := HistoryRow{
-		Label: label, Commit: commit,
+		Label: label,
 		Kernel: HistoryKernel{
 			MicroNsPerEvent: k.Micro.NsPerEvent, MicroAllocsPerEvent: k.Micro.AllocsPerEvent,
 			CellNsPerEvent: k.Cell.NsPerEvent, CellAllocsPerEvent: k.Cell.AllocsPerEvent,

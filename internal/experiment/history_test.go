@@ -27,7 +27,7 @@ func TestHistoryAppendsOneRowPerRun(t *testing.T) {
 	p.Analyze.RowsPerSec = 2e6
 	path := filepath.Join(dir, "history.jsonl")
 	for _, label := range []string{"PR 1", "PR 2"} {
-		row, err := NewHistoryRow(label, "abc1234+", k, p, cells)
+		row, err := NewHistoryRow(label, k, p, cells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestHistoryAppendsOneRowPerRun(t *testing.T) {
 	if len(r.CellSeamNs) != 1 || len(seams) != 2 || seams["proxy.self_wall_ns_per_op"] != 812.5 || seams["sqlengine.run_read_wall_ns"] != 9100 {
 		t.Fatalf("seam prices %+v", r.CellSeamNs)
 	}
-	if _, err := NewHistoryRow("x", "y", k, p, filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := NewHistoryRow("x", k, p, filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("a missing results file produced a row")
 	}
 }

@@ -39,11 +39,10 @@ type Experiment struct {
 	// Arms are what `-determinism` runs twice from one seed and byte-compares
 	// (see CheckDeterminism); most experiments have at most one.
 	Arms []Arm
-	// Baseline names the CLI flag that carries a checked-in baseline file,
-	// and Gate fails when out — this experiment's Output.JSON — regresses
-	// against that file. Benches only.
-	Baseline string
-	Gate     func(baselinePath string, out any) error
+	// Gate fails when out — this experiment's Output.JSON — regresses against
+	// the checked-in baseline file, which `-gate DIR` looks for at
+	// DIR/<File>_baseline.json. Benches only.
+	Gate func(baselinePath string, out any) error
 }
 
 // Output is what one run hands the CLI.
@@ -96,14 +95,17 @@ func (s *Session) Run(e *Experiment) (Output, error) {
 }
 
 // HistoryRow assembles this invocation's bench/history.jsonl row; both
-// benches must have run in it.
-func (s *Session) HistoryRow(label, commit, cellsPath string) (HistoryRow, error) {
+// benches must have run in it. allShortWall is the invocation's wall-clock
+// when it was the whole `-all -short` sweep, zero otherwise.
+func (s *Session) HistoryRow(label, cellsPath string, allShortWall time.Duration) (HistoryRow, error) {
 	k, okK := s.results["bench-kernel"].(KernelBenchResult)
 	p, okP := s.results["bench-plan"].(PlanBenchResult)
 	if !okK || !okP {
 		return HistoryRow{}, errors.New("history: needs -bench-kernel and -bench-plan in the same run")
 	}
-	return NewHistoryRow(label, commit, k, p, cellsPath)
+	row, err := NewHistoryRow(label, k, p, cellsPath)
+	row.AllShortWallS = allShortWall.Seconds()
+	return row, err
 }
 
 // sweep runs a figure sweep once per session: Figs. 2 and 5 are two panels
@@ -207,15 +209,13 @@ var Registry = []*Experiment{
 			}
 			return Output{Text: RenderKernelBench(r), JSON: r}, nil
 		},
-		Arms:     []Arm{{"serial-vs-parallel", runShardsArm}},
-		Baseline: "kernel-baseline",
+		Arms: []Arm{{"serial-vs-parallel", runShardsArm}},
 		Gate: func(path string, out any) error {
 			return CheckKernelBaseline(path, out.(KernelBenchResult))
 		}},
 	{Kind: KindSwitch, Key: "bench-plan", ID: "B-PLAN", Title: "executor speed by statement shape: reads, writes, apply of a logged write, one ANALYZE pass", File: "planner",
 		Run: run(func(SweepOpts) (PlanBenchResult, error) { return PlanBench() }, RenderPlanBench,
 			func(r PlanBenchResult) any { return r }),
-		Baseline: "plan-baseline",
 		Gate: func(path string, out any) error {
 			return CheckPlanBaseline(path, out.(PlanBenchResult))
 		}},

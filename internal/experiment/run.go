@@ -83,8 +83,6 @@ type RunSpec struct {
 	MaxStaleEvents uint64
 	// Phases overrides the 10/20/5-minute protocol when non-zero.
 	RampUp, Steady, RampDown time.Duration
-	// HeartbeatInterval defaults to 1 s.
-	HeartbeatInterval time.Duration
 	// Heterogeneous enables the CoV-21% instance speed variation; the
 	// figure sweeps keep it off so curves reflect topology, not luck.
 	Heterogeneous bool
@@ -94,8 +92,6 @@ type RunSpec struct {
 	// no-pushdown) query planner; A-PLAN compares it against the default
 	// cost-based planner on the join-heavy event-feed reads.
 	NaivePlan bool
-	// Cost overrides the calibrated cost model when non-nil.
-	Cost *server.CostModel
 	// Chaos, when non-nil, arms a fault schedule on the run's timeline
 	// (times are absolute virtual time; the run starts at 0).
 	Chaos *chaos.Schedule
@@ -128,9 +124,6 @@ func (s *RunSpec) applyDefaults() {
 	}
 	if s.RampDown == 0 {
 		s.RampDown = 5 * time.Minute
-	}
-	if s.HeartbeatInterval == 0 {
-		s.HeartbeatInterval = time.Second
 	}
 }
 
@@ -225,11 +218,6 @@ func Run(spec RunSpec) (RunResult, error) {
 	}
 	c := cloud.New(env, cloudCfg)
 
-	cost := server.DefaultCostModel()
-	if spec.Cost != nil {
-		cost = *spec.Cost
-	}
-
 	preload := func(srv *server.DBServer) error {
 		if err := cloudstone.Preload(spec.Scale)(srv); err != nil {
 			return err
@@ -243,7 +231,7 @@ func Run(spec RunSpec) (RunResult, error) {
 	}
 	clu, err := cluster.New(env, c, cluster.Config{
 		Mode:          spec.Mode,
-		Cost:          cost,
+		Cost:          server.DefaultCostModel(),
 		Master:        cluster.NodeSpec{Place: MasterPlacement},
 		Slaves:        slaveSpecs,
 		Preload:       preload,
@@ -279,7 +267,7 @@ func Run(spec RunSpec) (RunResult, error) {
 
 	inj := chaos.Start(env, c, spec.Chaos)
 
-	hb := heartbeat.Start(env, clu.Master(), spec.HeartbeatInterval)
+	hb := heartbeat.Start(env, clu.Master(), time.Second)
 
 	// Lag sampler: one series per slave.
 	var lagSeries []*metrics.TimeSeries

@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: per-query tracing on
-// the virtual timeline, and the metrics snapshot — a small registry of live
-// instruments plus Flatten, which reads the components' own Stats structs
-// when a snapshot is taken.
+// the virtual timeline, and the metrics snapshot — Flatten and
+// FlattenHistogram, which read the components' own Stats structs and
+// histograms when a snapshot is taken.
 //
 // Tracing follows one statement's causal chain across every component it
 // touches — client handle, pool checkout, proxy routing attempts, server

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudrepl/internal/metrics"
 	"cloudrepl/internal/sim"
 )
 
@@ -228,17 +229,14 @@ func TestExportParseRoundtrip(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotFlattens(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("proxy.retries").Inc()
-	r.Counter("proxy.retries").Add(2)
-	h := r.Histogram("client.exec")
+func TestFlattenHistogram(t *testing.T) {
+	var h metrics.Histogram
 	h.Record(2 * time.Millisecond)
 	h.Record(4 * time.Millisecond)
 
-	snap := r.Snapshot()
-	if snap["proxy.retries"] != 3 {
-		t.Errorf("counter = %v, want 3", snap["proxy.retries"])
+	snap := map[string]float64{"old": 1}
+	if sum := FlattenHistogram(snap, "client.exec", &h); sum != h.Summary() {
+		t.Errorf("returned summary %+v, want the histogram's %+v", sum, h.Summary())
 	}
 	if snap["client.exec.count"] != 2 {
 		t.Errorf("hist count = %v, want 2", snap["client.exec.count"])
@@ -252,16 +250,11 @@ func TestRegistrySnapshotFlattens(t *testing.T) {
 	if _, ok := snap["client.exec.max_ms"]; !ok {
 		t.Error("hist max missing from snapshot")
 	}
-	// A snapshot is the caller's own map: callers flatten Stats structs into it.
-	snap["proxy.retries"] = 0
-	if got := r.Snapshot()["proxy.retries"]; got != 3 {
-		t.Errorf("writing to a snapshot reached the registry: counter = %v, want 3", got)
+	if len(snap) != 5 || snap["old"] != 1 {
+		t.Errorf("snapshot %v: want the four histogram keys beside what was there", snap)
 	}
 }
 
-// TestFlatten: every tagged numeric field lands under prefix+tag as a
-// float64, "-" keeps a field out, and what cannot be published is rejected
-// loudly rather than skipped.
 func TestFlatten(t *testing.T) {
 	type stats struct {
 		Reads    uint64  `metric:"reads"`

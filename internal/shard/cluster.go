@@ -310,15 +310,14 @@ type Conn struct {
 	// Scatter state. A connection runs one statement at a time, so one set
 	// of everything serves every scatter it issues: what a scatter costs
 	// beyond its legs' own statements is a Proc per leg and the merged
-	// result. None of it is ever reachable from a result handed to the
-	// caller.
+	// result, which sqlengine.Merge builds as an engine builds any result —
+	// out of nothing the connection, a leg or the merge keeps.
 	legs    []*scatterLeg          // standing leg slot per cell id, built on first use
 	legSig  *sim.Signal            // broadcast by every finishing leg
 	legSQL  string                 // what the legs in flight run ...
 	legArgs []sqlengine.Value      // ... with these arguments (the caller's; held for the scatter only)
 	legsOut int                    // legs started and not yet finished
 	sets    []*sqlengine.ResultSet // the finished legs' sets, in cell order, for the merge
-	merge   mergeScratch
 }
 
 // scatterLeg is a connection's standing slot for the scatter legs it sends
@@ -594,10 +593,11 @@ func (s *Cluster) trackKeys(keys []int64) (*migration, bool) {
 
 // scatter fans a multi-key read out to every slot-owning cell, one
 // simulation process per leg, and merges the per-cell results in cell
-// order. Legs run against the rewritten per-cell statement (ORDER BY
-// columns projected, LIMIT pushed down); a single-target scatter
-// short-circuits to the original statement. The legs run out of the
-// connection's standing slots and the merge out of its scratch.
+// order. Legs run the statement's sqlengine.Merge's per-cell rewrite (ORDER
+// BY columns projected, LIMIT pushed down) out of the connection's standing
+// slots, and the same Merge — the engine's own ORDER BY / GROUP BY / LIMIT
+// over the legs' rows — combines what they return; a single-target scatter
+// short-circuits to the original statement.
 func (c *Conn) scatter(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine.Value) (*proxy.ExecResult, error) {
 	targets := c.snap.Cells()
 	mig := c.sc.activeMigration()
@@ -628,7 +628,7 @@ func (c *Conn) scatterLegs(p *sim.Proc, ri *routeInfo, sql string, args []sqleng
 	if c.legSig == nil {
 		c.legSig = sim.NewSignal(c.sc.env).Named("shard/scatter")
 	}
-	c.legSQL, c.legArgs, c.legsOut = ri.plan.cellSQL, args, len(targets)
+	c.legSQL, c.legArgs, c.legsOut = ri.plan.CellSQL, args, len(targets)
 	// Every leg is a process of its own, even the first: run inline on the
 	// caller's process it would reach the cell ahead of events already queued
 	// for this instant.
@@ -658,7 +658,7 @@ func (c *Conn) scatterLegs(p *sim.Proc, ri *routeInfo, sql string, args []sqleng
 	var out *scatterResult
 	if firstErr == nil {
 		out = &scatterResult{}
-		firstErr = ri.plan.merge(&c.merge, c.sets, &out.eng.Set)
+		firstErr = ri.plan.Run(c.sets, &out.eng.Set)
 	}
 	clear(c.sets)
 	c.sets = c.sets[:0]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,10 +12,117 @@ import (
 	"cloudrepl/internal/sqlengine"
 )
 
-// mergeReference is the merge this package ran before the k-way merge and the
-// scratch-backed fold — concatenate in cell order, re-aggregate through a map
-// of rendered keys, sort stably, deduplicate, cut — kept word for word as the
-// oracle the property test below holds the new code to.
+// The oracle's description of a scatter statement: what this package's own
+// merge plans held before the merge became sqlengine.Merge, less the per-cell
+// rewrite.
+type mergePlan struct {
+	dropCols int // helper ORDER BY columns at the end of a leg's row
+	distinct bool
+	orderBy  []orderKey
+	limit    int // -1 none
+	offset   int
+	aggs     []aggSpec // non-nil → aggregate shape
+}
+
+type orderKey struct {
+	pos    int    // -1: resolve byName at merge
+	byName string // lowercase column name when pos < 0
+	desc   bool
+}
+
+type aggSpec struct {
+	op string // "group" | "count" | "sum" | "min" | "max"
+}
+
+// referencePlan reads the oracle's plan off a statement whose select list and
+// ORDER BY name plain columns, aliases or aggregate calls — every statement
+// this file merges.
+func referencePlan(t *testing.T, sql string) *mergePlan {
+	t.Helper()
+	stmt, err := sqlengine.Parse(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	s := stmt.(*sqlengine.SelectStmt)
+	plan := &mergePlan{distinct: s.Distinct, limit: -1}
+	if l, ok := s.Limit.(*sqlengine.Literal); ok {
+		plan.limit = int(l.V.Int())
+	}
+	if l, ok := s.Offset.(*sqlengine.Literal); ok {
+		plan.offset = int(l.V.Int())
+	}
+	star := s.Exprs[0].Star
+	aggregated := len(s.GroupBy) > 0
+	var names []string // a leg's columns, as ORDER BY may name them
+	for _, se := range s.Exprs {
+		if star {
+			break
+		}
+		op := "group"
+		if f, ok := se.Expr.(*sqlengine.FuncCall); ok {
+			op, aggregated = strings.ToLower(f.Name), true
+		}
+		plan.aggs = append(plan.aggs, aggSpec{op: op})
+		names = append(names, se.Alias)
+		if se.Alias == "" {
+			names[len(names)-1] = se.Expr.String()
+		}
+	}
+	if !aggregated {
+		plan.aggs = nil
+	}
+	for _, o := range s.OrderBy {
+		key := orderKey{pos: -1, desc: o.Desc}
+		name := o.Expr.String()
+		for i, n := range names {
+			if n == name {
+				key.pos = i
+			}
+		}
+		switch {
+		case key.pos >= 0:
+		case star:
+			key.byName = name
+		default:
+			names = append(names, name)
+			key.pos = len(names) - 1
+			plan.dropCols++
+		}
+		plan.orderBy = append(plan.orderBy, key)
+	}
+	return plan
+}
+
+// refBefore is the comparison the cells ran for their own ORDER BY: the test
+// sorts generated legs by it, the way cells deliver them.
+func refBefore(keys []orderKey, a, b []sqlengine.Value) bool {
+	for _, k := range keys {
+		if c := sqlengine.Compare(a[k.pos], b[k.pos]); c != 0 {
+			return (c < 0) != k.desc
+		}
+	}
+	return false
+}
+
+// addValues sums two partial COUNT/SUM results, staying integer when both
+// sides are integers.
+func addValues(a, b sqlengine.Value) sqlengine.Value {
+	if a.IsNull() {
+		return b
+	}
+	if b.IsNull() {
+		return a
+	}
+	if a.Kind() == sqlengine.KindInt && b.Kind() == sqlengine.KindInt {
+		return sqlengine.NewInt(a.Int() + b.Int())
+	}
+	return sqlengine.NewFloat(a.Float() + b.Float())
+}
+
+// mergeReference is the merge this package ran first — concatenate in cell
+// order, re-aggregate through a map of rendered keys, sort stably,
+// deduplicate, cut — kept word for word as the oracle the property test below
+// holds sqlengine.Merge to.
 func mergeReference(plan *mergePlan, sets []*sqlengine.ResultSet) (*sqlengine.ResultSet, error) {
 	if len(sets) == 0 {
 		return &sqlengine.ResultSet{}, nil
@@ -41,7 +149,7 @@ func mergeReference(plan *mergePlan, sets []*sqlengine.ResultSet) (*sqlengine.Re
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("shard: merge order column %q not in result", k.byName)
+			return nil, fmt.Errorf("sqlengine: merge order column %q not in result", k.byName)
 		}
 		keys[i].pos = found
 	}
@@ -95,7 +203,7 @@ func mergeReference(plan *mergePlan, sets []*sqlengine.ResultSet) (*sqlengine.Re
 
 func reaggregateReference(plan *mergePlan, rs *sqlengine.ResultSet) error {
 	if len(plan.aggs) != len(rs.Columns) {
-		return fmt.Errorf("shard: aggregate merge expected %d columns, got %d", len(plan.aggs), len(rs.Columns))
+		return fmt.Errorf("sqlengine: aggregate merge expected %d columns, got %d", len(plan.aggs), len(rs.Columns))
 	}
 	index := make(map[string]int)
 	var merged [][]sqlengine.Value
@@ -246,21 +354,23 @@ func cloneResult(rs *sqlengine.ResultSet) *sqlengine.ResultSet {
 
 // TestMergeMatchesReference: over randomised leg sets — one to four legs,
 // empty legs, rows tying across and within legs, NULL keys, every shape
-// above — the k-way merge and the scratch-backed fold return what the
-// reference returns. One scratch serves the whole run, as one Conn's would,
-// and each result is checked again after the next merge has reused it.
+// above — sqlengine.Merge returns what the reference returns. One Merge
+// serves a shape's whole run, as the route cache's would, and each result is
+// checked again after the next merge has reused its scratch. The legs of a
+// global aggregate hold one row each, which is what an engine returns for
+// one: over no partial rows at all the tail answers as it does over an empty
+// table, with one row, where the reference returned none.
 func TestMergeMatchesReference(t *testing.T) {
 	ks := testKS()
 	ks.Key["event_tags"] = "event_id"
-	var scratch mergeScratch
 	for si, shape := range mergeShapes {
 		ri := analyze(shape.sql, ks)
 		if ri.err != nil || ri.kind != routeScatter {
 			t.Fatalf("%s: route %+v", shape.sql, ri)
 		}
-		plan := ri.plan
-		// The comparison the cell ran for its own ORDER BY, for sorting the
-		// generated legs the way cells deliver them.
+		plan := referencePlan(t, shape.sql)
+		// The cells' own ORDER BY, for sorting the generated legs the way
+		// cells deliver them.
 		keys := append([]orderKey(nil), plan.orderBy...)
 		for i, k := range keys {
 			for ci, name := range shape.cols {
@@ -269,13 +379,18 @@ func TestMergeMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		global := plan.aggs != nil && !slices.ContainsFunc(plan.aggs, func(a aggSpec) bool { return a.op == "group" })
 		rng := rand.New(rand.NewSource(int64(si) + 1))
 		var prev, prevWant *sqlengine.ResultSet
 		for iter := 0; iter < 1500; iter++ {
 			sets := make([]*sqlengine.ResultSet, 1+rng.Intn(4))
 			for li := range sets {
 				leg := &sqlengine.ResultSet{Columns: shape.cols}
-				for n := rng.Intn(4) * rng.Intn(5); n > 0; n-- {
+				n := rng.Intn(4) * rng.Intn(5)
+				if global {
+					n = 1
+				}
+				for ; n > 0; n-- {
 					row := make([]sqlengine.Value, len(shape.cols))
 					for ci, g := range shape.gen {
 						row[ci] = g(rng)
@@ -283,16 +398,13 @@ func TestMergeMatchesReference(t *testing.T) {
 					leg.Rows = append(leg.Rows, row)
 				}
 				if plan.aggs == nil {
-					sort.SliceStable(leg.Rows, func(i, j int) bool {
-						sc := mergeScratch{keys: keys}
-						return sc.before(leg.Rows[i], leg.Rows[j])
-					})
+					sort.SliceStable(leg.Rows, func(i, j int) bool { return refBefore(keys, leg.Rows[i], leg.Rows[j]) })
 				}
 				sets[li] = leg
 			}
 			want, wantErr := mergeReference(plan, sets)
-			got := &sqlengine.ResultSet{}
-			if err := plan.merge(&scratch, sets, got); err != nil || wantErr != nil {
+			got, err := mergeSets(ri.plan, sets...)
+			if err != nil || wantErr != nil {
 				t.Fatalf("%s: merge error %v, reference error %v", shape.sql, err, wantErr)
 			}
 			if !sameResult(got, want) {
@@ -308,22 +420,21 @@ func TestMergeMatchesReference(t *testing.T) {
 
 // TestMergeErrors: the two ways a merge can fail are the reference's.
 func TestMergeErrors(t *testing.T) {
-	star := analyze("SELECT * FROM events ORDER BY created", testKS()).plan
-	agg := analyze("SELECT COUNT(*), MAX(id) FROM events", testKS()).plan
+	const star, agg = "SELECT * FROM events ORDER BY created", "SELECT COUNT(*), MAX(id) FROM events"
 	for _, tc := range []struct {
-		plan *mergePlan
-		set  *sqlengine.ResultSet
+		sql string
+		set *sqlengine.ResultSet
 	}{
 		{star, &sqlengine.ResultSet{Columns: []string{"id", "title"}, Rows: [][]sqlengine.Value{{sqlengine.NewInt(1), sqlengine.NewString("x")}}}},
 		{agg, &sqlengine.ResultSet{Columns: []string{"COUNT(*)"}, Rows: rows(3)}},
 	} {
-		_, wantErr := mergeReference(tc.plan, []*sqlengine.ResultSet{tc.set})
-		_, err := mergeSets(tc.plan, tc.set)
+		_, wantErr := mergeReference(referencePlan(t, tc.sql), []*sqlengine.ResultSet{tc.set})
+		_, err := mergeSets(analyze(tc.sql, testKS()).plan, tc.set)
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 			t.Errorf("merge error %v, reference error %v", err, wantErr)
 		}
 	}
-	if got, err := mergeSets(star); err != nil || got.Columns != nil || got.Rows != nil {
+	if got, err := mergeSets(analyze(star, testKS()).plan); err != nil || got.Columns != nil || got.Rows != nil {
 		t.Errorf("merge of no sets = %v, %v; want an empty result", got, err)
 	}
 }
@@ -360,31 +471,5 @@ func TestMergeGroupsLikeTheEngine(t *testing.T) {
 	)
 	if err != nil || len(got.Rows) != 1 || got.Rows[0][1] != sqlengine.NewInt(7) {
 		t.Fatalf("merged groups = %v, %v; want one group counting 7", got.Rows, err)
-	}
-}
-
-// TestKeyIndex drives the open-addressed key table through growth and reuse
-// beside a map.
-func TestKeyIndex(t *testing.T) {
-	var ix keyIndex
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 20; round++ {
-		ix.reset()
-		model := map[string]int{}
-		for i := 0; i < 40*round; i++ {
-			key := []byte(fmt.Sprintf("k%d", rng.Intn(10+20*round)))
-			if rng.Intn(8) == 0 {
-				key = nil
-			}
-			n, first := ix.lookup(key)
-			want, seen := model[string(key)]
-			if !seen {
-				want = len(model)
-				model[string(key)] = want
-			}
-			if n != want || first == seen {
-				t.Fatalf("round %d: lookup(%q) = %d, %v; want %d, %v", round, key, n, first, want, !seen)
-			}
-		}
 	}
 }

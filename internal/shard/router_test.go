@@ -61,6 +61,8 @@ func TestAnalyzeErrors(t *testing.T) {
 		"SELECT creator_id FROM events GROUP BY creator_id HAVING COUNT(*) > 1", // HAVING on scatter
 		"SELECT AVG(id) FROM events",                                            // AVG does not decompose
 		"SELECT id FROM events LIMIT ?",                                         // parameterized LIMIT on scatter
+		"SELECT COUNT(*) FROM events GROUP BY creator_id",                       // partial rows would carry no key to meet on
+		"SELECT COUNT(*) + 1 FROM events",                                       // an aggregate that is not a column of its own
 	} {
 		if ri := analyze(sql, ks); ri.err == nil {
 			t.Errorf("%s: expected routing error", sql)
@@ -86,11 +88,10 @@ func TestResolveKeysMultiRowInsert(t *testing.T) {
 	}
 }
 
-// mergeSets runs plan's merge over sets with scratch of its own.
-func mergeSets(plan *mergePlan, sets ...*sqlengine.ResultSet) (*sqlengine.ResultSet, error) {
+// mergeSets runs a route's merge over sets.
+func mergeSets(plan *sqlengine.Merge, sets ...*sqlengine.ResultSet) (*sqlengine.ResultSet, error) {
 	out := &sqlengine.ResultSet{}
-	err := plan.merge(&mergeScratch{}, sets, out)
-	return out, err
+	return out, plan.Run(sets, out)
 }
 
 func rows(vals ...int64) [][]sqlengine.Value {
@@ -108,13 +109,9 @@ func TestMergePlainOrderLimit(t *testing.T) {
 	if ri.err != nil || ri.kind != routeScatter {
 		t.Fatalf("route: %+v", ri)
 	}
-	if ri.plan.limit != 3 || ri.plan.offset != 1 {
-		t.Fatalf("plan limit/offset = %d/%d", ri.plan.limit, ri.plan.offset)
-	}
 	// Each cell must be asked for limit+offset rows.
-	cellRI := analyze(ri.plan.cellSQL, testKS())
-	if cellRI.err != nil {
-		t.Fatalf("cellSQL %q does not re-analyze: %v", ri.plan.cellSQL, cellRI.err)
+	if want := "SELECT id FROM events ORDER BY id DESC LIMIT 4"; ri.plan.CellSQL != want {
+		t.Fatalf("CellSQL %q, want %q", ri.plan.CellSQL, want)
 	}
 	// Legs arrive the way the cells return them: sorted by the ORDER BY.
 	merged, err := mergeSets(ri.plan,
@@ -142,8 +139,8 @@ func TestMergeHelperColumn(t *testing.T) {
 	if ri.err != nil {
 		t.Fatal(ri.err)
 	}
-	if ri.plan.dropCols != 1 {
-		t.Fatalf("dropCols = %d, want 1", ri.plan.dropCols)
+	if want := "SELECT title, created FROM events ORDER BY created DESC LIMIT 2"; ri.plan.CellSQL != want {
+		t.Fatalf("CellSQL %q, want %q", ri.plan.CellSQL, want)
 	}
 	mk := func(title string, created int64) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewString(title), sqlengine.NewInt(created)}
@@ -194,13 +191,13 @@ func TestMergeAggregates(t *testing.T) {
 	}
 	// Per-cell statements must not carry ORDER BY/LIMIT (partial counts
 	// sort wrong) — check by re-parsing the rewrite.
-	stmt, err := sqlengine.Parse(ri.plan.cellSQL)
+	stmt, err := sqlengine.Parse(ri.plan.CellSQL)
 	if err != nil {
-		t.Fatalf("cellSQL %q: %v", ri.plan.cellSQL, err)
+		t.Fatalf("CellSQL %q: %v", ri.plan.CellSQL, err)
 	}
 	sel := stmt.(*sqlengine.SelectStmt)
 	if sel.OrderBy != nil || sel.Limit != nil {
-		t.Fatalf("cellSQL kept ORDER BY/LIMIT: %q", ri.plan.cellSQL)
+		t.Fatalf("CellSQL kept ORDER BY/LIMIT: %q", ri.plan.CellSQL)
 	}
 	mk := func(tag, n int64) []sqlengine.Value {
 		return []sqlengine.Value{sqlengine.NewInt(tag), sqlengine.NewInt(n)}

@@ -115,9 +115,10 @@ func (f *scatterFixture) do(t *testing.T, fn func(p *sim.Proc)) {
 	}
 }
 
-// TestMergedResultDoesNotAliasScratch: what a scatter returns stays what it
-// was while the same connection runs more scatters through the same slots
-// and the same merge scratch.
+// TestMergedResultDoesNotAliasScratch: what a scatter returns — of either
+// shape — stays what it was while the same connection runs more scatters
+// through the same slots and the same merges, its own statement again among
+// them, and a single-key write changes a row it was built from.
 func TestMergedResultDoesNotAliasScratch(t *testing.T) {
 	f := newScatterFixture(t)
 	defer f.env.Shutdown()
@@ -134,8 +135,10 @@ func TestMergedResultDoesNotAliasScratch(t *testing.T) {
 				"SELECT v, COUNT(*) AS n, MIN(id), MAX(id), SUM(id) FROM kv GROUP BY v ORDER BY v DESC",
 				"SELECT id, v FROM kv ORDER BY v, id LIMIT 30",
 				"SELECT DISTINCT v FROM kv ORDER BY v DESC",
+				"UPDATE kv SET v = 'moved' WHERE id = 40",
+				first,
 			} {
-				if _, err := f.conn.Query(p, next); err != nil {
+				if _, err := f.conn.Exec(p, next); err != nil {
 					t.Errorf("%s: %v", next, err)
 				}
 			}
@@ -146,8 +149,8 @@ func TestMergedResultDoesNotAliasScratch(t *testing.T) {
 	}
 	// Nothing of a finished scatter stays reachable from the connection.
 	c := f.conn
-	if c.legArgs != nil || len(c.sets) != 0 || len(c.merge.rows) != 0 || len(c.merge.acc) != 0 {
-		t.Errorf("connection still holds scatter state: %d args, %d sets, %d rows, %d values", len(c.legArgs), len(c.sets), len(c.merge.rows), len(c.merge.acc))
+	if c.legArgs != nil || len(c.sets) != 0 {
+		t.Errorf("connection still holds scatter state: %d args, %d sets", len(c.legArgs), len(c.sets))
 	}
 	for _, l := range c.legs {
 		if l.res != nil || l.err != nil {
@@ -166,7 +169,7 @@ func TestScatterMachineryAllocs(t *testing.T) {
 	f := newScatterFixture(t)
 	defer f.env.Shutdown()
 	for _, sql := range []string{orderedScatter, aggregateScatter} {
-		legSQL := f.sc.route(sql).plan.cellSQL
+		legSQL := f.sc.route(sql).plan.CellSQL
 		scatter := func(p *sim.Proc) {
 			if _, err := f.conn.Exec(p, sql); err != nil {
 				t.Error(err)

@@ -18,10 +18,8 @@
 // still parked and then lets every idle goroutine go; an Env that is dropped
 // without Shutdown leaks both.
 //
-// The kernel supports two run modes: Run/RunFor/RunUntil execute events as
-// fast as the host allows (a 35-minute experiment finishes in seconds), and
-// RunRealtime paces virtual time against the wall clock for interactive
-// demos.
+// Run/RunFor/RunUntil execute events as fast as the host allows: a 35-minute
+// experiment finishes in seconds.
 //
 // The zero kernel overhead target is modest — a few hundred thousand events
 // per second — which is ample for the Cloudstone-scale experiments this

@@ -513,42 +513,6 @@ func (e *Env) peek() *event {
 // progress. It may be called from a process or callback.
 func (e *Env) Stop() { e.stopped = true }
 
-// RunRealtime executes events while pacing virtual time against the wall
-// clock: one second of virtual time takes 1/speed wall seconds. It returns
-// when the queue is empty, Stop is called, or stop is closed.
-//
-//cloudrepl:allow-simtime pacing virtual time against the wall clock is this function's entire purpose
-func (e *Env) RunRealtime(speed float64, stop <-chan struct{}) {
-	if speed <= 0 {
-		speed = 1
-	}
-	e.stopped = false
-	start := time.Now()
-	base := e.now
-	for !e.stopped {
-		next := e.peek()
-		if next == nil {
-			return
-		}
-		target := time.Duration(float64(next.at-base) / speed)
-		if wait := target - time.Since(start); wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-timer.C:
-			case <-stop:
-				timer.Stop()
-				return
-			}
-		}
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		e.step()
-	}
-}
-
 // WaitForGraph renders the wait-for graph of every live process: one line
 // per process, sorted by spawn id, naming the resource, queue or signal it
 // is parked on. It is the payload of the deadlock detector's panic and is

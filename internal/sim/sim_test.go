@@ -240,54 +240,6 @@ func TestGoFromProcessAndCallback(t *testing.T) {
 	}
 }
 
-func TestRunRealtimePacesAgainstWallClock(t *testing.T) {
-	env := NewEnv(1)
-	ticks := 0
-	env.Go("ticker", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(100 * time.Millisecond)
-			ticks++
-		}
-	})
-	start := time.Now()
-	env.RunRealtime(10, nil) // 500ms virtual at 10x ≈ 50ms wall
-	wall := time.Since(start)
-	if ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", ticks)
-	}
-	if wall < 30*time.Millisecond {
-		t.Fatalf("realtime run finished in %v; pacing appears disabled", wall)
-	}
-	if wall > 2*time.Second {
-		t.Fatalf("realtime run took %v; pacing far too slow", wall)
-	}
-}
-
-func TestRunRealtimeStops(t *testing.T) {
-	env := NewEnv(1)
-	env.Go("forever", func(p *Proc) {
-		for {
-			p.Sleep(time.Hour)
-		}
-	})
-	stop := make(chan struct{})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(stop)
-	}()
-	done := make(chan struct{})
-	go func() {
-		env.RunRealtime(1, stop)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunRealtime did not honor stop channel")
-	}
-	env.Shutdown()
-}
-
 func TestBlockingFromWrongGoroutinePanics(t *testing.T) {
 	env := NewEnv(1)
 	var victim *Proc

@@ -257,12 +257,9 @@ func (s *Session) Use(db string) error {
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.inTxn }
 
-// Exec parses (with caching) and executes one statement with args.
-//
-// Deprecated: Exec remains as a compatibility shim over the prepared
-// statement API and behaves identically. New code should use Engine.Prepare
-// once and Statement.Run per call, which makes the parse/plan reuse explicit
-// and exposes the plan via Statement.Plan.
+// Exec executes one statement with args: Engine.Prepare — a parse-cache hit
+// per statement text — then the run Statement.Run makes. A caller that keeps
+// the Statement saves the cache lookup and can ask it for its Plan.
 func (s *Session) Exec(sql string, args ...Value) (*Result, error) {
 	stmt, err := s.eng.Prepare(sql)
 	if err != nil {

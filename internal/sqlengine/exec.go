@@ -112,10 +112,12 @@ func (e *Engine) execDropTable(s *Session, st *DropTableStmt) (*Result, error) {
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }
 
-// conjuncts flattens an AND tree.
-func conjuncts(e Expr) []Expr {
+// Conjuncts flattens an AND tree into its top-level conjuncts (nil for a nil
+// expression): what the planner assigns to nodes and the shard router looks
+// for a shard-key equality among.
+func Conjuncts(e Expr) []Expr {
 	if b, ok := e.(*Binary); ok && b.Op == "AND" {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
+		return append(Conjuncts(b.L), Conjuncts(b.R)...)
 	}
 	if e == nil {
 		return nil
@@ -126,7 +128,7 @@ func conjuncts(e Expr) []Expr {
 // joinEqPattern finds `rightRef.col = expr` (or mirrored) in the ON clause
 // where expr does not mention rightRef; returns the column position or -1.
 func joinEqPattern(on Expr, rightRef string, rightTbl *Table) (int, Expr) {
-	for _, c := range conjuncts(on) {
+	for _, c := range Conjuncts(on) {
 		b, ok := c.(*Binary)
 		if !ok || b.Op != "=" {
 			continue

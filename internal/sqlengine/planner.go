@@ -343,7 +343,7 @@ func (b *planBuilder) buildNaiveAccess() {
 		n.filters = []Expr{j.On}
 		n.input = chain
 		mpo := rowsOf(jt)
-		for _, c := range conjuncts(j.On) {
+		for _, c := range Conjuncts(j.On) {
 			mpo *= joinFilterSel(b, c, slot)
 		}
 		out := outEst * mpo
@@ -360,7 +360,7 @@ func (b *planBuilder) buildNaiveAccess() {
 		f.filters = []Expr{st.Where} // single-expression: legacy evaluation order
 		f.input = chain
 		sel := 1.0
-		for _, c := range conjuncts(st.Where) {
+		for _, c := range Conjuncts(st.Where) {
 			sel *= b.whereSel(c)
 		}
 		f.estRows = outEst * sel
@@ -388,7 +388,7 @@ func drivingAccess(n *planNode, pt planTable, where Expr) {
 	tbl := pt.tbl
 	n.tbl, n.kind, n.estCost = tbl, opScan, rowsOf(tbl)
 search:
-	for _, c := range conjuncts(where) {
+	for _, c := range Conjuncts(where) {
 		bin, ok := c.(*Binary)
 		if !ok || bin.Op != "=" {
 			continue
@@ -651,9 +651,9 @@ func eqColOf(cands []eqCandidate, pc *pooledConjunct) int {
 // join order, per-join algorithm choice.
 func (b *planBuilder) buildCostReorder() {
 	st, p := b.st, b.p
-	exprs := conjuncts(st.Where)
+	exprs := Conjuncts(st.Where)
 	for _, j := range st.Joins {
-		exprs = append(exprs, conjuncts(j.On)...)
+		exprs = append(exprs, Conjuncts(j.On)...)
 	}
 	pool := b.pool(exprs)
 
@@ -717,7 +717,7 @@ func (b *planBuilder) buildCostReorder() {
 // by cost.
 func (b *planBuilder) buildCostSyntaxOrder() {
 	st, p := b.st, b.p
-	wherePool := b.pool(conjuncts(st.Where))
+	wherePool := b.pool(Conjuncts(st.Where))
 
 	// Driving access from driving-only WHERE conjuncts.
 	drive := b.drivingChoice(wherePool, 0)
@@ -734,7 +734,7 @@ func (b *planBuilder) buildCostSyntaxOrder() {
 	bound := uint64(1)
 	for ji, j := range st.Joins {
 		slot := ji + 1
-		onPool := b.pool(conjuncts(j.On))
+		onPool := b.pool(Conjuncts(j.On))
 		var best accessChoice
 		haveBest := false
 		for _, c := range b.joinChoices(onPool, slot, bound, outEst) {
@@ -749,7 +749,7 @@ func (b *planBuilder) buildCostSyntaxOrder() {
 		n.left = j.Left
 		// Every ON conjunct is evaluated at the join, resolvable or not —
 		// LEFT join semantics require the full ON to decide matches.
-		n.filters = conjuncts(j.On)
+		n.filters = Conjuncts(j.On)
 		n.input = chain
 		n.estCost = best.cost
 		out := best.outRows

@@ -316,13 +316,13 @@ func TestPreparedStatementAPI(t *testing.T) {
 	if set.Rows[0][0].Str() != "usere" {
 		t.Fatalf("second run: %v", set.Rows)
 	}
-	// Deprecated shim returns the same result.
+	// Session.Exec is Prepare + the same run: the same result.
 	shim, err := s.Query("SELECT name FROM users WHERE id = ?", NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shim.Rows[0][0].Str() != set.Rows[0][0].Str() {
-		t.Fatal("Exec shim diverged from Statement.Run")
+		t.Fatal("Session.Exec diverged from Statement.Run")
 	}
 	// Wrong arity errors match the bind-time contract.
 	if _, err := stmt.Run(s); err == nil || !strings.Contains(err.Error(), "1 parameters but 0 arguments") {

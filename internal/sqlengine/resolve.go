@@ -206,17 +206,24 @@ func (p *Plan) resolve(st *SelectStmt) error {
 		return r.err
 	}
 
-	p.rt.live = make([][]Value, len(p.tables))
+	src := rowIter(&onceIter{})
+	if p.root != nil {
+		src = buildIter(&p.rt, p.root)
+	}
+	p.bindRun(len(p.tables), src)
+	return nil
+}
+
+// bindRun builds the bound plan's reusable run state: a frame of slots row
+// images that src fills, and the scratch the tail sizes by the plan's shape.
+func (p *Plan) bindRun(slots int, src rowIter) {
+	p.rt.live = make([][]Value, slots)
 	p.rt.by = p.order
 	p.rt.tuple = make([]Value, len(p.groupBy))
 	if p.aggregated || p.distinct {
 		p.rt.groups = map[hashKey]int32{}
 	}
-	p.rt.src = &onceIter{}
-	if p.root != nil {
-		p.rt.src = buildIter(&p.rt, p.root)
-	}
-	return nil
+	p.rt.src = src
 }
 
 func selectColName(se SelectExpr) string {

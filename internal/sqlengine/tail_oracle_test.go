@@ -126,7 +126,7 @@ func (a *oracleAcc) add(v Value, distinct bool) {
 		if a.seen == nil {
 			a.seen = map[string]bool{}
 		}
-		k := string(v.AppendKey(nil))
+		k := string(v.hashKey().appendTo(nil))
 		if a.seen[k] {
 			return
 		}
@@ -172,7 +172,7 @@ func oracleGroup(rows [][]Value, groupBy []int, aggs []oracleAgg) [][]Value {
 	for _, r := range rows {
 		var kb []byte
 		for _, c := range groupBy {
-			kb = r[c].AppendKey(kb)
+			kb = r[c].hashKey().appendTo(kb)
 		}
 		g, ok := index[string(kb)]
 		if !ok {
@@ -212,7 +212,7 @@ func oracleDedupe(rows [][]Value) [][]Value {
 	for _, r := range rows {
 		var kb []byte
 		for _, v := range r {
-			kb = v.AppendKey(kb)
+			kb = v.hashKey().appendTo(kb)
 		}
 		if !seen[string(kb)] {
 			seen[string(kb)] = true

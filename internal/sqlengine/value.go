@@ -277,8 +277,3 @@ func (k hashKey) appendTo(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(append(b, byte(k.kind)), uint64(k.n))
 	return append(binary.AppendUvarint(b, uint64(len(k.s))), k.s...)
 }
-
-// AppendKey appends the bytes GROUP BY and DISTINCT file v under, so that
-// whoever combines the results of several engines (the shard router's merge)
-// groups and deduplicates exactly as one engine would have.
-func (v Value) AppendKey(b []byte) []byte { return v.hashKey().appendTo(b) }
