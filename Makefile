@@ -88,8 +88,9 @@ bench-kernel:
 # same rows stored ascending, descending and shuffled — three rates that must
 # stay close; like_scan: title LIKE '%<n> m%' LIMIT 10 over every row), three
 # write shapes (insert, point update, apply of a logged insert on a second
-# engine) and one ANALYZE pass over the 60 k rows the insert shape leaves, each
-# best-of-3, with BENCH_planner.json written into results/ and a failure if
+# engine), one ANALYZE pass over the 60 k rows the insert shape leaves, and a
+# cluster's set-up (preload: Cloudstone scale 600 loaded by SQL; restore: that
+# engine's image restored onto a new one, ≥ 4× the rows/s), each best-of-3, with BENCH_planner.json written into results/ and a failure if
 # any shape's rate regresses >20% or its allocs/op rises >5% against the
 # checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_planner.json bench/planner_baseline.json

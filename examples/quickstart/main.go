@@ -24,7 +24,7 @@ func main() {
 	provider := cloud.New(env, cloud.DefaultConfig())
 	zone := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 
-	// Every node preloads the same schema before replication starts.
+	// The master loads the schema; replicas start from its image.
 	preload := func(srv *server.DBServer) error {
 		sess := srv.Session("")
 		for _, ddl := range []string{

@@ -155,9 +155,14 @@ func DecodeBatch(buf []byte) ([]Entry, error) {
 // hand out windows onto entries (Reader.NextBatch), so nothing may truncate
 // the slice or assign to an element once it is appended; growing it is safe,
 // because a window keeps the array it was cut from.
+//
+// A log may start at a position (NewAt): the entries up to and including its
+// base count as written and purged — sequence numbers go on from there, and
+// nothing at or below the base can be read back.
 type Log struct {
 	env      *sim.Env
-	entries  []Entry
+	base     uint64  // sequence of the last purged entry; entries[i].Seq is base+i+1
+	entries  []Entry // the entries held, in sequence order
 	appended *sim.Signal
 	bytes    int64
 	// committedAt records each entry's commit point on the virtual
@@ -168,8 +173,14 @@ type Log struct {
 }
 
 // New creates an empty log bound to env.
-func New(env *sim.Env) *Log {
-	return &Log{env: env, appended: sim.NewSignal(env).Named("binlog-appended")}
+func New(env *sim.Env) *Log { return NewAt(env, 0) }
+
+// NewAt creates an empty log that starts after position base: the log of a
+// server restored from an image taken when its source's log stood at base. Its
+// first entry takes sequence base+1, so the two logs number every later
+// statement alike.
+func NewAt(env *sim.Env, base uint64) *Log {
+	return &Log{env: env, base: base, appended: sim.NewSignal(env).Named("binlog-appended")}
 }
 
 // Append adds a statement known only by its text to the log and wakes
@@ -181,7 +192,7 @@ func (l *Log) Append(database, sql string, tsMicros int64) uint64 {
 // AppendWrite is Append for a committed write as the engine's commit hook
 // reports it, prepared form included.
 func (l *Log) AppendWrite(database string, w sqlengine.LoggedWrite, tsMicros int64) uint64 {
-	seq := uint64(len(l.entries)) + 1
+	seq := l.LastSeq() + 1
 	e := Entry{Seq: seq, Database: database, SQL: w.SQL, TimestampMicros: tsMicros, Stmt: w.Stmt, Args: w.Args}
 	l.entries = append(l.entries, e)
 	l.committedAt = append(l.committedAt, l.env.Now())
@@ -191,28 +202,36 @@ func (l *Log) AppendWrite(database string, w sqlengine.LoggedWrite, tsMicros int
 }
 
 // CommittedAt returns the virtual time the entry with the given sequence was
-// appended (0 for out-of-range sequences). Unlike Entry.TimestampMicros this
-// is free of per-instance clock offset, making it the reference point for
-// replication-staleness measurements.
+// appended (0 for sequences the log does not hold). Unlike
+// Entry.TimestampMicros this is free of per-instance clock offset, making it
+// the reference point for replication-staleness measurements.
 func (l *Log) CommittedAt(seq uint64) sim.Time {
-	if seq == 0 || seq > uint64(len(l.committedAt)) {
+	if seq <= l.base || seq > l.LastSeq() {
 		return 0
 	}
-	return l.committedAt[seq-1]
+	return l.committedAt[seq-l.base-1]
 }
 
-// LastSeq returns the sequence of the newest entry (0 when empty).
-func (l *Log) LastSeq() uint64 { return uint64(len(l.entries)) }
+// LastSeq returns the sequence of the newest entry: the base while the log
+// holds none (0 for a log from New).
+func (l *Log) LastSeq() uint64 { return l.base + uint64(len(l.entries)) }
 
-// Bytes returns the total encoded size of the log.
+// Bytes returns the total encoded size of the entries the log holds.
 func (l *Log) Bytes() int64 { return l.bytes }
 
 // At returns the entry with the given sequence number.
 func (l *Log) At(seq uint64) (Entry, error) {
-	if seq == 0 || seq > uint64(len(l.entries)) {
+	switch {
+	case seq <= l.base:
+		return Entry{}, l.purged(seq)
+	case seq > l.LastSeq():
 		return Entry{}, fmt.Errorf("binlog: no entry at seq %d (last %d)", seq, l.LastSeq())
 	}
-	return l.entries[seq-1], nil
+	return l.entries[seq-l.base-1], nil
+}
+
+func (l *Log) purged(seq uint64) error {
+	return fmt.Errorf("binlog: seq %d is purged (the log starts after %d)", seq, l.base)
 }
 
 // Reader tails the log from a position. Each dump thread owns one reader.
@@ -221,9 +240,16 @@ type Reader struct {
 	pos uint64 // last delivered seq
 }
 
-// NewReader creates a reader starting after position pos (pos=0 reads the
-// log from the beginning; pos=LastSeq() reads only new entries).
-func (l *Log) NewReader(pos uint64) *Reader { return &Reader{log: l, pos: pos} }
+// NewReader creates a reader starting after position pos (the log's base —
+// 0 for a log from New — reads it from the beginning; pos=LastSeq() reads only
+// new entries). A position below the base is an error: the entry after it is
+// purged.
+func (l *Log) NewReader(pos uint64) (*Reader, error) {
+	if pos < l.base {
+		return nil, l.purged(pos + 1)
+	}
+	return &Reader{log: l, pos: pos}, nil
+}
 
 // Pos returns the last delivered sequence.
 func (r *Reader) Pos() uint64 { return r.pos }
@@ -250,7 +276,7 @@ func (r *Reader) NextBatch(p *sim.Proc, maxEntries, maxBytes int) []Entry {
 // tail.
 func (r *Reader) TryNextBatch(maxEntries, maxBytes int) []Entry {
 	entries := r.log.entries
-	from := int(r.pos)
+	from := int(r.pos - r.log.base)
 	if from >= len(entries) {
 		return nil
 	}
@@ -260,7 +286,7 @@ func (r *Reader) TryNextBatch(maxEntries, maxBytes int) []Entry {
 		bytes += entries[to].WireSize()
 		to++
 	}
-	r.pos = uint64(to)
+	r.pos = r.log.base + uint64(to)
 	return entries[from:to:to]
 }
 

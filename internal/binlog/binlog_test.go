@@ -11,6 +11,15 @@ import (
 	"cloudrepl/internal/sqlengine"
 )
 
+func readerAt(t *testing.T, l *Log, pos uint64) *Reader {
+	t.Helper()
+	r, err := l.NewReader(pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestAppendAssignsDenseSequences(t *testing.T) {
 	env := sim.NewEnv(1)
 	l := New(env)
@@ -37,7 +46,7 @@ func TestAppendAssignsDenseSequences(t *testing.T) {
 func TestReaderTailsBlocking(t *testing.T) {
 	env := sim.NewEnv(1)
 	l := New(env)
-	r := l.NewReader(0)
+	r := readerAt(t, l, 0)
 	var got []uint64
 	env.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -63,7 +72,7 @@ func TestReaderStartsMidLog(t *testing.T) {
 	l := New(env)
 	l.Append("db", "A", 0)
 	l.Append("db", "B", 0)
-	r := l.NewReader(l.LastSeq())
+	r := readerAt(t, l, l.LastSeq())
 	if b := r.TryNextBatch(1, 0); b != nil {
 		t.Fatalf("reader at tail returned %+v", b)
 	}
@@ -82,7 +91,7 @@ func TestMultipleReadersIndependent(t *testing.T) {
 	l := New(env)
 	l.Append("db", "A", 0)
 	l.Append("db", "B", 0)
-	r1, r2 := l.NewReader(0), l.NewReader(1)
+	r1, r2 := readerAt(t, l, 0), readerAt(t, l, 1)
 	b1, b2 := r1.TryNextBatch(1, 0), r2.TryNextBatch(1, 0)
 	if len(b1) != 1 || len(b2) != 1 || b1[0].SQL != "A" || b2[0].SQL != "B" {
 		t.Fatalf("readers interfered: %+v %+v", b1, b2)
@@ -175,20 +184,22 @@ func coalesce(entries []Entry, maxEntries, maxBytes int) []Entry {
 }
 
 func TestNextBatchCutsTheSameRuns(t *testing.T) {
-	f := func(sizes []uint8, maxEntries uint8, maxBytes uint16) bool {
+	f := func(base uint16, sizes []uint8, maxEntries uint8, maxBytes uint16) bool {
 		if len(sizes) == 0 {
 			return true
 		}
-		l := New(sim.NewEnv(1))
+		// An odd base is a log that starts at that position.
+		start := uint64(base) * uint64(base%2)
+		l := NewAt(sim.NewEnv(1), start)
 		var all []Entry
 		for i, n := range sizes {
 			l.Append("db", string(make([]byte, n)), int64(i))
-			e, _ := l.At(uint64(i + 1))
+			e, _ := l.At(start + uint64(i+1))
 			all = append(all, e)
 		}
 		// -1 and 0 exercise "no batching" and "no byte cap".
 		me, mb := int(maxEntries%70)-1, int(maxBytes%600)
-		r := l.NewReader(0)
+		r := readerAt(t, l, start)
 		for rest := all; len(rest) > 0; {
 			want := coalesce(rest, me, mb)
 			got := r.TryNextBatch(me, mb)
@@ -213,7 +224,7 @@ func TestNextBatchIsAWindowOntoTheLog(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		l.Append("db", "stmt", int64(i))
 	}
-	r := l.NewReader(2)
+	r := readerAt(t, l, 2)
 	b := r.TryNextBatch(3, 0)
 	if len(b) != 3 || cap(b) != 3 || b[0].Seq != 3 {
 		t.Fatalf("window len %d cap %d first seq %d, want 3, 3, 3", len(b), cap(b), b[0].Seq)
@@ -247,5 +258,67 @@ func TestNextBatchIsAWindowOntoTheLog(t *testing.T) {
 	// The reader goes on from where the window ended, in the new array.
 	if next := r.TryNextBatch(2, 0); len(next) != 2 || next[0].Seq != 6 || &next[0] != &l.entries[5] {
 		t.Fatalf("next batch %+v", next)
+	}
+}
+
+// TestLogStartingAtAPosition: a log from NewAt(base) numbers its entries from
+// base+1 as if 1..base had been written and purged — what is at or below the
+// base cannot be read, by sequence or by reader; everything else behaves as on
+// a log from New, shifted.
+func TestLogStartingAtAPosition(t *testing.T) {
+	const base = 40
+	env := sim.NewEnv(1)
+	l := NewAt(env, base)
+	if l.LastSeq() != base || l.Bytes() != 0 {
+		t.Fatalf("empty log at %d: LastSeq %d, Bytes %d", base, l.LastSeq(), l.Bytes())
+	}
+	var size int64
+	env.Go("writer", func(p *sim.Proc) {
+		for i := 1; i <= 3; i++ {
+			p.Sleep(time.Second)
+			if seq := l.Append("db", "stmt", int64(i)); seq != base+uint64(i) {
+				t.Errorf("entry %d took seq %d, want %d", i, seq, base+i)
+			}
+			e, _ := l.At(base + uint64(i))
+			size += int64(e.WireSize())
+		}
+	})
+	env.Run()
+	if l.LastSeq() != base+3 || l.Bytes() != size {
+		t.Fatalf("LastSeq %d, Bytes %d; want %d, %d (the purged prefix has no bytes)", l.LastSeq(), l.Bytes(), base+3, size)
+	}
+	for _, c := range []struct {
+		seq       uint64
+		held      bool
+		committed sim.Time
+	}{
+		{0, false, 0}, {1, false, 0}, {base - 1, false, 0}, {base, false, 0}, // purged
+		{base + 1, true, sim.Time(time.Second)}, {base + 3, true, sim.Time(3 * time.Second)},
+		{base + 4, false, 0}, // not written yet
+	} {
+		e, err := l.At(c.seq)
+		if (err == nil) != c.held || c.held && e.Seq != c.seq {
+			t.Errorf("At(%d) = %+v, %v; held = %v", c.seq, e, err, c.held)
+		}
+		if got := l.CommittedAt(c.seq); got != c.committed {
+			t.Errorf("CommittedAt(%d) = %v, want %v", c.seq, got, c.committed)
+		}
+	}
+	for _, pos := range []uint64{0, base - 1} {
+		if r, err := l.NewReader(pos); err == nil {
+			t.Errorf("NewReader(%d) on a log starting after %d: reader at %d, want an error", pos, base, r.Pos())
+		}
+	}
+	// At the base a reader sees everything held; above it, the rest; at the
+	// tail, nothing until the next append.
+	for _, c := range []struct{ pos, first, n uint64 }{{base, base + 1, 3}, {base + 2, base + 3, 1}, {base + 3, 0, 0}} {
+		r := readerAt(t, l, c.pos)
+		if r.Backlog() != c.n {
+			t.Errorf("reader at %d: backlog %d, want %d", c.pos, r.Backlog(), c.n)
+		}
+		b := r.TryNextBatch(10, 0)
+		if uint64(len(b)) != c.n || c.n > 0 && (b[0].Seq != c.first || r.Pos() != base+3) {
+			t.Errorf("reader at %d: batch %+v, pos %d", c.pos, b, r.Pos())
+		}
 	}
 }

@@ -80,8 +80,10 @@ const FriendsPerUser = 3
 
 // Preload returns a cluster preload function that installs the schema and
 // the initial data set at the given scale ("initial data size" in the
-// paper's figures: 300 for the 50/50 runs, 600 for the 80/20 runs). It
-// must produce identical bytes on every node, so it is deterministic.
+// paper's figures: 300 for the 50/50 runs, 600 for the 80/20 runs). It is
+// deterministic: the same scale loads the same bytes on any server, on any
+// run — a cluster runs it on its master only and starts replicas from that
+// engine's image.
 func Preload(scale int) func(*server.DBServer) error {
 	return PreloadOwned(scale, nil)
 }

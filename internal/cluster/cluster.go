@@ -17,6 +17,7 @@ import (
 	"cloudrepl/internal/repl"
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
+	"cloudrepl/internal/sqlengine"
 )
 
 // NodeSpec places one database node.
@@ -35,9 +36,10 @@ type Config struct {
 	Master NodeSpec
 	// Slaves places the initial replicas.
 	Slaves []NodeSpec
-	// Preload initializes a node's schema and data before it joins; it
-	// runs identically on the master and on every slave (the paper starts
-	// every run "with a pre-loaded, fully-synchronized database").
+	// Preload installs the schema and the initial data. It runs once, on the
+	// master; every slave starts from the image of the master's engine taken
+	// right after it (the paper starts every run "with a pre-loaded,
+	// fully-synchronized database").
 	Preload func(srv *server.DBServer) error
 	// PriorityApply runs every slave's SQL thread at high CPU priority
 	// (see server.DBServer.PriorityApply).
@@ -73,29 +75,36 @@ type Cluster struct {
 	cfg   Config
 
 	master *repl.Master
-	slaves []*repl.Slave
 	tracer *obs.Tracer
-	// basePos is the master binlog position right after preload; late
-	// slaves preload the same snapshot and attach here.
+	// base is the image of the first master's engine right after Preload and
+	// basePos its binlog position then: what AddSlave, however late, starts a
+	// replica from and where it attaches it.
+	base    *sqlengine.Snapshot
 	basePos uint64
 	nextID  int
 }
 
-// New builds and starts the cluster.
+// New builds and starts the cluster. When it fails, every instance it
+// launched has been terminated.
 func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
 	c := &Cluster{env: env, cloud: cl, cfg: cfg}
 	mSrv := c.launch("master", cfg.Master)
 	if cfg.Preload != nil {
 		if err := cfg.Preload(mSrv); err != nil {
+			mSrv.Inst.Terminate()
 			return nil, fmt.Errorf("cluster: preload master: %w", err)
 		}
 	}
 	mSrv.GroupCommitWindow = cfg.Pipeline.GroupCommitWindow
 	c.master = repl.NewMaster(env, mSrv, cl.Network(), cfg.Mode)
 	c.master.Pipeline = cfg.Pipeline
-	c.basePos = mSrv.Log.LastSeq()
+	c.base, c.basePos = mSrv.Eng.Snapshot(), mSrv.Log.LastSeq()
 	for _, spec := range cfg.Slaves {
 		if _, err := c.AddSlave(spec); err != nil {
+			for _, sl := range c.Slaves() {
+				c.RemoveSlave(sl)
+			}
+			mSrv.Inst.Terminate()
 			return nil, err
 		}
 	}
@@ -145,19 +154,34 @@ func (c *Cluster) SetTracer(tr *obs.Tracer) {
 // Slaves returns the attached replicas.
 func (c *Cluster) Slaves() []*repl.Slave { return c.master.Slaves() }
 
-// AddSlave launches, preloads and attaches a new replica. The new node
-// replays every write committed after the preload snapshot, in order.
+// AddSlave launches a new replica that starts from the base image — the data
+// set as Preload left it — and attaches it at the base position: the new node
+// replays every write committed since, in order. It fails when the current
+// master's binlog no longer reaches back that far (a replica provisioned later
+// was promoted); ProvisionSlave still works then.
 func (c *Cluster) AddSlave(spec NodeSpec) (*repl.Slave, error) {
+	return c.startReplica(spec, c.base, c.basePos, nil)
+}
+
+// startReplica is how every replica is born: a node is launched and restored
+// from img — the master's engine as it stood at binlog position pos — with its
+// own binlog starting at pos, so its sequence numbering is the master's; then,
+// once wait (nil for none) has returned, it is attached to the current master
+// at pos. A node that cannot be restored or attached is terminated.
+func (c *Cluster) startReplica(spec NodeSpec, img *sqlengine.Snapshot, pos uint64, wait func()) (*repl.Slave, error) {
 	srv := c.launchSlave(spec)
-	if c.cfg.Preload != nil {
-		if err := c.cfg.Preload(srv); err != nil {
-			return nil, fmt.Errorf("cluster: preload %s: %w", srv.Name, err)
+	err := srv.Restore(img, pos)
+	if err == nil {
+		if wait != nil {
+			wait()
+		}
+		sl := repl.NewSlave(c.env, srv)
+		if err = c.master.Attach(sl, pos); err == nil {
+			return sl, nil
 		}
 	}
-	sl := repl.NewSlave(c.env, srv)
-	c.master.Attach(sl, c.basePos)
-	c.slaves = append(c.slaves, sl)
-	return sl, nil
+	srv.Inst.Terminate()
+	return nil, fmt.Errorf("cluster: start %s: %w", srv.Name, err)
 }
 
 // RemoveSlave detaches a replica and terminates its instance.
@@ -173,8 +197,11 @@ var ErrNoPromotable = errors.New("cluster: no live slave to promote")
 // failure: its replication threads stop, a new Master wraps its server, and
 // the remaining slaves re-attach at their applied positions (entries they
 // already have are not replayed; entries the promoted slave never received
-// are lost, the documented risk of asynchronous replication).
-func (c *Cluster) Failover() (*repl.Master, error) {
+// are lost, the documented risk of asynchronous replication). A live slave
+// that has applied less than the promoted binlog reaches back to — the
+// promoted replica was provisioned after that point — cannot follow it: it is
+// terminated, as RemoveSlave would, and returned in dropped.
+func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err error) {
 	var best *repl.Slave
 	for _, sl := range c.master.Slaves() {
 		if !sl.Srv.Up() {
@@ -185,7 +212,7 @@ func (c *Cluster) Failover() (*repl.Master, error) {
 		}
 	}
 	if best == nil {
-		return nil, ErrNoPromotable
+		return nil, nil, ErrNoPromotable
 	}
 	rest := make([]*repl.Slave, 0, len(c.master.Slaves())-1)
 	for _, sl := range c.master.Slaves() {
@@ -194,9 +221,10 @@ func (c *Cluster) Failover() (*repl.Master, error) {
 		}
 		c.master.Detach(sl)
 	}
-	// The promoted server's binlog mirrors the old master's (same preload,
-	// same applied statements in order, log-slave-updates style), so the
-	// old sequence numbering remains valid for re-attachment.
+	// Every replica's binlog starts at the master position its image was taken
+	// at and gains one entry per statement it applies (log-slave-updates
+	// style), so the promoted server's log numbers the entries it holds as the
+	// old master's did: a survivor's applied position means the same in both.
 	best.Srv.GroupCommitWindow = c.cfg.Pipeline.GroupCommitWindow
 	newMaster := repl.NewMaster(c.env, best.Srv, c.cloud.Network(), c.cfg.Mode)
 	// New reign, new epoch: session-consistency tokens minted under the old
@@ -206,68 +234,36 @@ func (c *Cluster) Failover() (*repl.Master, error) {
 	newMaster.Pipeline = c.cfg.Pipeline
 	newMaster.SetTracer(c.tracer)
 	c.master = newMaster
-	c.slaves = nil
 	for _, old := range rest {
 		if !old.Srv.Up() {
 			continue
 		}
-		pos := old.AppliedSeq()
-		if last := best.Srv.Log.LastSeq(); pos > last {
-			pos = last // writes beyond the promoted log are lost
+		// Writes beyond the promoted log are lost: never past its end.
+		pos := min(old.AppliedSeq(), best.Srv.Log.LastSeq())
+		if newMaster.Attach(repl.NewSlave(c.env, old.Srv), pos) != nil {
+			old.Srv.Inst.Terminate()
+			dropped = append(dropped, old)
 		}
-		sl := repl.NewSlave(c.env, old.Srv)
-		newMaster.Attach(sl, pos)
-		c.slaves = append(c.slaves, sl)
 	}
-	return newMaster, nil
+	return newMaster, dropped, nil
 }
 
 // ProvisionSlave provisions a replica from a live snapshot of the master
-// (the mysqldump/xtrabackup flow) instead of re-running the deterministic
-// preload, at the cost the paper's operators actually pay: the snapshot is
-// captured at the current binlog position, then Config.ProvisionTime elapses
-// for transfer + restore + boot, and only then does the replica attach — at
-// exactly the position the snapshot captured, so no history needs replaying
-// and no write is applied twice — and start replicating. Every write committed
-// during that window is its catch-up backlog, so a freshly provisioned
-// slave comes up stale and converges — the reason elastic scale-out needs a
-// warm-up gate before the proxy may route reads to it. Must be called from
-// a simulation process.
+// (the mysqldump/xtrabackup flow) instead of the base image, at the cost the
+// paper's operators actually pay: the image is captured at the current binlog
+// position, then Config.ProvisionTime elapses for transfer + restore + boot,
+// and only then does the replica attach — at exactly the position the image
+// captured, so no history needs replaying and no write is applied twice — and
+// start replicating. Every write committed during that window is its catch-up
+// backlog, so a freshly provisioned slave comes up stale and converges — the
+// reason elastic scale-out needs a warm-up gate before the proxy may route
+// reads to it. Must be called from a simulation process.
 func (c *Cluster) ProvisionSlave(p *sim.Proc, spec NodeSpec) (*repl.Slave, error) {
-	srv, pos, err := c.snapshotProvision(spec)
-	if err != nil {
-		return nil, err
-	}
 	d := c.cfg.ProvisionTime
 	if d <= 0 {
 		d = 30 * time.Second
 	}
-	p.Sleep(d)
-	return c.attachProvisioned(srv, pos), nil
-}
-
-// snapshotProvision launches a node and restores the master's state onto
-// it, returning the server and the binlog position the snapshot captured
-// (consistent by construction: both are taken at the same virtual instant).
-func (c *Cluster) snapshotProvision(spec NodeSpec) (*server.DBServer, uint64, error) {
-	srv := c.launchSlave(spec)
-	// Pin the master's commit version at the recorded binlog position, then
-	// materialize: a non-quiescent versioned read — concurrent writers keep
-	// committing, chain GC holds the pinned images until Close.
-	pos := c.master.Srv.Log.LastSeq()
-	h := c.master.Srv.Eng.Pin()
-	defer h.Close()
-	if err := srv.Eng.Restore(h.Materialize()); err != nil {
-		return nil, 0, fmt.Errorf("cluster: provision %s: %w", srv.Name, err)
-	}
-	return srv, pos, nil
-}
-
-// attachProvisioned wires a restored server into the replication topology
-// at its snapshot position.
-func (c *Cluster) attachProvisioned(srv *server.DBServer, pos uint64) *repl.Slave {
-	sl := repl.NewSlave(c.env, srv)
-	c.master.Attach(sl, pos)
-	c.slaves = append(c.slaves, sl)
-	return sl
+	// Image and position are taken at one virtual instant, so they agree.
+	m := c.master.Srv
+	return c.startReplica(spec, m.Eng.Snapshot(), m.Log.LastSeq(), func() { p.Sleep(d) })
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,9 +154,9 @@ func TestFailoverPromotesMostUpToDate(t *testing.T) {
 	env.RunUntil(30 * time.Second)
 	oldMaster := clu.Master()
 	oldMaster.Srv.Inst.Terminate()
-	promoted, err := clu.Failover()
-	if err != nil {
-		t.Fatal(err)
+	promoted, dropped, err := clu.Failover()
+	if err != nil || len(dropped) != 0 {
+		t.Fatalf("failover: err %v, dropped %d", err, len(dropped))
 	}
 	if promoted.Srv == oldMaster.Srv {
 		t.Fatal("failover returned the dead master")
@@ -183,7 +185,7 @@ func TestFailoverPromotesMostUpToDate(t *testing.T) {
 func TestFailoverWithoutSlavesFails(t *testing.T) {
 	env, clu := newCluster(t, 6, 0, 0, repl.Async)
 	clu.Master().Srv.Inst.Terminate()
-	if _, err := clu.Failover(); err != ErrNoPromotable {
+	if _, _, err := clu.Failover(); err != ErrNoPromotable {
 		t.Fatalf("err = %v, want ErrNoPromotable", err)
 	}
 	env.Stop()
@@ -246,12 +248,13 @@ func TestAddSlaveFromMasterSnapshot(t *testing.T) {
 	// Mutate past the preload so the snapshot differs from it.
 	write(env, clu, 100)
 	env.RunUntil(10 * time.Second)
-	// ProvisionSlave's two halves, with no provisioning time between them.
-	srv, pos, err := clu.snapshotProvision(NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}})
+	// ProvisionSlave with no provisioning time.
+	m := clu.Master().Srv
+	sl, err := clu.startReplica(NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}},
+		m.Eng.Snapshot(), m.Log.LastSeq(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := clu.attachProvisioned(srv, pos)
 	// Snapshot already contains the live write: nothing to replay yet.
 	if n := count(t, sl.Srv); n != 6 {
 		t.Fatalf("snapshot slave has %d rows, want 6", n)
@@ -337,6 +340,248 @@ func TestProvisionSlaveUnderWriteLoad(t *testing.T) {
 	}
 	if sl.ApplyErrors() != 0 {
 		t.Fatalf("apply errors: %d", sl.ApplyErrors())
+	}
+	env.Stop()
+	env.Shutdown()
+}
+
+// dump renders every row of app.t in key order: two servers hold the same data
+// exactly when their dumps are equal.
+func dump(t *testing.T, srv *server.DBServer) string {
+	t.Helper()
+	set, err := srv.Session("app").Query("SELECT id, v FROM t ORDER BY id")
+	if err != nil {
+		t.Fatalf("dump %s: %v", srv.Name, err)
+	}
+	var b strings.Builder
+	for _, r := range set.Rows {
+		fmt.Fprintf(&b, "%d=%s;", r[0].Int(), r[1].Str())
+	}
+	return b.String()
+}
+
+func liveInstances(c *cloud.Cloud) int {
+	n := 0
+	for _, inst := range c.Instances() {
+		if inst.Up() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPreloadRunsOnce: Config.Preload is the master's; the initial slaves and
+// a late one start from the image of what it left there, and their binlogs
+// from the master's position then.
+func TestPreloadRunsOnce(t *testing.T) {
+	env := sim.NewEnv(11)
+	c := cloud.New(env, cloud.Config{})
+	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	calls := 0
+	load := preloadApp(10)
+	clu, err := New(env, c, Config{
+		Cost: server.DefaultCostModel(), Master: NodeSpec{Place: place},
+		Slaves:  []NodeSpec{{Place: place}, {Place: place}, {Place: place}},
+		Preload: func(srv *server.DBServer) error { calls++; return load(srv) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("New ran Preload %d times for a master and three slaves, want once", calls)
+	}
+	for i := 0; i < 50; i++ {
+		write(env, clu, 100+i)
+	}
+	env.RunUntil(time.Minute)
+	late, err := clu.AddSlave(NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("a late AddSlave ran Preload again (%d calls)", calls)
+	}
+	if n := count(t, late.Srv); n != 10 {
+		t.Fatalf("late slave starts with %d rows, want the 10 preloaded", n)
+	}
+	env.RunUntil(3 * time.Minute)
+	m := clu.Master().Srv
+	for _, sl := range clu.Slaves() {
+		if got, want := dump(t, sl.Srv), dump(t, m); got != want {
+			t.Fatalf("%s diverged:\n%s\nmaster:\n%s", sl.Srv.Name, got, want)
+		}
+		if sl.ApplyErrors() != 0 {
+			t.Fatalf("%s: %d apply errors", sl.Srv.Name, sl.ApplyErrors())
+		}
+		// Sequence numbering is the master's, however the replica was born.
+		if got, want := sl.Srv.Log.LastSeq(), m.Log.LastSeq(); got != want {
+			t.Fatalf("%s binlog ends at %d, the master's at %d", sl.Srv.Name, got, want)
+		}
+		if _, err := sl.Srv.Log.At(clu.basePos); err == nil {
+			t.Fatalf("%s holds a binlog entry at the base position %d: it ran the preload", sl.Srv.Name, clu.basePos)
+		}
+	}
+	env.Stop()
+	env.Shutdown()
+}
+
+// TestFailedStartLeavesNoInstance: a cluster that cannot be built, or a
+// replica that cannot be started, terminates what it launched.
+func TestFailedStartLeavesNoInstance(t *testing.T) {
+	env := sim.NewEnv(12)
+	c := cloud.New(env, cloud.Config{})
+	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	_, err := New(env, c, Config{
+		Cost: server.DefaultCostModel(), Master: NodeSpec{Place: place}, Slaves: []NodeSpec{{Place: place}},
+		Preload: func(srv *server.DBServer) error {
+			_, err := srv.ExecFree(srv.Session(""), "INSERT INTO nowhere.t (id) VALUES (1)")
+			return err
+		},
+	})
+	if err == nil {
+		t.Fatal("New succeeded with a failing Preload")
+	}
+	if n := liveInstances(c); n != 0 {
+		t.Fatalf("%d instance(s) still running after New failed: %v", n, err)
+	}
+
+	// A replica whose start position the master's binlog does not reach back
+	// to cannot attach.
+	env2, clu := newCluster(t, 12, 1, 5, repl.Async)
+	before := liveInstances(clu.Cloud())
+	behind := server.New(env2, "elsewhere", clu.Cloud().Launch("elsewhere", cloud.Small, place), server.DefaultCostModel())
+	if err := behind.Restore(clu.base, clu.basePos+10); err != nil {
+		t.Fatal(err)
+	}
+	clu.master = repl.NewMaster(env2, behind, clu.Cloud().Network(), repl.Async)
+	if _, err := clu.AddSlave(NodeSpec{Place: place}); err == nil {
+		t.Fatal("AddSlave attached below the master's first binlog entry")
+	}
+	if n := liveInstances(clu.Cloud()); n != before+1 { // +1: "elsewhere" itself
+		t.Fatalf("%d instances running after a failed AddSlave, want %d", n, before+1)
+	}
+	env.Shutdown()
+	env2.Stop()
+	env2.Shutdown()
+}
+
+// provisionedThenPromoted builds the scenario behind both tests below: a
+// master and a far replica (another continent), ten writes, a replica
+// provisioned beside the master, five more writes, and the master lost at the
+// first instant the near replica has applied them all. It returns the far
+// replica's applied position then, and the near one's.
+func provisionedThenPromoted(t *testing.T, seed int64) (env *sim.Env, clu *Cluster, far, near *repl.Slave) {
+	t.Helper()
+	env = sim.NewEnv(seed)
+	c := cloud.New(env, cloud.Config{})
+	home := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	clu, err := New(env, c, Config{
+		Cost: server.DefaultCostModel(), Master: NodeSpec{Place: home},
+		Slaves:  []NodeSpec{{Place: cloud.Placement{Region: cloud.EUWest1, Zone: "a"}}},
+		Preload: preloadApp(5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far = clu.Slaves()[0]
+	for i := 0; i < 10; i++ {
+		write(env, clu, 100+i)
+	}
+	env.RunUntil(10 * time.Second)
+	var provErr error
+	env.Go("provision", func(p *sim.Proc) { near, provErr = clu.ProvisionSlave(p, NodeSpec{Place: home}) })
+	env.RunUntil(time.Minute)
+	if provErr != nil || near == nil {
+		t.Fatalf("provision: %v", provErr)
+	}
+	for i := 0; i < 5; i++ {
+		write(env, clu, 200+i)
+	}
+	last := clu.basePos + 15
+	for at := time.Minute; near.AppliedSeq() < last; at += time.Millisecond {
+		if at > 2*time.Minute {
+			t.Fatalf("near replica stuck at %d of %d", near.AppliedSeq(), last)
+		}
+		env.RunUntil(at)
+	}
+	if far.AppliedSeq() >= last {
+		t.Fatalf("the far replica has applied %d of %d too: nothing for failover to get wrong", far.AppliedSeq(), last)
+	}
+	clu.Master().Srv.Inst.Terminate()
+	return env, clu, far, near
+}
+
+// TestFailoverPromotesProvisionedReplica: a replica provisioned from a live
+// image numbers its binlog as the master did, so when it is promoted a lagging
+// survivor re-attaches where it really is. (Its binlog used to start at 1: the
+// survivor's position lay past its end, was clamped to the end, and the writes
+// in between — acknowledged and replicated — never reached the survivor.)
+func TestFailoverPromotesProvisionedReplica(t *testing.T) {
+	env, clu, far, near := provisionedThenPromoted(t, 13)
+	promoted, dropped, err := clu.Failover()
+	if err != nil || len(dropped) != 0 {
+		t.Fatalf("failover: err %v, dropped %d", err, len(dropped))
+	}
+	if promoted.Srv != near.Srv {
+		t.Fatalf("promoted %s, want the provisioned replica %s", promoted.Srv.Name, near.Srv.Name)
+	}
+	if got, want := promoted.Srv.Log.LastSeq(), clu.basePos+15; got != want {
+		t.Fatalf("promoted binlog ends at %d, want the old master's %d", got, want)
+	}
+	write(env, clu, 999)
+	env.RunUntil(7 * time.Minute)
+	survivor := clu.Slaves()[0]
+	if survivor.Srv != far.Srv {
+		t.Fatalf("survivor is %s, want %s", survivor.Srv.Name, far.Srv.Name)
+	}
+	if got, want := dump(t, survivor.Srv), dump(t, promoted.Srv); got != want || count(t, promoted.Srv) != 21 {
+		t.Fatalf("survivor diverged from the promoted master (%d rows):\n%s\nmaster:\n%s", count(t, promoted.Srv), got, want)
+	}
+	// (Not ApplyErrors: a statement the survivor had executed and not yet been
+	// charged for when the master died is shipped again — see Slave.AppliedSeq.)
+	if n := survivor.EventsBehindMaster(); n != 0 {
+		t.Fatalf("survivor still %d events behind", n)
+	}
+	env.Stop()
+	env.Shutdown()
+}
+
+// TestFailoverDropsSurvivorBehindPromotedLog: the complementary case — the
+// survivor has applied less than the promoted replica's binlog reaches back
+// to. Nothing can bring it forward from there: it is terminated and reported,
+// never attached at some other position.
+func TestFailoverDropsSurvivorBehindPromotedLog(t *testing.T) {
+	env, clu, far, near := provisionedThenPromoted(t, 14)
+	// Stand the far replica where it was before the near one was provisioned.
+	behind := repl.NewSlave(env, far.Srv)
+	clu.Master().Detach(far)
+	if err := clu.Master().Attach(behind, clu.basePos+3); err != nil {
+		t.Fatal(err)
+	}
+	promoted, dropped, err := clu.Failover()
+	if err != nil || promoted.Srv != near.Srv {
+		t.Fatalf("failover: promoted %v, err %v", promoted, err)
+	}
+	if len(dropped) != 1 || dropped[0] != behind {
+		t.Fatalf("dropped %v, want the replica at position %d (the promoted binlog starts after %d)",
+			dropped, behind.AppliedSeq(), clu.basePos+10)
+	}
+	if far.Srv.Up() || len(clu.Slaves()) != 0 {
+		t.Fatalf("dropped replica up = %v, %d slaves attached", far.Srv.Up(), len(clu.Slaves()))
+	}
+	// The base image is older than the promoted binlog too; a fresh image is not.
+	if _, err := clu.AddSlave(NodeSpec{Place: near.Srv.Inst.Place}); err == nil {
+		t.Fatal("AddSlave attached a base-image replica to a binlog that starts later")
+	}
+	var sl *repl.Slave
+	env.Go("provision", func(p *sim.Proc) { sl, err = clu.ProvisionSlave(p, NodeSpec{Place: near.Srv.Inst.Place}) })
+	write(env, clu, 999)
+	env.RunUntil(5 * time.Minute)
+	if err != nil || sl == nil {
+		t.Fatalf("provision after failover: %v", err)
+	}
+	if got, want := dump(t, sl.Srv), dump(t, promoted.Srv); got != want {
+		t.Fatalf("replica provisioned after failover diverged:\n%s\nmaster:\n%s", got, want)
 	}
 	env.Stop()
 	env.Shutdown()

@@ -310,14 +310,16 @@ func (db *DB) SplitShard(p *sim.Proc) (*shard.SplitReport, error) {
 // Failover promotes a slave in every cell whose master is down and re-points
 // that cell's proxy; cells whose master is up are left alone, so calling it
 // after the retry policy (Retry.FailoverOnMasterDown) has already promoted is
-// harmless. It returns the first promotion that failed.
+// harmless. It returns the first promotion that failed or — the promotion
+// done — had to terminate replicas too far behind the promoted binlog
+// (cluster.Cluster.Failover).
 func (db *DB) Failover() error {
 	var firstErr error
 	for _, c := range db.cells() {
 		if c.Clu.Master().Srv.Up() {
 			continue
 		}
-		m, err := c.Clu.Failover()
+		m, dropped, err := c.Clu.Failover()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("core: failover of %s: %w", c.Clu.Master().Srv.Name, err)
@@ -325,6 +327,10 @@ func (db *DB) Failover() error {
 			continue
 		}
 		c.Px.SetMaster(m)
+		if len(dropped) > 0 && firstErr == nil {
+			firstErr = fmt.Errorf("core: failover to %s terminated %d replica(s) that had applied less than its binlog reaches back to",
+				m.Srv.Name, len(dropped))
+		}
 	}
 	return firstErr
 }

@@ -119,7 +119,7 @@ func WithKeyspace(ks shard.Keyspace) Option {
 }
 
 // WithPartitionedPreload installs a preload builder for sharded cells:
-// each cell preloads exactly the rows the ownership predicate grants it.
+// each cell's master loads exactly the rows the ownership predicate grants it.
 // cloudstone.PreloadOwned composes directly with this. Ignored by Open.
 func WithPartitionedPreload(f func(owns func(table string, key int64) bool) func(srv *server.DBServer) error) Option {
 	return func(c *config) { c.partitionedPreload = f }

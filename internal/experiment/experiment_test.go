@@ -35,6 +35,18 @@ func TestRunProducesThroughputAndDelay(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("errors: %d", res.Errors)
 	}
+	// The engine counters' values, not only their names (the metric-name
+	// goldens): three engines' worth of the preload's 47 GC sweeps and 7 plans
+	// are in them, whether a replica ran the preload (as it did when these were
+	// taken, at PR 21) or started from the master's image, which carries them.
+	for name, want := range map[string]float64{
+		"sqlengine.gc.runs": 207, "sqlengine.gc.versions_pruned": 177,
+		"sqlengine.plan.builds": 272, "sqlengine.plan.analyze_runs": 23,
+	} {
+		if got := res.Metrics[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
 }
 
 func TestUnloadedBaselineRun(t *testing.T) {

@@ -8,6 +8,10 @@ import (
 	"strings"
 	"time"
 
+	"cloudrepl/internal/cloud"
+	"cloudrepl/internal/cloudstone"
+	"cloudrepl/internal/server"
+	"cloudrepl/internal/sim"
 	"cloudrepl/internal/sqlengine"
 )
 
@@ -70,6 +74,12 @@ type PlanBenchResult struct {
 	// shapes left it (planBenchAnalyzeRows rows, four columns): what a
 	// replica pays each time apply has grown a table by a fifth.
 	Analyze PlanBenchMeasure `json:"analyze"`
+	// Preload is what a cluster's master pays at set-up — Cloudstone at scale
+	// 600 loaded by SQL on a new server, rows/s — and Restore what each of its
+	// replicas pays instead: that server's engine image restored onto a new
+	// engine, same rows.
+	Preload PlanBenchMeasure `json:"preload"`
+	Restore PlanBenchMeasure `json:"restore"`
 }
 
 // planShapes lists the measured shapes in report order, with how each is
@@ -99,6 +109,8 @@ var planShapes = []struct {
 	{"point_update_60k", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate60k }, true, 0},
 	{"apply_insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.ApplyInsert }, true, 0},
 	{"analyze", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Analyze }, false, 2},
+	{"preload", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Preload }, false, 0},
+	{"restore", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Restore }, false, 0},
 }
 
 // planBenchRows is the benchmark table size, small enough that the whole
@@ -112,6 +124,10 @@ const (
 	planBenchWriteIters  = 20000
 	planBenchAnalyzeRows = 3*planBenchWriteIters + 1
 )
+
+// planBenchPreloadScale is the data size of the preload and restore shapes:
+// the 80/20 figures' (Fig. 3, Fig. 6), the larger of the paper's two.
+const planBenchPreloadScale = 600
 
 // planBenchFeeds are the top-N shapes' tables: one set of rows (id, ts = id
 // seconds, a Cloudstone title), inserted in ascending, descending and shuffled
@@ -432,6 +448,31 @@ func PlanBench() (PlanBenchResult, error) {
 	})
 	if err != nil {
 		return res, fmt.Errorf("planbench analyze: %w", err)
+	}
+
+	// Set-up: the SQL load, then the restore of what it built.
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	inst := cloud.New(env, cloud.Config{}).Launch("bench", cloud.Small, cloud.Placement{Region: cloud.USWest1, Zone: "a"})
+	var img *sqlengine.Snapshot
+	res.Preload, err = measurePlanBench(3, func(int) (*sqlengine.Result, error) {
+		srv := server.New(env, "bench", inst, server.DefaultCostModel())
+		if err := cloudstone.Preload(planBenchPreloadScale)(srv); err != nil {
+			return nil, err
+		}
+		img = srv.Eng.Snapshot()
+		pass.Stats.RowsExamined = img.NumRows()
+		return &pass, nil
+	})
+	if err != nil {
+		return res, fmt.Errorf("planbench preload: %w", err)
+	}
+	res.Restore, err = measurePlanBench(30, func(int) (*sqlengine.Result, error) {
+		pass.Stats.RowsExamined = img.NumRows()
+		return &pass, sqlengine.NewEngine().Restore(img)
+	})
+	if err != nil {
+		return res, fmt.Errorf("planbench restore: %w", err)
 	}
 	return res, nil
 }

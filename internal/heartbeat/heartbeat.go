@@ -23,7 +23,7 @@ import (
 const DatabaseName = "heartbeats"
 
 // Preload installs the heartbeat schema on a server; the cluster preload
-// must run it on the master and every slave.
+// (which runs on the master — replicas start from its image) must include it.
 func Preload(srv *server.DBServer) error {
 	sess := srv.Session("")
 	for _, sql := range []string{

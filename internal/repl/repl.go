@@ -15,6 +15,7 @@
 package repl
 
 import (
+	"fmt"
 	"time"
 
 	"cloudrepl/internal/binlog"
@@ -202,7 +203,10 @@ func NewSlave(env *sim.Env, srv *server.DBServer) *Slave {
 	}
 }
 
-// AppliedSeq returns the newest applied sequence.
+// AppliedSeq returns the newest applied sequence: the last entry whose apply
+// has been paid for. The one after it may already have executed (Apply runs the
+// statement, then charges its CPU), so a replica re-attached at AppliedSeq in
+// that window is shipped that statement a second time.
 func (s *Slave) AppliedSeq() uint64 { return s.appliedSeq }
 
 // ApplyErrors returns the count of statements that failed to re-execute.
@@ -256,8 +260,13 @@ func (s *Slave) Stop() {
 // Attach connects sl to the master, starting the master-side dump thread
 // and the slave-side I/O and SQL threads. Replication begins after binlog
 // position startPos (use the master's current LastSeq for a freshly
-// synchronized replica).
-func (m *Master) Attach(sl *Slave, startPos uint64) {
+// synchronized replica). It fails, with nothing started, when the master's
+// binlog no longer holds the entry after startPos.
+func (m *Master) Attach(sl *Slave, startPos uint64) error {
+	reader, err := m.Srv.Log.NewReader(startPos)
+	if err != nil {
+		return fmt.Errorf("repl: attach %s to %s: %w", sl.Srv.Name, m.Srv.Name, err)
+	}
 	sl.master = m
 	sl.receivedSeq = startPos
 	sl.appliedSeq = startPos
@@ -276,7 +285,6 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 	maxEntries := m.Pipeline.BatchMaxEntries
 	maxBytes := m.Pipeline.BatchMaxBytes
 
-	reader := m.Srv.Log.NewReader(startPos)
 	m.env.Go(m.Srv.Name+"/dump→"+sl.Srv.Name, func(p *sim.Proc) {
 		for !sl.stopped && m.Srv.Up() {
 			// Whatever backlog exists, up to the entry/byte caps, goes out
@@ -362,7 +370,7 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 
 	if m.Pipeline.ApplyWorkers > 1 {
 		m.startParallelApplier(sl, ackPipe, m.Pipeline.ApplyWorkers)
-		return
+		return nil
 	}
 	sess := sl.Srv.Session("")
 	m.env.Go(sl.Srv.Name+"/sql", func(p *sim.Proc) {
@@ -380,6 +388,7 @@ func (m *Master) Attach(sl *Slave, startPos uint64) {
 			}
 		}
 	})
+	return nil
 }
 
 // applyEntry is the body the single applier and the K-worker applier share;

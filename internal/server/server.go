@@ -177,6 +177,20 @@ func New(env *sim.Env, name string, inst *cloud.Instance, cost CostModel) *DBSer
 	return s
 }
 
+// Restore makes the server a copy of the one img and pos were taken from at
+// one instant: its engine restored from img and its binlog started over,
+// empty, at pos — the source's binlog position then. From here on a statement
+// this server applies or commits takes the sequence number it has on the
+// source, so either server's log can stand in for the other's (failover).
+// Readers of the log it had are not carried over.
+func (s *DBServer) Restore(img *sqlengine.Snapshot, pos uint64) error {
+	if err := s.Eng.Restore(img); err != nil {
+		return err
+	}
+	s.Log = binlog.NewAt(s.env, pos)
+	return nil
+}
+
 // SetRowFormat switches the server's binlog to row-based logging (MySQL
 // RBR): committed writes replicate as literal per-row images instead of
 // the original statement text, so time builtins are fixed at the master

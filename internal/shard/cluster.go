@@ -35,8 +35,9 @@ type Config struct {
 	// overwritten per cell ("cell<i>/" and the partitioned preload).
 	Cell cluster.Config
 	// PartitionedPreload builds a cell's preload from an ownership
-	// predicate: the cell loads exactly the rows it owns (plus global
-	// tables, for which owns always reports true).
+	// predicate: the cell's master loads exactly the rows the cell owns (plus
+	// global tables, for which owns always reports true), once; its replicas
+	// start from the master's image, like any cluster's.
 	PartitionedPreload func(owns func(table string, key int64) bool) func(srv *server.DBServer) error
 	// Routing wires every cell's proxy.
 	Routing Routing
@@ -78,7 +79,10 @@ func (r Routing) Proxy(clu *cluster.Cluster, tr *obs.Tracer) *proxy.Proxy {
 	px.MaxStaleEvents = r.MaxStaleEvents
 	px.Retry = r.Retry
 	if r.Retry.FailoverOnMasterDown {
-		px.OnMasterFailure = func(*sim.Proc) (*repl.Master, error) { return clu.Failover() }
+		px.OnMasterFailure = func(*sim.Proc) (*repl.Master, error) {
+			m, _, err := clu.Failover() // a replica it had to drop is down, which is all a proxy needs to see
+			return m, err
+		}
 	}
 	if tr != nil {
 		px.Tracer = tr

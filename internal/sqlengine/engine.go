@@ -137,23 +137,13 @@ type Engine struct {
 	// replicas additionally advance it to the applied binlog sequence. pins
 	// holds versions kept alive by open SnapshotHandles, txns the sessions
 	// with open transactions, provisional the outstanding in-transaction
-	// stamps (the fast-path read check), sinceGC the commits since the last
-	// chain-GC sweep.
+	// stamps (the fast-path read check).
 	commitV     uint64
 	pins        []uint64
 	txns        []*Session
 	provisional int
-	sinceGC     int
 
-	gcRuns     uint64
-	gcVersions uint64
-	gcRows     uint64
-
-	// planBuilds counts the SELECT plans and write plans built for a
-	// statement to run — its first, and one more each time a statistics epoch
-	// or drift retires the last; analyzeRuns the statistics passes (PlanStats).
-	planBuilds  uint64
-	analyzeRuns uint64
+	progress
 
 	// parseCache maps statement text to its *Statement (prepare.go): the
 	// text as written and its normalized rendering share one entry, so
@@ -176,6 +166,25 @@ type Engine struct {
 	// statement — the A-PLAN ablation's baseline arm, mirroring the
 	// pre-planner executor's access-path choices exactly.
 	NaivePlan bool
+}
+
+// progress is how far an engine has come, beside its commit version: the part
+// of its state that is neither data nor node-local, which a Snapshot carries
+// and Restore puts back, so that an engine restored from an image goes on
+// counting, and sweeping, where the image's source stood.
+type progress struct {
+	// sinceGC is the commits since the last chain-GC sweep; the rest is what
+	// GCStats reports.
+	sinceGC    int
+	gcRuns     uint64
+	gcVersions uint64
+	gcRows     uint64
+
+	// planBuilds counts the SELECT plans and write plans built for a
+	// statement to run — its first, and one more each time a statistics epoch
+	// or drift retires the last; analyzeRuns the statistics passes (PlanStats).
+	planBuilds  uint64
+	analyzeRuns uint64
 }
 
 // Database is a named collection of tables.

@@ -354,8 +354,8 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 				got := map[int64]int64{}
 				for _, d := range snap.dbs {
 					for _, tb := range d.tables {
-						for _, r := range tb.rows {
-							got[r[0].Int()] = r[1].Int()
+						for _, r := range tb.store.rows {
+							got[r.vals[0].Int()] = r.vals[1].Int()
 						}
 					}
 				}

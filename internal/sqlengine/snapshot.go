@@ -5,14 +5,26 @@ import (
 	"sort"
 )
 
-// Snapshot is a consistent deep copy of an engine's entire catalog — the
-// mysqldump/xtrabackup equivalent used to provision new replicas from a
-// running master instead of replaying history from the beginning. It is
-// taken at a single commit version: row images resolve through the MVCC
-// chains, so the capture is consistent without quiescing the engine.
+// Snapshot is an engine's image: everything of an engine that another engine
+// can start from — the mysqldump/xtrabackup equivalent a replica is provisioned
+// from instead of replaying history from the beginning. It holds the catalog,
+// every table's rows as of one commit version in scan order with their begin
+// stamps, the tables' statistics, that commit version, and the engine's
+// progress (GC phase and the GCStats/PlanStats counters), so an engine restored
+// from it is indistinguishable from the source at that version to any reader,
+// to any statement stream run on both afterwards and to CommitVersion, GCStats
+// and PlanStats. Rows resolve through the MVCC chains, so the capture is
+// consistent without quiescing the engine; versions older than the image's are
+// not in it. Nothing node-local is: clock, binlog format, commit hook, planner
+// mode, parse cache, plans, pins and sessions stay the restoring engine's own.
+//
+// An image shares the source's row images instead of copying them — an image
+// is immutable once published (store.go) — so it is itself immutable, costs a
+// header per row, and may be restored any number of times, on any goroutine.
 type Snapshot struct {
 	version uint64
-	dbs     []snapshotDB
+	progress
+	dbs []snapshotDB
 }
 
 // Version returns the commit version the snapshot was captured at.
@@ -28,7 +40,8 @@ type snapshotTable struct {
 	columns []ColumnDef
 	pkCols  []string
 	indexes []IndexDef
-	rows    [][]Value
+	stats   tableStats
+	store   storeImage
 }
 
 // NumRows returns the total row count across all tables.
@@ -36,29 +49,30 @@ func (s *Snapshot) NumRows() int {
 	n := 0
 	for _, d := range s.dbs {
 		for _, t := range d.tables {
-			n += len(t.rows)
+			n += len(t.store.rows)
 		}
 	}
 	return n
 }
 
-// Snapshot captures every database, table definition and row as of the
-// engine's current commit version — a non-quiescent versioned read: images
-// resolve through the MVCC chains, so provisional writes of open
-// transactions are excluded instead of requiring the engine to pause.
-// Databases and tables are captured in sorted-name order so that two
-// snapshots of identical catalogs are byte-identical — replica provisioning
-// cost and restore order must not depend on Go's per-run map hashing.
+// Snapshot captures the engine's image as of its current commit version — a
+// non-quiescent versioned read: images resolve through the MVCC chains, so
+// provisional writes of open transactions are excluded instead of requiring
+// the engine to pause. Databases and tables are captured in sorted-name order
+// so that two snapshots of identical catalogs are identical — replica
+// provisioning cost and restore order must not depend on Go's per-run map
+// hashing.
 func (e *Engine) Snapshot() *Snapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.snapshotAtLocked(e.commitV)
 }
 
-// snapshotAtLocked captures the catalog as seen at commit version v. The
-// engine lock (read or write) is held by the caller.
+// snapshotAtLocked captures the image as seen at commit version v: rows at v,
+// everything else as it stands now. The engine lock (read or write) is held by
+// the caller.
 func (e *Engine) snapshotAtLocked(v uint64) *Snapshot {
-	snap := &Snapshot{version: v}
+	snap := &Snapshot{version: v, progress: e.progress}
 	for _, dbKey := range sortedKeys(e.dbs) {
 		db := e.dbs[dbKey]
 		sd := snapshotDB{name: db.Name}
@@ -67,6 +81,8 @@ func (e *Engine) snapshotAtLocked(v uint64) *Snapshot {
 			st := snapshotTable{
 				name:    tbl.Name,
 				columns: append([]ColumnDef(nil), tbl.Columns...),
+				stats:   tbl.stats.clone(),
+				store:   tbl.store.capture(readView{at: v, chains: true}),
 			}
 			for _, pos := range tbl.pkCols {
 				st.pkCols = append(st.pkCols, tbl.Columns[pos].Name)
@@ -77,12 +93,6 @@ func (e *Engine) snapshotAtLocked(v uint64) *Snapshot {
 					def.Columns = append(def.Columns, tbl.Columns[pos].Name)
 				}
 				st.indexes = append(st.indexes, def)
-			}
-			st.rows = tbl.store.images(readView{at: v, chains: true}, nil)
-			flat := make([]Value, 0, len(st.rows)*len(tbl.Columns))
-			for i, img := range st.rows {
-				flat = append(flat, img...)
-				st.rows[i] = flat[len(flat)-len(img) : len(flat) : len(flat)]
 			}
 			sd.tables = append(sd.tables, st)
 		}
@@ -116,7 +126,9 @@ func (e *Engine) Pin() *SnapshotHandle {
 // Version returns the pinned commit version.
 func (h *SnapshotHandle) Version() uint64 { return h.v }
 
-// Materialize deep-copies the catalog as of the pinned version.
+// Materialize captures the engine's image with its rows as of the pinned
+// version; statistics and progress are the engine's at the time of the call
+// (the same instant as Pin, for a caller that wants the source as it was).
 func (h *SnapshotHandle) Materialize() *Snapshot {
 	h.eng.mu.RLock()
 	defer h.eng.mu.RUnlock()
@@ -140,9 +152,11 @@ func (h *SnapshotHandle) Close() {
 	e.mu.Unlock()
 }
 
-// Restore replaces the engine's entire catalog with the snapshot's
-// contents. Inline primary-key flags were normalized into the PK column
-// list at capture time, so they are cleared on the restored definitions.
+// Restore replaces the engine's entire catalog, statistics and progress with
+// the snapshot's, and raises its commit version to the snapshot's. Each table
+// is rebuilt in bulk (rowStore.restore) over the snapshot's own row images.
+// Inline primary-key flags were normalized into the PK column list at capture
+// time, so they are cleared on the restored definitions.
 func (e *Engine) Restore(snap *Snapshot) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -155,22 +169,20 @@ func (e *Engine) Restore(snap *Snapshot) error {
 				cols[i].PrimaryKey = false // carried via pkCols instead
 			}
 			tbl, err := NewTable(st.name, cols, st.pkCols, st.indexes)
+			if err == nil {
+				err = tbl.store.restore(st.store)
+			}
 			if err != nil {
 				return fmt.Errorf("sqlengine: restore %s.%s: %w", sd.name, st.name, err)
 			}
-			for _, row := range st.rows {
-				if _, err := tbl.Insert(tbl.store.image(row)); err != nil {
-					return fmt.Errorf("sqlengine: restore %s.%s row: %w", sd.name, st.name, err)
-				}
-			}
+			tbl.stats = st.stats.clone()
 			db.tables[lowerKey(st.name)] = tbl
 		}
 		dbs[lowerKey(sd.name)] = db
 	}
 	e.dbs = dbs
-	if snap.version > e.commitV {
-		e.commitV = snap.version
-	}
+	e.commitV = max(e.commitV, snap.version)
+	e.progress = snap.progress
 	// The whole catalog was just replaced: cached plans hold pre-restore
 	// *Table pointers and must never be reused.
 	e.bumpStatsEpochLocked()

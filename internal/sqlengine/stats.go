@@ -41,6 +41,12 @@ type colStats struct {
 	bounded  bool  // min/max valid (false until a non-NULL value is seen)
 }
 
+// clone returns a copy that shares nothing mutable with ts.
+func (ts tableStats) clone() tableStats {
+	ts.cols = append([]colStats(nil), ts.cols...)
+	return ts
+}
+
 // statsDriftLimit is the fractional row-count drift that triggers a lazy
 // re-ANALYZE at plan time.
 const statsDriftLimit = 0.20

@@ -11,7 +11,9 @@ import "fmt"
 // chunks that grow geometrically to slabMax slots and never move, so a *Row is
 // stable for the row's life. A chunk lives while any row or image in it is
 // reachable; an image is immutable once published; a slot is never reused (an
-// undone insert wastes its own); prune zeroes what it frees.
+// undone insert wastes its own); prune and undo zero the Row and rowVersion
+// headers they free and never an image slot — a published image may be shared
+// with every store restored from a capture of this one (storeImage).
 
 const slabMin, slabMax = 16, 1024 // slots in a slab's first and largest chunk
 
@@ -30,6 +32,15 @@ func (s *slab[T]) take(n int) []T {
 	s.free = s.free[n:]
 	return out
 }
+
+// slabMark is where a slab stands: its newest chunk's size and how much of
+// that chunk is unallocated. A slab resumed from a mark allocates its next
+// chunk when, and as large as, the slab the mark was taken from will.
+type slabMark struct{ slots, free int }
+
+func (s *slab[T]) mark() slabMark { return slabMark{s.slots, len(s.free)} }
+
+func resume[T any](m slabMark) slab[T] { return slab[T]{free: make([]T, m.free), slots: m.slots} }
 
 // Row is a stored tuple. Rows have stable identity so index buckets can
 // reference them across updates. MVCC state rides on the row: begin and end
@@ -72,31 +83,31 @@ type readView struct {
 	chains bool
 }
 
-// visibleTo resolves the image of r that v's reader sees, or nil if none. A
-// session always sees its own provisional writes and never its own pending
-// deletes.
-func (r *Row) visibleTo(v readView) []Value {
+// visibleTo resolves the image of r that v's reader sees, with its begin
+// stamp, or nil if none. A session always sees its own provisional writes and
+// never its own pending deletes.
+func (r *Row) visibleTo(v readView) ([]Value, uint64) {
 	if r.txn != nil && r.txn == v.s {
 		if r.end != 0 {
-			return nil // own pending delete
+			return nil, 0 // own pending delete
 		}
-		return r.vals // own insert/update
+		return r.vals, r.begin // own insert/update
 	}
 	if r.txn == nil {
 		if r.begin <= v.at && (r.end == 0 || r.end > v.at) {
-			return r.vals
+			return r.vals, r.begin
 		}
 	} else if r.end != 0 && r.begin <= v.at {
 		// Foreign pending DELETE of a committed image: the delete has not
 		// committed, so the image stays visible to everyone else.
-		return r.vals
+		return r.vals, r.begin
 	}
 	for c := r.prev; c != nil; c = c.prev {
 		if c.begin <= v.at && (c.end == 0 || c.end > v.at) {
-			return c.vals
+			return c.vals, c.begin
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // Index is a hash index over one or more columns: a secondary index, or the
@@ -264,12 +275,73 @@ func (st *rowStore) images(v readView, out [][]Value) [][]Value {
 	}
 	for _, rows := range [2][]*Row{st.rows, st.graveyard} {
 		for _, r := range rows {
-			if img := r.visibleTo(v); img != nil {
+			if img, _ := r.visibleTo(v); img != nil {
 				out = append(out, img)
 			}
 		}
 	}
 	return out
+}
+
+// storeImage is a store as one reader sees it — what capture takes and restore
+// builds a store from. rows holds, in scan order (the heap, then what of the
+// graveyard the reader still sees), one header per visible row with only vals
+// and begin set; vals is the source's own image, shared and never copied.
+// keys is how many keys each index of the source holds, in keyed order: what
+// restore sizes its maps for. The marks are where the source stands in its
+// three slabs and its heap's backing array, for restore to leave the new store
+// standing there too.
+type storeImage struct {
+	rows                      []Row
+	keys                      []int
+	heapCap                   int
+	rowSlab, imgSlab, verSlab slabMark
+}
+
+// capture returns the store as v's reader sees it.
+func (st *rowStore) capture(v readView) storeImage {
+	img := storeImage{
+		rows:    make([]Row, 0, len(st.rows)),
+		heapCap: cap(st.rows),
+		rowSlab: st.rowSlab.mark(), imgSlab: st.imgSlab.mark(), verSlab: st.verSlab.mark(),
+	}
+	for _, ix := range st.keyed {
+		img.keys = append(img.keys, len(ix.buckets))
+	}
+	for _, rows := range [2][]*Row{st.rows, st.graveyard} {
+		for _, r := range rows {
+			if vals, begin := r.visibleTo(v); vals != nil {
+				img.rows = append(img.rows, Row{vals: vals, begin: begin})
+			}
+		}
+	}
+	return img
+}
+
+// restore fills an empty store from img in bulk: the rows in one chunk, in
+// img's order in the heap and — entered under their keys in that order, which
+// is where uniqueness is checked — in every bucket, no image copied, no value
+// coerced (the images come from a table of these columns), every map sized
+// once. History is not carried: every row is one committed image. A unique
+// violation leaves the store empty.
+func (st *rowStore) restore(img storeImage) error {
+	n := len(img.rows)
+	for i, ix := range st.keyed {
+		ix.buckets = make(map[hashKey]bucket, img.keys[i])
+	}
+	chunk := make([]Row, n+img.rowSlab.free)
+	copy(chunk, img.rows)
+	st.rows = make([]*Row, n, max(n, img.heapCap))
+	for i := range st.rows {
+		st.rows[i] = &chunk[i]
+		if err := st.link(&chunk[i]); err != nil {
+			st.truncate()
+			return err
+		}
+	}
+	st.rowSlab = slab[Row]{free: chunk[n:], slots: img.rowSlab.slots}
+	st.imgSlab, st.verSlab = resume[Value](img.imgSlab), resume[rowVersion](img.verSlab)
+	return nil
 }
 
 // scan points c at every candidate v's reader must consider.

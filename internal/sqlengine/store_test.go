@@ -157,183 +157,286 @@ func ids(imgs [][]Value) []int64 {
 	return out
 }
 
+// at returns the model of an engine restored from an image of this one taken
+// at version v: every row a reader at v sees, in the order the store scans
+// them (the heap, then the graveyard), each with the one image that reader
+// sees and its begin stamp; no history, nothing pending; the counters and the
+// sweep phase as they stand now.
+func (m *model) at(v uint64) *model {
+	f := &model{commitV: v, since: m.since, runs: m.runs, versions: m.versions, reclaim: m.reclaim}
+	for _, r := range append(append([]*mrow(nil), m.heap...), m.dead...) {
+		if r.del != 0 && r.del <= v {
+			continue
+		}
+		for _, h := range r.hist {
+			if h.begin <= v && (h.end == 0 || h.end > v) {
+				nr := &mrow{hist: []mver{{img: h.img, begin: h.begin}}}
+				f.enter(nr)
+				f.heap = append(f.heap, nr)
+			}
+		}
+	}
+	return f
+}
+
 // TestStoreAgainstModel drives the engine and the model side by side through
 // seeded random write sequences and compares, after every step, everything
-// the store lets a statement observe.
+// the store lets a statement observe. At seeded points — an open transaction
+// and pinned older versions included — it takes the engine's image, at the
+// current version or a pinned one, restores it onto a new engine and drives
+// that one on against the model of what the image held, while the source goes
+// on against its own.
 func TestStoreAgainstModel(t *testing.T) {
+	midTxn, older := 0, 0 // images taken with a transaction open, and of a version behind the latest
+	defer func() {
+		if !t.Failed() && (midTxn == 0 || older == 0) {
+			t.Errorf("%d images taken mid-transaction and %d of an older pinned version: want some of each", midTxn, older)
+		}
+	}()
 	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { storeAgainstModel(t, seed, 2500) })
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			r := newStoreRun(t, fmt.Sprint("seed ", seed), seed, NewEngine(), &model{}, 0)
+			for _, q := range []string{"CREATE DATABASE d", "USE d", storeRunTable} {
+				if _, err := r.w.Exec(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.bind()
+			forks := 0
+			for step := 0; step < 2500; step++ {
+				r.step(step)
+				if r.rng.Intn(300) != 0 {
+					continue
+				}
+				// Fork: every second time from the oldest pinned version, if any.
+				v, snap := r.m.commitV, (*Snapshot)(nil)
+				if forks++; forks%2 == 0 && len(r.pins) > 0 {
+					v, snap = r.pins[0].Version(), r.pins[0].Materialize()
+				} else {
+					snap = r.eng.Snapshot()
+				}
+				if r.inTxn {
+					midTxn++
+				}
+				if v < r.m.commitV {
+					older++
+				}
+				eng := NewEngine()
+				if err := eng.Restore(snap); err != nil {
+					t.Fatalf("seed %d step %d: restore at version %d: %v", seed, step, v, err)
+				}
+				f := newStoreRun(t, fmt.Sprintf("seed %d, restored at step %d (txn open: %v, version %d of %d)", seed, step, r.inTxn, v, r.m.commitV),
+					seed*1000+int64(step), eng, r.m.at(v), r.nextID)
+				f.bind()
+				f.compare(-1, "restore")
+				for fs := 0; fs < 200; fs++ {
+					f.step(fs)
+				}
+			}
+			if forks < 3 {
+				t.Fatalf("seed %d forked %d times: the restore half of the test did not run", seed, forks)
+			}
+		})
 	}
 }
 
-func storeAgainstModel(t *testing.T, seed int64, steps int) {
-	rng := rand.New(rand.NewSource(seed))
-	eng := NewEngine()
-	w := eng.NewSession("")
-	exec := func(sql string, args ...Value) error {
-		t.Helper()
-		_, err := w.Exec(sql, args...)
-		return err
-	}
-	for _, q := range []string{"CREATE DATABASE d", "USE d",
-		"CREATE TABLE t (id BIGINT PRIMARY KEY, grp BIGINT, u BIGINT, INDEX ig (grp), UNIQUE INDEX uq (u))"} {
-		if err := exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db, _ := eng.Database("d")
-	tbl, _ := db.Table("t")
-	st := &tbl.store
+const storeRunTable = "CREATE TABLE t (id BIGINT PRIMARY KEY, grp BIGINT, u BIGINT, INDEX ig (grp), UNIQUE INDEX uq (u))"
 
-	m := &model{}
-	var pins []*SnapshotHandle
-	inTxn, txnV, nextID := false, uint64(0), int64(0)
-	horizon := func() uint64 {
-		min := m.commitV
-		for _, h := range pins {
-			if h.Version() < min {
-				min = h.Version()
-			}
-		}
-		if inTxn && txnV < min { // a committing transaction still counts as a reader
-			min = txnV
-		}
-		return min
+// storeRun is one engine driven beside its model.
+type storeRun struct {
+	t    *testing.T
+	name string
+	rng  *rand.Rand
+	eng  *Engine
+	w    *Session
+	tbl  *Table
+	st   *rowStore
+	m    *model
+
+	pins   []*SnapshotHandle
+	inTxn  bool
+	txnV   uint64
+	nextID int64
+}
+
+func newStoreRun(t *testing.T, name string, seed int64, eng *Engine, m *model, nextID int64) *storeRun {
+	return &storeRun{t: t, name: name, rng: rand.New(rand.NewSource(seed)), eng: eng, w: eng.NewSession(""), m: m, nextID: nextID}
+}
+
+// bind finds the table once it exists.
+func (r *storeRun) bind() {
+	if err := r.w.Use("d"); err != nil {
+		r.t.Fatal(err)
 	}
-	fresh := func() [3]int64 { nextID++; return [3]int64{nextID, rng.Int63n(4), nextID * 10} }
+	db, _ := r.eng.Database("d")
+	r.tbl, _ = db.Table("t")
+	r.st = &r.tbl.store
+}
+
+func (r *storeRun) exec(sql string, args ...Value) error {
+	r.t.Helper()
+	_, err := r.w.Exec(sql, args...)
+	return err
+}
+
+// horizon is the oldest version a reader still holds.
+func (r *storeRun) horizon() uint64 {
+	min := r.m.commitV
+	for _, h := range r.pins {
+		if h.Version() < min {
+			min = h.Version()
+		}
+	}
+	if r.inTxn && r.txnV < min { // a committing transaction still counts as a reader
+		min = r.txnV
+	}
+	return min
+}
+
+func (r *storeRun) step(step int) {
+	t, rng, m, eng, exec := r.t, r.rng, r.m, r.eng, r.exec
+	fresh := func() [3]int64 { r.nextID++; return [3]int64{r.nextID, rng.Int63n(4), r.nextID * 10} }
 	args := func(img [3]int64) []Value { return []Value{NewInt(img[0]), NewInt(img[1]), NewInt(img[2])} }
 
-	for step := 0; step < steps; step++ {
-		op, what := rng.Intn(100), ""
-		switch {
-		case op < 30 && len(m.heap) < 40 || len(m.heap) == 0:
-			img := fresh()
-			what = fmt.Sprint("insert ", img)
-			if err := exec("INSERT INTO t (id, grp, u) VALUES (?, ?, ?)", args(img)...); err != nil {
-				t.Fatalf("step %d %s: %v", step, what, err)
-			}
-			m.insert(img)
-		case op < 55:
-			r, grp := m.heap[rng.Intn(len(m.heap))], rng.Int63n(4)
-			what = fmt.Sprint("update ", r.cur().img[0], " grp=", grp)
-			if err := exec("UPDATE t SET grp = ? WHERE id = ?", NewInt(grp), NewInt(r.cur().img[0])); err != nil {
-				t.Fatalf("step %d %s: %v", step, what, err)
-			}
-			m.update(r, grp)
-		case op < 70:
-			r := m.heap[rng.Intn(len(m.heap))]
-			what = fmt.Sprint("delete ", r.cur().img[0])
-			if err := exec("DELETE FROM t WHERE id = ?", NewInt(r.cur().img[0])); err != nil {
-				t.Fatalf("step %d %s: %v", step, what, err)
-			}
-			m.delete(r)
-		case op < 78:
-			// A four-row insert whose row k collides on the unique index:
-			// rows before k go in and must come out again.
-			rows, k := [4][3]int64{fresh(), fresh(), fresh(), fresh()}, rng.Intn(4)
-			rows[k][2] = m.heap[rng.Intn(len(m.heap))].cur().img[2]
-			what = fmt.Sprint("failing insert at row ", k)
-			var flat []Value
-			for _, img := range rows {
-				flat = append(flat, args(img)...)
-			}
-			err := exec("INSERT INTO t (id, grp, u) VALUES (?, ?, ?), (?, ?, ?), (?, ?, ?), (?, ?, ?)", flat...)
-			if !errors.Is(err, ErrDuplicateKey) {
-				t.Fatalf("step %d %s: err = %v, want duplicate key", step, what, err)
-			}
-		case op < 84 && !inTxn:
-			what = "begin"
-			if err := exec("BEGIN"); err != nil {
-				t.Fatal(err)
-			}
-			inTxn, txnV = true, m.commitV
-			continue // nothing to compare yet; the next write opens the undo list
-		case op < 92 && inTxn:
-			what = "rollback"
-			if err := exec("ROLLBACK"); err != nil {
-				t.Fatal(err)
-			}
-			m.rollback()
-			inTxn = false
-		case op < 95 && len(pins) < 4:
-			what = "pin"
-			pins = append(pins, eng.Pin())
-		case op < 97:
-			what = "gc"
-			eng.mu.Lock()
-			eng.gcLocked()
-			eng.mu.Unlock()
-			m.sweep(horizon())
-		case len(pins) > 0:
-			what = "unpin"
-			i := rng.Intn(len(pins))
-			pins[i].Close()
-			pins = append(pins[:i], pins[i+1:]...)
-		default:
-			continue
+	op, what := rng.Intn(100), ""
+	switch {
+	case op < 30 && len(m.heap) < 40 || len(m.heap) == 0:
+		img := fresh()
+		what = fmt.Sprint("insert ", img)
+		if err := exec("INSERT INTO t (id, grp, u) VALUES (?, ?, ?)", args(img)...); err != nil {
+			t.Fatalf("%s step %d %s: %v", r.name, step, what, err)
 		}
-		if inTxn && rng.Intn(6) == 0 {
-			what += " + commit"
-			if err := exec("COMMIT"); err != nil {
-				t.Fatal(err)
-			}
-			m.commit(horizon)
-			inTxn = false
-		} else if !inTxn {
-			m.commit(horizon)
+		m.insert(img)
+	case op < 55:
+		row, grp := m.heap[rng.Intn(len(m.heap))], rng.Int63n(4)
+		what = fmt.Sprint("update ", row.cur().img[0], " grp=", grp)
+		if err := exec("UPDATE t SET grp = ? WHERE id = ?", NewInt(grp), NewInt(row.cur().img[0])); err != nil {
+			t.Fatalf("%s step %d %s: %v", r.name, step, what, err)
 		}
+		m.update(row, grp)
+	case op < 70:
+		row := m.heap[rng.Intn(len(m.heap))]
+		what = fmt.Sprint("delete ", row.cur().img[0])
+		if err := exec("DELETE FROM t WHERE id = ?", NewInt(row.cur().img[0])); err != nil {
+			t.Fatalf("%s step %d %s: %v", r.name, step, what, err)
+		}
+		m.delete(row)
+	case op < 78:
+		// A four-row insert whose row k collides on the unique index:
+		// rows before k go in and must come out again.
+		rows, k := [4][3]int64{fresh(), fresh(), fresh(), fresh()}, rng.Intn(4)
+		rows[k][2] = m.heap[rng.Intn(len(m.heap))].cur().img[2]
+		what = fmt.Sprint("failing insert at row ", k)
+		var flat []Value
+		for _, img := range rows {
+			flat = append(flat, args(img)...)
+		}
+		err := exec("INSERT INTO t (id, grp, u) VALUES (?, ?, ?), (?, ?, ?), (?, ?, ?), (?, ?, ?)", flat...)
+		if !errors.Is(err, ErrDuplicateKey) {
+			t.Fatalf("%s step %d %s: err = %v, want duplicate key", r.name, step, what, err)
+		}
+	case op < 84 && !r.inTxn:
+		if err := exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		r.inTxn, r.txnV = true, m.commitV
+		return // nothing to compare yet; the next write opens the undo list
+	case op < 92 && r.inTxn:
+		what = "rollback"
+		if err := exec("ROLLBACK"); err != nil {
+			t.Fatal(err)
+		}
+		m.rollback()
+		r.inTxn = false
+	case op < 95 && len(r.pins) < 4:
+		what = "pin"
+		r.pins = append(r.pins, eng.Pin())
+	case op < 97:
+		what = "gc"
+		eng.mu.Lock()
+		eng.gcLocked()
+		eng.mu.Unlock()
+		m.sweep(r.horizon())
+	case len(r.pins) > 0:
+		what = "unpin"
+		i := rng.Intn(len(r.pins))
+		r.pins[i].Close()
+		r.pins = append(r.pins[:i], r.pins[i+1:]...)
+	default:
+		return
+	}
+	if r.inTxn && rng.Intn(6) == 0 {
+		what += " + commit"
+		if err := exec("COMMIT"); err != nil {
+			t.Fatal(err)
+		}
+		m.commit(r.horizon)
+		r.inTxn = false
+	} else if !r.inTxn {
+		m.commit(r.horizon)
+	}
+	r.compare(step, what)
+}
 
-		fail := func(format string, a ...any) {
-			t.Helper()
-			t.Fatalf("seed %d step %d (%s): %s", seed, step, what, fmt.Sprintf(format, a...))
-		}
-		// Scan order and live count.
-		want := make([]int64, len(m.heap))
-		for i, r := range m.heap {
-			want[i] = r.cur().img[0]
-		}
-		if got := ids(st.images(readView{}, nil)); !reflect.DeepEqual(got, want) {
-			fail("heap order %v, model %v", got, want)
-		}
-		if tbl.NumRows() != len(m.heap) {
-			fail("live count %d, model %d", tbl.NumRows(), len(m.heap))
-		}
-		// Bucket order under every key of the non-unique index.
-		for grp := int64(0); grp < 4; grp++ {
-			var in []*mrow
-			for _, r := range m.heap {
-				if r.cur().img[1] == grp {
-					in = append(in, r)
-				}
-			}
-			sort.Slice(in, func(i, j int) bool { return in[i].seq < in[j].seq })
-			var cur rowCursor
-			st.probe(1, NewInt(grp), &cur)
-			if cur.len() != len(in) {
-				fail("bucket grp=%d holds %d rows, model %d", grp, cur.len(), len(in))
-			}
-			for _, r := range in {
-				if img, _ := cur.next(); img[0].Int() != r.cur().img[0] {
-					fail("bucket grp=%d has id %d where the model has %d", grp, img[0].Int(), r.cur().img[0])
-				}
+// compare holds the store to the model in everything a statement can observe.
+func (r *storeRun) compare(step int, what string) {
+	t, m, st, tbl, eng := r.t, r.m, r.st, r.tbl, r.eng
+	fail := func(format string, a ...any) {
+		t.Helper()
+		t.Fatalf("%s step %d (%s): %s", r.name, step, what, fmt.Sprintf(format, a...))
+	}
+	// Scan order and live count.
+	want := make([]int64, len(m.heap))
+	for i, row := range m.heap {
+		want[i] = row.cur().img[0]
+	}
+	if got := ids(st.images(readView{}, nil)); !reflect.DeepEqual(got, want) {
+		fail("heap order %v, model %v", got, want)
+	}
+	if tbl.NumRows() != len(m.heap) {
+		fail("live count %d, model %d", tbl.NumRows(), len(m.heap))
+	}
+	// Bucket order under every key of the non-unique index.
+	for grp := int64(0); grp < 4; grp++ {
+		var in []*mrow
+		for _, row := range m.heap {
+			if row.cur().img[1] == grp {
+				in = append(in, row)
 			}
 		}
-		// The committed state and every pinned version, chain-resolved.
-		for _, v := range append([]uint64{m.commitV}, pinned(pins)...) {
-			got := map[int64][3]int64{}
-			for _, img := range st.images(readView{at: v, chains: true}, nil) {
-				got[img[0].Int()] = [3]int64{img[0].Int(), img[1].Int(), img[2].Int()}
+		sort.Slice(in, func(i, j int) bool { return in[i].seq < in[j].seq })
+		var cur rowCursor
+		st.probe(1, NewInt(grp), &cur)
+		if cur.len() != len(in) {
+			fail("bucket grp=%d holds %d rows, model %d", grp, cur.len(), len(in))
+		}
+		for _, row := range in {
+			if img, _ := cur.next(); img[0].Int() != row.cur().img[0] {
+				fail("bucket grp=%d has id %d where the model has %d", grp, img[0].Int(), row.cur().img[0])
 			}
-			if want := m.visible(v); !reflect.DeepEqual(got, want) {
-				fail("at version %d the store shows %v, model %v", v, got, want)
-			}
 		}
-		if v := eng.CommitVersion(); v != m.commitV {
-			fail("commit version %d, model %d", v, m.commitV)
+	}
+	// The committed state and every pinned version, chain-resolved.
+	for _, v := range append([]uint64{m.commitV}, pinned(r.pins)...) {
+		got := map[int64][3]int64{}
+		for _, img := range st.images(readView{at: v, chains: true}, nil) {
+			got[img[0].Int()] = [3]int64{img[0].Int(), img[1].Int(), img[2].Int()}
 		}
-		if runs, versions, rows := eng.GCStats(); runs != m.runs || versions != m.versions || rows != m.reclaim {
-			fail("gc counters (%d, %d, %d), model (%d, %d, %d)", runs, versions, rows, m.runs, m.versions, m.reclaim)
+		if want := m.visible(v); !reflect.DeepEqual(got, want) {
+			fail("at version %d the store shows %v, model %v", v, got, want)
 		}
+	}
+	// Begin stamps of the committed images in the heap.
+	for i, row := range m.heap {
+		if c := row.cur(); c.begin != pend && st.rows[i].begin != c.begin {
+			fail("row %d begins at %d, model %d", c.img[0], st.rows[i].begin, c.begin)
+		}
+	}
+	if v := eng.CommitVersion(); v != m.commitV {
+		fail("commit version %d, model %d", v, m.commitV)
+	}
+	if runs, versions, rows := eng.GCStats(); runs != m.runs || versions != m.versions || rows != m.reclaim {
+		fail("gc counters (%d, %d, %d), model (%d, %d, %d)", runs, versions, rows, m.runs, m.versions, m.reclaim)
 	}
 }
 

@@ -81,14 +81,6 @@ func (t *Table) coerceRow(vals []Value) error {
 	return nil
 }
 
-// Insert adds a committed row, enforcing NOT NULL, primary-key and
-// unique-index constraints and coercing values to column kinds. The table
-// takes ownership of vals: it becomes the row's stored image.
-func (t *Table) Insert(vals []Value) (*Row, error) {
-	c, err := t.put(nil, vals, 0, nil)
-	return c.r, err
-}
-
 // put stores img — coerced in place to the column kinds, and the table's from
 // here on — as a new row visible from begin when r is nil, else as r's next
 // image, on behalf of txn (store.go). A constraint violation has no side

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// Insert adds a committed row the way an autocommit INSERT's put does —
+// constraints enforced, values coerced, vals becoming the stored image — for
+// tests that drive a Table without an engine around it.
+func (t *Table) Insert(vals []Value) (*Row, error) {
+	c, err := t.put(nil, vals, 0, nil)
+	return c.r, err
+}
+
 func newKVTable(t *testing.T) *Table {
 	t.Helper()
 	tbl, err := NewTable("kv",
