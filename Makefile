@@ -86,7 +86,9 @@ bench-kernel:
 # read, index scan, hash join, grouped aggregate), the two scans a Cloudstone
 # page spends its host time in (topn_scan: ORDER BY ts DESC LIMIT 10 over the
 # same rows stored ascending, descending and shuffled — three rates that must
-# stay close; like_scan: title LIKE '%<n> m%' LIMIT 10 over every row), three
+# stay close; like_scan: title LIKE '%<n> m%' LIMIT 10 over every row), replan (a
+# prepared SELECT re-run after each ANALYZE of a table it does not read: no plan
+# rebuilt, 0 allocs/op), three
 # write shapes (insert, point update, apply of a logged insert on a second
 # engine), one ANALYZE pass over the 60 k rows the insert shape leaves, and a
 # cluster's set-up (preload: Cloudstone scale 600 loaded by SQL; restore: that

@@ -17,44 +17,78 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudrepl/internal/analysis"
 )
 
-// Run loads the fixture tree rooted at dir (conventionally
-// "testdata/src/<name>", relative to the test's working directory) — the
-// root package plus any subdirectory packages, so fixtures can exercise
-// cross-package fact propagation — applies the analyzer over the whole
-// fixture program (per-package passes in dependency order, then the Finish
-// hook) with directive suppression, and checks the diagnostics against the
-// fixtures' want comments.
-func Run(t *testing.T, dir string, a *analysis.Analyzer) {
-	t.Helper()
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatalf("abs %s: %v", dir, err)
-	}
-	moduleDir := absDir
+// fixtures is the one program every Run of a test binary shares: the whole
+// fixture tree — every package under the parent of the first dir Run is given —
+// loaded and type-checked once, with the standard library and the module
+// packages the fixtures import. Loading it per fixture was most of the
+// package's test time, the same dependencies checked again for each.
+var fixtures struct {
+	once sync.Once
+	root string // the fixture tree, absolute
+	l    *analysis.Loader
+	prog *analysis.Program
+	err  error
+}
+
+func loadFixtures(root string) {
+	fixtures.root = root
+	moduleDir := root
 	for {
 		if _, err := os.Stat(filepath.Join(moduleDir, "go.mod")); err == nil {
 			break
 		}
 		parent := filepath.Dir(moduleDir)
 		if parent == moduleDir {
-			t.Fatalf("no go.mod above %s", absDir)
+			fixtures.err = fmt.Errorf("no go.mod above %s", root)
+			return
 		}
 		moduleDir = parent
 	}
-	rel, err := filepath.Rel(moduleDir, absDir)
+	rel, err := filepath.Rel(moduleDir, root)
+	if err == nil {
+		fixtures.l, err = analysis.NewLoader(moduleDir)
+	}
+	if err == nil {
+		_, err = fixtures.l.Load(filepath.ToSlash(rel) + "/...")
+	}
+	if err != nil {
+		fixtures.err = err
+		return
+	}
+	fixtures.prog = analysis.NewProgram(fixtures.l)
+}
+
+// Run takes the fixture rooted at dir (conventionally "testdata/src/<name>",
+// relative to the test's working directory) — the root package plus any
+// subdirectory packages, so fixtures can exercise cross-package fact
+// propagation — out of the shared fixture program, applies the analyzer to it
+// (per-package passes in dependency order, then the Finish hook, which sees
+// the whole program) with directive suppression, and checks the diagnostics
+// that land in the fixture against its want comments.
+func Run(t *testing.T, dir string, a *analysis.Analyzer) {
+	t.Helper()
+	absDir, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatalf("abs %s: %v", dir, err)
+	}
+	fixtures.once.Do(func() { loadFixtures(filepath.Dir(absDir)) })
+	if fixtures.err != nil {
+		t.Fatalf("load fixtures: %v", fixtures.err)
+	}
+	if filepath.Dir(absDir) != fixtures.root {
+		t.Fatalf("%s is outside the fixture tree %s this binary loaded", dir, fixtures.root)
+	}
+	rel, err := filepath.Rel(fixtures.l.ModuleDir, absDir)
 	if err != nil {
 		t.Fatalf("rel: %v", err)
 	}
-	l, err := analysis.NewLoader(moduleDir)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkgs, err := l.Load(rel + "/...")
+	pkgs, err := fixtures.l.Load(filepath.ToSlash(rel) + "/...") // already loaded: a lookup
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
@@ -62,8 +96,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		t.Fatalf("load %s: no packages", dir)
 	}
 
-	prog := analysis.NewProgram(l)
-	diags, err := analysis.RunProgram(prog, []*analysis.Analyzer{a}, pkgs)
+	diags, err := analysis.RunProgram(fixtures.prog, []*analysis.Analyzer{a}, pkgs)
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
 	}

@@ -1,9 +1,11 @@
 package analysis_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudrepl/internal/analysis"
@@ -65,22 +67,43 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
+// loaded is what the tests that drive the framework by hand share: the
+// directives and callgraph fixtures with their module dependencies,
+// type-checked once, and the call graph over them.
+var loaded struct {
+	once       sync.Once
+	directives *analysis.Package
+	callGraph  *analysis.CallGraph
+	err        error
+}
+
+func loadOnce(t *testing.T) {
+	t.Helper()
+	root := moduleRoot(t)
+	loaded.once.Do(func() {
+		l, err := analysis.NewLoader(root)
+		if err != nil {
+			loaded.err = err
+			return
+		}
+		pkgs, err := l.Load("internal/analysis/testdata/src/directives", "internal/analysis/testdata/src/callgraph")
+		if err != nil || len(pkgs) != 2 {
+			loaded.err = fmt.Errorf("loaded %d packages, want 2: %v", len(pkgs), err)
+			return
+		}
+		loaded.callGraph = analysis.NewProgram(l).CallGraph()
+		loaded.directives = pkgs[1] // sorted by path: callgraph, directives
+	})
+	if loaded.err != nil {
+		t.Fatal(loaded.err)
+	}
+}
+
 // TestDirectives checks the full directive life cycle on a fixture holding
 // one used, one stale, one unknown-analyzer and one reason-less directive.
 func TestDirectives(t *testing.T) {
-	root := moduleRoot(t)
-	l, err := analysis.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load("internal/analysis/testdata/src/directives")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
+	loadOnce(t)
+	pkg := loaded.directives
 
 	diags, err := analysis.Run(pkg, analysis.All())
 	if err != nil {

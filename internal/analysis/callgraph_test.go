@@ -1,35 +1,19 @@
 package analysis_test
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"cloudrepl/internal/analysis"
-	"cloudrepl/internal/analysis/analysistest"
 )
 
-// loadCallGraphFixture builds the whole-program call graph over the callgraph
-// fixture package (plus its sim/experiment dependencies).
+// loadCallGraphFixture returns the whole-program call graph over the callgraph
+// fixture package (plus its sim/experiment dependencies, and the directives
+// fixture it is loaded with).
 func loadCallGraphFixture(t *testing.T) *analysis.CallGraph {
 	t.Helper()
-	root := moduleRoot(t)
-	l, err := analysis.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := filepath.Abs(analysistest.FixturePath("callgraph"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Load(filepath.ToSlash(rel)); err != nil {
-		t.Fatal(err)
-	}
-	return analysis.NewProgram(l).CallGraph()
+	loadOnce(t)
+	return loaded.callGraph
 }
 
 func nodeByName(t *testing.T, cg *analysis.CallGraph, name string) *analysis.CGNode {

@@ -188,6 +188,14 @@ func TestRestoredEngineIndistinguishable(t *testing.T) {
 					}
 				}
 				s.sess, s.obs = s.eng.NewSession(DatabaseName), s.eng.NewSession(DatabaseName)
+				// A load ends with DDL in every harness (the heartbeat table),
+				// which retires the load's plans on the source. Without it the
+				// source would run the load's INSERT plans for the whole stream —
+				// a write plan outlives every ANALYZE — while the restored engine
+				// builds its own (TestRestoredEnginePlansAfresh).
+				if _, err := s.sess.Exec("CREATE TABLE load_done (id BIGINT PRIMARY KEY)"); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// outcome renders everything a statement hands back.
 			outcome := func(res *sqlengine.Result, err error) string {
@@ -257,9 +265,8 @@ func TestRestoredEngineIndistinguishable(t *testing.T) {
 // engine from its source: plans are node-local and not in the image, so a
 // statement whose plan the source still holds from before the capture is
 // planned once more on the restored engine — here the one INSERT the load and
-// the workload share, run before any statistics pass has retired the load's
-// plans. (A cluster preload that ends with DDL, as every harness's does,
-// retires them itself.)
+// the workload share, which nothing but DDL retires. (A cluster preload that
+// ends with DDL, as every harness's does, retires them itself.)
 func TestRestoredEnginePlansAfresh(t *testing.T) {
 	loaded, restored := loadedAndRestored(t, 37)
 	var built [2]uint64

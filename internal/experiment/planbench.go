@@ -55,6 +55,13 @@ type PlanBenchResult struct {
 	// LikeScan is Cloudstone's text search, title LIKE '%<n> m%' LIMIT 10,
 	// for an n only one title carries: every row is matched.
 	LikeScan PlanBenchMeasure `json:"like_scan"`
+	// Replan is a prepared point SELECT over items re-run after each ANALYZE
+	// of ticks, a table it does not read: the plan must survive, so an op is
+	// a nine-row statistics pass plus a plan-cache hit and allocates nothing
+	// (the key is absent and the reply reused). A plan retired by another
+	// table's statistics shows as a rebuild's objects per op — and fails the
+	// bench outright, which counts the rebuilds.
+	Replan PlanBenchMeasure `json:"replan"`
 	// Insert is a parameterised one-row INSERT into a table with a primary
 	// key and one secondary index: the compiled write plan, the replayable
 	// text and the logged argument copy, a commit hook attached.
@@ -92,7 +99,8 @@ var planShapes = []struct {
 	// slack is an absolute allowance in allocs/op on top of the 5%: an
 	// analyze op is a pass over planBenchAnalyzeRows rows whose baseline is
 	// zero objects, so a stray runtime allocation must not trip the gate,
-	// while the regression it exists for costs one per row.
+	// while the regression it exists for costs one per row; a replan op's
+	// baseline is zero too and its regression a whole plan.
 	slack float64
 }{
 	{"point_read", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointRead }, true, 0},
@@ -103,6 +111,7 @@ var planShapes = []struct {
 	{"topn_scan_desc", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.TopNScanDesc }, false, 0},
 	{"topn_scan_shuffled", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.TopNScanShuffled }, false, 0},
 	{"like_scan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.LikeScan }, false, 0},
+	{"replan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Replan }, true, 0.5},
 	{"insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Insert }, true, 0},
 	{"point_update", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate }, true, 0},
 	{"point_update_2k", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate2k }, true, 0},
@@ -147,6 +156,8 @@ func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 		"CREATE TABLE items (id BIGINT PRIMARY KEY, grp BIGINT, val VARCHAR(32), INDEX idx_grp (grp))",
 		"CREATE TABLE lines (id BIGINT PRIMARY KEY, ref BIGINT, qty BIGINT)",
 		"CREATE TABLE notes (id BIGINT PRIMARY KEY, item BIGINT, body VARCHAR(64), created TIMESTAMP, INDEX idx_item (item))",
+		"CREATE TABLE ticks (id BIGINT PRIMARY KEY)",
+		"INSERT INTO ticks (id) VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9)",
 	}
 	for _, feed := range planBenchFeeds {
 		ddl = append(ddl, "CREATE TABLE "+feed+" (id BIGINT PRIMARY KEY, ts TIMESTAMP, title VARCHAR(32))")
@@ -351,6 +362,34 @@ func PlanBench() (PlanBenchResult, error) {
 	}))
 	if err != nil {
 		return res, fmt.Errorf("planbench like scan: %w", err)
+	}
+
+	replan, err := eng.Prepare("SELECT val FROM items WHERE id = ?")
+	if err != nil {
+		return res, err
+	}
+	var reply sqlengine.Reply
+	absent := []sqlengine.Value{sqlengine.NewInt(0)}
+	replanOnce := func(int) (*sqlengine.Result, error) {
+		if _, err := eng.Analyze("bench", "ticks"); err != nil {
+			return nil, err
+		}
+		return replan.RunInto(sess, &reply, absent...)
+	}
+	// Three passes before the measured ones, as for the analyze shape below;
+	// the first builds the plan.
+	for i := 0; i < 2; i++ {
+		if _, err := replanOnce(i); err != nil {
+			return res, fmt.Errorf("planbench replan: %w", err)
+		}
+	}
+	builds, _ := eng.PlanStats()
+	res.Replan, err = measurePlanBench(20000, replanOnce)
+	if err != nil {
+		return res, fmt.Errorf("planbench replan: %w", err)
+	}
+	if now, _ := eng.PlanStats(); now != builds {
+		return res, fmt.Errorf("planbench replan: %d plans rebuilt over a table nothing analyzed", now-builds)
 	}
 
 	// The write shapes run last: they change what the read shapes scan.

@@ -154,13 +154,14 @@ type Engine struct {
 	// it is materialised as one string (Statement.logged).
 	text []byte
 
-	// statsEpoch advances on ANALYZE, DDL and snapshot Restore; a *Plan
-	// embeds table and index pointers plus cost estimates, so any epoch
-	// mismatch retires it (planner.go).
-	statsEpoch uint64
+	// catalogEpoch advances when *Table pointers stop being good — CREATE and
+	// DROP TABLE, snapshot Restore — and retires every plan and write plan,
+	// which embed them. What a plan read of a table's statistics is that
+	// table's own generation (Table.statsGen).
+	catalogEpoch uint64
 	// distinct is ANALYZE's scratch: one set of distinct values per column
 	// position, left empty between passes (stats.go).
-	distinct []map[hashKey]struct{}
+	distinct []keyMap[struct{}]
 
 	// NaivePlan forces the syntax-order, no-pushdown planner for every
 	// statement — the A-PLAN ablation's baseline arm, mirroring the
@@ -181,8 +182,9 @@ type progress struct {
 	gcRows     uint64
 
 	// planBuilds counts the SELECT plans and write plans built for a
-	// statement to run — its first, and one more each time a statistics epoch
-	// or drift retires the last; analyzeRuns the statistics passes (PlanStats).
+	// statement to run — its first, and one more each time the catalog epoch,
+	// a statistics generation of one of its tables or drift retires the last;
+	// analyzeRuns the statistics passes (PlanStats).
 	planBuilds  uint64
 	analyzeRuns uint64
 }

@@ -26,7 +26,7 @@ func (e *Engine) execLocked(s *Session, owner *Statement, args []Value, out *Rep
 		}
 		n := tbl.NumRows()
 		tbl.store.truncate()
-		e.bumpStatsEpochLocked()
+		tbl.statsGen++
 		return &Result{Stats: ExecStats{Class: ClassDDL, RowsAffected: n}, SQL: st.String()}, nil
 	case *InsertStmt, *UpdateStmt, *DeleteStmt:
 		wp, err := e.writePlanFor(s, owner)
@@ -87,7 +87,7 @@ func (e *Engine) execCreateTable(s *Session, st *CreateTableStmt) (*Result, erro
 		return nil, err
 	}
 	db.tables[key] = tbl
-	e.bumpStatsEpochLocked()
+	e.catalogEpoch++
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }
 
@@ -108,7 +108,7 @@ func (e *Engine) execDropTable(s *Session, st *DropTableStmt) (*Result, error) {
 		return nil, fmt.Errorf("sqlengine: unknown table %s.%s", dbName, st.Table.Name)
 	}
 	delete(db.tables, key)
-	e.bumpStatsEpochLocked()
+	e.catalogEpoch++
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }
 

@@ -44,7 +44,7 @@ type runState struct {
 	by     []orderKey
 	accs   []aggAcc
 	aggv   []Value
-	groups map[hashKey]int32
+	groups keyMap[int32]
 	tuple  []Value // the current row's GROUP BY values
 	kb     []byte  // a tuple of several values, rendered
 }
@@ -198,10 +198,10 @@ type joinIter struct {
 	input rowIter
 
 	// inner-side candidate sources, resolved lazily once per run
-	images [][]Value         // the hash build side
-	loaded bool              // images (hash) or cur's visible images (snapshot nl/inl) are this run's
-	heads  map[hashKey]int32 // hash build: key → first image of its chain
-	chain  []int32           // next image with the same key, -1 at the end
+	images [][]Value     // the hash build side
+	loaded bool          // images (hash) or cur's visible images (snapshot nl/inl) are this run's
+	heads  keyMap[int32] // hash build: key → first image of its chain
+	chain  []int32       // next image with the same key, -1 at the end
 
 	// per-outer iteration state
 	cur     rowCursor // nl/inl candidates
@@ -224,10 +224,7 @@ func (it *joinIter) build() {
 	it.images = it.n.tbl.store.images(it.rt.view, it.images[:0])
 	images := it.images
 	it.rt.stats.RowsExamined += len(images)
-	if it.heads == nil {
-		it.heads = make(map[hashKey]int32)
-	}
-	clear(it.heads)
+	it.heads.clear()
 	if cap(it.chain) < len(images) {
 		it.chain = make([]int32, len(images))
 	}
@@ -236,10 +233,10 @@ func (it *joinIter) build() {
 		it.chain[i] = -1
 		if v := images[i][it.n.eqCol]; !v.IsNull() {
 			k := v.hashKey()
-			if next, ok := it.heads[k]; ok {
+			if next, ok := it.heads.get(k); ok {
 				it.chain[i] = next
 			}
-			it.heads[k] = int32(i)
+			it.heads.put(k, int32(i))
 		}
 	}
 }
@@ -254,14 +251,14 @@ func (it *joinIter) beginOuter() error {
 		if !it.loaded {
 			it.build()
 		}
-		if len(it.heads) == 0 {
+		if it.heads.len() == 0 {
 			return nil // empty build: probe keys need not be evaluated
 		}
 		v, err := n.eq.eval(rt)
 		if err != nil || v.IsNull() {
 			return err
 		}
-		if first, ok := it.heads[v.hashKey()]; ok {
+		if first, ok := it.heads.get(v.hashKey()); ok {
 			it.hit = first
 		}
 	case rt.view.chains && it.loaded:

@@ -9,10 +9,12 @@ import (
 // A Plan is the operator tree for one SELECT, built by the planner
 // (planner.go), bound by the resolver (resolve.go) and executed by the source
 // iterators (operators.go) and the tail (tail.go). A prepared Statement keeps
-// its current plan per (database, planner mode); plans embed *Table and *Index
-// pointers, so a plan is only valid while Engine.statsEpoch equals the epoch
-// it was built under — ANALYZE, DDL and snapshot Restore all advance the
-// epoch and retire every plan.
+// its current plan per (database, planner mode), and two scopes bound a plan's
+// life (current). Plans embed *Table pointers, so CREATE TABLE, DROP TABLE and
+// snapshot Restore advance Engine.catalogEpoch and retire every plan. A
+// cost-based plan also read statistics, of its own tables only: ANALYZE or
+// TRUNCATE of a table moves that table's statsGen and retires the plans over
+// it, and a plan over other tables lives on.
 //
 // A plan fixes access paths, join order, join algorithms and every bound
 // expression, never visibility: operators resolve rows through the session's
@@ -25,7 +27,7 @@ import (
 type Plan struct {
 	db    string // lower-cased session database the plan was built for
 	naive bool   // built by the naive (pre-planner parity) planner
-	epoch uint64 // Engine.statsEpoch at build time
+	epoch uint64 // Engine.catalogEpoch at build time
 
 	tables  []planTable // scope tables in syntax order (frame slot order)
 	root    *planNode   // relational pipeline: filter → joins → driving scan
@@ -58,6 +60,7 @@ type planTable struct {
 	display string // ref name as written (alias or table name)
 	lower   string // lower-cased ref name for scope binding
 	tbl     *Table
+	gen     uint64 // tbl.statsGen the plan was costed under
 }
 
 // opKind enumerates plan operators.
@@ -208,15 +211,25 @@ func (p *Plan) Explain() string { return strings.Join(p.Lines(nil), "\n") }
 // Cost returns the plan's total estimated rows examined.
 func (p *Plan) Cost() float64 { return p.totalCost }
 
-// staleStats reports whether any table the plan touches has drifted past the
-// statistics staleness threshold since the plan was built. Engine lock held.
-func (p *Plan) staleStats() bool {
+// current reports whether the plan may run as it stands: the catalog it was
+// built against is still the engine's and, for a cost-based plan, every table
+// it touches has the statistics it was costed under and has not drifted past
+// the staleness threshold since — writes move no generation, so a hot plan
+// could otherwise outlive arbitrary data drift. A naive plan is rule-based
+// and read no statistics. Engine lock held.
+func (p *Plan) current(e *Engine) bool {
+	if p.epoch != e.catalogEpoch {
+		return false
+	}
+	if p.naive {
+		return true
+	}
 	for _, pt := range p.tables {
-		if pt.tbl.stats.stale(pt.tbl.NumRows()) {
-			return true
+		if pt.gen != pt.tbl.statsGen || pt.tbl.stats.stale(pt.tbl.NumRows()) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Naive reports whether the naive (parity) planner built this plan.

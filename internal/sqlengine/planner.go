@@ -96,6 +96,7 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 	p := &Plan{
 		db:      strings.ToLower(s.db),
 		naive:   naive,
+		epoch:   e.catalogEpoch,
 		nparams: countParams(st),
 	}
 	b := &planBuilder{e: e, s: s, st: st, p: p}
@@ -106,7 +107,6 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		proj.detail = projectDetail(st)
 		proj.estRows = 1
 		p.tail = []*planNode{proj}
-		p.epoch = e.statsEpoch
 		return p, p.resolve(st)
 	}
 
@@ -129,12 +129,14 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		})
 	}
 
-	if !naive {
-		// Cost mode plans against fresh statistics; refresh before costing
-		// so the epoch recorded below covers any re-ANALYZE done here.
-		for _, pt := range p.tables {
+	for i := range p.tables {
+		pt := &p.tables[i]
+		if !naive {
+			// Cost mode plans against fresh statistics: refresh before
+			// costing, so the generation recorded is the one costed under.
 			e.refreshStatsLocked(pt.tbl)
 		}
+		pt.gen = pt.tbl.statsGen
 	}
 
 	if naive {
@@ -148,7 +150,6 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 			p.totalCost += n.estCost
 		}
 	}
-	p.epoch = e.statsEpoch
 	return p, p.resolve(st)
 }
 

@@ -221,7 +221,7 @@ func TestPlanCacheReuseAndInvalidation(t *testing.T) {
 	if p3 != p1 {
 		t.Fatalf("normalized variant got a different plan (norm %q vs %q)", stmt2.Norm(), stmt.Norm())
 	}
-	// DDL advances the stats epoch: the cached plan must be rebuilt.
+	// DDL advances the catalog epoch: the cached plan must be rebuilt.
 	if _, err := s.Exec("CREATE TABLE scratch (id BIGINT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +373,10 @@ func TestHashJoinNullAndLeftSemantics(t *testing.T) {
 }
 
 // TestStatsObserveAndAnalyze checks the incremental statistics lifecycle:
-// plans see fresh NDV after enough drift, and the epoch advances on refresh.
+// plans see fresh NDV after enough drift.
 func TestStatsObserveAndAnalyze(t *testing.T) {
 	s := newJoinDB(t)
-	// Force an analyze via planning, then record the epoch.
+	// Force an analyze via planning.
 	if _, err := s.Query("SELECT COUNT(*) FROM items WHERE order_key = 1"); err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,10 @@ import (
 // once, shareable across sessions and argument vectors. The engine keeps one
 // Statement per normalized text, so Prepare of a known text allocates
 // nothing. A SELECT keeps its current plan per (database, planner mode) on
-// the statement itself until a statistics epoch change retires it, and an
-// INSERT, UPDATE or DELETE its compiled write plan per database (write.go),
-// so repeated Runs do no per-call planning work either.
+// the statement itself until the catalog or one of its own tables' statistics
+// changes (Plan.current), and an INSERT, UPDATE or DELETE its compiled write
+// plan per database until the catalog does (write.go), so repeated Runs do no
+// per-call planning work either.
 //
 // The handle carries no resources beyond cache entries, but dropping it
 // unused almost always indicates a lost result: cloudrepl-lint's closecheck
@@ -131,17 +132,23 @@ func (st *Statement) Table() (TableRef, bool) {
 	return TableRef{}, false
 }
 
+// planReuse, when a test sets it, sees every plan planFor hands out from the
+// cache, engine lock held: the plan-reuse oracle (plan_oracle_test.go) builds
+// the plan afresh beside it and compares the two. Nil outside that test.
+var planReuse func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan)
+
 // planFor returns the statement's current plan for sel (the statement itself,
 // or the SELECT an EXPLAIN wraps) under the session's database and the
-// engine's planner mode, building it on first use and rebuilding it when the
-// statistics epoch has moved or a table has drifted past the staleness
-// threshold — writes don't advance the epoch, so a hot plan could otherwise
-// outlive arbitrary data drift. Engine lock held.
+// engine's planner mode, building it on first use and rebuilding it when it is
+// no longer current. Engine lock held.
 func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, error) {
 	slot := -1
 	for i, p := range st.plans {
 		if p.naive == e.NaivePlan && strings.EqualFold(p.db, s.db) {
-			if p.epoch == e.statsEpoch && (p.naive || !p.staleStats()) {
+			if p.current(e) {
+				if planReuse != nil {
+					planReuse(e, s, st, sel, p)
+				}
 				return p, nil
 			}
 			slot = i
@@ -169,7 +176,7 @@ func (st *Statement) NumParams() int { return st.nparams }
 
 // Run executes the statement on a session with the given arguments. SELECTs
 // run their current plan and writes their compiled write plan (built on first
-// use, rebuilt after a statistics epoch change); a write's text for the
+// use, rebuilt once no longer current); a write's text for the
 // binlog is rendered from the statement's template.
 func (st *Statement) Run(s *Session, args ...Value) (*Result, error) {
 	return s.run(st, args, LoggedWrite{}, nil)
@@ -199,7 +206,7 @@ func (st *Statement) Query(s *Session, args ...Value) (*ResultSet, error) {
 // s's current database, building and caching it if needed. Only SELECT
 // statements have plans. The returned Plan is immutable; iterate its
 // rendering via Lines/Explain. The plan reflects statistics at call time —
-// a later Run may plan afresh if the statistics epoch has advanced.
+// a later Run may plan afresh once one of its tables has been re-analyzed.
 func (st *Statement) Plan(s *Session) (*Plan, error) {
 	sel, ok := st.stmt.(*SelectStmt)
 	if !ok {

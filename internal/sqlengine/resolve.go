@@ -220,9 +220,6 @@ func (p *Plan) bindRun(slots int, src rowIter) {
 	p.rt.live = make([][]Value, slots)
 	p.rt.by = p.order
 	p.rt.tuple = make([]Value, len(p.groupBy))
-	if p.aggregated || p.distinct {
-		p.rt.groups = map[hashKey]int32{}
-	}
 	p.rt.src = src
 }
 

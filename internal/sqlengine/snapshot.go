@@ -185,7 +185,7 @@ func (e *Engine) Restore(snap *Snapshot) error {
 	e.progress = snap.progress
 	// The whole catalog was just replaced: cached plans hold pre-restore
 	// *Table pointers and must never be reused.
-	e.bumpStatsEpochLocked()
+	e.catalogEpoch++
 	return nil
 }
 

@@ -17,12 +17,13 @@ package sqlengine
 //     from the count at the last ANALYZE (or the table has never been
 //     analyzed), the planner re-analyzes before costing. Analysis scans the
 //     latest committed images under the engine lock, so it is consistent
-//     with the state a latest-version reader sees; the engine-wide stats
-//     epoch then bumps, invalidating every cached plan (plan.go). Snapshot
-//     readers behind the latest version may plan against slightly newer
-//     statistics — harmless, because statistics only steer plan choice,
-//     never visibility: operators resolve rows through the same MVCC read
-//     view regardless of the plan shape (DESIGN.md §14).
+//     with the state a latest-version reader sees; the table's statistics
+//     generation then moves, retiring the cached cost-based plans that read
+//     this table and no other plan (plan.go). Snapshot readers behind the
+//     latest version may plan against slightly newer statistics — harmless,
+//     because statistics only steer plan choice, never visibility: operators
+//     resolve rows through the same MVCC read view regardless of the plan
+//     shape (DESIGN.md §14).
 type tableStats struct {
 	// analyzedRows is the row count at the last ANALYZE (-1 = never).
 	analyzedRows int
@@ -111,7 +112,7 @@ func (e *Engine) analyzeLocked(t *Table) {
 	// compare equal (1 and 1.0), matching index and GROUP BY identity; a
 	// string key shares the row's bytes.
 	for len(e.distinct) < ncols {
-		e.distinct = append(e.distinct, make(map[hashKey]struct{}))
+		e.distinct = append(e.distinct, keyMap[struct{}]{})
 	}
 	seen := e.distinct[:ncols]
 	var cur rowCursor
@@ -123,7 +124,7 @@ func (e *Engine) analyzeLocked(t *Table) {
 				cs.nulls++
 				continue
 			}
-			seen[i][v.hashKey()] = struct{}{}
+			seen[i].put(v.hashKey(), struct{}{})
 			if !cs.bounded {
 				cs.min, cs.max, cs.bounded = v, v, true
 				continue
@@ -137,17 +138,17 @@ func (e *Engine) analyzeLocked(t *Table) {
 		}
 	}
 	for i := range ts.cols {
-		ts.cols[i].ndv = len(seen[i])
+		ts.cols[i].ndv = seen[i].len()
 		if ts.cols[i].ndv == 0 {
 			ts.cols[i].ndv = 1 // avoid zero denominators on all-NULL columns
 		}
 		// Emptied now, not at the next pass: a set left full would keep this
 		// table's strings reachable after their rows are gone.
-		clear(seen[i])
+		seen[i].clear()
 	}
 	ts.analyzedRows = t.NumRows()
 	ts.analyzedV = e.commitV
-	e.bumpStatsEpochLocked()
+	t.statsGen++
 }
 
 // Analyze rebuilds the statistics of db.table now, stale or not, and returns
@@ -180,14 +181,6 @@ func (e *Engine) refreshStatsLocked(t *Table) *tableStats {
 		e.analyzeLocked(t)
 	}
 	return &t.stats
-}
-
-// bumpStatsEpochLocked advances the engine's stats epoch, invalidating every
-// cached plan. Called on ANALYZE, on DDL (tables appear/vanish, so cached
-// plans may hold dangling *Table pointers) and on snapshot Restore (which
-// replaces the whole catalog).
-func (e *Engine) bumpStatsEpochLocked() {
-	e.statsEpoch++
 }
 
 // ndvOf returns the distinct-value estimate for column pos, defaulting to a

@@ -54,15 +54,21 @@ func analyzeOracle(e *Engine, t *Table) tableStats {
 // result departs from the oracle's.
 func analyzeDiff(e *Engine, t *Table) []string {
 	want := analyzeOracle(e, t)
-	epoch := e.statsEpoch
+	gen, catalog := t.statsGen, e.catalogEpoch
+	others := otherGens(e, t)
 	e.analyzeLocked(t)
 	got := t.stats
 	var diffs []string
 	note := func(format string, args ...any) {
 		diffs = append(diffs, t.Name+": "+fmt.Sprintf(format, args...))
 	}
-	if e.statsEpoch != epoch+1 {
-		note("stats epoch moved by %d, want 1", e.statsEpoch-epoch)
+	if t.statsGen != gen+1 || e.catalogEpoch != catalog {
+		note("statistics generation moved by %d and the catalog epoch by %d, want 1 and 0", t.statsGen-gen, e.catalogEpoch-catalog)
+	}
+	for other, was := range others {
+		if other.statsGen != was {
+			note("moved the statistics generation of %s by %d", other.Name, other.statsGen-was)
+		}
 	}
 	if got.analyzedRows != want.analyzedRows || got.analyzedV != want.analyzedV {
 		note("analyzed %d rows at v%d, want %d at v%d", got.analyzedRows, got.analyzedV, want.analyzedRows, want.analyzedV)
@@ -78,12 +84,25 @@ func analyzeDiff(e *Engine, t *Table) []string {
 			note("column %s: got %+v, want %+v", t.Columns[i].Name, g, w)
 		}
 	}
-	for i, set := range e.distinct {
-		if len(set) != 0 {
-			note("distinct set %d holds %d keys after the pass", i, len(set))
+	for i := range e.distinct {
+		if n := e.distinct[i].len(); n != 0 {
+			note("distinct set %d holds %d keys after the pass", i, n)
 		}
 	}
 	return diffs
+}
+
+// otherGens returns the statistics generation of every table of e but t.
+func otherGens(e *Engine, t *Table) map[*Table]uint64 {
+	gens := map[*Table]uint64{}
+	for _, db := range e.dbs {
+		for _, other := range db.tables {
+			if other != t {
+				gens[other] = other.statsGen
+			}
+		}
+	}
+	return gens
 }
 
 // AnalyzeDiffs compares the live ANALYZE with the oracle on every table of
@@ -242,43 +261,129 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanStatsCountBuildsAndPasses pins what the two counters count: a plan
-// is built on a statement's first run and again after each statistics epoch,
-// a statistics pass is made on first planning and on every explicit ANALYZE.
+// TestPlanStatsCountBuildsAndPasses pins what the two counters count and what
+// retires a plan: a plan is built on a statement's first run and again when
+// the catalog changes (CREATE/DROP TABLE, Restore: every plan) or the
+// statistics of one of its own tables are rebuilt or emptied (ANALYZE,
+// TRUNCATE: the cost-based plans over that table, and nothing else — a plan
+// over another table and a write plan are the same objects afterwards). A
+// statistics pass is made on first planning and on every explicit ANALYZE.
 func TestPlanStatsCountBuildsAndPasses(t *testing.T) {
 	s := newTestDB(t)
 	eng := s.eng
-	builds0, passes0 := eng.PlanStats()
-	run := func(sql string, args ...Value) {
+	prepare := func(sql string) *Statement {
 		t.Helper()
-		if _, err := s.Exec(sql, args...); err != nil {
+		st, err := eng.Prepare(sql)
+		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
+		return st
 	}
-	for i := 0; i < 3; i++ {
-		run("SELECT name FROM users WHERE id = ?", NewInt(3))
-		run("UPDATE users SET karma = ? WHERE id = ?", NewInt(1), NewInt(3))
+	overUsers := prepare("SELECT name FROM users WHERE id = ?")
+	overEvents := prepare("SELECT title FROM events WHERE creator_id = ?")
+	overBoth := prepare("SELECT u.name, e.title FROM users u JOIN events e ON e.creator_id = u.id WHERE u.id = ?")
+	write := prepare("UPDATE users SET karma = karma + 1 WHERE id = ?")
+	stmts := []*Statement{overUsers, overEvents, overBoth, write}
+	// current runs every statement and returns the plan each ran: a *Plan,
+	// or the write's *writePlan.
+	current := func() (plans [4]any) {
+		t.Helper()
+		for i, st := range stmts {
+			if _, err := st.Run(s, NewInt(3)); err != nil {
+				t.Fatalf("%s: %v", st.Norm(), err)
+			}
+			if st == write {
+				plans[i] = st.writes[0]
+			} else {
+				plans[i] = st.plans[0]
+			}
+		}
+		return plans
 	}
-	builds, passes := eng.PlanStats()
-	if builds-builds0 != 2 {
-		t.Errorf("%d plans built for two statements run three times each, want 2", builds-builds0)
+	users, events := mustTable(t, eng, "users"), mustTable(t, eng, "events")
+	// step runs change, then every statement, and holds the outcome to which
+	// plans were rebuilt (by pointer identity), the plans and passes counted,
+	// and how far each table's statistics generation moved.
+	before := [4]any{}
+	step := func(name string, change func(), rebuilt [4]bool, passes uint64, usersGen, eventsGen uint64) {
+		t.Helper()
+		builds0, passes0 := eng.PlanStats()
+		ug, eg := users.statsGen, events.statsGen
+		change()
+		// A table the change replaced (Restore) counts from where it starts.
+		if now := mustTable(t, eng, "users"); now != users {
+			users, ug = now, now.statsGen
+		}
+		if now := mustTable(t, eng, "events"); now != events {
+			events, eg = now, now.statsGen
+		}
+		after := current()
+		want := uint64(0)
+		for i := range after {
+			if rebuilt[i] {
+				want++
+			}
+			if (after[i] != before[i]) != rebuilt[i] {
+				t.Errorf("%s: %s: rebuilt %v, want %v", name, stmts[i].Norm(), after[i] != before[i], rebuilt[i])
+			}
+		}
+		before = after
+		builds1, passes1 := eng.PlanStats()
+		if builds1-builds0 != want || passes1-passes0 != passes {
+			t.Errorf("%s: %d plans built and %d statistics passes, want %d and %d", name, builds1-builds0, passes1-passes0, want, passes)
+		}
+		if users.statsGen-ug != usersGen || events.statsGen-eg != eventsGen {
+			t.Errorf("%s: generations moved by %d (users) and %d (events), want %d and %d",
+				name, users.statsGen-ug, events.statsGen-eg, usersGen, eventsGen)
+		}
 	}
-	if passes-passes0 != 1 {
-		t.Errorf("%d statistics passes to plan one SELECT over one table, want 1", passes-passes0)
+	exec := func(sql string) func() {
+		return func() {
+			t.Helper()
+			if _, err := s.Exec(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
 	}
-	if _, err := eng.Analyze("app", "users"); err != nil {
-		t.Fatal(err)
-	}
-	run("SELECT name FROM users WHERE id = ?", NewInt(3))
-	run("UPDATE users SET karma = ? WHERE id = ?", NewInt(2), NewInt(3))
-	builds2, passes2 := eng.PlanStats()
-	if builds2-builds != 2 || passes2-passes != 1 {
-		t.Errorf("after one ANALYZE: %d rebuilds and %d passes, want both plans rebuilt and 1 pass", builds2-builds, passes2-passes)
-	}
-	if _, err := s.Exec("EXPLAIN UPDATE users SET karma = 1 WHERE id = 3"); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := eng.PlanStats(); b != builds2 {
+	all, none := [4]bool{true, true, true, true}, [4]bool{}
+
+	step("first run", func() {}, all, 2, 1, 1) // one pass per table, the join finds both fresh
+	step("second run", func() {}, none, 0, 0, 0)
+	step("ANALYZE users", func() {
+		if _, err := eng.Analyze("app", "users"); err != nil {
+			t.Fatal(err)
+		}
+	}, [4]bool{true, false, true, false}, 1, 1, 0)
+	step("ANALYZE events", func() {
+		if _, err := eng.Analyze("app", "events"); err != nil {
+			t.Fatal(err)
+		}
+	}, [4]bool{false, true, true, false}, 1, 0, 1)
+	step("CREATE TABLE", exec("CREATE TABLE scratch (id BIGINT PRIMARY KEY)"), all, 0, 0, 0)
+	step("DROP TABLE", exec("DROP TABLE scratch"), all, 0, 0, 0)
+	// The truncate moves events' generation and the rebuild's re-ANALYZE of
+	// the now empty table moves it again.
+	step("TRUNCATE events", exec("TRUNCATE TABLE events"), [4]bool{false, true, true, false}, 1, 0, 2)
+	step("Restore", func() {
+		if err := eng.Restore(eng.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}, all, 0, 0, 0)
+
+	builds, _ := eng.PlanStats()
+	exec("EXPLAIN UPDATE users SET karma = 1 WHERE id = 3")()
+	if b, _ := eng.PlanStats(); b != builds {
 		t.Errorf("EXPLAIN of a write counted as a plan built to run")
 	}
+}
+
+// mustTable returns app.name as the engine's catalog has it now.
+func mustTable(t *testing.T, e *Engine, name string) *Table {
+	t.Helper()
+	db, _ := e.Database("app")
+	tbl, ok := db.Table(name)
+	if !ok {
+		t.Fatalf("no table %s", name)
+	}
+	return tbl
 }

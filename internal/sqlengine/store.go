@@ -117,7 +117,7 @@ type Index struct {
 	Name    string
 	Cols    []int // column positions
 	Unique  bool
-	buckets map[hashKey]bucket
+	buckets keyMap[bucket]
 }
 
 // bucket is the rows under one key, in insertion order. The first row is
@@ -144,15 +144,15 @@ func (ix *Index) key(vals []Value) hashKey {
 // add enters r at the end of its key's bucket; false is a unique violation.
 func (ix *Index) add(r *Row) bool {
 	k := ix.key(r.vals)
-	b := ix.buckets[k]
+	b, _ := ix.buckets.get(k)
 	switch {
 	case b.one == nil && b.many == nil:
-		ix.buckets[k] = bucket{one: r}
+		ix.buckets.put(k, bucket{one: r})
 	case ix.Unique:
 		return false
 	case b.many == nil:
 		many := append(make([]*Row, 0, 4), b.one, r)
-		ix.buckets[k] = bucket{many: &many}
+		ix.buckets.put(k, bucket{many: &many})
 	default:
 		*b.many = append(*b.many, r)
 	}
@@ -162,12 +162,12 @@ func (ix *Index) add(r *Row) bool {
 // remove takes r out of its key's bucket, keeping the others' order.
 func (ix *Index) remove(r *Row) {
 	k := ix.key(r.vals)
-	b := ix.buckets[k]
+	b, _ := ix.buckets.get(k)
 	if b.many != nil {
 		*b.many = without(*b.many, r)
 	}
 	if b.one == r || b.many != nil && len(*b.many) == 0 {
-		delete(ix.buckets, k)
+		ix.buckets.del(k)
 	}
 }
 
@@ -250,7 +250,7 @@ func (st *rowStore) truncate() {
 	st.rows, st.graveyard, st.chained = nil, nil, nil
 	st.rowSlab, st.imgSlab, st.verSlab = slab[Row]{}, slab[Value]{}, slab[rowVersion]{}
 	for _, ix := range st.keyed {
-		ix.buckets = make(map[hashKey]bucket)
+		ix.buckets = keyMap[bucket]{}
 	}
 }
 
@@ -287,13 +287,13 @@ func (st *rowStore) images(v readView, out [][]Value) [][]Value {
 // builds a store from. rows holds, in scan order (the heap, then what of the
 // graveyard the reader still sees), one header per visible row with only vals
 // and begin set; vals is the source's own image, shared and never copied.
-// keys is how many keys each index of the source holds, in keyed order: what
-// restore sizes its maps for. The marks are where the source stands in its
-// three slabs and its heap's backing array, for restore to leave the new store
-// standing there too.
+// keys is how many integral and how many other keys each index of the source
+// holds, in keyed order: what restore sizes its maps for. The marks are where
+// the source stands in its three slabs and its heap's backing array, for
+// restore to leave the new store standing there too.
 type storeImage struct {
 	rows                      []Row
-	keys                      []int
+	keys                      []keyCount
 	heapCap                   int
 	rowSlab, imgSlab, verSlab slabMark
 }
@@ -306,7 +306,7 @@ func (st *rowStore) capture(v readView) storeImage {
 		rowSlab: st.rowSlab.mark(), imgSlab: st.imgSlab.mark(), verSlab: st.verSlab.mark(),
 	}
 	for _, ix := range st.keyed {
-		img.keys = append(img.keys, len(ix.buckets))
+		img.keys = append(img.keys, ix.buckets.count())
 	}
 	for _, rows := range [2][]*Row{st.rows, st.graveyard} {
 		for _, r := range rows {
@@ -327,7 +327,7 @@ func (st *rowStore) capture(v readView) storeImage {
 func (st *rowStore) restore(img storeImage) error {
 	n := len(img.rows)
 	for i, ix := range st.keyed {
-		ix.buckets = make(map[hashKey]bucket, img.keys[i])
+		ix.buckets = sized[bucket](img.keys[i])
 	}
 	chunk := make([]Row, n+img.rowSlab.free)
 	copy(chunk, img.rows)
@@ -358,7 +358,7 @@ func (st *rowStore) scan(v readView, c *rowCursor) {
 func (st *rowStore) probe(col int, v Value, c *rowCursor) bool {
 	for _, ix := range st.keyed {
 		if len(ix.Cols) == 1 && ix.Cols[0] == col {
-			b := ix.buckets[v.hashKey()]
+			b, _ := ix.buckets.get(v.hashKey())
 			c.i, c.rows, c.images = 0, nil, c.images[:0]
 			if b.many != nil {
 				c.rows = *b.many
@@ -418,7 +418,7 @@ func (st *rowStore) insert(img []Value, begin uint64, txn *Session) (rowChange, 
 // buckets; on a constraint violation r keeps its image (and may still move).
 func (st *rowStore) reimage(r *Row, img []Value) error {
 	if st.pk != nil {
-		if holder := st.pk.buckets[st.pk.key(img)].one; holder != nil && holder != r {
+		if b, _ := st.pk.buckets.get(st.pk.key(img)); b.one != nil && b.one != r {
 			return st.dupErr(st.pk)
 		}
 	}

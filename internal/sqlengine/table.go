@@ -19,7 +19,10 @@ type Table struct {
 	store   rowStore
 	// stats is the planner's statistics profile (stats.go): exact live row
 	// count from the store, lazily analyzed per-column NDV and bounds.
-	stats tableStats
+	// statsGen counts the times it was rebuilt or emptied — ANALYZE and
+	// TRUNCATE of this table — and retires the cost-based plans that read it.
+	stats    tableStats
+	statsGen uint64
 }
 
 // NewTable builds a table from column definitions, a primary-key column

@@ -113,22 +113,27 @@ func TestTableUpdatePKMove(t *testing.T) {
 func checkConsistent(tbl *Table) error {
 	st := &tbl.store
 	for _, r := range st.rows {
-		if st.pk.buckets[st.pk.key(r.vals)].one != r {
+		if b, _ := st.pk.buckets.get(st.pk.key(r.vals)); b.one != r {
 			return fmt.Errorf("heap row missing from pk map")
 		}
 	}
 	for _, ix := range st.keyed {
 		n := 0
-		for k, b := range ix.buckets {
+		var err error
+		ix.buckets.each(func(k hashKey, b bucket) {
 			if (b.one == nil) == (b.many == nil) || b.many != nil && len(*b.many) == 0 {
-				return fmt.Errorf("index %s bucket has inline=%v, listed=%v", ix.Name, b.one != nil, b.many != nil)
+				err = fmt.Errorf("index %s bucket has inline=%v, listed=%v", ix.Name, b.one != nil, b.many != nil)
+				return
 			}
 			for _, r := range b.rows() {
 				if ix.key(r.vals) != k {
-					return fmt.Errorf("index %s entry under stale key", ix.Name)
+					err = fmt.Errorf("index %s entry under stale key", ix.Name)
 				}
 				n++
 			}
+		})
+		if err != nil {
+			return err
 		}
 		if n != len(st.rows) {
 			return fmt.Errorf("index %s has %d entries, heap has %d", ix.Name, n, len(st.rows))

@@ -40,7 +40,7 @@ type aggAcc struct {
 	sumF     float64
 	anyFloat bool
 	min, max Value
-	seen     map[hashKey]struct{} // DISTINCT values folded so far
+	seen     keyMap[struct{}] // DISTINCT values folded so far
 }
 
 func (a *aggAcc) add(v *Value, distinct bool) {
@@ -48,14 +48,11 @@ func (a *aggAcc) add(v *Value, distinct bool) {
 		return
 	}
 	if distinct {
-		if a.seen == nil {
-			a.seen = map[hashKey]struct{}{}
-		}
 		k := v.hashKey()
-		if _, dup := a.seen[k]; dup {
+		if _, dup := a.seen.get(k); dup {
 			return
 		}
-		a.seen[k] = struct{}{}
+		a.seen.put(k, struct{}{})
 	}
 	a.count++
 	a.anyFloat = a.anyFloat || v.Kind() == KindFloat
@@ -119,7 +116,7 @@ func (rt *runState) end() {
 	clear(rt.tuple)
 	clear(rt.aggv)
 	clear(rt.accs)
-	clear(rt.groups)
+	rt.groups.clear()
 	rt.refs, rt.keys, rt.seq, rt.order, rt.aggv, rt.accs = rt.refs[:0], rt.keys[:0], rt.seq[:0], rt.order[:0], rt.aggv[:0], rt.accs[:0]
 }
 
@@ -373,20 +370,20 @@ func (rt *runState) topN(row int32, at, n int) (int, int32) {
 func (rt *runState) file(tuple []Value, n int32) int32 {
 	if len(tuple) == 1 {
 		k := tuple[0].hashKey()
-		if g, ok := rt.groups[k]; ok {
+		if g, ok := rt.groups.get(k); ok {
 			return g
 		}
-		rt.groups[k] = n
+		rt.groups.put(k, n)
 		return n
 	}
 	rt.kb = rt.kb[:0]
 	for i := range tuple {
 		rt.kb = tuple[i].hashKey().appendTo(rt.kb)
 	}
-	if g, ok := rt.groups[hashKey{kind: 'c', s: string(rt.kb)}]; ok {
+	if g, ok := rt.groups.composite(rt.kb); ok {
 		return g
 	}
-	rt.groups[hashKey{kind: 'c', s: string(rt.kb)}] = n
+	rt.groups.put(hashKey{kind: 'c', s: string(rt.kb)}, n)
 	return n
 }
 
@@ -473,7 +470,7 @@ func (p *Plan) gatherGroups(rt *runState) error {
 
 // dedupe drops rows equal to an earlier one, in place.
 func (rt *runState) dedupe(rows [][]Value) [][]Value {
-	clear(rt.groups)
+	rt.groups.clear()
 	out := rows[:0]
 	for _, r := range rows {
 		if n := int32(len(out)); rt.file(r, n) == n {

@@ -11,8 +11,9 @@ import (
 // bexpr over a one-slot frame (? placeholders read the argument vector at
 // evaluation time, as in a SELECT plan), and the UPDATE/DELETE driving access
 // decided once. A prepared Statement keeps its current write plan per
-// database; like a Plan it embeds *Table pointers, so a statistics epoch
-// change (DDL, ANALYZE, Restore) retires it.
+// database; like a Plan it embeds *Table pointers, so a catalog epoch change
+// (CREATE TABLE, DROP TABLE, Restore) retires it. Nothing else does: it read
+// no statistics, so it outlives every ANALYZE.
 //
 // The driving access is rule-based, not costed: the first WHERE conjunct that
 // is an equality between an indexed column and a row-independent expression
@@ -24,7 +25,7 @@ import (
 // degrades the access the way it does for a snapshot SELECT.
 type writePlan struct {
 	db    string // lower-cased session database the plan was compiled for
-	epoch uint64 // Engine.statsEpoch at compile time
+	epoch uint64 // Engine.catalogEpoch at compile time
 	tbl   *Table
 	kind  effectKind
 
@@ -44,13 +45,13 @@ type writePlan struct {
 }
 
 // writePlanFor returns st's write plan for the session's database, compiling
-// it on first use and again when the statistics epoch has moved. Engine lock
+// it on first use and again when the catalog epoch has moved. Engine lock
 // held.
 func (e *Engine) writePlanFor(s *Session, st *Statement) (*writePlan, error) {
 	slot := -1
 	for i, wp := range st.writes {
 		if strings.EqualFold(wp.db, s.db) {
-			if wp.epoch == e.statsEpoch {
+			if wp.epoch == e.catalogEpoch {
 				return wp, nil
 			}
 			slot = i
@@ -91,7 +92,7 @@ func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	wp := &writePlan{db: strings.ToLower(s.db), epoch: e.statsEpoch, tbl: tbl, kind: kind}
+	wp := &writePlan{db: strings.ToLower(s.db), epoch: e.catalogEpoch, tbl: tbl, kind: kind}
 	wp.rt.live = make([][]Value, 1)
 	wp.rt.frame = wp.rt.live
 
