@@ -53,7 +53,8 @@ race-shards:
 # End-to-end smoke of the bench CLI, after `check` has run every test under
 # -race: five ablations on the short protocol in one process, with
 # BENCH_{elastic,pipeline,shard,consist,plan}.json written into results/
-# (the last three are checked in and must come out byte-identical); a traced
+# (all but pipeline are checked in and must come out byte-identical: the
+# target ends by diffing them against the index); a traced
 # pipeline run written as a Chrome trace-event file, which cloudrepl-trace
 # must find complete (every stage — client, pool, proxy, server, binlog,
 # apply — has a span and one trace covers the whole chain); the determinism
@@ -67,6 +68,7 @@ smoke:
 	@if $(GO) run ./cmd/cloudrepl-bench -determinism-inject -short -q >/dev/null 2>&1; then \
 		echo "determinism-inject self-test did NOT fail"; exit 1; \
 	else echo "determinism-inject self-test failed as it must"; fi
+	git diff --exit-code -- results/BENCH_shard.json results/BENCH_consist.json results/BENCH_plan.json results/BENCH_elastic.json
 
 # Kernel-speed smoke: measure the sim kernel (micro workload + one
 # experiment cell), write BENCH_kernel.json into results/, and fail if the

@@ -72,6 +72,21 @@ type elasticArm struct {
 	policy        elastic.Policy // nil = fixed fleet (observe-only)
 }
 
+// sloMs is the staleness objective every arm is scored against.
+const sloMs = 500
+
+// sloArm is the staleness-SLO controller starting from one slave.
+var sloArm = elasticArm{name: "staleness-slo", initialSlaves: 1, policy: elastic.StalenessSLO{TargetP95Ms: sloMs}}
+
+// elasticStages is the stepped 50→250-user ramp every arm runs.
+func elasticStages(stageDur time.Duration) []cloudstone.Stage {
+	var stages []cloudstone.Stage
+	for _, users := range []int{50, 100, 150, 200, 250} {
+		stages = append(stages, cloudstone.Stage{Users: users, Dur: stageDur})
+	}
+	return stages
+}
+
 // AblationElastic runs the elasticity ablation: a stepped 50→250-user ramp
 // at 50/50 read/write against (a) a fixed 1-slave fleet, (b) a fixed
 // 4-slave fleet, (c) the reactive CPU-utilization controller and (d) the
@@ -83,17 +98,13 @@ func AblationElastic(opts SweepOpts) (ElasticResult, error) {
 	if opts.Short {
 		stageDur = 3 * time.Minute
 	}
-	var stages []cloudstone.Stage
-	for _, users := range []int{50, 100, 150, 200, 250} {
-		stages = append(stages, cloudstone.Stage{Users: users, Dur: stageDur})
-	}
-	const sloMs = 500
+	stages := elasticStages(stageDur)
 
 	arms := []elasticArm{
 		{name: "fixed-1", initialSlaves: 1},
 		{name: "fixed-4", initialSlaves: 4},
 		{name: "reactive-util", initialSlaves: 1, policy: elastic.ReactiveUtilization{}},
-		{name: "staleness-slo", initialSlaves: 1, policy: elastic.StalenessSLO{TargetP95Ms: sloMs}},
+		sloArm,
 	}
 
 	out := ElasticResult{SLOTargetMs: sloMs, Stages: stages}
@@ -111,6 +122,24 @@ func AblationElastic(opts SweepOpts) (ElasticResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// elasticSLOArm is A-ELASTIC's determinism arm: the staleness-SLO controller
+// over the ramp (2-minute stages under Short), flattened the way the ablation
+// writes it.
+func elasticSLOArm(o SweepOpts) func() (any, error) {
+	stageDur := 6 * time.Minute
+	if o.Short {
+		stageDur = 2 * time.Minute
+	}
+	stages := elasticStages(stageDur)
+	return func() (any, error) {
+		fr, err := runElasticArm(o.Seed, sloArm, stages, sloMs)
+		if err != nil {
+			return nil, err
+		}
+		return ElasticJSON(ElasticResult{SLOTargetMs: sloMs, Stages: stages, Fleets: []ElasticFleetResult{fr}}), nil
+	}
 }
 
 // runElasticArm executes one arm on its own virtual timeline.

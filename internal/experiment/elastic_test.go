@@ -1,22 +1,6 @@
 package experiment
 
-import (
-	"testing"
-	"time"
-
-	"cloudrepl/internal/cloudstone"
-	"cloudrepl/internal/elastic"
-)
-
-// tinyStages is a compressed ramp for unit tests: the same 50→250 shape on
-// a shorter clock.
-func tinyStages(stageDur time.Duration) []cloudstone.Stage {
-	var stages []cloudstone.Stage
-	for _, users := range []int{50, 100, 150, 200, 250} {
-		stages = append(stages, cloudstone.Stage{Users: users, Dur: stageDur})
-	}
-	return stages
-}
+import "testing"
 
 // TestAblationElastic runs the full short-protocol ablation and checks the
 // acceptance shape: the SLO controller converges to about 3 slaves and
@@ -56,31 +40,4 @@ func TestAblationElastic(t *testing.T) {
 		t.Errorf("staleness-slo throughput %.2f not above fixed-1 %.2f", slo.Throughput, fixed1.Throughput)
 	}
 	t.Logf("\n%s", RenderElastic(r))
-}
-
-// TestElasticArmDeterministic: the same seed must reproduce the same
-// decision log and the same measurements exactly.
-func TestElasticArmDeterministic(t *testing.T) {
-	arm := elasticArm{name: "slo", initialSlaves: 1, policy: elastic.StalenessSLO{TargetP95Ms: 500}}
-	stages := tinyStages(2 * time.Minute)
-	a, err := runElasticArm(7, arm, stages, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runElasticArm(7, arm, stages, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Throughput != b.Throughput || a.SLOViolation != b.SLOViolation ||
-		a.FinalSlaves != b.FinalSlaves || a.SlaveVMMinutes != b.SlaveVMMinutes {
-		t.Errorf("runs differ: %+v vs %+v", a, b)
-	}
-	if len(a.Decisions) != len(b.Decisions) {
-		t.Fatalf("decision logs differ in length: %d vs %d", len(a.Decisions), len(b.Decisions))
-	}
-	for i := range a.Decisions {
-		if a.Decisions[i] != b.Decisions[i] {
-			t.Errorf("decision %d differs: %v vs %v", i, a.Decisions[i], b.Decisions[i])
-		}
-	}
 }

@@ -115,8 +115,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		checkMetricNames(t, "metric_names_run.txt", res.Metrics)
 	})
 	t.Run("elastic", func(t *testing.T) {
-		arm := elasticArm{name: "slo", initialSlaves: 1, policy: elastic.StalenessSLO{TargetP95Ms: 500}}
-		fr, err := runElasticArm(7, arm, tinyStages(time.Minute), 500)
+		fr, err := runElasticArm(7, sloArm, elasticStages(time.Minute), sloMs)
 		if err != nil {
 			t.Fatal(err)
 		}

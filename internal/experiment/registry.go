@@ -200,7 +200,8 @@ var Registry = []*Experiment{
 		Run:  run(AblationPlan, RenderPlan, PlanJSON),
 		Arms: []Arm{{"cost-based", planArm}}},
 	{Kind: KindAblation, Key: "elastic", ID: "A-ELASTIC", Title: "SLO-driven autoscaling", File: "elastic",
-		Run: run(AblationElastic, RenderElastic, ElasticJSON)},
+		Run:  run(AblationElastic, RenderElastic, ElasticJSON),
+		Arms: []Arm{{"staleness-slo", elasticSLOArm}}},
 	{Kind: KindSwitch, Key: "bench-kernel", ID: "B-KERNEL", Title: "raw sim-kernel speed: events/sec, ns/event, allocs/event on a micro workload and one experiment cell", File: "kernel",
 		Run: func(s *Session, _ *Experiment) (Output, error) {
 			r, err := KernelBench(s.opts, s.figuresWall)
