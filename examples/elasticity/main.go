@@ -72,17 +72,16 @@ func main() {
 		Stages:    stages,
 	})
 
-	const sloMs = 500
-	ctrl := elastic.Start(env, elastic.Config{
-		Policy:      elastic.StalenessSLO{TargetP95Ms: sloMs},
-		Spec:        cluster.NodeSpec{Place: zone},
-		SLOTargetMs: sloMs,
-	}, elastic.Sources{
-		Cluster:   clu,
-		Proxy:     db.Proxy(),
-		Ops:       func() float64 { return float64(driver.CompletedOps()) },
-		PoolWaits: func() float64 { return float64(db.Pool().Stats().Waits) },
+	// The handle gives the controller the cluster, the proxy and the pool's
+	// wait counter; the driver's completed-operations counter is the one
+	// signal it cannot know.
+	ctrl, err := elastic.Start(env, db, func() float64 { return float64(driver.CompletedOps()) }, elastic.Config{
+		Policy: elastic.StalenessSLO{},
+		Spec:   cluster.NodeSpec{Place: zone},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The operator: every 90 seconds, an independent look at the fleet via
 	// the heartbeat table rather than the controller's own monitor.
@@ -125,8 +124,8 @@ func main() {
 	res := driver.Result()
 	fmt.Printf("\nramp done: %.2f ops/s, %d errors, %d slave(s) attached\n",
 		res.Throughput, res.Errors, len(clu.Slaves()))
-	fmt.Printf("time in SLO violation (p95 > %d ms): %s\n",
-		int(sloMs), ctrl.SLOViolation(sloMs).Truncate(time.Second))
+	fmt.Printf("time in SLO violation (p95 > %.0f ms): %s\n",
+		elastic.SLOTargetMs, ctrl.SLOViolation().Truncate(time.Second))
 	var vmMin float64
 	for _, inst := range provider.Instances() {
 		if inst.Name != "master" {

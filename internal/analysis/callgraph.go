@@ -68,14 +68,6 @@ func (n *CGNode) Name() string {
 	return "$lit"
 }
 
-// Pos returns the node's declaration position.
-func (n *CGNode) Pos() token.Pos {
-	if n.Fn != nil {
-		return n.Fn.Pos()
-	}
-	return n.Lit.Pos()
-}
-
 // CGEdge is one may-call relation.
 type CGEdge struct {
 	Caller  *CGNode
@@ -94,7 +86,6 @@ type CallGraph struct {
 	Nodes []*CGNode // deterministic: declaration order within load order
 
 	funcs map[*types.Func]*CGNode
-	lits  map[*ast.FuncLit]*CGNode
 }
 
 // NodeOf returns the node for a declared function or method (resolving
@@ -106,9 +97,6 @@ func (g *CallGraph) NodeOf(fn *types.Func) *CGNode {
 	}
 	return g.funcs[fn.Origin()]
 }
-
-// LitNodeOf returns the node for a function literal, or nil.
-func (g *CallGraph) LitNodeOf(lit *ast.FuncLit) *CGNode { return g.lits[lit] }
 
 // Reachable returns every node reachable from roots over edges whose kind
 // passes the filter (nil filter follows every edge). Roots are included.
@@ -164,7 +152,7 @@ type cgBuilder struct {
 func buildCallGraph(prog *Program) *CallGraph {
 	b := &cgBuilder{
 		prog:      prog,
-		g:         &CallGraph{funcs: map[*types.Func]*CGNode{}, lits: map[*ast.FuncLit]*CGNode{}},
+		g:         &CallGraph{funcs: map[*types.Func]*CGNode{}},
 		implCache: map[*types.Func][]*types.Func{},
 	}
 	b.collectNamed()
@@ -232,7 +220,6 @@ func (b *cgBuilder) walkBody(cur *CGNode, pkg *Package, body ast.Node) {
 				kind = EdgeRef
 			}
 			child := &CGNode{Lit: n, Pkg: pkg, Encl: cur, Body: n.Body}
-			b.g.lits[n] = child
 			b.g.Nodes = append(b.g.Nodes, child)
 			b.addEdge(cur, child, kind, n.Pos(), false)
 			b.walkBody(child, pkg, n.Body)

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 )
 
 // Program is one whole-module analysis universe: every package the loader
@@ -68,13 +67,6 @@ func (f *FinishPass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      f.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ImportObjectFact imports an object fact exported by this analyzer during
-// the per-package phase (same semantics as Pass.ImportObjectFact).
-func (f *FinishPass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	p := &Pass{Analyzer: f.Analyzer, facts: f.facts}
-	return p.ImportObjectFact(obj, ptr)
 }
 
 // RunProgram applies analyzers to the program's target packages in

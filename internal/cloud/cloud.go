@@ -38,12 +38,6 @@ type Placement struct {
 // String renders the placement like "us-west-1a".
 func (p Placement) String() string { return string(p.Region) + p.Zone }
 
-// SameZone reports whether two placements are in the same availability zone.
-func (p Placement) SameZone(o Placement) bool { return p == o }
-
-// SameRegion reports whether two placements share a region.
-func (p Placement) SameRegion(o Placement) bool { return p.Region == o.Region }
-
 // InstanceType is a nominal hardware class.
 type InstanceType struct {
 	Name  string
@@ -73,7 +67,6 @@ type CPUModel struct {
 var (
 	XeonE5430 = CPUModel{Name: "Intel Xeon E5430 2.66GHz", Factor: 1.0}
 	XeonE5507 = CPUModel{Name: "Intel Xeon E5507 2.27GHz", Factor: 0.853}
-	XeonE5645 = CPUModel{Name: "Intel Xeon E5645 2.40GHz", Factor: 0.94}
 )
 
 // Config tunes the provider model.
@@ -90,8 +83,6 @@ type Config struct {
 	ClockDriftPPMSigma float64
 	// ClockOffsetSigma is the σ of each instance's initial clock offset.
 	ClockOffsetSigma time.Duration
-	// Network overrides the default latency model when non-nil.
-	Network *Network
 }
 
 // DefaultConfig mirrors the measured EC2 environment of the paper.
@@ -114,15 +105,8 @@ type Cloud struct {
 
 // New creates a provider bound to env.
 func New(env *sim.Env, cfg Config) *Cloud {
-	net := cfg.Network
-	if net == nil {
-		net = NewNetwork(env, DefaultLatencies())
-	}
-	return &Cloud{env: env, cfg: cfg, net: net}
+	return &Cloud{env: env, cfg: cfg, net: NewNetwork(env, DefaultLatencies())}
 }
-
-// Env returns the simulation environment.
-func (c *Cloud) Env() *sim.Env { return c.env }
 
 // Network returns the provider network.
 func (c *Cloud) Network() *Network { return c.net }

@@ -105,9 +105,6 @@ func NewNetwork(env *sim.Env, lat Latencies) *Network {
 	return &Network{env: env, lat: lat, faults: make(map[[2]Placement]PathFault)}
 }
 
-// Latencies returns the base latency model.
-func (n *Network) Latencies() Latencies { return n.lat }
-
 // Fault returns the current fault state on the a↔b path.
 func (n *Network) Fault(a, b Placement) PathFault { return n.faults[pathKey(a, b)] }
 
@@ -325,9 +322,6 @@ func (pp *Pipe[T]) pump() {
 
 // InFlight returns the number of sent-but-undelivered messages.
 func (pp *Pipe[T]) InFlight() int { return pp.pending.Len() }
-
-// Queue returns the delivery queue.
-func (pp *Pipe[T]) Queue() *sim.Queue[T] { return pp.q }
 
 // PingStats summarizes a ping run.
 type PingStats struct {

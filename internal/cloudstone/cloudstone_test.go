@@ -91,7 +91,7 @@ func TestPreloadDeterministicAcrossServers(t *testing.T) {
 func TestAllOperationsExecuteCleanly(t *testing.T) {
 	env, db := newBench(t, 3, 1, 40)
 	d := NewDriver(db, Config{Scale: 40, ReadRatio: 0.5, Users: 1,
-		RampUp: time.Millisecond, Steady: time.Hour, RampDown: time.Millisecond, ThinkTime: time.Millisecond})
+		RampUp: time.Millisecond, Steady: time.Hour, RampDown: time.Millisecond})
 	// Execute each op shape many times directly.
 	env.Go("ops", func(p *sim.Proc) {
 		rng := p.Rand()
@@ -118,7 +118,6 @@ func TestDriverMaintainsReadWriteRatio(t *testing.T) {
 	d := NewDriver(db, Config{
 		Scale: 60, ReadRatio: 0.8, Users: 20,
 		RampUp: time.Minute, Steady: 10 * time.Minute, RampDown: 30 * time.Second,
-		ThinkTime: 2 * time.Second,
 	})
 	d.Start(env)
 	env.RunUntil(12 * time.Minute)
@@ -141,14 +140,13 @@ func TestDriverMaintainsReadWriteRatio(t *testing.T) {
 func TestThroughputCountsOnlySteadyWindow(t *testing.T) {
 	env, db := newBench(t, 5, 1, 30)
 	d := NewDriver(db, Config{
-		Scale: 30, ReadRatio: 0.5, Users: 5,
+		Scale: 30, ReadRatio: 0.5, Users: 28,
 		RampUp: 2 * time.Minute, Steady: 4 * time.Minute, RampDown: time.Minute,
-		ThinkTime: time.Second,
 	})
 	d.Start(env)
 	env.RunUntil(7*time.Minute + 30*time.Second)
 	res := d.Result()
-	// 5 users at ~1.2s cycle ≈ 4 ops/s for 240s ≈ 960 ops. If ramp phases
+	// 28 users at ~7s cycle ≈ 4 ops/s for 240s ≈ 960 ops. If ramp phases
 	// leaked into the count, it would exceed this bound substantially.
 	if res.Reads+res.Writes > 1200 {
 		t.Fatalf("steady count %d includes ramp phases", res.Reads+res.Writes)
@@ -168,7 +166,7 @@ func TestStagedWindowSpansRamp(t *testing.T) {
 	env, db := newBench(t, 8, 1, 30)
 	env.RunUntil(time.Minute) // a run need not start at zero
 	stages := []Stage{{Users: 2, Dur: 3 * time.Minute}, {Users: 4, Dur: 3 * time.Minute}}
-	d := NewDriver(db, Config{Scale: 30, Stages: stages, ThinkTime: time.Second})
+	d := NewDriver(db, Config{Scale: 30, Stages: stages})
 	start := env.Now()
 	d.Start(env)
 	if from, to := d.SteadyWindow(); from != start || to != start+6*time.Minute {
@@ -189,13 +187,12 @@ func TestStagedWindowSpansRamp(t *testing.T) {
 func TestUsersStaggerAcrossRampUp(t *testing.T) {
 	env, db := newBench(t, 6, 0, 30)
 	d := NewDriver(db, Config{
-		Scale: 30, ReadRatio: 0.5, Users: 10,
+		Scale: 30, ReadRatio: 0.5, Users: 70,
 		RampUp: 10 * time.Minute, Steady: time.Minute, RampDown: time.Minute,
-		ThinkTime: time.Second,
 	})
 	d.Start(env)
-	// After a tenth of ramp-up, only ~1-2 users have started: master ops
-	// stay low.
+	// After a tenth of ramp-up, only a tenth of the users have started (≈35
+	// operations; all seventy would have made ≈600): master ops stay low.
 	env.RunUntil(time.Minute)
 	early := db.Cluster().Master().Srv.Stats()
 	if early.Reads+early.Writes > 130 {
@@ -213,9 +210,8 @@ func TestUsersStaggerAcrossRampUp(t *testing.T) {
 func TestWritesReplicateDuringBenchmark(t *testing.T) {
 	env, db := newBench(t, 7, 2, 40)
 	d := NewDriver(db, Config{
-		Scale: 40, ReadRatio: 0.2, Users: 5, // write-heavy for signal
+		Scale: 40, ReadRatio: 0.2, Users: 35, // write-heavy for signal
 		RampUp: 30 * time.Second, Steady: 3 * time.Minute, RampDown: 30 * time.Second,
-		ThinkTime: time.Second,
 	})
 	d.Start(env)
 	env.RunUntil(10 * time.Minute)
@@ -243,7 +239,6 @@ func TestStopEarly(t *testing.T) {
 	d := NewDriver(db, Config{
 		Scale: 30, ReadRatio: 0.5, Users: 3,
 		RampUp: time.Second, Steady: time.Hour, RampDown: time.Second,
-		ThinkTime: time.Second,
 	})
 	done := d.Start(env)
 	env.RunUntil(time.Minute)
@@ -258,8 +253,8 @@ func TestStopEarly(t *testing.T) {
 
 func TestLiveInsertIDsDoNotCollideWithSeed(t *testing.T) {
 	env, db := newBench(t, 9, 0, 30)
-	d := NewDriver(db, Config{Scale: 30, ReadRatio: 0, Users: 2,
-		RampUp: time.Second, Steady: 5 * time.Minute, RampDown: time.Second, ThinkTime: 500 * time.Millisecond})
+	d := NewDriver(db, Config{Scale: 30, ReadRatio: 0, Users: 28,
+		RampUp: time.Second, Steady: 5 * time.Minute, RampDown: time.Second})
 	d.Start(env)
 	env.RunUntil(5*time.Minute + 2*time.Second)
 	res := d.Result()
@@ -275,8 +270,8 @@ func TestLiveInsertIDsDoNotCollideWithSeed(t *testing.T) {
 
 func TestResultPerOpBreakdown(t *testing.T) {
 	env, db := newBench(t, 10, 0, 30)
-	d := NewDriver(db, Config{Scale: 30, ReadRatio: 0.5, Users: 5,
-		RampUp: time.Second, Steady: 10 * time.Minute, RampDown: time.Second, ThinkTime: time.Second})
+	d := NewDriver(db, Config{Scale: 30, ReadRatio: 0.5, Users: 35,
+		RampUp: time.Second, Steady: 10 * time.Minute, RampDown: time.Second})
 	d.Start(env)
 	env.RunUntil(10*time.Minute + 2*time.Second)
 	res := d.Result()

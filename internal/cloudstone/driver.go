@@ -12,6 +12,11 @@ import (
 	"cloudrepl/internal/sqlengine"
 )
 
+// thinkTime is the mean of the exponential pause between a user's
+// operations, calibrated so that ≈100 users saturate one small slave at 50/50
+// as in the paper's Fig. 2.
+const thinkTime = 7 * time.Second
+
 // Config parameterizes a load run.
 type Config struct {
 	// Scale is the initial data size the database was preloaded with.
@@ -21,10 +26,6 @@ type Config struct {
 	ReadRatio float64
 	// Users is the number of concurrent emulated users ("workload").
 	Users int
-	// ThinkTime is the mean of the exponential pause between a user's
-	// operations. The default (7 s) is calibrated so that ≈100 users
-	// saturate one small slave at 50/50 as in the paper's Fig. 2.
-	ThinkTime time.Duration
 	// RampUp, Steady, RampDown are the run phases. The paper uses
 	// 10/20/5 minutes.
 	RampUp   time.Duration
@@ -100,9 +101,6 @@ func (c *Config) stageActive(i int, t time.Duration) (bool, time.Duration) {
 // applyDefaults fills what the caller left zero: the paper's 35-minute run
 // structure, its 50/50 mix and its 300-row data set.
 func (c *Config) applyDefaults() {
-	if c.ThinkTime == 0 {
-		c.ThinkTime = 7 * time.Second
-	}
 	if c.ReadRatio == 0 {
 		c.ReadRatio = 0.5
 	}
@@ -218,7 +216,7 @@ func (d *Driver) Start(env *sim.Env) (done func() bool) {
 			}
 			for !d.stop && p.Now() < end {
 				d.oneOperation(p)
-				p.Sleep(sim.Exp(p.Rand(), d.Cfg.ThinkTime))
+				p.Sleep(sim.Exp(p.Rand(), thinkTime))
 			}
 		})
 	}
@@ -244,11 +242,11 @@ func (d *Driver) runStaged(p *sim.Proc, i int, start, end sim.Time) {
 		}
 		if !active {
 			active = true
-			p.Sleep(time.Duration(p.Rand().Float64() * float64(d.Cfg.ThinkTime)))
+			p.Sleep(time.Duration(p.Rand().Float64() * float64(thinkTime)))
 			continue
 		}
 		d.oneOperation(p)
-		p.Sleep(sim.Exp(p.Rand(), d.Cfg.ThinkTime))
+		p.Sleep(sim.Exp(p.Rand(), thinkTime))
 	}
 }
 

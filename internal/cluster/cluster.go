@@ -44,12 +44,6 @@ type Config struct {
 	// PriorityApply runs every slave's SQL thread at high CPU priority
 	// (see server.DBServer.PriorityApply).
 	PriorityApply bool
-	// ProvisionTime is how long ProvisionSlave's snapshot transfer and
-	// restore take on the virtual timeline (default 30 s — roughly a
-	// mysqldump of the paper's data set over a zone-local link plus the VM
-	// boot). Writes committed during this window become the new replica's
-	// catch-up backlog.
-	ProvisionTime time.Duration
 	// Pipeline configures the replication data path: master group commit,
 	// batched binlog shipping, and parallel slave apply. The zero value is
 	// the classic one-statement-at-a-time path.
@@ -248,10 +242,16 @@ func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err 
 	return newMaster, dropped, nil
 }
 
+// provisionTime is how long ProvisionSlave's snapshot transfer and restore
+// take on the virtual timeline — roughly a mysqldump of the paper's data set
+// over a zone-local link plus the VM boot. Writes committed during this window
+// become the new replica's catch-up backlog.
+const provisionTime = 30 * time.Second
+
 // ProvisionSlave provisions a replica from a live snapshot of the master
 // (the mysqldump/xtrabackup flow) instead of the base image, at the cost the
 // paper's operators actually pay: the image is captured at the current binlog
-// position, then Config.ProvisionTime elapses for transfer + restore + boot,
+// position, then provisionTime elapses for transfer + restore + boot,
 // and only then does the replica attach — at exactly the position the image
 // captured, so no history needs replaying and no write is applied twice — and
 // start replicating. Every write committed during that window is its catch-up
@@ -259,11 +259,7 @@ func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err 
 // reason elastic scale-out needs a warm-up gate before the proxy may route
 // reads to it. Must be called from a simulation process.
 func (c *Cluster) ProvisionSlave(p *sim.Proc, spec NodeSpec) (*repl.Slave, error) {
-	d := c.cfg.ProvisionTime
-	if d <= 0 {
-		d = 30 * time.Second
-	}
 	// Image and position are taken at one virtual instant, so they agree.
 	m := c.master.Srv
-	return c.startReplica(spec, m.Eng.Snapshot(), m.Log.LastSeq(), func() { p.Sleep(d) })
+	return c.startReplica(spec, m.Eng.Snapshot(), m.Log.LastSeq(), func() { p.Sleep(provisionTime) })
 }

@@ -306,7 +306,7 @@ func TestProvisionSlaveUnderWriteLoad(t *testing.T) {
 			return
 		}
 		// First observation with no yield since attach: the snapshot was
-		// taken ProvisionTime ago, so the replica must start stale.
+		// taken provisionTime ago, so the replica must start stale.
 		lagSample = append(lagSample, sl.EventsBehindMaster())
 		for p.Now() < writeUntil+time.Minute {
 			p.Sleep(5 * time.Second)

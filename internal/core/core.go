@@ -211,9 +211,9 @@ type ScaleOpts struct {
 	// Spec places replicas added on scale-out (zero value: a Small instance
 	// in the provider's default zone, like cluster.AddSlave).
 	Spec cluster.NodeSpec
-	// Drain bounds how long a graceful scale-in waits for in-flight reads on
-	// the departing replica (≤0 means 30 s). Ignored on immediate scale-in.
-	Drain time.Duration
+	// drain overrides proxy.DrainTimeout for TestRemoveSlaveGracefulTimesOut,
+	// which needs a budget shorter than a read to see one abandoned.
+	drain time.Duration
 	// Victim pins the first replica removed on scale-in, in whichever cell it
 	// is attached to; nil removes the most-lagged one of the fullest cell.
 	Victim *repl.Slave
@@ -225,7 +225,7 @@ type ScaleOpts struct {
 // replica of the cell with the most — with one cell, simply its most-lagged
 // replica. With a non-nil process the removal is graceful — the proxy stops
 // routing new reads to the victim, in-flight reads drain (bounded by
-// opts.Drain), and only then is the node detached — so a scale-in under load
+// proxy.DrainTimeout), and only then is the node detached — so a scale-in under load
 // is invisible to clients. With p == nil removal is immediate: no new read is
 // routed to the victim, but reads already in flight will fail against the
 // dead instance and take the retry path.
@@ -242,6 +242,10 @@ func (db *DB) Scale(p *sim.Proc, delta int, opts ScaleOpts) error {
 			return err
 		}
 	}
+	drain := proxy.DrainTimeout
+	if opts.drain > 0 {
+		drain = opts.drain
+	}
 	var firstErr error
 	for ; delta < 0; delta++ {
 		cell, victim, err := pickVictim(cells, opts.Victim)
@@ -251,7 +255,7 @@ func (db *DB) Scale(p *sim.Proc, delta int, opts ScaleOpts) error {
 		opts.Victim = nil // only the first removal is pinned
 		abandoned := 0
 		if p != nil {
-			abandoned = cell.Px.Drain(p, victim, opts.Drain)
+			abandoned = cell.Px.Drain(p, victim, drain)
 		}
 		cell.Clu.RemoveSlave(victim)
 		cell.Px.Forget(victim)

@@ -333,7 +333,7 @@ func TestRemoveSlaveGracefulTimesOut(t *testing.T) {
 	var gotErr error
 	env.Go("operator", func(p *sim.Proc) {
 		p.Sleep(10 * time.Second)
-		gotErr = db.Scale(p, -1, ScaleOpts{Victim: sl, Drain: 10 * time.Millisecond})
+		gotErr = db.Scale(p, -1, ScaleOpts{Victim: sl, drain: 10 * time.Millisecond})
 	})
 	env.RunUntil(sim.Time(time.Minute))
 	if gotErr == nil {

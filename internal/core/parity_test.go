@@ -129,7 +129,7 @@ func TestHandleParity(t *testing.T) {
 				}
 				// Graceful, unpinned: one replica goes, from the fullest cell
 				// (the first on a tie).
-				if err := db.Scale(p, -1, ScaleOpts{Drain: time.Second}); err != nil {
+				if err := db.Scale(p, -1, ScaleOpts{}); err != nil {
 					t.Errorf("graceful scale-in: %v", err)
 				}
 				if perCell, _ = slaveCounts(db); perCell[0] != 1+2/shape.cells {
@@ -138,7 +138,7 @@ func TestHandleParity(t *testing.T) {
 				// Graceful, pinned to a replica of cell 0 — now the emptiest
 				// cell, which an unpinned removal would never pick.
 				pin := db.cells()[0].Clu.Slaves()[0]
-				if err := db.Scale(p, -1, ScaleOpts{Victim: pin, Drain: time.Second}); err != nil {
+				if err := db.Scale(p, -1, ScaleOpts{Victim: pin}); err != nil {
 					t.Errorf("pinned scale-in: %v", err)
 				}
 				if attached(db, pin) {

@@ -1,54 +1,65 @@
 package elastic
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"cloudrepl/internal/cluster"
+	"cloudrepl/internal/core"
+	"cloudrepl/internal/proxy"
 	"cloudrepl/internal/repl"
 	"cloudrepl/internal/sim"
 )
 
-// Config tunes the controller.
+// What the controller runs on. Each was a Config field until every caller
+// outside tests and examples was found to leave it at this value (DESIGN.md,
+// "Configuration surface").
+const (
+	// SLOTargetMs is the staleness objective: the windowed p95 staleness of
+	// the worst admitted replica must stay below it. StalenessSLO steers on
+	// it, SLOViolation integrates against it and A-ELASTIC scores every arm
+	// by it, whichever policy is steering.
+	SLOTargetMs = 500.0
+
+	// interval is the time between monitor ticks.
+	interval = 5 * time.Second
+	// window is the rolling-window width of every monitored signal.
+	window = 60 * time.Second
+	// cooldown is the minimum time between scaling actions, restarted when a
+	// provisioned replica is admitted. It gives the tier time to settle so one
+	// overload burst cannot trigger a slave stampede.
+	cooldown = 90 * time.Second
+	// settleAfterScale is how long after admitting a new replica the
+	// controller waits before judging whether the scale-out improved
+	// throughput.
+	settleAfterScale = window
+	// minSlaves and maxSlaves bound the fleet.
+	minSlaves, maxSlaves = 1, 8
+	// warmupMaxLagEvents: a freshly provisioned replica stays quarantined —
+	// the proxy serves no reads from it — until it is at most this many binlog
+	// events behind the master.
+	warmupMaxLagEvents = 5
+	// masterHighWater: when the master's windowed CPU utilization is at or
+	// above this, scale-out is refused and the tier declared master-bound —
+	// more read replicas cannot help a tier whose write master has no
+	// headroom.
+	masterHighWater = 0.90
+	// minTpGainFrac: a scale-out must improve windowed throughput by at least
+	// this fraction (judged settleAfterScale after admission) while the master
+	// is near its high water, or the replica is rolled back and the tier
+	// declared master-bound.
+	minTpGainFrac = 0.05
+)
+
+// Config is what differs between the controller's callers.
 type Config struct {
-	// Interval between monitor ticks (default 5 s).
-	Interval time.Duration
-	// Window is the rolling-window width for every monitored signal
-	// (default 60 s).
-	Window time.Duration
-	// Cooldown is the minimum time between scaling actions, restarted when
-	// a provisioned replica is admitted (default 90 s). It gives the tier
-	// time to settle so one overload burst cannot trigger a slave stampede.
-	Cooldown time.Duration
-	// SettleAfterScale is how long after admitting a new replica the
-	// controller waits before judging whether the scale-out actually
-	// improved throughput (default = Window).
-	SettleAfterScale time.Duration
-	// MinSlaves/MaxSlaves bound the fleet (defaults 1 and 8).
-	MinSlaves, MaxSlaves int
-	// WarmupMaxLagEvents: a freshly provisioned replica stays quarantined
-	// until it is at most this many binlog events behind the master
-	// (default 5). Until then the proxy serves no reads from it.
-	WarmupMaxLagEvents uint64
-	// MasterHighWater: when the master's windowed CPU utilization is at or
-	// above this, scale-out is refused and the controller declares the tier
-	// master-bound (default 0.90) — more read replicas cannot help a tier
-	// whose write master has no headroom.
-	MasterHighWater float64
-	// MinTpGainFrac: a scale-out must improve windowed throughput by at
-	// least this fraction (judged SettleAfterScale after admission) while
-	// the master is near its high water, or the replica is rolled back and
-	// the tier declared master-bound (default 0.05).
-	MinTpGainFrac float64
-	// DrainTimeout bounds the in-flight-read drain during scale-in
-	// (default 30 s).
-	DrainTimeout time.Duration
-	// Spec places newly provisioned replicas.
-	Spec cluster.NodeSpec
 	// Policy decides scaling. nil runs the controller in observe-only
 	// mode: it monitors, traces and accounts, but never scales — how the
 	// fixed-fleet baselines are measured with identical instrumentation.
 	Policy Policy
+	// Spec places newly provisioned replicas.
+	Spec cluster.NodeSpec
 	// ScaleCell, when set, is the escape hatch past the master ceiling:
 	// the controller invokes it (in its own process) each time it declares
 	// the tier master-bound. Read replicas cannot relieve a saturated
@@ -57,46 +68,6 @@ type Config struct {
 	// is cleared so replica scaling resumes in the new, smaller cell; on
 	// failure the verdict stands.
 	ScaleCell func(p *sim.Proc) error
-	// SLOTargetMs is the staleness objective used for violation accounting
-	// in the trace (default 500 ms). It is an accounting knob, independent
-	// of whichever policy is steering.
-	SLOTargetMs float64
-}
-
-func (c *Config) defaults() {
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.Window <= 0 {
-		c.Window = 60 * time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 90 * time.Second
-	}
-	if c.SettleAfterScale <= 0 {
-		c.SettleAfterScale = c.Window
-	}
-	if c.MinSlaves <= 0 {
-		c.MinSlaves = 1
-	}
-	if c.MaxSlaves <= 0 {
-		c.MaxSlaves = 8
-	}
-	if c.WarmupMaxLagEvents == 0 {
-		c.WarmupMaxLagEvents = 5
-	}
-	if c.MasterHighWater <= 0 {
-		c.MasterHighWater = 0.90
-	}
-	if c.MinTpGainFrac <= 0 {
-		c.MinTpGainFrac = 0.05
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
-	if c.SLOTargetMs <= 0 {
-		c.SLOTargetMs = 500
-	}
 }
 
 // Decision is one entry of the controller's decision log.
@@ -129,9 +100,10 @@ func (d Decision) String() string {
 // simulation process.
 type Controller struct {
 	env *sim.Env
-	src Sources
+	clu *cluster.Cluster
+	px  *proxy.Proxy
 	cfg Config
-	mon *Monitor
+	mon *monitor
 
 	trace     []Sample
 	decisions []Decision
@@ -159,29 +131,36 @@ type judgeState struct {
 	slave *repl.Slave
 }
 
-// Start wires a controller onto the tier and launches its tick loop.
-func Start(env *sim.Env, cfg Config, src Sources) *Controller {
-	cfg.defaults()
+// Start wires a controller onto the one-cell tier behind db and launches its
+// tick loop. The cluster, the proxy and the pool's wait counter are the
+// handle's; ops is the one signal it cannot know — the cumulative number of
+// client operations the load driver has completed (nil reads as zero
+// throughput). A handle that fronts several cells is refused: the controller
+// steers one master's replica fleet. (ScaleCell may split the tier later;
+// the controller stays on the cell it started with.)
+func Start(env *sim.Env, db *core.DB, ops func() float64, cfg Config) (*Controller, error) {
+	clu, px := db.Cluster(), db.Proxy()
+	if clu == nil {
+		return nil, errors.New("elastic: the handle fronts several cells; the controller steers one")
+	}
 	c := &Controller{
 		env: env,
-		src: src,
+		clu: clu,
+		px:  px,
 		cfg: cfg,
-		mon: NewMonitor(env, src, cfg.Window),
+		mon: newMonitor(env, clu, px, ops, func() float64 { return float64(db.Pool().Stats().Waits) }),
 	}
 	env.Go("elastic", func(p *sim.Proc) {
 		for !c.stopped {
 			c.tick(p)
-			p.Sleep(c.cfg.Interval)
+			p.Sleep(interval)
 		}
 	})
-	return c
+	return c, nil
 }
 
 // Stop halts the tick loop after the current tick.
 func (c *Controller) Stop() { c.stopped = true }
-
-// Trace returns every sample the monitor took, in order.
-func (c *Controller) Trace() []Sample { return c.trace }
 
 // Decisions returns the decision log.
 func (c *Controller) Decisions() []Decision { return c.decisions }
@@ -238,13 +217,13 @@ func (c *Controller) Verdict() string {
 }
 
 // SLOViolation integrates the time the admitted fleet's worst current
-// staleness exceeded targetMs over the traced run — the "how long were
+// staleness exceeded SLOTargetMs over the traced run — the "how long were
 // clients exposed to data older than the objective" figure. A tick's state
 // is held until the next tick (left-continuous step function).
-func (c *Controller) SLOViolation(targetMs float64) time.Duration {
+func (c *Controller) SLOViolation() time.Duration {
 	var v time.Duration
 	for i := 1; i < len(c.trace); i++ {
-		if c.trace[i-1].WorstAdmittedStalenessMs > targetMs {
+		if c.trace[i-1].WorstAdmittedStalenessMs > SLOTargetMs {
 			v += time.Duration(c.trace[i].T - c.trace[i-1].T)
 		}
 	}
@@ -258,7 +237,7 @@ func (c *Controller) record(p *sim.Proc, action, slave, reason string, admitted 
 }
 
 func (c *Controller) tick(p *sim.Proc) {
-	s := c.mon.Sample()
+	s := c.mon.sample()
 	c.trace = append(c.trace, s)
 
 	c.admitWarmed(p, s)
@@ -285,8 +264,8 @@ func (c *Controller) admitWarmed(p *sim.Proc, s Sample) {
 		case !sl.Srv.Up():
 			c.provisioning = false
 			c.record(p, "provision-failed", sl.Srv.Name, "instance died during warm-up", s.AdmittedCount)
-		case sl.EventsBehindMaster() <= c.cfg.WarmupMaxLagEvents:
-			c.src.Proxy.Admit(sl)
+		case sl.EventsBehindMaster() <= warmupMaxLagEvents:
+			c.px.Admit(sl)
 			c.provisioning = false
 			c.lastScale = p.Now()
 			c.record(p, "admit", sl.Srv.Name,
@@ -295,7 +274,7 @@ func (c *Controller) admitWarmed(p *sim.Proc, s Sample) {
 			if c.judge == nil {
 				c.judge = &judgeState{
 					preTp: c.preScaleTp,
-					at:    p.Now() + c.cfg.SettleAfterScale,
+					at:    p.Now() + settleAfterScale,
 					slave: sl,
 				}
 			}
@@ -306,7 +285,7 @@ func (c *Controller) admitWarmed(p *sim.Proc, s Sample) {
 	c.warming = keep
 }
 
-// judgeImprovement checks, SettleAfterScale after an admission, whether the
+// judgeImprovement checks, settleAfterScale after an admission, whether the
 // scale-out moved throughput. If it did not and the master has no CPU
 // headroom, the added replica was pure cost: it is rolled back and the tier
 // declared master-bound.
@@ -323,7 +302,7 @@ func (c *Controller) judgeImprovement(p *sim.Proc, s Sample) {
 	if j.preTp > 0 {
 		gain = (s.Throughput - j.preTp) / j.preTp
 	}
-	if gain >= c.cfg.MinTpGainFrac || s.MasterUtil < 0.95*c.cfg.MasterHighWater {
+	if gain >= minTpGainFrac || s.MasterUtil < 0.95*masterHighWater {
 		return
 	}
 	c.declareMasterBound(p, s.AdmittedCount-1,
@@ -375,16 +354,16 @@ func (c *Controller) tryScaleOut(p *sim.Proc, s Sample, reason string) {
 	switch {
 	case c.masterBound, c.provisioning, len(c.warming) > 0:
 		return
-	case now-c.lastScale < c.cfg.Cooldown:
+	case now-c.lastScale < cooldown:
 		return
-	case len(c.src.Cluster.Slaves()) >= c.cfg.MaxSlaves:
+	case len(c.clu.Slaves()) >= maxSlaves:
 		return
 	}
-	if s.MasterUtil >= c.cfg.MasterHighWater {
+	if s.MasterUtil >= masterHighWater {
 		// Growing the read fleet cannot relieve a saturated write master.
 		c.declareMasterBound(p, s.AdmittedCount,
 			fmt.Sprintf("master CPU %.0f%% ≥ %.0f%% high water; refusing scale-out (%s)",
-				s.MasterUtil*100, c.cfg.MasterHighWater*100, reason))
+				s.MasterUtil*100, masterHighWater*100, reason))
 		return
 	}
 	c.provisioning = true
@@ -392,7 +371,7 @@ func (c *Controller) tryScaleOut(p *sim.Proc, s Sample, reason string) {
 	c.preScaleTp = s.Throughput
 	c.record(p, "scale-out", "", reason, s.AdmittedCount)
 	c.env.Go("elastic/provision", func(pp *sim.Proc) {
-		sl, err := c.src.Cluster.ProvisionSlave(pp, c.cfg.Spec)
+		sl, err := c.clu.ProvisionSlave(pp, c.cfg.Spec)
 		if err != nil {
 			c.provisioning = false
 			c.record(pp, "provision-failed", "", err.Error(), 0)
@@ -400,7 +379,7 @@ func (c *Controller) tryScaleOut(p *sim.Proc, s Sample, reason string) {
 		}
 		// ProvisionSlave returns without yielding after attach, so the
 		// quarantine lands before any read can route to the new node.
-		c.src.Proxy.Quarantine(sl)
+		c.px.Quarantine(sl)
 		c.warming = append(c.warming, sl)
 	})
 }
@@ -410,9 +389,9 @@ func (c *Controller) tryScaleIn(p *sim.Proc, s Sample, reason string) {
 	switch {
 	case c.provisioning, len(c.warming) > 0:
 		return
-	case now-c.lastScale < c.cfg.Cooldown:
+	case now-c.lastScale < cooldown:
 		return
-	case s.AdmittedCount <= c.cfg.MinSlaves:
+	case s.AdmittedCount <= minSlaves:
 		return
 	}
 	victim := c.mostLaggedAdmitted()
@@ -428,9 +407,9 @@ func (c *Controller) tryScaleIn(p *sim.Proc, s Sample, reason string) {
 // tick loop keeps running while in-flight reads drain.
 func (c *Controller) removeGraceful(p *sim.Proc, sl *repl.Slave) {
 	c.env.Go("elastic/drain", func(pp *sim.Proc) {
-		abandoned := c.src.Proxy.Drain(pp, sl, c.cfg.DrainTimeout)
-		c.src.Cluster.RemoveSlave(sl)
-		c.src.Proxy.Forget(sl)
+		abandoned := c.px.Drain(pp, sl, proxy.DrainTimeout)
+		c.clu.RemoveSlave(sl)
+		c.px.Forget(sl)
 		c.record(pp, "drained", sl.Srv.Name,
 			fmt.Sprintf("instance terminated (%d read(s) abandoned)", abandoned), 0)
 	})
@@ -438,8 +417,8 @@ func (c *Controller) removeGraceful(p *sim.Proc, sl *repl.Slave) {
 
 func (c *Controller) mostLaggedAdmitted() *repl.Slave {
 	var worst *repl.Slave
-	for _, sl := range c.src.Cluster.Slaves() {
-		if !sl.Srv.Up() || c.src.Proxy.Quarantined(sl) {
+	for _, sl := range c.clu.Slaves() {
+		if !sl.Srv.Up() || c.px.Quarantined(sl) {
 			continue
 		}
 		if worst == nil || sl.EventsBehindMaster() > worst.EventsBehindMaster() {
@@ -450,7 +429,7 @@ func (c *Controller) mostLaggedAdmitted() *repl.Slave {
 }
 
 func (c *Controller) attached(sl *repl.Slave) bool {
-	for _, s := range c.src.Cluster.Slaves() {
+	for _, s := range c.clu.Slaves() {
 		if s == sl {
 			return true
 		}

@@ -11,6 +11,7 @@ import (
 	"cloudrepl/internal/core"
 	"cloudrepl/internal/repl"
 	"cloudrepl/internal/server"
+	"cloudrepl/internal/shard"
 	"cloudrepl/internal/sim"
 	"cloudrepl/internal/sqlengine"
 )
@@ -40,16 +41,52 @@ func newTier(t *testing.T, seed int64, nSlaves int) (*sim.Env, *cluster.Cluster,
 		specs[i] = cluster.NodeSpec{Place: place}
 	}
 	clu, err := cluster.New(env, c, cluster.Config{
-		Cost:          server.DefaultCostModel(),
-		Master:        cluster.NodeSpec{Place: place},
-		Slaves:        specs,
-		Preload:       preloadApp,
-		ProvisionTime: 20 * time.Second,
+		Cost:    server.DefaultCostModel(),
+		Master:  cluster.NodeSpec{Place: place},
+		Slaves:  specs,
+		Preload: preloadApp,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return env, clu, core.Open(clu, core.WithDatabase("app"), core.WithClientPlace(place))
+}
+
+// start runs a controller on db with no throughput signal.
+func start(t *testing.T, env *sim.Env, db *core.DB, cfg Config) *Controller {
+	t.Helper()
+	c, err := Start(env, db, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestStartTakesOneCell: the controller steers one master's fleet, so Start
+// accepts a handle that fronts one cell — from Open or, ready for ScaleCell to
+// split, from OpenSharded — and refuses one that fronts two.
+func TestStartTakesOneCell(t *testing.T) {
+	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	for cells := 1; cells <= 2; cells++ {
+		env := sim.NewEnv(15)
+		db, err := core.OpenSharded(env, cloud.New(env, cloud.Config{}),
+			cluster.Config{Cost: server.DefaultCostModel(), Master: cluster.NodeSpec{Place: place}},
+			core.WithShards(cells), core.WithDatabase("app"), core.WithClientPlace(place),
+			core.WithKeyspace(shard.Keyspace{Key: map[string]string{"t": "id"}}),
+			core.WithPartitionedPreload(func(func(string, int64) bool) func(*server.DBServer) error { return preloadApp }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Start(env, db, nil, Config{})
+		if refused := err != nil; refused != (cells > 1) {
+			t.Errorf("%d cell(s): Start returned %v", cells, err)
+		}
+		if (c == nil) != (err != nil) {
+			t.Errorf("%d cell(s): controller %v with error %v", cells, c, err)
+		}
+		env.Stop()
+		env.Shutdown()
+	}
 }
 
 func hasDecision(ds []Decision, action string) bool {
@@ -62,7 +99,7 @@ func hasDecision(ds []Decision, action string) bool {
 }
 
 // alwaysOut is a test policy that demands growth every tick; the
-// controller's own guards (cooldown, warm-up, MaxSlaves, master-bound) are
+// controller's own guards (cooldown, warm-up, maxSlaves, master-bound) are
 // what is under test.
 type alwaysOut struct{}
 
@@ -76,16 +113,14 @@ func (alwaysOut) Decide(Sample) (Action, string) { return ScaleOut, "test" }
 func TestWarmupGateNoReadsUntilCaughtUp(t *testing.T) {
 	env, clu, db := newTier(t, 11, 1)
 	first := clu.Slaves()[0]
-	const end = 3 * time.Minute
+	// The cooldown holds the first scale-out until 90 s, provisioning takes
+	// 30 s more; the second cooldown outlasts the run.
+	const end = 4 * time.Minute
 
-	ctrl := Start(env, Config{
-		Interval:           time.Second,
-		Cooldown:           5 * time.Second,
-		WarmupMaxLagEvents: 5,
-		MaxSlaves:          2,
-		Spec:               cluster.NodeSpec{Place: first.Srv.Inst.Place},
-		Policy:             alwaysOut{},
-	}, Sources{Cluster: clu, Proxy: db.Proxy()})
+	ctrl := start(t, env, db, Config{
+		Spec:   cluster.NodeSpec{Place: first.Srv.Inst.Place},
+		Policy: alwaysOut{},
+	})
 
 	// Write load keeps the binlog moving so the provisioned slave comes up
 	// with a real backlog; read load gives the proxy reads to (mis)route.
@@ -125,7 +160,7 @@ func TestWarmupGateNoReadsUntilCaughtUp(t *testing.T) {
 					t.Errorf("quarantined slave %s served %d read(s)", added.Srv.Name, got)
 					return
 				}
-				if added.EventsBehindMaster() > 5 {
+				if added.EventsBehindMaster() > warmupMaxLagEvents {
 					sawLaggedQuarantine = true
 				}
 			}
@@ -165,7 +200,7 @@ func TestWarmupGateNoReadsUntilCaughtUp(t *testing.T) {
 // demands must stay suppressed — no flapping against the ceiling.
 func TestMasterBoundPrecheck(t *testing.T) {
 	env, clu, db := newTier(t, 12, 1)
-	c := Start(env, Config{}, Sources{Cluster: clu, Proxy: db.Proxy()}) // observe-only ticks
+	c := start(t, env, db, Config{}) // observe-only ticks
 
 	env.Go("test", func(p *sim.Proc) {
 		p.Sleep(2 * time.Minute) // clear the cooldown guard
@@ -209,7 +244,7 @@ func TestMasterBoundPrecheck(t *testing.T) {
 // nothing.
 func TestJudgeRollsBackIneffectiveScaleOut(t *testing.T) {
 	env, clu, db := newTier(t, 13, 2)
-	c := Start(env, Config{}, Sources{Cluster: clu, Proxy: db.Proxy()})
+	c := start(t, env, db, Config{})
 	sl := clu.Slaves()[1]
 
 	env.Go("test", func(p *sim.Proc) {
@@ -239,7 +274,7 @@ func TestJudgeRollsBackIneffectiveScaleOut(t *testing.T) {
 // without any verdict.
 func TestJudgeKeepsEffectiveScaleOut(t *testing.T) {
 	env, clu, db := newTier(t, 14, 2)
-	c := Start(env, Config{}, Sources{Cluster: clu, Proxy: db.Proxy()})
+	c := start(t, env, db, Config{})
 	sl := clu.Slaves()[1]
 
 	env.Go("test", func(p *sim.Proc) {
@@ -264,15 +299,15 @@ func TestJudgeKeepsEffectiveScaleOut(t *testing.T) {
 // (the tier now has a second master); failure records cell-scale-failed and
 // leaves the verdict standing so the operator sees the ceiling.
 func TestScaleCellOnMasterBound(t *testing.T) {
-	env, clu, db := newTier(t, 13, 1)
+	env, _, db := newTier(t, 13, 1)
 	calls := 0
-	c := Start(env, Config{
+	c := start(t, env, db, Config{
 		ScaleCell: func(p *sim.Proc) error {
 			calls++
 			p.Sleep(5 * time.Second) // splits take time; verdict lifts only after
 			return nil
 		},
-	}, Sources{Cluster: clu, Proxy: db.Proxy()})
+	})
 
 	env.Go("test", func(p *sim.Proc) {
 		p.Sleep(2 * time.Minute)
@@ -302,13 +337,13 @@ func TestScaleCellOnMasterBound(t *testing.T) {
 }
 
 func TestScaleCellFailureKeepsVerdict(t *testing.T) {
-	env, clu, db := newTier(t, 14, 1)
-	c := Start(env, Config{
+	env, _, db := newTier(t, 14, 1)
+	c := start(t, env, db, Config{
 		ScaleCell: func(p *sim.Proc) error {
 			p.Sleep(time.Second)
 			return errors.New("source slaves cannot keep up")
 		},
-	}, Sources{Cluster: clu, Proxy: db.Proxy()})
+	})
 
 	env.Go("test", func(p *sim.Proc) {
 		p.Sleep(2 * time.Minute)

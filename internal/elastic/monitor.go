@@ -21,19 +21,6 @@ import (
 	"cloudrepl/internal/sim"
 )
 
-// Sources tells the monitor where to read its signals. Cluster and Proxy are
-// required; Ops and PoolWaits are cumulative counters sampled each tick (nil
-// means the corresponding signal reads as zero).
-type Sources struct {
-	Cluster *cluster.Cluster
-	Proxy   *proxy.Proxy
-	// Ops returns the cumulative number of completed client operations.
-	Ops func() float64
-	// PoolWaits returns the cumulative number of pool borrows that had to
-	// queue — the application-side symptom of a saturated backend.
-	PoolWaits func() float64
-}
-
 // SlaveSample is one replica's state at a monitor tick.
 type SlaveSample struct {
 	Name string
@@ -74,13 +61,16 @@ type Sample struct {
 	WorstAdmittedP95Ms float64
 }
 
-// Monitor samples the tier into rolling windows. It is driven by the
-// controller's tick loop; Sample must be called from a simulation callback
-// or process (single-threaded scheduler, no locking needed).
-type Monitor struct {
-	env    *sim.Env
-	src    Sources
-	window time.Duration
+// monitor samples the tier into rolling windows. It is driven by the
+// controller's tick loop (single-threaded scheduler, no locking needed).
+type monitor struct {
+	env *sim.Env
+	clu *cluster.Cluster
+	px  *proxy.Proxy
+	// ops and poolWaits are cumulative counters sampled each tick: completed
+	// client operations (nil reads as zero) and pool borrows that had to
+	// queue — the application-side symptom of a saturated backend.
+	ops, poolWaits func() float64
 
 	tput  *metrics.WindowedRate
 	waits *metrics.WindowedRate
@@ -88,54 +78,47 @@ type Monitor struct {
 	stale map[*repl.Slave]*metrics.RollingWindow
 }
 
-// NewMonitor creates a monitor with the given rolling-window width.
-func NewMonitor(env *sim.Env, src Sources, window time.Duration) *Monitor {
-	if window <= 0 {
-		window = 60 * time.Second
-	}
-	return &Monitor{
-		env:    env,
-		src:    src,
-		window: window,
-		tput:   metrics.NewWindowedRate(window),
-		waits:  metrics.NewWindowedRate(window),
-		busy:   make(map[*cloud.Instance]*metrics.WindowedRate),
-		stale:  make(map[*repl.Slave]*metrics.RollingWindow),
+func newMonitor(env *sim.Env, clu *cluster.Cluster, px *proxy.Proxy, ops, poolWaits func() float64) *monitor {
+	return &monitor{
+		env:       env,
+		clu:       clu,
+		px:        px,
+		ops:       ops,
+		poolWaits: poolWaits,
+		tput:      metrics.NewWindowedRate(window),
+		waits:     metrics.NewWindowedRate(window),
+		busy:      make(map[*cloud.Instance]*metrics.WindowedRate),
+		stale:     make(map[*repl.Slave]*metrics.RollingWindow),
 	}
 }
-
-// Window returns the monitor's rolling-window width.
-func (m *Monitor) Window() time.Duration { return m.window }
 
 // nodeUtil observes the instance's cumulative busy-seconds counter and
 // returns its windowed CPU utilization (fraction of capacity). BusySeconds
 // resets with the resource stats; WindowedRate's counter-reset guard makes
 // that a transient zero rather than a negative rate.
-func (m *Monitor) nodeUtil(now sim.Time, inst *cloud.Instance) float64 {
+func (m *monitor) nodeUtil(now sim.Time, inst *cloud.Instance) float64 {
 	w := m.busy[inst]
 	if w == nil {
-		w = metrics.NewWindowedRate(m.window)
+		w = metrics.NewWindowedRate(window)
 		m.busy[inst] = w
 	}
 	w.Observe(now, inst.CPU.BusySeconds())
 	return w.Rate() / float64(inst.CPU.Cap())
 }
 
-// Sample reads every signal once and folds it into the rolling windows.
-func (m *Monitor) Sample() Sample {
+// sample reads every signal once and folds it into the rolling windows.
+func (m *monitor) sample() Sample {
 	now := m.env.Now()
 	s := Sample{T: now}
 
-	if m.src.Ops != nil {
-		m.tput.Observe(now, m.src.Ops())
+	if m.ops != nil {
+		m.tput.Observe(now, m.ops())
 		s.Throughput = m.tput.Rate()
 	}
-	if m.src.PoolWaits != nil {
-		m.waits.Observe(now, m.src.PoolWaits())
-		s.PoolWaitRate = m.waits.Rate()
-	}
+	m.waits.Observe(now, m.poolWaits())
+	s.PoolWaitRate = m.waits.Rate()
 
-	master := m.src.Cluster.Master()
+	master := m.clu.Master()
 	s.MasterUtil = m.nodeUtil(now, master.Srv.Inst)
 
 	slaves := master.Slaves()
@@ -143,7 +126,7 @@ func (m *Monitor) Sample() Sample {
 	for _, sl := range slaves {
 		rw := m.stale[sl]
 		if rw == nil {
-			rw = metrics.NewRollingWindow(m.window)
+			rw = metrics.NewRollingWindow(window)
 			m.stale[sl] = rw
 		}
 		staleMs := float64(sl.Staleness(now)) / float64(time.Millisecond)
@@ -155,7 +138,7 @@ func (m *Monitor) Sample() Sample {
 			StalenessMs:    staleMs,
 			P95StalenessMs: rw.Quantile(0.95),
 			LagEvents:      sl.EventsBehindMaster(),
-			Admitted:       sl.Srv.Up() && !m.src.Proxy.Quarantined(sl),
+			Admitted:       sl.Srv.Up() && !m.px.Quarantined(sl),
 		}
 		s.Slaves = append(s.Slaves, ss)
 		if ss.Admitted {
@@ -179,7 +162,7 @@ func (m *Monitor) Sample() Sample {
 // prune drops window state for replicas no longer attached, so state does
 // not accumulate across scale-out/scale-in cycles. (Map iteration order is
 // irrelevant here: it only deletes.)
-func (m *Monitor) prune(attached []*repl.Slave) {
+func (m *monitor) prune(attached []*repl.Slave) {
 	if len(m.stale) == len(attached) {
 		return
 	}

@@ -37,104 +37,69 @@ type Policy interface {
 }
 
 // ReactiveUtilization scales on slave CPU pressure: out when the admitted
-// fleet's mean utilization crosses HighWater, in when it falls below
-// LowWater. The gap between the watermarks is the hysteresis band that keeps
-// the fleet from oscillating around a single threshold.
-type ReactiveUtilization struct {
-	// HighWater triggers scale-out (default 0.75).
-	HighWater float64
-	// LowWater triggers scale-in (default 0.30).
-	LowWater float64
-}
+// fleet's mean utilization crosses reactiveHighWater, in when it falls below
+// reactiveLowWater. The gap between the watermarks is the hysteresis band
+// that keeps the fleet from oscillating around a single threshold.
+type ReactiveUtilization struct{}
+
+const (
+	reactiveHighWater = 0.75
+	reactiveLowWater  = 0.30
+)
 
 // Name implements Policy.
 func (ReactiveUtilization) Name() string { return "reactive-util" }
 
-func (p ReactiveUtilization) high() float64 {
-	if p.HighWater > 0 {
-		return p.HighWater
-	}
-	return 0.75
-}
-
-func (p ReactiveUtilization) low() float64 {
-	if p.LowWater > 0 {
-		return p.LowWater
-	}
-	return 0.30
-}
-
 // Decide implements Policy.
-func (p ReactiveUtilization) Decide(s Sample) (Action, string) {
+func (ReactiveUtilization) Decide(s Sample) (Action, string) {
 	if s.AdmittedCount == 0 {
 		return Hold, "no admitted slaves"
 	}
-	if u := s.MeanAdmittedUtil; u >= p.high() {
+	if u := s.MeanAdmittedUtil; u >= reactiveHighWater {
 		return ScaleOut, fmt.Sprintf("mean slave CPU %.0f%% ≥ %.0f%% high water (pool waits %.1f/s)",
-			u*100, p.high()*100, s.PoolWaitRate)
+			u*100, reactiveHighWater*100, s.PoolWaitRate)
 	}
-	if u := s.MeanAdmittedUtil; u <= p.low() {
-		return ScaleIn, fmt.Sprintf("mean slave CPU %.0f%% ≤ %.0f%% low water", u*100, p.low()*100)
+	if u := s.MeanAdmittedUtil; u <= reactiveLowWater {
+		return ScaleIn, fmt.Sprintf("mean slave CPU %.0f%% ≤ %.0f%% low water", u*100, reactiveLowWater*100)
 	}
 	return Hold, ""
 }
 
 // StalenessSLO scales on the service-level objective the application
-// actually cares about: the p95 age of the data its reads can observe. A
-// saturated replica's applier starves behind client reads and its staleness
-// grows without bound, so this policy reacts to overload through the same
-// signal that defines the violation — no CPU threshold to mistune. Scale-in
-// is double-guarded (deep SLO headroom and projected post-removal CPU) so
-// shedding a replica cannot immediately re-violate the objective.
-type StalenessSLO struct {
-	// TargetP95Ms is the objective: windowed p95 staleness of the worst
-	// admitted replica must stay below this (default 500 ms).
-	TargetP95Ms float64
-	// ScaleInFraction: scale in only when p95 staleness is below this
-	// fraction of the target (default 0.2).
-	ScaleInFraction float64
-	// UtilGuard: scale in only if the remaining replicas' projected mean
-	// CPU stays below this (default 0.60).
-	UtilGuard float64
-}
+// actually cares about: the p95 age of the data its reads can observe must
+// stay below SLOTargetMs. A saturated replica's applier starves behind client
+// reads and its staleness grows without bound, so this policy reacts to
+// overload through the same signal that defines the violation — no CPU
+// threshold to mistune. Scale-in is double-guarded (deep SLO headroom and
+// projected post-removal CPU) so shedding a replica cannot immediately
+// re-violate the objective.
+type StalenessSLO struct{}
+
+const (
+	// scaleInFraction: scale in only when p95 staleness is below this
+	// fraction of the target.
+	scaleInFraction = 0.2
+	// utilGuard: scale in only if the remaining replicas' projected mean CPU
+	// stays below this.
+	utilGuard = 0.60
+)
 
 // Name implements Policy.
 func (StalenessSLO) Name() string { return "staleness-slo" }
 
-func (p StalenessSLO) target() float64 {
-	if p.TargetP95Ms > 0 {
-		return p.TargetP95Ms
-	}
-	return 500
-}
-
-func (p StalenessSLO) frac() float64 {
-	if p.ScaleInFraction > 0 {
-		return p.ScaleInFraction
-	}
-	return 0.2
-}
-
-func (p StalenessSLO) guard() float64 {
-	if p.UtilGuard > 0 {
-		return p.UtilGuard
-	}
-	return 0.60
-}
-
 // Decide implements Policy.
-func (p StalenessSLO) Decide(s Sample) (Action, string) {
+func (StalenessSLO) Decide(s Sample) (Action, string) {
 	if s.AdmittedCount == 0 {
 		return Hold, "no admitted slaves"
 	}
-	if s.WorstAdmittedP95Ms > p.target() {
-		return ScaleOut, fmt.Sprintf("p95 staleness %.0f ms > %.0f ms SLO", s.WorstAdmittedP95Ms, p.target())
+	if s.WorstAdmittedP95Ms > SLOTargetMs {
+		return ScaleOut, fmt.Sprintf("p95 staleness %.0f ms > %.0f ms SLO", s.WorstAdmittedP95Ms, SLOTargetMs)
 	}
-	if s.AdmittedCount > 1 && s.WorstAdmittedP95Ms < p.frac()*p.target() {
+	if s.AdmittedCount > 1 && s.WorstAdmittedP95Ms < scaleInFraction*SLOTargetMs {
 		projected := s.MeanAdmittedUtil * float64(s.AdmittedCount) / float64(s.AdmittedCount-1)
-		if projected <= p.guard() {
+		if projected <= utilGuard {
 			return ScaleIn, fmt.Sprintf("p95 staleness %.0f ms ≪ SLO and projected CPU %.0f%% ≤ %.0f%% guard",
-				s.WorstAdmittedP95Ms, projected*100, p.guard()*100)
+				s.WorstAdmittedP95Ms, projected*100, utilGuard*100)
 		}
 	}
 	return Hold, ""

@@ -3,7 +3,7 @@ package elastic
 import "testing"
 
 func TestReactiveUtilization(t *testing.T) {
-	p := ReactiveUtilization{} // defaults: 0.75 / 0.30
+	p := ReactiveUtilization{} // 0.75 / 0.30
 	cases := []struct {
 		name string
 		s    Sample
@@ -24,7 +24,7 @@ func TestReactiveUtilization(t *testing.T) {
 }
 
 func TestStalenessSLO(t *testing.T) {
-	p := StalenessSLO{TargetP95Ms: 500} // defaults: frac 0.2, guard 0.60
+	p := StalenessSLO{} // target 500 ms, frac 0.2, guard 0.60
 	cases := []struct {
 		name string
 		s    Sample

@@ -72,11 +72,8 @@ type elasticArm struct {
 	policy        elastic.Policy // nil = fixed fleet (observe-only)
 }
 
-// sloMs is the staleness objective every arm is scored against.
-const sloMs = 500
-
 // sloArm is the staleness-SLO controller starting from one slave.
-var sloArm = elasticArm{name: "staleness-slo", initialSlaves: 1, policy: elastic.StalenessSLO{TargetP95Ms: sloMs}}
+var sloArm = elasticArm{name: "staleness-slo", initialSlaves: 1, policy: elastic.StalenessSLO{}}
 
 // elasticStages is the stepped 50→250-user ramp every arm runs.
 func elasticStages(stageDur time.Duration) []cloudstone.Stage {
@@ -107,9 +104,9 @@ func AblationElastic(opts SweepOpts) (ElasticResult, error) {
 		sloArm,
 	}
 
-	out := ElasticResult{SLOTargetMs: sloMs, Stages: stages}
+	out := ElasticResult{SLOTargetMs: elastic.SLOTargetMs, Stages: stages}
 	for i, arm := range arms {
-		fr, err := runElasticArm(opts.Seed+int64(i), arm, stages, sloMs)
+		fr, err := runElasticArm(opts.Seed+int64(i), arm, stages)
 		if err != nil {
 			return out, err
 		}
@@ -134,16 +131,16 @@ func elasticSLOArm(o SweepOpts) func() (any, error) {
 	}
 	stages := elasticStages(stageDur)
 	return func() (any, error) {
-		fr, err := runElasticArm(o.Seed, sloArm, stages, sloMs)
+		fr, err := runElasticArm(o.Seed, sloArm, stages)
 		if err != nil {
 			return nil, err
 		}
-		return ElasticJSON(ElasticResult{SLOTargetMs: sloMs, Stages: stages, Fleets: []ElasticFleetResult{fr}}), nil
+		return ElasticJSON(ElasticResult{SLOTargetMs: elastic.SLOTargetMs, Stages: stages, Fleets: []ElasticFleetResult{fr}}), nil
 	}
 }
 
 // runElasticArm executes one arm on its own virtual timeline.
-func runElasticArm(seed int64, arm elasticArm, stages []cloudstone.Stage, sloMs float64) (ElasticFleetResult, error) {
+func runElasticArm(seed int64, arm elasticArm, stages []cloudstone.Stage) (ElasticFleetResult, error) {
 	env := sim.NewEnv(seed)
 	cloudCfg := cloud.DefaultConfig()
 	cloudCfg.CPUCoV = 0 // homogeneous fleet: curves reflect control, not luck
@@ -187,16 +184,13 @@ func runElasticArm(seed int64, arm elasticArm, stages []cloudstone.Stage, sloMs 
 		Stages:    stages,
 	})
 
-	ctrl := elastic.Start(env, elastic.Config{
-		Policy:      arm.policy,
-		Spec:        cluster.NodeSpec{Place: SameZone.SlavePlacement()},
-		SLOTargetMs: sloMs,
-	}, elastic.Sources{
-		Cluster:   clu,
-		Proxy:     db.Proxy(),
-		Ops:       func() float64 { return float64(driver.CompletedOps()) },
-		PoolWaits: func() float64 { return float64(db.Pool().Stats().Waits) },
+	ctrl, err := elastic.Start(env, db, func() float64 { return float64(driver.CompletedOps()) }, elastic.Config{
+		Policy: arm.policy,
+		Spec:   cluster.NodeSpec{Place: SameZone.SlavePlacement()},
 	})
+	if err != nil {
+		return ElasticFleetResult{}, fmt.Errorf("elastic arm %s: %w", arm.name, err)
+	}
 
 	admitted := func() int {
 		n := 0
@@ -227,7 +221,7 @@ func runElasticArm(seed int64, arm elasticArm, stages []cloudstone.Stage, sloMs 
 	fr := ElasticFleetResult{
 		Name:             arm.name,
 		Policy:           "fixed",
-		SLOViolation:     ctrl.SLOViolation(sloMs),
+		SLOViolation:     ctrl.SLOViolation(),
 		FinalSlaves:      admitted(),
 		Decisions:        ctrl.Decisions(),
 		SlavesSeries:     slavesSeries,

@@ -115,7 +115,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		checkMetricNames(t, "metric_names_run.txt", res.Metrics)
 	})
 	t.Run("elastic", func(t *testing.T) {
-		fr, err := runElasticArm(7, sloArm, elasticStages(time.Minute), sloMs)
+		fr, err := runElasticArm(7, sloArm, elasticStages(time.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,13 +18,14 @@ func hbRig(t *testing.T, seed int64, nSlaves int, slaveOffset time.Duration) (*s
 	env := sim.NewEnv(seed)
 	lat := cloud.DefaultLatencies()
 	lat.JitterSigma = 0
-	c := cloud.New(env, cloud.Config{Network: cloud.NewNetwork(env, lat)})
+	c := cloud.New(env, cloud.Config{})
+	net := cloud.NewNetwork(env, lat) // jitter-free, in place of the provider's own
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	mSrv := server.New(env, "master", c.Launch("m", cloud.Small, place), server.DefaultCostModel())
 	if err := Preload(mSrv); err != nil {
 		t.Fatal(err)
 	}
-	m := repl.NewMaster(env, mSrv, c.Network(), repl.Async)
+	m := repl.NewMaster(env, mSrv, net, repl.Async)
 	for i := 0; i < nSlaves; i++ {
 		inst := c.Launch(fmt.Sprintf("s%d", i), cloud.Small, place)
 		inst.Clock.SetOffset(slaveOffset)

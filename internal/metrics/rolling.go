@@ -24,9 +24,6 @@ func NewWindowedRate(window time.Duration) *WindowedRate {
 	return &WindowedRate{window: window}
 }
 
-// Window returns the trailing window width.
-func (w *WindowedRate) Window() time.Duration { return w.window }
-
 // Observe records the counter's value at virtual time t. Observations must
 // arrive in non-decreasing time order; the counter itself may stall but must
 // never decrease (a decrease is treated as a counter reset and the history

@@ -30,9 +30,6 @@ type Config struct {
 	MaxIdle int
 	// MaxWait bounds how long Borrow blocks (0 = wait forever).
 	MaxWait time.Duration
-	// BorrowCost is the CPU-free virtual latency of a pool checkout
-	// (lock handoff); usually 0.
-	BorrowCost time.Duration
 }
 
 // Stats counts pool activity. The metric tag is the name obs.Flatten
@@ -101,9 +98,6 @@ func (pl *Pool[T]) Borrow(p *sim.Proc) (T, error) {
 			sp.SetAttr("error", errAttr)
 		}
 		sp.End(p)
-	}
-	if pl.cfg.BorrowCost > 0 {
-		p.Sleep(pl.cfg.BorrowCost)
 	}
 	deadline := sim.Time(-1)
 	if pl.cfg.MaxWait > 0 {

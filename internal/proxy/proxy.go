@@ -369,14 +369,15 @@ func (px *Proxy) Quarantined(sl *repl.Slave) bool { return px.quarantined[sl] }
 // outstanding against sl — the drain condition for graceful scale-in.
 func (px *Proxy) InflightReads(sl *repl.Slave) int { return px.inflight[sl] }
 
+// DrainTimeout is how long a graceful scale-in — the elastic controller's or
+// core.DB.Scale's — waits for the departing replica's in-flight reads.
+const DrainTimeout = 30 * time.Second
+
 // Drain quarantines sl and blocks the calling process until no read is in
-// flight against it or timeout elapses (≤0 = 30 s). It returns the number
-// of reads still outstanding — zero means the node can be terminated
-// without any client observing a dying backend.
+// flight against it or timeout elapses. It returns the number of reads still
+// outstanding — zero means the node can be terminated without any client
+// observing a dying backend.
 func (px *Proxy) Drain(p *sim.Proc, sl *repl.Slave, timeout time.Duration) int {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	px.Quarantine(sl)
 	deadline := p.Now() + timeout
 	for px.inflight[sl] > 0 && p.Now() < deadline {
@@ -467,10 +468,6 @@ type Conn struct {
 	// compared against the promoted master's numbering.
 	token Token
 }
-
-// Token returns the connection's session-consistency watermark. The shard
-// router reads it to thread tokens across cell boundaries.
-func (c *Conn) Token() Token { return c.token }
 
 // SetToken overrides the watermark; it is merged via Token.Max so a
 // restored token can only tighten, never relax, the session guarantee.

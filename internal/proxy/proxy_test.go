@@ -19,7 +19,8 @@ func topo(t *testing.T, seed int64, nSlaves int, balancer Balancer) (*sim.Env, *
 	env := sim.NewEnv(seed)
 	lat := cloud.DefaultLatencies()
 	lat.JitterSigma = 0
-	c := cloud.New(env, cloud.Config{Network: cloud.NewNetwork(env, lat)})
+	c := cloud.New(env, cloud.Config{})
+	net := cloud.NewNetwork(env, lat) // jitter-free, in place of the provider's own
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	preload := func(srv *server.DBServer) {
 		sess := srv.Session("")
@@ -34,14 +35,14 @@ func topo(t *testing.T, seed int64, nSlaves int, balancer Balancer) (*sim.Env, *
 	}
 	mSrv := server.New(env, "master", c.Launch("master", cloud.Small, place), server.DefaultCostModel())
 	preload(mSrv)
-	m := repl.NewMaster(env, mSrv, c.Network(), repl.Async)
+	m := repl.NewMaster(env, mSrv, net, repl.Async)
 	for i := 0; i < nSlaves; i++ {
 		name := fmt.Sprintf("slave%d", i+1)
 		sSrv := server.New(env, name, c.Launch(name, cloud.Small, place), server.DefaultCostModel())
 		preload(sSrv)
 		m.Attach(repl.NewSlave(env, sSrv), mSrv.Log.LastSeq())
 	}
-	return env, New(env, c.Network(), m, place, balancer)
+	return env, New(env, net, m, place, balancer)
 }
 
 func TestIsRead(t *testing.T) {

@@ -13,12 +13,13 @@ import (
 
 // topoAt builds master + slaves at explicit placements (client colocated
 // with the master) so tests can partition individual paths.
-func topoAt(t *testing.T, seed int64, masterPlace cloud.Placement, slavePlaces []cloud.Placement, balancer Balancer) (*sim.Env, *cloud.Cloud, *Proxy) {
+func topoAt(t *testing.T, seed int64, masterPlace cloud.Placement, slavePlaces []cloud.Placement, balancer Balancer) (*sim.Env, *cloud.Network, *Proxy) {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	lat := cloud.DefaultLatencies()
 	lat.JitterSigma = 0
-	c := cloud.New(env, cloud.Config{Network: cloud.NewNetwork(env, lat)})
+	c := cloud.New(env, cloud.Config{})
+	net := cloud.NewNetwork(env, lat) // jitter-free, in place of the provider's own
 	preload := func(srv *server.DBServer) {
 		sess := srv.Session("")
 		for _, sql := range []string{
@@ -32,14 +33,14 @@ func topoAt(t *testing.T, seed int64, masterPlace cloud.Placement, slavePlaces [
 	}
 	mSrv := server.New(env, "master", c.Launch("master", cloud.Small, masterPlace), server.DefaultCostModel())
 	preload(mSrv)
-	m := repl.NewMaster(env, mSrv, c.Network(), repl.Async)
+	m := repl.NewMaster(env, mSrv, net, repl.Async)
 	for i, pl := range slavePlaces {
 		name := "slave" + string(rune('1'+i))
 		sSrv := server.New(env, name, c.Launch(name, cloud.Small, pl), server.DefaultCostModel())
 		preload(sSrv)
 		m.Attach(repl.NewSlave(env, sSrv), mSrv.Log.LastSeq())
 	}
-	return env, c, New(env, c.Network(), m, masterPlace, balancer)
+	return env, net, New(env, net, m, masterPlace, balancer)
 }
 
 // TestTieBreakSpreadsReads: with every slave equally caught up, least-lag
@@ -172,7 +173,7 @@ func TestZeroPolicyKeepsLegacySingleAttempt(t *testing.T) {
 func TestSlaveEvictionAndReadmission(t *testing.T) {
 	zoneA := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
-	env, c, px := topoAt(t, 25, zoneA, []cloud.Placement{zoneA, zoneB}, &RoundRobin{})
+	env, net, px := topoAt(t, 25, zoneA, []cloud.Placement{zoneA, zoneB}, &RoundRobin{})
 	px.Retry = RetryPolicy{
 		MaxAttempts:      2,
 		BaseBackoff:      10 * time.Millisecond,
@@ -180,7 +181,7 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 		EvictAfter:       2,
 		ReadmitAfter:     5 * time.Second,
 	}
-	c.Network().Partition(zoneA, zoneB)
+	net.Partition(zoneA, zoneB)
 
 	conn := px.Connect("app")
 	var errsBeforeHeal int
@@ -192,7 +193,7 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 		}
 		// Heal and sit out the readmission window; the benched slave must
 		// return to rotation.
-		c.Network().Heal(zoneA, zoneB)
+		net.Heal(zoneA, zoneB)
 		p.Sleep(6 * time.Second)
 		before := px.Master().Slaves()[1].Srv.Stats().Reads
 		for i := 0; i < 8; i++ {
@@ -230,10 +231,10 @@ func TestStatementTimeoutOnPartitionedMaster(t *testing.T) {
 	zoneA := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
 	// Master in zone a; client (proxy) in zone b; no slaves.
-	env, c, px := topoAt(t, 26, zoneA, nil, &RoundRobin{})
-	pxB := New(env, c.Network(), px.Master(), zoneB, &RoundRobin{})
+	env, net, px := topoAt(t, 26, zoneA, nil, &RoundRobin{})
+	pxB := New(env, net, px.Master(), zoneB, &RoundRobin{})
 	pxB.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, StatementTimeout: time.Second}
-	c.Network().Partition(zoneA, zoneB)
+	net.Partition(zoneA, zoneB)
 
 	conn := pxB.Connect("app")
 	var err error
@@ -263,7 +264,7 @@ func TestStatementTimeoutOnPartitionedMaster(t *testing.T) {
 // OnMasterFailure hook instead of a permanent ErrNoBackend; the proxy
 // re-points itself and the write lands on the promoted server.
 func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
-	env, c, px := topoAt(t, 27,
+	env, net, px := topoAt(t, 27,
 		cloud.Placement{Region: cloud.USWest1, Zone: "a"},
 		[]cloud.Placement{{Region: cloud.USWest1, Zone: "a"}}, &RoundRobin{})
 	sl := px.Master().Slaves()[0]
@@ -273,7 +274,7 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
 		hookCalls++
 		old.Detach(sl)
-		return repl.NewMaster(env, sl.Srv, c.Network(), repl.Async), nil
+		return repl.NewMaster(env, sl.Srv, net, repl.Async), nil
 	}
 	px.Master().Srv.Inst.Terminate()
 

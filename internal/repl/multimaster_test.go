@@ -16,7 +16,8 @@ func mmRig(t *testing.T, seed int64, nNodes int) (*sim.Env, *MultiMaster) {
 	env := sim.NewEnv(seed)
 	lat := cloud.DefaultLatencies()
 	lat.JitterSigma = 0
-	c := cloud.New(env, cloud.Config{Network: cloud.NewNetwork(env, lat)})
+	c := cloud.New(env, cloud.Config{})
+	net := cloud.NewNetwork(env, lat) // jitter-free, in place of the provider's own
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	var servers []*server.DBServer
 	for i := 0; i < nNodes; i++ {
@@ -32,7 +33,7 @@ func mmRig(t *testing.T, seed int64, nNodes int) (*sim.Env, *MultiMaster) {
 		}
 		servers = append(servers, srv)
 	}
-	return env, NewMultiMaster(env, c.Network(), servers, place)
+	return env, NewMultiMaster(env, net, servers, place)
 }
 
 func TestMultiMasterAllNodesAcceptWrites(t *testing.T) {
@@ -127,7 +128,8 @@ func TestMultiMasterWriteLatencyIncludesOrderingRoundTrip(t *testing.T) {
 	env := sim.NewEnv(4)
 	lat := cloud.DefaultLatencies()
 	lat.JitterSigma = 0
-	c := cloud.New(env, cloud.Config{Network: cloud.NewNetwork(env, lat)})
+	c := cloud.New(env, cloud.Config{})
+	net := cloud.NewNetwork(env, lat) // jitter-free, in place of the provider's own
 	us := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	eu := cloud.Placement{Region: cloud.EUWest1, Zone: "a"}
 	var servers []*server.DBServer
@@ -138,7 +140,7 @@ func TestMultiMasterWriteLatencyIncludesOrderingRoundTrip(t *testing.T) {
 		srv.ExecFree(sess, "CREATE TABLE app.kv (k BIGINT PRIMARY KEY)")
 		servers = append(servers, srv)
 	}
-	mm := NewMultiMaster(env, c.Network(), servers, us)
+	mm := NewMultiMaster(env, net, servers, us)
 	var took sim.Time
 	env.Go("client", func(p *sim.Proc) {
 		start := p.Now()

@@ -122,9 +122,10 @@ func TestReplicationDelayIncludesNetworkLatency(t *testing.T) {
 	env := sim.NewEnv(3)
 	lat := cloud.DefaultLatencies()
 	lat.JitterSigma = 0
-	c := cloud.New(env, cloud.Config{Network: cloud.NewNetwork(env, lat)})
+	c := cloud.New(env, cloud.Config{})
+	net := cloud.NewNetwork(env, lat) // jitter-free, in place of the provider's own
 	mSrv := server.New(env, "master", c.Launch("m", cloud.Small, sameZone()), server.DefaultCostModel())
-	m := NewMaster(env, mSrv, c.Network(), Async)
+	m := NewMaster(env, mSrv, net, Async)
 	var slaves []*Slave
 	for i, pl := range []cloud.Placement{sameZone(), diffRegion()} {
 		srv := server.New(env, fmt.Sprintf("s%d", i), c.Launch(fmt.Sprintf("s%d", i), cloud.Small, pl), server.DefaultCostModel())

@@ -197,9 +197,6 @@ func (s *DBServer) Restore(img *sqlengine.Snapshot, pos uint64) error {
 // rather than re-evaluated on each replica.
 func (s *DBServer) SetRowFormat() { s.Eng.Format = sqlengine.FormatRow }
 
-// Env returns the simulation environment.
-func (s *DBServer) Env() *sim.Env { return s.env }
-
 // Up reports whether the backing instance is running.
 func (s *DBServer) Up() bool { return s.Inst.Up() }
 

@@ -18,13 +18,18 @@ import (
 	"cloudrepl/internal/sqlengine"
 )
 
+// numSlots is the hash-slot count. It bounds how many cells a cluster can
+// ever grow to and how finely Split can rebalance.
+const numSlots = 64
+
 // Config describes a sharded deployment.
 type Config struct {
 	// Cells is the initial cell count (>= 1).
 	Cells int
-	// Slots is the hash-slot count (default 64). It bounds how many cells
-	// the cluster can ever grow to and how finely Split can rebalance.
-	Slots int
+	// slots overrides numSlots for TestScatterScriptUnchanged, whose pinned
+	// event count and end instant were taken on a 16-slot map by the kernel
+	// that ran before goroutine recycling.
+	slots int
 	// Keyspace maps the schema onto the shard key space.
 	Keyspace Keyspace
 	// Database is the application database name; the split catch-up replay
@@ -146,11 +151,12 @@ func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
 	if cfg.Cells < 1 {
 		return nil, fmt.Errorf("shard: need at least one cell")
 	}
-	if cfg.Slots == 0 {
-		cfg.Slots = 64
+	slots := numSlots
+	if cfg.slots > 0 {
+		slots = cfg.slots
 	}
-	if cfg.Cells > cfg.Slots {
-		return nil, fmt.Errorf("shard: %d cells exceed %d slots", cfg.Cells, cfg.Slots)
+	if cfg.Cells > slots {
+		return nil, fmt.Errorf("shard: %d cells exceed %d slots", cfg.Cells, slots)
 	}
 	if err := cfg.Keyspace.Validate(); err != nil {
 		return nil, err
@@ -160,7 +166,7 @@ func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
 		cloud:  cl,
 		cfg:    cfg,
 		ks:     cfg.Keyspace,
-		m:      NewMap(cfg.Slots, cfg.Cells),
+		m:      NewMap(slots, cfg.Cells),
 		routes: make(map[string]*routeInfo),
 	}
 	s.hSingle.SetRand(env.Rand())
@@ -213,9 +219,6 @@ func ownsNothing(ks Keyspace) func(table string, key int64) bool {
 	}
 }
 
-// Env returns the simulation environment.
-func (s *Cluster) Env() *sim.Env { return s.env }
-
 // Cells returns the cells in id order.
 func (s *Cluster) Cells() []*Cell { return s.cells }
 
@@ -227,9 +230,6 @@ func (s *Cluster) NumCells() int { return len(s.cells) }
 
 // Map returns the authoritative shard map.
 func (s *Cluster) Map() *Map { return s.m }
-
-// Keyspace returns the schema mapping.
-func (s *Cluster) Keyspace() Keyspace { return s.ks }
 
 // Stats returns the router counters.
 func (s *Cluster) Stats() Stats { return s.stats }

@@ -52,14 +52,20 @@ func kvPreload(rows int) func(owns func(table string, key int64) bool) func(*ser
 	}
 }
 
-func newShard(t *testing.T, seed int64, cells, slots, rows int) (*sim.Env, *cloud.Cloud, *Cluster) {
+func newShard(t *testing.T, seed int64, cells, rows int) (*sim.Env, *cloud.Cloud, *Cluster) {
+	t.Helper()
+	return newShardSlots(t, seed, cells, 0, rows)
+}
+
+// newShardSlots is newShard on a map of slots hash slots (0: numSlots).
+func newShardSlots(t *testing.T, seed int64, cells, slots, rows int) (*sim.Env, *cloud.Cloud, *Cluster) {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	cl := cloud.New(env, cloud.Config{})
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	sc, err := New(env, cl, Config{
 		Cells: cells,
-		Slots: slots,
+		slots: slots,
 		Keyspace: Keyspace{
 			Key:    map[string]string{"kv": "id"},
 			Global: map[string]bool{"g": true},
@@ -119,7 +125,7 @@ func assertExactlyOnce(t *testing.T, sc *Cluster, table string, want map[int64]b
 
 func TestPartitionedPreloadExactlyOnce(t *testing.T) {
 	const rows = 200
-	env, _, sc := newShard(t, 1, 4, 16, rows)
+	env, _, sc := newShard(t, 1, 4, rows)
 	env.RunUntil(time.Second)
 	want := make(map[int64]bool, rows)
 	for i := 1; i <= rows; i++ {
@@ -147,7 +153,7 @@ func TestPartitionedPreloadExactlyOnce(t *testing.T) {
 
 func TestRoutedExecEndToEnd(t *testing.T) {
 	const rows = 60
-	env, _, sc := newShard(t, 2, 3, 12, rows)
+	env, _, sc := newShard(t, 2, 3, rows)
 	failed := false
 	env.Go("app", func(p *sim.Proc) {
 		conn := sc.Connect("app")
@@ -235,7 +241,7 @@ func TestRoutedExecEndToEnd(t *testing.T) {
 // moved, and the write-unavailability window stayed small.
 func TestSplitOnline(t *testing.T) {
 	const rows = 150
-	env, _, sc := newShard(t, 3, 1, 16, rows)
+	env, _, sc := newShard(t, 3, 1, rows)
 	nextID := int64(rows)
 	written := map[int64]bool{}
 	stop := false
@@ -338,7 +344,7 @@ func TestSplitOnline(t *testing.T) {
 // keep flowing, and no row may be lost or duplicated.
 func TestSplitChaosKillTarget(t *testing.T) {
 	const rows = 400
-	env, cl, sc := newShard(t, 4, 1, 16, rows)
+	env, cl, sc := newShard(t, 4, 1, rows)
 	var splitAt sim.Time
 	nextID := int64(rows)
 	written := map[int64]bool{}
@@ -409,7 +415,7 @@ func TestSplitChaosKillTarget(t *testing.T) {
 // rejected typed, refreshed and retried — never silently misrouted.
 func TestStaleSnapshotRetriesAfterSplit(t *testing.T) {
 	const rows = 80
-	env, _, sc := newShard(t, 5, 1, 8, rows)
+	env, _, sc := newShard(t, 5, 1, rows)
 	env.Go("app", func(p *sim.Proc) {
 		conn := sc.Connect("app") // snapshot at version 1
 		if _, err := sc.Split(p); err != nil {
@@ -448,14 +454,13 @@ func TestStaleSnapshotRetriesAfterSplit(t *testing.T) {
 
 // newSessionShard builds a sharded cluster whose cell proxies enforce the
 // Session (read-your-writes) tier.
-func newSessionShard(t *testing.T, seed int64, cells, slots, rows int) (*sim.Env, *Cluster) {
+func newSessionShard(t *testing.T, seed int64, cells, rows int) (*sim.Env, *Cluster) {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	cl := cloud.New(env, cloud.Config{})
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	sc, err := New(env, cl, Config{
 		Cells: cells,
-		Slots: slots,
 		Keyspace: Keyspace{
 			Key:    map[string]string{"kv": "id"},
 			Global: map[string]bool{"g": true},
@@ -497,7 +502,7 @@ func hogSlave(env *sim.Env, sl *repl.Slave, deadline time.Duration) {
 // only slave is starved).
 func TestScatterHonorsSessionRYW(t *testing.T) {
 	const rows = 60
-	env, sc := newSessionShard(t, 11, 3, 12, rows)
+	env, sc := newSessionShard(t, 11, 3, rows)
 	for _, cell := range sc.Cells() {
 		hogSlave(env, cell.Clu.Master().Slaves()[0], 30*time.Second)
 	}
@@ -543,7 +548,7 @@ func TestScatterHonorsSessionRYW(t *testing.T) {
 // post-flip read of a dual-written key must still find the row.
 func TestSessionRYWAcrossSplit(t *testing.T) {
 	const rows = 150
-	env, sc := newSessionShard(t, 12, 1, 16, rows)
+	env, sc := newSessionShard(t, 12, 1, rows)
 	// Starve the split target's slave from the moment the target cell
 	// exists: it holds none of the mirrored writes when the map flips.
 	env.Go("hog-watch", func(p *sim.Proc) {
@@ -623,7 +628,7 @@ func TestSessionRYWAcrossSplit(t *testing.T) {
 func TestShardDeterminism(t *testing.T) {
 	run := func() string {
 		const rows = 100
-		env, _, sc := newShard(t, 7, 1, 16, rows)
+		env, _, sc := newShard(t, 7, 1, rows)
 		stop := false
 		nextID := int64(rows)
 		env.Go("writer", func(p *sim.Proc) {

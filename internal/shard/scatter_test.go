@@ -22,7 +22,7 @@ const (
 // process spawned around every statement brackets them), so nothing a
 // scatter does moved on the timeline.
 func TestScatterScriptUnchanged(t *testing.T) {
-	env, _, sc := newShard(t, 3, 2, 16, 40)
+	env, _, sc := newShardSlots(t, 3, 2, 16, 40)
 	defer env.Shutdown()
 	var ids []uint64
 	probe := func() { ids = append(ids, env.Go("probe", func(*sim.Proc) {}).ID()) }
@@ -84,7 +84,7 @@ type scatterFixture struct {
 }
 
 func newScatterFixture(t *testing.T) *scatterFixture {
-	env, _, sc := newShard(t, 5, 2, 16, 40)
+	env, _, sc := newShard(t, 5, 2, 40)
 	f := &scatterFixture{env: env, sc: sc, conn: sc.Connect("app"), work: sim.NewQueue[func(p *sim.Proc)](env, "test/work")}
 	env.Go("client", func(p *sim.Proc) {
 		for {

@@ -16,7 +16,7 @@ import (
 // it joins whichever cell committed that number last, and a slave of cell 0
 // shows up in the trace of a write on cell 1's master.
 func TestTraceLinksStayInsideTheirCell(t *testing.T) {
-	env, _, sc := newShard(t, 5, 2, 16, 20)
+	env, _, sc := newShard(t, 5, 2, 20)
 	tr := obs.NewTracer(env)
 	sc.SetTracer(tr)
 	const clients, rounds = 16, 100

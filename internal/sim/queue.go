@@ -34,9 +34,6 @@ func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
 // Puts returns the total number of items ever Put.
 func (q *Queue[T]) Puts() uint64 { return q.puts }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // Put appends an item and wakes one waiting consumer. It may be called from
 // any process or callback. Put on a closed queue drops the item silently
 // (messages in flight to a crashed server disappear, like packets to a dead

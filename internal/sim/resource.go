@@ -35,9 +35,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	return &Resource{env: env, name: name, cap: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 // Cap returns the number of server slots.
 func (r *Resource) Cap() int { return r.cap }
 

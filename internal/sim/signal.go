@@ -35,9 +35,6 @@ func (s *Signal) Named(name string) *Signal {
 	return s
 }
 
-// Name returns the diagnostic name given to Named ("" if unset).
-func (s *Signal) Name() string { return s.name }
-
 // Waiting returns the number of blocked waiters.
 func (s *Signal) Waiting() int { return len(s.waiters) }
 

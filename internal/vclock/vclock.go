@@ -54,9 +54,6 @@ func (c *Clock) Now() time.Duration { return c.env.Now() + c.Offset() }
 // paper's user-defined time function (MySQL Bug #8523 workaround).
 func (c *Clock) NowMicros() int64 { return c.Now().Microseconds() }
 
-// DriftPPM returns the configured drift rate.
-func (c *Clock) DriftPPM() float64 { return c.driftPPM }
-
 // SetOffset rebases the clock's offset to exactly o at the current instant
 // (an NTP step correction). Drift continues from here.
 func (c *Clock) SetOffset(o time.Duration) {
