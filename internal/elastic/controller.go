@@ -3,6 +3,7 @@ package elastic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"cloudrepl/internal/cluster"
@@ -309,7 +310,7 @@ func (c *Controller) judgeImprovement(p *sim.Proc, s Sample) {
 		fmt.Sprintf("throughput %+.1f%% after adding %s with master CPU at %.0f%% — scale-out no longer helps",
 			gain*100, j.slave.Srv.Name, s.MasterUtil*100))
 	// Roll back the replica that bought nothing.
-	if c.attached(j.slave) && j.slave.Srv.Up() {
+	if slices.Contains(c.clu.Slaves(), j.slave) && j.slave.Srv.Up() {
 		c.record(p, "rollback", j.slave.Srv.Name, "removing ineffective replica", s.AdmittedCount)
 		c.removeGraceful(p, j.slave)
 	}
@@ -426,13 +427,4 @@ func (c *Controller) mostLaggedAdmitted() *repl.Slave {
 		}
 	}
 	return worst
-}
-
-func (c *Controller) attached(sl *repl.Slave) bool {
-	for _, s := range c.clu.Slaves() {
-		if s == sl {
-			return true
-		}
-	}
-	return false
 }

@@ -11,6 +11,7 @@
 package elastic
 
 import (
+	"slices"
 	"time"
 
 	"cloudrepl/internal/cloud"
@@ -21,22 +22,6 @@ import (
 	"cloudrepl/internal/sim"
 )
 
-// SlaveSample is one replica's state at a monitor tick.
-type SlaveSample struct {
-	Name string
-	// Util is the node's CPU utilization over the monitor window.
-	Util float64
-	// StalenessMs is the age of the oldest binlog event this replica has
-	// not applied yet (0 when caught up).
-	StalenessMs float64
-	// P95StalenessMs is the 95th-percentile staleness over the window.
-	P95StalenessMs float64
-	// LagEvents is the number of binlog events behind the master.
-	LagEvents uint64
-	// Admitted reports whether the proxy routes reads to this replica.
-	Admitted bool
-}
-
 // Sample is one tick's view of the whole tier.
 type Sample struct {
 	T sim.Time
@@ -46,8 +31,6 @@ type Sample struct {
 	Throughput float64
 	// PoolWaitRate is pool-borrow waits per second over the window.
 	PoolWaitRate float64
-	// Slaves lists every attached replica in attach order.
-	Slaves []SlaveSample
 
 	// AdmittedCount is the number of replicas serving reads.
 	AdmittedCount int
@@ -131,26 +114,14 @@ func (m *monitor) sample() Sample {
 		}
 		staleMs := float64(sl.Staleness(now)) / float64(time.Millisecond)
 		rw.Observe(now, staleMs)
-
-		ss := SlaveSample{
-			Name:           sl.Srv.Name,
-			Util:           m.nodeUtil(now, sl.Srv.Inst),
-			StalenessMs:    staleMs,
-			P95StalenessMs: rw.Quantile(0.95),
-			LagEvents:      sl.EventsBehindMaster(),
-			Admitted:       sl.Srv.Up() && !m.px.Quarantined(sl),
+		util := m.nodeUtil(now, sl.Srv.Inst)
+		if !sl.Srv.Up() || m.px.Quarantined(sl) {
+			continue // attached, not serving reads
 		}
-		s.Slaves = append(s.Slaves, ss)
-		if ss.Admitted {
-			s.AdmittedCount++
-			utilSum += ss.Util
-			if ss.StalenessMs > s.WorstAdmittedStalenessMs {
-				s.WorstAdmittedStalenessMs = ss.StalenessMs
-			}
-			if ss.P95StalenessMs > s.WorstAdmittedP95Ms {
-				s.WorstAdmittedP95Ms = ss.P95StalenessMs
-			}
-		}
+		s.AdmittedCount++
+		utilSum += util
+		s.WorstAdmittedStalenessMs = max(s.WorstAdmittedStalenessMs, staleMs)
+		s.WorstAdmittedP95Ms = max(s.WorstAdmittedP95Ms, rw.Quantile(0.95))
 	}
 	if s.AdmittedCount > 0 {
 		s.MeanAdmittedUtil = utilSum / float64(s.AdmittedCount)
@@ -166,12 +137,8 @@ func (m *monitor) prune(attached []*repl.Slave) {
 	if len(m.stale) == len(attached) {
 		return
 	}
-	keep := make(map[*repl.Slave]bool, len(attached))
-	for _, sl := range attached {
-		keep[sl] = true
-	}
 	for sl := range m.stale {
-		if !keep[sl] {
+		if !slices.Contains(attached, sl) {
 			delete(m.stale, sl)
 			delete(m.busy, sl.Srv.Inst)
 		}

@@ -233,9 +233,9 @@ func runElasticArm(seed int64, arm elasticArm, stages []cloudstone.Stage) (Elast
 	} else {
 		fr.Verdict = "fixed fleet"
 	}
-	fr.MasterBound, _, fr.MasterBoundSlaves = ctrl.MasterBound()
-	if _, at, _ := ctrl.MasterBound(); fr.MasterBound {
-		fr.MasterBoundAt = time.Duration(at)
+	var boundAt sim.Time
+	if fr.MasterBound, boundAt, fr.MasterBoundSlaves = ctrl.MasterBound(); fr.MasterBound {
+		fr.MasterBoundAt = time.Duration(boundAt)
 	}
 	for _, pt := range slavesSeries.Points() {
 		if int(pt.V) > fr.PeakSlaves {
