@@ -13,9 +13,9 @@ import (
 	"cloudrepl/internal/sim"
 )
 
-// What the controller runs on. Each was a Config field until every caller
-// outside tests and examples was found to leave it at this value (DESIGN.md,
-// "Configuration surface").
+// What the controller runs on: the values no two callers outside tests and
+// examples would set differently, so constants and not Config fields
+// (DESIGN.md §15).
 const (
 	// SLOTargetMs is the staleness objective: the windowed p95 staleness of
 	// the worst admitted replica must stay below it. StalenessSLO steers on
