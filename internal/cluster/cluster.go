@@ -187,11 +187,12 @@ func (c *Cluster) RemoveSlave(sl *repl.Slave) {
 // ErrNoPromotable is returned by Failover when no live slave exists.
 var ErrNoPromotable = errors.New("cluster: no live slave to promote")
 
-// Failover promotes the most-up-to-date live slave to master after a master
-// failure: its replication threads stop, a new Master wraps its server, and
-// the remaining slaves re-attach at their applied positions (entries they
-// already have are not replayed; entries the promoted slave never received
-// are lost, the documented risk of asynchronous replication). A live slave
+// Failover promotes the live slave that has executed most to master after a
+// master failure: its replication threads stop, a new Master wraps its server,
+// and the remaining slaves re-attach at the last statement they have executed
+// (repl.Slave.ExecutedSeq: a statement a survivor has run, paid for or not, is
+// not shipped to it again; entries the promoted slave never received are lost,
+// the documented risk of asynchronous replication). A live slave
 // that has applied less than the promoted binlog reaches back to — the
 // promoted replica was provisioned after that point — cannot follow it: it is
 // terminated, as RemoveSlave would, and returned in dropped.
@@ -201,7 +202,7 @@ func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err 
 		if !sl.Srv.Up() {
 			continue
 		}
-		if best == nil || sl.AppliedSeq() > best.AppliedSeq() {
+		if best == nil || sl.ExecutedSeq() > best.ExecutedSeq() {
 			best = sl
 		}
 	}
@@ -218,7 +219,7 @@ func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err 
 	// Every replica's binlog starts at the master position its image was taken
 	// at and gains one entry per statement it applies (log-slave-updates
 	// style), so the promoted server's log numbers the entries it holds as the
-	// old master's did: a survivor's applied position means the same in both.
+	// old master's did: a survivor's position means the same in both.
 	best.Srv.GroupCommitWindow = c.cfg.Pipeline.GroupCommitWindow
 	newMaster := repl.NewMaster(c.env, best.Srv, c.cloud.Network(), c.cfg.Mode)
 	// New reign, new epoch: session-consistency tokens minted under the old
@@ -233,7 +234,7 @@ func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err 
 			continue
 		}
 		// Writes beyond the promoted log are lost: never past its end.
-		pos := min(old.AppliedSeq(), best.Srv.Log.LastSeq())
+		pos := min(old.ExecutedSeq(), best.Srv.Log.LastSeq())
 		if newMaster.Attach(repl.NewSlave(c.env, old.Srv), pos) != nil {
 			old.Srv.Inst.Terminate()
 			dropped = append(dropped, old)

@@ -586,3 +586,86 @@ func TestFailoverDropsSurvivorBehindPromotedLog(t *testing.T) {
 	env.Stop()
 	env.Shutdown()
 }
+
+// TestFailoverDoesNotReshipAnExecutedStatement: Apply replays a statement and
+// then parks paying its CPU, so a replica whose master dies in that window has
+// executed one statement more than it has applied. A survivor re-attached at
+// its applied position is shipped that statement a second time: a
+// duplicate-key error for an INSERT, a wrong value for x = x + 1.
+func TestFailoverDoesNotReshipAnExecutedStatement(t *testing.T) {
+	env := sim.NewEnv(9)
+	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	clu, err := New(env, cloud.New(env, cloud.Config{}), Config{
+		Cost:   server.DefaultCostModel(),
+		Master: NodeSpec{Place: place},
+		Slaves: []NodeSpec{{Place: place}, {Place: place}},
+		Preload: func(srv *server.DBServer) error {
+			sess := srv.Session("")
+			for _, sql := range []string{
+				"CREATE DATABASE app",
+				"CREATE TABLE app.c (id BIGINT PRIMARY KEY, x BIGINT)",
+				"INSERT INTO app.c (id, x) VALUES (1, 0)",
+			} {
+				if _, err := srv.ExecFree(sess, sql); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := clu.Master()
+	env.Go("writer", func(p *sim.Proc) {
+		if _, err := m.Srv.Exec(p, m.Srv.Session("app"), "UPDATE c SET x = x + 1"); err != nil {
+			t.Errorf("update: %v", err)
+		}
+	})
+	crashed := false
+	env.Go("crash", func(p *sim.Proc) {
+		for ; p.Now() < time.Second; p.Sleep(time.Millisecond) {
+			// Both appliers have run the UPDATE and neither has finished
+			// paying for it.
+			inCharge := 0
+			for _, sl := range clu.Slaves() {
+				if sl.Srv.Stats().Applied == 1 && sl.AppliedSeq() < m.Srv.Log.LastSeq() {
+					inCharge++
+				}
+			}
+			if inCharge < 2 {
+				continue
+			}
+			crashed = true
+			m.Srv.Inst.Terminate()
+			if _, dropped, err := clu.Failover(); err != nil || len(dropped) != 0 {
+				t.Errorf("failover: err %v, dropped %d", err, len(dropped))
+			}
+			return
+		}
+	})
+	env.RunUntil(time.Minute)
+	env.Stop()
+	env.Shutdown()
+
+	if !crashed {
+		t.Fatal("the master was never caught with both appliers inside the apply charge")
+	}
+	x := func(srv *server.DBServer) int64 {
+		set, err := srv.Session("app").Query("SELECT x FROM c WHERE id = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set.Rows[0][0].Int()
+	}
+	if len(clu.Slaves()) != 1 {
+		t.Fatalf("%d survivor(s) attached, want 1", len(clu.Slaves()))
+	}
+	survivor := clu.Slaves()[0]
+	if got, want := x(survivor.Srv), x(clu.Master().Srv); got != want || want != 1 {
+		t.Errorf("x = %d on the survivor and %d on the promoted master, want 1 on both", got, want)
+	}
+	if n := survivor.ApplyErrors(); n != 0 {
+		t.Errorf("%d apply error(s) on the survivor", n)
+	}
+}

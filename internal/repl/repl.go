@@ -186,6 +186,10 @@ type Slave struct {
 
 	receivedSeq uint64 // newest seq in relay log
 	appliedSeq  uint64 // newest seq applied
+	// executedSeq is the newest seq the single SQL thread has handed to
+	// Apply: appliedSeq, or the entry after it while that one's CPU is being
+	// paid. K apply workers execute out of order and leave it alone.
+	executedSeq uint64
 	applyErrs   int
 	stopped     bool
 
@@ -205,9 +209,15 @@ func NewSlave(env *sim.Env, srv *server.DBServer) *Slave {
 
 // AppliedSeq returns the newest applied sequence: the last entry whose apply
 // has been paid for. The one after it may already have executed (Apply runs the
-// statement, then charges its CPU), so a replica re-attached at AppliedSeq in
-// that window is shipped that statement a second time.
+// statement, then charges its CPU); ExecutedSeq counts it.
 func (s *Slave) AppliedSeq() uint64 { return s.appliedSeq }
+
+// ExecutedSeq returns the newest sequence such that it and everything before
+// it has run on this replica, paid for or not: where a replica must be
+// re-attached for no statement to reach it twice. Under K apply workers
+// entries run out of order and no single position says what has; it is
+// AppliedSeq then, and what ran ahead of that is shipped again.
+func (s *Slave) ExecutedSeq() uint64 { return max(s.executedSeq, s.appliedSeq) }
 
 // ApplyErrors returns the count of statements that failed to re-execute.
 func (s *Slave) ApplyErrors() int { return s.applyErrs }
@@ -408,6 +418,11 @@ func (m *Master) applyEntry(p *sim.Proc, sl *Slave, sess *sqlengine.Session, e b
 	asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(m.Srv.Log, e.Seq))
 	asp.SetAttr("slave", sl.Srv.Name)
 	asp.SetAttrInt("seq", int64(e.Seq))
+	if m.Pipeline.ApplyWorkers <= 1 {
+		// Apply replays before it first parks, so nothing can observe the
+		// mark without the statement.
+		sl.executedSeq = e.Seq
+	}
 	if err := sl.Srv.Apply(p, sess, e); err != nil {
 		sl.applyErrs++
 		asp.SetAttr("error", "apply")
