@@ -3,13 +3,14 @@
 // tagged with the master's local commit timestamp, plus blocking readers
 // (one per replication dump thread) that tail the log.
 //
-// An entry is two things. On the wire (WireSize, Encode, Bytes) it is
-// sequence, timestamp, database and the interpolated statement text, and
-// nothing else. In memory it may also hold the statement's prepared form —
-// parameterised text plus argument values — so that a replica handed the
-// entry without a trip through the codec re-executes its own compiled plan
-// instead of parsing the text; Decode leaves that form empty and the replica
-// parses.
+// In memory an entry is the write the master's engine logged
+// (sqlengine.LoggedWrite): for a parameterised statement, its prepared form —
+// parameterised text plus argument values — which a replica handed the entry
+// without a trip through the codec re-executes with its own compiled plan.
+// On the wire (Encode) it is sequence, timestamp, database and the
+// interpolated statement text, rendered from that form, and nothing else;
+// WireSize and Bytes count that text without rendering it, and Decode leaves
+// the prepared form empty, so the replica parses.
 package binlog
 
 import (
@@ -26,26 +27,17 @@ type Entry struct {
 	Seq uint64
 	// Database is the default database the statement executed under.
 	Database string
-	// SQL is the replayable statement text with parameters interpolated.
-	SQL string
 	// TimestampMicros is the master's local clock at commit, in µs.
 	TimestampMicros int64
-
-	// Stmt and Args are the statement's prepared form (see
-	// sqlengine.LoggedWrite): in-memory only, never encoded, empty for an
-	// entry that has none. Args is shared by every copy of the entry and
-	// must not be modified.
-	Stmt string
-	Args []sqlengine.Value
-}
-
-// Logged returns the entry as the write a replica's session replays.
-func (e Entry) Logged() sqlengine.LoggedWrite {
-	return sqlengine.LoggedWrite{SQL: e.SQL, Stmt: e.Stmt, Args: e.Args}
+	// LoggedWrite is the statement: its text (SQL, or Text() for a prepared
+	// form) and its prepared form (Stmt, Args), which is in-memory only,
+	// never encoded. Args is shared by every copy of the entry and must not
+	// be modified.
+	sqlengine.LoggedWrite
 }
 
 // WireSize returns the encoded size in bytes, used for transfer accounting.
-func (e Entry) WireSize() int { return 8 + 8 + 4 + len(e.Database) + 4 + len(e.SQL) }
+func (e Entry) WireSize() int { return 8 + 8 + 4 + len(e.Database) + 4 + e.TextLen() }
 
 // Encode serializes the entry (length-prefixed strings, little endian).
 func (e Entry) Encode() []byte {
@@ -58,9 +50,9 @@ func (e Entry) Encode() []byte {
 	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(e.Database)))
 	buf = append(buf, tmp[:4]...)
 	buf = append(buf, e.Database...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(e.SQL)))
+	binary.LittleEndian.PutUint32(tmp[:4], uint32(e.TextLen()))
 	buf = append(buf, tmp[:4]...)
-	buf = append(buf, e.SQL...)
+	buf = append(buf, e.Text()...)
 	return buf
 }
 
@@ -193,7 +185,7 @@ func (l *Log) Append(database, sql string, tsMicros int64) uint64 {
 // reports it, prepared form included.
 func (l *Log) AppendWrite(database string, w sqlengine.LoggedWrite, tsMicros int64) uint64 {
 	seq := l.LastSeq() + 1
-	e := Entry{Seq: seq, Database: database, SQL: w.SQL, TimestampMicros: tsMicros, Stmt: w.Stmt, Args: w.Args}
+	e := Entry{Seq: seq, Database: database, TimestampMicros: tsMicros, LoggedWrite: w}
 	l.entries = append(l.entries, e)
 	l.committedAt = append(l.committedAt, l.env.Now())
 	l.bytes += int64(e.WireSize())
@@ -219,7 +211,8 @@ func (l *Log) LastSeq() uint64 { return l.base + uint64(len(l.entries)) }
 // Bytes returns the total encoded size of the entries the log holds.
 func (l *Log) Bytes() int64 { return l.bytes }
 
-// At returns the entry with the given sequence number.
+// At returns the entry with the given sequence number, its SQL filled in
+// (rendered from its prepared form if it has one).
 func (l *Log) At(seq uint64) (Entry, error) {
 	switch {
 	case seq <= l.base:
@@ -227,7 +220,9 @@ func (l *Log) At(seq uint64) (Entry, error) {
 	case seq > l.LastSeq():
 		return Entry{}, fmt.Errorf("binlog: no entry at seq %d (last %d)", seq, l.LastSeq())
 	}
-	return l.entries[seq-l.base-1], nil
+	e := l.entries[seq-l.base-1]
+	e.SQL = e.Text()
+	return e, nil
 }
 
 func (l *Log) purged(seq uint64) error {

@@ -11,6 +11,11 @@ import (
 	"cloudrepl/internal/sqlengine"
 )
 
+// entry is an entry known only by its text, as Append and Decode make one.
+func entry(seq uint64, db, sql string, ts int64) Entry {
+	return Entry{Seq: seq, Database: db, TimestampMicros: ts, LoggedWrite: sqlengine.LoggedWrite{SQL: sql}}
+}
+
 func readerAt(t *testing.T, l *Log, pos uint64) *Reader {
 	t.Helper()
 	r, err := l.NewReader(pos)
@@ -99,7 +104,7 @@ func TestMultipleReadersIndependent(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	e := Entry{Seq: 42, Database: "heartbeats", SQL: "INSERT INTO heartbeat VALUES (1, UTC_MICROS())", TimestampMicros: 1234567890}
+	e := entry(42, "heartbeats", "INSERT INTO heartbeat VALUES (1, UTC_MICROS())", 1234567890)
 	got, err := Decode(e.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -112,28 +117,36 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// The prepared form is in-memory only: it adds no wire bytes, Encode never
-// writes it and a decoded entry comes back without it.
+// The prepared form is in-memory only: its text is counted without being
+// rendered, Encode writes the text and nothing else, and a decoded entry comes
+// back as the text alone. At fills the text in.
 func TestPreparedFormStaysOffTheWire(t *testing.T) {
-	bare := Entry{Seq: 7, Database: "app", SQL: "INSERT INTO t (id) VALUES (9)", TimestampMicros: 5}
-	e := bare
-	e.Stmt, e.Args = "INSERT INTO t (id) VALUES (?)", []sqlengine.Value{sqlengine.NewInt(9)}
-	if e.WireSize() != bare.WireSize() || !bytes.Equal(e.Encode(), bare.Encode()) {
-		t.Fatal("prepared form reached the wire encoding")
+	st, err := sqlengine.NewEngine().Prepare("INSERT INTO t (id) VALUES (?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := st.Logged([]sqlengine.Value{sqlengine.NewInt(9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := entry(7, "app", "INSERT INTO t (id) VALUES (9)", 5)
+	e := Entry{Seq: 7, Database: "app", TimestampMicros: 5, LoggedWrite: w}
+	if e.SQL != "" || e.WireSize() != bare.WireSize() || !bytes.Equal(e.Encode(), bare.Encode()) {
+		t.Fatalf("prepared form %+v does not encode as its text", e)
 	}
 	got, err := DecodeBatch(EncodeBatch([]Entry{e}))
 	if err != nil || !reflect.DeepEqual(got, []Entry{bare}) {
 		t.Fatalf("decoded %+v (%v), want the bare entry", got, err)
 	}
 	l := New(sim.NewEnv(1))
-	l.AppendWrite(e.Database, e.Logged(), e.TimestampMicros)
-	if at, _ := l.At(1); at.Stmt != e.Stmt || len(at.Args) != 1 || l.Bytes() != int64(bare.WireSize()) {
+	l.AppendWrite(e.Database, e.LoggedWrite, e.TimestampMicros)
+	if at, _ := l.At(1); at.SQL != bare.SQL || at.Stmt != w.Stmt || len(at.Args) != 1 || l.Bytes() != int64(bare.WireSize()) {
 		t.Fatalf("log entry %+v, %d bytes", at, l.Bytes())
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	e := Entry{Seq: 1, Database: "d", SQL: "SELECT 1", TimestampMicros: 5}
+	e := entry(1, "d", "SELECT 1", 5)
 	buf := e.Encode()
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := Decode(buf[:cut]); err == nil {
@@ -145,7 +158,7 @@ func TestDecodeTruncated(t *testing.T) {
 // Property: encode/decode round-trips arbitrary printable content.
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seq uint64, ts int64, db, sql string) bool {
-		e := Entry{Seq: seq, Database: db, SQL: sql, TimestampMicros: ts}
+		e := entry(seq, db, sql, ts)
 		got, err := Decode(e.Encode())
 		return err == nil && reflect.DeepEqual(got, e)
 	}
@@ -234,7 +247,7 @@ func TestNextBatchIsAWindowOntoTheLog(t *testing.T) {
 	}
 	held := append([]Entry(nil), b...)
 
-	grown := append(b, Entry{Seq: 99, SQL: "scribble"})
+	grown := append(b, entry(99, "", "scribble", 0))
 	if e, _ := l.At(6); e.Seq != 6 || e.SQL != "stmt" {
 		t.Fatalf("appending to a batch wrote into the log: entry 6 is now %+v", e)
 	}

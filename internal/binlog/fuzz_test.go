@@ -13,12 +13,12 @@ import (
 // WireSize must equal the consumed length.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Entry{Seq: 1, Database: "app", SQL: "INSERT INTO t VALUES (1)", TimestampMicros: 99}.Encode())
-	f.Add(Entry{Seq: 1 << 40, Database: "", SQL: "", TimestampMicros: -1}.Encode())
+	f.Add(entry(1, "app", "INSERT INTO t VALUES (1)", 99).Encode())
+	f.Add(entry(1<<40, "", "", -1).Encode())
 	// Oversized length prefixes: a header that claims 4 GiB of database
 	// name, and one that claims more SQL than the buffer holds.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
-	f.Add(append(Entry{Database: "d", SQL: "x"}.Encode()[:25], 0xff, 0xff, 0xff, 0xff))
+	f.Add(append(entry(0, "d", "x", 0).Encode()[:25], 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Decode(data) // must not panic on any input
 		if err != nil {
@@ -38,8 +38,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeBatch(nil))
 	f.Add(EncodeBatch([]Entry{
-		{Seq: 1, Database: "app", SQL: "UPDATE t SET v = 1", TimestampMicros: 7},
-		{Seq: 2, Database: "app", SQL: "DELETE FROM u", TimestampMicros: 8},
+		entry(1, "app", "UPDATE t SET v = 1", 7),
+		entry(2, "app", "DELETE FROM u", 8),
 	}))
 	// Count prefix far larger than the payload could hold.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
@@ -58,11 +58,11 @@ func FuzzDecodeBatch(f *testing.F) {
 // batches of them round-trip through the batch framing.
 func TestWireSizeMatchesEncode(t *testing.T) {
 	f := func(seq uint64, ts int64, db, sql string) bool {
-		e := Entry{Seq: seq, Database: db, SQL: sql, TimestampMicros: ts}
+		e := entry(seq, db, sql, ts)
 		if len(e.Encode()) != e.WireSize() {
 			return false
 		}
-		batch := []Entry{e, {Seq: seq + 1, SQL: sql}}
+		batch := []Entry{e, entry(seq+1, "", sql, 0)}
 		enc := EncodeBatch(batch)
 		if len(enc) != BatchWireSize(batch) {
 			return false
@@ -78,8 +78,8 @@ func TestWireSizeMatchesEncode(t *testing.T) {
 // DecodeFrom must consume exactly one entry and report its length, leaving
 // the remainder intact — the contract the batch decoder builds on.
 func TestDecodeFromStream(t *testing.T) {
-	a := Entry{Seq: 1, Database: "d1", SQL: "INSERT INTO a VALUES (1)", TimestampMicros: 10}
-	b := Entry{Seq: 2, Database: "d2", SQL: "INSERT INTO b VALUES (2)", TimestampMicros: 20}
+	a := entry(1, "d1", "INSERT INTO a VALUES (1)", 10)
+	b := entry(2, "d2", "INSERT INTO b VALUES (2)", 20)
 	stream := append(a.Encode(), b.Encode()...)
 
 	got, n, err := DecodeFrom(stream)
@@ -99,8 +99,8 @@ func TestDecodeFromStream(t *testing.T) {
 // Truncating an encoded batch anywhere must fail cleanly, never panic.
 func TestDecodeBatchTruncated(t *testing.T) {
 	buf := EncodeBatch([]Entry{
-		{Seq: 1, Database: "app", SQL: "UPDATE t SET v = 1"},
-		{Seq: 2, Database: "app", SQL: "UPDATE t SET v = 2"},
+		entry(1, "app", "UPDATE t SET v = 1", 0),
+		entry(2, "app", "UPDATE t SET v = 2", 0),
 	})
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := DecodeBatch(buf[:cut]); err == nil {

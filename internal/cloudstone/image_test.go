@@ -184,7 +184,7 @@ func TestRestoredEngineIndistinguishable(t *testing.T) {
 				s.eng.NowMicros = func() int64 { now += 1000; return now }
 				s.eng.OnCommit = func(db string, writes []sqlengine.LoggedWrite) {
 					for _, w := range writes {
-						s.logged = append(s.logged, db+": "+w.SQL)
+						s.logged = append(s.logged, db+": "+w.Text())
 					}
 				}
 				s.sess, s.obs = s.eng.NewSession(DatabaseName), s.eng.NewSession(DatabaseName)

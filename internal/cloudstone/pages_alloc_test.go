@@ -62,12 +62,13 @@ func TestReadPageAllocCeilings(t *testing.T) {
 // write statements on both ends of replication: through Prepare + Run on the
 // master (what DBServer.Exec does) and through DBServer.Apply, on a second
 // server, of the binlog entry the master logged. On the master a write has to
-// allocate the Result, the replayable text and the logged copy of the
-// arguments; the replica reuses the master's text and arguments, fills its
-// session's Result and parses nothing. Rows, images and chain nodes come from
-// the table's slabs and index keys are comparable values, so what is left on
-// either side is amortized growth (a slab chunk, a bucket, a map). -v logs the
-// measured counts.
+// allocate its Result and nothing else: it is logged as its prepared form, the
+// text measured in the engine's scratch and the arguments copied into the
+// engine's argument chunk; the replica logs the master's entry as it came,
+// fills its session's Result and parses nothing. Rows, images and chain nodes
+// come from the table's slabs and index keys are comparable values, so what
+// is left on either side is amortized growth (an argument chunk, a slab chunk,
+// a bucket, a map). -v logs the measured counts.
 func TestWriteAllocCeilings(t *testing.T) {
 	env := sim.NewEnv(11)
 	defer env.Shutdown()
@@ -106,8 +107,9 @@ func TestWriteAllocCeilings(t *testing.T) {
 			}},
 	}
 	sess := master.Eng.NewSession(DatabaseName)
-	// Measured 3 and 0; before the row store 8–10 and 6–8.
-	const runs, runCeiling, applyCeiling = 200, 5, 2
+	// Measured 1 and 0; 3 and 0 while a logged write was its rendered text and
+	// a copy of its arguments, 8–10 and 6–8 before the row store.
+	const runs, runCeiling, applyCeiling = 200, 1, 2
 	env.Go("measure", func(p *sim.Proc) {
 		applySess := replica.Session("")
 		for _, w := range writes {

@@ -160,7 +160,7 @@ func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int)
 // (DDL, USE, parse failures) report exclusive=true and are scheduled as full
 // barriers.
 func conflictTables(eng *sqlengine.Engine, e binlog.Entry) (tables []string, exclusive bool) {
-	st, err := eng.PrepareLogged(e.Logged())
+	st, err := eng.PrepareLogged(e.LoggedWrite)
 	if err != nil {
 		return nil, true
 	}

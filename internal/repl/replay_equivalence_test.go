@@ -140,7 +140,7 @@ func replay(t *testing.T, sess *sqlengine.Session, e binlog.Entry) sqlengine.Exe
 			t.Fatal(err)
 		}
 	}
-	res, err := sess.Replay(e.Logged())
+	res, err := sess.Replay(e.LoggedWrite)
 	if err != nil {
 		t.Fatalf("replay seq %d: %v", e.Seq, err)
 	}

@@ -183,7 +183,7 @@ func TestReplicationStreamAllocs(t *testing.T) {
 	const every = 100 * time.Millisecond // an apply costs ~42 ms of slave CPU
 	env.Go("feeder", func(p *sim.Proc) {
 		for _, e := range entries {
-			m.Srv.Log.AppendWrite(e.Database, e.Logged(), e.TimestampMicros)
+			m.Srv.Log.AppendWrite(e.Database, e.LoggedWrite, e.TimestampMicros)
 			p.Sleep(every)
 		}
 	})
@@ -206,7 +206,7 @@ func TestReplicationStreamAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := sess.Replay(e.Logged()); err != nil {
+			if _, err := sess.Replay(e.LoggedWrite); err != nil {
 				t.Fatal(err)
 			}
 		}

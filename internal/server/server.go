@@ -240,7 +240,7 @@ func (s *DBServer) ExecLogged(p *sim.Proc, sess *sqlengine.Session, e binlog.Ent
 		return nil, ErrServerDown
 	}
 	sp, before := s.startExec(p)
-	res, err := sess.Replay(e.Logged())
+	res, err := sess.Replay(e.LoggedWrite)
 	return s.finishExec(p, sess, sp, before, res, err)
 }
 
@@ -352,7 +352,7 @@ func (s *DBServer) Apply(p *sim.Proc, sess *sqlengine.Session, e binlog.Entry) e
 			return err
 		}
 	}
-	res, err := sess.Replay(e.Logged())
+	res, err := sess.Replay(e.LoggedWrite)
 	if err != nil {
 		return err
 	}

@@ -204,7 +204,7 @@ func TestUseStatementSwitchesApplyDatabase(t *testing.T) {
 	env, srv := newTestServer(t, 1)
 	sess := srv.Session("")
 	env.Go("applier", func(p *sim.Proc) {
-		err := srv.Apply(p, sess, binlog.Entry{Seq: 1, Database: "app", SQL: "INSERT INTO t (id, v) VALUES (9, 'via-apply')"})
+		err := srv.Apply(p, sess, binlog.Entry{Seq: 1, Database: "app", LoggedWrite: sqlengine.LoggedWrite{SQL: "INSERT INTO t (id, v) VALUES (9, 'via-apply')"}})
 		if err != nil {
 			t.Errorf("apply: %v", err)
 		}
@@ -252,7 +252,7 @@ func TestPriorityApplyUsesHighPriorityCPU(t *testing.T) {
 	}
 	env.Go("applier", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond) // arrives after the readers queued
-		srv.Apply(p, sess, binlog.Entry{Seq: 1, Database: "app", SQL: "INSERT INTO t (id, v) VALUES (5, 'x')"})
+		srv.Apply(p, sess, binlog.Entry{Seq: 1, Database: "app", LoggedWrite: sqlengine.LoggedWrite{SQL: "INSERT INTO t (id, v) VALUES (5, 'x')"}})
 		order = append(order, "apply")
 	})
 	env.Run()
@@ -267,7 +267,7 @@ func TestStatsCounters(t *testing.T) {
 	env.Go("mix", func(p *sim.Proc) {
 		srv.Exec(p, sess, "SELECT * FROM t")
 		srv.Exec(p, sess, "INSERT INTO t (id, v) VALUES (1, 'x')")
-		srv.Apply(p, sess, binlog.Entry{Seq: 1, Database: "app", SQL: "INSERT INTO t (id, v) VALUES (2, 'y')"})
+		srv.Apply(p, sess, binlog.Entry{Seq: 1, Database: "app", LoggedWrite: sqlengine.LoggedWrite{SQL: "INSERT INTO t (id, v) VALUES (2, 'y')"}})
 	})
 	env.Run()
 	st := srv.Stats()

@@ -64,10 +64,10 @@ type ResultSet struct {
 type Result struct {
 	Set   *ResultSet // nil for non-SELECT
 	Stats ExecStats
-	// SQL is the fully-bound statement text (parameters interpolated) —
-	// what a statement-format binlog records for write statements. Reads
-	// leave it empty: nothing replicates a SELECT, and rendering one per
-	// query was a measurable share of hot-path allocation.
+	// SQL is the text of a DDL statement — what its binlog entry carries — or
+	// of a session statement, SHOW or EXPLAIN. Reads and writes leave it
+	// empty: nothing replicates a SELECT, and a write's text is its
+	// LoggedWrite's, rendered only when something reads it.
 	SQL string
 	// RowSQL carries the row-image statements (one per affected row) that
 	// a row-format binlog records instead of SQL.
@@ -84,19 +84,43 @@ type Reply struct {
 }
 
 // LoggedWrite is one committed write as the commit hook hands it to the
-// binlog, and as Session.Replay takes it back on a replica.
+// binlog, and as Session.Replay takes it back on a replica. A parameterised
+// statement is logged as its prepared form alone; its replayable text — the
+// only part a wire encoding carries — is a view of that form, measured when
+// the write is logged and rendered when Text is called.
 type LoggedWrite struct {
-	// SQL is the replayable statement text with parameters interpolated —
-	// the only part a wire encoding carries.
+	// SQL is the replayable text of a write that has no prepared form — a
+	// statement without parameters, DDL, a row-format image, an entry that
+	// came off the wire — and empty for one that has (see Text).
 	SQL string
 	// Stmt is the parameterised text the statement was prepared from
-	// (Statement.Norm) and Args an owned copy of the argument vector it ran
-	// with: text and values, so any engine can prepare Stmt for itself and
-	// run its own compiled plan instead of parsing SQL. Both are empty when
-	// the write has no prepared form — a statement without parameters, a
-	// row-format image, an entry that came off the wire.
+	// (Statement.Norm) and Args the argument vector it ran with: text and
+	// values, so any engine can prepare Stmt for itself and run its own
+	// compiled plan instead of parsing text. Args is owned by the write —
+	// shared by every copy of it and never written — and both are empty when
+	// the write has no prepared form.
 	Stmt string
 	Args []Value
+
+	tmpl    *template // renders the text of a prepared form; nil without one
+	textLen int       // the length of that text
+}
+
+// Text returns the replayable statement text with parameters interpolated:
+// SQL, or the prepared form rendered (one new string per call).
+func (w LoggedWrite) Text() string {
+	if w.tmpl == nil || w.SQL != "" {
+		return w.SQL
+	}
+	return string(w.tmpl.appendText(make([]byte, 0, w.textLen), w.Args))
+}
+
+// TextLen returns len(Text()) without rendering it.
+func (w LoggedWrite) TextLen() int {
+	if w.tmpl == nil {
+		return len(w.SQL)
+	}
+	return w.textLen
 }
 
 // CommitHook observes committed writes in commit order. database is the
@@ -150,9 +174,11 @@ type Engine struct {
 	// textual variants share one parse and one set of plans.
 	parseCache sync.Map
 
-	// text is the buffer a write's replayable text is rendered into before
-	// it is materialised as one string (Statement.logged).
+	// text is the buffer a write's replayable text is rendered into to be
+	// measured (Statement.logged); args is the chunk logged argument vectors
+	// are copied into (own).
 	text []byte
+	args []Value
 
 	// catalogEpoch advances when *Table pointers stop being good — CREATE and
 	// DROP TABLE, snapshot Restore — and retires every plan and write plan,
@@ -285,9 +311,9 @@ func (s *Session) Exec(sql string, args ...Value) (*Result, error) {
 // parse-cache hit per template, whatever the literals. One that does not is
 // parsed from SQL without touching the parse cache: such texts carry
 // interpolated literals, so caching them would only grow it without bound
-// over a run. Either way w is what this engine's own commit hook receives:
-// the master's text is reused verbatim, not rendered again. The Result is the
-// session's own, valid until the session's next call.
+// over a run. Either way w is what this engine's own commit hook receives, as
+// it came: nothing is rendered or copied again. The Result is the session's
+// own, valid until the session's next call.
 func (s *Session) Replay(w LoggedWrite) (*Result, error) {
 	st, err := s.eng.PrepareLogged(w)
 	if err != nil {
@@ -310,6 +336,25 @@ func (e *Engine) PrepareLogged(w LoggedWrite) (*Statement, error) {
 	return &Statement{eng: e, stmt: stmt, nparams: countParams(stmt)}, nil
 }
 
+// argChunk is how many argument values one allocation of Engine.args holds.
+const argChunk = 1024
+
+// own copies args into the engine's argument chunk and returns the copy, a
+// window nothing writes again: the chunk is only ever appended to, and a
+// full one is left to the writes that hold windows onto it — a rolled-back
+// write's values included. Engine lock held.
+func (e *Engine) own(args []Value) []Value {
+	if len(args) == 0 {
+		return nil
+	}
+	if cap(e.args)-len(e.args) < len(args) {
+		e.args = make([]Value, 0, max(argChunk, len(args)))
+	}
+	n := len(e.args)
+	e.args = append(e.args, args...)
+	return e.args[n:len(e.args):len(e.args)]
+}
+
 // checkArgs matches an argument vector against a statement's placeholders.
 func checkArgs(nparams int, args []Value) error {
 	switch {
@@ -323,10 +368,10 @@ func checkArgs(nparams int, args []Value) error {
 
 // run executes a statement with args. Nothing substitutes the arguments into
 // the statement: plans read ? placeholders from args at evaluation time, and
-// a write's replayable text is rendered from the statement's template. from
-// is the logged write being replayed (zero for a client statement). A SELECT
-// or a write answers in out — a new Reply when out is nil; the rarer kinds
-// allocate their own Result.
+// a write is logged as the statement's template and an owned copy of args.
+// from is the logged write being replayed (zero for a client statement). A
+// SELECT or a write answers in out — a new Reply when out is nil; the rarer
+// kinds allocate their own Result.
 func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply) (*Result, error) {
 	switch st.stmt.(type) {
 	case *SelectStmt, *ExplainStmt:
@@ -373,10 +418,11 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply)
 	}
 	switch res.Stats.Class {
 	case ClassWrite:
-		if from.SQL == "" {
-			from, s.eng.text = st.logged(s.eng.text, args)
+		// A replayed write is logged as it came; a row-format binlog logs
+		// images instead (recordCommit).
+		if from.SQL == "" && from.Stmt == "" && s.eng.Format == FormatStatement {
+			from, s.eng.text = st.logged(s.eng.own(args), s.eng.text)
 		}
-		res.SQL = from.SQL
 		if !s.inTxn {
 			// Autocommit: the statement is its own commit — stamp its
 			// version marks before the lock drops and anything else can

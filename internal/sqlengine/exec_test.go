@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -301,7 +302,7 @@ func TestTransactionCommitAndRollback(t *testing.T) {
 func logSQL(e *Engine, sink *[]string) {
 	e.OnCommit = func(_ string, writes []LoggedWrite) {
 		for _, w := range writes {
-			*sink = append(*sink, w.SQL)
+			*sink = append(*sink, w.Text())
 		}
 	}
 }
@@ -315,7 +316,7 @@ func TestCommitHookAutocommit(t *testing.T) {
 		gotDB = db
 		got = append(got, writes...)
 		for _, w := range writes {
-			gotSQL = append(gotSQL, w.SQL)
+			gotSQL = append(gotSQL, w.Text())
 		}
 	}
 	args := []Value{NewInt(80), NewString("hook")}
@@ -328,10 +329,11 @@ func TestCommitHookAutocommit(t *testing.T) {
 	if !strings.Contains(gotSQL[0], "80") || !strings.Contains(gotSQL[0], "'hook'") {
 		t.Fatalf("hook SQL not interpolated: %s", gotSQL[0])
 	}
-	// The prepared form rides along: the parameterised text and a copy of
-	// the arguments the caller is free to reuse.
+	// The write is its prepared form: the parameterised text and a copy of
+	// the arguments the caller is free to reuse, the text rendered from them.
 	args[0] = NewInt(-1)
-	if w := got[0]; w.Stmt != "INSERT INTO users (id, name) VALUES (?, ?)" || len(w.Args) != 2 || w.Args[0].Int() != 80 {
+	if w := got[0]; w.SQL != "" || w.Stmt != "INSERT INTO users (id, name) VALUES (?, ?)" || len(w.Args) != 2 ||
+		w.Args[0].Int() != 80 || w.Text() != gotSQL[0] || w.TextLen() != len(gotSQL[0]) {
 		t.Fatalf("hook prepared form: %+v", w)
 	}
 	// Reads never hit the hook.
@@ -341,6 +343,56 @@ func TestCommitHookAutocommit(t *testing.T) {
 	}
 	if len(gotSQL) != 0 {
 		t.Fatalf("read reached commit hook: %v", gotSQL)
+	}
+}
+
+// A logged write's arguments live in the engine's argument chunks. Writes
+// logged across several chunks, one argument vector reused for all of them as
+// a client reuses its own, with a rolled-back transaction between them: every
+// committed write still renders the text it ran with when all are done.
+func TestLoggedArgsOutliveTheirChunk(t *testing.T) {
+	s := newTestDB(t)
+	var logged []LoggedWrite
+	s.eng.OnCommit = func(_ string, writes []LoggedWrite) { logged = append(logged, writes...) }
+	st, err := s.eng.Prepare("INSERT INTO users (id, name) VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := make([]Value, 2)
+	text := func(id int) string { return fmt.Sprintf("INSERT INTO users (id, name) VALUES (%d, 'n%d')", id, id) }
+	var committed []int
+	insert := func(id int) {
+		args[0], args[1] = NewInt(int64(id)), NewString(fmt.Sprintf("n%d", id))
+		if _, err := st.Run(s, args...); err != nil {
+			t.Fatal(err)
+		}
+		if !s.InTxn() {
+			committed = append(committed, id)
+		}
+	}
+	const rounds = argChunk // two values a write: two chunks' worth, plus the rolled-back writes
+	for id := 100; id < 100+rounds/2; id++ {
+		insert(id)
+	}
+	if _, err := s.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	for id := 5000; id < 5000+rounds/4; id++ {
+		insert(id)
+	}
+	if _, err := s.Exec("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	for id := 100 + rounds/2; id < 100+rounds+1; id++ {
+		insert(id)
+	}
+	if len(logged) != len(committed) {
+		t.Fatalf("%d writes logged, %d committed", len(logged), len(committed))
+	}
+	for i, w := range logged {
+		if got, want := w.Text(), text(committed[i]); got != want || w.TextLen() != len(want) {
+			t.Fatalf("write %d of %d renders %q (%d bytes), want %q", i, len(logged), got, w.TextLen(), want)
+		}
 	}
 }
 

@@ -326,8 +326,8 @@ func TestInterpolationProperty(t *testing.T) {
 			return true
 		}
 		w, err := st.Logged([]Value{NewInt(a), NewString(s)})
-		out := w.SQL
-		if err != nil || strings.Contains(out, "?") {
+		out := w.Text()
+		if err != nil || strings.Contains(out, "?") || w.TextLen() != len(out) {
 			return false
 		}
 		re, err := Parse(out)
@@ -393,10 +393,10 @@ func TestQuotedIdentifierStaysReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "INSERT INTO t (`a?b`, `select`) VALUES (7, 1)"; w.SQL != want {
-		t.Fatalf("logged text %q, want %q", w.SQL, want)
+	if want := "INSERT INTO t (`a?b`, `select`) VALUES (7, 1)"; w.Text() != want {
+		t.Fatalf("logged text %q, want %q", w.Text(), want)
 	}
-	back, err := Parse(w.SQL)
+	back, err := Parse(w.Text())
 	if err != nil {
 		t.Fatalf("logged text does not parse: %v", err)
 	}

@@ -22,11 +22,20 @@ type Statement struct {
 	norm    string
 	stmt    Stmt
 	nparams int
-	// segs is a write's norm cut at its ? placeholders: its replayable text is
-	// segs[0] + literal(args[0]) + segs[1] + … (nil without parameters).
-	segs   []string
+	// tmpl renders a parameterised write's replayable text (nil for any other
+	// statement).
+	tmpl   *template
 	plans  []*Plan      // guarded by eng.mu
 	writes []*writePlan // guarded by eng.mu
+}
+
+// template is a parameterised write's normalized text cut at its ?
+// placeholders: its replayable text under args is segs[0] + literal(args[0]) +
+// segs[1] + …. It is built once, at Prepare, and never written again, so a
+// logged write keeps it to render itself without keeping the Statement, whose
+// plans point into one engine.
+type template struct {
+	segs []string
 }
 
 // Prepare parses sql (through the parse cache) and returns a prepared
@@ -42,9 +51,11 @@ func (e *Engine) Prepare(sql string) (*Statement, error) {
 	}
 	st := &Statement{eng: e, norm: stmt.String(), stmt: stmt, nparams: countParams(stmt)}
 	if _, write := st.Table(); write && st.nparams > 0 {
-		if st.segs, err = splitParams(st.norm, st.nparams); err != nil {
+		segs, err := splitParams(st.norm, st.nparams)
+		if err != nil {
 			return nil, err
 		}
+		st.tmpl = &template{segs: segs}
 	}
 	v, _ := e.parseCache.LoadOrStore(st.norm, st)
 	e.parseCache.Store(sql, v)
@@ -85,36 +96,36 @@ func splitParams(norm string, nparams int) ([]string, error) {
 	return append(segs, norm[from:]), nil
 }
 
-// appendText appends the statement's replayable text — its normalized
-// rendering with every placeholder replaced by the SQL literal of its
-// argument — to b. len(args) must equal NumParams, which is not zero.
-func (st *Statement) appendText(b []byte, args []Value) []byte {
+// appendText appends the replayable text — the normalized rendering with
+// every placeholder replaced by the SQL literal of its argument — to b.
+// len(args) must be the template's placeholder count.
+func (t *template) appendText(b []byte, args []Value) []byte {
 	for i, a := range args {
-		b = a.appendSQL(append(b, st.segs[i]...))
+		b = a.appendSQL(append(b, t.segs[i]...))
 	}
-	return append(b, st.segs[len(args)]...)
+	return append(b, t.segs[len(args)]...)
 }
 
 // Logged returns what the commit hook receives when the statement, a write,
-// runs with args: the replayable text a statement-format binlog records and,
-// for a parameterised statement, the prepared form with the argument vector
-// copied (callers reuse theirs).
+// runs with args, the argument vector copied (callers reuse theirs).
 func (st *Statement) Logged(args []Value) (LoggedWrite, error) {
 	if err := checkArgs(st.nparams, args); err != nil {
 		return LoggedWrite{}, err
 	}
-	w, _ := st.logged(nil, args)
+	w, _ := st.logged(append([]Value(nil), args...), nil)
 	return w, nil
 }
 
-// logged is Logged rendering into buf, which it returns for reuse: the text
-// is appended there and materialised once.
-func (st *Statement) logged(buf []byte, args []Value) (LoggedWrite, []byte) {
-	if st.segs == nil {
+// logged is the write st logs when run with args, which must be a copy no one
+// writes again. A parameterised statement's text is rendered into buf only to
+// be measured — buf is returned for reuse — and the write renders it again
+// when something reads it.
+func (st *Statement) logged(args []Value, buf []byte) (LoggedWrite, []byte) {
+	if st.tmpl == nil {
 		return LoggedWrite{SQL: st.norm}, buf
 	}
-	buf = st.appendText(buf[:0], args)
-	return LoggedWrite{SQL: string(buf), Stmt: st.norm, Args: append([]Value(nil), args...)}, buf
+	buf = st.tmpl.appendText(buf[:0], args)
+	return LoggedWrite{Stmt: st.norm, Args: args, tmpl: st.tmpl, textLen: len(buf)}, buf
 }
 
 // Table returns the table an INSERT, UPDATE, DELETE or TRUNCATE writes.
@@ -176,8 +187,8 @@ func (st *Statement) NumParams() int { return st.nparams }
 
 // Run executes the statement on a session with the given arguments. SELECTs
 // run their current plan and writes their compiled write plan (built on first
-// use, rebuilt once no longer current); a write's text for the
-// binlog is rendered from the statement's template.
+// use, rebuilt once no longer current); a write is logged as its prepared
+// form, args copied.
 func (st *Statement) Run(s *Session, args ...Value) (*Result, error) {
 	return s.run(st, args, LoggedWrite{}, nil)
 }

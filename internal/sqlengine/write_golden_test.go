@@ -9,14 +9,15 @@ import (
 )
 
 // The write golden pins, for a script of INSERT/UPDATE/DELETE statements run
-// in order on one engine per binlog format: ExecStats, Result.SQL, the row
+// in order on one engine per binlog format: ExecStats, the statement's text
+// (a write's is its LoggedWrite's Text, Result.SQL for the rest), the row
 // images FormatRow renders, what the commit hook received, the commit
 // version, and a checksum of every table (heap order) plus a set of
 // index-equality probes (bucket order). It was frozen from the tree-walking
 // write executor (Bind + pickCandidates + scope.eval) before compiled write
 // plans replaced it, so it is the reference they must reproduce byte for
 // byte: ExecStats is what the server's cost model turns into virtual CPU and
-// Result.SQL is what every replication link carries.
+// the logged text is what every replication link carries.
 
 // writeGoldenSchema has a unique and a non-unique secondary index beside the
 // primary keys, and one table with neither key nor index.
@@ -223,7 +224,7 @@ func tableChecksum(t *testing.T, s *Session, sql string) (int, uint64) {
 func captureCommits(eng *Engine, sink *[]string) {
 	eng.OnCommit = func(db string, writes []LoggedWrite) {
 		for _, w := range writes {
-			*sink = append(*sink, db+": "+w.SQL)
+			*sink = append(*sink, db+": "+w.Text())
 		}
 	}
 }
@@ -251,7 +252,12 @@ func renderWriteGolden(t *testing.T, b *strings.Builder, format BinlogFormat) {
 		} else {
 			fmt.Fprintf(b, "class=%s examined=%d affected=%d returned=%d index=%v\n", res.Stats.Class,
 				res.Stats.RowsExamined, res.Stats.RowsAffected, res.Stats.RowsReturned, res.Stats.UsedIndex)
-			fmt.Fprintf(b, "sql: %s\n", res.SQL)
+			text := res.SQL
+			if res.Stats.Class == ClassWrite {
+				w, _ := st.Logged(q.args)
+				text = w.Text()
+			}
+			fmt.Fprintf(b, "sql: %s\n", text)
 			for _, img := range res.RowSQL {
 				fmt.Fprintf(b, "image: %s\n", img)
 			}
