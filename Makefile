@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint clean check
+.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
 
 all: build vet lint test
 
@@ -38,6 +38,11 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines outside benchmark/ and testdata/: the size ROADMAP tracks
+# from one PR to the next. Reported, not gated.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 race:
 	$(GO) test -race ./...

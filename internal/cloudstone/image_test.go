@@ -203,7 +203,7 @@ func TestRestoredEngineIndistinguishable(t *testing.T) {
 					return "error: " + err.Error()
 				}
 				var b strings.Builder
-				fmt.Fprintf(&b, "%+v sql=%q rowsql=%q", res.Stats, res.SQL, res.RowSQL)
+				fmt.Fprintf(&b, "%+v sql=%q", res.Stats, res.SQL)
 				if res.Set != nil {
 					fmt.Fprintf(&b, " columns=%v\n%s", res.Set.Columns, strings.Join(canonPage(res.Set, true), "\n"))
 				}

@@ -214,9 +214,10 @@ type ScaleOpts struct {
 	// drain overrides proxy.DrainTimeout for TestRemoveSlaveGracefulTimesOut,
 	// which needs a budget shorter than a read to see one abandoned.
 	drain time.Duration
-	// Victim pins the first replica removed on scale-in, in whichever cell it
-	// is attached to; nil removes the most-lagged one of the fullest cell.
-	Victim *repl.Slave
+	// victim pins the first replica removed on scale-in, in whichever cell it
+	// is attached to, for the tests that remove a particular one; nil removes
+	// the most-lagged one of the fullest cell.
+	victim *repl.Slave
 }
 
 // Scale is the unified elasticity surface: a positive delta adds replicas, a
@@ -248,11 +249,11 @@ func (db *DB) Scale(p *sim.Proc, delta int, opts ScaleOpts) error {
 	}
 	var firstErr error
 	for ; delta < 0; delta++ {
-		cell, victim, err := pickVictim(cells, opts.Victim)
+		cell, victim, err := pickVictim(cells, opts.victim)
 		if err != nil {
 			return err
 		}
-		opts.Victim = nil // only the first removal is pinned
+		opts.victim = nil // only the first removal is pinned
 		abandoned := 0
 		if p != nil {
 			abandoned = cell.Px.Drain(p, victim, drain)

@@ -138,7 +138,7 @@ func TestHandleParity(t *testing.T) {
 				// Graceful, pinned to a replica of cell 0 — now the emptiest
 				// cell, which an unpinned removal would never pick.
 				pin := db.cells()[0].Clu.Slaves()[0]
-				if err := db.Scale(p, -1, ScaleOpts{Victim: pin}); err != nil {
+				if err := db.Scale(p, -1, ScaleOpts{victim: pin}); err != nil {
 					t.Errorf("pinned scale-in: %v", err)
 				}
 				if attached(db, pin) {
@@ -148,7 +148,7 @@ func TestHandleParity(t *testing.T) {
 					t.Errorf("pinned victim %s was not terminated", pin.Srv.Name)
 				}
 				// A victim no cell has attached is an error, not a removal.
-				if err := db.Scale(p, -1, ScaleOpts{Victim: pin}); err == nil {
+				if err := db.Scale(p, -1, ScaleOpts{victim: pin}); err == nil {
 					t.Error("scale-in of a detached victim succeeded")
 				}
 				// Immediate (p == nil).

@@ -61,22 +61,13 @@ type Config struct {
 	Policy Policy
 	// Spec places newly provisioned replicas.
 	Spec cluster.NodeSpec
-	// ScaleCell, when set, is the escape hatch past the master ceiling:
-	// the controller invokes it (in its own process) each time it declares
-	// the tier master-bound. Read replicas cannot relieve a saturated
-	// write master, but splitting the tier into another shard cell can —
-	// wire this to core.DB.SplitShard. On success the master-bound verdict
-	// is cleared so replica scaling resumes in the new, smaller cell; on
-	// failure the verdict stands.
-	ScaleCell func(p *sim.Proc) error
 }
 
 // Decision is one entry of the controller's decision log.
 type Decision struct {
 	T sim.Time
 	// Action is one of "scale-out", "admit", "scale-in", "drained",
-	// "master-bound", "rollback", "provision-failed", "cell-added",
-	// "cell-scale-failed".
+	// "master-bound", "rollback", "provision-failed".
 	Action string
 	// Slave names the replica involved, when one is.
 	Slave string
@@ -120,7 +111,6 @@ type Controller struct {
 	masterBound       bool
 	masterBoundAt     sim.Time
 	masterBoundSlaves int
-	cellScaling       bool // a ScaleCell (shard split) is in flight
 
 	judge *judgeState
 }
@@ -137,8 +127,7 @@ type judgeState struct {
 // handle's; ops is the one signal it cannot know — the cumulative number of
 // client operations the load driver has completed (nil reads as zero
 // throughput). A handle that fronts several cells is refused: the controller
-// steers one master's replica fleet. (ScaleCell may split the tier later;
-// the controller stays on the cell it started with.)
+// steers one master's replica fleet.
 func Start(env *sim.Env, db *core.DB, ops func() float64, cfg Config) (*Controller, error) {
 	clu, px := db.Cluster(), db.Proxy()
 	if clu == nil {
@@ -178,8 +167,6 @@ type Counters struct {
 	MasterBound     int `metric:"master_bound"`
 	Rollback        int `metric:"rollback"`
 	ProvisionFailed int `metric:"provision_failed"`
-	CellAdded       int `metric:"cell_added"`
-	CellScaleFailed int `metric:"cell_scale_failed"`
 	IsMasterBound   int `metric:"is_master_bound"`
 }
 
@@ -190,8 +177,7 @@ func (c *Controller) Counters() Counters {
 	byAction := map[string]*int{
 		"scale-out": &n.ScaleOut, "admit": &n.Admit, "scale-in": &n.ScaleIn,
 		"drained": &n.Drained, "master-bound": &n.MasterBound, "rollback": &n.Rollback,
-		"provision-failed": &n.ProvisionFailed, "cell-added": &n.CellAdded,
-		"cell-scale-failed": &n.CellScaleFailed,
+		"provision-failed": &n.ProvisionFailed,
 	}
 	for _, d := range c.decisions {
 		*byAction[d.Action]++
@@ -324,30 +310,6 @@ func (c *Controller) declareMasterBound(p *sim.Proc, slaves int, reason string) 
 	c.masterBoundAt = p.Now()
 	c.masterBoundSlaves = slaves
 	c.record(p, "master-bound", "", reason, slaves)
-	c.scaleCell(slaves)
-}
-
-// scaleCell launches the configured past-the-master escape hatch (a shard
-// split) once per master-bound declaration. Success clears the verdict —
-// the cell the controller steers now owns half its former keyspace, so the
-// master has headroom again and replica scaling resumes; failure leaves
-// the verdict standing so the run's conclusion stays honest.
-func (c *Controller) scaleCell(slaves int) {
-	if c.cfg.ScaleCell == nil || c.cellScaling {
-		return
-	}
-	c.cellScaling = true
-	c.env.Go("elastic/scale-cell", func(pp *sim.Proc) {
-		err := c.cfg.ScaleCell(pp)
-		c.cellScaling = false
-		if err != nil {
-			c.record(pp, "cell-scale-failed", "", err.Error(), slaves)
-			return
-		}
-		c.masterBound = false
-		c.lastScale = pp.Now()
-		c.record(pp, "cell-added", "", "tier split into a new shard cell; master ceiling lifted", slaves)
-	})
 }
 
 func (c *Controller) tryScaleOut(p *sim.Proc, s Sample, reason string) {

@@ -1,7 +1,6 @@
 package elastic
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -63,8 +62,8 @@ func start(t *testing.T, env *sim.Env, db *core.DB, cfg Config) *Controller {
 }
 
 // TestStartTakesOneCell: the controller steers one master's fleet, so Start
-// accepts a handle that fronts one cell — from Open or, ready for ScaleCell to
-// split, from OpenSharded — and refuses one that fronts two.
+// accepts a handle that fronts one cell — from Open or from OpenSharded — and
+// refuses one that fronts two.
 func TestStartTakesOneCell(t *testing.T) {
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	for cells := 1; cells <= 2; cells++ {
@@ -292,74 +291,4 @@ func TestJudgeKeepsEffectiveScaleOut(t *testing.T) {
 	}
 	env.Stop()
 	env.Shutdown()
-}
-
-// TestScaleCellOnMasterBound: when a ScaleCell hook is wired, a master-bound
-// verdict triggers exactly one cell-split attempt. Success lifts the verdict
-// (the tier now has a second master); failure records cell-scale-failed and
-// leaves the verdict standing so the operator sees the ceiling.
-func TestScaleCellOnMasterBound(t *testing.T) {
-	env, _, db := newTier(t, 13, 1)
-	calls := 0
-	c := start(t, env, db, Config{
-		ScaleCell: func(p *sim.Proc) error {
-			calls++
-			p.Sleep(5 * time.Second) // splits take time; verdict lifts only after
-			return nil
-		},
-	})
-
-	env.Go("test", func(p *sim.Proc) {
-		p.Sleep(2 * time.Minute)
-		c.tryScaleOut(p, Sample{MasterUtil: 0.95, AdmittedCount: 1, Throughput: 10}, "cpu high")
-		// A second demand while the split is in flight must not start another.
-		c.tryScaleOut(p, Sample{MasterUtil: 0.95, AdmittedCount: 1, Throughput: 10}, "cpu high")
-	})
-	env.RunUntil(sim.Time(3 * time.Minute))
-	env.Stop()
-	env.Shutdown()
-
-	if calls != 1 {
-		t.Fatalf("ScaleCell ran %d times, want 1 (in-flight guard)", calls)
-	}
-	if bound, _, _ := c.MasterBound(); bound {
-		t.Error("master-bound verdict not cleared after a successful cell split")
-	}
-	if !hasDecision(c.Decisions(), "cell-added") {
-		t.Error("no cell-added decision recorded")
-	}
-	if c.lastScale != sim.Time(2*time.Minute+5*time.Second) {
-		t.Errorf("lastScale = %v, want 2m5s (cooldown restarts at split completion)", c.lastScale)
-	}
-	if n := c.Counters(); n.CellAdded != 1 || n.MasterBound != 1 || n.IsMasterBound != 0 {
-		t.Errorf("counters = %+v, want one cell-added, one master-bound declaration, verdict cleared", n)
-	}
-}
-
-func TestScaleCellFailureKeepsVerdict(t *testing.T) {
-	env, _, db := newTier(t, 14, 1)
-	c := start(t, env, db, Config{
-		ScaleCell: func(p *sim.Proc) error {
-			p.Sleep(time.Second)
-			return errors.New("source slaves cannot keep up")
-		},
-	})
-
-	env.Go("test", func(p *sim.Proc) {
-		p.Sleep(2 * time.Minute)
-		c.tryScaleOut(p, Sample{MasterUtil: 0.95, AdmittedCount: 1, Throughput: 10}, "cpu high")
-	})
-	env.RunUntil(sim.Time(3 * time.Minute))
-	env.Stop()
-	env.Shutdown()
-
-	if bound, _, _ := c.MasterBound(); !bound {
-		t.Error("a failed split must leave the master-bound verdict standing")
-	}
-	if !hasDecision(c.Decisions(), "cell-scale-failed") {
-		t.Error("no cell-scale-failed decision recorded")
-	}
-	if hasDecision(c.Decisions(), "cell-added") {
-		t.Error("cell-added recorded for a failed split")
-	}
 }

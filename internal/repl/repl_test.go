@@ -542,18 +542,17 @@ func TestCascadingReplication(t *testing.T) {
 	r.env.Shutdown()
 }
 
-// TestRowFormatBreaksHeartbeatMethodology is the negative control for the
-// paper's measurement design: with row-based logging the heartbeat INSERT
-// replicates with the master's literal timestamp, so the slave commits the
-// master's clock reading instead of its own — the per-id timestamp
-// difference collapses to zero and can no longer measure replication
-// delay. The paper's methodology requires statement-based replication.
-func TestRowFormatBreaksHeartbeatMethodology(t *testing.T) {
-	measure := func(rowFormat bool) int64 {
+// TestReplicatedValueBreaksHeartbeatMethodology is the negative control for
+// the paper's measurement design: a heartbeat INSERT that replicates the
+// master's clock *value* — bound as an argument, as a row-based binlog would
+// carry it — instead of the UTC_MICROS() *expression* makes the slave commit
+// the master's reading, not its own. The per-id timestamp difference then
+// collapses to zero and can no longer measure replication delay: the
+// methodology needs statement-based replication, where each replica
+// re-evaluates the expression against its own clock.
+func TestReplicatedValueBreaksHeartbeatMethodology(t *testing.T) {
+	measure := func(bindValue bool) int64 {
 		r := newRig(t, 15, 1, Async, sameZone())
-		if rowFormat {
-			r.master.Srv.SetRowFormat()
-		}
 		// Heartbeat-style insert: id + local microsecond timestamp.
 		sess := r.master.Srv.Session("app")
 		prep := r.master.Srv.Session("app")
@@ -562,6 +561,11 @@ func TestRowFormatBreaksHeartbeatMethodology(t *testing.T) {
 		}
 		r.env.Go("beat", func(p *sim.Proc) {
 			p.Sleep(time.Second)
+			if bindValue {
+				now := sqlengine.NewTime(r.master.Srv.Inst.Clock.NowMicros())
+				r.master.Srv.Exec(p, sess, "INSERT INTO hb (id, ts) VALUES (1, ?)", now)
+				return
+			}
 			r.master.Srv.Exec(p, sess, "INSERT INTO hb (id, ts) VALUES (1, UTC_MICROS())")
 		})
 		r.env.RunUntil(30 * time.Second)
@@ -579,15 +583,16 @@ func TestRowFormatBreaksHeartbeatMethodology(t *testing.T) {
 		return diff
 	}
 
-	sbr := measure(false)
-	rbr := measure(true)
-	// Statement-based: the slave's re-execution commits its own later
-	// clock — a real, positive delay (≥ network + apply ≈ 36ms here).
-	if sbr < (30 * time.Millisecond).Microseconds() {
-		t.Fatalf("SBR heartbeat delay %d µs; expected a measurable delay", sbr)
+	expr := measure(false)
+	value := measure(true)
+	t.Logf("replica minus master: %d µs for UTC_MICROS(), %d µs for the bound value", expr, value)
+	// The expression: the slave's re-execution commits its own later clock —
+	// a real, positive delay (≥ network + apply ≈ 36ms here).
+	if expr < (30 * time.Millisecond).Microseconds() {
+		t.Fatalf("UTC_MICROS() heartbeat delay %d µs; expected a measurable delay", expr)
 	}
-	// Row-based: identical literal timestamps — measured "delay" is zero.
-	if rbr != 0 {
-		t.Fatalf("RBR heartbeat delta %d µs; row images must carry the master timestamp", rbr)
+	// The master's value: identical timestamps — measured "delay" is zero.
+	if value != 0 {
+		t.Fatalf("bound-value heartbeat delta %d µs; the slave must commit the master's timestamp", value)
 	}
 }

@@ -19,71 +19,65 @@ import (
 
 // TestWireSizeIsExact holds the binlog's byte accounting to its encoding for
 // every entry a Cloudstone write mix logs — prepared forms, parameterless
-// statements, DDL, a raw Append, in both binlog formats — and for the same
-// entries decoded off the wire: WireSize is len(Encode()), Log.Bytes is the
-// sum of WireSize, and the text every entry renders is the one a statement-
-// format binlog has always carried (testdata/logged_text.txt, rendered by the
-// tree that materialised the text at commit). Regenerate after a deliberate
-// change with:
+// statements, DDL, a raw Append — and for the same entries decoded off the
+// wire: WireSize is len(Encode()), Log.Bytes is the sum of WireSize, and the
+// text every entry renders is the one the binlog has always carried
+// (testdata/logged_text.txt, rendered by the tree that materialised the text
+// at commit). Regenerate after a deliberate change with:
 //
 //	UPDATE_LOGGED_TEXT_GOLDEN=1 go test ./internal/repl -run TestWireSizeIsExact
 func TestWireSizeIsExact(t *testing.T) {
-	var golden strings.Builder
-	for _, format := range []string{"statement", "row"} {
-		env := sim.NewEnv(5)
-		c := cloud.New(env, cloud.Config{})
-		m := newEquivalenceServer(t, env, c, "master")
-		if format == "row" {
-			m.SetRowFormat()
+	env := sim.NewEnv(5)
+	c := cloud.New(env, cloud.Config{})
+	m := newEquivalenceServer(t, env, c, "master")
+	from := m.Log.LastSeq()
+	env.Go("client", func(p *sim.Proc) {
+		writeMix(t, p, m, 21)
+		if _, err := m.Exec(p, m.Session(cloudstone.DatabaseName), "CREATE TABLE wire_ddl (id BIGINT PRIMARY KEY)"); err != nil {
+			t.Error(err)
 		}
-		from := m.Log.LastSeq()
-		env.Go("client", func(p *sim.Proc) {
-			writeMix(t, p, m, 21)
-			if _, err := m.Exec(p, m.Session(cloudstone.DatabaseName), "CREATE TABLE wire_ddl (id BIGINT PRIMARY KEY)"); err != nil {
-				t.Error(err)
-			}
-		})
-		env.RunUntil(time.Hour)
-		m.Log.Append(cloudstone.DatabaseName, "DELETE FROM wire_ddl", 0)
-		env.Shutdown()
+	})
+	env.RunUntil(time.Hour)
+	m.Log.Append(cloudstone.DatabaseName, "DELETE FROM wire_ddl", 0)
+	env.Shutdown()
 
-		r, err := m.Log.NewReader(0)
-		if err != nil {
-			t.Fatal(err)
+	r, err := m.Log.NewReader(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := r.TryNextBatch(math.MaxInt, 0)
+	wire, err := binlog.DecodeBatch(binlog.EncodeBatch(all))
+	if err != nil || len(wire) != len(all) {
+		t.Fatalf("%d entries decoded of %d (%v)", len(wire), len(all), err)
+	}
+	var golden strings.Builder
+	var sum int64
+	prepared := 0
+	golden.WriteString("== statement\n")
+	for i, e := range all {
+		size := e.WireSize()
+		sum += int64(size)
+		if e.Stmt != "" {
+			prepared++
 		}
-		all := r.TryNextBatch(math.MaxInt, 0)
-		wire, err := binlog.DecodeBatch(binlog.EncodeBatch(all))
-		if err != nil || len(wire) != len(all) {
-			t.Fatalf("%s: %d entries decoded of %d (%v)", format, len(wire), len(all), err)
+		if enc := e.Encode(); len(enc) != size {
+			t.Errorf("seq %d: WireSize %d, encoded %d bytes", e.Seq, size, len(enc))
 		}
-		var sum int64
-		prepared := 0
-		fmt.Fprintf(&golden, "== %s\n", format)
-		for i, e := range all {
-			size := e.WireSize()
-			sum += int64(size)
-			if e.Stmt != "" {
-				prepared++
-			}
-			if enc := e.Encode(); len(enc) != size {
-				t.Errorf("%s seq %d: WireSize %d, encoded %d bytes", format, e.Seq, size, len(enc))
-			}
-			d := wire[i]
-			if d.SQL != e.Text() || d.WireSize() != size || len(d.Encode()) != size || !bytes.Equal(d.Encode(), e.Encode()) {
-				t.Errorf("%s seq %d: decoded %q (%d bytes), in memory %q (%d bytes)", format, e.Seq, d.SQL, d.WireSize(), e.Text(), size)
-			}
-			if e.Seq > from {
-				fmt.Fprintf(&golden, "%d %d %s: %s\n", e.Seq, size, e.Database, e.Text())
-			}
+		d := wire[i]
+		if d.SQL != e.Text() || d.WireSize() != size || len(d.Encode()) != size || !bytes.Equal(d.Encode(), e.Encode()) {
+			t.Errorf("seq %d: decoded %q (%d bytes), in memory %q (%d bytes)", e.Seq, d.SQL, d.WireSize(), e.Text(), size)
 		}
-		if sum != m.Log.Bytes() {
-			t.Errorf("%s: Log.Bytes %d, entries' WireSize sums to %d", format, m.Log.Bytes(), sum)
+		if e.Seq > from {
+			fmt.Fprintf(&golden, "%d %d %s: %s\n", e.Seq, size, e.Database, e.Text())
 		}
-		// Preload's CREATEs and the mix's own make DDL; the mix's DELETE and
-		// every row image are texts; the rest are prepared forms.
-		if format == "statement" && (prepared == 0 || prepared == len(all)) {
-			t.Errorf("%d of %d entries carry a prepared form: the mix covers one kind only", prepared, len(all))
-		}
+	}
+	if sum != m.Log.Bytes() {
+		t.Errorf("Log.Bytes %d, entries' WireSize sums to %d", m.Log.Bytes(), sum)
+	}
+	// Preload's CREATEs and the mix's own make DDL, the mix's DELETE a text;
+	// the rest are prepared forms.
+	if prepared == 0 || prepared == len(all) {
+		t.Errorf("%d of %d entries carry a prepared form: the mix covers one kind only", prepared, len(all))
 	}
 	compareLoggedText(t, filepath.Join("testdata", "logged_text.txt"), golden.String())
 }

@@ -167,7 +167,6 @@ func New(env *sim.Env, name string, inst *cloud.Instance, cost CostModel) *DBSer
 		env:  env,
 	}
 	s.Eng.NowMicros = func() int64 { return inst.Clock.NowMicros() }
-	// s.Eng.Format stays FormatStatement unless SetRowFormat is called.
 	s.Eng.OnCommit = func(db string, writes []sqlengine.LoggedWrite) {
 		ts := inst.Clock.NowMicros()
 		for _, w := range writes {
@@ -190,12 +189,6 @@ func (s *DBServer) Restore(img *sqlengine.Snapshot, pos uint64) error {
 	s.Log = binlog.NewAt(s.env, pos)
 	return nil
 }
-
-// SetRowFormat switches the server's binlog to row-based logging (MySQL
-// RBR): committed writes replicate as literal per-row images instead of
-// the original statement text, so time builtins are fixed at the master
-// rather than re-evaluated on each replica.
-func (s *DBServer) SetRowFormat() { s.Eng.Format = sqlengine.FormatRow }
 
 // Up reports whether the backing instance is running.
 func (s *DBServer) Up() bool { return s.Inst.Up() }

@@ -69,9 +69,6 @@ type Result struct {
 	// empty: nothing replicates a SELECT, and a write's text is its
 	// LoggedWrite's, rendered only when something reads it.
 	SQL string
-	// RowSQL carries the row-image statements (one per affected row) that
-	// a row-format binlog records instead of SQL.
-	RowSQL []string
 }
 
 // Reply is the storage a statement's outcome is written to: the Result and,
@@ -84,14 +81,17 @@ type Reply struct {
 }
 
 // LoggedWrite is one committed write as the commit hook hands it to the
-// binlog, and as Session.Replay takes it back on a replica. A parameterised
+// binlog, and as Session.Replay takes it back on a replica. Logging is
+// statement-based (MySQL SBR): a replica re-evaluates the statement, so a
+// non-deterministic builtin (UTC_MICROS) reads the replica's own clock — what
+// the paper's heartbeat methodology depends on. A parameterised
 // statement is logged as its prepared form alone; its replayable text — the
 // only part a wire encoding carries — is a view of that form, measured when
 // the write is logged and rendered when Text is called.
 type LoggedWrite struct {
 	// SQL is the replayable text of a write that has no prepared form — a
-	// statement without parameters, DDL, a row-format image, an entry that
-	// came off the wire — and empty for one that has (see Text).
+	// statement without parameters, DDL, an entry that came off the wire —
+	// and empty for one that has (see Text).
 	SQL string
 	// Stmt is the parameterised text the statement was prepared from
 	// (Statement.Norm) and Args the argument vector it ran with: text and
@@ -127,20 +127,6 @@ func (w LoggedWrite) TextLen() int {
 // session's current database. The slice is only valid during the call.
 type CommitHook func(database string, writes []LoggedWrite)
 
-// BinlogFormat selects how committed writes are rendered for replication.
-type BinlogFormat uint8
-
-const (
-	// FormatStatement logs the original statement text; non-deterministic
-	// builtins (UTC_MICROS) re-evaluate on each replica — MySQL SBR and
-	// the mode the paper's heartbeat methodology depends on.
-	FormatStatement BinlogFormat = iota
-	// FormatRow logs deterministic per-row images (literal values fixed at
-	// the master) — MySQL RBR. Replicas apply exactly the master's values,
-	// so the heartbeat trick stops working (the negative control).
-	FormatRow
-)
-
 // Engine is a single server's database engine: a set of databases, a parse
 // cache, a local-time source for time builtins and a commit hook feeding
 // the binlog.
@@ -151,8 +137,6 @@ type Engine struct {
 	// NowMicros supplies local time in microseconds for UTC_MICROS()/NOW().
 	// The database server binds it to its instance's drifting clock.
 	NowMicros func() int64
-	// Format selects statement- or row-based rendering for the commit hook.
-	Format BinlogFormat
 	// OnCommit, when non-nil, receives every committed write statement.
 	OnCommit CommitHook
 
@@ -418,9 +402,8 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply)
 	}
 	switch res.Stats.Class {
 	case ClassWrite:
-		// A replayed write is logged as it came; a row-format binlog logs
-		// images instead (recordCommit).
-		if from.SQL == "" && from.Stmt == "" && s.eng.Format == FormatStatement {
+		// A replayed write is logged as it came.
+		if from.SQL == "" && from.Stmt == "" {
 			from, s.eng.text = st.logged(s.eng.own(args), s.eng.text)
 		}
 		if !s.inTxn {
@@ -454,16 +437,6 @@ func (s *Session) Query(sql string, args ...Value) (*ResultSet, error) {
 func (s *Session) recordCommit(res *Result, w LoggedWrite) {
 	s.one[0] = w
 	writes := s.one[:]
-	if s.eng.Format == FormatRow && res.Stats.Class == ClassWrite {
-		if len(res.RowSQL) == 0 {
-			return // write touched no rows: nothing to replicate
-		}
-		// Row images are literal text: they have no prepared form.
-		writes = make([]LoggedWrite, len(res.RowSQL))
-		for i, img := range res.RowSQL {
-			writes[i] = LoggedWrite{SQL: img}
-		}
-	}
 	if res.Stats.Class == ClassDDL || !s.inTxn {
 		// An implicitly-committing statement flushes any open transaction
 		// first, preserving order. recordCommit always runs with the engine

@@ -938,90 +938,3 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal("restore shares storage with source")
 	}
 }
-
-func TestRowFormatRendersRowImages(t *testing.T) {
-	s := newTestDB(t)
-	s.eng.Format = FormatRow
-	s.eng.NowMicros = func() int64 { return 777 }
-	var logged []string
-	logSQL(s.eng, &logged)
-
-	// INSERT with a time builtin: the row image carries the literal 777,
-	// not the builtin call.
-	if _, err := s.Exec("INSERT INTO events (id, creator_id, title, score, created) VALUES (100, 1, 'row fmt', 1.5, UTC_MICROS())"); err != nil {
-		t.Fatal(err)
-	}
-	if len(logged) != 1 {
-		t.Fatalf("logged: %v", logged)
-	}
-	if strings.Contains(logged[0], "UTC_MICROS") || !strings.Contains(logged[0], "777") {
-		t.Fatalf("row image not literal: %s", logged[0])
-	}
-
-	// Multi-row UPDATE becomes one image per row, keyed by PK.
-	logged = nil
-	if _, err := s.Exec("UPDATE users SET karma = karma + 1 WHERE id IN (1, 2)"); err != nil {
-		t.Fatal(err)
-	}
-	if len(logged) != 2 {
-		t.Fatalf("update images: %v", logged)
-	}
-	for _, sql := range logged {
-		if !strings.Contains(sql, "WHERE id =") {
-			t.Fatalf("image not PK-keyed: %s", sql)
-		}
-	}
-
-	// DELETE images.
-	logged = nil
-	if _, err := s.Exec("DELETE FROM events WHERE creator_id = 4"); err != nil {
-		t.Fatal(err)
-	}
-	if len(logged) != 2 {
-		t.Fatalf("delete images: %v", logged)
-	}
-
-	// A write matching no rows replicates nothing in row format.
-	logged = nil
-	if _, err := s.Exec("UPDATE users SET karma = 0 WHERE id = 99999"); err != nil {
-		t.Fatal(err)
-	}
-	if len(logged) != 0 {
-		t.Fatalf("no-op write logged: %v", logged)
-	}
-}
-
-func TestRowImagesReplayToIdenticalState(t *testing.T) {
-	src := newTestDB(t)
-	src.eng.Format = FormatRow
-	var images []string
-	logSQL(src.eng, &images)
-	for _, sql := range []string{
-		"INSERT INTO users (id, name, karma) VALUES (50, 'fresh', 5)",
-		"UPDATE users SET karma = karma * 2 WHERE karma >= 50",
-		"DELETE FROM users WHERE id = 3",
-	} {
-		if _, err := src.Exec(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Replay images on a second engine cloned from the same seed state.
-	dst := newTestDB(t)
-	for _, sql := range images {
-		if _, err := dst.Exec(sql); err != nil {
-			t.Fatalf("replay %s: %v", sql, err)
-		}
-	}
-	a, _ := src.Query("SELECT id, name, karma FROM users ORDER BY id")
-	b, _ := dst.Query("SELECT id, name, karma FROM users ORDER BY id")
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j].String() != b.Rows[i][j].String() {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, a.Rows[i][j], b.Rows[i][j])
-			}
-		}
-	}
-}

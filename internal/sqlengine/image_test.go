@@ -41,7 +41,7 @@ func engineDigest(t *testing.T, e *Engine) string {
 // GC to prune the shared images' rows out from under it, a TRUNCATE — leaves
 // the source, its siblings and a later restore of the same image as they were.
 func TestRestoredEnginesShareNothingMutable(t *testing.T) {
-	src := newWriteGoldenDB(t, FormatStatement).eng
+	src := newWriteGoldenDB(t).eng
 	img := src.Snapshot()
 	restore := func() *Engine {
 		t.Helper()
@@ -121,7 +121,7 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 // image whose rows collide on a key — it cannot come from Snapshot — is refused
 // and leaves nothing behind.
 func TestRestoreChecksUniqueness(t *testing.T) {
-	src := newWriteGoldenDB(t, FormatStatement).eng
+	src := newWriteGoldenDB(t).eng
 	img := src.Snapshot()
 	for di := range img.dbs {
 		for ti := range img.dbs[di].tables {

@@ -159,7 +159,7 @@ func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value, out *Reply) 
 	*out = Reply{}
 	res := &out.Result
 	lo := len(s.log)
-	err := wp.run(rt, res)
+	err := wp.run(rt)
 	if err != nil {
 		s.undoTo(lo)
 	}
@@ -191,8 +191,8 @@ func (rt *runState) fill(vals []Value, pos []int, xs []*bexpr) error {
 
 // run executes the statement row by row, appending one change per row it
 // affects to the session's log — what execWrite undoes if it fails part-way.
-func (wp *writePlan) run(rt *runState, res *Result) error {
-	tbl, s, rowFormat := wp.tbl, rt.s, rt.e.Format == FormatRow
+func (wp *writePlan) run(rt *runState) error {
+	tbl, s := wp.tbl, rt.s
 	if wp.kind == effInsert {
 		for _, row := range wp.rows {
 			img := tbl.store.image(nil) // unset columns are NULL
@@ -204,9 +204,6 @@ func (wp *writePlan) run(rt *runState, res *Result) error {
 				return err
 			}
 			s.log = append(s.log, c)
-			if rowFormat {
-				res.RowSQL = append(res.RowSQL, renderRowInsert(tbl, img))
-			}
 		}
 		return nil
 	}
@@ -224,9 +221,6 @@ func (wp *writePlan) run(rt *runState, res *Result) error {
 	for _, r := range wp.hits {
 		if wp.kind == effDelete {
 			s.log = append(s.log, tbl.store.bury(r, s.writer()))
-			if rowFormat {
-				res.RowSQL = append(res.RowSQL, renderRowDelete(tbl, r.Values()))
-			}
 			continue
 		}
 		// Assignments read the row as it was: one never sees another's.
@@ -240,9 +234,6 @@ func (wp *writePlan) run(rt *runState, res *Result) error {
 			return err
 		}
 		s.log = append(s.log, c)
-		if rowFormat {
-			res.RowSQL = append(res.RowSQL, renderRowUpdate(tbl, c.old, img))
-		}
 	}
 	return nil
 }

@@ -9,11 +9,10 @@ import (
 )
 
 // The write golden pins, for a script of INSERT/UPDATE/DELETE statements run
-// in order on one engine per binlog format: ExecStats, the statement's text
-// (a write's is its LoggedWrite's Text, Result.SQL for the rest), the row
-// images FormatRow renders, what the commit hook received, the commit
-// version, and a checksum of every table (heap order) plus a set of
-// index-equality probes (bucket order). It was frozen from the tree-walking
+// in order on one engine: ExecStats, the statement's text (a write's is its
+// LoggedWrite's Text, Result.SQL for the rest), what the commit hook
+// received, the commit version, and a checksum of every table (heap order)
+// plus a set of index-equality probes (bucket order). It was frozen from the tree-walking
 // write executor (Bind + pickCandidates + scope.eval) before compiled write
 // plans replaced it, so it is the reference they must reproduce byte for
 // byte: ExecStats is what the server's cost model turns into virtual CPU and
@@ -38,10 +37,9 @@ var writeGoldenProbes = []string{
 	"SELECT id FROM events WHERE creator_id = 9",
 }
 
-func newWriteGoldenDB(t *testing.T, format BinlogFormat) *Session {
+func newWriteGoldenDB(t *testing.T) *Session {
 	t.Helper()
 	eng := NewEngine()
-	eng.Format = format
 	var now int64
 	eng.NowMicros = func() int64 { now += 1000; return now }
 	if err := eng.CreateDatabase("app", false); err != nil {
@@ -229,14 +227,18 @@ func captureCommits(eng *Engine, sink *[]string) {
 	}
 }
 
-func renderWriteGolden(t *testing.T, b *strings.Builder, format BinlogFormat) {
-	t.Helper()
-	s := newWriteGoldenDB(t, format)
-	name := map[BinlogFormat]string{FormatStatement: "statement", FormatRow: "row"}[format]
+// TestWriteGolden byte-compares the script against
+// testdata/write_golden.txt. Regenerate after a deliberate semantic change
+// with:
+//
+//	UPDATE_WRITE_GOLDEN=1 go test ./internal/sqlengine -run TestWriteGolden
+func TestWriteGolden(t *testing.T) {
+	var b strings.Builder
+	s := newWriteGoldenDB(t)
 	var logged []string
 	captureCommits(s.eng, &logged)
 	for _, q := range writeGoldenScript() {
-		fmt.Fprintf(b, "== %s | %s", name, q.sql)
+		fmt.Fprintf(&b, "== statement | %s", q.sql)
 		for _, a := range q.args {
 			b.WriteString(" | " + a.SQL())
 		}
@@ -248,50 +250,36 @@ func renderWriteGolden(t *testing.T, b *strings.Builder, format BinlogFormat) {
 			res, err = st.Run(s, q.args...)
 		}
 		if err != nil {
-			fmt.Fprintf(b, "error: %v\n", err)
+			fmt.Fprintf(&b, "error: %v\n", err)
 		} else {
-			fmt.Fprintf(b, "class=%s examined=%d affected=%d returned=%d index=%v\n", res.Stats.Class,
+			fmt.Fprintf(&b, "class=%s examined=%d affected=%d returned=%d index=%v\n", res.Stats.Class,
 				res.Stats.RowsExamined, res.Stats.RowsAffected, res.Stats.RowsReturned, res.Stats.UsedIndex)
 			text := res.SQL
 			if res.Stats.Class == ClassWrite {
 				w, _ := st.Logged(q.args)
 				text = w.Text()
 			}
-			fmt.Fprintf(b, "sql: %s\n", text)
-			for _, img := range res.RowSQL {
-				fmt.Fprintf(b, "image: %s\n", img)
-			}
+			fmt.Fprintf(&b, "sql: %s\n", text)
 			if res.Set != nil {
 				for _, r := range res.Set.Rows {
-					fmt.Fprintf(b, "row: %s\n", r[0].Str())
+					fmt.Fprintf(&b, "row: %s\n", r[0].Str())
 				}
 			}
 		}
 		for _, l := range logged {
-			fmt.Fprintf(b, "log: %s\n", l)
+			fmt.Fprintf(&b, "log: %s\n", l)
 		}
-		fmt.Fprintf(b, "commit=%d", s.eng.CommitVersion())
+		fmt.Fprintf(&b, "commit=%d", s.eng.CommitVersion())
 		for _, tbl := range []string{"users", "events", "logs"} {
 			n, sum := tableChecksum(t, s, "SELECT * FROM "+tbl)
-			fmt.Fprintf(b, " %s=%d:%016x", tbl, n, sum)
+			fmt.Fprintf(&b, " %s=%d:%016x", tbl, n, sum)
 		}
 		h := fnv.New64a()
 		for _, p := range writeGoldenProbes {
 			n, sum := tableChecksum(t, s, p)
 			fmt.Fprintf(h, "%d:%x;", n, sum)
 		}
-		fmt.Fprintf(b, " probes=%016x\n", h.Sum64())
+		fmt.Fprintf(&b, " probes=%016x\n", h.Sum64())
 	}
-}
-
-// TestWriteGolden byte-compares the script against
-// testdata/write_golden.txt. Regenerate after a deliberate semantic change
-// with:
-//
-//	UPDATE_WRITE_GOLDEN=1 go test ./internal/sqlengine -run TestWriteGolden
-func TestWriteGolden(t *testing.T) {
-	var b strings.Builder
-	renderWriteGolden(t, &b, FormatStatement)
-	renderWriteGolden(t, &b, FormatRow)
 	compareGolden(t, filepath.Join("testdata", "write_golden.txt"), b.String(), "UPDATE_WRITE_GOLDEN")
 }
