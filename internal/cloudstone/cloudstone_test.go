@@ -17,6 +17,16 @@ import (
 func newBench(t *testing.T, seed int64, nSlaves, scale int) (*sim.Env, *core.DB) {
 	t.Helper()
 	env := sim.NewEnv(seed)
+	db, err := openBench(env, nSlaves, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, db
+}
+
+// openBench opens a one-cell handle on a master and nSlaves replicas, all
+// preloaded at scale.
+func openBench(env *sim.Env, nSlaves, scale int) (*core.DB, error) {
 	c := cloud.New(env, cloud.Config{})
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	specs := make([]cluster.NodeSpec, nSlaves)
@@ -24,18 +34,16 @@ func newBench(t *testing.T, seed int64, nSlaves, scale int) (*sim.Env, *core.DB)
 		specs[i] = cluster.NodeSpec{Place: place}
 	}
 	clu, err := cluster.New(env, c, cluster.Config{
-		Mode:   repl.Async,
-		Cost:   server.DefaultCostModel(),
-		Master: cluster.NodeSpec{Place: place},
-		Slaves: specs,
-		Preload: func(srv *server.DBServer) error {
-			return Preload(scale)(srv)
-		},
+		Mode:    repl.Async,
+		Cost:    server.DefaultCostModel(),
+		Master:  cluster.NodeSpec{Place: place},
+		Slaves:  specs,
+		Preload: Preload(scale),
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return env, core.Open(clu, core.WithDatabase(DatabaseName), core.WithClientPlace(place))
+	return core.Open(clu, core.WithDatabase(DatabaseName), core.WithClientPlace(place)), nil
 }
 
 func TestPreloadPopulatesAllTables(t *testing.T) {

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"cloudrepl/internal/cloud"
-	"cloudrepl/internal/server"
-	"cloudrepl/internal/sim"
 	"cloudrepl/internal/sqlengine"
 )
 
@@ -144,22 +141,18 @@ func imageStream(rng *rand.Rand, scale, n int) []imageStep {
 	return out[:n]
 }
 
-// loadedAndRestored loads Cloudstone at scale by SQL on a new server and
-// restores that engine's image onto a second engine.
+// loadedAndRestored loads Cloudstone at scale by SQL on a new engine and
+// restores that engine's image onto a second one.
 func loadedAndRestored(t *testing.T, scale int) (loaded, restored *sqlengine.Engine) {
 	t.Helper()
-	env := sim.NewEnv(11)
-	t.Cleanup(env.Shutdown)
-	c := cloud.New(env, cloud.Config{})
-	srv := server.New(env, "m", c.Launch("m", cloud.Small, cloud.Placement{Region: cloud.USWest1, Zone: "a"}), server.DefaultCostModel())
-	if err := Preload(scale)(srv); err != nil {
+	loaded, restored = sqlengine.NewEngine(), sqlengine.NewEngine()
+	if err := LoadSQL(loaded, scale); err != nil {
 		t.Fatal(err)
 	}
-	restored = sqlengine.NewEngine()
-	if err := restored.Restore(srv.Eng.Snapshot()); err != nil {
+	if err := restored.Restore(loaded.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	return srv.Eng, restored
+	return loaded, restored
 }
 
 // TestRestoredEngineIndistinguishable loads Cloudstone by SQL on one engine,
@@ -223,7 +216,6 @@ func TestRestoredEngineIndistinguishable(t *testing.T) {
 				}
 				return b.String()
 			}
-			all := []string{"users", "events", "attendance", "tags", "event_tags", "comments", "friends"}
 			commits0 := loaded.CommitVersion()
 			sweeps0, _, _ := loaded.GCStats()
 			_, passes0 := loaded.PlanStats()
@@ -244,7 +236,7 @@ func TestRestoredEngineIndistinguishable(t *testing.T) {
 					}
 				}
 				if i%250 == 249 || i == 1999 {
-					wrote = all
+					wrote = allTables
 				}
 				if a, b := state(sides[0], wrote...), state(sides[1], wrote...); a != b {
 					t.Fatalf("after statement %d, %s %v:\nloaded:   %s\nrestored: %s", i, st.sql, st.args, a, b)
@@ -265,8 +257,8 @@ func TestRestoredEngineIndistinguishable(t *testing.T) {
 // engine from its source: plans are node-local and not in the image, so a
 // statement whose plan the source still holds from before the capture is
 // planned once more on the restored engine — here the one INSERT the load and
-// the workload share, which nothing but DDL retires. (A cluster preload that
-// ends with DDL, as every harness's does, retires them itself.)
+// the workload share, which nothing but DDL retires. (Preload restores every
+// node, the master too, so no node of a cluster holds the load's plans.)
 func TestRestoredEnginePlansAfresh(t *testing.T) {
 	loaded, restored := loadedAndRestored(t, 37)
 	var built [2]uint64

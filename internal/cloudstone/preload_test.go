@@ -1,0 +1,217 @@
+package cloudstone
+
+import (
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"cloudrepl/internal/cloud"
+	"cloudrepl/internal/core"
+	"cloudrepl/internal/server"
+	"cloudrepl/internal/sim"
+	"cloudrepl/internal/sqlengine"
+)
+
+var allTables = []string{"users", "events", "attendance", "tags", "event_tags", "comments", "friends"}
+
+// tablesDigest is every Cloudstone table's row count and an FNV-64a checksum
+// of its rows in the order the engine returns them.
+func tablesDigest(t *testing.T, eng *sqlengine.Engine) string {
+	t.Helper()
+	sess := eng.NewSession(DatabaseName)
+	var b strings.Builder
+	for _, table := range allTables {
+		set, err := sess.Query("SELECT * FROM " + table)
+		if err != nil {
+			t.Fatalf("%s: %v", table, err)
+		}
+		h := fnv.New64a()
+		for _, r := range set.Rows {
+			for _, v := range r {
+				h.Write([]byte(v.SQL()))
+				h.Write([]byte{0x1f})
+			}
+			h.Write([]byte{'\n'})
+		}
+		fmt.Fprintf(&b, "%s %d rows %x\n", table, len(set.Rows), h.Sum64())
+	}
+	return b.String()
+}
+
+// nodeState renders what a database node holds and how far it has come.
+func nodeState(t *testing.T, srv *server.DBServer) string {
+	t.Helper()
+	runs, versions, rows := srv.Eng.GCStats()
+	builds, passes := srv.Eng.PlanStats()
+	return fmt.Sprintf("%s: commit version %d, gc (%d, %d, %d), plans (%d, %d), log at %d\n%s", srv.Name,
+		srv.Eng.CommitVersion(), runs, versions, rows, builds, passes, srv.Log.LastSeq(), tablesDigest(t, srv.Eng))
+}
+
+func cellState(t *testing.T, db *core.DB) string {
+	t.Helper()
+	clu := db.Cluster()
+	s := nodeState(t, clu.Master().Srv)
+	for _, sl := range clu.Slaves() {
+		s += nodeState(t, sl.Srv)
+	}
+	return s
+}
+
+// TestPreloadIsHistoryIndependent builds one cell twice in a process — the
+// first preload loads the data set, the second finds it memoised — and runs
+// one workload on both. Every node, master included, must come out the same
+// both times, as built and after the workload. The preload ends without DDL,
+// as a sharded cell's does, so a master that kept the load's INSERT plans
+// would build fewer plans than a restored one.
+func TestPreloadIsHistoryIndependent(t *testing.T) {
+	const scale = 43
+	images.Delete(keyOf(scale, ownsAll)) // the first build is the load
+	var built, ran [2]string
+	for i := range built {
+		env, db := newBench(t, 12, 2, scale)
+		built[i] = cellState(t, db)
+		d := NewDriver(db, Config{Scale: scale, ReadRatio: 0.5, Users: 10,
+			RampUp: time.Second, Steady: 3 * time.Minute, RampDown: time.Second})
+		d.Start(env)
+		env.RunUntil(4 * time.Minute)
+		if d.CompletedOps() == 0 {
+			t.Fatal("the workload ran no operation")
+		}
+		ran[i] = cellState(t, db)
+		env.Stop()
+		env.Shutdown()
+	}
+	if built[0] != built[1] {
+		t.Fatalf("as built:\nfirst (loaded):    %s\nsecond (memoised): %s", built[0], built[1])
+	}
+	if ran[0] != ran[1] {
+		t.Fatalf("after the workload:\nfirst (loaded):    %s\nsecond (memoised): %s", ran[0], ran[1])
+	}
+}
+
+// TestPreloadRefusesANonEmptyServer: a preload restores the server's whole
+// engine, so a server with a catalog — here a second preload of the same
+// server — is refused and left as it was.
+func TestPreloadRefusesANonEmptyServer(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	c := cloud.New(env, cloud.Config{})
+	srv := server.New(env, "m", c.Launch("m", cloud.Small, cloud.Placement{Region: cloud.USWest1, Zone: "a"}), server.DefaultCostModel())
+	if err := Preload(30)(srv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Session(DatabaseName).Exec("DELETE FROM events WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	before, pos := tablesDigest(t, srv.Eng), srv.Log.LastSeq()
+	err := PreloadOwned(30, func(table string, key int64) bool { return key%2 == 0 })(srv)
+	if err == nil || !strings.Contains(err.Error(), "already has a catalog") {
+		t.Fatalf("second preload of one server: err = %v, want a refusal", err)
+	}
+	if after := tablesDigest(t, srv.Eng); after != before || srv.Log.LastSeq() != pos {
+		t.Fatalf("the refused preload changed the server:\n%s (log at %d)\nwas:\n%s (log at %d)", after, srv.Log.LastSeq(), before, pos)
+	}
+}
+
+// TestPreloadKeysOnOwnership: the memo tells data sets apart by what the
+// predicate answers, not by which function asks — two predicates that agree
+// share one image, a predicate that differs in one row's answer gets its own.
+func TestPreloadKeysOnOwnership(t *testing.T) {
+	even := func(table string, key int64) bool { return key%2 == 0 }
+	evenToo := func(table string, key int64) bool { return key&1 == 0 }
+	oneMore := func(table string, key int64) bool { return key%2 == 0 || (table == "friends" && key == 7) }
+	a, b, c := loaded(keyOf(30, even)), loaded(keyOf(30, evenToo)), loaded(keyOf(30, oneMore))
+	if a.err != nil || c.err != nil {
+		t.Fatal(a.err, c.err)
+	}
+	if a.snap != b.snap || a.snap == c.snap {
+		t.Fatalf("images: even %p, the same predicate written differently %p, one friends row more %p", a.snap, b.snap, c.snap)
+	}
+	if a.snap.NumRows()+FriendsPerUser != c.snap.NumRows() {
+		t.Fatalf("%d rows and %d rows: the extra user's %d friend edges are not the only difference", a.snap.NumRows(), c.snap.NumRows(), FriendsPerUser)
+	}
+}
+
+// TestPreloadSharesOneImageAcrossGoroutines: two clusters restored from one
+// memoised image at once, on two goroutines, and written through on both —
+// every table, enough commits for chain GC to prune the shared row images on
+// every node — leave that image as it was: restored afresh it reads the same
+// as before. Under -race this is also the check that nothing writes into it.
+func TestPreloadSharesOneImageAcrossGoroutines(t *testing.T) {
+	const scale = 31
+	img := loaded(keyOf(scale, ownsAll))
+	if img.err != nil {
+		t.Fatal(img.err)
+	}
+	digest := func() string {
+		eng := sqlengine.NewEngine()
+		if err := eng.Restore(img.snap); err != nil {
+			t.Fatal(err)
+		}
+		return tablesDigest(t, eng)
+	}
+	want := digest()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = writeThrough(int64(i+1), scale)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cluster %d: %v", i, err)
+		}
+	}
+	if got := digest(); got != want {
+		t.Fatalf("the memoised image changed under its clusters:\n%s\nwas:\n%s", got, want)
+	}
+}
+
+// writeThrough preloads a master and two replicas at scale and runs 3·64
+// commits over every table through them, then checks chain GC swept on each.
+func writeThrough(seed int64, scale int) error {
+	env := sim.NewEnv(seed)
+	defer env.Shutdown()
+	db, err := openBench(env, 2, scale)
+	if err != nil {
+		return err
+	}
+	in := sqlengine.NewInt
+	writes := []struct {
+		sql  string
+		args func(i int64) []sqlengine.Value
+	}{
+		{"UPDATE events SET description = ? WHERE id > 0", func(i int64) []sqlengine.Value { return []sqlengine.Value{sqlengine.NewString(fmt.Sprint("v", i))} }},
+		{"UPDATE users SET created = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i)} }},
+		{"DELETE FROM attendance WHERE event_id = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i%int64(scale) + 1)} }},
+		{"UPDATE tags SET name = CONCAT(name, '+')", func(int64) []sqlengine.Value { return nil }},
+		{"DELETE FROM event_tags WHERE id = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i)} }},
+		{"INSERT INTO comments (id, event_id, user_id, body, created) VALUES (?, 1, 1, 'x', 0)", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(10000 + i)} }},
+		{"UPDATE friends SET friend_id = friend_id + 1 WHERE user_id = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i%int64(scale) + 1)} }},
+	}
+	var execErr error
+	env.Go("writer", func(p *sim.Proc) {
+		for i := int64(0); i < 3*64 && execErr == nil; i++ {
+			w := writes[i%int64(len(writes))]
+			_, execErr = db.Exec(p, w.sql, w.args(i)...)
+		}
+	})
+	env.RunUntil(time.Hour)
+	if execErr != nil {
+		return execErr
+	}
+	clu := db.Cluster()
+	for _, srv := range []*server.DBServer{clu.Master().Srv, clu.Slaves()[0].Srv, clu.Slaves()[1].Srv} {
+		if runs, pruned, _ := srv.Eng.GCStats(); runs < 2 || pruned == 0 {
+			return fmt.Errorf("%s: %d GC sweeps pruned %d versions: the shared images were never pruned", srv.Name, runs, pruned)
+		}
+	}
+	return nil
+}

@@ -7,6 +7,7 @@ package cloudstone
 
 import (
 	"fmt"
+	"sync"
 
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sqlengine"
@@ -80,10 +81,17 @@ const FriendsPerUser = 3
 
 // Preload returns a cluster preload function that installs the schema and
 // the initial data set at the given scale ("initial data size" in the
-// paper's figures: 300 for the 50/50 runs, 600 for the 80/20 runs). It is
-// deterministic: the same scale loads the same bytes on any server, on any
-// run — a cluster runs it on its master only and starts replicas from that
-// engine's image.
+// paper's figures: 300 for the 50/50 runs, 600 for the 80/20 runs).
+//
+// A process loads each data set once: the first Preload of a scale runs the
+// SQL load (LoadSQL) on a scratch engine and keeps that engine's image and
+// the binlog position the load reached, and every server Preload is given —
+// the first one too — is DBServer.Restore'd from them. A server therefore
+// comes out the same whatever the process ran before: same rows, statistics,
+// commit version, GC and plan counters and log position, no plans. The
+// server must be empty (a Restore replaces its whole engine); one that has a
+// catalog is refused. A cluster runs this on its master only and starts
+// replicas from the master's image.
 func Preload(scale int) func(*server.DBServer) error {
 	return PreloadOwned(scale, nil)
 }
@@ -94,98 +102,195 @@ func Preload(scale int) func(*server.DBServer) error {
 // event_id, friends by user_id). Row ids are assigned before the predicate
 // runs, so a row keeps the same id whichever cell it lands on and the
 // union of all cells' data equals the unsharded preload exactly. A nil
-// predicate loads everything (single-cluster mode).
+// predicate loads everything (single-cluster mode). owns must be a function
+// of its arguments: it is asked once per (table, shard key) pair when the
+// returned function runs, and the answers name the data set the process
+// loads once.
 func PreloadOwned(scale int, owns func(table string, key int64) bool) func(*server.DBServer) error {
 	if owns == nil {
-		owns = func(string, int64) bool { return true }
+		owns = ownsAll
 	}
 	return func(srv *server.DBServer) error {
-		sess := srv.Session("")
-		for _, sql := range DDL {
-			if _, err := srv.ExecFree(sess, sql); err != nil {
-				return fmt.Errorf("cloudstone: schema: %w", err)
-			}
+		if !srv.Eng.Empty() {
+			return fmt.Errorf("cloudstone: preload %s: the server already has a catalog, which a preload would replace", srv.Name)
 		}
-		if _, err := srv.ExecFree(sess, "USE "+DatabaseName); err != nil {
-			return err
+		img := loaded(keyOf(scale, owns))
+		if img.err != nil {
+			return img.err
 		}
-		exec := func(table string, key int64, sql string, args ...sqlengine.Value) error {
-			if !owns(table, key) {
-				return nil
-			}
-			_, err := srv.ExecFree(sess, sql, args...)
-			return err
-		}
-		for i := 1; i <= NumTags; i++ {
-			if err := exec("tags", int64(i), "INSERT INTO tags (id, name) VALUES (?, ?)",
-				sqlengine.NewInt(int64(i)), sqlengine.NewString(fmt.Sprintf("tag%02d", i))); err != nil {
-				return err
-			}
-		}
-		for i := 1; i <= scale; i++ {
-			if err := exec("users", int64(i), "INSERT INTO users (id, username, created) VALUES (?, ?, ?)",
-				sqlengine.NewInt(int64(i)),
-				sqlengine.NewString(fmt.Sprintf("user%06d", i)),
-				sqlengine.NewInt(0)); err != nil {
-				return err
-			}
-		}
-		for i := 1; i <= scale; i++ {
-			creator := int64(i%scale) + 1
-			if err := exec("events", int64(i),
-				"INSERT INTO events (id, creator_id, title, description, event_date, created) VALUES (?, ?, ?, ?, ?, ?)",
-				sqlengine.NewInt(int64(i)),
-				sqlengine.NewInt(creator),
-				sqlengine.NewString(fmt.Sprintf("Event %d meetup", i)),
-				sqlengine.NewString("A social events calendar entry used as seed data."),
-				sqlengine.NewInt(int64(i)*1000000),
-				sqlengine.NewInt(int64(i))); err != nil {
-				return err
-			}
-		}
-		// Two attendees, two tags and one comment per event. Ids advance
-		// whether or not the row is owned, keeping them globally stable.
-		attID, etID, cmID := int64(1), int64(1), int64(1)
-		for i := 1; i <= scale; i++ {
-			for k := 0; k < 2; k++ {
-				if err := exec("attendance", int64(i),
-					"INSERT INTO attendance (id, event_id, user_id, created) VALUES (?, ?, ?, ?)",
-					sqlengine.NewInt(attID), sqlengine.NewInt(int64(i)),
-					sqlengine.NewInt(int64((i+k)%scale)+1), sqlengine.NewInt(0)); err != nil {
-					return err
-				}
-				attID++
-				if err := exec("event_tags", int64(i),
-					"INSERT INTO event_tags (id, event_id, tag_id) VALUES (?, ?, ?)",
-					sqlengine.NewInt(etID), sqlengine.NewInt(int64(i)),
-					sqlengine.NewInt(int64((i+7*k)%NumTags)+1)); err != nil {
-					return err
-				}
-				etID++
-			}
-			if err := exec("comments", int64(i),
-				"INSERT INTO comments (id, event_id, user_id, body, created) VALUES (?, ?, ?, ?, ?)",
-				sqlengine.NewInt(cmID), sqlengine.NewInt(int64(i)),
-				sqlengine.NewInt(int64(i%scale)+1),
-				sqlengine.NewString("Looking forward to this one."),
-				sqlengine.NewInt(0)); err != nil {
-				return err
-			}
-			cmID++
-		}
-		frID := int64(1)
-		for i := 1; i <= scale; i++ {
-			for j := 1; j <= FriendsPerUser; j++ {
-				friend := int64((i-1+j*(scale/FriendsPerUser)+j)%scale) + 1
-				if err := exec("friends", int64(i),
-					"INSERT INTO friends (id, user_id, friend_id) VALUES (?, ?, ?)",
-					sqlengine.NewInt(frID), sqlengine.NewInt(int64(i)),
-					sqlengine.NewInt(friend)); err != nil {
-					return err
-				}
-				frID++
-			}
-		}
-		return nil
+		return srv.Restore(img.snap, img.pos)
 	}
+}
+
+// LoadSQL loads the data set at scale onto eng by SQL, statement by
+// statement, as Preload does once per process: eng's commit hook sees every
+// statement, DDL included, and eng keeps the load's plans. It is what a
+// measurement of the SQL load itself runs.
+func LoadSQL(eng *sqlengine.Engine, scale int) error {
+	return load(eng, scale, ownsAll)
+}
+
+func ownsAll(string, int64) bool { return true }
+
+// keyedTables are the tables the load deals by a shard key in 1..scale, in
+// load order; tags, keyed 1..NumTags, come before them.
+var keyedTables = [...]string{"users", "events", "attendance", "event_tags", "comments", "friends"}
+
+// imageKey names one data set: its scale and what the ownership predicate
+// answered for each (table, shard key) pair the load asks about, one bit
+// each — NumTags + 6·scale of them.
+type imageKey struct {
+	scale int
+	owned string
+}
+
+func keyOf(scale int, owns func(string, int64) bool) imageKey {
+	bits := make([]byte, (NumTags+len(keyedTables)*scale+7)/8)
+	i := 0
+	ask := func(table string, n int) {
+		for key := 1; key <= n; key++ {
+			if owns(table, int64(key)) {
+				bits[i/8] |= 1 << (i % 8)
+			}
+			i++
+		}
+	}
+	ask("tags", NumTags)
+	for _, table := range keyedTables {
+		ask(table, scale)
+	}
+	return imageKey{scale, string(bits)}
+}
+
+// owns reads the predicate's answer for (table, key) back out of k, so the
+// load builds exactly the data set k names.
+func (k imageKey) owns(table string, key int64) bool {
+	i := int(key) - 1
+	for t, name := range keyedTables {
+		if name == table {
+			i += NumTags + t*k.scale
+		}
+	}
+	return k.owned[i/8]&(1<<(i%8)) != 0
+}
+
+// image is one memoised data set, loaded by the first caller to ask: the
+// scratch engine's image and the binlog position its load reached — the
+// writes it committed, DDL included.
+type image struct {
+	once sync.Once
+	snap *sqlengine.Snapshot
+	pos  uint64
+	err  error
+}
+
+// images holds an *image per imageKey for the life of the process. A
+// snapshot is immutable, so one serves every server on any goroutine, and
+// parallel sweeps share it.
+var images sync.Map
+
+// loaded returns the data set k names, loading it on a scratch engine the
+// first time any goroutine asks.
+func loaded(k imageKey) *image {
+	v, _ := images.LoadOrStore(k, new(image))
+	img := v.(*image)
+	img.once.Do(func() {
+		eng := sqlengine.NewEngine()
+		eng.OnCommit = func(_ string, writes []sqlengine.LoggedWrite) { img.pos += uint64(len(writes)) }
+		if img.err = load(eng, k.scale, k.owns); img.err == nil {
+			img.snap = eng.Snapshot()
+		}
+	})
+	return img
+}
+
+// load runs the SQL load on eng: the schema, then the rows owns grants.
+func load(eng *sqlengine.Engine, scale int, owns func(table string, key int64) bool) error {
+	sess := eng.NewSession("")
+	for _, sql := range DDL {
+		if _, err := sess.Exec(sql); err != nil {
+			return fmt.Errorf("cloudstone: schema: %w", err)
+		}
+	}
+	if _, err := sess.Exec("USE " + DatabaseName); err != nil {
+		return err
+	}
+	exec := func(table string, key int64, sql string, args ...sqlengine.Value) error {
+		if !owns(table, key) {
+			return nil
+		}
+		_, err := sess.Exec(sql, args...)
+		return err
+	}
+	for i := 1; i <= NumTags; i++ {
+		if err := exec("tags", int64(i), "INSERT INTO tags (id, name) VALUES (?, ?)",
+			sqlengine.NewInt(int64(i)), sqlengine.NewString(fmt.Sprintf("tag%02d", i))); err != nil {
+			return err
+		}
+	}
+	for i := 1; i <= scale; i++ {
+		if err := exec("users", int64(i), "INSERT INTO users (id, username, created) VALUES (?, ?, ?)",
+			sqlengine.NewInt(int64(i)),
+			sqlengine.NewString(fmt.Sprintf("user%06d", i)),
+			sqlengine.NewInt(0)); err != nil {
+			return err
+		}
+	}
+	for i := 1; i <= scale; i++ {
+		creator := int64(i%scale) + 1
+		if err := exec("events", int64(i),
+			"INSERT INTO events (id, creator_id, title, description, event_date, created) VALUES (?, ?, ?, ?, ?, ?)",
+			sqlengine.NewInt(int64(i)),
+			sqlengine.NewInt(creator),
+			sqlengine.NewString(fmt.Sprintf("Event %d meetup", i)),
+			sqlengine.NewString("A social events calendar entry used as seed data."),
+			sqlengine.NewInt(int64(i)*1000000),
+			sqlengine.NewInt(int64(i))); err != nil {
+			return err
+		}
+	}
+	// Two attendees, two tags and one comment per event. Ids advance
+	// whether or not the row is owned, keeping them globally stable.
+	attID, etID, cmID := int64(1), int64(1), int64(1)
+	for i := 1; i <= scale; i++ {
+		for k := 0; k < 2; k++ {
+			if err := exec("attendance", int64(i),
+				"INSERT INTO attendance (id, event_id, user_id, created) VALUES (?, ?, ?, ?)",
+				sqlengine.NewInt(attID), sqlengine.NewInt(int64(i)),
+				sqlengine.NewInt(int64((i+k)%scale)+1), sqlengine.NewInt(0)); err != nil {
+				return err
+			}
+			attID++
+			if err := exec("event_tags", int64(i),
+				"INSERT INTO event_tags (id, event_id, tag_id) VALUES (?, ?, ?)",
+				sqlengine.NewInt(etID), sqlengine.NewInt(int64(i)),
+				sqlengine.NewInt(int64((i+7*k)%NumTags)+1)); err != nil {
+				return err
+			}
+			etID++
+		}
+		if err := exec("comments", int64(i),
+			"INSERT INTO comments (id, event_id, user_id, body, created) VALUES (?, ?, ?, ?, ?)",
+			sqlengine.NewInt(cmID), sqlengine.NewInt(int64(i)),
+			sqlengine.NewInt(int64(i%scale)+1),
+			sqlengine.NewString("Looking forward to this one."),
+			sqlengine.NewInt(0)); err != nil {
+			return err
+		}
+		cmID++
+	}
+	frID := int64(1)
+	for i := 1; i <= scale; i++ {
+		for j := 1; j <= FriendsPerUser; j++ {
+			friend := int64((i-1+j*(scale/FriendsPerUser)+j)%scale) + 1
+			if err := exec("friends", int64(i),
+				"INSERT INTO friends (id, user_id, friend_id) VALUES (?, ?, ?)",
+				sqlengine.NewInt(frID), sqlengine.NewInt(int64(i)),
+				sqlengine.NewInt(friend)); err != nil {
+				return err
+			}
+			frID++
+		}
+	}
+	return nil
 }

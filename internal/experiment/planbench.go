@@ -81,10 +81,10 @@ type PlanBenchResult struct {
 	// shapes left it (planBenchAnalyzeRows rows, four columns): what a
 	// replica pays each time apply has grown a table by a fifth.
 	Analyze PlanBenchMeasure `json:"analyze"`
-	// Preload is what a cluster's master pays at set-up — Cloudstone at scale
-	// 600 loaded by SQL on a new server, rows/s — and Restore what each of its
-	// replicas pays instead: that server's engine image restored onto a new
-	// engine, same rows.
+	// Preload is what a process pays once per data set — Cloudstone at scale
+	// 600 loaded by SQL (cloudstone.LoadSQL) on a new server, rows/s — and
+	// Restore what every node of every cluster pays instead: that server's
+	// engine image restored onto a new engine, same rows.
 	Preload PlanBenchMeasure `json:"preload"`
 	Restore PlanBenchMeasure `json:"restore"`
 }
@@ -496,7 +496,7 @@ func PlanBench() (PlanBenchResult, error) {
 	var img *sqlengine.Snapshot
 	res.Preload, err = measurePlanBench(3, func(int) (*sqlengine.Result, error) {
 		srv := server.New(env, "bench", inst, server.DefaultCostModel())
-		if err := cloudstone.Preload(planBenchPreloadScale)(srv); err != nil {
+		if err := cloudstone.LoadSQL(srv.Eng, planBenchPreloadScale); err != nil {
 			return nil, err
 		}
 		img = srv.Eng.Snapshot()

@@ -13,6 +13,8 @@ import (
 	"cloudrepl/internal/binlog"
 	"cloudrepl/internal/cloud"
 	"cloudrepl/internal/cloudstone"
+	"cloudrepl/internal/heartbeat"
+	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
 	"cloudrepl/internal/sqlengine"
 )
@@ -29,7 +31,15 @@ import (
 func TestWireSizeIsExact(t *testing.T) {
 	env := sim.NewEnv(5)
 	c := cloud.New(env, cloud.Config{})
-	m := newEquivalenceServer(t, env, c, "master")
+	// Loaded by SQL rather than preloaded from the image: the log then holds
+	// the load itself from seq 1, the schema's DDL and the rows' prepared forms.
+	m := server.New(env, "master", c.Launch("master", cloud.Small, cloud.Placement{Region: cloud.USWest1, Zone: "a"}), server.DefaultCostModel())
+	if err := cloudstone.LoadSQL(m.Eng, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := heartbeat.Preload(m); err != nil {
+		t.Fatal(err)
+	}
 	from := m.Log.LastSeq()
 	env.Go("client", func(p *sim.Proc) {
 		writeMix(t, p, m, 21)

@@ -91,33 +91,48 @@ func (fx *scatterFixture) mismatches(t *testing.T, stmts []scatterStmt, walk fun
 }
 
 // cloudstoneFixture preloads the Cloudstone data set at scale, events and
-// their children dealt to cells by event id as the shard keyspace deals them.
+// their children dealt to cells by event id as the shard keyspace deals them:
+// one preload per cell, of its share. The union engine gets the schema, then
+// each table's rows as the cells hold them, cell 0's first (tags, which every
+// cell has, once) — a preload of everything would hold them in id order.
 func cloudstoneFixture(t *testing.T, env *sim.Env, cells, scale int) *scatterFixture {
 	t.Helper()
 	c := cloud.New(env, cloud.Config{})
 	at := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
-	load := func(name string, parts ...int) *sqlengine.Session {
+	exec := func(s *sqlengine.Session, sql string, args ...sqlengine.Value) *sqlengine.Result {
+		t.Helper()
+		res, err := s.Exec(sql, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	fx := &scatterFixture{union: sqlengine.NewEngine().NewSession("")}
+	for _, sql := range cloudstone.DDL {
+		exec(fx.union, sql)
+	}
+	exec(fx.union, "USE "+cloudstone.DatabaseName)
+	for i := 0; i < cells; i++ {
+		name := fmt.Sprint("cell", i)
 		srv := server.New(env, name, c.Launch(name, cloud.Small, at), server.DefaultCostModel())
-		for n, part := range parts {
-			owns := func(table string, key int64) bool {
-				if table == "tags" { // global: every cell has them, the union once
-					return n == 0
-				}
-				return int(key)%cells == part
+		owns := func(table string, key int64) bool { return table == "tags" || int(key)%cells == i }
+		if err := cloudstone.PreloadOwned(scale, owns)(srv); err != nil {
+			t.Fatal(err)
+		}
+		cell := srv.Eng.NewSession(cloudstone.DatabaseName)
+		fx.cells = append(fx.cells, cell)
+		for _, table := range []string{"users", "events", "attendance", "tags", "event_tags", "comments", "friends"} {
+			if table == "tags" && i > 0 {
+				continue
 			}
-			if err := cloudstone.PreloadOwned(scale, owns)(srv); err != nil {
-				t.Fatal(err)
+			set := exec(cell, "SELECT * FROM "+table).Set
+			insert := fmt.Sprintf("INSERT INTO %s (%s) VALUES (?%s)", table,
+				strings.Join(set.Columns, ", "), strings.Repeat(", ?", len(set.Columns)-1))
+			for _, row := range set.Rows {
+				exec(fx.union, insert, row...)
 			}
 		}
-		return srv.Eng.NewSession(cloudstone.DatabaseName)
 	}
-	fx := &scatterFixture{}
-	var all []int
-	for i := 0; i < cells; i++ {
-		fx.cells = append(fx.cells, load(fmt.Sprint("cell", i), i))
-		all = append(all, i)
-	}
-	fx.union = load("union", all...)
 	return fx
 }
 

@@ -189,6 +189,14 @@ func (e *Engine) Restore(snap *Snapshot) error {
 	return nil
 }
 
+// Empty reports whether the engine has no database: nothing that a Restore
+// would replace and lose.
+func (e *Engine) Empty() bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.dbs) == 0
+}
+
 // sortedKeys returns m's keys in sorted order, for deterministic iteration.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
