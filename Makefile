@@ -99,7 +99,9 @@ bench-kernel:
 # write shapes (insert, point update, apply of a logged insert on a second
 # engine), one ANALYZE pass over the 60 k rows the insert shape leaves, and a
 # cluster's set-up (preload: Cloudstone scale 600 loaded by SQL; restore: that
-# engine's image restored onto a new one, ≥ 4× the rows/s), each best-of-3, with BENCH_planner.json written into results/ and a failure if
+# engine's image restored onto a new one, ≥ 10× the rows/s — a warm image: its
+# first restore, in the first rep, built the index templates every later one
+# clones), each best-of-3, with BENCH_planner.json written into results/ and a failure if
 # any shape's rate regresses >20% or its allocs/op rises >5% against the
 # checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_planner.json bench/planner_baseline.json

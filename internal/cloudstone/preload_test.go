@@ -135,42 +135,55 @@ func TestPreloadKeysOnOwnership(t *testing.T) {
 	}
 }
 
-// TestPreloadSharesOneImageAcrossGoroutines: two clusters restored from one
-// memoised image at once, on two goroutines, and written through on both —
-// every table, enough commits for chain GC to prune the shared row images on
-// every node — leave that image as it was: restored afresh it reads the same
-// as before. Under -race this is also the check that nothing writes into it.
+// TestPreloadSharesOneImageAcrossGoroutines: a freshly memoised image gets its
+// first restores on four goroutines at once — two clusters, which then write
+// through every table with enough commits for chain GC to prune the shared row
+// images on every node, and two bare engines — and they all build on one set
+// of index templates, which the first of them builds. The bare engines, and a
+// restore made after it all, read as the data set loaded by SQL. Under -race
+// this is also the check that nothing writes into the image and that its
+// templates are built once, behind whoever builds them.
 func TestPreloadSharesOneImageAcrossGoroutines(t *testing.T) {
 	const scale = 31
+	images.Delete(keyOf(scale, ownsAll)) // the restores below are its first
 	img := loaded(keyOf(scale, ownsAll))
 	if img.err != nil {
 		t.Fatal(img.err)
 	}
-	digest := func() string {
-		eng := sqlengine.NewEngine()
-		if err := eng.Restore(img.snap); err != nil {
-			t.Fatal(err)
-		}
-		return tablesDigest(t, eng)
+	ref := sqlengine.NewEngine()
+	if err := LoadSQL(ref, scale); err != nil {
+		t.Fatal(err)
 	}
-	want := digest()
+	want := tablesDigest(t, ref)
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
+	errs := make([]error, 4)
+	bare := make([]*sqlengine.Engine, 3)
 	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = writeThrough(int64(i+1), scale)
+			if i < 2 {
+				errs[i] = writeThrough(int64(i+1), scale)
+				return
+			}
+			bare[i-2] = sqlengine.NewEngine()
+			errs[i] = bare[i-2].Restore(img.snap)
 		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("cluster %d: %v", i, err)
+			t.Fatalf("goroutine %d: %v", i, err)
 		}
 	}
-	if got := digest(); got != want {
-		t.Fatalf("the memoised image changed under its clusters:\n%s\nwas:\n%s", got, want)
+	bare[2] = sqlengine.NewEngine()
+	if err := bare[2].Restore(img.snap); err != nil {
+		t.Fatal(err)
+	}
+	for i, eng := range bare {
+		if got := tablesDigest(t, eng); got != want {
+			t.Fatalf("restore %d of the memoised image (the last made after the clusters wrote):\n%s\nthe SQL load:\n%s", i, got, want)
+		}
 	}
 }
 

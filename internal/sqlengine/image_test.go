@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,19 @@ import (
 // in bucket order (through the probes). Two engines hold the same data, in the
 // same order, exactly when their digests are equal.
 func engineDigest(t *testing.T, e *Engine) string {
+	t.Helper()
+	return digest(t, e, false)
+}
+
+// imageDigest is engineDigest with each probe's rows sorted: what a restore of
+// an engine's image must match, since a restore fills every bucket in the
+// image's row order, whatever order the source's writes left it in.
+func imageDigest(t *testing.T, e *Engine) string {
+	t.Helper()
+	return digest(t, e, true)
+}
+
+func digest(t *testing.T, e *Engine, sortProbes bool) string {
 	t.Helper()
 	var b strings.Builder
 	e.mu.RLock()
@@ -29,17 +43,42 @@ func engineDigest(t *testing.T, e *Engine) string {
 	e.mu.RUnlock()
 	s := e.NewSession("app")
 	for _, q := range writeGoldenProbes {
-		n, sum := tableChecksum(t, s, q)
-		fmt.Fprintf(&b, "%s: %d rows %x\n", q, n, sum)
+		if !sortProbes {
+			n, sum := tableChecksum(t, s, q)
+			fmt.Fprintf(&b, "%s: %d rows %x\n", q, n, sum)
+			continue
+		}
+		res, err := s.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var ids []string
+		for _, r := range res.Set.Rows {
+			ids = append(ids, r[0].SQL())
+		}
+		sort.Strings(ids)
+		fmt.Fprintf(&b, "%s: %v\n", q, ids)
 	}
 	return b.String()
 }
 
+// recaptured restores a new engine from an image of e taken now.
+func recaptured(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	r := NewEngine()
+	if err := r.Restore(e.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestRestoredEnginesShareNothingMutable: engines restored from one image share
-// its row images with each other and with the source, and nothing else. What
-// one of them does — every kind of write, rollbacks, enough commits for chain
-// GC to prune the shared images' rows out from under it, a TRUNCATE — leaves
-// the source, its siblings and a later restore of the same image as they were.
+// its row images and index templates with each other and with the source, and
+// nothing else. What one of them does — every kind of write, rollbacks, enough
+// commits for chain GC to prune the shared images' rows out from under it, a
+// TRUNCATE, a DROP — leaves the source, its siblings and a later restore of
+// the same image as they were, and an image of the written engine restores to
+// what that engine holds.
 func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 	src := newWriteGoldenDB(t).eng
 	img := src.Snapshot()
@@ -65,6 +104,9 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 				t.Fatalf("after %s on one restored engine, %s changed:\n%s\nwas:\n%s", after, name, got, want)
 			}
 		}
+		if got, held := imageDigest(t, recaptured(t, a)), imageDigest(t, a); got != held {
+			t.Fatalf("after %s, a restore of a capture of the written engine holds:\n%s\nthe engine holds:\n%s", after, got, held)
+		}
 	}
 
 	s := a.NewSession("app")
@@ -74,6 +116,8 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
+	run("INSERT INTO logs (a, b) VALUES (7, 'new')")
+	check("INSERT")
 	run("UPDATE users SET karma = karma + 1, city = 'osl'")
 	run("UPDATE users SET id = id + 100 WHERE id > 5")
 	check("UPDATE")
@@ -97,8 +141,9 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 	}
 	check("chain GC over superseded shared images")
 	run("TRUNCATE TABLE events")
+	check("TRUNCATE")
 	run("DROP TABLE logs")
-	check("TRUNCATE and DROP")
+	check("DROP")
 
 	// And the other way round: the source moves on, the image does not.
 	ss := src.NewSession("app")
@@ -117,9 +162,11 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 	}
 }
 
-// TestRestoreChecksUniqueness: the bulk restore enters rows through link, so an
-// image whose rows collide on a key — it cannot come from Snapshot — is refused
-// and leaves nothing behind.
+// TestRestoreChecksUniqueness: a restore checks the image's rows against the
+// unique keys as link would enter them, so an image whose rows collide on a
+// key — it cannot come from Snapshot — is refused and leaves nothing behind,
+// on its first restore, which builds the image's index templates, and on every
+// restore after it.
 func TestRestoreChecksUniqueness(t *testing.T) {
 	src := newWriteGoldenDB(t).eng
 	img := src.Snapshot()
@@ -130,13 +177,133 @@ func TestRestoreChecksUniqueness(t *testing.T) {
 			}
 		}
 	}
-	e := NewEngine()
-	err := e.Restore(img)
-	if err == nil || !strings.Contains(err.Error(), "duplicate key") {
-		t.Fatalf("restore of an image with a duplicated row: err = %v", err)
+	var first error
+	for _, which := range []string{"first", "second"} {
+		e := NewEngine()
+		err := e.Restore(img)
+		// The row collides under the primary key and uq_name: link meets the
+		// primary key first.
+		if err == nil || !strings.Contains(err.Error(), "duplicate key: primary key of table users") {
+			t.Fatalf("%s restore of an image with a duplicated row: err = %v", which, err)
+		}
+		if first == nil {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("second restore: %v; the first said %v", err, first)
+		}
+		if _, ok := e.Database("app"); ok {
+			t.Fatalf("a failed %s restore replaced the catalog", which)
+		}
 	}
-	if _, ok := e.Database("app"); ok {
-		t.Fatal("a failed restore replaced the catalog")
+}
+
+// TestRestoredStoreCapturesAsItsImage: a table restored and not written since
+// captures as the image it was restored from — the same rows, slab marks and
+// index templates, so an image of a freshly restored engine builds no index
+// again — and each kind of write ends that for the table it touches, after
+// which a restore of the engine's image holds what the engine holds.
+func TestRestoredStoreCapturesAsItsImage(t *testing.T) {
+	img := newWriteGoldenDB(t).eng.Snapshot()
+	stores := func(snap *Snapshot) map[string]*storeImage {
+		m := map[string]*storeImage{}
+		for _, d := range snap.dbs {
+			for _, tb := range d.tables {
+				m[tb.name] = tb.store
+			}
+		}
+		return m
+	}
+	orig := stores(img)
+	for _, tc := range []struct {
+		kind    string
+		touches string
+		stmts   []string
+	}{
+		{"nothing", "", nil},
+		{"INSERT", "logs", []string{"INSERT INTO logs (a, b) VALUES (7, 'new')"}},
+		{"UPDATE", "users", []string{"UPDATE users SET city = 'osl' WHERE id = 4"}},
+		{"DELETE", "events", []string{"DELETE FROM events WHERE creator_id = 3"}},
+		{"rolled-back UPDATE", "events", []string{"BEGIN", "UPDATE events SET creator_id = 9", "ROLLBACK"}},
+		{"TRUNCATE", "users", []string{"TRUNCATE TABLE users"}},
+		{"DROP", "logs", []string{"DROP TABLE logs"}},
+	} {
+		e := NewEngine()
+		if err := e.Restore(img); err != nil {
+			t.Fatal(err)
+		}
+		s := e.NewSession("app")
+		for _, q := range tc.stmts {
+			if _, err := s.Exec(q); err != nil {
+				t.Fatalf("%s: %s: %v", tc.kind, q, err)
+			}
+		}
+		for name, st := range stores(e.Snapshot()) {
+			if shared := st == orig[name]; shared != (name != tc.touches) {
+				t.Errorf("after %s, the image of %s is the restored one: %v", tc.kind, name, shared)
+			}
+			if len(st.indexes) == 0 && name != tc.touches && name != "logs" {
+				t.Errorf("after %s, the image of %s has no index templates: its first restore did not build them", tc.kind, name)
+			}
+		}
+		if got, held := imageDigest(t, recaptured(t, e)), imageDigest(t, e); got != held {
+			t.Errorf("after %s, a restore of the engine's image holds:\n%s\nthe engine holds:\n%s", tc.kind, got, held)
+		}
+	}
+
+	// A reader older than the image's rows sees none of them: a version pinned
+	// before the restore materializes empty tables, not the image.
+	e := NewEngine()
+	pin := e.Pin()
+	defer pin.Close()
+	if err := e.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	if n := pin.Materialize().NumRows(); n != 0 {
+		t.Fatalf("a version pinned before the restore sees %d rows, want none", n)
+	}
+}
+
+// TestRestoredBucketsHaveLinksRoom: a restored bucket of several rows has the
+// capacity link leaves one of that many rows with, entering them one at a
+// time, so a run appends to restored buckets as it would to loaded ones.
+func TestRestoredBucketsHaveLinksRoom(t *testing.T) {
+	src := NewEngine()
+	s := src.NewSession("")
+	for _, q := range []string{"CREATE DATABASE d", "USE d", "CREATE TABLE t (id BIGINT PRIMARY KEY, grp BIGINT, INDEX ig (grp))"} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizes := []int{1, 2, 3, 4, 5, 8, 9, 17, 64, 65, 257, 300}
+	left := append([]int(nil), sizes...)
+	for id, more := 0, true; more; {
+		more = false
+		for g := range left {
+			if left[g] > 0 {
+				left[g]--
+				id++
+				if _, err := s.Exec("INSERT INTO t (id, grp) VALUES (?, ?)", NewInt(int64(id)), NewInt(int64(g))); err != nil {
+					t.Fatal(err)
+				}
+				more = true
+			}
+		}
+	}
+	re := NewEngine()
+	if err := re.Restore(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	index := func(e *Engine) *Index { db, _ := e.Database("d"); tbl, _ := db.Table("t"); return tbl.indexes[0] }
+	loaded, restored := index(src), index(re)
+	for g, n := range sizes {
+		want, _ := loaded.buckets.get(NewInt(int64(g)).hashKey())
+		got, _ := restored.buckets.get(NewInt(int64(g)).hashKey())
+		if len(want.rows()) != n || len(got.rows()) != n {
+			t.Fatalf("group %d: loaded bucket holds %d rows, restored %d, want %d", g, len(want.rows()), len(got.rows()), n)
+		}
+		if n > 1 && cap(*got.many) != cap(*want.many) {
+			t.Errorf("group of %d rows: restored bucket's capacity %d, link leaves %d", n, cap(*got.many), cap(*want.many))
+		}
 	}
 }
 

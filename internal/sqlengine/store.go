@@ -1,6 +1,9 @@
 package sqlengine
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file is the row store (DESIGN.md §12): the only code that reads or
 // writes a table's row storage — heap, primary key, index buckets, version
@@ -226,6 +229,9 @@ type rowStore struct {
 	// chained lists the live rows that have a version chain — with the
 	// graveyard, all that prune visits.
 	chained []*Row
+	// src is the image the store was restored from while nothing has written
+	// to it since: insert, reimage, bury and truncate clear it.
+	src *storeImage
 
 	rowSlab slab[Row]
 	imgSlab slab[Value]
@@ -247,7 +253,7 @@ func newRowStore(t *Table) rowStore {
 // graveyard and version chains go with the heap, so snapshot readers lose
 // pre-truncate images (documented MVCC scope, DESIGN.md §12).
 func (st *rowStore) truncate() {
-	st.rows, st.graveyard, st.chained = nil, nil, nil
+	st.rows, st.graveyard, st.chained, st.src = nil, nil, nil, nil
 	st.rowSlab, st.imgSlab, st.verSlab = slab[Row]{}, slab[Value]{}, slab[rowVersion]{}
 	for _, ix := range st.keyed {
 		ix.buckets = keyMap[bucket]{}
@@ -287,31 +293,53 @@ func (st *rowStore) images(v readView, out [][]Value) [][]Value {
 // builds a store from. rows holds, in scan order (the heap, then what of the
 // graveyard the reader still sees), one header per visible row with only vals
 // and begin set; vals is the source's own image, shared and never copied.
-// keys is how many integral and how many other keys each index of the source
-// holds, in keyed order: what restore sizes its maps for. The marks are where
-// the source stands in its three slabs and its heap's backing array, for
-// restore to leave the new store standing there too.
+// newest is the highest begin among them. The marks are where the source
+// stands in its three slabs and its heap's backing array, for restore to leave
+// the new store standing there too. An image is immutable once captured but
+// for its index templates, which its first restore builds, once, for every
+// restore after it — on whatever goroutine each runs.
 type storeImage struct {
 	rows                      []Row
-	keys                      []keyCount
+	newest                    uint64
 	heapCap                   int
 	rowSlab, imgSlab, verSlab slabMark
+
+	once    sync.Once
+	indexes []indexTemplate // one per index of the store, in keyed order
+	err     error           // the unique violation entering rows would meet
 }
 
-// capture returns the store as v's reader sees it.
-func (st *rowStore) capture(v readView) storeImage {
-	img := storeImage{
+// indexTemplate is one index over an image's rows, numbered in image order:
+// each key's span and, in ords, the ordinals of every bucket of more than one
+// row, each run followed by -1s for the room link would have left it.
+type indexTemplate struct {
+	keys keyMap[span]
+	ords []int32
+	many int32 // buckets of more than one row
+}
+
+// span is one key's rows in an indexTemplate: the row's ordinal for a bucket
+// of one; else ords[off:off+n] with room up to off+room, and which of the
+// restored index's slice headers the bucket gets.
+type span struct{ off, n, room, many int32 }
+
+// capture returns the store as v's reader sees it. A store restored and not
+// written since is its image to any reader that sees every row of it, so it
+// captures as that image, index templates included.
+func (st *rowStore) capture(v readView) *storeImage {
+	if st.src != nil && v.at >= st.src.newest {
+		return st.src
+	}
+	img := &storeImage{
 		rows:    make([]Row, 0, len(st.rows)),
 		heapCap: cap(st.rows),
 		rowSlab: st.rowSlab.mark(), imgSlab: st.imgSlab.mark(), verSlab: st.verSlab.mark(),
-	}
-	for _, ix := range st.keyed {
-		img.keys = append(img.keys, ix.buckets.count())
 	}
 	for _, rows := range [2][]*Row{st.rows, st.graveyard} {
 		for _, r := range rows {
 			if vals, begin := r.visibleTo(v); vals != nil {
 				img.rows = append(img.rows, Row{vals: vals, begin: begin})
+				img.newest = max(img.newest, begin)
 			}
 		}
 	}
@@ -319,29 +347,106 @@ func (st *rowStore) capture(v readView) storeImage {
 }
 
 // restore fills an empty store from img in bulk: the rows in one chunk, in
-// img's order in the heap and — entered under their keys in that order, which
-// is where uniqueness is checked — in every bucket, no image copied, no value
-// coerced (the images come from a table of these columns), every map sized
-// once. History is not carried: every row is one committed image. A unique
-// violation leaves the store empty.
-func (st *rowStore) restore(img storeImage) error {
-	n := len(img.rows)
-	for i, ix := range st.keyed {
-		ix.buckets = sized[bucket](img.keys[i])
+// img's order in the heap and in every bucket, no image copied, no value
+// coerced (the images come from a table of these columns). Each index is a
+// clone of img's template for it, its buckets of several rows carved from one
+// array. History is not carried: every row is one committed image. A unique
+// violation — link's, entering the rows in img's order — leaves the store
+// empty.
+func (st *rowStore) restore(img *storeImage) error {
+	img.once.Do(func() { img.build(st) })
+	if img.err != nil {
+		return img.err
 	}
+	n := len(img.rows)
 	chunk := make([]Row, n+img.rowSlab.free)
 	copy(chunk, img.rows)
 	st.rows = make([]*Row, n, max(n, img.heapCap))
 	for i := range st.rows {
 		st.rows[i] = &chunk[i]
-		if err := st.link(&chunk[i]); err != nil {
-			st.truncate()
-			return err
-		}
+	}
+	for i, ix := range st.keyed {
+		ix.buckets = img.indexes[i].clone(chunk)
 	}
 	st.rowSlab = slab[Row]{free: chunk[n:], slots: img.rowSlab.slots}
 	st.imgSlab, st.verSlab = resume[Value](img.imgSlab), resume[rowVersion](img.verSlab)
+	st.src = img
 	return nil
+}
+
+// build makes img's index templates for st's indexes, or finds the unique
+// violation link would meet first: at the earliest row, under the earliest
+// index in keyed order.
+func (img *storeImage) build(st *rowStore) {
+	keys := make([]hashKey, len(img.rows))
+	rank := make([]int32, len(img.rows)) // a row's place in its bucket
+	img.indexes = make([]indexTemplate, len(st.keyed))
+	dupAt := len(img.rows)
+	for x, ix := range st.keyed {
+		t := &img.indexes[x]
+		for o := range img.rows {
+			k := ix.key(img.rows[o].vals)
+			s, ok := t.keys.get(k)
+			if ok && ix.Unique {
+				if o < dupAt {
+					dupAt, img.err = o, st.dupErr(ix)
+				}
+				break
+			}
+			if !ok {
+				s = span{off: int32(o)}
+			}
+			keys[o], rank[o] = k, s.n
+			s.n++
+			t.keys.put(k, s)
+		}
+		if img.err != nil {
+			continue
+		}
+		for o, k := range keys {
+			s, _ := t.keys.get(k)
+			if s.n == 1 {
+				continue
+			}
+			if rank[o] == 0 { // the bucket's first row: lay out its run
+				s.off, s.room, s.many = int32(len(t.ords)), linkRoom(s.n), t.many
+				t.many++
+				t.keys.put(k, s)
+				for range s.room {
+					t.ords = append(t.ords, -1)
+				}
+			}
+			t.ords[s.off+rank[o]] = int32(o)
+		}
+	}
+}
+
+// linkRoom is the capacity Index.add leaves a bucket of n > 1 rows with: four
+// at its second row, then whatever append grows a full slice to.
+func linkRoom(n int32) int32 {
+	c := 4
+	for c < int(n) {
+		c = cap(append(make([]*Row, c), nil))
+	}
+	return int32(c)
+}
+
+// clone returns t's index over chunk, the restored rows in image order.
+func (t *indexTemplate) clone(chunk []Row) keyMap[bucket] {
+	backing := make([]*Row, len(t.ords))
+	for i, o := range t.ords {
+		if o >= 0 {
+			backing[i] = &chunk[o]
+		}
+	}
+	heads := make([][]*Row, t.many)
+	return cloneKeys(&t.keys, func(s span) bucket {
+		if s.n == 1 {
+			return bucket{one: &chunk[s.off]}
+		}
+		heads[s.many] = backing[s.off : s.off+s.n : s.off+s.room]
+		return bucket{many: &heads[s.many]}
+	})
 }
 
 // scan points c at every candidate v's reader must consider.
@@ -404,6 +509,7 @@ func (st *rowStore) unlink(r *Row) {
 // insert adds a row with image img (coerced, and the store's from here on),
 // visible from begin and marked as txn's when an open transaction writes it.
 func (st *rowStore) insert(img []Value, begin uint64, txn *Session) (rowChange, error) {
+	st.src = nil
 	r := &st.rowSlab.take(1)[0]
 	r.vals, r.begin, r.txn = img, begin, txn
 	if err := st.link(r); err != nil {
@@ -417,6 +523,7 @@ func (st *rowStore) insert(img []Value, begin uint64, txn *Session) (rowChange, 
 // reimage makes img r's current image, moving r to the end of its secondary
 // buckets; on a constraint violation r keeps its image (and may still move).
 func (st *rowStore) reimage(r *Row, img []Value) error {
+	st.src = nil
 	if st.pk != nil {
 		if b, _ := st.pk.buckets.get(st.pk.key(img)); b.one != nil && b.one != r {
 			return st.dupErr(st.pk)
@@ -485,6 +592,7 @@ func (st *rowStore) chain(r *Row) {
 // must not see it) for the graveyard, where snapshot readers find it until
 // prune reclaims it. The end stamp finalizes at commit.
 func (st *rowStore) bury(r *Row, txn *Session) rowChange {
+	st.src = nil
 	st.unlink(r)
 	st.graveyard = append(st.graveyard, r)
 	r.end = provisionalVersion
