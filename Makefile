@@ -14,9 +14,9 @@ check:
 	$(MAKE) bench-kernel
 	$(MAKE) bench-plan
 
-# The nine-analyzer lint suite — five package-local determinism linters
-# (simtime, simrand, rawgo, maporder, closecheck) plus four whole-program
-# flow-aware ones (errdrop, lockorder, mvccalias, sharedstate) — behind the
+# The eight-analyzer lint suite — five package-local determinism linters
+# (simtime, simrand, rawgo, maporder, closecheck) plus three whole-program
+# flow-aware ones (errdrop, mvccalias, sharedstate) — behind the
 # gofmt cleanliness gate. cloudrepl-lint is the repo's own multichecker
 # (cmd/cloudrepl-lint); suppressions are //cloudrepl:allow-<analyzer> <reason>
 # comments and stale ones fail the lint (`-fix-stale` deletes them).
@@ -56,24 +56,26 @@ race-shards:
 	$(GO) test -race -count=2 ./internal/experiment/ ./internal/sim/
 
 # End-to-end smoke of the bench CLI, after `check` has run every test under
-# -race: five ablations on the short protocol in one process, with
-# BENCH_{elastic,pipeline,shard,consist,plan}.json written into results/
-# (all but pipeline are checked in and must come out byte-identical: the
-# target ends by diffing them against the index); a traced
+# -race: six ablations on the short protocol in one process, with
+# BENCH_{elastic,pipeline,shard,consist,plan,chaos}.json written into results/
+# (all six are checked in and must come out byte-identical: the target ends
+# by diffing them against the index; pipeline and chaos pin the replication
+# path — the K = 4 applier and a master failover); a traced
 # pipeline run written as a Chrome trace-event file, which cloudrepl-trace
 # must find complete (every stage — client, pool, proxy, server, binlog,
 # apply — has a span and one trace covers the whole chain); the determinism
 # sanitizer over every arm the experiment registry declares; and its inject
 # self-test, which must fail.
 smoke:
-	$(GO) run ./cmd/cloudrepl-bench -ablation elastic,pipeline,shard,consist,plan -short -q -json results
+	$(GO) run ./cmd/cloudrepl-bench -ablation elastic,pipeline,shard,consist,plan,chaos -short -q -json results
 	$(GO) run ./cmd/cloudrepl-bench -trace results/trace.json -q
 	$(GO) run ./cmd/cloudrepl-trace -check results/trace.json
 	$(GO) run ./cmd/cloudrepl-bench -determinism -short -q
 	@if $(GO) run ./cmd/cloudrepl-bench -determinism-inject -short -q >/dev/null 2>&1; then \
 		echo "determinism-inject self-test did NOT fail"; exit 1; \
 	else echo "determinism-inject self-test failed as it must"; fi
-	git diff --exit-code -- results/BENCH_shard.json results/BENCH_consist.json results/BENCH_plan.json results/BENCH_elastic.json
+	git diff --exit-code -- results/BENCH_shard.json results/BENCH_consist.json results/BENCH_plan.json results/BENCH_elastic.json \
+		results/BENCH_pipeline.json results/BENCH_chaos.json
 
 # Kernel-speed smoke: measure the sim kernel (micro workload + one
 # experiment cell), write BENCH_kernel.json into results/, and fail if the

@@ -1,9 +1,8 @@
 // Command cloudrepl-lint is the repo's determinism and dataflow
 // multichecker: it runs the internal/analysis suite — five package-local
 // determinism analyzers (simtime, simrand, rawgo, maporder, closecheck) and
-// four whole-program flow-aware analyzers (errdrop, lockorder, mvccalias,
-// sharedstate) — over module packages and exits non-zero on any unannotated
-// violation.
+// three whole-program flow-aware analyzers (errdrop, mvccalias, sharedstate)
+// — over module packages and exits non-zero on any unannotated violation.
 //
 //	cloudrepl-lint ./...                   # whole repo (what `make lint` runs)
 //	cloudrepl-lint ./internal/repl         # one package

@@ -35,7 +35,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// Finish, when non-nil, runs once after Run has been applied to every
 	// package of the Program — the hook for whole-program conclusions such
-	// as cycle detection over a graph the per-package passes accumulated.
+	// as sharedstate's reachability over the call graph.
 	Finish func(*FinishPass) error
 }
 
@@ -49,13 +49,8 @@ type Pass struct {
 	// analysistest fixtures it is the bare fixture directory name.
 	Path string
 	Info *types.Info
-	// Prog is the whole-module analysis universe this pass runs inside:
-	// every loaded package, the shared fact store and the call graph. Nil
-	// only when an analyzer is driven through the legacy single-package Run
-	// entry point.
-	Prog *Program
 
-	facts *factStore
+	facts factStore
 	diags *[]Diagnostic
 }
 
@@ -105,7 +100,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		Pkgs:   []*Package{pkg},
 		ByPath: map[string]*Package{pkg.Path: pkg},
 		Fset:   pkg.Fset,
-		facts:  newFactStore(),
+		facts:  factStore{},
 	}
 	return RunProgram(prog, analyzers, nil)
 }

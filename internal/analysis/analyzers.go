@@ -1,12 +1,12 @@
 package analysis
 
 // All returns the full linter suite in reporting order: the five
-// package-local determinism analyzers, then the four whole-program
+// package-local determinism analyzers, then the three whole-program
 // flow-aware analyzers (call-graph- and fact-driven).
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimTime, SimRand, RawGo, MapOrder, CloseCheck,
-		ErrDrop, LockOrder, MVCCAlias, SharedState,
+		ErrDrop, MVCCAlias, SharedState,
 	}
 }
 
@@ -70,8 +70,8 @@ func LintDetail(moduleDir string, analyzers []*Analyzer, patterns ...string) (*L
 		dirs = append(dirs, ds...)
 		out.Diagnostics = append(out.Diagnostics, bad...)
 	}
-	// Suppression is program-wide: a Finish-phase diagnostic (say a lock
-	// cycle) lands at a concrete position and is governed by the directive
+	// Suppression is program-wide: a Finish-phase diagnostic (say a shared
+	// write) lands at a concrete position and is governed by the directive
 	// covering that line like any per-package finding.
 	out.Diagnostics = append(out.Diagnostics, Suppress(diags, dirs)...)
 	// Stale-check only directives for analyzers in this run: under -only, a

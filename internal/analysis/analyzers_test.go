@@ -36,10 +36,6 @@ func TestErrDrop(t *testing.T) {
 	analysistest.Run(t, analysistest.FixturePath("errdrop"), analysis.ErrDrop)
 }
 
-func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, analysistest.FixturePath("lockorder"), analysis.LockOrder)
-}
-
 func TestMVCCAlias(t *testing.T) {
 	analysistest.Run(t, analysistest.FixturePath("mvccalias"), analysis.MVCCAlias)
 }

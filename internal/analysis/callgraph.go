@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -73,8 +72,7 @@ type CGEdge struct {
 	Caller  *CGNode
 	Callee  *CGNode
 	Kind    EdgeKind
-	Pos     token.Pos // call site
-	Dynamic bool      // resolved by widening an interface method call
+	Dynamic bool // resolved by widening an interface method call
 }
 
 // CallGraph is the whole-program call graph over every package of a
@@ -221,7 +219,7 @@ func (b *cgBuilder) walkBody(cur *CGNode, pkg *Package, body ast.Node) {
 			}
 			child := &CGNode{Lit: n, Pkg: pkg, Encl: cur, Body: n.Body}
 			b.g.Nodes = append(b.g.Nodes, child)
-			b.addEdge(cur, child, kind, n.Pos(), false)
+			b.addEdge(cur, child, kind, false)
 			b.walkBody(child, pkg, n.Body)
 			return false // children attributed to child, not cur
 		case *ast.GoStmt:
@@ -258,7 +256,7 @@ func (b *cgBuilder) visitCall(cur *CGNode, pkg *Package, call *ast.CallExpr, lit
 	callees, dynamic := b.resolveCallees(pkg, fun)
 	for _, fn := range callees {
 		if node := b.g.NodeOf(fn); node != nil {
-			b.addEdge(cur, node, kind, call.Pos(), dynamic)
+			b.addEdge(cur, node, kind, dynamic)
 		}
 	}
 	// Classify function-valued arguments: spawned by the sim scheduler,
@@ -281,7 +279,7 @@ func (b *cgBuilder) visitCall(cur *CGNode, pkg *Package, call *ast.CallExpr, lit
 		default:
 			if fn := funcValueOf(pkg, a); fn != nil {
 				if node := b.g.NodeOf(fn); node != nil {
-					b.addEdge(cur, node, argKind, a.Pos(), false)
+					b.addEdge(cur, node, argKind, false)
 				}
 			}
 		}
@@ -348,8 +346,8 @@ func (b *cgBuilder) implementers(m *types.Func) []*types.Func {
 	return impls
 }
 
-func (b *cgBuilder) addEdge(caller, callee *CGNode, kind EdgeKind, pos token.Pos, dynamic bool) {
-	e := CGEdge{Caller: caller, Callee: callee, Kind: kind, Pos: pos, Dynamic: dynamic}
+func (b *cgBuilder) addEdge(caller, callee *CGNode, kind EdgeKind, dynamic bool) {
+	e := CGEdge{Caller: caller, Callee: callee, Kind: kind, Dynamic: dynamic}
 	caller.Out = append(caller.Out, e)
 	callee.In = append(callee.In, e)
 }

@@ -6,11 +6,11 @@ import (
 	"reflect"
 )
 
-// Fact is a typed datum an analyzer attaches to a function, variable or
-// package so that analysis of downstream packages can reuse it without
-// re-inspecting the dependency's source — the x/tools fact model, scoped to
-// one in-memory Program (facts never serialize; the whole module is analyzed
-// in a single process).
+// Fact is a typed datum an analyzer attaches to a function or variable so
+// that analysis of downstream packages can reuse it without re-inspecting the
+// dependency's source — the x/tools object-fact model, scoped to one
+// in-memory Program (facts never serialize; the whole module is analyzed in a
+// single process).
 //
 // Each analyzer owns its own fact namespace: two analyzers may export
 // different facts on the same object without colliding. Within one analyzer,
@@ -22,27 +22,13 @@ import (
 type Fact interface{ AFact() }
 
 // factStore holds every fact exported during a Program run, keyed by
-// (analyzer, object, concrete fact type) for object facts and by
-// (analyzer, package, concrete fact type) for package facts.
-type factStore struct {
-	obj map[objFactKey]Fact
-	pkg map[pkgFactKey]Fact
-}
+// (analyzer, object, concrete fact type).
+type factStore map[objFactKey]Fact
 
 type objFactKey struct {
 	analyzer string
 	obj      types.Object
 	t        reflect.Type
-}
-
-type pkgFactKey struct {
-	analyzer string
-	pkg      *types.Package
-	t        reflect.Type
-}
-
-func newFactStore() *factStore {
-	return &factStore{obj: map[objFactKey]Fact{}, pkg: map[pkgFactKey]Fact{}}
 }
 
 func factType(f Fact) reflect.Type {
@@ -61,7 +47,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if obj == nil {
 		panic("analysis: ExportObjectFact on nil object")
 	}
-	p.facts.obj[objFactKey{p.Analyzer.Name, obj, factType(fact)}] = fact
+	p.facts[objFactKey{p.Analyzer.Name, obj, factType(fact)}] = fact
 }
 
 // ImportObjectFact copies the fact of ptr's concrete type previously
@@ -72,23 +58,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	if obj == nil {
 		return false
 	}
-	f, ok := p.facts.obj[objFactKey{p.Analyzer.Name, obj, factType(ptr)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
-	return true
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.pkg[pkgFactKey{p.Analyzer.Name, p.Pkg, factType(fact)}] = fact
-}
-
-// ImportPackageFact copies the fact of ptr's concrete type exported on pkg
-// by this pass's analyzer into *ptr, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	f, ok := p.facts.pkg[pkgFactKey{p.Analyzer.Name, pkg, factType(ptr)}]
+	f, ok := p.facts[objFactKey{p.Analyzer.Name, obj, factType(ptr)}]
 	if !ok {
 		return false
 	}

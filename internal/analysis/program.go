@@ -9,8 +9,8 @@ import (
 // type-checked (targets plus their module-internal dependencies) in
 // dependency order, a shared fact store, and a lazily-built interprocedural
 // call graph. All cross-package analysis — fact import/export, call-graph
-// reachability, the lockorder cycle check — happens within one Program so
-// that types.Object identities line up across packages.
+// reachability — happens within one Program so that types.Object identities
+// line up across packages.
 type Program struct {
 	// Pkgs lists every loaded module package in topological order:
 	// dependencies strictly before dependents. This is the order passes run
@@ -20,7 +20,7 @@ type Program struct {
 	ByPath map[string]*Package
 	Fset   *token.FileSet
 
-	facts *factStore
+	facts factStore
 	cg    *CallGraph
 }
 
@@ -33,7 +33,7 @@ func NewProgram(l *Loader) *Program {
 		Pkgs:   append([]*Package(nil), l.loadOrder...),
 		ByPath: map[string]*Package{},
 		Fset:   l.fset,
-		facts:  newFactStore(),
+		facts:  factStore{},
 	}
 	for _, pkg := range prog.Pkgs {
 		prog.ByPath[pkg.Path] = pkg
@@ -51,13 +51,12 @@ func (prog *Program) CallGraph() *CallGraph {
 }
 
 // FinishPass is handed to an Analyzer's Finish hook after every per-package
-// pass has run: the whole Program (with all exported facts) plus a reporter.
+// pass has run: the whole Program plus a reporter.
 type FinishPass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 
 	diags *[]Diagnostic
-	facts *factStore
 }
 
 // Reportf records a whole-program diagnostic at pos.
@@ -94,7 +93,6 @@ func RunProgram(prog *Program, analyzers []*Analyzer, targets []*Package) ([]Dia
 				Pkg:      pkg.Types,
 				Path:     pkg.Path,
 				Info:     pkg.Info,
-				Prog:     prog,
 				facts:    prog.facts,
 				diags:    &diags,
 			}
@@ -103,14 +101,14 @@ func RunProgram(prog *Program, analyzers []*Analyzer, targets []*Package) ([]Dia
 			}
 		}
 		if a.Finish != nil {
-			fp := &FinishPass{Analyzer: a, Prog: prog, diags: &diags, facts: prog.facts}
+			fp := &FinishPass{Analyzer: a, Prog: prog, diags: &diags}
 			if err := a.Finish(fp); err != nil {
 				return nil, fmt.Errorf("%s (finish): %w", a.Name, err)
 			}
 		}
 	}
 	// Whole-program analyzers may report into dependency packages that are
-	// not targets (e.g. a lock cycle whose edges span both); keep only
+	// not targets (e.g. a helper reachable from a worker); keep only
 	// diagnostics landing in target files so narrow patterns stay narrow.
 	targetFiles := map[string]bool{}
 	for _, pkg := range targets {

@@ -17,7 +17,7 @@ import (
 //     here — RunShards is the one genuinely parallel path.
 //
 //  2. A local variable captured and written by two or more spawned sim
-//     procs that never touch a sim primitive: with no Acquire/Wait/Get
+//     procs that never touch a sim primitive: with no Use/Wait/Get
 //     anywhere in either proc, the interleaving of those writes is pure
 //     scheduler accident — hidden coupling that a seed change silently
 //     reorders. (Captured state shared by procs that do synchronize through
@@ -136,7 +136,7 @@ func finishSharedState(fp *FinishPass) error {
 					continue
 				}
 			}
-			what := "spawned sim procs with no sim-primitive synchronization; route updates through a sim.Queue/Signal or guard with a Resource"
+			what := "spawned sim procs with no sim-primitive synchronization; route updates through a sim.Queue/Signal"
 			if anyParallel {
 				what = "concurrent goroutines (data race); keep per-worker state and merge after the join"
 			}
@@ -257,9 +257,8 @@ func capturedWrites(lit *CGNode) map[*types.Var]token.Pos {
 	return out
 }
 
-// usesSimPrimitive reports whether the literal's own body contains any sim
-// kernel blocking/wake primitive call (Acquire/Use/Wait/Get/Put/Broadcast/
-// Borrow/...).
+// usesSimPrimitive reports whether the literal's own body contains a call
+// that parks its proc or wakes a parked one.
 func usesSimPrimitive(lit *CGNode) bool {
 	p := &Pass{Info: lit.Pkg.Info}
 	found := false
@@ -268,11 +267,28 @@ func usesSimPrimitive(lit *CGNode) bool {
 		if !ok || found {
 			return
 		}
-		if fn := staticCallee(p, call); fn != nil && classifyLockCall(fn) != opNone {
+		if fn := staticCallee(p, call); fn != nil && parksOrWakes(fn) {
 			found = true
 		}
 	})
 	return found
+}
+
+// parksOrWakes reports whether fn is a sim or pool primitive that parks the
+// calling proc or wakes a parked one: the calls that order one proc's writes
+// against another's.
+func parksOrWakes(fn *types.Func) bool {
+	switch fn.Name() {
+	case "Use", "UseHigh":
+		return isMethodOf(fn, "internal/sim", "Resource")
+	case "Wait", "WaitTimeout", "Broadcast":
+		return isMethodOf(fn, "internal/sim", "Signal")
+	case "Get", "Put":
+		return isMethodOf(fn, "internal/sim", "Queue")
+	case "Borrow", "Return", "Discard":
+		return isMethodOf(fn, "internal/pool", "Pool")
+	}
+	return false
 }
 
 // isPackageLevel reports whether v is declared at package scope.

@@ -2,10 +2,13 @@
 // RunShards workers or raw goroutines is flagged (writes always, reads when
 // the var is written anywhere), as are locals captured and written by two
 // sim procs that never synchronize through a sim primitive. Read-only
-// globals, single-writer captures, and primitive-guarded captures are fine.
+// globals, single-writer captures, and captures written by procs that charge
+// a Resource or pass through a Queue are fine.
 package sharedstate
 
 import (
+	"time"
+
 	"cloudrepl/internal/experiment"
 	"cloudrepl/internal/sim"
 )
@@ -47,11 +50,19 @@ func unsyncProcs(env *sim.Env) {
 }
 
 func guardedProcs(env *sim.Env) {
-	gate := sim.NewResource(env, "gate", 1)
+	cpu := sim.NewResource(env, "cpu", 1)
 	counter := 0
-	env.Go("a", func(p *sim.Proc) { gate.Acquire(p); counter++; gate.Release() })
-	env.Go("b", func(p *sim.Proc) { gate.Acquire(p); counter++; gate.Release() })
+	env.Go("a", func(p *sim.Proc) { cpu.Use(p, time.Millisecond); counter++ })
+	env.Go("b", func(p *sim.Proc) { cpu.Use(p, time.Millisecond); counter++ })
 	_ = counter
+}
+
+func queuedProcs(env *sim.Env) {
+	q := sim.NewQueue[int](env, "q")
+	last := 0
+	env.Go("producer", func(p *sim.Proc) { last = 1; q.Put(1) })
+	env.Go("consumer", func(p *sim.Proc) { last, _ = q.Get(p) })
+	_ = last
 }
 
 func singleWriter(env *sim.Env) {

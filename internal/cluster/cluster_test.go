@@ -537,8 +537,9 @@ func TestFailoverPromotesProvisionedReplica(t *testing.T) {
 	if got, want := dump(t, survivor.Srv), dump(t, promoted.Srv); got != want || count(t, promoted.Srv) != 21 {
 		t.Fatalf("survivor diverged from the promoted master (%d rows):\n%s\nmaster:\n%s", count(t, promoted.Srv), got, want)
 	}
-	// (Not ApplyErrors: a statement the survivor had executed and not yet been
-	// charged for when the master died is shipped again — see Slave.AppliedSeq.)
+	if n := survivor.ApplyErrors(); n != 0 {
+		t.Fatalf("survivor hit %d apply errors: a statement it had run was shipped again", n)
+	}
 	if n := survivor.EventsBehindMaster(); n != 0 {
 		t.Fatalf("survivor still %d events behind", n)
 	}

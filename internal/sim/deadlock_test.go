@@ -17,11 +17,10 @@ func TestWaitForGraphNamesParkSites(t *testing.T) {
 	sig := NewSignal(env).Named("semisync-ack(master)")
 
 	env.Go("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(time.Hour) // keeps the resource busy, then parks on a timer
+		r.Use(p, time.Hour) // keeps the resource busy, parked on a timer
 	})
 	env.Go("applier", func(p *Proc) { q.Get(p) })
-	env.Go("contender", func(p *Proc) { r.Acquire(p) })
+	env.Go("contender", func(p *Proc) { r.Use(p, time.Second) })
 	env.Go("waiter", func(p *Proc) { sig.Wait(p) })
 	env.RunFor(time.Minute)
 
@@ -93,7 +92,7 @@ func TestShutdownCleanWithParkedProcs(t *testing.T) {
 	env.Go("a", func(p *Proc) { q.Get(p) })
 	env.Go("b", func(p *Proc) { sig.Wait(p) })
 	env.Go("c", func(p *Proc) { r.Use(p, time.Hour) })
-	env.Go("d", func(p *Proc) { r.Acquire(p) })
+	env.Go("d", func(p *Proc) { r.Use(p, time.Second) })
 	env.RunFor(time.Minute)
 	env.Shutdown()
 	if env.Alive() != 0 {

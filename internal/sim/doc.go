@@ -4,9 +4,14 @@
 // network links, clocks, NTP daemons, benchmark users — runs as a simulation
 // process on a shared virtual timeline. A process runs on an ordinary
 // goroutine and blocks only through kernel primitives (Proc.Sleep,
-// Resource.Acquire, Queue.Get, Signal.Wait). The kernel runs exactly one
-// process at a time and orders wakeups by (virtual time, schedule sequence),
-// so a run is fully deterministic for a given seed.
+// Resource.Use, Queue.Get, Signal.Wait). The kernel runs exactly one process
+// at a time and orders wakeups by (virtual time, schedule sequence), so a run
+// is fully deterministic for a given seed.
+//
+// A Resource slot is held only inside one Use call, whose one park while
+// holding is its own service-time sleep, so no process waits on a primitive
+// while it holds a slot: resources cannot form a wait-for cycle, and the
+// kernel exports nothing to acquire or release one by hand.
 //
 // A process and the goroutine under it have different lifetimes. Env.Go
 // creates the Proc — name, spawn-ordered id, start event — and borrows a

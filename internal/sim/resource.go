@@ -6,9 +6,11 @@ import (
 )
 
 // Resource models a multi-server station with a FIFO wait queue: a CPU with
-// N hardware threads, a disk with one head, a network card. A process
-// acquires one server slot, holds it for some service time and releases it.
-// Utilization and queueing statistics are tracked on the virtual timeline.
+// N hardware threads, a disk with one head, a network card. Use is the only
+// way to hold a slot: a process waits its turn, holds one slot for its
+// service time and frees it before Use returns. Nothing else parks while a
+// slot is held, so resources cannot deadlock each other. Utilization and
+// queueing statistics are tracked on the virtual timeline.
 type Resource struct {
 	env  *Env
 	name string
@@ -53,17 +55,9 @@ func (r *Resource) accumulate() {
 	r.lastChange = now
 }
 
-// Acquire blocks the calling process until a server slot is free. Slots
-// are granted strictly in arrival order within a priority class; the
+// acquire blocks the calling process until a server slot is free. Slots are
+// granted strictly in arrival order within a priority class; the
 // high-priority class always goes first.
-func (r *Resource) Acquire(p *Proc) { r.acquire(p, false) }
-
-// AcquireHigh is Acquire at high priority: the caller jumps ahead of every
-// normal-priority waiter (but behind earlier high-priority ones). A slave's
-// SQL applier configured with apply priority uses this to avoid starving
-// behind client reads.
-func (r *Resource) AcquireHigh(p *Proc) { r.acquire(p, true) }
-
 func (r *Resource) acquire(p *Proc, high bool) {
 	start := r.env.now
 	r.accumulate()
@@ -82,9 +76,8 @@ func (r *Resource) acquire(p *Proc, high bool) {
 	r.totalWait += r.env.now - start
 }
 
-// Release frees a slot held by the calling process (or on its behalf). It
-// may be called from any process or callback.
-func (r *Resource) Release() {
+// release frees a held slot and hands it to the next waiter, if any.
+func (r *Resource) release() {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
@@ -103,19 +96,22 @@ func (r *Resource) Release() {
 	r.env.scheduleProc(r.env.now, next)
 }
 
-// Use acquires a slot, holds it for service duration d and releases it.
-// This is the common pattern for charging CPU time.
+// Use waits for a slot, holds it for service duration d and frees it: the
+// charge of CPU time, a disk access or a transmission.
 func (r *Resource) Use(p *Proc, d time.Duration) {
-	r.Acquire(p)
+	r.acquire(p, false)
 	p.Sleep(d)
-	r.Release()
+	r.release()
 }
 
-// UseHigh is Use with a high-priority acquisition.
+// UseHigh is Use at high priority: the caller jumps ahead of every
+// normal-priority waiter (but behind earlier high-priority ones). A slave's
+// SQL applier configured with apply priority uses this to avoid starving
+// behind client reads.
 func (r *Resource) UseHigh(p *Proc, d time.Duration) {
-	r.AcquireHigh(p)
+	r.acquire(p, true)
 	p.Sleep(d)
-	r.Release()
+	r.release()
 }
 
 // ResetStats restarts utilization accounting from the current virtual time.
@@ -148,7 +144,7 @@ func (r *Resource) BusySeconds() float64 {
 	return r.busyIntegral
 }
 
-// Acquires returns the number of Acquire calls since the last ResetStats.
+// Acquires returns the number of Use/UseHigh calls since the last ResetStats.
 func (r *Resource) Acquires() uint64 { return r.acquires }
 
 // AvgWait returns the mean time processes spent queued before acquiring a

@@ -54,10 +54,10 @@ func TestResourceFIFOOrder(t *testing.T) {
 		i := i
 		env.Go("job", func(p *Proc) {
 			p.Sleep(time.Duration(i) * time.Microsecond) // stagger arrivals
-			r.Acquire(p)
+			r.acquire(p, false)
 			order = append(order, i)
 			p.Sleep(time.Millisecond)
-			r.Release()
+			r.release()
 		})
 	}
 	env.Run()
@@ -119,7 +119,7 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 			t.Fatal("expected panic on releasing an idle resource")
 		}
 	}()
-	r.Release()
+	r.release()
 }
 
 func TestResourceInvalidCapacityPanics(t *testing.T) {
@@ -153,12 +153,12 @@ func TestResourceConservationProperty(t *testing.T) {
 			total += service
 			env.Go("job", func(p *Proc) {
 				p.Sleep(Exp(p.Rand(), time.Millisecond))
-				r.Acquire(p)
+				r.acquire(p, false)
 				if r.InUse() > r.Cap() {
 					overCap = true
 				}
 				p.Sleep(service)
-				r.Release()
+				r.release()
 				completed++
 			})
 		}
@@ -195,18 +195,18 @@ func TestAcquireHighJumpsQueue(t *testing.T) {
 		i := i
 		env.Go("normal", func(p *Proc) {
 			p.Sleep(time.Duration(i+1) * time.Millisecond)
-			r.Acquire(p)
+			r.acquire(p, false)
 			order = append(order, "normal")
 			p.Sleep(time.Millisecond)
-			r.Release()
+			r.release()
 		})
 	}
 	env.Go("urgent", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond) // arrives last, behind 3 waiters
-		r.AcquireHigh(p)
+		r.acquire(p, true)
 		order = append(order, "urgent")
 		p.Sleep(time.Millisecond)
-		r.Release()
+		r.release()
 	})
 	env.Run()
 	if len(order) != 4 || order[0] != "urgent" {

@@ -224,7 +224,7 @@ const (
 	ParkNone     ParkKind = iota // running or runnable
 	ParkStart                    // spawned, waiting for its first resume
 	ParkTimer                    // Sleep / SleepUntil
-	ParkResource                 // Resource.Acquire wait queue
+	ParkResource                 // waiting for a slot inside Resource.Use/UseHigh
 	ParkQueue                    // Queue.Get on an empty queue
 	ParkSignal                   // Signal.Wait / WaitTimeout
 )
