@@ -51,9 +51,12 @@ race:
 # (RunShards workers, sweep parallelism) and the kernel they drive. -count=2
 # reruns shake out schedule-dependent interleavings the first pass misses;
 # sharedstate (static) and this lane (dynamic) cover the same bug class from
-# both sides.
+# both sides. The second pass is engines restored from one image on several
+# goroutines at once: each shares the image's tables until it writes one, and
+# copies that one out of the image while the others read it.
 race-shards:
 	$(GO) test -race -count=2 ./internal/experiment/ ./internal/sim/
+	$(GO) test -race -count=2 -run 'TestRestore|TestPreload' ./internal/sqlengine/ ./internal/cloudstone/
 
 # End-to-end smoke of the bench CLI, after `check` has run every test under
 # -race: six ablations on the short protocol in one process, with
@@ -101,9 +104,12 @@ bench-kernel:
 # write shapes (insert, point update, apply of a logged insert on a second
 # engine), one ANALYZE pass over the 60 k rows the insert shape leaves, and a
 # cluster's set-up (preload: Cloudstone scale 600 loaded by SQL; restore: that
-# engine's image restored onto a new one, ≥ 10× the rows/s — a warm image: its
-# first restore, in the first rep, built the index templates every later one
-# clones), each best-of-3, with BENCH_planner.json written into results/ and a failure if
+# engine's image restored onto a new one — a warm image: its first restore, in
+# the first rep, built the index templates and the read-only view every later
+# restore shares, so a restore copies nothing per row; restore_write: a restore
+# and then one INSERT into every table, each first copying its table out of the
+# image — the clone a restore leaves to a table's first write, ≥ 10× preload's
+# rows/s), each best-of-3, with BENCH_planner.json written into results/ and a failure if
 # any shape's rate regresses >20% or its allocs/op rises >5% against the
 # checked-in baseline. Refresh the baseline deliberately with:
 #   cp results/BENCH_planner.json bench/planner_baseline.json

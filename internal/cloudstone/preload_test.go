@@ -3,6 +3,7 @@ package cloudstone
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -185,6 +186,115 @@ func TestPreloadSharesOneImageAcrossGoroutines(t *testing.T) {
 			t.Fatalf("restore %d of the memoised image (the last made after the clusters wrote):\n%s\nthe SQL load:\n%s", i, got, want)
 		}
 	}
+}
+
+// TestPreloadedTablesShareUntilWritten: four goroutines restore one memoised
+// image at once, and each writes tables of its own — per table and round, an
+// INSERT and a rewrite of a loaded row, so each takes its table over from the
+// image mid-run — while reading, every round, the tables it does not write,
+// which it still shares with the image and with the other three: the same
+// loaded rows the writers rewrite. A table a goroutine did not write reads as
+// the data set, one it wrote as the data set plus its rows, and a restore made
+// after it all as the data set. Under -race this is the check that taking a
+// table over only reads the image, beside readers of it on other goroutines.
+func TestPreloadedTablesShareUntilWritten(t *testing.T) {
+	const scale, rounds, workers = 29, 40, 4
+	images.Delete(keyOf(scale, ownsAll)) // the restores below are its first
+	img := loaded(keyOf(scale, ownsAll))
+	if img.err != nil {
+		t.Fatal(img.err)
+	}
+	ref := sqlengine.NewEngine()
+	if err := LoadSQL(ref, scale); err != nil {
+		t.Fatal(err)
+	}
+	want := tableLines(t, ref)
+	inserts := map[string]string{
+		"users":      "INSERT INTO users (id, username) VALUES (?, CONCAT('u', ?))",
+		"events":     "INSERT INTO events (id, creator_id, title) VALUES (?, ?, 'new')",
+		"attendance": "INSERT INTO attendance (id, event_id, user_id) VALUES (?, ?, 1)",
+		"tags":       "INSERT INTO tags (id, name) VALUES (?, CONCAT('t', ?))",
+		"event_tags": "INSERT INTO event_tags (id, event_id, tag_id) VALUES (?, ?, 1)",
+		"comments":   "INSERT INTO comments (id, event_id, user_id) VALUES (?, ?, 1)",
+		"friends":    "INSERT INTO friends (id, user_id, friend_id) VALUES (?, ?, 2)",
+	}
+	writes := func(w int, table string) bool { return slices.Index(allTables, table)%workers == w }
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	engs := make([]*sqlengine.Engine, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := sqlengine.NewEngine()
+			if errs[w] = eng.Restore(img.snap); errs[w] != nil {
+				return
+			}
+			engs[w] = eng
+			sess := eng.NewSession(DatabaseName)
+			for i := range rounds {
+				id, old := sqlengine.NewInt(int64(1_000_000+i)), sqlengine.NewInt(int64(i%NumTags+1))
+				for _, table := range allTables {
+					var err error
+					if writes(w, table) {
+						if _, err = sess.Exec(inserts[table], id, id); err == nil {
+							_, err = sess.Exec("UPDATE "+table+" SET id = id WHERE id = ?", old)
+						}
+					} else if _, err = sess.Query("SELECT COUNT(*) FROM " + table); err == nil {
+						_, err = sess.Query("SELECT * FROM "+table+" WHERE id = ?", old)
+					}
+					if err != nil {
+						errs[w] = fmt.Errorf("round %d, %s: %w", i, table, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", w, err)
+		}
+	}
+	for w, eng := range engs {
+		got := tableLines(t, eng)
+		for _, table := range allTables {
+			if writes(w, table) {
+				if n, m := rowCount(t, eng, table), rowCount(t, ref, table); n != m+rounds {
+					t.Errorf("goroutine %d wrote %s: %d rows, want the data set's %d and its %d", w, table, n, m, rounds)
+				}
+			} else if got[table] != want[table] {
+				t.Errorf("goroutine %d read %s as %q, the data set is %q", w, table, got[table], want[table])
+			}
+		}
+	}
+	later := sqlengine.NewEngine()
+	if err := later.Restore(img.snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := tablesDigest(t, later); got != tablesDigest(t, ref) {
+		t.Fatalf("a restore made after it all:\n%s\nthe data set:\n%s", got, tablesDigest(t, ref))
+	}
+}
+
+// tableLines is tablesDigest by table.
+func tableLines(t *testing.T, eng *sqlengine.Engine) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(tablesDigest(t, eng)), "\n") {
+		out[strings.Fields(line)[0]] = line
+	}
+	return out
+}
+
+func rowCount(t *testing.T, eng *sqlengine.Engine, table string) int {
+	t.Helper()
+	set, err := eng.NewSession(DatabaseName).Query("SELECT COUNT(*) FROM " + table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(set.Rows[0][0].Int())
 }
 
 // writeThrough preloads a master and two replicas at scale and runs 3·64

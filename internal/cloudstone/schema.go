@@ -91,7 +91,11 @@ const FriendsPerUser = 3
 // commit version, GC and plan counters and log position, no plans. The
 // server must be empty (a Restore replaces its whole engine); one that has a
 // catalog is refused. A cluster runs this on its master only and starts
-// replicas from the master's image.
+// replicas from the master's image — the same image, while nothing has
+// written the master. Every server restored from it shares its tables, rows
+// and indexes both, until the server's first write to a table copies that
+// table (sqlengine's restore): a table a run never writes is one copy per
+// process, however many nodes read it.
 func Preload(scale int) func(*server.DBServer) error {
 	return PreloadOwned(scale, nil)
 }

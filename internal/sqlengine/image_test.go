@@ -1,7 +1,9 @@
 package sqlengine
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -72,12 +74,45 @@ func recaptured(t *testing.T, e *Engine) *Engine {
 	return r
 }
 
-// TestRestoredEnginesShareNothingMutable: engines restored from one image share
-// its row images and index templates with each other and with the source, and
-// nothing else. What one of them does — every kind of write, rollbacks, enough
-// commits for chain GC to prune the shared images' rows out from under it, a
-// TRUNCATE, a DROP — leaves the source, its siblings and a later restore of
-// the same image as they were, and an image of the written engine restores to
+// sameArray reports whether a and b are one slice, not equal copies.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// sameKeys reports whether a and b are one index map, not equal copies.
+func sameKeys(a, b *keyMap[bucket]) bool {
+	return a.ints.n == b.ints.n && sameArray(a.ints.slots, b.ints.slots) &&
+		reflect.ValueOf(a.rest).Pointer() == reflect.ValueOf(b.rest).Pointer()
+}
+
+// views returns, per table of e, the image whose view the table's heap and
+// every index map are — by identity — or nil for a table that owns its own.
+func views(e *Engine) map[string]*storeImage {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := map[string]*storeImage{}
+	for _, db := range e.dbs {
+		for _, tbl := range db.tables {
+			st, img := &tbl.store, tbl.store.src
+			shares := img != nil && sameArray(st.rows, img.heap)
+			for i, ix := range st.keyed {
+				shares = shares && sameKeys(&ix.buckets, &img.view[i])
+			}
+			if out[tbl.Name] = nil; shares {
+				out[tbl.Name] = img
+			}
+		}
+	}
+	return out
+}
+
+// TestRestoredEnginesShareNothingMutable is the sharing contract. A restored
+// table shares its image's heap and index maps — by identity — until something
+// writes it, and a write owns its table before it scans: after each kind of
+// write on one restored engine only the written table owns its storage, and
+// what it holds is what it shared, in the same order. Whatever that engine
+// does leaves the source, a sibling restored from the same image and a later
+// restore of it as they were, and an image of the written engine restores to
 // what that engine holds.
 func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 	src := newWriteGoldenDB(t).eng
@@ -91,59 +126,99 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 		return e
 	}
 	want := engineDigest(t, src)
-	a, b := restore(), restore()
-	for name, e := range map[string]*Engine{"first restore": a, "second restore": b} {
-		if got := engineDigest(t, e); got != want {
-			t.Fatalf("%s differs from its source:\n%s\nsource:\n%s", name, got, want)
+	b := restore()
+	if got := engineDigest(t, b); got != want {
+		t.Fatalf("a restore differs from its source:\n%s\nsource:\n%s", got, want)
+	}
+	for name, v := range views(b) {
+		if v == nil {
+			t.Fatalf("%s of a restored engine owns its storage before anything wrote it", name)
 		}
 	}
-	check := func(after string) {
-		t.Helper()
-		for name, e := range map[string]*Engine{"the source": src, "a sibling": b, "a later restore of the image": restore()} {
-			if got := engineDigest(t, e); got != want {
-				t.Fatalf("after %s on one restored engine, %s changed:\n%s\nwas:\n%s", after, name, got, want)
-			}
-		}
-		if got, held := imageDigest(t, recaptured(t, a)), imageDigest(t, a); got != held {
-			t.Fatalf("after %s, a restore of a capture of the written engine holds:\n%s\nthe engine holds:\n%s", after, got, held)
-		}
+	// A write logged on another engine, for Session.Replay to re-run.
+	var logged []LoggedWrite
+	m := restore()
+	m.OnCommit = func(_ string, ws []LoggedWrite) { logged = append(logged, ws...) }
+	if _, err := m.NewSession("app").Exec("INSERT INTO events (id, creator_id, title) VALUES (?, ?, 'replayed')", NewInt(99), NewInt(3)); err != nil {
+		t.Fatal(err)
 	}
 
-	s := a.NewSession("app")
-	run := func(sql string, args ...Value) {
-		t.Helper()
-		if _, err := s.Exec(sql, args...); err != nil {
-			t.Fatalf("%s: %v", sql, err)
+	// exec runs statements that must succeed.
+	exec := func(qs ...string) func(*testing.T, *Engine, *Session) {
+		return func(t *testing.T, _ *Engine, s *Session) {
+			for _, q := range qs {
+				if _, err := s.Exec(q); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+			}
 		}
 	}
-	run("INSERT INTO logs (a, b) VALUES (7, 'new')")
-	check("INSERT")
-	run("UPDATE users SET karma = karma + 1, city = 'osl'")
-	run("UPDATE users SET id = id + 100 WHERE id > 5")
-	check("UPDATE")
-	run("DELETE FROM events WHERE creator_id = 3")
-	run("DELETE FROM users WHERE id = 1")
-	check("DELETE")
-	run("BEGIN")
-	run("INSERT INTO users (id, name, karma, city) VALUES (1, 'again', 0, 'ams'), (77, 'new', 0, 'ber')")
-	run("UPDATE events SET title = 'provisional'")
-	run("DELETE FROM logs")
-	run("ROLLBACK")
-	check("a rolled-back INSERT, UPDATE and DELETE")
-	// Two sweeps' worth of commits over every events row: the images the
-	// restore shared are superseded, then pruned.
-	runs, _, _ := a.GCStats()
-	for i := 0; i < 2*gcEvery; i++ {
-		run("UPDATE events SET score = ? WHERE id > 0", NewFloat(float64(i)))
+	for _, tc := range []struct {
+		kind, touches string
+		unchanged     bool // the engine still holds what it shared
+		do            func(t *testing.T, e *Engine, s *Session)
+	}{
+		{"INSERT", "logs", false, exec("INSERT INTO logs (a, b) VALUES (7, 'new')")},
+		{"UPDATE", "users", false, exec("UPDATE users SET karma = karma + 1, city = 'osl' WHERE id > 5")},
+		{"UPDATE of no row", "events", true, exec("UPDATE events SET score = 0 WHERE id = 999")},
+		{"DELETE", "events", false, exec("DELETE FROM events WHERE creator_id = 3")},
+		{"first write failing on a unique key", "users", true, func(t *testing.T, _ *Engine, s *Session) {
+			_, err := s.Exec("INSERT INTO users (id, name, karma, city) VALUES (30, 'n30', 1, 'ber'), (1, 'dup', 1, 'ber')")
+			if !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("err = %v, want a duplicate key", err)
+			}
+		}},
+		{"ROLLBACK", "users", false, exec("BEGIN", "INSERT INTO users (id, name, karma, city) VALUES (77, 'new', 0, 'ber')",
+			"UPDATE users SET city = 'osl'", "DELETE FROM users WHERE id = 1", "ROLLBACK")},
+		{"Session.Replay", "events", false, func(t *testing.T, _ *Engine, s *Session) {
+			if _, err := s.Replay(logged[0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"TRUNCATE", "logs", false, exec("TRUNCATE TABLE logs")},
+		{"DROP", "logs", false, exec("DROP TABLE logs")},
+		// Two sweeps' worth of commits over every events row: the images the
+		// restore shared are superseded, then pruned; the sweeps visit every
+		// table.
+		{"chain GC", "events", false, func(t *testing.T, e *Engine, s *Session) {
+			runs, _, _ := e.GCStats()
+			for i := 0; i < 2*gcEvery; i++ {
+				if _, err := s.Exec("UPDATE events SET score = ? WHERE id > 0", NewFloat(float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r2, v2, _ := e.GCStats(); r2 < runs+2 || v2 == 0 {
+				t.Fatalf("chain GC did not run on the restored engine: runs %d → %d, %d versions pruned", runs, r2, v2)
+			}
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			a := restore()
+			before := views(a)
+			tc.do(t, a, a.NewSession("app"))
+			for name, v := range views(a) {
+				switch {
+				case name != tc.touches && v != before[name]:
+					t.Errorf("%s, which it did not write, no longer shares its image", name)
+				case name == tc.touches && v != nil:
+					t.Errorf("%s, which it wrote, still shares its image", name)
+				case name == tc.touches && len(before[name].heap) > 0 && sameArray(a.dbs["app"].tables[name].store.rows, before[name].heap):
+					t.Errorf("%s owns the image's heap", name)
+				}
+			}
+			if got := engineDigest(t, a); tc.unchanged && got != want {
+				t.Errorf("owning its table changed what the engine holds:\n%s\nwas:\n%s", got, want)
+			}
+			for name, e := range map[string]*Engine{"the source": src, "a sibling": b, "a later restore of the image": restore()} {
+				if got := engineDigest(t, e); got != want {
+					t.Fatalf("%s changed:\n%s\nwas:\n%s", name, got, want)
+				}
+			}
+			if got, held := imageDigest(t, recaptured(t, a)), imageDigest(t, a); got != held {
+				t.Fatalf("a restore of a capture of the written engine holds:\n%s\nthe engine holds:\n%s", got, held)
+			}
+		})
 	}
-	if r2, v2, _ := a.GCStats(); r2 < runs+2 || v2 == 0 {
-		t.Fatalf("chain GC did not run on the restored engine: runs %d → %d, %d versions pruned", runs, r2, v2)
-	}
-	check("chain GC over superseded shared images")
-	run("TRUNCATE TABLE events")
-	check("TRUNCATE")
-	run("DROP TABLE logs")
-	check("DROP")
 
 	// And the other way round: the source moves on, the image does not.
 	ss := src.NewSession("app")
@@ -265,7 +340,11 @@ func TestRestoredStoreCapturesAsItsImage(t *testing.T) {
 
 // TestRestoredBucketsHaveLinksRoom: a restored bucket of several rows has the
 // capacity link leaves one of that many rows with, entering them one at a
-// time, so a run appends to restored buckets as it would to loaded ones.
+// time, so a run appends to restored buckets as it would to loaded ones — and
+// a restored store, once it owns its storage, stands where its source stands
+// in its slabs and heap array, so it allocates next when its source would. A
+// store that still shares its image already reports where owning will leave
+// it.
 func TestRestoredBucketsHaveLinksRoom(t *testing.T) {
 	src := NewEngine()
 	s := src.NewSession("")
@@ -293,16 +372,24 @@ func TestRestoredBucketsHaveLinksRoom(t *testing.T) {
 	if err := re.Restore(src.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	index := func(e *Engine) *Index { db, _ := e.Database("d"); tbl, _ := db.Table("t"); return tbl.indexes[0] }
-	loaded, restored := index(src), index(re)
-	for g, n := range sizes {
-		want, _ := loaded.buckets.get(NewInt(int64(g)).hashKey())
-		got, _ := restored.buckets.get(NewInt(int64(g)).hashKey())
-		if len(want.rows()) != n || len(got.rows()) != n {
-			t.Fatalf("group %d: loaded bucket holds %d rows, restored %d, want %d", g, len(want.rows()), len(got.rows()), n)
+	table := func(e *Engine) *Table { db, _ := e.Database("d"); tbl, _ := db.Table("t"); return tbl }
+	loaded, restored := table(src), table(re)
+	for _, when := range []string{"sharing its image", "owning its storage"} {
+		if when == "owning its storage" {
+			restored.store.own()
 		}
-		if n > 1 && cap(*got.many) != cap(*want.many) {
-			t.Errorf("group of %d rows: restored bucket's capacity %d, link leaves %d", n, cap(*got.many), cap(*want.many))
+		if got, want := restored.store.where(), loaded.store.where(); got != want {
+			t.Errorf("%s, the restored store stands at %+v, its source at %+v", when, got, want)
+		}
+		for g, n := range sizes {
+			want, _ := loaded.indexes[0].buckets.get(NewInt(int64(g)).hashKey())
+			got, _ := restored.indexes[0].buckets.get(NewInt(int64(g)).hashKey())
+			if len(want.rows()) != n || len(got.rows()) != n {
+				t.Fatalf("%s, group %d: loaded bucket holds %d rows, restored %d, want %d", when, g, len(want.rows()), len(got.rows()), n)
+			}
+			if n > 1 && cap(*got.many) != cap(*want.many) {
+				t.Errorf("%s, group of %d rows: restored bucket's capacity %d, link leaves %d", when, n, cap(*got.many), cap(*want.many))
+			}
 		}
 	}
 }

@@ -21,8 +21,9 @@ import (
 // An image shares the source's row images instead of copying them — an image
 // is immutable once published (store.go) — so it is itself immutable, costs a
 // header per row, and may be restored any number of times, on any goroutine.
-// Its first restore builds each table's index tables, once; every restore
-// clones them. A table restored and not written since captures as the image
+// Its first restore builds each table's index tables and a read-only view over
+// them, once; a restored table reads that view until its first write copies it
+// (rowStore.own). A table restored and not written since captures as the image
 // it was restored from, so a Snapshot of a freshly restored engine shares its
 // source's tables, built indexes included.
 type Snapshot struct {
@@ -158,8 +159,8 @@ func (h *SnapshotHandle) Close() {
 
 // Restore replaces the engine's entire catalog, statistics and progress with
 // the snapshot's, and raises its commit version to the snapshot's. Each table
-// is rebuilt in bulk (rowStore.restore) over the snapshot's own row images,
-// its indexes cloned from the snapshot's.
+// shares the snapshot's rows and indexes (rowStore.restore) until something
+// writes it.
 // Inline primary-key flags were normalized into the PK column list at capture
 // time, so they are cleared on the restored definitions.
 func (e *Engine) Restore(snap *Snapshot) error {

@@ -17,6 +17,13 @@ import (
 // undone insert wastes its own); prune and undo zero the Row and rowVersion
 // headers they free and never an image slot — a published image may be shared
 // with every store restored from a capture of this one (storeImage).
+//
+// A restored store shares more than images until it is first written: its heap
+// and index maps are the image's read-only view, built once beside the index
+// templates, so a table nothing writes costs a restore nothing per row. A write
+// owns its table before it scans (own copies the view's row headers and clones
+// the templates), so no Row of a view is ever a write's target, and every
+// mutator panics on a store that still shares.
 
 const slabMin, slabMax = 16, 1024 // slots in a slab's first and largest chunk
 
@@ -230,7 +237,8 @@ type rowStore struct {
 	// graveyard, all that prune visits.
 	chained []*Row
 	// src is the image the store was restored from while nothing has written
-	// to it since: insert, reimage, bury and truncate clear it.
+	// to it since — and whose view its heap and index maps then are. own and
+	// truncate clear it.
 	src *storeImage
 
 	rowSlab slab[Row]
@@ -251,7 +259,8 @@ func newRowStore(t *Table) rowStore {
 
 // truncate drops every row. TRUNCATE is DDL, not a versioned write: the
 // graveyard and version chains go with the heap, so snapshot readers lose
-// pre-truncate images (documented MVCC scope, DESIGN.md §12).
+// pre-truncate images (documented MVCC scope, DESIGN.md §12). A store that
+// shares its image owns an empty one after it, nothing copied.
 func (st *rowStore) truncate() {
 	st.rows, st.graveyard, st.chained, st.src = nil, nil, nil, nil
 	st.rowSlab, st.imgSlab, st.verSlab = slab[Row]{}, slab[Value]{}, slab[rowVersion]{}
@@ -263,8 +272,19 @@ func (st *rowStore) truncate() {
 // live returns the number of rows in the heap.
 func (st *rowStore) live() int { return len(st.rows) }
 
+// mustOwn panics when st still shares its image's view: its caller would write
+// the image, and every store restored from it. Every mutator calls it but
+// truncate, which drops the sharing, and prune, which visits only what a
+// shared store has none of.
+func (st *rowStore) mustOwn() {
+	if st.src != nil {
+		panic("sqlengine: table " + st.table.Name + " written while it shares its restored image")
+	}
+}
+
 // image returns a fresh row image holding a copy of from, all NULL past it.
 func (st *rowStore) image(from []Value) []Value {
+	st.mustOwn()
 	img := st.imgSlab.take(st.ncols)
 	copy(img, from)
 	return img
@@ -293,20 +313,41 @@ func (st *rowStore) images(v readView, out [][]Value) [][]Value {
 // builds a store from. rows holds, in scan order (the heap, then what of the
 // graveyard the reader still sees), one header per visible row with only vals
 // and begin set; vals is the source's own image, shared and never copied.
-// newest is the highest begin among them. The marks are where the source
-// stands in its three slabs and its heap's backing array, for restore to leave
-// the new store standing there too. An image is immutable once captured but
-// for its index templates, which its first restore builds, once, for every
-// restore after it — on whatever goroutine each runs.
+// newest is the highest begin among them. An image is immutable once captured
+// but for its index templates and its view, which its first restore builds,
+// once, for every restore after it — on whatever goroutine each runs. The view
+// is a store's heap and index maps over rows itself: what every restored store
+// reads until it is first written, and nothing ever writes.
 type storeImage struct {
-	rows                      []Row
-	newest                    uint64
-	heapCap                   int
-	rowSlab, imgSlab, verSlab slabMark
+	rows   []Row
+	newest uint64
+	standing
 
 	once    sync.Once
-	indexes []indexTemplate // one per index of the store, in keyed order
-	err     error           // the unique violation entering rows would meet
+	indexes []indexTemplate  // one per index of the store, in keyed order
+	heap    []*Row           // the view's heap: rows, in order
+	view    []keyMap[bucket] // the view's index maps, one per template
+	err     error            // the unique violation entering rows would meet
+}
+
+// standing is where a store stands in its heap's backing array and its three
+// slabs: an image keeps its source's, for own to leave the owning store
+// standing there too, so what it allocates next, and when, is what the source
+// would.
+type standing struct {
+	heapCap                   int
+	rowSlab, imgSlab, verSlab slabMark
+}
+
+// where returns where st stands — for a store that shares, where own will
+// leave it.
+func (st *rowStore) where() standing {
+	if img := st.src; img != nil {
+		s := img.standing
+		s.heapCap = max(len(img.rows), s.heapCap)
+		return s
+	}
+	return standing{cap(st.rows), st.rowSlab.mark(), st.imgSlab.mark(), st.verSlab.mark()}
 }
 
 // indexTemplate is one index over an image's rows, numbered in image order:
@@ -330,11 +371,7 @@ func (st *rowStore) capture(v readView) *storeImage {
 	if st.src != nil && v.at >= st.src.newest {
 		return st.src
 	}
-	img := &storeImage{
-		rows:    make([]Row, 0, len(st.rows)),
-		heapCap: cap(st.rows),
-		rowSlab: st.rowSlab.mark(), imgSlab: st.imgSlab.mark(), verSlab: st.verSlab.mark(),
-	}
+	img := &storeImage{rows: make([]Row, 0, len(st.rows)), standing: st.where()}
 	for _, rows := range [2][]*Row{st.rows, st.graveyard} {
 		for _, r := range rows {
 			if vals, begin := r.visibleTo(v); vals != nil {
@@ -346,17 +383,33 @@ func (st *rowStore) capture(v readView) *storeImage {
 	return img
 }
 
-// restore fills an empty store from img in bulk: the rows in one chunk, in
-// img's order in the heap and in every bucket, no image copied, no value
-// coerced (the images come from a table of these columns). Each index is a
-// clone of img's template for it, its buckets of several rows carved from one
-// array. History is not carried: every row is one committed image. A unique
-// violation — link's, entering the rows in img's order — leaves the store
-// empty.
+// restore fills an empty store from img: its heap and index maps are img's
+// view, shared until own. The rows are in img's order in the heap and in every
+// bucket, no value coerced (the images come from a table of these columns).
+// History is not carried: every row is one committed image. A unique violation
+// — link's, entering the rows in img's order — leaves the store empty.
 func (st *rowStore) restore(img *storeImage) error {
 	img.once.Do(func() { img.build(st) })
 	if img.err != nil {
 		return img.err
+	}
+	st.rows, st.src = img.heap, img
+	for i, ix := range st.keyed {
+		ix.buckets = img.view[i]
+	}
+	return nil
+}
+
+// own replaces the view a store shares with storage of its own, built in bulk:
+// the rows in one chunk, in the image's order in the heap and in every bucket,
+// no row image copied. Each index is a clone of the image's template for it,
+// its buckets of several rows carved from one array. The store then stands
+// where the image's source stood. A store that owns its storage already is
+// left as it is.
+func (st *rowStore) own() {
+	img := st.src
+	if img == nil {
+		return
 	}
 	n := len(img.rows)
 	chunk := make([]Row, n+img.rowSlab.free)
@@ -370,13 +423,12 @@ func (st *rowStore) restore(img *storeImage) error {
 	}
 	st.rowSlab = slab[Row]{free: chunk[n:], slots: img.rowSlab.slots}
 	st.imgSlab, st.verSlab = resume[Value](img.imgSlab), resume[rowVersion](img.verSlab)
-	st.src = img
-	return nil
+	st.src = nil
 }
 
-// build makes img's index templates for st's indexes, or finds the unique
-// violation link would meet first: at the earliest row, under the earliest
-// index in keyed order.
+// build makes img's index templates for st's indexes and its view over them,
+// or finds the unique violation link would meet first: at the earliest row,
+// under the earliest index in keyed order.
 func (img *storeImage) build(st *rowStore) {
 	keys := make([]hashKey, len(img.rows))
 	rank := make([]int32, len(img.rows)) // a row's place in its bucket
@@ -418,6 +470,17 @@ func (img *storeImage) build(st *rowStore) {
 			}
 			t.ords[s.off+rank[o]] = int32(o)
 		}
+	}
+	if img.err != nil {
+		return
+	}
+	img.heap = make([]*Row, len(img.rows))
+	for i := range img.rows {
+		img.heap[i] = &img.rows[i]
+	}
+	img.view = make([]keyMap[bucket], len(img.indexes))
+	for i := range img.indexes {
+		img.view[i] = img.indexes[i].clone(img.rows)
 	}
 }
 
@@ -509,7 +572,7 @@ func (st *rowStore) unlink(r *Row) {
 // insert adds a row with image img (coerced, and the store's from here on),
 // visible from begin and marked as txn's when an open transaction writes it.
 func (st *rowStore) insert(img []Value, begin uint64, txn *Session) (rowChange, error) {
-	st.src = nil
+	st.mustOwn()
 	r := &st.rowSlab.take(1)[0]
 	r.vals, r.begin, r.txn = img, begin, txn
 	if err := st.link(r); err != nil {
@@ -523,7 +586,7 @@ func (st *rowStore) insert(img []Value, begin uint64, txn *Session) (rowChange, 
 // reimage makes img r's current image, moving r to the end of its secondary
 // buckets; on a constraint violation r keeps its image (and may still move).
 func (st *rowStore) reimage(r *Row, img []Value) error {
-	st.src = nil
+	st.mustOwn()
 	if st.pk != nil {
 		if b, _ := st.pk.buckets.get(st.pk.key(img)); b.one != nil && b.one != r {
 			return st.dupErr(st.pk)
@@ -592,7 +655,7 @@ func (st *rowStore) chain(r *Row) {
 // must not see it) for the graveyard, where snapshot readers find it until
 // prune reclaims it. The end stamp finalizes at commit.
 func (st *rowStore) bury(r *Row, txn *Session) rowChange {
-	st.src = nil
+	st.mustOwn()
 	st.unlink(r)
 	st.graveyard = append(st.graveyard, r)
 	r.end = provisionalVersion
@@ -604,6 +667,7 @@ func (st *rowStore) bury(r *Row, txn *Session) rowChange {
 
 // stamp commits c at version cv.
 func (st *rowStore) stamp(c rowChange, cv uint64) {
+	st.mustOwn()
 	switch {
 	case c.kind == effDelete:
 		c.r.end, c.r.txn = cv, nil
@@ -619,6 +683,7 @@ func (st *rowStore) stamp(c rowChange, cv uint64) {
 // restores are free: an inserted row leaves, a rewritten row gets its image
 // back and pops the chain node it pushed, a buried row returns to the heap.
 func (st *rowStore) undo(c rowChange) {
+	st.mustOwn()
 	switch c.kind {
 	case effInsert:
 		st.unlink(c.r)
@@ -666,7 +731,8 @@ func dropChain(c *rowVersion) (n int) {
 
 // prune reclaims what no reader at or above minActive can see: chain versions
 // behind live and buried rows, and graveyard rows whose delete has committed.
-// It visits the chained list and the graveyard, never the heap.
+// It visits the chained list and the graveyard, never the heap: a store that
+// shares its image has neither, and a sweep leaves it sharing.
 func (st *rowStore) prune(minActive uint64) (versions, rows int) {
 	kept := st.chained[:0]
 	for _, r := range st.chained {

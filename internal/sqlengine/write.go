@@ -191,8 +191,11 @@ func (rt *runState) fill(vals []Value, pos []int, xs []*bexpr) error {
 
 // run executes the statement row by row, appending one change per row it
 // affects to the session's log — what execWrite undoes if it fails part-way.
+// A write owns its table before it scans, so no row it targets is a restored
+// image's.
 func (wp *writePlan) run(rt *runState) error {
 	tbl, s := wp.tbl, rt.s
+	tbl.store.own()
 	if wp.kind == effInsert {
 		for _, row := range wp.rows {
 			img := tbl.store.image(nil) // unset columns are NULL
