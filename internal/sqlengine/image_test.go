@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -106,14 +107,15 @@ func views(e *Engine) map[string]*storeImage {
 	return out
 }
 
-// TestRestoredEnginesShareNothingMutable is the sharing contract. A restored
-// table shares its image's heap and index maps — by identity — until something
-// writes it, and a write owns its table before it scans: after each kind of
-// write on one restored engine only the written table owns its storage, and
-// what it holds is what it shared, in the same order. Whatever that engine
-// does leaves the source, a sibling restored from the same image and a later
-// restore of it as they were, and an image of the written engine restores to
-// what that engine holds.
+// TestRestoredEnginesShareNothingMutable: engines restored from one image share
+// its row images and index templates with each other and with the source —
+// and each table the image's view until the table is first written — and
+// nothing else. What one of them does — every kind of write, rollbacks, enough
+// commits for chain GC to prune the shared images' rows out from under it, a
+// TRUNCATE, a DROP, each step on tables the steps before it already own —
+// leaves the source, its siblings and a later restore of the same image as
+// they were, and an image of the written engine restores to what that engine
+// holds.
 func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 	src := newWriteGoldenDB(t).eng
 	img := src.Snapshot()
@@ -126,99 +128,68 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 		return e
 	}
 	want := engineDigest(t, src)
-	b := restore()
-	if got := engineDigest(t, b); got != want {
-		t.Fatalf("a restore differs from its source:\n%s\nsource:\n%s", got, want)
-	}
-	for name, v := range views(b) {
-		if v == nil {
-			t.Fatalf("%s of a restored engine owns its storage before anything wrote it", name)
+	a, b := restore(), restore()
+	for name, e := range map[string]*Engine{"first restore": a, "second restore": b} {
+		if got := engineDigest(t, e); got != want {
+			t.Fatalf("%s differs from its source:\n%s\nsource:\n%s", name, got, want)
 		}
 	}
-	// A write logged on another engine, for Session.Replay to re-run.
-	var logged []LoggedWrite
-	m := restore()
-	m.OnCommit = func(_ string, ws []LoggedWrite) { logged = append(logged, ws...) }
-	if _, err := m.NewSession("app").Exec("INSERT INTO events (id, creator_id, title) VALUES (?, ?, 'replayed')", NewInt(99), NewInt(3)); err != nil {
-		t.Fatal(err)
+	written := map[string]bool{}
+	check := func(after string, wrote ...string) {
+		t.Helper()
+		for _, name := range wrote {
+			written[name] = true
+		}
+		for name, v := range views(a) {
+			if owns := v == nil; owns != written[name] {
+				t.Fatalf("after %s, %s owns its storage: %v; written: %v", after, name, owns, written[name])
+			}
+		}
+		for name, e := range map[string]*Engine{"the source": src, "a sibling": b, "a later restore of the image": restore()} {
+			if got := engineDigest(t, e); got != want {
+				t.Fatalf("after %s on one restored engine, %s changed:\n%s\nwas:\n%s", after, name, got, want)
+			}
+		}
+		if got, held := imageDigest(t, recaptured(t, a)), imageDigest(t, a); got != held {
+			t.Fatalf("after %s, a restore of a capture of the written engine holds:\n%s\nthe engine holds:\n%s", after, got, held)
+		}
 	}
 
-	// exec runs statements that must succeed.
-	exec := func(qs ...string) func(*testing.T, *Engine, *Session) {
-		return func(t *testing.T, _ *Engine, s *Session) {
-			for _, q := range qs {
-				if _, err := s.Exec(q); err != nil {
-					t.Fatalf("%s: %v", q, err)
-				}
-			}
+	s := a.NewSession("app")
+	run := func(sql string, args ...Value) {
+		t.Helper()
+		if _, err := s.Exec(sql, args...); err != nil {
+			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	for _, tc := range []struct {
-		kind, touches string
-		unchanged     bool // the engine still holds what it shared
-		do            func(t *testing.T, e *Engine, s *Session)
-	}{
-		{"INSERT", "logs", false, exec("INSERT INTO logs (a, b) VALUES (7, 'new')")},
-		{"UPDATE", "users", false, exec("UPDATE users SET karma = karma + 1, city = 'osl' WHERE id > 5")},
-		{"UPDATE of no row", "events", true, exec("UPDATE events SET score = 0 WHERE id = 999")},
-		{"DELETE", "events", false, exec("DELETE FROM events WHERE creator_id = 3")},
-		{"first write failing on a unique key", "users", true, func(t *testing.T, _ *Engine, s *Session) {
-			_, err := s.Exec("INSERT INTO users (id, name, karma, city) VALUES (30, 'n30', 1, 'ber'), (1, 'dup', 1, 'ber')")
-			if !errors.Is(err, ErrDuplicateKey) {
-				t.Fatalf("err = %v, want a duplicate key", err)
-			}
-		}},
-		{"ROLLBACK", "users", false, exec("BEGIN", "INSERT INTO users (id, name, karma, city) VALUES (77, 'new', 0, 'ber')",
-			"UPDATE users SET city = 'osl'", "DELETE FROM users WHERE id = 1", "ROLLBACK")},
-		{"Session.Replay", "events", false, func(t *testing.T, _ *Engine, s *Session) {
-			if _, err := s.Replay(logged[0]); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"TRUNCATE", "logs", false, exec("TRUNCATE TABLE logs")},
-		{"DROP", "logs", false, exec("DROP TABLE logs")},
-		// Two sweeps' worth of commits over every events row: the images the
-		// restore shared are superseded, then pruned; the sweeps visit every
-		// table.
-		{"chain GC", "events", false, func(t *testing.T, e *Engine, s *Session) {
-			runs, _, _ := e.GCStats()
-			for i := 0; i < 2*gcEvery; i++ {
-				if _, err := s.Exec("UPDATE events SET score = ? WHERE id > 0", NewFloat(float64(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if r2, v2, _ := e.GCStats(); r2 < runs+2 || v2 == 0 {
-				t.Fatalf("chain GC did not run on the restored engine: runs %d → %d, %d versions pruned", runs, r2, v2)
-			}
-		}},
-	} {
-		t.Run(tc.kind, func(t *testing.T) {
-			a := restore()
-			before := views(a)
-			tc.do(t, a, a.NewSession("app"))
-			for name, v := range views(a) {
-				switch {
-				case name != tc.touches && v != before[name]:
-					t.Errorf("%s, which it did not write, no longer shares its image", name)
-				case name == tc.touches && v != nil:
-					t.Errorf("%s, which it wrote, still shares its image", name)
-				case name == tc.touches && len(before[name].heap) > 0 && sameArray(a.dbs["app"].tables[name].store.rows, before[name].heap):
-					t.Errorf("%s owns the image's heap", name)
-				}
-			}
-			if got := engineDigest(t, a); tc.unchanged && got != want {
-				t.Errorf("owning its table changed what the engine holds:\n%s\nwas:\n%s", got, want)
-			}
-			for name, e := range map[string]*Engine{"the source": src, "a sibling": b, "a later restore of the image": restore()} {
-				if got := engineDigest(t, e); got != want {
-					t.Fatalf("%s changed:\n%s\nwas:\n%s", name, got, want)
-				}
-			}
-			if got, held := imageDigest(t, recaptured(t, a)), imageDigest(t, a); got != held {
-				t.Fatalf("a restore of a capture of the written engine holds:\n%s\nthe engine holds:\n%s", got, held)
-			}
-		})
+	run("INSERT INTO logs (a, b) VALUES (7, 'new')")
+	check("INSERT", "logs")
+	run("UPDATE users SET karma = karma + 1, city = 'osl'")
+	run("UPDATE users SET id = id + 100 WHERE id > 5")
+	check("UPDATE", "users")
+	run("DELETE FROM events WHERE creator_id = 3")
+	run("DELETE FROM users WHERE id = 1")
+	check("DELETE", "events")
+	run("BEGIN")
+	run("INSERT INTO users (id, name, karma, city) VALUES (1, 'again', 0, 'ams'), (77, 'new', 0, 'ber')")
+	run("UPDATE events SET title = 'provisional'")
+	run("DELETE FROM logs")
+	run("ROLLBACK")
+	check("a rolled-back INSERT, UPDATE and DELETE")
+	// Two sweeps' worth of commits over every events row: the images the
+	// restore shared are superseded, then pruned.
+	runs, _, _ := a.GCStats()
+	for i := 0; i < 2*gcEvery; i++ {
+		run("UPDATE events SET score = ? WHERE id > 0", NewFloat(float64(i)))
 	}
+	if r2, v2, _ := a.GCStats(); r2 < runs+2 || v2 == 0 {
+		t.Fatalf("chain GC did not run on the restored engine: runs %d → %d, %d versions pruned", runs, r2, v2)
+	}
+	check("chain GC over superseded shared images")
+	run("TRUNCATE TABLE events")
+	check("TRUNCATE")
+	run("DROP TABLE logs")
+	check("DROP")
 
 	// And the other way round: the source moves on, the image does not.
 	ss := src.NewSession("app")
@@ -272,13 +243,19 @@ func TestRestoreChecksUniqueness(t *testing.T) {
 	}
 }
 
-// TestRestoredStoreCapturesAsItsImage: a table restored and not written since
-// captures as the image it was restored from — the same rows, slab marks and
-// index templates, so an image of a freshly restored engine builds no index
-// again — and each kind of write ends that for the table it touches, after
-// which a restore of the engine's image holds what the engine holds.
+// TestRestoredStoreCapturesAsItsImage is the sharing contract. A restored table
+// reads its image's view — the heap and index maps are the view's, by identity
+// — and captures as the image it was restored from (the same rows, slab marks
+// and index templates, so an image of a freshly restored engine builds no
+// index again) until something writes it. A write owns its table before it
+// scans, so each kind of write, even one that changes nothing or fails and
+// undoes, ends both for exactly the tables it touches, and leaves what an
+// unchanged engine holds as it was; a restore of the engine's image then holds
+// what the engine holds.
 func TestRestoredStoreCapturesAsItsImage(t *testing.T) {
-	img := newWriteGoldenDB(t).eng.Snapshot()
+	src := newWriteGoldenDB(t).eng
+	img := src.Snapshot()
+	want := engineDigest(t, src)
 	stores := func(snap *Snapshot) map[string]*storeImage {
 		m := map[string]*storeImage{}
 		for _, d := range snap.dbs {
@@ -289,40 +266,119 @@ func TestRestoredStoreCapturesAsItsImage(t *testing.T) {
 		return m
 	}
 	orig := stores(img)
-	for _, tc := range []struct {
-		kind    string
-		touches string
-		stmts   []string
-	}{
-		{"nothing", "", nil},
-		{"INSERT", "logs", []string{"INSERT INTO logs (a, b) VALUES (7, 'new')"}},
-		{"UPDATE", "users", []string{"UPDATE users SET city = 'osl' WHERE id = 4"}},
-		{"DELETE", "events", []string{"DELETE FROM events WHERE creator_id = 3"}},
-		{"rolled-back UPDATE", "events", []string{"BEGIN", "UPDATE events SET creator_id = 9", "ROLLBACK"}},
-		{"TRUNCATE", "users", []string{"TRUNCATE TABLE users"}},
-		{"DROP", "logs", []string{"DROP TABLE logs"}},
-	} {
+	restore := func() *Engine {
+		t.Helper()
 		e := NewEngine()
 		if err := e.Restore(img); err != nil {
 			t.Fatal(err)
 		}
-		s := e.NewSession("app")
-		for _, q := range tc.stmts {
-			if _, err := s.Exec(q); err != nil {
-				t.Fatalf("%s: %s: %v", tc.kind, q, err)
+		return e
+	}
+	// A write logged on another engine, for Session.Replay to re-run.
+	var logged []LoggedWrite
+	m := restore()
+	m.OnCommit = func(_ string, ws []LoggedWrite) { logged = append(logged, ws...) }
+	if _, err := m.NewSession("app").Exec("INSERT INTO events (id, creator_id, title) VALUES (?, ?, 'replayed')", NewInt(99), NewInt(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	// exec runs statements that must succeed.
+	exec := func(qs ...string) func(*testing.T, *Engine, *Session) {
+		return func(t *testing.T, _ *Engine, s *Session) {
+			for _, q := range qs {
+				if _, err := s.Exec(q); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
 			}
 		}
-		for name, st := range stores(e.Snapshot()) {
-			if shared := st == orig[name]; shared != (name != tc.touches) {
-				t.Errorf("after %s, the image of %s is the restored one: %v", tc.kind, name, shared)
+	}
+	for _, tc := range []struct {
+		kind      string
+		touches   []string
+		unchanged bool // the engine still holds what it shared
+		do        func(t *testing.T, e *Engine, s *Session)
+	}{
+		{"nothing", nil, true, exec()},
+		{"INSERT", []string{"logs"}, false, exec("INSERT INTO logs (a, b) VALUES (7, 'new')")},
+		{"UPDATE", []string{"users"}, false, exec("UPDATE users SET city = 'osl' WHERE id = 4")},
+		{"UPDATE of every row", []string{"users"}, false, exec("UPDATE users SET karma = karma + 1, city = 'osl'")},
+		{"UPDATE moving the primary key", []string{"users"}, false, exec("UPDATE users SET id = id + 100 WHERE id > 5")},
+		{"UPDATE of no row", []string{"events"}, true, exec("UPDATE events SET score = 0 WHERE id = 999")},
+		{"DELETE", []string{"events"}, false, exec("DELETE FROM events WHERE creator_id = 3")},
+		{"DELETE by primary key", []string{"users"}, false, exec("DELETE FROM users WHERE id = 1")},
+		{"first write failing on a unique key", []string{"users"}, true, func(t *testing.T, _ *Engine, s *Session) {
+			_, err := s.Exec("INSERT INTO users (id, name, karma, city) VALUES (30, 'n30', 1, 'ber'), (1, 'dup', 1, 'ber')")
+			if !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("err = %v, want a duplicate key", err)
 			}
-			if len(st.indexes) == 0 && name != tc.touches && name != "logs" {
-				t.Errorf("after %s, the image of %s has no index templates: its first restore did not build them", tc.kind, name)
+		}},
+		{"rolled-back UPDATE", []string{"events"}, false, exec("BEGIN", "UPDATE events SET creator_id = 9", "ROLLBACK")},
+		{"ROLLBACK over three tables", []string{"users", "events", "logs"}, false, exec("BEGIN",
+			"INSERT INTO users (id, name, karma, city) VALUES (77, 'new', 0, 'ber')", "UPDATE users SET city = 'osl'",
+			"DELETE FROM users WHERE id = 1", "UPDATE events SET title = 'provisional'", "DELETE FROM logs", "ROLLBACK")},
+		{"Session.Replay", []string{"events"}, false, func(t *testing.T, _ *Engine, s *Session) {
+			if _, err := s.Replay(logged[0]); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got, held := imageDigest(t, recaptured(t, e)), imageDigest(t, e); got != held {
-			t.Errorf("after %s, a restore of the engine's image holds:\n%s\nthe engine holds:\n%s", tc.kind, got, held)
-		}
+		}},
+		{"TRUNCATE", []string{"users"}, false, exec("TRUNCATE TABLE users")},
+		{"TRUNCATE of a table with version chains and a graveyard", []string{"events"}, false, func(t *testing.T, e *Engine, s *Session) {
+			exec("DELETE FROM events WHERE creator_id = 3", "UPDATE events SET score = 1 WHERE id > 0")(t, e, s)
+			if st := &e.dbs["app"].tables["events"].store; len(st.chained) == 0 || len(st.graveyard) == 0 {
+				t.Fatalf("before TRUNCATE, events has %d chained rows and %d buried", len(st.chained), len(st.graveyard))
+			}
+			exec("TRUNCATE TABLE events")(t, e, s)
+		}},
+		{"DROP", []string{"logs"}, false, exec("DROP TABLE logs")},
+		// Two sweeps' worth of commits over every events row: the images the
+		// restore shared are superseded, then pruned; the sweeps visit every
+		// table.
+		{"chain GC", []string{"events"}, false, func(t *testing.T, e *Engine, s *Session) {
+			runs, _, _ := e.GCStats()
+			for i := 0; i < 2*gcEvery; i++ {
+				if _, err := s.Exec("UPDATE events SET score = ? WHERE id > 0", NewFloat(float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r2, v2, _ := e.GCStats(); r2 < runs+2 || v2 == 0 {
+				t.Fatalf("chain GC did not run on the restored engine: runs %d → %d, %d versions pruned", runs, r2, v2)
+			}
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			e := restore()
+			for name, v := range views(e) {
+				if v != orig[name] {
+					t.Fatalf("before any write, %s does not share its image's view", name)
+				}
+			}
+			tc.do(t, e, e.NewSession("app"))
+			touched := func(name string) bool { return slices.Contains(tc.touches, name) }
+			for name, v := range views(e) {
+				switch {
+				case !touched(name) && v != orig[name]:
+					t.Errorf("%s, which it did not write, no longer shares its image's view", name)
+				case touched(name) && v != nil:
+					t.Errorf("%s, which it wrote, still shares its image's view", name)
+				case touched(name) && len(orig[name].heap) > 0 && sameArray(e.dbs["app"].tables[name].store.rows, orig[name].heap):
+					t.Errorf("%s owns the image's heap", name)
+				}
+			}
+			if got := engineDigest(t, e); tc.unchanged && got != want {
+				t.Errorf("owning its table changed what the engine holds:\n%s\nwas:\n%s", got, want)
+			}
+			for name, st := range stores(e.Snapshot()) {
+				if shared := st == orig[name]; shared == touched(name) {
+					t.Errorf("the image of %s is the restored one: %v", name, shared)
+				}
+				if len(st.indexes) == 0 && !touched(name) && name != "logs" {
+					t.Errorf("the image of %s has no index templates: its first restore did not build them", name)
+				}
+			}
+			if got, held := imageDigest(t, recaptured(t, e)), imageDigest(t, e); got != held {
+				t.Errorf("a restore of the engine's image holds:\n%s\nthe engine holds:\n%s", got, held)
+			}
+		})
 	}
 
 	// A reader older than the image's rows sees none of them: a version pinned
