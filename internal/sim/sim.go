@@ -33,6 +33,11 @@ type event struct {
 	cancelled bool
 }
 
+// dispatchHook, when set, sees every event as it is dispatched, with the
+// process it resumes (nil for a callback, delivery or timeout). Tests set it
+// to pin the event order; it is nil otherwise.
+var dispatchHook func(ev *event, p *Proc)
+
 // Deliverable is a pre-allocated event payload: ScheduleDeliver queues it
 // without the closure allocation that Schedule's fn costs. The network
 // layer's message deliveries are the hot-path user.
@@ -440,6 +445,9 @@ func (e *Env) step() bool {
 	}
 	e.queue.popLocated(idx)
 	at, fn, msg, w, p := ev.at, ev.fn, ev.msg, ev.w, ev.proc
+	if dispatchHook != nil {
+		dispatchHook(ev, p)
+	}
 	e.freeEvent(ev)
 	if at > e.now {
 		e.now = at
