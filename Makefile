@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
+.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history bench-pairs fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
 
 all: build vet lint test
 
@@ -14,8 +14,8 @@ check:
 	$(MAKE) bench-kernel
 	$(MAKE) bench-plan
 
-# The eight-analyzer lint suite — five package-local determinism linters
-# (simtime, simrand, rawgo, maporder, closecheck) plus three whole-program
+# The seven-analyzer lint suite — four package-local determinism linters
+# (simtime, simrand, maporder, closecheck) plus three whole-program
 # flow-aware ones (errdrop, mvccalias, sharedstate) — behind the
 # gofmt cleanliness gate. cloudrepl-lint is the repo's own multichecker
 # (cmd/cloudrepl-lint); suppressions are //cloudrepl:allow-<analyzer> <reason>
@@ -134,6 +134,20 @@ bench-history:
 	$(GO) run ./benchmark -reps 1 -out results/cells
 	$(GO) run ./cmd/cloudrepl-bench -all -short -q -csv results -json results \
 		-history "bench/history.jsonl:$(LABEL) @ $$(git describe --always --dirty=+)"
+
+# Paired host-cost comparison: the working tree against BASE (default the
+# parent commit), both built once from source, over PAIRS alternated pairs of
+# `go run ./benchmark -workload W -seconds 15 -trace 0` and `cloudrepl-bench
+# KERNEL -short` (KERNEL=-all times the whole sweep too). Prints every reading,
+# then per metric both medians, the median change/parent ratio and how many
+# pairs read lower/higher/equal. About a minute a pair with the defaults:
+#   make bench-pairs BASE=HEAD~ PAIRS=10 W=shard_write_heavy
+BASE ?= HEAD~
+PAIRS ?= 10
+W ?= shard_write_heavy
+KERNEL ?= -bench-kernel
+bench-pairs:
+	sh bench/pairs.sh "$(BASE)" "$(PAIRS)" "$(W)" "$(KERNEL)"
 
 # One pass over the checked-in fuzz corpora (no new input generation: every
 # seed must keep passing) — binlog wire decoding, SQL parsing (the

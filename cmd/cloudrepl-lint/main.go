@@ -1,6 +1,6 @@
 // Command cloudrepl-lint is the repo's determinism and dataflow
-// multichecker: it runs the internal/analysis suite — five package-local
-// determinism analyzers (simtime, simrand, rawgo, maporder, closecheck) and
+// multichecker: it runs the internal/analysis suite — four package-local
+// determinism analyzers (simtime, simrand, maporder, closecheck) and
 // three whole-program flow-aware analyzers (errdrop, mvccalias, sharedstate)
 // — over module packages and exits non-zero on any unannotated violation.
 //

@@ -1,11 +1,11 @@
 package analysis
 
-// All returns the full linter suite in reporting order: the five
+// All returns the full linter suite in reporting order: the four
 // package-local determinism analyzers, then the three whole-program
 // flow-aware analyzers (call-graph- and fact-driven).
 func All() []*Analyzer {
 	return []*Analyzer{
-		SimTime, SimRand, RawGo, MapOrder, CloseCheck,
+		SimTime, SimRand, MapOrder, CloseCheck,
 		ErrDrop, MVCCAlias, SharedState,
 	}
 }

@@ -20,10 +20,6 @@ func TestSimRand(t *testing.T) {
 	analysistest.Run(t, analysistest.FixturePath("simrand"), analysis.SimRand)
 }
 
-func TestRawGo(t *testing.T) {
-	analysistest.Run(t, analysistest.FixturePath("rawgo"), analysis.RawGo)
-}
-
 func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.FixturePath("maporder"), analysis.MapOrder)
 }
@@ -124,7 +120,7 @@ func TestDirectives(t *testing.T) {
 	}
 
 	// Only the well-formed directives parse: allow-simtime on covered and
-	// allow-rawgo on stale.
+	// allow-maporder on stale.
 	if len(dirs) != 2 {
 		t.Fatalf("parsed directives = %d, want 2", len(dirs))
 	}
@@ -137,8 +133,8 @@ func TestDirectives(t *testing.T) {
 	}
 
 	stale := analysis.StaleDirectives(dirs)
-	if len(stale) != 1 || !strings.Contains(stale[0].Message, "stale allow-rawgo") {
-		t.Fatalf("stale = %v, want exactly the unused allow-rawgo directive", stale)
+	if len(stale) != 1 || !strings.Contains(stale[0].Message, "stale allow-maporder") {
+		t.Fatalf("stale = %v, want exactly the unused allow-maporder directive", stale)
 	}
 }
 

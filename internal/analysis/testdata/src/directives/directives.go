@@ -15,7 +15,7 @@ func covered() {
 	time.Sleep(time.Millisecond)
 }
 
-//cloudrepl:allow-rawgo nothing in this file spawns a goroutine, so this directive is stale
+//cloudrepl:allow-maporder nothing in this file ranges over a map, so this directive is stale
 func stale() {}
 
 //cloudrepl:allow-nosuchanalyzer the analyzer name is a typo

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -43,10 +46,15 @@ var dispatchHook func(ev *event, p *Proc)
 // layer's message deliveries are the hot-path user.
 type Deliverable interface{ Deliver() }
 
+// yieldKind says why the baton came back to the Run caller.
 type yieldKind int
 
 const (
-	yieldBlocked yieldKind = iota
+	// yieldBaton: a dispatch loop on a process goroutine stopped — Stop, the
+	// horizon, an empty queue or a callback's panic.
+	yieldBaton yieldKind = iota
+	// yieldDone: a process ended by panic, runtime.Goexit or Shutdown's
+	// unwind, and its goroutine cannot carry the baton on.
 	yieldDone
 )
 
@@ -61,8 +69,9 @@ type shutdownSentinel struct{}
 
 // Env is a simulation environment: an event queue, a virtual clock and a
 // scheduler. An Env must only be driven from a single goroutine (the one
-// calling Run and friends); simulation processes themselves are goroutines
-// that the scheduler resumes one at a time.
+// calling Run and friends); simulation processes themselves are goroutines,
+// and exactly one goroutine — the Run caller or one process — holds the
+// baton, the right to touch the Env, at any moment.
 type Env struct {
 	now       Time
 	queue     calQueue
@@ -71,7 +80,9 @@ type Env struct {
 	rng       *rand.Rand
 	cur       *Proc
 	yield     chan yieldMsg
-	alive     int // processes started and not yet finished
+	horizon   Time   // the last instant the current Run/RunUntil dispatches
+	handoffs  uint64 // resumes sent on a worker's channel; tests read it
+	alive     int    // processes started and not yet finished
 	stopped   bool
 	closed    bool
 
@@ -82,7 +93,12 @@ type Env struct {
 	panicVal   any
 	panicProc  *Proc // the process panicVal came out of
 	panicStack []byte
-	procSeq    uint64
+	// cbPanic is a callback's panic caught on a process goroutine, and
+	// cbGoexit a callback's runtime.Goexit there: the Run caller re-raises
+	// either, as if the callback had run on its own goroutine.
+	cbPanic  any
+	cbGoexit bool
+	procSeq  uint64
 	// procs indexes every live process by id so the deadlock detector can
 	// dump a wait-for graph (who is parked on which resource/queue/signal).
 	procs map[uint64]*Proc
@@ -295,23 +311,38 @@ func (p *Proc) Now() Time { return p.env.now }
 func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 
 // worker is a goroutine that runs processes, one after another, and the
-// channel the scheduler resumes it through. A process borrows a worker from
-// its spawn until fn returns; the scheduler then parks the worker on the
-// Env's idle list and the next Go takes it from there, so a spawn costs the
-// Proc and nothing else — no goroutine, no channel, and a stack that has
-// already grown to the depth the last process needed. Which worker runs a
-// process is invisible to the simulation: ids, the start event and its
+// channel it is resumed through. A process borrows a worker from its spawn
+// until fn returns; the worker then goes on the Env's idle list and the next
+// Go takes it from there, so a spawn costs the Proc and nothing else — no
+// goroutine, no channel, and a stack that has already grown to the depth the
+// last process needed. Shutdown hands the idle workers to a process-wide
+// pool, so the next Env's spawns start no goroutine either. Which worker runs
+// a process is invisible to the simulation: ids, the start event and its
 // (at, seq) are assigned by Go exactly as if the goroutine were new.
 type worker struct {
 	resume chan struct{}
-	// p and fn are the process to run at the next resume. Go writes them
-	// before the start event exists and the worker reads them after the
-	// resume it causes, so the channel orders the two.
-	p  *Proc
-	fn func(*Proc)
+	// env, p and fn are the Env and process to run at the next resume. Go
+	// writes them before the start event exists and the worker reads them
+	// after the resume it causes, so the channel orders the two.
+	env *Env
+	p   *Proc
+	fn  func(*Proc)
 	// gone is set when the goroutine is leaving for good (runtime.Goexit out
 	// of a process, which is what t.FailNow does): it must not be recycled.
 	gone bool
+}
+
+// maxPooledWorkers bounds the process-wide worker pool: twice the live
+// processes of the largest benchmark cell, a two-cell sharded deployment.
+const maxPooledWorkers = 1024
+
+// workerPool holds the idle workers of Envs that have shut down. Envs on
+// different goroutines (RunShards workers) share it, so its mutex guards
+// every access; a worker in it is parked on its resume channel, or a step
+// from it, and touches nothing until a takeWorker sends it a process.
+var workerPool struct {
+	sync.Mutex
+	free []*worker
 }
 
 // Go starts a new simulation process running fn. The process is scheduled to
@@ -331,7 +362,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// takeWorker returns the most recently parked idle worker, or starts one.
+// takeWorker returns the most recently parked idle worker of this Env, else
+// one from the process-wide pool, else a new goroutine.
 func (e *Env) takeWorker() *worker {
 	if n := len(e.idle); n > 0 {
 		w := e.idle[n-1]
@@ -339,37 +371,76 @@ func (e *Env) takeWorker() *worker {
 		e.idle = e.idle[:n-1]
 		return w
 	}
-	w := &worker{resume: make(chan struct{})}
-	// The kernel's own process launcher is the one place a goroutine may be
-	// created: the scheduler immediately owns it and resumes it one at a
-	// time against the virtual clock.
-	//cloudrepl:allow-rawgo the sim kernel implements Env.Go itself; the goroutine is scheduler-managed from birth
-	go e.work(w)
+	w := pooledWorker()
+	if w == nil {
+		w = &worker{resume: make(chan struct{})}
+		go w.work()
+	}
+	w.env = e
 	return w
 }
 
-// work is a worker goroutine's whole life: park on resume, run the process
-// it was handed, report it done, park again. Shutdown closes resume to let
-// the goroutine go.
-func (e *Env) work(w *worker) {
-	for range w.resume {
-		e.runProc(w)
+// pooledWorker takes a worker out of the process-wide pool, or returns nil.
+//
+//cloudrepl:allow-sharedstate the worker pool is the one state Envs on different goroutines share, and its mutex guards every access
+func pooledWorker() *worker {
+	workerPool.Lock()
+	defer workerPool.Unlock()
+	n := len(workerPool.free)
+	if n == 0 {
+		return nil
+	}
+	w := workerPool.free[n-1]
+	workerPool.free[n-1] = nil
+	workerPool.free = workerPool.free[:n-1]
+	return w
+}
+
+// poolWorkers hands idle workers to the process-wide pool and lets the ones
+// beyond its bound go.
+//
+//cloudrepl:allow-sharedstate the worker pool is the one state Envs on different goroutines share, and its mutex guards every access
+func poolWorkers(ws []*worker) {
+	workerPool.Lock()
+	defer workerPool.Unlock()
+	for _, w := range ws {
+		w.env = nil
+		if len(workerPool.free) < maxPooledWorkers {
+			workerPool.free = append(workerPool.free, w)
+		} else {
+			close(w.resume)
+		}
 	}
 }
 
-// runProc runs w's process to completion on the calling worker goroutine and
-// yields yieldDone to the scheduler, whichever way the process ends: return,
-// panic (kept for the scheduler goroutine to re-raise under the process's
-// name), Shutdown's unwind, or runtime.Goexit.
-func (e *Env) runProc(w *worker) {
+// work is a worker goroutine's whole life: park on resume, run the process
+// it was handed — and the next one, while a returning process's dispatch
+// loop finds the start of a process spawned onto this same worker — and park
+// again. The pool's bound closing resume lets the goroutine go.
+func (w *worker) work() {
+	for range w.resume {
+		for w.env.runProc(w) {
+		}
+	}
+}
+
+// runProc runs w's process on the calling worker goroutine. A process that
+// returns retires itself and carries the baton on (exit), and runProc
+// reports exit's answer. Any other end yields yieldDone to the Run caller: a
+// panic, kept for the Run caller to re-raise under the process's name,
+// Shutdown's unwind, or runtime.Goexit.
+func (e *Env) runProc(w *worker) bool {
 	p := w.p
 	returned := false
 	defer func() {
+		if returned || w.gone {
+			return // w.gone already: a callback's Goexit, which dispatchOn reported
+		}
 		if r := recover(); r != nil {
 			if _, ok := r.(shutdownSentinel); !ok {
 				e.panicVal, e.panicProc, e.panicStack = r, p, debug.Stack()
 			}
-		} else if !returned {
+		} else {
 			w.gone = true
 		}
 		e.yield <- yieldMsg{p, yieldDone}
@@ -380,12 +451,32 @@ func (e *Env) runProc(w *worker) {
 	p.parkKind, p.parkObj = ParkNone, ""
 	w.fn(p)
 	returned = true
+	if e.closed { // the process recovered Shutdown's unwind and returned
+		e.yield <- yieldMsg{p, yieldDone}
+		return false
+	}
+	return e.exit(p, w)
+}
+
+// exit retires p, which has returned, and runs the dispatch loop on its
+// worker w. It reports true when the next event starts a process that a
+// callback or an earlier process spawned onto w itself: the worker runs it
+// with no channel operation.
+func (e *Env) exit(p *Proc, w *worker) bool {
+	e.retire(p)
+	next := e.dispatchOn(nil, w)
+	if next != nil && next.w == w {
+		return true
+	}
+	e.pass(next)
+	return false
 }
 
 // retire takes a finished process off the books and parks its worker for
-// the next Go. Scheduler goroutine only; the worker itself is already on its
-// way back to its resume channel and touches nothing of the Env before it
-// is resumed again.
+// the next Go. It runs on whichever goroutine holds the baton: the finished
+// process's own on a return, the Run caller's otherwise, when the worker is
+// already on its way back to its resume channel and touches nothing of the
+// Env before it is resumed again.
 func (e *Env) retire(p *Proc) {
 	e.alive--
 	delete(e.procs, p.id)
@@ -396,26 +487,69 @@ func (e *Env) retire(p *Proc) {
 	}
 }
 
-// wait blocks the calling process until it is resumed by the scheduler,
-// recording what it is parked on (kind + object name) for the deadlock
-// detector. The caller must have arranged for a wakeup (timer event,
-// resource grant, queue put, signal) before calling wait.
+// wait blocks the calling process until it is resumed, recording what it is
+// parked on (kind + object name) for the deadlock detector. The caller must
+// have arranged for a wakeup (timer event, resource grant, queue put,
+// signal) before calling wait. The parking process dispatches the events
+// that come next itself: when the next process to run is p, it returns with
+// no channel operation; otherwise it passes the baton on and parks.
 func (p *Proc) wait(kind ParkKind, obj string) {
 	e := p.env
 	if e.cur != p {
 		panic(fmt.Sprintf("sim: blocking call on process %q from outside its own goroutine", p.name))
 	}
 	p.parkKind, p.parkObj = kind, obj
-	e.yield <- yieldMsg{p, yieldBlocked}
-	// A plain receive, not a select: this handshake runs once per resumed
-	// process and a two-way select here costs ~25% of pure-kernel time.
-	// Shutdown wakes parked processes through this same channel and the
-	// closed flag turns the wakeup into an unwind.
-	<-p.w.resume
-	if e.closed {
-		panic(shutdownSentinel{})
+	w := p.w
+	if next := e.dispatchOn(p, w); next != p {
+		e.pass(next)
+		// A plain receive, not a select: this handshake runs once per
+		// resumed process. Shutdown wakes parked processes through this same
+		// channel and the closed flag turns the wakeup into an unwind.
+		<-w.resume
+		if e.closed {
+			panic(shutdownSentinel{})
+		}
 	}
 	p.parkKind, p.parkObj = ParkNone, ""
+}
+
+// pass hands the baton on from a process goroutine: to next's worker, or
+// back to the Run caller when next is nil. The caller touches nothing of the
+// Env afterwards until it is resumed.
+func (e *Env) pass(next *Proc) {
+	if next == nil {
+		e.yield <- yieldMsg{kind: yieldBaton}
+		return
+	}
+	e.handoffs++
+	next.w.resume <- struct{}{}
+}
+
+// dispatchOn is dispatch on the goroutine of worker w, which runs process p
+// (nil when p has returned). A callback's panic there is not p's: it is
+// caught, kept for the Run caller to re-raise as it was, and dispatchOn
+// returns nil so the baton goes back. A callback's runtime.Goexit takes the
+// goroutine with it: the worker is gone, p ends with it, and the Run caller
+// is told to leave the same way.
+func (e *Env) dispatchOn(p *Proc, w *worker) (next *Proc) {
+	ok := false
+	defer func() {
+		if ok {
+			return
+		}
+		if r := recover(); r != nil {
+			e.cbPanic = r
+			return
+		}
+		e.cbGoexit, w.gone = true, true
+		if p == nil {
+			e.idle = slices.DeleteFunc(e.idle, func(x *worker) bool { return x == w })
+		}
+		e.yield <- yieldMsg{p, yieldDone}
+	}()
+	next = e.dispatch()
+	ok = true
+	return next
 }
 
 // Sleep suspends the process for virtual duration d (non-positive durations
@@ -435,74 +569,96 @@ func (p *Proc) SleepUntil(t Time) {
 	p.wait(ParkTimer, "")
 }
 
-// step executes the next event. It returns false when the queue is empty.
-// The event struct is recycled before dispatch — payloads are captured
-// first, and nothing downstream may retain the pointer.
-func (e *Env) step() bool {
-	ev, idx := e.queue.locate()
-	if ev == nil {
-		return false
+// dispatch runs events in (at, seq) order on the goroutine holding the
+// baton — callbacks, deliveries and signal timeouts inline, with no process
+// current — until the next event resumes a process, which it makes current
+// and returns. It returns nil when the baton must go back to the Run caller:
+// Stop was called, the queue is empty or the next event lies past the
+// horizon. The event struct is recycled before its payload runs — payloads
+// are captured first, and nothing downstream may retain the pointer.
+func (e *Env) dispatch() *Proc {
+	e.cur = nil
+	for !e.stopped {
+		ev, idx := e.queue.locate()
+		if ev == nil || ev.at > e.horizon {
+			return nil
+		}
+		e.queue.popLocated(idx)
+		at, fn, msg, w, p := ev.at, ev.fn, ev.msg, ev.w, ev.proc
+		if dispatchHook != nil {
+			dispatchHook(ev, p)
+		}
+		e.freeEvent(ev)
+		if at > e.now {
+			e.now = at
+		}
+		e.processed++
+		switch {
+		case fn != nil:
+			fn()
+		case msg != nil:
+			msg.Deliver()
+		case w != nil:
+			e.signalTimeout(w)
+		default:
+			e.cur = p
+			return p
+		}
 	}
-	e.queue.popLocated(idx)
-	at, fn, msg, w, p := ev.at, ev.fn, ev.msg, ev.w, ev.proc
-	if dispatchHook != nil {
-		dispatchHook(ev, p)
-	}
-	e.freeEvent(ev)
-	if at > e.now {
-		e.now = at
-	}
-	e.processed++
-	switch {
-	case fn != nil:
-		fn()
-		e.checkPanic()
-	case msg != nil:
-		msg.Deliver()
-		e.checkPanic()
-	case w != nil:
-		e.signalTimeout(w)
-	default:
-		e.cur = p
+	return nil
+}
+
+// run holds the baton on the Run caller's goroutine until horizon: it
+// dispatches callbacks itself and hands the baton to the first process due,
+// and the baton comes back when a dispatch loop on some process goroutine
+// stops or a process ends other than by returning.
+func (e *Env) run(horizon Time) {
+	e.stopped = false
+	e.horizon = horizon
+	for {
+		p := e.dispatch()
+		if p == nil {
+			return
+		}
+		e.handoffs++
 		p.w.resume <- struct{}{}
 		m := <-e.yield
 		e.cur = nil
-		if m.kind == yieldDone {
+		if m.kind == yieldDone && m.p != nil {
 			e.retire(m.p)
 		}
 		e.checkPanic()
 	}
-	return true
 }
 
+// checkPanic re-raises on the Run caller what ended a stretch of dispatch on
+// a process goroutine: a process's panic under its name, a callback's panic
+// as it was, a callback's runtime.Goexit as a Goexit.
 func (e *Env) checkPanic() {
 	if e.panicVal != nil {
 		v, p, s := e.panicVal, e.panicProc, e.panicStack
 		e.panicVal, e.panicProc, e.panicStack = nil, nil, nil
 		panic(fmt.Sprintf("sim: process %q (proc %d) panicked: %v\n%s", p.name, p.id, v, s))
 	}
+	if v := e.cbPanic; v != nil {
+		e.cbPanic = nil
+		panic(v)
+	}
+	if e.cbGoexit {
+		e.cbGoexit = false
+		runtime.Goexit()
+	}
 }
 
 // Run executes events until the queue is empty or Stop is called.
-func (e *Env) Run() {
-	e.stopped = false
-	for !e.stopped && e.step() {
-	}
-}
+func (e *Env) Run() { e.run(MaxTime) }
 
 // RunUntil executes all events scheduled at or before t, then advances the
 // clock to exactly t. Later events remain queued. If Stop is called from an
 // event, the clock stays where the last event left it — it does not jump to
 // t past events that are still runnable.
 func (e *Env) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
-		next := e.peek()
-		if next == nil || next.at > t {
-			break
-		}
-		e.step()
-	}
+	e.run(t)
 	if !e.stopped && e.now < t {
 		e.now = t
 	}
@@ -510,12 +666,6 @@ func (e *Env) RunUntil(t Time) {
 
 // RunFor executes events for virtual duration d from the current time.
 func (e *Env) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
-
-// peek returns the earliest non-cancelled event without removing it.
-func (e *Env) peek() *event {
-	ev, _ := e.queue.locate()
-	return ev
-}
 
 // Stop makes the current Run/RunUntil/RunFor call return after the event in
 // progress. It may be called from a process or callback.
@@ -547,8 +697,8 @@ func (e *Env) WaitForGraph() string {
 // unwind before declaring the kernel wedged and dumping the wait-for graph.
 var shutdownWatchdog = 5 * time.Second
 
-// Shutdown unwinds every blocked process and releases every idle worker so
-// that no goroutines leak. The environment must not be used afterwards. It
+// Shutdown unwinds every blocked process and hands every idle worker to the
+// process-wide pool, so that no goroutine outlives the Env but the pool's. The environment must not be used afterwards. It
 // is safe to call Shutdown after Run has returned, including when processes
 // are still blocked on resources or queues.
 //
@@ -605,9 +755,7 @@ func (e *Env) Shutdown() {
 		}
 	}
 	// Every worker is idle now — parked on its resume channel, or a step
-	// away from it — and closing the channel ends its loop.
-	for _, w := range e.idle {
-		close(w.resume)
-	}
+	// away from it — and the next Env's spawns take it from the pool.
+	poolWorkers(e.idle)
 	e.idle = nil
 }

@@ -74,26 +74,55 @@ func TestConcurrentSpawnsGetOwnWorkers(t *testing.T) {
 	}
 }
 
-// TestShutdownReleasesIdleWorkers: parked workers hold goroutines, so
-// Shutdown has to let them go along with the live processes.
+// TestShutdownReleasesIdleWorkers: Shutdown hands an Env's workers to the
+// process-wide pool. However many Envs come and go, the goroutines they
+// leave stay within the pool's bound; a later Env's spawns start no
+// goroutine; and a worker whose goroutine left by runtime.Goexit never
+// enters the pool.
 func TestShutdownReleasesIdleWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
-	e := NewEnv(1)
-	q := NewQueue[int](e, "never")
+	for round := 0; round < 3; round++ {
+		e := NewEnv(int64(round))
+		q := NewQueue[int](e, "never")
+		for i := 0; i < maxPooledWorkers+64; i++ {
+			e.Go("finishes", func(p *Proc) { p.Sleep(time.Millisecond) })
+		}
+		e.Go("parked", func(p *Proc) { q.Get(p) })
+		e.Run()
+		if len(e.idle) != maxPooledWorkers+64 || e.Alive() != 1 {
+			t.Fatalf("%d idle workers, %d live processes; want %d and 1", len(e.idle), e.Alive(), maxPooledWorkers+64)
+		}
+		e.Shutdown()
+		if e.idle != nil {
+			t.Fatalf("%d workers still listed idle after Shutdown", len(e.idle))
+		}
+		if n := settleGoroutines(base + maxPooledWorkers); n > base+maxPooledWorkers {
+			t.Fatalf("round %d: %d goroutines after Shutdown; want at most the baseline %d plus the pool's %d",
+				round, n, base, maxPooledWorkers)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	second := NewEnv(1)
 	for i := 0; i < 8; i++ {
-		e.Go("finishes", func(p *Proc) { p.Sleep(time.Millisecond) })
+		second.Go("pooled", func(p *Proc) { p.Sleep(time.Millisecond) })
 	}
-	e.Go("parked", func(p *Proc) { q.Get(p) })
-	e.Run()
-	if len(e.idle) != 8 || e.Alive() != 1 {
-		t.Fatalf("%d idle workers, %d live processes; want 8 and 1", len(e.idle), e.Alive())
+	second.Run()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("eight spawns on a new Env started %d goroutines; want 0 (the pool's workers)", n-before)
 	}
-	e.Shutdown()
-	if n := settleGoroutines(base); n > base {
-		t.Fatalf("%d goroutines after Shutdown; want the baseline %d", n, base)
-	}
-	if e.idle != nil {
-		t.Fatalf("%d workers still listed idle after Shutdown", len(e.idle))
+	second.Shutdown()
+
+	third := NewEnv(1)
+	w := third.Go("leaves", func(p *Proc) { runtime.Goexit() }).w
+	third.Run()
+	third.Shutdown()
+	workerPool.Lock()
+	defer workerPool.Unlock()
+	for _, x := range workerPool.free {
+		if x == w {
+			t.Fatal("the worker whose goroutine left by runtime.Goexit is in the pool")
+		}
 	}
 }
 
