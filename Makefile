@@ -48,7 +48,9 @@ race:
 	$(GO) test -race ./...
 
 # Dedicated race lane for the packages that fan work onto real goroutines
-# (RunShards workers, sweep parallelism) and the kernel they drive. -count=2
+# (RunShards workers, sweep parallelism) and the kernel they drive — its
+# process-wide worker pool included: TestEnvsOnTwoGoroutinesTradeWorkers runs
+# two Envs on two goroutines that hand each other workers. -count=2
 # reruns shake out schedule-dependent interleavings the first pass misses;
 # sharedstate (static) and this lane (dynamic) cover the same bug class from
 # both sides. The second pass is engines restored from one image on several

@@ -13,15 +13,25 @@
 // while it holds a slot: resources cannot form a wait-for cycle, and the
 // kernel exports nothing to acquire or release one by hand.
 //
+// There is no scheduler goroutine. Whoever holds the baton — the goroutine
+// calling Run, or one process — dispatches events: a process that parks or
+// returns runs callbacks itself until the next event is a process wakeup,
+// goes straight on when that wakeup is its own, and otherwise hands the
+// baton to that process's goroutine with one channel send. The baton returns
+// to Run's caller at the horizon, on Stop, on an empty queue, and with any
+// panic, which is re-raised there: a process's under its name, a callback's
+// as it was thrown.
+//
 // A process and the goroutine under it have different lifetimes. Env.Go
 // creates the Proc — name, spawn-ordered id, start event — and borrows a
-// parked goroutine from the Env's idle list, starting one only when the list
-// is empty; when the process function returns the goroutine goes back on the
-// list for the next Go. Spawning a short-lived process (a scatter-gather leg,
-// a timeout watcher) therefore costs one small object, and which goroutine
-// ran it is invisible to the simulation. Env.Shutdown unwinds the processes
-// still parked and then lets every idle goroutine go; an Env that is dropped
-// without Shutdown leaks both.
+// parked goroutine from the Env's idle list, else from a process-wide pool,
+// starting one only when both are empty; when the process function returns
+// the goroutine goes back on the list for the next Go. Spawning a short-lived
+// process (a scatter-gather leg, a timeout watcher) therefore costs one small
+// object, and which goroutine ran it is invisible to the simulation.
+// Env.Shutdown unwinds the processes still parked and then hands every idle
+// goroutine to the pool, whose bound lets the surplus go; an Env that is
+// dropped without Shutdown leaks both.
 //
 // Run/RunFor/RunUntil execute events as fast as the host allows: a 35-minute
 // experiment finishes in seconds.

@@ -15,7 +15,7 @@ func TestCallbackPanicOnProcGoroutineReachesRunRaw(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Shutdown()
 	woke := false
-	e.Go("host", func(p *Proc) {
+	host := e.Go("host", func(p *Proc) {
 		p.Env().After(time.Millisecond, func() {
 			if e.cur != nil {
 				t.Errorf("callback ran with process %q current", e.cur.name)
@@ -36,8 +36,8 @@ func TestCallbackPanicOnProcGoroutineReachesRunRaw(t *testing.T) {
 	if e.handoffs != 1 {
 		t.Fatalf("%d handoffs; want 1 (the callback ran on the host's goroutine)", e.handoffs)
 	}
-	if e.Alive() != 1 || e.procs[1].ParkedOn() != "timer" {
-		t.Fatalf("after the callback's panic: %d alive, host %s; want the host parked on its timer", e.Alive(), e.procs[1].ParkedOn())
+	if e.Alive() != 1 || host.ParkedOn() != "timer" {
+		t.Fatalf("after the callback's panic: %d alive, host %s; want the host parked on its timer", e.Alive(), host.ParkedOn())
 	}
 	e.Run()
 	if !woke || e.Alive() != 0 || e.Now() != time.Second {

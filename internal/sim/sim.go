@@ -121,8 +121,8 @@ func NewEnv(seed int64) *Env {
 func (e *Env) Now() Time { return e.now }
 
 // Rand returns the environment's deterministic random source. It must only
-// be used from the scheduler goroutine or from a running process (both are
-// serialized, so no locking is needed).
+// be used by the goroutine holding the baton — the Run caller, a callback or
+// the running process — so no locking is needed.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Pending reports the number of live (not cancelled) scheduled events. It is
@@ -183,10 +183,11 @@ func (e *Env) cancelEvent(ev *event, gen uint64) {
 	e.queue.cancel(ev)
 }
 
-// Schedule arranges for fn to run at virtual time Now()+d. Callbacks run on
-// the scheduler goroutine and must not block on kernel primitives. The
-// returned cancel function may be called any number of times, from scheduler
-// context, and is a no-op once the event has fired. Hot paths that never
+// Schedule arranges for fn to run at virtual time Now()+d. A callback runs
+// on whichever goroutine holds the baton — the Run caller's or a parking
+// process's — with no process current, and must not block on kernel
+// primitives. The returned cancel function may be called any number of
+// times, by the baton holder, and is a no-op once the event has fired. Hot paths that never
 // cancel should use After, which skips the cancel-handle allocation.
 func (e *Env) Schedule(d time.Duration, fn func()) (cancel func()) {
 	if d < 0 {
@@ -277,8 +278,8 @@ type Proc struct {
 	w    *worker // the goroutine running this process, borrowed until it returns
 
 	// Park state: what the process is currently blocked on. Written by the
-	// process right before yielding and cleared when it resumes; read by
-	// the scheduler goroutine for the wait-for dump (the two never run
+	// process right before parking and cleared when it resumes; read by
+	// whoever holds the baton for the wait-for dump (the two never run
 	// concurrently, so no locking is needed).
 	parkKind ParkKind
 	parkObj  string // name of the resource/queue/signal, "" for timers
@@ -698,9 +699,10 @@ func (e *Env) WaitForGraph() string {
 var shutdownWatchdog = 5 * time.Second
 
 // Shutdown unwinds every blocked process and hands every idle worker to the
-// process-wide pool, so that no goroutine outlives the Env but the pool's. The environment must not be used afterwards. It
-// is safe to call Shutdown after Run has returned, including when processes
-// are still blocked on resources or queues.
+// process-wide pool, so that no goroutine outlives the Env but the pool's.
+// The environment must not be used afterwards. It is safe to call Shutdown
+// after Run has returned, including when processes are still blocked on
+// resources or queues.
 //
 // If a process fails to unwind — deferred cleanup blocked on a kernel
 // primitive the scheduler does not manage, typically — Shutdown panics with
@@ -715,8 +717,8 @@ func (e *Env) Shutdown() {
 	e.closed = true
 	// Every alive process is parked on its worker's resume channel — in
 	// wait(), or not yet started — and observes the closed flag when woken.
-	// No process can be running because Shutdown is called from the
-	// scheduler goroutine between events. Wake one process at a time, in
+	// No process can be running because Shutdown is called from the Run
+	// caller's goroutine between runs. Wake one process at a time, in
 	// spawn order, and wait for it to finish unwinding before waking the
 	// next, so deferred cleanup never runs concurrently across processes.
 	ids := make([]uint64, 0, len(e.procs))
