@@ -40,7 +40,10 @@ measure() {
 	(cd "$src" && "$tmp/$side-benchmark" -workload "$workload" -seconds 15 -trace 0 -out "$out" >"$out/benchmark.txt")
 	tail -n 1 "$out/benchmark.txt" | grep -o '"[a-z0-9_.]*":{"value":[-0-9.e+]*\|"attempted":[0-9]*\|"failed":[0-9]*' |
 		sed "s/^\"\([^\"]*\)\":\({\"value\":\)*/$pair $side $workload.\1 /"
-	(cd "$src" && "$tmp/$side-bench" $kernel -short -q -json "$out" >/dev/null)
+	(cd "$src" && "$tmp/$side-bench" $kernel -short -q -json "$out" >"$out/bench.txt" 2>&1) || {
+		cat "$out/bench.txt" >&2
+		exit 1
+	}
 	awk -v p="$pair" -v s="$side" -v all="$kernel" '
 		/"micro"/ { sec = "micro." } /"cell"/ { sec = "cell." } /}/ { sec = "" }
 		/"(ns|allocs)_per_event"|"figures_wall_ms"/ {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +43,37 @@ func TestCallbackPanicOnProcGoroutineReachesRunRaw(t *testing.T) {
 	e.Run()
 	if !woke || e.Alive() != 0 || e.Now() != time.Second {
 		t.Fatalf("host woke %v at %v with %d alive; want it to finish at 1s", woke, e.Now(), e.Alive())
+	}
+}
+
+// TestCallbackGoexitOnProcGoroutineEndsRunCaller: t.FailNow in a callback
+// leaves through runtime.Goexit. Dispatched on the goroutine of a parked or
+// a returned process, it takes that goroutine with it, so its worker must
+// not be reused, and Run's caller leaves the same way instead of waiting for
+// a baton that never comes back.
+func TestCallbackGoexitOnProcGoroutineEndsRunCaller(t *testing.T) {
+	for _, host := range []string{"parked", "returned"} {
+		e := NewEnv(1)
+		e.Go("host", func(p *Proc) {
+			p.Env().After(time.Millisecond, runtime.Goexit)
+			if host == "parked" {
+				p.Sleep(time.Second)
+			}
+		})
+		returned := make(chan bool)
+		go func() {
+			ok := false
+			defer func() { returned <- ok }()
+			e.Run()
+			ok = true
+		}()
+		if <-returned {
+			t.Fatalf("%s host: Run returned normally after a callback's Goexit", host)
+		}
+		if e.Alive() != 0 || len(e.idle) != 0 {
+			t.Fatalf("%s host: %d alive, %d idle after the Goexit; want 0 and 0", host, e.Alive(), len(e.idle))
+		}
+		e.Shutdown()
 	}
 }
 

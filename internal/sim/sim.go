@@ -46,23 +46,6 @@ var dispatchHook func(ev *event, p *Proc)
 // layer's message deliveries are the hot-path user.
 type Deliverable interface{ Deliver() }
 
-// yieldKind says why the baton came back to the Run caller.
-type yieldKind int
-
-const (
-	// yieldBaton: a dispatch loop on a process goroutine stopped — Stop, the
-	// horizon, an empty queue or a callback's panic.
-	yieldBaton yieldKind = iota
-	// yieldDone: a process ended by panic, runtime.Goexit or Shutdown's
-	// unwind, and its goroutine cannot carry the baton on.
-	yieldDone
-)
-
-type yieldMsg struct {
-	p    *Proc
-	kind yieldKind
-}
-
 // errShutdown is panicked inside blocked processes when the environment is
 // shut down; the process wrapper swallows it.
 type shutdownSentinel struct{}
@@ -79,12 +62,15 @@ type Env struct {
 	processed uint64 // events dispatched since creation
 	rng       *rand.Rand
 	cur       *Proc
-	yield     chan yieldMsg
-	horizon   Time   // the last instant the current Run/RunUntil dispatches
-	handoffs  uint64 // resumes sent on a worker's channel; tests read it
-	alive     int    // processes started and not yet finished
-	stopped   bool
-	closed    bool
+	// yield gives the baton back to the Run caller: nil when a dispatch loop
+	// on a process goroutine stopped, else a process that ended other than
+	// by returning (panic, runtime.Goexit, Shutdown's unwind), to retire.
+	yield    chan *Proc
+	horizon  Time   // the last instant the current Run/RunUntil dispatches
+	handoffs uint64 // resumes sent on a worker's channel; tests read it
+	alive    int    // processes started and not yet finished
+	stopped  bool
+	closed   bool
 
 	efree []*event     // recycled event structs
 	wfree []*sigWaiter // recycled signal waiters
@@ -110,7 +96,7 @@ type Env struct {
 func NewEnv(seed int64) *Env {
 	e := &Env{
 		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan yieldMsg),
+		yield: make(chan *Proc),
 		procs: make(map[uint64]*Proc),
 	}
 	e.queue.free = e.freeEvent
@@ -427,7 +413,7 @@ func (w *worker) work() {
 
 // runProc runs w's process on the calling worker goroutine. A process that
 // returns retires itself and carries the baton on (exit), and runProc
-// reports exit's answer. Any other end yields yieldDone to the Run caller: a
+// reports exit's answer. Any other end yields p to the Run caller: a
 // panic, kept for the Run caller to re-raise under the process's name,
 // Shutdown's unwind, or runtime.Goexit.
 func (e *Env) runProc(w *worker) bool {
@@ -444,7 +430,7 @@ func (e *Env) runProc(w *worker) bool {
 		} else {
 			w.gone = true
 		}
-		e.yield <- yieldMsg{p, yieldDone}
+		e.yield <- p
 	}()
 	if e.closed {
 		panic(shutdownSentinel{})
@@ -453,7 +439,7 @@ func (e *Env) runProc(w *worker) bool {
 	w.fn(p)
 	returned = true
 	if e.closed { // the process recovered Shutdown's unwind and returned
-		e.yield <- yieldMsg{p, yieldDone}
+		e.yield <- p
 		return false
 	}
 	return e.exit(p, w)
@@ -519,7 +505,7 @@ func (p *Proc) wait(kind ParkKind, obj string) {
 // Env afterwards until it is resumed.
 func (e *Env) pass(next *Proc) {
 	if next == nil {
-		e.yield <- yieldMsg{kind: yieldBaton}
+		e.yield <- nil
 		return
 	}
 	e.handoffs++
@@ -546,7 +532,7 @@ func (e *Env) dispatchOn(p *Proc, w *worker) (next *Proc) {
 		if p == nil {
 			e.idle = slices.DeleteFunc(e.idle, func(x *worker) bool { return x == w })
 		}
-		e.yield <- yieldMsg{p, yieldDone}
+		e.yield <- p
 	}()
 	next = e.dispatch()
 	ok = true
@@ -554,7 +540,7 @@ func (e *Env) dispatchOn(p *Proc, w *worker) (next *Proc) {
 }
 
 // Sleep suspends the process for virtual duration d (non-positive durations
-// still yield to the scheduler for one event cycle).
+// still park it behind the events already due now).
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -623,10 +609,10 @@ func (e *Env) run(horizon Time) {
 		}
 		e.handoffs++
 		p.w.resume <- struct{}{}
-		m := <-e.yield
+		ended := <-e.yield
 		e.cur = nil
-		if m.kind == yieldDone && m.p != nil {
-			e.retire(m.p)
+		if ended != nil {
+			e.retire(ended)
 		}
 		e.checkPanic()
 	}
@@ -744,9 +730,9 @@ func (e *Env) Shutdown() {
 			}
 			watchdog.Reset(shutdownWatchdog)
 			select {
-			case msg := <-e.yield:
-				if msg.kind == yieldDone {
-					e.retire(msg.p)
+			case ended := <-e.yield:
+				if ended != nil {
+					e.retire(ended)
 					waitDone = false
 				}
 			case <-watchdog.C:
