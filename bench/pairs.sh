@@ -23,10 +23,14 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT INT TERM
 mkdir "$tmp/parent"
 git -C "$root" archive "$(git -C "$root" rev-parse --verify "$base^{commit}")" | tar -x -C "$tmp/parent"
+# -trimpath and -buildvcs=false make two builds of one source the same bytes,
+# so on an unchanged tree the pairs compare one binary with itself.
 for side in parent change; do
 	src=$root
 	[ "$side" = parent ] && src=$tmp/parent
-	(cd "$src" && go build -o "$tmp/$side-benchmark" ./benchmark && go build -o "$tmp/$side-bench" ./cmd/cloudrepl-bench)
+	(cd "$src" && for cmd in benchmark:./benchmark bench:./cmd/cloudrepl-bench; do
+		go build -trimpath -buildvcs=false -o "$tmp/$side-${cmd%%:*}" "${cmd#*:}" || exit 1
+	done)
 done
 
 # measure SIDE PAIR: one reading of every metric, as `pair side metric value`.
