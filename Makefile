@@ -102,7 +102,8 @@ bench-kernel:
 # same rows stored ascending, descending and shuffled — three rates that must
 # stay close; like_scan: title LIKE '%<n> m%' LIMIT 10 over every row), replan (a
 # prepared SELECT re-run after each ANALYZE of a table it does not read: no plan
-# rebuilt, 0 allocs/op), three
+# rebuilt, 0 allocs/op), recost (a prepared join re-run after each ANALYZE of a
+# table it reads: the plan re-costed in place, none rebuilt, 0 allocs/op), three
 # write shapes (insert, point update, apply of a logged insert on a second
 # engine), one ANALYZE pass over the 60 k rows the insert shape leaves, and a
 # cluster's set-up (preload: Cloudstone scale 600 loaded by SQL; restore: that
@@ -139,11 +140,13 @@ bench-history:
 
 # Paired host-cost comparison: the working tree against BASE (default the
 # parent commit), both built once from source, over PAIRS alternated pairs of
-# `go run ./benchmark -workload W -seconds 15 -trace 0` and `cloudrepl-bench
-# KERNEL -short` (KERNEL=-all times the whole sweep too). Prints every reading,
-# then per metric both medians, the median change/parent ratio and how many
-# pairs read lower/higher/equal. About a minute a pair with the defaults:
+# `go run ./benchmark -workload w -seconds 15 -trace 0` for each workload w of
+# the space-separated list W, and `cloudrepl-bench KERNEL -short` (KERNEL=-all
+# times the whole sweep too). Prints every reading, then per metric both
+# medians, the median change/parent ratio and how many pairs read
+# lower/higher/equal. About a minute a pair per workload:
 #   make bench-pairs BASE=HEAD~ PAIRS=10 W=shard_write_heavy
+#   make bench-pairs PAIRS=3 W="geo_light master_bound read_heavy shard_write_heavy"
 BASE ?= HEAD~
 PAIRS ?= 10
 W ?= shard_write_heavy

@@ -1,13 +1,15 @@
 #!/bin/sh
-# pairs.sh BASE N WORKLOAD KERNEL — paired host-cost comparison of the working
+# pairs.sh BASE N WORKLOADS KERNEL — paired host-cost comparison of the working
 # tree against commit BASE (make bench-pairs).
 #
 # Builds `go run ./benchmark` and cloudrepl-bench from an export of BASE and
 # from the working tree, then runs N pairs, the order alternating from pair to
 # pair so drift on the machine falls on both sides equally. Each side of a pair
-# runs `benchmark -workload WORKLOAD -seconds 15 -trace 0` and
-# `cloudrepl-bench KERNEL -short -q -json DIR` (KERNEL is -bench-kernel, or
-# -all for the whole sweep, whose BENCH_kernel.json adds figures_wall_ms).
+# runs `benchmark -workload W -seconds 15 -trace 0` for each workload W of the
+# space-separated list WORKLOADS, then `cloudrepl-bench KERNEL -short -q -json
+# DIR` (KERNEL is -bench-kernel, or -all for the whole sweep, whose
+# BENCH_kernel.json adds figures_wall_ms). The benchmark prints its readings
+# for one named workload at a time, so `all` is refused: list the names.
 # Every reading goes to standard output as `pair side metric value`; the
 # summary gives, per metric, both sides' medians, the median of the per-pair
 # ratios change/parent, and in how many pairs the change read lower, higher
@@ -15,8 +17,14 @@
 set -eu
 base=${1:-HEAD~}
 n=${2:-10}
-workload=${3:-shard_write_heavy}
+workloads=${3:-shard_write_heavy}
 kernel=${4:--bench-kernel}
+for w in $workloads; do
+	if [ "$w" = all ]; then
+		echo "pairs.sh: name the workloads, e.g. W=\"geo_light master_bound read_heavy shard_write_heavy\"" >&2
+		exit 2
+	fi
+done
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
@@ -40,10 +48,12 @@ measure() {
 	src=$root
 	[ "$side" = parent ] && src=$tmp/parent
 	out=$tmp/$side-$pair
-	mkdir -p "$out"
-	(cd "$src" && "$tmp/$side-benchmark" -workload "$workload" -seconds 15 -trace 0 -out "$out" >"$out/benchmark.txt")
-	tail -n 1 "$out/benchmark.txt" | grep -o '"[a-z0-9_.]*":{"value":[-0-9.e+]*\|"attempted":[0-9]*\|"failed":[0-9]*' |
-		sed "s/^\"\([^\"]*\)\":\({\"value\":\)*/$pair $side $workload.\1 /"
+	for workload in $workloads; do
+		mkdir -p "$out/$workload"
+		(cd "$src" && "$tmp/$side-benchmark" -workload "$workload" -seconds 15 -trace 0 -out "$out/$workload" >"$out/$workload/benchmark.txt")
+		tail -n 1 "$out/$workload/benchmark.txt" | grep -o '"[a-z0-9_.]*":{"value":[-0-9.e+]*\|"attempted":[0-9]*\|"failed":[0-9]*' |
+			sed "s/^\"\([^\"]*\)\":\({\"value\":\)*/$pair $side $workload.\1 /"
+	done
 	(cd "$src" && "$tmp/$side-bench" $kernel -short -q -json "$out" >"$out/bench.txt" 2>&1) || {
 		cat "$out/bench.txt" >&2
 		exit 1

@@ -2,7 +2,6 @@ package cloudstone
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
@@ -18,37 +17,13 @@ import (
 
 var allTables = []string{"users", "events", "attendance", "tags", "event_tags", "comments", "friends"}
 
-// tablesDigest is every Cloudstone table's row count and an FNV-64a checksum
-// of its rows in the order the engine returns them.
-func tablesDigest(t *testing.T, eng *sqlengine.Engine) string {
-	t.Helper()
-	sess := eng.NewSession(DatabaseName)
-	var b strings.Builder
-	for _, table := range allTables {
-		set, err := sess.Query("SELECT * FROM " + table)
-		if err != nil {
-			t.Fatalf("%s: %v", table, err)
-		}
-		h := fnv.New64a()
-		for _, r := range set.Rows {
-			for _, v := range r {
-				h.Write([]byte(v.SQL()))
-				h.Write([]byte{0x1f})
-			}
-			h.Write([]byte{'\n'})
-		}
-		fmt.Fprintf(&b, "%s %d rows %x\n", table, len(set.Rows), h.Sum64())
-	}
-	return b.String()
-}
-
 // nodeState renders what a database node holds and how far it has come.
 func nodeState(t *testing.T, srv *server.DBServer) string {
 	t.Helper()
 	runs, versions, rows := srv.Eng.GCStats()
 	builds, passes := srv.Eng.PlanStats()
 	return fmt.Sprintf("%s: commit version %d, gc (%d, %d, %d), plans (%d, %d), log at %d\n%s", srv.Name,
-		srv.Eng.CommitVersion(), runs, versions, rows, builds, passes, srv.Log.LastSeq(), tablesDigest(t, srv.Eng))
+		srv.Eng.CommitVersion(), runs, versions, rows, builds, passes, srv.Log.LastSeq(), srv.Eng.Digest())
 }
 
 func cellState(t *testing.T, db *core.DB) string {
@@ -107,12 +82,12 @@ func TestPreloadRefusesANonEmptyServer(t *testing.T) {
 	if _, err := srv.Session(DatabaseName).Exec("DELETE FROM events WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	before, pos := tablesDigest(t, srv.Eng), srv.Log.LastSeq()
+	before, pos := srv.Eng.Digest(), srv.Log.LastSeq()
 	err := PreloadOwned(30, func(table string, key int64) bool { return key%2 == 0 })(srv)
 	if err == nil || !strings.Contains(err.Error(), "already has a catalog") {
 		t.Fatalf("second preload of one server: err = %v, want a refusal", err)
 	}
-	if after := tablesDigest(t, srv.Eng); after != before || srv.Log.LastSeq() != pos {
+	if after := srv.Eng.Digest(); after != before || srv.Log.LastSeq() != pos {
 		t.Fatalf("the refused preload changed the server:\n%s (log at %d)\nwas:\n%s (log at %d)", after, srv.Log.LastSeq(), before, pos)
 	}
 }
@@ -155,7 +130,7 @@ func TestPreloadSharesOneImageAcrossGoroutines(t *testing.T) {
 	if err := LoadSQL(ref, scale); err != nil {
 		t.Fatal(err)
 	}
-	want := tablesDigest(t, ref)
+	want := ref.Digest()
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	bare := make([]*sqlengine.Engine, 3)
@@ -182,7 +157,7 @@ func TestPreloadSharesOneImageAcrossGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, eng := range bare {
-		if got := tablesDigest(t, eng); got != want {
+		if got := eng.Digest(); got != want {
 			t.Fatalf("restore %d of the memoised image (the last made after the clusters wrote):\n%s\nthe SQL load:\n%s", i, got, want)
 		}
 	}
@@ -208,7 +183,7 @@ func TestPreloadedTablesShareUntilWritten(t *testing.T) {
 	if err := LoadSQL(ref, scale); err != nil {
 		t.Fatal(err)
 	}
-	want := tableLines(t, ref)
+	want := tableLines(ref)
 	inserts := map[string]string{
 		"users":      "INSERT INTO users (id, username) VALUES (?, CONCAT('u', ?))",
 		"events":     "INSERT INTO events (id, creator_id, title) VALUES (?, ?, 'new')",
@@ -258,7 +233,7 @@ func TestPreloadedTablesShareUntilWritten(t *testing.T) {
 		}
 	}
 	for w, eng := range engs {
-		got := tableLines(t, eng)
+		got := tableLines(eng)
 		for _, table := range allTables {
 			if writes(w, table) {
 				if n, m := rowCount(t, eng, table), rowCount(t, ref, table); n != m+rounds {
@@ -273,17 +248,16 @@ func TestPreloadedTablesShareUntilWritten(t *testing.T) {
 	if err := later.Restore(img.snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := tablesDigest(t, later); got != tablesDigest(t, ref) {
-		t.Fatalf("a restore made after it all:\n%s\nthe data set:\n%s", got, tablesDigest(t, ref))
+	if got := later.Digest(); got != ref.Digest() {
+		t.Fatalf("a restore made after it all:\n%s\nthe data set:\n%s", got, ref.Digest())
 	}
 }
 
-// tableLines is tablesDigest by table.
-func tableLines(t *testing.T, eng *sqlengine.Engine) map[string]string {
-	t.Helper()
+// tableLines is the engine's Digest by Cloudstone table.
+func tableLines(eng *sqlengine.Engine) map[string]string {
 	out := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(tablesDigest(t, eng)), "\n") {
-		out[strings.Fields(line)[0]] = line
+	for _, line := range strings.Split(strings.TrimSpace(eng.Digest()), "\n") {
+		out[strings.TrimPrefix(strings.Fields(line)[0], DatabaseName+".")] = line
 	}
 	return out
 }

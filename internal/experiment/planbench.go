@@ -62,6 +62,13 @@ type PlanBenchResult struct {
 	// table's statistics shows as a rebuild's objects per op — and fails the
 	// bench outright, which counts the rebuilds.
 	Replan PlanBenchMeasure `json:"replan"`
+	// Recost is a prepared join over ticks and items re-run after each ANALYZE
+	// of ticks, a table it reads: the new statistics decide what the cached
+	// plan does, so an op is the pass, the plan re-costed in place and its run,
+	// and allocates nothing (the key is absent and the reply reused). A plan
+	// rebuilt instead shows as its objects per op — and fails the bench, which
+	// counts the rebuilds.
+	Recost PlanBenchMeasure `json:"recost"`
 	// Insert is a parameterised one-row INSERT into a table with a primary
 	// key and one secondary index: the compiled write plan, the replayable
 	// text and the logged argument copy, a commit hook attached.
@@ -103,8 +110,8 @@ var planShapes = []struct {
 	// slack is an absolute allowance in allocs/op on top of the 5%: an
 	// analyze op is a pass over planBenchAnalyzeRows rows whose baseline is
 	// zero objects, so a stray runtime allocation must not trip the gate,
-	// while the regression it exists for costs one per row; a replan op's
-	// baseline is zero too and its regression a whole plan.
+	// while the regression it exists for costs one per row; a replan or
+	// recost op's baseline is zero too and its regression a whole plan.
 	slack float64
 }{
 	{"point_read", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointRead }, true, 0},
@@ -116,6 +123,7 @@ var planShapes = []struct {
 	{"topn_scan_shuffled", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.TopNScanShuffled }, false, 0},
 	{"like_scan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.LikeScan }, false, 0},
 	{"replan", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Replan }, true, 0.5},
+	{"recost", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Recost }, true, 0.5},
 	{"insert", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.Insert }, true, 0},
 	{"point_update", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate }, true, 0},
 	{"point_update_2k", func(r *PlanBenchResult) *PlanBenchMeasure { return &r.PointUpdate2k }, true, 0},
@@ -381,32 +389,45 @@ func PlanBench() (PlanBenchResult, error) {
 		return res, fmt.Errorf("planbench like scan: %w", err)
 	}
 
-	replan, err := eng.Prepare("SELECT val FROM items WHERE id = ?")
-	if err != nil {
-		return res, err
-	}
+	// afterAnalyze measures sql run after each ANALYZE of ticks, for a key no
+	// row has and into one reply: the replan and recost shapes, neither of
+	// which may rebuild a plan. Three passes come before the measured ones, as
+	// for the analyze shape below; the first builds the plan.
 	var reply sqlengine.Reply
 	absent := []sqlengine.Value{sqlengine.NewInt(0)}
-	replanOnce := func(int) (*sqlengine.Result, error) {
-		if _, err := eng.Analyze("bench", "ticks"); err != nil {
-			return nil, err
+	afterAnalyze := func(shape, sql string) (PlanBenchMeasure, error) {
+		st, err := eng.Prepare(sql)
+		if err != nil {
+			return PlanBenchMeasure{}, err
 		}
-		return replan.RunInto(sess, &reply, absent...)
-	}
-	// Three passes before the measured ones, as for the analyze shape below;
-	// the first builds the plan.
-	for i := 0; i < 2; i++ {
-		if _, err := replanOnce(i); err != nil {
-			return res, fmt.Errorf("planbench replan: %w", err)
+		once := func(int) (*sqlengine.Result, error) {
+			if _, err := eng.Analyze("bench", "ticks"); err != nil {
+				return nil, err
+			}
+			return st.RunInto(sess, &reply, absent...)
 		}
+		for i := 0; i < 2; i++ {
+			if _, err := once(i); err != nil {
+				return PlanBenchMeasure{}, fmt.Errorf("planbench %s: %w", shape, err)
+			}
+		}
+		builds, _ := eng.PlanStats()
+		m, err := measurePlanBench(20000, once)
+		if err != nil {
+			return m, fmt.Errorf("planbench %s: %w", shape, err)
+		}
+		if now, _ := eng.PlanStats(); now != builds {
+			return m, fmt.Errorf("planbench %s: %d plans rebuilt after an ANALYZE that changed no decision", shape, now-builds)
+		}
+		return m, nil
 	}
-	builds, _ := eng.PlanStats()
-	res.Replan, err = measurePlanBench(20000, replanOnce)
-	if err != nil {
-		return res, fmt.Errorf("planbench replan: %w", err)
+	// replan reads items, which the ANALYZE leaves alone; recost joins ticks,
+	// whose statistics the ANALYZE rebuilds, to items.
+	if res.Replan, err = afterAnalyze("replan", "SELECT val FROM items WHERE id = ?"); err != nil {
+		return res, err
 	}
-	if now, _ := eng.PlanStats(); now != builds {
-		return res, fmt.Errorf("planbench replan: %d plans rebuilt over a table nothing analyzed", now-builds)
+	if res.Recost, err = afterAnalyze("recost", "SELECT i.val FROM ticks t JOIN items i ON i.id = t.id WHERE t.id = ?"); err != nil {
+		return res, err
 	}
 
 	// The write shapes run last: they change what the read shapes scan.

@@ -172,6 +172,9 @@ type Engine struct {
 	// distinct is ANALYZE's scratch: one set of distinct values per column
 	// position, left empty between passes (stats.go).
 	distinct []keyMap[struct{}]
+	// planner is the plan builder every SELECT plan is costed and built with:
+	// its costing scratch, kept between builds and re-costs (planner.go).
+	planner planBuilder
 
 	// NaivePlan forces the syntax-order, no-pushdown planner for every
 	// statement — the A-PLAN ablation's baseline arm, mirroring the
@@ -192,9 +195,9 @@ type progress struct {
 	gcRows     uint64
 
 	// planBuilds counts the SELECT plans and write plans built for a
-	// statement to run — its first, and one more each time the catalog epoch,
-	// a statistics generation of one of its tables or drift retires the last;
-	// analyzeRuns the statistics passes (PlanStats).
+	// statement to run — its first, and one more each time the catalog epoch
+	// retires the last or new statistics of one of its tables change one of
+	// its decisions; analyzeRuns the statistics passes (PlanStats).
 	planBuilds  uint64
 	analyzeRuns uint64
 }

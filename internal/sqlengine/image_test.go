@@ -11,9 +11,10 @@ import (
 )
 
 // engineDigest renders everything an engine holds as a reader at its latest
-// commit sees it: every table's rows in scan order, then every index's buckets
-// in bucket order (through the probes). Two engines hold the same data, in the
-// same order, exactly when their digests are equal.
+// commit sees it: its Digest, each table's rows in the order a scan returns
+// them, then every index's buckets in bucket order (through the probes). Two
+// engines hold the same data, in the same order, exactly when their digests
+// are equal.
 func engineDigest(t *testing.T, e *Engine) string {
 	t.Helper()
 	return digest(t, e, false)
@@ -30,21 +31,15 @@ func imageDigest(t *testing.T, e *Engine) string {
 func digest(t *testing.T, e *Engine, sortProbes bool) string {
 	t.Helper()
 	var b strings.Builder
-	e.mu.RLock()
-	for _, dbKey := range sortedKeys(e.dbs) {
-		for _, tblKey := range sortedKeys(e.dbs[dbKey].tables) {
-			fmt.Fprintf(&b, "%s.%s:", dbKey, tblKey)
-			for _, img := range e.dbs[dbKey].tables[tblKey].store.images(readView{at: e.commitV, chains: true}, nil) {
-				for _, v := range img {
-					b.WriteString(v.SQL())
-					b.WriteByte('|')
-				}
-				b.WriteByte('\n')
-			}
+	tables := e.Digest()
+	b.WriteString(tables)
+	s := e.NewSession("app")
+	for _, line := range strings.Split(strings.TrimSuffix(tables, "\n"), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok {
+			n, sum := tableChecksum(t, s, "SELECT * FROM "+name)
+			fmt.Fprintf(&b, "%s in scan order: %d rows %x\n", name, n, sum)
 		}
 	}
-	e.mu.RUnlock()
-	s := e.NewSession("app")
 	for _, q := range writeGoldenProbes {
 		if !sortProbes {
 			n, sum := tableChecksum(t, s, q)
@@ -547,5 +542,51 @@ func TestRestoreCarriesStatisticsAndProgress(t *testing.T) {
 	}
 	if runs, _, _ := re.GCStats(); runs < 2 {
 		t.Fatalf("%d sweeps: the loop never crossed one", runs)
+	}
+}
+
+// TestDigestIsCanonical: Digest reads what a reader at the latest commit sees,
+// in primary-key order — two engines that reach the same rows by different
+// write orders digest alike, a change shows on its own table's line only, an
+// uncommitted write not at all, and excluded tables not at all.
+func TestDigestIsCanonical(t *testing.T) {
+	a, b := newTestDB(t), newTestDB(t)
+	for _, q := range []string{
+		"DELETE FROM users WHERE id = 3",
+		"INSERT INTO users (id, name, karma) VALUES (3, 'userc', 30)", // now last in the heap
+		"UPDATE events SET score = 99 WHERE id = 7",
+		"UPDATE events SET score = 3.5 WHERE id = 7", // back, with a version chain
+	} {
+		if _, err := a.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if got, want := a.eng.Digest(), b.eng.Digest(); got != want || !strings.Contains(got, "app.users 10 rows") {
+		t.Fatalf("same rows, different write orders:\n%s\n%s", got, want)
+	}
+	lines := func(s *Session, exclude ...string) []string {
+		return strings.Split(strings.TrimSuffix(s.eng.Digest(exclude...), "\n"), "\n")
+	}
+	before := lines(b)
+	if _, err := b.Exec("UPDATE users SET karma = 0 WHERE id = 5"); err != nil {
+		t.Fatal(err)
+	}
+	if after := lines(b); after[0] != before[0] || after[1] == before[1] {
+		t.Fatalf("a change to users:\n%v\nwas:\n%v", after, before)
+	}
+	tx := b.eng.NewSession("app")
+	for _, q := range []string{"BEGIN", "INSERT INTO events (id, creator_id) VALUES (100, 1)"} {
+		if _, err := tx.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if open := lines(b); open[0] != before[0] {
+		t.Fatalf("an open transaction's INSERT is in the digest: %s, was %s", open[0], before[0])
+	}
+	if got := lines(b, "EVENTS"); len(got) != 1 || !strings.HasPrefix(got[0], "app.users ") {
+		t.Fatalf("events excluded: %v", got)
+	}
+	if got := lines(b, "app.users"); len(got) != 1 || !strings.HasPrefix(got[0], "app.events ") {
+		t.Fatalf("app.users excluded: %v", got)
 	}
 }

@@ -13,8 +13,9 @@ import (
 // life (current). Plans embed *Table pointers, so CREATE TABLE, DROP TABLE and
 // snapshot Restore advance Engine.catalogEpoch and retire every plan. A
 // cost-based plan also read statistics, of its own tables only: ANALYZE or
-// TRUNCATE of a table moves that table's statsGen and retires the plans over
-// it, and a plan over other tables lives on.
+// TRUNCATE of a table moves that table's statsGen, and the plans over it are
+// re-costed in place — rebuilt only when the new statistics change one of
+// their decisions — while a plan over other tables lives on untouched.
 //
 // A plan fixes access paths, join order, join algorithms and every bound
 // expression, never visibility: operators resolve rows through the session's
@@ -22,8 +23,9 @@ import (
 // scans when the reader is behind the latest commit (operators.go). Cost
 // estimates are in rows-examined units — the same unit the server's virtual
 // CPU model charges per row — so the cheapest plan is the one that minimizes
-// simulated CPU. The shape is immutable once built; rt is execution scratch
-// reused by every run, which Engine.mu serializes.
+// simulated CPU. The shape is immutable once built and the estimates change
+// only when a re-cost writes them; rt is execution scratch reused by every
+// run, which Engine.mu serializes.
 type Plan struct {
 	db    string // lower-cased session database the plan was built for
 	naive bool   // built by the naive (pre-planner parity) planner
@@ -210,6 +212,16 @@ func (p *Plan) Explain() string { return strings.Join(p.Lines(nil), "\n") }
 
 // Cost returns the plan's total estimated rows examined.
 func (p *Plan) Cost() float64 { return p.totalCost }
+
+// sumCost totals the nodes' estimated rows examined into totalCost.
+func (p *Plan) sumCost() {
+	p.totalCost = 0
+	for _, n := range p.nodes {
+		if n.hasCost() {
+			p.totalCost += n.estCost
+		}
+	}
+}
 
 // current reports whether the plan may run as it stands: the catalog it was
 // built against is still the engine's and, for a cost-based plan, every table

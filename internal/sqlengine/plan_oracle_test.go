@@ -7,13 +7,16 @@ import (
 	"testing"
 )
 
-// The plan-reuse oracle. A cached plan now outlives the re-ANALYZE of tables
-// it does not touch, and small drift of the ones it does; what makes that
-// safe is that a rebuild at that moment would have decided the same. The
-// oracle checks exactly that, on every plan-cache hit of whatever runs while
-// it watches: it builds the statement's plan afresh — a hit means none of the
-// plan's tables is stale, so the build analyzes nothing and counts nothing —
-// and holds the cached plan to the fresh one's shape.
+// The plan-reuse oracle. A cached plan outlives the re-ANALYZE of tables it
+// does not touch and small drift of the ones it does, and a statistics move
+// under it re-costs it in place instead of rebuilding it whenever the new
+// statistics decide what it already does; what makes that safe is that a
+// rebuild at that moment would have decided the same. The oracle checks
+// exactly that, on every plan the cache hands out while it watches: it builds
+// the statement's plan afresh — the plan handed out is current, so the build
+// analyzes nothing and counts nothing — and holds the cached plan to the fresh
+// one's shape. A plan just re-costed is held to the fresh one's every line,
+// estimates included: both read the same statistics and row counts.
 
 // planShape renders what a plan decided and nothing it estimated: every
 // operator top-down with its operands — access paths and their indexes, join
@@ -35,10 +38,12 @@ func planShape(p *Plan) string {
 	return b.String()
 }
 
-// PlanReuse is what the oracle saw: the plan-cache hits it checked and the
-// first whose cached plan a rebuild would not have reproduced.
+// PlanReuse is what the oracle saw: the plan-cache hits it checked, how many
+// of them were plans re-costed in place, and the first whose cached plan a
+// rebuild would not have reproduced.
 type PlanReuse struct {
 	Hits     int
+	Recosts  int
 	Mismatch string
 }
 
@@ -49,18 +54,27 @@ func WatchPlanReuse() (stop func() PlanReuse) {
 		mu  sync.Mutex // runs of a parallel sweep hit their own engines at once
 		out PlanReuse
 	)
-	planReuse = func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan) {
+	planReuse = func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan, recosted bool) {
 		fresh, err := e.buildPlanLocked(s, sel, cached.naive)
 		mu.Lock()
 		defer mu.Unlock()
 		out.Hits++
+		if recosted {
+			out.Recosts++
+		}
 		if out.Mismatch != "" {
 			return
 		}
-		if err != nil {
+		switch {
+		case err != nil:
 			out.Mismatch = fmt.Sprintf("%s: the cached plan runs, a rebuild fails: %v", st.Norm(), err)
-		} else if got, want := planShape(cached), planShape(fresh); got != want {
-			out.Mismatch = fmt.Sprintf("%s\ncached:\n%s\na rebuild now:\n%s", st.Norm(), cached.Explain(), fresh.Explain())
+		case planShape(cached) != planShape(fresh),
+			recosted && (cached.Explain() != fresh.Explain() || cached.Cost() != fresh.Cost()):
+			kept := "cached"
+			if recosted {
+				kept = "re-costed"
+			}
+			out.Mismatch = fmt.Sprintf("%s\n%s:\n%s\na rebuild now:\n%s", st.Norm(), kept, cached.Explain(), fresh.Explain())
 		}
 	}
 	return func() PlanReuse {

@@ -74,13 +74,30 @@ func usableEqIndex(tbl *Table, col int) (name string, unique, ok bool) {
 	return "", false, false
 }
 
-// planBuilder carries state while constructing one plan.
+// planBuilder carries state while costing and materialising plans. The engine
+// keeps one (Engine.planner) and every build and re-cost starts it afresh
+// (begin) but keeps its scratch, so a costing pass that needs no more room
+// than an earlier one allocates nothing.
 type planBuilder struct {
-	e      *Engine
-	s      *Session
 	st     *SelectStmt
-	p      *Plan
+	tables []planTable // the scope slots costed over
+	p      *Plan       // the plan being materialised (nil in a re-cost)
 	nextID int
+
+	// The costing pass's scratch (cost mode). pool is the WHERE and ON
+	// conjuncts, each with the step it is placed at; steps is the pass's
+	// result, one relational operator per entry in build order, driving
+	// access first — what materialise builds and decided compares.
+	pool    []pooledConjunct
+	cands   []eqCandidate
+	choices []accessChoice
+	steps   []accessChoice
+}
+
+// begin readies the builder for st over tables, materialising into p.
+func (b *planBuilder) begin(st *SelectStmt, tables []planTable, p *Plan) *planBuilder {
+	b.st, b.tables, b.p, b.nextID = st, tables, p, 0
+	return b
 }
 
 func (b *planBuilder) newNode(kind opKind) *planNode {
@@ -92,6 +109,8 @@ func (b *planBuilder) newNode(kind opKind) *planNode {
 
 // buildPlanLocked constructs a plan for st. Engine lock held: table
 // resolution, statistics refresh and cost estimation all read catalog state.
+// A cost-based build is the costing pass (costAccess) and the materialising
+// pass (materialise) back to back.
 func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan, error) {
 	p := &Plan{
 		db:      strings.ToLower(s.db),
@@ -99,11 +118,10 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		epoch:   e.catalogEpoch,
 		nparams: countParams(st),
 	}
-	b := &planBuilder{e: e, s: s, st: st, p: p}
 
 	if st.From == nil {
 		// Table-less SELECT: a lone projection evaluated once.
-		proj := b.newNode(opProject)
+		proj := e.planner.begin(st, nil, p).newNode(opProject)
 		proj.detail = projectDetail(st)
 		proj.estRows = 1
 		p.tail = []*planNode{proj}
@@ -139,18 +157,48 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		pt.gen = pt.tbl.statsGen
 	}
 
+	b := e.planner.begin(st, p.tables, p)
 	if naive {
 		b.buildNaiveAccess()
 	} else {
-		b.buildCostAccess()
+		b.costAccess()
+		b.materialise()
 	}
 	b.buildTail()
-	for _, n := range p.nodes {
-		if n.hasCost() {
-			p.totalCost += n.estCost
-		}
-	}
+	p.sumCost()
 	return p, p.resolve(st)
+}
+
+// recostLocked brings a cost-based plan whose statistics moved up to date in
+// place. It refreshes the plan's tables as a build would, runs the costing
+// pass over them and, when the pass decides what the plan already does —
+// every access path, the join order and algorithms, hence every filter's
+// placement — writes the pass's estimates and the tables' generations into p
+// and reports true: p prints what a build now would, and keeps its run
+// scratch. A plan over a catalog that has changed since, or whose decisions
+// the new statistics move, is left as it is (false) for the caller to
+// rebuild. Engine lock held.
+func (e *Engine) recostLocked(p *Plan, sel *SelectStmt) bool {
+	if p.epoch != e.catalogEpoch {
+		return false
+	}
+	for _, pt := range p.tables {
+		e.refreshStatsLocked(pt.tbl)
+	}
+	b := e.planner.begin(sel, p.tables, nil)
+	b.costAccess()
+	if !b.decided(p) {
+		return false
+	}
+	for i := range p.tables {
+		p.tables[i].gen = p.tables[i].tbl.statsGen
+	}
+	for i, c := range b.steps {
+		p.nodes[i].estCost, p.nodes[i].estRows = c.cost, c.outRows
+	}
+	b.costTail(p.tail, p.root.estRows)
+	p.sumCost()
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +231,7 @@ func (b *planBuilder) colOf(expr Expr, slot int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	owner, pos, err := resolveCol(b.p.tables, c)
+	owner, pos, err := resolveCol(b.tables, c)
 	return pos, err == nil && owner == slot
 }
 
@@ -193,7 +241,7 @@ func (b *planBuilder) colOf(expr Expr, slot int) (int, bool) {
 func (b *planBuilder) refMaskOf(expr Expr) (mask uint64) {
 	walkExpr(expr, func(x Expr) {
 		if c, isCol := x.(*ColRef); isCol {
-			if slot, _, err := resolveCol(b.p.tables, c); err == nil {
+			if slot, _, err := resolveCol(b.tables, c); err == nil {
 				mask |= 1 << uint(slot)
 			}
 		}
@@ -204,7 +252,7 @@ func (b *planBuilder) refMaskOf(expr Expr) (mask uint64) {
 // selOf estimates the fraction of rows a single-table conjunct keeps. slot
 // is the table the conjunct applies to.
 func (b *planBuilder) selOf(c Expr, slot int) float64 {
-	t := b.p.tables[slot].tbl
+	t := b.tables[slot].tbl
 	ts := &t.stats
 	switch x := c.(type) {
 	case *Binary:
@@ -298,9 +346,9 @@ func classOfKind(k Kind) kindClass {
 func (b *planBuilder) classOfExpr(e Expr) kindClass {
 	switch x := e.(type) {
 	case *ColRef:
-		for slot := range b.p.tables {
+		for slot := range b.tables {
 			if pos, ok := b.colOf(x, slot); ok {
-				return classOfKind(b.p.tables[slot].tbl.Columns[pos].Type)
+				return classOfKind(b.tables[slot].tbl.Columns[pos].Type)
 			}
 		}
 		return classUnknown
@@ -436,7 +484,7 @@ func joinFilterSel(b *planBuilder, c Expr, slot int) float64 {
 	if bin, ok := c.(*Binary); ok && bin.Op == "=" {
 		for _, try := range [2]Expr{bin.L, bin.R} {
 			if col, ok := b.colOf(try, slot); ok {
-				t := b.p.tables[slot].tbl
+				t := b.tables[slot].tbl
 				return 1 / float64(t.stats.ndvOf(col, t.NumRows()))
 			}
 		}
@@ -451,40 +499,56 @@ func joinFilterSel(b *planBuilder, c Expr, slot int) float64 {
 type pooledConjunct struct {
 	expr Expr
 	mask uint64
-	used bool // attached to some node already
+	at   int // the step whose operator evaluates it; -1 until placed
 }
 
-// buildCostAccess builds the cost-based access chain.
-func (b *planBuilder) buildCostAccess() {
+// costAccess is the costing pass of a cost-based plan: it pools the WHERE and
+// ON conjuncts, chooses every slot's access, the join order and each join's
+// algorithm, places every conjunct and estimates every relational operator,
+// into b.pool and b.steps. It reads the scope's statistics and writes nothing
+// but the builder's scratch.
+func (b *planBuilder) costAccess() {
+	b.pool, b.steps = b.pool[:0], b.steps[:0]
 	for _, j := range b.st.Joins {
 		if j.Left {
-			b.buildCostSyntaxOrder()
+			b.costSyntaxOrder()
 			return
 		}
 	}
-	b.buildCostReorder()
+	b.costReorder()
 }
 
-// pool collects conjuncts with their reference masks.
-func (b *planBuilder) pool(exprs []Expr) []*pooledConjunct {
-	out := make([]*pooledConjunct, 0, len(exprs))
-	for _, e := range exprs {
-		out = append(out, &pooledConjunct{expr: e, mask: b.refMaskOf(e)})
+// addConjuncts pools e's top-level conjuncts (Conjuncts' flattening), each
+// with its reference mask and unplaced.
+func (b *planBuilder) addConjuncts(e Expr) {
+	if x, ok := e.(*Binary); ok && x.Op == "AND" {
+		b.addConjuncts(x.L)
+		b.addConjuncts(x.R)
+		return
 	}
-	return out
+	if e != nil {
+		b.pool = append(b.pool, pooledConjunct{expr: e, mask: b.refMaskOf(e), at: -1})
+	}
 }
 
-// attach collects every unused conjunct whose references are
-// covered by bound, marking them used. Order follows the pool (WHERE first,
-// then ON clauses in syntax order) for deterministic plans.
-func attach(pool []*pooledConjunct, bound uint64) []Expr {
-	var out []Expr
-	for _, pc := range pool {
-		if pc.used || pc.mask&^bound != 0 {
-			continue
+// place places at step every unplaced conjunct of pool whose references are
+// covered by bound.
+func place(pool []pooledConjunct, bound uint64, step int) {
+	for i := range pool {
+		if pc := &pool[i]; pc.at < 0 && pc.mask&^bound == 0 {
+			pc.at = step
 		}
-		pc.used = true
-		out = append(out, pc.expr)
+	}
+}
+
+// filtersAt returns the conjuncts placed at step. Order follows the pool
+// (WHERE first, then ON clauses in syntax order) for deterministic plans.
+func (b *planBuilder) filtersAt(step int) []Expr {
+	var out []Expr
+	for _, pc := range b.pool {
+		if pc.at == step {
+			out = append(out, pc.expr)
+		}
 	}
 	return out
 }
@@ -498,12 +562,14 @@ type eqCandidate struct {
 }
 
 // eqCandidatesFor finds equality conjuncts usable to join `slot` to the
-// bound set (driving access passes bound = 0 and runtime-const other sides).
-func (b *planBuilder) eqCandidatesFor(pool []*pooledConjunct, slot int, bound uint64) []eqCandidate {
-	var out []eqCandidate
+// bound set (driving access passes bound = 0 and runtime-const other sides),
+// in the builder's scratch: valid until the next call.
+func (b *planBuilder) eqCandidatesFor(pool []pooledConjunct, slot int, bound uint64) []eqCandidate {
+	out := b.cands[:0]
 	slotBit := uint64(1) << uint(slot)
-	for _, pc := range pool {
-		if pc.used {
+	for i := range pool {
+		pc := &pool[i]
+		if pc.at >= 0 {
 			continue
 		}
 		bin, isBin := pc.expr.(*Binary)
@@ -519,7 +585,7 @@ func (b *planBuilder) eqCandidatesFor(pool []*pooledConjunct, slot int, bound ui
 			if otherMask&slotBit != 0 || otherMask&^bound != 0 {
 				continue
 			}
-			innerClass := classOfKind(b.p.tables[slot].tbl.Columns[col].Type)
+			innerClass := classOfKind(b.tables[slot].tbl.Columns[col].Type)
 			outerClass := b.classOfExpr(try[1])
 			out = append(out, eqCandidate{
 				pc:     pc,
@@ -530,10 +596,13 @@ func (b *planBuilder) eqCandidatesFor(pool []*pooledConjunct, slot int, bound ui
 			break
 		}
 	}
+	b.cands = out
 	return out
 }
 
-// accessChoice is one scored way to bring a table into the pipeline.
+// accessChoice is one scored way to bring a table into the pipeline — and,
+// chosen, one step of the costing pass, whose residual filter is a step of
+// kind opFilter that reads no table (slot 0, eqCol -1, cost 0).
 type accessChoice struct {
 	slot    int
 	kind    opKind
@@ -546,8 +615,8 @@ type accessChoice struct {
 }
 
 // drivingChoice scores the best access for slot as the driving table.
-func (b *planBuilder) drivingChoice(pool []*pooledConjunct, slot int) accessChoice {
-	t := b.p.tables[slot].tbl
+func (b *planBuilder) drivingChoice(pool []pooledConjunct, slot int) accessChoice {
+	t := b.tables[slot].tbl
 	best := accessChoice{slot: slot, kind: opScan, eqCol: -1, cost: rowsOf(t)}
 	for _, cand := range b.eqCandidatesFor(pool, slot, 0) {
 		name, unique, usable := usableEqIndex(t, cand.col)
@@ -564,8 +633,9 @@ func (b *planBuilder) drivingChoice(pool []*pooledConjunct, slot int) accessChoi
 	// conjuncts (the lookup conjunct's selectivity is the bucket itself).
 	out := best.cost
 	slotBit := uint64(1) << uint(slot)
-	for _, pc := range pool {
-		if pc.used || pc.mask&^slotBit != 0 || pc == best.eqPC {
+	for i := range pool {
+		pc := &pool[i]
+		if pc.at >= 0 || pc.mask&^slotBit != 0 || pc == best.eqPC {
 			continue
 		}
 		out *= b.selOf(pc.expr, slot)
@@ -574,9 +644,10 @@ func (b *planBuilder) drivingChoice(pool []*pooledConjunct, slot int) accessChoi
 	return best
 }
 
-// joinChoices scores every way to join `slot` onto the bound pipeline.
-func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64, outEst float64) []accessChoice {
-	t := b.p.tables[slot].tbl
+// joinChoices scores every way to join `slot` onto the bound pipeline, in the
+// builder's scratch: valid until the next call.
+func (b *planBuilder) joinChoices(pool []pooledConjunct, slot int, bound uint64, outEst float64) []accessChoice {
+	t := b.tables[slot].tbl
 	rows := rowsOf(t)
 	newBound := bound | 1<<uint(slot)
 
@@ -584,8 +655,9 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 	// evaluable here — the output cardinality, independent of algorithm.
 	mpoAll := rows
 	cands := b.eqCandidatesFor(pool, slot, bound)
-	for _, pc := range pool {
-		if pc.used || pc.mask&^newBound != 0 || pc.mask&(1<<uint(slot)) == 0 {
+	for i := range pool {
+		pc := &pool[i]
+		if pc.at >= 0 || pc.mask&^newBound != 0 || pc.mask&(1<<uint(slot)) == 0 {
 			continue
 		}
 		isEq := false
@@ -605,7 +677,7 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 	}
 	out := outEst * mpoAll
 
-	var choices []accessChoice
+	choices := b.choices[:0]
 	for _, cand := range cands {
 		bucket := rows / float64(t.stats.ndvOf(cand.col, t.NumRows()))
 		if bucket < 1 {
@@ -635,6 +707,7 @@ func (b *planBuilder) joinChoices(pool []*pooledConjunct, slot int, bound uint64
 		slot: slot, kind: opNLJoin, eqCol: -1,
 		cost: outEst * rows, outRows: out,
 	})
+	b.choices = choices
 	return choices
 }
 
@@ -648,25 +721,22 @@ func eqColOf(cands []eqCandidate, pc *pooledConjunct) int {
 	return -1
 }
 
-// buildCostReorder is the inner-join-only path: pooled predicates, greedy
-// join order, per-join algorithm choice.
-func (b *planBuilder) buildCostReorder() {
-	st, p := b.st, b.p
-	exprs := Conjuncts(st.Where)
-	for _, j := range st.Joins {
-		exprs = append(exprs, Conjuncts(j.On)...)
+// costReorder is the inner-join-only path: pooled predicates, greedy join
+// order, per-join algorithm choice.
+func (b *planBuilder) costReorder() {
+	b.addConjuncts(b.st.Where)
+	for _, j := range b.st.Joins {
+		b.addConjuncts(j.On)
 	}
-	pool := b.pool(exprs)
+	pool := b.pool
 
-	nt := len(p.tables)
-	var chain *planNode
+	nt := len(b.tables)
 	var bound uint64
 	outEst := 0.0
-
 	for step := 0; step < nt; step++ {
 		var best accessChoice
 		haveBest := false
-		if chain == nil {
+		if step == 0 {
 			for slot := 0; slot < nt; slot++ {
 				c := b.drivingChoice(pool, slot)
 				if !haveBest || c.cost < best.cost {
@@ -685,57 +755,36 @@ func (b *planBuilder) buildCostReorder() {
 				}
 			}
 		}
-
-		slotBit := uint64(1) << uint(best.slot)
-		bound |= slotBit
-		pt := p.tables[best.slot]
-		n := b.newNode(best.kind)
-		n.slot, n.tbl = best.slot, pt.tbl
-		n.eqCol, n.eqExpr, n.idxName = best.eqCol, best.eqExpr, best.idxName
-		n.input = chain
-		// The lookup conjunct stays in the filter list as a recheck (exact
-		// under MVCC scan degradation); it just doesn't count twice in the
+		bound |= 1 << uint(best.slot)
+		// The lookup conjunct is placed here too, as a recheck (exact under
+		// MVCC scan degradation); it just doesn't count twice in the
 		// estimates above.
-		n.filters = attach(pool, bound)
-		n.estCost = best.cost
-		n.estRows = best.outRows
-		if chain == nil {
-			n.detail = accessDetail(pt.display, n)
-		} else {
-			n.detail = joinDetail(pt.display, n)
-		}
-		chain = n
+		place(pool, bound, step)
+		b.steps = append(b.steps, best)
 		outEst = best.outRows
 	}
-
-	// Every conjunct's references are bound by now, so each was attached.
-	p.root = chain
+	// Every conjunct's references are bound by now, so each was placed.
 }
 
-// buildCostSyntaxOrder handles queries with LEFT joins: syntax order, ON
-// conjuncts at their join, driving-only WHERE conjuncts pushed to the scan,
-// everything else in the post-join filter. Join algorithms are still chosen
-// by cost.
-func (b *planBuilder) buildCostSyntaxOrder() {
-	st, p := b.st, b.p
-	wherePool := b.pool(Conjuncts(st.Where))
+// costSyntaxOrder handles queries with LEFT joins: syntax order, ON conjuncts
+// at their join, driving-only WHERE conjuncts pushed to the scan, everything
+// else in the post-join filter. Join algorithms are still chosen by cost.
+func (b *planBuilder) costSyntaxOrder() {
+	b.addConjuncts(b.st.Where)
+	nw := len(b.pool)
 
 	// Driving access from driving-only WHERE conjuncts.
-	drive := b.drivingChoice(wherePool, 0)
-	dn := b.newNode(drive.kind)
-	dn.slot, dn.tbl = 0, p.tables[0].tbl
-	dn.eqCol, dn.eqExpr, dn.idxName = drive.eqCol, drive.eqExpr, drive.idxName
-	dn.filters = attach(wherePool, 1)
-	dn.estCost = drive.cost
-	dn.estRows = drive.outRows
-	dn.detail = accessDetail(p.tables[0].display, dn)
+	drive := b.drivingChoice(b.pool, 0)
+	place(b.pool, 1, 0)
+	b.steps = append(b.steps, drive)
 
-	chain := dn
-	outEst := dn.estRows
+	outEst := drive.outRows
 	bound := uint64(1)
-	for ji, j := range st.Joins {
+	for ji, j := range b.st.Joins {
 		slot := ji + 1
-		onPool := b.pool(Conjuncts(j.On))
+		from := len(b.pool)
+		b.addConjuncts(j.On)
+		onPool := b.pool[from:]
 		var best accessChoice
 		haveBest := false
 		for _, c := range b.joinChoices(onPool, slot, bound, outEst) {
@@ -744,59 +793,81 @@ func (b *planBuilder) buildCostSyntaxOrder() {
 			}
 		}
 		bound |= 1 << uint(slot)
-		n := b.newNode(best.kind)
-		n.slot, n.tbl = slot, p.tables[slot].tbl
-		n.eqCol, n.eqExpr, n.idxName = best.eqCol, best.eqExpr, best.idxName
-		n.left = j.Left
 		// Every ON conjunct is evaluated at the join, resolvable or not —
 		// LEFT join semantics require the full ON to decide matches.
-		n.filters = Conjuncts(j.On)
-		n.input = chain
-		n.estCost = best.cost
-		out := best.outRows
-		if j.Left && out < outEst {
-			out = outEst
+		place(onPool, ^uint64(0), len(b.steps))
+		if j.Left && best.outRows < outEst {
+			best.outRows = outEst
 		}
-		n.estRows = out
-		n.detail = joinDetail(p.tables[slot].display, n)
-		chain = n
-		outEst = out
+		b.steps = append(b.steps, best)
+		outEst = best.outRows
 	}
 
-	var residual []Expr
-	for _, pc := range wherePool {
-		if !pc.used {
-			residual = append(residual, pc.expr)
+	// The rest of the WHERE is the post-join filter.
+	step, sel, residual := len(b.steps), 1.0, false
+	for i := range b.pool[:nw] {
+		if pc := &b.pool[i]; pc.at < 0 {
+			pc.at, residual = step, true
+			sel *= b.whereSel(pc.expr)
 		}
 	}
-	if len(residual) > 0 {
-		f := b.newNode(opFilter)
-		f.filters = residual
-		f.input = chain
-		sel := 1.0
-		for _, c := range residual {
-			sel *= b.whereSel(c)
-		}
-		f.estRows = outEst * sel
-		f.detail = strings.TrimPrefix(renderFilters(residual), " filter ")
-		chain = f
-		outEst = f.estRows
+	if residual {
+		b.steps = append(b.steps, accessChoice{kind: opFilter, eqCol: -1, outRows: outEst * sel})
 	}
-	p.root = chain
+}
+
+// materialise builds the relational operators the costing pass decided, in
+// its order, each with the conjuncts placed at it and its rendered detail.
+func (b *planBuilder) materialise() {
+	var chain *planNode
+	for i, c := range b.steps {
+		n := b.newNode(c.kind)
+		n.input = chain
+		n.filters = b.filtersAt(i)
+		n.estCost, n.estRows = c.cost, c.outRows
+		if c.kind == opFilter {
+			n.detail = strings.TrimPrefix(renderFilters(n.filters), " filter ")
+		} else {
+			pt := b.tables[c.slot]
+			n.slot, n.tbl = c.slot, pt.tbl
+			n.eqCol, n.eqExpr, n.idxName = c.eqCol, c.eqExpr, c.idxName
+			n.left = c.slot > 0 && b.st.Joins[c.slot-1].Left
+			if i == 0 {
+				n.detail = accessDetail(pt.display, n)
+			} else {
+				n.detail = joinDetail(pt.display, n)
+			}
+		}
+		chain = n
+	}
+	b.p.root = chain
+}
+
+// decided reports whether p's relational operators are the ones the costing
+// pass just decided, step for step: kind, table, index and lookup key. Filter
+// placement follows from those — in syntax order it is fixed, in a reordered
+// plan a conjunct goes to the first step that binds its tables — so equal
+// steps place every conjunct where p has it.
+func (b *planBuilder) decided(p *Plan) bool {
+	if len(p.nodes) != len(b.steps)+len(p.tail) {
+		return false
+	}
+	for i, c := range b.steps {
+		n := p.nodes[i]
+		if n.kind != c.kind || n.slot != c.slot || n.eqCol != c.eqCol || n.idxName != c.idxName || n.eqExpr != c.eqExpr {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
 // Tail (projection / aggregation / order / limit)
 
 // buildTail appends the presentation operators above the relational root,
-// outermost first.
+// outermost first, and estimates them (costTail).
 func (b *planBuilder) buildTail() {
 	st, p := b.st, b.p
-	outEst := 1.0
-	if p.root != nil {
-		outEst = p.root.estRows
-	}
-
 	aggregated := st.aggregated()
 
 	var tail []*planNode // built innermost-first, reversed at the end
@@ -817,17 +888,10 @@ func (b *planBuilder) buildTail() {
 			d.WriteByte(')')
 		}
 		agg.detail = d.String()
-		if len(st.GroupBy) == 0 {
-			agg.estRows = 1
-		} else {
-			agg.estRows = estGroups(b, outEst)
-		}
-		outEst = agg.estRows
 		tail = append(tail, agg)
 	} else {
 		proj := b.newNode(opProject)
 		proj.detail = projectDetail(st)
-		proj.estRows = outEst
 		tail = append(tail, proj)
 	}
 
@@ -835,23 +899,16 @@ func (b *planBuilder) buildTail() {
 		if bound, ok := staticTopNBound(st); ok && !aggregated {
 			top := b.newNode(opTopN)
 			top.detail = orderDetail(st) + " limit " + estInt(float64(bound))
-			if f := float64(bound); f < outEst {
-				outEst = f
-			}
-			top.estRows = outEst
 			tail = append(tail, top)
 		} else {
 			srt := b.newNode(opSort)
 			srt.detail = orderDetail(st)
-			srt.estRows = outEst
 			tail = append(tail, srt)
 		}
 	}
 
 	if st.Distinct {
-		d := b.newNode(opDistinct)
-		d.estRows = outEst
-		tail = append(tail, d)
+		tail = append(tail, b.newNode(opDistinct))
 	}
 
 	if st.Limit != nil || st.Offset != nil {
@@ -859,11 +916,6 @@ func (b *planBuilder) buildTail() {
 		var d strings.Builder
 		if st.Limit != nil {
 			d.WriteString(st.Limit.String())
-			if lv, isLit := st.Limit.(*Literal); isLit {
-				if f := float64(lv.V.Int()); f < outEst {
-					outEst = f
-				}
-			}
 		} else {
 			d.WriteString("all")
 		}
@@ -872,7 +924,6 @@ func (b *planBuilder) buildTail() {
 			d.WriteString(st.Offset.String())
 		}
 		lim.detail = d.String()
-		lim.estRows = outEst
 		tail = append(tail, lim)
 	}
 
@@ -880,6 +931,41 @@ func (b *planBuilder) buildTail() {
 	p.tail = make([]*planNode, 0, len(tail))
 	for i := len(tail) - 1; i >= 0; i-- {
 		p.tail = append(p.tail, tail[i])
+	}
+	outEst := 1.0
+	if p.root != nil {
+		outEst = p.root.estRows
+	}
+	b.costTail(p.tail, outEst)
+}
+
+// costTail estimates the presentation operators of tail (outermost first)
+// over a pipeline estimated to yield outEst rows, innermost first: an
+// aggregate yields its groups, a bounded sort and a literal LIMIT cap the
+// rows, the rest pass them on.
+func (b *planBuilder) costTail(tail []*planNode, outEst float64) {
+	st := b.st
+	for i := len(tail) - 1; i >= 0; i-- {
+		n := tail[i]
+		switch n.kind {
+		case opHashAgg:
+			if len(st.GroupBy) == 0 {
+				outEst = 1
+			} else {
+				outEst = estGroups(b, outEst)
+			}
+		case opTopN:
+			if bound, _ := staticTopNBound(st); float64(bound) < outEst {
+				outEst = float64(bound)
+			}
+		case opLimit:
+			if lv, isLit := st.Limit.(*Literal); isLit {
+				if f := float64(lv.V.Int()); f < outEst {
+					outEst = f
+				}
+			}
+		}
+		n.estRows = outEst
 	}
 }
 
@@ -921,9 +1007,9 @@ func estGroups(b *planBuilder, outEst float64) float64 {
 	prod := 1.0
 	for _, g := range b.st.GroupBy {
 		hit := false
-		for slot := range b.p.tables {
+		for slot := range b.tables {
 			if col, ok := b.colOf(g, slot); ok {
-				t := b.p.tables[slot].tbl
+				t := b.tables[slot].tbl
 				prod *= float64(t.stats.ndvOf(col, t.NumRows()))
 				hit = true
 				break

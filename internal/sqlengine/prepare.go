@@ -144,21 +144,25 @@ func (st *Statement) Table() (TableRef, bool) {
 }
 
 // planReuse, when a test sets it, sees every plan planFor hands out from the
-// cache, engine lock held: the plan-reuse oracle (plan_oracle_test.go) builds
-// the plan afresh beside it and compares the two. Nil outside that test.
-var planReuse func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan)
+// cache — as it stood (recosted false) or re-costed in place (true) — engine
+// lock held: the plan-reuse oracle (plan_oracle_test.go) builds the plan
+// afresh beside it and compares the two. Nil outside that test.
+var planReuse func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan, recosted bool)
 
 // planFor returns the statement's current plan for sel (the statement itself,
 // or the SELECT an EXPLAIN wraps) under the session's database and the
-// engine's planner mode, building it on first use and rebuilding it when it is
-// no longer current. Engine lock held.
+// engine's planner mode, building it on first use. A plan no longer current
+// because its statistics moved is re-costed, and kept with the new estimates
+// when the new statistics decide what it already does (recostLocked); it is
+// rebuilt only when they change a decision, or when the catalog changed.
+// Engine lock held.
 func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, error) {
 	slot := -1
 	for i, p := range st.plans {
 		if p.naive == e.NaivePlan && strings.EqualFold(p.db, s.db) {
-			if p.current(e) {
+			if hit := p.current(e); hit || e.recostLocked(p, sel) {
 				if planReuse != nil {
-					planReuse(e, s, st, sel, p)
+					planReuse(e, s, st, sel, p, !hit)
 				}
 				return p, nil
 			}
@@ -215,9 +219,10 @@ func (st *Statement) Query(s *Session, args ...Value) (*ResultSet, error) {
 
 // Plan returns the execution plan the engine will use for this statement on
 // s's current database, building and caching it if needed. Only SELECT
-// statements have plans. The returned Plan is immutable; iterate its
-// rendering via Lines/Explain. The plan reflects statistics at call time —
-// a later Run may plan afresh once one of its tables has been re-analyzed.
+// statements have plans. The returned Plan's decisions are fixed; iterate
+// its rendering via Lines/Explain. The plan reflects statistics at call time —
+// once one of its tables has been re-analyzed, a later Run re-costs it in
+// place, or plans afresh if the new statistics decide differently.
 func (st *Statement) Plan(s *Session) (*Plan, error) {
 	sel, ok := st.stmt.(*SelectStmt)
 	if !ok {

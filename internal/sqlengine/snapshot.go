@@ -2,7 +2,10 @@ package sqlengine
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Snapshot is an engine's image: everything of an engine that another engine
@@ -71,6 +74,50 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.snapshotAtLocked(e.commitV)
+}
+
+// Digest returns a canonical digest of every table the engine holds as a
+// reader at its latest commit sees it, one line per table in database and
+// table name order: "db.table <n> rows <hash>", the hash an FNV-64a over the
+// table's rows in primary-key order (then in the order of all their columns),
+// each value as its SQL literal. Two engines hold the same rows exactly when
+// their digests are equal, whatever order their writes left the rows in. A
+// table named in exclude, as "table" or "db.table", is left out.
+func (e *Engine) Digest(exclude ...string) string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var b strings.Builder
+	var rows [][]Value
+	var text []byte
+	for _, dbKey := range sortedKeys(e.dbs) {
+		for _, tblKey := range sortedKeys(e.dbs[dbKey].tables) {
+			if slices.ContainsFunc(exclude, func(x string) bool {
+				return strings.EqualFold(x, tblKey) || strings.EqualFold(x, dbKey+"."+tblKey)
+			}) {
+				continue
+			}
+			tbl := e.dbs[dbKey].tables[tblKey]
+			rows = tbl.store.images(readView{at: e.commitV, chains: true}, rows[:0])
+			slices.SortFunc(rows, func(x, y []Value) int {
+				for _, c := range tbl.pkCols {
+					if d := Compare(x[c], y[c]); d != 0 {
+						return d
+					}
+				}
+				return slices.CompareFunc(x, y, Compare)
+			})
+			h := fnv.New64a()
+			for _, r := range rows {
+				text = text[:0]
+				for _, v := range r {
+					text = append(v.appendSQL(text), 0x1f)
+				}
+				_, _ = h.Write(append(text, '\n')) // a hash.Hash never fails a write
+			}
+			fmt.Fprintf(&b, "%s.%s %d rows %016x\n", dbKey, tblKey, len(rows), h.Sum64())
+		}
+	}
+	return b.String()
 }
 
 // snapshotAtLocked captures the image as seen at commit version v: rows at v,

@@ -18,8 +18,10 @@ package sqlengine
 //     analyzed), the planner re-analyzes before costing. Analysis scans the
 //     latest committed images under the engine lock, so it is consistent
 //     with the state a latest-version reader sees; the table's statistics
-//     generation then moves, retiring the cached cost-based plans that read
-//     this table and no other plan (plan.go). Snapshot readers behind the
+//     generation then moves, and the cached cost-based plans that read this
+//     table, and no other plan, are re-costed against the new profile: each
+//     is kept with new estimates, or rebuilt only if the new statistics
+//     change one of its decisions (planner.go). Snapshot readers behind the
 //     latest version may plan against slightly newer statistics — harmless,
 //     because statistics only steer plan choice, never visibility: operators
 //     resolve rows through the same MVCC read view regardless of the plan
@@ -167,7 +169,8 @@ func (e *Engine) Analyze(db, table string) (int, error) {
 
 // PlanStats reports how many plans — SELECT plans and write plans — the engine
 // has built for statements to run, and how many statistics passes it has made:
-// what a re-ANALYZE costs is the pass plus every plan it retires.
+// what a re-ANALYZE costs is the pass, a re-cost of every plan over the table
+// and a build of each plan whose decisions the new statistics change.
 func (e *Engine) PlanStats() (builds, analyzeRuns uint64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -263,11 +264,13 @@ func TestAnalyzeAllocs(t *testing.T) {
 
 // TestPlanStatsCountBuildsAndPasses pins what the two counters count and what
 // retires a plan: a plan is built on a statement's first run and again when
-// the catalog changes (CREATE/DROP TABLE, Restore: every plan) or the
-// statistics of one of its own tables are rebuilt or emptied (ANALYZE,
-// TRUNCATE: the cost-based plans over that table, and nothing else — a plan
-// over another table and a write plan are the same objects afterwards). A
-// statistics pass is made on first planning and on every explicit ANALYZE.
+// the catalog changes (CREATE/DROP TABLE, Restore: every plan) or new
+// statistics of one of its own tables change one of its decisions. ANALYZE
+// re-costs the cost-based plans over that table in place — here the same
+// objects afterwards, no build counted — while TRUNCATE empties the table, so
+// that a scan becomes the cheapest access and the plans over it are rebuilt;
+// a plan over another table and a write plan are the same objects throughout.
+// A statistics pass is made on first planning and on every explicit ANALYZE.
 func TestPlanStatsCountBuildsAndPasses(t *testing.T) {
 	s := newTestDB(t)
 	eng := s.eng
@@ -353,12 +356,12 @@ func TestPlanStatsCountBuildsAndPasses(t *testing.T) {
 		if _, err := eng.Analyze("app", "users"); err != nil {
 			t.Fatal(err)
 		}
-	}, [4]bool{true, false, true, false}, 1, 1, 0)
+	}, none, 1, 1, 0)
 	step("ANALYZE events", func() {
 		if _, err := eng.Analyze("app", "events"); err != nil {
 			t.Fatal(err)
 		}
-	}, [4]bool{false, true, true, false}, 1, 0, 1)
+	}, none, 1, 0, 1)
 	step("CREATE TABLE", exec("CREATE TABLE scratch (id BIGINT PRIMARY KEY)"), all, 0, 0, 0)
 	step("DROP TABLE", exec("DROP TABLE scratch"), all, 0, 0, 0)
 	// The truncate moves events' generation and the rebuild's re-ANALYZE of
@@ -374,6 +377,106 @@ func TestPlanStatsCountBuildsAndPasses(t *testing.T) {
 	exec("EXPLAIN UPDATE users SET karma = 1 WHERE id = 3")()
 	if b, _ := eng.PlanStats(); b != builds {
 		t.Errorf("EXPLAIN of a write counted as a plan built to run")
+	}
+}
+
+// TestRecostKeepsOrReplacesThePlan: an ANALYZE under a cached plan re-costs
+// it. Statistics that decide what the plan does keep the same *Plan with a
+// rebuild's estimates; statistics that decide another index give a new plan,
+// and EXPLAIN shows that index. The plan-reuse oracle watches throughout.
+func TestRecostKeepsOrReplacesThePlan(t *testing.T) {
+	s := newTestDB(t)
+	run := func(sql string, args ...Value) *Result {
+		t.Helper()
+		res, err := s.Exec(sql, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	run("CREATE TABLE pairs (id BIGINT PRIMARY KEY, a BIGINT, b BIGINT, INDEX by_a(a), INDEX by_b(b))")
+	for i := int64(0); i < 200; i++ {
+		run("INSERT INTO pairs (id, a, b) VALUES (?, ?, ?)", NewInt(i), NewInt(i%100), NewInt(i%4))
+	}
+	st, err := s.eng.Prepare("SELECT id FROM pairs WHERE b = ? AND a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// plan runs the statement and returns the plan it ran, its EXPLAIN and
+	// the plans built for it.
+	plan := func() (*Plan, string, uint64) {
+		t.Helper()
+		builds, _ := s.eng.PlanStats()
+		if _, err := st.Run(s, NewInt(1), NewInt(1)); err != nil {
+			t.Fatal(err)
+		}
+		now, _ := s.eng.PlanStats()
+		return st.plans[0], st.plans[0].Explain(), now - builds
+	}
+	analyze := func() {
+		t.Helper()
+		if _, err := s.eng.Analyze("app", "pairs"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := WatchPlanReuse()
+	first, explained, built := plan()
+	if built != 1 || !strings.Contains(explained, "via by_a") {
+		t.Fatalf("first run: %d built, plan\n%s\nwant one, by_a", built, explained)
+	}
+
+	// Grown by a quarter: a re-ANALYZE is due and still picks by_a.
+	for i := int64(200); i < 260; i++ {
+		run("INSERT INTO pairs (id, a, b) VALUES (?, ?, ?)", NewInt(i), NewInt(i%100), NewInt(i%4))
+	}
+	_, passes := s.eng.PlanStats()
+	kept, explained, built := plan()
+	if _, now := s.eng.PlanStats(); kept != first || built != 0 || now != passes+1 {
+		t.Fatalf("after drift: same plan %v, %d built, %d passes; want the same plan, none built, one pass", kept == first, built, now-passes)
+	}
+	if !strings.Contains(explained, "cost=3)") || !strings.Contains(explained, "scan pairs via by_a") {
+		t.Fatalf("after drift the kept plan reads\n%s\nwant by_a at the new estimate of 260/100 rows", explained)
+	}
+
+	// Same rows, new profile: a fits 2 values and b 260, so by_b is cheaper.
+	run("UPDATE pairs SET a = id % 2, b = id")
+	analyze()
+	flipped, explained, built := plan()
+	if flipped == first || built != 1 || !strings.Contains(explained, "via by_b") {
+		t.Fatalf("after the flip: same plan %v, %d built, plan\n%s\nwant a new plan via by_b", flipped == first, built, explained)
+	}
+	if seen := stop(); seen.Mismatch != "" || seen.Recosts != 1 {
+		t.Fatalf("oracle: %+v, want one re-cost and no mismatch", seen)
+	}
+}
+
+// TestRecostAllocs: re-costing a cached join plan after an ANALYZE of one of
+// its tables allocates nothing, and neither does the run (for a key that is
+// absent: the rows a run returns are the caller's).
+func TestRecostAllocs(t *testing.T) {
+	s := newTestDB(t)
+	st, err := s.eng.Prepare("SELECT u.name, e.title FROM users u JOIN events e ON e.creator_id = u.id WHERE u.id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Reply
+	absent := []Value{NewInt(-1)}
+	once := func() {
+		if _, err := s.eng.Analyze("app", "events"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.RunInto(s, &out, absent...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	once()
+	once()
+	builds, _ := s.eng.PlanStats()
+	if got := testing.AllocsPerRun(20, once); got != 0 {
+		t.Errorf("ANALYZE and a run of the re-costed plan allocate %.1f objects, want 0", got)
+	}
+	if now, _ := s.eng.PlanStats(); now != builds {
+		t.Errorf("%d plans built, want the plan re-costed in place", now-builds)
 	}
 }
 
