@@ -65,10 +65,10 @@ func TestReadPageAllocCeilings(t *testing.T) {
 // allocate its Result and nothing else: it is logged as its prepared form, the
 // text measured in the engine's scratch and the arguments copied into the
 // engine's argument chunk; the replica logs the master's entry as it came,
-// fills its session's Result and parses nothing. Rows, images and chain nodes
-// come from the table's slabs and index keys are comparable values, so what
-// is left on either side is amortized growth (an argument chunk, a slab chunk,
-// a bucket, a map). -v logs the measured counts.
+// fills its session's Result and parses nothing. Rows, images, chain nodes and
+// index postings come from the table's slabs and index keys are comparable
+// values, so what is left on either side is amortized growth (an argument
+// chunk, a slab chunk, a map). -v logs the measured counts.
 func TestWriteAllocCeilings(t *testing.T) {
 	env := sim.NewEnv(11)
 	defer env.Shutdown()

@@ -47,6 +47,11 @@ type Plugin struct {
 	lastID   int64
 	inserted map[int64]sim.Time // id → virtual insert time
 	stopped  bool
+
+	// A beat answers in reply and passes its id in args, both reused: the
+	// engine copies the arguments it logs, so a beat allocates nothing.
+	reply sqlengine.Reply
+	args  [1]sqlengine.Value
 }
 
 // Start launches the heartbeat process, inserting one row per interval.
@@ -59,8 +64,8 @@ func Start(env *sim.Env, master *repl.Master, interval time.Duration) *Plugin {
 			pl.nextID++
 			// The UTC_MICROS() builtin is evaluated per executing server:
 			// master time here, slave time on re-execution.
-			_, err := master.Srv.Exec(p, sess, "INSERT INTO heartbeat (id, ts) VALUES (?, UTC_MICROS())",
-				sqlengine.NewInt(id))
+			pl.args[0] = sqlengine.NewInt(id)
+			_, err := master.Srv.ExecInto(p, sess, &pl.reply, "INSERT INTO heartbeat (id, ts) VALUES (?, UTC_MICROS())", pl.args[:]...)
 			if err == nil {
 				pl.inserted[id] = p.Now()
 				pl.lastID = id

@@ -2,6 +2,7 @@ package heartbeat
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -153,4 +154,33 @@ func TestPreloadIdempotent(t *testing.T) {
 	if err := Preload(srv); err != nil {
 		t.Fatalf("second preload: %v", err)
 	}
+}
+
+// TestBeatAllocatesNothing: a beat — the INSERT on the master, its commit and
+// its binlog entry — allocates 0 objects, counted as testing.AllocsPerRun
+// counts: what is left is amortised growth (the binlog, the table's slabs, the
+// plugin's id map), well under one object a beat.
+func TestBeatAllocatesNothing(t *testing.T) {
+	env, m := hbRig(t, 3, 0, 0)
+	defer env.Shutdown()
+	pl := Start(env, m, time.Second)
+	const warm, run = 100 * time.Second, 2000 * time.Second
+	env.RunUntil(warm)
+	from := pl.Count()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	env.RunUntil(warm + run)
+	runtime.ReadMemStats(&after)
+	beats := uint64(pl.Count() - from)
+	if beats < 1000 {
+		t.Fatalf("%d heartbeats in %v", beats, run)
+	}
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("%d objects over %d beats: %.3f a beat", objects, beats, float64(objects)/float64(beats))
+	if objects/beats != 0 {
+		t.Errorf("a beat allocates %.2f objects, want 0", float64(objects)/float64(beats))
+	}
+	pl.Stop()
+	env.RunUntil(warm + run + 2*time.Second)
+	env.Stop()
 }

@@ -133,6 +133,10 @@ type CommitHook func(database string, writes []LoggedWrite)
 type Engine struct {
 	mu  sync.RWMutex
 	dbs map[string]*Database
+	// swept is every table in (database, table) name order, the order a GC
+	// sweep visits them in: listed again whenever a table is created or
+	// dropped (relistLocked), and as it comes when the catalog is restored.
+	swept []*Table
 
 	// NowMicros supplies local time in microseconds for UTC_MICROS()/NOW().
 	// The database server binds it to its instance's drifting clock.

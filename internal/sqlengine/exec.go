@@ -87,6 +87,7 @@ func (e *Engine) execCreateTable(s *Session, st *CreateTableStmt) (*Result, erro
 		return nil, err
 	}
 	db.tables[key] = tbl
+	e.relistLocked()
 	e.catalogEpoch++
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }
@@ -108,6 +109,7 @@ func (e *Engine) execDropTable(s *Session, st *DropTableStmt) (*Result, error) {
 		return nil, fmt.Errorf("sqlengine: unknown table %s.%s", dbName, st.Table.Name)
 	}
 	delete(db.tables, key)
+	e.relistLocked()
 	e.catalogEpoch++
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }

@@ -107,12 +107,21 @@ func (e *Engine) gcLocked() {
 		minActive = min(minActive, t.readV)
 	}
 	e.gcRuns++
+	for _, t := range e.swept {
+		nv, nr := t.store.prune(minActive)
+		e.gcVersions += uint64(nv)
+		e.gcRows += uint64(nr)
+	}
+}
+
+// relistLocked lists every table in (database, table) name order into
+// e.swept, after CREATE or DROP TABLE.
+func (e *Engine) relistLocked() {
+	e.swept = nil
 	for _, dbKey := range sortedKeys(e.dbs) {
 		db := e.dbs[dbKey]
 		for _, tblKey := range sortedKeys(db.tables) {
-			nv, nr := db.tables[tblKey].store.prune(minActive)
-			e.gcVersions += uint64(nv)
-			e.gcRows += uint64(nr)
+			e.swept = append(e.swept, db.tables[tblKey])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -348,4 +349,67 @@ func TestVersionStampsDeterministic(t *testing.T) {
 			t.Fatalf("stamp %d differs: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// TestGCSweepOrder: a sweep visits every table in (database, table) name order
+// — whatever order they were created in, and after every CREATE and DROP TABLE
+// and Restore — and a sweep allocates nothing: the order is listed once per
+// catalog change, not once per sweep.
+func TestGCSweepOrder(t *testing.T) {
+	eng := NewEngine()
+	s := eng.NewSession("")
+	exec := func(qs ...string) {
+		t.Helper()
+		for _, q := range qs {
+			if _, err := s.Exec(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+	order := func() string {
+		eng.mu.Lock()
+		defer eng.mu.Unlock()
+		names := map[*Table]string{}
+		for dk, db := range eng.dbs {
+			for tk, tbl := range db.tables {
+				names[tbl] = dk + "." + tk
+			}
+		}
+		var out []string
+		for _, tbl := range eng.swept {
+			out = append(out, names[tbl])
+		}
+		return strings.Join(out, " ")
+	}
+	check := func(want string) {
+		t.Helper()
+		if got := order(); got != want {
+			t.Errorf("sweep order %q, want %q", got, want)
+		}
+	}
+	exec("CREATE DATABASE b", "CREATE TABLE b.z (id BIGINT PRIMARY KEY)", "CREATE TABLE b.a (id BIGINT PRIMARY KEY)")
+	check("b.a b.z")
+	exec("CREATE DATABASE a", "CREATE TABLE a.m (id BIGINT PRIMARY KEY)")
+	check("a.m b.a b.z")
+	exec("CREATE TABLE b.c (id BIGINT PRIMARY KEY)", "DROP TABLE b.a")
+	check("a.m b.c b.z")
+	exec("CREATE DATABASE c")
+	check("a.m b.c b.z")
+	exec("INSERT INTO a.m VALUES (1)", "UPDATE a.m SET id = 2", "DELETE FROM a.m")
+	sweep := func() {
+		eng.mu.Lock()
+		eng.gcLocked()
+		eng.mu.Unlock()
+	}
+	sweep()
+	if n := testing.AllocsPerRun(100, sweep); n != 0 {
+		t.Errorf("a sweep with nothing to prune allocated %.1f objects", n)
+	}
+
+	re := NewEngine()
+	if err := re.Restore(eng.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	eng = re
+	check("a.m b.c b.z")
 }

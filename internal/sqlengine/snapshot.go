@@ -214,6 +214,11 @@ func (e *Engine) Restore(snap *Snapshot) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	dbs := make(map[string]*Database, len(snap.dbs))
+	n := 0
+	for _, sd := range snap.dbs {
+		n += len(sd.tables)
+	}
+	swept := make([]*Table, 0, n) // a snapshot lists databases and tables in key order
 	for _, sd := range snap.dbs {
 		db := &Database{Name: sd.name, tables: make(map[string]*Table, len(sd.tables))}
 		for _, st := range sd.tables {
@@ -230,10 +235,11 @@ func (e *Engine) Restore(snap *Snapshot) error {
 			}
 			tbl.stats = st.stats.clone()
 			db.tables[lowerKey(st.name)] = tbl
+			swept = append(swept, tbl)
 		}
 		dbs[lowerKey(sd.name)] = db
 	}
-	e.dbs = dbs
+	e.dbs, e.swept = dbs, swept
 	e.commitV = max(e.commitV, snap.version)
 	e.progress = snap.progress
 	// The whole catalog was just replaced: cached plans hold pre-restore

@@ -10,13 +10,17 @@ import (
 // chains, graveyard. The rest of the package goes through rowStore's methods,
 // and cloudrepl-lint's mvccalias holds every other file to that.
 //
-// Rows, row images and chain nodes are bump-allocated from per-table slabs:
-// chunks that grow geometrically to slabMax slots and never move, so a *Row is
-// stable for the row's life. A chunk lives while any row or image in it is
-// reachable; an image is immutable once published; a slot is never reused (an
-// undone insert wastes its own); prune and undo zero the Row and rowVersion
-// headers they free and never an image slot — a published image may be shared
-// with every store restored from a capture of this one (storeImage).
+// Rows, row images, chain nodes and index postings are bump-allocated from
+// per-table slabs: chunks that grow geometrically to slabMax slots and never
+// move, so a *Row is stable for the row's life. A chunk lives while any row,
+// image or posting in it is reachable; an image is immutable once published; a
+// row, image or chain slot is never reused (an undone insert wastes its own);
+// prune and undo zero the Row and rowVersion headers they free and never an
+// image slot — a published image may be shared with every store restored from
+// a capture of this one (storeImage). A posting is the one slot that is
+// reused: an index entry removed goes on the store's free list, and the next
+// one entered takes it, so maintaining an index allocates nothing once the
+// slab is warm.
 //
 // A restored store shares more than images until it is first written: its heap
 // and index maps are the image's read-only view, built once beside the index
@@ -122,7 +126,8 @@ func (r *Row) visibleTo(v readView) ([]Value, uint64) {
 
 // Index is a hash index over one or more columns: a secondary index, or the
 // primary key. A one-column key is the value's hashKey; only a multi-column
-// key renders, once per use, into hashKey.s under kind 'c'.
+// key renders, once per use, into hashKey.s under kind 'c'. Its entries are
+// postings its store hands it (rowStore.post).
 type Index struct {
 	Name    string
 	Cols    []int // column positions
@@ -130,13 +135,52 @@ type Index struct {
 	buckets keyMap[bucket]
 }
 
-// bucket is the rows under one key, in insertion order. The first row is
-// stored inline; many takes over, holding every row, once there is a second —
-// behind a pointer, so the map entry stays small and growing it is not a
-// map write.
+// posting is one row's entry in an index bucket: a node of the bucket's
+// circular list.
+type posting struct {
+	r    *Row
+	next *posting
+}
+
+// bucket is the rows under one key, in insertion order: n postings in a
+// circular list whose tail's next is the head — so the map entry stays small,
+// an append is O(1) and a remove keeps the others' order.
 type bucket struct {
-	one  *Row
-	many *[]*Row
+	tail *posting
+	n    int32
+}
+
+// postings is where a store's index entries come from: its slab, and the
+// postings remove gave back, linked through next and taken first.
+type postings struct {
+	slab slab[posting]
+	free *posting
+}
+
+func (ps *postings) take(r *Row) *posting {
+	p := ps.free
+	if p != nil {
+		ps.free = p.next
+	} else {
+		p = &ps.slab.take(1)[0]
+	}
+	p.r = r
+	return p
+}
+
+func (ps *postings) give(p *posting) {
+	*p = posting{next: ps.free}
+	ps.free = p
+}
+
+// mark is where ps stands as a slab: a posting given back is one more slot
+// add takes before the slab's next chunk.
+func (ps *postings) mark() slabMark {
+	m := ps.slab.mark()
+	for p := ps.free; p != nil; p = p.next {
+		m.free++
+	}
+	return m
 }
 
 func (ix *Index) key(vals []Value) hashKey {
@@ -151,33 +195,47 @@ func (ix *Index) key(vals []Value) hashKey {
 	return hashKey{kind: 'c', s: string(b)}
 }
 
-// add enters r at the end of its key's bucket; false is a unique violation.
-func (ix *Index) add(r *Row) bool {
+// add enters r at the end of its key's bucket, in a posting taken from ps;
+// false is a unique violation.
+func (ix *Index) add(r *Row, ps *postings) bool {
 	k := ix.key(r.vals)
 	b, _ := ix.buckets.get(k)
-	switch {
-	case b.one == nil && b.many == nil:
-		ix.buckets.put(k, bucket{one: r})
-	case ix.Unique:
+	if b.n > 0 && ix.Unique {
 		return false
-	case b.many == nil:
-		many := append(make([]*Row, 0, 4), b.one, r)
-		ix.buckets.put(k, bucket{many: &many})
-	default:
-		*b.many = append(*b.many, r)
 	}
+	p := ps.take(r)
+	if b.tail == nil {
+		p.next = p
+	} else {
+		p.next, b.tail.next = b.tail.next, p
+	}
+	ix.buckets.put(k, bucket{tail: p, n: b.n + 1})
 	return true
 }
 
-// remove takes r out of its key's bucket, keeping the others' order.
-func (ix *Index) remove(r *Row) {
+// remove takes r out of its key's bucket, keeping the others' order, and gives
+// its posting back to ps.
+func (ix *Index) remove(r *Row, ps *postings) {
 	k := ix.key(r.vals)
 	b, _ := ix.buckets.get(k)
-	if b.many != nil {
-		*b.many = without(*b.many, r)
-	}
-	if b.one == r || b.many != nil && len(*b.many) == 0 {
-		ix.buckets.del(k)
+	prev := b.tail
+	for range b.n {
+		p := prev.next
+		if p.r != r {
+			prev = p
+			continue
+		}
+		if b.n == 1 {
+			ix.buckets.del(k)
+		} else {
+			prev.next = p.next
+			if p == b.tail {
+				b.tail = prev
+			}
+			ix.buckets.put(k, bucket{tail: b.tail, n: b.n - 1})
+		}
+		ps.give(p)
+		return
 	}
 }
 
@@ -193,18 +251,21 @@ func without(rows []*Row, r *Row) []*Row {
 	return rows
 }
 
-// rowCursor walks the candidates of one scan or probe: latest rows (the heap
-// or a bucket, borrowed) or resolved images (its own buffer, reused).
+// rowCursor walks the candidates of one scan or probe: latest rows (the heap,
+// borrowed, or a bucket's n postings from tail.next) or resolved images (its
+// own buffer, reused).
 type rowCursor struct {
 	rows   []*Row
 	images [][]Value
-	one    [1]*Row // backing of an inline bucket
+	tail   *posting
+	n      int
+	at     *posting // the posting next returned last
 	i      int
 }
 
-func (c *rowCursor) len() int { return len(c.rows) + len(c.images) }
+func (c *rowCursor) len() int { return len(c.rows) + len(c.images) + c.n }
 
-func (c *rowCursor) rewind() { c.i = 0 }
+func (c *rowCursor) rewind() { c.i, c.at = 0, c.tail }
 
 // next returns the following candidate's image, false at the end.
 func (c *rowCursor) next() ([]Value, bool) {
@@ -215,12 +276,21 @@ func (c *rowCursor) next() ([]Value, bool) {
 	case c.i < len(c.images):
 		c.i++
 		return c.images[c.i-1], true
+	case c.i < c.n:
+		c.i++
+		c.at = c.at.next
+		return c.at.r.vals, true
 	}
 	return nil, false
 }
 
 // row returns the row whose image next just returned (latest rows only).
-func (c *rowCursor) row() *Row { return c.rows[c.i-1] }
+func (c *rowCursor) row() *Row {
+	if c.n > 0 {
+		return c.at.r
+	}
+	return c.rows[c.i-1]
+}
 
 // rowStore is one table's row storage.
 type rowStore struct {
@@ -244,6 +314,7 @@ type rowStore struct {
 	rowSlab slab[Row]
 	imgSlab slab[Value]
 	verSlab slab[rowVersion]
+	post    postings // every index's entries
 }
 
 func newRowStore(t *Table) rowStore {
@@ -263,7 +334,7 @@ func newRowStore(t *Table) rowStore {
 // shares its image owns an empty one after it, nothing copied.
 func (st *rowStore) truncate() {
 	st.rows, st.graveyard, st.chained, st.src = nil, nil, nil, nil
-	st.rowSlab, st.imgSlab, st.verSlab = slab[Row]{}, slab[Value]{}, slab[rowVersion]{}
+	st.rowSlab, st.imgSlab, st.verSlab, st.post = slab[Row]{}, slab[Value]{}, slab[rowVersion]{}, postings{}
 	for _, ix := range st.keyed {
 		ix.buckets = keyMap[bucket]{}
 	}
@@ -330,13 +401,13 @@ type storeImage struct {
 	err     error            // the unique violation entering rows would meet
 }
 
-// standing is where a store stands in its heap's backing array and its three
+// standing is where a store stands in its heap's backing array and its four
 // slabs: an image keeps its source's, for own to leave the owning store
 // standing there too, so what it allocates next, and when, is what the source
 // would.
 type standing struct {
-	heapCap                   int
-	rowSlab, imgSlab, verSlab slabMark
+	heapCap                             int
+	rowSlab, imgSlab, verSlab, postSlab slabMark
 }
 
 // where returns where st stands — for a store that shares, where own will
@@ -347,22 +418,18 @@ func (st *rowStore) where() standing {
 		s.heapCap = max(len(img.rows), s.heapCap)
 		return s
 	}
-	return standing{cap(st.rows), st.rowSlab.mark(), st.imgSlab.mark(), st.verSlab.mark()}
+	return standing{cap(st.rows), st.rowSlab.mark(), st.imgSlab.mark(), st.verSlab.mark(), st.post.mark()}
 }
 
 // indexTemplate is one index over an image's rows, numbered in image order:
-// each key's span and, in ords, the ordinals of every bucket of more than one
-// row, each run followed by -1s for the room link would have left it.
+// each key's span and, in ords, every row's ordinal, bucket after bucket.
 type indexTemplate struct {
 	keys keyMap[span]
 	ords []int32
-	many int32 // buckets of more than one row
 }
 
-// span is one key's rows in an indexTemplate: the row's ordinal for a bucket
-// of one; else ords[off:off+n] with room up to off+room, and which of the
-// restored index's slice headers the bucket gets.
-type span struct{ off, n, room, many int32 }
+// span is one key's rows in an indexTemplate: ords[off:off+n], in bucket order.
+type span struct{ off, n int32 }
 
 // capture returns the store as v's reader sees it. A store restored and not
 // written since is its image to any reader that sees every row of it, so it
@@ -403,7 +470,7 @@ func (st *rowStore) restore(img *storeImage) error {
 // own replaces the view a store shares with storage of its own, built in bulk:
 // the rows in one chunk, in the image's order in the heap and in every bucket,
 // no row image copied. Each index is a clone of the image's template for it,
-// its buckets of several rows carved from one array. The store then stands
+// and every index's postings are carved from one array. The store then stands
 // where the image's source stood. A store that owns its storage already is
 // left as it is.
 func (st *rowStore) own() {
@@ -418,10 +485,12 @@ func (st *rowStore) own() {
 	for i := range st.rows {
 		st.rows[i] = &chunk[i]
 	}
+	post := make([]posting, n*len(st.keyed)+img.postSlab.free)
 	for i, ix := range st.keyed {
-		ix.buckets = img.indexes[i].clone(chunk)
+		ix.buckets = img.indexes[i].clone(chunk, post[i*n:(i+1)*n])
 	}
 	st.rowSlab = slab[Row]{free: chunk[n:], slots: img.rowSlab.slots}
+	st.post = postings{slab: slab[posting]{free: post[n*len(st.keyed):], slots: img.postSlab.slots}}
 	st.imgSlab, st.verSlab = resume[Value](img.imgSlab), resume[rowVersion](img.verSlab)
 	st.src = nil
 }
@@ -445,9 +514,6 @@ func (img *storeImage) build(st *rowStore) {
 				}
 				break
 			}
-			if !ok {
-				s = span{off: int32(o)}
-			}
 			keys[o], rank[o] = k, s.n
 			s.n++
 			t.keys.put(k, s)
@@ -455,18 +521,13 @@ func (img *storeImage) build(st *rowStore) {
 		if img.err != nil {
 			continue
 		}
+		t.ords = make([]int32, len(keys))
+		var off int32
 		for o, k := range keys {
 			s, _ := t.keys.get(k)
-			if s.n == 1 {
-				continue
-			}
 			if rank[o] == 0 { // the bucket's first row: lay out its run
-				s.off, s.room, s.many = int32(len(t.ords)), linkRoom(s.n), t.many
-				t.many++
+				s.off, off = off, off+s.n
 				t.keys.put(k, s)
-				for range s.room {
-					t.ords = append(t.ords, -1)
-				}
 			}
 			t.ords[s.off+rank[o]] = int32(o)
 		}
@@ -478,43 +539,34 @@ func (img *storeImage) build(st *rowStore) {
 	for i := range img.rows {
 		img.heap[i] = &img.rows[i]
 	}
+	n := len(img.rows)
+	post := make([]posting, n*len(img.indexes))
 	img.view = make([]keyMap[bucket], len(img.indexes))
 	for i := range img.indexes {
-		img.view[i] = img.indexes[i].clone(img.rows)
+		img.view[i] = img.indexes[i].clone(img.rows, post[i*n:(i+1)*n])
 	}
 }
 
-// linkRoom is the capacity Index.add leaves a bucket of n > 1 rows with: four
-// at its second row, then whatever append grows a full slice to.
-func linkRoom(n int32) int32 {
-	c := 4
-	for c < int(n) {
-		c = cap(append(make([]*Row, c), nil))
-	}
-	return int32(c)
-}
-
-// clone returns t's index over chunk, the restored rows in image order.
-func (t *indexTemplate) clone(chunk []Row) keyMap[bucket] {
-	backing := make([]*Row, len(t.ords))
+// clone returns t's index over chunk, the restored rows in image order, its
+// postings the slots of post, one per row.
+func (t *indexTemplate) clone(chunk []Row, post []posting) keyMap[bucket] {
 	for i, o := range t.ords {
-		if o >= 0 {
-			backing[i] = &chunk[o]
-		}
+		post[i].r = &chunk[o]
 	}
-	heads := make([][]*Row, t.many)
 	return cloneKeys(&t.keys, func(s span) bucket {
-		if s.n == 1 {
-			return bucket{one: &chunk[s.off]}
+		run := post[s.off : s.off+s.n]
+		for i := 1; i < len(run); i++ {
+			run[i-1].next = &run[i]
 		}
-		heads[s.many] = backing[s.off : s.off+s.n : s.off+s.room]
-		return bucket{many: &heads[s.many]}
+		tail := &run[len(run)-1]
+		tail.next = &run[0]
+		return bucket{tail: tail, n: s.n}
 	})
 }
 
 // scan points c at every candidate v's reader must consider.
 func (st *rowStore) scan(v readView, c *rowCursor) {
-	c.i, c.rows, c.images = 0, st.rows, c.images[:0]
+	c.i, c.rows, c.images, c.tail, c.n = 0, st.rows, c.images[:0], nil, 0
 	if v.chains {
 		c.rows, c.images = nil, st.images(v, c.images)
 	}
@@ -527,13 +579,7 @@ func (st *rowStore) probe(col int, v Value, c *rowCursor) bool {
 	for _, ix := range st.keyed {
 		if len(ix.Cols) == 1 && ix.Cols[0] == col {
 			b, _ := ix.buckets.get(v.hashKey())
-			c.i, c.rows, c.images = 0, nil, c.images[:0]
-			if b.many != nil {
-				c.rows = *b.many
-			} else if b.one != nil {
-				c.one[0] = b.one
-				c.rows = c.one[:]
-			}
+			c.i, c.rows, c.images, c.tail, c.n, c.at = 0, nil, c.images[:0], b.tail, int(b.n), b.tail
 			return true
 		}
 	}
@@ -551,9 +597,9 @@ func (st *rowStore) dupErr(ix *Index) error {
 // entries made so far.
 func (st *rowStore) link(r *Row) error {
 	for i, ix := range st.keyed {
-		if !ix.add(r) {
+		if !ix.add(r, &st.post) {
 			for _, done := range st.keyed[:i] {
-				done.remove(r)
+				done.remove(r, &st.post)
 			}
 			return st.dupErr(ix)
 		}
@@ -564,7 +610,7 @@ func (st *rowStore) link(r *Row) error {
 // unlink takes r out of the indexes and the heap.
 func (st *rowStore) unlink(r *Row) {
 	for _, ix := range st.keyed {
-		ix.remove(r)
+		ix.remove(r, &st.post)
 	}
 	st.rows = without(st.rows, r)
 }
@@ -588,12 +634,12 @@ func (st *rowStore) insert(img []Value, begin uint64, txn *Session) (rowChange, 
 func (st *rowStore) reimage(r *Row, img []Value) error {
 	st.mustOwn()
 	if st.pk != nil {
-		if b, _ := st.pk.buckets.get(st.pk.key(img)); b.one != nil && b.one != r {
+		if b, _ := st.pk.buckets.get(st.pk.key(img)); b.n > 0 && b.tail.r != r {
 			return st.dupErr(st.pk)
 		}
 	}
 	for _, ix := range st.keyed {
-		ix.remove(r)
+		ix.remove(r, &st.post)
 	}
 	old := r.vals
 	r.vals = img

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -535,5 +536,89 @@ func TestGCFollowsWrites(t *testing.T) {
 		if left := len(st.chained) + len(st.graveyard); left != 0 {
 			t.Fatalf("%d rows: %d rows still listed after a sweep nothing holds back", size, left)
 		}
+	}
+}
+
+// mallocs returns the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+var allocSink []byte
+
+// TestIndexMaintenanceAllocs: on a warm index — postings its store has given
+// back waiting on the free list — maintaining a bucket allocates nothing.
+// Entering a key's second row (where a slice-backed bucket was promoted), its
+// fifth, ninth and sixty-fifth (where the slice grew) and every row between,
+// removing a head, a middle and a tail row, and rewriting a row into another
+// bucket all count 0 objects, and the bucket keeps its order throughout. Only
+// a key's first row may grow the map, and is not counted.
+func TestIndexMaintenanceAllocs(t *testing.T) {
+	if mallocs(func() { allocSink = make([]byte, 64) }) == 0 {
+		t.Fatal("the counter does not see an allocation")
+	}
+	var ps postings
+	ix := &Index{Name: "ig", Cols: []int{1}}
+	rowsOf := func(grp int64, n int) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i].vals = []Value{NewInt(int64(i)), NewInt(grp)}
+		}
+		return rows
+	}
+	warm := rowsOf(9, 100)
+	for i := range warm {
+		ix.add(&warm[i], &ps)
+	}
+	for i := range warm {
+		ix.remove(&warm[i], &ps)
+	}
+	rows := rowsOf(7, 70)
+	ix.add(&rows[0], &ps)
+	for i := 1; i < len(rows); i++ {
+		if n := mallocs(func() { ix.add(&rows[i], &ps) }); n != 0 {
+			t.Errorf("entering a bucket's row %d allocated %d objects", i+1, n)
+		}
+	}
+	for _, i := range []int{0, 35, len(rows) - 1} {
+		if n := mallocs(func() { ix.remove(&rows[i], &ps) }); n != 0 {
+			t.Errorf("removing row %d of a bucket allocated %d objects", i+1, n)
+		}
+	}
+	b, _ := ix.buckets.get(NewInt(7).hashKey())
+	var want []*Row
+	for i := range rows {
+		if i != 0 && i != 35 && i != len(rows)-1 {
+			want = append(want, &rows[i])
+		}
+	}
+	if got := b.rows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the removes the bucket holds %d rows, out of order or not the %d left", len(got), len(want))
+	}
+
+	tbl := newKVTable(t)
+	for id := range 80 {
+		if _, err := tbl.Insert([]Value{NewInt(int64(id)), NewInt(int64(id % 2)), NewString("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := lookupPK(tbl, 40)
+	imgs := [2][]Value{{NewInt(40), NewInt(1), NewString("v")}, {NewInt(40), NewInt(0), NewString("v")}}
+	for i, img := range imgs {
+		if n := mallocs(func() {
+			if err := tbl.store.reimage(r, img); err != nil {
+				t.Error(err)
+			}
+		}); n != 0 {
+			t.Errorf("reimage %d, into group %d, allocated %d objects", i+1, img[1].Int(), n)
+		}
+	}
+	if err := checkConsistent(tbl); err != nil {
+		t.Fatal(err)
 	}
 }

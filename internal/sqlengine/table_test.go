@@ -109,27 +109,42 @@ func TestTableUpdatePKMove(t *testing.T) {
 }
 
 // checkConsistent verifies the structural invariants between heap, PK map
-// and secondary indexes.
+// and secondary indexes: every bucket is a circular list of its n postings —
+// n steps from the tail's next lead back to the tail — each posting's row
+// files under the bucket's key, no posting sits in two buckets, and none the
+// store has given back is reachable from a bucket.
 func checkConsistent(tbl *Table) error {
 	st := &tbl.store
 	for _, r := range st.rows {
-		if b, _ := st.pk.buckets.get(st.pk.key(r.vals)); b.one != r {
+		if b, _ := st.pk.buckets.get(st.pk.key(r.vals)); b.n != 1 || b.tail.r != r {
 			return fmt.Errorf("heap row missing from pk map")
 		}
 	}
+	listed := map[*posting]bool{}
 	for _, ix := range st.keyed {
 		n := 0
 		var err error
 		ix.buckets.each(func(k hashKey, b bucket) {
-			if (b.one == nil) == (b.many == nil) || b.many != nil && len(*b.many) == 0 {
-				err = fmt.Errorf("index %s bucket has inline=%v, listed=%v", ix.Name, b.one != nil, b.many != nil)
+			if b.n < 1 || b.tail == nil {
+				err = fmt.Errorf("index %s holds a bucket of %d rows, tail %p", ix.Name, b.n, b.tail)
 				return
 			}
-			for _, r := range b.rows() {
-				if ix.key(r.vals) != k {
+			p := b.tail
+			for range b.n {
+				p = p.next
+				if listed[p] {
+					err = fmt.Errorf("index %s: a posting is in two buckets, or twice in one", ix.Name)
+					return
+				}
+				listed[p] = true
+				if p.r == nil || ix.key(p.r.vals) != k {
 					err = fmt.Errorf("index %s entry under stale key", ix.Name)
+					return
 				}
 				n++
+			}
+			if p != b.tail {
+				err = fmt.Errorf("index %s: %d steps from a bucket's head do not end at its tail", ix.Name, b.n)
 			}
 		})
 		if err != nil {
@@ -139,16 +154,24 @@ func checkConsistent(tbl *Table) error {
 			return fmt.Errorf("index %s has %d entries, heap has %d", ix.Name, n, len(st.rows))
 		}
 	}
+	for p := st.post.free; p != nil; p = p.next {
+		if listed[p] || p.r != nil {
+			return fmt.Errorf("a posting given back is still reachable from a bucket, or still names a row")
+		}
+	}
 	return nil
 }
 
-// rows returns the bucket's rows in order (test helper: probes go through a
-// cursor's inline backing instead).
+// rows returns the bucket's rows in order (test helper: probes walk the
+// postings through a cursor instead).
 func (b bucket) rows() []*Row {
-	if b.one != nil {
-		return []*Row{b.one}
+	var out []*Row
+	p := b.tail
+	for range b.n {
+		p = p.next
+		out = append(out, p.r)
 	}
-	return *b.many
+	return out
 }
 
 // Property: under any random sequence of inserts, updates and deletes, the
