@@ -11,6 +11,7 @@ check:
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(MAKE) smoke
+	$(MAKE) examples
 	$(MAKE) bench-kernel
 	$(MAKE) bench-plan
 
@@ -55,7 +56,9 @@ race:
 # sharedstate (static) and this lane (dynamic) cover the same bug class from
 # both sides. The second pass is engines restored from one image on several
 # goroutines at once: each shares the image's tables until it writes one, and
-# copies that one out of the image while the others read it.
+# copies that one out of the image while the others read it. Together they are
+# the dynamic check that an engine has one owner at a time and takes no lock
+# (DESIGN.md §8).
 race-shards:
 	$(GO) test -race -count=2 ./internal/experiment/ ./internal/sim/
 	$(GO) test -race -count=2 -run 'TestRestore|TestPreload' ./internal/sqlengine/ ./internal/cloudstone/

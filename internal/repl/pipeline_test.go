@@ -266,7 +266,7 @@ func TestBatchingDoesNotDelayIdlemaster(t *testing.T) {
 // back (MySQL rpl_semi_sync semantics).
 func TestSemiSyncDegradationCountsAndReupgrades(t *testing.T) {
 	r := newRig(t, 7, 1, SemiSync, diffRegion())
-	r.master.SemiSyncTimeout = 50 * time.Millisecond // below the ≈173ms one-way latency
+	r.master.semiSyncTimeout = 50 * time.Millisecond // below the ≈173ms one-way latency
 	sess := r.master.Srv.Session("app")
 
 	var acks []bool
@@ -307,7 +307,7 @@ func TestSemiSyncDegradationCountsAndReupgrades(t *testing.T) {
 
 	// With a timeout that accommodates the round trip, semi-sync works
 	// again end to end.
-	r.master.SemiSyncTimeout = 2 * time.Second
+	r.master.semiSyncTimeout = 2 * time.Second
 	var okAfter bool
 	r.env.Go("writer2", func(p *sim.Proc) {
 		r.master.Srv.Exec(p, sess, "INSERT INTO t (id, v) VALUES (100, 'y')")

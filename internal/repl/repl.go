@@ -16,6 +16,7 @@ package repl
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cloudrepl/internal/binlog"
@@ -79,10 +80,6 @@ type Master struct {
 	// epoch+1, so session-consistency tokens minted as (epoch, seq) pairs
 	// are never compared against a different master's sequence numbering.
 	Epoch uint64
-	// SemiSyncTimeout bounds the wait for a receipt acknowledgement before
-	// degrading to asynchronous (MySQL's rpl_semi_sync behaviour). Zero
-	// means wait forever.
-	SemiSyncTimeout time.Duration
 	// Pipeline tunes batching and parallel apply. Set it before Attach;
 	// attached slaves keep the configuration they were wired with.
 	Pipeline PipelineConfig
@@ -92,10 +89,13 @@ type Master struct {
 	// write's span via the binlog sequence. Nil disables tracing.
 	Tracer *obs.Tracer
 
-	env      *sim.Env
-	slaves   []*Slave
-	ackCh    *sim.Signal // broadcast whenever any slave ack arrives
-	detached map[*Slave]bool
+	env    *sim.Env
+	slaves []*Slave    // attached, in attach order
+	ackCh  *sim.Signal // broadcast whenever any slave ack arrives
+	// semiSyncTimeout bounds the wait for a receipt acknowledgement before
+	// degrading to asynchronous (MySQL's rpl_semi_sync behaviour). Zero
+	// means wait forever; only tests set it.
+	semiSyncTimeout time.Duration
 
 	// stats is where the master counts, Stats.Degraded included: semi-sync
 	// degradation (MySQL rpl_semi_sync) is state as well as a statistic —
@@ -149,7 +149,7 @@ func (m *Master) Stats() Stats {
 func NewMaster(env *sim.Env, srv *server.DBServer, net *cloud.Network, mode Mode) *Master {
 	return &Master{
 		Srv: srv, Net: net, Mode: mode,
-		env: env, ackCh: sim.NewSignal(env).Named("semisync-ack(" + srv.Name + ")"), detached: make(map[*Slave]bool),
+		env: env, ackCh: sim.NewSignal(env).Named("semisync-ack(" + srv.Name + ")"),
 	}
 }
 
@@ -161,12 +161,7 @@ func (m *Master) Slaves() []*Slave {
 // AppendSlaves appends the attached slaves to dst — Slaves for a caller that
 // asks on every statement and brings its own buffer.
 func (m *Master) AppendSlaves(dst []*Slave) []*Slave {
-	for _, sl := range m.slaves {
-		if !m.detached[sl] {
-			dst = append(dst, sl)
-		}
-	}
-	return dst
+	return append(dst, m.slaves...)
 }
 
 // ack is a slave acknowledgement message.
@@ -432,10 +427,12 @@ func (m *Master) applyEntry(p *sim.Proc, sl *Slave, sess *sqlengine.Session, e b
 	return true
 }
 
-// Detach removes a slave from the replication topology and stops its
-// threads.
+// Detach removes a slave from the replication topology, keeping the others
+// in attach order, and stops its threads.
 func (m *Master) Detach(sl *Slave) {
-	m.detached[sl] = true
+	if i := slices.Index(m.slaves, sl); i >= 0 {
+		m.slaves = slices.Delete(m.slaves, i, i+1)
+	}
 	sl.Stop()
 	m.ackCh.Broadcast() // unblock sync waiters that counted this slave
 }
@@ -455,8 +452,9 @@ func (m *Master) deliverAck(a ack) {
 	// MySQL rpl_semi_sync recovery: degraded semi-sync upgrades back once
 	// a slave acknowledges the current end of the binlog — not merely the
 	// old position that timed out — so commits that raced ahead while
-	// degraded are covered by the time waiting resumes.
-	if m.stats.Degraded && !m.detached[a.slave] && a.seq >= m.Srv.Log.LastSeq() {
+	// degraded are covered by the time waiting resumes. A stopped slave's
+	// late ack — one already in flight when it was detached — does not.
+	if m.stats.Degraded && !a.slave.stopped && a.seq >= m.Srv.Log.LastSeq() {
 		m.stats.Degraded = false
 		m.stats.Reupgrades++
 	}
@@ -484,26 +482,21 @@ func (m *Master) WaitCommitted(p *sim.Proc, seq uint64) bool {
 			return false
 		}
 		deadline := sim.MaxTime
-		if m.SemiSyncTimeout > 0 {
-			deadline = p.Now() + m.SemiSyncTimeout
+		if m.semiSyncTimeout > 0 {
+			deadline = p.Now() + m.semiSyncTimeout
 		}
 		for {
-			attached := 0
 			for _, sl := range m.slaves {
-				if m.detached[sl] {
-					continue
-				}
 				if sl.masterAckReceipt >= seq {
 					return true
 				}
-				attached++
 			}
-			if attached == 0 {
+			if len(m.slaves) == 0 {
 				m.stats.Degraded = true
 				m.stats.DegradedCommits++
 				return false
 			}
-			if m.SemiSyncTimeout > 0 {
+			if m.semiSyncTimeout > 0 {
 				remain := deadline - p.Now()
 				if remain <= 0 || !m.ackCh.WaitTimeout(p, remain) {
 					m.stats.Degraded = true
@@ -518,7 +511,7 @@ func (m *Master) WaitCommitted(p *sim.Proc, seq uint64) bool {
 		for {
 			all := true
 			for _, sl := range m.slaves {
-				if !m.detached[sl] && sl.masterAckApplied < seq {
+				if sl.masterAckApplied < seq {
 					all = false
 					break
 				}

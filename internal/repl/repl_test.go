@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,7 +262,7 @@ func TestSemiSyncWaitsForFirstReceipt(t *testing.T) {
 
 func TestSemiSyncTimeoutDegradesToAsync(t *testing.T) {
 	r := newRig(t, 7, 1, SemiSync, diffRegion())
-	r.master.SemiSyncTimeout = 50 * time.Millisecond // below the 173ms one-way latency
+	r.master.semiSyncTimeout = 50 * time.Millisecond // below the 173ms one-way latency
 	sess := r.master.Srv.Session("app")
 	var okAck bool
 	var done sim.Time
@@ -301,24 +302,70 @@ func TestAsyncCommitDoesNotWait(t *testing.T) {
 }
 
 func TestDetachStopsReplication(t *testing.T) {
-	r := newRig(t, 9, 2, Async, sameZone())
+	r := newRig(t, 9, 3, Async, sameZone())
 	r.write(t, 1, "before")
 	r.env.RunUntil(10 * time.Second)
 	victim := r.slaves[0]
 	r.master.Detach(victim)
-	if len(r.master.Slaves()) != 1 {
-		t.Fatalf("slaves after detach: %d", len(r.master.Slaves()))
+	if got, want := r.master.Slaves(), r.slaves[1:]; !slices.Equal(got, want) {
+		t.Fatalf("slaves after detaching the first: %v, want the other two in attach order", got)
 	}
 	r.write(t, 2, "after")
 	r.env.RunUntil(30 * time.Second)
 	if n := r.slaveCount(t, victim); n != 1 {
 		t.Fatalf("detached slave has %d rows, want 1 (only pre-detach write)", n)
 	}
-	if n := r.slaveCount(t, r.slaves[1]); n != 2 {
-		t.Fatalf("remaining slave has %d rows, want 2", n)
+	for _, sl := range r.master.Slaves() {
+		if n := r.slaveCount(t, sl); n != 2 {
+			t.Fatalf("remaining slave %s has %d rows, want 2", sl.Srv.Name, n)
+		}
 	}
 	r.env.Stop()
 	r.env.Shutdown()
+}
+
+// TestLateAckFromDetachedSlaveDoesNotReupgrade degrades semi-sync on a slave
+// across an ocean, then detaches it while its receipt for the write is on the
+// wire back. The ack still arrives, but only an attached slave's ack may bring
+// semi-sync back; the attached arm shows that the same ack does.
+func TestLateAckFromDetachedSlaveDoesNotReupgrade(t *testing.T) {
+	for _, detach := range []bool{false, true} {
+		r := newRig(t, 11, 1, SemiSync, diffRegion())
+		r.master.semiSyncTimeout = 50 * time.Millisecond // below the 173ms one-way latency
+		sl := r.slaves[0]
+		sess := r.master.Srv.Session("app")
+		var seq uint64
+		r.env.Go("writer", func(p *sim.Proc) {
+			if _, err := r.master.Srv.Exec(p, sess, "INSERT INTO t (id, v) VALUES (1, 'x')"); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			seq = r.master.Srv.Log.LastSeq()
+			if r.master.WaitCommitted(p, seq) {
+				t.Error("semi-sync did not time out")
+			}
+			// The slave has relayed the write and sent its receipt, which is
+			// still one ocean crossing from the master.
+			p.SleepUntil(300 * time.Millisecond)
+			if sl.receivedSeq < seq || sl.masterAckReceipt >= seq {
+				t.Errorf("at detach the slave has received %d and the master holds its ack for %d: want the receipt for %d in flight",
+					sl.receivedSeq, sl.masterAckReceipt, seq)
+			}
+			if detach {
+				r.master.Detach(sl)
+			}
+		})
+		r.env.RunUntil(time.Minute)
+		if sl.masterAckReceipt < seq {
+			t.Fatalf("detach=%v: the receipt for %d never reached the master", detach, seq)
+		}
+		st := r.master.Stats()
+		reupgraded := st.Reupgrades == 1 && !st.Degraded
+		if reupgraded == detach {
+			t.Errorf("detach=%v: degraded %v after %d re-upgrades, want re-upgraded %v", detach, st.Degraded, st.Reupgrades, !detach)
+		}
+		r.env.Stop()
+		r.env.Shutdown()
+	}
 }
 
 func TestLateAttachingSlaveCatchesUp(t *testing.T) {

@@ -17,7 +17,6 @@ package sqlengine
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // StmtClass classifies a statement for cost accounting and routing.
@@ -130,12 +129,17 @@ type CommitHook func(database string, writes []LoggedWrite)
 // Engine is a single server's database engine: a set of databases, a parse
 // cache, a local-time source for time builtins and a commit hook feeding
 // the binlog.
+//
+// An engine has one owner at a time: nothing in it is synchronised, so every
+// call on it, its sessions, statements and snapshot handles must come from
+// one goroutine, or from goroutines that hand it on with a happens-before
+// edge between them (the simulation kernel's baton does). Images are the one
+// thing engines share (storeImage).
 type Engine struct {
-	mu  sync.RWMutex
 	dbs map[string]*Database
 	// swept is every table in (database, table) name order, the order a GC
 	// sweep visits them in: listed again whenever a table is created or
-	// dropped (relistLocked), and as it comes when the catalog is restored.
+	// dropped (relist), and as it comes when the catalog is restored.
 	swept []*Table
 
 	// NowMicros supplies local time in microseconds for UTC_MICROS()/NOW().
@@ -160,7 +164,7 @@ type Engine struct {
 	// parseCache maps statement text to its *Statement (prepare.go): the
 	// text as written and its normalized rendering share one entry, so
 	// textual variants share one parse and one set of plans.
-	parseCache sync.Map
+	parseCache map[string]*Statement
 
 	// text is the buffer a write's replayable text is rendered into to be
 	// measured (Statement.logged); args is the chunk logged argument vectors
@@ -222,22 +226,27 @@ func (d *Database) Table(name string) (*Table, bool) {
 // NowMicros is set.
 func NewEngine() *Engine {
 	return &Engine{
-		dbs:       make(map[string]*Database),
-		NowMicros: func() int64 { return 0 },
+		dbs:        make(map[string]*Database),
+		NowMicros:  func() int64 { return 0 },
+		parseCache: make(map[string]*Statement),
 	}
 }
 
 // CreateDatabase creates a database, erroring if it exists (unless ifNotExists).
 func (e *Engine) CreateDatabase(name string, ifNotExists bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.createDatabaseLocked(name, ifNotExists)
+	key := strings.ToLower(name)
+	if _, ok := e.dbs[key]; ok {
+		if ifNotExists {
+			return nil
+		}
+		return fmt.Errorf("sqlengine: database %s exists", name)
+	}
+	e.dbs[key] = &Database{Name: name, tables: make(map[string]*Table)}
+	return nil
 }
 
 // Database returns a database by case-insensitive name.
 func (e *Engine) Database(name string) (*Database, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	d, ok := e.dbs[strings.ToLower(name)]
 	return d, ok
 }
@@ -333,7 +342,7 @@ const argChunk = 1024
 // own copies args into the engine's argument chunk and returns the copy, a
 // window nothing writes again: the chunk is only ever appended to, and a
 // full one is left to the writes that hold windows onto it — a rolled-back
-// write's values included. Engine lock held.
+// write's values included.
 func (e *Engine) own(args []Value) []Value {
 	if len(args) == 0 {
 		return nil
@@ -379,11 +388,9 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply)
 		}
 		// Snapshot isolation: every read inside the transaction resolves
 		// against the commit version current at BEGIN.
-		s.eng.mu.Lock()
 		s.inTxn = true
 		s.readV = s.eng.commitV
 		s.eng.txns = append(s.eng.txns, s)
-		s.eng.mu.Unlock()
 		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: "BEGIN"}, nil
 	case *CommitStmt:
 		s.commit()
@@ -401,9 +408,7 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply)
 	if out == nil {
 		out = new(Reply)
 	}
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	res, err := s.eng.execLocked(s, st, args, out)
+	res, err := s.eng.exec(s, st, args, out)
 	if err != nil {
 		return nil, err
 	}
@@ -415,9 +420,8 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply)
 		}
 		if !s.inTxn {
 			// Autocommit: the statement is its own commit — stamp its
-			// version marks before the lock drops and anything else can
-			// observe them.
-			s.finalizeStampsLocked()
+			// version marks before anything else can observe them.
+			s.finalizeStamps()
 		}
 		s.recordCommit(res, from)
 	case ClassDDL:
@@ -446,10 +450,9 @@ func (s *Session) recordCommit(res *Result, w LoggedWrite) {
 	writes := s.one[:]
 	if res.Stats.Class == ClassDDL || !s.inTxn {
 		// An implicitly-committing statement flushes any open transaction
-		// first, preserving order. recordCommit always runs with the engine
-		// lock held, so the locked commit form is required here.
+		// first, preserving order.
 		if res.Stats.Class == ClassDDL && s.inTxn {
-			s.commitLocked()
+			s.commit()
 		}
 		if s.eng.OnCommit != nil {
 			s.eng.OnCommit(s.db, writes)
@@ -459,21 +462,15 @@ func (s *Session) recordCommit(res *Result, w LoggedWrite) {
 	s.pending = append(s.pending, writes...)
 }
 
+// commit finalizes the transaction: provisional MVCC marks take the next
+// commit version, buffered statements reach the binlog hook, and the session
+// leaves the engine's open-transaction set.
 func (s *Session) commit() {
-	s.eng.mu.Lock()
-	s.commitLocked()
-	s.eng.mu.Unlock()
-}
-
-// commitLocked finalizes the transaction under the engine lock: provisional
-// MVCC marks take the next commit version, buffered statements reach the
-// binlog hook, and the session leaves the engine's open-transaction set.
-func (s *Session) commitLocked() {
-	s.finalizeStampsLocked()
+	s.finalizeStamps()
 	if s.inTxn && len(s.pending) > 0 && s.eng.OnCommit != nil {
 		s.eng.OnCommit(s.db, s.pending)
 	}
-	s.eng.dropTxnLocked(s)
+	s.eng.dropTxn(s)
 	s.pending = nil
 	s.inTxn = false
 }
@@ -483,11 +480,9 @@ func (s *Session) commitLocked() {
 // entries it pushed popped — and its provisional version marks are discarded
 // unstamped.
 func (s *Session) rollback() {
-	s.eng.mu.Lock()
 	s.undoTo(0)
 	s.dropEffects()
-	s.eng.dropTxnLocked(s)
-	s.eng.mu.Unlock()
+	s.eng.dropTxn(s)
 	s.pending = nil
 	s.inTxn = false
 }

@@ -5,13 +5,13 @@ import (
 	"strings"
 )
 
-// execLocked executes a non-transaction statement. The engine mutex is held
-// by the caller. Reads and writes run the plan they keep on owner, the
-// prepared statement, with args carried separately, and answer in out.
-func (e *Engine) execLocked(s *Session, owner *Statement, args []Value, out *Reply) (*Result, error) {
+// exec executes a non-transaction statement. Reads and writes run the plan
+// they keep on owner, the prepared statement, with args carried separately,
+// and answer in out.
+func (e *Engine) exec(s *Session, owner *Statement, args []Value, out *Reply) (*Result, error) {
 	switch st := owner.stmt.(type) {
 	case *CreateDatabaseStmt:
-		if err := e.createDatabaseLocked(st.Name, st.IfNotExists); err != nil {
+		if err := e.CreateDatabase(st.Name, st.IfNotExists); err != nil {
 			return nil, err
 		}
 		return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
@@ -51,18 +51,6 @@ func (e *Engine) execLocked(s *Session, owner *Statement, args []Value, out *Rep
 	}
 }
 
-func (e *Engine) createDatabaseLocked(name string, ifNotExists bool) error {
-	key := strings.ToLower(name)
-	if _, ok := e.dbs[key]; ok {
-		if ifNotExists {
-			return nil
-		}
-		return fmt.Errorf("sqlengine: database %s exists", name)
-	}
-	e.dbs[key] = &Database{Name: name, tables: make(map[string]*Table)}
-	return nil
-}
-
 func (e *Engine) execCreateTable(s *Session, st *CreateTableStmt) (*Result, error) {
 	dbName := st.Table.DB
 	if dbName == "" {
@@ -87,7 +75,7 @@ func (e *Engine) execCreateTable(s *Session, st *CreateTableStmt) (*Result, erro
 		return nil, err
 	}
 	db.tables[key] = tbl
-	e.relistLocked()
+	e.relist()
 	e.catalogEpoch++
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }
@@ -109,7 +97,7 @@ func (e *Engine) execDropTable(s *Session, st *DropTableStmt) (*Result, error) {
 		return nil, fmt.Errorf("sqlengine: unknown table %s.%s", dbName, st.Table.Name)
 	}
 	delete(db.tables, key)
-	e.relistLocked()
+	e.relist()
 	e.catalogEpoch++
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }

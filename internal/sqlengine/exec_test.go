@@ -693,7 +693,7 @@ func TestParseCacheReuse(t *testing.T) {
 	if _, err := s.Exec(q, NewInt(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.eng.parseCache.Load(q); !ok {
+	if _, ok := s.eng.parseCache[q]; !ok {
 		t.Fatal("statement not cached")
 	}
 	// Second execution with different args must not be polluted by the

@@ -84,8 +84,6 @@ func sameKeys(a, b *keyMap[bucket]) bool {
 // views returns, per table of e, the image whose view the table's heap and
 // every index map are — by identity — or nil for a table that owns its own.
 func views(e *Engine) map[string]*storeImage {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	out := map[string]*storeImage{}
 	for _, db := range e.dbs {
 		for _, tbl := range db.tables {

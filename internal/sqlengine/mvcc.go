@@ -66,11 +66,11 @@ func (s *Session) dropEffects() {
 	s.provisional = 0
 }
 
-// finalizeStampsLocked assigns the next commit version to every provisional
-// mark this session holds and publishes it as the engine's latest. Called
-// under the engine lock — right after an autocommit write executes, or at
-// COMMIT for an explicit transaction.
-func (s *Session) finalizeStampsLocked() {
+// finalizeStamps assigns the next commit version to every provisional
+// mark this session holds and publishes it as the engine's latest: right
+// after an autocommit write executes, or at COMMIT for an explicit
+// transaction.
+func (s *Session) finalizeStamps() {
 	if len(s.log) > 0 {
 		cv := s.eng.commitV + 1
 		for _, c := range s.log {
@@ -79,14 +79,14 @@ func (s *Session) finalizeStampsLocked() {
 		s.eng.commitV = cv
 		if s.eng.sinceGC++; s.eng.sinceGC >= gcEvery {
 			s.eng.sinceGC = 0
-			s.eng.gcLocked()
+			s.eng.gc()
 		}
 	}
 	s.dropEffects()
 }
 
-// dropTxnLocked removes s from the engine's open-transaction set.
-func (e *Engine) dropTxnLocked(s *Session) {
+// dropTxn removes s from the engine's open-transaction set.
+func (e *Engine) dropTxn(s *Session) {
 	for i, t := range e.txns {
 		if t == s {
 			e.txns = append(e.txns[:i], e.txns[i+1:]...)
@@ -95,10 +95,10 @@ func (e *Engine) dropTxnLocked(s *Session) {
 	}
 }
 
-// gcLocked prunes chain versions and graveyard rows invisible to every
+// gc prunes chain versions and graveyard rows invisible to every
 // active reader. Pinned snapshot handles and open transactions hold the
 // horizon down; with none, everything below the latest version goes.
-func (e *Engine) gcLocked() {
+func (e *Engine) gc() {
 	minActive := e.commitV
 	for _, v := range e.pins {
 		minActive = min(minActive, v)
@@ -114,9 +114,9 @@ func (e *Engine) gcLocked() {
 	}
 }
 
-// relistLocked lists every table in (database, table) name order into
+// relist lists every table in (database, table) name order into
 // e.swept, after CREATE or DROP TABLE.
-func (e *Engine) relistLocked() {
+func (e *Engine) relist() {
 	e.swept = nil
 	for _, dbKey := range sortedKeys(e.dbs) {
 		db := e.dbs[dbKey]
@@ -127,29 +127,19 @@ func (e *Engine) relistLocked() {
 }
 
 // CommitVersion returns the engine's current commit version.
-func (e *Engine) CommitVersion() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.commitV
-}
+func (e *Engine) CommitVersion() uint64 { return e.commitV }
 
 // AdvanceVersion raises the commit version to at least v. The replication
 // apply path calls it with each applied binlog sequence, so replica version
 // stamps track the master's commit order — including across failover, where
 // the promoted slave keeps counting from the old master's sequence.
 func (e *Engine) AdvanceVersion(v uint64) {
-	e.mu.Lock()
-	if v > e.commitV {
-		e.commitV = v
-	}
-	e.mu.Unlock()
+	e.commitV = max(e.commitV, v)
 }
 
 // GCStats reports version-chain garbage collection counters: completed
 // sweeps, pruned chain versions, and reclaimed deleted rows.
 func (e *Engine) GCStats() (runs, versions, rows uint64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	return e.gcRuns, e.gcVersions, e.gcRows
 }
 

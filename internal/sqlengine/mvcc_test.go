@@ -367,8 +367,6 @@ func TestGCSweepOrder(t *testing.T) {
 		}
 	}
 	order := func() string {
-		eng.mu.Lock()
-		defer eng.mu.Unlock()
 		names := map[*Table]string{}
 		for dk, db := range eng.dbs {
 			for tk, tbl := range db.tables {
@@ -396,13 +394,8 @@ func TestGCSweepOrder(t *testing.T) {
 	exec("CREATE DATABASE c")
 	check("a.m b.c b.z")
 	exec("INSERT INTO a.m VALUES (1)", "UPDATE a.m SET id = 2", "DELETE FROM a.m")
-	sweep := func() {
-		eng.mu.Lock()
-		eng.gcLocked()
-		eng.mu.Unlock()
-	}
-	sweep()
-	if n := testing.AllocsPerRun(100, sweep); n != 0 {
+	eng.gc()
+	if n := testing.AllocsPerRun(100, eng.gc); n != 0 {
 		t.Errorf("a sweep with nothing to prune allocated %.1f objects", n)
 	}
 

@@ -17,7 +17,7 @@ package sqlengine
 // runState is a plan's execution state: what one run reads (engine, session,
 // arguments, read view), what it counts (ExecStats, EXPLAIN ANALYZE actuals)
 // and the scratch the operators reuse from run to run. Row images are
-// immutable under MVCC and a run holds Engine.mu, so holding references to
+// immutable under MVCC and a run is one engine call, so holding references to
 // them for the length of one run is safe; end drops them.
 type runState struct {
 	e     *Engine

@@ -25,7 +25,7 @@ import (
 // CPU model charges per row — so the cheapest plan is the one that minimizes
 // simulated CPU. The shape is immutable once built and the estimates change
 // only when a re-cost writes them; rt is execution scratch reused by every
-// run, which Engine.mu serializes.
+// run of the engine's one owner.
 type Plan struct {
 	db    string // lower-cased session database the plan was built for
 	naive bool   // built by the naive (pre-planner parity) planner
@@ -228,7 +228,7 @@ func (p *Plan) sumCost() {
 // it touches has the statistics it was costed under and has not drifted past
 // the staleness threshold since — writes move no generation, so a hot plan
 // could otherwise outlive arbitrary data drift. A naive plan is rule-based
-// and read no statistics. Engine lock held.
+// and read no statistics.
 func (p *Plan) current(e *Engine) bool {
 	if p.epoch != e.catalogEpoch {
 		return false

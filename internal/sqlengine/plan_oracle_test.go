@@ -55,7 +55,7 @@ func WatchPlanReuse() (stop func() PlanReuse) {
 		out PlanReuse
 	)
 	planReuse = func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan, recosted bool) {
-		fresh, err := e.buildPlanLocked(s, sel, cached.naive)
+		fresh, err := e.buildPlan(s, sel, cached.naive)
 		mu.Lock()
 		defer mu.Unlock()
 		out.Hits++

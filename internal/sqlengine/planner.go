@@ -107,11 +107,10 @@ func (b *planBuilder) newNode(kind opKind) *planNode {
 	return n
 }
 
-// buildPlanLocked constructs a plan for st. Engine lock held: table
-// resolution, statistics refresh and cost estimation all read catalog state.
-// A cost-based build is the costing pass (costAccess) and the materialising
+// buildPlan constructs a plan for st: table resolution, statistics refresh
+// and cost estimation all read catalog state. A cost-based build is the costing pass (costAccess) and the materialising
 // pass (materialise) back to back.
-func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan, error) {
+func (e *Engine) buildPlan(s *Session, st *SelectStmt, naive bool) (*Plan, error) {
 	p := &Plan{
 		db:      strings.ToLower(s.db),
 		naive:   naive,
@@ -152,7 +151,7 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		if !naive {
 			// Cost mode plans against fresh statistics: refresh before
 			// costing, so the generation recorded is the one costed under.
-			e.refreshStatsLocked(pt.tbl)
+			e.refreshStats(pt.tbl)
 		}
 		pt.gen = pt.tbl.statsGen
 	}
@@ -169,7 +168,7 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 	return p, p.resolve(st)
 }
 
-// recostLocked brings a cost-based plan whose statistics moved up to date in
+// recost brings a cost-based plan whose statistics moved up to date in
 // place. It refreshes the plan's tables as a build would, runs the costing
 // pass over them and, when the pass decides what the plan already does —
 // every access path, the join order and algorithms, hence every filter's
@@ -177,13 +176,13 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 // and reports true: p prints what a build now would, and keeps its run
 // scratch. A plan over a catalog that has changed since, or whose decisions
 // the new statistics move, is left as it is (false) for the caller to
-// rebuild. Engine lock held.
-func (e *Engine) recostLocked(p *Plan, sel *SelectStmt) bool {
+// rebuild.
+func (e *Engine) recost(p *Plan, sel *SelectStmt) bool {
 	if p.epoch != e.catalogEpoch {
 		return false
 	}
 	for _, pt := range p.tables {
-		e.refreshStatsLocked(pt.tbl)
+		e.refreshStats(pt.tbl)
 	}
 	b := e.planner.begin(sel, p.tables, nil)
 	b.costAccess()

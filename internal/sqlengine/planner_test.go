@@ -249,12 +249,10 @@ func TestPlanCacheKeyedByMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.eng.mu.Lock()
 	modes := map[bool]int{}
 	for _, p := range st.plans {
 		modes[p.Naive()]++
 	}
-	s.eng.mu.Unlock()
 	if modes[true] == 0 || modes[false] == 0 {
 		t.Fatalf("expected both planner modes cached, got %v", modes)
 	}
@@ -380,14 +378,11 @@ func TestStatsObserveAndAnalyze(t *testing.T) {
 	if _, err := s.Query("SELECT COUNT(*) FROM items WHERE order_key = 1"); err != nil {
 		t.Fatal(err)
 	}
-	s.eng.mu.Lock()
 	_, tbl, err := s.resolveTable(TableRef{Name: "items"})
 	if err != nil {
-		s.eng.mu.Unlock()
 		t.Fatal(err)
 	}
 	analyzed := tbl.stats.analyzedRows
-	s.eng.mu.Unlock()
 	if analyzed != 101 && analyzed != 100 {
 		t.Fatalf("analyzedRows = %d after planning", analyzed)
 	}
@@ -401,10 +396,7 @@ func TestStatsObserveAndAnalyze(t *testing.T) {
 	if _, err := s.Query("SELECT COUNT(*) FROM items WHERE order_key = 1"); err != nil {
 		t.Fatal(err)
 	}
-	s.eng.mu.Lock()
-	reanalyzed := tbl.stats.analyzedRows
-	s.eng.mu.Unlock()
-	if reanalyzed <= analyzed {
+	if reanalyzed := tbl.stats.analyzedRows; reanalyzed <= analyzed {
 		t.Fatalf("stats not refreshed after drift: %d -> %d", analyzed, reanalyzed)
 	}
 }

@@ -25,8 +25,8 @@ type Statement struct {
 	// tmpl renders a parameterised write's replayable text (nil for any other
 	// statement).
 	tmpl   *template
-	plans  []*Plan      // guarded by eng.mu
-	writes []*writePlan // guarded by eng.mu
+	plans  []*Plan
+	writes []*writePlan
 }
 
 // template is a parameterised write's normalized text cut at its ?
@@ -42,8 +42,8 @@ type template struct {
 // statement. Any statement kind can be prepared; SELECTs are planned and
 // INSERT/UPDATE/DELETE compiled on first Run.
 func (e *Engine) Prepare(sql string) (*Statement, error) {
-	if v, ok := e.parseCache.Load(sql); ok {
-		return v.(*Statement), nil
+	if st, ok := e.parseCache[sql]; ok {
+		return st, nil
 	}
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -57,20 +57,20 @@ func (e *Engine) Prepare(sql string) (*Statement, error) {
 		}
 		st.tmpl = &template{segs: segs}
 	}
-	v, _ := e.parseCache.LoadOrStore(st.norm, st)
-	e.parseCache.Store(sql, v)
-	return v.(*Statement), nil
+	if known, ok := e.parseCache[st.norm]; ok {
+		st = known
+	} else {
+		e.parseCache[st.norm] = st
+	}
+	e.parseCache[sql] = st
+	return st, nil
 }
 
 // CachedStatements returns the number of parse-cache entries (statement texts
 // as written plus their normalized renderings). It grows with the distinct
 // texts handed to Prepare and never shrinks, so it must stay bounded by the
 // application's template set however many writes are replayed.
-func (e *Engine) CachedStatements() int {
-	n := 0
-	e.parseCache.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
+func (e *Engine) CachedStatements() int { return len(e.parseCache) }
 
 // splitParams cuts a normalized statement text at its ? placeholders. The
 // lexer finds them: the rendering re-parses to the same statement (the fixed
@@ -144,8 +144,8 @@ func (st *Statement) Table() (TableRef, bool) {
 }
 
 // planReuse, when a test sets it, sees every plan planFor hands out from the
-// cache — as it stood (recosted false) or re-costed in place (true) — engine
-// lock held: the plan-reuse oracle (plan_oracle_test.go) builds the plan
+// cache — as it stood (recosted false) or re-costed in place (true): the
+// plan-reuse oracle (plan_oracle_test.go) builds the plan
 // afresh beside it and compares the two. Nil outside that test.
 var planReuse func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan, recosted bool)
 
@@ -153,14 +153,13 @@ var planReuse func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached
 // or the SELECT an EXPLAIN wraps) under the session's database and the
 // engine's planner mode, building it on first use. A plan no longer current
 // because its statistics moved is re-costed, and kept with the new estimates
-// when the new statistics decide what it already does (recostLocked); it is
+// when the new statistics decide what it already does (recost); it is
 // rebuilt only when they change a decision, or when the catalog changed.
-// Engine lock held.
 func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, error) {
 	slot := -1
 	for i, p := range st.plans {
 		if p.naive == e.NaivePlan && strings.EqualFold(p.db, s.db) {
-			if hit := p.current(e); hit || e.recostLocked(p, sel) {
+			if hit := p.current(e); hit || e.recost(p, sel) {
 				if planReuse != nil {
 					planReuse(e, s, st, sel, p, !hit)
 				}
@@ -169,7 +168,7 @@ func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, err
 			slot = i
 		}
 	}
-	p, err := e.buildPlanLocked(s, sel, e.NaivePlan)
+	p, err := e.buildPlan(s, sel, e.NaivePlan)
 	if err != nil {
 		return nil, err
 	}
@@ -228,8 +227,5 @@ func (st *Statement) Plan(s *Session) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("sqlengine: cannot plan %T", st.stmt)
 	}
-	e := st.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.planFor(s, st, sel)
+	return st.eng.planFor(s, st, sel)
 }

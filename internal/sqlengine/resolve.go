@@ -140,7 +140,7 @@ type orderKey struct {
 
 // resolve binds everything the plan evaluates at run time — node filters and
 // lookup keys, projection, grouping, HAVING, ORDER BY, LIMIT/OFFSET — and
-// builds the plan's reusable run state. Engine lock held.
+// builds the plan's reusable run state.
 func (p *Plan) resolve(st *SelectStmt) error {
 	r := &resolver{tables: p.tables}
 	for _, n := range p.nodes {

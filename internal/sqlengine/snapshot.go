@@ -70,11 +70,7 @@ func (s *Snapshot) NumRows() int {
 // so that two snapshots of identical catalogs are identical — replica
 // provisioning cost and restore order must not depend on Go's per-run map
 // hashing.
-func (e *Engine) Snapshot() *Snapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.snapshotAtLocked(e.commitV)
-}
+func (e *Engine) Snapshot() *Snapshot { return e.snapshotAt(e.commitV) }
 
 // Digest returns a canonical digest of every table the engine holds as a
 // reader at its latest commit sees it, one line per table in database and
@@ -84,8 +80,6 @@ func (e *Engine) Snapshot() *Snapshot {
 // their digests are equal, whatever order their writes left the rows in. A
 // table named in exclude, as "table" or "db.table", is left out.
 func (e *Engine) Digest(exclude ...string) string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	var b strings.Builder
 	var rows [][]Value
 	var text []byte
@@ -120,10 +114,9 @@ func (e *Engine) Digest(exclude ...string) string {
 	return b.String()
 }
 
-// snapshotAtLocked captures the image as seen at commit version v: rows at v,
-// everything else as it stands now. The engine lock (read or write) is held by
-// the caller.
-func (e *Engine) snapshotAtLocked(v uint64) *Snapshot {
+// snapshotAt captures the image as seen at commit version v: rows at v,
+// everything else as it stands now.
+func (e *Engine) snapshotAt(v uint64) *Snapshot {
 	snap := &Snapshot{version: v, progress: e.progress}
 	for _, dbKey := range sortedKeys(e.dbs) {
 		db := e.dbs[dbKey]
@@ -168,10 +161,8 @@ type SnapshotHandle struct {
 // chain GC until Close — the provisioning-friendly form of Snapshot: pin at
 // the binlog position you record, copy rows later, then release.
 func (e *Engine) Pin() *SnapshotHandle {
-	e.mu.Lock()
 	h := &SnapshotHandle{eng: e, v: e.commitV}
 	e.pins = append(e.pins, h.v)
-	e.mu.Unlock()
 	return h
 }
 
@@ -181,11 +172,7 @@ func (h *SnapshotHandle) Version() uint64 { return h.v }
 // Materialize captures the engine's image with its rows as of the pinned
 // version; statistics and progress are the engine's at the time of the call
 // (the same instant as Pin, for a caller that wants the source as it was).
-func (h *SnapshotHandle) Materialize() *Snapshot {
-	h.eng.mu.RLock()
-	defer h.eng.mu.RUnlock()
-	return h.eng.snapshotAtLocked(h.v)
-}
+func (h *SnapshotHandle) Materialize() *Snapshot { return h.eng.snapshotAt(h.v) }
 
 // Close releases the pin; closing twice is a no-op.
 func (h *SnapshotHandle) Close() {
@@ -194,14 +181,12 @@ func (h *SnapshotHandle) Close() {
 	}
 	h.closed = true
 	e := h.eng
-	e.mu.Lock()
 	for i, v := range e.pins {
 		if v == h.v {
 			e.pins = append(e.pins[:i], e.pins[i+1:]...)
 			break
 		}
 	}
-	e.mu.Unlock()
 }
 
 // Restore replaces the engine's entire catalog, statistics and progress with
@@ -211,8 +196,6 @@ func (h *SnapshotHandle) Close() {
 // Inline primary-key flags were normalized into the PK column list at capture
 // time, so they are cleared on the restored definitions.
 func (e *Engine) Restore(snap *Snapshot) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	dbs := make(map[string]*Database, len(snap.dbs))
 	n := 0
 	for _, sd := range snap.dbs {
@@ -250,11 +233,7 @@ func (e *Engine) Restore(snap *Snapshot) error {
 
 // Empty reports whether the engine has no database: nothing that a Restore
 // would replace and lose.
-func (e *Engine) Empty() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.dbs) == 0
-}
+func (e *Engine) Empty() bool { return len(e.dbs) == 0 }
 
 // sortedKeys returns m's keys in sorted order, for deterministic iteration.
 func sortedKeys[V any](m map[string]V) []string {

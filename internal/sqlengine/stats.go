@@ -16,7 +16,7 @@ package sqlengine
 //   - Lazily, at plan time: when the row count has drifted more than 20%
 //     from the count at the last ANALYZE (or the table has never been
 //     analyzed), the planner re-analyzes before costing. Analysis scans the
-//     latest committed images under the engine lock, so it is consistent
+//     latest committed images within one engine call, so it is consistent
 //     with the state a latest-version reader sees; the table's statistics
 //     generation then moves, and the cached cost-based plans that read this
 //     table, and no other plan, are re-costed against the new profile: each
@@ -95,13 +95,11 @@ func (ts *tableStats) observeInsert(vals []Value) {
 	}
 }
 
-// analyzeLocked rebuilds t's column profile from the latest committed images.
-// The engine write lock is held by the caller; the pass reads only row value
-// slices, which are immutable while the lock is held. It works in storage it
-// keeps: t's own profile is overwritten in place and distinct values are
+// analyze rebuilds t's column profile from the latest committed images,
+// reading only row value slices. It works in storage it keeps: t's own profile is overwritten in place and distinct values are
 // counted in the engine's sets, so re-analyzing a table whose distinct values
 // fit what some earlier pass saw allocates nothing.
-func (e *Engine) analyzeLocked(t *Table) {
+func (e *Engine) analyze(t *Table) {
 	e.analyzeRuns++
 	ts := &t.stats
 	ncols := len(t.Columns)
@@ -157,13 +155,11 @@ func (e *Engine) analyzeLocked(t *Table) {
 // the number of rows the pass read — for a caller that wants the pass itself
 // (the planner bench times it), not a plan.
 func (e *Engine) Analyze(db, table string) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	_, t, err := (&Session{eng: e}).resolveTable(TableRef{DB: db, Name: table})
 	if err != nil {
 		return 0, err
 	}
-	e.analyzeLocked(t)
+	e.analyze(t)
 	return t.NumRows(), nil
 }
 
@@ -172,16 +168,14 @@ func (e *Engine) Analyze(db, table string) (int, error) {
 // what a re-ANALYZE costs is the pass, a re-cost of every plan over the table
 // and a build of each plan whose decisions the new statistics change.
 func (e *Engine) PlanStats() (builds, analyzeRuns uint64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	return e.planBuilds, e.analyzeRuns
 }
 
-// refreshStatsLocked re-analyzes t if its profile is stale, returning the
-// (possibly rebuilt) statistics. Engine write lock held by the caller.
-func (e *Engine) refreshStatsLocked(t *Table) *tableStats {
+// refreshStats re-analyzes t if its profile is stale, returning the
+// (possibly rebuilt) statistics.
+func (e *Engine) refreshStats(t *Table) *tableStats {
 	if t.stats.stale(t.NumRows()) {
-		e.analyzeLocked(t)
+		e.analyze(t)
 	}
 	return &t.stats
 }

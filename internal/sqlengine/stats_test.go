@@ -57,7 +57,7 @@ func analyzeDiff(e *Engine, t *Table) []string {
 	want := analyzeOracle(e, t)
 	gen, catalog := t.statsGen, e.catalogEpoch
 	others := otherGens(e, t)
-	e.analyzeLocked(t)
+	e.analyze(t)
 	got := t.stats
 	var diffs []string
 	note := func(format string, args ...any) {
@@ -110,8 +110,6 @@ func otherGens(e *Engine, t *Table) map[*Table]uint64 {
 // the engine, for tests outside the package that bring real data. It returns
 // the number of tables compared.
 func AnalyzeDiffs(e *Engine) (tables int, diffs []string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var names []string
 	for name := range e.dbs {
 		names = append(names, name)
@@ -252,8 +250,8 @@ func TestAnalyzeAllocs(t *testing.T) {
 		}
 		db, _ := e.Database("d")
 		tbl, _ := db.Table("t")
-		e.analyzeLocked(tbl)
-		if got := testing.AllocsPerRun(5, func() { e.analyzeLocked(tbl) }); got != 0 {
+		e.analyze(tbl)
+		if got := testing.AllocsPerRun(5, func() { e.analyze(tbl) }); got != 0 {
 			t.Errorf("%d rows: a second ANALYZE allocates %.0f objects, want 0", rows, got)
 		}
 		if tbl.stats.cols[2].ndv != int(rows) || tbl.stats.cols[1].ndv != 50 {

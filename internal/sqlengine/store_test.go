@@ -354,9 +354,7 @@ func (r *storeRun) step(step int) {
 		r.pins = append(r.pins, eng.Pin())
 	case op < 97:
 		what = "gc"
-		eng.mu.Lock()
-		eng.gcLocked()
-		eng.mu.Unlock()
+		eng.gc()
 		m.sweep(r.horizon())
 	case len(r.pins) > 0:
 		what = "unpin"
@@ -505,10 +503,8 @@ func TestGCFollowsWrites(t *testing.T) {
 		db, _ := eng.Database("d")
 		tbl, _ := db.Table("t")
 		st := &tbl.store
-		eng.mu.Lock()
-		eng.gcLocked() // start a fresh sweep interval
+		eng.gc() // start a fresh sweep interval
 		eng.sinceGC = 0
-		eng.mu.Unlock()
 		runs, versions, rows := eng.GCStats()
 
 		// gcEvery-1 commits: 40 rewrites and 23 deletes. What the next sweep

@@ -85,7 +85,7 @@ func (a *aggAcc) result(fn string) Value {
 }
 
 // execPlan runs a plan into out. acts, when non-nil, receives per-node output
-// counts for EXPLAIN ANALYZE. Engine lock held.
+// counts for EXPLAIN ANALYZE.
 func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64, out *Reply) (*Result, error) {
 	if len(args) != p.nparams {
 		return nil, fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", p.nparams, len(args))

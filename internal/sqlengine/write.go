@@ -45,8 +45,7 @@ type writePlan struct {
 }
 
 // writePlanFor returns st's write plan for the session's database, compiling
-// it on first use and again when the catalog epoch has moved. Engine lock
-// held.
+// it on first use and again when the catalog epoch has moved.
 func (e *Engine) writePlanFor(s *Session, st *Statement) (*writePlan, error) {
 	slot := -1
 	for i, wp := range st.writes {
@@ -70,8 +69,7 @@ func (e *Engine) writePlanFor(s *Session, st *Statement) (*writePlan, error) {
 	return wp, nil
 }
 
-// compileWrite builds the write plan for an INSERT, UPDATE or DELETE. Engine
-// lock held.
+// compileWrite builds the write plan for an INSERT, UPDATE or DELETE.
 func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 	var (
 		ref    TableRef
@@ -151,7 +149,7 @@ func (wp *writePlan) explainLine() string {
 	return n.kind.String() + " " + n.detail + " (" + verb + " est=" + est + " cost=" + est + ")"
 }
 
-// execWrite runs a compiled write into out. Engine lock held.
+// execWrite runs a compiled write into out.
 func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value, out *Reply) (*Result, error) {
 	rt := &wp.rt
 	rt.e, rt.s, rt.args = e, s, args
