@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history bench-pairs fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
+.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history bench-pairs bench-attr fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
 
 all: build vet lint test
 
@@ -156,6 +156,16 @@ W ?= shard_write_heavy
 KERNEL ?= -bench-kernel
 bench-pairs:
 	sh bench/pairs.sh "$(BASE)" "$(PAIRS)" "$(W)" "$(KERNEL)"
+
+# Run-window allocation sites of BASE and of the working tree, for each
+# workload of W: both trees exported, each copy's benchmark built with
+# MemProfileRate = 1 and an allocs profile at the rep's two allocator readings
+# (benchmark/ itself is not touched), and `go tool pprof -base` top and peek
+# output per workload and side. It fails if the hook lines are not found.
+# Slow: the profiler records every allocation, several minutes a workload:
+#   make bench-attr W="geo_light shard_write_heavy" > attribution.txt
+bench-attr:
+	sh bench/attr.sh "$(BASE)" "$(W)"
 
 # One pass over the checked-in fuzz corpora (no new input generation: every
 # seed must keep passing) — binlog wire decoding, SQL parsing (the

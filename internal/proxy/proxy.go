@@ -489,11 +489,11 @@ type ExecResult struct {
 	Latency time.Duration
 }
 
-// reply is everything a routed statement hands back, in one allocation: the
-// ExecResult the caller receives and the engine's Result and ResultSet it
-// points at. The three live and die together; a retried attempt overwrites
-// the engine's part.
-type reply struct {
+// Reply is everything a routed statement hands back, in one allocation: the
+// ExecResult the caller receives and the engine's Result, ResultSet and rows
+// it points at. They live and die together; a retried attempt overwrites the
+// engine's part, and so does the next statement run into the same Reply.
+type Reply struct {
 	exec ExecResult
 	eng  sqlengine.Reply
 }
@@ -505,6 +505,12 @@ type reply struct {
 // backoff per the proxy's RetryPolicy; a dead master triggers the
 // OnMasterFailure hook (slave promotion) when the policy allows it.
 func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*ExecResult, error) {
+	return c.ExecInto(p, new(Reply), sql, args...)
+}
+
+// ExecInto is Exec answering in the caller's Reply: the ExecResult returned
+// is out's, valid until the next statement run into out.
+func (c *Conn) ExecInto(p *sim.Proc, out *Reply, sql string, args ...sqlengine.Value) (*ExecResult, error) {
 	start := p.Now()
 	px := c.px
 	isRead := IsRead(sql)
@@ -529,7 +535,6 @@ func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*ExecResu
 	}
 	attempts := px.Retry.attempts()
 	var lastErr error
-	out := new(reply)
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			px.stats.Retries++
@@ -565,7 +570,7 @@ func retryable(err error) bool {
 }
 
 // execOnce is a single routed attempt, answered in out.
-func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.Value, out *reply) error {
+func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.Value, out *Reply) error {
 	px := c.px
 	if isRead {
 		// The consistency tier filters which backends qualify; the balancer

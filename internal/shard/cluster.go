@@ -312,10 +312,10 @@ type Conn struct {
 	keys     []int64 // single's resolved shard keys, reused per statement
 
 	// Scatter state. A connection runs one statement at a time, so one set
-	// of everything serves every scatter it issues: what a scatter costs
-	// beyond its legs' own statements is a Proc per leg and the merged
-	// result, which sqlengine.Merge builds as an engine builds any result —
-	// out of nothing the connection, a leg or the merge keeps.
+	// of everything serves every scatter it issues, the legs' replies
+	// included: what a warm scatter allocates is the merged result, which
+	// sqlengine.Merge builds as an engine builds any result — out of nothing
+	// the connection, a leg or the merge keeps.
 	legs    []*scatterLeg          // standing leg slot per cell id, built on first use
 	legSig  *sim.Signal            // broadcast by every finishing leg
 	legSQL  string                 // what the legs in flight run ...
@@ -325,20 +325,24 @@ type Conn struct {
 }
 
 // scatterLeg is a connection's standing slot for the scatter legs it sends
-// to one cell: the function Env.Go runs, built once, and the fields that
-// function reports into. Only the leg's own process writes res and err, and
-// the gathering process reads them after legsOut has told it the leg is done.
+// to one cell: the function Env.Go runs, built once, the reply the cell
+// answers in and the fields that function reports into. Only the leg's own
+// process writes reply, res and err, and the gathering process reads them
+// after legsOut has told it the leg is done. The reply's rows belong to the
+// slot: the next leg sent to the cell overwrites them, so the merge copies
+// out of them and nothing a scatter returns points into them.
 type scatterLeg struct {
-	c    *Conn
-	conn *proxy.Conn
-	run  func(*sim.Proc) // exec, bound to this slot
-	res  *proxy.ExecResult
-	err  error
+	c     *Conn
+	conn  *proxy.Conn
+	run   func(*sim.Proc) // exec, bound to this slot
+	reply proxy.Reply
+	res   *proxy.ExecResult
+	err   error
 }
 
 func (l *scatterLeg) exec(lp *sim.Proc) {
 	c := l.c
-	l.res, l.err = l.conn.Exec(lp, c.legSQL, c.legArgs...)
+	l.res, l.err = l.conn.ExecInto(lp, &l.reply, c.legSQL, c.legArgs...)
 	c.legsOut--
 	c.legSig.Broadcast()
 }

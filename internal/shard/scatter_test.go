@@ -2,8 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cloudrepl/internal/sim"
 	"cloudrepl/internal/sqlengine"
@@ -115,39 +117,88 @@ func (f *scatterFixture) do(t *testing.T, fn func(p *sim.Proc)) {
 	}
 }
 
+// poisonLegs overwrites everything the connection's leg slots keep of their
+// replies with a sentinel, as the next legs sent to those cells would: the
+// last leg's rows, and all of the row storage a reply keeps from its second
+// read on — every value and row header, spare capacity included. Both are the
+// engine's, unexported two packages down, so the test reaches them by
+// reflection: a renamed field fails here, loudly.
+func poisonLegs(c *Conn) {
+	sentinel := []sqlengine.Value{sqlengine.NewString("sentinel")}
+	for _, l := range c.legs {
+		if l == nil {
+			continue
+		}
+		eng := reflect.ValueOf(&l.reply).Elem().FieldByName("eng")
+		set := (*sqlengine.ResultSet)(unsafe.Pointer(eng.FieldByName("Set").UnsafeAddr()))
+		for i, row := range set.Rows {
+			for j := range row {
+				row[j] = sentinel[0]
+			}
+			set.Rows[i] = sentinel
+		}
+		space := eng.FieldByName("space")
+		if space.IsNil() {
+			continue
+		}
+		vals := *(*[]sqlengine.Value)(unsafe.Pointer(space.Elem().FieldByName("vals").UnsafeAddr()))
+		vals = vals[:cap(vals)]
+		for i := range vals {
+			vals[i] = sentinel[0]
+		}
+		rows := *(*[][]sqlengine.Value)(unsafe.Pointer(space.Elem().FieldByName("rows").UnsafeAddr()))
+		rows = rows[:cap(rows)]
+		for i := range rows {
+			rows[i] = sentinel
+		}
+	}
+}
+
 // TestMergedResultDoesNotAliasScratch: what a scatter returns — of either
 // shape — stays what it was while the same connection runs more scatters
 // through the same slots and the same merges, its own statement again among
-// them, and a single-key write changes a row it was built from.
+// them, and a single-key write changes a row it was built from; and after
+// every statement the leg slots' replies are poisoned, which no result a
+// scatter returned may see.
 func TestMergedResultDoesNotAliasScratch(t *testing.T) {
 	f := newScatterFixture(t)
 	defer f.env.Shutdown()
 	for _, first := range []string{aggregateScatter, orderedScatter} {
-		var held, was *sqlengine.ResultSet
+		var held, was []*sqlengine.ResultSet
 		f.do(t, func(p *sim.Proc) {
-			set, err := f.conn.Query(p, first)
-			if err != nil || len(set.Rows) == 0 {
-				t.Errorf("%s: %v, %v", first, set, err)
-				return
-			}
-			held, was = set, cloneResult(set)
-			for _, next := range []string{
+			for _, sql := range []string{
+				first,
 				"SELECT v, COUNT(*) AS n, MIN(id), MAX(id), SUM(id) FROM kv GROUP BY v ORDER BY v DESC",
 				"SELECT id, v FROM kv ORDER BY v, id LIMIT 30",
 				"SELECT DISTINCT v FROM kv ORDER BY v DESC",
 				"UPDATE kv SET v = 'moved' WHERE id = 40",
 				first,
 			} {
-				if _, err := f.conn.Exec(p, next); err != nil {
-					t.Errorf("%s: %v", next, err)
+				res, err := f.conn.Exec(p, sql)
+				if err != nil {
+					t.Errorf("%s: %v", sql, err)
+					continue
+				}
+				if set := res.Result.Set; set != nil {
+					if len(set.Rows) == 0 {
+						t.Errorf("%s: no rows", sql)
+					}
+					held, was = append(held, set), append(was, cloneResult(set))
+				}
+				poisonLegs(f.conn)
+				for i := range held {
+					if !sameResult(held[i], was[i]) {
+						t.Errorf("after %s, result %d of the run starting %s changed:\n now %v\n was %v", sql, i, first, held[i], was[i])
+					}
 				}
 			}
 		})
-		if held == nil || !sameResult(held, was) {
-			t.Errorf("%s: the result changed under later scatters on its connection:\n now %v\n was %v", first, held, was)
+		if len(held) != 5 {
+			t.Errorf("%s: %d results held, want 5", first, len(held))
 		}
 	}
-	// Nothing of a finished scatter stays reachable from the connection.
+	// Nothing of a finished scatter but the slots' own replies stays
+	// reachable from the connection.
 	c := f.conn
 	if c.legArgs != nil || len(c.sets) != 0 {
 		t.Errorf("connection still holds scatter state: %d args, %d sets", len(c.legArgs), len(c.sets))
@@ -159,37 +210,29 @@ func TestMergedResultDoesNotAliasScratch(t *testing.T) {
 	}
 }
 
-// TestScatterMachineryAllocs is the ceiling on what a two-cell scatter
-// allocates beyond its legs' own statements: the same two statements sent
-// down the same two proxy connections from the client's own process, one
-// after the other, are the baseline, and the difference is router and kernel
-// machinery — a Proc per leg, the merged result's headers in one object, its
-// row list, and for the aggregated shape the folded values.
+// TestScatterMachineryAllocs is the ceiling on what a warm two-cell scatter
+// allocates: 5 objects a call. Two are the fixture's (the call's closure and
+// its done flag, which a call that does nothing costs too), and three are the
+// merged result the caller keeps — its headers in one object, its values and
+// its row list. The legs' processes, replies and rows, the merge's scratch and
+// the router's slots are all reused.
 func TestScatterMachineryAllocs(t *testing.T) {
 	f := newScatterFixture(t)
 	defer f.env.Shutdown()
+	measure := func(fn func(p *sim.Proc)) float64 {
+		f.do(t, fn) // warm: slots, scratch and pools sized
+		return testing.AllocsPerRun(50, func() { f.do(t, fn) })
+	}
+	idle := measure(func(*sim.Proc) {})
 	for _, sql := range []string{orderedScatter, aggregateScatter} {
-		legSQL := f.sc.route(sql).plan.CellSQL
-		scatter := func(p *sim.Proc) {
+		whole := measure(func(p *sim.Proc) {
 			if _, err := f.conn.Exec(p, sql); err != nil {
 				t.Error(err)
 			}
-		}
-		legsAlone := func(p *sim.Proc) {
-			for id := 0; id < 2; id++ {
-				if _, err := f.conn.cellConn(id).Exec(p, legSQL); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-		measure := func(fn func(p *sim.Proc)) float64 {
-			f.do(t, fn) // warm: slots, scratch and pools sized
-			return testing.AllocsPerRun(50, func() { f.do(t, fn) })
-		}
-		whole, legs := measure(scatter), measure(legsAlone)
-		t.Logf("%-100.100s %3.0f objects per scatter, %3.0f in its legs' statements, %2.0f machinery", sql, whole, legs, whole-legs)
-		if whole-legs > 8 {
-			t.Errorf("%s: %.0f objects of machinery per two-cell scatter (%.0f in all, %.0f in the legs' statements); ceiling 8", sql, whole-legs, whole, legs)
+		})
+		t.Logf("%-100.100s %2.0f objects per scatter (%.0f the fixture's)", sql, whole, idle)
+		if whole > 5 {
+			t.Errorf("%s: %.0f objects per warm two-cell scatter (%.0f of them the fixture's); ceiling 5: the fixture's 2 and the merged result's 3", sql, whole, idle)
 		}
 	}
 }

@@ -316,10 +316,10 @@ func TestWaitTimeoutSteadyStateAllocs(t *testing.T) {
 		e.Run()
 	}
 	cycle() // prime pools
-	// Go() itself allocates the Proc and goroutine stack; measure the
-	// remainder by comparing against a spawn that never waits. Whether a
-	// spawn finds a dead goroutine to reuse is the runtime's business: it
-	// adds an object or two to either side for a few rounds at a time. So
+	// Measure the wait by comparing against a spawn that never waits. A
+	// spawn's own cost is the kernel's to hold at zero (see
+	// TestSpawnAllocatesNothingWarm), but the runtime may add an object or two
+	// to either side for a few rounds at a time. So
 	// the two sides alternate round by round and each reports its minimum —
 	// noise only ever adds, while a waiter or timer that stopped being pooled
 	// adds to every cycle of every round — and rounds continue, up to a cap,

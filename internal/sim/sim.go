@@ -75,6 +75,7 @@ type Env struct {
 	efree []*event     // recycled event structs
 	wfree []*sigWaiter // recycled signal waiters
 	idle  []*worker    // parked goroutines of finished processes, reused LIFO by Go
+	pfree []*Proc      // processes that returned, reused LIFO by Go
 
 	panicVal   any
 	panicProc  *Proc // the process panicVal came out of
@@ -300,10 +301,11 @@ func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 // worker is a goroutine that runs processes, one after another, and the
 // channel it is resumed through. A process borrows a worker from its spawn
 // until fn returns; the worker then goes on the Env's idle list and the next
-// Go takes it from there, so a spawn costs the Proc and nothing else — no
-// goroutine, no channel, and a stack that has already grown to the depth the
-// last process needed. Shutdown hands the idle workers to a process-wide
-// pool, so the next Env's spawns start no goroutine either. Which worker runs
+// Go takes it from there, with the returned Proc off the Env's free list, so
+// a warm spawn allocates nothing — no Proc, no goroutine, no channel, and a
+// stack that has already grown to the depth the last process needed.
+// Shutdown hands the idle workers to a process-wide pool, so the next Env's
+// spawns start no goroutine either. Which worker runs
 // a process is invisible to the simulation: ids, the start event and its
 // (at, seq) are assigned by Go exactly as if the goroutine were new.
 type worker struct {
@@ -341,7 +343,15 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	e.procSeq++
 	w := e.takeWorker()
-	p := &Proc{env: e, name: name, id: e.procSeq, w: w, parkKind: ParkStart}
+	var p *Proc
+	if n := len(e.pfree); n > 0 {
+		p = e.pfree[n-1]
+		e.pfree[n-1] = nil
+		e.pfree = e.pfree[:n-1]
+	} else {
+		p = new(Proc)
+	}
+	*p = Proc{env: e, name: name, id: e.procSeq, w: w, parkKind: ParkStart}
 	w.p, w.fn = p, fn
 	e.alive++
 	e.procs[p.id] = p
@@ -448,9 +458,12 @@ func (e *Env) runProc(w *worker) bool {
 // exit retires p, which has returned, and runs the dispatch loop on its
 // worker w. It reports true when the next event starts a process that a
 // callback or an earlier process spawned onto w itself: the worker runs it
-// with no channel operation.
+// with no channel operation. A process that returned is the only kind Go
+// reuses: nothing of the kernel names it any more, where one that panicked
+// is still panicProc until Run's caller has reported it.
 func (e *Env) exit(p *Proc, w *worker) bool {
 	e.retire(p)
+	e.pfree = append(e.pfree, p)
 	next := e.dispatchOn(nil, w)
 	if next != nil && next.w == w {
 		return true

@@ -20,8 +20,7 @@ func settleGoroutines(want int) int {
 }
 
 // TestSequentialSpawnsReuseOneWorker: ten thousand processes that each start
-// after the last one finished run on one goroutine, and a spawn allocates
-// the Proc and nothing else.
+// after the last one finished run on one goroutine.
 func TestSequentialSpawnsReuseOneWorker(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Shutdown()
@@ -43,11 +42,87 @@ func TestSequentialSpawnsReuseOneWorker(t *testing.T) {
 	if ran != 10000 || len(e.idle) != 1 {
 		t.Fatalf("ran %d processes with %d idle workers; want 10000 and 1", ran, len(e.idle))
 	}
-	if allocs := testing.AllocsPerRun(1000, func() {
+}
+
+// TestSpawnAllocatesNothingWarm: once an Env has run a process to its return,
+// the next spawn takes that Proc and that worker back, so Go, the run and the
+// return allocate nothing — one process at a time or several side by side —
+// and ids still count spawns.
+func TestSpawnAllocatesNothingWarm(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Shutdown()
+	body := func(p *Proc) {}
+	sleeper := func(p *Proc) { p.Sleep(time.Microsecond) }
+	one := func() {
 		e.Go("one-shot", body)
 		e.Run()
-	}); allocs > 1 {
-		t.Fatalf("spawn + run + exit allocates %.2f objects; want at most 1 (the Proc)", allocs)
+	}
+	three := func() {
+		for i := 0; i < 3; i++ {
+			e.Go("peer", sleeper)
+		}
+		e.Run()
+	}
+	one()
+	three()
+	if allocs := testing.AllocsPerRun(1000, one); allocs != 0 {
+		t.Errorf("a warm Go + return allocates %.2f objects; want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, three); allocs != 0 {
+		t.Errorf("three warm processes side by side allocate %.2f objects; want 0", allocs)
+	}
+	if len(e.pfree) != 3 {
+		t.Errorf("%d Procs on the free list after at most three at once; want 3", len(e.pfree))
+	}
+	before := e.procSeq
+	if id := e.Go("counted", body).ID(); id != before+1 {
+		t.Errorf("a reused Proc took id %d; want %d, the next spawn's", id, before+1)
+	}
+	e.Run()
+}
+
+// TestPanickedProcIsNeverReused: a process that panics is reported under its
+// own name and id, however many spawns came before it (its Proc is a reused
+// one) or come after it; and a Proc that ended other than by returning —
+// a panic, runtime.Goexit — never goes back on the free list, so the handle
+// the panic report was made from still names that process.
+func TestPanickedProcIsNeverReused(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Shutdown()
+	for i := 0; i < 3; i++ {
+		e.Go(fmt.Sprint("done-", i), func(p *Proc) {})
+	}
+	e.Run()
+	boom := e.Go("boom", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("kaboom")
+	})
+	for i := 0; i < 3; i++ {
+		e.Go(fmt.Sprint("later-", i), func(p *Proc) {})
+	}
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		e.Run()
+		return ""
+	}()
+	for _, want := range []string{"kaboom", `"boom"`, fmt.Sprintf("proc %d", boom.ID())} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic report missing %s:\n%s", want, msg)
+		}
+	}
+	if strings.Contains(msg, "done-") || strings.Contains(msg, "later-") {
+		t.Errorf("panic report names another process:\n%s", msg)
+	}
+	left := e.Go("leaves", func(p *Proc) { runtime.Goexit() })
+	e.Run()
+	for i := 0; i < 16; i++ {
+		if q := e.Go("after", func(p *Proc) {}); q == boom || q == left {
+			t.Fatalf("spawn %d reused the Proc of a process that panicked or left by runtime.Goexit", i)
+		}
+	}
+	e.Run()
+	if boom.Name() != "boom" || boom.ID() != 4 {
+		t.Errorf("the panicked process's handle reads %q proc %d after later spawns; want \"boom\" proc 4", boom.Name(), boom.ID())
 	}
 }
 

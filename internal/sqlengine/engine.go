@@ -71,12 +71,24 @@ type Result struct {
 }
 
 // Reply is the storage a statement's outcome is written to: the Result and,
-// when the statement returns rows, the ResultSet its Set points at. Run
-// allocates one per call; RunInto fills the caller's, and Replay the
-// session's. A filled Reply is overwritten by the next statement run into it.
+// when the statement returns rows, the ResultSet its Set points at, whose rows
+// the Reply owns. Run allocates one per call; RunInto fills the caller's, and
+// Replay the session's. A filled Reply is overwritten by the next statement
+// run into it, rows included: from the second read into a Reply on, the rows
+// are built in storage the Reply keeps, reused when they fit and grown when
+// they do not. A Reply read into once — Run's, a proxy's per statement — keeps
+// nothing and is no larger for it than a Result and a ResultSet and a pointer.
 type Reply struct {
 	Result Result
 	Set    ResultSet
+
+	space *rowSpace // nil until the Reply's second read
+}
+
+// rowSpace is a Reply's row storage.
+type rowSpace struct {
+	vals []Value   // every row's values, row after row
+	rows [][]Value // the row headers over vals
 }
 
 // LoggedWrite is one committed write as the commit hook hands it to the

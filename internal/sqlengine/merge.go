@@ -246,9 +246,11 @@ func (m *Merge) bind(header []string) error {
 }
 
 // Run merges sets — one leg's result each, in ascending cell order — into
-// out, whose rows share nothing with them or with the Merge (its header is the
-// plan's, as any result's is, and never written). The plan binds to the legs'
-// header on the first Run and again whenever the header changes.
+// out, whose rows share nothing with them, with the Replies they live in or
+// with the Merge: they are built in storage of their own, the caller's to
+// keep (the header is the plan's, as any result's is, and never written).
+// The plan binds to the legs' header on the first Run and again whenever the
+// header changes.
 func (m *Merge) Run(sets []*ResultSet, out *ResultSet) error {
 	*out = ResultSet{}
 	if len(sets) == 0 {
@@ -263,7 +265,7 @@ func (m *Merge) Run(sets []*ResultSet, out *ResultSet) error {
 	rt := &m.plan.rt
 	rt.frame = rt.live
 	m.src.sets = sets
-	err := m.plan.run(rt, out)
+	err := m.plan.run(rt, out, nil)
 	// Like the row images of any other run, the legs are let go of.
 	rt.end()
 	m.src.sets = nil

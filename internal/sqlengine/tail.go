@@ -96,8 +96,10 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64, out *
 	// Visibility is decided per execution, never per plan.
 	rt.view = e.readViewFor(s)
 	rt.frame = rt.live
-	*out = Reply{}
-	err := p.run(rt, &out.Set)
+	if out.space == nil && out.Set.Columns != nil { // a read answered in out before
+		out.space = new(rowSpace)
+	}
+	err := p.run(rt, &out.Set, out.space)
 	rt.end()
 	if err != nil {
 		return nil, err
@@ -185,8 +187,10 @@ func (rt *runState) sortKeys(dst []Value) error {
 	return nil
 }
 
-// run executes the tail over the source and materializes the result set.
-func (p *Plan) run(rt *runState, set *ResultSet) error {
+// run executes the tail over the source and materializes the result set,
+// its values and row headers in sp — reused when they fit, grown and kept
+// there when they do not — or, with sp nil, in storage of their own.
+func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 	limit, err := rt.bound(p.limit, "LIMIT", -1)
 	if err != nil {
 		return err
@@ -216,8 +220,15 @@ func (p *Plan) run(rt *runState, set *ResultSet) error {
 		out = window(out, offset, limit)
 	}
 	w := len(p.proj)
-	vals := make([]Value, len(out)*w)
-	rows := make([][]Value, len(out))
+	var vals []Value
+	var rows [][]Value
+	if sp != nil {
+		vals, rows = sp.vals, sp.rows
+	}
+	vals, rows = fit(vals, len(out)*w), fit(rows, len(out))
+	if sp != nil {
+		sp.vals, sp.rows = vals, rows
+	}
 	for k, i := range out {
 		rt.enter(p, i)
 		row := vals[k*w : (k+1)*w : (k+1)*w]
@@ -243,6 +254,15 @@ func (p *Plan) run(rt *runState, set *ResultSet) error {
 // extend returns s with n more elements: zero, fresh from the allocator or as
 // end left them.
 func extend[T any](s []T, n int) []T { return slices.Grow(s, n)[:len(s)+n] }
+
+// fit returns s with length n, in s's storage when it has the room; never
+// nil, like the make it stands for.
+func fit[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // window applies OFFSET and LIMIT (-1: none) to a slice.
 func window[T any](s []T, offset, limit int) []T {

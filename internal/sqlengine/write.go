@@ -154,7 +154,7 @@ func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value, out *Reply) 
 	rt := &wp.rt
 	rt.e, rt.s, rt.args = e, s, args
 	rt.stats = ExecStats{Class: ClassWrite}
-	*out = Reply{}
+	out.Result = Result{}
 	res := &out.Result
 	lo := len(s.log)
 	err := wp.run(rt)
