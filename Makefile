@@ -162,7 +162,8 @@ bench-pairs:
 # MemProfileRate = 1 and an allocs profile at the rep's two allocator readings
 # (benchmark/ itself is not touched), and `go tool pprof -base` top and peek
 # output per workload and side. It fails if the hook lines are not found.
-# Slow: the profiler records every allocation, several minutes a workload:
+# All four workloads take 26 s on a 2-vCPU box with the build cache warm (a
+# cold cache adds ~16 s for the two builds):
 #   make bench-attr W="geo_light shard_write_heavy" > attribution.txt
 bench-attr:
 	sh bench/attr.sh "$(BASE)" "$(W)"

@@ -1,5 +1,5 @@
 #!/bin/sh
-# attr.sh BASE WORKLOADS PEEK — run-window allocation sites of commit BASE and
+# attr.sh BASE WORKLOADS — run-window allocation sites of commit BASE and
 # of the working tree (make bench-attr).
 #
 # Exports both trees to a temporary directory and, in those copies only, adds
@@ -12,14 +12,15 @@
 # workload and side it prints the benchmark's allocs_per_op (read with the
 # profiler on, so above the unprofiled figure), then `go tool pprof
 # -sample_index=alloc_objects -base h1 h2` — objects allocated in the window —
-# as the top allocating functions and as a peek at the functions matching the
-# regexp PEEK, with the profile writer's own allocations ignored. A tree whose benchmark/rep.go has
-# not exactly one of each reading line fails the script: the hook would
-# measure something else.
+# as the top allocating functions and as a peek at the scatter's leg path
+# (scatterLegs, Env.Go, proxy Exec/ExecInto, Plan.run), with the profile
+# writer's own allocations ignored. A tree whose benchmark/rep.go has not
+# exactly one of each reading line fails the script: the hook would measure
+# something else.
 set -eu
 base=${1:-HEAD~}
 workloads=${2:-shard_write_heavy}
-peek=${3:-'shard\.\(\*Conn\)\.scatterLegs$|sim\.\(\*Env\)\.Go$|proxy\.\(\*Conn\)\.Exec(Into)?$|sqlengine\.\(\*Plan\)\.run$'}
+peek='shard\.\(\*Conn\)\.scatterLegs$|sim\.\(\*Env\)\.Go$|proxy\.\(\*Conn\)\.Exec(Into)?$|sqlengine\.\(\*Plan\)\.run$'
 for w in $workloads; do
 	if [ "$w" = all ]; then
 		echo "attr.sh: name the workloads, e.g. W=\"geo_light master_bound read_heavy shard_write_heavy\"" >&2
