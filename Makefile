@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history bench-pairs bench-attr fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
+.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history bench-pairs bench-attr bench-json-cmp fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
 
 all: build vet lint test
 
@@ -167,6 +167,16 @@ bench-pairs:
 #   make bench-attr W="geo_light shard_write_heavy" > attribution.txt
 bench-attr:
 	sh bench/attr.sh "$(BASE)" "$(W)"
+
+# Virtual-output identity: cloudrepl-bench -all -short -par 1 -json, built and
+# run once from an export of BASE (default the parent commit) and once from
+# the working tree, and every BENCH_*.json but the wall-clock kernel and
+# planner ones compared with cmp. One `identical|differs <file>` line per
+# file; fails on any difference. It runs the whole sweep twice (about 8 min
+# on two cores), so it is not part of check:
+#   make bench-json-cmp BASE=HEAD~ > json_cmp.txt
+bench-json-cmp:
+	sh bench/jsoncmp.sh "$(BASE)"
 
 # One pass over the checked-in fuzz corpora (no new input generation: every
 # seed must keep passing) — binlog wire decoding, SQL parsing (the

@@ -28,21 +28,12 @@ type LintResult struct {
 	Stale       []*Directive
 }
 
-// Lint loads the given patterns from moduleDir, runs every analyzer over the
-// whole program (facts propagate in dependency order, Finish hooks see the
-// merged result) with allow-directive suppression and stale-directive
-// detection, and returns the surviving diagnostics sorted by position. This
-// is the whole cloudrepl-lint pipeline behind a function so tests can drive
-// it.
-func Lint(moduleDir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	res, err := LintDetail(moduleDir, analyzers, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// LintDetail is Lint with the stale directives broken out for -fix-stale.
+// LintDetail loads the given patterns from moduleDir, runs every analyzer
+// over the whole program (facts propagate in dependency order, Finish hooks
+// see the merged result) with allow-directive suppression and stale-directive
+// detection, and returns the surviving diagnostics sorted by position, with
+// the stale directives broken out for -fix-stale. This is the whole
+// cloudrepl-lint pipeline, behind one function the command and tests call.
 func LintDetail(moduleDir string, analyzers []*Analyzer, patterns ...string) (*LintResult, error) {
 	l, err := NewLoader(moduleDir)
 	if err != nil {

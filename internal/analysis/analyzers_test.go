@@ -146,11 +146,11 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
 	root := moduleRoot(t)
-	diags, err := analysis.Lint(root, analysis.All(), "./...")
+	res, err := analysis.LintDetail(root, analysis.All(), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		t.Errorf("lint finding: %s", d)
 	}
 }

@@ -170,7 +170,7 @@ func (c *Cluster) startReplica(spec NodeSpec, img *sqlengine.Snapshot, pos uint6
 			wait()
 		}
 		sl := repl.NewSlave(c.env, srv)
-		if err = c.master.Attach(sl, pos); err == nil {
+		if err = c.master.Attach(sl, repl.Executed{Low: pos}); err == nil {
 			return sl, nil
 		}
 	}
@@ -189,11 +189,11 @@ var ErrNoPromotable = errors.New("cluster: no live slave to promote")
 
 // Failover promotes the live slave that has executed most to master after a
 // master failure: its replication threads stop, a new Master wraps its server,
-// and the remaining slaves re-attach at the last statement they have executed
-// (repl.Slave.ExecutedSeq: a statement a survivor has run, paid for or not, is
-// not shipped to it again; entries the promoted slave never received are lost,
-// the documented risk of asynchronous replication). A live slave
-// that has applied less than the promoted binlog reaches back to — the
+// and the remaining slaves re-attach with what each has executed
+// (repl.Slave.Executed: a statement a survivor has run, paid for or not, ahead
+// of a gap or not, is not shipped to it again; entries the promoted slave
+// never received are lost, the documented risk of asynchronous replication).
+// A live slave that has applied less than the promoted binlog reaches back to — the
 // promoted replica was provisioned after that point — cannot follow it: it is
 // terminated, as RemoveSlave would, and returned in dropped.
 func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err error) {
@@ -202,7 +202,7 @@ func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err 
 		if !sl.Srv.Up() {
 			continue
 		}
-		if best == nil || sl.ExecutedSeq() > best.ExecutedSeq() {
+		if best == nil || sl.Executed().Low > best.Executed().Low {
 			best = sl
 		}
 	}
@@ -234,8 +234,8 @@ func (c *Cluster) Failover() (promoted *repl.Master, dropped []*repl.Slave, err 
 			continue
 		}
 		// Writes beyond the promoted log are lost: never past its end.
-		pos := min(old.ExecutedSeq(), best.Srv.Log.LastSeq())
-		if newMaster.Attach(repl.NewSlave(c.env, old.Srv), pos) != nil {
+		from := old.Executed().Trim(best.Srv.Log.LastSeq())
+		if newMaster.Attach(repl.NewSlave(c.env, old.Srv), from) != nil {
 			old.Srv.Inst.Terminate()
 			dropped = append(dropped, old)
 		}

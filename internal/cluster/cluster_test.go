@@ -556,7 +556,7 @@ func TestFailoverDropsSurvivorBehindPromotedLog(t *testing.T) {
 	// Stand the far replica where it was before the near one was provisioned.
 	behind := repl.NewSlave(env, far.Srv)
 	clu.Master().Detach(far)
-	if err := clu.Master().Attach(behind, clu.basePos+3); err != nil {
+	if err := clu.Master().Attach(behind, repl.Executed{Low: clu.basePos + 3}); err != nil {
 		t.Fatal(err)
 	}
 	promoted, dropped, err := clu.Failover()

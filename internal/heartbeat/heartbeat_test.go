@@ -34,7 +34,7 @@ func hbRig(t *testing.T, seed int64, nSlaves int, slaveOffset time.Duration) (*s
 		if err := Preload(sSrv); err != nil {
 			t.Fatal(err)
 		}
-		m.Attach(repl.NewSlave(env, sSrv), mSrv.Log.LastSeq())
+		m.Attach(repl.NewSlave(env, sSrv), repl.Executed{Low: mSrv.Log.LastSeq()})
 	}
 	return env, m
 }

@@ -40,7 +40,7 @@ func topo(t *testing.T, seed int64, nSlaves int, balancer Balancer) (*sim.Env, *
 		name := fmt.Sprintf("slave%d", i+1)
 		sSrv := server.New(env, name, c.Launch(name, cloud.Small, place), server.DefaultCostModel())
 		preload(sSrv)
-		m.Attach(repl.NewSlave(env, sSrv), mSrv.Log.LastSeq())
+		m.Attach(repl.NewSlave(env, sSrv), repl.Executed{Low: mSrv.Log.LastSeq()})
 	}
 	return env, New(env, net, m, place, balancer)
 }
@@ -523,7 +523,7 @@ func TestRYWTokenSurvivesFailover(t *testing.T) {
 		nm := repl.NewMaster(env, best.Srv, old.Net, repl.Async)
 		nm.Epoch = old.Epoch + 1
 		for _, o := range rest {
-			nm.Attach(repl.NewSlave(env, o.Srv), o.AppliedSeq())
+			nm.Attach(repl.NewSlave(env, o.Srv), repl.Executed{Low: o.AppliedSeq()})
 		}
 		return nm, nil
 	}

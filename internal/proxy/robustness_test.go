@@ -38,7 +38,7 @@ func topoAt(t *testing.T, seed int64, masterPlace cloud.Placement, slavePlaces [
 		name := "slave" + string(rune('1'+i))
 		sSrv := server.New(env, name, c.Launch(name, cloud.Small, pl), server.DefaultCostModel())
 		preload(sSrv)
-		m.Attach(repl.NewSlave(env, sSrv), mSrv.Log.LastSeq())
+		m.Attach(repl.NewSlave(env, sSrv), repl.Executed{Low: mSrv.Log.LastSeq()})
 	}
 	return env, net, New(env, net, m, masterPlace, balancer)
 }

@@ -35,64 +35,23 @@ type applyItem struct {
 	dep uint64
 }
 
-// applyState is the shared scheduler state of one slave's worker pool.
-type applyState struct {
-	sl *Slave
-	// done holds applied-but-not-yet-contiguous entries awaiting the
-	// low-water advance.
-	done map[uint64]binlog.Entry
-	// doneSig wakes workers whose dependency may have just applied.
-	doneSig *sim.Signal
-	// byTable maps "db.table" to the newest dispatched sequence writing it.
-	byTable map[string]uint64
-	// barrier is the newest dispatched barrier sequence (DDL, USE,
-	// unparseable): everything after it depends on it.
-	barrier uint64
-	// lastSeq is the newest dispatched sequence (what a barrier depends on).
-	lastSeq uint64
-}
-
-// applied reports whether sequence dep has been applied (possibly still
-// above the low-water mark).
-func (st *applyState) applied(dep uint64) bool {
-	if dep == 0 || dep <= st.sl.appliedSeq {
-		return true
-	}
-	_, ok := st.done[dep]
-	return ok
-}
-
-// complete records an applied entry and advances the contiguous low-water
-// mark that AppliedSeq exposes.
-func (st *applyState) complete(e binlog.Entry) {
-	st.done[e.Seq] = e
-	for {
-		ne, ok := st.done[st.sl.appliedSeq+1]
-		if !ok {
-			break
-		}
-		delete(st.done, st.sl.appliedSeq+1)
-		st.sl.appliedSeq = ne.Seq
-	}
-	st.doneSig.Broadcast()
-}
-
 // startParallelApplier replaces the single SQL thread with a dispatcher and
 // `workers` applier threads for sl.
-func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int) {
-	st := &applyState{
-		sl:      sl,
-		done:    make(map[uint64]binlog.Entry),
-		doneSig: sim.NewSignal(m.env).Named(sl.Srv.Name + "/apply-done"),
-		byTable: make(map[string]uint64),
-	}
-
+func (m *Master) startParallelApplier(sl *Slave, workers int) {
+	// done wakes workers whose dependency may have just applied.
+	done := sim.NewSignal(m.env).Named(sl.Srv.Name + "/apply-done")
 	queues := make([]*sim.Queue[applyItem], workers)
 	for w := range queues {
 		queues[w] = sim.NewQueue[applyItem](m.env, fmt.Sprintf("%s/sql%d", sl.Srv.Name, w))
 	}
 
 	m.env.Go(sl.Srv.Name+"/sql-dispatch", func(p *sim.Proc) {
+		// byTable maps "db.table" to the newest dispatched sequence writing
+		// it; barrier is the newest dispatched barrier sequence (DDL, USE,
+		// unparseable), which everything after it depends on; lastSeq is the
+		// newest dispatched sequence (what a barrier depends on).
+		byTable := make(map[string]uint64)
+		var barrier, lastSeq uint64
 		next := 0
 		for {
 			e, ok := sl.relay.Get(p)
@@ -110,18 +69,18 @@ func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int)
 				// DDL and anything we cannot attribute to a table is a
 				// full barrier: it runs after everything dispatched so
 				// far, and everything after it runs after it.
-				dep = st.lastSeq
-				st.barrier = e.Seq
+				dep = lastSeq
+				barrier = e.Seq
 			} else {
-				dep = st.barrier
+				dep = barrier
 				for _, tbl := range tables {
-					if s := st.byTable[tbl]; s > dep {
+					if s := byTable[tbl]; s > dep {
 						dep = s
 					}
-					st.byTable[tbl] = e.Seq
+					byTable[tbl] = e.Seq
 				}
 			}
-			st.lastSeq = e.Seq
+			lastSeq = e.Seq
 			queues[next].Put(applyItem{e: e, dep: dep})
 			next = (next + 1) % workers
 		}
@@ -136,18 +95,13 @@ func (m *Master) startParallelApplier(sl *Slave, ackPipe func(ack), workers int)
 				if !ok {
 					return
 				}
-				for !st.applied(it.dep) {
-					st.doneSig.Wait(p)
+				for !sl.applied.Has(it.dep) {
+					done.Wait(p)
 				}
 				if !m.applyEntry(p, sl, sess, it.e) {
 					return
 				}
-				st.complete(it.e)
-				if m.Mode == Sync {
-					// Ack the low-water mark: it is what "applied" means
-					// to WaitCommitted's all-slaves check.
-					ackPipe(ack{slave: sl, seq: sl.appliedSeq, applied: true})
-				}
+				done.Broadcast()
 			}
 		})
 	}

@@ -47,7 +47,7 @@ func newPipelineRig(t *testing.T, seed int64, nSlaves int, mode Mode, place clou
 		sSrv := server.New(env, fmt.Sprintf("slave%d", i+1), sInst, server.DefaultCostModel())
 		preload(sSrv)
 		sl := NewSlave(env, sSrv)
-		m.Attach(sl, mSrv.Log.LastSeq())
+		m.Attach(sl, Executed{Low: mSrv.Log.LastSeq()})
 		r.slaves = append(r.slaves, sl)
 	}
 	return r

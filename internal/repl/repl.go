@@ -180,13 +180,10 @@ type Slave struct {
 	relay  *sim.Queue[binlog.Entry]   // relay log → SQL thread(s)
 
 	receivedSeq uint64 // newest seq in relay log
-	appliedSeq  uint64 // newest seq applied
-	// executedSeq is the newest seq the single SQL thread has handed to
-	// Apply: appliedSeq, or the entry after it while that one's CPU is being
-	// paid. K apply workers execute out of order and leave it alone.
-	executedSeq uint64
-	applyErrs   int
-	stopped     bool
+	// The entries that have run here, and those whose CPU is also paid for.
+	executed, applied Executed
+	applyErrs         int
+	stopped           bool
 
 	// Master-side acknowledgement high-water marks.
 	masterAckReceipt uint64
@@ -202,17 +199,14 @@ func NewSlave(env *sim.Env, srv *server.DBServer) *Slave {
 	}
 }
 
-// AppliedSeq returns the newest applied sequence: the last entry whose apply
-// has been paid for. The one after it may already have executed (Apply runs the
-// statement, then charges its CPU); ExecutedSeq counts it.
-func (s *Slave) AppliedSeq() uint64 { return s.appliedSeq }
+// AppliedSeq returns the newest sequence such that it and everything before
+// it has been applied, CPU paid for: the position tiers, lag and catch-up
+// read. Entries after it may already have run (Executed has them).
+func (s *Slave) AppliedSeq() uint64 { return s.applied.Low }
 
-// ExecutedSeq returns the newest sequence such that it and everything before
-// it has run on this replica, paid for or not: where a replica must be
-// re-attached for no statement to reach it twice. Under K apply workers
-// entries run out of order and no single position says what has; it is
-// AppliedSeq then, and what ran ahead of that is shipped again.
-func (s *Slave) ExecutedSeq() uint64 { return max(s.executedSeq, s.appliedSeq) }
+// Executed returns a copy of the set of entries that have run on this
+// replica, paid for or not: what a re-attach must not ship to it again.
+func (s *Slave) Executed() Executed { return s.executed.clone() }
 
 // ApplyErrors returns the count of statements that failed to re-execute.
 func (s *Slave) ApplyErrors() int { return s.applyErrs }
@@ -227,10 +221,10 @@ func (s *Slave) EventsBehindMaster() uint64 {
 		return 0
 	}
 	last := s.master.Srv.Log.LastSeq()
-	if last <= s.appliedSeq {
+	if last <= s.applied.Low {
 		return 0
 	}
-	return last - s.appliedSeq
+	return last - s.applied.Low
 }
 
 // Staleness reports how far behind the master this slave's state is at
@@ -245,10 +239,10 @@ func (s *Slave) Staleness(now sim.Time) time.Duration {
 		return 0
 	}
 	log := s.master.Srv.Log
-	if log.LastSeq() <= s.appliedSeq {
+	if log.LastSeq() <= s.applied.Low {
 		return 0
 	}
-	d := now - log.CommittedAt(s.appliedSeq+1)
+	d := now - log.CommittedAt(s.applied.Low+1)
 	if d < 0 {
 		return 0
 	}
@@ -264,28 +258,21 @@ func (s *Slave) Stop() {
 
 // Attach connects sl to the master, starting the master-side dump thread
 // and the slave-side I/O and SQL threads. Replication begins after binlog
-// position startPos (use the master's current LastSeq for a freshly
-// synchronized replica). It fails, with nothing started, when the master's
-// binlog no longer holds the entry after startPos.
-func (m *Master) Attach(sl *Slave, startPos uint64) error {
-	reader, err := m.Srv.Log.NewReader(startPos)
+// position from.Low (Executed{Low: m.Srv.Log.LastSeq()} for a freshly
+// synchronized replica), and the entries above it that from holds are never
+// relayed: they already ran on sl. It fails, with nothing started, when the
+// master's binlog no longer holds the entry after from.Low.
+func (m *Master) Attach(sl *Slave, from Executed) error {
+	reader, err := m.Srv.Log.NewReader(from.Low)
 	if err != nil {
 		return fmt.Errorf("repl: attach %s to %s: %w", sl.Srv.Name, m.Srv.Name, err)
 	}
 	sl.master = m
-	sl.receivedSeq = startPos
-	sl.appliedSeq = startPos
+	sl.receivedSeq = from.Low
+	sl.executed, sl.applied = from.clone(), from.clone()
 	m.slaves = append(m.slaves, sl)
 
 	pipe := cloud.NewPipe(m.Net, m.Srv.Inst.Place, sl.Srv.Inst.Place, sl.io)
-	ackPipe := func(a ack) {
-		// Acks ride the reverse path as datagrams; ordering between acks is
-		// irrelevant and a partitioned path simply loses them (the master's
-		// semi-sync timeout degrades the commit to async).
-		cloud.Unicast(m.Net, sl.Srv.Inst.Place, m.Srv.Inst.Place, func() {
-			m.deliverAck(a)
-		})
-	}
 
 	maxEntries := m.Pipeline.BatchMaxEntries
 	maxBytes := m.Pipeline.BatchMaxBytes
@@ -353,57 +340,61 @@ func (m *Master) Attach(sl *Slave, startPos uint64) error {
 				}
 			}
 			sl.Srv.RelayBatchWork(p, len(batch))
-			var last uint64
+			prev := sl.receivedSeq
 			for _, e := range batch {
 				// Drop already-received entries (a reattach or retransmit
 				// can replay the stream) so nothing enters the relay log —
-				// and the appliers — twice.
+				// and the appliers — twice; nor do the members of from.
 				if e.Seq <= sl.receivedSeq {
 					continue
 				}
 				sl.receivedSeq = e.Seq
-				sl.relay.Put(e)
-				last = e.Seq
+				if !sl.executed.Has(e.Seq) {
+					sl.relay.Put(e)
+				}
 			}
-			if m.Mode == SemiSync && last > 0 {
+			if m.Mode == SemiSync && sl.receivedSeq > prev {
 				// One receipt for the whole batch: acknowledging the last
 				// sequence covers every earlier one.
-				ackPipe(ack{slave: sl, seq: last, applied: false})
+				m.sendAck(ack{slave: sl, seq: sl.receivedSeq, applied: false})
 			}
 		}
 	})
 
 	if m.Pipeline.ApplyWorkers > 1 {
-		m.startParallelApplier(sl, ackPipe, m.Pipeline.ApplyWorkers)
+		m.startParallelApplier(sl, m.Pipeline.ApplyWorkers)
 		return nil
 	}
 	sess := sl.Srv.Session("")
 	m.env.Go(sl.Srv.Name+"/sql", func(p *sim.Proc) {
 		for {
 			e, ok := sl.relay.Get(p)
-			if !ok {
+			if !ok || !m.applyEntry(p, sl, sess, e) {
 				return
-			}
-			if !m.applyEntry(p, sl, sess, e) {
-				return
-			}
-			sl.appliedSeq = e.Seq
-			if m.Mode == Sync {
-				ackPipe(ack{slave: sl, seq: e.Seq, applied: true})
 			}
 		}
 	})
 	return nil
 }
 
+// sendAck sends a to the master. Acks ride the reverse path as datagrams;
+// ordering between acks is irrelevant and a partitioned path simply loses
+// them (the master's semi-sync timeout degrades the commit to async).
+func (m *Master) sendAck(a ack) {
+	cloud.Unicast(m.Net, a.slave.Srv.Inst.Place, m.Srv.Inst.Place, func() {
+		m.deliverAck(a)
+	})
+}
+
 // applyEntry is the body the single applier and the K-worker applier share;
-// they differ only in how entries reach it and how AppliedSeq advances after
-// it. It parks across a crash (re-apply resumes from the relay log when the
-// instance comes back: the database layer retains state), replays e under an
-// "apply" span linked to the write that logged it, counts a failed replay,
-// and raises the engine's commit version to e's sequence — replica MVCC
-// stamps track master commit order, and the raise is a monotone max, so
-// out-of-order workers still converge on it. It reports false, with e not
+// they differ only in how entries reach it. It parks across a crash
+// (re-apply resumes from the relay log when the instance comes back: the
+// database layer retains state), replays e under an "apply" span linked to
+// the write that logged it, counts a failed replay, and raises the engine's
+// commit version to e's sequence — replica MVCC stamps track master commit
+// order, and the raise is a monotone max, so out-of-order workers still
+// converge on it. e joins the executed set as it runs and the applied set,
+// whose Low a Sync ack carries, once paid for. It reports false, with e not
 // applied, once the slave has been stopped.
 func (m *Master) applyEntry(p *sim.Proc, sl *Slave, sess *sqlengine.Session, e binlog.Entry) bool {
 	sl.Srv.Inst.AwaitUp(p)
@@ -413,17 +404,19 @@ func (m *Master) applyEntry(p *sim.Proc, sl *Slave, sess *sqlengine.Session, e b
 	asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(m.Srv.Log, e.Seq))
 	asp.SetAttr("slave", sl.Srv.Name)
 	asp.SetAttrInt("seq", int64(e.Seq))
-	if m.Pipeline.ApplyWorkers <= 1 {
-		// Apply replays before it first parks, so nothing can observe the
-		// mark without the statement.
-		sl.executedSeq = e.Seq
-	}
+	// Apply replays before it first parks, so nothing can observe the
+	// executed set without the statement.
+	sl.executed.Add(e.Seq)
 	if err := sl.Srv.Apply(p, sess, e); err != nil {
 		sl.applyErrs++
 		asp.SetAttr("error", "apply")
 	}
 	asp.End(p)
 	sl.Srv.Eng.AdvanceVersion(e.Seq)
+	sl.applied.Add(e.Seq)
+	if m.Mode == Sync {
+		m.sendAck(ack{slave: sl, seq: sl.applied.Low, applied: true})
+	}
 	return true
 }
 
@@ -437,8 +430,8 @@ func (m *Master) Detach(sl *Slave) {
 	m.ackCh.Broadcast() // unblock sync waiters that counted this slave
 }
 
-// ackedReceipt / ackedApply track per-slave acknowledgement high-water
-// marks on the master side.
+// deliverAck raises the slave's masterAckReceipt / masterAckApplied
+// acknowledgement high-water marks on the master side.
 func (m *Master) deliverAck(a ack) {
 	if a.applied {
 		if a.seq > a.slave.masterAckApplied {

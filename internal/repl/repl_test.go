@@ -49,7 +49,7 @@ func newRig(t *testing.T, seed int64, nSlaves int, mode Mode, slavePlace cloud.P
 		sSrv := server.New(env, fmt.Sprintf("slave%d", i+1), sInst, server.DefaultCostModel())
 		preload(sSrv)
 		sl := NewSlave(env, sSrv)
-		m.Attach(sl, mSrv.Log.LastSeq()) // fully synchronized start
+		m.Attach(sl, Executed{Low: mSrv.Log.LastSeq()}) // fully synchronized start
 		r.slaves = append(r.slaves, sl)
 	}
 	return r
@@ -144,7 +144,7 @@ func TestReplicationDelayIncludesNetworkLatency(t *testing.T) {
 		}
 	}
 	for _, sl := range slaves {
-		m.Attach(sl, mSrv.Log.LastSeq())
+		m.Attach(sl, Executed{Low: mSrv.Log.LastSeq()})
 	}
 	sess := mSrv.Session("app")
 	env.Go("writer", func(p *sim.Proc) {
@@ -379,7 +379,7 @@ func TestLateAttachingSlaveCatchesUp(t *testing.T) {
 	sInst := r.cloud.Launch("late", cloud.Small, sameZone())
 	sSrv := server.New(r.env, "late", sInst, server.DefaultCostModel())
 	late := NewSlave(r.env, sSrv)
-	r.master.Attach(late, 0)
+	r.master.Attach(late, Executed{})
 	r.env.RunUntil(time.Minute)
 	set, err := sSrv.Session("app").Query("SELECT COUNT(*) FROM t")
 	if err != nil {
@@ -496,7 +496,7 @@ func TestSlaveRestartReattachesAtPosition(t *testing.T) {
 
 	// Restart: same server state, new replication threads from crashPos.
 	revived := NewSlave(r.env, victim.Srv)
-	r.master.Attach(revived, crashPos)
+	r.master.Attach(revived, Executed{Low: crashPos})
 	for i := 20; i < 23; i++ {
 		r.write(t, i, "after")
 	}
@@ -568,7 +568,7 @@ func TestCascadingReplication(t *testing.T) {
 	}
 	relayMaster := NewMaster(r.env, relay.Srv, r.cloud.Network(), Async)
 	leaf := NewSlave(r.env, leafSrv)
-	relayMaster.Attach(leaf, relay.Srv.Log.LastSeq())
+	relayMaster.Attach(leaf, Executed{Low: relay.Srv.Log.LastSeq()})
 
 	for i := 0; i < 8; i++ {
 		r.write(t, i, "cascade")

@@ -228,7 +228,7 @@ func appliedContents(t *testing.T, pc repl.PipelineConfig) string {
 	m := repl.NewMaster(env, newEquivalenceServer(t, env, c, "master"), c.Network(), repl.Async)
 	m.Pipeline = pc
 	sl := repl.NewSlave(env, newReplica(t, env, c, "slave"))
-	m.Attach(sl, m.Srv.Log.LastSeq())
+	m.Attach(sl, repl.Executed{Low: m.Srv.Log.LastSeq()})
 	env.Go("client", func(p *sim.Proc) { writeMix(t, p, m.Srv, 140) })
 	env.RunUntil(time.Hour)
 	if sl.AppliedSeq() != m.Srv.Log.LastSeq() || sl.ApplyErrors() != 0 {

@@ -46,7 +46,7 @@ func TestShipByReference(t *testing.T) {
 	m.Pipeline = repl.PipelineConfig{BatchMaxEntries: 64}
 	sl := repl.NewSlave(env, newStreamServer(t, env, c, "slave"))
 	base := m.Srv.Log.LastSeq()
-	m.Attach(sl, base)
+	m.Attach(sl, repl.Executed{Low: base})
 
 	// With its instance down the slave's I/O thread takes one batch and
 	// parks; everything shipped after that waits on the socket, where the
@@ -177,7 +177,7 @@ func TestReplicationStreamAllocs(t *testing.T) {
 	m := repl.NewMaster(env, newEquivalenceServer(t, env, c, "master"), c.Network(), repl.Async)
 	slaves := []*repl.Slave{repl.NewSlave(env, newReplica(t, env, c, "slave1")), repl.NewSlave(env, newReplica(t, env, c, "slave2"))}
 	for _, sl := range slaves {
-		m.Attach(sl, m.Srv.Log.LastSeq())
+		m.Attach(sl, repl.Executed{Low: m.Srv.Log.LastSeq()})
 	}
 	base := m.Srv.Log.LastSeq()
 	const every = 100 * time.Millisecond // an apply costs ~42 ms of slave CPU

@@ -34,27 +34,6 @@ func LogNormal(rng *rand.Rand, median time.Duration, sigma float64) time.Duratio
 	return time.Duration(float64(median) * math.Exp(rng.NormFloat64()*sigma))
 }
 
-// Uniform draws a uniformly distributed duration in [lo, hi).
-func Uniform(rng *rand.Rand, lo, hi time.Duration) time.Duration {
-	if hi <= lo {
-		return lo
-	}
-	return lo + time.Duration(rng.Int63n(int64(hi-lo)))
-}
-
-// Jitter returns d scaled by a uniform factor in [1-f, 1+f]. f is clamped to
-// [0, 1).
-func Jitter(rng *rand.Rand, d time.Duration, f float64) time.Duration {
-	if f <= 0 {
-		return d
-	}
-	if f >= 1 {
-		f = 0.999
-	}
-	scale := 1 - f + 2*f*rng.Float64()
-	return time.Duration(float64(d) * scale)
-}
-
 // TruncNormFactor draws a positive multiplicative factor with mean 1 and the
 // given coefficient of variation, truncated to [0.3, 3]. Instance CPU speed
 // heterogeneity (Schad et al. report CoV ≈ 21% for EC2 small instances) is

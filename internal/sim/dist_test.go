@@ -55,34 +55,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestUniformBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	lo, hi := 10*time.Millisecond, 20*time.Millisecond
-	for i := 0; i < 10000; i++ {
-		d := Uniform(rng, lo, hi)
-		if d < lo || d >= hi {
-			t.Fatalf("Uniform = %v outside [%v, %v)", d, lo, hi)
-		}
-	}
-	if d := Uniform(rng, hi, lo); d != hi {
-		t.Fatalf("degenerate Uniform = %v, want lo", d)
-	}
-}
-
-func TestJitterBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := 100 * time.Millisecond
-	for i := 0; i < 10000; i++ {
-		d := Jitter(rng, base, 0.2)
-		if d < 80*time.Millisecond || d > 120*time.Millisecond {
-			t.Fatalf("Jitter = %v outside ±20%% of %v", d, base)
-		}
-	}
-	if d := Jitter(rng, base, 0); d != base {
-		t.Fatalf("Jitter with f=0 = %v, want %v", d, base)
-	}
-}
-
 func TestTruncNormFactorStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 200000
