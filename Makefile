@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards smoke bench-kernel bench-plan bench-history bench-pairs bench-attr bench-json-cmp fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
+.PHONY: all build test race race-shards smoke bench-gate bench-history bench-pairs bench-attr bench-json-cmp fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
 
 all: build vet lint test
 
@@ -12,8 +12,7 @@ check:
 	$(GO) test -race ./...
 	$(MAKE) smoke
 	$(MAKE) examples
-	$(MAKE) bench-kernel
-	$(MAKE) bench-plan
+	$(MAKE) bench-gate
 
 # The seven-analyzer lint suite — four package-local determinism linters
 # (simtime, simrand, maporder, closecheck) plus three whole-program
@@ -85,75 +84,54 @@ smoke:
 	git diff --exit-code -- results/BENCH_shard.json results/BENCH_consist.json results/BENCH_plan.json results/BENCH_elastic.json \
 		results/BENCH_pipeline.json results/BENCH_chaos.json
 
-# Kernel-speed smoke: measure the sim kernel (micro workload + one
-# experiment cell), write BENCH_kernel.json into results/, and fail if the
-# micro ns/event regresses >20% or the cell's allocs/event rises >5%
-# against the checked-in baseline. The cell's ns/event is reported and
-# deliberately not gated: on a shared box one reading of it moves 15-25 %,
-# more than any change worth gating on. A claim about it is made the way
-# CHANGES.md makes them — parent and change built once each and run in
-# alternated pairs (ten or more), compared by median and quartiles, with
-# `go run ./benchmark -compare` for the virtual side — not by this target.
-# Refresh the baseline deliberately with:
-#   cp results/BENCH_kernel.json bench/kernel_baseline.json
-bench-kernel:
-	$(GO) run ./cmd/cloudrepl-bench -bench-kernel -short -q -json results -gate bench
+# Host-speed gate: the kernel bench (a pure-kernel micro workload and one
+# experiment cell) and the planner bench (executor speed by statement shape:
+# point read, index scan, hash join, grouped aggregate, the home page's top-N
+# over three storage orders, the text search's LIKE scan, replan and recost
+# after an ANALYZE, insert, point update on three table sizes, apply of a
+# logged insert, one ANALYZE pass, a cluster's preload, restore and
+# restore-and-write), the working tree against its parent commit — HEAD~ on a
+# clean tree, HEAD on a dirty one — both built from source and run in
+# alternated pairs: bench/pairs.sh with no arguments. It fails when the
+# kernel's micro or cell ns/event, the cell's allocs/event, or any shape's
+# ops/s or allocs/op reads worse than the parent's by more than its bound;
+# the bounds and the statistic they apply to are stated once, in
+# bench/summary.awk. Each bench runs as a process of its own, the two sides
+# back to back. A change that is slower on purpose fails its own gate and says
+# so; the next change is compared with it. The change side's last
+# BENCH_kernel.json and BENCH_planner.json are left in results/. 100-153 s on
+# a 2-vCPU box with the build cache warm (results/pr38/ measures what it can
+# tell apart there: allocation regressions always, wall-clock ones only when
+# gross).
+bench-gate:
+	sh bench/pairs.sh
 
-# Planner-speed smoke: executor microbenchmarks on four query shapes (point
-# read, index scan, hash join, grouped aggregate), the two scans a Cloudstone
-# page spends its host time in (topn_scan: ORDER BY ts DESC LIMIT 10 over the
-# same rows stored ascending, descending and shuffled — three rates that must
-# stay close; like_scan: title LIKE '%<n> m%' LIMIT 10 over every row), replan (a
-# prepared SELECT re-run after each ANALYZE of a table it does not read: no plan
-# rebuilt, 0 allocs/op), recost (a prepared join re-run after each ANALYZE of a
-# table it reads: the plan re-costed in place, none rebuilt, 0 allocs/op), three
-# write shapes (insert, point update, apply of a logged insert on a second
-# engine), one ANALYZE pass over the 60 k rows the insert shape leaves, and a
-# cluster's set-up (preload: Cloudstone scale 600 loaded by SQL; restore: that
-# engine's image restored onto a new one — a warm image: its first restore, in
-# the first rep, built the index templates and the read-only view every later
-# restore shares, so a restore copies nothing per row; restore_write: a restore
-# and then one INSERT into every table, each first copying its table out of the
-# image — the clone a restore leaves to a table's first write, ≥ 10× preload's
-# rows/s), each best-of-3, with BENCH_planner.json written into results/ and a failure if
-# any shape's rate regresses >20% or its allocs/op rises >5% against the
-# checked-in baseline. Refresh the baseline deliberately with:
-#   cp results/BENCH_planner.json bench/planner_baseline.json
-bench-plan:
-	$(GO) run ./cmd/cloudrepl-bench -bench-plan -q -json results -gate bench
-
-# Performance trajectory: append this tree's row — kernel bench (micro and cell
-# ns/event + allocs/event), the planner bench's shapes, the four benchmark
-# cells' allocs_per_op, host.alloc_kb_per_op, setup_s and host-ledger seam
-# prices (each layer's self_wall_ns_per_op, sqlengine.run_read/run_write_wall_ns)
-# and the wall-clock of the whole `-all -short` sweep (all_short_wall_s) — to
-# the append-only bench/history.jsonl. One row per PR, added by the PR itself,
-# so the commit in its label reads as the parent plus "+":
-#   make bench-history LABEL="PR 15"
-# Takes about six minutes on two cores: the cells (one untimed warm-up, one
-# timed rep and the traced pass — which is what reports per-layer metrics — of
-# each, read back from results/cells beside the -json output), then `make
-# figures` with JSON and the row, its two benches run first while the process
-# is fresh. Take it on a quiet box: micro ns/event is one reading.
+# Performance trajectory: run the gate and append its summary — per metric
+# both medians, the median change/parent ratio and the lower/higher/equal
+# counts, with the parent, the pair count and the verdict — as one row of the
+# append-only bench/history.jsonl. One row per PR, added by the PR itself
+# before it is committed, so the commit in its label reads as the parent plus
+# "+" and the parent the gate works out is HEAD:
+#   make bench-history LABEL="PR 38"
+# The row is appended whatever the verdict, and the target fails as the gate
+# does; a run that stops part way (a bench failed) appends nothing.
 LABEL ?= unlabelled
 bench-history:
-	$(GO) run ./benchmark -reps 1 -out results/cells
-	$(GO) run ./cmd/cloudrepl-bench -all -short -q -csv results -json results \
-		-history "bench/history.jsonl:$(LABEL) @ $$(git describe --always --dirty=+)"
+	sh bench/pairs.sh | tee /dev/stderr | awk -v label="$(LABEL) @ $$(git describe --always --dirty=+)" -f bench/summary.awk >> bench/history.jsonl
 
-# Paired host-cost comparison: the working tree against BASE (default the
-# parent commit), both built once from source, over PAIRS alternated pairs of
+# Paired host-cost comparison: the working tree against BASE (by default the
+# gate's parent: HEAD~ on a clean tree, HEAD on a dirty one), both built once
+# from source, over PAIRS (by default the gate's twelve) alternated pairs of
 # `go run ./benchmark -workload w -seconds 15 -trace 0` for each workload w of
 # the space-separated list W, and `cloudrepl-bench KERNEL -short` (KERNEL=-all
 # times the whole sweep too). Prints every reading, then per metric both
-# medians, the median change/parent ratio and how many pairs read
-# lower/higher/equal. About a minute a pair per workload:
+# medians, the median change/parent ratio, how many pairs read
+# lower/higher/equal and, for what the gate holds, its verdict (the target
+# fails with it). About a minute a pair per workload:
 #   make bench-pairs BASE=HEAD~ PAIRS=10 W=shard_write_heavy
 #   make bench-pairs PAIRS=3 W="geo_light master_bound read_heavy shard_write_heavy"
-BASE ?= HEAD~
-PAIRS ?= 10
 W ?= shard_write_heavy
-KERNEL ?= -bench-kernel
+KERNEL ?= -bench-kernel -bench-plan
 bench-pairs:
 	sh bench/pairs.sh "$(BASE)" "$(PAIRS)" "$(W)" "$(KERNEL)"
 

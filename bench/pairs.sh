@@ -1,24 +1,44 @@
 #!/bin/sh
-# pairs.sh BASE N WORKLOADS KERNEL — paired host-cost comparison of the working
-# tree against commit BASE (make bench-pairs).
+# pairs.sh [BASE [N [WORKLOADS [BENCHES]]]] — paired host-cost comparison of
+# the working tree against commit BASE, and the repo's host-speed gate (make
+# bench-gate, make bench-pairs, make bench-history).
 #
-# Builds `go run ./benchmark` and cloudrepl-bench from an export of BASE and
-# from the working tree, then runs N pairs, the order alternating from pair to
-# pair so drift on the machine falls on both sides equally. Each side of a pair
-# runs `benchmark -workload W -seconds 15 -trace 0` for each workload W of the
-# space-separated list WORKLOADS, then `cloudrepl-bench KERNEL -short -q -json
-# DIR` (KERNEL is -bench-kernel, or -all for the whole sweep, whose
-# BENCH_kernel.json adds figures_wall_ms). The benchmark prints its readings
-# for one named workload at a time, so `all` is refused: list the names.
-# Every reading goes to standard output as `pair side metric value`; the
-# summary gives, per metric, both sides' medians, the median of the per-pair
-# ratios change/parent, and in how many pairs the change read lower, higher
-# and equal.
+# With no arguments it is the gate. An empty or absent BASE is worked out —
+# HEAD~ on a clean tree, HEAD on a dirty one, so the parent is always the
+# commit the change sits on — an empty or absent N is the gate's pair count,
+# no workload runs and BENCHES is `-bench-kernel -bench-plan`.
+#
+# Builds `go run ./benchmark` (when a workload is named) and cloudrepl-bench
+# from an export of BASE and from the working tree, then runs N pairs. A pair
+# is one run a side of each job — `benchmark -workload W -seconds 15 -trace 0`
+# for each workload W of the space-separated list WORKLOADS, then
+# `cloudrepl-bench B -short -q -json DIR` for each switch B of BENCHES (a list
+# of bench switches, or -all for the whole sweep, whose BENCH_kernel.json adds
+# figures_wall_ms) — with the two sides of a job back to back and the side
+# that goes first alternating from pair to pair: a shared host's speed drifts
+# over seconds, so the closer in time two readings are, the more alike the
+# host they saw. The benchmark prints its readings for one named workload at
+# a time, so `all` is refused: list the names. Every reading goes to standard
+# output as `pair side metric value`: the kernel bench's
+# kernel.{micro,cell}.{ns,allocs}_per_event and the planner bench's
+# planner.<shape>.{ops_per_sec,allocs_per_op}. The summary gives, per metric,
+# both sides' medians, the median of the per-pair ratios change/parent, in how
+# many pairs the change read lower, higher and equal, and the gate's bound and
+# verdict where the metric is gated; the script exits 1 when one fails. The
+# last pair's change-side BENCH_kernel.json and BENCH_planner.json are left in
+# the working tree's results/.
 set -eu
-base=${1:-HEAD~}
-n=${2:-10}
-workloads=${3:-shard_write_heavy}
-kernel=${4:--bench-kernel}
+root=$(git rev-parse --show-toplevel)
+base=${1:-}
+if [ -z "$base" ]; then
+	base=HEAD
+	[ -z "$(git -C "$root" status --porcelain)" ] && base=HEAD~
+fi
+# The gate's pair count: what fits in under 3 min on a 2-vCPU box, at 8-12 s
+# a pair (results/pr38/ measures what it buys).
+n=${2:-12}
+workloads=${3-}
+benches=${4:--bench-kernel -bench-plan}
 for w in $workloads; do
 	if [ "$w" = all ]; then
 		echo "pairs.sh: name the workloads, e.g. W=\"geo_light master_bound read_heavy shard_write_heavy\"" >&2
@@ -26,81 +46,81 @@ for w in $workloads; do
 	fi
 done
 
-root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT INT TERM
 mkdir "$tmp/parent"
 git -C "$root" archive "$(git -C "$root" rev-parse --verify "$base^{commit}")" | tar -x -C "$tmp/parent"
+cmds=bench:./cmd/cloudrepl-bench
+[ -n "$workloads" ] && cmds="benchmark:./benchmark $cmds"
 # -trimpath and -buildvcs=false make two builds of one source the same bytes,
 # so on an unchanged tree the pairs compare one binary with itself.
 for side in parent change; do
 	src=$root
 	[ "$side" = parent ] && src=$tmp/parent
-	(cd "$src" && for cmd in benchmark:./benchmark bench:./cmd/cloudrepl-bench; do
+	(cd "$src" && for cmd in $cmds; do
 		go build -trimpath -buildvcs=false -o "$tmp/$side-${cmd%%:*}" "${cmd#*:}" || exit 1
 	done)
 done
 
-# measure SIDE PAIR: one reading of every metric, as `pair side metric value`.
+# measure SIDE PAIR JOB: one reading of every metric JOB (a workload, or a
+# bench switch) gives, as `pair side metric value`.
 measure() {
 	side=$1
 	pair=$2
+	job=$3
 	src=$root
 	[ "$side" = parent ] && src=$tmp/parent
-	out=$tmp/$side-$pair
-	for workload in $workloads; do
-		mkdir -p "$out/$workload"
-		(cd "$src" && "$tmp/$side-benchmark" -workload "$workload" -seconds 15 -trace 0 -out "$out/$workload" >"$out/$workload/benchmark.txt")
-		tail -n 1 "$out/$workload/benchmark.txt" | grep -o '"[a-z0-9_.]*":{"value":[-0-9.e+]*\|"attempted":[0-9]*\|"failed":[0-9]*' |
-			sed "s/^\"\([^\"]*\)\":\({\"value\":\)*/$pair $side $workload.\1 /"
-	done
-	(cd "$src" && "$tmp/$side-bench" $kernel -short -q -json "$out" >"$out/bench.txt" 2>&1) || {
-		cat "$out/bench.txt" >&2
-		exit 1
-	}
-	awk -v p="$pair" -v s="$side" -v all="$kernel" '
-		/"micro"/ { sec = "micro." } /"cell"/ { sec = "cell." } /}/ { sec = "" }
-		/"(ns|allocs)_per_event"|"figures_wall_ms"/ {
-			gsub(/[",:]/, " "); if ($1 != "figures_wall_ms" || all == "-all") print p, s, "kernel." sec $1, $2
-		}' "$out/BENCH_kernel.json"
+	out=$tmp/$side-$pair/${job#-}
+	mkdir -p "$out"
+	case $job in
+	-*)
+		(cd "$src" && "$tmp/$side-bench" "$job" -short -q -json "$out" >"$out/bench.txt" 2>&1) || {
+			cat "$out/bench.txt" >&2
+			exit 1
+		}
+		# Each bench's JSON nests one object per workload or shape, two spaces in.
+		for f in "$out"/BENCH_kernel.json "$out"/BENCH_planner.json; do
+			[ -f "$f" ] || continue
+			awk -v p="$pair" -v s="$side" -v job="$job" '
+				FNR == 1 { bench = FILENAME ~ /kernel/ ? "kernel." : "planner." }
+				/^  "[a-z0-9_]*": \{$/ { sec = $1; gsub(/[":]/, "", sec); sec = sec "." }
+				/^  }/ { sec = "" }
+				/"((ns|allocs)_per_event|ops_per_sec|allocs_per_op|figures_wall_ms)"/ {
+					gsub(/[",:]/, " "); if ($1 != "figures_wall_ms" || job == "-all") print p, s, bench sec $1, $2
+				}' "$f"
+		done
+		;;
+	*)
+		(cd "$src" && "$tmp/$side-benchmark" -workload "$job" -seconds 15 -trace 0 -out "$out" >"$out/benchmark.txt")
+		tail -n 1 "$out/benchmark.txt" | grep -o '"[a-z0-9_.]*":{"value":[-0-9.e+]*\|"attempted":[0-9]*\|"failed":[0-9]*' |
+			sed "s/^\"\([^\"]*\)\":\({\"value\":\)*/$pair $side $job.\1 /"
+		;;
+	esac
 }
 
-i=1
+(i=1
 while [ "$i" -le "$n" ]; do
-	if [ $((i % 2)) -eq 1 ]; then
-		measure parent "$i"
-		measure change "$i"
-	else
-		measure change "$i"
-		measure parent "$i"
-	fi
+	for job in $workloads $benches; do
+		if [ $((i % 2)) -eq 1 ]; then
+			measure parent "$i" "$job"
+			measure change "$i" "$job"
+		else
+			measure change "$i" "$job"
+			measure parent "$i" "$job"
+		fi
+	done
 	i=$((i + 1))
-done | tee "$tmp/readings"
+done
+touch "$tmp/measured") | tee "$tmp/readings"
+# A bench that failed ended the loop above, not the pipeline.
+[ -f "$tmp/measured" ] || exit 1
+for f in "$tmp/change-$n"/*/BENCH_kernel.json "$tmp/change-$n"/*/BENCH_planner.json; do
+	if [ -f "$f" ]; then
+		mkdir -p "$root/results"
+		cp "$f" "$root/results/"
+	fi
+done
 
 echo
 echo "$n pairs, $(git -C "$root" rev-parse --short "$base") -> working tree"
-awk '
-function median(list, a, k, m, j, x) {
-	m = split(list, a, " ")
-	for (k = 2; k <= m; k++) {
-		x = a[k]
-		for (j = k - 1; j >= 1 && a[j] + 0 > x + 0; j--) a[j + 1] = a[j]
-		a[j + 1] = x
-	}
-	return m % 2 ? a[(m + 1) / 2] : (a[m / 2] + a[m / 2 + 1]) / 2
-}
-{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; names[++nm] = $3 } pairs[$1] = 1 }
-END {
-	printf "%-40s %12s %12s %8s %16s\n", "metric", "parent", "change", "ratio", "lower/higher/eq"
-	for (k = 1; k <= nm; k++) {
-		name = names[k]; pl = ""; cl = ""; rl = ""; lo = 0; hi = 0; eq = 0
-		for (p in pairs) {
-			a = v[p, "parent", name]; b = v[p, "change", name]
-			pl = pl " " a; cl = cl " " b
-			if (a + 0 != 0) rl = rl " " b / a
-			if (b + 0 < a + 0) lo++; else if (b + 0 > a + 0) hi++; else eq++
-		}
-		r = rl == "" ? "-" : sprintf("%.3f", median(rl))
-		printf "%-40s %12.6g %12.6g %8s %16s\n", name, median(pl), median(cl), r, lo "/" hi "/" eq
-	}
-}' "$tmp/readings"
+awk -f "$root/bench/summary.awk" "$tmp/readings"

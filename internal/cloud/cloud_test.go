@@ -268,13 +268,8 @@ func TestSendDelaysDelivery(t *testing.T) {
 	lat := DefaultLatencies()
 	lat.JitterSigma = 0
 	net := NewNetwork(env, lat)
-	q := sim.NewQueue[string](env, "q")
 	var at sim.Time
-	env.Go("receiver", func(p *sim.Proc) {
-		q.Get(p)
-		at = p.Now()
-	})
-	Send(net, Placement{USWest1, "a"}, Placement{USWest1, "b"}, q, "hello")
+	Unicast(net, Placement{USWest1, "a"}, Placement{USWest1, "b"}, func() { at = env.Now() })
 	env.Run()
 	if at != 21*time.Millisecond {
 		t.Fatalf("delivered at %v, want 21ms", at)
@@ -288,7 +283,9 @@ func TestTransitBlocksCaller(t *testing.T) {
 	net := NewNetwork(env, lat)
 	var at sim.Time
 	env.Go("client", func(p *sim.Proc) {
-		net.Transit(p, Placement{USWest1, "a"}, Placement{EUWest1, "a"})
+		if !net.TransitTimeout(p, Placement{USWest1, "a"}, Placement{EUWest1, "a"}, 0) {
+			t.Error("transit over a healthy path reported a partition")
+		}
 		at = p.Now()
 	})
 	env.Run()

@@ -164,21 +164,15 @@ func (n *Network) OneWay(a, b Placement) time.Duration {
 	return sim.LogNormal(n.env.Rand(), base, sigma)
 }
 
-// Transit suspends the calling process for one sampled one-way latency —
-// the client side of a synchronous request or response leg. It ignores
-// partitions; callers that need partition awareness use TransitTimeout.
-func (n *Network) Transit(p *sim.Proc, a, b Placement) {
-	p.Sleep(n.OneWay(a, b))
-}
-
 // DefaultTransitTimeout bounds a synchronous leg over a partitioned path
 // when the caller supplies no explicit timeout.
 const DefaultTransitTimeout = 10 * time.Second
 
-// TransitTimeout is Transit for callers that must not hang on a partitioned
-// path: when a→b is reachable it sleeps one sampled latency and reports
-// true; when partitioned it sleeps the timeout (DefaultTransitTimeout when
-// zero) and reports false — the client waiting out a dead TCP connection.
+// TransitTimeout suspends the calling process for one leg of a synchronous
+// request or response without hanging on a partitioned path: when a→b is
+// reachable it sleeps one sampled one-way latency and reports true; when
+// partitioned it sleeps the timeout (DefaultTransitTimeout when zero) and
+// reports false — the client waiting out a dead TCP connection.
 func (n *Network) TransitTimeout(p *sim.Proc, a, b Placement, timeout time.Duration) bool {
 	if n.Reachable(a, b) {
 		p.Sleep(n.OneWay(a, b))
@@ -191,36 +185,9 @@ func (n *Network) TransitTimeout(p *sim.Proc, a, b Placement, timeout time.Durat
 	return false
 }
 
-// queuedPut is Send's in-flight message: the payload and the arrival-side
-// partition check in one allocation, handed to the kernel as a Deliverable
-// so no delivery closure is built per message.
-type queuedPut[T any] struct {
-	n    *Network
-	a, b Placement
-	q    *sim.Queue[T]
-	v    T
-}
-
-func (m *queuedPut[T]) Deliver() {
-	if m.n.Reachable(m.a, m.b) {
-		m.q.Put(m.v)
-	}
-}
-
-// Send delivers v into q after a sampled one-way latency without blocking
-// the caller — the asynchronous replication stream. Delivery order between
-// two sends on the same pair may invert only if jitter reorders them;
-// ordered protocols (like the binlog stream) serialize on the receiving
-// queue position instead, so callers needing FIFO should use SendOrdered.
-// Sends on a partitioned path are dropped (at dispatch or at arrival).
-func Send[T any](n *Network, a, b Placement, q *sim.Queue[T], v T) {
-	if !n.Reachable(a, b) {
-		return
-	}
-	n.env.ScheduleDeliver(n.OneWay(a, b), &queuedPut[T]{n: n, a: a, b: b, q: q, v: v})
-}
-
-// unicastMsg is Unicast's in-flight message; see queuedPut.
+// unicastMsg is Unicast's in-flight message: the callback and the
+// arrival-side partition check in one allocation, handed to the kernel as a
+// Deliverable so no delivery closure is built per message.
 type unicastMsg struct {
 	n       *Network
 	a, b    Placement

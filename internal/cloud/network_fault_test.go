@@ -91,13 +91,8 @@ func TestSpikeLatencyAddsDelay(t *testing.T) {
 	// Base one-way a→b is 21 ms with jitter off (TestSendDelaysDelivery).
 	net.SpikeLatency(a, b, 100*time.Millisecond, 0)
 
-	q := sim.NewQueue[string](env, "q")
 	var at sim.Time
-	env.Go("receiver", func(p *sim.Proc) {
-		q.Get(p)
-		at = p.Now()
-	})
-	Send(net, a, b, q, "hello")
+	Unicast(net, a, b, func() { at = env.Now() })
 	env.Run()
 	if at != 121*time.Millisecond {
 		t.Fatalf("spiked delivery at %v, want 121ms", at)

@@ -1,10 +1,9 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -24,9 +23,9 @@ type KernelMeasure struct {
 
 // KernelBenchResult is the BENCH_kernel.json payload: the raw speed of the
 // simulation kernel, tracked PR-over-PR so scheduler and allocation
-// regressions surface immediately (`make bench-kernel` gates on
-// micro.ns_per_event and cell.allocs_per_event against the checked-in
-// bench/kernel_baseline.json).
+// regressions surface immediately (`make bench-gate` holds both workloads'
+// ns/event and the cell's allocs/event to the parent commit's,
+// bench/summary.awk).
 type KernelBenchResult struct {
 	// Micro is a pure-kernel workload — timers, signal waits with
 	// timeouts, cross-proc message delivery — with no SQL or middleware on
@@ -41,28 +40,58 @@ type KernelBenchResult struct {
 	FiguresWallMs float64 `json:"figures_wall_ms"`
 }
 
-// measureKernel wall-clocks run (which reports how many kernel events it
-// dispatched) and derives the per-event rates. Allocations are measured
-// process-wide via MemStats: the harness is quiesced around the run, so
-// the delta is dominated by the workload itself.
-func measureKernel(run func() uint64) KernelMeasure {
-	var before, after runtime.MemStats
+// kernelMicroSteps is how many equal stretches of virtual time the micro
+// workload's run is timed in. The fastest stretch gives its ns/event and
+// events/sec: a shared host's speed shifts by up to 2.5× from one tens of
+// milliseconds to the next (co-tenants on the same cores), and only the
+// fastest of many short windows reads alike on two runs of one build.
+const kernelMicroSteps = 10
+
+// collectorOff runs a collection and turns the collector off, returning the
+// setting debug.SetGCPercent puts back: no collection starts inside a timed
+// window. When one starts and how long it takes depend on the host — its
+// workers run beside the measured code on a shared CPU — while what it is
+// paid for, allocation, is gated by count. The benches' heaps stay small
+// enough to grow unswept for one run.
+func collectorOff() int {
 	runtime.GC()
+	return debug.SetGCPercent(-1)
+}
+
+// measureKernel times steps calls of step (each reports how many kernel
+// events it dispatched), with the collector off, and derives the per-event
+// rates: Events and WallMs are the steps' total, ns/event and events/sec the
+// fastest step's. Allocations are measured process-wide via MemStats over
+// every step: the harness is quiesced around the run, so the delta is
+// dominated by the workload itself.
+func measureKernel(steps int, step func() uint64) KernelMeasure {
+	var before, after runtime.MemStats
+	defer debug.SetGCPercent(collectorOff())
 	runtime.ReadMemStats(&before)
-	//cloudrepl:allow-simtime the kernel bench measures real elapsed wall time per simulated event
-	start := time.Now()
-	events := run()
-	//cloudrepl:allow-simtime the kernel bench measures real elapsed wall time per simulated event
-	wall := time.Since(start)
+	var m KernelMeasure
+	var total, best time.Duration
+	var bestEvents uint64
+	for i := 0; i < steps; i++ {
+		//cloudrepl:allow-simtime the kernel bench measures real elapsed wall time per simulated event
+		start := time.Now()
+		events := step()
+		//cloudrepl:allow-simtime the kernel bench measures real elapsed wall time per simulated event
+		wall := time.Since(start)
+		total += wall
+		m.Events += events
+		if events > 0 && (best == 0 || wall*time.Duration(bestEvents) < best*time.Duration(events)) {
+			best, bestEvents = wall, events
+		}
+	}
 	runtime.ReadMemStats(&after)
 
-	m := KernelMeasure{Events: events, WallMs: float64(wall.Nanoseconds()) / 1e6}
-	if events > 0 {
-		m.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
-		m.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(events)
+	m.WallMs = float64(total.Nanoseconds()) / 1e6
+	if m.Events > 0 {
+		m.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(m.Events)
 	}
-	if wall > 0 {
-		m.EventsPerSec = float64(events) / wall.Seconds()
+	if best > 0 {
+		m.NsPerEvent = float64(best.Nanoseconds()) / float64(bestEvents)
+		m.EventsPerSec = float64(bestEvents) / best.Seconds()
 	}
 	return m
 }
@@ -84,9 +113,10 @@ func (k *kernelPing) Deliver() {
 // kernelMicroWorkload exercises every hot kernel path — timer events
 // (Sleep), signal waits with timeouts that usually cancel (the proxied
 // query pattern), broadcasts, and self-rescheduling message delivery — for
-// a fixed stretch of virtual time, and reports the events dispatched. All
-// scheduling derives from the seed, so the event count is deterministic.
-func kernelMicroWorkload(seed int64) uint64 {
+// a fixed stretch of virtual time, run in kernelMicroSteps equal steps, and
+// measures it. All scheduling derives from the seed, so the event count is
+// deterministic, and the steps dispatch the events one run would.
+func kernelMicroWorkload(seed int64) KernelMeasure {
 	env := sim.NewEnv(seed)
 	const (
 		procs   = 64
@@ -114,11 +144,16 @@ func kernelMicroWorkload(seed int64) uint64 {
 		ping := &kernelPing{env: env, hop: time.Duration(1+i) * 500 * time.Microsecond}
 		env.ScheduleDeliver(ping.hop, ping)
 	}
-	env.RunUntil(sim.Time(horizon))
+	step := 0
+	m := measureKernel(kernelMicroSteps, func() uint64 {
+		step++
+		before := env.Events()
+		env.RunUntil(sim.Time(horizon * time.Duration(step) / kernelMicroSteps))
+		return env.Events() - before
+	})
 	env.Stop()
-	events := env.Events()
 	env.Shutdown()
-	return events
+	return m
 }
 
 // KernelBench measures the simulation kernel's raw speed: a pure-kernel
@@ -128,7 +163,7 @@ func KernelBench(opts SweepOpts, figuresWall time.Duration) (KernelBenchResult, 
 	res := KernelBenchResult{
 		FiguresWallMs: float64(figuresWall.Nanoseconds()) / 1e6,
 	}
-	res.Micro = measureKernel(func() uint64 { return kernelMicroWorkload(opts.Seed) })
+	res.Micro = kernelMicroWorkload(opts.Seed)
 
 	ramp, steady, down := opts.phases()
 	spec := RunSpec{
@@ -136,7 +171,7 @@ func KernelBench(opts SweepOpts, figuresWall time.Duration) (KernelBenchResult, 
 		Loc: SameZone, RampUp: ramp, Steady: steady, RampDown: down,
 	}
 	var err error
-	res.Cell = measureKernel(func() uint64 {
+	res.Cell = measureKernel(1, func() uint64 {
 		r, rerr := Run(spec)
 		if rerr != nil {
 			err = rerr
@@ -166,40 +201,6 @@ func RenderKernelBench(r KernelBenchResult) string {
 		fmt.Fprintf(&b, "\nsurrounding figure sweep wall-clock: %.1fs\n", r.FiguresWallMs/1e3)
 	}
 	return b.String()
-}
-
-// CheckKernelBaseline compares a fresh kernel bench against the checked-in
-// baseline and fails when the micro workload's ns/event has regressed more
-// than 20% (of the wall numbers it is the least noisy on shared CI hardware;
-// the cell's ns/event is informational) or the cell's allocs/event has risen
-// more than 5%: the full stack's allocation count repeats exactly from run to
-// run, so it gates what the wall clock cannot — the simulator's host cost
-// above the kernel.
-func CheckKernelBaseline(path string, cur KernelBenchResult) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("kernel baseline: %w", err)
-	}
-	var base KernelBenchResult
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("kernel baseline %s: %w", path, err)
-	}
-	if base.Micro.NsPerEvent <= 0 {
-		return fmt.Errorf("kernel baseline %s: micro.ns_per_event missing or zero", path)
-	}
-	limit := base.Micro.NsPerEvent * 1.20
-	if cur.Micro.NsPerEvent > limit {
-		return fmt.Errorf("kernel regression: micro ns/event %.1f exceeds baseline %.1f by more than 20%% (limit %.1f); if intentional, refresh %s",
-			cur.Micro.NsPerEvent, base.Micro.NsPerEvent, limit, path)
-	}
-	if base.Cell.AllocsPerEvent <= 0 {
-		return fmt.Errorf("kernel baseline %s: cell.allocs_per_event missing or zero", path)
-	}
-	if limit := base.Cell.AllocsPerEvent * 1.05; cur.Cell.AllocsPerEvent > limit {
-		return fmt.Errorf("kernel regression: cell allocs/event %.2f exceeds baseline %.2f by more than 5%% (limit %.2f); if intentional, refresh %s",
-			cur.Cell.AllocsPerEvent, base.Cell.AllocsPerEvent, limit, path)
-	}
-	return nil
 }
 
 // runShardsArm is the same small spec grid through RunShards, serial on one

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -39,10 +38,6 @@ type Experiment struct {
 	// Arms are what `-determinism` runs twice from one seed and byte-compares
 	// (see CheckDeterminism); most experiments have at most one.
 	Arms []Arm
-	// Gate fails when out — this experiment's Output.JSON — regresses against
-	// the checked-in baseline file, which `-gate DIR` looks for at
-	// DIR/<File>_baseline.json. Benches only.
-	Gate func(baselinePath string, out any) error
 }
 
 // Output is what one run hands the CLI.
@@ -72,15 +67,14 @@ type Session struct {
 	// took, zero when it ran alone.
 	figuresWall time.Duration
 	sweeps      map[string]*Sweep // by File
-	results     map[string]any    // Output.JSON by Key
 }
 
 // NewSession starts an invocation.
 func NewSession(o SweepOpts, elapsed func() time.Duration) *Session {
-	return &Session{opts: o, elapsed: elapsed, sweeps: map[string]*Sweep{}, results: map[string]any{}}
+	return &Session{opts: o, elapsed: elapsed, sweeps: map[string]*Sweep{}}
 }
 
-// Run executes e and remembers its JSON payload for HistoryRow.
+// Run executes e.
 func (s *Session) Run(e *Experiment) (Output, error) {
 	before := s.elapsed()
 	out, err := e.Run(s, e)
@@ -90,22 +84,7 @@ func (s *Session) Run(e *Experiment) (Output, error) {
 	if e.Kind != KindSwitch {
 		s.figuresWall += s.elapsed() - before
 	}
-	s.results[e.Key] = out.JSON
 	return out, nil
-}
-
-// HistoryRow assembles this invocation's bench/history.jsonl row; both
-// benches must have run in it. allShortWall is the invocation's wall-clock
-// when it was the whole `-all -short` sweep, zero otherwise.
-func (s *Session) HistoryRow(label, cellsPath string, allShortWall time.Duration) (HistoryRow, error) {
-	k, okK := s.results["bench-kernel"].(KernelBenchResult)
-	p, okP := s.results["bench-plan"].(PlanBenchResult)
-	if !okK || !okP {
-		return HistoryRow{}, errors.New("history: needs -bench-kernel and -bench-plan in the same run")
-	}
-	row, err := NewHistoryRow(label, k, p, cellsPath)
-	row.AllShortWallS = allShortWall.Seconds()
-	return row, err
 }
 
 // sweep runs a figure sweep once per session: Figs. 2 and 5 are two panels
@@ -210,16 +189,10 @@ var Registry = []*Experiment{
 			}
 			return Output{Text: RenderKernelBench(r), JSON: r}, nil
 		},
-		Arms: []Arm{{"serial-vs-parallel", runShardsArm}},
-		Gate: func(path string, out any) error {
-			return CheckKernelBaseline(path, out.(KernelBenchResult))
-		}},
+		Arms: []Arm{{"serial-vs-parallel", runShardsArm}}},
 	{Kind: KindSwitch, Key: "bench-plan", ID: "B-PLAN", Title: "executor speed by statement shape: reads, writes, apply of a logged write, one ANALYZE pass", File: "planner",
 		Run: run(func(SweepOpts) (PlanBenchResult, error) { return PlanBench() }, RenderPlanBench,
-			func(r PlanBenchResult) any { return r }),
-		Gate: func(path string, out any) error {
-			return CheckPlanBaseline(path, out.(PlanBenchResult))
-		}},
+			func(r PlanBenchResult) any { return r })},
 }
 
 // Keys lists the selector names of one kind, comma-separated, in registry
