@@ -35,6 +35,12 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// gcPercent is the bench process's GC target: simulation runs allocate in
+// bursts and retain little, so a larger heap-growth target than the
+// runtime's 100 trades memory for wall-clock without touching virtual-time
+// results.
+const gcPercent = 300
+
 // run is main with its arguments and streams passed in. It returns the exit
 // status: 2 for a command line it cannot act on (a flag, figure or ablation
 // name it does not know, or nothing selected), 1 for a run that failed.
@@ -61,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile (every allocation since start, not only live heap) to this file on exit")
 	quiet := fs.Bool("q", false, "suppress per-run progress lines")
-	gogc := fs.Int("gogc", 300, "GC target percentage for the bench process (simulation runs allocate in bursts and retain little, so a larger heap-growth target trades memory for wall-clock; 0 leaves the runtime default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -84,9 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		const rule = "=============================================================================="
 		fmt.Fprintf(stdout, "%s\n%s\n%s\n", rule, s, rule)
 	}
-	if *gogc > 0 {
-		debug.SetGCPercent(*gogc)
-	}
+	debug.SetGCPercent(gcPercent)
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)

@@ -11,11 +11,9 @@ import (
 // loses a replication message, a StartSpan/StartLinked whose span handle
 // is dropped can never be ended — the span stays on the process's open-span
 // stack forever, mis-parenting every later span on that process and counting
-// as an orphan in the trace export — a Pin whose snapshot handle is
-// dropped can never be Closed, so the engine's MVCC garbage collector keeps
-// every row version newer than the pin alive forever — and a Prepare whose
-// statement handle is dropped paid the parse and normalization cost for
-// nothing: the handle is the only way to run or plan the statement.
+// as an orphan in the trace export — and a Prepare whose statement handle is
+// dropped paid the parse and normalization cost for nothing: the handle is
+// the only way to run or plan the statement.
 var mustConsumeMethods = map[string]bool{
 	"Borrow":      true,
 	"Get":         true,
@@ -23,23 +21,21 @@ var mustConsumeMethods = map[string]bool{
 	"Peek":        true,
 	"StartSpan":   true,
 	"StartLinked": true,
-	"Pin":         true,
 	"Prepare":     true,
 }
 
 // CloseCheck flags resource accessors (Borrow/Get/TryGet/Peek), span
-// starters (StartSpan/StartLinked), snapshot pins (Pin) and statement
-// preparation (Prepare) whose results are silently dropped in statement
-// position: the returned handle is the only way to release the capacity,
-// end the span, unpin the version chain or execute the statement. An
-// explicit `_ = f()` discard is allowed — it is visible and greppable.
-// Dropped plain error results are errdrop's job (call-graph-aware, so
-// always-nil wrappers are exempt there).
+// starters (StartSpan/StartLinked) and statement preparation (Prepare) whose
+// results are silently dropped in statement position: the returned handle is
+// the only way to release the capacity, end the span or execute the
+// statement. An explicit `_ = f()` discard is allowed — it is visible and
+// greppable. Dropped plain error results are errdrop's job
+// (call-graph-aware, so always-nil wrappers are exempt there).
 var CloseCheck = &Analyzer{
 	Name: "closecheck",
 	Doc: "flag discarded sim-resource handles (Borrow/Get/TryGet/Peek, " +
-		"StartSpan/StartLinked, Pin, Prepare) that would silently leak capacity, " +
-		"wedge the tracer, pin MVCC version chains, or waste a statement parse",
+		"StartSpan/StartLinked, Prepare) that would silently leak capacity, " +
+		"wedge the tracer, or waste a statement parse",
 	Run: runCloseCheck,
 }
 

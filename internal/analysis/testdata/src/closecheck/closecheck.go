@@ -1,5 +1,5 @@
 // Fixture for the closecheck analyzer: discarded resource accessors (queue
-// reads, pool borrows, span starts, snapshot pins) are flagged; explicit
+// reads, pool borrows, span starts, statement preparation) are flagged; explicit
 // discards and consumed handles are not. Dropped plain errors are errdrop's
 // job and do not appear here.
 package closecheck
@@ -27,13 +27,7 @@ type span struct{}
 
 func (*span) End() {}
 
-type snapshotHandle struct{}
-
-func (*snapshotHandle) Close() {}
-
 type engine struct{}
-
-func (*engine) Pin() *snapshotHandle { return nil }
 
 type statement struct{}
 
@@ -55,7 +49,6 @@ func bad(q queue, pl pool, tr *tracer, e *engine) {
 	pl.Borrow()                     // want `result of pl\.Borrow dropped: the returned resource/message is lost`
 	tr.StartSpan("client", "exec")  // want `result of tr\.StartSpan dropped`
 	tr.StartLinked("apply", "a", 1) // want `result of tr\.StartLinked dropped`
-	e.Pin()                         // want `result of e\.Pin dropped`
 	e.Prepare("SELECT 1")           // want `result of e\.Prepare dropped`
 }
 
@@ -70,8 +63,6 @@ func ok(q queue, pl pool, tr *tracer, e *engine) {
 	sp := tr.StartSpan("client", "exec")
 	sp.End()
 	_ = tr.StartLinked("apply", "a", 1) // explicit discard allowed
-	h := e.Pin()
-	h.Close()
 	st, err := e.Prepare("SELECT 1")
 	_ = err
 	_ = st.Run()

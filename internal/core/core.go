@@ -314,7 +314,7 @@ func (db *DB) SplitShard(p *sim.Proc) (*shard.SplitReport, error) {
 
 // Failover promotes a slave in every cell whose master is down and re-points
 // that cell's proxy; cells whose master is up are left alone, so calling it
-// after the retry policy (Retry.FailoverOnMasterDown) has already promoted is
+// after the retry policy (proxy.DefaultRetryPolicy) has already promoted is
 // harmless. It returns the first promotion that failed or — the promotion
 // done — had to terminate replicas too far behind the promoted binlog
 // (cluster.Cluster.Failover).

@@ -84,10 +84,10 @@ func WithMaxStaleEvents(n uint64) Option {
 
 // WithRetryPolicy configures client-side robustness (retry with backoff,
 // slave eviction, statement timeouts, automatic master failover). Without it
-// the handle makes a single attempt per statement; use
-// proxy.DefaultRetryPolicy() for the chaos-hardened defaults. When the
-// policy's FailoverOnMasterDown is set, each cell's proxy promotes a slave of
-// its own cluster when it finds the master dead.
+// the handle makes a single attempt per statement; with
+// proxy.DefaultRetryPolicy(), the one other policy there is, each cell's
+// proxy also promotes a slave of its own cluster when it finds the master
+// dead.
 func WithRetryPolicy(rp proxy.RetryPolicy) Option {
 	return func(c *config) { c.routing.Retry = rp }
 }

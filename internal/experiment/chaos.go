@@ -7,7 +7,6 @@ import (
 
 	"cloudrepl/internal/chaos"
 	"cloudrepl/internal/metrics"
-	"cloudrepl/internal/proxy"
 )
 
 // ChaosScenario is one row of the A-CHAOS ablation: a run under one fault
@@ -135,13 +134,12 @@ func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 	ramp, steady, down := opts.phases()
 	crashAt := ramp + steady/4
 	downFor := steady / 4
-	retry := proxy.DefaultRetryPolicy()
 
 	mk := func(seed int64, sched *chaos.Schedule) RunSpec {
 		return RunSpec{
 			Seed: seed, Users: 100, Slaves: 2, Scale: 300, ReadRatio: 0.5,
 			Loc: SameZone, RampUp: ramp, Steady: steady, RampDown: down,
-			Chaos: sched, Retry: &retry,
+			Chaos: sched, Retry: true,
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cloudrepl/internal/chaos"
-	"cloudrepl/internal/proxy"
 )
 
 // chaosSpec is a quick mid-load point for fault-injection tests.
@@ -24,9 +23,8 @@ func TestRetryLayerFreeWhenNoFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retry := proxy.DefaultRetryPolicy()
 	spec := chaosSpec(71)
-	spec.Retry = &retry
+	spec.Retry = true
 	armed, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +42,8 @@ func TestRetryLayerFreeWhenNoFaults(t *testing.T) {
 // reproduce the same run bit-for-bit.
 func TestRunDeterministicUnderChaos(t *testing.T) {
 	mk := func() RunSpec {
-		retry := proxy.DefaultRetryPolicy()
 		spec := chaosSpec(72)
-		spec.Retry = &retry
+		spec.Retry = true
 		spec.Chaos = new(chaos.Schedule).CrashFor(90*time.Second, 30*time.Second, "slave1")
 		return spec
 	}
@@ -68,9 +65,8 @@ func TestRunDeterministicUnderChaos(t *testing.T) {
 // completes the protocol with the injector's counters reconciling and the
 // ops series sampled throughout.
 func TestSlaveCrashRunSurvives(t *testing.T) {
-	retry := proxy.DefaultRetryPolicy()
 	spec := chaosSpec(73)
-	spec.Retry = &retry
+	spec.Retry = true
 	spec.Chaos = new(chaos.Schedule).CrashFor(90*time.Second, 30*time.Second, "slave1")
 	res, err := Run(spec)
 	if err != nil {
@@ -100,9 +96,8 @@ func TestSlaveCrashRunSurvives(t *testing.T) {
 // TestMasterCrashRunFailsOver: killing the master mid-run ends with a
 // promoted slave serving writes and the failover visible in the counters.
 func TestMasterCrashRunFailsOver(t *testing.T) {
-	retry := proxy.DefaultRetryPolicy()
 	spec := chaosSpec(74)
-	spec.Retry = &retry
+	spec.Retry = true
 	spec.Chaos = new(chaos.Schedule).Crash(90*time.Second, "master")
 	res, err := Run(spec)
 	if err != nil {

@@ -98,11 +98,10 @@ func checkMetricNames(t *testing.T, file string, m map[string]float64) {
 // third never registered anywhere).
 func TestMetricNamesGolden(t *testing.T) {
 	t.Run("run", func(t *testing.T) {
-		retry := proxy.DefaultRetryPolicy()
 		res, err := Run(RunSpec{
 			Seed: 72, Users: 60, Slaves: 2, Scale: 300, ReadRatio: 0.5, Loc: SameZone,
 			RampUp: 30 * time.Second, Steady: time.Minute, RampDown: 15 * time.Second,
-			Retry: &retry,
+			Retry: true,
 			Chaos: new(chaos.Schedule).CrashFor(40*time.Second, 20*time.Second, "slave1"),
 		})
 		if err != nil {

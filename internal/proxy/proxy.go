@@ -204,32 +204,30 @@ func (s *Stats) Add(o Stats) {
 // RetryPolicy configures client-side robustness: bounded retries with
 // exponential backoff + jitter, a per-statement timeout, automatic slave
 // eviction/readmission on repeated errors, and master-failure detection.
-// The zero value disables everything (single attempt, legacy behaviour).
+// There are two policies: the zero value, which disables everything (single
+// attempt, legacy behaviour), and DefaultRetryPolicy.
 type RetryPolicy struct {
-	// MaxAttempts caps total attempts per statement (≤1 = no retry).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; each further retry
-	// doubles it up to MaxBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (0 = no cap).
-	MaxBackoff time.Duration
-	// JitterFrac spreads each backoff uniformly over ±JitterFrac of
+	// maxAttempts caps total attempts per statement (≤1 = no retry).
+	maxAttempts int
+	// baseBackoff is the delay before the first retry; each further retry
+	// doubles it up to maxBackoff.
+	baseBackoff time.Duration
+	maxBackoff  time.Duration
+	// jitterFrac spreads each backoff uniformly over ±jitterFrac of
 	// itself, decorrelating retry storms.
-	JitterFrac float64
-	// StatementTimeout bounds each attempt's network legs; an attempt
+	jitterFrac float64
+	// statementTimeout bounds each attempt's network legs; an attempt
 	// against an unreachable backend fails with ErrStatementTimeout after
 	// this long (0 = cloud.DefaultTransitTimeout when partitioned).
-	StatementTimeout time.Duration
-	// EvictAfter benches a slave after this many consecutive errors
-	// (0 = never evict).
-	EvictAfter int
-	// ReadmitAfter is how long an evicted slave sits out before it is
-	// probed again (0 = 30 s when EvictAfter is set).
-	ReadmitAfter time.Duration
-	// FailoverOnMasterDown lets the proxy invoke its OnMasterFailure hook
+	statementTimeout time.Duration
+	// evictAfter benches a slave after this many consecutive errors
+	// (0 = never evict); it sits out readmitAfter before it is probed again.
+	evictAfter   int
+	readmitAfter time.Duration
+	// failoverOnMasterDown lets the proxy invoke its OnMasterFailure hook
 	// when a statement finds the master dead, promoting a slave instead of
 	// returning ErrNoBackend forever.
-	FailoverOnMasterDown bool
+	failoverOnMasterDown bool
 }
 
 // DefaultRetryPolicy returns the robustness defaults used by the chaos
@@ -238,47 +236,23 @@ type RetryPolicy struct {
 // readmission, and automatic failover.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
-		MaxAttempts:          4,
-		BaseBackoff:          100 * time.Millisecond,
-		MaxBackoff:           2 * time.Second,
-		JitterFrac:           0.2,
-		StatementTimeout:     5 * time.Second,
-		EvictAfter:           3,
-		ReadmitAfter:         30 * time.Second,
-		FailoverOnMasterDown: true,
+		maxAttempts:          4,
+		baseBackoff:          100 * time.Millisecond,
+		maxBackoff:           2 * time.Second,
+		jitterFrac:           0.2,
+		statementTimeout:     5 * time.Second,
+		evictAfter:           3,
+		readmitAfter:         30 * time.Second,
+		failoverOnMasterDown: true,
 	}
-}
-
-func (rp RetryPolicy) attempts() int {
-	if rp.MaxAttempts < 1 {
-		return 1
-	}
-	return rp.MaxAttempts
-}
-
-func (rp RetryPolicy) readmitAfter() time.Duration {
-	if rp.ReadmitAfter <= 0 {
-		return 30 * time.Second
-	}
-	return rp.ReadmitAfter
 }
 
 // backoff returns the sleep before retry attempt n (n ≥ 1), with
 // exponential growth and jitter.
 func (rp RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
-	base := rp.BaseBackoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	d := base << uint(n-1)
-	if rp.MaxBackoff > 0 && d > rp.MaxBackoff {
-		d = rp.MaxBackoff
-	}
-	if rp.JitterFrac > 0 {
-		f := 1 + rp.JitterFrac*(2*rng.Float64()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	d := min(rp.baseBackoff<<uint(n-1), rp.maxBackoff)
+	f := 1 + rp.jitterFrac*(2*rng.Float64()-1)
+	return time.Duration(float64(d) * f)
 }
 
 // slaveHealth is the proxy's per-slave error bookkeeping.
@@ -308,10 +282,11 @@ type Proxy struct {
 	// attempt per statement.
 	Retry RetryPolicy
 
-	// OnMasterFailure, when set together with Retry.FailoverOnMasterDown,
-	// is invoked (at most once per dead master) when a statement finds the
-	// master down; it should promote a replica and return the new master.
-	// shard.Routing.Proxy wires it to the cluster's Failover.
+	// OnMasterFailure is invoked (at most once per dead master) when a
+	// statement finds the master down and Retry arms failover, as
+	// DefaultRetryPolicy does; it should promote a replica and return the
+	// new master. shard.Routing.Proxy always wires it to the cluster's
+	// Failover.
 	OnMasterFailure func(p *sim.Proc) (*repl.Master, error)
 
 	// Tracer, when set, records a "proxy" route span per statement and one
@@ -533,7 +508,7 @@ func (c *Conn) ExecInto(p *sim.Proc, out *Reply, sql string, args ...sqlengine.V
 			return nil, err
 		}
 	}
-	attempts := px.Retry.attempts()
+	attempts := max(px.Retry.maxAttempts, 1)
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
@@ -647,7 +622,7 @@ func (px *Proxy) masterUsable(p *sim.Proc) bool {
 	if px.master.Srv.Up() {
 		return true
 	}
-	if !px.Retry.FailoverOnMasterDown || px.OnMasterFailure == nil {
+	if !px.Retry.failoverOnMasterDown || px.OnMasterFailure == nil {
 		return false
 	}
 	m, err := px.OnMasterFailure(p)
@@ -662,7 +637,7 @@ func (px *Proxy) masterUsable(p *sim.Proc) bool {
 // readCandidates collects the slaves a read at the given tier may be served
 // by, in one pass over the master's attached slaves: running, past the
 // admission gate (warm-up quarantine), off the eviction bench — benched
-// slaves are skipped until their ReadmitAfter window passes, then counted as
+// slaves are skipped until their readmission window passes, then counted as
 // readmitted and probed again — and fresh enough for the tier. The set lives
 // in proxy-owned scratch: the balancer consumes it before the calling process
 // can park, so no two reads ever hold it at once.
@@ -681,7 +656,7 @@ func (c *Conn) readCandidates(p *sim.Proc, tier Consistency) []*repl.Slave {
 		if !sl.Srv.Up() || px.quarantined[sl] {
 			continue
 		}
-		if h := px.health[sl]; px.Retry.EvictAfter > 0 && h != nil && h.evicted {
+		if h := px.health[sl]; px.Retry.evictAfter > 0 && h != nil && h.evicted {
 			if p.Now() < h.evictedUntil {
 				continue
 			}
@@ -708,9 +683,9 @@ func (c *Conn) readCandidates(p *sim.Proc, tier Consistency) []*repl.Slave {
 }
 
 // noteSlaveError records a failed read on sl and benches it after
-// EvictAfter consecutive errors.
+// the policy's evictAfter consecutive errors.
 func (px *Proxy) noteSlaveError(p *sim.Proc, sl *repl.Slave) {
-	if px.Retry.EvictAfter <= 0 {
+	if px.Retry.evictAfter <= 0 {
 		return
 	}
 	h := px.health[sl]
@@ -719,9 +694,9 @@ func (px *Proxy) noteSlaveError(p *sim.Proc, sl *repl.Slave) {
 		px.health[sl] = h
 	}
 	h.consecErrs++
-	if !h.evicted && h.consecErrs >= px.Retry.EvictAfter {
+	if !h.evicted && h.consecErrs >= px.Retry.evictAfter {
 		h.evicted = true
-		h.evictedUntil = p.Now() + px.Retry.readmitAfter()
+		h.evictedUntil = p.Now() + px.Retry.readmitAfter
 		px.stats.SlaveEvictions++
 	}
 }
@@ -762,7 +737,7 @@ func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.
 		sess = srv.Session(c.db)
 		c.sess[srv] = sess
 	}
-	if !px.net.TransitTimeout(p, px.client, srv.Inst.Place, px.Retry.StatementTimeout) {
+	if !px.net.TransitTimeout(p, px.client, srv.Inst.Place, px.Retry.statementTimeout) {
 		px.stats.Timeouts++
 		asp.SetAttr("error", "timeout")
 		asp.End(p)
@@ -780,7 +755,7 @@ func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.
 		asp.End(p)
 		return nil, err
 	}
-	if !px.net.TransitTimeout(p, srv.Inst.Place, px.client, px.Retry.StatementTimeout) {
+	if !px.net.TransitTimeout(p, srv.Inst.Place, px.client, px.Retry.statementTimeout) {
 		px.stats.Timeouts++
 		asp.SetAttr("error", "timeout")
 		asp.End(p)

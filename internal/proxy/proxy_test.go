@@ -502,7 +502,7 @@ func TestFreshConnectionUnaffectedByRYW(t *testing.T) {
 func TestRYWTokenSurvivesFailover(t *testing.T) {
 	env, px := topo(t, 21, 2, &RoundRobin{})
 	px.Consistency = Session
-	px.Retry.FailoverOnMasterDown = true
+	px.Retry.failoverOnMasterDown = true
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
 		// Promote the most-applied live slave under epoch+1 and re-attach
 		// the rest at their applied positions — cluster.Failover's flow.

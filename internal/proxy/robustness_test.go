@@ -118,7 +118,7 @@ func TestScoredPicksAllocateNothing(t *testing.T) {
 // master instead of surfacing the error.
 func TestRetryMasksMidFlightCrash(t *testing.T) {
 	env, px := topo(t, 23, 1, &RoundRobin{})
-	px.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond}
+	px.Retry = RetryPolicy{maxAttempts: 3, baseBackoff: 50 * time.Millisecond, maxBackoff: time.Second}
 	sl := px.Master().Slaves()[0]
 	conn := px.Connect("app")
 	var res *ExecResult
@@ -175,11 +175,12 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
 	env, net, px := topoAt(t, 25, zoneA, []cloud.Placement{zoneA, zoneB}, &RoundRobin{})
 	px.Retry = RetryPolicy{
-		MaxAttempts:      2,
-		BaseBackoff:      10 * time.Millisecond,
-		StatementTimeout: time.Second,
-		EvictAfter:       2,
-		ReadmitAfter:     5 * time.Second,
+		maxAttempts:      2,
+		baseBackoff:      10 * time.Millisecond,
+		maxBackoff:       time.Second,
+		statementTimeout: time.Second,
+		evictAfter:       2,
+		readmitAfter:     5 * time.Second,
 	}
 	net.Partition(zoneA, zoneB)
 
@@ -233,7 +234,7 @@ func TestStatementTimeoutOnPartitionedMaster(t *testing.T) {
 	// Master in zone a; client (proxy) in zone b; no slaves.
 	env, net, px := topoAt(t, 26, zoneA, nil, &RoundRobin{})
 	pxB := New(env, net, px.Master(), zoneB, &RoundRobin{})
-	pxB.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, StatementTimeout: time.Second}
+	pxB.Retry = RetryPolicy{maxAttempts: 2, baseBackoff: 10 * time.Millisecond, maxBackoff: time.Second, statementTimeout: time.Second}
 	net.Partition(zoneA, zoneB)
 
 	conn := pxB.Connect("app")
@@ -270,7 +271,7 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	sl := px.Master().Slaves()[0]
 	old := px.Master()
 	hookCalls := 0
-	px.Retry = RetryPolicy{FailoverOnMasterDown: true}
+	px.Retry = RetryPolicy{failoverOnMasterDown: true}
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
 		hookCalls++
 		old.Detach(sl)
@@ -309,12 +310,12 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	}
 }
 
-// TestNoFailoverWithoutPolicy: with FailoverOnMasterDown unset the hook is
+// TestNoFailoverWithoutPolicy: with failoverOnMasterDown unset the hook is
 // never consulted and the legacy ErrNoBackend surfaces.
 func TestNoFailoverWithoutPolicy(t *testing.T) {
 	env, px := topo(t, 28, 1, &RoundRobin{})
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
-		t.Error("hook invoked despite FailoverOnMasterDown=false")
+		t.Error("hook invoked despite failoverOnMasterDown=false")
 		return nil, nil
 	}
 	px.Master().Srv.Inst.Terminate()
@@ -363,12 +364,12 @@ func TestReadYourWritesAllStaleFallsBackToMaster(t *testing.T) {
 	env.Shutdown()
 }
 
-// TestBackoffGrowsAndCaps: the backoff schedule doubles from BaseBackoff
-// and respects MaxBackoff; jitter stays within ±JitterFrac.
+// TestBackoffGrowsAndCaps: the backoff schedule doubles from baseBackoff
+// and respects maxBackoff; jitter stays within ±jitterFrac.
 func TestBackoffGrowsAndCaps(t *testing.T) {
 	env := sim.NewEnv(30)
 	rng := env.Rand()
-	rp := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
+	rp := RetryPolicy{baseBackoff: 100 * time.Millisecond, maxBackoff: 400 * time.Millisecond}
 	for n, want := range map[int]time.Duration{
 		1: 100 * time.Millisecond,
 		2: 200 * time.Millisecond,
@@ -379,7 +380,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 			t.Fatalf("backoff(%d) = %v, want %v", n, got, want)
 		}
 	}
-	jit := RetryPolicy{BaseBackoff: 100 * time.Millisecond, JitterFrac: 0.5}
+	jit := RetryPolicy{baseBackoff: 100 * time.Millisecond, maxBackoff: time.Second, jitterFrac: 0.5}
 	for i := 0; i < 100; i++ {
 		d := jit.backoff(1, rng)
 		if d < 50*time.Millisecond || d > 150*time.Millisecond {

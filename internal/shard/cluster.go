@@ -68,8 +68,9 @@ type Routing struct {
 	// MaxStaleEvents bounds the Bounded tier
 	// (0 = proxy.DefaultMaxEventsBehind).
 	MaxStaleEvents uint64
-	// Retry configures client-side robustness; with FailoverOnMasterDown the
-	// proxy's master-failure hook is wired to the cluster's slave promotion.
+	// Retry configures client-side robustness. The proxy's master-failure
+	// hook is always wired to the cluster's slave promotion; the policy
+	// decides whether it is ever called.
 	Retry proxy.RetryPolicy
 }
 
@@ -83,11 +84,9 @@ func (r Routing) Proxy(clu *cluster.Cluster, tr *obs.Tracer) *proxy.Proxy {
 	px.Consistency = r.Consistency
 	px.MaxStaleEvents = r.MaxStaleEvents
 	px.Retry = r.Retry
-	if r.Retry.FailoverOnMasterDown {
-		px.OnMasterFailure = func(*sim.Proc) (*repl.Master, error) {
-			m, _, err := clu.Failover() // a replica it had to drop is down, which is all a proxy needs to see
-			return m, err
-		}
+	px.OnMasterFailure = func(*sim.Proc) (*repl.Master, error) {
+		m, _, err := clu.Failover() // a replica it had to drop is down, which is all a proxy needs to see
+		return m, err
 	}
 	if tr != nil {
 		px.Tracer = tr
@@ -114,7 +113,7 @@ type Stats struct {
 	Broadcasts        uint64 `metric:"broadcasts"`          // statements sent to every cell
 	AnyReads          uint64 `metric:"any_reads"`           // global-table reads served by one cell
 	WrongShardRetries uint64 `metric:"wrong_shard_retries"` // ErrWrongShard observed and retried
-	MapRefreshes      uint64 `metric:"map_refreshes"`       // stale snapshots replaced after ErrWrongShard
+	MapRefreshes      uint64 `metric:"map_refreshes"`       // stale maps replaced after ErrWrongShard
 	DualWrites        uint64 `metric:"dual_writes"`         // writes mirrored to the split target
 	Splits            uint64 `metric:"splits"`              // completed splits/rebalances
 	SplitAborts       uint64 `metric:"split_aborts"`        // splits abandoned (dead target, topology change)
@@ -228,7 +227,7 @@ func (s *Cluster) Cell(i int) *Cell { return s.cells[i] }
 // NumCells returns the current cell count.
 func (s *Cluster) NumCells() int { return len(s.cells) }
 
-// Map returns the authoritative shard map.
+// Map returns the current shard map; a split replaces it at cutover.
 func (s *Cluster) Map() *Map { return s.m }
 
 // Stats returns the router counters.
@@ -261,8 +260,8 @@ func (s *Cluster) route(sql string) *routeInfo {
 }
 
 // checkOwner builds a cell proxy's ownership check. It validates against
-// the live map (not a snapshot), so a client routing on a stale snapshot
-// gets proxy.ErrWrongShard and re-resolves. During a split's cutover
+// the cluster's current map (not a connection's), so a client routing on a
+// stale map gets proxy.ErrWrongShard and re-resolves. During a split's cutover
 // barrier it also rejects statements on moving keys and scatter legs on
 // the source cell, draining the source for the final catch-up.
 func (s *Cluster) checkOwner(cellID int) func(sql string, args []sqlengine.Value) error {
@@ -296,14 +295,14 @@ func (s *Cluster) checkOwner(cellID int) func(sql string, args []sqlengine.Value
 	}
 }
 
-// Conn is one routed client connection: a cached map snapshot plus one
-// lazily-opened proxy connection per cell. The snapshot refreshes only
-// when a cell rejects a statement with proxy.ErrWrongShard, so every
-// topology change exercises the typed retry path end to end.
+// Conn is one routed client connection: the map it routes on plus one
+// lazily-opened proxy connection per cell. The map refreshes only when a
+// cell rejects a statement with proxy.ErrWrongShard, so every topology
+// change exercises the typed retry path end to end.
 type Conn struct {
 	sc    *Cluster
 	db    string
-	snap  *Snapshot
+	m     *Map
 	conns []*proxy.Conn
 	// dualSess caches direct sessions on split-target masters for the
 	// dual-write window.
@@ -357,7 +356,7 @@ type scatterResult struct {
 
 // Connect opens a routed connection with the given default database.
 func (s *Cluster) Connect(db string) *Conn {
-	return &Conn{sc: s, db: db, snap: s.m.Snapshot()}
+	return &Conn{sc: s, db: db, m: s.m}
 }
 
 // leg returns (building if needed) the scatter slot for cell id.
@@ -384,9 +383,9 @@ func (c *Conn) cellConn(id int) *proxy.Conn {
 	return c.conns[id]
 }
 
-// refresh replaces the connection's map snapshot with the live map.
+// refresh replaces the connection's map with the cluster's current one.
 func (c *Conn) refresh() {
-	c.snap = c.sc.m.Snapshot()
+	c.m = c.sc.m
 	c.sc.stats.MapRefreshes++
 }
 
@@ -405,8 +404,8 @@ func routeBackoff(attempt int) time.Duration {
 
 // Exec routes and executes one statement. Single-key statements go to the
 // owning cell; multi-key reads scatter to every slot-owning cell and merge;
-// global writes broadcast. A proxy.ErrWrongShard reply (stale snapshot or
-// cutover barrier) refreshes the snapshot and retries with backoff.
+// global writes broadcast. A proxy.ErrWrongShard reply (stale map or
+// cutover barrier) refreshes the map and retries with backoff.
 func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*proxy.ExecResult, error) {
 	ri := c.sc.route(sql)
 	if ri.err != nil {
@@ -457,14 +456,14 @@ func (c *Conn) Query(p *sim.Proc, sql string, args ...sqlengine.Value) (*sqlengi
 // execOnce performs one routing attempt.
 func (c *Conn) execOnce(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine.Value) (*proxy.ExecResult, error) {
 	// Full-coverage routes (scatter, broadcast) cannot rely on the lazy
-	// ErrWrongShard path to expose a stale snapshot: a leg to a cell that
+	// ErrWrongShard path to expose a stale map: a leg to a cell that
 	// shrank is still "owned" statement-by-statement, so a scatter routed
-	// on a pre-split snapshot would silently miss the new cell's rows.
-	// Validate the snapshot epoch against the authoritative map before
-	// fanning out; single-key routes keep the cached snapshot and let the
-	// owning cell's ownership check catch staleness.
+	// on a pre-split map would silently miss the new cell's rows. Check
+	// the connection's map against the cluster's before fanning out;
+	// single-key routes keep the cached map and let the owning cell's
+	// ownership check catch staleness.
 	if ri.kind == routeScatter || ri.kind == routeBroadcast {
-		if c.snap.Version() != c.sc.m.Version() {
+		if c.m != c.sc.m {
 			c.refresh()
 		}
 	}
@@ -483,7 +482,7 @@ func (c *Conn) execOnce(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine
 	}
 }
 
-// single executes on the owning cell per the connection's snapshot, then
+// single executes on the owning cell per the connection's map, then
 // mirrors successful writes on moving keys to the split target.
 func (c *Conn) single(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine.Value) (*proxy.ExecResult, error) {
 	keys, err := ri.resolveKeys(c.keys, args)
@@ -491,9 +490,9 @@ func (c *Conn) single(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine.V
 		return nil, err
 	}
 	c.keys = keys
-	owner := c.snap.Owner(keys[0])
+	owner := c.m.Owner(keys[0])
 	for _, k := range keys[1:] {
-		if c.snap.Owner(k) != owner {
+		if c.m.Owner(k) != owner {
 			return nil, fmt.Errorf("shard: statement spans cells (keys hash to different owners)")
 		}
 	}
@@ -607,7 +606,7 @@ func (s *Cluster) trackKeys(keys []int64) (*migration, bool) {
 // over the legs' rows — combines what they return; a single-target scatter
 // short-circuits to the original statement.
 func (c *Conn) scatter(p *sim.Proc, ri *routeInfo, sql string, args []sqlengine.Value) (*proxy.ExecResult, error) {
-	targets := c.snap.Cells()
+	targets := c.m.Cells()
 	mig := c.sc.activeMigration()
 	tracked := false
 	if mig != nil && !mig.barrier { // barrier arrivals bounce, not drain-tracked

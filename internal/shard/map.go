@@ -6,18 +6,17 @@ import (
 	"sort"
 )
 
-// Map is the authoritative slot→cell assignment. Keys hash onto a fixed
-// number of slots (hash sharding); slots are assigned to cells in
-// contiguous ranges (range ownership), so a split moves a compact slot
-// range rather than rehashing the world. The map is versioned: every Move
-// bumps Version, and routers carry immutable Snapshots so a statement
-// routed on a stale map fails typed (proxy.ErrWrongShard) instead of
-// silently landing on the wrong cell.
+// Map is one slot→cell assignment. Keys hash onto a fixed number of slots
+// (hash sharding); slots are assigned to cells in contiguous ranges (range
+// ownership), so a split moves a compact slot range rather than rehashing
+// the world. A map is immutable: Move returns the next version, the cluster
+// swaps it in at cutover, and a connection keeps the map it routed on, so a
+// statement routed on a stale map fails typed (proxy.ErrWrongShard) instead
+// of silently landing on the wrong cell.
 type Map struct {
-	numSlots int
-	slots    []int // slot -> owning cell id
-	version  uint64
-	snap     *Snapshot // the current version's snapshot, built on first use
+	slots   []int // slot -> owning cell id
+	cells   []int // distinct owners in slots, ascending
+	version uint64
 }
 
 // NewMap assigns numSlots slots to cells in contiguous near-equal ranges.
@@ -25,26 +24,38 @@ func NewMap(numSlots, cells int) *Map {
 	if numSlots < 1 || cells < 1 || cells > numSlots {
 		panic(fmt.Sprintf("shard: bad map shape %d slots / %d cells", numSlots, cells))
 	}
-	m := &Map{numSlots: numSlots, slots: make([]int, numSlots), version: 1}
-	for s := 0; s < numSlots; s++ {
-		m.slots[s] = s * cells / numSlots
+	slots := make([]int, numSlots)
+	for s := range slots {
+		slots[s] = s * cells / numSlots
 	}
+	return newMap(slots, 1)
+}
+
+// newMap builds the map of the given assignment, which it keeps.
+func newMap(slots []int, version uint64) *Map {
+	m := &Map{slots: slots, version: version}
+	for _, c := range slots {
+		if !slices.Contains(m.cells, c) {
+			m.cells = append(m.cells, c)
+		}
+	}
+	sort.Ints(m.cells)
 	return m
 }
 
 // NumSlots returns the fixed slot count.
-func (m *Map) NumSlots() int { return m.numSlots }
+func (m *Map) NumSlots() int { return len(m.slots) }
 
-// Version returns the current map version; it increases on every Move.
+// Version returns the map's version; each Move returns the next one.
 func (m *Map) Version() uint64 { return m.version }
 
 // SlotOf returns the slot a key hashes to — independent of version.
-func (m *Map) SlotOf(key int64) int { return slotOf(key, m.numSlots) }
+func (m *Map) SlotOf(key int64) int { return slotOf(key, len(m.slots)) }
 
-// Owner returns the cell currently owning a key.
+// Owner returns the cell owning a key.
 func (m *Map) Owner(key int64) int { return m.slots[m.SlotOf(key)] }
 
-// SlotOwner returns the cell currently owning a slot.
+// SlotOwner returns the cell owning a slot.
 func (m *Map) SlotOwner(slot int) int { return m.slots[slot] }
 
 // SlotsOwnedBy returns the slots a cell owns, ascending.
@@ -69,55 +80,18 @@ func (m *Map) CellLoads(maxCell int) []int {
 	return out
 }
 
-// Move reassigns the given slots to dst and bumps the version. This is the
-// cutover instant of a split: it must happen only after dst holds every
-// row of the moved slots.
-func (m *Map) Move(slots []int, dst int) {
-	for _, s := range slots {
-		m.slots[s] = dst
-	}
-	m.version++
-	m.snap = nil
-}
-
-// Snapshot returns an immutable copy for a router to route against. A
-// snapshot is never written once built, so every caller between two Moves
-// gets the same one, and what is derived from it — the scatter target list —
-// is computed once per map version.
-func (m *Map) Snapshot() *Snapshot {
-	if m.snap == nil {
-		s := &Snapshot{numSlots: m.numSlots, version: m.version, slots: append([]int(nil), m.slots...)}
-		for _, c := range s.slots {
-			if !slices.Contains(s.cells, c) {
-				s.cells = append(s.cells, c)
-			}
-		}
-		sort.Ints(s.cells)
-		m.snap = s
-	}
-	return m.snap
-}
-
-// Snapshot is a frozen view of the map. Connections cache one and refresh
-// it only on proxy.ErrWrongShard, so the stale-map retry path is exercised
-// by every topology change rather than hidden by eager invalidation.
-type Snapshot struct {
-	numSlots int
-	slots    []int
-	cells    []int // distinct owners in slots, ascending
-	version  uint64
-}
-
-// Version returns the version the snapshot was taken at.
-func (s *Snapshot) Version() uint64 { return s.version }
-
-// SlotOf returns the slot a key hashes to.
-func (s *Snapshot) SlotOf(key int64) int { return slotOf(key, s.numSlots) }
-
-// Owner returns the cell owning a key in this snapshot.
-func (s *Snapshot) Owner(key int64) int { return s.slots[s.SlotOf(key)] }
-
 // Cells returns the distinct cell ids owning at least one slot, ascending —
-// the scatter-gather target set. The slice belongs to the snapshot and is
-// shared by everyone routing on it: read it, do not modify it.
-func (s *Snapshot) Cells() []int { return s.cells }
+// the scatter-gather target set. The slice belongs to the map and is shared
+// by everyone routing on it: read it, do not modify it.
+func (m *Map) Cells() []int { return m.cells }
+
+// Move returns the next version of the map, with the given slots reassigned
+// to dst; m itself is unchanged. Installing it is the cutover instant of a
+// split: it must happen only after dst holds every row of the moved slots.
+func (m *Map) Move(slots []int, dst int) *Map {
+	next := slices.Clone(m.slots)
+	for _, s := range slots {
+		next[s] = dst
+	}
+	return newMap(next, m.version+1)
+}

@@ -69,7 +69,7 @@ func TestAssignmentStability(t *testing.T) {
 		ownerBefore[k] = m.Owner(k)
 	}
 	moved := map[int]bool{3: true, 17: true, 40: true}
-	m.Move([]int{3, 17, 40}, 5)
+	m = m.Move([]int{3, 17, 40}, 5)
 	for _, k := range keys {
 		if got := m.SlotOf(k); got != slotBefore[k] {
 			t.Fatalf("key %d changed slot %d -> %d across Move", k, slotBefore[k], got)
@@ -101,7 +101,7 @@ func TestExactlyOneOwnerAcrossMoves(t *testing.T) {
 	dst := 1
 	for _, slots := range steps {
 		v0 := m.Version()
-		m.Move(slots, dst)
+		m = m.Move(slots, dst)
 		if m.Version() != v0+1 {
 			t.Fatalf("version %d after Move, want %d", m.Version(), v0+1)
 		}
@@ -116,23 +116,31 @@ func TestExactlyOneOwnerAcrossMoves(t *testing.T) {
 	}
 }
 
-// TestSnapshotImmutability: a snapshot keeps routing on the topology it was
-// taken under — the stale-snapshot behaviour the ErrWrongShard retry path
-// depends on.
-func TestSnapshotImmutability(t *testing.T) {
+// TestMoveLeavesConnMapUnchanged: a Move returns the next map and leaves
+// the one a connection holds as it was, so the connection keeps routing on
+// the topology it connected under — the stale-map behaviour the
+// ErrWrongShard retry path depends on.
+func TestMoveLeavesConnMapUnchanged(t *testing.T) {
 	m := NewMap(16, 2)
-	snap := m.Snapshot()
-	m.Move(m.SlotsOwnedBy(1), 2)
-	if snap.Version() == m.Version() {
-		t.Fatal("snapshot version moved with the map")
+	sc := &Cluster{m: m}
+	conn := sc.Connect("app")
+	sc.m = m.Move(m.SlotsOwnedBy(1), 2)
+	if conn.m != m || m.Version() != 1 || sc.m.Version() != 2 {
+		t.Fatalf("connection holds version %d, cluster %d: want 1 and 2", conn.m.Version(), sc.m.Version())
 	}
 	for s := 0; s < 16; s++ {
-		if snap.slots[s] == 2 {
-			t.Fatal("snapshot observed a post-snapshot move")
+		if want := s * 2 / 16; m.SlotOwner(s) != want {
+			t.Fatalf("slot %d of the held map is owned by %d after the Move, want %d", s, m.SlotOwner(s), want)
 		}
 	}
-	cells := m.Snapshot().Cells()
-	if len(cells) != 2 || cells[0] != 0 || cells[1] != 2 {
-		t.Fatalf("live cells = %v, want [0 2]", cells)
+	if cells := m.Cells(); len(cells) != 2 || cells[0] != 0 || cells[1] != 1 {
+		t.Fatalf("held map's cells = %v, want [0 1]", cells)
+	}
+	if cells := sc.m.Cells(); len(cells) != 2 || cells[0] != 0 || cells[1] != 2 {
+		t.Fatalf("moved map's cells = %v, want [0 2]", cells)
+	}
+	conn.refresh()
+	if conn.m != sc.m {
+		t.Fatal("refresh did not take the cluster's map")
 	}
 }

@@ -232,7 +232,7 @@ func (s *Cluster) migrate(p *sim.Proc, src, dst int, slots []int) (*SplitReport,
 	if err := s.cleanupSource(p, mig, srcM); err != nil {
 		return s.abort(rep, mig, err)
 	}
-	s.m.Move(slots, dst)
+	s.m = s.m.Move(slots, dst)
 	mig.barrier = false
 	s.mig = nil
 	rep.Downtime = time.Duration(p.Now() - barrierStart)

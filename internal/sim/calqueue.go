@@ -188,15 +188,6 @@ func (cq *calQueue) popLocated(idx int) *event {
 	return ev
 }
 
-// pop removes and returns the earliest live event (nil when none remain).
-func (cq *calQueue) pop() *event {
-	ev, idx := cq.locate()
-	if ev == nil {
-		return nil
-	}
-	return cq.popLocated(idx)
-}
-
 // cancel marks ev as a tombstone. The caller guarantees ev is still queued
 // and not yet cancelled (generation-checked by Env.cancelEvent).
 func (cq *calQueue) cancel(ev *event) {

@@ -33,6 +33,22 @@ func (h *refHeap) popLive() *event {
 	return nil
 }
 
+// popper returns what takes the earliest live event off cq (nil when none
+// remain) through the pair Env.dispatch uses: locate, then popLocated of the
+// bucket it names, which must hand back the event locate found.
+func popper(t *testing.T, cq *calQueue) func() *event {
+	return func() *event {
+		ev, idx := cq.locate()
+		if ev == nil {
+			return nil
+		}
+		if got := cq.popLocated(idx); got != ev {
+			t.Fatalf("popLocated(%d) = (%d,%d), locate found (%d,%d)", idx, got.at, got.seq, ev.at, ev.seq)
+		}
+		return ev
+	}
+}
+
 // TestCalQueueDifferentialVsHeap drives the old binary heap and the new
 // calendar queue with the same randomized schedule/cancel/pop workload and
 // asserts identical pop order — including (at, seq) ties, which is what the
@@ -41,6 +57,7 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 99, 12345} {
 		rng := rand.New(rand.NewSource(seed))
 		cq := &calQueue{free: func(*event) {}}
+		pop := popper(t, cq)
 		ref := &refHeap{}
 
 		var seq uint64
@@ -81,7 +98,7 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 					}
 				}
 			default: // pop
-				got := cq.pop()
+				got := pop()
 				want := ref.popLive()
 				if (got == nil) != (want == nil) {
 					t.Fatalf("seed %d op %d: pop mismatch: cal=%v heap=%v", seed, op, got, want)
@@ -106,7 +123,7 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 		}
 		// Drain both completely: the tails must agree too.
 		for {
-			got, want := cq.pop(), ref.popLive()
+			got, want := pop(), ref.popLive()
 			if got == nil && want == nil {
 				break
 			}
@@ -180,7 +197,7 @@ func TestCalQueueDifferentialSpawnHeavy(t *testing.T) {
 	for _, seed := range []int64{1, 7, 4242} {
 		cq := &calQueue{free: func(*event) {}}
 		ref := &refHeap{}
-		got := spawnHeavyScript(seed, cq.push, cq.pop)
+		got := spawnHeavyScript(seed, cq.push, popper(t, cq))
 		want := spawnHeavyScript(seed, func(ev *event) { heap.Push(ref, ev) }, ref.popLive)
 		if len(got) < 30000 || len(got) != len(want) {
 			t.Fatalf("seed %d: calendar queue popped %d events, heap %d; want the same and at least 30000", seed, len(got), len(want))

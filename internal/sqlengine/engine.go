@@ -162,12 +162,11 @@ type Engine struct {
 
 	// MVCC state (mvcc.go): commitV is the engine's commit counter — every
 	// finalized write statement or transaction takes the next version, and
-	// replicas additionally advance it to the applied binlog sequence. pins
-	// holds versions kept alive by open SnapshotHandles, txns the sessions
-	// with open transactions, provisional the outstanding in-transaction
+	// replicas additionally advance it to the applied binlog sequence. txns
+	// holds the sessions with open transactions — each holds the GC horizon
+	// at its read version — provisional the outstanding in-transaction
 	// stamps (the fast-path read check).
 	commitV     uint64
-	pins        []uint64
 	txns        []*Session
 	provisional int
 

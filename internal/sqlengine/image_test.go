@@ -374,16 +374,18 @@ func TestRestoredStoreCapturesAsItsImage(t *testing.T) {
 		})
 	}
 
-	// A reader older than the image's rows sees none of them: a version pinned
-	// before the restore materializes empty tables, not the image.
+	// A reader older than the image's rows sees none of them: a transaction
+	// opened before the restore reads empty tables at its version, not the image.
 	e := NewEngine()
-	pin := e.Pin()
-	defer pin.Close()
+	txn := e.NewSession("")
+	if _, err := txn.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Restore(img); err != nil {
 		t.Fatal(err)
 	}
-	if n := pin.Materialize().NumRows(); n != 0 {
-		t.Fatalf("a version pinned before the restore sees %d rows, want none", n)
+	if n := e.snapshotAt(txn.ReadVersion()).NumRows(); n != 0 {
+		t.Fatalf("a transaction opened before the restore sees %d rows, want none", n)
 	}
 }
 

@@ -96,13 +96,10 @@ func (e *Engine) dropTxn(s *Session) {
 }
 
 // gc prunes chain versions and graveyard rows invisible to every
-// active reader. Pinned snapshot handles and open transactions hold the
-// horizon down; with none, everything below the latest version goes.
+// active reader. Open transactions hold the horizon down at their BEGIN-time
+// read version; with none, everything below the latest version goes.
 func (e *Engine) gc() {
 	minActive := e.commitV
-	for _, v := range e.pins {
-		minActive = min(minActive, v)
-	}
 	for _, t := range e.txns {
 		minActive = min(minActive, t.readV)
 	}

@@ -230,14 +230,18 @@ func TestSnapshotExcludesProvisionalWrites(t *testing.T) {
 	}
 }
 
-// A pinned handle holds the GC horizon: images its version can see survive
-// any number of later commits, and Materialize reproduces the pin-time state.
-func TestPinBlocksGCAndMaterializes(t *testing.T) {
+// An open transaction holds the GC horizon: the images its BEGIN-time version
+// sees survive any number of later commits and GC runs, the transaction still
+// reads them, and an image taken at its read version restores to them. Once
+// it commits, the next GC prunes every version it held.
+func TestOpenTxnHoldsGCHorizon(t *testing.T) {
 	eng, s := mvccDB(t)
-	h := eng.Pin()
-	pinRows := 5
-	// Churn well past the GC interval: overwrite one row and delete/reinsert
-	// another, hundreds of times.
+	txn := eng.NewSession("app")
+	if _, err := txn.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	// Churn well past the GC interval: overwrite one row hundreds of times,
+	// then delete another.
 	for i := 0; i < 4*gcEvery; i++ {
 		if _, err := s.Exec("UPDATE kv SET v = ? WHERE id = 1", NewInt(int64(i))); err != nil {
 			t.Fatal(err)
@@ -246,12 +250,19 @@ func TestPinBlocksGCAndMaterializes(t *testing.T) {
 	if _, err := s.Exec("DELETE FROM kv WHERE id = 2"); err != nil {
 		t.Fatal(err)
 	}
-	snap := h.Materialize()
-	if snap.NumRows() != pinRows {
-		t.Fatalf("materialized rows = %d, want %d", snap.NumRows(), pinRows)
+	runs, held, _ := eng.GCStats()
+	if runs < 4 {
+		t.Fatalf("GC ran %d times during the churn, want at least 4", runs)
 	}
-	if snap.Version() != h.Version() {
-		t.Fatalf("materialized version %d != pin %d", snap.Version(), h.Version())
+	if v, _ := readV(t, txn, 1); v != 100 {
+		t.Errorf("the transaction reads id 1 = %d, want its BEGIN-time 100", v)
+	}
+	if v, ok := readV(t, txn, 2); !ok || v != 200 {
+		t.Errorf("the transaction reads id 2: v=%d ok=%v, want its BEGIN-time 200", v, ok)
+	}
+	snap := eng.snapshotAt(txn.ReadVersion())
+	if snap.NumRows() != 5 {
+		t.Fatalf("image at the read version holds %d rows, want 5", snap.NumRows())
 	}
 	re := NewEngine()
 	if err := re.Restore(snap); err != nil {
@@ -259,30 +270,27 @@ func TestPinBlocksGCAndMaterializes(t *testing.T) {
 	}
 	rs := re.NewSession("app")
 	if v, _ := readV(t, rs, 1); v != 100 {
-		t.Errorf("pin-time image of id 1 = %d, want 100", v)
+		t.Errorf("restored image of id 1 = %d, want 100", v)
 	}
 	if v, ok := readV(t, rs, 2); !ok || v != 200 {
-		t.Errorf("pin-time image of id 2: v=%d ok=%v", v, ok)
+		t.Errorf("restored image of id 2: v=%d ok=%v", v, ok)
 	}
-	h.Close()
-	h.Close() // idempotent
-	// With the pin gone, churn past another GC interval and check the chains
-	// actually shrank: prune counters move and the long id-1 chain is cut.
-	for i := 0; i < 2*gcEvery; i++ {
-		if _, err := s.Exec("UPDATE kv SET v = ? WHERE id = 1", NewInt(int64(1000+i))); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := txn.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
 	}
-	runs, versions, rows := eng.GCStats()
-	if runs == 0 || versions == 0 {
-		t.Fatalf("GC never reclaimed after unpin: runs=%d versions=%d", runs, versions)
+	// With the transaction gone the horizon is the latest version: the long
+	// id-1 chain is cut and the deleted row leaves the graveyard.
+	eng.gc()
+	_, versions, rows := eng.GCStats()
+	if versions-held < 4*gcEvery {
+		t.Fatalf("GC after COMMIT pruned %d versions, want the %d the transaction held", versions-held, 4*gcEvery)
 	}
 	if rows == 0 {
 		t.Fatalf("deleted row never reclaimed from graveyard: rows=%d", rows)
 	}
 }
 
-// Without pins or open transactions, chain memory stays bounded: steady
+// Without open transactions, chain memory stays bounded: steady
 // update churn reclaims superseded versions instead of accreting them.
 func TestChainGCBoundsMemory(t *testing.T) {
 	eng, s := mvccDB(t)

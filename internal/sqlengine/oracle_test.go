@@ -190,8 +190,9 @@ func TestUpdateDeleteAgainstOracle(t *testing.T) {
 // TestConcurrentSnapshotAgainstOracle interleaves autocommit writers,
 // multi-statement transactions and snapshot readers, checking every read
 // against a version-indexed oracle: each commit records the full table
-// state, and a reader at version v — an open transaction or a materialized
-// pin — must observe exactly the state recorded for v, never a torn mix.
+// state, and a reader at version v — an open transaction's reads, or an
+// image taken at its read version — must observe exactly the state recorded
+// for v, never a torn mix.
 func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	eng := NewEngine()
@@ -247,7 +248,7 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 	}
 	var txns []openTxn
 	var writers []*Session
-	var pins []*SnapshotHandle
+	var held []*Session // transactions whose read version is checked through an image
 	nextID := int64(0)
 	// Writer transactions get disjoint id ranges: without row locks,
 	// write-write overlap between an open transaction and autocommit
@@ -340,17 +341,23 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 			}
 			record() // rollback changes nothing; state maps to same version
 		case op < 8:
-			pins = append(pins, eng.Pin())
-		case op < 9 && len(pins) > 0:
-			i := rng.Intn(len(pins))
-			pins[i].Close()
-			pins = append(pins[:i], pins[i+1:]...)
+			s := eng.NewSession("d")
+			if _, err := s.Exec("BEGIN"); err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, s)
+		case op < 9 && len(held) > 0:
+			i := rng.Intn(len(held))
+			if _, err := held[i].Exec("COMMIT"); err != nil {
+				t.Fatal(err)
+			}
+			held = append(held[:i], held[i+1:]...)
 		default: // verify every open reader sees its own version's state
 			for _, tx := range txns {
 				checkState(readAll(tx.s), tx.v, "txn read")
 			}
-			for _, h := range pins {
-				snap := h.Materialize()
+			for _, h := range held {
+				snap := eng.snapshotAt(h.ReadVersion())
 				got := map[int64]int64{}
 				for _, d := range snap.dbs {
 					for _, tb := range d.tables {
@@ -359,7 +366,7 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 						}
 					}
 				}
-				checkState(got, h.Version(), "pin materialize")
+				checkState(got, h.ReadVersion(), "image at read version")
 			}
 		}
 	}
@@ -374,8 +381,10 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, h := range pins {
-		h.Close()
+	for _, h := range held {
+		if _, err := h.Exec("COMMIT"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// With every reader gone, GC must fully reclaim: the final state read
 	// through a fresh session equals the oracle's last committed state.

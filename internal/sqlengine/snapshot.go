@@ -19,7 +19,7 @@ import (
 // and PlanStats. Rows resolve through the MVCC chains, so the capture is
 // consistent without quiescing the engine; versions older than the image's are
 // not in it. Nothing node-local is: clock, binlog format, commit hook, planner
-// mode, parse cache, plans, pins and sessions stay the restoring engine's own.
+// mode, parse cache, plans and sessions stay the restoring engine's own.
 //
 // An image shares the source's row images instead of copying them — an image
 // is immutable once published (store.go) — so it is itself immutable, costs a
@@ -144,49 +144,6 @@ func (e *Engine) snapshotAt(v uint64) *Snapshot {
 		snap.dbs = append(snap.dbs, sd)
 	}
 	return snap
-}
-
-// SnapshotHandle pins a commit version: chain GC keeps every row image that
-// version can see until Close releases the pin. Materialize may run any
-// number of times, arbitrarily later — even after further commits. A handle
-// that is never Closed pins chain memory for the engine's lifetime;
-// cloudrepl-lint's closecheck flags dropped handles.
-type SnapshotHandle struct {
-	eng    *Engine
-	v      uint64
-	closed bool
-}
-
-// Pin captures the current commit version and protects its images from
-// chain GC until Close — the provisioning-friendly form of Snapshot: pin at
-// the binlog position you record, copy rows later, then release.
-func (e *Engine) Pin() *SnapshotHandle {
-	h := &SnapshotHandle{eng: e, v: e.commitV}
-	e.pins = append(e.pins, h.v)
-	return h
-}
-
-// Version returns the pinned commit version.
-func (h *SnapshotHandle) Version() uint64 { return h.v }
-
-// Materialize captures the engine's image with its rows as of the pinned
-// version; statistics and progress are the engine's at the time of the call
-// (the same instant as Pin, for a caller that wants the source as it was).
-func (h *SnapshotHandle) Materialize() *Snapshot { return h.eng.snapshotAt(h.v) }
-
-// Close releases the pin; closing twice is a no-op.
-func (h *SnapshotHandle) Close() {
-	if h.closed {
-		return
-	}
-	h.closed = true
-	e := h.eng
-	for i, v := range e.pins {
-		if v == h.v {
-			e.pins = append(e.pins[:i], e.pins[i+1:]...)
-			break
-		}
-	}
 }
 
 // Restore replaces the engine's entire catalog, statistics and progress with

@@ -183,15 +183,15 @@ func (m *model) at(v uint64) *model {
 // TestStoreAgainstModel drives the engine and the model side by side through
 // seeded random write sequences and compares, after every step, everything
 // the store lets a statement observe. At seeded points — an open transaction
-// and pinned older versions included — it takes the engine's image, at the
-// current version or a pinned one, restores it onto a new engine and drives
-// that one on against the model of what the image held, while the source goes
-// on against its own.
+// and older versions held by readers included — it takes the engine's image,
+// at the current version or a held one, restores it onto a new engine and
+// drives that one on against the model of what the image held, while the
+// source goes on against its own.
 func TestStoreAgainstModel(t *testing.T) {
 	midTxn, older := 0, 0 // images taken with a transaction open, and of a version behind the latest
 	defer func() {
 		if !t.Failed() && (midTxn == 0 || older == 0) {
-			t.Errorf("%d images taken mid-transaction and %d of an older pinned version: want some of each", midTxn, older)
+			t.Errorf("%d images taken mid-transaction and %d of an older held version: want some of each", midTxn, older)
 		}
 	}()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -209,10 +209,11 @@ func TestStoreAgainstModel(t *testing.T) {
 				if r.rng.Intn(300) != 0 {
 					continue
 				}
-				// Fork: every second time from the oldest pinned version, if any.
+				// Fork: every second time from the oldest held version, if any.
 				v, snap := r.m.commitV, (*Snapshot)(nil)
-				if forks++; forks%2 == 0 && len(r.pins) > 0 {
-					v, snap = r.pins[0].Version(), r.pins[0].Materialize()
+				if forks++; forks%2 == 0 && len(r.readers) > 0 {
+					v = r.readers[0].ReadVersion()
+					snap = r.eng.snapshotAt(v)
 				} else {
 					snap = r.eng.Snapshot()
 				}
@@ -254,10 +255,10 @@ type storeRun struct {
 	st   *rowStore
 	m    *model
 
-	pins   []*SnapshotHandle
-	inTxn  bool
-	txnV   uint64
-	nextID int64
+	readers []*Session // read-only transactions, each holding its read version
+	inTxn   bool
+	txnV    uint64
+	nextID  int64
 }
 
 func newStoreRun(t *testing.T, name string, seed int64, eng *Engine, m *model, nextID int64) *storeRun {
@@ -283,9 +284,9 @@ func (r *storeRun) exec(sql string, args ...Value) error {
 // horizon is the oldest version a reader still holds.
 func (r *storeRun) horizon() uint64 {
 	min := r.m.commitV
-	for _, h := range r.pins {
-		if h.Version() < min {
-			min = h.Version()
+	for _, h := range r.readers {
+		if h.ReadVersion() < min {
+			min = h.ReadVersion()
 		}
 	}
 	if r.inTxn && r.txnV < min { // a committing transaction still counts as a reader
@@ -349,18 +350,24 @@ func (r *storeRun) step(step int) {
 		}
 		m.rollback()
 		r.inTxn = false
-	case op < 95 && len(r.pins) < 4:
-		what = "pin"
-		r.pins = append(r.pins, eng.Pin())
+	case op < 95 && len(r.readers) < 4:
+		what = "hold"
+		h := eng.NewSession("")
+		if _, err := h.Exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		r.readers = append(r.readers, h)
 	case op < 97:
 		what = "gc"
 		eng.gc()
 		m.sweep(r.horizon())
-	case len(r.pins) > 0:
-		what = "unpin"
-		i := rng.Intn(len(r.pins))
-		r.pins[i].Close()
-		r.pins = append(r.pins[:i], r.pins[i+1:]...)
+	case len(r.readers) > 0:
+		what = "release"
+		i := rng.Intn(len(r.readers))
+		if _, err := r.readers[i].Exec("COMMIT"); err != nil {
+			t.Fatal(err)
+		}
+		r.readers = append(r.readers[:i], r.readers[i+1:]...)
 	default:
 		return
 	}
@@ -415,8 +422,12 @@ func (r *storeRun) compare(step int, what string) {
 			}
 		}
 	}
-	// The committed state and every pinned version, chain-resolved.
-	for _, v := range append([]uint64{m.commitV}, pinned(r.pins)...) {
+	// The committed state and every held version, chain-resolved.
+	vs := []uint64{m.commitV}
+	for _, h := range r.readers {
+		vs = append(vs, h.ReadVersion())
+	}
+	for _, v := range vs {
 		got := map[int64][3]int64{}
 		for _, img := range st.images(readView{at: v, chains: true}, nil) {
 			got[img[0].Int()] = [3]int64{img[0].Int(), img[1].Int(), img[2].Int()}
@@ -437,14 +448,6 @@ func (r *storeRun) compare(step int, what string) {
 	if runs, versions, rows := eng.GCStats(); runs != m.runs || versions != m.versions || rows != m.reclaim {
 		fail("gc counters (%d, %d, %d), model (%d, %d, %d)", runs, versions, rows, m.runs, m.versions, m.reclaim)
 	}
-}
-
-func pinned(pins []*SnapshotHandle) []uint64 {
-	out := make([]uint64, len(pins))
-	for i, h := range pins {
-		out[i] = h.Version()
-	}
-	return out
 }
 
 // TestCompositeKeysDoNotCollide: a multi-column key's rendering is
