@@ -88,23 +88,6 @@ func (p *Pass) Inspect(f func(ast.Node) bool) {
 	}
 }
 
-// Run applies each analyzer to the single package and returns the
-// diagnostics it produced, sorted by position — the legacy entry point,
-// kept for tests that poke one package. It fabricates a one-package Program
-// (no dependencies, empty fact universe) so analyzers that use facts or the
-// call graph still work, seeing only this package. Allow-directive
-// suppression is layered on top by the caller (the driver or the
-// analysistest harness) so that both agree on the semantics.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := &Program{
-		Pkgs:   []*Package{pkg},
-		ByPath: map[string]*Package{pkg.Path: pkg},
-		Fset:   pkg.Fset,
-		facts:  factStore{},
-	}
-	return RunProgram(prog, analyzers, nil)
-}
-
 func sortDiagnostics(diags []Diagnostic) {
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos

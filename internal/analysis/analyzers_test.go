@@ -61,9 +61,10 @@ func moduleRoot(t *testing.T) string {
 
 // loaded is what the tests that drive the framework by hand share: the
 // directives and callgraph fixtures with their module dependencies,
-// type-checked once, and the call graph over them.
+// type-checked once into one program, and the call graph over it.
 var loaded struct {
 	once       sync.Once
+	prog       *analysis.Program
 	directives *analysis.Package
 	callGraph  *analysis.CallGraph
 	err        error
@@ -83,7 +84,8 @@ func loadOnce(t *testing.T) {
 			loaded.err = fmt.Errorf("loaded %d packages, want 2: %v", len(pkgs), err)
 			return
 		}
-		loaded.callGraph = analysis.NewProgram(l).CallGraph()
+		loaded.prog = analysis.NewProgram(l)
+		loaded.callGraph = loaded.prog.CallGraph()
 		loaded.directives = pkgs[1] // sorted by path: callgraph, directives
 	})
 	if loaded.err != nil {
@@ -97,7 +99,7 @@ func TestDirectives(t *testing.T) {
 	loadOnce(t)
 	pkg := loaded.directives
 
-	diags, err := analysis.Run(pkg, analysis.All())
+	diags, err := analysis.RunProgram(loaded.prog, analysis.All(), []*analysis.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
 	}

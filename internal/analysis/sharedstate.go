@@ -285,7 +285,7 @@ func parksOrWakes(fn *types.Func) bool {
 		return isMethodOf(fn, "internal/sim", "Signal")
 	case "Get", "Put":
 		return isMethodOf(fn, "internal/sim", "Queue")
-	case "Borrow", "Return", "Discard":
+	case "Borrow", "Return":
 		return isMethodOf(fn, "internal/pool", "Pool")
 	}
 	return false

@@ -9,8 +9,8 @@
 // without a trip through the codec re-executes with its own compiled plan.
 // On the wire (Encode) it is sequence, timestamp, database and the
 // interpolated statement text, rendered from that form, and nothing else;
-// WireSize and Bytes count that text without rendering it, and Decode leaves
-// the prepared form empty, so the replica parses.
+// WireSize and Bytes count that text without rendering it, and DecodeFrom
+// leaves the prepared form empty, so the replica parses.
 package binlog
 
 import (
@@ -54,19 +54,6 @@ func (e Entry) Encode() []byte {
 	buf = append(buf, tmp[:4]...)
 	buf = append(buf, e.Text()...)
 	return buf
-}
-
-// Decode parses exactly one encoded entry; trailing bytes are an error
-// (use DecodeFrom to scan a stream of concatenated entries).
-func Decode(buf []byte) (Entry, error) {
-	e, n, err := DecodeFrom(buf)
-	if err != nil {
-		return Entry{}, err
-	}
-	if n != len(buf) {
-		return Entry{}, fmt.Errorf("binlog: %d trailing byte(s) after entry", len(buf)-n)
-	}
-	return e, nil
 }
 
 // DecodeFrom parses one encoded entry from the front of buf and returns the
@@ -246,9 +233,6 @@ func (l *Log) NewReader(pos uint64) (*Reader, error) {
 	return &Reader{log: l, pos: pos}, nil
 }
 
-// Pos returns the last delivered sequence.
-func (r *Reader) Pos() uint64 { return r.pos }
-
 // NextBatch blocks until the reader is behind the tail, then returns the
 // run of entries after its position that one dump-thread transit carries: at
 // least one, at most maxEntries (a value below 1 counts as 1), and no further
@@ -284,6 +268,3 @@ func (r *Reader) TryNextBatch(maxEntries, maxBytes int) []Entry {
 	r.pos = r.log.base + uint64(to)
 	return entries[from:to:to]
 }
-
-// Backlog returns how many entries the reader is behind the tail.
-func (r *Reader) Backlog() uint64 { return r.log.LastSeq() - r.pos }

@@ -11,7 +11,7 @@ import (
 	"cloudrepl/internal/sqlengine"
 )
 
-// entry is an entry known only by its text, as Append and Decode make one.
+// entry is an entry known only by its text, as Append and DecodeFrom make one.
 func entry(seq uint64, db, sql string, ts int64) Entry {
 	return Entry{Seq: seq, Database: db, TimestampMicros: ts, LoggedWrite: sqlengine.LoggedWrite{SQL: sql}}
 }
@@ -86,8 +86,8 @@ func TestReaderStartsMidLog(t *testing.T) {
 	if len(b) != 1 || b[0].SQL != "C" {
 		t.Fatalf("got %+v, want C", b)
 	}
-	if r.Backlog() != 0 {
-		t.Fatalf("backlog = %d", r.Backlog())
+	if r.pos != l.LastSeq() {
+		t.Fatalf("reader at %d, tail at %d", r.pos, l.LastSeq())
 	}
 }
 
@@ -105,12 +105,12 @@ func TestMultipleReadersIndependent(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e := entry(42, "heartbeats", "INSERT INTO heartbeat VALUES (1, UTC_MICROS())", 1234567890)
-	got, err := Decode(e.Encode())
+	got, n, err := DecodeFrom(e.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, e) {
-		t.Fatalf("round trip: %+v != %+v", got, e)
+	if !reflect.DeepEqual(got, e) || n != len(e.Encode()) {
+		t.Fatalf("round trip: %+v != %+v, %d bytes consumed", got, e, n)
 	}
 	if len(e.Encode()) != e.WireSize() {
 		t.Fatalf("WireSize %d != encoded %d", e.WireSize(), len(e.Encode()))
@@ -149,8 +149,8 @@ func TestDecodeTruncated(t *testing.T) {
 	e := entry(1, "d", "SELECT 1", 5)
 	buf := e.Encode()
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := Decode(buf[:cut]); err == nil {
-			t.Fatalf("Decode of %d/%d bytes succeeded", cut, len(buf))
+		if _, _, err := DecodeFrom(buf[:cut]); err == nil {
+			t.Fatalf("DecodeFrom of %d/%d bytes succeeded", cut, len(buf))
 		}
 	}
 }
@@ -159,8 +159,9 @@ func TestDecodeTruncated(t *testing.T) {
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seq uint64, ts int64, db, sql string) bool {
 		e := entry(seq, db, sql, ts)
-		got, err := Decode(e.Encode())
-		return err == nil && reflect.DeepEqual(got, e)
+		enc := e.Encode()
+		got, n, err := DecodeFrom(enc)
+		return err == nil && n == len(enc) && reflect.DeepEqual(got, e)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -216,12 +217,12 @@ func TestNextBatchCutsTheSameRuns(t *testing.T) {
 		for rest := all; len(rest) > 0; {
 			want := coalesce(rest, me, mb)
 			got := r.TryNextBatch(me, mb)
-			if !reflect.DeepEqual(got, want) || r.Pos() != want[len(want)-1].Seq {
+			if !reflect.DeepEqual(got, want) || r.pos != want[len(want)-1].Seq {
 				return false
 			}
 			rest = rest[len(want):]
 		}
-		return r.TryNextBatch(me, mb) == nil && r.Backlog() == 0
+		return r.TryNextBatch(me, mb) == nil && r.pos == l.LastSeq()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -319,19 +320,16 @@ func TestLogStartingAtAPosition(t *testing.T) {
 	}
 	for _, pos := range []uint64{0, base - 1} {
 		if r, err := l.NewReader(pos); err == nil {
-			t.Errorf("NewReader(%d) on a log starting after %d: reader at %d, want an error", pos, base, r.Pos())
+			t.Errorf("NewReader(%d) on a log starting after %d: reader at %d, want an error", pos, base, r.pos)
 		}
 	}
 	// At the base a reader sees everything held; above it, the rest; at the
 	// tail, nothing until the next append.
 	for _, c := range []struct{ pos, first, n uint64 }{{base, base + 1, 3}, {base + 2, base + 3, 1}, {base + 3, 0, 0}} {
 		r := readerAt(t, l, c.pos)
-		if r.Backlog() != c.n {
-			t.Errorf("reader at %d: backlog %d, want %d", c.pos, r.Backlog(), c.n)
-		}
 		b := r.TryNextBatch(10, 0)
-		if uint64(len(b)) != c.n || c.n > 0 && (b[0].Seq != c.first || r.Pos() != base+3) {
-			t.Errorf("reader at %d: batch %+v, pos %d", c.pos, b, r.Pos())
+		if uint64(len(b)) != c.n || c.n > 0 && (b[0].Seq != c.first || r.pos != base+3) {
+			t.Errorf("reader at %d: batch %+v, pos %d", c.pos, b, r.pos)
 		}
 	}
 }

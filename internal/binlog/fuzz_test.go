@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes through the single-entry decoder. A
-// successful decode must be a faithful parse: re-encoding the entry must
-// reproduce the input byte-for-byte (no silent truncation), and the entry's
-// WireSize must equal the consumed length.
+// successful decode must consume no more than the input and be a faithful
+// parse of what it consumed: re-encoding the entry must reproduce that prefix
+// byte-for-byte (no silent truncation), and the entry's WireSize must equal
+// the consumed length.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(entry(1, "app", "INSERT INTO t VALUES (1)", 99).Encode())
@@ -20,15 +21,18 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add(append(entry(0, "d", "x", 0).Encode()[:25], 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Decode(data) // must not panic on any input
+		e, n, err := DecodeFrom(data) // must not panic on any input
 		if err != nil {
 			return
 		}
-		if got := e.Encode(); !bytes.Equal(got, data) {
-			t.Fatalf("decode of %d bytes not faithful: re-encoded to %d bytes", len(data), len(got))
+		if n < 0 || n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if e.WireSize() != len(data) {
-			t.Fatalf("WireSize %d != consumed %d", e.WireSize(), len(data))
+		if got := e.Encode(); !bytes.Equal(got, data[:n]) {
+			t.Fatalf("decode of %d bytes not faithful: re-encoded to %d bytes", n, len(got))
+		}
+		if e.WireSize() != n {
+			t.Fatalf("WireSize %d != consumed %d", e.WireSize(), n)
 		}
 	})
 }
@@ -89,10 +93,6 @@ func TestDecodeFromStream(t *testing.T) {
 	got, n, err = DecodeFrom(stream[n:])
 	if err != nil || !reflect.DeepEqual(got, b) || n != b.WireSize() {
 		t.Fatalf("second entry: %+v n=%d err=%v", got, n, err)
-	}
-	// Decode (exact-length contract) must reject the concatenation.
-	if _, err := Decode(stream); err == nil {
-		t.Fatal("Decode accepted trailing bytes")
 	}
 }
 

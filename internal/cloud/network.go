@@ -287,9 +287,6 @@ func (pp *Pipe[T]) pump() {
 	pp.net.env.After(next-now, pp.pumpFn)
 }
 
-// InFlight returns the number of sent-but-undelivered messages.
-func (pp *Pipe[T]) InFlight() int { return pp.pending.Len() }
-
 // PingStats summarizes a ping run.
 type PingStats struct {
 	Samples []time.Duration

@@ -242,23 +242,6 @@ func TestWritesReplicateDuringBenchmark(t *testing.T) {
 	env.Shutdown()
 }
 
-func TestStopEarly(t *testing.T) {
-	env, db := newBench(t, 8, 0, 30)
-	d := NewDriver(db, Config{
-		Scale: 30, ReadRatio: 0.5, Users: 3,
-		RampUp: time.Second, Steady: time.Hour, RampDown: time.Second,
-	})
-	done := d.Start(env)
-	env.RunUntil(time.Minute)
-	d.StopEarly()
-	env.RunUntil(2 * time.Minute)
-	if !done() {
-		t.Fatal("users still running after StopEarly")
-	}
-	env.Stop()
-	env.Shutdown()
-}
-
 func TestLiveInsertIDsDoNotCollideWithSeed(t *testing.T) {
 	env, db := newBench(t, 9, 0, 30)
 	d := NewDriver(db, Config{Scale: 30, ReadRatio: 0, Users: 28,
@@ -299,20 +282,31 @@ func TestResultPerOpBreakdown(t *testing.T) {
 
 func TestOpsUseParameters(t *testing.T) {
 	// Guard against accidental string concatenation of values: every op
-	// must carry args matching its placeholder count.
+	// must carry args matching its placeholder count. A read is run and a
+	// write logged, and each refuses an argument vector of the wrong length.
 	env, db := newBench(t, 11, 0, 30)
 	_ = env
 	d := NewDriver(db, Config{Scale: 30})
+	eng := sqlengine.NewEngine()
+	if err := LoadSQL(eng, 30); err != nil {
+		t.Fatal(err)
+	}
+	sess := eng.NewSession(DatabaseName)
 	rng := sim.NewEnv(1).Rand()
 	for i := 0; i < 100; i++ {
-		for _, o := range []op{d.readOp(rng), d.writeOp(rng)} {
-			stmt, err := sqlengine.NewEngine().Prepare(o.sql)
-			if err != nil {
-				t.Fatalf("%s: %v", o.name, err)
-			}
-			if stmt.NumParams() != len(o.args) {
-				t.Fatalf("%s: %d placeholders, %d args", o.name, stmt.NumParams(), len(o.args))
-			}
+		read, write := d.readOp(rng), d.writeOp(rng)
+		stmt, err := eng.Prepare(read.sql)
+		if err == nil {
+			_, err = stmt.Run(sess, read.args...)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", read.name, err)
+		}
+		if stmt, err = eng.Prepare(write.sql); err == nil {
+			_, err = stmt.Logged(write.args)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", write.name, err)
 		}
 	}
 }

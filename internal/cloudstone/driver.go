@@ -154,7 +154,6 @@ type Driver struct {
 
 	steadyFrom sim.Time
 	steadyTo   sim.Time
-	stop       bool
 
 	reads, writes, errors int
 	allOps, allErrs       int // every phase, not just steady state
@@ -214,7 +213,7 @@ func (d *Driver) Start(env *sim.Env) (done func() bool) {
 			if d.Cfg.Users > 1 {
 				p.SleepUntil(start + time.Duration(int64(d.Cfg.RampUp)*int64(i)/int64(d.Cfg.Users)))
 			}
-			for !d.stop && p.Now() < end {
+			for p.Now() < end {
 				d.oneOperation(p)
 				p.Sleep(sim.Exp(p.Rand(), thinkTime))
 			}
@@ -230,7 +229,7 @@ func (d *Driver) Start(env *sim.Env) (done func() bool) {
 // wakes at once.
 func (d *Driver) runStaged(p *sim.Proc, i int, start, end sim.Time) {
 	active := false
-	for !d.stop && p.Now() < end {
+	for p.Now() < end {
 		on, next := d.Cfg.stageActive(i, time.Duration(p.Now()-start))
 		if !on {
 			active = false
@@ -249,9 +248,6 @@ func (d *Driver) runStaged(p *sim.Proc, i int, start, end sim.Time) {
 		p.Sleep(sim.Exp(p.Rand(), thinkTime))
 	}
 }
-
-// StopEarly aborts the run at the next operation boundary of each user.
-func (d *Driver) StopEarly() { d.stop = true }
 
 // SteadyWindow returns the measurement window on the virtual timeline.
 func (d *Driver) SteadyWindow() (from, to sim.Time) { return d.steadyFrom, d.steadyTo }

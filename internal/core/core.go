@@ -120,7 +120,7 @@ func (db *DB) Cluster() *cluster.Cluster {
 }
 
 // Proxy returns the routing proxy of a one-cell handle, nil when the handle
-// fronts several (each cell has its own, at Shards().Cell(i).Px).
+// fronts several (each cell has its own, at Shards().Cells()[i].Px).
 func (db *DB) Proxy() *proxy.Proxy {
 	if cells := db.cells(); len(cells) == 1 {
 		return cells[0].Px

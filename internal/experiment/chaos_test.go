@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudrepl/internal/chaos"
+	"cloudrepl/internal/proxy"
 )
 
 // chaosSpec is a quick mid-load point for fault-injection tests.
@@ -124,7 +126,8 @@ func TestMasterCrashRunFailsOver(t *testing.T) {
 }
 
 // TestRenderChaosFormatting: the renderer mentions every scenario and the
-// robustness counters without needing a full ablation run.
+// robustness counters without needing a full ablation run, and every JSON
+// scenario row carries the proxy's robustness counters.
 func TestRenderChaosFormatting(t *testing.T) {
 	r := ChaosResult{
 		CrashAt: 3 * time.Minute, SlaveDownFor: time.Minute,
@@ -133,10 +136,33 @@ func TestRenderChaosFormatting(t *testing.T) {
 		MasterCrash: ChaosScenario{Name: "master-crash", RecoverySec: -1},
 	}
 	r.MasterCrash.Res.FinalMaster = "slave2"
+	r.SlaveCrash.Res.ProxyStats = proxy.Stats{Retries: 1, Timeouts: 2, SlaveEvictions: 3, SlaveReadmissions: 4}
 	out := RenderChaos(r)
 	for _, want := range []string{"A-CHAOS", "slave-crash", "master-crash", "failovers", "slave2"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+	raw, err := json.Marshal(ChaosJSON(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Scenarios []map[string]any }
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Scenarios) != 3 {
+		t.Fatalf("%d scenario rows, want 3", len(doc.Scenarios))
+	}
+	for i, row := range doc.Scenarios {
+		for k, key := range []string{"retries", "timeouts", "slave_evictions", "slave_readmissions"} {
+			want := 0.0
+			if row["scenario"] == "slave-crash" {
+				want = float64(k + 1)
+			}
+			if got, ok := row[key]; !ok || got != want {
+				t.Errorf("scenario row %d (%v): %s = %v (present %v), want %v", i, row["scenario"], key, got, ok, want)
+			}
 		}
 	}
 }

@@ -162,6 +162,12 @@ func ChaosJSON(r ChaosResult) any {
 			"max_lag_events": sc.MaxLagEvents,
 			"failovers":      sc.Res.ProxyStats.Failovers,
 			"final_master":   sc.Res.FinalMaster,
+			// The proxy's robustness counters: a run that recovered by
+			// retrying, timing out or benching a slave reads non-zero here.
+			"retries":            sc.Res.ProxyStats.Retries,
+			"timeouts":           sc.Res.ProxyStats.Timeouts,
+			"slave_evictions":    sc.Res.ProxyStats.SlaveEvictions,
+			"slave_readmissions": sc.Res.ProxyStats.SlaveReadmissions,
 		}
 	}
 	return map[string]any{

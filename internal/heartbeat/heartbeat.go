@@ -79,9 +79,6 @@ func Start(env *sim.Env, master *repl.Master, interval time.Duration) *Plugin {
 // Stop halts the plugin after its current beat.
 func (pl *Plugin) Stop() { pl.stopped = true }
 
-// Count returns the number of successfully inserted heartbeats.
-func (pl *Plugin) Count() int { return len(pl.inserted) }
-
 // IDsInWindow returns heartbeat ids whose insert time fell in [from, to).
 func (pl *Plugin) IDsInWindow(from, to sim.Time) []int64 {
 	var out []int64
@@ -215,7 +212,3 @@ func (pl *Plugin) Staleness(sl *repl.Slave, now sim.Time) (time.Duration, error)
 	}
 	return d, nil
 }
-
-// RelativeDelay subtracts the unloaded baseline from the loaded average —
-// the paper's trick to cancel inter-instance clock offsets (§IV-B.1).
-func RelativeDelay(loadedMs, unloadedMs float64) float64 { return loadedMs - unloadedMs }

@@ -43,8 +43,8 @@ func TestPluginInsertsEverySecond(t *testing.T) {
 	env, m := hbRig(t, 1, 1, 0)
 	pl := Start(env, m, time.Second)
 	env.RunUntil(10500 * time.Millisecond)
-	if pl.Count() < 10 || pl.Count() > 11 {
-		t.Fatalf("heartbeats in 10.5s: %d", pl.Count())
+	if len(pl.inserted) < 10 || len(pl.inserted) > 11 {
+		t.Fatalf("heartbeats in 10.5s: %d", len(pl.inserted))
 	}
 	pl.Stop()
 	env.RunUntil(20 * time.Second)
@@ -95,11 +95,6 @@ func TestClockSkewPollutesRawDelay(t *testing.T) {
 	}
 	if avg < 9000 || avg > 11000 {
 		t.Fatalf("skewed raw delay = %v ms, want ≈10000", avg)
-	}
-	// The relative computation cancels the offset: measure a baseline with
-	// the same skew and subtract.
-	if rel := RelativeDelay(avg, avg); rel != 0 {
-		t.Fatalf("relative delay of identical runs = %v", rel)
 	}
 	env.Stop()
 	env.Shutdown()
@@ -166,12 +161,12 @@ func TestBeatAllocatesNothing(t *testing.T) {
 	pl := Start(env, m, time.Second)
 	const warm, run = 100 * time.Second, 2000 * time.Second
 	env.RunUntil(warm)
-	from := pl.Count()
+	from := len(pl.inserted)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	env.RunUntil(warm + run)
 	runtime.ReadMemStats(&after)
-	beats := uint64(pl.Count() - from)
+	beats := uint64(len(pl.inserted) - from)
 	if beats < 1000 {
 		t.Fatalf("%d heartbeats in %v", beats, run)
 	}

@@ -114,17 +114,16 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
-// DefaultHistogramCap bounds how many samples a Histogram retains. It is
+// histogramCap bounds how many samples a Histogram retains. It is
 // large enough that the quick-protocol experiments keep every sample, while
 // a long run — which used to grow the slice without bound — degrades to a
 // uniform reservoir of this size.
-const DefaultHistogramCap = 32768
+const histogramCap = 32768
 
-// Histogram collects durations. Up to its cap (SetCap, default
-// DefaultHistogramCap) every sample is retained; past it, reservoir
-// sampling (Algorithm R) keeps a uniform subsample of everything recorded,
-// so memory stays bounded on arbitrarily long runs and quantiles remain
-// unbiased estimates. Replacement draws come from the RNG injected with
+// Histogram collects durations. Up to histogramCap every sample is
+// retained; past it, reservoir sampling (Algorithm R) keeps a uniform
+// subsample of everything recorded, so memory stays bounded on arbitrarily
+// long runs and quantiles remain unbiased estimates. Replacement draws come from the RNG injected with
 // SetRand — thread the simulation env's generator through so eviction
 // choices live on the run's seeded random stream — or, for a zero-value
 // Histogram, from an internal fixed-seed splitmix64 sequence; either way
@@ -132,14 +131,9 @@ const DefaultHistogramCap = 32768
 type Histogram struct {
 	samples []time.Duration
 	total   uint64 // samples recorded, including those evicted
-	cap     int    // 0 = DefaultHistogramCap
 	rng     *rand.Rand
 	fb      uint64 // fallback splitmix64 state when rng is nil
 }
-
-// SetCap sets the reservoir size (0 restores the default). Set it before
-// recording; shrinking an over-full reservoir is not supported.
-func (h *Histogram) SetCap(n int) { h.cap = n }
 
 // SetRand injects the reservoir's RNG (nil keeps the deterministic
 // fixed-seed fallback).
@@ -153,11 +147,7 @@ func (h *Histogram) Record(d time.Duration) {
 		return
 	}
 	h.total++
-	c := h.cap
-	if c <= 0 {
-		c = DefaultHistogramCap
-	}
-	if len(h.samples) < c {
+	if len(h.samples) < histogramCap {
 		h.samples = append(h.samples, d)
 		return
 	}
@@ -185,14 +175,6 @@ func (h *Histogram) randInt64(n int64) int64 {
 	return int64(z % uint64(n))
 }
 
-// N returns the retained sample count (≤ the cap).
-func (h *Histogram) N() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.samples)
-}
-
 // Total returns how many samples were ever recorded, including those the
 // reservoir evicted.
 func (h *Histogram) Total() uint64 {
@@ -200,14 +182,6 @@ func (h *Histogram) Total() uint64 {
 		return 0
 	}
 	return h.total
-}
-
-// Samples returns the raw samples.
-func (h *Histogram) Samples() []time.Duration {
-	if h == nil {
-		return nil
-	}
-	return h.samples
 }
 
 // Float64s converts samples to milliseconds.
@@ -248,15 +222,6 @@ func (ts *TimeSeries) Append(t time.Duration, v float64) {
 
 // Points returns all observations.
 func (ts *TimeSeries) Points() []Point { return ts.points }
-
-// Values extracts the observation values.
-func (ts *TimeSeries) Values() []float64 {
-	out := make([]float64, len(ts.points))
-	for i, p := range ts.points {
-		out[i] = p.V
-	}
-	return out
-}
 
 // Between returns values observed in [from, to).
 func (ts *TimeSeries) Between(from, to time.Duration) []float64 {

@@ -18,8 +18,8 @@ func TestHistogramReservoirBoundsMemory(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
-	if h.N() > DefaultHistogramCap {
-		t.Fatalf("retained %d samples, cap %d", h.N(), DefaultHistogramCap)
+	if len(h.samples) > histogramCap {
+		t.Fatalf("retained %d samples, cap %d", len(h.samples), histogramCap)
 	}
 	if h.Total() != n {
 		t.Fatalf("total = %d, want %d", h.Total(), n)
@@ -38,17 +38,16 @@ func TestHistogramReservoirBoundsMemory(t *testing.T) {
 func TestHistogramReservoirDeterministic(t *testing.T) {
 	run := func(rng *rand.Rand) []time.Duration {
 		var h Histogram
-		h.SetCap(64)
 		h.SetRand(rng)
-		for i := 0; i < 10_000; i++ {
+		for i := 0; i < 3*histogramCap; i++ {
 			h.Record(time.Duration(i))
 		}
-		return append([]time.Duration(nil), h.Samples()...)
+		return h.samples
 	}
 	a := run(sim.NewEnv(7).Rand())
 	b := run(sim.NewEnv(7).Rand())
-	if len(a) != 64 || len(b) != 64 {
-		t.Fatalf("reservoir sizes %d/%d, want 64", len(a), len(b))
+	if len(a) != histogramCap || len(b) != histogramCap {
+		t.Fatalf("reservoir sizes %d/%d, want %d", len(a), len(b), histogramCap)
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -71,26 +70,12 @@ func TestHistogramBelowCapKeepsEverySample(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Record(time.Duration(i))
 	}
-	if h.N() != 100 || h.Total() != 100 {
-		t.Fatalf("N=%d Total=%d, want 100/100", h.N(), h.Total())
+	if len(h.samples) != 100 || h.Total() != 100 {
+		t.Fatalf("N=%d Total=%d, want 100/100", len(h.samples), h.Total())
 	}
-	for i, d := range h.Samples() {
+	for i, d := range h.samples {
 		if d != time.Duration(i) {
 			t.Fatalf("sample %d = %v, reordered below cap", i, d)
 		}
-	}
-}
-
-func TestHistogramSetCap(t *testing.T) {
-	var h Histogram
-	h.SetCap(8)
-	for i := 0; i < 100; i++ {
-		h.Record(time.Duration(i))
-	}
-	if h.N() != 8 {
-		t.Fatalf("N = %d, want cap 8", h.N())
-	}
-	if h.Total() != 100 {
-		t.Fatalf("Total = %d, want 100", h.Total())
 	}
 }

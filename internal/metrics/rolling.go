@@ -95,9 +95,6 @@ func (r *RollingWindow) Observe(t time.Duration, v float64) {
 	}
 }
 
-// N returns the number of retained samples.
-func (r *RollingWindow) N() int { return len(r.samples) }
-
 // Values returns the retained sample values in observation order.
 func (r *RollingWindow) Values() []float64 {
 	out := make([]float64, len(r.samples))
@@ -115,27 +112,4 @@ func (r *RollingWindow) Quantile(q float64) float64 {
 	sorted := r.Values()
 	sort.Float64s(sorted)
 	return quantileSorted(sorted, q)
-}
-
-// Max returns the largest retained sample (0 when empty).
-func (r *RollingWindow) Max() float64 {
-	var max float64
-	for i, p := range r.samples {
-		if i == 0 || p.V > max {
-			max = p.V
-		}
-	}
-	return max
-}
-
-// Mean returns the mean of the retained samples (0 when empty).
-func (r *RollingWindow) Mean() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range r.samples {
-		sum += p.V
-	}
-	return sum / float64(len(r.samples))
 }

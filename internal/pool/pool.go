@@ -157,14 +157,6 @@ func (pl *Pool[T]) Return(c T) {
 	pl.waiters.Broadcast()
 }
 
-// Discard drops a borrowed connection without reuse (e.g. after an error).
-func (pl *Pool[T]) Discard(c T) {
-	pl.active--
-	pl.stats.Closed++
-	pl.closer(c)
-	pl.waiters.Broadcast()
-}
-
 // Close closes idle connections and fails future Borrows. Outstanding
 // connections are closed as they are returned.
 func (pl *Pool[T]) Close() {

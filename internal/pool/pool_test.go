@@ -152,25 +152,6 @@ func TestMaxIdleTrimsOnReturn(t *testing.T) {
 	}
 }
 
-func TestDiscardFreesCapacity(t *testing.T) {
-	env := sim.NewEnv(1)
-	pl, _ := newTestPool(env, Config{MaxActive: 1, MaxIdle: 1})
-	var second *fakeConn
-	env.Go("user", func(p *sim.Proc) {
-		c, _ := pl.Borrow(p)
-		pl.Discard(c)
-		if !c.closed {
-			t.Error("discarded connection not closed")
-		}
-		second, _ = pl.Borrow(p)
-		pl.Return(second)
-	})
-	env.Run()
-	if second == nil {
-		t.Fatal("borrow after discard failed")
-	}
-}
-
 func TestCloseFailsFutureBorrows(t *testing.T) {
 	env := sim.NewEnv(1)
 	pl, _ := newTestPool(env, Config{MaxActive: 2, MaxIdle: 2})

@@ -50,7 +50,6 @@ type PickContext struct {
 // read to the master (the fallback when no slave qualifies).
 type Balancer interface {
 	Pick(ctx *PickContext) *repl.Slave
-	Name() string
 }
 
 // RoundRobin cycles through slaves — the Connector/J default.
@@ -66,9 +65,6 @@ func (b *RoundRobin) Pick(ctx *PickContext) *repl.Slave {
 	return sl
 }
 
-// Name implements Balancer.
-func (b *RoundRobin) Name() string { return "round-robin" }
-
 // Random picks a slave uniformly at random.
 type Random struct{}
 
@@ -80,9 +76,6 @@ func (Random) Pick(ctx *PickContext) *repl.Slave {
 	return ctx.Slaves[ctx.Rng.Intn(len(ctx.Slaves))]
 }
 
-// Name implements Balancer.
-func (Random) Name() string { return "random" }
-
 // LeastConn picks the slave with the fewest in-flight statements from this
 // proxy.
 type LeastConn struct{}
@@ -93,9 +86,6 @@ type LeastConn struct{}
 func (LeastConn) Pick(ctx *PickContext) *repl.Slave {
 	return pickLeast(ctx, func(sl *repl.Slave) uint64 { return uint64(ctx.Inflight(sl)) })
 }
-
-// Name implements Balancer.
-func (LeastConn) Name() string { return "least-conn" }
 
 // LeastLag picks the slave fewest binlog events behind the master.
 type LeastLag struct{}
@@ -133,9 +123,6 @@ func pickLeast(ctx *PickContext, score func(*repl.Slave) uint64) *repl.Slave {
 		return ties[ctx.Rng.Intn(len(ties))]
 	}
 }
-
-// Name implements Balancer.
-func (LeastLag) Name() string { return "least-lag" }
 
 // DefaultMaxEventsBehind is the staleness bound a Bounded-tier proxy applies
 // when MaxStaleEvents is left unset: roughly the backlog a healthy zone-local
@@ -371,12 +358,6 @@ func (px *Proxy) Forget(sl *repl.Slave) {
 
 // Stats returns a snapshot of the routing counters.
 func (px *Proxy) Stats() Stats { return px.stats }
-
-// Balancer returns the active balancer.
-func (px *Proxy) Balancer() Balancer { return px.balancer }
-
-// Master returns the routed master.
-func (px *Proxy) Master() *repl.Master { return px.master }
 
 // SetMaster re-points the proxy after a failover.
 func (px *Proxy) SetMaster(m *repl.Master) { px.master = m }
@@ -706,18 +687,6 @@ func (px *Proxy) noteSlaveOK(sl *repl.Slave) {
 	if h := px.health[sl]; h != nil {
 		h.consecErrs = 0
 	}
-}
-
-// Query is Exec returning the result set.
-func (c *Conn) Query(p *sim.Proc, sql string, args ...sqlengine.Value) (*sqlengine.ResultSet, error) {
-	res, err := c.Exec(p, sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	if res.Result.Set == nil {
-		return nil, errors.New("proxy: statement returned no result set")
-	}
-	return res.Result.Set, nil
 }
 
 // execOn runs sql on the chosen backend (nil = master) with network legs,

@@ -126,7 +126,7 @@ func TestRoundRobinDistributesEvenly(t *testing.T) {
 				t.Errorf("read: %v", err)
 			}
 		}
-		for _, sl := range px.Master().Slaves() {
+		for _, sl := range px.master.Slaves() {
 			counts[sl.Srv.Name] = int(sl.Srv.Stats().Reads)
 		}
 	})
@@ -161,7 +161,7 @@ func TestNoSlavesFallsBackToMaster(t *testing.T) {
 
 func TestDownSlaveSkipped(t *testing.T) {
 	env, px := topo(t, 4, 2, &RoundRobin{})
-	slaves := px.Master().Slaves()
+	slaves := px.master.Slaves()
 	slaves[0].Srv.Inst.Terminate()
 	conn := px.Connect("app")
 	env.Go("client", func(p *sim.Proc) {
@@ -181,7 +181,7 @@ func TestDownSlaveSkipped(t *testing.T) {
 
 func TestMasterDownWriteFails(t *testing.T) {
 	env, px := topo(t, 5, 1, &RoundRobin{})
-	px.Master().Srv.Inst.Terminate()
+	px.master.Srv.Inst.Terminate()
 	conn := px.Connect("app")
 	var err error
 	env.Go("client", func(p *sim.Proc) {
@@ -197,7 +197,7 @@ func TestMasterDownWriteFails(t *testing.T) {
 
 func TestLeastLagPrefersFreshSlave(t *testing.T) {
 	env, px := topo(t, 6, 2, LeastLag{})
-	slaves := px.Master().Slaves()
+	slaves := px.master.Slaves()
 	// Stop slave 0's applier so it falls behind.
 	slaves[0].Stop()
 	conn := px.Connect("app")
@@ -226,7 +226,7 @@ func TestLeastLagPrefersFreshSlave(t *testing.T) {
 func TestStalenessBoundedFallsBackToMaster(t *testing.T) {
 	env, px := topo(t, 7, 1, &RoundRobin{})
 	px.Consistency, px.MaxStaleEvents = Bounded, 2
-	slaves := px.Master().Slaves()
+	slaves := px.master.Slaves()
 	slaves[0].Stop() // slave will lag forever
 	conn := px.Connect("app")
 	var fellBack bool
@@ -273,7 +273,7 @@ func TestLeastConnBalancesInflight(t *testing.T) {
 	}
 	env.Go("check", func(p *sim.Proc) {
 		p.Sleep(time.Minute)
-		for _, sl := range px.Master().Slaves() {
+		for _, sl := range px.master.Slaves() {
 			done[sl.Srv.Name] = int(sl.Srv.Stats().Reads)
 		}
 	})
@@ -309,33 +309,6 @@ func TestNetworkRoundTripInLatency(t *testing.T) {
 	env.Shutdown()
 }
 
-func TestBalancerNames(t *testing.T) {
-	cases := map[string]Balancer{
-		"round-robin": &RoundRobin{},
-		"random":      Random{},
-		"least-conn":  LeastConn{},
-		"least-lag":   LeastLag{},
-	}
-	for want, b := range cases {
-		if b.Name() != want {
-			t.Errorf("Name() = %q, want %q", b.Name(), want)
-		}
-	}
-}
-
-func TestQueryRejectsNonSelect(t *testing.T) {
-	env, px := topo(t, 10, 1, &RoundRobin{})
-	conn := px.Connect("app")
-	env.Go("client", func(p *sim.Proc) {
-		if _, err := conn.Query(p, "INSERT INTO t (id, v) VALUES (1, 'x')"); err == nil {
-			t.Error("Query accepted a statement with no result set")
-		}
-	})
-	env.RunUntil(time.Minute)
-	env.Stop()
-	env.Shutdown()
-}
-
 // TestMonotonicReadViolations reproduces the consumer-observed consistency
 // phenomenon of the authors' earlier CIDR work (cited as the paper's
 // motivation): with round-robin reads over unevenly-lagged slaves, a
@@ -348,7 +321,7 @@ func TestMonotonicReadViolations(t *testing.T) {
 		px.Consistency = tier
 		// Pin one slave's CPU with competing work so its applier lags far
 		// behind the other slave's.
-		slow := px.Master().Slaves()[1].Srv
+		slow := px.master.Slaves()[1].Srv
 		for h := 0; h < 3; h++ {
 			env.Go("hog", func(p *sim.Proc) {
 				for p.Now() < 3*time.Minute {
@@ -362,11 +335,11 @@ func TestMonotonicReadViolations(t *testing.T) {
 			last := int64(-1)
 			for i := 0; p.Now() < 3*time.Minute; i++ {
 				conn.Exec(p, "INSERT INTO t (id, v) VALUES (?, 'x')", sqlengine.NewInt(int64(i)))
-				set, err := conn.Query(p, "SELECT COUNT(*) FROM t")
+				res, err := conn.Exec(p, "SELECT COUNT(*) FROM t")
 				if err != nil {
 					continue
 				}
-				n := set.Rows[0][0].Int()
+				n := res.Result.Set.Rows[0][0].Int()
 				if n < last {
 					violations++
 				}
@@ -388,7 +361,7 @@ func TestMonotonicReadViolations(t *testing.T) {
 
 func TestBackendDyingMidFlightReturnsError(t *testing.T) {
 	env, px := topo(t, 11, 1, &RoundRobin{})
-	sl := px.Master().Slaves()[0]
+	sl := px.master.Slaves()[0]
 	conn := px.Connect("app")
 	var err error
 	env.Go("client", func(p *sim.Proc) {
@@ -412,7 +385,7 @@ func TestReadYourWritesSessionConsistency(t *testing.T) {
 	env, px := topo(t, 12, 2, &RoundRobin{})
 	px.Consistency = Session
 	// Freeze both appliers so every slave lags behind the writes.
-	for _, sl := range px.Master().Slaves() {
+	for _, sl := range px.master.Slaves() {
 		sl.Stop()
 	}
 	conn := px.Connect("app")
@@ -474,7 +447,7 @@ func TestReadYourWritesReleasesAfterCatchUp(t *testing.T) {
 func TestFreshConnectionUnaffectedByRYW(t *testing.T) {
 	env, px := topo(t, 14, 1, &RoundRobin{})
 	px.Consistency = Session
-	px.Master().Slaves()[0].Stop()
+	px.master.Slaves()[0].Stop()
 	writer := px.Connect("app")
 	reader := px.Connect("app")
 	env.Go("client", func(p *sim.Proc) {
@@ -506,7 +479,7 @@ func TestRYWTokenSurvivesFailover(t *testing.T) {
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
 		// Promote the most-applied live slave under epoch+1 and re-attach
 		// the rest at their applied positions — cluster.Failover's flow.
-		old := px.Master()
+		old := px.master
 		var best *repl.Slave
 		for _, sl := range old.Slaves() {
 			if sl.Srv.Up() && (best == nil || sl.AppliedSeq() > best.AppliedSeq()) {
@@ -529,7 +502,7 @@ func TestRYWTokenSurvivesFailover(t *testing.T) {
 	}
 	// Starve both slaves' appliers so the connection's writes are still
 	// unapplied anywhere when the master dies.
-	for _, sl := range px.Master().Slaves() {
+	for _, sl := range px.master.Slaves() {
 		srv := sl.Srv
 		for h := 0; h < 2; h++ {
 			env.Go("hog", func(p *sim.Proc) {
@@ -547,7 +520,7 @@ func TestRYWTokenSurvivesFailover(t *testing.T) {
 				return
 			}
 		}
-		px.Master().Srv.Inst.Terminate()
+		px.master.Srv.Inst.Terminate()
 		// No slave holds the watermark, so the read falls back to the
 		// master, finds it dead, and promotes — landing on a new epoch the
 		// token was not minted under.
@@ -594,7 +567,7 @@ func TestRYWTokenSurvivesFailover(t *testing.T) {
 func TestStalenessBoundedZeroValueServesSlaves(t *testing.T) {
 	env, px := topo(t, 33, 1, &RoundRobin{})
 	px.Consistency = Bounded
-	slow := px.Master().Slaves()[0].Srv
+	slow := px.master.Slaves()[0].Srv
 	for h := 0; h < 2; h++ {
 		env.Go("hog", func(p *sim.Proc) {
 			for p.Now() < 30*time.Second {
@@ -612,7 +585,7 @@ func TestStalenessBoundedZeroValueServesSlaves(t *testing.T) {
 		}
 		// The hogged slave is a few events behind — within the default
 		// bound, far from caught up.
-		if got := px.Master().Slaves()[0].EventsBehindMaster(); got == 0 {
+		if got := px.master.Slaves()[0].EventsBehindMaster(); got == 0 {
 			t.Fatal("test setup: slave not lagging")
 		}
 		res, err := conn.Exec(p, "SELECT COUNT(*) FROM t")

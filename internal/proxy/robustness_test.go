@@ -58,7 +58,7 @@ func TestTieBreakSpreadsReads(t *testing.T) {
 	env.RunUntil(10 * time.Minute)
 	env.Stop()
 	env.Shutdown()
-	for _, sl := range px.Master().Slaves() {
+	for _, sl := range px.master.Slaves() {
 		if n := sl.Srv.Stats().Reads; n < 10 {
 			t.Fatalf("%s served only %d of 40 tied reads — tie-break not spreading", sl.Srv.Name, n)
 		}
@@ -80,7 +80,7 @@ func TestLeastConnTieBreakSpreads(t *testing.T) {
 	env.RunUntil(10 * time.Minute)
 	env.Stop()
 	env.Shutdown()
-	for _, sl := range px.Master().Slaves() {
+	for _, sl := range px.master.Slaves() {
 		if n := sl.Srv.Stats().Reads; n < 10 {
 			t.Fatalf("%s served only %d of 40 tied reads", sl.Srv.Name, n)
 		}
@@ -94,8 +94,8 @@ func TestScoredPicksAllocateNothing(t *testing.T) {
 	env, px := topo(t, 24, 3, nil)
 	defer env.Shutdown()
 	ctx := &PickContext{
-		Master:   px.Master(),
-		Slaves:   px.Master().Slaves(),
+		Master:   px.master,
+		Slaves:   px.master.Slaves(),
 		Inflight: func(*repl.Slave) int { return 0 },
 		Rng:      env.Rand(),
 	}
@@ -105,10 +105,10 @@ func TestScoredPicksAllocateNothing(t *testing.T) {
 			seen[b.Pick(ctx)] = true
 		}
 		if len(seen) != 3 || seen[nil] {
-			t.Errorf("%s: 64 three-way ties reached %d backends; want all 3 slaves", b.Name(), len(seen))
+			t.Errorf("%T: 64 three-way ties reached %d backends; want all 3 slaves", b, len(seen))
 		}
 		if allocs := testing.AllocsPerRun(100, func() { b.Pick(ctx) }); allocs != 0 {
-			t.Errorf("%s: %.0f allocations per pick; want 0", b.Name(), allocs)
+			t.Errorf("%T: %.0f allocations per pick; want 0", b, allocs)
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestScoredPicksAllocateNothing(t *testing.T) {
 func TestRetryMasksMidFlightCrash(t *testing.T) {
 	env, px := topo(t, 23, 1, &RoundRobin{})
 	px.Retry = RetryPolicy{maxAttempts: 3, baseBackoff: 50 * time.Millisecond, maxBackoff: time.Second}
-	sl := px.Master().Slaves()[0]
+	sl := px.master.Slaves()[0]
 	conn := px.Connect("app")
 	var res *ExecResult
 	var err error
@@ -149,7 +149,7 @@ func TestRetryMasksMidFlightCrash(t *testing.T) {
 // not retry, so existing callers see the first error unchanged.
 func TestZeroPolicyKeepsLegacySingleAttempt(t *testing.T) {
 	env, px := topo(t, 24, 1, &RoundRobin{})
-	sl := px.Master().Slaves()[0]
+	sl := px.master.Slaves()[0]
 	conn := px.Connect("app")
 	var err error
 	env.Go("client", func(p *sim.Proc) {
@@ -196,13 +196,13 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 		// return to rotation.
 		net.Heal(zoneA, zoneB)
 		p.Sleep(6 * time.Second)
-		before := px.Master().Slaves()[1].Srv.Stats().Reads
+		before := px.master.Slaves()[1].Srv.Stats().Reads
 		for i := 0; i < 8; i++ {
 			if _, err := conn.Exec(p, "SELECT COUNT(*) FROM t"); err != nil {
 				t.Errorf("post-heal read: %v", err)
 			}
 		}
-		if after := px.Master().Slaves()[1].Srv.Stats().Reads; after == before {
+		if after := px.master.Slaves()[1].Srv.Stats().Reads; after == before {
 			t.Error("readmitted slave served no reads after the heal")
 		}
 	})
@@ -233,7 +233,7 @@ func TestStatementTimeoutOnPartitionedMaster(t *testing.T) {
 	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
 	// Master in zone a; client (proxy) in zone b; no slaves.
 	env, net, px := topoAt(t, 26, zoneA, nil, &RoundRobin{})
-	pxB := New(env, net, px.Master(), zoneB, &RoundRobin{})
+	pxB := New(env, net, px.master, zoneB, &RoundRobin{})
 	pxB.Retry = RetryPolicy{maxAttempts: 2, baseBackoff: 10 * time.Millisecond, maxBackoff: time.Second, statementTimeout: time.Second}
 	net.Partition(zoneA, zoneB)
 
@@ -268,8 +268,8 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	env, net, px := topoAt(t, 27,
 		cloud.Placement{Region: cloud.USWest1, Zone: "a"},
 		[]cloud.Placement{{Region: cloud.USWest1, Zone: "a"}}, &RoundRobin{})
-	sl := px.Master().Slaves()[0]
-	old := px.Master()
+	sl := px.master.Slaves()[0]
+	old := px.master
 	hookCalls := 0
 	px.Retry = RetryPolicy{failoverOnMasterDown: true}
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
@@ -277,7 +277,7 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 		old.Detach(sl)
 		return repl.NewMaster(env, sl.Srv, net, repl.Async), nil
 	}
-	px.Master().Srv.Inst.Terminate()
+	px.master.Srv.Inst.Terminate()
 
 	conn := px.Connect("app")
 	var res *ExecResult
@@ -299,7 +299,7 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	if !res.OnMaster {
 		t.Fatal("write not on the (promoted) master")
 	}
-	if px.Master().Srv != sl.Srv {
+	if px.master.Srv != sl.Srv {
 		t.Fatal("proxy still pointing at the dead master")
 	}
 	if hookCalls != 1 {
@@ -318,7 +318,7 @@ func TestNoFailoverWithoutPolicy(t *testing.T) {
 		t.Error("hook invoked despite failoverOnMasterDown=false")
 		return nil, nil
 	}
-	px.Master().Srv.Inst.Terminate()
+	px.master.Srv.Inst.Terminate()
 	conn := px.Connect("app")
 	var err error
 	env.Go("client", func(p *sim.Proc) {
@@ -338,7 +338,7 @@ func TestNoFailoverWithoutPolicy(t *testing.T) {
 func TestReadYourWritesAllStaleFallsBackToMaster(t *testing.T) {
 	env, px := topo(t, 29, 2, &RoundRobin{})
 	px.Consistency = Session
-	for _, sl := range px.Master().Slaves() {
+	for _, sl := range px.master.Slaves() {
 		sl.Srv.Inst.Terminate()
 	}
 	conn := px.Connect("app")

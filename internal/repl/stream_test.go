@@ -61,7 +61,7 @@ func TestShipByReference(t *testing.T) {
 			}
 		}
 	})
-	env.RunFor(time.Minute)
+	env.RunUntil(env.Now() + time.Minute)
 	batch, ok := sl.PeekReceived()
 	if !ok || len(batch) == 0 {
 		t.Fatal("nothing waiting on the slave's socket")
@@ -75,7 +75,7 @@ func TestShipByReference(t *testing.T) {
 	for id := int64(len(logged)); id < 2048*int64(len(logged)); id++ {
 		m.Srv.Log.Append("app", fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'filler')", 1000+id), 0)
 	}
-	env.RunFor(time.Minute)
+	env.RunUntil(env.Now() + time.Minute)
 	if again, _ := sl.PeekReceived(); !reflect.DeepEqual(batch, held) || !reflect.DeepEqual(again, held) {
 		t.Fatalf("a received batch changed while the master's log grew:\n%+v\nwas\n%+v", batch, held)
 	}
@@ -83,7 +83,7 @@ func TestShipByReference(t *testing.T) {
 	// Back up, the I/O thread coalesces the queued windows by appending to
 	// the first: that must copy, never write into the master's array.
 	sl.Srv.Inst.Restart()
-	env.RunFor(10 * time.Hour)
+	env.RunUntil(env.Now() + 10*time.Hour)
 	if sl.AppliedSeq() != m.Srv.Log.LastSeq() || sl.ApplyErrors() != 0 {
 		t.Fatalf("slave applied %d of %d with %d errors", sl.AppliedSeq(), m.Srv.Log.LastSeq(), sl.ApplyErrors())
 	}
@@ -188,9 +188,9 @@ func TestReplicationStreamAllocs(t *testing.T) {
 		}
 	})
 	applied := func() uint64 { return slaves[0].AppliedSeq() + slaves[1].AppliedSeq() - 2*base }
-	env.RunFor(warm * every)
+	env.RunUntil(env.Now() + warm*every)
 	before, start := applied(), mallocs()
-	env.RunFor(measured * every)
+	env.RunUntil(env.Now() + measured*every)
 	total, shipped := mallocs()-start, applied()-before
 	if shipped < 2*measured-4 || slaves[0].ApplyErrors()+slaves[1].ApplyErrors() != 0 {
 		t.Fatalf("%d events applied in the measured window, want about %d; %d apply errors",

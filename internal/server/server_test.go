@@ -97,8 +97,8 @@ func TestSlowInstanceRunsSlower(t *testing.T) {
 func TestCommittedWritesReachBinlogWithClockTimestamp(t *testing.T) {
 	env, srv := newTestServer(t, 1)
 	sess := srv.Session("app")
-	env.RunFor(10 * time.Second) // advance the clock
-	base := srv.Log.LastSeq()    // preload DDL entries
+	env.RunUntil(env.Now() + 10*time.Second) // advance the clock
+	base := srv.Log.LastSeq()                // preload DDL entries
 	env.Go("client", func(p *sim.Proc) {
 		srv.Exec(p, sess, "INSERT INTO t (id, v) VALUES (1, 'x')")
 	})

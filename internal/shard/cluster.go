@@ -221,9 +221,6 @@ func ownsNothing(ks Keyspace) func(table string, key int64) bool {
 // Cells returns the cells in id order.
 func (s *Cluster) Cells() []*Cell { return s.cells }
 
-// Cell returns cell i.
-func (s *Cluster) Cell(i int) *Cell { return s.cells[i] }
-
 // NumCells returns the current cell count.
 func (s *Cluster) NumCells() int { return len(s.cells) }
 
@@ -439,18 +436,6 @@ func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*proxy.Ex
 		c.sc.hSingle.Record(lat)
 	}
 	return res, nil
-}
-
-// Query is Exec returning only the result set.
-func (c *Conn) Query(p *sim.Proc, sql string, args ...sqlengine.Value) (*sqlengine.ResultSet, error) {
-	res, err := c.Exec(p, sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	if res.Result == nil {
-		return nil, nil
-	}
-	return res.Result.Set, nil
 }
 
 // execOnce performs one routing attempt.

@@ -144,8 +144,8 @@ func TestPartitionedPreloadExactlyOnce(t *testing.T) {
 		}
 	}
 	// Instance names are per-cell namespaced.
-	if sc.Cell(2).Clu.Master().Srv.Name != "cell2/master" {
-		t.Errorf("master name = %q", sc.Cell(2).Clu.Master().Srv.Name)
+	if sc.cells[2].Clu.Master().Srv.Name != "cell2/master" {
+		t.Errorf("master name = %q", sc.cells[2].Clu.Master().Srv.Name)
 	}
 	env.Stop()
 	env.Shutdown()
@@ -159,20 +159,21 @@ func TestRoutedExecEndToEnd(t *testing.T) {
 		conn := sc.Connect("app")
 		// Single-key reads hit every preloaded row wherever it lives.
 		for i := 1; i <= rows; i++ {
-			set, err := conn.Query(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(int64(i)))
-			if err != nil || len(set.Rows) != 1 {
-				t.Errorf("id %d: err=%v rows=%v", i, err, set)
+			res, err := conn.Exec(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(int64(i)))
+			if err != nil || len(res.Result.Set.Rows) != 1 {
+				t.Errorf("id %d: err=%v res=%v", i, err, res)
 				failed = true
 				return
 			}
 		}
 		// Scatter read: globally ordered union of all cells.
-		set, err := conn.Query(p, "SELECT id FROM kv ORDER BY id")
+		res, err := conn.Exec(p, "SELECT id FROM kv ORDER BY id")
 		if err != nil {
 			t.Errorf("scatter: %v", err)
 			failed = true
 			return
 		}
+		set := res.Result.Set
 		if len(set.Rows) != rows {
 			t.Errorf("scatter rows = %d, want %d", len(set.Rows), rows)
 			failed = true
@@ -185,9 +186,9 @@ func TestRoutedExecEndToEnd(t *testing.T) {
 			}
 		}
 		// Scatter aggregate.
-		set, err = conn.Query(p, "SELECT COUNT(*) AS n FROM kv")
-		if err != nil || set.Rows[0][0].Int() != rows {
-			t.Errorf("count: err=%v set=%v", err, set)
+		res, err = conn.Exec(p, "SELECT COUNT(*) AS n FROM kv")
+		if err != nil || res.Result.Set.Rows[0][0].Int() != rows {
+			t.Errorf("count: err=%v res=%v", err, res)
 			failed = true
 		}
 		// Routed write, read-back through the router.
@@ -195,13 +196,13 @@ func TestRoutedExecEndToEnd(t *testing.T) {
 			t.Errorf("insert: %v", err)
 			failed = true
 		}
-		set, err = conn.Query(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(int64(rows+1)))
-		if err != nil || len(set.Rows) != 1 || set.Rows[0][0].Str() != "new" {
-			t.Errorf("read-back: err=%v set=%v", err, set)
+		res, err = conn.Exec(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(int64(rows+1)))
+		if err != nil || len(res.Result.Set.Rows) != 1 || res.Result.Set.Rows[0][0].Str() != "new" {
+			t.Errorf("read-back: err=%v res=%v", err, res)
 			failed = true
 		}
 		// Global-table read and write.
-		if _, err := conn.Query(p, "SELECT name FROM g WHERE id = 1"); err != nil {
+		if _, err := conn.Exec(p, "SELECT name FROM g WHERE id = 1"); err != nil {
 			t.Errorf("global read: %v", err)
 			failed = true
 		}
@@ -260,7 +261,7 @@ func TestSplitOnline(t *testing.T) {
 				// slaves apply headroom, or the cutover (correctly) refuses
 				// to freeze writes behind slaves that cannot catch up.
 				if i%4 == 0 {
-					if _, err := conn.Query(p, "SELECT COUNT(*) AS n FROM kv"); err != nil {
+					if _, err := conn.Exec(p, "SELECT COUNT(*) AS n FROM kv"); err != nil {
 						t.Errorf("live scatter: %v", err)
 						return
 					}
@@ -307,9 +308,8 @@ func TestSplitOnline(t *testing.T) {
 		t.Fatalf("downtime %v not << copy %v", rep.Downtime, rep.CopyDuration)
 	}
 	// Both cells own slots and hold rows.
-	loads := sc.Map().CellLoads(1)
-	if loads[0] == 0 || loads[1] == 0 {
-		t.Fatalf("slot loads after split: %v", loads)
+	if m := sc.Map(); len(m.SlotsOwnedBy(0)) == 0 || len(m.SlotsOwnedBy(1)) == 0 {
+		t.Fatalf("slot owners after split: %v", m.slots)
 	}
 	want := make(map[int64]bool, rows+len(written))
 	for i := 1; i <= rows; i++ {
@@ -327,7 +327,7 @@ func TestSplitOnline(t *testing.T) {
 	// replayed text carries its own literals: parsing them through the
 	// target's parse cache would leave two entries per replayed write there
 	// for the life of the engine.
-	cached := sc.Cell(1).Clu.Master().Srv.Eng.CachedStatements()
+	cached := sc.cells[1].Clu.Master().Srv.Eng.CachedStatements()
 	t.Logf("replayed %d entries, target caches %d statements", st.ReplayedEntries, cached)
 	if st.ReplayedEntries < 10 {
 		t.Fatalf("catch-up replayed %d entries: too few to show cache growth", st.ReplayedEntries)
@@ -435,9 +435,9 @@ func TestStaleSnapshotRetriesAfterSplit(t *testing.T) {
 			return
 		}
 		before := sc.Stats().WrongShardRetries
-		set, err := conn.Query(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(moved))
-		if err != nil || len(set.Rows) != 1 {
-			t.Errorf("stale read of %d: err=%v set=%v", moved, err, set)
+		res, err := conn.Exec(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(moved))
+		if err != nil || len(res.Result.Set.Rows) != 1 {
+			t.Errorf("stale read of %d: err=%v res=%v", moved, err, res)
 			return
 		}
 		if sc.Stats().WrongShardRetries <= before {
@@ -516,16 +516,16 @@ func TestScatterHonorsSessionRYW(t *testing.T) {
 		// The written cell's slave must still be behind, or the scatter leg
 		// would see the row regardless of the token.
 		owner := sc.Map().Owner(id)
-		if sc.Cell(owner).Clu.Master().Slaves()[0].EventsBehindMaster() == 0 {
+		if sc.cells[owner].Clu.Master().Slaves()[0].EventsBehindMaster() == 0 {
 			t.Error("test setup: owning cell's slave is not lagging")
 		}
-		set, err := conn.Query(p, "SELECT id FROM kv ORDER BY id")
+		res, err := conn.Exec(p, "SELECT id FROM kv ORDER BY id")
 		if err != nil {
 			t.Errorf("scatter: %v", err)
 			return
 		}
 		found := false
-		for _, r := range set.Rows {
+		for _, r := range res.Result.Set.Rows {
 			if r[0].Int() == id {
 				found = true
 			}
@@ -555,7 +555,7 @@ func TestSessionRYWAcrossSplit(t *testing.T) {
 		for sc.NumCells() < 2 {
 			p.Sleep(5 * time.Millisecond)
 		}
-		hogSlave(env, sc.Cell(1).Clu.Master().Slaves()[0], 5*time.Minute)
+		hogSlave(env, sc.cells[1].Clu.Master().Slaves()[0], 5*time.Minute)
 	})
 	splitDone := false
 	var rep *SplitReport
@@ -591,7 +591,7 @@ func TestSessionRYWAcrossSplit(t *testing.T) {
 		}
 		// The target's slave must still lag its master, or a stale read
 		// could not be told from a correct one.
-		if sc.Cell(1).Clu.Master().Slaves()[0].EventsBehindMaster() == 0 {
+		if sc.cells[1].Clu.Master().Slaves()[0].EventsBehindMaster() == 0 {
 			t.Error("test setup: target slave caught up before the read-back")
 		}
 		for _, id := range mirrored {
@@ -599,12 +599,12 @@ func TestSessionRYWAcrossSplit(t *testing.T) {
 				continue
 			}
 			checked++
-			set, err := conn.Query(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(id))
+			res, err := conn.Exec(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(id))
 			if err != nil {
 				t.Errorf("read %d: %v", id, err)
 				return
 			}
-			if len(set.Rows) != 1 || set.Rows[0][0].Str() != "live" {
+			if set := res.Result.Set; len(set.Rows) != 1 || set.Rows[0][0].Str() != "live" {
 				t.Errorf("session read of dual-written key %d missed the write after the flip", id)
 			}
 		}
@@ -639,7 +639,7 @@ func TestShardDeterminism(t *testing.T) {
 					t.Errorf("insert: %v", err)
 					return
 				}
-				if _, err := conn.Query(p, "SELECT id FROM kv ORDER BY id DESC LIMIT 5"); err != nil {
+				if _, err := conn.Exec(p, "SELECT id FROM kv ORDER BY id DESC LIMIT 5"); err != nil {
 					t.Errorf("scatter: %v", err)
 					return
 				}

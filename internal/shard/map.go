@@ -55,26 +55,12 @@ func (m *Map) SlotOf(key int64) int { return slotOf(key, len(m.slots)) }
 // Owner returns the cell owning a key.
 func (m *Map) Owner(key int64) int { return m.slots[m.SlotOf(key)] }
 
-// SlotOwner returns the cell owning a slot.
-func (m *Map) SlotOwner(slot int) int { return m.slots[slot] }
-
 // SlotsOwnedBy returns the slots a cell owns, ascending.
 func (m *Map) SlotsOwnedBy(cell int) []int {
 	var out []int
 	for s, c := range m.slots {
 		if c == cell {
 			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// CellLoads returns slot counts per cell id up to maxCell (inclusive).
-func (m *Map) CellLoads(maxCell int) []int {
-	out := make([]int, maxCell+1)
-	for _, c := range m.slots {
-		if c >= 0 && c <= maxCell {
-			out[c]++
 		}
 	}
 	return out

@@ -11,9 +11,11 @@ func TestMapShapes(t *testing.T) {
 	for _, slots := range []int{1, 2, 16, 64, 97} {
 		for cells := 1; cells <= slots && cells <= 9; cells++ {
 			m := NewMap(slots, cells)
-			loads := m.CellLoads(cells - 1)
+			loads := make([]int, cells)
 			total, minL, maxL := 0, slots, 0
-			for _, n := range loads {
+			for c := range loads {
+				n := len(m.SlotsOwnedBy(c))
+				loads[c] = n
 				total += n
 				if n < minL {
 					minL = n
@@ -30,7 +32,7 @@ func TestMapShapes(t *testing.T) {
 			}
 			prev := -1
 			for s := 0; s < slots; s++ {
-				if c := m.SlotOwner(s); c < prev {
+				if c := m.slots[s]; c < prev {
 					t.Fatalf("%d/%d: ranges not contiguous at slot %d", slots, cells, s)
 				} else {
 					prev = c
@@ -129,8 +131,8 @@ func TestMoveLeavesConnMapUnchanged(t *testing.T) {
 		t.Fatalf("connection holds version %d, cluster %d: want 1 and 2", conn.m.Version(), sc.m.Version())
 	}
 	for s := 0; s < 16; s++ {
-		if want := s * 2 / 16; m.SlotOwner(s) != want {
-			t.Fatalf("slot %d of the held map is owned by %d after the Move, want %d", s, m.SlotOwner(s), want)
+		if want := s * 2 / 16; m.slots[s] != want {
+			t.Fatalf("slot %d of the held map is owned by %d after the Move, want %d", s, m.slots[s], want)
 		}
 	}
 	if cells := m.Cells(); len(cells) != 2 || cells[0] != 0 || cells[1] != 1 {

@@ -35,12 +35,12 @@ func TestScatterScriptUnchanged(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for _, sql := range []string{orderedScatter, aggregateScatter} {
 				probe()
-				set, err := conn.Query(p, sql)
+				res, err := conn.Exec(p, sql)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got = append(got, fmt.Sprint(set.Columns, set.Rows))
+				got = append(got, fmt.Sprint(res.Result.Set.Columns, res.Result.Set.Rows))
 			}
 			probe()
 			if _, err := conn.Exec(p, "INSERT INTO kv (id, v) VALUES (?, ?)",
@@ -111,7 +111,7 @@ func (f *scatterFixture) do(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	done := false
 	f.work.Put(func(p *sim.Proc) { fn(p); done = true })
-	f.env.RunFor(10 * time.Second)
+	f.env.RunUntil(f.env.Now() + 10*time.Second)
 	if !done {
 		t.Fatal("client call did not finish in ten virtual seconds")
 	}

@@ -272,16 +272,16 @@ func TestPendingMatchesScan(t *testing.T) {
 			cancels[j]() // double-cancel must be a no-op for the counter
 			cancels = append(cancels[:j], cancels[j+1:]...)
 		}
-		if got, want := e.Pending(), scan(); got != want {
+		if got, want := e.queue.live, scan(); got != want {
 			t.Fatalf("step %d: Pending()=%d, scan=%d", i, got, want)
 		}
 	}
 	e.RunUntil(Time(30 * time.Second))
-	if got, want := e.Pending(), scan(); got != want {
+	if got, want := e.queue.live, scan(); got != want {
 		t.Fatalf("after partial run: Pending()=%d, scan=%d", got, want)
 	}
 	e.Run()
-	if got := e.Pending(); got != 0 {
+	if got := e.queue.live; got != 0 {
 		t.Fatalf("after full run: Pending()=%d, want 0", got)
 	}
 }

@@ -22,7 +22,7 @@ func TestWaitForGraphNamesParkSites(t *testing.T) {
 	env.Go("applier", func(p *Proc) { q.Get(p) })
 	env.Go("contender", func(p *Proc) { r.Use(p, time.Second) })
 	env.Go("waiter", func(p *Proc) { sig.Wait(p) })
-	env.RunFor(time.Minute)
+	env.RunUntil(env.Now() + time.Minute)
 
 	g := env.WaitForGraph()
 	for _, s := range []string{
@@ -60,7 +60,7 @@ func TestShutdownDeadlockPanicDumpsGraph(t *testing.T) {
 		defer func() { <-wedge }()
 		p.Sleep(time.Hour)
 	})
-	env.RunFor(time.Minute)
+	env.RunUntil(env.Now() + time.Minute)
 
 	defer close(wedge) // unstick the goroutine so the test process drains
 	defer func() {
@@ -93,10 +93,10 @@ func TestShutdownCleanWithParkedProcs(t *testing.T) {
 	env.Go("b", func(p *Proc) { sig.Wait(p) })
 	env.Go("c", func(p *Proc) { r.Use(p, time.Hour) })
 	env.Go("d", func(p *Proc) { r.Use(p, time.Second) })
-	env.RunFor(time.Minute)
+	env.RunUntil(env.Now() + time.Minute)
 	env.Shutdown()
-	if env.Alive() != 0 {
-		t.Fatalf("%d process(es) alive after Shutdown", env.Alive())
+	if env.alive != 0 {
+		t.Fatalf("%d process(es) alive after Shutdown", env.alive)
 	}
 	if g := env.WaitForGraph(); g != "" {
 		t.Fatalf("wait-for graph not empty after Shutdown:\n%s", g)

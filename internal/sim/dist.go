@@ -15,15 +15,6 @@ func Exp(rng *rand.Rand, mean time.Duration) time.Duration {
 	return time.Duration(rng.ExpFloat64() * float64(mean))
 }
 
-// Normal draws a normally distributed duration, truncated at zero.
-func Normal(rng *rand.Rand, mean, stddev time.Duration) time.Duration {
-	d := time.Duration(rng.NormFloat64()*float64(stddev)) + mean
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // LogNormal draws a log-normally distributed duration parameterized by the
 // desired median and the σ of the underlying normal. Network jitter tails
 // are modeled with this distribution.

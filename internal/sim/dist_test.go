@@ -32,15 +32,6 @@ func TestExpNonPositiveMean(t *testing.T) {
 	}
 }
 
-func TestNormalTruncatesAtZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 10000; i++ {
-		if d := Normal(rng, time.Millisecond, 10*time.Millisecond); d < 0 {
-			t.Fatalf("Normal produced negative duration %v", d)
-		}
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 100001

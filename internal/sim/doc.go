@@ -33,7 +33,7 @@
 // goroutine to the pool, whose bound lets the surplus go; an Env that is
 // dropped without Shutdown leaks both.
 //
-// Run/RunFor/RunUntil execute events as fast as the host allows: a 35-minute
+// Run/RunUntil execute events as fast as the host allows: a 35-minute
 // experiment finishes in seconds.
 //
 // The zero kernel overhead target is modest — a few hundred thousand events

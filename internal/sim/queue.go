@@ -11,8 +11,6 @@ type Queue[T any] struct {
 	waiters Ring[*Proc]
 	closed  bool
 
-	puts uint64
-	gets uint64
 	// High-water mark of queue depth, useful for relay-log backlog stats.
 	maxDepth int
 }
@@ -31,9 +29,6 @@ func (q *Queue[T]) Len() int { return q.items.Len() }
 // MaxDepth returns the highest buffered depth observed.
 func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
 
-// Puts returns the total number of items ever Put.
-func (q *Queue[T]) Puts() uint64 { return q.puts }
-
 // Put appends an item and wakes one waiting consumer. It may be called from
 // any process or callback. Put on a closed queue drops the item silently
 // (messages in flight to a crashed server disappear, like packets to a dead
@@ -43,7 +38,6 @@ func (q *Queue[T]) Put(v T) {
 		return
 	}
 	q.items.Push(v)
-	q.puts++
 	if q.items.Len() > q.maxDepth {
 		q.maxDepth = q.items.Len()
 	}
@@ -62,17 +56,11 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 		q.waiters.Push(p)
 		p.wait(ParkQueue, q.name)
 	}
-	q.gets++
 	return q.items.Pop()
 }
 
 // TryGet removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if v, ok = q.items.Pop(); ok {
-		q.gets++
-	}
-	return v, ok
-}
+func (q *Queue[T]) TryGet() (v T, ok bool) { return q.items.Pop() }
 
 // Peek returns the oldest item without removing it.
 func (q *Queue[T]) Peek() (v T, ok bool) { return q.items.Peek() }

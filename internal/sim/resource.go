@@ -24,9 +24,6 @@ type Resource struct {
 	lastChange   Time
 	busyIntegral float64 // ∫ inUse dt, in seconds·servers
 	statsStart   Time
-
-	acquires  uint64
-	totalWait time.Duration
 }
 
 // NewResource creates a resource with the given number of server slots.
@@ -39,9 +36,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 
 // Cap returns the number of server slots.
 func (r *Resource) Cap() int { return r.cap }
-
-// InUse returns the number of slots currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
 func (r *Resource) QueueLen() int { return r.waiters.Len() + r.urgent.Len() }
@@ -59,9 +53,7 @@ func (r *Resource) accumulate() {
 // granted strictly in arrival order within a priority class; the
 // high-priority class always goes first.
 func (r *Resource) acquire(p *Proc, high bool) {
-	start := r.env.now
 	r.accumulate()
-	r.acquires++
 	if r.inUse < r.cap && r.QueueLen() == 0 {
 		r.inUse++
 		return
@@ -71,9 +63,8 @@ func (r *Resource) acquire(p *Proc, high bool) {
 	} else {
 		r.waiters.Push(p)
 	}
+	// The releasing side claims the slot on our behalf before it wakes us.
 	p.wait(ParkResource, r.name)
-	// The releasing side already claimed the slot on our behalf.
-	r.totalWait += r.env.now - start
 }
 
 // release frees a held slot and hands it to the next waiter, if any.
@@ -119,8 +110,6 @@ func (r *Resource) ResetStats() {
 	r.accumulate()
 	r.busyIntegral = 0
 	r.statsStart = r.env.now
-	r.acquires = 0
-	r.totalWait = 0
 }
 
 // Utilization returns the time-averaged fraction of capacity in use since
@@ -142,16 +131,4 @@ func (r *Resource) Utilization() float64 {
 func (r *Resource) BusySeconds() float64 {
 	r.accumulate()
 	return r.busyIntegral
-}
-
-// Acquires returns the number of Use/UseHigh calls since the last ResetStats.
-func (r *Resource) Acquires() uint64 { return r.acquires }
-
-// AvgWait returns the mean time processes spent queued before acquiring a
-// slot since the last ResetStats.
-func (r *Resource) AvgWait() time.Duration {
-	if r.acquires == 0 {
-		return 0
-	}
-	return r.totalWait / time.Duration(r.acquires)
 }

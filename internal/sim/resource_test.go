@@ -87,12 +87,16 @@ func TestResourceAvgWait(t *testing.T) {
 	env := NewEnv(1)
 	r := NewResource(env, "r", 1)
 	// Two jobs arrive together; second waits 100ms. Mean over 2 acquires = 50ms.
+	var waited time.Duration
 	for i := 0; i < 2; i++ {
-		env.Go("job", func(p *Proc) { r.Use(p, 100*time.Millisecond) })
+		env.Go("job", func(p *Proc) {
+			r.Use(p, 100*time.Millisecond)
+			waited += p.Now() - 100*time.Millisecond
+		})
 	}
 	env.Run()
-	if w := r.AvgWait(); w != 50*time.Millisecond {
-		t.Fatalf("AvgWait = %v, want 50ms", w)
+	if w := waited / 2; w != 50*time.Millisecond {
+		t.Fatalf("mean wait = %v, want 50ms", w)
 	}
 }
 
@@ -102,12 +106,9 @@ func TestResourceResetStats(t *testing.T) {
 	env.Go("job", func(p *Proc) { r.Use(p, time.Second) })
 	env.Run()
 	r.ResetStats()
-	env.RunFor(time.Second) // idle second
+	env.RunUntil(env.Now() + time.Second) // idle second
 	if u := r.Utilization(); u != 0 {
 		t.Fatalf("utilization after reset = %v, want 0", u)
-	}
-	if r.Acquires() != 0 {
-		t.Fatalf("acquires after reset = %d, want 0", r.Acquires())
 	}
 }
 
@@ -154,7 +155,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			env.Go("job", func(p *Proc) {
 				p.Sleep(Exp(p.Rand(), time.Millisecond))
 				r.acquire(p, false)
-				if r.InUse() > r.Cap() {
+				if r.inUse > r.Cap() {
 					overCap = true
 				}
 				p.Sleep(service)
@@ -223,7 +224,7 @@ func TestUseHighPreservesAccounting(t *testing.T) {
 	if got := r.busyIntegral; got < 0.099 || got > 0.101 {
 		t.Fatalf("busy integral %v, want ≈0.1s", got)
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d after quiesce", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("%d slot(s) held after quiesce", r.inUse)
 	}
 }

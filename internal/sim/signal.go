@@ -35,9 +35,6 @@ func (s *Signal) Named(name string) *Signal {
 	return s
 }
 
-// Waiting returns the number of blocked waiters.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
 // allocWaiter takes a waiter off the Env free list, or allocates one.
 func (e *Env) allocWaiter() *sigWaiter {
 	if n := len(e.wfree); n > 0 {

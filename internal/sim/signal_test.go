@@ -20,8 +20,8 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	if woken != 5 {
 		t.Fatalf("woken = %d, want 5", woken)
 	}
-	if s.Waiting() != 0 {
-		t.Fatalf("Waiting = %d after broadcast, want 0", s.Waiting())
+	if len(s.waiters) != 0 {
+		t.Fatalf("%d waiter(s) after broadcast, want 0", len(s.waiters))
 	}
 }
 
@@ -56,8 +56,8 @@ func TestSignalWaitTimeoutSignaledFirst(t *testing.T) {
 		t.Fatal("WaitTimeout reported timeout, want signal")
 	}
 	// No residual timer should wake anything later.
-	if env.Pending() != 0 {
-		t.Fatalf("pending = %d after run, want 0", env.Pending())
+	if env.queue.live != 0 {
+		t.Fatalf("pending = %d after run, want 0", env.queue.live)
 	}
 }
 

@@ -112,18 +112,10 @@ func (e *Env) Now() Time { return e.now }
 // the running process — so no locking is needed.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Pending reports the number of live (not cancelled) scheduled events. It is
-// O(1): the queue maintains the count across push/pop/cancel.
-func (e *Env) Pending() int { return e.queue.live }
-
 // Events reports the total number of events dispatched since the Env was
 // created (cancelled events are not counted). It is the denominator of the
 // kernel benchmark's events/sec.
 func (e *Env) Events() uint64 { return e.processed }
-
-// Alive reports the number of processes that have been started and have not
-// yet returned.
-func (e *Env) Alive() int { return e.alive }
 
 // allocEvent takes an event struct off the free list, or allocates one.
 // Ownership: the queue owns a pushed event until it is popped or discarded
@@ -664,10 +656,7 @@ func (e *Env) RunUntil(t Time) {
 	}
 }
 
-// RunFor executes events for virtual duration d from the current time.
-func (e *Env) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
-
-// Stop makes the current Run/RunUntil/RunFor call return after the event in
+// Stop makes the current Run/RunUntil call return after the event in
 // progress. It may be called from a process or callback.
 func (e *Env) Stop() { e.stopped = true }
 

@@ -119,7 +119,7 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 
 func TestRunForAdvancesEvenWithoutEvents(t *testing.T) {
 	env := NewEnv(1)
-	env.RunFor(10 * time.Second)
+	env.RunUntil(env.Now() + 10*time.Second)
 	if env.Now() != 10*time.Second {
 		t.Fatalf("Now() = %v, want 10s", env.Now())
 	}
@@ -196,12 +196,12 @@ func TestShutdownUnblocksParkedProcesses(t *testing.T) {
 		})
 	}
 	env.Run() // returns with the 5 procs parked
-	if env.Alive() != 5 {
-		t.Fatalf("alive = %d, want 5", env.Alive())
+	if env.alive != 5 {
+		t.Fatalf("alive = %d, want 5", env.alive)
 	}
 	env.Shutdown()
-	if env.Alive() != 0 {
-		t.Fatalf("alive after Shutdown = %d, want 0", env.Alive())
+	if env.alive != 0 {
+		t.Fatalf("alive after Shutdown = %d, want 0", env.alive)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestShutdownBeforeFirstResume(t *testing.T) {
 	if ran {
 		t.Fatal("process body ran despite immediate shutdown")
 	}
-	if env.Alive() != 0 {
-		t.Fatalf("alive = %d, want 0", env.Alive())
+	if env.alive != 0 {
+		t.Fatalf("alive = %d, want 0", env.alive)
 	}
 }
 
@@ -261,14 +261,14 @@ func TestPendingAndAlive(t *testing.T) {
 	env := NewEnv(1)
 	env.Go("a", func(p *Proc) { p.Sleep(time.Second) })
 	env.Go("b", func(p *Proc) { p.Sleep(2 * time.Second) })
-	if env.Alive() != 2 {
-		t.Fatalf("alive = %d, want 2", env.Alive())
+	if env.alive != 2 {
+		t.Fatalf("alive = %d, want 2", env.alive)
 	}
-	if env.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", env.Pending())
+	if env.queue.live != 2 {
+		t.Fatalf("pending = %d, want 2", env.queue.live)
 	}
 	env.Run()
-	if env.Alive() != 0 || env.Pending() != 0 {
-		t.Fatalf("after run: alive=%d pending=%d, want 0/0", env.Alive(), env.Pending())
+	if env.alive != 0 || env.queue.live != 0 {
+		t.Fatalf("after run: alive=%d pending=%d, want 0/0", env.alive, env.queue.live)
 	}
 }

@@ -662,21 +662,21 @@ func TestResultRowsDoNotAliasPlanState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := st.Query(s)
+		first, err := st.Run(s)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		want := canonRows(first, true)
-		for _, r := range first.Rows {
+		want := canonRows(first.Set, true)
+		for _, r := range first.Set.Rows {
 			for i := range r {
 				r[i] = NewString("scribble")
 			}
 		}
-		again, err := st.Query(s)
+		again, err := st.Run(s)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		if got := canonRows(again, true); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		if got := canonRows(again.Set, true); strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("%s: second execution changed after the first result was mutated\n got %q\nwant %q", sql, got, want)
 		}
 	}

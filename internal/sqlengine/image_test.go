@@ -384,7 +384,7 @@ func TestRestoredStoreCapturesAsItsImage(t *testing.T) {
 	if err := e.Restore(img); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.snapshotAt(txn.ReadVersion()).NumRows(); n != 0 {
+	if n := e.snapshotAt(txn.readV).NumRows(); n != 0 {
 		t.Fatalf("a transaction opened before the restore sees %d rows, want none", n)
 	}
 }

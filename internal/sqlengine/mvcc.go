@@ -139,7 +139,3 @@ func (e *Engine) AdvanceVersion(v uint64) {
 func (e *Engine) GCStats() (runs, versions, rows uint64) {
 	return e.gcRuns, e.gcVersions, e.gcRows
 }
-
-// ReadVersion returns the session's snapshot read version (meaningful while
-// an explicit transaction is open).
-func (s *Session) ReadVersion() uint64 { return s.readV }

@@ -211,15 +211,15 @@ func TestSnapshotExcludesProvisionalWrites(t *testing.T) {
 	if snap.NumRows() != 5 {
 		t.Fatalf("snapshot rows = %d, want 5 (provisional insert/delete excluded)", snap.NumRows())
 	}
-	if snap.Version() != eng.CommitVersion() {
-		t.Fatalf("snapshot version %d != commit version %d", snap.Version(), eng.CommitVersion())
+	if snap.version != eng.CommitVersion() {
+		t.Fatalf("snapshot version %d != commit version %d", snap.version, eng.CommitVersion())
 	}
 	restored := NewEngine()
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if restored.CommitVersion() != snap.Version() {
-		t.Fatalf("restore left commit version %d, want %d", restored.CommitVersion(), snap.Version())
+	if restored.CommitVersion() != snap.version {
+		t.Fatalf("restore left commit version %d, want %d", restored.CommitVersion(), snap.version)
 	}
 	rs := restored.NewSession("app")
 	if v, ok := readV(t, rs, 1); !ok || v != 100 {
@@ -260,7 +260,7 @@ func TestOpenTxnHoldsGCHorizon(t *testing.T) {
 	if v, ok := readV(t, txn, 2); !ok || v != 200 {
 		t.Errorf("the transaction reads id 2: v=%d ok=%v, want its BEGIN-time 200", v, ok)
 	}
-	snap := eng.snapshotAt(txn.ReadVersion())
+	snap := eng.snapshotAt(txn.readV)
 	if snap.NumRows() != 5 {
 		t.Fatalf("image at the read version holds %d rows, want 5", snap.NumRows())
 	}

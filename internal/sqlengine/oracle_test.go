@@ -313,7 +313,7 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 			if _, err := s.Exec("BEGIN"); err != nil {
 				t.Fatal(err)
 			}
-			txns = append(txns, openTxn{s: s, v: s.ReadVersion()})
+			txns = append(txns, openTxn{s: s, v: s.readV})
 		case op < 6: // provisional-write noise: a writer txn others must not see
 			s := eng.NewSession("d")
 			if _, err := s.Exec("BEGIN"); err != nil {
@@ -357,7 +357,7 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 				checkState(readAll(tx.s), tx.v, "txn read")
 			}
 			for _, h := range held {
-				snap := eng.snapshotAt(h.ReadVersion())
+				snap := eng.snapshotAt(h.readV)
 				got := map[int64]int64{}
 				for _, d := range snap.dbs {
 					for _, tb := range d.tables {
@@ -366,7 +366,7 @@ func TestConcurrentSnapshotAgainstOracle(t *testing.T) {
 						}
 					}
 				}
-				checkState(got, h.ReadVersion(), "image at read version")
+				checkState(got, h.readV, "image at read version")
 			}
 		}
 	}

@@ -244,9 +244,6 @@ func (p *Plan) current(e *Engine) bool {
 	return true
 }
 
-// Naive reports whether the naive (parity) planner built this plan.
-func (p *Plan) Naive() bool { return p.naive }
-
 // renderFilters renders a conjunct list as " filter (a AND b)" or "".
 func renderFilters(filters []Expr) string {
 	if len(filters) == 0 {

@@ -67,14 +67,14 @@ func WatchPlanReuse() (stop func() PlanReuse) {
 		}
 		switch {
 		case err != nil:
-			out.Mismatch = fmt.Sprintf("%s: the cached plan runs, a rebuild fails: %v", st.Norm(), err)
+			out.Mismatch = fmt.Sprintf("%s: the cached plan runs, a rebuild fails: %v", st.norm, err)
 		case planShape(cached) != planShape(fresh),
 			recosted && (cached.Explain() != fresh.Explain() || cached.Cost() != fresh.Cost()):
 			kept := "cached"
 			if recosted {
 				kept = "re-costed"
 			}
-			out.Mismatch = fmt.Sprintf("%s\n%s:\n%s\na rebuild now:\n%s", st.Norm(), kept, cached.Explain(), fresh.Explain())
+			out.Mismatch = fmt.Sprintf("%s\n%s:\n%s\na rebuild now:\n%s", st.norm, kept, cached.Explain(), fresh.Explain())
 		}
 	}
 	return func() PlanReuse {

@@ -219,7 +219,7 @@ func TestPlanCacheReuseAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p3 != p1 {
-		t.Fatalf("normalized variant got a different plan (norm %q vs %q)", stmt2.Norm(), stmt.Norm())
+		t.Fatalf("normalized variant got a different plan (norm %q vs %q)", stmt2.norm, stmt.norm)
 	}
 	// DDL advances the catalog epoch: the cached plan must be rebuilt.
 	if _, err := s.Exec("CREATE TABLE scratch (id BIGINT PRIMARY KEY)"); err != nil {
@@ -251,7 +251,7 @@ func TestPlanCacheKeyedByMode(t *testing.T) {
 	}
 	modes := map[bool]int{}
 	for _, p := range st.plans {
-		modes[p.Naive()]++
+		modes[p.naive]++
 	}
 	if modes[true] == 0 || modes[false] == 0 {
 		t.Fatalf("expected both planner modes cached, got %v", modes)
@@ -288,7 +288,7 @@ func TestExplainAnalyzeDoesNotMutate(t *testing.T) {
 	}
 }
 
-// TestPreparedStatementAPI exercises Prepare/Run/Query/Plan end to end and
+// TestPreparedStatementAPI exercises Prepare/Run/Plan end to end and
 // the deprecated Session.Exec shim's equivalence.
 func TestPreparedStatementAPI(t *testing.T) {
 	s := newTestDB(t)
@@ -296,21 +296,22 @@ func TestPreparedStatementAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.NumParams() != 1 {
-		t.Fatalf("NumParams = %d", stmt.NumParams())
+	if stmt.nparams != 1 {
+		t.Fatalf("%d parameters, want 1", stmt.nparams)
 	}
-	set, err := stmt.Query(s, NewInt(3))
+	res, err := stmt.Run(s, NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Rows[0][0].Str() != "userc" {
-		t.Fatalf("prepared query: %v", set.Rows)
+	if res.Set.Rows[0][0].Str() != "userc" {
+		t.Fatalf("prepared query: %v", res.Set.Rows)
 	}
 	// Same statement, different args: the shared plan must not leak state.
-	set, err = stmt.Query(s, NewInt(5))
+	res, err = stmt.Run(s, NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := res.Set
 	if set.Rows[0][0].Str() != "usere" {
 		t.Fatalf("second run: %v", set.Rows)
 	}
@@ -334,12 +335,11 @@ func TestPreparedStatementAPI(t *testing.T) {
 	if _, err := ins.Run(s, NewInt(11), NewString("userk"), NewInt(110)); err != nil {
 		t.Fatal(err)
 	}
-	set, err = stmt.Query(s, NewInt(11))
-	if err != nil {
+	if res, err = stmt.Run(s, NewInt(11)); err != nil {
 		t.Fatal(err)
 	}
-	if set.Rows[0][0].Str() != "userk" {
-		t.Fatalf("insert via prepared statement: %v", set.Rows)
+	if res.Set.Rows[0][0].Str() != "userk" {
+		t.Fatalf("insert via prepared statement: %v", res.Set.Rows)
 	}
 }
 

@@ -181,13 +181,6 @@ func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, err
 	return p, nil
 }
 
-// Norm returns the normalized (canonical) rendering that identifies the
-// statement: textual variants with identical structure share one Statement.
-func (st *Statement) Norm() string { return st.norm }
-
-// NumParams returns the number of ? placeholders the statement requires.
-func (st *Statement) NumParams() int { return st.nparams }
-
 // Run executes the statement on a session with the given arguments. SELECTs
 // run their current plan and writes their compiled write plan (built on first
 // use, rebuilt once no longer current); a write is logged as its prepared
@@ -202,18 +195,6 @@ func (st *Statement) Run(s *Session, args ...Value) (*Result, error) {
 // SELECT or a write.
 func (st *Statement) RunInto(s *Session, out *Reply, args ...Value) (*Result, error) {
 	return s.run(st, args, LoggedWrite{}, out)
-}
-
-// Query is Run for statements expected to return rows.
-func (st *Statement) Query(s *Session, args ...Value) (*ResultSet, error) {
-	res, err := st.Run(s, args...)
-	if err != nil {
-		return nil, err
-	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("sqlengine: statement returned no result set")
-	}
-	return res.Set, nil
 }
 
 // Plan returns the execution plan the engine will use for this statement on

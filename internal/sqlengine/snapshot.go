@@ -35,9 +35,6 @@ type Snapshot struct {
 	dbs []snapshotDB
 }
 
-// Version returns the commit version the snapshot was captured at.
-func (s *Snapshot) Version() uint64 { return s.version }
-
 type snapshotDB struct {
 	name   string
 	tables []snapshotTable

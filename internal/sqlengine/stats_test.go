@@ -291,7 +291,7 @@ func TestPlanStatsCountBuildsAndPasses(t *testing.T) {
 		t.Helper()
 		for i, st := range stmts {
 			if _, err := st.Run(s, NewInt(3)); err != nil {
-				t.Fatalf("%s: %v", st.Norm(), err)
+				t.Fatalf("%s: %v", st.norm, err)
 			}
 			if st == write {
 				plans[i] = st.writes[0]
@@ -325,7 +325,7 @@ func TestPlanStatsCountBuildsAndPasses(t *testing.T) {
 				want++
 			}
 			if (after[i] != before[i]) != rebuilt[i] {
-				t.Errorf("%s: %s: rebuilt %v, want %v", name, stmts[i].Norm(), after[i] != before[i], rebuilt[i])
+				t.Errorf("%s: %s: rebuilt %v, want %v", name, stmts[i].norm, after[i] != before[i], rebuilt[i])
 			}
 		}
 		before = after

@@ -212,7 +212,7 @@ func TestStoreAgainstModel(t *testing.T) {
 				// Fork: every second time from the oldest held version, if any.
 				v, snap := r.m.commitV, (*Snapshot)(nil)
 				if forks++; forks%2 == 0 && len(r.readers) > 0 {
-					v = r.readers[0].ReadVersion()
+					v = r.readers[0].readV
 					snap = r.eng.snapshotAt(v)
 				} else {
 					snap = r.eng.Snapshot()
@@ -285,8 +285,8 @@ func (r *storeRun) exec(sql string, args ...Value) error {
 func (r *storeRun) horizon() uint64 {
 	min := r.m.commitV
 	for _, h := range r.readers {
-		if h.ReadVersion() < min {
-			min = h.ReadVersion()
+		if h.readV < min {
+			min = h.readV
 		}
 	}
 	if r.inTxn && r.txnV < min { // a committing transaction still counts as a reader
@@ -425,7 +425,7 @@ func (r *storeRun) compare(step int, what string) {
 	// The committed state and every held version, chain-resolved.
 	vs := []uint64{m.commitV}
 	for _, h := range r.readers {
-		vs = append(vs, h.ReadVersion())
+		vs = append(vs, h.readV)
 	}
 	for _, v := range vs {
 		got := map[int64][3]int64{}

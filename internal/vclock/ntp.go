@@ -34,7 +34,7 @@ type NTPConfig struct {
 type Daemon struct {
 	clock *Clock
 	cfg   NTPConfig
-	syncs int
+	syncs int // corrections applied
 	stop  bool
 }
 
@@ -72,9 +72,6 @@ func StartDaemon(env *sim.Env, name string, clock *Clock, cfg NTPConfig) *Daemon
 
 // Stop halts the daemon after its current sleep.
 func (d *Daemon) Stop() { d.stop = true }
-
-// Syncs returns the number of corrections applied.
-func (d *Daemon) Syncs() int { return d.syncs }
 
 func (d *Daemon) correct(env *sim.Env) {
 	servers := d.cfg.Servers

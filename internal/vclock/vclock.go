@@ -61,11 +61,6 @@ func (c *Clock) SetOffset(o time.Duration) {
 	c.lastSet = c.env.Now()
 }
 
-// AdjustBy shifts the clock's current offset by delta.
-func (c *Clock) AdjustBy(delta time.Duration) {
-	c.SetOffset(c.Offset() + delta)
-}
-
 // Diff returns a's local reading minus b's local reading at this instant —
 // what an operator comparing two instance clocks would observe.
 func Diff(a, b *Clock) time.Duration { return a.Now() - b.Now() }

@@ -12,7 +12,7 @@ import (
 func TestClockDriftAccumulates(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, Config{InitialOffset: 5 * time.Millisecond, DriftPPM: 100}) // 100 µs/s
-	env.RunFor(10 * time.Second)
+	env.RunUntil(env.Now() + 10*time.Second)
 	want := 5*time.Millisecond + 1*time.Millisecond // 10s × 100µs/s = 1ms
 	if got := c.Offset(); absDur(got-want) > 10*time.Microsecond {
 		t.Fatalf("offset after 10s = %v, want ≈%v", got, want)
@@ -22,7 +22,7 @@ func TestClockDriftAccumulates(t *testing.T) {
 func TestClockNowIncludesOffset(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, Config{InitialOffset: -3 * time.Millisecond})
-	env.RunFor(time.Second)
+	env.RunUntil(env.Now() + time.Second)
 	want := time.Second - 3*time.Millisecond
 	if got := c.Now(); got != want {
 		t.Fatalf("Now = %v, want %v", got, want)
@@ -32,7 +32,7 @@ func TestClockNowIncludesOffset(t *testing.T) {
 func TestClockNegativeDrift(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, Config{DriftPPM: -50})
-	env.RunFor(20 * time.Second)
+	env.RunUntil(env.Now() + 20*time.Second)
 	want := -1 * time.Millisecond // 20s × -50µs/s
 	if got := c.Offset(); absDur(got-want) > 10*time.Microsecond {
 		t.Fatalf("offset = %v, want ≈%v", got, want)
@@ -42,31 +42,22 @@ func TestClockNegativeDrift(t *testing.T) {
 func TestSetOffsetRebasesDrift(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, Config{InitialOffset: 40 * time.Millisecond, DriftPPM: 1000})
-	env.RunFor(5 * time.Second)
+	env.RunUntil(env.Now() + 5*time.Second)
 	c.SetOffset(0)
 	if got := c.Offset(); got != 0 {
 		t.Fatalf("offset right after SetOffset = %v, want 0", got)
 	}
-	env.RunFor(1 * time.Second)
+	env.RunUntil(env.Now() + 1*time.Second)
 	want := 1 * time.Millisecond // drift resumes from the new base
 	if got := c.Offset(); absDur(got-want) > 10*time.Microsecond {
 		t.Fatalf("offset 1s after reset = %v, want ≈%v", got, want)
 	}
 }
 
-func TestAdjustBy(t *testing.T) {
-	env := sim.NewEnv(1)
-	c := New(env, Config{InitialOffset: 10 * time.Millisecond})
-	c.AdjustBy(-4 * time.Millisecond)
-	if got := c.Offset(); got != 6*time.Millisecond {
-		t.Fatalf("offset = %v, want 6ms", got)
-	}
-}
-
 func TestNowMicrosResolution(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, Config{})
-	env.RunFor(1500 * time.Nanosecond)
+	env.RunUntil(env.Now() + 1500*time.Nanosecond)
 	if got := c.NowMicros(); got != 1 {
 		t.Fatalf("NowMicros = %d, want 1 (truncated to µs)", got)
 	}
@@ -95,8 +86,8 @@ func TestDaemonPeriodicSync(t *testing.T) {
 	c := New(env, Config{InitialOffset: time.Second, DriftPPM: 500})
 	d := StartDaemon(env, "ntp", c, NTPConfig{Interval: time.Second, JitterSigma: time.Millisecond, Servers: 4})
 	env.RunUntil(10500 * time.Millisecond)
-	if d.Syncs() != 11 { // t=0 plus every second through t=10
-		t.Fatalf("syncs = %d, want 11", d.Syncs())
+	if d.syncs != 11 { // t=0 plus every second through t=10
+		t.Fatalf("syncs = %d, want 11", d.syncs)
 	}
 	// Offset must be bounded by jitter + 1s of drift, far below the initial 1s.
 	if got := absDur(c.Offset()); got > 10*time.Millisecond {
@@ -114,11 +105,11 @@ func TestDaemonStop(t *testing.T) {
 	env.RunUntil(3500 * time.Millisecond)
 	d.Stop()
 	env.Run() // daemon exits at its next wakeup
-	if env.Alive() != 0 {
-		t.Fatalf("daemon still alive after Stop, alive=%d", env.Alive())
+	if live := env.WaitForGraph(); live != "" {
+		t.Fatalf("daemon still alive after Stop:\n%s", live)
 	}
-	if d.Syncs() > 5 {
-		t.Fatalf("syncs = %d after stop at 3.5s, want ≤5", d.Syncs())
+	if d.syncs > 5 {
+		t.Fatalf("syncs = %d after stop at 3.5s, want ≤5", d.syncs)
 	}
 }
 
@@ -207,14 +198,14 @@ func TestDaemonStopBeforeFirstRun(t *testing.T) {
 	d := StartDaemon(env, "ntp", c, NTPConfig{Interval: time.Second, Bias: 2 * time.Millisecond})
 	d.Stop() // before env ever runs the daemon process
 	env.RunUntil(5 * time.Second)
-	if d.Syncs() != 0 {
-		t.Fatalf("stopped daemon fired %d sync(s)", d.Syncs())
+	if d.syncs != 0 {
+		t.Fatalf("stopped daemon fired %d sync(s)", d.syncs)
 	}
 	if got := c.Offset(); got != 500*time.Millisecond {
 		t.Fatalf("stopped daemon disciplined the clock: offset = %v", got)
 	}
-	if env.Alive() != 0 {
-		t.Fatalf("daemon still alive after Stop, alive=%d", env.Alive())
+	if live := env.WaitForGraph(); live != "" {
+		t.Fatalf("daemon still alive after Stop:\n%s", live)
 	}
 	env.Shutdown()
 }
@@ -234,8 +225,8 @@ func TestZeroServersJitterScaling(t *testing.T) {
 	env.RunUntil(2500 * time.Millisecond)
 	d.Stop()
 	env.Run()
-	if d.Syncs() != 3 {
-		t.Fatalf("syncs = %d, want 3", d.Syncs())
+	if d.syncs != 3 {
+		t.Fatalf("syncs = %d, want 3", d.syncs)
 	}
 	env.Shutdown()
 }
