@@ -159,7 +159,8 @@ bench-json-cmp:
 # What no product entry point runs: every entry point built with -cover (the
 # working tree, or an export of BASE when it is set), run into one
 # GOCOVERDIR — cloudrepl-bench -all -short, -determinism -short and -trace,
-# benchmark -short and the nine examples — and every function left at 0.0 %
+# cloudrepl-trace over that trace, cloudrepl-lint over the repo, cloudstone's
+# default run, benchmark -short and the nine examples — and every function left at 0.0 %
 # printed, sorted by file. A function on the list that no test in another
 # package needs either goes or says why it stays. 85 s on a 2-vCPU box with
 # the build cache warm; not part of check:

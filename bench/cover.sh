@@ -11,6 +11,9 @@
 #   cloudrepl-bench -all -short -q -par 1 -json DIR
 #   cloudrepl-bench -determinism -short -q -par 1
 #   cloudrepl-bench -trace DIR/trace.json -q
+#   cloudrepl-trace DIR/trace.json, and with -check
+#   cloudrepl-lint ./...
+#   cloudstone
 #   benchmark -short -out DIR/bm
 #   the nine examples
 #
@@ -34,7 +37,10 @@ cd "$src"
 go build -cover -trimpath -buildvcs=false -o "$tmp/bin/" ./cmd/... ./benchmark ./examples/...
 
 GOCOVERDIR=$tmp/cov
-export GOCOVERDIR
+# A -trimpath binary does not know GOROOT, and cloudrepl-lint type-checks
+# against the standard library's source.
+GOROOT=$(go env GOROOT)
+export GOCOVERDIR GOROOT
 run() {
 	"$@" >"$tmp/log" 2>&1 || {
 		cat "$tmp/log" >&2
@@ -45,6 +51,10 @@ run() {
 run "$tmp/bin/cloudrepl-bench" -all -short -q -par 1 -json "$tmp/out"
 run "$tmp/bin/cloudrepl-bench" -determinism -short -q -par 1
 run "$tmp/bin/cloudrepl-bench" -trace "$tmp/out/trace.json" -q
+run "$tmp/bin/cloudrepl-trace" "$tmp/out/trace.json"
+run "$tmp/bin/cloudrepl-trace" -check "$tmp/out/trace.json"
+run "$tmp/bin/cloudrepl-lint" ./...
+run "$tmp/bin/cloudstone"
 run "$tmp/bin/benchmark" -short -out "$tmp/out/bm"
 for ex in quickstart socialcalendar georeplication failover instancelottery \
 	chaos elasticity pipeline sharding; do

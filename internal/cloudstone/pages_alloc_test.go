@@ -158,3 +158,34 @@ func TestWriteAllocCeilings(t *testing.T) {
 	})
 	env.Run()
 }
+
+// TestRestoreAllocCeiling pins what restoring the Cloudstone scale-300 image
+// onto an empty engine allocates, its index templates and view already built
+// by an earlier restore: a restore is what every node of every cell costs to
+// assemble. A table takes its schema from the image as resolved when the image
+// was taken, so what is left per table is its own header, Index objects, index
+// list and statistics, and per database its table map. -v logs the count.
+func TestRestoreAllocCeiling(t *testing.T) {
+	img := loaded(keyOf(300, ownsAll))
+	if img.err != nil {
+		t.Fatal(img.err)
+	}
+	const runs = 100
+	engines := make([]*sqlengine.Engine, runs+1)
+	for i := range engines {
+		engines[i] = sqlengine.NewEngine()
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if err := engines[next].Restore(img.snap); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	// Measured 45; 93 while every restore rebuilt each table's schema.
+	const ceiling = 45
+	t.Logf("restore of the scale-300 image: %.1f allocs", got)
+	if got > ceiling {
+		t.Errorf("%.1f allocs per restore, ceiling %d", got, ceiling)
+	}
+}

@@ -109,7 +109,10 @@ func Preload(scale int) func(*server.DBServer) error {
 // predicate loads everything (single-cluster mode). owns must be a function
 // of its arguments: it is asked once per (table, shard key) pair when the
 // returned function runs, and the answers name the data set the process
-// loads once.
+// loads once. It is asked table-major (keyOf): every key of one table, in
+// ascending order, before the next table. A predicate may rely on that order
+// to be fast, resolving a table once for its run of keys, but not to be right:
+// its answers must not depend on the order it is asked in.
 func PreloadOwned(scale int, owns func(table string, key int64) bool) func(*server.DBServer) error {
 	if owns == nil {
 		owns = ownsAll
@@ -148,6 +151,9 @@ type imageKey struct {
 	owned string
 }
 
+// keyOf asks owns about every (table, shard key) pair the load deals, table
+// by table in load order and each table's keys ascending, and keeps the
+// answers as the key of the data set they name.
 func keyOf(scale int, owns func(string, int64) bool) imageKey {
 	bits := make([]byte, (NumTags+len(keyedTables)*scale+7)/8)
 	i := 0

@@ -171,7 +171,7 @@ func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
 	s.hSingle.SetRand(env.Rand())
 	s.hScatter.SetRand(env.Rand())
 	for i := 0; i < cfg.Cells; i++ {
-		if _, err := s.addCell(s.ownsFor(i)); err != nil {
+		if _, err := s.addCell(ownsFor(s.ks, s.m, i)); err != nil {
 			return nil, err
 		}
 	}
@@ -198,23 +198,22 @@ func (s *Cluster) addCell(owns func(table string, key int64) bool) (*Cell, error
 	return cell, nil
 }
 
-// ownsFor is the preload ownership predicate of a cell under the current
-// map: global and unknown tables load everywhere, sharded rows load only
-// into their owning cell.
-func (s *Cluster) ownsFor(cellID int) func(table string, key int64) bool {
+// ownsFor is the preload ownership predicate of a cell under m: global and
+// unknown tables load everywhere, sharded rows load only into their owning
+// cell. Under a nil m the cell owns no sharded row: a split-created cell gets
+// schema and global tables only, and its sharded rows through the split copy.
+//
+// The load asks table-major (cloudstone.PreloadOwned), so the predicate keeps
+// the last table it was asked about and whether that table is sharded: a call
+// that repeats the name is a slot lookup. Its answers do not depend on the
+// order it is asked in.
+func ownsFor(ks Keyspace, m *Map, cellID int) func(table string, key int64) bool {
+	last, sharded := "", ks.sharded("")
 	return func(table string, key int64) bool {
-		if !s.ks.sharded(strings.ToLower(table)) {
-			return true
+		if table != last {
+			last, sharded = table, ks.sharded(strings.ToLower(table))
 		}
-		return s.m.Owner(key) == cellID
-	}
-}
-
-// ownsNothing is the predicate for a split-created cell: schema and global
-// tables only; sharded rows arrive through the split copy.
-func ownsNothing(ks Keyspace) func(table string, key int64) bool {
-	return func(table string, key int64) bool {
-		return !ks.sharded(strings.ToLower(table))
+		return !sharded || m != nil && m.Owner(key) == cellID
 	}
 }
 

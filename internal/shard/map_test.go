@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -145,4 +148,48 @@ func TestMoveLeavesConnMapUnchanged(t *testing.T) {
 	if conn.m != sc.m {
 		t.Fatal("refresh did not take the cluster's map")
 	}
+}
+
+// TestOwnsForMatchesMap: the preload predicate remembers the last table it was
+// asked about, and must still answer exactly what the map and the keyspace say
+// for any call order — table-major as the load asks, and a seeded interleaving
+// that mixes the case of a name, a global table and one the keyspace does not
+// know — for every cell of a 2-cell and a 3-cell map, and for a split-created
+// cell, which owns no sharded row.
+func TestOwnsForMatchesMap(t *testing.T) {
+	ks := testKS()
+	tables := []string{"tags", "users", "events", "Events", "attendance", "EVENTS", "comments", "events"}
+	type ask struct {
+		table string
+		key   int64
+	}
+	var tableMajor []ask
+	for _, table := range tables {
+		for key := int64(-3); key <= 300; key++ {
+			tableMajor = append(tableMajor, ask{table, key})
+		}
+	}
+	interleaved := append([]ask(nil), tableMajor...)
+	rand.New(rand.NewSource(41)).Shuffle(len(interleaved), func(i, j int) {
+		interleaved[i], interleaved[j] = interleaved[j], interleaved[i]
+	})
+	check := func(name string, m *Map, cell int) {
+		t.Helper()
+		for order, asks := range map[string][]ask{"table-major": tableMajor, "interleaved": interleaved} {
+			owns := ownsFor(ks, m, cell)
+			for _, a := range asks {
+				want := !ks.sharded(strings.ToLower(a.table)) || m != nil && m.Owner(a.key) == cell
+				if got := owns(a.table, a.key); got != want {
+					t.Fatalf("%s, %s order: owns(%q, %d) = %v, the map says %v", name, order, a.table, a.key, got, want)
+				}
+			}
+		}
+	}
+	for _, cells := range []int{2, 3} {
+		m := NewMap(numSlots, cells)
+		for cell := 0; cell < cells; cell++ {
+			check(fmt.Sprintf("cell %d of %d", cell, cells), m, cell)
+		}
+	}
+	check("a split-created cell", nil, 0)
 }

@@ -138,7 +138,7 @@ func (s *Cluster) Split(p *sim.Proc) (*SplitReport, error) {
 	if len(owned) < 2 {
 		return nil, fmt.Errorf("shard: cell %d owns %d slot(s), nothing to split", src, len(owned))
 	}
-	dstCell, err := s.addCell(ownsNothing(s.ks))
+	dstCell, err := s.addCell(ownsFor(s.ks, nil, 0))
 	if err != nil {
 		return nil, err
 	}

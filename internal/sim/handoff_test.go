@@ -37,12 +37,12 @@ func TestCallbackPanicOnProcGoroutineReachesRunRaw(t *testing.T) {
 	if e.handoffs != 1 {
 		t.Fatalf("%d handoffs; want 1 (the callback ran on the host's goroutine)", e.handoffs)
 	}
-	if e.alive != 1 || host.ParkedOn() != "timer" {
-		t.Fatalf("after the callback's panic: %d alive, host %s; want the host parked on its timer", e.alive, host.ParkedOn())
+	if len(e.procs) != 1 || host.ParkedOn() != "timer" {
+		t.Fatalf("after the callback's panic: %d alive, host %s; want the host parked on its timer", len(e.procs), host.ParkedOn())
 	}
 	e.Run()
-	if !woke || e.alive != 0 || e.Now() != time.Second {
-		t.Fatalf("host woke %v at %v with %d alive; want it to finish at 1s", woke, e.Now(), e.alive)
+	if !woke || len(e.procs) != 0 || e.Now() != time.Second {
+		t.Fatalf("host woke %v at %v with %d alive; want it to finish at 1s", woke, e.Now(), len(e.procs))
 	}
 }
 
@@ -70,8 +70,8 @@ func TestCallbackGoexitOnProcGoroutineEndsRunCaller(t *testing.T) {
 		if <-returned {
 			t.Fatalf("%s host: Run returned normally after a callback's Goexit", host)
 		}
-		if e.alive != 0 || len(e.idle) != 0 {
-			t.Fatalf("%s host: %d alive, %d idle after the Goexit; want 0 and 0", host, e.alive, len(e.idle))
+		if len(e.procs) != 0 || len(e.idle) != 0 {
+			t.Fatalf("%s host: %d alive, %d idle after the Goexit; want 0 and 0", host, len(e.procs), len(e.idle))
 		}
 		e.Shutdown()
 	}

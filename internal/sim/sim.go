@@ -68,7 +68,6 @@ type Env struct {
 	yield    chan *Proc
 	horizon  Time   // the last instant the current Run/RunUntil dispatches
 	handoffs uint64 // resumes sent on a worker's channel; tests read it
-	alive    int    // processes started and not yet finished
 	stopped  bool
 	closed   bool
 
@@ -86,8 +85,9 @@ type Env struct {
 	cbPanic  any
 	cbGoexit bool
 	procSeq  uint64
-	// procs indexes every live process by id so the deadlock detector can
-	// dump a wait-for graph (who is parked on which resource/queue/signal).
+	// procs indexes every live process (started and not yet finished) by id:
+	// its length is how many there are, and the deadlock detector dumps a
+	// wait-for graph from it (who is parked on which resource/queue/signal).
 	procs map[uint64]*Proc
 }
 
@@ -345,7 +345,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	*p = Proc{env: e, name: name, id: e.procSeq, w: w, parkKind: ParkStart}
 	w.p, w.fn = p, fn
-	e.alive++
 	e.procs[p.id] = p
 	e.scheduleProc(e.now, p)
 	return p
@@ -470,7 +469,6 @@ func (e *Env) exit(p *Proc, w *worker) bool {
 // already on its way back to its resume channel and touches nothing of the
 // Env before it is resumed again.
 func (e *Env) retire(p *Proc) {
-	e.alive--
 	delete(e.procs, p.id)
 	w := p.w
 	p.w, w.p, w.fn = nil, nil, nil
@@ -740,7 +738,7 @@ func (e *Env) Shutdown() {
 			case <-watchdog.C:
 				panic(fmt.Sprintf(
 					"sim: deadlock during Shutdown: %d process(es) failed to unwind within %v\nwait-for graph:\n%s",
-					e.alive, shutdownWatchdog, e.WaitForGraph()))
+					len(e.procs), shutdownWatchdog, e.WaitForGraph()))
 			}
 		}
 	}

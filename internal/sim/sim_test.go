@@ -196,12 +196,12 @@ func TestShutdownUnblocksParkedProcesses(t *testing.T) {
 		})
 	}
 	env.Run() // returns with the 5 procs parked
-	if env.alive != 5 {
-		t.Fatalf("alive = %d, want 5", env.alive)
+	if len(env.procs) != 5 {
+		t.Fatalf("alive = %d, want 5", len(env.procs))
 	}
 	env.Shutdown()
-	if env.alive != 0 {
-		t.Fatalf("alive after Shutdown = %d, want 0", env.alive)
+	if len(env.procs) != 0 {
+		t.Fatalf("alive after Shutdown = %d, want 0", len(env.procs))
 	}
 }
 
@@ -215,8 +215,8 @@ func TestShutdownBeforeFirstResume(t *testing.T) {
 	if ran {
 		t.Fatal("process body ran despite immediate shutdown")
 	}
-	if env.alive != 0 {
-		t.Fatalf("alive = %d, want 0", env.alive)
+	if len(env.procs) != 0 {
+		t.Fatalf("alive = %d, want 0", len(env.procs))
 	}
 }
 
@@ -261,14 +261,14 @@ func TestPendingAndAlive(t *testing.T) {
 	env := NewEnv(1)
 	env.Go("a", func(p *Proc) { p.Sleep(time.Second) })
 	env.Go("b", func(p *Proc) { p.Sleep(2 * time.Second) })
-	if env.alive != 2 {
-		t.Fatalf("alive = %d, want 2", env.alive)
+	if len(env.procs) != 2 {
+		t.Fatalf("alive = %d, want 2", len(env.procs))
 	}
 	if env.queue.live != 2 {
 		t.Fatalf("pending = %d, want 2", env.queue.live)
 	}
 	env.Run()
-	if env.alive != 0 || env.queue.live != 0 {
-		t.Fatalf("after run: alive=%d pending=%d, want 0/0", env.alive, env.queue.live)
+	if len(env.procs) != 0 || env.queue.live != 0 {
+		t.Fatalf("after run: alive=%d pending=%d, want 0/0", len(env.procs), env.queue.live)
 	}
 }

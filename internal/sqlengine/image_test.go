@@ -100,6 +100,47 @@ func views(e *Engine) map[string]*storeImage {
 	return out
 }
 
+// schemaText renders every answer a table's schema gives: each column's
+// position by name in two cases and its PrimaryKey flag, the primary key's
+// positions and each index's name, column positions and uniqueness.
+func schemaText(b *strings.Builder, name string, tbl *Table) {
+	fmt.Fprintf(b, "%s pk %v\n", name, tbl.pkCols)
+	for _, c := range tbl.Columns {
+		lo, lok := tbl.ColPos(strings.ToLower(c.Name))
+		up, uok := tbl.ColPos(strings.ToUpper(c.Name))
+		fmt.Fprintf(b, "  %s at %d %v / %d %v, primary key flag %v\n", c.Name, lo, lok, up, uok, c.PrimaryKey)
+	}
+	for _, ix := range tbl.indexes {
+		fmt.Fprintf(b, "  index %s on %v unique %v\n", ix.Name, ix.Cols, ix.Unique)
+	}
+}
+
+// schemas renders the schema of every table of e, in name order.
+func schemas(e *Engine) string {
+	var b strings.Builder
+	for _, dbKey := range sortedKeys(e.dbs) {
+		for _, tblKey := range sortedKeys(e.dbs[dbKey].tables) {
+			schemaText(&b, dbKey+"."+tblKey, e.dbs[dbKey].tables[tblKey])
+		}
+	}
+	return b.String()
+}
+
+// imageSchemas renders the schema every table of snap restores with.
+func imageSchemas(snap *Snapshot) string {
+	var b strings.Builder
+	for _, sd := range snap.dbs {
+		for _, st := range sd.tables {
+			tbl := &Table{Columns: st.columns, colPos: st.colPos, pkCols: st.pkCols}
+			for i := range st.indexes {
+				tbl.indexes = append(tbl.indexes, &st.indexes[i])
+			}
+			schemaText(&b, sd.key+"."+st.key, tbl)
+		}
+	}
+	return b.String()
+}
+
 // TestRestoredEnginesShareNothingMutable: engines restored from one image share
 // its row images and index templates with each other and with the source —
 // and each table the image's view until the table is first written — and
@@ -108,7 +149,8 @@ func views(e *Engine) map[string]*storeImage {
 // TRUNCATE, a DROP, each step on tables the steps before it already own —
 // leaves the source, its siblings and a later restore of the same image as
 // they were, and an image of the written engine restores to what that engine
-// holds.
+// holds. The schema the engines share with the image answers the same
+// throughout, a re-ANALYZE of a written table included.
 func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 	src := newWriteGoldenDB(t).eng
 	img := src.Snapshot()
@@ -127,9 +169,18 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 			t.Fatalf("%s differs from its source:\n%s\nsource:\n%s", name, got, want)
 		}
 	}
+	wantSchemas := imageSchemas(img)
+	if got := schemas(b); got != wantSchemas {
+		t.Fatalf("a restored engine's schema:\n%s\nthe image's:\n%s", got, wantSchemas)
+	}
 	written := map[string]bool{}
 	check := func(after string, wrote ...string) {
 		t.Helper()
+		for name, got := range map[string]string{"a sibling": schemas(b), "the image": imageSchemas(img)} {
+			if got != wantSchemas {
+				t.Fatalf("after %s on one restored engine, the schema of %s changed:\n%s\nwas:\n%s", after, name, got, wantSchemas)
+			}
+		}
 		for _, name := range wrote {
 			written[name] = true
 		}
@@ -159,7 +210,10 @@ func TestRestoredEnginesShareNothingMutable(t *testing.T) {
 	check("INSERT", "logs")
 	run("UPDATE users SET karma = karma + 1, city = 'osl'")
 	run("UPDATE users SET id = id + 100 WHERE id > 5")
-	check("UPDATE", "users")
+	if _, err := a.Analyze("app", "users"); err != nil {
+		t.Fatal(err)
+	}
+	check("UPDATE and ANALYZE", "users")
 	run("DELETE FROM events WHERE creator_id = 3")
 	run("DELETE FROM users WHERE id = 1")
 	check("DELETE", "events")

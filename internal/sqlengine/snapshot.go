@@ -36,17 +36,26 @@ type Snapshot struct {
 }
 
 type snapshotDB struct {
-	name   string
-	tables []snapshotTable
+	name, key string // key: the catalog's lower-case name
+	tables    []snapshotTable
 }
 
+// snapshotTable is one table of an image: its schema as its source resolved it,
+// its statistics and its rows. The schema is the columns (inline primary-key
+// flags cleared: the key is pkCols), the position of each column by
+// lower-case name, the primary key's positions and the secondary indexes'
+// names, positions and uniqueness, with no buckets. A table's schema never
+// changes once it is created (the engine has no ALTER or CREATE INDEX), so
+// the image shares it with its source, and every table restored from the
+// image shares it too: all of them only read it.
 type snapshotTable struct {
-	name    string
-	columns []ColumnDef
-	pkCols  []string
-	indexes []IndexDef
-	stats   tableStats
-	store   *storeImage
+	name, key string // key: the catalog's lower-case name
+	columns   []ColumnDef
+	colPos    map[string]int
+	pkCols    []int
+	indexes   []Index
+	stats     tableStats
+	store     *storeImage
 }
 
 // NumRows returns the total row count across all tables.
@@ -117,24 +126,27 @@ func (e *Engine) snapshotAt(v uint64) *Snapshot {
 	snap := &Snapshot{version: v, progress: e.progress}
 	for _, dbKey := range sortedKeys(e.dbs) {
 		db := e.dbs[dbKey]
-		sd := snapshotDB{name: db.Name}
+		sd := snapshotDB{name: db.Name, key: dbKey}
 		for _, tblKey := range sortedKeys(db.tables) {
 			tbl := db.tables[tblKey]
 			st := snapshotTable{
 				name:    tbl.Name,
-				columns: append([]ColumnDef(nil), tbl.Columns...),
+				key:     tblKey,
+				columns: tbl.Columns,
+				colPos:  tbl.colPos,
+				pkCols:  tbl.pkCols,
+				indexes: make([]Index, len(tbl.indexes)),
 				stats:   tbl.stats.clone(),
 				store:   tbl.store.capture(readView{at: v, chains: true}),
 			}
-			for _, pos := range tbl.pkCols {
-				st.pkCols = append(st.pkCols, tbl.Columns[pos].Name)
-			}
-			for _, ix := range tbl.indexes {
-				def := IndexDef{Name: ix.Name, Unique: ix.Unique}
-				for _, pos := range ix.Cols {
-					def.Columns = append(def.Columns, tbl.Columns[pos].Name)
+			if slices.ContainsFunc(st.columns, func(c ColumnDef) bool { return c.PrimaryKey }) {
+				st.columns = slices.Clone(st.columns)
+				for i := range st.columns {
+					st.columns[i].PrimaryKey = false
 				}
-				st.indexes = append(st.indexes, def)
+			}
+			for i, ix := range tbl.indexes {
+				st.indexes[i] = Index{Name: ix.Name, Cols: ix.Cols, Unique: ix.Unique}
 			}
 			sd.tables = append(sd.tables, st)
 		}
@@ -145,10 +157,8 @@ func (e *Engine) snapshotAt(v uint64) *Snapshot {
 
 // Restore replaces the engine's entire catalog, statistics and progress with
 // the snapshot's, and raises its commit version to the snapshot's. Each table
-// shares the snapshot's rows and indexes (rowStore.restore) until something
-// writes it.
-// Inline primary-key flags were normalized into the PK column list at capture
-// time, so they are cleared on the restored definitions.
+// shares the snapshot's schema, and its rows and indexes (rowStore.restore)
+// until something writes it; its Index objects and statistics are its own.
 func (e *Engine) Restore(snap *Snapshot) error {
 	dbs := make(map[string]*Database, len(snap.dbs))
 	n := 0
@@ -159,22 +169,20 @@ func (e *Engine) Restore(snap *Snapshot) error {
 	for _, sd := range snap.dbs {
 		db := &Database{Name: sd.name, tables: make(map[string]*Table, len(sd.tables))}
 		for _, st := range sd.tables {
-			cols := append([]ColumnDef(nil), st.columns...)
-			for i := range cols {
-				cols[i].PrimaryKey = false // carried via pkCols instead
+			tbl := &Table{Name: st.name, Columns: st.columns, colPos: st.colPos, pkCols: st.pkCols, stats: st.stats.clone()}
+			indexes := slices.Clone(st.indexes)
+			tbl.indexes = make([]*Index, len(indexes))
+			for i := range indexes {
+				tbl.indexes[i] = &indexes[i]
 			}
-			tbl, err := NewTable(st.name, cols, st.pkCols, st.indexes)
-			if err == nil {
-				err = tbl.store.restore(st.store)
-			}
-			if err != nil {
+			tbl.store = newRowStore(tbl)
+			if err := tbl.store.restore(st.store); err != nil {
 				return fmt.Errorf("sqlengine: restore %s.%s: %w", sd.name, st.name, err)
 			}
-			tbl.stats = st.stats.clone()
-			db.tables[lowerKey(st.name)] = tbl
+			db.tables[st.key] = tbl
 			swept = append(swept, tbl)
 		}
-		dbs[lowerKey(sd.name)] = db
+		dbs[sd.key] = db
 	}
 	e.dbs, e.swept = dbs, swept
 	e.commitV = max(e.commitV, snap.version)
@@ -197,14 +205,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func lowerKey(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 32
-		}
-	}
-	return string(b)
 }
