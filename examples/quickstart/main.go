@@ -80,7 +80,7 @@ func main() {
 
 		// The application can scale the read tier at runtime.
 		spec := cluster.NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}}
-		if err := db.Scale(p, +1, core.ScaleOpts{Spec: spec}); err != nil {
+		if err := db.Scale(1, core.ScaleOpts{Spec: spec}); err != nil {
 			log.Fatal(err)
 		}
 		db.WaitCaughtUp(p, time.Minute)

@@ -163,21 +163,25 @@ func NewAt(env *sim.Env, base uint64) *Log {
 }
 
 // Append adds a statement known only by its text to the log and wakes
-// tailing readers. It returns the assigned sequence number.
+// tailing readers: a commit of that one write. It returns the assigned
+// sequence number.
 func (l *Log) Append(database, sql string, tsMicros int64) uint64 {
-	return l.AppendWrite(database, sqlengine.LoggedWrite{SQL: sql}, tsMicros)
+	return l.AppendCommit(database, []sqlengine.LoggedWrite{{SQL: sql}}, tsMicros)
 }
 
-// AppendWrite is Append for a committed write as the engine's commit hook
-// reports it, prepared form included.
-func (l *Log) AppendWrite(database string, w sqlengine.LoggedWrite, tsMicros int64) uint64 {
-	seq := l.LastSeq() + 1
-	e := Entry{Seq: seq, Database: database, TimestampMicros: tsMicros, LoggedWrite: w}
-	l.entries = append(l.entries, e)
-	l.committedAt = append(l.committedAt, l.env.Now())
-	l.bytes += int64(e.WireSize())
+// AppendCommit appends one commit's writes, as the engine's commit hook
+// reports them (prepared forms included), as consecutive entries under one
+// commit timestamp, then wakes tailing readers once. It returns the sequence
+// of the commit's last entry. writes is not kept.
+func (l *Log) AppendCommit(database string, writes []sqlengine.LoggedWrite, tsMicros int64) uint64 {
+	for _, w := range writes {
+		e := Entry{Seq: l.LastSeq() + 1, Database: database, TimestampMicros: tsMicros, LoggedWrite: w}
+		l.entries = append(l.entries, e)
+		l.committedAt = append(l.committedAt, l.env.Now())
+		l.bytes += int64(e.WireSize())
+	}
 	l.appended.Broadcast()
-	return seq
+	return l.LastSeq()
 }
 
 // CommittedAt returns the virtual time the entry with the given sequence was

@@ -139,7 +139,7 @@ func TestPreparedFormStaysOffTheWire(t *testing.T) {
 		t.Fatalf("decoded %+v (%v), want the bare entry", got, err)
 	}
 	l := New(sim.NewEnv(1))
-	l.AppendWrite(e.Database, e.LoggedWrite, e.TimestampMicros)
+	l.AppendCommit(e.Database, []sqlengine.LoggedWrite{e.LoggedWrite}, e.TimestampMicros)
 	if at, _ := l.At(1); at.SQL != bare.SQL || at.Stmt != w.Stmt || len(at.Args) != 1 || l.Bytes() != int64(bare.WireSize()) {
 		t.Fatalf("log entry %+v, %d bytes", at, l.Bytes())
 	}

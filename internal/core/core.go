@@ -74,8 +74,8 @@ func Open(clu *cluster.Cluster, opts ...Option) *DB {
 // WithShards(n) cells, each a full cluster from the cellCfg template
 // (instances named "cell<i>/..."), fronted by the shard router. The
 // application surface is unchanged — Exec routes single-key statements to
-// the owning cell and scatters multi-key reads; Scale spreads replica
-// deltas across cells; SplitShard grows the tier by a cell online.
+// the owning cell and scatters multi-key reads; Scale spreads added
+// replicas across cells; SplitShard grows the tier by a cell online.
 func OpenSharded(env *sim.Env, cl *cloud.Cloud, cellCfg cluster.Config, opts ...Option) (*DB, error) {
 	cfg := newConfig(opts)
 	sc, err := shard.New(env, cl, shard.Config{
@@ -203,36 +203,19 @@ func (db *DB) Staleness() Staleness {
 	return st
 }
 
-// ErrNoSlaves is returned by scale-in when no cell has a replica to remove.
-var ErrNoSlaves = errors.New("core: no slave to remove")
-
 // ScaleOpts tunes DB.Scale.
 type ScaleOpts struct {
-	// Spec places replicas added on scale-out (zero value: a Small instance
-	// in the provider's default zone, like cluster.AddSlave).
+	// Spec places the added replicas (zero value: a Small instance in the
+	// provider's default zone, like cluster.AddSlave).
 	Spec cluster.NodeSpec
-	// drain overrides proxy.DrainTimeout for TestRemoveSlaveGracefulTimesOut,
-	// which needs a budget shorter than a read to see one abandoned.
-	drain time.Duration
-	// victim pins the first replica removed on scale-in, in whichever cell it
-	// is attached to, for the tests that remove a particular one; nil removes
-	// the most-lagged one of the fullest cell.
-	victim *repl.Slave
 }
 
-// Scale is the unified elasticity surface: a positive delta adds replicas, a
-// negative delta removes them. Each new replica lands on the cell with the
-// fewest slaves (ties to the lowest id); each removal takes the most-lagged
-// replica of the cell with the most — with one cell, simply its most-lagged
-// replica. With a non-nil process the removal is graceful — the proxy stops
-// routing new reads to the victim, in-flight reads drain (bounded by
-// proxy.DrainTimeout), and only then is the node detached — so a scale-in under load
-// is invisible to clients. With p == nil removal is immediate: no new read is
-// routed to the victim, but reads already in flight will fail against the
-// dead instance and take the retry path.
-func (db *DB) Scale(p *sim.Proc, delta int, opts ScaleOpts) error {
+// Scale adds n replicas, each on the cell with the fewest slaves (ties to the
+// lowest id). It only grows the tier: the one graceful removal — quarantine,
+// drain the in-flight reads, then detach — is the elastic controller's.
+func (db *DB) Scale(n int, opts ScaleOpts) error {
 	cells := db.cells()
-	for ; delta > 0; delta-- {
+	for ; n > 0; n-- {
 		target := cells[0]
 		for _, c := range cells[1:] {
 			if len(c.Clu.Slaves()) < len(target.Clu.Slaves()) {
@@ -243,64 +226,7 @@ func (db *DB) Scale(p *sim.Proc, delta int, opts ScaleOpts) error {
 			return err
 		}
 	}
-	drain := proxy.DrainTimeout
-	if opts.drain > 0 {
-		drain = opts.drain
-	}
-	var firstErr error
-	for ; delta < 0; delta++ {
-		cell, victim, err := pickVictim(cells, opts.victim)
-		if err != nil {
-			return err
-		}
-		opts.victim = nil // only the first removal is pinned
-		abandoned := 0
-		if p != nil {
-			abandoned = cell.Px.Drain(p, victim, drain)
-		}
-		cell.Clu.RemoveSlave(victim)
-		cell.Px.Forget(victim)
-		if abandoned > 0 && firstErr == nil {
-			firstErr = fmt.Errorf("core: scale-in of %s abandoned %d in-flight read(s) at the drain timeout",
-				victim.Srv.Name, abandoned)
-		}
-	}
-	return firstErr
-}
-
-// pickVictim chooses the replica a scale-in removes and the cell it belongs
-// to: the pinned one wherever it is attached, otherwise the most-lagged
-// replica of the cell with the most replicas (ties to the lowest id).
-func pickVictim(cells []*shard.Cell, pinned *repl.Slave) (*shard.Cell, *repl.Slave, error) {
-	var from *shard.Cell
-	for _, c := range cells {
-		slaves := c.Clu.Slaves()
-		if pinned != nil {
-			for _, sl := range slaves {
-				if sl == pinned {
-					return c, pinned, nil
-				}
-			}
-			continue
-		}
-		if len(slaves) > 0 && (from == nil || len(slaves) > len(from.Clu.Slaves())) {
-			from = c
-		}
-	}
-	if pinned != nil {
-		return nil, nil, fmt.Errorf("core: scale-in victim %s is not attached to this handle", pinned.Srv.Name)
-	}
-	if from == nil {
-		return nil, nil, ErrNoSlaves
-	}
-	slaves := from.Clu.Slaves()
-	worst := slaves[0]
-	for _, sl := range slaves[1:] {
-		if sl.EventsBehindMaster() > worst.EventsBehindMaster() {
-			worst = sl
-		}
-	}
-	return from, worst, nil
+	return nil
 }
 
 // SplitShard grows a sharded deployment by one cell online (copy, dual

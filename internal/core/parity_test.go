@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -52,24 +51,11 @@ var handleShapes = []handleShape{
 const parityRows = 16
 
 // slaveCounts is the number of attached replicas per cell.
-func slaveCounts(db *DB) (perCell []int, total int) {
+func slaveCounts(db *DB) (perCell []int) {
 	for _, c := range db.cells() {
-		n := len(c.Clu.Slaves())
-		perCell = append(perCell, n)
-		total += n
+		perCell = append(perCell, len(c.Clu.Slaves()))
 	}
-	return perCell, total
-}
-
-func attached(db *DB, sl *repl.Slave) bool {
-	for _, c := range db.cells() {
-		for _, s := range c.Clu.Slaves() {
-			if s == sl {
-				return true
-			}
-		}
-	}
-	return false
+	return perCell
 }
 
 // TestHandleParity runs one script against a handle from Open and against a
@@ -117,46 +103,14 @@ func TestHandleParity(t *testing.T) {
 				}
 
 				// Scale(+2) spreads over the cells instead of stacking on one.
-				if err := db.Scale(p, 2, spec); err != nil {
+				if err := db.Scale(2, spec); err != nil {
 					t.Errorf("scale out: %v", err)
 					return
 				}
-				perCell, total := slaveCounts(db)
-				for i, n := range perCell {
+				for i, n := range slaveCounts(db) {
 					if want := 2 + 2/shape.cells; n != want {
 						t.Errorf("cell %d has %d slaves after Scale(+2), want %d", i, n, want)
 					}
-				}
-				// Graceful, unpinned: one replica goes, from the fullest cell
-				// (the first on a tie).
-				if err := db.Scale(p, -1, ScaleOpts{}); err != nil {
-					t.Errorf("graceful scale-in: %v", err)
-				}
-				if perCell, _ = slaveCounts(db); perCell[0] != 1+2/shape.cells {
-					t.Errorf("unpinned scale-in left cell 0 with %d slaves", perCell[0])
-				}
-				// Graceful, pinned to a replica of cell 0 — now the emptiest
-				// cell, which an unpinned removal would never pick.
-				pin := db.cells()[0].Clu.Slaves()[0]
-				if err := db.Scale(p, -1, ScaleOpts{victim: pin}); err != nil {
-					t.Errorf("pinned scale-in: %v", err)
-				}
-				if attached(db, pin) {
-					t.Errorf("pinned victim %s is still attached", pin.Srv.Name)
-				}
-				if pin.Srv.Up() {
-					t.Errorf("pinned victim %s was not terminated", pin.Srv.Name)
-				}
-				// A victim no cell has attached is an error, not a removal.
-				if err := db.Scale(p, -1, ScaleOpts{victim: pin}); err == nil {
-					t.Error("scale-in of a detached victim succeeded")
-				}
-				// Immediate (p == nil).
-				if err := db.Scale(nil, -1, ScaleOpts{}); err != nil {
-					t.Errorf("immediate scale-in: %v", err)
-				}
-				if _, now := slaveCounts(db); now != total-3 {
-					t.Errorf("%d slaves after +2 −1 −1 −1 from %d, want %d", now, total-2, total-3)
 				}
 				if !db.WaitCaughtUp(p, time.Minute) {
 					t.Error("slaves never caught up after scaling")
@@ -290,17 +244,5 @@ func TestWithBalancerOnEitherShape(t *testing.T) {
 				t.Errorf("%d picks for %d reads", picks, parityRows)
 			}
 		})
-	}
-}
-
-// TestScaleInWithNoSlaves: an empty tier reports ErrNoSlaves on either shape.
-func TestScaleInWithNoSlaves(t *testing.T) {
-	for _, shape := range handleShapes {
-		env, db := shape.open(t, 44, 0)
-		if err := db.Scale(nil, -1, ScaleOpts{}); !errors.Is(err, ErrNoSlaves) {
-			t.Errorf("%s: Scale(-1) on an empty tier: %v, want ErrNoSlaves", shape.name, err)
-		}
-		env.Stop()
-		env.Shutdown()
 	}
 }

@@ -292,3 +292,59 @@ func TestJudgeKeepsEffectiveScaleOut(t *testing.T) {
 	env.Stop()
 	env.Shutdown()
 }
+
+// TestScaleBackDrainsInflightReads is the scale-in-ordering regression test:
+// the controller removing a replica under live read load quarantines it in
+// the proxy and drains its in-flight reads before the instance terminates,
+// so no client read fails against a dying node.
+func TestScaleBackDrainsInflightReads(t *testing.T) {
+	env, clu, db := newTier(t, 21, 2)
+	c := start(t, env, db, Config{})
+	victim := clu.Slaves()[0]
+	const end = 2 * time.Minute
+
+	// Heavy read load: reads take ~95 ms, so several are always in flight
+	// on each slave when the removal starts.
+	readErrs := 0
+	for r := 0; r < 8; r++ {
+		env.Go("reader", func(p *sim.Proc) {
+			p.Sleep(time.Second)
+			for p.Now() < end {
+				if _, err := db.Query(p, "SELECT v FROM t WHERE id = 1"); err != nil {
+					readErrs++
+				}
+				p.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+	env.Go("operator", func(p *sim.Proc) {
+		p.Sleep(30 * time.Second)
+		c.removeGraceful(p, victim)
+	})
+	env.RunUntil(sim.Time(end))
+
+	if readErrs != 0 {
+		t.Fatalf("%d client read(s) failed across a graceful scale-in", readErrs)
+	}
+	if n := len(clu.Slaves()); n != 1 || clu.Slaves()[0] == victim {
+		t.Fatalf("want the one survivor attached after scale-in, got %d slaves", n)
+	}
+	if victim.Srv.Inst.Up() {
+		t.Error("removed replica's instance still running")
+	}
+	drained := false
+	for _, d := range c.Decisions() {
+		if d.Action == "drained" {
+			drained = strings.Contains(d.Reason, "(0 read(s) abandoned)")
+		}
+	}
+	if !drained {
+		t.Errorf("decision log has no drain that abandoned nothing: %v", c.Decisions())
+	}
+	// The survivor keeps serving: reads continued after the removal.
+	if db.Proxy().Stats().Reads == 0 {
+		t.Fatal("no reads recorded")
+	}
+	env.Stop()
+	env.Shutdown()
+}

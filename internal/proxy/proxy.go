@@ -331,8 +331,8 @@ func (px *Proxy) Quarantined(sl *repl.Slave) bool { return px.quarantined[sl] }
 // outstanding against sl — the drain condition for graceful scale-in.
 func (px *Proxy) InflightReads(sl *repl.Slave) int { return px.inflight[sl] }
 
-// DrainTimeout is how long a graceful scale-in — the elastic controller's or
-// core.DB.Scale's — waits for the departing replica's in-flight reads.
+// DrainTimeout is how long the elastic controller's graceful scale-in waits
+// for the departing replica's in-flight reads.
 const DrainTimeout = 30 * time.Second
 
 // Drain quarantines sl and blocks the calling process until no read is in

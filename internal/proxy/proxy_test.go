@@ -624,3 +624,39 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainTimesOut: with a budget shorter than a read and reads in flight,
+// Drain still returns at its deadline and reports the reads it abandoned.
+func TestDrainTimesOut(t *testing.T) {
+	env, px := topo(t, 22, 1, &RoundRobin{})
+	sl := px.master.Slaves()[0]
+	for r := 0; r < 4; r++ {
+		conn := px.Connect("app")
+		env.Go("reader", func(p *sim.Proc) {
+			for p.Now() < 40*time.Second {
+				conn.Exec(p, "SELECT v FROM t WHERE id = 1")
+				p.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+	abandoned := -1
+	var took time.Duration
+	env.Go("operator", func(p *sim.Proc) {
+		p.Sleep(10 * time.Second)
+		start := p.Now()
+		abandoned = px.Drain(p, sl, 10*time.Millisecond)
+		took = p.Now() - start
+	})
+	env.RunUntil(sim.Time(time.Minute))
+	if abandoned <= 0 {
+		t.Fatalf("Drain with a 10ms budget under load reported %d abandoned reads, want some", abandoned)
+	}
+	if took > 20*time.Millisecond {
+		t.Fatalf("Drain took %v past its 10ms budget", took)
+	}
+	if !px.Quarantined(sl) {
+		t.Error("drained slave is not quarantined")
+	}
+	env.Stop()
+	env.Shutdown()
+}

@@ -183,7 +183,7 @@ func TestReplicationStreamAllocs(t *testing.T) {
 	const every = 100 * time.Millisecond // an apply costs ~42 ms of slave CPU
 	env.Go("feeder", func(p *sim.Proc) {
 		for _, e := range entries {
-			m.Srv.Log.AppendWrite(e.Database, e.LoggedWrite, e.TimestampMicros)
+			m.Srv.Log.AppendCommit(e.Database, []sqlengine.LoggedWrite{e.LoggedWrite}, e.TimestampMicros)
 			p.Sleep(every)
 		}
 	})

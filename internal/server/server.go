@@ -48,8 +48,7 @@ type CostModel struct {
 	CommitFsync time.Duration
 	// DumpPerEntryBatched is the marginal master CPU per additional binlog
 	// event in a batched dump transit (the first event of every batch pays
-	// the full DumpPerEvent). Zero falls back to DumpPerEvent, i.e. no
-	// batching advantage.
+	// the full DumpPerEvent).
 	DumpPerEntryBatched time.Duration
 	// RelayPerEntryBatched is the slave-side equivalent for batched relay
 	// writes.
@@ -109,8 +108,9 @@ type Stats struct {
 	DDL     uint64
 
 	// GroupCommits counts binlog fsync groups; GroupedWrites counts the
-	// autocommit writes that committed through them. Their ratio is the
-	// achieved amortization (1.0 = no grouping happened).
+	// writes that committed through them — each one appended its binlog
+	// entries itself, so autocommit writes only. Their ratio is the achieved
+	// amortization (1.0 = no grouping happened).
 	GroupCommits  uint64
 	GroupedWrites uint64
 	MaxGroupSize  int
@@ -127,13 +127,14 @@ type DBServer struct {
 	// the SQL thread never starves behind client reads (an operator
 	// mitigation for the staleness blow-up; ablation A-PRIO).
 	PriorityApply bool
-	// GroupCommitWindow enables binlog group commit: an autocommit write
-	// finishing its execution waits up to this long for concurrent writes
-	// to pile on, then the whole group pays one CommitFsync of serialized
-	// binlog-disk time instead of one per statement. Zero (the default)
-	// keeps the legacy per-commit fsync-as-CPU costing. Statements inside
-	// explicit transactions always take the legacy path — their commit
-	// point is the COMMIT statement, not the write itself.
+	// GroupCommitWindow enables binlog group commit: a write whose execution
+	// appended binlog entries — an autocommit write, a transaction of one —
+	// waits up to this long for concurrent writes to pile on, then the whole
+	// group pays one CommitFsync of serialized binlog-disk time instead of
+	// one per statement. Zero (the default) keeps the legacy per-commit
+	// fsync-as-CPU costing. A write inside an explicit transaction appends
+	// nothing and always takes the legacy path; COMMIT, which appends the
+	// transaction, is not a write and costs nothing.
 	GroupCommitWindow time.Duration
 
 	// Tracer, when set, records a "server" span per executed statement
@@ -168,10 +169,7 @@ func New(env *sim.Env, name string, inst *cloud.Instance, cost CostModel) *DBSer
 	}
 	s.Eng.NowMicros = func() int64 { return inst.Clock.NowMicros() }
 	s.Eng.OnCommit = func(db string, writes []sqlengine.LoggedWrite) {
-		ts := inst.Clock.NowMicros()
-		for _, w := range writes {
-			s.Log.AppendWrite(db, w, ts)
-		}
+		s.Log.AppendCommit(db, writes, inst.Clock.NowMicros())
 	}
 	return s
 }
@@ -221,7 +219,7 @@ func (s *DBServer) ExecInto(p *sim.Proc, sess *sqlengine.Session, out *sqlengine
 	if err == nil {
 		res, err = stmt.RunInto(sess, out, args...)
 	}
-	return s.finishExec(p, sess, sp, before, res, err)
+	return s.finishExec(p, sp, before, res, err)
 }
 
 // ExecLogged executes a logged write as a client statement — a shard split
@@ -234,7 +232,7 @@ func (s *DBServer) ExecLogged(p *sim.Proc, sess *sqlengine.Session, e binlog.Ent
 	}
 	sp, before := s.startExec(p)
 	res, err := sess.Replay(e.LoggedWrite)
-	return s.finishExec(p, sess, sp, before, res, err)
+	return s.finishExec(p, sp, before, res, err)
 }
 
 // startExec opens a client statement's server span and notes the binlog
@@ -247,8 +245,7 @@ func (s *DBServer) startExec(p *sim.Proc) (*obs.Span, uint64) {
 
 // finishExec accounts for an executed client statement: counters, trace
 // links to the binlog entries it committed, and the CPU it costs.
-func (s *DBServer) finishExec(p *sim.Proc, sess *sqlengine.Session, sp *obs.Span, before uint64,
-	res *sqlengine.Result, err error) (*sqlengine.Result, error) {
+func (s *DBServer) finishExec(p *sim.Proc, sp *obs.Span, before uint64, res *sqlengine.Result, err error) (*sqlengine.Result, error) {
 	if err != nil {
 		sp.SetAttr("error", "sql")
 		sp.End(p)
@@ -271,7 +268,9 @@ func (s *DBServer) finishExec(p *sim.Proc, sess *sqlengine.Session, sp *obs.Span
 		}
 	}
 	cost := s.Cost.StatementCost(res.Stats, false)
-	if s.GroupCommitWindow > 0 && res.Stats.Class == sqlengine.ClassWrite && !sess.InTxn() {
+	// A write that appended binlog entries committed here (autocommit); one
+	// inside a transaction appended nothing and commits at COMMIT.
+	if s.GroupCommitWindow > 0 && res.Stats.Class == sqlengine.ClassWrite && s.Log.LastSeq() > before {
 		fsync := s.Cost.CommitFsync
 		if fsync > cost {
 			fsync = cost
@@ -380,14 +379,10 @@ func (s *DBServer) RelayBatchWork(p *sim.Proc, n int) {
 	s.Inst.Work(p, cost)
 }
 
-// batchCost is first + (n-1)×marginal; a zero marginal cost (custom cost
-// models predating batching) falls back to the full per-event cost.
+// batchCost is first + (n-1)×marginal.
 func batchCost(first, marginal time.Duration, n int) time.Duration {
 	if n <= 1 {
 		return first
-	}
-	if marginal <= 0 {
-		marginal = first
 	}
 	return first + time.Duration(n-1)*marginal
 }

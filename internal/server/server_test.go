@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -368,6 +370,104 @@ func TestGroupCommitSkipsExplicitTransactions(t *testing.T) {
 	env.Run()
 	if st := srv.Stats(); st.GroupCommits != 0 || st.GroupedWrites != 0 {
 		t.Fatalf("transactional write went through group commit: %+v", st)
+	}
+}
+
+// TestOneCommitPath: every commit — an autocommit write, a DDL, COMMIT, the
+// flush a DDL makes of an open transaction — reaches the commit hook as one
+// call and the binlog as that many consecutive entries under the commit's one
+// timestamp. A write inside a transaction reaches neither before its COMMIT,
+// nor group commit ever: only a write that commits itself takes a group.
+func TestOneCommitPath(t *testing.T) {
+	type commit struct {
+		at     int      // the script statement that committed
+		writes []string // the writes' text, in order
+	}
+	ins := func(id int) string { return fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'x')", id) }
+	const (
+		create = "CREATE TABLE u (id BIGINT NOT NULL PRIMARY KEY)"
+		update = "UPDATE t SET v = 'y' WHERE (id = 1)"
+	)
+	cases := []struct {
+		name    string
+		script  []string
+		commits []commit
+		grouped uint64 // writes that committed through a group
+	}{
+		{"autocommit write", []string{ins(1)}, []commit{{0, []string{ins(1)}}}, 1},
+		{"ddl", []string{create}, []commit{{0, []string{create}}}, 0},
+		{"transaction", []string{"BEGIN", ins(1), update, "COMMIT"}, []commit{{3, []string{ins(1), update}}}, 0},
+		{"ddl in a transaction", []string{"BEGIN", ins(1), create}, []commit{{2, []string{ins(1)}}, {2, []string{create}}}, 0},
+		{"rollback", []string{"BEGIN", ins(1), "ROLLBACK", ins(2)}, []commit{{3, []string{ins(2)}}}, 1},
+		{"commit with none open", []string{ins(1), "COMMIT"}, []commit{{0, []string{ins(1)}}}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env, srv := newTestServer(t, 1)
+			srv.GroupCommitWindow = 5 * time.Millisecond
+			sess := srv.Session("app")
+			var got []commit
+			var stamps []int64 // each commit's clock reading
+			at := 0
+			appendCommit := srv.Eng.OnCommit
+			srv.Eng.OnCommit = func(db string, writes []sqlengine.LoggedWrite) {
+				c := commit{at: at}
+				for _, w := range writes {
+					c.writes = append(c.writes, w.Text())
+				}
+				got = append(got, c)
+				stamps = append(stamps, srv.Inst.Clock.NowMicros())
+				appendCommit(db, writes)
+			}
+			from := srv.Log.LastSeq()
+			env.Go("client", func(p *sim.Proc) {
+				for i, sql := range tc.script {
+					at = i
+					if _, err := srv.Exec(p, sess, sql); err != nil {
+						t.Errorf("%s: %v", sql, err)
+					}
+				}
+			})
+			env.Run()
+
+			if !reflect.DeepEqual(got, tc.commits) {
+				t.Fatalf("commit hook calls %v, want %v", got, tc.commits)
+			}
+			seq := from
+			for i, c := range got {
+				for _, text := range c.writes {
+					seq++
+					e, err := srv.Log.At(seq)
+					if err != nil {
+						t.Fatalf("commit %d: %v", i, err)
+					}
+					if e.SQL != text || e.Database != "app" || e.TimestampMicros != stamps[i] {
+						t.Errorf("entry %d = %q in %q at %dµs, want %q in app at commit %d's %dµs",
+							seq, e.SQL, e.Database, e.TimestampMicros, text, i, stamps[i])
+					}
+				}
+			}
+			if last := srv.Log.LastSeq(); last != seq {
+				t.Errorf("log ends at %d, want %d: the commits' entries and nothing else", last, seq)
+			}
+			if st := srv.Stats(); st.GroupedWrites != tc.grouped {
+				t.Errorf("%d writes took group commit, want %d", st.GroupedWrites, tc.grouped)
+			}
+		})
+	}
+
+	// A logged write is its prepared form: the parameterised text and a copy
+	// of the arguments the caller is free to reuse, the text rendered from it.
+	_, srv := newTestServer(t, 1)
+	args := []sqlengine.Value{sqlengine.NewInt(80), sqlengine.NewString("hook")}
+	if _, err := srv.ExecFree(srv.Session("app"), "INSERT INTO t (id, v) VALUES (?, ?)", args...); err != nil {
+		t.Fatal(err)
+	}
+	args[0] = sqlengine.NewInt(-1)
+	e, err := srv.Log.At(srv.Log.LastSeq())
+	if want := "INSERT INTO t (id, v) VALUES (80, 'hook')"; err != nil || e.Stmt != "INSERT INTO t (id, v) VALUES (?, ?)" ||
+		len(e.Args) != 2 || e.Args[0].Int() != 80 || e.SQL != want || e.TextLen() != len(want) {
+		t.Fatalf("logged %+v (%v), want the prepared form of %q", e, err, want)
 	}
 }
 

@@ -134,8 +134,11 @@ func (w LoggedWrite) TextLen() int {
 	return w.textLen
 }
 
-// CommitHook observes committed writes in commit order. database is the
-// session's current database. The slice is only valid during the call.
+// CommitHook observes committed writes in commit order, one call per commit:
+// an explicit transaction's writes, or the one write of an autocommit
+// statement or a DDL. database is the session's current database. The slice
+// is the session's own and is reused once the call returns: the hook must not
+// keep it.
 type CommitHook func(database string, writes []LoggedWrite)
 
 // Engine is a single server's database engine: a set of databases, a parse
@@ -268,9 +271,12 @@ type Session struct {
 	eng *Engine
 	db  string
 
-	inTxn   bool
-	readV   uint64        // snapshot read version while inTxn (set at BEGIN)
-	pending []LoggedWrite // writes awaiting commit, in order
+	inTxn bool
+	readV uint64 // snapshot read version while inTxn (set at BEGIN)
+	// pending is the writes awaiting commit, in order — an explicit
+	// transaction's, or the one write of an autocommit statement — emptied
+	// and kept for reuse when the transaction ends.
+	pending []LoggedWrite
 	// log is the rows the uncommitted write statements touched, each one's
 	// effect a window onto it: stamped with the commit version at commit,
 	// undone newest first on rollback, then truncated and reused (mvcc.go).
@@ -278,10 +284,7 @@ type Session struct {
 	// provisional counts this session's outstanding in-transaction effects,
 	// mirrored into Engine.provisional for the fast-path read check.
 	provisional int
-	// one backs the single-write slice an autocommit statement hands the
-	// commit hook.
-	one      [1]LoggedWrite
-	replayed Reply // what Replay hands back
+	replayed    Reply // what Replay hands back
 }
 
 // NewSession opens a session with the given current database (may be "").
@@ -301,9 +304,6 @@ func (s *Session) Use(db string) error {
 	s.db = db
 	return nil
 }
-
-// InTxn reports whether an explicit transaction is open.
-func (s *Session) InTxn() bool { return s.inTxn }
 
 // Exec executes one statement with args: Engine.Prepare — a parse-cache hit
 // per statement text — then the run Statement.Run makes. A caller that keeps
@@ -429,14 +429,18 @@ func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply)
 		if from.SQL == "" && from.Stmt == "" {
 			from, s.eng.text = st.logged(s.eng.own(args), s.eng.text)
 		}
+		s.pending = append(s.pending, from)
 		if !s.inTxn {
-			// Autocommit: the statement is its own commit — stamp its
-			// version marks before anything else can observe them.
-			s.finalizeStamps()
+			// Autocommit: the statement is a transaction of one, committed
+			// before anything else can observe its version marks.
+			s.commit()
 		}
-		s.recordCommit(res, from)
 	case ClassDDL:
-		s.recordCommit(res, LoggedWrite{SQL: res.SQL})
+		// DDL commits implicitly (MySQL): it flushes any open transaction
+		// first, preserving order, then commits itself.
+		s.commit()
+		s.pending = append(s.pending, LoggedWrite{SQL: res.SQL})
+		s.commit()
 	}
 	return res, nil
 }
@@ -453,37 +457,16 @@ func (s *Session) Query(sql string, args ...Value) (*ResultSet, error) {
 	return res.Set, nil
 }
 
-// recordCommit routes a completed write to the commit hook, immediately in
-// autocommit mode or buffered until COMMIT inside a transaction. DDL always
-// commits immediately (MySQL's implicit-commit behaviour).
-func (s *Session) recordCommit(res *Result, w LoggedWrite) {
-	s.one[0] = w
-	writes := s.one[:]
-	if res.Stats.Class == ClassDDL || !s.inTxn {
-		// An implicitly-committing statement flushes any open transaction
-		// first, preserving order.
-		if res.Stats.Class == ClassDDL && s.inTxn {
-			s.commit()
-		}
-		if s.eng.OnCommit != nil {
-			s.eng.OnCommit(s.db, writes)
-		}
-		return
-	}
-	s.pending = append(s.pending, writes...)
-}
-
-// commit finalizes the transaction: provisional MVCC marks take the next
-// commit version, buffered statements reach the binlog hook, and the session
-// leaves the engine's open-transaction set.
+// commit ends the session's transaction — an explicit one at COMMIT or
+// before a DDL, or an autocommit statement's transaction of one — and is the
+// one way a write reaches the commit hook: provisional MVCC marks take the
+// next commit version, then the pending writes go to the hook in one call.
 func (s *Session) commit() {
 	s.finalizeStamps()
-	if s.inTxn && len(s.pending) > 0 && s.eng.OnCommit != nil {
+	if len(s.pending) > 0 && s.eng.OnCommit != nil {
 		s.eng.OnCommit(s.db, s.pending)
 	}
-	s.eng.dropTxn(s)
-	s.pending = nil
-	s.inTxn = false
+	s.endTxn()
 }
 
 // rollback is the write-side abort path: the transaction's effects are
@@ -493,9 +476,18 @@ func (s *Session) commit() {
 func (s *Session) rollback() {
 	s.undoTo(0)
 	s.dropEffects()
-	s.eng.dropTxn(s)
-	s.pending = nil
-	s.inTxn = false
+	s.endTxn()
+}
+
+// endTxn is commit's and rollback's tail: pending is emptied for reuse, and
+// an explicit transaction leaves the engine's open-transaction set.
+func (s *Session) endTxn() {
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	if s.inTxn {
+		s.eng.dropTxn(s)
+		s.inTxn = false
+	}
 }
 
 // resolveTable finds the table named by ref in the session's engine.

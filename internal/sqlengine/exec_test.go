@@ -366,7 +366,7 @@ func TestLoggedArgsOutliveTheirChunk(t *testing.T) {
 		if _, err := st.Run(s, args...); err != nil {
 			t.Fatal(err)
 		}
-		if !s.InTxn() {
+		if !s.inTxn {
 			committed = append(committed, id)
 		}
 	}

@@ -67,9 +67,8 @@ func (s *Session) dropEffects() {
 }
 
 // finalizeStamps assigns the next commit version to every provisional
-// mark this session holds and publishes it as the engine's latest: right
-// after an autocommit write executes, or at COMMIT for an explicit
-// transaction.
+// mark this session holds and publishes it as the engine's latest; commit
+// calls it, whether the transaction is an autocommit write's or explicit.
 func (s *Session) finalizeStamps() {
 	if len(s.log) > 0 {
 		cv := s.eng.commitV + 1

@@ -34,7 +34,6 @@ type NTPConfig struct {
 type Daemon struct {
 	clock *Clock
 	cfg   NTPConfig
-	syncs int // corrections applied
 	stop  bool
 }
 
@@ -84,5 +83,4 @@ func (d *Daemon) correct(env *sim.Env) {
 		jitter = time.Duration(env.Rand().NormFloat64() * sigma)
 	}
 	d.clock.SetOffset(d.cfg.Bias + jitter)
-	d.syncs++
 }

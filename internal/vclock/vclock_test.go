@@ -81,35 +81,52 @@ func TestSyncOnceAppliesBias(t *testing.T) {
 	}
 }
 
+// syncedClock is a clock far off true time and drifting 1 ms a second, for a
+// daemon with no jitter: right after a sync its offset is exactly ntpBias.
+func syncedClock(env *sim.Env) *Clock {
+	return New(env, Config{InitialOffset: time.Second, DriftPPM: 1000})
+}
+
+const ntpBias = 2 * time.Millisecond
+
+// TestDaemonPeriodicSync: the daemon syncs at t=0 and every second after,
+// and nowhere between — half a second after each sync the clock has drifted
+// half a millisecond from the bias.
 func TestDaemonPeriodicSync(t *testing.T) {
 	env := sim.NewEnv(1)
-	c := New(env, Config{InitialOffset: time.Second, DriftPPM: 500})
-	d := StartDaemon(env, "ntp", c, NTPConfig{Interval: time.Second, JitterSigma: time.Millisecond, Servers: 4})
-	env.RunUntil(10500 * time.Millisecond)
-	if d.syncs != 11 { // t=0 plus every second through t=10
-		t.Fatalf("syncs = %d, want 11", d.syncs)
-	}
-	// Offset must be bounded by jitter + 1s of drift, far below the initial 1s.
-	if got := absDur(c.Offset()); got > 10*time.Millisecond {
-		t.Fatalf("offset with active daemon = %v, want small", got)
+	c := syncedClock(env)
+	d := StartDaemon(env, "ntp", c, NTPConfig{Interval: time.Second, Bias: ntpBias})
+	for k := 0; k <= 10; k++ {
+		at := time.Duration(k) * time.Second
+		env.RunUntil(at)
+		if got := c.Offset(); got != ntpBias {
+			t.Fatalf("offset at %v = %v, want the bias %v right after a sync", at, got, ntpBias)
+		}
+		env.RunUntil(at + 500*time.Millisecond)
+		if got, want := c.Offset(), ntpBias+500*time.Microsecond; got != want {
+			t.Fatalf("offset at %v = %v, want %v: half a second of drift since the last sync", at+500*time.Millisecond, got, want)
+		}
 	}
 	d.Stop()
 	env.Run()
 	env.Shutdown()
 }
 
+// TestDaemonStop: a daemon stopped at 3.5 s makes no sync after its one at
+// 3 s, so the clock drifts on from there.
 func TestDaemonStop(t *testing.T) {
 	env := sim.NewEnv(1)
-	c := New(env, Config{})
-	d := StartDaemon(env, "ntp", c, NTPConfig{Interval: time.Second})
+	c := syncedClock(env)
+	d := StartDaemon(env, "ntp", c, NTPConfig{Interval: time.Second, Bias: ntpBias})
 	env.RunUntil(3500 * time.Millisecond)
 	d.Stop()
 	env.Run() // daemon exits at its next wakeup
 	if live := env.WaitForGraph(); live != "" {
 		t.Fatalf("daemon still alive after Stop:\n%s", live)
 	}
-	if d.syncs > 5 {
-		t.Fatalf("syncs = %d after stop at 3.5s, want ≤5", d.syncs)
+	env.RunUntil(10 * time.Second)
+	if got, want := c.Offset(), ntpBias+7*time.Millisecond; got != want {
+		t.Fatalf("offset at 10s = %v, want %v: drift since the last sync at 3s", got, want)
 	}
 }
 
@@ -198,9 +215,6 @@ func TestDaemonStopBeforeFirstRun(t *testing.T) {
 	d := StartDaemon(env, "ntp", c, NTPConfig{Interval: time.Second, Bias: 2 * time.Millisecond})
 	d.Stop() // before env ever runs the daemon process
 	env.RunUntil(5 * time.Second)
-	if d.syncs != 0 {
-		t.Fatalf("stopped daemon fired %d sync(s)", d.syncs)
-	}
 	if got := c.Offset(); got != 500*time.Millisecond {
 		t.Fatalf("stopped daemon disciplined the clock: offset = %v", got)
 	}
@@ -225,8 +239,8 @@ func TestZeroServersJitterScaling(t *testing.T) {
 	env.RunUntil(2500 * time.Millisecond)
 	d.Stop()
 	env.Run()
-	if d.syncs != 3 {
-		t.Fatalf("syncs = %d, want 3", d.syncs)
+	if synced := c.Offset(); synced == got || synced < -100*time.Millisecond || synced > 100*time.Millisecond {
+		t.Fatalf("offset after the daemon's syncs with Servers=0 = %v, want a finite one other than %v", synced, got)
 	}
 	env.Shutdown()
 }
