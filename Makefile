@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shards smoke bench-gate bench-history bench-pairs bench-attr bench-json-cmp cover-product fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
+.PHONY: all build test race race-shards smoke bench-gate bench-history bench-pairs bench-attr bench-assembly bench-json-cmp cover-product fuzz-seed figures figures-full examples vet fmt fmt-check lint lines clean check
 
 all: build vet lint test
 
@@ -145,6 +145,17 @@ bench-pairs:
 #   make bench-attr W="geo_light shard_write_heavy" > attribution.txt
 bench-attr:
 	sh bench/attr.sh "$(BASE)" "$(W)"
+
+# Where a cell assembly's host time goes, in BASE and in the working tree:
+# both trees exported, bench/assembly_prof_test.go.txt added to each copy's
+# benchmark/ as a test (benchmark/ itself is not touched), and for each
+# workload of W and each side the µs per assembly over N assemblies (default
+# 10 000, GOMAXPROCS=1, under a CPU profile) and pprof's cumulative top under
+# benchmark.assemble; OUT keeps the profiles:
+#   make bench-assembly BASE=HEAD~ W=shard_write_heavy > assembly.txt
+N ?= 10000
+bench-assembly:
+	sh bench/assembly.sh "$(BASE)" "$(W)" "$(N)" "$(OUT)"
 
 # Virtual-output identity: cloudrepl-bench -all -short -par 1 -json, built and
 # run once from an export of BASE (default the parent commit) and once from

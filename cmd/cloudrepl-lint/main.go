@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -43,7 +44,7 @@ func main() {
 	}
 	if *only != "" {
 		keep := map[string]bool{}
-		for _, name := range splitComma(*only) {
+		for _, name := range strings.Split(*only, ",") {
 			keep[name] = true
 		}
 		var sel []*analysis.Analyzer
@@ -153,20 +154,6 @@ func removeStaleDirectives(stale []*analysis.Directive) ([]string, error) {
 	return fixed, nil
 }
 
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
 // findModuleRoot walks up from the working directory to the go.mod.
 func findModuleRoot() (string, error) {
 	dir, err := os.Getwd()
@@ -177,19 +164,10 @@ func findModuleRoot() (string, error) {
 		if _, err := os.Stat(dir + "/go.mod"); err == nil {
 			return dir, nil
 		}
-		parent := dirAbove(dir)
+		parent := filepath.Dir(dir)
 		if parent == dir {
 			return "", fmt.Errorf("no go.mod found above %s", dir)
 		}
 		dir = parent
 	}
-}
-
-func dirAbove(dir string) string {
-	for i := len(dir) - 1; i > 0; i-- {
-		if dir[i] == '/' {
-			return dir[:i]
-		}
-	}
-	return dir
 }

@@ -104,23 +104,6 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// importedPkgName returns the local name under which a file imports path
-// ("" when the file does not import it). The default name for the packages
-// the linters care about equals the last path element.
-func importedPkgName(file *ast.File, path, deflt string) string {
-	for _, imp := range file.Imports {
-		p := imp.Path.Value // quoted
-		if p != `"`+path+`"` {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		return deflt
-	}
-	return ""
-}
-
 // isPkgQualifier reports whether x is an identifier denoting an imported
 // package (as opposed to a value whose methods share the package's objects,
 // e.g. rng.Intn on a *rand.Rand versus the global rand.Intn).

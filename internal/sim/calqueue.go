@@ -40,12 +40,31 @@ const calMinBuckets = 8
 // it the tombstone scan cost is trivial and rebuilding would thrash.
 const calCompactFloor = 64
 
+// calFirstCap is how many events each bucket holds before it needs an array
+// of its own. The width a resize derives aims at one event a bucket, but a
+// Cloudstone cell's buckets hold several: with room for only two, a cell's
+// run allocated more for buckets outgrowing their share than it had before
+// the shared array.
+const calFirstCap = 8
+
 func (cq *calQueue) init() {
-	cq.buckets = make([][]*event, calMinBuckets)
+	cq.buckets = newBuckets(calMinBuckets)
 	cq.mask = calMinBuckets - 1
 	cq.width = Time(1e6) // 1ms starting guess; resize() re-derives it
 	cq.cur = 0
 	cq.top = cq.width
+}
+
+// newBuckets returns n empty buckets whose first calFirstCap events share
+// one array, so building a table costs two allocations, not one per bucket
+// that fills. A bucket that outgrows its share moves to an array of its own.
+func newBuckets(n int) [][]*event {
+	table := make([][]*event, n)
+	first := make([]*event, n*calFirstCap)
+	for i := range table {
+		table[i] = first[i*calFirstCap : i*calFirstCap : (i+1)*calFirstCap]
+	}
+	return table
 }
 
 // bucketOf maps a timestamp to its bucket index.
@@ -273,7 +292,7 @@ func (cq *calQueue) resize(n int) {
 	if width <= 0 {
 		width = Time(1e6)
 	}
-	cq.buckets = make([][]*event, n)
+	cq.buckets = newBuckets(n)
 	cq.mask = n - 1
 	cq.width = width
 	cq.size = len(events)

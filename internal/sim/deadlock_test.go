@@ -95,8 +95,8 @@ func TestShutdownCleanWithParkedProcs(t *testing.T) {
 	env.Go("d", func(p *Proc) { r.Use(p, time.Second) })
 	env.RunUntil(env.Now() + time.Minute)
 	env.Shutdown()
-	if len(env.procs) != 0 {
-		t.Fatalf("%d process(es) alive after Shutdown", len(env.procs))
+	if live(env) != 0 {
+		t.Fatalf("%d process(es) alive after Shutdown", live(env))
 	}
 	if g := env.WaitForGraph(); g != "" {
 		t.Fatalf("wait-for graph not empty after Shutdown:\n%s", g)

@@ -37,12 +37,12 @@ func TestCallbackPanicOnProcGoroutineReachesRunRaw(t *testing.T) {
 	if e.handoffs != 1 {
 		t.Fatalf("%d handoffs; want 1 (the callback ran on the host's goroutine)", e.handoffs)
 	}
-	if len(e.procs) != 1 || host.ParkedOn() != "timer" {
-		t.Fatalf("after the callback's panic: %d alive, host %s; want the host parked on its timer", len(e.procs), host.ParkedOn())
+	if live(e) != 1 || host.ParkedOn() != "timer" {
+		t.Fatalf("after the callback's panic: %d alive, host %s; want the host parked on its timer", live(e), host.ParkedOn())
 	}
 	e.Run()
-	if !woke || len(e.procs) != 0 || e.Now() != time.Second {
-		t.Fatalf("host woke %v at %v with %d alive; want it to finish at 1s", woke, e.Now(), len(e.procs))
+	if !woke || live(e) != 0 || e.Now() != time.Second {
+		t.Fatalf("host woke %v at %v with %d alive; want it to finish at 1s", woke, e.Now(), live(e))
 	}
 }
 
@@ -70,8 +70,8 @@ func TestCallbackGoexitOnProcGoroutineEndsRunCaller(t *testing.T) {
 		if <-returned {
 			t.Fatalf("%s host: Run returned normally after a callback's Goexit", host)
 		}
-		if len(e.procs) != 0 || len(e.idle) != 0 {
-			t.Fatalf("%s host: %d alive, %d idle after the Goexit; want 0 and 0", host, len(e.procs), len(e.idle))
+		if live(e) != 0 || len(e.idle) != 0 {
+			t.Fatalf("%s host: %d alive, %d idle after the Goexit; want 0 and 0", host, live(e), len(e.idle))
 		}
 		e.Shutdown()
 	}
@@ -126,9 +126,9 @@ func TestRunUntilHorizonHoldsOnProcGoroutine(t *testing.T) {
 		}
 	})
 	e.RunUntil(3500 * time.Microsecond)
-	if len(woke) != 3 || late || e.Now() != 3500*time.Microsecond || e.queue.live != 2 {
+	if len(woke) != 3 || late || e.Now() != 3500*time.Microsecond || pending(e) != 2 {
 		t.Fatalf("RunUntil(3.5ms): woke %v, late callback %v, now %v, %d pending; want 3 wakeups, no callback, 3.5ms, 2 pending",
-			woke, late, e.Now(), e.queue.live)
+			woke, late, e.Now(), pending(e))
 	}
 	e.Run()
 	if len(woke) != 10 || !late {

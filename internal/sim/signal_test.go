@@ -56,8 +56,8 @@ func TestSignalWaitTimeoutSignaledFirst(t *testing.T) {
 		t.Fatal("WaitTimeout reported timeout, want signal")
 	}
 	// No residual timer should wake anything later.
-	if env.queue.live != 0 {
-		t.Fatalf("pending = %d after run, want 0", env.queue.live)
+	if pending(env) != 0 {
+		t.Fatalf("pending = %d after run, want 0", pending(env))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -33,7 +32,9 @@ type event struct {
 	fn        func() // non-nil for a callback
 	msg       Deliverable
 	w         *sigWaiter // non-nil for a Signal.WaitTimeout timer
+	next      *event     // the next event of the same-instant FIFO
 	cancelled bool
+	due       bool // queued on the same-instant FIFO, not the calendar
 }
 
 // dispatchHook, when set, sees every event as it is dispatched, with the
@@ -56,12 +57,18 @@ type shutdownSentinel struct{}
 // and exactly one goroutine — the Run caller or one process — holds the
 // baton, the right to touch the Env, at any moment.
 type Env struct {
-	now       Time
-	queue     calQueue
-	seq       uint64
-	processed uint64 // events dispatched since creation
-	rng       *rand.Rand
-	cur       *Proc
+	now   Time
+	queue calQueue
+	// due, dueTail is the same-instant FIFO: every event pushed with at ==
+	// now, in push order, so in (at, seq) order — now never decreases. It
+	// spares the calendar the wakeups, grants and spawns due at the current
+	// instant; dispatch takes whichever of its head and the calendar's
+	// minimum comes first.
+	due, dueTail *event
+	seq          uint64
+	processed    uint64 // events dispatched since creation
+	rng          *rand.Rand
+	cur          *Proc
 	// yield gives the baton back to the Run caller: nil when a dispatch loop
 	// on a process goroutine stopped, else a process that ended other than
 	// by returning (panic, runtime.Goexit, Shutdown's unwind), to retire.
@@ -71,10 +78,12 @@ type Env struct {
 	stopped  bool
 	closed   bool
 
-	efree []*event     // recycled event structs
-	wfree []*sigWaiter // recycled signal waiters
-	idle  []*worker    // parked goroutines of finished processes, reused LIFO by Go
-	pfree []*Proc      // processes that returned, reused LIFO by Go
+	efree      []*event     // recycled event structs
+	wfree      []*sigWaiter // recycled signal waiters
+	idle       []*worker    // parked goroutines of finished processes, reused LIFO by Go
+	pfree      []*Proc      // processes that returned, reused LIFO by Go
+	eventChunk chunk[event] // where an event the free list cannot give comes from
+	procChunk  chunk[Proc]  // where a Proc the free list cannot give comes from
 
 	panicVal   any
 	panicProc  *Proc // the process panicVal came out of
@@ -85,10 +94,11 @@ type Env struct {
 	cbPanic  any
 	cbGoexit bool
 	procSeq  uint64
-	// procs indexes every live process (started and not yet finished) by id:
-	// its length is how many there are, and the deadlock detector dumps a
-	// wait-for graph from it (who is parked on which resource/queue/signal).
-	procs map[uint64]*Proc
+	// first and last end the list of live processes (started and not yet
+	// finished), linked through Proc.prev/next in spawn order, so in id
+	// order: Go appends, retire unlinks, and the deadlock detector and
+	// Shutdown walk it.
+	first, last *Proc
 }
 
 // NewEnv returns a fresh environment whose random source is seeded with seed.
@@ -98,10 +108,32 @@ func NewEnv(seed int64) *Env {
 	e := &Env{
 		rng:   rand.New(rand.NewSource(seed)),
 		yield: make(chan *Proc),
-		procs: make(map[uint64]*Proc),
 	}
 	e.queue.free = e.freeEvent
 	return e
+}
+
+// chunk hands out Ts carved from arrays that double from chunkMin to
+// chunkMax elements, so a fresh Env's first n events or processes cost about
+// log n allocations, and a small Env stays small.
+type chunk[T any] struct {
+	buf  []T
+	used int
+}
+
+const (
+	chunkMin = 16
+	chunkMax = 256
+)
+
+func (c *chunk[T]) take() *T {
+	if c.used == len(c.buf) {
+		c.buf = make([]T, min(max(2*len(c.buf), chunkMin), chunkMax))
+		c.used = 0
+	}
+	x := &c.buf[c.used]
+	c.used++
+	return x
 }
 
 // Now returns the current virtual time.
@@ -117,7 +149,7 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // kernel benchmark's events/sec.
 func (e *Env) Events() uint64 { return e.processed }
 
-// allocEvent takes an event struct off the free list, or allocates one.
+// allocEvent takes an event struct off the free list, or a fresh one.
 // Ownership: the queue owns a pushed event until it is popped or discarded
 // as a tombstone; the kernel frees it before dispatch, so payload fields
 // must be captured first and no pointer to the event may outlive that.
@@ -128,7 +160,7 @@ func (e *Env) allocEvent() *event {
 		e.efree = e.efree[:n-1]
 		return ev
 	}
-	return &event{}
+	return e.eventChunk.take()
 }
 
 // freeEvent recycles ev, bumping its generation so stale cancel handles
@@ -141,22 +173,40 @@ func (e *Env) freeEvent(ev *event) {
 	ev.fn = nil
 	ev.msg = nil
 	ev.w = nil
+	ev.next = nil
 	ev.cancelled = false
+	ev.due = false
 	e.efree = append(e.efree, ev)
 }
 
-func (e *Env) push(ev *event) *event {
+// push queues ev behind every event already scheduled: on the same-instant
+// FIFO when it is due now, in the calendar otherwise.
+func (e *Env) push(ev *event) {
 	e.seq++
 	ev.seq = e.seq
-	e.queue.push(ev)
-	return ev
+	if ev.at != e.now {
+		e.queue.push(ev)
+		return
+	}
+	ev.due = true
+	if e.dueTail == nil {
+		e.due = ev
+	} else {
+		e.dueTail.next = ev
+	}
+	e.dueTail = ev
 }
 
 // cancelEvent tombstones ev if it is still the same incarnation (gen
 // matches) and still queued. Safe to call any number of times, including
-// after the event fired and its struct was recycled.
+// after the event fired and its struct was recycled. A FIFO event is only
+// flagged: dispatch frees it when it reaches the head.
 func (e *Env) cancelEvent(ev *event, gen uint64) {
 	if ev == nil || ev.gen != gen || ev.cancelled {
+		return
+	}
+	if ev.due {
+		ev.cancelled = true
 		return
 	}
 	e.queue.cancel(ev)
@@ -251,10 +301,11 @@ func (k ParkKind) String() string {
 // Proc is a simulation process. All blocking methods must be called from the
 // process's own goroutine while it is the running process.
 type Proc struct {
-	env  *Env
-	name string
-	id   uint64
-	w    *worker // the goroutine running this process, borrowed until it returns
+	env        *Env
+	name       string
+	id         uint64
+	w          *worker // the goroutine running this process, borrowed until it returns
+	prev, next *Proc   // neighbours on the Env's list of live processes
 
 	// Park state: what the process is currently blocked on. Written by the
 	// process right before parking and cleared when it resumes; read by
@@ -341,11 +392,16 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		e.pfree[n-1] = nil
 		e.pfree = e.pfree[:n-1]
 	} else {
-		p = new(Proc)
+		p = e.procChunk.take()
 	}
-	*p = Proc{env: e, name: name, id: e.procSeq, w: w, parkKind: ParkStart}
+	*p = Proc{env: e, name: name, id: e.procSeq, w: w, prev: e.last, parkKind: ParkStart}
+	if e.last == nil {
+		e.first = p
+	} else {
+		e.last.next = p
+	}
+	e.last = p
 	w.p, w.fn = p, fn
-	e.procs[p.id] = p
 	e.scheduleProc(e.now, p)
 	return p
 }
@@ -469,7 +525,17 @@ func (e *Env) exit(p *Proc, w *worker) bool {
 // already on its way back to its resume channel and touches nothing of the
 // Env before it is resumed again.
 func (e *Env) retire(p *Proc) {
-	delete(e.procs, p.id)
+	if p.prev == nil {
+		e.first = p.next
+	} else {
+		p.prev.next = p.next
+	}
+	if p.next == nil {
+		e.last = p.prev
+	} else {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
 	w := p.w
 	p.w, w.p, w.fn = nil, nil, nil
 	if !w.gone {
@@ -562,18 +628,31 @@ func (p *Proc) SleepUntil(t Time) {
 // dispatch runs events in (at, seq) order on the goroutine holding the
 // baton — callbacks, deliveries and signal timeouts inline, with no process
 // current — until the next event resumes a process, which it makes current
-// and returns. It returns nil when the baton must go back to the Run caller:
-// Stop was called, the queue is empty or the next event lies past the
-// horizon. The event struct is recycled before its payload runs — payloads
-// are captured first, and nothing downstream may retain the pointer.
+// and returns. The next event is the calendar's minimum or the same-instant
+// FIFO's head, whichever is (at, seq)-first. It returns nil when the baton
+// must go back to the Run caller: Stop was called, both queues are empty or
+// the next event lies past the horizon. The event struct is recycled before
+// its payload runs — payloads are captured first, and nothing downstream may
+// retain the pointer.
 func (e *Env) dispatch() *Proc {
 	e.cur = nil
 	for !e.stopped {
+		for e.due != nil && e.due.cancelled {
+			e.freeEvent(e.popDue())
+		}
 		ev, idx := e.queue.locate()
+		fromDue := e.due != nil && (ev == nil || eventBefore(e.due, ev))
+		if fromDue {
+			ev = e.due
+		}
 		if ev == nil || ev.at > e.horizon {
 			return nil
 		}
-		e.queue.popLocated(idx)
+		if fromDue {
+			e.popDue()
+		} else {
+			e.queue.popLocated(idx)
+		}
 		at, fn, msg, w, p := ev.at, ev.fn, ev.msg, ev.w, ev.proc
 		if dispatchHook != nil {
 			dispatchHook(ev, p)
@@ -596,6 +675,16 @@ func (e *Env) dispatch() *Proc {
 		}
 	}
 	return nil
+}
+
+// popDue takes the head off the same-instant FIFO.
+func (e *Env) popDue() *event {
+	ev := e.due
+	e.due = ev.next
+	if e.due == nil {
+		e.dueTail = nil
+	}
+	return ev
 }
 
 // run holds the baton on the Run caller's goroutine until horizon: it
@@ -663,14 +752,8 @@ func (e *Env) Stop() { e.stopped = true }
 // is parked on. It is the payload of the deadlock detector's panic and is
 // also useful on its own when a test hangs.
 func (e *Env) WaitForGraph() string {
-	ids := make([]uint64, 0, len(e.procs))
-	for id := range e.procs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var b strings.Builder
-	for _, id := range ids {
-		p := e.procs[id]
+	for p := e.first; p != nil; p = p.next {
 		name := p.name
 		if name == "" {
 			name = "(unnamed)"
@@ -707,18 +790,10 @@ func (e *Env) Shutdown() {
 	// caller's goroutine between runs. Wake one process at a time, in
 	// spawn order, and wait for it to finish unwinding before waking the
 	// next, so deferred cleanup never runs concurrently across processes.
-	ids := make([]uint64, 0, len(e.procs))
-	for id := range e.procs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Each unwind retires its process, so the list's head is the next.
 	watchdog := time.NewTimer(shutdownWatchdog)
 	defer watchdog.Stop()
-	for _, id := range ids {
-		p, live := e.procs[id]
-		if !live {
-			continue
-		}
+	for p := e.first; p != nil; p = e.first {
 		p.w.resume <- struct{}{}
 		waitDone := true
 		for waitDone {
@@ -736,9 +811,13 @@ func (e *Env) Shutdown() {
 					waitDone = false
 				}
 			case <-watchdog.C:
+				live := 0
+				for q := e.first; q != nil; q = q.next {
+					live++
+				}
 				panic(fmt.Sprintf(
 					"sim: deadlock during Shutdown: %d process(es) failed to unwind within %v\nwait-for graph:\n%s",
-					len(e.procs), shutdownWatchdog, e.WaitForGraph()))
+					live, shutdownWatchdog, e.WaitForGraph()))
 			}
 		}
 	}

@@ -164,8 +164,8 @@ func TestShutdownReleasesIdleWorkers(t *testing.T) {
 		}
 		e.Go("parked", func(p *Proc) { q.Get(p) })
 		e.Run()
-		if len(e.idle) != maxPooledWorkers+64 || len(e.procs) != 1 {
-			t.Fatalf("%d idle workers, %d live processes; want %d and 1", len(e.idle), len(e.procs), maxPooledWorkers+64)
+		if len(e.idle) != maxPooledWorkers+64 || live(e) != 1 {
+			t.Fatalf("%d idle workers, %d live processes; want %d and 1", len(e.idle), live(e), maxPooledWorkers+64)
 		}
 		e.Shutdown()
 		if e.idle != nil {
@@ -224,8 +224,8 @@ func TestPanicOnRecycledWorkerNamesItsProc(t *testing.T) {
 		}()
 		e.Run()
 	}()
-	if len(e.procs) != 0 || len(e.idle) != 1 {
-		t.Fatalf("after the panic: %d alive, %d idle; want 0 and 1", len(e.procs), len(e.idle))
+	if live(e) != 0 || len(e.idle) != 1 {
+		t.Fatalf("after the panic: %d alive, %d idle; want 0 and 1", live(e), len(e.idle))
 	}
 	ran := false
 	e.Go("third-tenant", func(p *Proc) { ran = true })
@@ -243,8 +243,8 @@ func TestGoexitInProcRetiresWorker(t *testing.T) {
 	defer e.Shutdown()
 	e.Go("leaves", func(p *Proc) { runtime.Goexit() })
 	e.Run()
-	if len(e.procs) != 0 || len(e.idle) != 0 {
-		t.Fatalf("after Goexit: %d alive, %d idle; want 0 and 0", len(e.procs), len(e.idle))
+	if live(e) != 0 || len(e.idle) != 0 {
+		t.Fatalf("after Goexit: %d alive, %d idle; want 0 and 0", live(e), len(e.idle))
 	}
 	ran := false
 	e.Go("next", func(p *Proc) { ran = true })
