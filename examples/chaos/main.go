@@ -1,8 +1,8 @@
 // Chaos: a schedule-driven fault injector crashes a replica and then the
-// master while closed-loop traffic keeps flowing. The proxy's retry policy
-// absorbs the replica crash (evicting it until it returns) and the master
-// crash (automatic slave promotion via the failover hook), so the
-// application sees degraded throughput instead of an outage.
+// master while closed-loop traffic keeps flowing. The proxy finds each crash
+// from its statements' errors and retries them: it benches the replica until
+// it returns, and once the master is benched its failover hook promotes a
+// slave, so the application sees degraded throughput instead of an outage.
 //
 //	go run ./examples/chaos
 package main
@@ -16,7 +16,6 @@ import (
 	"cloudrepl/internal/cloud"
 	"cloudrepl/internal/cluster"
 	"cloudrepl/internal/core"
-	"cloudrepl/internal/proxy"
 	"cloudrepl/internal/repl"
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
@@ -52,8 +51,7 @@ func main() {
 	}
 	db := core.Open(clu,
 		core.WithDatabase("shop"),
-		core.WithClientPlace(zone),
-		core.WithRetryPolicy(proxy.DefaultRetryPolicy()))
+		core.WithClientPlace(zone))
 
 	// The fault plan: slave1 reboots at 2:00 (back at 3:00), the master
 	// dies for good at 5:00.

@@ -69,12 +69,11 @@ func main() {
 		oldMaster.Inst.Terminate()
 		stamp("MASTER %s TERMINATED", oldMaster.Name)
 
-		if _, err := db.Exec(p, "INSERT INTO orders (id, item, created) VALUES (21, 'gadget', UTC_MICROS())"); err != nil {
-			stamp("write rejected while headless: %v", err)
-		}
-
-		// The application promotes the most-up-to-date slave itself — the
-		// essence of the application-managed approach.
+		// The application, told by the cloud that the VM is gone, promotes
+		// the most-up-to-date slave itself — the essence of the
+		// application-managed approach. (Had it waited, the proxy would have
+		// done the same once its own writes had benched the dead master:
+		// examples/chaos shows that path.)
 		if err := db.Failover(); err != nil {
 			log.Fatal(err)
 		}

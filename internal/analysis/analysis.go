@@ -30,8 +30,9 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by cloudrepl-lint -help.
 	Doc string
 	// Run applies the check to a single type-checked package. Packages are
-	// visited in dependency order, so facts exported on a dependency's
-	// objects are importable here.
+	// visited in dependency order, so what a pass learned about a
+	// dependency (errdrop's always-nil functions) is there for its
+	// dependents.
 	Run func(*Pass) error
 	// Finish, when non-nil, runs once after Run has been applied to every
 	// package of the Program — the hook for whole-program conclusions such
@@ -50,8 +51,8 @@ type Pass struct {
 	Path string
 	Info *types.Info
 
-	facts factStore
-	diags *[]Diagnostic
+	alwaysNil map[*types.Func]bool // the Program's, which errdrop fills
+	diags     *[]Diagnostic
 }
 
 // Diagnostic is one reported problem.

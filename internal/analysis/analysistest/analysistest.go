@@ -66,8 +66,8 @@ func loadFixtures(root string) {
 
 // Run takes the fixture rooted at dir (conventionally "testdata/src/<name>",
 // relative to the test's working directory) — the root package plus any
-// subdirectory packages, so fixtures can exercise cross-package fact
-// propagation — out of the shared fixture program, applies the analyzer to it
+// subdirectory packages, so fixtures can exercise what an analyzer carries
+// across packages — out of the shared fixture program, applies the analyzer to it
 // (per-package passes in dependency order, then the Finish hook, which sees
 // the whole program) with directive suppression, and checks the diagnostics
 // that land in the fixture against its want comments.

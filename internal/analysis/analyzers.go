@@ -2,7 +2,7 @@ package analysis
 
 // All returns the full linter suite in reporting order: the four
 // package-local determinism analyzers, then the three whole-program
-// flow-aware analyzers (call-graph- and fact-driven).
+// flow-aware analyzers (call-graph-driven, and errdrop's always-nil set).
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimTime, SimRand, MapOrder, CloseCheck,
@@ -29,7 +29,7 @@ type LintResult struct {
 }
 
 // LintDetail loads the given patterns from moduleDir, runs every analyzer
-// over the whole program (facts propagate in dependency order, Finish hooks
+// over the whole program (passes run in dependency order, Finish hooks
 // see the merged result) with allow-directive suppression and stale-directive
 // detection, and returns the surviving diagnostics sorted by position, with
 // the stale directives broken out for -fix-stale. This is the whole

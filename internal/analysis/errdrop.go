@@ -7,41 +7,32 @@ import (
 	"sort"
 )
 
-// NilErrorFact marks a function whose error results are statically always
-// nil: every return statement yields a literal nil (or the result of
-// another always-nil function) in each error position. Dropping such a
-// function's error is provably harmless, so errdrop exempts its callers —
-// including callers in other packages, which import this fact instead of
-// re-deriving it.
-type NilErrorFact struct{}
-
-// AFact marks NilErrorFact as a Fact.
-func (*NilErrorFact) AFact() {}
-
 // ErrDrop is errcheck for this repo: it flags error results that are
 // silently dropped — calls in statement position, deferred calls, and
 // goroutine launches whose error vanishes with the stack, plus error
 // variables that are assigned from a call and then never read again (the
 // "checked the first error, shadowed the second" bug). Unlike a syntactic
 // errcheck it is call-graph-aware: wrappers whose error is statically
-// always nil (NilErrorFact, propagated across packages) are exempt, as are
+// always nil — every return yields a literal nil, or the result of another
+// such function, in each error position — are exempt wherever they are
+// called from (the Program's always-nil set), as are
 // the fmt printers and the infallible strings.Builder / bytes.Buffer
 // writers. An explicit `_ = f()` stays visible and greppable and is
 // allowed.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "flag silently dropped error results (statement position, defer, go) and " +
-		"error variables assigned but never read; always-nil wrappers are exempt via facts",
+		"error variables assigned but never read; always-nil wrappers, from any package, are exempt",
 	Run: runErrDrop,
 }
 
 func runErrDrop(pass *Pass) error {
-	// Phase 1: classify this package's functions and export facts so
-	// downstream packages see them. Same-package calls resolve through the
+	// Phase 1: classify this package's functions and add the always-nil
+	// ones to the Program's set, so downstream packages see them. Same-package calls resolve through the
 	// local memo (declaration order is not dependency order within a
 	// package, so the memo recurses on demand).
 	nw := &nilWrappers{pass: pass, decls: map[*types.Func]*ast.FuncDecl{}, memo: map[*types.Func]bool{}}
-	var fns []*types.Func // declaration order, for deterministic fact export
+	var fns []*types.Func // declaration order
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -54,7 +45,7 @@ func runErrDrop(pass *Pass) error {
 	}
 	for _, fn := range fns {
 		if nw.alwaysNil(fn) {
-			pass.ExportObjectFact(fn, &NilErrorFact{})
+			pass.alwaysNil[fn] = true
 		}
 	}
 
@@ -100,14 +91,13 @@ func (nw *nilWrappers) checkDropped(call *ast.CallExpr, how string) {
 
 // callAlwaysNil reports whether fn's error results are statically always
 // nil, resolving same-package functions locally and imported ones through
-// the fact store.
+// the Program's always-nil set.
 func (nw *nilWrappers) callAlwaysNil(fn *types.Func) bool {
 	fn = fn.Origin()
 	if _, local := nw.decls[fn]; local {
 		return nw.alwaysNil(fn)
 	}
-	var fact NilErrorFact
-	return nw.pass.ImportObjectFact(fn, &fact)
+	return nw.pass.alwaysNil[fn]
 }
 
 // alwaysNil computes (memoized) whether every return of local function fn

@@ -43,7 +43,7 @@ type Loader struct {
 	// loadOrder records packages in load-completion order. A package's
 	// module-internal imports finish loading before its own type check
 	// returns, so this is a topological order (dependencies first) — the
-	// order NewProgram hands to fact-propagating analyzers.
+	// order NewProgram runs the passes in.
 	loadOrder []*Package
 }
 

@@ -3,25 +3,28 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"go/types"
 )
 
 // Program is one whole-module analysis universe: every package the loader
 // type-checked (targets plus their module-internal dependencies) in
-// dependency order, a shared fact store, and a lazily-built interprocedural
-// call graph. All cross-package analysis — fact import/export, call-graph
-// reachability — happens within one Program so that types.Object identities
-// line up across packages.
+// dependency order, errdrop's set of always-nil functions, and a
+// lazily-built interprocedural call graph. All cross-package analysis —
+// always-nil wrappers, call-graph reachability — happens within one Program
+// so that types.Object identities line up across packages.
 type Program struct {
 	// Pkgs lists every loaded module package in topological order:
 	// dependencies strictly before dependents. This is the order passes run
-	// in, which is what makes ImportObjectFact on a dependency's object
-	// always see the dependency's exports.
+	// in, which is what makes a dependency's always-nil functions known
+	// before any caller in a dependent package is checked.
 	Pkgs   []*Package
 	ByPath map[string]*Package
 	Fset   *token.FileSet
 
-	facts factStore
-	cg    *CallGraph
+	// alwaysNil holds every function errdrop found whose error results are
+	// statically always nil, filled one package at a time.
+	alwaysNil map[*types.Func]bool
+	cg        *CallGraph
 }
 
 // NewProgram assembles a Program from everything l has loaded so far.
@@ -30,10 +33,10 @@ type Program struct {
 // topological order directly.
 func NewProgram(l *Loader) *Program {
 	prog := &Program{
-		Pkgs:   append([]*Package(nil), l.loadOrder...),
-		ByPath: map[string]*Package{},
-		Fset:   l.fset,
-		facts:  factStore{},
+		Pkgs:      append([]*Package(nil), l.loadOrder...),
+		ByPath:    map[string]*Package{},
+		Fset:      l.fset,
+		alwaysNil: map[*types.Func]bool{},
 	}
 	for _, pkg := range prog.Pkgs {
 		prog.ByPath[pkg.Path] = pkg
@@ -87,14 +90,14 @@ func RunProgram(prog *Program, analyzers []*Analyzer, targets []*Package) ([]Dia
 				continue // Finish-only analyzers have no per-package phase
 			}
 			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Path:     pkg.Path,
-				Info:     pkg.Info,
-				facts:    prog.facts,
-				diags:    &diags,
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				Path:      pkg.Path,
+				Info:      pkg.Info,
+				alwaysNil: prog.alwaysNil,
+				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)

@@ -6,8 +6,7 @@
 //
 //	db := core.Open(clu,
 //		core.WithDatabase("app"),
-//		core.WithClientPlace(place),
-//		core.WithRetryPolicy(proxy.DefaultRetryPolicy()))
+//		core.WithClientPlace(place))
 //	db.Exec(p, "INSERT INTO t ...")   // routed to the master
 //	db.Query(p, "SELECT ...")         // balanced over the slaves
 //
@@ -238,12 +237,12 @@ func (db *DB) SplitShard(p *sim.Proc) (*shard.SplitReport, error) {
 	return db.sc.Split(p)
 }
 
-// Failover promotes a slave in every cell whose master is down and re-points
-// that cell's proxy; cells whose master is up are left alone, so calling it
-// after the retry policy (proxy.DefaultRetryPolicy) has already promoted is
-// harmless. It returns the first promotion that failed or — the promotion
-// done — had to terminate replicas too far behind the promoted binlog
-// (cluster.Cluster.Failover).
+// Failover promotes a slave in every cell whose master instance is down, as
+// the cloud reports it, and re-points that cell's proxy; cells whose master
+// is up are left alone, so calling it after a proxy's failover hook
+// (shard.Routing.Proxy) has already promoted is harmless. It returns the
+// first promotion that failed or — the promotion done — had to terminate
+// replicas too far behind the promoted binlog (cluster.Cluster.Failover).
 func (db *DB) Failover() error {
 	var firstErr error
 	for _, c := range db.cells() {

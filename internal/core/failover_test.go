@@ -1,19 +1,25 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"cloudrepl/internal/cloud"
+	"cloudrepl/internal/cluster"
 	"cloudrepl/internal/proxy"
+	"cloudrepl/internal/repl"
+	"cloudrepl/internal/server"
+
 	"cloudrepl/internal/sim"
 	"cloudrepl/internal/sqlengine"
 )
 
-// TestAutomaticFailoverOnMasterCrash: with the retry policy armed, killing
-// the master mid-traffic promotes a slave through the proxy's failover
-// hook; client writes keep succeeding with no surfaced errors.
+// TestAutomaticFailoverOnMasterCrash: killing the master mid-traffic
+// promotes a slave through the proxy's failover hook once its writes have
+// benched the master; client writes keep succeeding with no surfaced errors.
 func TestAutomaticFailoverOnMasterCrash(t *testing.T) {
-	env, db := newDB(t, 31, 2, WithRetryPolicy(proxy.DefaultRetryPolicy()))
+	env, db := newDB(t, 31, 2)
 	var failed int
 	written := 0
 	env.Go("app", func(p *sim.Proc) {
@@ -53,22 +59,71 @@ func TestAutomaticFailoverOnMasterCrash(t *testing.T) {
 	}
 }
 
-// TestZeroRetryOptionPreservesLegacyFailure: without a retry policy a dead
-// master still surfaces ErrNoBackend (no hidden failover).
-func TestZeroRetryOptionPreservesLegacyFailure(t *testing.T) {
-	env, db := newDB(t, 32, 1)
-	db.Cluster().Master().Srv.Inst.Terminate()
-	var err error
-	env.Go("app", func(p *sim.Proc) {
-		_, err = db.Exec(p, "INSERT INTO t (id, v) VALUES (1, 'x')")
+// TestPartitionedMasterIsNotPromoted: a partition between the clients and a
+// running master looks to the proxy exactly like a crash — its writes time
+// out until the master is benched — but the failover hook asks the cloud,
+// finds the master up and keeps it: no second master appears. Once the
+// partition heals, writes resume when the bench's 30 s (the proxy's
+// readmission window) are over.
+func TestPartitionedMasterIsNotPromoted(t *testing.T) {
+	env := sim.NewEnv(33)
+	c := cloud.New(env, cloud.Config{})
+	zoneA := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
+	zoneC := cloud.Placement{Region: cloud.USWest1, Zone: "c"}
+	// Master in a, slaves in c, clients in b: cutting a from b leaves
+	// replication and the clients' path to the slaves intact.
+	clu, err := cluster.New(env, c, cluster.Config{
+		Mode:    repl.Async,
+		Cost:    server.DefaultCostModel(),
+		Master:  cluster.NodeSpec{Place: zoneA},
+		Slaves:  []cluster.NodeSpec{{Place: zoneC}, {Place: zoneC}},
+		Preload: preload,
 	})
-	env.RunUntil(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(clu, WithDatabase("app"), WithClientPlace(zoneB))
+	master := clu.Master()
+	write := func(p *sim.Proc, id int) error {
+		_, err := db.Exec(p, "INSERT INTO t (id, v) VALUES (?, 'x')", sqlengine.NewInt(int64(id)))
+		return err
+	}
+	env.Go("app", func(p *sim.Proc) {
+		if err := write(p, 1); err != nil {
+			t.Errorf("write before the partition: %v", err)
+			return
+		}
+		c.Network().Partition(zoneA, zoneB)
+		if err := write(p, 2); !errors.Is(err, proxy.ErrNoBackend) {
+			t.Errorf("write across the partition: err = %v, want ErrNoBackend once the master is benched", err)
+		}
+		st := db.Stats().Proxy
+		if st.Timeouts != 3 || st.Failovers != 0 {
+			t.Errorf("after the partitioned write: %+v; want 3 timeouts (the bench) and no failover", st)
+		}
+		if _, err := db.Query(p, "SELECT COUNT(*) FROM t"); err != nil {
+			t.Errorf("read from a slave across the partition: %v", err)
+		}
+		c.Network().Heal(zoneA, zoneB)
+		healed := p.Now()
+		if err := write(p, 3); !errors.Is(err, proxy.ErrNoBackend) {
+			t.Errorf("write right after the heal: err = %v, want ErrNoBackend (still benched)", err)
+		}
+		p.Sleep(30*time.Second - (p.Now() - healed))
+		if err := write(p, 4); err != nil {
+			t.Errorf("write after the readmission window: %v", err)
+		}
+	})
+	env.RunUntil(5 * time.Minute)
 	env.Stop()
 	env.Shutdown()
-	if err == nil {
-		t.Fatal("write to a headless cluster succeeded without a failover policy")
+
+	if clu.Master() != master || db.Stats().Proxy.Failovers != 0 {
+		t.Fatalf("partition promoted a second master: cluster master %s, failovers %d",
+			clu.Master().Srv.Name, db.Stats().Proxy.Failovers)
 	}
-	if db.Stats().Proxy.Failovers != 0 {
-		t.Fatal("failover happened without the policy")
+	if !master.Srv.Up() {
+		t.Fatal("the partitioned master is not running")
 	}
 }

@@ -82,16 +82,6 @@ func WithMaxStaleEvents(n uint64) Option {
 	return func(c *config) { c.routing.MaxStaleEvents = n }
 }
 
-// WithRetryPolicy configures client-side robustness (retry with backoff,
-// slave eviction, statement timeouts, automatic master failover). Without it
-// the handle makes a single attempt per statement; with
-// proxy.DefaultRetryPolicy(), the one other policy there is, each cell's
-// proxy also promotes a slave of its own cluster when it finds the master
-// dead.
-func WithRetryPolicy(rp proxy.RetryPolicy) Option {
-	return func(c *config) { c.routing.Retry = rp }
-}
-
 // WithPool sizes the connection pool (default 64/64, wait forever).
 func WithPool(cfg pool.Config) Option {
 	return func(c *config) { c.pool = cfg }

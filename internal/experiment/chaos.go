@@ -35,14 +35,15 @@ type ChaosScenario struct {
 // ChaosResult is the A-CHAOS ablation output: the Fig. 2 mid-load point
 // (100 users, 2 slaves, 50/50, same zone) rerun under three fault plans.
 type ChaosResult struct {
-	// Baseline has the injector disabled (schedule empty) but the same
-	// retry policy armed — its throughput should match the plain Fig. 2
-	// point, showing the robustness layer is free when nothing fails.
+	// Baseline has the injector disabled (schedule empty) — its throughput
+	// matches the plain Fig. 2 point, showing the always-on robustness layer
+	// is free when nothing fails.
 	Baseline ChaosScenario
 	// SlaveCrash kills slave1 mid-steady-state and restarts it later.
 	SlaveCrash ChaosScenario
-	// MasterCrash kills the master mid-steady-state for good; the proxy's
-	// failover hook must promote a slave and keep writes flowing.
+	// MasterCrash kills the master mid-steady-state for good; once the
+	// proxy's writes have benched it, its failover hook must promote a slave
+	// and keep writes flowing.
 	MasterCrash ChaosScenario
 
 	// CrashAt and SlaveDownFor locate the faults on the virtual timeline.
@@ -125,11 +126,11 @@ func analyzeChaos(name string, res RunResult, crashAt time.Duration) ChaosScenar
 }
 
 // AblationChaos reruns the Fig. 2 mid-load point (100 users, 2 slaves,
-// 50/50, same zone) under fault injection with the chaos-hardened retry
-// policy: once with the injector disabled (control), once crashing and
-// later restarting one slave, and once crashing the master for good so the
-// proxy's failover hook must promote a slave. Faults land a quarter into
-// steady state; the crashed slave returns a quarter later.
+// 50/50, same zone) under fault injection: once with the injector disabled
+// (control), once crashing and later restarting one slave, and once crashing
+// the master for good so the proxy's failover hook must promote a slave.
+// Faults land a quarter into steady state; the crashed slave returns a
+// quarter later.
 func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 	ramp, steady, down := opts.phases()
 	crashAt := ramp + steady/4
@@ -139,7 +140,7 @@ func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 		return RunSpec{
 			Seed: seed, Users: 100, Slaves: 2, Scale: 300, ReadRatio: 0.5,
 			Loc: SameZone, RampUp: ramp, Steady: steady, RampDown: down,
-			Chaos: sched, Retry: true,
+			Chaos: sched,
 		}
 	}
 

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"cmp"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudrepl/internal/chaos"
+	"cloudrepl/internal/obs"
 	"cloudrepl/internal/proxy"
 )
 
@@ -18,25 +21,21 @@ func chaosSpec(seed int64) RunSpec {
 	}
 }
 
-// TestRetryLayerFreeWhenNoFaults: arming the retry policy without any fault
-// schedule must not change the run at all — same seed, same throughput.
+// TestRetryLayerFreeWhenNoFaults: a fault-free run never meets a retryable
+// error, so the always-on retry layer never acts — every robustness counter
+// reads zero, and no statement fails.
 func TestRetryLayerFreeWhenNoFaults(t *testing.T) {
-	plain, err := Run(chaosSpec(71))
+	res, err := Run(chaosSpec(71))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := chaosSpec(71)
-	spec.Retry = true
-	armed, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	ps := res.ProxyStats
+	if ps.Retries != 0 || ps.Timeouts != 0 || ps.SlaveEvictions != 0 || ps.SlaveReadmissions != 0 ||
+		ps.Failovers != 0 || ps.Errors != 0 {
+		t.Fatalf("robustness counters moved without faults: %+v", ps)
 	}
-	if plain.Throughput != armed.Throughput {
-		t.Fatalf("retry policy perturbed a fault-free run: %v vs %v ops/s",
-			plain.Throughput, armed.Throughput)
-	}
-	if armed.ProxyStats.Retries != 0 || armed.ProxyStats.Failovers != 0 {
-		t.Fatalf("robustness counters moved without faults: %+v", armed.ProxyStats)
+	if res.Errors != 0 {
+		t.Fatalf("%d operations failed without faults", res.Errors)
 	}
 }
 
@@ -45,7 +44,6 @@ func TestRetryLayerFreeWhenNoFaults(t *testing.T) {
 func TestRunDeterministicUnderChaos(t *testing.T) {
 	mk := func() RunSpec {
 		spec := chaosSpec(72)
-		spec.Retry = true
 		spec.Chaos = new(chaos.Schedule).CrashFor(90*time.Second, 30*time.Second, "slave1")
 		return spec
 	}
@@ -68,7 +66,6 @@ func TestRunDeterministicUnderChaos(t *testing.T) {
 // ops series sampled throughout.
 func TestSlaveCrashRunSurvives(t *testing.T) {
 	spec := chaosSpec(73)
-	spec.Retry = true
 	spec.Chaos = new(chaos.Schedule).CrashFor(90*time.Second, 30*time.Second, "slave1")
 	res, err := Run(spec)
 	if err != nil {
@@ -99,7 +96,6 @@ func TestSlaveCrashRunSurvives(t *testing.T) {
 // promoted slave serving writes and the failover visible in the counters.
 func TestMasterCrashRunFailsOver(t *testing.T) {
 	spec := chaosSpec(74)
-	spec.Retry = true
 	spec.Chaos = new(chaos.Schedule).Crash(90*time.Second, "master")
 	res, err := Run(spec)
 	if err != nil {
@@ -163,6 +159,56 @@ func TestRenderChaosFormatting(t *testing.T) {
 			if got, ok := row[key]; !ok || got != want {
 				t.Errorf("scenario row %d (%v): %s = %v (present %v), want %v", i, row["scenario"], key, got, ok, want)
 			}
+		}
+	}
+}
+
+// TestCrashDetectedFromErrors: the proxy learns of a crash only from its
+// statements, so a crashed backend is benched — a slave evicted, a master
+// replaced by a promoted slave — when the evictAfter-th (3rd) attempt on it
+// fails, and the detection window is those failed attempts' span. The
+// traced run measures it: each crash is detected within two seconds, by
+// three failed attempts on the crashed backend, every one of them retried
+// (no operation fails).
+func TestCrashDetectedFromErrors(t *testing.T) {
+	const crashAt = 90 * time.Second
+	for _, tc := range []struct {
+		victim string
+		sched  *chaos.Schedule
+	}{
+		{"slave1", new(chaos.Schedule).CrashFor(crashAt, 30*time.Second, "slave1")},
+		{"master", new(chaos.Schedule).Crash(crashAt, "master")},
+	} {
+		spec := chaosSpec(75)
+		spec.Chaos, spec.Trace = tc.sched, true
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans, err := obs.ParseTrace(res.TraceJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var failed []obs.ParsedSpan
+		for _, sp := range spans {
+			if sp.Stage == "proxy" && sp.Name == "attempt" && sp.Attrs["backend"] == tc.victim &&
+				sp.Attrs["error"] != "" && sp.EndUs() >= float64(crashAt.Microseconds()) {
+				failed = append(failed, sp)
+			}
+		}
+		slices.SortFunc(failed, func(a, b obs.ParsedSpan) int { return cmp.Compare(a.EndUs(), b.EndUs()) })
+		if len(failed) < 3 {
+			t.Fatalf("%s crash: %d failed attempts on it, want at least 3 (the bench)", tc.victim, len(failed))
+		}
+		detect := time.Duration(failed[2].EndUs()-float64(crashAt.Microseconds())) * time.Microsecond
+		t.Logf("%s crash: benched %v after the crash by 3 failed attempts (first at +%v); %d failed attempts in the run, %d retries, %d failed operations",
+			tc.victim, detect, time.Duration(failed[0].EndUs()-float64(crashAt.Microseconds()))*time.Microsecond,
+			len(failed), res.ProxyStats.Retries, res.Errors)
+		if detect > 2*time.Second {
+			t.Errorf("%s crash detected after %v, want within 2 s", tc.victim, detect)
+		}
+		if res.Errors != 0 || res.ProxyStats.Retries < 3 {
+			t.Errorf("%s crash: %d failed operations, %d retries; want 0 and at least 3", tc.victim, res.Errors, res.ProxyStats.Retries)
 		}
 	}
 }

@@ -101,7 +101,6 @@ func TestMetricNamesGolden(t *testing.T) {
 		res, err := Run(RunSpec{
 			Seed: 72, Users: 60, Slaves: 2, Scale: 300, ReadRatio: 0.5, Loc: SameZone,
 			RampUp: 30 * time.Second, Steady: time.Minute, RampDown: 15 * time.Second,
-			Retry: true,
 			Chaos: new(chaos.Schedule).CrashFor(40*time.Second, 20*time.Second, "slave1"),
 		})
 		if err != nil {

@@ -95,9 +95,6 @@ type RunSpec struct {
 	// Chaos, when non-nil, arms a fault schedule on the run's timeline
 	// (times are absolute virtual time; the run starts at 0).
 	Chaos *chaos.Schedule
-	// Retry enables the proxy's retry/eviction/failover policy,
-	// proxy.DefaultRetryPolicy() — chaos runs pair it with a schedule.
-	Retry bool
 	// Pipeline configures the replication data path (group commit, batched
 	// shipping, parallel apply); the zero value is the classic path the
 	// paper measured (A-PIPELINE sweeps this).
@@ -256,9 +253,6 @@ func Run(spec RunSpec) (RunResult, error) {
 		core.WithConsistency(spec.Consistency),
 		core.WithMaxStaleEvents(spec.MaxStaleEvents),
 		core.WithPool(pool.Config{MaxActive: spec.Users + 8, MaxIdle: spec.Users + 8}),
-	}
-	if spec.Retry {
-		coreOpts = append(coreOpts, core.WithRetryPolicy(proxy.DefaultRetryPolicy()))
 	}
 	if tracer != nil {
 		coreOpts = append(coreOpts, core.WithTracer(tracer))

@@ -188,62 +188,43 @@ func (s *Stats) Add(o Stats) {
 	s.RYWCompliant += o.RYWCompliant
 }
 
-// RetryPolicy configures client-side robustness: bounded retries with
-// exponential backoff + jitter, a per-statement timeout, automatic slave
-// eviction/readmission on repeated errors, and master-failure detection.
-// There are two policies: the zero value, which disables everything (single
-// attempt, legacy behaviour), and DefaultRetryPolicy.
-type RetryPolicy struct {
-	// maxAttempts caps total attempts per statement (≤1 = no retry).
-	maxAttempts int
+// Every proxy is robust the way Connector/J is: a statement that fails on an
+// infrastructure error (retryable) is tried again after a backoff, a backend
+// that fails evictAfter statements in a row sits out readmitAfter, and a
+// benched master is the cue for the failover hook. The proxy learns that a
+// backend is down only from these errors; it never asks the cloud.
+const (
+	// maxAttempts caps the attempts per statement.
+	maxAttempts = 4
 	// baseBackoff is the delay before the first retry; each further retry
 	// doubles it up to maxBackoff.
-	baseBackoff time.Duration
-	maxBackoff  time.Duration
-	// jitterFrac spreads each backoff uniformly over ±jitterFrac of
-	// itself, decorrelating retry storms.
-	jitterFrac float64
-	// statementTimeout bounds each attempt's network legs; an attempt
-	// against an unreachable backend fails with ErrStatementTimeout after
-	// this long (0 = cloud.DefaultTransitTimeout when partitioned).
-	statementTimeout time.Duration
-	// evictAfter benches a slave after this many consecutive errors
-	// (0 = never evict); it sits out readmitAfter before it is probed again.
-	evictAfter   int
-	readmitAfter time.Duration
-	// failoverOnMasterDown lets the proxy invoke its OnMasterFailure hook
-	// when a statement finds the master dead, promoting a slave instead of
-	// returning ErrNoBackend forever.
-	failoverOnMasterDown bool
-}
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+	// jitterFrac spreads each backoff uniformly over ±jitterFrac of itself,
+	// decorrelating retry storms.
+	jitterFrac = 0.2
+	// statementTimeout bounds each network leg of an attempt: against an
+	// unreachable backend the attempt fails with ErrStatementTimeout after
+	// this long.
+	statementTimeout = 5 * time.Second
+	// evictAfter benches a backend after this many consecutive errors; it
+	// sits out readmitAfter before it is tried again.
+	evictAfter   = 3
+	readmitAfter = 30 * time.Second
+)
 
-// DefaultRetryPolicy returns the robustness defaults used by the chaos
-// experiments: 4 attempts, 100 ms→2 s backoff with 20% jitter, 5 s
-// statement timeout, eviction after 3 consecutive errors with 30 s
-// readmission, and automatic failover.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		maxAttempts:          4,
-		baseBackoff:          100 * time.Millisecond,
-		maxBackoff:           2 * time.Second,
-		jitterFrac:           0.2,
-		statementTimeout:     5 * time.Second,
-		evictAfter:           3,
-		readmitAfter:         30 * time.Second,
-		failoverOnMasterDown: true,
-	}
-}
-
-// backoff returns the sleep before retry attempt n (n ≥ 1), with
-// exponential growth and jitter.
-func (rp RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
-	d := min(rp.baseBackoff<<uint(n-1), rp.maxBackoff)
-	f := 1 + rp.jitterFrac*(2*rng.Float64()-1)
+// backoff returns the sleep before retry n (n ≥ 1): exponential growth,
+// capped, with jitter. A statement draws it from the RNG only when it
+// retries, so a fault-free run draws the same numbers as one without retries.
+func backoff(n int, rng *rand.Rand) time.Duration {
+	d := min(baseBackoff<<uint(n-1), maxBackoff)
+	f := 1 + jitterFrac*(2*rng.Float64()-1)
 	return time.Duration(float64(d) * f)
 }
 
-// slaveHealth is the proxy's per-slave error bookkeeping.
-type slaveHealth struct {
+// health is the proxy's error bookkeeping for one backend, master or slave:
+// a promoted slave keeps its streak.
+type health struct {
 	consecErrs   int
 	evicted      bool
 	evictedUntil sim.Time
@@ -265,15 +246,12 @@ type Proxy struct {
 	// events; zero applies DefaultMaxEventsBehind.
 	MaxStaleEvents uint64
 
-	// Retry configures client-side robustness; the zero value is a single
-	// attempt per statement.
-	Retry RetryPolicy
-
-	// OnMasterFailure is invoked (at most once per dead master) when a
-	// statement finds the master down and Retry arms failover, as
-	// DefaultRetryPolicy does; it should promote a replica and return the
-	// new master. shard.Routing.Proxy always wires it to the cluster's
-	// Failover.
+	// OnMasterFailure is invoked when a statement finds the master benched
+	// (evictAfter errors in a row). It returns the master to use: a promoted
+	// replica, or the current master when that is still running (the errors
+	// came from a partition, not a crash) — which stays benched. Nil leaves a
+	// benched master benched. shard.Routing.Proxy wires it to operator code
+	// that asks the cloud before promoting.
 	OnMasterFailure func(p *sim.Proc) (*repl.Master, error)
 
 	// Tracer, when set, records a "proxy" route span per statement and one
@@ -294,7 +272,7 @@ type Proxy struct {
 	// the balancer is done with it before the calling process yields, as it
 	// is with candidates.
 	pick        PickContext
-	health      map[*repl.Slave]*slaveHealth
+	health      map[*server.DBServer]*health
 	quarantined map[*repl.Slave]bool
 	stats       Stats
 }
@@ -308,7 +286,7 @@ func New(env *sim.Env, net *cloud.Network, master *repl.Master, clientPlace clou
 		env: env, net: net, master: master, balancer: balancer,
 		client:      clientPlace,
 		inflight:    make(map[*repl.Slave]int),
-		health:      make(map[*repl.Slave]*slaveHealth),
+		health:      make(map[*server.DBServer]*health),
 		quarantined: make(map[*repl.Slave]bool),
 	}
 	px.pick.Inflight = px.InflightReads
@@ -352,7 +330,7 @@ func (px *Proxy) Drain(p *sim.Proc, sl *repl.Slave, timeout time.Duration) int {
 // do not grow without bound across scale-out/scale-in cycles.
 func (px *Proxy) Forget(sl *repl.Slave) {
 	delete(px.inflight, sl)
-	delete(px.health, sl)
+	delete(px.health, sl.Srv)
 	delete(px.quarantined, sl)
 }
 
@@ -458,8 +436,7 @@ type Reply struct {
 // the network round trip, queueing and service time. Write statements also
 // honor the cluster's synchronization model before returning. Retryable
 // failures (dead or unreachable backends) are retried with exponential
-// backoff per the proxy's RetryPolicy; a dead master triggers the
-// OnMasterFailure hook (slave promotion) when the policy allows it.
+// backoff; a benched master triggers the OnMasterFailure hook.
 func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*ExecResult, error) {
 	return c.ExecInto(p, new(Reply), sql, args...)
 }
@@ -489,12 +466,11 @@ func (c *Conn) ExecInto(p *sim.Proc, out *Reply, sql string, args ...sqlengine.V
 			return nil, err
 		}
 	}
-	attempts := max(px.Retry.maxAttempts, 1)
 	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			px.stats.Retries++
-			p.Sleep(px.Retry.backoff(attempt-1, p.Rand()))
+			p.Sleep(backoff(attempt-1, p.Rand()))
 		}
 		err := c.execOnce(p, isRead, sql, args, out)
 		if err == nil {
@@ -567,10 +543,8 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 		res, err := c.execOn(p, sl, sql, args, &out.eng)
 		px.inflight[sl]--
 		if err != nil {
-			px.noteSlaveError(p, sl)
 			return err
 		}
-		px.noteSlaveOK(sl)
 		px.noteRead(tier, c, sl)
 		out.exec = ExecResult{Result: res}
 		return nil
@@ -595,33 +569,32 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 	return nil
 }
 
-// masterUsable reports whether the master can serve a statement, invoking
-// the failover hook first when the master is dead and the policy allows
-// promotion. The hook runs without yielding to the scheduler, so at most
-// one promotion happens per dead master even with many concurrent clients.
+// masterUsable reports whether the master may serve a statement. A benched
+// master is the failover hook's cue; the hook runs without yielding to the
+// scheduler, so concurrent clients promote at most once per dead master. A
+// hook that hands back the current master leaves it benched.
 func (px *Proxy) masterUsable(p *sim.Proc) bool {
-	if px.master.Srv.Up() {
+	if !px.benched(p, px.master.Srv) {
 		return true
 	}
-	if !px.Retry.failoverOnMasterDown || px.OnMasterFailure == nil {
+	if px.OnMasterFailure == nil {
 		return false
 	}
 	m, err := px.OnMasterFailure(p)
-	if err != nil || m == nil {
+	if err != nil || m == nil || m == px.master {
 		return false
 	}
+	delete(px.health, px.master.Srv)
 	px.master = m
 	px.stats.Failovers++
-	return m.Srv.Up()
+	return true
 }
 
 // readCandidates collects the slaves a read at the given tier may be served
-// by, in one pass over the master's attached slaves: running, past the
-// admission gate (warm-up quarantine), off the eviction bench — benched
-// slaves are skipped until their readmission window passes, then counted as
-// readmitted and probed again — and fresh enough for the tier. The set lives
-// in proxy-owned scratch: the balancer consumes it before the calling process
-// can park, so no two reads ever hold it at once.
+// by, in one pass over the master's attached slaves: past the admission gate
+// (warm-up quarantine), off the bench and fresh enough for the tier. The set
+// lives in proxy-owned scratch: the balancer consumes it before the calling
+// process can park, so no two reads ever hold it at once.
 func (c *Conn) readCandidates(p *sim.Proc, tier Consistency) []*repl.Slave {
 	px := c.px
 	if tier == Strong {
@@ -634,16 +607,8 @@ func (c *Conn) readCandidates(p *sim.Proc, tier Consistency) []*repl.Slave {
 	all := px.master.AppendSlaves(px.candidates[:0])
 	out := all[:0]
 	for _, sl := range all {
-		if !sl.Srv.Up() || px.quarantined[sl] {
+		if px.quarantined[sl] || px.benched(p, sl.Srv) {
 			continue
-		}
-		if h := px.health[sl]; px.Retry.evictAfter > 0 && h != nil && h.evicted {
-			if p.Now() < h.evictedUntil {
-				continue
-			}
-			h.evicted = false
-			h.consecErrs = 0
-			px.stats.SlaveReadmissions++
 		}
 		if tier == Session && !c.token.IsZero() && sl.AppliedSeq() < c.token.Seq {
 			continue
@@ -663,42 +628,66 @@ func (c *Conn) readCandidates(p *sim.Proc, tier Consistency) []*repl.Slave {
 	return out
 }
 
-// noteSlaveError records a failed read on sl and benches it after
-// the policy's evictAfter consecutive errors.
-func (px *Proxy) noteSlaveError(p *sim.Proc, sl *repl.Slave) {
-	if px.Retry.evictAfter <= 0 {
-		return
+// benched reports whether srv sits out its eviction window. A backend whose
+// window has passed comes off the bench here, its streak cleared, and is
+// tried again; a slave's return counts as a readmission.
+func (px *Proxy) benched(p *sim.Proc, srv *server.DBServer) bool {
+	h := px.health[srv]
+	if h == nil || !h.evicted {
+		return false
 	}
-	h := px.health[sl]
+	if p.Now() < h.evictedUntil {
+		return true
+	}
+	h.evicted, h.consecErrs = false, 0
+	if srv != px.master.Srv {
+		px.stats.SlaveReadmissions++
+	}
+	return false
+}
+
+// noteError records a retryable error from srv and benches it at evictAfter
+// in a row; a slave's bench counts as an eviction.
+func (px *Proxy) noteError(p *sim.Proc, srv *server.DBServer) {
+	h := px.health[srv]
 	if h == nil {
-		h = &slaveHealth{}
-		px.health[sl] = h
+		h = &health{}
+		px.health[srv] = h
 	}
 	h.consecErrs++
-	if !h.evicted && h.consecErrs >= px.Retry.evictAfter {
+	if !h.evicted && h.consecErrs >= evictAfter {
 		h.evicted = true
-		h.evictedUntil = p.Now() + px.Retry.readmitAfter
-		px.stats.SlaveEvictions++
+		h.evictedUntil = p.Now() + readmitAfter
+		if srv != px.master.Srv {
+			px.stats.SlaveEvictions++
+		}
 	}
 }
 
-// noteSlaveOK clears sl's consecutive-error streak.
-func (px *Proxy) noteSlaveOK(sl *repl.Slave) {
-	if h := px.health[sl]; h != nil {
-		h.consecErrs = 0
-	}
-}
-
-// execOn runs sql on the chosen backend (nil = master) with network legs,
-// the engine answering in out. Each leg honors the per-statement timeout: a
-// partitioned path fails the attempt with ErrStatementTimeout instead of
-// hanging forever.
+// execOn runs sql on the chosen backend (nil = master), the engine answering
+// in out, and keeps the backend's error streak: a retryable error extends it,
+// any answer — an SQL error too — clears it.
 func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.Value, out *sqlengine.Reply) (*sqlengine.Result, error) {
 	px := c.px
 	srv := px.master.Srv
 	if sl != nil {
 		srv = sl.Srv
 	}
+	res, err := c.roundTrip(p, srv, sql, args, out)
+	if retryable(err) {
+		px.noteError(p, srv)
+	} else if h := px.health[srv]; h != nil {
+		h.consecErrs = 0
+	}
+	return res, err
+}
+
+// roundTrip is one attempt on srv with its network legs. Each leg honors the
+// statement timeout: a partitioned path fails the attempt with
+// ErrStatementTimeout instead of hanging forever, and a backend that died
+// while the request was on the wire answers server.ErrServerDown.
+func (c *Conn) roundTrip(p *sim.Proc, srv *server.DBServer, sql string, args []sqlengine.Value, out *sqlengine.Reply) (*sqlengine.Result, error) {
+	px := c.px
 	asp := px.Tracer.StartSpan(p, "proxy", "attempt")
 	asp.SetAttr("backend", srv.Name)
 	sess := c.sess[srv]
@@ -706,17 +695,11 @@ func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.
 		sess = srv.Session(c.db)
 		c.sess[srv] = sess
 	}
-	if !px.net.TransitTimeout(p, px.client, srv.Inst.Place, px.Retry.statementTimeout) {
+	if !px.net.TransitTimeout(p, px.client, srv.Inst.Place, statementTimeout) {
 		px.stats.Timeouts++
 		asp.SetAttr("error", "timeout")
 		asp.End(p)
 		return nil, ErrStatementTimeout
-	}
-	// The backend can die while the request is on the wire.
-	if !srv.Up() {
-		asp.SetAttr("error", "down")
-		asp.End(p)
-		return nil, ErrNoBackend
 	}
 	res, err := srv.ExecInto(p, sess, out, sql, args...)
 	if err != nil {
@@ -724,7 +707,7 @@ func (c *Conn) execOn(p *sim.Proc, sl *repl.Slave, sql string, args []sqlengine.
 		asp.End(p)
 		return nil, err
 	}
-	if !px.net.TransitTimeout(p, srv.Inst.Place, px.client, px.Retry.statementTimeout) {
+	if !px.net.TransitTimeout(p, srv.Inst.Place, px.client, statementTimeout) {
 		px.stats.Timeouts++
 		asp.SetAttr("error", "timeout")
 		asp.End(p)

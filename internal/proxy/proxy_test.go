@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -159,26 +160,58 @@ func TestNoSlavesFallsBackToMaster(t *testing.T) {
 	}
 }
 
-func TestDownSlaveSkipped(t *testing.T) {
+// TestCrashedSlaveBenchedAndReadmitted: the proxy learns of a crash only
+// from its statements. A crashed slave is still picked until it fails a
+// read, is benched after evictAfter failures — each read retried onto the
+// live slave — and is readmitted once readmitAfter has passed.
+func TestCrashedSlaveBenchedAndReadmitted(t *testing.T) {
 	env, px := topo(t, 4, 2, &RoundRobin{})
 	slaves := px.master.Slaves()
-	slaves[0].Srv.Inst.Terminate()
+	crashed, live := slaves[0], slaves[1]
+	crashed.Srv.Inst.Terminate()
 	conn := px.Connect("app")
+	read := func(p *sim.Proc) {
+		if _, err := conn.Exec(p, "SELECT COUNT(*) FROM t"); err != nil {
+			t.Errorf("read: %v", err)
+		}
+	}
 	env.Go("client", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			if _, err := conn.Exec(p, "SELECT COUNT(*) FROM t"); err != nil {
-				t.Errorf("read: %v", err)
-			}
+		read(p)
+		if st := px.Stats(); st.Retries != 1 || st.SlaveEvictions != 0 {
+			t.Errorf("first read after the crash: %+v; want it tried on the crashed slave, then retried", st)
+		}
+		for i := 1; i < 10; i++ {
+			read(p)
+		}
+		if st := px.Stats(); st.Retries != evictAfter || st.SlaveEvictions != 1 || st.SlaveReadmissions != 0 {
+			t.Errorf("after 10 reads: %+v; want %d retries and 1 eviction", st, evictAfter)
+		}
+		if n := live.Srv.Stats().Reads; n != 10 {
+			t.Errorf("live slave served %d, want all 10", n)
+		}
+		crashed.Srv.Inst.Restart()
+		p.Sleep(readmitAfter)
+		for i := 0; i < 4; i++ {
+			read(p)
+		}
+		if st := px.Stats(); st.SlaveReadmissions != 1 || st.SlaveEvictions != 1 || st.Retries != evictAfter {
+			t.Errorf("after the readmission window: %+v; want 1 readmission and no new error", st)
+		}
+		if n := crashed.Srv.Stats().Reads; n == 0 {
+			t.Error("readmitted slave served no reads")
 		}
 	})
 	env.RunUntil(10 * time.Minute)
-	if n := slaves[1].Srv.Stats().Reads; n != 10 {
-		t.Fatalf("live slave served %d, want all 10", n)
-	}
 	env.Stop()
 	env.Shutdown()
+	if st := px.Stats(); st.Errors != 0 || st.Failovers != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
 }
 
+// TestMasterDownWriteFails: with no failover hook a dead master fails a write
+// once its errors have benched it: evictAfter attempts reach the dead server,
+// and the last one finds no backend.
 func TestMasterDownWriteFails(t *testing.T) {
 	env, px := topo(t, 5, 1, &RoundRobin{})
 	px.master.Srv.Inst.Terminate()
@@ -190,6 +223,12 @@ func TestMasterDownWriteFails(t *testing.T) {
 	env.RunUntil(time.Minute)
 	if err != ErrNoBackend {
 		t.Fatalf("err = %v, want ErrNoBackend", err)
+	}
+	if st := px.Stats(); st.Retries != maxAttempts-1 || st.Errors != 1 || st.Timeouts != 0 || st.Failovers != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if h := px.health[px.master.Srv]; h == nil || !h.evicted || h.consecErrs != evictAfter {
+		t.Fatalf("master health %+v, want benched after %d errors", h, evictAfter)
 	}
 	env.Stop()
 	env.Shutdown()
@@ -359,20 +398,26 @@ func TestMonotonicReadViolations(t *testing.T) {
 	}
 }
 
+// TestBackendDyingMidFlightReturnsError: a slave that dies while the
+// request is on the wire fails the attempt with server.ErrServerDown — the
+// server's own answer, which the proxy counts toward the slave's bench.
 func TestBackendDyingMidFlightReturnsError(t *testing.T) {
 	env, px := topo(t, 11, 1, &RoundRobin{})
 	sl := px.master.Slaves()[0]
 	conn := px.Connect("app")
 	var err error
 	env.Go("client", func(p *sim.Proc) {
-		_, err = conn.Exec(p, "SELECT COUNT(*) FROM t")
+		_, err = conn.execOn(p, sl, "SELECT COUNT(*) FROM t", nil, new(sqlengine.Reply))
 	})
 	// Kill the slave while the read is in transit (the one-way latency is
 	// 16ms; fire at 5ms).
 	env.Schedule(5*time.Millisecond, func() { sl.Srv.Inst.Terminate() })
 	env.RunUntil(time.Minute)
-	if err == nil {
-		t.Fatal("read to a dying backend succeeded silently")
+	if !errors.Is(err, server.ErrServerDown) {
+		t.Fatalf("err = %v, want server.ErrServerDown", err)
+	}
+	if h := px.health[sl.Srv]; h == nil || h.consecErrs != 1 {
+		t.Fatalf("slave health %+v, want a streak of 1", h)
 	}
 	env.Stop()
 	env.Shutdown()
@@ -475,7 +520,6 @@ func TestFreshConnectionUnaffectedByRYW(t *testing.T) {
 func TestRYWTokenSurvivesFailover(t *testing.T) {
 	env, px := topo(t, 21, 2, &RoundRobin{})
 	px.Consistency = Session
-	px.Retry.failoverOnMasterDown = true
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
 		// Promote the most-applied live slave under epoch+1 and re-attach
 		// the rest at their applied positions — cluster.Failover's flow.
@@ -501,13 +545,15 @@ func TestRYWTokenSurvivesFailover(t *testing.T) {
 		return nm, nil
 	}
 	// Starve both slaves' appliers so the connection's writes are still
-	// unapplied anywhere when the master dies.
+	// unapplied anywhere when the master dies and while the proxy's retries
+	// find it dead: an applier waits up to two 1 s hog turns for each of its
+	// turns, and the retries before the failover take under one second.
 	for _, sl := range px.master.Slaves() {
 		srv := sl.Srv
 		for h := 0; h < 2; h++ {
 			env.Go("hog", func(p *sim.Proc) {
 				for p.Now() < 5*time.Second {
-					srv.Inst.Work(p, 50*time.Millisecond)
+					srv.Inst.Work(p, time.Second)
 				}
 			})
 		}

@@ -2,6 +2,11 @@ package proxy
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +14,7 @@ import (
 	"cloudrepl/internal/repl"
 	"cloudrepl/internal/server"
 	"cloudrepl/internal/sim"
+	"cloudrepl/internal/sqlengine"
 )
 
 // topoAt builds master + slaves at explicit placements (client colocated
@@ -114,11 +120,10 @@ func TestScoredPicksAllocateNothing(t *testing.T) {
 }
 
 // TestRetryMasksMidFlightCrash: the only slave dies while a read is on the
-// wire; with a retry policy the statement is re-attempted and lands on the
-// master instead of surfacing the error.
+// wire; the statement is re-attempted until the slave is benched and lands on
+// the master instead of surfacing the error.
 func TestRetryMasksMidFlightCrash(t *testing.T) {
 	env, px := topo(t, 23, 1, &RoundRobin{})
-	px.Retry = RetryPolicy{maxAttempts: 3, baseBackoff: 50 * time.Millisecond, maxBackoff: time.Second}
 	sl := px.master.Slaves()[0]
 	conn := px.Connect("app")
 	var res *ExecResult
@@ -137,33 +142,11 @@ func TestRetryMasksMidFlightCrash(t *testing.T) {
 		t.Fatal("retry should have fallen back to the master")
 	}
 	st := px.Stats()
-	if st.Retries == 0 {
-		t.Fatalf("stats show no retry: %+v", st)
+	if st.Retries != evictAfter || st.SlaveEvictions != 1 {
+		t.Fatalf("stats: %+v; want %d retries (one per error until the bench) and 1 eviction", st, evictAfter)
 	}
 	if st.Errors != 0 {
 		t.Fatalf("masked failure still counted as an error: %+v", st)
-	}
-}
-
-// TestZeroPolicyKeepsLegacySingleAttempt: the zero-value RetryPolicy must
-// not retry, so existing callers see the first error unchanged.
-func TestZeroPolicyKeepsLegacySingleAttempt(t *testing.T) {
-	env, px := topo(t, 24, 1, &RoundRobin{})
-	sl := px.master.Slaves()[0]
-	conn := px.Connect("app")
-	var err error
-	env.Go("client", func(p *sim.Proc) {
-		_, err = conn.Exec(p, "SELECT COUNT(*) FROM t")
-	})
-	env.Schedule(5*time.Millisecond, func() { sl.Srv.Inst.Terminate() })
-	env.RunUntil(time.Minute)
-	env.Stop()
-	env.Shutdown()
-	if err == nil {
-		t.Fatal("zero policy retried a failed statement")
-	}
-	if st := px.Stats(); st.Retries != 0 || st.Errors != 1 {
-		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -174,14 +157,6 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 	zoneA := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
 	env, net, px := topoAt(t, 25, zoneA, []cloud.Placement{zoneA, zoneB}, &RoundRobin{})
-	px.Retry = RetryPolicy{
-		maxAttempts:      2,
-		baseBackoff:      10 * time.Millisecond,
-		maxBackoff:       time.Second,
-		statementTimeout: time.Second,
-		evictAfter:       2,
-		readmitAfter:     5 * time.Second,
-	}
 	net.Partition(zoneA, zoneB)
 
 	conn := px.Connect("app")
@@ -195,7 +170,7 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 		// Heal and sit out the readmission window; the benched slave must
 		// return to rotation.
 		net.Heal(zoneA, zoneB)
-		p.Sleep(6 * time.Second)
+		p.Sleep(readmitAfter + time.Second)
 		before := px.master.Slaves()[1].Srv.Stats().Reads
 		for i := 0; i < 8; i++ {
 			if _, err := conn.Exec(p, "SELECT COUNT(*) FROM t"); err != nil {
@@ -214,8 +189,8 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 	if errsBeforeHeal != 0 {
 		t.Fatalf("%d reads failed despite retry to the healthy slave", errsBeforeHeal)
 	}
-	if st.Timeouts < 2 {
-		t.Fatalf("timeouts = %d, want ≥ 2 (the eviction threshold)", st.Timeouts)
+	if st.Timeouts != evictAfter {
+		t.Fatalf("timeouts = %d, want %d (the eviction threshold)", st.Timeouts, evictAfter)
 	}
 	if st.SlaveEvictions != 1 {
 		t.Fatalf("evictions = %d, want exactly 1", st.SlaveEvictions)
@@ -226,15 +201,15 @@ func TestSlaveEvictionAndReadmission(t *testing.T) {
 }
 
 // TestStatementTimeoutOnPartitionedMaster: a write toward an unreachable
-// master fails with ErrStatementTimeout after the configured bound instead
-// of hanging forever.
+// master does not hang: each attempt gives up at the statement timeout, the
+// master is benched after evictAfter of them, and with no failover hook the
+// last attempt finds no backend.
 func TestStatementTimeoutOnPartitionedMaster(t *testing.T) {
 	zoneA := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
 	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
 	// Master in zone a; client (proxy) in zone b; no slaves.
 	env, net, px := topoAt(t, 26, zoneA, nil, &RoundRobin{})
 	pxB := New(env, net, px.master, zoneB, &RoundRobin{})
-	pxB.Retry = RetryPolicy{maxAttempts: 2, baseBackoff: 10 * time.Millisecond, maxBackoff: time.Second, statementTimeout: time.Second}
 	net.Partition(zoneA, zoneB)
 
 	conn := pxB.Connect("app")
@@ -249,21 +224,24 @@ func TestStatementTimeoutOnPartitionedMaster(t *testing.T) {
 	env.Stop()
 	env.Shutdown()
 
-	if !errors.Is(err, ErrStatementTimeout) {
-		t.Fatalf("err = %v, want ErrStatementTimeout", err)
+	if !errors.Is(err, ErrNoBackend) {
+		t.Fatalf("err = %v, want ErrNoBackend (master benched, no hook)", err)
 	}
-	if took < 2*time.Second || took > 5*time.Second {
-		t.Fatalf("two bounded attempts took %v", took)
+	// evictAfter timed-out attempts plus the backoffs before the next ones,
+	// each at most maxBackoff.
+	if lo, hi := evictAfter*statementTimeout, evictAfter*statementTimeout+(maxAttempts-1)*maxBackoff; took < lo || took > hi {
+		t.Fatalf("%d bounded attempts took %v, want within [%v, %v]", maxAttempts, took, lo, hi)
 	}
 	st := pxB.Stats()
-	if st.Timeouts != 2 || st.Retries != 1 || st.Errors != 1 {
+	if st.Timeouts != evictAfter || st.Retries != maxAttempts-1 || st.Errors != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
 // TestFailoverHookPromotesOnMasterDown: a dead master triggers the
-// OnMasterFailure hook instead of a permanent ErrNoBackend; the proxy
-// re-points itself and the write lands on the promoted server.
+// OnMasterFailure hook once the write's errors have benched it, never
+// before; the proxy re-points itself and the write lands on the promoted
+// server.
 func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	env, net, px := topoAt(t, 27,
 		cloud.Placement{Region: cloud.USWest1, Zone: "a"},
@@ -271,9 +249,11 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	sl := px.master.Slaves()[0]
 	old := px.master
 	hookCalls := 0
-	px.Retry = RetryPolicy{failoverOnMasterDown: true}
 	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
 		hookCalls++
+		if h := px.health[old.Srv]; h == nil || !h.evicted || h.consecErrs != evictAfter {
+			t.Errorf("hook called before %d master errors benched the master: %+v", evictAfter, h)
+		}
 		old.Detach(sl)
 		return repl.NewMaster(env, sl.Srv, net, repl.Async), nil
 	}
@@ -305,30 +285,8 @@ func TestFailoverHookPromotesOnMasterDown(t *testing.T) {
 	if hookCalls != 1 {
 		t.Fatalf("hook called %d times, want once", hookCalls)
 	}
-	if st := px.Stats(); st.Failovers != 1 {
+	if st := px.Stats(); st.Failovers != 1 || st.Retries != evictAfter || st.Errors != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestNoFailoverWithoutPolicy: with failoverOnMasterDown unset the hook is
-// never consulted and the legacy ErrNoBackend surfaces.
-func TestNoFailoverWithoutPolicy(t *testing.T) {
-	env, px := topo(t, 28, 1, &RoundRobin{})
-	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
-		t.Error("hook invoked despite failoverOnMasterDown=false")
-		return nil, nil
-	}
-	px.master.Srv.Inst.Terminate()
-	conn := px.Connect("app")
-	var err error
-	env.Go("client", func(p *sim.Proc) {
-		_, err = conn.Exec(p, "INSERT INTO t (id, v) VALUES (1, 'x')")
-	})
-	env.RunUntil(time.Minute)
-	env.Stop()
-	env.Shutdown()
-	if !errors.Is(err, ErrNoBackend) {
-		t.Fatalf("err = %v, want ErrNoBackend", err)
 	}
 }
 
@@ -365,27 +323,98 @@ func TestReadYourWritesAllStaleFallsBackToMaster(t *testing.T) {
 }
 
 // TestBackoffGrowsAndCaps: the backoff schedule doubles from baseBackoff
-// and respects maxBackoff; jitter stays within ±jitterFrac.
+// and stops at maxBackoff; jitter keeps each delay within ±jitterFrac of its
+// nominal value.
 func TestBackoffGrowsAndCaps(t *testing.T) {
 	env := sim.NewEnv(30)
 	rng := env.Rand()
-	rp := RetryPolicy{baseBackoff: 100 * time.Millisecond, maxBackoff: 400 * time.Millisecond}
-	for n, want := range map[int]time.Duration{
-		1: 100 * time.Millisecond,
-		2: 200 * time.Millisecond,
-		3: 400 * time.Millisecond,
-		4: 400 * time.Millisecond, // capped
+	for n, nominal := range []time.Duration{
+		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
+		800 * time.Millisecond, 1600 * time.Millisecond,
+		2 * time.Second, 2 * time.Second, // capped
 	} {
-		if got := rp.backoff(n, rng); got != want {
-			t.Fatalf("backoff(%d) = %v, want %v", n, got, want)
-		}
-	}
-	jit := RetryPolicy{baseBackoff: 100 * time.Millisecond, maxBackoff: time.Second, jitterFrac: 0.5}
-	for i := 0; i < 100; i++ {
-		d := jit.backoff(1, rng)
-		if d < 50*time.Millisecond || d > 150*time.Millisecond {
-			t.Fatalf("jittered backoff %v outside ±50%% of 100ms", d)
+		lo := time.Duration(float64(nominal) * (1 - jitterFrac))
+		hi := time.Duration(float64(nominal) * (1 + jitterFrac))
+		for i := 0; i < 100; i++ {
+			if d := backoff(n+1, rng); d < lo || d > hi {
+				t.Fatalf("backoff(%d) = %v, want within [%v, %v]", n+1, d, lo, hi)
+			}
 		}
 	}
 	env.Shutdown()
+}
+
+// TestProxyNeverReadsLiveness pins the design: the proxy learns that a
+// backend is down only from what its statements return. No non-test file of
+// the package may call a method named Up or AwaitUp — the simulator's ground
+// truth about an instance, which a real client cannot see.
+func TestProxyNeverReadsLiveness(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Up" || sel.Sel.Name == "AwaitUp") {
+				t.Errorf("%s: proxy calls %s: liveness must come from statement errors", fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no non-test files found")
+	}
+}
+
+// TestAnswerClearsErrorStreak: the bench needs evictAfter errors in a row.
+// Any answer from the backend — a result or an SQL error — ends the streak,
+// so errors split by an answer never bench it.
+func TestAnswerClearsErrorStreak(t *testing.T) {
+	env, px := topo(t, 32, 1, &RoundRobin{})
+	sl := px.master.Slaves()[0]
+	conn := px.Connect("app")
+	env.Go("client", func(p *sim.Proc) {
+		attempt := func(sql string) error {
+			_, err := conn.execOn(p, sl, sql, nil, new(sqlengine.Reply))
+			return err
+		}
+		for _, answer := range []string{"SELECT COUNT(*) FROM t", "SELECT nope FROM t"} {
+			sl.Srv.Inst.Terminate()
+			for i := 1; i < evictAfter; i++ {
+				if err := attempt("SELECT COUNT(*) FROM t"); !errors.Is(err, server.ErrServerDown) {
+					t.Errorf("attempt on the dead slave: err = %v", err)
+					return
+				}
+			}
+			sl.Srv.Inst.Restart()
+			if err := attempt(answer); retryable(err) {
+				t.Errorf("%s on the restarted slave: %v", answer, err)
+				return
+			}
+			if h := px.health[sl.Srv]; h.consecErrs != 0 || h.evicted {
+				t.Errorf("after %q answered: %+v, want the streak cleared", answer, h)
+				return
+			}
+		}
+	})
+	env.RunUntil(time.Minute)
+	env.Stop()
+	env.Shutdown()
+	if st := px.Stats(); st.SlaveEvictions != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
 }

@@ -15,7 +15,6 @@ import (
 // its map snapshot and re-route instead of burning the retry budget here.
 func TestWrongShardNotRetried(t *testing.T) {
 	env, px := topo(t, 31, 1, &RoundRobin{})
-	px.Retry = RetryPolicy{maxAttempts: 6, baseBackoff: time.Millisecond, maxBackoff: time.Second}
 	checks := 0
 	px.CheckOwner = func(sql string, args []sqlengine.Value) error {
 		checks++

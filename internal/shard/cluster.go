@@ -68,13 +68,13 @@ type Routing struct {
 	// MaxStaleEvents bounds the Bounded tier
 	// (0 = proxy.DefaultMaxEventsBehind).
 	MaxStaleEvents uint64
-	// Retry configures client-side robustness. The proxy's master-failure
-	// hook is always wired to the cluster's slave promotion; the policy
-	// decides whether it is ever called.
-	Retry proxy.RetryPolicy
 }
 
-// Proxy builds the proxy that fronts clu, traced by tr when non-nil.
+// Proxy builds the proxy that fronts clu, traced by tr when non-nil. Its
+// failover hook is operator code: once the proxy has benched its master after
+// a run of errors, the hook asks the cloud whether the master instance is
+// really down and promotes a slave only then. A master that is running (a
+// partition cut the proxy off) is handed back, so no second master appears.
 func (r Routing) Proxy(clu *cluster.Cluster, tr *obs.Tracer) *proxy.Proxy {
 	var balancer proxy.Balancer
 	if r.Balancer != nil {
@@ -83,9 +83,11 @@ func (r Routing) Proxy(clu *cluster.Cluster, tr *obs.Tracer) *proxy.Proxy {
 	px := proxy.New(clu.Env(), clu.Cloud().Network(), clu.Master(), r.ClientPlace, balancer)
 	px.Consistency = r.Consistency
 	px.MaxStaleEvents = r.MaxStaleEvents
-	px.Retry = r.Retry
 	px.OnMasterFailure = func(*sim.Proc) (*repl.Master, error) {
-		m, _, err := clu.Failover() // a replica it had to drop is down, which is all a proxy needs to see
+		if m := clu.Master(); m.Srv.Up() {
+			return m, nil
+		}
+		m, _, err := clu.Failover() // a replica it had to drop is down, which the proxy learns from its errors
 		return m, err
 	}
 	if tr != nil {
