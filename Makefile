@@ -149,9 +149,10 @@ bench-attr:
 # Where a cell assembly's host time goes, in BASE and in the working tree:
 # both trees exported, bench/assembly_prof_test.go.txt added to each copy's
 # benchmark/ as a test (benchmark/ itself is not touched), and for each
-# workload of W and each side the µs per assembly over N assemblies (default
-# 10 000, GOMAXPROCS=1, under a CPU profile) and pprof's cumulative top under
-# benchmark.assemble; OUT keeps the profiles:
+# workload of W and each side the µs per assembly and per close over N
+# assemblies (default 10 000, GOMAXPROCS=1, under a CPU profile) and pprof's
+# cumulative top under benchmark.assemble and under the cell's close; OUT
+# keeps the profiles:
 #   make bench-assembly BASE=HEAD~ W=shard_write_heavy > assembly.txt
 N ?= 10000
 bench-assembly:

@@ -6,12 +6,14 @@
 # adds bench/assembly_prof_test.go.txt to benchmark/ as a test file
 # (benchmark/ itself is not touched). Its TestAssemblyProfile warms 200
 # assemblies of a workload's cell, then assembles and closes it N times
-# (default 10000) under a CPU profile and logs the mean wall time. Each side's
-# test binary runs once per workload W of the space-separated list
-# WORKLOADS, parent first, at GOMAXPROCS=1. Per workload and side it prints
-# the µs per assembly and `go tool pprof -top -cum -focus='benchmark.assemble$'`
-# — cumulative seconds over N assemblies, so 1 s is 1e6/N µs an assembly.
-# With OUT, each profile is kept there as <workload>.<side>.prof.
+# (default 10000) under a CPU profile and logs the mean wall time of an
+# assemble + close and of the close alone. Each side's test binary runs once
+# per workload W of the space-separated list WORKLOADS, parent first, at
+# GOMAXPROCS=1. Per workload and side it prints the µs per assembly and per
+# close, `go tool pprof -top -cum -focus='benchmark.assemble$'` and the same
+# focused on `benchmark.(*cell).close` — cumulative seconds over N
+# assemblies, so 1 s is 1e6/N µs an assembly. With OUT, each profile is kept
+# there as <workload>.<side>.prof.
 set -eu
 base=${1:-HEAD~}
 workloads=${2:-shard_write_heavy}
@@ -46,10 +48,14 @@ for w in $workloads; do
 		log=$(cd "$tmp/$side/benchmark" && GOMAXPROCS=1 W="$w" N="$n" PROF="$prof" \
 			"$tmp/$side.test" -test.run '^TestAssemblyProfile$' -test.v -test.count=1)
 		us=$(echo "$log" | grep -o '[0-9.]* us per assembly' || true)
-		[ -n "$us" ] || { echo "$log" >&2; echo "assembly.sh: $side $w: no reading" >&2; exit 1; }
+		cus=$(echo "$log" | grep -o '[0-9.]* us per close' || true)
+		[ -n "$us" ] && [ -n "$cus" ] || { echo "$log" >&2; echo "assembly.sh: $side $w: no reading" >&2; exit 1; }
 		echo
-		echo "== $w, $side: $us"
+		echo "== $w, $side: $us, $cus"
 		go tool pprof -top -cum -focus='benchmark.assemble$' -nodecount=40 "$prof" 2>/dev/null | sed -n '/^Active filters/,$p'
+		echo
+		echo "-- $w, $side: under close"
+		go tool pprof -top -cum -focus='benchmark.\(\*cell\).close$' -nodecount=25 "$prof" 2>/dev/null | sed -n '/^Active filters/,$p'
 		[ -z "$out" ] || cp "$prof" "$out/"
 	done
 done

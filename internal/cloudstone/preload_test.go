@@ -111,6 +111,43 @@ func TestPreloadKeysOnOwnership(t *testing.T) {
 	}
 }
 
+// TestUnshardedPreloadAsksNoPredicate: a nil predicate names the data set
+// without asking anything — its key is the one ownsAll's answers build,
+// padding bits included — so Preload and PreloadOwned with ownsAll share one
+// memoised image, and finding an image already there allocates nothing.
+func TestUnshardedPreloadAsksNoPredicate(t *testing.T) {
+	for _, scale := range []int{30, 37, 300} { // 37: the key's last byte is part padding
+		if a, b := allOwned(scale), keyOf(scale, ownsAll); a != b {
+			t.Fatalf("scale %d: the nil predicate's key %x differs from ownsAll's %x", scale, a.owned, b.owned)
+		}
+	}
+	const scale = 37
+	images.Delete(keyOf(scale, ownsAll))
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	c := cloud.New(env, cloud.Config{})
+	newServer := func(name string) *server.DBServer {
+		return server.New(env, name, c.Launch(name, cloud.Small, cloud.Placement{Region: cloud.USWest1, Zone: "a"}), server.DefaultCostModel())
+	}
+	if err := Preload(scale)(newServer("unsharded")); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := images.Load(keyOf(scale, ownsAll))
+	if !ok {
+		t.Fatal("Preload memoised no image under the key ownsAll names")
+	}
+	if err := PreloadOwned(scale, ownsAll)(newServer("owns-all")); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := images.Load(keyOf(scale, ownsAll)); again != first {
+		t.Fatalf("Preload and PreloadOwned(ownsAll) memoised two images: %p and %p", first, again)
+	}
+	k := allOwned(scale)
+	if n := testing.AllocsPerRun(100, func() { loaded(k) }); n != 0 {
+		t.Fatalf("finding a memoised image allocates %.1f objects; want 0", n)
+	}
+}
+
 // TestPreloadSharesOneImageAcrossGoroutines: a freshly memoised image gets its
 // first restores on four goroutines at once — two clusters, which then write
 // through every table with enough commits for chain GC to prune the shared row

@@ -7,6 +7,7 @@ package cloudstone
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"cloudrepl/internal/server"
@@ -106,7 +107,8 @@ func Preload(scale int) func(*server.DBServer) error {
 // event_id, friends by user_id). Row ids are assigned before the predicate
 // runs, so a row keeps the same id whichever cell it lands on and the
 // union of all cells' data equals the unsharded preload exactly. A nil
-// predicate loads everything (single-cluster mode). owns must be a function
+// predicate loads everything (single-cluster mode), the data set that
+// ownsAll names, without asking anything. owns must be a function
 // of its arguments: it is asked once per (table, shard key) pair when the
 // returned function runs, and the answers name the data set the process
 // loads once. It is asked table-major (keyOf): every key of one table, in
@@ -114,14 +116,15 @@ func Preload(scale int) func(*server.DBServer) error {
 // to be fast, resolving a table once for its run of keys, but not to be right:
 // its answers must not depend on the order it is asked in.
 func PreloadOwned(scale int, owns func(table string, key int64) bool) func(*server.DBServer) error {
-	if owns == nil {
-		owns = ownsAll
-	}
 	return func(srv *server.DBServer) error {
 		if !srv.Eng.Empty() {
 			return fmt.Errorf("cloudstone: preload %s: the server already has a catalog, which a preload would replace", srv.Name)
 		}
-		img := loaded(keyOf(scale, owns))
+		k := allOwned(scale)
+		if owns != nil {
+			k = keyOf(scale, owns)
+		}
+		img := loaded(k)
 		if img.err != nil {
 			return img.err
 		}
@@ -172,6 +175,21 @@ func keyOf(scale int, owns func(string, int64) bool) imageKey {
 	return imageKey{scale, string(bits)}
 }
 
+// allOwned is keyOf(scale, ownsAll) built with no predicate: every bit of
+// the NumTags + 6·scale set, the padding bits of the last byte clear.
+func allOwned(scale int) imageKey {
+	n := NumTags + len(keyedTables)*scale
+	var b strings.Builder
+	b.Grow((n + 7) / 8)
+	for range n / 8 {
+		b.WriteByte(0xff)
+	}
+	if r := n % 8; r != 0 {
+		b.WriteByte(1<<r - 1)
+	}
+	return imageKey{scale, b.String()}
+}
+
 // owns reads the predicate's answer for (table, key) back out of k, so the
 // load builds exactly the data set k names.
 func (k imageKey) owns(table string, key int64) bool {
@@ -200,9 +218,12 @@ type image struct {
 var images sync.Map
 
 // loaded returns the data set k names, loading it on a scratch engine the
-// first time any goroutine asks.
+// first time any goroutine asks. A data set already there costs no image.
 func loaded(k imageKey) *image {
-	v, _ := images.LoadOrStore(k, new(image))
+	v, ok := images.Load(k)
+	if !ok {
+		v, _ = images.LoadOrStore(k, new(image))
+	}
 	img := v.(*image)
 	img.once.Do(func() {
 		eng := sqlengine.NewEngine()

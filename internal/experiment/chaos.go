@@ -132,18 +132,7 @@ func analyzeChaos(name string, res RunResult, crashAt time.Duration) ChaosScenar
 // Faults land a quarter into steady state; the crashed slave returns a
 // quarter later.
 func AblationChaos(opts SweepOpts) (ChaosResult, error) {
-	ramp, steady, down := opts.phases()
-	crashAt := ramp + steady/4
-	downFor := steady / 4
-
-	mk := func(seed int64, sched *chaos.Schedule) RunSpec {
-		return RunSpec{
-			Seed: seed, Users: 100, Slaves: 2, Scale: 300, ReadRatio: 0.5,
-			Loc: SameZone, RampUp: ramp, Steady: steady, RampDown: down,
-			Chaos: sched,
-		}
-	}
-
+	specs, crashAt, downFor := chaosSpecs(opts)
 	out := ChaosResult{CrashAt: crashAt, SlaveDownFor: downFor}
 	report := func(sc ChaosScenario) {
 		if opts.Progress != nil {
@@ -154,12 +143,7 @@ func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 		}
 	}
 
-	specs := []RunSpec{
-		mk(opts.Seed, nil),
-		mk(opts.Seed+1, new(chaos.Schedule).CrashFor(crashAt, downFor, "slave1")),
-		mk(opts.Seed+2, new(chaos.Schedule).Crash(crashAt, "master")),
-	}
-	results, err := RunShards(specs, opts.Parallelism, nil)
+	results, err := RunShards(specs[:], opts.Parallelism, nil)
 	if err != nil {
 		return out, err
 	}
@@ -171,6 +155,26 @@ func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 	report(out.MasterCrash)
 
 	return out, nil
+}
+
+// chaosSpecs returns A-CHAOS's three runs — no fault, slave1 down for
+// downFor, the master crashed for good — and the instant the fault fires.
+func chaosSpecs(opts SweepOpts) (specs [3]RunSpec, crashAt, downFor time.Duration) {
+	ramp, steady, down := opts.phases()
+	crashAt = ramp + steady/4
+	downFor = steady / 4
+	mk := func(seed int64, sched *chaos.Schedule) RunSpec {
+		return RunSpec{
+			Seed: seed, Users: 100, Slaves: 2, Scale: 300, ReadRatio: 0.5,
+			Loc: SameZone, RampUp: ramp, Steady: steady, RampDown: down,
+			Chaos: sched,
+		}
+	}
+	return [3]RunSpec{
+		mk(opts.Seed, nil),
+		mk(opts.Seed+1, new(chaos.Schedule).CrashFor(crashAt, downFor, "slave1")),
+		mk(opts.Seed+2, new(chaos.Schedule).Crash(crashAt, "master")),
+	}, crashAt, downFor
 }
 
 // RenderChaos formats A-CHAOS.

@@ -3,6 +3,7 @@ package experiment
 import (
 	"cmp"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -209,6 +210,34 @@ func TestCrashDetectedFromErrors(t *testing.T) {
 		}
 		if res.Errors != 0 || res.ProxyStats.Retries < 3 {
 			t.Errorf("%s crash: %d failed operations, %d retries; want 0 and at least 3", tc.victim, res.Errors, res.ProxyStats.Retries)
+		}
+	}
+}
+
+// TestTracedRunIsTheUntracedRun: the tracer draws nothing from the run's
+// random stream, so turning tracing on changes nothing a run reports — here
+// A-CHAOS's fault-free and master-crash runs at sweep seed 3, where one draw
+// at the tracer's construction once moved the fault-free run from 13.837 to
+// 13.630 ops/s and the master-crash run from 5 retries to 3.
+func TestTracedRunIsTheUntracedRun(t *testing.T) {
+	specs, _, _ := chaosSpecs(SweepOpts{Short: true, Seed: 3})
+	for _, spec := range []RunSpec{specs[0], specs[2]} {
+		plain, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Trace = true
+		traced, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(traced.TraceJSON) == 0 {
+			t.Fatal("the traced run exported no trace")
+		}
+		traced.Spec.Trace, traced.TraceJSON = false, nil
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("seed %d, chaos %v: untraced %.3f ops/s, %d retries; traced %.3f ops/s, %d retries, or another field differs",
+				spec.Seed, spec.Chaos != nil, plain.Throughput, plain.ProxyStats.Retries, traced.Throughput, traced.ProxyStats.Retries)
 		}
 	}
 }

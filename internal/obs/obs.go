@@ -14,8 +14,9 @@
 // to join the trace.
 //
 // Everything is deterministic: span IDs come from a splitmix64 generator
-// seeded once from the simulation environment's RNG, and timestamps are
-// virtual time — so the same seed produces a byte-identical trace file.
+// seeded from the environment's seed, and timestamps are virtual time — so
+// the same seed produces a byte-identical trace file. The tracer draws
+// nothing from the environment's RNG, so a traced run is the untraced run.
 //
 // All tracer and span methods are nil-safe: a nil *Tracer (tracing off)
 // produces nil spans, and every method on a nil span is a no-op, so
@@ -108,7 +109,7 @@ func (sp *Span) End(p *sim.Proc) {
 // span with no context argument threaded through call signatures.
 type Tracer struct {
 	env    *sim.Env
-	idgen  uint64 // splitmix64 state, seeded once from the env RNG
+	idgen  uint64 // splitmix64 state, seeded from the env's seed
 	spans  []*Span
 	stacks map[uint64][]*Span // proc ID → open spans, innermost last
 	seqRef map[seqKey]Ref     // binlog position → committing write's span
@@ -122,13 +123,17 @@ type seqKey struct {
 	seq    uint64
 }
 
-// NewTracer creates a tracer whose span IDs are seeded from env's RNG (one
-// draw at construction; span creation itself never touches the env RNG, so
-// tracing cannot perturb the simulation's random stream).
+// idSeed is mixed into every tracer's span-ID stream with the env's seed.
+const idSeed = 0x243f6a8885a308d3
+
+// NewTracer creates a tracer on env whose span IDs follow from env's seed,
+// the constant the env was made with: it never touches env's RNG, at
+// construction or after, so tracing cannot perturb the simulation's random
+// stream — a traced run draws exactly what the untraced run draws.
 func NewTracer(env *sim.Env) *Tracer {
 	return &Tracer{
 		env:    env,
-		idgen:  env.Rand().Uint64() | 1, // never zero
+		idgen:  idSeed ^ uint64(env.Seed()),
 		stacks: make(map[uint64][]*Span),
 		seqRef: make(map[seqKey]Ref),
 	}

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -267,7 +268,7 @@ type Proxy struct {
 	CheckOwner func(sql string, args []sqlengine.Value) error
 
 	inflight   map[*repl.Slave]int
-	candidates []*repl.Slave // readCandidates' scratch
+	candidates []*repl.Slave // readCandidates' and noteError's scratch
 	// pick is the context every read hands the balancer, filled in per read:
 	// the balancer is done with it before the calling process yields, as it
 	// is with candidates.
@@ -647,8 +648,17 @@ func (px *Proxy) benched(p *sim.Proc, srv *server.DBServer) bool {
 }
 
 // noteError records a retryable error from srv and benches it at evictAfter
-// in a row; a slave's bench counts as an eviction.
+// in a row; a slave's bench counts as an eviction. An error from a server
+// that is neither the master nor an attached slave any more — the old master
+// answering after a failover, a slave detached mid-statement — is recorded
+// nowhere: the proxy will not route to it again.
 func (px *Proxy) noteError(p *sim.Proc, srv *server.DBServer) {
+	if srv != px.master.Srv {
+		px.candidates = px.master.AppendSlaves(px.candidates[:0])
+		if !slices.ContainsFunc(px.candidates, func(sl *repl.Slave) bool { return sl.Srv == srv }) {
+			return
+		}
+	}
 	h := px.health[srv]
 	if h == nil {
 		h = &health{}

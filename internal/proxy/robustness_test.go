@@ -418,3 +418,55 @@ func TestAnswerClearsErrorStreak(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestLateErrorFromOldMasterIsForgotten: a statement still on the wire to the
+// old master when another client's errors promote a replica fails after the
+// failover. The old master is no backend of the proxy any more, so its error
+// starts no streak: no health entry is made for a server the proxy will
+// never route to again.
+func TestLateErrorFromOldMasterIsForgotten(t *testing.T) {
+	zoneA := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	zoneB := cloud.Placement{Region: cloud.USWest1, Zone: "b"}
+	// Master in zone b, its slave and the clients in zone a, the zones cut
+	// apart: every attempt on the master runs to the statement timeout.
+	env, net, px0 := topoAt(t, 28, zoneB, []cloud.Placement{zoneA}, &RoundRobin{})
+	px := New(env, net, px0.master, zoneA, &RoundRobin{})
+	old := px.master
+	sl := old.Slaves()[0]
+	var timeoutsAtFailover uint64
+	px.OnMasterFailure = func(p *sim.Proc) (*repl.Master, error) {
+		timeoutsAtFailover = px.Stats().Timeouts
+		old.Detach(sl)
+		return repl.NewMaster(env, sl.Srv, net, repl.Async), nil
+	}
+	net.Partition(zoneA, zoneB)
+
+	errs := make([]error, 2)
+	for i := range errs {
+		conn := px.Connect("app")
+		env.Go("client", func(p *sim.Proc) {
+			p.Sleep(time.Duration(i) * statementTimeout / 2)
+			_, errs[i] = conn.Exec(p, "INSERT INTO t (id, v) VALUES (?, 'x')", sqlengine.NewInt(int64(i+1)))
+		})
+	}
+	env.RunUntil(time.Minute)
+	env.Stop()
+	env.Shutdown()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	st := px.Stats()
+	if st.Failovers != 1 || timeoutsAtFailover != evictAfter || st.Timeouts != evictAfter+1 {
+		t.Fatalf("%d failovers, %d timeouts at the failover and %d in all; want 1, %d and %d: one old-master error after the failover",
+			st.Failovers, timeoutsAtFailover, st.Timeouts, evictAfter, evictAfter+1)
+	}
+	if h := px.health[old.Srv]; h != nil {
+		t.Fatalf("the old master's late error left a health entry %+v", *h)
+	}
+	if st.SlaveEvictions != 0 {
+		t.Fatalf("%d slave evictions; want 0", st.SlaveEvictions)
+	}
+}

@@ -189,11 +189,11 @@ func TestDispatchIsTotalOrder(t *testing.T) {
 }
 
 // TestFreshSpawnAllocCeiling: 400 spawns on a fresh Env, its workers out of
-// a warm pool, allocate a handful of chunks of Procs and events — not an
-// object each, nor a map entry or a calendar bucket — since every start is
-// due at the current instant.
+// a warm pool, allocate nothing: a Proc and its start event are the pooled
+// worker's own, and every start is due at the current instant, so no
+// calendar bucket is touched either.
 func TestFreshSpawnAllocCeiling(t *testing.T) {
-	const spawns, want = 400, 10
+	const spawns, want = 400, 0
 	body := func(p *Proc) { p.Sleep(time.Second) }
 	warm := NewEnv(1)
 	for i := 0; i < spawns; i++ {

@@ -20,15 +20,15 @@ type Time = time.Duration
 const MaxTime Time = math.MaxInt64
 
 // event is a scheduled occurrence: a process wakeup, a callback, a message
-// delivery, or a signal timeout. Exactly one of proc/fn/msg/w is set.
-// Events are pooled on the Env free list; gen increments on every recycle
-// so a cancel handle captured before the event fired cannot cancel an
-// unrelated reincarnation.
+// delivery, or a signal timeout. Exactly one of proc/fn/msg/w is set. A
+// wakeup is its process's own (Proc.wake); the others are pooled on the Env
+// free list, and gen increments on every recycle so a cancel handle captured
+// before the event fired cannot cancel an unrelated reincarnation.
 type event struct {
 	at        Time
 	seq       uint64 // tie-breaker: schedule order
 	gen       uint64 // recycle generation, guards stale cancels
-	proc      *Proc  // non-nil for a process wakeup
+	proc      *Proc  // non-nil for a process wakeup, while it is queued
 	fn        func() // non-nil for a callback
 	msg       Deliverable
 	w         *sigWaiter // non-nil for a Signal.WaitTimeout timer
@@ -67,6 +67,7 @@ type Env struct {
 	due, dueTail *event
 	seq          uint64
 	processed    uint64 // events dispatched since creation
+	seed         int64
 	rng          *rand.Rand
 	cur          *Proc
 	// yield gives the baton back to the Run caller: nil when a dispatch loop
@@ -81,9 +82,7 @@ type Env struct {
 	efree      []*event     // recycled event structs
 	wfree      []*sigWaiter // recycled signal waiters
 	idle       []*worker    // parked goroutines of finished processes, reused LIFO by Go
-	pfree      []*Proc      // processes that returned, reused LIFO by Go
 	eventChunk chunk[event] // where an event the free list cannot give comes from
-	procChunk  chunk[Proc]  // where a Proc the free list cannot give comes from
 
 	panicVal   any
 	panicProc  *Proc // the process panicVal came out of
@@ -106,6 +105,7 @@ type Env struct {
 // identical event orderings.
 func NewEnv(seed int64) *Env {
 	e := &Env{
+		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
 		yield: make(chan *Proc),
 	}
@@ -114,8 +114,8 @@ func NewEnv(seed int64) *Env {
 }
 
 // chunk hands out Ts carved from arrays that double from chunkMin to
-// chunkMax elements, so a fresh Env's first n events or processes cost about
-// log n allocations, and a small Env stays small.
+// chunkMax elements, so a fresh Env's first n events cost about log n
+// allocations, and a small Env stays small.
 type chunk[T any] struct {
 	buf  []T
 	used int
@@ -138,6 +138,9 @@ func (c *chunk[T]) take() *T {
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
+
+// Seed returns the seed the environment was made with.
+func (e *Env) Seed() int64 { return e.seed }
 
 // Rand returns the environment's deterministic random source. It must only
 // be used by the goroutine holding the baton — the Run caller, a callback or
@@ -256,13 +259,15 @@ func (e *Env) ScheduleDeliver(d time.Duration, m Deliverable) {
 	e.push(ev)
 }
 
-// scheduleProc arranges for p to resume at time at.
+// scheduleProc arranges for p to resume at time at, in p's own wakeup
+// event: a process waits for one wakeup at a time, so a second one queued
+// before the first was dispatched is a kernel bug, and panics.
 func (e *Env) scheduleProc(at Time, p *Proc) {
-	if at < e.now {
-		at = e.now
+	ev := &p.wake
+	if ev.proc != nil {
+		panic(fmt.Sprintf("sim: process %q (proc %d) woken twice", p.name, p.id))
 	}
-	ev := e.allocEvent()
-	ev.at = at
+	ev.at = max(at, e.now)
 	ev.proc = p
 	e.push(ev)
 }
@@ -304,8 +309,11 @@ type Proc struct {
 	env        *Env
 	name       string
 	id         uint64
-	w          *worker // the goroutine running this process, borrowed until it returns
+	w          *worker // the goroutine running this process, whose Proc this is
 	prev, next *Proc   // neighbours on the Env's list of live processes
+	// wake is the process's pending wakeup, queued by scheduleProc and
+	// cleared by dispatch: a process is parked on one thing at a time.
+	wake event
 
 	// Park state: what the process is currently blocked on. Written by the
 	// process right before parking and cleared when it resumes; read by
@@ -341,26 +349,28 @@ func (p *Proc) Now() Time { return p.env.now }
 // Rand returns the environment's deterministic random source.
 func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 
-// worker is a goroutine that runs processes, one after another, and the
-// channel it is resumed through. A process borrows a worker from its spawn
-// until fn returns; the worker then goes on the Env's idle list and the next
-// Go takes it from there, with the returned Proc off the Env's free list, so
-// a warm spawn allocates nothing — no Proc, no goroutine, no channel, and a
-// stack that has already grown to the depth the last process needed.
-// Shutdown hands the idle workers to a process-wide pool, so the next Env's
-// spawns start no goroutine either. Which worker runs
-// a process is invisible to the simulation: ids, the start event and its
-// (at, seq) are assigned by Go exactly as if the goroutine were new.
+// worker is a goroutine that runs processes, one after another, the
+// channel it is resumed through and the Proc of the process it runs. A
+// process holds a worker from its spawn until fn returns; the worker then
+// goes on the Env's idle list and the next Go takes it from there, Proc and
+// wakeup event included, so a warm spawn allocates nothing — no Proc, no
+// event, no goroutine, no channel, and a stack that has already grown to the
+// depth the last process needed. Shutdown hands the idle workers to a
+// process-wide pool, so the next Env's spawns allocate none of those either.
+// Which worker runs a process is invisible to the simulation: ids, the start
+// event and its (at, seq) are assigned by Go exactly as if the goroutine
+// were new.
 type worker struct {
 	resume chan struct{}
 	// env, p and fn are the Env and process to run at the next resume. Go
 	// writes them before the start event exists and the worker reads them
 	// after the resume it causes, so the channel orders the two.
 	env *Env
-	p   *Proc
+	p   Proc
 	fn  func(*Proc)
-	// gone is set when the goroutine is leaving for good (runtime.Goexit out
-	// of a process, which is what t.FailNow does): it must not be recycled.
+	// gone is set when the goroutine is leaving for good — runtime.Goexit out
+	// of a process, which is what t.FailNow does, or a panic, whose report
+	// names p — so the worker must not be recycled.
 	gone bool
 }
 
@@ -386,14 +396,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	e.procSeq++
 	w := e.takeWorker()
-	var p *Proc
-	if n := len(e.pfree); n > 0 {
-		p = e.pfree[n-1]
-		e.pfree[n-1] = nil
-		e.pfree = e.pfree[:n-1]
-	} else {
-		p = e.procChunk.take()
-	}
+	p := &w.p
 	*p = Proc{env: e, name: name, id: e.procSeq, w: w, prev: e.last, parkKind: ParkStart}
 	if e.last == nil {
 		e.first = p
@@ -401,7 +404,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		e.last.next = p
 	}
 	e.last = p
-	w.p, w.fn = p, fn
+	w.fn = fn
 	e.scheduleProc(e.now, p)
 	return p
 }
@@ -440,15 +443,16 @@ func pooledWorker() *worker {
 	return w
 }
 
-// poolWorkers hands idle workers to the process-wide pool and lets the ones
-// beyond its bound go.
+// poolWorkers hands idle workers to the process-wide pool, each with its
+// Proc zeroed so that a pooled worker keeps no dead Env alive, and lets the
+// ones beyond the pool's bound go.
 //
 //cloudrepl:allow-sharedstate the worker pool is the one state Envs on different goroutines share, and its mutex guards every access
 func poolWorkers(ws []*worker) {
 	workerPool.Lock()
 	defer workerPool.Unlock()
 	for _, w := range ws {
-		w.env = nil
+		w.env, w.p = nil, Proc{}
 		if len(workerPool.free) < maxPooledWorkers {
 			workerPool.free = append(workerPool.free, w)
 		} else {
@@ -460,10 +464,14 @@ func poolWorkers(ws []*worker) {
 // work is a worker goroutine's whole life: park on resume, run the process
 // it was handed — and the next one, while a returning process's dispatch
 // loop finds the start of a process spawned onto this same worker — and park
-// again. The pool's bound closing resume lets the goroutine go.
+// again. The pool's bound closing resume lets the goroutine go, and so does
+// a panic out of its process, whose Proc the report names.
 func (w *worker) work() {
 	for range w.resume {
 		for w.env.runProc(w) {
+		}
+		if w.gone {
+			return
 		}
 	}
 }
@@ -474,7 +482,7 @@ func (w *worker) work() {
 // panic, kept for the Run caller to re-raise under the process's name,
 // Shutdown's unwind, or runtime.Goexit.
 func (e *Env) runProc(w *worker) bool {
-	p := w.p
+	p := &w.p
 	returned := false
 	defer func() {
 		if returned || w.gone {
@@ -483,6 +491,7 @@ func (e *Env) runProc(w *worker) bool {
 		if r := recover(); r != nil {
 			if _, ok := r.(shutdownSentinel); !ok {
 				e.panicVal, e.panicProc, e.panicStack = r, p, debug.Stack()
+				w.gone = true
 			}
 		} else {
 			w.gone = true
@@ -505,12 +514,12 @@ func (e *Env) runProc(w *worker) bool {
 // exit retires p, which has returned, and runs the dispatch loop on its
 // worker w. It reports true when the next event starts a process that a
 // callback or an earlier process spawned onto w itself: the worker runs it
-// with no channel operation. A process that returned is the only kind Go
-// reuses: nothing of the kernel names it any more, where one that panicked
-// is still panicProc until Run's caller has reported it.
+// with no channel operation. A process that returned is the only kind whose
+// worker, and so whose Proc, Go reuses: nothing of the kernel names it any
+// more, where one that panicked is panicProc until Run's caller has reported
+// it, and its handle keeps naming it after that.
 func (e *Env) exit(p *Proc, w *worker) bool {
 	e.retire(p)
-	e.pfree = append(e.pfree, p)
 	next := e.dispatchOn(nil, w)
 	if next != nil && next.w == w {
 		return true
@@ -537,7 +546,7 @@ func (e *Env) retire(p *Proc) {
 	}
 	p.prev, p.next = nil, nil
 	w := p.w
-	p.w, w.p, w.fn = nil, nil, nil
+	w.fn = nil
 	if !w.gone {
 		e.idle = append(e.idle, w)
 	}
@@ -657,7 +666,11 @@ func (e *Env) dispatch() *Proc {
 		if dispatchHook != nil {
 			dispatchHook(ev, p)
 		}
-		e.freeEvent(ev)
+		if p != nil {
+			*ev = event{} // p's own wakeup: free for its next wait
+		} else {
+			e.freeEvent(ev)
+		}
 		if at > e.now {
 			e.now = at
 		}
@@ -763,9 +776,12 @@ func (e *Env) WaitForGraph() string {
 	return b.String()
 }
 
-// shutdownWatchdog bounds how long Shutdown waits for a single process to
+// shutdownWatchdog bounds how long Shutdown waits for the processes to
 // unwind before declaring the kernel wedged and dumping the wait-for graph.
 var shutdownWatchdog = 5 * time.Second
+
+// wedged is what Shutdown's watchdog sends in place of an ended process.
+var wedged = new(Proc)
 
 // Shutdown unwinds every blocked process and hands every idle worker to the
 // process-wide pool, so that no goroutine outlives the Env but the pool's.
@@ -773,10 +789,11 @@ var shutdownWatchdog = 5 * time.Second
 // after Run has returned, including when processes are still blocked on
 // resources or queues.
 //
-// If a process fails to unwind — deferred cleanup blocked on a kernel
-// primitive the scheduler does not manage, typically — Shutdown panics with
-// a deadlock report: every live process's name and the resource, queue or
-// signal it is parked on, so the hang is attributable without a debugger.
+// If the processes fail to unwind within shutdownWatchdog — deferred cleanup
+// blocked on a kernel primitive the scheduler does not manage, typically —
+// Shutdown panics with a deadlock report: every live process's name and the
+// resource, queue or signal it is parked on, so the hang is attributable
+// without a debugger.
 //
 //cloudrepl:allow-simtime the unwind watchdog must measure wall time: a wedged process stops the virtual clock entirely
 func (e *Env) Shutdown() {
@@ -790,36 +807,29 @@ func (e *Env) Shutdown() {
 	// caller's goroutine between runs. Wake one process at a time, in
 	// spawn order, and wait for it to finish unwinding before waking the
 	// next, so deferred cleanup never runs concurrently across processes.
-	// Each unwind retires its process, so the list's head is the next.
-	watchdog := time.NewTimer(shutdownWatchdog)
-	defer watchdog.Stop()
+	// Each unwind retires its process, so the list's head is the next. One
+	// watchdog covers the whole unwind: it sends wedged down the channel the
+	// unwinds end on, so waiting for each is a plain receive.
+	watchdog := time.AfterFunc(shutdownWatchdog, func() { e.yield <- wedged })
 	for p := e.first; p != nil; p = e.first {
 		p.w.resume <- struct{}{}
-		waitDone := true
-		for waitDone {
-			if !watchdog.Stop() {
-				select {
-				case <-watchdog.C:
-				default:
-				}
-			}
-			watchdog.Reset(shutdownWatchdog)
-			select {
-			case ended := <-e.yield:
-				if ended != nil {
-					e.retire(ended)
-					waitDone = false
-				}
-			case <-watchdog.C:
-				live := 0
-				for q := e.first; q != nil; q = q.next {
-					live++
-				}
-				panic(fmt.Sprintf(
-					"sim: deadlock during Shutdown: %d process(es) failed to unwind within %v\nwait-for graph:\n%s",
-					live, shutdownWatchdog, e.WaitForGraph()))
-			}
+		ended := <-e.yield
+		for ended == nil { // a dispatch loop stopped; the unwind goes on
+			ended = <-e.yield
 		}
+		if ended == wedged {
+			live := 0
+			for q := e.first; q != nil; q = q.next {
+				live++
+			}
+			panic(fmt.Sprintf(
+				"sim: deadlock during Shutdown: %d process(es) failed to unwind within %v\nwait-for graph:\n%s",
+				live, shutdownWatchdog, e.WaitForGraph()))
+		}
+		e.retire(ended)
+	}
+	if !watchdog.Stop() {
+		<-e.yield // it fired as the last unwind ended: take its wedged
 	}
 	// Every worker is idle now — parked on its resume channel, or a step
 	// away from it — and the next Env's spawns take it from the pool.

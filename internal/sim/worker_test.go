@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"weak"
 )
 
 // settleGoroutines waits for the goroutine count to fall to at most want:
@@ -45,7 +46,7 @@ func TestSequentialSpawnsReuseOneWorker(t *testing.T) {
 }
 
 // TestSpawnAllocatesNothingWarm: once an Env has run a process to its return,
-// the next spawn takes that Proc and that worker back, so Go, the run and the
+// the next spawn takes that worker, and the Proc it holds, back, so Go, the run and the
 // return allocate nothing — one process at a time or several side by side —
 // and ids still count spawns.
 func TestSpawnAllocatesNothingWarm(t *testing.T) {
@@ -71,8 +72,8 @@ func TestSpawnAllocatesNothingWarm(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, three); allocs != 0 {
 		t.Errorf("three warm processes side by side allocate %.2f objects; want 0", allocs)
 	}
-	if len(e.pfree) != 3 {
-		t.Errorf("%d Procs on the free list after at most three at once; want 3", len(e.pfree))
+	if len(e.idle) != 3 {
+		t.Errorf("%d idle workers, each with its Proc, after at most three at once; want 3", len(e.idle))
 	}
 	before := e.procSeq
 	if id := e.Go("counted", body).ID(); id != before+1 {
@@ -202,8 +203,9 @@ func TestShutdownReleasesIdleWorkers(t *testing.T) {
 }
 
 // TestPanicOnRecycledWorkerNamesItsProc: the report names the process that
-// panicked, not an earlier tenant of the goroutine, and the goroutine is
-// fit to run the next process.
+// panicked, not an earlier tenant of the goroutine; the worker leaves with
+// the Proc the report names instead of going back on the idle list, and the
+// next process runs on another.
 func TestPanicOnRecycledWorkerNamesItsProc(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Shutdown()
@@ -224,14 +226,14 @@ func TestPanicOnRecycledWorkerNamesItsProc(t *testing.T) {
 		}()
 		e.Run()
 	}()
-	if live(e) != 0 || len(e.idle) != 1 {
-		t.Fatalf("after the panic: %d alive, %d idle; want 0 and 1", live(e), len(e.idle))
+	if live(e) != 0 || len(e.idle) != 0 {
+		t.Fatalf("after the panic: %d alive, %d idle; want 0 and 0", live(e), len(e.idle))
 	}
 	ran := false
 	e.Go("third-tenant", func(p *Proc) { ran = true })
 	e.Run()
 	if !ran {
-		t.Fatal("the worker that recovered a panic did not run the next process")
+		t.Fatal("the spawn after a panic did not run")
 	}
 }
 
@@ -269,4 +271,44 @@ func TestWaitForGraphOmitsIdleWorkers(t *testing.T) {
 	if strings.Count(g, "\n") != 1 || !strings.Contains(g, "stuck") || strings.Contains(g, "done-early") {
 		t.Fatalf("wait-for graph with 3 idle workers and one parked process:\n%s", g)
 	}
+}
+
+// TestShutDownEnvIsCollected: Shutdown pools an Env's workers with their
+// Procs zeroed, so a worker sitting in the pool keeps no dead Env alive,
+// however its processes ended — returned, parked, or never started.
+func TestShutDownEnvIsCollected(t *testing.T) {
+	ref := func() weak.Pointer[Env] {
+		e := NewEnv(1)
+		q := NewQueue[int](e, "never")
+		for i := 0; i < 4; i++ {
+			e.Go("returns", func(p *Proc) { p.Sleep(time.Millisecond) })
+			e.Go("parked", func(p *Proc) { q.Get(p) })
+		}
+		e.Run()
+		e.Go("unstarted", func(p *Proc) {})
+		e.Shutdown()
+		return weak.Make(e)
+	}()
+	for i := 0; i < 20 && ref.Value() != nil; i++ {
+		time.Sleep(time.Millisecond) // let the unwound workers park
+		runtime.GC()
+	}
+	if ref.Value() != nil {
+		t.Fatal("an Env is still reachable after Shutdown pooled its workers")
+	}
+}
+
+// TestWakeupQueuedTwicePanics: a process waits for one wakeup at a time, in
+// its own event, so queueing a second before the first is dispatched is a
+// kernel bug that must not pass silently.
+func TestWakeupQueuedTwicePanics(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Shutdown()
+	p := e.Go("twice", func(p *Proc) {})
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "woken twice") || !strings.Contains(msg, `"twice"`) {
+			t.Fatalf("a second wakeup of a process whose start is queued: panic %q; want one naming it woken twice", msg)
+		}
+	}()
+	e.scheduleProc(e.Now(), p)
 }

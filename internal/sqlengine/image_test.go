@@ -141,6 +141,43 @@ func imageSchemas(snap *Snapshot) string {
 	return b.String()
 }
 
+// TestRestoreCarvesCappedShares: a restore carves every table's Index
+// objects, index lists and column statistics out of one array of each kind,
+// and caps each table's share at its length, so a list that grows on one
+// table reallocates instead of writing over its neighbour's.
+func TestRestoreCarvesCappedShares(t *testing.T) {
+	src := newWriteGoldenDB(t).eng
+	if _, err := src.Analyze("app", "users"); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine()
+	if err := e.Restore(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.swept) < 2 {
+		t.Fatalf("%d tables restored; the check needs neighbours", len(e.swept))
+	}
+	analyzed := false
+	for _, tbl := range e.swept {
+		for name, lc := range map[string][2]int{
+			"secondary index list": {len(tbl.indexes), cap(tbl.indexes)},
+			"keyed index list":     {len(tbl.store.keyed), cap(tbl.store.keyed)},
+			"column statistics":    {len(tbl.stats.cols), cap(tbl.stats.cols)},
+		} {
+			if lc[0] != lc[1] {
+				t.Errorf("%s: %s has length %d, capacity %d; want them equal", tbl.Name, name, lc[0], lc[1])
+			}
+		}
+		if len(tbl.store.keyed) != len(tbl.indexes)+min(len(tbl.pkCols), 1) {
+			t.Errorf("%s: %d keyed indexes for %d secondary ones", tbl.Name, len(tbl.store.keyed), len(tbl.indexes))
+		}
+		analyzed = analyzed || len(tbl.stats.cols) > 0
+	}
+	if !analyzed {
+		t.Fatal("no restored table carries column statistics")
+	}
+}
+
 // TestRestoredEnginesShareNothingMutable: engines restored from one image share
 // its row images and index templates with each other and with the source —
 // and each table the image's view until the table is first written — and

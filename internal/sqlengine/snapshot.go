@@ -159,23 +159,45 @@ func (e *Engine) snapshotAt(v uint64) *Snapshot {
 // the snapshot's, and raises its commit version to the snapshot's. Each table
 // shares the snapshot's schema, and its rows and indexes (rowStore.restore)
 // until something writes it; its Index objects and statistics are its own.
+// They are carved, as the tables themselves are, from one array of each kind
+// for the whole snapshot, each table's share capped so that growing one
+// table's list reallocates it instead of writing into the next table's.
 func (e *Engine) Restore(snap *Snapshot) error {
-	dbs := make(map[string]*Database, len(snap.dbs))
-	n := 0
+	var nTables, nIndexes, nCols int
 	for _, sd := range snap.dbs {
-		n += len(sd.tables)
+		nTables += len(sd.tables)
+		for _, st := range sd.tables {
+			nIndexes += min(len(st.pkCols), 1) + len(st.indexes)
+			nCols += len(st.stats.cols)
+		}
 	}
-	swept := make([]*Table, 0, n) // a snapshot lists databases and tables in key order
+	tables := make([]Table, nTables)
+	indexes := make([]Index, nIndexes)
+	keyed := make([]*Index, nIndexes)
+	cols := make([]colStats, nCols)
+	swept := make([]*Table, 0, nTables) // a snapshot lists databases and tables in key order
+	dbs := make(map[string]*Database, len(snap.dbs))
 	for _, sd := range snap.dbs {
 		db := &Database{Name: sd.name, tables: make(map[string]*Table, len(sd.tables))}
 		for _, st := range sd.tables {
-			tbl := &Table{Name: st.name, Columns: st.columns, colPos: st.colPos, pkCols: st.pkCols, stats: st.stats.clone()}
-			indexes := slices.Clone(st.indexes)
-			tbl.indexes = make([]*Index, len(indexes))
-			for i := range indexes {
-				tbl.indexes[i] = &indexes[i]
+			tbl := &tables[len(swept)] // zero: set field by field, not copied whole
+			tbl.Name, tbl.Columns, tbl.colPos, tbl.pkCols, tbl.stats = st.name, st.columns, st.colPos, st.pkCols, st.stats
+			c := len(st.stats.cols)
+			tbl.stats.cols, cols = cols[:c:c], cols[c:]
+			copy(tbl.stats.cols, st.stats.cols)
+			pk := min(len(st.pkCols), 1) // the primary key's Index leads the list
+			n := pk + len(st.indexes)
+			ixs, ks := indexes[:n:n], keyed[:n:n]
+			indexes, keyed = indexes[n:], keyed[n:]
+			if pk == 1 {
+				ixs[0] = Index{Name: "PRIMARY", Cols: st.pkCols, Unique: true}
 			}
-			tbl.store = newRowStore(tbl)
+			copy(ixs[pk:], st.indexes)
+			for i := range ixs {
+				ks[i] = &ixs[i]
+			}
+			tbl.indexes = ks[pk:]
+			tbl.store.init(tbl, ks)
 			if err := tbl.store.restore(st.store); err != nil {
 				return fmt.Errorf("sqlengine: restore %s.%s: %w", sd.name, st.name, err)
 			}

@@ -317,15 +317,14 @@ type rowStore struct {
 	post    postings // every index's entries
 }
 
-func newRowStore(t *Table) rowStore {
-	st := rowStore{table: t, ncols: len(t.Columns)}
+// init makes the zero store st an empty store of t's rows, entered under
+// keyed: t's primary key first when it has one, then its secondary indexes,
+// each with no bucket yet.
+func (st *rowStore) init(t *Table, keyed []*Index) {
+	st.table, st.ncols, st.keyed = t, len(t.Columns), keyed
 	if len(t.pkCols) > 0 {
-		st.pk = &Index{Name: "PRIMARY", Cols: t.pkCols, Unique: true}
-		st.keyed = append(st.keyed, st.pk)
+		st.pk = keyed[0]
 	}
-	st.keyed = append(st.keyed, t.indexes...)
-	st.truncate()
-	return st
 }
 
 // truncate drops every row. TRUNCATE is DDL, not a versioned write: the

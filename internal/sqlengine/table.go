@@ -48,6 +48,11 @@ func NewTable(name string, cols []ColumnDef, pkCols []string, indexes []IndexDef
 		}
 		t.pkCols = append(t.pkCols, pos)
 	}
+	var keyed []*Index
+	if len(t.pkCols) > 0 {
+		keyed = append(keyed, &Index{Name: "PRIMARY", Cols: t.pkCols, Unique: true})
+	}
+	pk := len(keyed)
 	for _, def := range indexes {
 		var at []int
 		for _, cn := range def.Columns {
@@ -57,9 +62,10 @@ func NewTable(name string, cols []ColumnDef, pkCols []string, indexes []IndexDef
 			}
 			at = append(at, pos)
 		}
-		t.indexes = append(t.indexes, &Index{Name: def.Name, Cols: at, Unique: def.Unique})
+		keyed = append(keyed, &Index{Name: def.Name, Cols: at, Unique: def.Unique})
 	}
-	t.store = newRowStore(t)
+	t.indexes = keyed[pk:]
+	t.store.init(t, keyed)
 	return t, nil
 }
 
