@@ -190,11 +190,6 @@ func NewDriver(db *core.DB, cfg Config) *Driver {
 // Only operations completed inside the steady window are counted. The
 // returned function reports whether the run is finished.
 func (d *Driver) Start(env *sim.Env) (done func() bool) {
-	// Long runs overflow the latency histograms' sample cap; reservoir
-	// replacement then draws from the env RNG so the run stays seeded.
-	d.latency.SetRand(env.Rand())
-	d.latencyR.SetRand(env.Rand())
-	d.latencyW.SetRand(env.Rand())
 	start := env.Now()
 	d.steadyFrom = start + d.Cfg.RampUp
 	d.steadyTo = d.steadyFrom + d.Cfg.Steady

@@ -96,15 +96,12 @@ func OpenSharded(env *sim.Env, cl *cloud.Cloud, cellCfg cluster.Config, opts ...
 	return db, nil
 }
 
-// finishOpen completes construction once the cells exist: the handle's own
-// instruments, then the pool lending connections from connect. The order
-// (cells and their proxies, instruments, pool) fixes proc names and RNG draws,
-// so it is part of the determinism contract.
+// finishOpen completes construction once the cells exist: the tracer, then
+// the pool lending connections from connect. The order (cells and their
+// proxies, then the pool) fixes proc names and RNG draws, so it is part of the
+// determinism contract.
 func (db *DB) finishOpen(env *sim.Env, cfg config, connect func() Conn) {
 	db.tracer = cfg.tracer
-	// Reservoir sampling in the latency histogram uses the env RNG (only once
-	// it exceeds its cap, so short runs draw nothing extra).
-	db.client.exec.SetRand(env.Rand())
 	db.pool = pool.New(env, cfg.pool, connect, nil)
 	db.pool.Tracer = cfg.tracer
 }

@@ -22,15 +22,26 @@ import (
 // DatabaseName is the dedicated heartbeat database.
 const DatabaseName = "heartbeats"
 
+// schemaDDL is the heartbeat schema, and schema the same parsed once per
+// process: every master of every cell runs it, and the engines share the trees.
+var schemaDDL = [...]string{
+	"CREATE DATABASE IF NOT EXISTS " + DatabaseName,
+	"CREATE TABLE IF NOT EXISTS " + DatabaseName + ".heartbeat (id BIGINT PRIMARY KEY, ts TIMESTAMP(6) NOT NULL)",
+}
+var schema = func() (out [len(schemaDDL)]sqlengine.Stmt) {
+	for i, sql := range schemaDDL {
+		// The text is constant, and TestPreloadLogsWhatItsTextLogs runs it.
+		out[i], _ = sqlengine.Parse(sql)
+	}
+	return out
+}()
+
 // Preload installs the heartbeat schema on a server; the cluster preload
 // (which runs on the master — replicas start from its image) must include it.
 func Preload(srv *server.DBServer) error {
 	sess := srv.Session("")
-	for _, sql := range []string{
-		"CREATE DATABASE IF NOT EXISTS " + DatabaseName,
-		"CREATE TABLE IF NOT EXISTS " + DatabaseName + ".heartbeat (id BIGINT PRIMARY KEY, ts TIMESTAMP(6) NOT NULL)",
-	} {
-		if _, err := srv.ExecFree(sess, sql); err != nil {
+	for _, st := range schema {
+		if _, err := srv.Eng.PrepareParsed(st).Run(sess); err != nil {
 			return fmt.Errorf("heartbeat: preload: %w", err)
 		}
 	}

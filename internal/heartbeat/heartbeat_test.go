@@ -2,6 +2,7 @@ package heartbeat
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -148,6 +149,44 @@ func TestPreloadIdempotent(t *testing.T) {
 	}
 	if err := Preload(srv); err != nil {
 		t.Fatalf("second preload: %v", err)
+	}
+}
+
+// TestPreloadLogsWhatItsTextLogs: the schema parsed once per process puts on
+// a master's binlog the entries, wire sizes included, that running its text
+// puts there: the replicas and every later position depend on them.
+func TestPreloadLogsWhatItsTextLogs(t *testing.T) {
+	env := sim.NewEnv(6)
+	defer env.Shutdown()
+	c := cloud.New(env, cloud.Config{})
+	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
+	parsed := server.New(env, "parsed", c.Launch("parsed", cloud.Small, place), server.DefaultCostModel())
+	text := server.New(env, "text", c.Launch("text", cloud.Small, place), server.DefaultCostModel())
+	if err := Preload(parsed); err != nil {
+		t.Fatal(err)
+	}
+	sess := text.Session("")
+	for _, sql := range schemaDDL {
+		if _, err := text.ExecFree(sess, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if parsed.Log.LastSeq() != 2 || text.Log.LastSeq() != 2 {
+		t.Fatalf("logs end at %d and %d, want 2", parsed.Log.LastSeq(), text.Log.LastSeq())
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		got, err := parsed.Log.At(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := text.Log.At(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || got.WireSize() != want.WireSize() {
+			t.Errorf("entry %d: %+v (%d B on the wire), the text form logs %+v (%d B)",
+				seq, got, got.WireSize(), want, want.WireSize())
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 )
@@ -117,27 +116,20 @@ func Quantile(xs []float64, q float64) float64 {
 // histogramCap bounds how many samples a Histogram retains. It is
 // large enough that the quick-protocol experiments keep every sample, while
 // a long run — which used to grow the slice without bound — degrades to a
-// uniform reservoir of this size.
-const histogramCap = 32768
+// uniform reservoir of this size. Only the package's tests lower it.
+var histogramCap = 32768
 
 // Histogram collects durations. Up to histogramCap every sample is
 // retained; past it, reservoir sampling (Algorithm R) keeps a uniform
 // subsample of everything recorded, so memory stays bounded on arbitrarily
-// long runs and quantiles remain unbiased estimates. Replacement draws come from the RNG injected with
-// SetRand — thread the simulation env's generator through so eviction
-// choices live on the run's seeded random stream — or, for a zero-value
-// Histogram, from an internal fixed-seed splitmix64 sequence; either way
-// the same inputs reproduce the same reservoir.
+// long runs and quantiles remain unbiased estimates. Replacement draws come
+// from a private splitmix64 stream, never from the simulation's RNG, so
+// metering a run cannot change it; the same samples give the same reservoir.
 type Histogram struct {
 	samples []time.Duration
 	total   uint64 // samples recorded, including those evicted
-	rng     *rand.Rand
-	fb      uint64 // fallback splitmix64 state when rng is nil
+	state   uint64 // splitmix64 state of the replacement draws
 }
-
-// SetRand injects the reservoir's RNG (nil keeps the deterministic
-// fixed-seed fallback).
-func (h *Histogram) SetRand(rng *rand.Rand) { h.rng = rng }
 
 // Record adds one sample, evicting a uniformly-chosen earlier sample once
 // the reservoir is full. A nil *Histogram (a disabled metrics registry's
@@ -153,20 +145,24 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 	// Algorithm R: the i-th sample replaces a random reservoir slot with
 	// probability cap/i, implemented as a uniform index into [0, i).
-	if j := h.randInt64(int64(h.total)); j < int64(len(h.samples)) {
+	j := h.randInt64(int64(h.total))
+	if h.total == uint64(len(h.samples))+1 {
+		// The first sample past the cap seeds the stream, after its own
+		// draw: its value, which the run's seed decides, is mixed into the
+		// fixed start, so two seeds evict differently and no sample's value
+		// decides whether that sample is kept.
+		h.state ^= uint64(d)
+	}
+	if j < int64(len(h.samples)) {
 		h.samples[j] = d
 	}
 }
 
-// randInt64 returns a uniform draw in [0, n): the injected RNG when set,
-// else a fixed-seed splitmix64 step (the modulo bias at n ≪ 2⁶⁴ is
-// far below sampling noise).
+// randInt64 returns a uniform draw in [0, n) by one splitmix64 step (the
+// modulo bias at n ≪ 2⁶⁴ is far below sampling noise).
 func (h *Histogram) randInt64(n int64) int64 {
-	if h.rng != nil {
-		return h.rng.Int63n(n)
-	}
-	h.fb += 0x9e3779b97f4a7c15
-	z := h.fb
+	h.state += 0x9e3779b97f4a7c15
+	z := h.state
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27

@@ -1,11 +1,9 @@
 package metrics
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 	"time"
-
-	"cloudrepl/internal/sim"
 )
 
 // TestHistogramReservoirBoundsMemory is the unbounded-growth regression
@@ -32,34 +30,49 @@ func TestHistogramReservoirBoundsMemory(t *testing.T) {
 	}
 }
 
-// TestHistogramReservoirDeterministic: with the same injected RNG seed the
-// reservoir evicts identically, and the zero-value fallback generator is
-// deterministic on its own.
+// TestHistogramReservoirDeterministic: the reservoir is a function of the
+// samples alone. The same samples keep the same slots; two streams that agree
+// up to the cap and differ past it, as two seeds' runs would, evict different
+// slots; the first sample past the cap takes one slot whatever its value; and
+// a Record past the cap allocates nothing.
 func TestHistogramReservoirDeterministic(t *testing.T) {
-	run := func(rng *rand.Rand) []time.Duration {
-		var h Histogram
-		h.SetRand(rng)
-		for i := 0; i < 3*histogramCap; i++ {
-			h.Record(time.Duration(i))
+	// fill records 0, 1, … up to the cap and then n more samples, each past
+	// the cap shifted by offset.
+	fill := func(n int, offset time.Duration) *Histogram {
+		h := new(Histogram)
+		for i := 0; i < histogramCap+n; i++ {
+			d := time.Duration(i)
+			if i >= histogramCap {
+				d += offset
+			}
+			h.Record(d)
 		}
-		return h.samples
+		return h
 	}
-	a := run(sim.NewEnv(7).Rand())
-	b := run(sim.NewEnv(7).Rand())
-	if len(a) != histogramCap || len(b) != histogramCap {
-		t.Fatalf("reservoir sizes %d/%d, want %d", len(a), len(b), histogramCap)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same-seed reservoirs differ at %d: %v vs %v", i, a[i], b[i])
+	// evicted marks the slots that no longer hold their sample from below
+	// the cap: every later sample is at least the cap.
+	evicted := func(h *Histogram) []bool {
+		out := make([]bool, len(h.samples))
+		for i, d := range h.samples {
+			out[i] = d != time.Duration(i)
 		}
+		return out
 	}
-	c := run(nil) // fallback splitmix64
-	d := run(nil)
-	for i := range c {
-		if c[i] != d[i] {
-			t.Fatalf("fallback reservoirs differ at %d: %v vs %v", i, c[i], d[i])
-		}
+	a, b := fill(2*histogramCap, 0), fill(2*histogramCap, 0)
+	if len(a.samples) != histogramCap {
+		t.Fatalf("reservoir size %d, want %d", len(a.samples), histogramCap)
+	}
+	if !slices.Equal(a.samples, b.samples) {
+		t.Fatal("the same samples gave two reservoirs")
+	}
+	if c := fill(2*histogramCap, 1); slices.Equal(evicted(a), evicted(c)) {
+		t.Fatal("samples that differ past the cap evicted the same slots: the stream ignores them")
+	}
+	if !slices.Equal(evicted(fill(1, 0)), evicted(fill(1, 7))) {
+		t.Fatal("the first sample past the cap chose its slot by its own value")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { a.Record(time.Millisecond) }); allocs != 0 {
+		t.Fatalf("Record past the cap allocates %v objects, want 0", allocs)
 	}
 }
 

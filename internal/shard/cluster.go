@@ -170,8 +170,6 @@ func New(env *sim.Env, cl *cloud.Cloud, cfg Config) (*Cluster, error) {
 		m:      NewMap(slots, cfg.Cells),
 		routes: make(map[string]*routeInfo),
 	}
-	s.hSingle.SetRand(env.Rand())
-	s.hScatter.SetRand(env.Rand())
 	for i := 0; i < cfg.Cells; i++ {
 		if _, err := s.addCell(ownsFor(s.ks, s.m, i)); err != nil {
 			return nil, err

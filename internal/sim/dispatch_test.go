@@ -169,8 +169,8 @@ func TestDispatchIsTotalOrder(t *testing.T) {
 			}
 		}
 		TraceDispatch(nil)
-		if live(e) != 0 {
-			t.Fatalf("seed %d: %d processes still live", seed, live(e))
+		if e.live() != 0 {
+			t.Fatalf("seed %d: %d processes still live", seed, e.live())
 		}
 		if got := uint64(len(seen) + o.dropped); got != e.seq {
 			t.Fatalf("seed %d: %d dispatched + %d cancelled = %d; want every one of the %d events pushed", seed, len(seen), o.dropped, got, e.seq)

@@ -783,6 +783,15 @@ var shutdownWatchdog = 5 * time.Second
 // wedged is what Shutdown's watchdog sends in place of an ended process.
 var wedged = new(Proc)
 
+// live counts the processes that have not returned.
+func (e *Env) live() int {
+	n := 0
+	for p := e.first; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
 // Shutdown unwinds every blocked process and hands every idle worker to the
 // process-wide pool, so that no goroutine outlives the Env but the pool's.
 // The environment must not be used afterwards. It is safe to call Shutdown
@@ -810,6 +819,9 @@ func (e *Env) Shutdown() {
 	// Each unwind retires its process, so the list's head is the next. One
 	// watchdog covers the whole unwind: it sends wedged down the channel the
 	// unwinds end on, so waiting for each is a plain receive.
+	// Each unwind parks its worker on the idle list, so that grows once, to
+	// fit them all, not by doubling as they come.
+	e.idle = slices.Grow(e.idle, e.live())
 	watchdog := time.AfterFunc(shutdownWatchdog, func() { e.yield <- wedged })
 	for p := e.first; p != nil; p = e.first {
 		p.w.resume <- struct{}{}
@@ -818,13 +830,9 @@ func (e *Env) Shutdown() {
 			ended = <-e.yield
 		}
 		if ended == wedged {
-			live := 0
-			for q := e.first; q != nil; q = q.next {
-				live++
-			}
 			panic(fmt.Sprintf(
 				"sim: deadlock during Shutdown: %d process(es) failed to unwind within %v\nwait-for graph:\n%s",
-				live, shutdownWatchdog, e.WaitForGraph()))
+				e.live(), shutdownWatchdog, e.WaitForGraph()))
 		}
 		e.retire(ended)
 	}

@@ -196,12 +196,12 @@ func TestShutdownUnblocksParkedProcesses(t *testing.T) {
 		})
 	}
 	env.Run() // returns with the 5 procs parked
-	if live(env) != 5 {
-		t.Fatalf("alive = %d, want 5", live(env))
+	if env.live() != 5 {
+		t.Fatalf("alive = %d, want 5", env.live())
 	}
 	env.Shutdown()
-	if live(env) != 0 {
-		t.Fatalf("alive after Shutdown = %d, want 0", live(env))
+	if env.live() != 0 {
+		t.Fatalf("alive after Shutdown = %d, want 0", env.live())
 	}
 }
 
@@ -215,8 +215,8 @@ func TestShutdownBeforeFirstResume(t *testing.T) {
 	if ran {
 		t.Fatal("process body ran despite immediate shutdown")
 	}
-	if live(env) != 0 {
-		t.Fatalf("alive = %d, want 0", live(env))
+	if env.live() != 0 {
+		t.Fatalf("alive = %d, want 0", env.live())
 	}
 }
 
@@ -257,15 +257,6 @@ func TestBlockingFromWrongGoroutinePanics(t *testing.T) {
 	victim.Sleep(time.Second) // wrong goroutine: test goroutine, not victim's
 }
 
-// live counts the Env's live processes: its list, from first to last.
-func live(e *Env) int {
-	n := 0
-	for p := e.first; p != nil; p = p.next {
-		n++
-	}
-	return n
-}
-
 // pending counts the events still to dispatch: the calendar's live ones and
 // the same-instant FIFO's that are not cancelled.
 func pending(e *Env) int {
@@ -282,14 +273,14 @@ func TestPendingAndAlive(t *testing.T) {
 	env := NewEnv(1)
 	env.Go("a", func(p *Proc) { p.Sleep(time.Second) })
 	env.Go("b", func(p *Proc) { p.Sleep(2 * time.Second) })
-	if live(env) != 2 {
-		t.Fatalf("alive = %d, want 2", live(env))
+	if env.live() != 2 {
+		t.Fatalf("alive = %d, want 2", env.live())
 	}
 	if pending(env) != 2 {
 		t.Fatalf("pending = %d, want 2", pending(env))
 	}
 	env.Run()
-	if live(env) != 0 || pending(env) != 0 {
-		t.Fatalf("after run: alive=%d pending=%d, want 0/0", live(env), pending(env))
+	if env.live() != 0 || pending(env) != 0 {
+		t.Fatalf("after run: alive=%d pending=%d, want 0/0", env.live(), pending(env))
 	}
 }

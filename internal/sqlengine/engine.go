@@ -344,7 +344,13 @@ func (e *Engine) PrepareLogged(w LoggedWrite) (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Statement{eng: e, stmt: stmt, nparams: countParams(stmt)}, nil
+	return e.PrepareParsed(stmt), nil
+}
+
+// PrepareParsed runs stmt, a Parse result, on this engine, outside the parse
+// cache. Engines may share one stmt: no statement writes the tree it runs.
+func (e *Engine) PrepareParsed(stmt Stmt) *Statement {
+	return &Statement{eng: e, stmt: stmt, nparams: countParams(stmt)}
 }
 
 // argChunk is how many argument values one allocation of Engine.args holds.
