@@ -126,9 +126,10 @@ var histogramCap = 32768
 // from a private splitmix64 stream, never from the simulation's RNG, so
 // metering a run cannot change it; the same samples give the same reservoir.
 type Histogram struct {
-	samples []time.Duration
-	total   uint64 // samples recorded, including those evicted
-	state   uint64 // splitmix64 state of the replacement draws
+	samples  []time.Duration
+	total    uint64        // samples recorded, including those evicted
+	min, max time.Duration // over every sample recorded, evicted ones included
+	state    uint64        // splitmix64 state of the replacement draws
 }
 
 // Record adds one sample, evicting a uniformly-chosen earlier sample once
@@ -139,6 +140,10 @@ func (h *Histogram) Record(d time.Duration) {
 		return
 	}
 	h.total++
+	if h.total == 1 {
+		h.min, h.max = d, d
+	}
+	h.min, h.max = min(h.min, d), max(h.max, d)
 	if len(h.samples) < histogramCap {
 		h.samples = append(h.samples, d)
 		return
@@ -187,13 +192,24 @@ func (h *Histogram) Float64s() []float64 {
 	}
 	out := make([]float64, len(h.samples))
 	for i, d := range h.samples {
-		out[i] = float64(d) / float64(time.Millisecond)
+		out[i] = ms(d)
 	}
 	return out
 }
 
-// Summary summarizes the histogram in milliseconds.
-func (h *Histogram) Summary() Summary { return Summarize(h.Float64s()) }
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// Summary summarizes the histogram in milliseconds. N, Min and Max are
+// exact: they count and bound every sample recorded. Mean, Median, StdDev
+// and the quantiles are computed over the reservoir, so past histogramCap
+// samples they are estimates.
+func (h *Histogram) Summary() Summary {
+	s := Summarize(h.Float64s())
+	if h != nil {
+		s.N, s.Min, s.Max = int(h.total), ms(h.min), ms(h.max)
+	}
+	return s
+}
 
 // Point is one time-series observation.
 type Point struct {

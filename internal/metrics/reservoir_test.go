@@ -33,8 +33,9 @@ func TestHistogramReservoirBoundsMemory(t *testing.T) {
 // TestHistogramReservoirDeterministic: the reservoir is a function of the
 // samples alone. The same samples keep the same slots; two streams that agree
 // up to the cap and differ past it, as two seeds' runs would, evict different
-// slots; the first sample past the cap takes one slot whatever its value; and
-// a Record past the cap allocates nothing.
+// slots; the first sample past the cap takes one slot whatever its value;
+// the summary's count and extremes still cover every sample, evicted ones
+// included; and a Record past the cap allocates nothing.
 func TestHistogramReservoirDeterministic(t *testing.T) {
 	// fill records 0, 1, … up to the cap and then n more samples, each past
 	// the cap shifted by offset.
@@ -70,6 +71,21 @@ func TestHistogramReservoirDeterministic(t *testing.T) {
 	}
 	if !slices.Equal(evicted(fill(1, 0)), evicted(fill(1, 7))) {
 		t.Fatal("the first sample past the cap chose its slot by its own value")
+	}
+	// Two spikes recorded first, then many times the cap of samples between
+	// them: the reservoir evicts both, the extremes keep them.
+	h := new(Histogram)
+	h.Record(time.Hour)
+	h.Record(time.Nanosecond)
+	n := 16 * histogramCap
+	for i := 2; i < n; i++ {
+		h.Record(time.Microsecond + time.Duration(i))
+	}
+	if slices.Contains(h.samples, time.Hour) || slices.Contains(h.samples, time.Nanosecond) {
+		t.Fatal("a spike is still in the reservoir: the extremes are not tested past the cap")
+	}
+	if s := h.Summary(); s.N != n || s.Max != 3.6e6 || s.Min != 1e-6 {
+		t.Fatalf("past the cap: N %d, Min %v ms, Max %v ms; want %d, 1e-06 and 3.6e+06", s.N, s.Min, s.Max, n)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { a.Record(time.Millisecond) }); allocs != 0 {
 		t.Fatalf("Record past the cap allocates %v objects, want 0", allocs)

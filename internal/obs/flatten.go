@@ -7,9 +7,9 @@ import (
 	"cloudrepl/internal/metrics"
 )
 
-// FlattenHistogram writes h into dst as <name>.count (every sample ever
-// recorded), <name>.mean_ms, <name>.p95_ms and <name>.max_ms, and returns
-// the summary it read them from for a caller that publishes more of it.
+// FlattenHistogram writes h into dst as <name>.count, <name>.mean_ms,
+// <name>.p95_ms and <name>.max_ms (Histogram.Summary says which are exact),
+// and returns the summary it read them from for a caller that publishes more.
 func FlattenHistogram(dst map[string]float64, name string, h *metrics.Histogram) metrics.Summary {
 	s := h.Summary()
 	dst[name+".count"] = float64(h.Total())

@@ -190,8 +190,8 @@ func TestDispatchIsTotalOrder(t *testing.T) {
 
 // TestFreshSpawnAllocCeiling: 400 spawns on a fresh Env, its workers out of
 // a warm pool, allocate nothing: a Proc and its start event are the pooled
-// worker's own, and every start is due at the current instant, so no
-// calendar bucket is touched either.
+// worker's own, and every start is due at the current instant, so the
+// event heap is not touched either.
 func TestFreshSpawnAllocCeiling(t *testing.T) {
 	const spawns, want = 400, 0
 	body := func(p *Proc) { p.Sleep(time.Second) }

@@ -2,13 +2,14 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// refHeap is the kernel's previous event queue — a container/heap ordered
-// by (at, seq) — kept here as the ordering oracle for the calendar queue.
+// refHeap is a container/heap ordered by (at, seq), kept here as the
+// ordering oracle for the kernel's event heap.
 type refHeap []*event
 
 func (h refHeap) Len() int           { return len(h) }
@@ -33,31 +34,31 @@ func (h *refHeap) popLive() *event {
 	return nil
 }
 
-// popper returns what takes the earliest live event off cq (nil when none
-// remain) through the pair Env.dispatch uses: locate, then popLocated of the
-// bucket it names, which must hand back the event locate found.
-func popper(t *testing.T, cq *calQueue) func() *event {
+// popper returns what takes the earliest live event off q (nil when none
+// remain) through the pair Env.dispatch uses: peek, then pop, which must
+// hand back the event peek found.
+func popper(t *testing.T, q *eventHeap) func() *event {
 	return func() *event {
-		ev, idx := cq.locate()
+		ev := q.peek()
 		if ev == nil {
 			return nil
 		}
-		if got := cq.popLocated(idx); got != ev {
-			t.Fatalf("popLocated(%d) = (%d,%d), locate found (%d,%d)", idx, got.at, got.seq, ev.at, ev.seq)
+		if got := q.pop(); got != ev {
+			t.Fatalf("pop = (%d,%d), peek found (%d,%d)", got.at, got.seq, ev.at, ev.seq)
 		}
 		return ev
 	}
 }
 
-// TestCalQueueDifferentialVsHeap drives the old binary heap and the new
-// calendar queue with the same randomized schedule/cancel/pop workload and
-// asserts identical pop order — including (at, seq) ties, which is what the
-// determinism contract hangs on.
+// TestCalQueueDifferentialVsHeap drives the reference heap and the event
+// heap with the same randomized schedule/cancel/pop workload and asserts
+// identical pop order — including (at, seq) ties, which is what the
+// determinism contract hangs on. The name is older than the heap.
 func TestCalQueueDifferentialVsHeap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 99, 12345} {
 		rng := rand.New(rand.NewSource(seed))
-		cq := &calQueue{free: func(*event) {}}
-		pop := popper(t, cq)
+		q := &eventHeap{free: func(*event) {}}
+		pop := popper(t, q)
 		ref := &refHeap{}
 
 		var seq uint64
@@ -68,7 +69,7 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 			// structure mutates its own links/flags.
 			a := &event{at: at, seq: seq}
 			b := &event{at: at, seq: seq}
-			cq.push(a)
+			q.push(a)
 			heap.Push(ref, b)
 			pending = append(pending, a)
 		}
@@ -89,7 +90,7 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 				i := rng.Intn(len(pending))
 				ev := pending[i]
 				pending = append(pending[:i], pending[i+1:]...)
-				cq.cancel(ev)
+				q.cancel(ev)
 				// The ref holds its own copy: find by (at, seq) and flag it.
 				for _, rev := range *ref {
 					if rev.at == ev.at && rev.seq == ev.seq {
@@ -101,13 +102,13 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 				got := pop()
 				want := ref.popLive()
 				if (got == nil) != (want == nil) {
-					t.Fatalf("seed %d op %d: pop mismatch: cal=%v heap=%v", seed, op, got, want)
+					t.Fatalf("seed %d op %d: pop mismatch: got %v, ref %v", seed, op, got, want)
 				}
 				if got == nil {
 					continue
 				}
 				if got.at != want.at || got.seq != want.seq {
-					t.Fatalf("seed %d op %d: pop order diverged: cal=(%d,%d) heap=(%d,%d)",
+					t.Fatalf("seed %d op %d: pop order diverged: got (%d,%d), ref (%d,%d)",
 						seed, op, got.at, got.seq, want.at, want.seq)
 				}
 				if got.at > now && got.at != MaxTime {
@@ -128,8 +129,34 @@ func TestCalQueueDifferentialVsHeap(t *testing.T) {
 				break
 			}
 			if got == nil || want == nil || got.at != want.at || got.seq != want.seq {
-				t.Fatalf("seed %d drain: order diverged: cal=%v heap=%v", seed, got, want)
+				t.Fatalf("seed %d drain: order diverged: got %v, ref %v", seed, got, want)
 			}
+		}
+	}
+}
+
+// TestLessBitIsEventBefore: the heap's branch-free comparison orders every
+// pair of keys as eventBefore does, negative and extreme times included.
+func TestLessBitIsEventBefore(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ats := []Time{math.MinInt64, -1, 0, 1, Time(time.Second), MaxTime - 1, MaxTime}
+	seqs := []uint64{0, 1, 2, math.MaxUint64}
+	key := func() (Time, uint64) {
+		if rng.Intn(2) == 0 {
+			return ats[rng.Intn(len(ats))], seqs[rng.Intn(len(seqs))]
+		}
+		return Time(rng.Uint64()), rng.Uint64()
+	}
+	for i := 0; i < 100000; i++ {
+		a, b := &event{}, &event{}
+		a.at, a.seq = key()
+		b.at, b.seq = key()
+		if i%3 == 0 {
+			b.at = a.at // ties on at leave the order to seq
+		}
+		got := lessBit(heapEntry{a.at, a.seq, a}, heapEntry{b.at, b.seq, b}) == 1
+		if want := eventBefore(a, b); got != want {
+			t.Fatalf("(%d,%d) before (%d,%d): lessBit says %v, eventBefore %v", a.at, a.seq, b.at, b.seq, got, want)
 		}
 	}
 }
@@ -190,21 +217,21 @@ func spawnHeavyScript(seed int64, push func(*event), pop func() *event) [][2]uin
 	return order
 }
 
-// TestCalQueueDifferentialSpawnHeavy: the calendar queue and the reference
-// heap agree on a spawn-dominated schedule, where whole bursts of start
-// events share one instant.
+// TestCalQueueDifferentialSpawnHeavy: the event heap and the reference heap
+// agree on a spawn-dominated schedule, where whole bursts of start events
+// share one instant.
 func TestCalQueueDifferentialSpawnHeavy(t *testing.T) {
 	for _, seed := range []int64{1, 7, 4242} {
-		cq := &calQueue{free: func(*event) {}}
+		q := &eventHeap{free: func(*event) {}}
 		ref := &refHeap{}
-		got := spawnHeavyScript(seed, cq.push, popper(t, cq))
+		got := spawnHeavyScript(seed, q.push, popper(t, q))
 		want := spawnHeavyScript(seed, func(ev *event) { heap.Push(ref, ev) }, ref.popLive)
 		if len(got) < 30000 || len(got) != len(want) {
-			t.Fatalf("seed %d: calendar queue popped %d events, heap %d; want the same and at least 30000", seed, len(got), len(want))
+			t.Fatalf("seed %d: event heap popped %d events, reference %d; want the same and at least 30000", seed, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d pop %d: order diverged: cal=%v heap=%v", seed, i, got[i], want[i])
+				t.Fatalf("seed %d pop %d: order diverged: got %v, ref %v", seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -218,25 +245,25 @@ func TestCalQueueDifferentialSpawnHeavy(t *testing.T) {
 // within 2× the live population (plus the pre-compaction floor).
 func TestCalQueueTombstonesBounded(t *testing.T) {
 	freed := 0
-	cq := &calQueue{free: func(*event) { freed++ }}
+	q := &eventHeap{free: func(*event) { freed++ }}
 	var seq uint64
 	live := []*event{}
 	for i := 0; i < 100000; i++ {
 		seq++
 		ev := &event{at: Time(i) * Time(time.Hour), seq: seq}
-		cq.push(ev)
+		q.push(ev)
 		live = append(live, ev)
 		// Cancel almost everything, like timeout timers that rarely fire.
 		if len(live) > 10 {
-			cq.cancel(live[0])
+			q.cancel(live[0])
 			live = live[1:]
 		}
-		if max := 2*cq.live + calCompactFloor; cq.size > max {
-			t.Fatalf("after %d pushes: queue size %d exceeds bound %d (live %d)", i+1, cq.size, max, cq.live)
+		if max := 2*q.live + compactFloor; len(q.heap) > max {
+			t.Fatalf("after %d pushes: queue size %d exceeds bound %d (live %d)", i+1, len(q.heap), max, q.live)
 		}
 	}
-	if cq.live != len(live) {
-		t.Fatalf("live count %d, want %d", cq.live, len(live))
+	if q.live != len(live) {
+		t.Fatalf("live count %d, want %d", q.live, len(live))
 	}
 	if freed == 0 {
 		t.Fatal("no tombstones were recycled")
@@ -244,18 +271,16 @@ func TestCalQueueTombstonesBounded(t *testing.T) {
 }
 
 // TestPendingMatchesScan checks the O(1) Pending counter against a direct
-// scan of the queue's buckets across schedule/cancel/run churn. Pending
+// scan of the heap across schedule/cancel/run churn. Pending
 // was previously an O(n) walk per call; now it must stay consistent with
 // the ground truth for free.
 func TestPendingMatchesScan(t *testing.T) {
 	e := NewEnv(1)
 	scan := func() int {
 		n := 0
-		for _, b := range e.queue.buckets {
-			for _, ev := range b {
-				if !ev.cancelled {
-					n++
-				}
+		for _, x := range e.queue.heap {
+			if !x.ev.cancelled {
+				n++
 			}
 		}
 		return n
@@ -313,6 +338,27 @@ func TestSleepSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("schedule/fire cycle allocates %.1f objects; want 0", allocs)
+	}
+}
+
+// TestEventQueueFillDrainAllocs: filling the event heap with a Cloudstone
+// cell's peak of future timers and running the Env empty again allocates
+// nothing once the heap and the event pool have grown to that peak: a queue
+// that rebuilds its storage as its population rises and falls allocates on
+// every cycle.
+func TestEventQueueFillDrainAllocs(t *testing.T) {
+	const timers = 500
+	e := NewEnv(1)
+	fn := func() {}
+	cycle := func() {
+		for i := 0; i < timers; i++ {
+			e.After(Time(i)*Time(time.Second)/timers, fn)
+		}
+		e.Run()
+	}
+	cycle() // grow the heap and the event pool to the peak
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a fill-and-drain cycle of %d timers allocates %.1f objects; want 0", timers, allocs)
 	}
 }
 

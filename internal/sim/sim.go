@@ -34,7 +34,7 @@ type event struct {
 	w         *sigWaiter // non-nil for a Signal.WaitTimeout timer
 	next      *event     // the next event of the same-instant FIFO
 	cancelled bool
-	due       bool // queued on the same-instant FIFO, not the calendar
+	due       bool // queued on the same-instant FIFO, not the heap
 }
 
 // dispatchHook, when set, sees every event as it is dispatched, with the
@@ -58,12 +58,12 @@ type shutdownSentinel struct{}
 // baton, the right to touch the Env, at any moment.
 type Env struct {
 	now   Time
-	queue calQueue
+	queue eventHeap
 	// due, dueTail is the same-instant FIFO: every event pushed with at ==
 	// now, in push order, so in (at, seq) order — now never decreases. It
-	// spares the calendar the wakeups, grants and spawns due at the current
-	// instant; dispatch takes whichever of its head and the calendar's
-	// minimum comes first.
+	// spares the heap the wakeups, grants and spawns due at the current
+	// instant; dispatch takes whichever of its head and the heap's minimum
+	// comes first.
 	due, dueTail *event
 	seq          uint64
 	processed    uint64 // events dispatched since creation
@@ -183,7 +183,7 @@ func (e *Env) freeEvent(ev *event) {
 }
 
 // push queues ev behind every event already scheduled: on the same-instant
-// FIFO when it is due now, in the calendar otherwise.
+// FIFO when it is due now, in the heap otherwise.
 func (e *Env) push(ev *event) {
 	e.seq++
 	ev.seq = e.seq
@@ -637,7 +637,7 @@ func (p *Proc) SleepUntil(t Time) {
 // dispatch runs events in (at, seq) order on the goroutine holding the
 // baton — callbacks, deliveries and signal timeouts inline, with no process
 // current — until the next event resumes a process, which it makes current
-// and returns. The next event is the calendar's minimum or the same-instant
+// and returns. The next event is the heap's minimum or the same-instant
 // FIFO's head, whichever is (at, seq)-first. It returns nil when the baton
 // must go back to the Run caller: Stop was called, both queues are empty or
 // the next event lies past the horizon. The event struct is recycled before
@@ -649,7 +649,7 @@ func (e *Env) dispatch() *Proc {
 		for e.due != nil && e.due.cancelled {
 			e.freeEvent(e.popDue())
 		}
-		ev, idx := e.queue.locate()
+		ev := e.queue.peek()
 		fromDue := e.due != nil && (ev == nil || eventBefore(e.due, ev))
 		if fromDue {
 			ev = e.due
@@ -660,7 +660,7 @@ func (e *Env) dispatch() *Proc {
 		if fromDue {
 			e.popDue()
 		} else {
-			e.queue.popLocated(idx)
+			e.queue.pop()
 		}
 		at, fn, msg, w, p := ev.at, ev.fn, ev.msg, ev.w, ev.proc
 		if dispatchHook != nil {

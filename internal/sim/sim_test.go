@@ -257,7 +257,7 @@ func TestBlockingFromWrongGoroutinePanics(t *testing.T) {
 	victim.Sleep(time.Second) // wrong goroutine: test goroutine, not victim's
 }
 
-// pending counts the events still to dispatch: the calendar's live ones and
+// pending counts the events still to dispatch: the heap's live ones and
 // the same-instant FIFO's that are not cancelled.
 func pending(e *Env) int {
 	n := e.queue.live
