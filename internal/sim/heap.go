@@ -126,19 +126,14 @@ func (q *eventHeap) rise(i, top int, x heapEntry) {
 // down places x in the hole at i or below it. The hole sinks to a leaf along
 // the earliest child of each node, then x rises from there: x, a former
 // leaf, usually belongs near the bottom, and the hole sinks without comparing
-// with x, so no branch depends on the keys until x rises.
+// with x, so no branch depends on the keys until x rises. A node with fewer
+// than four children names its last child again in the missing places.
 func (q *eventHeap) down(i int, x heapEntry) {
 	h := q.heap
 	top := i
-	for c := 4*i + 1; c < len(h); c = 4*i + 1 {
-		if c+3 < len(h) {
-			i = earlier(h, earlier(h, c, c+1), earlier(h, c+2, c+3))
-		} else {
-			i = c
-			for j := c + 1; j < len(h); j++ {
-				i = earlier(h, i, j)
-			}
-		}
+	last := len(h) - 1
+	for c := 4*i + 1; c <= last; c = 4*i + 1 {
+		i = earlier(h, earlier(h, c, min(c+1, last)), earlier(h, min(c+2, last), min(c+3, last)))
 		h[(i-1)/4] = h[i]
 	}
 	q.rise(i, top, x)
