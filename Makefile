@@ -136,13 +136,13 @@ bench-pairs:
 	sh bench/pairs.sh "$(BASE)" "$(PAIRS)" "$(W)" "$(KERNEL)"
 
 # Run-window allocation sites of BASE and of the working tree, for each
-# workload of W: both trees exported, each copy's benchmark built with
+# workload of W (W=all: the four of BENCHMARK.json): both trees exported, each copy's benchmark built with
 # MemProfileRate = 1 and an allocs profile at the rep's two allocator readings
 # (benchmark/ itself is not touched), and `go tool pprof -base` top and peek
 # output per workload and side. It fails if the hook lines are not found.
 # All four workloads take 26 s on a 2-vCPU box with the build cache warm (a
 # cold cache adds ~16 s for the two builds):
-#   make bench-attr W="geo_light shard_write_heavy" > attribution.txt
+#   make bench-attr BASE=HEAD~ W=all > attribution.txt
 bench-attr:
 	sh bench/attr.sh "$(BASE)" "$(W)"
 

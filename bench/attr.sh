@@ -13,20 +13,17 @@
 # profiler on, so above the unprofiled figure), then `go tool pprof
 # -sample_index=alloc_objects -base h1 h2` — objects allocated in the window —
 # as the top allocating functions and as a peek at the scatter's leg path
-# (scatterLegs, Env.Go, proxy Exec/ExecInto, Plan.run), with the profile
-# writer's own allocations ignored. A tree whose benchmark/rep.go has not
-# exactly one of each reading line fails the script: the hook would measure
-# something else.
+# (scatterLegs, Env.Go, proxy Exec/ExecInto, Plan.run) and at the slab take
+# every chunk comes from — a result's values and row headers (carve) and the
+# row store's rows, images, chain nodes and postings — with the profile
+# writer's own allocations ignored. WORKLOADS `all` is the four workloads of
+# BENCHMARK.json. A tree whose benchmark/rep.go has not exactly one of each
+# reading line fails the script: the hook would measure something else.
 set -eu
 base=${1:-HEAD~}
 workloads=${2:-shard_write_heavy}
-peek='shard\.\(\*Conn\)\.scatterLegs$|sim\.\(\*Env\)\.Go$|proxy\.\(\*Conn\)\.Exec(Into)?$|sqlengine\.\(\*Plan\)\.run$'
-for w in $workloads; do
-	if [ "$w" = all ]; then
-		echo "attr.sh: name the workloads, e.g. W=\"geo_light master_bound read_heavy shard_write_heavy\"" >&2
-		exit 2
-	fi
-done
+[ "$workloads" = all ] && workloads="geo_light master_bound read_heavy shard_write_heavy"
+peek='shard\.\(\*Conn\)\.scatterLegs$|sim\.\(\*Env\)\.Go$|proxy\.\(\*Conn\)\.Exec(Into)?$|sqlengine\.\(\*Plan\)\.run$|sqlengine\.\(\*slab\[.*\]\)\.take$'
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-attr.XXXXXX")

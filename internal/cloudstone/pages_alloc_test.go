@@ -13,12 +13,12 @@ import (
 
 // TestReadPageAllocCeilings holds every read page to an allocation ceiling at
 // the read-heavy cell's data size, through Prepare + Run on one engine — the
-// path DBServer.Exec takes. A read that returns rows needs three objects: the
-// values, the row headers, and one block holding the Result and its ResultSet
-// (through a proxy the same block holds the ExecResult too). That is the
-// ceiling of every page, the aggregating one included; everything the executor
-// allocates beyond what it returns is host cost the simulator pays per page
-// and the GC pays again. -v logs the measured allocations and time per page.
+// path DBServer.Exec takes. A read that returns rows needs one object: the
+// block holding the Result and its ResultSet (through a proxy the same block
+// holds the ExecResult too), its values and row headers carved from chunks the
+// plan keeps. That is the ceiling of every page, the aggregating one included;
+// everything the executor allocates beyond what it returns is host cost the
+// simulator pays per page and the GC pays again. -v logs the measured allocations and time per page.
 func TestReadPageAllocCeilings(t *testing.T) {
 	env := sim.NewEnv(11)
 	defer env.Shutdown()
@@ -29,7 +29,7 @@ func TestReadPageAllocCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.Eng.NewSession(DatabaseName)
-	const ceiling = 3
+	const ceiling = 1
 	seen := map[string]bool{}
 	for _, pq := range pageQueries() {
 		if seen[pq.name] {

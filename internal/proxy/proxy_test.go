@@ -706,3 +706,53 @@ func TestDrainTimesOut(t *testing.T) {
 	env.Stop()
 	env.Shutdown()
 }
+
+// TestWarmReadAllocatesItsReply: a routed read costs its caller one object,
+// the Reply Exec answers in. Its values and row headers are carved from
+// chunks the backend's plan keeps, and routing, the round trip and the
+// server's queue allocate nothing once warm — for a point read and for a
+// top-10 read alike.
+func TestWarmReadAllocatesItsReply(t *testing.T) {
+	env, px := topo(t, 3, 2, &RoundRobin{})
+	conn := px.Connect("app")
+	point, one := "SELECT v FROM t WHERE id = ?", []sqlengine.Value{sqlengine.NewInt(7)}
+	top := "SELECT id, v FROM t ORDER BY v DESC LIMIT 10"
+	done := false
+	env.Go("client", func(p *sim.Proc) {
+		for i := 1; i <= 40; i++ {
+			if _, err := conn.Exec(p, "INSERT INTO t (id, v) VALUES (?, ?)",
+				sqlengine.NewInt(int64(i)), sqlengine.NewString(fmt.Sprint("v", i%13))); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+		p.Sleep(5 * time.Second) // let replication deliver
+		for _, tc := range []struct {
+			sql  string
+			args []sqlengine.Value
+			rows int
+		}{{point, one, 1}, {top, nil, 10}} {
+			read := func() {
+				res, err := conn.Exec(p, tc.sql, tc.args...)
+				if err != nil {
+					t.Errorf("%s: %v", tc.sql, err)
+				} else if n := len(res.Result.Set.Rows); n != tc.rows {
+					t.Errorf("%s: %d rows, want %d", tc.sql, n, tc.rows)
+				}
+			}
+			for range 4 { // every slave's plan built and its first chunk taken
+				read()
+			}
+			if allocs := testing.AllocsPerRun(100, read); allocs != 1 {
+				t.Errorf("%s: a warm routed read allocates %.0f objects, want 1 (its Reply)", tc.sql, allocs)
+			}
+		}
+		done = true
+	})
+	env.RunUntil(time.Hour)
+	if !done {
+		t.Error("the client did not finish")
+	}
+	env.Stop()
+	env.Shutdown()
+}

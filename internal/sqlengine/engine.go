@@ -77,7 +77,10 @@ type Result struct {
 // run into it, rows included: from the second read into a Reply on, the rows
 // are built in storage the Reply keeps, reused when they fit and grown when
 // they do not. A Reply read into once — Run's, a proxy's per statement — keeps
-// nothing and is no larger for it than a Result and a ResultSet and a pointer.
+// nothing and is no larger for it than a Result and a ResultSet and a pointer:
+// its rows are carved from chunks the plan keeps and never rewinds (carve), so
+// a read costs its caller the Reply alone, and the rows are the caller's for
+// as long as it holds them.
 type Reply struct {
 	Result Result
 	Set    ResultSet

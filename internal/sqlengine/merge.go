@@ -247,8 +247,9 @@ func (m *Merge) bind(header []string) error {
 
 // Run merges sets — one leg's result each, in ascending cell order — into
 // out, whose rows share nothing with them, with the Replies they live in or
-// with the Merge: they are built in storage of their own, the caller's to
-// keep (the header is the plan's, as any result's is, and never written).
+// with the Merge's scratch: they are carved from chunks the Merge keeps and
+// never rewinds, the caller's to keep (the header is the plan's, as any
+// result's is, and never written).
 // The plan binds to the legs' header on the first Run and again whenever the
 // header changes.
 func (m *Merge) Run(sets []*ResultSet, out *ResultSet) error {

@@ -47,6 +47,13 @@ type runState struct {
 	groups keyMap[int32]
 	tuple  []Value // the current row's GROUP BY values
 	kb     []byte  // a tuple of several values, rendered
+
+	// Result storage (carve): the values and row headers of the results the
+	// plan answers in storage of their own, bump-allocated from chunks the
+	// plan keeps. Nothing rewinds them, so a result handed out stays the
+	// caller's; end leaves them as they are.
+	vals slab[Value]
+	rows slab[[]Value]
 }
 
 func (rt *runState) emit(n *planNode) {

@@ -31,30 +31,43 @@ import (
 
 const slabMin, slabMax = 16, 1024 // slots in a slab's first and largest chunk
 
-// slab bump-allocates runs of n T's; every take of one slab uses the same n.
+// slab bump-allocates runs of T's from chunks that never move. A slot is
+// unit T's (one when unit is 0); a slab's first chunk has slabMin slots and
+// each next one twice as many, up to slabMax. A take that does not fit in the
+// newest chunk's tail opens the next chunk, made large enough for it, and the
+// tail is never handed out: the row store takes one slot at a time (a row
+// image is one slot of ncols Values) and so wastes none, while a plan's result
+// storage (carve) takes runs of any size up to an eighth of a full chunk. No
+// chunk is rewound or reused, so a run is its taker's for as long as the taker
+// holds it, and the three-index slice take returns keeps the taker's appends
+// out of its neighbours.
 type slab[T any] struct {
 	free  []T // unallocated tail of the newest chunk
 	slots int // size of the newest chunk
+	unit  int // T's in a slot; 0 is 1
 }
 
 func (s *slab[T]) take(n int) []T {
 	if len(s.free) < n {
 		s.slots = min(max(2*s.slots, slabMin), slabMax)
-		s.free = make([]T, s.slots*n)
+		s.free = make([]T, max(s.slots*max(s.unit, 1), n))
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
 }
 
-// slabMark is where a slab stands: its newest chunk's size and how much of
-// that chunk is unallocated. A slab resumed from a mark allocates its next
-// chunk when, and as large as, the slab the mark was taken from will.
-type slabMark struct{ slots, free int }
+// slabMark is where a slab stands: its newest chunk's size, how much of that
+// chunk is unallocated and its slot's size. A slab resumed from a mark
+// allocates its next chunk when, and as large as, the slab the mark was taken
+// from will.
+type slabMark struct{ slots, free, unit int }
 
-func (s *slab[T]) mark() slabMark { return slabMark{s.slots, len(s.free)} }
+func (s *slab[T]) mark() slabMark { return slabMark{s.slots, len(s.free), s.unit} }
 
-func resume[T any](m slabMark) slab[T] { return slab[T]{free: make([]T, m.free), slots: m.slots} }
+func resume[T any](m slabMark) slab[T] {
+	return slab[T]{free: make([]T, m.free), slots: m.slots, unit: m.unit}
+}
 
 // Row is a stored tuple. Rows have stable identity so index buckets can
 // reference them across updates. MVCC state rides on the row: begin and end
@@ -322,6 +335,7 @@ type rowStore struct {
 // each with no bucket yet.
 func (st *rowStore) init(t *Table, keyed []*Index) {
 	st.table, st.ncols, st.keyed = t, len(t.Columns), keyed
+	st.imgSlab.unit = st.ncols
 	if len(t.pkCols) > 0 {
 		st.pk = keyed[0]
 	}
@@ -333,7 +347,7 @@ func (st *rowStore) init(t *Table, keyed []*Index) {
 // shares its image owns an empty one after it, nothing copied.
 func (st *rowStore) truncate() {
 	st.rows, st.graveyard, st.chained, st.src = nil, nil, nil, nil
-	st.rowSlab, st.imgSlab, st.verSlab, st.post = slab[Row]{}, slab[Value]{}, slab[rowVersion]{}, postings{}
+	st.rowSlab, st.imgSlab, st.verSlab, st.post = slab[Row]{}, slab[Value]{unit: st.ncols}, slab[rowVersion]{}, postings{}
 	for _, ix := range st.keyed {
 		ix.buckets = keyMap[bucket]{}
 	}

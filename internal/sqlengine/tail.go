@@ -189,7 +189,8 @@ func (rt *runState) sortKeys(dst []Value) error {
 
 // run executes the tail over the source and materializes the result set,
 // its values and row headers in sp — reused when they fit, grown and kept
-// there when they do not — or, with sp nil, in storage of their own.
+// there when they do not — or, with sp nil, in storage of their own, carved
+// from the plan's chunks.
 func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 	limit, err := rt.bound(p.limit, "LIMIT", -1)
 	if err != nil {
@@ -223,11 +224,10 @@ func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 	var vals []Value
 	var rows [][]Value
 	if sp != nil {
+		sp.vals, sp.rows = fit(sp.vals, len(out)*w), fit(sp.rows, len(out))
 		vals, rows = sp.vals, sp.rows
-	}
-	vals, rows = fit(vals, len(out)*w), fit(rows, len(out))
-	if sp != nil {
-		sp.vals, sp.rows = vals, rows
+	} else {
+		vals, rows = carve(&rt.vals, len(out)*w), carve(&rt.rows, len(out))
 	}
 	for k, i := range out {
 		rt.enter(p, i)
@@ -262,6 +262,21 @@ func fit[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// resultRunMax is the most T's a result takes from a plan's chunk: a larger
+// slice is made for itself, so a full chunk leaves less than an eighth of
+// itself unused when a take does not fit in its tail.
+const resultRunMax = slabMax / 8
+
+// carve returns n T's of a result that owns its storage: taken from s, or
+// made for themselves when there are none or more than resultRunMax; never
+// nil, like the make it stands for.
+func carve[T any](s *slab[T], n int) []T {
+	if n == 0 || n > resultRunMax {
+		return make([]T, n)
+	}
+	return s.take(n)
 }
 
 // window applies OFFSET and LIMIT (-1: none) to a slice.
