@@ -57,9 +57,11 @@ race:
 # goroutines at once: each shares the image's tables until it writes one, and
 # copies that one out of the image while the others read it. Together they are
 # the dynamic check that an engine has one owner at a time and takes no lock
-# (DESIGN.md §8).
+# (DESIGN.md §8). The first pass also holds the shard router and the proxy:
+# a routed connection's scatter legs run as sim processes on pooled
+# goroutines and share the connection's cell array, sessions and replies.
 race-shards:
-	$(GO) test -race -count=2 ./internal/experiment/ ./internal/sim/
+	$(GO) test -race -count=2 ./internal/experiment/ ./internal/sim/ ./internal/shard/ ./internal/proxy/
 	$(GO) test -race -count=2 -run 'TestRestore|TestPreload' ./internal/sqlengine/ ./internal/cloudstone/
 
 # End-to-end smoke of the bench CLI, after `check` has run every test under

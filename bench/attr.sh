@@ -12,18 +12,20 @@
 # workload and side it prints the benchmark's allocs_per_op (read with the
 # profiler on, so above the unprofiled figure), then `go tool pprof
 # -sample_index=alloc_objects -base h1 h2` — objects allocated in the window —
-# as the top allocating functions and as a peek at the scatter's leg path
-# (scatterLegs, Env.Go, proxy Exec/ExecInto, Plan.run) and at the slab take
-# every chunk comes from — a result's values and row headers (carve) and the
-# row store's rows, images, chain nodes and postings — with the profile
-# writer's own allocations ignored. WORKLOADS `all` is the four workloads of
-# BENCHMARK.json. A tree whose benchmark/rep.go has not exactly one of each
+# as the top allocating functions and as a peek at what a connection costs
+# once (the routed and the proxy Connect, the session table's On,
+# Engine.NewSession), at the scatter's leg path (scatterLegs, Env.Go, proxy
+# Exec/ExecInto, Plan.run) and at the slab take every chunk comes from — a
+# result's values and row headers (carve), a session, a reply's kept row
+# storage and the row store's rows, images, chain nodes and postings — with
+# the profile writer's own allocations ignored. WORKLOADS `all` is the four
+# workloads of BENCHMARK.json. A tree whose benchmark/rep.go has not exactly one of each
 # reading line fails the script: the hook would measure something else.
 set -eu
 base=${1:-HEAD~}
 workloads=${2:-shard_write_heavy}
 [ "$workloads" = all ] && workloads="geo_light master_bound read_heavy shard_write_heavy"
-peek='shard\.\(\*Conn\)\.scatterLegs$|sim\.\(\*Env\)\.Go$|proxy\.\(\*Conn\)\.Exec(Into)?$|sqlengine\.\(\*Plan\)\.run$|sqlengine\.\(\*slab\[.*\]\)\.take$'
+peek='shard\.\(\*Cluster\)\.Connect$|proxy\.\(\*Proxy\)\.Connect$|server\.\(\*Sessions\)\.On$|sqlengine\.\(\*Engine\)\.NewSession$|shard\.\(\*Conn\)\.scatterLegs$|sim\.\(\*Env\)\.Go$|proxy\.\(\*Conn\)\.Exec(Into)?$|sqlengine\.\(\*Plan\)\.run$|sqlengine\.\(\*slab\[.*\]\)\.take$'
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-attr.XXXXXX")

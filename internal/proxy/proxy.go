@@ -388,14 +388,14 @@ func leadingVerb(sql string) string {
 	}
 }
 
-// Conn is one pooled client connection: lazily-opened sessions against each
-// backend server it has touched. Sessions are keyed by server identity so a
-// failover (the proxy re-pointing to a promoted master) never reuses a
-// session bound to the dead server's engine.
+// Conn is one pooled client connection: a session on each backend server it
+// has sent a statement to, opened by the first and kept in the connection's
+// own table (server.Sessions), so a failover — the proxy re-pointing to a
+// promoted master — never reuses a session bound to the dead server's engine.
 type Conn struct {
 	px   *Proxy
 	db   string
-	sess map[*server.DBServer]*sqlengine.Session
+	sess server.Sessions
 
 	// token is the read-your-writes watermark after this connection's most
 	// recent write: (master epoch, binlog seq). The epoch makes the
@@ -410,8 +410,15 @@ func (c *Conn) SetToken(t Token) { c.token = c.token.Max(t) }
 
 // Connect opens a connection with the given default database.
 func (px *Proxy) Connect(db string) *Conn {
-	return &Conn{px: px, db: db, sess: make(map[*server.DBServer]*sqlengine.Session)}
+	c := new(Conn)
+	px.Open(c, db)
+	return c
 }
+
+// Open is Connect into storage the caller keeps: a routed connection opens
+// one connection per cell into the one array it holds them and their scatter
+// slots in.
+func (px *Proxy) Open(c *Conn, db string) { *c = Conn{px: px, db: db} }
 
 // ExecResult is a routed statement's outcome.
 type ExecResult struct {
@@ -700,11 +707,7 @@ func (c *Conn) roundTrip(p *sim.Proc, srv *server.DBServer, sql string, args []s
 	px := c.px
 	asp := px.Tracer.StartSpan(p, "proxy", "attempt")
 	asp.SetAttr("backend", srv.Name)
-	sess := c.sess[srv]
-	if sess == nil {
-		sess = srv.Session(c.db)
-		c.sess[srv] = sess
-	}
+	sess := c.sess.On(srv, c.db)
 	if !px.net.TransitTimeout(p, px.client, srv.Inst.Place, statementTimeout) {
 		px.stats.Timeouts++
 		asp.SetAttr("error", "timeout")

@@ -756,3 +756,59 @@ func TestWarmReadAllocatesItsReply(t *testing.T) {
 	env.Stop()
 	env.Shutdown()
 }
+
+// TestFreshConnAllocatesItsReplies: a connection keeps its sessions in a
+// table of its own, and every session is carved from its engine's slab, so a
+// fresh connection's first statement on each server of its cell — a write on
+// the master and a read on each slave — costs each statement its Reply, and
+// nothing per server it reaches: with two slaves, as geo_light, read_heavy and
+// each shard_write_heavy cell run, and with four, as master_bound runs. A
+// sixth server is past the table's place and costs the one slice its session
+// is kept in. The connection itself does not escape here, so it lives on the
+// stack; the warm-up grows every slab to its full chunk, so what is left of
+// their growth rounds away.
+func TestFreshConnAllocatesItsReplies(t *testing.T) {
+	for _, tc := range []struct{ slaves, spill int }{{2, 0}, {4, 0}, {5, 1}} {
+		servers := 1 + tc.slaves
+		want := float64(servers + tc.spill)
+		env, px := topo(t, 3, tc.slaves, &RoundRobin{})
+		update, read := "UPDATE t SET v = ? WHERE id = ?", "SELECT v FROM t WHERE id = ?"
+		args := []sqlengine.Value{sqlengine.NewString("x"), sqlengine.NewInt(7)}
+		done := false
+		env.Go("client", func(p *sim.Proc) {
+			warm := px.Connect("app")
+			if _, err := warm.Exec(p, "INSERT INTO t (id, v) VALUES (7, 'v')"); err != nil {
+				t.Error(err)
+				return
+			}
+			p.Sleep(5 * time.Second) // let replication deliver
+			fresh := func() {
+				conn := px.Connect("app")
+				if _, err := conn.Exec(p, update, args...); err != nil {
+					t.Error(err)
+				}
+				for range tc.slaves { // round robin: one read on each slave
+					if res, err := conn.Exec(p, read, args[1:]...); err != nil {
+						t.Error(err)
+					} else if len(res.Result.Set.Rows) != 1 {
+						t.Errorf("%s: %d rows, want 1", read, len(res.Result.Set.Rows))
+					}
+				}
+			}
+			for range 300 { // every server's plans built and its slabs' chunks grown to full size
+				fresh()
+			}
+			if allocs := testing.AllocsPerRun(100, fresh); allocs > want {
+				t.Errorf("%d servers: a fresh connection's first statement on each allocates %.0f objects, want at most %.0f (%d Replies and %d spilled tables)",
+					servers, allocs, want, servers, tc.spill)
+			}
+			done = true
+		})
+		env.RunUntil(time.Hour)
+		if !done {
+			t.Errorf("%d servers: the client did not finish", servers)
+		}
+		env.Stop()
+		env.Shutdown()
+	}
+}

@@ -197,6 +197,44 @@ func (s *DBServer) Stats() Stats { return s.stats }
 // Session opens an engine session with the given default database.
 func (s *DBServer) Session(db string) *sqlengine.Session { return s.Eng.NewSession(db) }
 
+// Sessions is a client connection's sessions, one per server it has reached,
+// keyed by server identity: a failover never reuses a session bound to the
+// dead server's engine. The first five sit in the table itself, so a
+// connection keeps them at no allocation of their own, and any more in a
+// slice behind them. Five is what a connection reaches on the benchmark's
+// workloads, every server of its cell: a master and four slaves on
+// master_bound, a master and two slaves on the others.
+type Sessions struct {
+	near [5]serverSession
+	far  []serverSession
+}
+
+type serverSession struct {
+	srv  *DBServer
+	sess *sqlengine.Session
+}
+
+// On returns the session on srv, opening it in db the first time.
+func (t *Sessions) On(srv *DBServer, db string) *sqlengine.Session {
+	for i := range t.near {
+		switch t.near[i].srv {
+		case srv:
+			return t.near[i].sess
+		case nil:
+			t.near[i] = serverSession{srv, srv.Session(db)}
+			return t.near[i].sess
+		}
+	}
+	for _, e := range t.far {
+		if e.srv == srv {
+			return e.sess
+		}
+	}
+	sess := srv.Session(db)
+	t.far = append(t.far, serverSession{srv, sess})
+	return sess
+}
+
 // Exec executes a statement on behalf of a client session, charging the
 // instance's CPU according to the cost model. It must be called from a
 // simulation process.

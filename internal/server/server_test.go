@@ -513,3 +513,36 @@ func TestBatchWorkAmortizes(t *testing.T) {
 		t.Fatalf("batched dump of %d = %v, singles = %v: expected ≥4× amortization", n, tBatch, tSingles)
 	}
 }
+
+// TestSessionsKeepOnePerServer: a connection's table hands back the session it
+// opened on a server for as long as it holds it, one per server — past the
+// ones it keeps in place too — each opened in the connection's database.
+func TestSessionsKeepOnePerServer(t *testing.T) {
+	env := sim.NewEnv(1)
+	c := cloud.New(env, cloud.Config{})
+	var tab Sessions
+	var srvs []*DBServer
+	for i := range len(tab.near) + 2 { // two past the table, into its slice
+		name := fmt.Sprintf("db%d", i)
+		srvs = append(srvs, New(env, name, c.Launch(name, cloud.Small, cloud.Placement{Region: cloud.USWest1, Zone: "a"}), DefaultCostModel()))
+	}
+	opened := map[*sqlengine.Session]bool{}
+	for round := range 2 {
+		for i, srv := range srvs {
+			sess := tab.On(srv, "app")
+			if sess.DB() != "app" {
+				t.Errorf("server %d: session in %q, want app", i, sess.DB())
+			}
+			if round == 0 && opened[sess] {
+				t.Errorf("server %d: handed another server's session", i)
+			}
+			if round == 1 && !opened[sess] {
+				t.Errorf("server %d: a second session opened", i)
+			}
+			opened[sess] = true
+		}
+	}
+	if len(opened) != len(srvs) {
+		t.Errorf("%d sessions for %d servers", len(opened), len(srvs))
+	}
+}

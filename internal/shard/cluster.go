@@ -291,53 +291,66 @@ func (s *Cluster) checkOwner(cellID int) func(sql string, args []sqlengine.Value
 	}
 }
 
-// Conn is one routed client connection: the map it routes on plus one
-// lazily-opened proxy connection per cell. The map refreshes only when a
-// cell rejects a statement with proxy.ErrWrongShard, so every topology
-// change exercises the typed retry path end to end.
+// Conn is one routed client connection: the map it routes on and, per cell,
+// a proxy connection and a scatter slot, opened with the connection and held
+// in one array that grows only when a split adds a cell. The map refreshes
+// only when a cell rejects a statement with proxy.ErrWrongShard, so every
+// topology change exercises the typed retry path end to end.
 type Conn struct {
 	sc    *Cluster
 	db    string
 	m     *Map
-	conns []*proxy.Conn
-	// dualSess caches direct sessions on split-target masters for the
-	// dual-write window.
-	dualSess map[*server.DBServer]*sqlengine.Session
-	anyN     uint64  // round-robin cursor for routeAny
-	keys     []int64 // single's resolved shard keys, reused per statement
+	cells []cellSlot // by cell id
+	// dual is the connection's direct sessions on split-target masters, for
+	// the dual-write window.
+	dual server.Sessions
+	anyN uint64  // round-robin cursor for routeAny
+	keys []int64 // single's resolved shard keys, reused per statement
 
 	// Scatter state. A connection runs one statement at a time, so one set
 	// of everything serves every scatter it issues, the legs' replies
 	// included: what a warm scatter allocates is the merged result, which
 	// sqlengine.Merge builds as an engine builds any result — out of nothing
 	// the connection, a leg or the merge keeps.
-	legs    []*scatterLeg          // standing leg slot per cell id, built on first use
+	legRun  func(*sim.Proc)        // every leg process's function: runLeg, bound once
 	legSig  *sim.Signal            // broadcast by every finishing leg
 	legSQL  string                 // what the legs in flight run ...
 	legArgs []sqlengine.Value      // ... with these arguments (the caller's; held for the scatter only)
+	legTo   []int                  // ... on these cells, in the order the legs were started
+	legsIn  int                    // legs started so far: the next one runs on legTo[legsIn]
 	legsOut int                    // legs started and not yet finished
 	sets    []*sqlengine.ResultSet // the finished legs' sets, in cell order, for the merge
 }
 
+// cellSlot is a routed connection's standing state on one cell: its proxy
+// connection and its scatter slot.
+type cellSlot struct {
+	px  proxy.Conn
+	leg scatterLeg
+}
+
 // scatterLeg is a connection's standing slot for the scatter legs it sends
-// to one cell: the function Env.Go runs, built once, the reply the cell
-// answers in and the fields that function reports into. Only the leg's own
-// process writes reply, res and err, and the gathering process reads them
-// after legsOut has told it the leg is done. The reply's rows belong to the
-// slot: the next leg sent to the cell overwrites them, so the merge copies
-// out of them and nothing a scatter returns points into them.
+// to one cell: the reply the cell answers in and the fields the leg reports
+// into. Only the leg's own process writes reply, res and err, and the
+// gathering process reads them after legsOut has told it the leg is done. The
+// reply's rows belong to the slot: the next leg sent to the cell overwrites
+// them, so the merge copies out of them and nothing a scatter returns points
+// into them.
 type scatterLeg struct {
-	c     *Conn
-	conn  *proxy.Conn
-	run   func(*sim.Proc) // exec, bound to this slot
 	reply proxy.Reply
 	res   *proxy.ExecResult
 	err   error
 }
 
-func (l *scatterLeg) exec(lp *sim.Proc) {
-	c := l.c
-	l.res, l.err = l.conn.ExecInto(lp, &l.reply, c.legSQL, c.legArgs...)
+// runLeg is the process of one scatter leg: it takes the next cell of legTo
+// when it starts, so the legs of a scatter, one per target, run on every
+// target once each. The gatherer resets legsIn only after legsOut has told it
+// every leg is done.
+func (c *Conn) runLeg(lp *sim.Proc) {
+	cell := &c.cells[c.legTo[c.legsIn]]
+	c.legsIn++
+	l := &cell.leg
+	l.res, l.err = cell.px.ExecInto(lp, &l.reply, c.legSQL, c.legArgs...)
 	c.legsOut--
 	c.legSig.Broadcast()
 }
@@ -350,34 +363,40 @@ type scatterResult struct {
 	eng  sqlengine.Reply
 }
 
-// Connect opens a routed connection with the given default database.
+// Connect opens a routed connection with the given default database, in one
+// piece: a proxy connection and a scatter slot on every cell, and the
+// scatter's signal, leg function and merge list.
 func (s *Cluster) Connect(db string) *Conn {
-	return &Conn{sc: s, db: db, m: s.m}
+	c := &Conn{sc: s, db: db, m: s.m, legSig: sim.NewSignal(s.env).Named("shard/scatter")}
+	c.legRun = c.runLeg
+	c.grow()
+	return c
 }
 
-// leg returns (building if needed) the scatter slot for cell id.
-func (c *Conn) leg(id int) *scatterLeg {
-	for len(c.legs) <= id {
-		c.legs = append(c.legs, nil)
+// grow gives the connection a slot on every cell of the cluster, keeping the
+// ones it has. It copies them into a new array, so it runs only where no
+// slot is held: on the connection's own process, never while legs are out.
+func (c *Conn) grow() {
+	n := len(c.sc.cells)
+	cells := make([]cellSlot, n)
+	copy(cells, c.cells)
+	for id := len(c.cells); id < n; id++ {
+		c.sc.cells[id].Px.Open(&cells[id].px, c.db)
 	}
-	if c.legs[id] == nil {
-		l := &scatterLeg{c: c, conn: c.cellConn(id)}
-		l.run = l.exec
-		c.legs[id] = l
-	}
-	return c.legs[id]
+	c.cells, c.sets = cells, make([]*sqlengine.ResultSet, 0, n)
 }
 
-// cellConn returns (opening if needed) the proxy connection to cell id.
-func (c *Conn) cellConn(id int) *proxy.Conn {
-	for len(c.conns) <= id {
-		c.conns = append(c.conns, nil)
+// slot returns the connection's slot on cell id, growing the array first
+// when a split has added the cell since the connection last grew.
+func (c *Conn) slot(id int) *cellSlot {
+	if id >= len(c.cells) {
+		c.grow()
 	}
-	if c.conns[id] == nil {
-		c.conns[id] = c.sc.cells[id].Px.Connect(c.db)
-	}
-	return c.conns[id]
+	return &c.cells[id]
 }
+
+// cellConn returns the proxy connection to cell id.
+func (c *Conn) cellConn(id int) *proxy.Conn { return &c.slot(id).px }
 
 // refresh replaces the connection's map with the cluster's current one.
 func (c *Conn) refresh() {
@@ -510,15 +529,7 @@ func (c *Conn) dualWrite(p *sim.Proc, mig *migration, ri *routeInfo, keys []int6
 		return
 	}
 	dstSrv := c.sc.cells[mig.dst].Clu.Master().Srv
-	if c.dualSess == nil {
-		c.dualSess = make(map[*server.DBServer]*sqlengine.Session)
-	}
-	sess := c.dualSess[dstSrv]
-	if sess == nil {
-		sess = dstSrv.Session(c.db)
-		c.dualSess[dstSrv] = sess
-	}
-	if _, err := dstSrv.Exec(p, sess, sql, args...); err != nil && !errors.Is(err, sqlengine.ErrDuplicateKey) {
+	if _, err := dstSrv.Exec(p, c.dual.On(dstSrv, c.db), sql, args...); err != nil && !errors.Is(err, sqlengine.ErrDuplicateKey) {
 		mig.fail(fmt.Errorf("shard: dual-write to cell %d: %w", mig.dst, err))
 		return
 	}
@@ -616,24 +627,24 @@ func (c *Conn) scatterLegs(p *sim.Proc, ri *routeInfo, sql string, args []sqleng
 		// complete there, no rewrite or merge needed.
 		return c.cellConn(targets[0]).Exec(p, sql, args...)
 	}
-	if c.legSig == nil {
-		c.legSig = sim.NewSignal(c.sc.env).Named("shard/scatter")
+	for _, id := range targets {
+		c.slot(id) // a cell a split has added since the connection last grew
 	}
-	c.legSQL, c.legArgs, c.legsOut = ri.plan.CellSQL, args, len(targets)
+	c.legSQL, c.legArgs, c.legTo, c.legsIn, c.legsOut = ri.plan.CellSQL, args, targets, 0, len(targets)
 	// Every leg is a process of its own, even the first: run inline on the
 	// caller's process it would reach the cell ahead of events already queued
 	// for this instant.
-	for _, id := range targets {
-		c.sc.env.Go("shard/scatter-leg", c.leg(id).run)
+	for range targets {
+		c.sc.env.Go("shard/scatter-leg", c.legRun)
 	}
 	for c.legsOut > 0 {
 		c.legSig.Wait(p)
 	}
-	c.legArgs = nil
+	c.legArgs, c.legTo = nil, nil
 	var firstErr error
 	examined := 0
 	for _, id := range targets {
-		l := c.legs[id]
+		l := &c.cells[id].leg
 		switch {
 		case firstErr != nil: // a lower cell's leg has already failed the scatter
 		case l.err != nil:

@@ -125,10 +125,8 @@ func (f *scatterFixture) do(t *testing.T, fn func(p *sim.Proc)) {
 // reflection: a renamed field fails here, loudly.
 func poisonLegs(c *Conn) {
 	sentinel := []sqlengine.Value{sqlengine.NewString("sentinel")}
-	for _, l := range c.legs {
-		if l == nil {
-			continue
-		}
+	for i := range c.cells {
+		l := &c.cells[i].leg
 		eng := reflect.ValueOf(&l.reply).Elem().FieldByName("eng")
 		set := (*sqlengine.ResultSet)(unsafe.Pointer(eng.FieldByName("Set").UnsafeAddr()))
 		for i, row := range set.Rows {
@@ -203,8 +201,8 @@ func TestMergedResultDoesNotAliasScratch(t *testing.T) {
 	if c.legArgs != nil || len(c.sets) != 0 {
 		t.Errorf("connection still holds scatter state: %d args, %d sets", len(c.legArgs), len(c.sets))
 	}
-	for _, l := range c.legs {
-		if l.res != nil || l.err != nil {
+	for _, cell := range c.cells {
+		if l := cell.leg; l.res != nil || l.err != nil {
 			t.Errorf("a leg slot still holds its last result")
 		}
 	}
@@ -235,5 +233,55 @@ func TestScatterMachineryAllocs(t *testing.T) {
 		if whole > 3 {
 			t.Errorf("%s: %.0f objects per warm two-cell scatter (%.0f of them the fixture's); ceiling 3: the fixture's 2 and the merged result's 1", sql, whole, idle)
 		}
+	}
+}
+
+// connObjects is what a routed connection costs once, whatever it runs:
+// Connect's five objects — the Conn, its leg function, its array of per-cell
+// proxy connections and scatter slots, its merge list and its scatter
+// signal — the shard-key buffer its first single-key statement grows, and the
+// waiter list its first scatter grows on that signal.
+const connObjects = 7
+
+// TestFreshRoutedConnAllocs: a routed connection is built whole. A fresh
+// connection's first single-key write on each of two cells and its first
+// two-cell scatter cost those statements' own results — a write's Reply each
+// and the merged result — plus connObjects, on top of the fixture's own 2 a
+// call: nothing per cell, per server session, per leg or per first write of a
+// session. Sessions come from their engine's slab, a leg reply's rows from its
+// plan's chunks, and a session's first write from storage in the session.
+func TestFreshRoutedConnAllocs(t *testing.T) {
+	f := newScatterFixture(t)
+	defer f.env.Shutdown()
+	var writes [2][]sqlengine.Value // an UPDATE's arguments on a key each cell owns, built once: a variadic call's own slice would escape
+	for k := int64(1); k <= 40; k++ {
+		writes[f.sc.Map().Owner(k)] = []sqlengine.Value{sqlengine.NewString("fresh"), sqlengine.NewInt(k)}
+	}
+	fresh := func(p *sim.Proc) {
+		conn := f.sc.Connect("app")
+		for _, args := range writes {
+			if _, err := conn.Exec(p, "UPDATE kv SET v = ? WHERE id = ?", args...); err != nil {
+				t.Error(err)
+			}
+		}
+		if res, err := conn.Exec(p, orderedScatter); err != nil {
+			t.Error(err)
+		} else if len(res.Result.Set.Rows) != 5 {
+			t.Errorf("%s: %d rows, want 5", orderedScatter, len(res.Result.Set.Rows))
+		}
+	}
+	measure := func(fn func(p *sim.Proc)) float64 {
+		for range 4 { // warm: plans built, pools sized, and the slabs' first chunks taken
+			f.do(t, fn)
+		}
+		return testing.AllocsPerRun(100, func() { f.do(t, fn) })
+	}
+	idle := measure(func(*sim.Proc) {})
+	whole := measure(fresh)
+	const results = 3 // two writes' Replies and the merged scatter result
+	t.Logf("%.0f objects for a fresh connection's two writes and scatter (%.0f the fixture's)", whole, idle)
+	if whole > idle+results+connObjects {
+		t.Errorf("a fresh routed connection's first two writes and scatter allocate %.0f objects; ceiling %.0f: the fixture's %.0f, the statements' %d and the connection's %d",
+			whole, idle+results+connObjects, idle, results, connObjects)
 	}
 }

@@ -74,13 +74,14 @@ type Result struct {
 // when the statement returns rows, the ResultSet its Set points at, whose rows
 // the Reply owns. Run allocates one per call; RunInto fills the caller's, and
 // Replay the session's. A filled Reply is overwritten by the next statement
-// run into it, rows included: from the second read into a Reply on, the rows
-// are built in storage the Reply keeps, reused when they fit and grown when
-// they do not. A Reply read into once — Run's, a proxy's per statement — keeps
-// nothing and is no larger for it than a Result and a ResultSet and a pointer:
-// its rows are carved from chunks the plan keeps and never rewinds (carve), so
-// a read costs its caller the Reply alone, and the rows are the caller's for
-// as long as it holds them.
+// run into it, rows included. A Reply's first read keeps nothing, and is no
+// larger for it than a Result and a ResultSet and a pointer: its values and
+// row headers are carved from chunks the plan keeps and never rewinds
+// (carve), so a read costs its caller the Reply alone, and the rows are the
+// caller's for as long as it holds them. A second read ends the first
+// result: the Reply takes over the row headers the first was carved into,
+// and from then on keeps its row storage, reused when it fits and carved
+// afresh from the plan's chunks when it does not.
 type Reply struct {
 	Result Result
 	Set    ResultSet
@@ -88,7 +89,7 @@ type Reply struct {
 	space *rowSpace // nil until the Reply's second read
 }
 
-// rowSpace is a Reply's row storage.
+// rowSpace is a Reply's row storage, carved from its engine's slab.
 type rowSpace struct {
 	vals []Value   // every row's values, row after row
 	rows [][]Value // the row headers over vals
@@ -200,6 +201,10 @@ type Engine struct {
 	// planner is the plan builder every SELECT plan is costed and built with:
 	// its costing scratch, kept between builds and re-costs (planner.go).
 	planner planBuilder
+	// sessions and spaces are the slabs every Session and the row storage of
+	// every Reply read into more than once (rowSpace) are carved from.
+	sessions slab[Session]
+	spaces   slab[rowSpace]
 
 	// NaivePlan forces the syntax-order, no-pushdown planner for every
 	// statement — the A-PLAN ablation's baseline arm, mirroring the
@@ -288,11 +293,22 @@ type Session struct {
 	// mirrored into Engine.provisional for the fast-path read check.
 	provisional int
 	replayed    Reply // what Replay hands back
+
+	// firstWrite and firstChange are pending's and log's storage until a
+	// transaction needs more: a session's one-row autocommit writes never
+	// grow either.
+	firstWrite  [1]LoggedWrite
+	firstChange [1]rowChange
 }
 
-// NewSession opens a session with the given current database (may be "").
+// NewSession opens a session with the given current database (may be ""),
+// carved from the engine's session slab: the sessions a connection opens on
+// the servers it reaches cost it nothing each.
 func (e *Engine) NewSession(db string) *Session {
-	return &Session{eng: e, db: db}
+	s := &e.sessions.take(1)[0]
+	s.eng, s.db = e, db
+	s.pending, s.log = s.firstWrite[:0], s.firstChange[:0]
+	return s
 }
 
 // DB returns the session's current database name.

@@ -96,8 +96,9 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64, out *
 	// Visibility is decided per execution, never per plan.
 	rt.view = e.readViewFor(s)
 	rt.frame = rt.live
-	if out.space == nil && out.Set.Columns != nil { // a read answered in out before
-		out.space = new(rowSpace)
+	if out.space == nil && out.Set.Columns != nil { // a read answered in out before: its rows end here
+		out.space = &e.spaces.take(1)[0]
+		out.space.rows = out.Set.Rows[:cap(out.Set.Rows)]
 	}
 	err := p.run(rt, &out.Set, out.space)
 	rt.end()
@@ -188,9 +189,9 @@ func (rt *runState) sortKeys(dst []Value) error {
 }
 
 // run executes the tail over the source and materializes the result set,
-// its values and row headers in sp — reused when they fit, grown and kept
-// there when they do not — or, with sp nil, in storage of their own, carved
-// from the plan's chunks.
+// its values and row headers in sp — reused when they fit, carved from the
+// plan's chunks and kept there when they do not — or, with sp nil, in
+// storage of their own, carved from the plan's chunks.
 func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 	limit, err := rt.bound(p.limit, "LIMIT", -1)
 	if err != nil {
@@ -224,7 +225,7 @@ func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 	var vals []Value
 	var rows [][]Value
 	if sp != nil {
-		sp.vals, sp.rows = fit(sp.vals, len(out)*w), fit(sp.rows, len(out))
+		sp.vals, sp.rows = fit(&rt.vals, sp.vals, len(out)*w), fit(&rt.rows, sp.rows, len(out))
 		vals, rows = sp.vals, sp.rows
 	} else {
 		vals, rows = carve(&rt.vals, len(out)*w), carve(&rt.rows, len(out))
@@ -255,11 +256,11 @@ func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 // end left them.
 func extend[T any](s []T, n int) []T { return slices.Grow(s, n)[:len(s)+n] }
 
-// fit returns s with length n, in s's storage when it has the room; never
-// nil, like the make it stands for.
-func fit[T any](s []T, n int) []T {
+// fit returns s with length n, in s's storage when it has the room and
+// carved from c when it has not; never nil, like the make it stands for.
+func fit[T any](c *slab[T], s []T, n int) []T {
 	if s == nil || cap(s) < n {
-		return make([]T, n)
+		return carve(c, n)
 	}
 	return s[:n]
 }
