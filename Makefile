@@ -176,11 +176,16 @@ bench-json-cmp:
 # cloudrepl-trace over that trace, cloudrepl-lint over the repo, cloudstone's
 # default run, benchmark -short and the nine examples — and every function left at 0.0 %
 # printed, sorted by file. A function on the list that no test in another
-# package needs either goes or says why it stays. 85 s on a 2-vCPU box with
-# the build cache warm; not part of check:
+# package needs either goes or says why it stays. BLOCKS=1 lists instead the
+# statements left unrun inside every function that ran: each such function
+# with its count of unreached statements, then its 0-count blocks by line
+# range, and the totals per package. 85 s on a 2-vCPU box with the build
+# cache warm; not part of check:
 #   make cover-product > change.txt && make cover-product BASE=HEAD~ > parent.txt
+#   make cover-product BLOCKS=1 > blocks.txt
+BLOCKS ?=
 cover-product:
-	sh bench/cover.sh "$(BASE)"
+	sh bench/cover.sh "$(BASE)" "$(BLOCKS)"
 
 # One pass over the checked-in fuzz corpora (no new input generation: every
 # seed must keep passing) — binlog wire decoding, SQL parsing (the
@@ -197,16 +202,18 @@ figures:
 figures-full:
 	$(GO) run ./cmd/cloudrepl-bench -all -csv results
 
+# Run the nine examples and diff each one's stdout against the checked-in
+# results/examples/<name>.txt: every example is deterministic per seed, so
+# any difference is a behaviour change. One that is meant regenerates its
+# file with `go run ./examples/<name> > results/examples/<name>.txt`.
+EXAMPLES = quickstart socialcalendar georeplication failover instancelottery chaos elasticity pipeline sharding
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/socialcalendar
-	$(GO) run ./examples/georeplication
-	$(GO) run ./examples/failover
-	$(GO) run ./examples/instancelottery
-	$(GO) run ./examples/chaos
-	$(GO) run ./examples/elasticity
-	$(GO) run ./examples/pipeline
-	$(GO) run ./examples/sharding
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for ex in $(EXAMPLES); do \
+		echo "examples/$$ex"; \
+		$(GO) run ./examples/$$ex >"$$out" || exit 1; \
+		diff -u results/examples/$$ex.txt "$$out" || exit 1; \
+	done
 
 clean:
 	rm -rf results test_output.txt

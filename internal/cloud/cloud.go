@@ -55,30 +55,13 @@ var (
 	Large = InstanceType{Name: "m1.large", VCPUs: 2, ECUPerCore: 2.0, MemMB: 7680}
 )
 
-// CPUModel is a physical processor that may back an instance. The paper
-// observed identical instance types backed by different CPUs (an Intel Xeon
-// E5430 2.66GHz vs an E5507 2.27GHz) with visibly different throughput.
-type CPUModel struct {
-	Name   string
-	Factor float64 // speed relative to the reference core
-}
-
-// Known physical CPU models with speeds relative to the E5430.
-var (
-	XeonE5430 = CPUModel{Name: "Intel Xeon E5430 2.66GHz", Factor: 1.0}
-	XeonE5507 = CPUModel{Name: "Intel Xeon E5507 2.27GHz", Factor: 0.853}
-)
-
 // Config tunes the provider model.
 type Config struct {
 	// CPUCoV is the coefficient of variation applied to each launched
-	// instance's CPU speed (0 disables heterogeneity). Ignored when
-	// CPUModels is non-empty.
+	// instance's CPU speed (0 disables heterogeneity): the one model of the
+	// paper's observation that identical instance types run on physical
+	// hosts of visibly different speed.
 	CPUCoV float64
-	// CPUModels, when non-empty, is sampled uniformly per launch and the
-	// chosen model's Factor becomes the instance's speed factor. This
-	// reproduces the paper's E5430-vs-E5507 anecdote exactly.
-	CPUModels []CPUModel
 	// ClockDriftPPMSigma is the σ of each instance's clock drift rate.
 	ClockDriftPPMSigma float64
 	// ClockOffsetSigma is the σ of each instance's initial clock offset.
@@ -125,8 +108,6 @@ type Instance struct {
 	// SpeedFactor scales nominal CPU time: service = nominal/(ECUPerCore ×
 	// SpeedFactor). It captures which physical machine backs the VM.
 	SpeedFactor float64
-	// CPUModel is the backing processor when Config.CPUModels is used.
-	CPUModel CPUModel
 	// Clock is the instance's local wall clock.
 	Clock *vclock.Clock
 
@@ -157,10 +138,7 @@ func (c *Cloud) Launch(name string, t InstanceType, pl Placement) *Instance {
 		upSig:       sim.NewSignal(c.env).Named(name + "/up"),
 		upSince:     c.env.Now(),
 	}
-	if len(c.cfg.CPUModels) > 0 {
-		inst.CPUModel = c.cfg.CPUModels[rng.Intn(len(c.cfg.CPUModels))]
-		inst.SpeedFactor = inst.CPUModel.Factor
-	} else if c.cfg.CPUCoV > 0 {
+	if c.cfg.CPUCoV > 0 {
 		inst.SpeedFactor = sim.TruncNormFactor(rng, c.cfg.CPUCoV)
 	}
 	inst.Clock = vclock.New(c.env, vclock.Config{

@@ -168,13 +168,12 @@ func TestThroughputCountsOnlySteadyWindow(t *testing.T) {
 
 // TestStagedWindowSpansRamp: a staged run is measured from the first stage's
 // first instant to the last stage's last — [start, start + Σ Dur) — and its
-// throughput is every operation of the ramp over the ramp's length. The phase
-// defaults are for the three-phase run and must not reach a staged one.
+// throughput is every operation of the ramp over the ramp's length.
 func TestStagedWindowSpansRamp(t *testing.T) {
 	env, db := newBench(t, 8, 1, 30)
 	env.RunUntil(time.Minute) // a run need not start at zero
 	stages := []Stage{{Users: 2, Dur: 3 * time.Minute}, {Users: 4, Dur: 3 * time.Minute}}
-	d := NewDriver(db, Config{Scale: 30, Stages: stages})
+	d := NewDriver(db, Config{Scale: 30, ReadRatio: 0.5, Stages: stages})
 	start := env.Now()
 	d.Start(env)
 	if from, to := d.SteadyWindow(); from != start || to != start+6*time.Minute {
@@ -254,6 +253,9 @@ func TestLiveInsertIDsDoNotCollideWithSeed(t *testing.T) {
 	}
 	if res.Writes == 0 {
 		t.Fatal("no writes executed")
+	}
+	if res.Reads != 0 {
+		t.Fatalf("a read ratio of 0 ran %d reads", res.Reads)
 	}
 	env.Stop()
 	env.Shutdown()

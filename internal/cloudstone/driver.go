@@ -22,7 +22,7 @@ type Config struct {
 	// Scale is the initial data size the database was preloaded with.
 	Scale int
 	// ReadRatio is the fraction of operations that are reads (0.5 or 0.8
-	// in the paper).
+	// in the paper; 0 is an all-write mix).
 	ReadRatio float64
 	// Users is the number of concurrent emulated users ("workload").
 	Users int
@@ -98,31 +98,14 @@ func (c *Config) stageActive(i int, t time.Duration) (bool, time.Duration) {
 	return false, -1
 }
 
-// applyDefaults fills what the caller left zero: the paper's 35-minute run
-// structure, its 50/50 mix and its 300-row data set.
-func (c *Config) applyDefaults() {
-	if c.ReadRatio == 0 {
-		c.ReadRatio = 0.5
-	}
-	if c.Scale == 0 {
-		c.Scale = 300
-	}
+// applyStages gives a staged ramp its whole-run shape: the population
+// ceiling is the largest stage, and the measurement window opens with the
+// first stage and closes with the last. Every other field is the caller's
+// as given: a read ratio of 0 is an all-write mix.
+func (c *Config) applyStages() {
 	if len(c.Stages) > 0 {
-		// A staged ramp measures the whole run: the population ceiling is
-		// the largest stage, the window opens with the first stage and closes
-		// with the last, and no phase default applies.
 		c.Users = c.maxStageUsers()
 		c.RampUp, c.Steady, c.RampDown = 0, c.stageTotal(), 0
-		return
-	}
-	if c.RampUp == 0 {
-		c.RampUp = 10 * time.Minute
-	}
-	if c.Steady == 0 {
-		c.Steady = 20 * time.Minute
-	}
-	if c.RampDown == 0 {
-		c.RampDown = 5 * time.Minute
 	}
 }
 
@@ -171,7 +154,7 @@ type Driver struct {
 // NewDriver builds a driver; the database must already be preloaded at
 // cfg.Scale.
 func NewDriver(db *core.DB, cfg Config) *Driver {
-	cfg.applyDefaults()
+	cfg.applyStages()
 	return &Driver{
 		DB:  db,
 		Cfg: cfg,

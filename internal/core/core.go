@@ -294,10 +294,9 @@ func (db *DB) WaitCaughtUp(p *sim.Proc, timeout time.Duration) bool {
 
 // InstanceReport is one node's validation result.
 type InstanceReport struct {
-	Name     string
-	Place    cloud.Placement
-	CPUModel string
-	Speed    float64
+	Name  string
+	Place cloud.Placement
+	Speed float64
 }
 
 // ValidateInstances measures the effective CPU speed of every node behind
@@ -309,10 +308,9 @@ func (db *DB) ValidateInstances(p *sim.Proc, probes int) []InstanceReport {
 	var out []InstanceReport
 	report := func(srv *server.DBServer) {
 		out = append(out, InstanceReport{
-			Name:     srv.Name,
-			Place:    srv.Inst.Place,
-			CPUModel: srv.Inst.CPUModel.Name,
-			Speed:    cloud.MeasureSpeed(p, srv.Inst, probes),
+			Name:  srv.Name,
+			Place: srv.Inst.Place,
+			Speed: cloud.MeasureSpeed(p, srv.Inst, probes),
 		})
 	}
 	cells := db.cells()

@@ -69,7 +69,7 @@ type RunSpec struct {
 	Users     int // 0 = unloaded baseline (heartbeat only)
 	Slaves    int
 	Scale     int     // initial data size (300 or 600)
-	ReadRatio float64 // 0.5 or 0.8
+	ReadRatio float64 // 0.5 or 0.8 in the paper; 0 is all writes
 	Loc       Location
 	Mode      repl.Mode
 	// Balancer constructs the read balancer (nil = round-robin, the
@@ -109,9 +109,6 @@ type RunSpec struct {
 func (s *RunSpec) applyDefaults() {
 	if s.Scale == 0 {
 		s.Scale = 300
-	}
-	if s.ReadRatio == 0 {
-		s.ReadRatio = 0.5
 	}
 	if s.RampUp == 0 {
 		s.RampUp = 10 * time.Minute

@@ -76,8 +76,9 @@ func TestConcurrentStatementsQueueOnCPU(t *testing.T) {
 
 func TestSlowInstanceRunsSlower(t *testing.T) {
 	env := sim.NewEnv(2)
-	c := cloud.New(env, cloud.Config{CPUModels: []cloud.CPUModel{cloud.XeonE5507}})
+	c := cloud.New(env, cloud.Config{})
 	inst := c.Launch("slow", cloud.Small, cloud.Placement{Region: cloud.USWest1, Zone: "a"})
+	inst.SpeedFactor = 0.853 // a host at the paper's E5507-vs-E5430 speed
 	srv := New(env, "slow", inst, DefaultCostModel())
 	sess := srv.Session("")
 	srv.ExecFree(sess, "CREATE DATABASE app")
@@ -90,9 +91,9 @@ func TestSlowInstanceRunsSlower(t *testing.T) {
 	})
 	env.Run()
 	nominal := srv.Cost.StatementCost(sqlengine.ExecStats{Class: sqlengine.ClassWrite, RowsAffected: 1}, false)
-	want := time.Duration(float64(nominal) / cloud.XeonE5507.Factor)
+	want := time.Duration(float64(nominal) / inst.SpeedFactor)
 	if elapsed != want {
-		t.Fatalf("write on E5507 took %v, want %v", elapsed, want)
+		t.Fatalf("write at speed %v took %v, want %v", inst.SpeedFactor, elapsed, want)
 	}
 }
 

@@ -463,6 +463,21 @@ func TestScalarFunctions(t *testing.T) {
 		{"SELECT FLOOR(2.7)", "2"},
 		{"SELECT CEIL(2.1)", "3"},
 		{"SELECT FLOOR(-2.5)", "-3"},
+		// Aliases and NULL rules, as they were when each call looked its
+		// name up per row.
+		{"SELECT CEILING(2.1)", "3"},
+		{"SELECT SUBSTRING('abcdef', 3)", "cdef"},
+		{"SELECT ABS(-2.5)", "2.5"},
+		{"SELECT CONCAT()", ""},
+		{"SELECT CONCAT('a', NULL)", "NULL"},
+		{"SELECT LENGTH(NULL)", "NULL"},
+		{"SELECT MOD(10, 0)", "NULL"},
+		{"SELECT MOD(NULL, 3)", "NULL"},
+		{"SELECT IF(NULL, 'yes', 'no')", "no"},
+		{"SELECT COALESCE()", "NULL"},
+		{"SELECT SUBSTR('abcdef', 2, NULL)", "NULL"},
+		{"SELECT SUBSTR('ab', 5, NULL)", ""},
+		{"SELECT UTC_MICROS(1, 2) IS NOT NULL", "TRUE"},
 	}
 	for _, tc := range cases {
 		set, err := s.Query(tc.sql)
@@ -610,6 +625,25 @@ func TestUnknownColumnAndTableErrors(t *testing.T) {
 	}
 	if _, err := s.Exec("SELECT nope FROM events"); err == nil || err.Error() != "sqlengine: unknown column nope" {
 		t.Errorf("unknown column over an empty table: %v", err)
+	}
+}
+
+// TestFunctionBindsWhenPlanned: a call binds to its builtin when the plan is
+// built, so an unknown name or a wrong argument count fails although no row
+// ever evaluates the call — in a SELECT and in a write plan alike.
+func TestFunctionBindsWhenPlanned(t *testing.T) {
+	s := newTestDB(t)
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT NOSUCH(name) FROM users WHERE id = -5", "sqlengine: unknown function NOSUCH"},
+		{"SELECT id FROM users WHERE 1 = 0 AND NOSUCH(id) = 1", "sqlengine: unknown function NOSUCH"},
+		{"SELECT LOWER(name, name) FROM users WHERE id = -5", "sqlengine: LOWER expects 1 arguments, got 2"},
+		{"SELECT SUBSTR(name) FROM users WHERE id = -5", "sqlengine: SUBSTR expects 2 or 3 arguments"},
+		{"UPDATE users SET name = NOSUCH(name) WHERE id = -5", "sqlengine: unknown function NOSUCH"},
+		{"DELETE FROM users WHERE id = -5 AND IF(id, 1) = 1", "sqlengine: IF expects 3 arguments, got 2"},
+	} {
+		if _, err := s.Exec(tc.sql); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got %v, want %s", tc.sql, err, tc.want)
+		}
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 // plan or write plan is built — by the resolver (resolve.go) to frame
 // positions and operator codes, and evaluated by bexpr.eval over one set of
 // scalar kernels (unaryOp, decides/logicOp, binaryOp, betweenOp, bexpr.like,
-// callBuiltin): a bound column is frame[slot][col], a ? placeholder is
-// args[i], and no name is looked at, no case folded and no operator string
-// compared while rows flow.
+// builtin.apply): a bound column is frame[slot][col], a ? placeholder is
+// args[i], a function call is its builtins entry, an aggregate its aggKind,
+// and no name is looked at, no case folded and no operator string compared
+// while rows flow.
 //
 // What runs once per scanned row — a node's filters, sort keys, group keys —
 // reads a leaf (column, ?, constant, aggregate) where it lies (bexpr.ref) and
@@ -188,7 +189,7 @@ type bexpr struct {
 	slot int       // eCol: frame slot
 	col  int       // eCol: column position; eParam: argument index; eAgg: aggregate index
 	val  Value     // eConst
-	name string    // eFunc: builtin name
+	fn   builtin   // eFunc: the builtin bound
 	like *likeProg // eLike: the pattern as last compiled (like.go)
 	kids []*bexpr
 }
@@ -258,7 +259,7 @@ func (x *bexpr) eval(rt *runState) (Value, error) {
 			}
 			args = append(args, l)
 		}
-		return callBuiltin(rt.e, x.name, args)
+		return x.fn.apply(rt.e, args), nil
 	case eIn:
 		if err := x.kids[0].into(rt, &l); err != nil || l.IsNull() {
 			return Null, err
@@ -305,94 +306,126 @@ func (x *bexpr) eval(rt *runState) (Value, error) {
 	return binaryOp(x.op, l, r), nil
 }
 
-// callBuiltin dispatches scalar builtins.
-func callBuiltin(eng *Engine, name string, args []Value) (Value, error) {
-	argn := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("sqlengine: %s expects %d arguments, got %d", name, n, len(args))
+// fnKind is a scalar builtin, as the resolver binds a call to it.
+type fnKind uint8
+
+const (
+	fnNow fnKind = iota
+	fnConcat
+	fnLower
+	fnUpper
+	fnLength
+	fnAbs
+	fnCoalesce
+	fnIf
+	fnSubstr
+	fnMod
+	fnFloor
+	fnCeil
+)
+
+// builtin is one scalar builtin's entry: what it computes, how many
+// arguments it takes (max -1: any number) and whether a NULL argument makes
+// the result NULL before it computes anything.
+type builtin struct {
+	kind     fnKind
+	min, max int8
+	strict   bool
+}
+
+// builtins is every scalar builtin by upper-case name; a call binds to its
+// entry when the plan is built (resolver.expr), so an unknown name or a
+// wrong argument count fails there.
+var builtins = map[string]builtin{
+	// Microsecond-resolution local time (the paper's UDF for MySQL Bug
+	// #8523). Evaluated against the executing server's own clock.
+	"UTC_MICROS":        {kind: fnNow, max: -1},
+	"NOW":               {kind: fnNow, max: -1},
+	"CURRENT_TIMESTAMP": {kind: fnNow, max: -1},
+	"UTC_TIMESTAMP":     {kind: fnNow, max: -1},
+	"CONCAT":            {kind: fnConcat, max: -1, strict: true},
+	"LOWER":             {kind: fnLower, min: 1, max: 1, strict: true},
+	"UPPER":             {kind: fnUpper, min: 1, max: 1, strict: true},
+	"LENGTH":            {kind: fnLength, min: 1, max: 1, strict: true},
+	"ABS":               {kind: fnAbs, min: 1, max: 1, strict: true},
+	"COALESCE":          {kind: fnCoalesce, max: -1},
+	"IF":                {kind: fnIf, min: 3, max: 3},
+	"SUBSTR":            {kind: fnSubstr, min: 2, max: 3},
+	"SUBSTRING":         {kind: fnSubstr, min: 2, max: 3},
+	"MOD":               {kind: fnMod, min: 2, max: 2, strict: true},
+	"FLOOR":             {kind: fnFloor, min: 1, max: 1, strict: true},
+	"CEIL":              {kind: fnCeil, min: 1, max: 1, strict: true},
+	"CEILING":           {kind: fnCeil, min: 1, max: 1, strict: true},
+}
+
+// bindBuiltin finds name's entry and checks a call's argument count
+// against it.
+func bindBuiltin(name string, nargs int) (builtin, error) {
+	fn, ok := builtins[name]
+	switch {
+	case !ok:
+		return fn, fmt.Errorf("sqlengine: unknown function %s", name)
+	case nargs < int(fn.min) || fn.max >= 0 && nargs > int(fn.max):
+		if fn.min == fn.max {
+			return fn, fmt.Errorf("sqlengine: %s expects %d arguments, got %d", name, fn.min, nargs)
 		}
-		return nil
+		return fn, fmt.Errorf("sqlengine: %s expects %d or %d arguments", name, fn.min, fn.max)
 	}
-	switch name {
-	case "UTC_MICROS", "NOW", "CURRENT_TIMESTAMP", "UTC_TIMESTAMP":
-		// Microsecond-resolution local time (the paper's UDF for MySQL Bug
-		// #8523). Evaluated against the executing server's own clock.
-		return NewTime(eng.NowMicros()), nil
-	case "CONCAT":
+	return fn, nil
+}
+
+// apply computes the builtin over args, whose count the binding checked.
+func (fn builtin) apply(eng *Engine, args []Value) Value {
+	if fn.strict {
+		for i := range args {
+			if args[i].IsNull() {
+				return Null
+			}
+		}
+	}
+	switch fn.kind {
+	case fnNow:
+		return NewTime(eng.NowMicros())
+	case fnConcat:
 		var b strings.Builder
 		for _, a := range args {
-			if a.IsNull() {
-				return Null, nil
-			}
 			b.WriteString(a.String())
 		}
-		return NewString(b.String()), nil
-	case "LOWER":
-		if err := argn(1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		return NewString(strings.ToLower(args[0].String())), nil
-	case "UPPER":
-		if err := argn(1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		return NewString(strings.ToUpper(args[0].String())), nil
-	case "LENGTH":
-		if err := argn(1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		return NewInt(int64(len(args[0].String()))), nil
-	case "ABS":
-		if err := argn(1); err != nil {
-			return Null, err
-		}
-		v := args[0]
-		switch v.Kind() {
-		case KindNull:
-			return Null, nil
-		case KindFloat:
+		return NewString(b.String())
+	case fnLower:
+		return NewString(strings.ToLower(args[0].String()))
+	case fnUpper:
+		return NewString(strings.ToUpper(args[0].String()))
+	case fnLength:
+		return NewInt(int64(len(args[0].String())))
+	case fnAbs:
+		if v := args[0]; v.Kind() == KindFloat {
 			f := v.Float()
 			if f < 0 {
 				f = -f
 			}
-			return NewFloat(f), nil
-		default:
-			n := v.Int()
-			if n < 0 {
-				n = -n
-			}
-			return NewInt(n), nil
+			return NewFloat(f)
 		}
-	case "COALESCE":
+		n := args[0].Int()
+		if n < 0 {
+			n = -n
+		}
+		return NewInt(n)
+	case fnCoalesce:
 		for _, a := range args {
 			if !a.IsNull() {
-				return a, nil
+				return a
 			}
 		}
-		return Null, nil
-	case "IF":
-		if err := argn(3); err != nil {
-			return Null, err
-		}
+		return Null
+	case fnIf:
 		if !args[0].IsNull() && args[0].Bool() {
-			return args[1], nil
+			return args[1]
 		}
-		return args[2], nil
-	case "SUBSTR", "SUBSTRING":
-		if len(args) != 2 && len(args) != 3 {
-			return Null, fmt.Errorf("sqlengine: %s expects 2 or 3 arguments", name)
-		}
+		return args[2]
+	case fnSubstr:
 		if args[0].IsNull() || args[1].IsNull() {
-			return Null, nil
+			return Null
 		}
 		s := args[0].String()
 		start := int(args[1].Int()) // 1-based
@@ -400,12 +433,12 @@ func callBuiltin(eng *Engine, name string, args []Value) (Value, error) {
 			start = 1
 		}
 		if start > len(s) {
-			return NewString(""), nil
+			return NewString("")
 		}
 		out := s[start-1:]
 		if len(args) == 3 {
 			if args[2].IsNull() {
-				return Null, nil
+				return Null
 			}
 			n := int(args[2].Int())
 			if n < 0 {
@@ -415,62 +448,50 @@ func callBuiltin(eng *Engine, name string, args []Value) (Value, error) {
 				out = out[:n]
 			}
 		}
-		return NewString(out), nil
-	case "MOD":
-		if err := argn(2); err != nil {
-			return Null, err
+		return NewString(out)
+	case fnMod:
+		if args[1].Int() == 0 {
+			return Null
 		}
-		if args[0].IsNull() || args[1].IsNull() || args[1].Int() == 0 {
-			return Null, nil
-		}
-		return NewInt(args[0].Int() % args[1].Int()), nil
-	case "FLOOR":
-		if err := argn(1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
+		return NewInt(args[0].Int() % args[1].Int())
+	case fnFloor:
 		f := args[0].Float()
 		n := int64(f)
 		if f < 0 && f != float64(n) {
 			n--
 		}
-		return NewInt(n), nil
-	case "CEIL", "CEILING":
-		if err := argn(1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		f := args[0].Float()
-		n := int64(f)
-		if f > 0 && f != float64(n) {
-			n++
-		}
-		return NewInt(n), nil
-	default:
-		return Null, fmt.Errorf("sqlengine: unknown function %s", name)
+		return NewInt(n)
 	}
+	f := args[0].Float() // fnCeil
+	n := int64(f)
+	if f > 0 && f != float64(n) {
+		n++
+	}
+	return NewInt(n)
 }
 
-// isAggregate reports whether name is an aggregate function.
-func isAggregate(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	default:
-		return false
-	}
-}
+// aggKind is an aggregate function, as the resolver binds a call to it;
+// aggNone marks a merge's group-key column.
+type aggKind uint8
+
+const (
+	aggNone aggKind = iota
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+// aggregates is every aggregate function by upper-case name.
+var aggregates = map[string]aggKind{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
 
 // containsAggregate reports whether the expression tree contains an
 // aggregate call.
 func containsAggregate(e Expr) bool {
 	found := false
 	walkExpr(e, func(x Expr) {
-		if f, ok := x.(*FuncCall); ok && isAggregate(f.Name) {
+		if f, ok := x.(*FuncCall); ok && aggregates[f.Name] != aggNone {
 			found = true
 		}
 	})

@@ -36,9 +36,9 @@ type Merge struct {
 	// above, its parameters in their original order.
 	CellSQL string
 
-	order []legKey // ORDER BY, located in a leg's row
-	fns   []string // groups: per column of a leg's row, what folds it — "" for a group key
-	drop  int      // rows: helper columns at the end of a leg's row
+	order []legKey  // ORDER BY, located in a leg's row
+	folds []aggKind // groups: per column of a leg's row, what folds it — aggNone for a group key
+	drop  int       // rows: helper columns at the end of a leg's row
 
 	header []string // the legs' header the plan is bound to
 	plan   Plan
@@ -126,22 +126,24 @@ func (m *Merge) groupShape(s *SelectStmt) error {
 		if se.Star {
 			return fmt.Errorf("sqlengine: scatter aggregate with * projection is not supported")
 		}
+		agg := aggNone
 		f, _ := se.Expr.(*FuncCall)
+		if f != nil {
+			agg = aggregates[f.Name]
+		}
 		switch {
-		case f == nil || !isAggregate(f.Name):
+		case agg == aggNone:
 			if !slices.ContainsFunc(s.GroupBy, func(g Expr) bool { return g.String() == se.Expr.String() }) {
 				return fmt.Errorf("sqlengine: scatter projection %s is neither aggregate nor group key", se.Expr.String())
 			}
-			m.fns = append(m.fns, "")
 		case f.Distinct:
 			return fmt.Errorf("sqlengine: scatter %s(DISTINCT) does not decompose", f.Name)
-		case f.Name == "AVG":
+		case agg == aggAvg:
 			return fmt.Errorf("sqlengine: scatter AVG does not decompose")
-		case f.Name == "COUNT":
-			m.fns = append(m.fns, "SUM")
-		default:
-			m.fns = append(m.fns, f.Name)
+		case agg == aggCount:
+			agg = aggSum
 		}
+		m.folds = append(m.folds, agg)
 	}
 	for _, g := range s.GroupBy {
 		// Partial rows meet on the key columns they carry: a key the select
@@ -203,8 +205,8 @@ func literalInt(e Expr) (int, bool) {
 // them.
 func (m *Merge) bind(header []string) error {
 	p := &m.plan
-	if p.aggregated && len(m.fns) != len(header) {
-		return fmt.Errorf("sqlengine: aggregate merge expected %d columns, got %d", len(m.fns), len(header))
+	if p.aggregated && len(m.folds) != len(header) {
+		return fmt.Errorf("sqlengine: aggregate merge expected %d columns, got %d", len(m.folds), len(header))
 	}
 	width := len(header) - m.drop
 	p.proj, p.groupBy, p.aggs, p.order = nil, nil, nil, nil
@@ -212,10 +214,10 @@ func (m *Merge) bind(header []string) error {
 		x := &bexpr{op: eCol, col: i}
 		switch {
 		case !p.aggregated:
-		case m.fns[i] == "":
+		case m.folds[i] == aggNone:
 			p.groupBy = append(p.groupBy, x)
 		default:
-			p.aggs = append(p.aggs, aggSpec{fn: m.fns[i], arg: x})
+			p.aggs = append(p.aggs, aggSpec{agg: m.folds[i], arg: x})
 			x = &bexpr{op: eAgg, col: len(p.aggs) - 1}
 		}
 		p.proj = append(p.proj, x)

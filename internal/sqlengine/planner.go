@@ -19,6 +19,11 @@ import "strings"
 // order with per-join index lookups when available, and the whole WHERE
 // applies after all joins — so the A-PLAN ablation's baseline arm and the
 // engine's published figures stay byte-for-byte stable.
+//
+// Each mode is a costing pass (costAccess, costNaive) that decides the
+// relational operators as steps, each with the conjuncts placed at it; one
+// constructor (planBuilder.node) turns a decided step into its operator, for
+// both modes and for the driving access of an UPDATE or DELETE (write.go).
 
 // probePenalty charges an index-nested-loop probe the equivalent of two
 // sequentially scanned rows: each probe is a random index access, while a
@@ -84,10 +89,10 @@ type planBuilder struct {
 	p      *Plan       // the plan being materialised (nil in a re-cost)
 	nextID int
 
-	// The costing pass's scratch (cost mode). pool is the WHERE and ON
-	// conjuncts, each with the step it is placed at; steps is the pass's
-	// result, one relational operator per entry in build order, driving
-	// access first — what materialise builds and decided compares.
+	// The costing pass's scratch. pool is the WHERE and ON conjuncts (whole
+	// expressions in naive mode), each with the step it is placed at; steps
+	// is the pass's result, one relational operator per entry in build order,
+	// driving access first — what materialise builds and decided compares.
 	pool    []pooledConjunct
 	cands   []eqCandidate
 	choices []accessChoice
@@ -101,15 +106,21 @@ func (b *planBuilder) begin(st *SelectStmt, tables []planTable, p *Plan) *planBu
 }
 
 func (b *planBuilder) newNode(kind opKind) *planNode {
-	n := &planNode{id: b.nextID, kind: kind, eqCol: -1}
+	return b.add(&planNode{kind: kind, eqCol: -1})
+}
+
+// add numbers n and appends it to the plan's nodes.
+func (b *planBuilder) add(n *planNode) *planNode {
+	n.id = b.nextID
 	b.nextID++
 	b.p.nodes = append(b.p.nodes, n)
 	return n
 }
 
 // buildPlan constructs a plan for st: table resolution, statistics refresh
-// and cost estimation all read catalog state. A cost-based build is the costing pass (costAccess) and the materialising
-// pass (materialise) back to back.
+// and cost estimation all read catalog state. A build is its mode's costing
+// pass (costAccess or costNaive) and the materialising pass (materialise)
+// back to back.
 func (e *Engine) buildPlan(s *Session, st *SelectStmt, naive bool) (*Plan, error) {
 	p := &Plan{
 		db:      strings.ToLower(s.db),
@@ -158,11 +169,11 @@ func (e *Engine) buildPlan(s *Session, st *SelectStmt, naive bool) (*Plan, error
 
 	b := e.planner.begin(st, p.tables, p)
 	if naive {
-		b.buildNaiveAccess()
+		b.costNaive()
 	} else {
 		b.costAccess()
-		b.materialise()
 	}
+	b.materialise()
 	b.buildTail()
 	p.sumCost()
 	return p, p.resolve(st)
@@ -360,84 +371,60 @@ func (b *planBuilder) classOfExpr(e Expr) kindClass {
 // ---------------------------------------------------------------------------
 // Naive mode — parity with the pre-planner executor
 
-// buildNaiveAccess mirrors the legacy execSelect shape: the rule-based access
-// on the driving table, syntax-order joins with per-join index lookups, whole
-// WHERE evaluated after all joins.
-func (b *planBuilder) buildNaiveAccess() {
-	st, p := b.st, b.p
-
-	drive := b.naiveDriving()
-	chain := drive
-	outEst := drive.estRows
-	for ji, j := range st.Joins {
+// costNaive is the costing pass of a naive plan, the legacy execSelect
+// shape: the rule-based driving access (drivingRule), syntax-order joins
+// with per-join index lookups, the whole WHERE evaluated after all joins.
+// Each ON and the WHERE go in the pool whole — a single filter reproduces
+// the legacy executor's evaluation (including three-valued AND order)
+// exactly.
+func (b *planBuilder) costNaive() {
+	b.pool, b.steps = b.pool[:0], b.steps[:0]
+	drive := drivingRule(b.tables[0], b.st.Where)
+	b.steps = append(b.steps, drive)
+	outEst := drive.outRows
+	for ji, j := range b.st.Joins {
 		slot := ji + 1
-		jt := p.tables[slot].tbl
-		eqCol, eqExpr := joinEqPattern(j.On, p.tables[slot].lower, jt)
-		var n *planNode
-		if eqCol >= 0 {
-			if name, unique, usable := usableEqIndex(jt, eqCol); usable {
-				n = b.newNode(opINLJoin)
-				n.eqCol, n.eqExpr, n.idxName = eqCol, eqExpr, name
-				n.estCost = outEst * eqBucketEst(jt, eqCol, unique)
+		pt := b.tables[slot]
+		c := accessChoice{slot: slot, kind: opNLJoin, eqCol: -1, cost: outEst * rowsOf(pt.tbl)}
+		if eqCol, eqExpr := joinEqPattern(j.On, pt.lower, pt.tbl); eqCol >= 0 {
+			if name, unique, usable := usableEqIndex(pt.tbl, eqCol); usable {
+				c = accessChoice{slot: slot, kind: opINLJoin, eqCol: eqCol, eqExpr: eqExpr, idxName: name,
+					cost: outEst * eqBucketEst(pt.tbl, eqCol, unique)}
 			}
 		}
-		if n == nil {
-			n = b.newNode(opNLJoin)
-			n.estCost = outEst * rowsOf(jt)
+		mpo := rowsOf(pt.tbl)
+		for _, on := range Conjuncts(j.On) {
+			mpo *= joinFilterSel(b, on, slot)
 		}
-		n.slot, n.tbl, n.left = slot, jt, j.Left
-		// The whole ON expression as a single filter reproduces the legacy
-		// executor's evaluation (including three-valued AND order) exactly.
-		n.filters = []Expr{j.On}
-		n.input = chain
-		mpo := rowsOf(jt)
-		for _, c := range Conjuncts(j.On) {
-			mpo *= joinFilterSel(b, c, slot)
+		c.outRows = outEst * mpo
+		if j.Left && c.outRows < outEst {
+			c.outRows = outEst
 		}
-		out := outEst * mpo
-		if j.Left && out < outEst {
-			out = outEst
-		}
-		n.estRows = out
-		n.detail = joinDetail(p.tables[slot].display, n)
-		chain = n
-		outEst = out
+		b.pool = append(b.pool, pooledConjunct{expr: j.On, at: len(b.steps)})
+		b.steps = append(b.steps, c)
+		outEst = c.outRows
 	}
-	if st.Where != nil {
-		f := b.newNode(opFilter)
-		f.filters = []Expr{st.Where} // single-expression: legacy evaluation order
-		f.input = chain
+	if b.st.Where != nil {
 		sel := 1.0
-		for _, c := range Conjuncts(st.Where) {
-			sel *= b.whereSel(c)
+		for _, w := range Conjuncts(b.st.Where) {
+			sel *= b.whereSel(w)
 		}
-		f.estRows = outEst * sel
-		f.detail = strings.TrimPrefix(renderFilters(f.filters), " filter ")
-		chain = f
-		outEst = f.estRows
+		b.pool = append(b.pool, pooledConjunct{expr: b.st.Where, at: len(b.steps)})
+		b.steps = append(b.steps, accessChoice{kind: opFilter, eqCol: -1, outRows: outEst * sel})
 	}
-	p.root = chain
 }
 
-// naiveDriving is the naive mode's driving access: the rule UPDATE and DELETE
-// use (drivingAccess), with the WHERE itself left to the filter above.
-func (b *planBuilder) naiveDriving() *planNode {
-	n := b.newNode(opScan)
-	drivingAccess(n, b.p.tables[0], b.st.Where)
-	return n
-}
-
-// drivingAccess decides how a single table is entered given a WHERE clause,
-// by rule: the first conjunct that is `col = expr` (either way round) over a
-// column with a point-lookup index, expr reading no column, picks that
-// index; otherwise the heap is scanned. n arrives with any filters set and
-// leaves with table, kind, key, estimates and detail.
-func drivingAccess(n *planNode, pt planTable, where Expr) {
+// drivingRule decides by rule how a single table is entered given a WHERE
+// clause — the naive mode's driving access and UPDATE's and DELETE's: the
+// first conjunct that is `col = expr` (either way round) over a column with a
+// point-lookup index, expr reading no column, picks that index; otherwise the
+// heap is scanned.
+func drivingRule(pt planTable, where Expr) accessChoice {
 	tbl := pt.tbl
-	n.tbl, n.kind, n.estCost = tbl, opScan, rowsOf(tbl)
+	c := accessChoice{kind: opScan, eqCol: -1, cost: rowsOf(tbl)}
 search:
-	for _, c := range Conjuncts(where) {
-		bin, ok := c.(*Binary)
+	for _, conj := range Conjuncts(where) {
+		bin, ok := conj.(*Binary)
 		if !ok || bin.Op != "=" {
 			continue
 		}
@@ -451,15 +438,14 @@ search:
 				continue
 			}
 			if name, unique, usable := usableEqIndex(tbl, pos); usable {
-				n.kind = opIndexScan
-				n.eqCol, n.eqExpr, n.idxName = pos, try[1], name
-				n.estCost = eqBucketEst(tbl, pos, unique)
+				c = accessChoice{kind: opIndexScan, eqCol: pos, eqExpr: try[1], idxName: name,
+					cost: eqBucketEst(tbl, pos, unique)}
 				break search
 			}
 		}
 	}
-	n.estRows = n.estCost
-	n.detail = accessDetail(pt.display, n)
+	c.outRows = c.cost
+	return c
 }
 
 // whereSel estimates a WHERE conjunct's selectivity: single-table conjuncts
@@ -816,30 +802,37 @@ func (b *planBuilder) costSyntaxOrder() {
 }
 
 // materialise builds the relational operators the costing pass decided, in
-// its order, each with the conjuncts placed at it and its rendered detail.
+// its order.
 func (b *planBuilder) materialise() {
 	var chain *planNode
-	for i, c := range b.steps {
-		n := b.newNode(c.kind)
+	for i := range b.steps {
+		n := b.add(b.node(i))
 		n.input = chain
-		n.filters = b.filtersAt(i)
-		n.estCost, n.estRows = c.cost, c.outRows
-		if c.kind == opFilter {
-			n.detail = strings.TrimPrefix(renderFilters(n.filters), " filter ")
-		} else {
-			pt := b.tables[c.slot]
-			n.slot, n.tbl = c.slot, pt.tbl
-			n.eqCol, n.eqExpr, n.idxName = c.eqCol, c.eqExpr, c.idxName
-			n.left = c.slot > 0 && b.st.Joins[c.slot-1].Left
-			if i == 0 {
-				n.detail = accessDetail(pt.display, n)
-			} else {
-				n.detail = joinDetail(pt.display, n)
-			}
-		}
 		chain = n
 	}
 	b.p.root = chain
+}
+
+// node builds the operator of decided step i: its access, the conjuncts
+// placed at it, its estimates and its rendered detail. It reads b.st only for
+// a step that joins a slot other than 0.
+func (b *planBuilder) node(i int) *planNode {
+	c := &b.steps[i]
+	n := &planNode{kind: c.kind, eqCol: c.eqCol, eqExpr: c.eqExpr, idxName: c.idxName,
+		filters: b.filtersAt(i), estCost: c.cost, estRows: c.outRows}
+	if c.kind == opFilter {
+		n.detail = strings.TrimPrefix(renderFilters(n.filters), " filter ")
+		return n
+	}
+	pt := b.tables[c.slot]
+	n.slot, n.tbl = c.slot, pt.tbl
+	n.left = c.slot > 0 && b.st.Joins[c.slot-1].Left
+	if i == 0 {
+		n.detail = accessDetail(pt.display, n)
+	} else {
+		n.detail = joinDetail(pt.display, n)
+	}
+	return n
 }
 
 // decided reports whether p's relational operators are the ones the costing

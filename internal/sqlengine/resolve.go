@@ -7,10 +7,12 @@ import (
 
 // The resolver is the plan-time step that turns the AST expressions a plan
 // holds into bound expressions (bexpr): column names become (slot, column)
-// frame positions, operator spellings become codes, SELECT * expands, and an
-// ORDER BY item naming a SELECT alias becomes that projection. Unknown and
-// ambiguous references therefore fail when the plan is built, whatever the
-// data holds. SELECT plans and write plans (write.go) both bind through it.
+// frame positions, operator spellings become codes, function names become
+// their builtins or aggregates entry, SELECT * expands, and an ORDER BY item
+// naming a SELECT alias becomes that projection. Unknown and ambiguous
+// references, unknown functions and wrong argument counts therefore fail when
+// the plan is built, whatever the data holds. SELECT plans and write plans
+// (write.go) both bind through it.
 
 // resolveCol finds the scope slot and column position c names among tables.
 func resolveCol(tables []planTable, c *ColRef) (slot, pos int, err error) {
@@ -92,10 +94,14 @@ func (r *resolver) expr(e Expr) *bexpr {
 		}
 		return &bexpr{op: op, kids: r.exprs(e.L, e.R)}
 	case *FuncCall:
-		if isAggregate(e.Name) {
-			return r.aggregate(e)
+		if agg, ok := aggregates[e.Name]; ok {
+			return r.aggregate(e, agg)
 		}
-		return &bexpr{op: eFunc, name: e.Name, kids: r.exprs(e.Args...)}
+		fn, err := bindBuiltin(e.Name, len(e.Args))
+		if err != nil {
+			r.fail(err)
+		}
+		return &bexpr{op: eFunc, fn: fn, kids: r.exprs(e.Args...)}
 	case *InExpr:
 		return &bexpr{op: eIn, not: e.Not, kids: append(r.exprs(e.X), r.exprs(e.List...)...)}
 	case *BetweenExpr:
@@ -112,13 +118,13 @@ func (r *resolver) expr(e Expr) *bexpr {
 // aggregate registers one aggregate call of a post-aggregation expression and
 // returns the read of its result. The argument binds in row context: it is
 // evaluated per input row, and may not itself aggregate.
-func (r *resolver) aggregate(f *FuncCall) *bexpr {
+func (r *resolver) aggregate(f *FuncCall, agg aggKind) *bexpr {
 	if r.aggs == nil {
 		r.fail(fmt.Errorf("sqlengine: aggregate %s not allowed here", f.Name))
 		return &bexpr{op: eConst}
 	}
-	spec := aggSpec{fn: f.Name, distinct: f.Distinct}
-	if f.Name == "COUNT" && f.Star {
+	spec := aggSpec{agg: agg, distinct: f.Distinct}
+	if agg == aggCount && f.Star {
 		spec.star = true
 	} else if len(f.Args) != 1 {
 		r.fail(fmt.Errorf("sqlengine: %s expects one argument", f.Name))

@@ -27,8 +27,8 @@ import (
 
 // aggSpec is one aggregate call of an aggregated SELECT.
 type aggSpec struct {
-	fn       string // COUNT, SUM, AVG, MIN, MAX
-	star     bool   // COUNT(*)
+	agg      aggKind
+	star     bool // COUNT(*)
 	distinct bool
 	arg      *bexpr
 }
@@ -66,17 +66,17 @@ func (a *aggAcc) add(v *Value, distinct bool) {
 	}
 }
 
-func (a *aggAcc) result(fn string) Value {
+func (a *aggAcc) result(agg aggKind) Value {
 	switch {
-	case fn == "COUNT":
+	case agg == aggCount:
 		return NewInt(a.count)
-	case fn == "MIN":
+	case agg == aggMin:
 		return a.min
-	case fn == "MAX":
+	case agg == aggMax:
 		return a.max
 	case a.count == 0:
 		return Null
-	case fn == "AVG":
+	case agg == aggAvg:
 		return NewFloat(a.sumF / float64(a.count))
 	case a.anyFloat:
 		return NewFloat(a.sumF)
@@ -476,7 +476,7 @@ func (p *Plan) gatherGroups(rt *runState) error {
 		ng = 1
 	}
 	for i := range rt.accs {
-		rt.aggv = append(rt.aggv, rt.accs[i].result(p.aggs[i%na].fn))
+		rt.aggv = append(rt.aggv, rt.accs[i].result(p.aggs[i%na].agg))
 	}
 	nk := len(rt.by)
 	for g := int32(0); int(g) < ng; g++ {

@@ -17,7 +17,7 @@ import (
 //
 // The driving access is rule-based, not costed: the first WHERE conjunct that
 // is an equality between an indexed column and a row-independent expression
-// picks that index (drivingAccess, shared with the naive SELECT planner),
+// picks that index (drivingRule, shared with the naive SELECT planner),
 // anything else scans the heap. ExecStats of a write is what the server's
 // cost model charges on the master and again on every replica, so letting the
 // cost-based planner choose here is a cost-model change with its own
@@ -127,11 +127,12 @@ func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 		wp.setPos = append(wp.setPos, pos)
 		wp.sets = append(wp.sets, r.expr(a.Value))
 	}
-	n := &planNode{eqCol: -1}
+	// The access is a one-step plan, the whole WHERE its filter.
+	b := planBuilder{tables: r.tables, steps: []accessChoice{drivingRule(pt, where)}}
 	if where != nil {
-		n.filters = []Expr{where}
+		b.pool = []pooledConjunct{{expr: where}}
 	}
-	drivingAccess(n, pt, where)
+	n := b.node(0)
 	n.where, n.eq = r.exprs(n.filters...), r.expr(n.eqExpr)
 	wp.access = n
 	wp.scan = scanIter{rt: &wp.rt, n: n}
