@@ -175,7 +175,8 @@ bench-json-cmp:
 # GOCOVERDIR — cloudrepl-bench -all -short, -determinism -short and -trace,
 # cloudrepl-trace over that trace, cloudrepl-lint over the repo, cloudstone's
 # default run, benchmark -short and the nine examples — and every function left at 0.0 %
-# printed, sorted by file. A function on the list that no test in another
+# printed, sorted by file, then their count per package and in all. A
+# function on the list that no test in another
 # package needs either goes or says why it stays. BLOCKS=1 lists instead the
 # statements left unrun inside every function that ran: each such function
 # with its count of unreached statements, then its 0-count blocks by line

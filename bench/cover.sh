@@ -20,7 +20,8 @@
 #
 # and prints, from `go tool covdata textfmt` and `go tool cover -func`, every
 # function at 0.0 %, one `file:line: name 0.0%` line each, sorted by file and
-# line. With BLOCKS it prints instead, for every function that ran but not
+# line, and at the end the functions at 0 % per package and in all. With
+# BLOCKS it prints instead, for every function that ran but not
 # whole, a `file:line: name pct N unreached statements` line followed by one
 # `  start-end: k stmts` line per block with a count of 0 (lines of the file,
 # a block of a closure under the function that encloses it), sorted by file
@@ -73,6 +74,13 @@ go tool covdata textfmt -i="$tmp/cov" -o "$tmp/cover.txt"
 go tool cover -func="$tmp/cover.txt" >"$tmp/func.txt"
 if [ -z "$blocks" ]; then
 	awk '$NF == "0.0%" { print $1, $2, $3 }' "$tmp/func.txt" | sort -t: -k1,1 -k2,2n
+	awk '$NF == "0.0%" { pkg = $1; sub(/\/[^\/]*$/, "", pkg); n[pkg]++; all++ }
+	END {
+		print ""
+		for (p in n) printf "%s: %d functions at 0 %%\n", p, n[p] | "sort"
+		close("sort")
+		printf "total: %d functions at 0 %%\n", all
+	}' "$tmp/func.txt"
 	exit 0
 fi
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"cloudrepl/internal/experiment"
 	"cloudrepl/internal/proxy"
@@ -59,6 +58,7 @@ func main() {
 		Seed: *seed, Users: *users, Slaves: *slaves, Scale: *scale,
 		ReadRatio: *ratio, Loc: loc, Mode: mode, Heterogeneous: *hetero,
 	}
+	spec.RampUp, spec.Steady, spec.RampDown = experiment.Phases(*short)
 	switch *balFlag {
 	case "round-robin":
 	case "random":
@@ -72,9 +72,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown balancer %q\n", *balFlag)
 		os.Exit(2)
-	}
-	if *short {
-		spec.RampUp, spec.Steady, spec.RampDown = 2*time.Minute, 5*time.Minute, time.Minute
 	}
 
 	fmt.Printf("cloudstone: %d users, %d slaves, %.0f/%.0f, scale %d, %s, %s replication\n\n",

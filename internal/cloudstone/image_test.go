@@ -22,7 +22,7 @@ type imageStep struct {
 // primary key, the unique index and NOT NULL part-way through, UPDATEs by
 // primary key, secondary index, range and of the key itself, DELETEs likewise,
 // transactions rolled back and committed — plus bursts that grow a table past
-// the statistics drift limit and one TRUNCATE. Ids are drawn around the
+// the statistics drift limit and one DELETE of a whole table. Ids are drawn around the
 // preloaded ranges, so some statements hit rows and some miss.
 func imageStream(rng *rand.Rand, scale, n int) []imageStep {
 	var out []imageStep
@@ -51,10 +51,10 @@ func imageStream(rng *rand.Rand, scale, n int) []imageStep {
 		case 9: // INSERT shapes
 			add(fmt.Sprintf("INSERT INTO tags (id, name) VALUES (%d, 'lit')", fresh().Int()))
 		case 10:
-			add("INSERT INTO friends (id, user_id, friend_id) VALUES (?, ?, ?), (?, ?, ?), (?, ?, 1 + 2)",
+			add("INSERT INTO friends (id, user_id, friend_id) VALUES (?, ?, ?), (?, ?, ?), (?, ?, 3)",
 				fresh(), seed(), seed(), fresh(), seed(), seed(), fresh(), seed())
 		case 11:
-			add("INSERT INTO users (id, username, created) VALUES (?, CONCAT('late', ?), UTC_MICROS())", fresh(), i64(next))
+			add("INSERT INTO users (id, username, created) VALUES (?, ?, UTC_MICROS())", fresh(), str(fmt.Sprint("late", next)))
 		case 12: // INSERTs that fail and must leave no trace
 			add("INSERT INTO users (id, username, created) VALUES (?, ?, 0), (?, ?, 0), (1, 'dup', 0)",
 				fresh(), str(fmt.Sprint("a", next)), fresh(), str(fmt.Sprint("b", next)))
@@ -72,10 +72,11 @@ func imageStream(rng *rand.Rand, scale, n int) []imageStep {
 				add("INSERT INTO users (id, username) VALUES (?, ?)", fresh())
 			}
 		case 15: // UPDATE access paths
-			add("UPDATE events SET title = CONCAT(title, '!') WHERE creator_id = ?", seed())
+			add("UPDATE events SET title = 'retitled' WHERE creator_id = ?", seed())
 		case 16:
 			lo := int64(rng.Intn(2 * scale))
-			add("UPDATE attendance SET created = created + 1 WHERE id BETWEEN ? AND ?", i64(lo), i64(lo+int64(rng.Intn(8))))
+			hi := lo + int64(rng.Intn(8))
+			add("UPDATE attendance SET created = ? WHERE id >= ? AND id <= ?", i64(hi), i64(lo), i64(hi))
 		case 17:
 			add("UPDATE comments SET body = ?, created = UTC_MICROS() WHERE event_id = ? AND user_id > 0", str("edited"), seed())
 		case 18: // the key itself, to a fresh one
@@ -84,7 +85,7 @@ func imageStream(rng *rand.Rand, scale, n int) []imageStep {
 			add("UPDATE users SET username = 'user000002' WHERE id = ?", seed())
 		case 20:
 			lo := int64(rng.Intn(scale))
-			add("UPDATE users SET username = 'same' WHERE id BETWEEN ? AND ?", i64(lo), i64(lo+3))
+			add("UPDATE users SET username = 'same' WHERE id >= ? AND id <= ?", i64(lo), i64(lo+3))
 		case 21:
 			add("UPDATE events SET title = NULL WHERE id = ?", seed())
 		case 22: // DELETE
@@ -93,7 +94,7 @@ func imageStream(rng *rand.Rand, scale, n int) []imageStep {
 			add("DELETE FROM event_tags WHERE event_id = ?", seed())
 		case 24:
 			lo := int64(rng.Intn(3 * scale))
-			add("DELETE FROM friends WHERE id BETWEEN ? AND ?", i64(lo), i64(lo+2))
+			add("DELETE FROM friends WHERE id >= ? AND id <= ?", i64(lo), i64(lo+2))
 		default:
 			add("DELETE FROM users WHERE id = -1")
 		}
@@ -134,7 +135,7 @@ func imageStream(rng *rand.Rand, scale, n int) []imageStep {
 			add("SELECT id, title FROM events WHERE creator_id = ?", seed())
 		case !truncated && len(out) > n/2:
 			truncated = true
-			add("TRUNCATE TABLE friends")
+			add("DELETE FROM friends")
 			add("SELECT friend_id FROM friends WHERE user_id = ?", seed())
 		}
 	}

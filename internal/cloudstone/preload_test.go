@@ -222,10 +222,10 @@ func TestPreloadedTablesShareUntilWritten(t *testing.T) {
 	}
 	want := tableLines(ref)
 	inserts := map[string]string{
-		"users":      "INSERT INTO users (id, username) VALUES (?, CONCAT('u', ?))",
+		"users":      "INSERT INTO users (id, username) VALUES (?, ?)",
 		"events":     "INSERT INTO events (id, creator_id, title) VALUES (?, ?, 'new')",
 		"attendance": "INSERT INTO attendance (id, event_id, user_id) VALUES (?, ?, 1)",
-		"tags":       "INSERT INTO tags (id, name) VALUES (?, CONCAT('t', ?))",
+		"tags":       "INSERT INTO tags (id, name) VALUES (?, ?)",
 		"event_tags": "INSERT INTO event_tags (id, event_id, tag_id) VALUES (?, ?, 1)",
 		"comments":   "INSERT INTO comments (id, event_id, user_id) VALUES (?, ?, 1)",
 		"friends":    "INSERT INTO friends (id, user_id, friend_id) VALUES (?, ?, 2)",
@@ -325,10 +325,10 @@ func writeThrough(seed int64, scale int) error {
 		{"UPDATE events SET description = ? WHERE id > 0", func(i int64) []sqlengine.Value { return []sqlengine.Value{sqlengine.NewString(fmt.Sprint("v", i))} }},
 		{"UPDATE users SET created = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i)} }},
 		{"DELETE FROM attendance WHERE event_id = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i%int64(scale) + 1)} }},
-		{"UPDATE tags SET name = CONCAT(name, '+')", func(int64) []sqlengine.Value { return nil }},
+		{"UPDATE tags SET name = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{sqlengine.NewString(fmt.Sprint("t", i))} }},
 		{"DELETE FROM event_tags WHERE id = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i)} }},
 		{"INSERT INTO comments (id, event_id, user_id, body, created) VALUES (?, 1, 1, 'x', 0)", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(10000 + i)} }},
-		{"UPDATE friends SET friend_id = friend_id + 1 WHERE user_id = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i%int64(scale) + 1)} }},
+		{"UPDATE friends SET friend_id = ? WHERE user_id = ?", func(i int64) []sqlengine.Value { return []sqlengine.Value{in(i), in(i%int64(scale) + 1)} }},
 	}
 	var execErr error
 	env.Go("writer", func(p *sim.Proc) {

@@ -355,7 +355,7 @@ func dump(t *testing.T, srv *server.DBServer) string {
 	}
 	var b strings.Builder
 	for _, r := range set.Rows {
-		fmt.Fprintf(&b, "%d=%s;", r[0].Int(), r[1].Str())
+		fmt.Fprintf(&b, "%d=%s;", r[0].Int(), r[1].String())
 	}
 	return b.String()
 }
@@ -591,8 +591,8 @@ func TestFailoverDropsSurvivorBehindPromotedLog(t *testing.T) {
 // TestFailoverDoesNotReshipAnExecutedStatement: Apply replays a statement and
 // then parks paying its CPU, so a replica whose master dies in that window has
 // executed one statement more than it has applied. A survivor re-attached at
-// its applied position is shipped that statement a second time: a
-// duplicate-key error for an INSERT, a wrong value for x = x + 1.
+// its applied position is shipped that statement a second time: here an
+// INSERT, which fails on its duplicate key.
 func TestFailoverDoesNotReshipAnExecutedStatement(t *testing.T) {
 	env := sim.NewEnv(9)
 	place := cloud.Placement{Region: cloud.USWest1, Zone: "a"}
@@ -619,8 +619,8 @@ func TestFailoverDoesNotReshipAnExecutedStatement(t *testing.T) {
 	}
 	m := clu.Master()
 	env.Go("writer", func(p *sim.Proc) {
-		if _, err := m.Srv.Exec(p, m.Srv.Session("app"), "UPDATE c SET x = x + 1"); err != nil {
-			t.Errorf("update: %v", err)
+		if _, err := m.Srv.Exec(p, m.Srv.Session("app"), "INSERT INTO c (id, x) VALUES (2, 1)"); err != nil {
+			t.Errorf("insert: %v", err)
 		}
 	})
 	crashed := false
@@ -653,7 +653,7 @@ func TestFailoverDoesNotReshipAnExecutedStatement(t *testing.T) {
 		t.Fatal("the master was never caught with both appliers inside the apply charge")
 	}
 	x := func(srv *server.DBServer) int64 {
-		set, err := srv.Session("app").Query("SELECT x FROM c WHERE id = 1")
+		set, err := srv.Session("app").Query("SELECT x FROM c WHERE id = 2")
 		if err != nil {
 			t.Fatal(err)
 		}

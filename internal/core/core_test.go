@@ -66,7 +66,7 @@ func TestExecAndQueryEndToEnd(t *testing.T) {
 			t.Errorf("query: %v", err)
 			return
 		}
-		if len(set.Rows) != 1 || set.Rows[0][0].Str() != "hello" {
+		if len(set.Rows) != 1 || set.Rows[0][0].String() != "hello" {
 			t.Errorf("rows: %v", set.Rows)
 		}
 	})

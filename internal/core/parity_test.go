@@ -82,7 +82,7 @@ func TestHandleParity(t *testing.T) {
 					return
 				}
 				rs, err := db.Query(p, "SELECT v FROM kv WHERE id = ?", id(1))
-				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str() != "new" {
+				if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].String() != "new" {
 					t.Errorf("read-back: rows=%v err=%v", rs, err)
 				}
 

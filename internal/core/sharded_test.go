@@ -85,7 +85,7 @@ func TestShardedHandleSurface(t *testing.T) {
 			return
 		}
 		rs, err := db.Query(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(int64(rows+1)))
-		if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str() != "new" {
+		if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].String() != "new" {
 			t.Errorf("routed read-back: rows=%v err=%v", rs, err)
 			return
 		}

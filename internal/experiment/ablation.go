@@ -28,7 +28,7 @@ type SyncModeResult struct {
 // same zone and across regions. Sync buys freshness at the price of write
 // latency (two cross-region hops per commit) and throughput.
 func AblationSyncModes(opts SweepOpts) ([]SyncModeResult, error) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	type cell struct {
 		loc  Location
 		mode repl.Mode
@@ -87,7 +87,7 @@ type BalancerResult struct {
 // Bounded tier over round-robin, which trades master load (fallback reads)
 // for a bounded client-visible staleness window.
 func AblationBalancers(opts SweepOpts) ([]BalancerResult, error) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	cases := []struct {
 		name  string
 		mk    func() proxy.Balancer
@@ -153,7 +153,7 @@ type VariationResult struct {
 // "performance variation of instances is an inevitable issue") and reports
 // the throughput spread against a homogeneous control.
 func AblationInstanceVariation(opts SweepOpts, samples int) (VariationResult, error) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	mk := func(seed int64, hetero bool) RunSpec {
 		return RunSpec{
 			// 150 users on one slave: firmly slave-CPU-bound, so throughput
@@ -227,7 +227,7 @@ type PriorityResult struct {
 // orders of magnitude, with the cost surfacing as higher client latency on
 // the saturated replicas.
 func AblationApplierPriority(opts SweepOpts) (PriorityResult, error) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	mk := func(prio bool) RunSpec {
 		return RunSpec{
 			Seed: opts.Seed, Users: 150, Slaves: 2, Scale: 300, ReadRatio: 0.5,
@@ -277,7 +277,7 @@ type ArchResult struct {
 // node; multi-master spreads write acceptance but pays the ordering round
 // trip and applies every write everywhere.
 func AblationArchitectures(opts SweepOpts) ([]ArchResult, error) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	_ = ramp
 	users := 120
 	ratio := 0.5

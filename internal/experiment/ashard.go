@@ -82,7 +82,7 @@ type shardArmSpec struct {
 // embarrassingly-parallel best case. A separate arm splits 2 cells into 3
 // under load and reports the cutover window.
 func AblationSharding(opts SweepOpts) (ShardingResult, error) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	users := 1200
 	cellGrid := []int{1, 2, 4}
 	if !opts.Short {
@@ -248,7 +248,7 @@ func runShardArm(s shardArmSpec) (shardArmOut, error) {
 // shardArm is the 2-cell arm with a mid-steady split, the most
 // event-interleaved configuration the subsystem has.
 func shardArm(o SweepOpts) func() (any, error) {
-	ramp, steady, down := o.phases()
+	ramp, steady, down := Phases(o.Short)
 	if o.Short {
 		ramp, steady, down = time.Minute, 3*time.Minute, 30*time.Second
 	}

@@ -160,7 +160,7 @@ func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 // chaosSpecs returns A-CHAOS's three runs — no fault, slave1 down for
 // downFor, the master crashed for good — and the instant the fault fires.
 func chaosSpecs(opts SweepOpts) (specs [3]RunSpec, crashAt, downFor time.Duration) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	crashAt = ramp + steady/4
 	downFor = steady / 4
 	mk := func(seed int64, sched *chaos.Schedule) RunSpec {

@@ -165,7 +165,7 @@ func KernelBench(opts SweepOpts, figuresWall time.Duration) (KernelBenchResult, 
 	}
 	res.Micro = kernelMicroWorkload(opts.Seed)
 
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	spec := RunSpec{
 		Seed: opts.Seed, Users: 100, Slaves: 2, Scale: 300, ReadRatio: 0.5,
 		Loc: SameZone, RampUp: ramp, Steady: steady, RampDown: down,
@@ -208,7 +208,7 @@ func RenderKernelBench(r KernelBenchResult) string {
 // completion-order dependence shows up as a byte difference in the merged
 // rows.
 func runShardsArm(o SweepOpts) func() (any, error) {
-	ramp, steady, down := o.phases()
+	ramp, steady, down := Phases(o.Short)
 	var specs []RunSpec
 	for i := 0; i < 4; i++ {
 		specs = append(specs, RunSpec{

@@ -77,7 +77,7 @@ func AblationPipeline(opts SweepOpts) (PipelineResult, error) {
 // ablationPipelineGrid is AblationPipeline over an explicit grid; the
 // determinism sanitizer uses a trimmed corner grid through it.
 func ablationPipelineGrid(opts SweepOpts, variants []PipelineVariant, slaveNums, userNums []int) (PipelineResult, error) {
-	ramp, steady, down := opts.phases()
+	ramp, steady, down := Phases(opts.Short)
 	out := PipelineResult{
 		Loc:      SameZone,
 		UserNums: userNums,

@@ -81,7 +81,8 @@ type RunSpec struct {
 	// MaxStaleEvents bounds the Bounded tier
 	// (0 = proxy.DefaultMaxEventsBehind).
 	MaxStaleEvents uint64
-	// Phases overrides the 10/20/5-minute protocol when non-zero.
+	// RampUp, Steady, RampDown are the run's phases; Phases gives the
+	// protocol's.
 	RampUp, Steady, RampDown time.Duration
 	// Heterogeneous enables the CoV-21% instance speed variation; the
 	// figure sweeps keep it off so curves reflect topology, not luck.
@@ -104,21 +105,6 @@ type RunSpec struct {
 	// spans on the virtual timeline and exported as Chrome trace-event JSON
 	// in RunResult.TraceJSON.
 	Trace bool
-}
-
-func (s *RunSpec) applyDefaults() {
-	if s.Scale == 0 {
-		s.Scale = 300
-	}
-	if s.RampUp == 0 {
-		s.RampUp = 10 * time.Minute
-	}
-	if s.Steady == 0 {
-		s.Steady = 20 * time.Minute
-	}
-	if s.RampDown == 0 {
-		s.RampDown = 5 * time.Minute
-	}
 }
 
 // RunResult is one experiment point's measurements.
@@ -203,7 +189,6 @@ func startNTP(env *sim.Env, c *cloud.Cloud) {
 
 // Run executes one experiment point on its own simulation environment.
 func Run(spec RunSpec) (RunResult, error) {
-	spec.applyDefaults()
 	env := sim.NewEnv(spec.Seed)
 
 	cloudCfg := cloud.DefaultConfig()

@@ -21,8 +21,10 @@ type SweepOpts struct {
 	Progress func(string)
 }
 
-func (o SweepOpts) phases() (ramp, steady, down time.Duration) {
-	if o.Short {
+// Phases is the run protocol's ramp-up, steady and ramp-down: the paper's
+// 10/20/5 minutes, or 2/5/1 when short.
+func Phases(short bool) (ramp, steady, down time.Duration) {
+	if short {
 		return 2 * time.Minute, 5 * time.Minute, 1 * time.Minute
 	}
 	return 10 * time.Minute, 20 * time.Minute, 5 * time.Minute
@@ -37,7 +39,7 @@ type grid struct {
 }
 
 func (g grid) spec(o SweepOpts) RunSpec {
-	ramp, steady, down := o.phases()
+	ramp, steady, down := Phases(o.Short)
 	return RunSpec{
 		Seed: o.Seed, Users: g.users, Slaves: g.slaves, Scale: g.scale,
 		ReadRatio: g.readRatio, Loc: SameZone, Mode: repl.Async,
@@ -96,7 +98,7 @@ func Fig3Sweep(opts SweepOpts) *Sweep {
 
 // Run executes the sweep. It is safe to call once per Sweep.
 func (sw *Sweep) Run() error {
-	ramp, steady, down := sw.Opts.phases()
+	ramp, steady, down := Phases(sw.Opts.Short)
 	var specs []RunSpec
 	seed := sw.Opts.Seed
 	for _, loc := range sw.Locs {

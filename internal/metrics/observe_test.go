@@ -72,7 +72,7 @@ func observedTwice[R any](t *testing.T, run func(trace bool) (R, error)) (plain,
 func TestObservingARunNeverChangesIt(t *testing.T) {
 	t.Run("unsharded", func(t *testing.T) {
 		spec := experiment.RunSpec{
-			Seed: 5, Users: users, Slaves: 2, ReadRatio: 0.5,
+			Seed: 5, Users: users, Slaves: 2, Scale: 300, ReadRatio: 0.5,
 			RampUp: rampUp, Steady: steady, RampDown: rampDown,
 		}
 		plain, observed := observedTwice(t, func(trace bool) (experiment.RunResult, error) {

@@ -82,7 +82,7 @@ func TestMultiMasterConflictsResolveIdentically(t *testing.T) {
 		if err != nil || len(set.Rows) != 1 {
 			t.Fatalf("node %d: %v %v", i, set, err)
 		}
-		v := set.Rows[0][0].Str()
+		v := set.Rows[0][0].String()
 		if winner == "" {
 			winner = v
 		} else if v != winner {

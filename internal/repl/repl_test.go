@@ -104,14 +104,14 @@ func TestReplicationPreservesStatementOrder(t *testing.T) {
 	r.env.Go("writer", func(p *sim.Proc) {
 		r.master.Srv.Exec(p, sess, "INSERT INTO t (id, v) VALUES (1, 'a')")
 		r.master.Srv.Exec(p, sess, "UPDATE t SET v = 'b' WHERE id = 1")
-		r.master.Srv.Exec(p, sess, "UPDATE t SET v = CONCAT(v, 'c') WHERE id = 1")
+		r.master.Srv.Exec(p, sess, "UPDATE t SET v = 'bc' WHERE id = 1 AND v = 'b'")
 	})
 	r.env.RunUntil(time.Minute)
 	set, err := r.slaves[0].Srv.Session("app").Query("SELECT v FROM t WHERE id = 1")
 	if err != nil || len(set.Rows) != 1 {
 		t.Fatalf("slave row: %v %v", set, err)
 	}
-	if got := set.Rows[0][0].Str(); got != "bc" {
+	if got := set.Rows[0][0].String(); got != "bc" {
 		t.Fatalf("slave value %q: statements reordered or lost", got)
 	}
 	r.env.Shutdown()
@@ -432,8 +432,8 @@ func TestReplicationConvergenceProperty(t *testing.T) {
 					r.master.Srv.Exec(p, sess, "INSERT INTO t (id, v) VALUES (?, ?)",
 						sqlengine.NewInt(int64(k)), sqlengine.NewString(fmt.Sprintf("v%d", i)))
 				case 2:
-					r.master.Srv.Exec(p, sess, "UPDATE t SET v = CONCAT(v, '+') WHERE id = ?",
-						sqlengine.NewInt(int64(k)))
+					r.master.Srv.Exec(p, sess, "UPDATE t SET v = ? WHERE id = ?",
+						sqlengine.NewString(fmt.Sprintf("u%d", i)), sqlengine.NewInt(int64(k)))
 				default:
 					r.master.Srv.Exec(p, sess, "DELETE FROM t WHERE id = ?",
 						sqlengine.NewInt(int64(k)))
@@ -525,7 +525,7 @@ func TestTransactionReplicatesAtomicallyInOrder(t *testing.T) {
 		}
 		exec("BEGIN")
 		exec("INSERT INTO t (id, v) VALUES (1, 'a')")
-		exec("UPDATE t SET v = CONCAT(v, 'b') WHERE id = 1")
+		exec("UPDATE t SET v = 'ab' WHERE id = 1 AND v = 'a'")
 		exec("COMMIT")
 		exec("BEGIN")
 		exec("INSERT INTO t (id, v) VALUES (2, 'doomed')")
@@ -540,8 +540,8 @@ func TestTransactionReplicatesAtomicallyInOrder(t *testing.T) {
 	if len(set.Rows) != 1 {
 		t.Fatalf("slave rows: %v (rolled-back txn replicated?)", set.Rows)
 	}
-	if set.Rows[0][1].Str() != "ab" {
-		t.Fatalf("slave value %q, want committed txn in order", set.Rows[0][1].Str())
+	if set.Rows[0][1].String() != "ab" {
+		t.Fatalf("slave value %q, want committed txn in order", set.Rows[0][1].String())
 	}
 	r.env.Stop()
 	r.env.Shutdown()

@@ -151,7 +151,7 @@ func TestLoggedArgumentsAreOwned(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if len(e.Args) != 4 || e.Args[0].Int() != 5000 || e.Args[3].Str() != "as written" {
+	if len(e.Args) != 4 || e.Args[0].Int() != 5000 || e.Args[3].String() != "as written" {
 		t.Errorf("logged arguments follow the caller's vector: %v", e.Args)
 	}
 	if e.Text() != want {
@@ -161,7 +161,7 @@ func TestLoggedArgumentsAreOwned(t *testing.T) {
 		t.Errorf("wire size %d, encoded %d bytes, want %d", e.WireSize(), len(e.Encode()), size)
 	}
 	set, err := replica.Session(cloudstone.DatabaseName).Query("SELECT event_id, user_id, body FROM comments WHERE id = 5000")
-	if err != nil || len(set.Rows) != 1 || set.Rows[0][0].Int() != 1 || set.Rows[0][1].Int() != 2 || set.Rows[0][2].Str() != "as written" {
+	if err != nil || len(set.Rows) != 1 || set.Rows[0][0].Int() != 1 || set.Rows[0][1].Int() != 2 || set.Rows[0][2].String() != "as written" {
 		t.Errorf("replica replayed %v (%v), want (1, 2, 'as written')", set, err)
 	}
 }

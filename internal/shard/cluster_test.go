@@ -197,7 +197,7 @@ func TestRoutedExecEndToEnd(t *testing.T) {
 			failed = true
 		}
 		res, err = conn.Exec(p, "SELECT v FROM kv WHERE id = ?", sqlengine.NewInt(int64(rows+1)))
-		if err != nil || len(res.Result.Set.Rows) != 1 || res.Result.Set.Rows[0][0].Str() != "new" {
+		if err != nil || len(res.Result.Set.Rows) != 1 || res.Result.Set.Rows[0][0].String() != "new" {
 			t.Errorf("read-back: err=%v res=%v", err, res)
 			failed = true
 		}
@@ -604,7 +604,7 @@ func TestSessionRYWAcrossSplit(t *testing.T) {
 				t.Errorf("read %d: %v", id, err)
 				return
 			}
-			if set := res.Result.Set; len(set.Rows) != 1 || set.Rows[0][0].Str() != "live" {
+			if set := res.Result.Set; len(set.Rows) != 1 || set.Rows[0][0].String() != "live" {
 				t.Errorf("session read of dual-written key %d missed the write after the flip", id)
 			}
 		}

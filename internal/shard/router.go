@@ -75,14 +75,11 @@ func analyze(sql string, ks Keyspace) *routeInfo {
 // is pinned by an equality on its key column (co-located joins stay
 // correct because child tables hash the parent key), scatter otherwise.
 func analyzeSelect(s *sqlengine.SelectStmt, ks Keyspace) *routeInfo {
-	if s.From == nil {
-		return &routeInfo{kind: routeAny}
-	}
 	type scopeEntry struct {
 		ref   string // name in scope (alias or table name), lowered
 		table string // real table name, lowered
 	}
-	scope := []scopeEntry{{strings.ToLower(refName(*s.From)), strings.ToLower(s.From.Name)}}
+	scope := []scopeEntry{{strings.ToLower(refName(s.From)), strings.ToLower(s.From.Name)}}
 	for _, j := range s.Joins {
 		scope = append(scope, scopeEntry{strings.ToLower(refName(j.Table)), strings.ToLower(j.Table.Name)})
 	}

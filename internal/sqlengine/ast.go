@@ -20,6 +20,14 @@ type Stmt interface {
 	stmt()
 }
 
+// stmtNode and exprNode close Stmt and Expr: every statement and expression
+// node embeds one.
+type stmtNode struct{}
+type exprNode struct{}
+
+func (stmtNode) stmt() {}
+func (exprNode) expr() {}
+
 // quoteIdent renders an identifier so that it lexes back as itself: bare when
 // it is a word the lexer reads as an identifier, back-quoted when it is a
 // keyword, empty, or holds a byte no bare identifier can. A statement's
@@ -153,6 +161,7 @@ func (ix IndexDef) String() string {
 
 // CreateDatabaseStmt is CREATE DATABASE.
 type CreateDatabaseStmt struct {
+	stmtNode
 	Name        string
 	IfNotExists bool
 }
@@ -164,10 +173,10 @@ func (s *CreateDatabaseStmt) String() string {
 	}
 	return "CREATE DATABASE " + ifne + quoteIdent(s.Name)
 }
-func (*CreateDatabaseStmt) stmt() {}
 
 // CreateTableStmt is CREATE TABLE.
 type CreateTableStmt struct {
+	stmtNode
 	Table       TableRef
 	Columns     []ColumnDef
 	PrimaryKey  []string // table-level PK, empty when inline
@@ -192,33 +201,10 @@ func (s *CreateTableStmt) String() string {
 	}
 	return "CREATE TABLE " + ifne + s.Table.String() + " (" + strings.Join(parts, ", ") + ")"
 }
-func (*CreateTableStmt) stmt() {}
-
-// DropTableStmt is DROP TABLE.
-type DropTableStmt struct {
-	Table    TableRef
-	IfExists bool
-}
-
-func (s *DropTableStmt) String() string {
-	ife := ""
-	if s.IfExists {
-		ife = "IF EXISTS "
-	}
-	return "DROP TABLE " + ife + s.Table.String()
-}
-func (*DropTableStmt) stmt() {}
-
-// TruncateStmt is TRUNCATE TABLE.
-type TruncateStmt struct {
-	Table TableRef
-}
-
-func (s *TruncateStmt) String() string { return "TRUNCATE TABLE " + s.Table.String() }
-func (*TruncateStmt) stmt()            {}
 
 // InsertStmt is INSERT INTO ... VALUES.
 type InsertStmt struct {
+	stmtNode
 	Table   TableRef
 	Columns []string
 	Rows    [][]Expr
@@ -247,7 +233,6 @@ func (s *InsertStmt) String() string {
 	}
 	return b.String()
 }
-func (*InsertStmt) stmt() {}
 
 // Assignment is one SET clause of UPDATE.
 type Assignment struct {
@@ -257,6 +242,7 @@ type Assignment struct {
 
 // UpdateStmt is UPDATE ... SET ... WHERE.
 type UpdateStmt struct {
+	stmtNode
 	Table TableRef
 	Sets  []Assignment
 	Where Expr
@@ -273,10 +259,10 @@ func (s *UpdateStmt) String() string {
 	}
 	return out
 }
-func (*UpdateStmt) stmt() {}
 
 // DeleteStmt is DELETE FROM ... WHERE.
 type DeleteStmt struct {
+	stmtNode
 	Table TableRef
 	Where Expr
 }
@@ -288,7 +274,6 @@ func (s *DeleteStmt) String() string {
 	}
 	return out
 }
-func (*DeleteStmt) stmt() {}
 
 // SelectExpr is one projection of a SELECT.
 type SelectExpr struct {
@@ -322,26 +307,20 @@ func (o OrderItem) String() string {
 	return s
 }
 
-// JoinClause is an INNER/LEFT join.
+// JoinClause is an inner join.
 type JoinClause struct {
-	Left  bool
 	Table TableRef
 	On    Expr
 }
 
-func (j JoinClause) String() string {
-	kw := "JOIN"
-	if j.Left {
-		kw = "LEFT JOIN"
-	}
-	return kw + " " + j.Table.String() + " ON " + j.On.String()
-}
+func (j JoinClause) String() string { return "JOIN " + j.Table.String() + " ON " + j.On.String() }
 
 // SelectStmt is SELECT.
 type SelectStmt struct {
+	stmtNode
 	Distinct bool
 	Exprs    []SelectExpr
-	From     *TableRef // nil for table-less SELECT
+	From     TableRef
 	Joins    []JoinClause
 	Where    Expr
 	GroupBy  []Expr
@@ -363,9 +342,7 @@ func (s *SelectStmt) String() string {
 		}
 		b.WriteString(e.String())
 	}
-	if s.From != nil {
-		b.WriteString(" FROM " + s.From.String())
-	}
+	b.WriteString(" FROM " + s.From.String())
 	for _, j := range s.Joins {
 		b.WriteString(" " + j.String())
 	}
@@ -397,52 +374,49 @@ func (s *SelectStmt) String() string {
 	}
 	return b.String()
 }
-func (*SelectStmt) stmt() {}
 
-// BeginStmt is BEGIN.
-type BeginStmt struct{}
+// TxnStmt is BEGIN, COMMIT or ROLLBACK: Verb is the keyword.
+type TxnStmt struct {
+	stmtNode
+	Verb string
+}
 
-func (*BeginStmt) String() string { return "BEGIN" }
-func (*BeginStmt) stmt()          {}
-
-// CommitStmt is COMMIT.
-type CommitStmt struct{}
-
-func (*CommitStmt) String() string { return "COMMIT" }
-func (*CommitStmt) stmt()          {}
-
-// RollbackStmt is ROLLBACK.
-type RollbackStmt struct{}
-
-func (*RollbackStmt) String() string { return "ROLLBACK" }
-func (*RollbackStmt) stmt()          {}
+func (s *TxnStmt) String() string { return s.Verb }
 
 // UseStmt is USE db.
-type UseStmt struct{ DB string }
+type UseStmt struct {
+	stmtNode
+	DB string
+}
 
 func (s *UseStmt) String() string { return "USE " + quoteIdent(s.DB) }
-func (*UseStmt) stmt()            {}
 
-// Expr is an expression node.
+// Expr is an expression node: a value — Literal, Param, ColRef, FuncCall —
+// or a predicate over values — Binary, InExpr, LikeExpr.
 type Expr interface {
 	String() string
 	expr()
 }
 
 // Literal is a constant value.
-type Literal struct{ V Value }
+type Literal struct {
+	exprNode
+	V Value
+}
 
 func (l *Literal) String() string { return l.V.SQL() }
-func (*Literal) expr()            {}
 
 // Param is a positional ? placeholder.
-type Param struct{ Index int }
+type Param struct {
+	exprNode
+	Index int
+}
 
 func (*Param) String() string { return "?" }
-func (*Param) expr()          {}
 
 // ColRef references a column, optionally qualified by table name or alias.
 type ColRef struct {
+	exprNode
 	Table, Name string
 }
 
@@ -452,41 +426,24 @@ func (c *ColRef) String() string {
 	}
 	return quoteIdent(c.Name)
 }
-func (*ColRef) expr() {}
 
-// Unary is NOT x or -x.
-type Unary struct {
-	Op string // "NOT" or "-"
-	X  Expr
-}
-
-func (u *Unary) String() string {
-	// Fully parenthesized so the rendering re-parses at any precedence
-	// level (e.g. as a BETWEEN operand).
-	if u.Op == "NOT" {
-		return "(NOT (" + u.X.String() + "))"
-	}
-	return "(-(" + u.X.String() + "))"
-}
-func (*Unary) expr() {}
-
-// Binary is a binary operation: comparison, logic or arithmetic.
+// Binary is a comparison of two values, or the AND of two predicates.
 type Binary struct {
-	Op   string // = != <> < <= > >= AND OR + - * / %
+	exprNode
+	Op   string // = != < <= > >= AND
 	L, R Expr
 }
 
 func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
-func (*Binary) expr() {}
 
-// FuncCall is a builtin or aggregate call.
+// FuncCall is an aggregate call or UTC_MICROS().
 type FuncCall struct {
-	Name     string // uppercased
-	Args     []Expr
-	Star     bool // COUNT(*)
-	Distinct bool // COUNT(DISTINCT x)
+	exprNode
+	Name string // uppercased
+	Args []Expr
+	Star bool // COUNT(*)
 }
 
 func (f *FuncCall) String() string {
@@ -497,19 +454,14 @@ func (f *FuncCall) String() string {
 	for _, a := range f.Args {
 		args = append(args, a.String())
 	}
-	d := ""
-	if f.Distinct {
-		d = "DISTINCT "
-	}
-	return quoteFunc(f.Name) + "(" + d + strings.Join(args, ", ") + ")"
+	return quoteFunc(f.Name) + "(" + strings.Join(args, ", ") + ")"
 }
-func (*FuncCall) expr() {}
 
-// InExpr is x [NOT] IN (list).
+// InExpr is x IN (list).
 type InExpr struct {
+	exprNode
 	X    Expr
 	List []Expr
-	Not  bool
 }
 
 func (e *InExpr) String() string {
@@ -517,54 +469,13 @@ func (e *InExpr) String() string {
 	for _, it := range e.List {
 		items = append(items, it.String())
 	}
-	op := " IN "
-	if e.Not {
-		op = " NOT IN "
-	}
-	return "(" + e.X.String() + op + "(" + strings.Join(items, ", ") + "))"
-}
-func (*InExpr) expr() {}
-
-// BetweenExpr is x [NOT] BETWEEN lo AND hi.
-type BetweenExpr struct {
-	X, Lo, Hi Expr
-	Not       bool
+	return "(" + e.X.String() + " IN (" + strings.Join(items, ", ") + "))"
 }
 
-func (e *BetweenExpr) String() string {
-	op := " BETWEEN "
-	if e.Not {
-		op = " NOT BETWEEN "
-	}
-	return "(" + e.X.String() + op + e.Lo.String() + " AND " + e.Hi.String() + ")"
-}
-func (*BetweenExpr) expr() {}
-
-// IsNullExpr is x IS [NOT] NULL.
-type IsNullExpr struct {
-	X   Expr
-	Not bool
-}
-
-func (e *IsNullExpr) String() string {
-	if e.Not {
-		return "(" + e.X.String() + " IS NOT NULL)"
-	}
-	return "(" + e.X.String() + " IS NULL)"
-}
-func (*IsNullExpr) expr() {}
-
-// LikeExpr is x [NOT] LIKE pattern.
+// LikeExpr is x LIKE pattern.
 type LikeExpr struct {
+	exprNode
 	X, Pattern Expr
-	Not        bool
 }
 
-func (e *LikeExpr) String() string {
-	op := " LIKE "
-	if e.Not {
-		op = " NOT LIKE "
-	}
-	return "(" + e.X.String() + op + e.Pattern.String() + ")"
-}
-func (*LikeExpr) expr() {}
+func (e *LikeExpr) String() string { return "(" + e.X.String() + " LIKE " + e.Pattern.String() + ")" }

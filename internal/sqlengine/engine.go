@@ -1,14 +1,15 @@
-// Package sqlengine is an embeddable in-memory relational engine with a
-// MySQL-flavored SQL dialect: typed tables with primary keys and secondary
-// indexes, INSERT/UPDATE/DELETE/SELECT (joins, aggregates, ORDER BY/LIMIT),
-// MVCC row versioning with snapshot-isolated transactions (mvcc.go),
-// positional parameters, and a statement-commit hook that feeds
+// Package sqlengine is an embeddable in-memory relational engine with the
+// MySQL-flavored dialect the product issues and nothing more: typed tables
+// with primary keys and secondary indexes, INSERT/UPDATE/DELETE/SELECT (inner
+// joins, aggregates, ORDER BY/LIMIT) over predicates that AND comparisons,
+// IN lists and LIKEs, MVCC row versioning with snapshot-isolated transactions
+// (mvcc.go), positional parameters, and a statement-commit hook that feeds
 // statement-based replication.
 //
 // The engine stands in for MySQL 5.x in the paper's experiments. Two
 // properties matter for fidelity: per-statement execution statistics (rows
-// examined/affected) drive the virtual CPU cost model, and time builtins
-// (UTC_MICROS, NOW) are evaluated against the *local* instance clock at
+// examined/affected) drive the virtual CPU cost model, and the time builtin
+// UTC_MICROS() is evaluated against the *local* instance clock at
 // execution time, so a replicated heartbeat INSERT commits the slave's own
 // timestamp when the slave's SQL thread re-executes it — the paper's delay
 // measurement methodology.
@@ -26,7 +27,7 @@ type StmtClass uint8
 const (
 	ClassRead  StmtClass = iota // SELECT
 	ClassWrite                  // INSERT, UPDATE, DELETE
-	ClassDDL                    // CREATE, DROP, TRUNCATE
+	ClassDDL                    // CREATE DATABASE, CREATE TABLE
 	ClassTxn                    // BEGIN, COMMIT, ROLLBACK, USE
 )
 
@@ -64,7 +65,7 @@ type Result struct {
 	Set   *ResultSet // nil for non-SELECT
 	Stats ExecStats
 	// SQL is the text of a DDL statement — what its binlog entry carries — or
-	// of a session statement, SHOW or EXPLAIN. Reads and writes leave it
+	// of a session statement. Reads and writes leave it
 	// empty: nothing replicates a SELECT, and a write's text is its
 	// LoggedWrite's, rendered only when something reads it.
 	SQL string
@@ -146,7 +147,7 @@ func (w LoggedWrite) TextLen() int {
 type CommitHook func(database string, writes []LoggedWrite)
 
 // Engine is a single server's database engine: a set of databases, a parse
-// cache, a local-time source for time builtins and a commit hook feeding
+// cache, a local-time source for UTC_MICROS() and a commit hook feeding
 // the binlog.
 //
 // An engine has one owner at a time: nothing in it is synchronised, so every
@@ -157,11 +158,11 @@ type CommitHook func(database string, writes []LoggedWrite)
 type Engine struct {
 	dbs map[string]*Database
 	// swept is every table in (database, table) name order, the order a GC
-	// sweep visits them in: listed again whenever a table is created or
-	// dropped (relist), and as it comes when the catalog is restored.
+	// sweep visits them in: listed again whenever a table is created
+	// (relist), and as it comes when the catalog is restored.
 	swept []*Table
 
-	// NowMicros supplies local time in microseconds for UTC_MICROS()/NOW().
+	// NowMicros supplies local time in microseconds for UTC_MICROS().
 	// The database server binds it to its instance's drifting clock.
 	NowMicros func() int64
 	// OnCommit, when non-nil, receives every committed write statement.
@@ -190,8 +191,8 @@ type Engine struct {
 	text []byte
 	args []Value
 
-	// catalogEpoch advances when *Table pointers stop being good — CREATE and
-	// DROP TABLE, snapshot Restore — and retires every plan and write plan,
+	// catalogEpoch advances when *Table pointers stop being good — CREATE
+	// TABLE, snapshot Restore — and retires every plan and write plan,
 	// which embed them. What a plan read of a table's statistics is that
 	// table's own generation (Table.statsGen).
 	catalogEpoch uint64
@@ -244,7 +245,7 @@ func (d *Database) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// NewEngine creates an empty engine. Time builtins read zero until
+// NewEngine creates an empty engine. UTC_MICROS() reads zero until
 // NowMicros is set.
 func NewEngine() *Engine {
 	return &Engine{
@@ -409,31 +410,30 @@ func checkArgs(nparams int, args []Value) error {
 // SELECT or a write answers in out — a new Reply when out is nil; the rarer
 // kinds allocate their own Result.
 func (s *Session) run(st *Statement, args []Value, from LoggedWrite, out *Reply) (*Result, error) {
-	switch st.stmt.(type) {
-	case *SelectStmt, *ExplainStmt:
-		// Checked against the plan, which knows the SELECT's own count.
-	default:
+	if _, sel := st.stmt.(*SelectStmt); !sel {
+		// A SELECT's count is checked against its plan, which knows it.
 		if err := checkArgs(st.nparams, args); err != nil {
 			return nil, err
 		}
 	}
 	switch stmt := st.stmt.(type) {
-	case *BeginStmt:
-		if s.inTxn {
-			return nil, fmt.Errorf("sqlengine: nested BEGIN")
+	case *TxnStmt:
+		switch stmt.Verb {
+		case "BEGIN":
+			if s.inTxn {
+				return nil, fmt.Errorf("sqlengine: nested BEGIN")
+			}
+			// Snapshot isolation: every read inside the transaction resolves
+			// against the commit version current at BEGIN.
+			s.inTxn = true
+			s.readV = s.eng.commitV
+			s.eng.txns = append(s.eng.txns, s)
+		case "COMMIT":
+			s.commit()
+		default:
+			s.rollback()
 		}
-		// Snapshot isolation: every read inside the transaction resolves
-		// against the commit version current at BEGIN.
-		s.inTxn = true
-		s.readV = s.eng.commitV
-		s.eng.txns = append(s.eng.txns, s)
-		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: "BEGIN"}, nil
-	case *CommitStmt:
-		s.commit()
-		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: "COMMIT"}, nil
-	case *RollbackStmt:
-		s.rollback()
-		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: "ROLLBACK"}, nil
+		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: stmt.Verb}, nil
 	case *UseStmt:
 		if err := s.Use(stmt.DB); err != nil {
 			return nil, err
@@ -538,8 +538,6 @@ func (s *Session) resolveTable(ref TableRef) (*Database, *Table, error) {
 // walkStmt visits every expression in a statement.
 func walkStmt(stmt Stmt, visit func(Expr)) {
 	switch s := stmt.(type) {
-	case *ExplainStmt:
-		walkStmt(s.Inner, visit)
 	case *InsertStmt:
 		for _, row := range s.Rows {
 			for _, e := range row {
@@ -580,8 +578,6 @@ func walkExpr(e Expr, visit func(Expr)) {
 	}
 	visit(e)
 	switch e := e.(type) {
-	case *Unary:
-		walkExpr(e.X, visit)
 	case *Binary:
 		walkExpr(e.L, visit)
 		walkExpr(e.R, visit)
@@ -594,12 +590,6 @@ func walkExpr(e Expr, visit func(Expr)) {
 		for _, it := range e.List {
 			walkExpr(it, visit)
 		}
-	case *BetweenExpr:
-		walkExpr(e.X, visit)
-		walkExpr(e.Lo, visit)
-		walkExpr(e.Hi, visit)
-	case *IsNullExpr:
-		walkExpr(e.X, visit)
 	case *LikeExpr:
 		walkExpr(e.X, visit)
 		walkExpr(e.Pattern, visit)

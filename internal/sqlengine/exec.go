@@ -17,17 +17,6 @@ func (e *Engine) exec(s *Session, owner *Statement, args []Value, out *Reply) (*
 		return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 	case *CreateTableStmt:
 		return e.execCreateTable(s, st)
-	case *DropTableStmt:
-		return e.execDropTable(s, st)
-	case *TruncateStmt:
-		_, tbl, err := s.resolveTable(st.Table)
-		if err != nil {
-			return nil, err
-		}
-		n := tbl.NumRows()
-		tbl.store.truncate()
-		tbl.statsGen++
-		return &Result{Stats: ExecStats{Class: ClassDDL, RowsAffected: n}, SQL: st.String()}, nil
 	case *InsertStmt, *UpdateStmt, *DeleteStmt:
 		wp, err := e.writePlanFor(s, owner)
 		if err != nil {
@@ -39,13 +28,7 @@ func (e *Engine) exec(s *Session, owner *Statement, args []Value, out *Reply) (*
 		if err != nil {
 			return nil, err
 		}
-		return e.execPlan(s, p, args, nil, out)
-	case *ExplainStmt:
-		return e.execExplain(s, owner, st, args)
-	case *ShowStmt:
-		return e.execShow(s, st)
-	case *DescribeStmt:
-		return e.execDescribe(s, st)
+		return e.execPlan(s, p, args, out)
 	default:
 		return nil, fmt.Errorf("sqlengine: cannot execute %T", st)
 	}
@@ -75,28 +58,6 @@ func (e *Engine) execCreateTable(s *Session, st *CreateTableStmt) (*Result, erro
 		return nil, err
 	}
 	db.tables[key] = tbl
-	e.relist()
-	e.catalogEpoch++
-	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
-}
-
-func (e *Engine) execDropTable(s *Session, st *DropTableStmt) (*Result, error) {
-	dbName := st.Table.DB
-	if dbName == "" {
-		dbName = s.db
-	}
-	db, ok := e.dbs[strings.ToLower(dbName)]
-	if !ok {
-		return nil, fmt.Errorf("sqlengine: unknown database %s", dbName)
-	}
-	key := strings.ToLower(st.Table.Name)
-	if _, exists := db.tables[key]; !exists {
-		if st.IfExists {
-			return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
-		}
-		return nil, fmt.Errorf("sqlengine: unknown table %s.%s", dbName, st.Table.Name)
-	}
-	delete(db.tables, key)
 	e.relist()
 	e.catalogEpoch++
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil

@@ -48,7 +48,7 @@ func TestSelectByPrimaryKeyUsesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Set.Rows) != 1 || res.Set.Rows[0][0].Str() != "userc" {
+	if len(res.Set.Rows) != 1 || res.Set.Rows[0][0].String() != "userc" {
 		t.Fatalf("rows: %+v", res.Set.Rows)
 	}
 	if !res.Stats.UsedIndex || res.Stats.RowsExamined != 1 {
@@ -103,7 +103,7 @@ func TestOrderByLimitOffset(t *testing.T) {
 
 func TestOrderByAlias(t *testing.T) {
 	s := newTestDB(t)
-	set, err := s.Query("SELECT id, score * 2 AS dbl FROM events ORDER BY dbl DESC LIMIT 1")
+	set, err := s.Query("SELECT id, score AS s FROM events ORDER BY s DESC LIMIT 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestOrderByAlias(t *testing.T) {
 
 func TestAggregatesWholeTable(t *testing.T) {
 	s := newTestDB(t)
-	set, err := s.Query("SELECT COUNT(*), SUM(karma), AVG(karma), MIN(karma), MAX(karma) FROM users")
+	set, err := s.Query("SELECT COUNT(*), SUM(karma), MIN(karma), MAX(karma) FROM users")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := set.Rows[0]
-	if r[0].Int() != 10 || r[1].Int() != 550 || r[2].Float() != 55 || r[3].Int() != 10 || r[4].Int() != 100 {
+	if r[0].Int() != 10 || r[1].Int() != 550 || r[2].Int() != 10 || r[3].Int() != 100 {
 		t.Fatalf("aggregates: %v", r)
 	}
 }
@@ -150,17 +150,6 @@ func TestGroupByHaving(t *testing.T) {
 	}
 }
 
-func TestCountDistinct(t *testing.T) {
-	s := newTestDB(t)
-	set, err := s.Query("SELECT COUNT(DISTINCT creator_id) FROM events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Rows[0][0].Int() != 10 {
-		t.Fatalf("distinct creators: %v", set.Rows[0])
-	}
-}
-
 func TestInnerJoinWithIndex(t *testing.T) {
 	s := newTestDB(t)
 	res, err := s.Exec(`SELECT e.id, u.name FROM events e JOIN users u ON e.creator_id = u.id
@@ -171,7 +160,7 @@ func TestInnerJoinWithIndex(t *testing.T) {
 	if len(res.Set.Rows) != 1 {
 		t.Fatalf("rows: %v", res.Set.Rows)
 	}
-	if got := res.Set.Rows[0][1].Str(); got != "userf" { // creator of event 5 is 6
+	if got := res.Set.Rows[0][1].String(); got != "userf" { // creator of event 5 is 6
 		t.Fatalf("joined name: %q", got)
 	}
 	// PK candidates (1) + indexed join lookup (1): no full scans.
@@ -180,24 +169,9 @@ func TestInnerJoinWithIndex(t *testing.T) {
 	}
 }
 
-func TestLeftJoinEmitsNulls(t *testing.T) {
-	s := newTestDB(t)
-	if _, err := s.Exec("INSERT INTO users (id, name, karma) VALUES (99, 'loner', 0)"); err != nil {
-		t.Fatal(err)
-	}
-	set, err := s.Query(`SELECT u.id, e.id FROM users u LEFT JOIN events e ON e.creator_id = u.id
-		WHERE u.id = 99`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Rows) != 1 || !set.Rows[0][1].IsNull() {
-		t.Fatalf("left join rows: %v", set.Rows)
-	}
-}
-
 func TestUpdateWithExpressionAndStats(t *testing.T) {
 	s := newTestDB(t)
-	res, err := s.Exec("UPDATE users SET karma = karma + 5 WHERE id = 2")
+	res, err := s.Exec("UPDATE users SET karma = ? WHERE id = 2", NewInt(25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +405,8 @@ func TestTimeBuiltinUsesEngineClock(t *testing.T) {
 	s := newTestDB(t)
 	now := int64(1234567)
 	s.eng.NowMicros = func() int64 { return now }
-	set, err := s.Query("SELECT UTC_MICROS()")
+	const q = "SELECT UTC_MICROS() FROM users WHERE id = 1"
+	set, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,66 +414,9 @@ func TestTimeBuiltinUsesEngineClock(t *testing.T) {
 		t.Fatalf("UTC_MICROS = %v", set.Rows[0][0])
 	}
 	now = 999
-	set, _ = s.Query("SELECT NOW()")
+	set, _ = s.Query(q)
 	if set.Rows[0][0].Micros() != 999 {
-		t.Fatalf("NOW did not re-read the clock: %v", set.Rows[0][0])
-	}
-}
-
-func TestScalarFunctions(t *testing.T) {
-	s := newTestDB(t)
-	cases := []struct {
-		sql  string
-		want string
-	}{
-		{"SELECT CONCAT('a', 'b', 1)", "ab1"},
-		{"SELECT LOWER('AbC')", "abc"},
-		{"SELECT UPPER('AbC')", "ABC"},
-		{"SELECT LENGTH('hello')", "5"},
-		{"SELECT ABS(-7)", "7"},
-		{"SELECT COALESCE(NULL, NULL, 3)", "3"},
-		{"SELECT IF(1 > 2, 'yes', 'no')", "no"},
-		{"SELECT SUBSTR('abcdef', 2, 3)", "bcd"},
-		{"SELECT MOD(10, 3)", "1"},
-		{"SELECT FLOOR(2.7)", "2"},
-		{"SELECT CEIL(2.1)", "3"},
-		{"SELECT FLOOR(-2.5)", "-3"},
-		// Aliases and NULL rules, as they were when each call looked its
-		// name up per row.
-		{"SELECT CEILING(2.1)", "3"},
-		{"SELECT SUBSTRING('abcdef', 3)", "cdef"},
-		{"SELECT ABS(-2.5)", "2.5"},
-		{"SELECT CONCAT()", ""},
-		{"SELECT CONCAT('a', NULL)", "NULL"},
-		{"SELECT LENGTH(NULL)", "NULL"},
-		{"SELECT MOD(10, 0)", "NULL"},
-		{"SELECT MOD(NULL, 3)", "NULL"},
-		{"SELECT IF(NULL, 'yes', 'no')", "no"},
-		{"SELECT COALESCE()", "NULL"},
-		{"SELECT SUBSTR('abcdef', 2, NULL)", "NULL"},
-		{"SELECT SUBSTR('ab', 5, NULL)", ""},
-		{"SELECT UTC_MICROS(1, 2) IS NOT NULL", "TRUE"},
-	}
-	for _, tc := range cases {
-		set, err := s.Query(tc.sql)
-		if err != nil {
-			t.Errorf("%s: %v", tc.sql, err)
-			continue
-		}
-		if got := set.Rows[0][0].String(); got != tc.want {
-			t.Errorf("%s = %q, want %q", tc.sql, got, tc.want)
-		}
-	}
-}
-
-func TestDivisionByZeroYieldsNull(t *testing.T) {
-	s := newTestDB(t)
-	set, err := s.Query("SELECT 1 / 0, 5 % 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !set.Rows[0][0].IsNull() || !set.Rows[0][1].IsNull() {
-		t.Fatalf("division by zero: %v", set.Rows[0])
+		t.Fatalf("UTC_MICROS did not re-read the clock: %v", set.Rows[0][0])
 	}
 }
 
@@ -510,10 +428,6 @@ func TestNullComparisonsFilterRows(t *testing.T) {
 	set, _ := s.Query("SELECT COUNT(*) FROM users WHERE karma > 0")
 	if set.Rows[0][0].Int() != 10 { // NULL karma row excluded
 		t.Fatalf("count: %v", set.Rows[0][0])
-	}
-	set, _ = s.Query("SELECT COUNT(*) FROM users WHERE karma IS NULL")
-	if set.Rows[0][0].Int() != 1 {
-		t.Fatalf("IS NULL count: %v", set.Rows[0][0])
 	}
 }
 
@@ -534,14 +448,6 @@ func TestInAndBetween(t *testing.T) {
 	if set.Rows[0][0].Int() != 3 {
 		t.Fatalf("IN count: %v", set.Rows[0][0])
 	}
-	set, _ = s.Query("SELECT COUNT(*) FROM users WHERE id BETWEEN 3 AND 6")
-	if set.Rows[0][0].Int() != 4 {
-		t.Fatalf("BETWEEN count: %v", set.Rows[0][0])
-	}
-	set, _ = s.Query("SELECT COUNT(*) FROM users WHERE id NOT BETWEEN 3 AND 6")
-	if set.Rows[0][0].Int() != 6 {
-		t.Fatalf("NOT BETWEEN count: %v", set.Rows[0][0])
-	}
 }
 
 func TestVarcharTruncation(t *testing.T) {
@@ -551,8 +457,8 @@ func TestVarcharTruncation(t *testing.T) {
 	s.Exec("CREATE TABLE t (x VARCHAR(3))")
 	s.Exec("INSERT INTO t (x) VALUES ('abcdef')")
 	set, _ := s.Query("SELECT x FROM t")
-	if set.Rows[0][0].Str() != "abc" {
-		t.Fatalf("stored: %q", set.Rows[0][0].Str())
+	if set.Rows[0][0].String() != "abc" {
+		t.Fatalf("stored: %q", set.Rows[0][0].String())
 	}
 }
 
@@ -571,26 +477,6 @@ func TestUseSwitchesDatabase(t *testing.T) {
 	// Qualified access still works.
 	if _, err := s.Exec("SELECT * FROM a.t"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDropAndTruncate(t *testing.T) {
-	s := newTestDB(t)
-	if _, err := s.Exec("TRUNCATE TABLE events"); err != nil {
-		t.Fatal(err)
-	}
-	set, _ := s.Query("SELECT COUNT(*) FROM events")
-	if set.Rows[0][0].Int() != 0 {
-		t.Fatal("truncate left rows")
-	}
-	if _, err := s.Exec("DROP TABLE events"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec("SELECT * FROM events"); err == nil {
-		t.Fatal("dropped table still queryable")
-	}
-	if _, err := s.Exec("DROP TABLE IF EXISTS events"); err != nil {
-		t.Fatalf("DROP IF EXISTS: %v", err)
 	}
 }
 
@@ -620,7 +506,7 @@ func TestUnknownColumnAndTableErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not name the unknown reference", sql, err)
 		}
 	}
-	if _, err := s.Exec("TRUNCATE TABLE events"); err != nil {
+	if _, err := s.Exec("DELETE FROM events"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Exec("SELECT nope FROM events"); err == nil || err.Error() != "sqlengine: unknown column nope" {
@@ -636,10 +522,28 @@ func TestFunctionBindsWhenPlanned(t *testing.T) {
 	for _, tc := range []struct{ sql, want string }{
 		{"SELECT NOSUCH(name) FROM users WHERE id = -5", "sqlengine: unknown function NOSUCH"},
 		{"SELECT id FROM users WHERE 1 = 0 AND NOSUCH(id) = 1", "sqlengine: unknown function NOSUCH"},
-		{"SELECT LOWER(name, name) FROM users WHERE id = -5", "sqlengine: LOWER expects 1 arguments, got 2"},
-		{"SELECT SUBSTR(name) FROM users WHERE id = -5", "sqlengine: SUBSTR expects 2 or 3 arguments"},
+		{"SELECT UTC_MICROS(name, name) FROM users WHERE id = -5", "sqlengine: UTC_MICROS expects 0 arguments, got 2"},
 		{"UPDATE users SET name = NOSUCH(name) WHERE id = -5", "sqlengine: unknown function NOSUCH"},
-		{"DELETE FROM users WHERE id = -5 AND IF(id, 1) = 1", "sqlengine: IF expects 3 arguments, got 2"},
+		{"DELETE FROM users WHERE id = -5 AND UTC_MICROS(id) = 1", "sqlengine: UTC_MICROS expects 0 arguments, got 1"},
+		// UTC_MICROS is the one builtin the dialect keeps: every other one
+		// it had, and AVG, is an unknown function now.
+		{"SELECT CONCAT(name, 'x') FROM users WHERE id = -5", "sqlengine: unknown function CONCAT"},
+		{"SELECT LOWER(name) FROM users WHERE id = -5", "sqlengine: unknown function LOWER"},
+		{"SELECT UPPER(name) FROM users WHERE id = -5", "sqlengine: unknown function UPPER"},
+		{"SELECT LENGTH(name) FROM users WHERE id = -5", "sqlengine: unknown function LENGTH"},
+		{"SELECT ABS(karma) FROM users WHERE id = -5", "sqlengine: unknown function ABS"},
+		{"SELECT COALESCE(karma, 0) FROM users WHERE id = -5", "sqlengine: unknown function COALESCE"},
+		{"SELECT IF(karma, 1, 2) FROM users WHERE id = -5", "sqlengine: unknown function IF"},
+		{"SELECT SUBSTR(name, 2) FROM users WHERE id = -5", "sqlengine: unknown function SUBSTR"},
+		{"SELECT SUBSTRING(name, 2, 1) FROM users WHERE id = -5", "sqlengine: unknown function SUBSTRING"},
+		{"SELECT MOD(karma, 3) FROM users WHERE id = -5", "sqlengine: unknown function MOD"},
+		{"SELECT FLOOR(karma) FROM users WHERE id = -5", "sqlengine: unknown function FLOOR"},
+		{"SELECT CEIL(karma) FROM users WHERE id = -5", "sqlengine: unknown function CEIL"},
+		{"SELECT CEILING(karma) FROM users WHERE id = -5", "sqlengine: unknown function CEILING"},
+		{"SELECT NOW() FROM users WHERE id = -5", "sqlengine: unknown function NOW"},
+		{"SELECT CURRENT_TIMESTAMP() FROM users WHERE id = -5", "sqlengine: unknown function CURRENT_TIMESTAMP"},
+		{"SELECT UTC_TIMESTAMP() FROM users WHERE id = -5", "sqlengine: unknown function UTC_TIMESTAMP"},
+		{"SELECT AVG(karma) FROM users WHERE id = -5", "sqlengine: unknown function AVG"},
 	} {
 		if _, err := s.Exec(tc.sql); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: got %v, want %s", tc.sql, err, tc.want)
@@ -716,7 +620,7 @@ func TestResultRowsDoNotAliasPlanState(t *testing.T) {
 	}
 	// The stored rows themselves must be untouched too.
 	set, err := s.Query("SELECT name FROM users WHERE id = 3")
-	if err != nil || set.Rows[0][0].Str() != "userc" {
+	if err != nil || set.Rows[0][0].String() != "userc" {
 		t.Fatalf("stored row changed: %v %v", set, err)
 	}
 }
@@ -736,23 +640,23 @@ func TestParseCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Rows[0][0].Str() != "userb" {
+	if set.Rows[0][0].String() != "userb" {
 		t.Fatalf("cached statement returned stale binding: %v", set.Rows[0][0])
 	}
 }
 
-// explainText runs an EXPLAIN and returns the plan column joined by newlines.
-func explainText(t *testing.T, s *Session, sql string, args ...Value) string {
+// explainText renders the plan the session would run sql with.
+func explainText(t *testing.T, s *Session, sql string) string {
 	t.Helper()
-	set, err := s.Query(sql, args...)
+	st, err := s.eng.Prepare(sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	var lines []string
-	for _, r := range set.Rows {
-		lines = append(lines, r[0].Str())
+	p, err := st.Plan(s)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
 	}
-	return strings.Join(lines, "\n")
+	return p.Explain()
 }
 
 func TestExplainAccessPaths(t *testing.T) {
@@ -761,11 +665,9 @@ func TestExplainAccessPaths(t *testing.T) {
 		sql  string
 		want string
 	}{
-		{"EXPLAIN SELECT * FROM users WHERE id = 3", "index_scan users via PRIMARY on (id = 3)"},
-		{"EXPLAIN SELECT * FROM events WHERE creator_id = 4", "index_scan events via idx_creator on (creator_id = 4)"},
-		{"EXPLAIN SELECT * FROM users WHERE karma > 10", "scan users"},
-		{"EXPLAIN UPDATE users SET karma = 0 WHERE id = 1", "index_scan users via PRIMARY on (id = 1)"},
-		{"EXPLAIN DELETE FROM events WHERE creator_id = 2", "index_scan events via idx_creator on (creator_id = 2)"},
+		{"SELECT * FROM users WHERE id = 3", "index_scan users via PRIMARY on (id = 3)"},
+		{"SELECT * FROM events WHERE creator_id = 4", "index_scan events via idx_creator on (creator_id = 4)"},
+		{"SELECT * FROM users WHERE karma > 10", "scan users"},
 	}
 	for _, tc := range cases {
 		if got := explainText(t, s, tc.sql); !strings.Contains(got, tc.want) {
@@ -776,7 +678,7 @@ func TestExplainAccessPaths(t *testing.T) {
 
 func TestExplainJoinShowsIndexedLookup(t *testing.T) {
 	s := newTestDB(t)
-	got := explainText(t, s, "EXPLAIN SELECT e.id FROM users u JOIN events e ON e.creator_id = u.id WHERE u.id = 1")
+	got := explainText(t, s, "SELECT e.id FROM users u JOIN events e ON e.creator_id = u.id WHERE u.id = 1")
 	if !strings.Contains(got, "index_scan u via PRIMARY on (id = 1)") {
 		t.Errorf("driving access not a PRIMARY lookup:\n%s", got)
 	}
@@ -785,72 +687,11 @@ func TestExplainJoinShowsIndexedLookup(t *testing.T) {
 	}
 }
 
-func TestExplainDoesNotExecute(t *testing.T) {
-	s := newTestDB(t)
-	if _, err := s.Exec("EXPLAIN DELETE FROM users WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	set, _ := s.Query("SELECT COUNT(*) FROM users")
-	if set.Rows[0][0].Int() != 10 {
-		t.Fatal("EXPLAIN DELETE removed rows")
-	}
-}
-
 func TestExplainWithParams(t *testing.T) {
 	s := newTestDB(t)
-	got := explainText(t, s, "EXPLAIN SELECT * FROM users WHERE id = ?", NewInt(5))
+	got := explainText(t, s, "SELECT * FROM users WHERE id = ?")
 	if !strings.Contains(got, "index_scan users via PRIMARY on (id = ?)") {
 		t.Errorf("parameterized plan not an index lookup:\n%s", got)
-	}
-}
-
-func TestShowDatabasesAndTables(t *testing.T) {
-	s := newTestDB(t)
-	set, err := s.Query("SHOW DATABASES")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Rows) != 1 || set.Rows[0][0].Str() != "app" {
-		t.Fatalf("databases: %v", set.Rows)
-	}
-	set, err = s.Query("SHOW TABLES")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Rows) != 2 { // users, events
-		t.Fatalf("tables: %v", set.Rows)
-	}
-	if set.Rows[0][0].Str() != "events" || set.Rows[1][0].Str() != "users" {
-		t.Fatalf("tables not sorted: %v", set.Rows)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	s := newTestDB(t)
-	set, err := s.Query("DESCRIBE events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Rows) != 5 {
-		t.Fatalf("columns: %v", set.Rows)
-	}
-	// id BIGINT PRIMARY KEY
-	if set.Rows[0][0].Str() != "id" || set.Rows[0][3].Str() != "PRI" || set.Rows[0][2].Str() != "NO" {
-		t.Fatalf("id row: %v", set.Rows[0])
-	}
-	// creator_id has a secondary index
-	if set.Rows[1][0].Str() != "creator_id" || set.Rows[1][3].Str() != "MUL" {
-		t.Fatalf("creator_id row: %v", set.Rows[1])
-	}
-}
-
-func TestShowErrors(t *testing.T) {
-	s := newTestDB(t)
-	if _, err := s.Exec("SHOW GRANTS"); err == nil {
-		t.Fatal("SHOW GRANTS accepted")
-	}
-	if _, err := s.Exec("DESCRIBE nope"); err == nil {
-		t.Fatal("DESCRIBE of unknown table accepted")
 	}
 }
 
@@ -866,31 +707,6 @@ func TestOrderByMultipleMixedKeys(t *testing.T) {
 		if set.Rows[i][0].Int() != w[0] || set.Rows[i][1].Int() != w[1] {
 			t.Fatalf("row %d = %v, want %v (full: %v)", i, set.Rows[i], w, set.Rows)
 		}
-	}
-}
-
-func TestGroupByExpression(t *testing.T) {
-	s := newTestDB(t)
-	set, err := s.Query("SELECT id % 2 AS parity, COUNT(*) AS cnt FROM events GROUP BY id % 2 ORDER BY parity")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Rows) != 2 {
-		t.Fatalf("groups: %v", set.Rows)
-	}
-	if set.Rows[0][1].Int() != 10 || set.Rows[1][1].Int() != 10 {
-		t.Fatalf("parity counts: %v", set.Rows)
-	}
-}
-
-func TestAggregateArithmetic(t *testing.T) {
-	s := newTestDB(t)
-	set, err := s.Query("SELECT MAX(karma) - MIN(karma) FROM users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Rows[0][0].Int() != 90 {
-		t.Fatalf("range: %v", set.Rows[0][0])
 	}
 }
 

@@ -7,33 +7,32 @@ import (
 	"testing"
 )
 
-// explainGoldenQueries covers the full operator vocabulary the stable
-// EXPLAIN format renders: scan, index_scan, filter, project, hash_join,
-// inl_join, hash_agg, sort, limit, naive-mode parity, and EXPLAIN ANALYZE's
-// est-vs-actual annotation. One golden file pins all of it byte-exactly —
-// the A-PLAN decision log embeds these renderings in BENCH_plan.json, so a
-// format drift is a visible interface change, not an incidental one.
+// explainGoldenQueries covers the full operator vocabulary the stable plan
+// rendering (Plan.Explain) prints: scan, index_scan, filter, project,
+// hash_join, inl_join, hash_agg, sort, distinct, limit and naive-mode parity.
+// One golden file pins all of it byte-exactly — the A-PLAN decision log
+// embeds these renderings in BENCH_plan.json, so a format drift is a visible
+// interface change, not an incidental one.
 var explainGoldenQueries = []string{
-	"EXPLAIN SELECT * FROM users WHERE id = 3",
-	"EXPLAIN SELECT name FROM users WHERE karma > 40 ORDER BY karma DESC LIMIT 3",
-	"EXPLAIN SELECT u.name, e.title FROM users u JOIN events e ON e.creator_id = u.id",
-	"EXPLAIN SELECT e.title FROM events e JOIN users u ON e.creator_id = u.id WHERE u.id = 4",
-	"EXPLAIN SELECT creator_id, COUNT(*) FROM events GROUP BY creator_id HAVING COUNT(*) > 1 ORDER BY creator_id",
-	"EXPLAIN SELECT DISTINCT creator_id FROM events",
-	"EXPLAIN UPDATE users SET karma = 0 WHERE id = 1",
-	"EXPLAIN ANALYZE SELECT u.name, e.title FROM events e JOIN users u ON e.creator_id = u.id WHERE u.karma > 30 ORDER BY e.id DESC LIMIT 5",
+	"SELECT * FROM users WHERE id = 3",
+	"SELECT name FROM users WHERE karma > 40 ORDER BY karma DESC LIMIT 3",
+	"SELECT u.name, e.title FROM users u JOIN events e ON e.creator_id = u.id",
+	"SELECT e.title FROM events e JOIN users u ON e.creator_id = u.id WHERE u.id = 4",
+	"SELECT creator_id, COUNT(*) FROM events GROUP BY creator_id HAVING COUNT(*) > 1 ORDER BY creator_id",
+	"SELECT DISTINCT creator_id FROM events",
 }
 
 // TestExplainGolden renders the corpus under both planner modes and
-// byte-compares against testdata/explain_golden.txt. Regenerate after a
-// deliberate format change with:
+// byte-compares against testdata/explain_golden.txt, each plan under the
+// heading "== EXPLAIN <query>". Regenerate after a deliberate format change
+// with:
 //
 //	UPDATE_EXPLAIN_GOLDEN=1 go test ./internal/sqlengine -run TestExplainGolden
 func TestExplainGolden(t *testing.T) {
 	s := newTestDB(t)
 	var b strings.Builder
 	for _, q := range explainGoldenQueries {
-		b.WriteString("== " + q + "\n")
+		b.WriteString("== EXPLAIN " + q + "\n")
 		b.WriteString(explainText(t, s, q) + "\n")
 		s.eng.NaivePlan = true
 		b.WriteString("-- naive\n")

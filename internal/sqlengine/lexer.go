@@ -27,7 +27,7 @@ type token struct {
 
 // keywords recognized by the dialect, keyed by their canonical upper-case
 // spelling (the text a keyword token carries). Idents matching these case
-// insensitively lex as keywords.
+// insensitively lex as keywords, those of grammar the dialect lacks included.
 var keywords = func() map[string]string {
 	m := make(map[string]string)
 	for _, kw := range strings.Fields(`
@@ -59,15 +59,7 @@ func keywordOf(word string) (string, bool) {
 	return kw, ok
 }
 
-// lexError is a tokenization failure.
-type lexError struct {
-	pos int
-	msg string
-}
-
-func (e *lexError) Error() string { return fmt.Sprintf("lex error at offset %d: %s", e.pos, e.msg) }
-
-// lex tokenizes a SQL string.
+// lex tokenizes a SQL string; what it cannot read is a ParseError.
 func lex(sql string) ([]token, error) {
 	// Sized so typical statements tokenize in one allocation — replication
 	// apply lexes every shipped write, so repeated slice growth adds up.
@@ -126,8 +118,6 @@ func lex(sql string) ([]token, error) {
 						b.WriteByte('\n')
 					case 't':
 						b.WriteByte('\t')
-					case '\'', '\\':
-						b.WriteByte(sql[i+1])
 					default:
 						b.WriteByte(sql[i+1])
 					}
@@ -138,7 +128,7 @@ func lex(sql string) ([]token, error) {
 				i++
 			}
 			if !closed {
-				return nil, &lexError{start, "unterminated string literal"}
+				return nil, &ParseError{start, "unterminated string literal"}
 			}
 			toks = append(toks, token{tokString, b.String(), start})
 		case isIdentStart(c):
@@ -156,7 +146,7 @@ func lex(sql string) ([]token, error) {
 			i++
 			j := strings.IndexByte(sql[i:], '`')
 			if j < 0 {
-				return nil, &lexError{start, "unterminated quoted identifier"}
+				return nil, &ParseError{start, "unterminated quoted identifier"}
 			}
 			toks = append(toks, token{tokIdent, sql[i : i+j], start})
 			i += j + 1
@@ -173,8 +163,8 @@ func lex(sql string) ([]token, error) {
 					width = 2
 				}
 			}
-			if width == 1 && !strings.ContainsRune("(),*+-/%=<>.;", rune(c)) {
-				return nil, &lexError{i, fmt.Sprintf("unexpected character %q", c)}
+			if width == 1 && !strings.ContainsRune("(),*-=<>.;", rune(c)) {
+				return nil, &ParseError{i, fmt.Sprintf("unexpected character %q", c)}
 			}
 			toks = append(toks, token{tokSymbol, sql[i : i+width], i})
 			i += width

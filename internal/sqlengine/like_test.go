@@ -153,9 +153,6 @@ func TestLikeThroughSQL(t *testing.T) {
 	if got := ids(`SELECT id FROM notes WHERE body LIKE '50\\% off'`); got != "1" {
 		t.Errorf(`literal '50\\%% off': ids %s, want 1`, got)
 	}
-	if got := ids("SELECT id FROM notes WHERE body NOT LIKE ? ORDER BY id", NewString("%off")); got != "3456" {
-		t.Errorf("NOT LIKE: ids %s, want 3456 (NULL is neither like nor unlike)", got)
-	}
 	if got := ids(byPattern, Null); got != "" {
 		t.Errorf("LIKE NULL matched %s", got)
 	}
@@ -164,9 +161,6 @@ func TestLikeThroughSQL(t *testing.T) {
 	}
 	if got := ids("SELECT id FROM notes WHERE body LIKE ? ORDER BY id", NewInt(500)); got != "" {
 		t.Errorf("LIKE a number with no wildcard matched %s", got)
-	}
-	if got := ids("SELECT id, body LIKE 'a%' FROM notes WHERE id = 3"); got != "3" {
-		t.Errorf("LIKE in a projection: %s", got)
 	}
 }
 

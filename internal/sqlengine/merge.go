@@ -24,8 +24,8 @@ import (
 //     by their key columns and folds the partials — COUNT and SUM as SUM, MIN
 //     as MIN, MAX as MAX — then orders and cuts.
 //
-// What does not decompose this way (HAVING, AVG, an aggregate over DISTINCT
-// values) is refused when the Merge is built rather than answered wrongly.
+// What does not decompose this way (HAVING) is refused when the Merge is
+// built rather than answered wrongly.
 //
 // Run works in the plan's scratch, so a Merge serves one Run at a time. The
 // shard router keeps one per statement text for every connection of its
@@ -66,7 +66,7 @@ func NewMerge(s *SelectStmt) (*Merge, error) {
 	m := &Merge{}
 	p := &m.plan
 	var literals resolver // LIMIT and OFFSET name nothing
-	p.limit, p.offset = literals.expr(s.Limit), literals.expr(s.Offset)
+	p.limit, p.offset = literals.value(s.Limit), literals.value(s.Offset)
 	cell := *s
 	cell.Limit, cell.Offset = nil, nil
 	var err error
@@ -136,10 +136,6 @@ func (m *Merge) groupShape(s *SelectStmt) error {
 			if !slices.ContainsFunc(s.GroupBy, func(g Expr) bool { return g.String() == se.Expr.String() }) {
 				return fmt.Errorf("sqlengine: scatter projection %s is neither aggregate nor group key", se.Expr.String())
 			}
-		case f.Distinct:
-			return fmt.Errorf("sqlengine: scatter %s(DISTINCT) does not decompose", f.Name)
-		case agg == aggAvg:
-			return fmt.Errorf("sqlengine: scatter AVG does not decompose")
 		case agg == aggCount:
 			agg = aggSum
 		}
@@ -288,13 +284,13 @@ type legIter struct {
 
 func (it *legIter) reset() { it.leg, it.row = 0, 0 }
 
-func (it *legIter) next() (bool, error) {
+func (it *legIter) next() bool {
 	for ; it.leg < len(it.sets); it.leg, it.row = it.leg+1, 0 {
 		if rows := it.sets[it.leg].Rows; it.row < len(rows) {
 			it.rt.live[0] = rows[it.row]
 			it.row++
-			return true, nil
+			return true
 		}
 	}
-	return false, nil
+	return false
 }

@@ -111,7 +111,7 @@ func (e *Engine) gc() {
 }
 
 // relist lists every table in (database, table) name order into
-// e.swept, after CREATE or DROP TABLE.
+// e.swept, after CREATE TABLE.
 func (e *Engine) relist() {
 	e.swept = nil
 	for _, dbKey := range sortedKeys(e.dbs) {

@@ -15,22 +15,21 @@ package sqlengine
 // on index and join nodes keep degraded access exact.
 
 // runState is a plan's execution state: what one run reads (engine, session,
-// arguments, read view), what it counts (ExecStats, EXPLAIN ANALYZE actuals)
-// and the scratch the operators reuse from run to run. Row images are
-// immutable under MVCC and a run is one engine call, so holding references to
-// them for the length of one run is safe; end drops them.
+// arguments, read view), what it counts (ExecStats) and the scratch the
+// operators reuse from run to run. Row images are immutable under MVCC and a
+// run is one engine call, so holding references to them for the length of
+// one run is safe; end drops them.
 type runState struct {
 	e     *Engine
 	s     *Session
 	args  []Value
 	view  readView // chains set: chain-resolving visibility scan required
 	stats ExecStats
-	acts  []int64 // EXPLAIN ANALYZE per-node output counts (nil otherwise)
 
 	live  [][]Value // the frame the source iterators fill, slot → row image
 	frame [][]Value // what bound expressions read: live, or a gathered entry
 	aggs  []Value   // the current group's finalized aggregates
-	null  Value     // what a column of a LEFT JOIN miss reads as, by reference
+	null  Value     // what a column of no row reads as, by reference
 	src   rowIter
 
 	// Tail scratch (tail.go): gathered entries — row images, sort keys and
@@ -56,17 +55,11 @@ type runState struct {
 	rows slab[[]Value]
 }
 
-func (rt *runState) emit(n *planNode) {
-	if rt.acts != nil {
-		rt.acts[n.id]++
-	}
-}
-
 // rowIter is the source operator interface: reset rewinds for a new run,
 // next advances to the following row, returning false at end of stream.
 type rowIter interface {
 	reset()
-	next() (bool, error)
+	next() bool
 }
 
 // buildIter constructs the iterator pipeline for a plan chain.
@@ -81,25 +74,15 @@ func buildIter(rt *runState, n *planNode) rowIter {
 	}
 }
 
-// onceIter is the source of a table-less SELECT: one empty row.
-type onceIter struct{ done bool }
-
-func (it *onceIter) reset() { it.done = false }
-func (it *onceIter) next() (bool, error) {
-	first := !it.done
-	it.done = true
-	return first, nil
-}
-
 // pass evaluates a conjunct list against the current frame, stopping at the
 // first non-true conjunct (matching AND short-circuit).
-func (rt *runState) pass(filters []*bexpr) (bool, error) {
+func (rt *runState) pass(filters []*bexpr) bool {
 	for _, f := range filters {
-		if ok, err := f.holds(rt); !ok {
-			return false, err
+		if !f.holds(rt) {
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // scanIter is the driving access: full heap scan or index-equality bucket,
@@ -122,15 +105,9 @@ func (it *scanIter) reset() {
 // bucket of n.eq when byIndex, else — or for a snapshot reader, indexes
 // covering only latest images — every row the read view must consider; the
 // node's filters, which recheck the equality, keep the degraded access exact.
-// A key evaluation error also falls back to the scan and surfaces through the
-// recheck. Reports whether the index answered.
+// Reports whether the index answered.
 func (rt *runState) open(n *planNode, byIndex bool, c *rowCursor) bool {
-	indexed := false
-	if byIndex && !rt.view.chains {
-		if v, err := n.eq.eval(rt); err == nil {
-			indexed = n.tbl.store.probe(n.eqCol, v, c)
-		}
-	}
+	indexed := byIndex && !rt.view.chains && n.tbl.store.probe(n.eqCol, *n.eq.ref(rt), c)
 	if !indexed {
 		n.tbl.store.scan(rt.view, c)
 	}
@@ -138,21 +115,16 @@ func (rt *runState) open(n *planNode, byIndex bool, c *rowCursor) bool {
 	return indexed
 }
 
-func (it *scanIter) next() (bool, error) {
+func (it *scanIter) next() bool {
 	rt, n := it.rt, it.n
 	for {
 		vals, more := it.cur.next()
 		if !more {
-			return false, nil
+			return false
 		}
 		rt.live[n.slot] = vals
-		ok, err := rt.pass(n.where)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			rt.emit(n)
-			return true, nil
+		if rt.pass(n.where) {
+			return true
 		}
 	}
 }
@@ -166,32 +138,21 @@ type filterIter struct {
 
 func (it *filterIter) reset() { it.input.reset() }
 
-func (it *filterIter) next() (bool, error) {
-	for {
-		ok, err := it.input.next()
-		if err != nil || !ok {
-			return false, err
-		}
-		pass, err := it.rt.pass(it.n.where)
-		if err != nil {
-			return false, err
-		}
-		if pass {
-			it.rt.emit(it.n)
-			return true, nil
+func (it *filterIter) next() bool {
+	for it.input.next() {
+		if it.rt.pass(it.n.where) {
+			return true
 		}
 	}
+	return false
 }
 
 // joinIter executes nl_join, inl_join and hash_join nodes. All three share
-// one loop: per outer row, produce the candidate inner rows, run the node's
-// filters on each pair, and null-extend on a LEFT join with no survivor.
-// Candidate production is what differs:
+// one loop: per outer row, produce the candidate inner rows and run the
+// node's filters on each pair. Candidate production is what differs:
 //
 //   - nl_join: the whole inner heap per outer row.
-//   - inl_join: the index-equality bucket for the outer key; a key
-//     evaluation error falls back to the full heap (the residual equality
-//     filter then reports the error against the first pair).
+//   - inl_join: the index-equality bucket for the outer key.
 //   - hash_join: a one-time build over the inner rows keyed by the join
 //     column, probed per outer row. Rows sharing a key are chained in heap
 //     order, so output order is identical to the nested loop's.
@@ -211,10 +172,9 @@ type joinIter struct {
 	chain  []int32       // next image with the same key, -1 at the end
 
 	// per-outer iteration state
-	cur     rowCursor // nl/inl candidates
-	hit     int32     // hash probe cursor into images, -1 when exhausted
-	active  bool      // an outer row is in flight
-	matched bool      // it produced at least one surviving pair
+	cur    rowCursor // nl/inl candidates
+	hit    int32     // hash probe cursor into images, -1 when exhausted
+	active bool      // an outer row is in flight
 }
 
 func (it *joinIter) reset() {
@@ -250,23 +210,21 @@ func (it *joinIter) build() {
 
 // beginOuter resolves the candidate inner rows for the outer row currently
 // in the frame.
-func (it *joinIter) beginOuter() error {
+func (it *joinIter) beginOuter() {
 	rt, n := it.rt, it.n
-	it.hit, it.matched = -1, false
+	it.hit = -1
 	switch {
 	case n.kind == opHashJoin:
 		if !it.loaded {
 			it.build()
 		}
 		if it.heads.len() == 0 {
-			return nil // empty build: probe keys need not be evaluated
+			return // empty build: probe keys need not be evaluated
 		}
-		v, err := n.eq.eval(rt)
-		if err != nil || v.IsNull() {
-			return err
-		}
-		if first, ok := it.heads.get(v.hashKey()); ok {
-			it.hit = first
+		if v := n.eq.ref(rt); !v.IsNull() {
+			if first, ok := it.heads.get(v.hashKey()); ok {
+				it.hit = first
+			}
 		}
 	case rt.view.chains && it.loaded:
 		// nl/inl degrade to a nested loop over the visible images, resolved
@@ -277,7 +235,6 @@ func (it *joinIter) beginOuter() error {
 		rt.open(n, n.kind == opINLJoin, &it.cur)
 		it.loaded = rt.view.chains
 	}
-	return nil
 }
 
 // candidate returns the next inner row image for the outer row in flight.
@@ -291,36 +248,22 @@ func (it *joinIter) candidate() ([]Value, bool) {
 	return it.cur.next()
 }
 
-func (it *joinIter) next() (bool, error) {
+func (it *joinIter) next() bool {
 	rt, n := it.rt, it.n
 	for {
 		if !it.active {
-			ok, err := it.input.next()
-			if err != nil || !ok {
-				return false, err
+			if !it.input.next() {
+				return false
 			}
-			if err := it.beginOuter(); err != nil {
-				return false, err
-			}
+			it.beginOuter()
 			it.active = true
 		}
 		for vals, more := it.candidate(); more; vals, more = it.candidate() {
 			rt.live[n.slot] = vals
-			ok, err := rt.pass(n.where)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				it.matched = true
-				rt.emit(n)
-				return true, nil
+			if rt.pass(n.where) {
+				return true
 			}
 		}
 		it.active = false
-		if !it.matched && n.left {
-			rt.live[n.slot] = nil
-			rt.emit(n)
-			return true, nil
-		}
 	}
 }

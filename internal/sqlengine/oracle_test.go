@@ -65,7 +65,7 @@ func TestExecutorAgainstNaiveOracle(t *testing.T) {
 				func(r rowT) bool { return r.grp == g && r.val <= v }}
 		case 4:
 			a, b := int64(rng.Intn(50)), int64(rng.Intn(50))
-			return pred{"val BETWEEN ? AND ?", []Value{NewInt(a), NewInt(b)},
+			return pred{"val >= ? AND val <= ?", []Value{NewInt(a), NewInt(b)},
 				func(r rowT) bool { return r.val >= a && r.val <= b }}
 		case 5:
 			g1, g2 := int64(rng.Intn(8)), int64(rng.Intn(8))
@@ -77,8 +77,8 @@ func TestExecutorAgainstNaiveOracle(t *testing.T) {
 		default:
 			g := int64(rng.Intn(8))
 			v := int64(rng.Intn(50))
-			return pred{"grp = ? OR val = ?", []Value{NewInt(g), NewInt(v)},
-				func(r rowT) bool { return r.grp == g || r.val == v }}
+			return pred{"grp != ? AND val = ?", []Value{NewInt(g), NewInt(v)},
+				func(r rowT) bool { return r.grp != g && r.val == v }}
 		}
 	}
 

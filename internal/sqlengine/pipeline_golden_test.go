@@ -24,16 +24,14 @@ type goldenQuery struct {
 func gq(sql string, args ...Value) goldenQuery { return goldenQuery{sql, args} }
 
 // pipelineGoldenCorpus is the differential corpus plus the tail shapes it
-// lacks: alias sort keys, parameterised LIMIT/OFFSET, DISTINCT under LIMIT,
-// every aggregate, grouped expressions, LEFT JOIN null extension and empty
-// inputs.
+// lacks: parameterised LIMIT/OFFSET, DISTINCT under LIMIT, aggregates over
+// groups and over no rows, and empty inputs.
 func pipelineGoldenCorpus() []goldenQuery {
 	var out []goldenQuery
 	for _, q := range differentialQueries {
 		out = append(out, gq(q))
 	}
 	return append(out,
-		gq("SELECT id, score * 2 AS dbl FROM events ORDER BY dbl DESC LIMIT 3"),
 		gq("SELECT id FROM events ORDER BY score DESC LIMIT ? OFFSET ?", NewInt(3), NewInt(1)),
 		gq("SELECT id FROM events LIMIT ?", NewInt(4)),
 		gq("SELECT id FROM events LIMIT 5 OFFSET 18"),
@@ -43,24 +41,14 @@ func pipelineGoldenCorpus() []goldenQuery {
 		gq("SELECT creator_id, id FROM events ORDER BY creator_id ASC, id DESC LIMIT 4"),
 		gq("SELECT DISTINCT creator_id FROM events LIMIT 3"),
 		gq("SELECT DISTINCT creator_id FROM events ORDER BY creator_id DESC LIMIT 3 OFFSET 1"),
-		gq("SELECT COUNT(*), SUM(karma), AVG(karma), MIN(karma), MAX(karma) FROM users"),
 		gq("SELECT COUNT(*), SUM(karma) FROM users WHERE id > 1000"),
-		gq("SELECT COUNT(DISTINCT creator_id), COUNT(score), SUM(score) FROM events"),
-		gq("SELECT MAX(karma) - MIN(karma) FROM users"),
-		gq("SELECT id % 2 AS parity, COUNT(*) AS cnt FROM events GROUP BY id % 2 ORDER BY parity"),
 		gq("SELECT creator_id, COUNT(*) AS cnt FROM events GROUP BY creator_id ORDER BY cnt DESC, creator_id LIMIT 4"),
 		gq("SELECT creator_id, MAX(score) FROM events GROUP BY creator_id HAVING MAX(score) > ? ORDER BY creator_id", NewFloat(8)),
 		gq("SELECT creator_id, COUNT(*) FROM events WHERE id < 0 GROUP BY creator_id"),
 		gq("SELECT creator_id, title FROM events WHERE creator_id = ? AND score > 2", NewInt(3)),
 		gq("SELECT * FROM users u JOIN events e ON e.creator_id = u.id WHERE u.id = 1"),
-		gq("SELECT u.id, e.id FROM users u LEFT JOIN events e ON e.creator_id = u.id AND e.id > 15 ORDER BY u.id, e.id"),
-		gq("SELECT u.id, e.id FROM users u LEFT JOIN events e ON e.creator_id = u.id WHERE u.id = ? LIMIT 1", NewInt(2)),
 		gq("SELECT e.id, u.name FROM events e JOIN users u ON u.id = e.creator_id LIMIT 3"),
 		gq("SELECT e.id, u.name FROM events e JOIN users u ON u.id = e.creator_id WHERE u.karma >= 50 LIMIT 2 OFFSET 1"),
-		gq("SELECT name, UPPER(name), LENGTH(name), karma / 3, karma % 7, -karma FROM users WHERE id IN (?, ?) ORDER BY id", NewInt(2), NewInt(9)),
-		gq("SELECT id FROM users WHERE NOT (karma > 30) OR name LIKE '%j' ORDER BY id"),
-		gq("SELECT id FROM users WHERE karma NOT BETWEEN 20 AND 80 AND id NOT IN (1) ORDER BY id"),
-		gq("SELECT id, COALESCE(karma, 0) + 1 AS k FROM users WHERE karma IS NOT NULL ORDER BY k DESC, id LIMIT 3"),
 		gq("SELECT name FROM users WHERE id = -5"),
 	)
 }

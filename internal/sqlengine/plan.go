@@ -10,12 +10,12 @@ import (
 // (planner.go), bound by the resolver (resolve.go) and executed by the source
 // iterators (operators.go) and the tail (tail.go). A prepared Statement keeps
 // its current plan per (database, planner mode), and two scopes bound a plan's
-// life (current). Plans embed *Table pointers, so CREATE TABLE, DROP TABLE and
-// snapshot Restore advance Engine.catalogEpoch and retire every plan. A
-// cost-based plan also read statistics, of its own tables only: ANALYZE or
-// TRUNCATE of a table moves that table's statsGen, and the plans over it are
-// re-costed in place — rebuilt only when the new statistics change one of
-// their decisions — while a plan over other tables lives on untouched.
+// life (current). Plans embed *Table pointers, so CREATE TABLE and snapshot
+// Restore advance Engine.catalogEpoch and retire every plan. A cost-based plan
+// also read statistics, of its own tables only: ANALYZE of a table moves that
+// table's statsGen, and the plans over it are re-costed in place — rebuilt
+// only when the new statistics change one of their decisions — while a plan
+// over other tables lives on untouched.
 //
 // A plan fixes access paths, join order, join algorithms and every bound
 // expression, never visibility: operators resolve rows through the session's
@@ -34,7 +34,7 @@ type Plan struct {
 	tables  []planTable // scope tables in syntax order (frame slot order)
 	root    *planNode   // relational pipeline: filter → joins → driving scan
 	tail    []*planNode // presentation nodes above root, outermost first
-	nodes   []*planNode // every node by id (actual-count slots)
+	nodes   []*planNode // every node, relational steps first in build order
 	nparams int         // number of ? parameters the statement requires
 
 	// The bound tail (resolve.go). cols is shared by every ResultSet the plan
@@ -117,7 +117,6 @@ func (k opKind) String() string {
 // pipeline is strictly left-deep, so the plan is a chain from the top filter
 // down to the driving scan via input.
 type planNode struct {
-	id   int
 	kind opKind
 
 	input *planNode // outer input; nil for the driving access
@@ -127,7 +126,6 @@ type planNode struct {
 	idxName string // index backing an index_scan / inl_join lookup
 	eqCol   int    // inner key column (index_scan, inl_join, hash_join)
 	eqExpr  Expr   // outer key expression evaluated per probe
-	left    bool   // LEFT join (null-extend on no match)
 
 	// filters are the conjuncts this node evaluates on every candidate row
 	// it produces, in deterministic assignment order. For index and join
@@ -160,13 +158,11 @@ func estInt(f float64) string {
 	return strconv.FormatInt(int64(math.Round(f)), 10)
 }
 
-// line renders one plan row. acts is the per-node actual output counts of an
-// EXPLAIN ANALYZE run (nil for plain EXPLAIN). The format is stable and
-// byte-deterministic — the EXPLAIN golden test and the A-PLAN decision log
-// both pin it:
+// line renders one plan row. The format is stable and byte-deterministic —
+// the EXPLAIN golden test and the A-PLAN decision log both pin it:
 //
-//	<2·depth spaces><op> <detail> (est=<rows>[ cost=<rows examined>][ act=<rows>])
-func (n *planNode) line(depth int, acts []int64) string {
+//	<2·depth spaces><op> <detail> (est=<rows>[ cost=<rows examined>])
+func (n *planNode) line(depth int) string {
 	var b strings.Builder
 	for i := 0; i < depth; i++ {
 		b.WriteString("  ")
@@ -182,25 +178,21 @@ func (n *planNode) line(depth int, acts []int64) string {
 		b.WriteString(" cost=")
 		b.WriteString(estInt(n.estCost))
 	}
-	if acts != nil {
-		b.WriteString(" act=")
-		b.WriteString(strconv.FormatInt(acts[n.id], 10))
-	}
 	b.WriteByte(')')
 	return b.String()
 }
 
 // Lines renders the plan tree top-down, one operator per line, outermost
-// first. acts carries EXPLAIN ANALYZE actual row counts (nil otherwise).
-func (p *Plan) Lines(acts []int64) []string {
+// first.
+func (p *Plan) Lines() []string {
 	lines := make([]string, 0, len(p.nodes))
 	depth := 0
 	for _, n := range p.tail {
-		lines = append(lines, n.line(depth, acts))
+		lines = append(lines, n.line(depth))
 		depth++
 	}
 	for n := p.root; n != nil; n = n.input {
-		lines = append(lines, n.line(depth, acts))
+		lines = append(lines, n.line(depth))
 		depth++
 	}
 	return lines
@@ -208,7 +200,7 @@ func (p *Plan) Lines(acts []int64) []string {
 
 // Explain renders the plan as a single newline-joined string — the format
 // consumed by the A-PLAN decision log and the EXPLAIN golden test.
-func (p *Plan) Explain() string { return strings.Join(p.Lines(nil), "\n") }
+func (p *Plan) Explain() string { return strings.Join(p.Lines(), "\n") }
 
 // Cost returns the plan's total estimated rows examined.
 func (p *Plan) Cost() float64 { return p.totalCost }

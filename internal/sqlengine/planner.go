@@ -9,10 +9,7 @@ import "strings"
 // access paths and a greedy join order, and chooses index-nested-loop vs
 // hash vs nested-loop per join by estimated rows examined — the currency the
 // server's virtual CPU model charges, so minimizing it maximizes simulated
-// throughput. Any LEFT join switches the query to syntax order with
-// ON-conjuncts kept at their join (null-extension makes reordering and WHERE
-// pooling unsound in general); only driving-table-only WHERE conjuncts are
-// pushed.
+// throughput.
 //
 // The naive mode reproduces the pre-planner executor exactly — first usable
 // `col = const` WHERE conjunct picks the driving index, joins run in syntax
@@ -33,11 +30,9 @@ const probePenalty = 2.0
 
 // Default selectivities when statistics cannot say better.
 const (
-	defaultRangeSel   = 1.0 / 3
-	defaultLikeSel    = 0.25
-	defaultIsNullSel  = 0.1
-	defaultBetweenSel = 0.25
-	defaultSel        = 1.0 / 3
+	defaultRangeSel = 1.0 / 3
+	defaultLikeSel  = 0.25
+	defaultSel      = 1.0 / 3
 )
 
 // countParams returns the number of ? parameters in the statement.
@@ -87,7 +82,6 @@ type planBuilder struct {
 	st     *SelectStmt
 	tables []planTable // the scope slots costed over
 	p      *Plan       // the plan being materialised (nil in a re-cost)
-	nextID int
 
 	// The costing pass's scratch. pool is the WHERE and ON conjuncts (whole
 	// expressions in naive mode), each with the step it is placed at; steps
@@ -101,7 +95,7 @@ type planBuilder struct {
 
 // begin readies the builder for st over tables, materialising into p.
 func (b *planBuilder) begin(st *SelectStmt, tables []planTable, p *Plan) *planBuilder {
-	b.st, b.tables, b.p, b.nextID = st, tables, p, 0
+	b.st, b.tables, b.p = st, tables, p
 	return b
 }
 
@@ -109,10 +103,8 @@ func (b *planBuilder) newNode(kind opKind) *planNode {
 	return b.add(&planNode{kind: kind, eqCol: -1})
 }
 
-// add numbers n and appends it to the plan's nodes.
+// add appends n to the plan's nodes.
 func (b *planBuilder) add(n *planNode) *planNode {
-	n.id = b.nextID
-	b.nextID++
 	b.p.nodes = append(b.p.nodes, n)
 	return n
 }
@@ -129,19 +121,10 @@ func (e *Engine) buildPlan(s *Session, st *SelectStmt, naive bool) (*Plan, error
 		nparams: countParams(st),
 	}
 
-	if st.From == nil {
-		// Table-less SELECT: a lone projection evaluated once.
-		proj := e.planner.begin(st, nil, p).newNode(opProject)
-		proj.detail = projectDetail(st)
-		proj.estRows = 1
-		p.tail = []*planNode{proj}
-		return p, p.resolve(st)
-	}
-
 	// Resolve scope tables in syntax order — frame slots and column
 	// resolution never depend on join order.
 	refs := make([]TableRef, 0, 1+len(st.Joins))
-	refs = append(refs, *st.From)
+	refs = append(refs, st.From)
 	for _, j := range st.Joins {
 		refs = append(refs, j.Table)
 	}
@@ -280,7 +263,7 @@ func (b *planBuilder) selOf(c Expr, slot int) float64 {
 		switch op {
 		case "=":
 			return 1 / float64(ts.ndvOf(col, t.NumRows()))
-		case "!=", "<>":
+		case "!=":
 			return 1 - 1/float64(ts.ndvOf(col, t.NumRows()))
 		case "<", "<=", ">", ">=":
 			if lit, isLit := other.(*Literal); isLit && col < len(ts.cols) {
@@ -294,23 +277,9 @@ func (b *planBuilder) selOf(c Expr, slot int) float64 {
 		if !colOK {
 			return defaultSel
 		}
-		f := float64(len(x.List)) / float64(ts.ndvOf(col, t.NumRows()))
-		if f > 1 {
-			f = 1
-		}
-		if x.Not {
-			return 1 - f
-		}
-		return f
-	case *IsNullExpr:
-		if x.Not {
-			return 1 - defaultIsNullSel
-		}
-		return defaultIsNullSel
+		return min(1, float64(len(x.List))/float64(ts.ndvOf(col, t.NumRows())))
 	case *LikeExpr:
 		return defaultLikeSel
-	case *BetweenExpr:
-		return defaultBetweenSel
 	}
 	return defaultSel
 }
@@ -397,9 +366,6 @@ func (b *planBuilder) costNaive() {
 			mpo *= joinFilterSel(b, on, slot)
 		}
 		c.outRows = outEst * mpo
-		if j.Left && c.outRows < outEst {
-			c.outRows = outEst
-		}
 		b.pool = append(b.pool, pooledConjunct{expr: j.On, at: len(b.steps)})
 		b.steps = append(b.steps, c)
 		outEst = c.outRows
@@ -485,22 +451,6 @@ type pooledConjunct struct {
 	expr Expr
 	mask uint64
 	at   int // the step whose operator evaluates it; -1 until placed
-}
-
-// costAccess is the costing pass of a cost-based plan: it pools the WHERE and
-// ON conjuncts, chooses every slot's access, the join order and each join's
-// algorithm, places every conjunct and estimates every relational operator,
-// into b.pool and b.steps. It reads the scope's statistics and writes nothing
-// but the builder's scratch.
-func (b *planBuilder) costAccess() {
-	b.pool, b.steps = b.pool[:0], b.steps[:0]
-	for _, j := range b.st.Joins {
-		if j.Left {
-			b.costSyntaxOrder()
-			return
-		}
-	}
-	b.costReorder()
 }
 
 // addConjuncts pools e's top-level conjuncts (Conjuncts' flattening), each
@@ -706,9 +656,13 @@ func eqColOf(cands []eqCandidate, pc *pooledConjunct) int {
 	return -1
 }
 
-// costReorder is the inner-join-only path: pooled predicates, greedy join
-// order, per-join algorithm choice.
-func (b *planBuilder) costReorder() {
+// costAccess is the costing pass of a cost-based plan: it pools the WHERE and
+// ON conjuncts, chooses every slot's access, the greedy join order and each
+// join's algorithm, places every conjunct and estimates every relational
+// operator, into b.pool and b.steps. It reads the scope's statistics and
+// writes nothing but the builder's scratch.
+func (b *planBuilder) costAccess() {
+	b.pool, b.steps = b.pool[:0], b.steps[:0]
 	b.addConjuncts(b.st.Where)
 	for _, j := range b.st.Joins {
 		b.addConjuncts(j.On)
@@ -751,56 +705,6 @@ func (b *planBuilder) costReorder() {
 	// Every conjunct's references are bound by now, so each was placed.
 }
 
-// costSyntaxOrder handles queries with LEFT joins: syntax order, ON conjuncts
-// at their join, driving-only WHERE conjuncts pushed to the scan, everything
-// else in the post-join filter. Join algorithms are still chosen by cost.
-func (b *planBuilder) costSyntaxOrder() {
-	b.addConjuncts(b.st.Where)
-	nw := len(b.pool)
-
-	// Driving access from driving-only WHERE conjuncts.
-	drive := b.drivingChoice(b.pool, 0)
-	place(b.pool, 1, 0)
-	b.steps = append(b.steps, drive)
-
-	outEst := drive.outRows
-	bound := uint64(1)
-	for ji, j := range b.st.Joins {
-		slot := ji + 1
-		from := len(b.pool)
-		b.addConjuncts(j.On)
-		onPool := b.pool[from:]
-		var best accessChoice
-		haveBest := false
-		for _, c := range b.joinChoices(onPool, slot, bound, outEst) {
-			if !haveBest || c.cost < best.cost {
-				best, haveBest = c, true
-			}
-		}
-		bound |= 1 << uint(slot)
-		// Every ON conjunct is evaluated at the join, resolvable or not —
-		// LEFT join semantics require the full ON to decide matches.
-		place(onPool, ^uint64(0), len(b.steps))
-		if j.Left && best.outRows < outEst {
-			best.outRows = outEst
-		}
-		b.steps = append(b.steps, best)
-		outEst = best.outRows
-	}
-
-	// The rest of the WHERE is the post-join filter.
-	step, sel, residual := len(b.steps), 1.0, false
-	for i := range b.pool[:nw] {
-		if pc := &b.pool[i]; pc.at < 0 {
-			pc.at, residual = step, true
-			sel *= b.whereSel(pc.expr)
-		}
-	}
-	if residual {
-		b.steps = append(b.steps, accessChoice{kind: opFilter, eqCol: -1, outRows: outEst * sel})
-	}
-}
-
 // materialise builds the relational operators the costing pass decided, in
 // its order.
 func (b *planBuilder) materialise() {
@@ -814,8 +718,7 @@ func (b *planBuilder) materialise() {
 }
 
 // node builds the operator of decided step i: its access, the conjuncts
-// placed at it, its estimates and its rendered detail. It reads b.st only for
-// a step that joins a slot other than 0.
+// placed at it, its estimates and its rendered detail.
 func (b *planBuilder) node(i int) *planNode {
 	c := &b.steps[i]
 	n := &planNode{kind: c.kind, eqCol: c.eqCol, eqExpr: c.eqExpr, idxName: c.idxName,
@@ -826,7 +729,6 @@ func (b *planBuilder) node(i int) *planNode {
 	}
 	pt := b.tables[c.slot]
 	n.slot, n.tbl = c.slot, pt.tbl
-	n.left = c.slot > 0 && b.st.Joins[c.slot-1].Left
 	if i == 0 {
 		n.detail = accessDetail(pt.display, n)
 	} else {
@@ -964,8 +866,8 @@ func (b *planBuilder) costTail(tail []*planNode, outEst float64) {
 // staticTopNBound reports the plan-time bound of a topn node: ORDER BY with
 // literal LIMIT/OFFSET, no DISTINCT (which dedups before the limit). The tail
 // bounds its sort whenever the limit is known at run time, parameters
-// included, so topn versus sort + limit is only the label EXPLAIN prints — a
-// SELECT with an alias has always printed the latter, and still does.
+// included, so topn versus sort + limit is only the label Plan.Explain prints
+// — a SELECT with an alias has always printed the latter, and still does.
 func staticTopNBound(st *SelectStmt) (int, bool) {
 	if len(st.OrderBy) == 0 || st.Distinct || st.Limit == nil {
 		return 0, false
@@ -1041,9 +943,6 @@ func accessDetail(display string, n *planNode) string {
 
 func joinDetail(display string, n *planNode) string {
 	var b strings.Builder
-	if n.left {
-		b.WriteString("left ")
-	}
 	b.WriteString(display)
 	if n.eqCol >= 0 && n.eqExpr != nil {
 		if n.idxName != "" {

@@ -128,7 +128,7 @@ func (st *Statement) logged(args []Value, buf []byte) (LoggedWrite, []byte) {
 	return LoggedWrite{Stmt: st.norm, Args: args, tmpl: st.tmpl, textLen: len(buf)}, buf
 }
 
-// Table returns the table an INSERT, UPDATE, DELETE or TRUNCATE writes.
+// Table returns the table an INSERT, UPDATE or DELETE writes.
 func (st *Statement) Table() (TableRef, bool) {
 	switch s := st.stmt.(type) {
 	case *InsertStmt:
@@ -136,8 +136,6 @@ func (st *Statement) Table() (TableRef, bool) {
 	case *UpdateStmt:
 		return s.Table, true
 	case *DeleteStmt:
-		return s.Table, true
-	case *TruncateStmt:
 		return s.Table, true
 	}
 	return TableRef{}, false
@@ -149,12 +147,12 @@ func (st *Statement) Table() (TableRef, bool) {
 // afresh beside it and compares the two. Nil outside that test.
 var planReuse func(e *Engine, s *Session, st *Statement, sel *SelectStmt, cached *Plan, recosted bool)
 
-// planFor returns the statement's current plan for sel (the statement itself,
-// or the SELECT an EXPLAIN wraps) under the session's database and the
-// engine's planner mode, building it on first use. A plan no longer current
-// because its statistics moved is re-costed, and kept with the new estimates
-// when the new statistics decide what it already does (recost); it is
-// rebuilt only when they change a decision, or when the catalog changed.
+// planFor returns the statement's current plan for sel, the statement itself,
+// under the session's database and the engine's planner mode, building it on
+// first use. A plan no longer current because its statistics moved is
+// re-costed, and kept with the new estimates when the new statistics decide
+// what it already does (recost); it is rebuilt only when they change a
+// decision, or when the catalog changed.
 func (e *Engine) planFor(s *Session, st *Statement, sel *SelectStmt) (*Plan, error) {
 	slot := -1
 	for i, p := range st.plans {

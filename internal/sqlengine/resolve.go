@@ -8,11 +8,12 @@ import (
 // The resolver is the plan-time step that turns the AST expressions a plan
 // holds into bound expressions (bexpr): column names become (slot, column)
 // frame positions, operator spellings become codes, function names become
-// their builtins or aggregates entry, SELECT * expands, and an ORDER BY item
-// naming a SELECT alias becomes that projection. Unknown and ambiguous
-// references, unknown functions and wrong argument counts therefore fail when
-// the plan is built, whatever the data holds. SELECT plans and write plans
-// (write.go) both bind through it.
+// their aggregates entry or the clock, SELECT * expands, and an ORDER BY item
+// naming a SELECT alias becomes that projection. A predicate binds where a
+// truth is read (WHERE, ON, HAVING) and a value everywhere else. Unknown and
+// ambiguous references, unknown functions and wrong argument counts
+// therefore fail when the plan is built, whatever the data holds. SELECT
+// plans and write plans (write.go) both bind through it.
 
 // resolveCol finds the scope slot and column position c names among tables.
 func resolveCol(tables []planTable, c *ColRef) (slot, pos int, err error) {
@@ -59,15 +60,24 @@ func (r *resolver) fail(err error) {
 	}
 }
 
-func (r *resolver) exprs(es ...Expr) []*bexpr {
+func (r *resolver) values(es ...Expr) []*bexpr {
 	out := make([]*bexpr, len(es))
 	for i, e := range es {
-		out[i] = r.expr(e)
+		out[i] = r.value(e)
 	}
 	return out
 }
 
-func (r *resolver) expr(e Expr) *bexpr {
+func (r *resolver) preds(es ...Expr) []*bexpr {
+	out := make([]*bexpr, len(es))
+	for i, e := range es {
+		out[i] = r.pred(e)
+	}
+	return out
+}
+
+// value binds e where a value is read: a leaf, an aggregate or the clock.
+func (r *resolver) value(e Expr) *bexpr {
 	switch e := e.(type) {
 	case nil:
 		return nil
@@ -81,38 +91,41 @@ func (r *resolver) expr(e Expr) *bexpr {
 			r.fail(err)
 		}
 		return &bexpr{op: eCol, slot: slot, col: pos}
-	case *Unary:
-		op := eNeg
-		if e.Op == "NOT" {
-			op = eNot
-		}
-		return &bexpr{op: op, kids: r.exprs(e.X)}
-	case *Binary:
-		op := binaryOpOf(e.Op)
-		if op == eInvalid {
-			r.fail(fmt.Errorf("sqlengine: unknown operator %q", e.Op))
-		}
-		return &bexpr{op: op, kids: r.exprs(e.L, e.R)}
 	case *FuncCall:
 		if agg, ok := aggregates[e.Name]; ok {
 			return r.aggregate(e, agg)
 		}
-		fn, err := bindBuiltin(e.Name, len(e.Args))
-		if err != nil {
-			r.fail(err)
+		switch {
+		case e.Name != "UTC_MICROS":
+			r.fail(fmt.Errorf("sqlengine: unknown function %s", e.Name))
+		case len(e.Args) > 0:
+			r.fail(fmt.Errorf("sqlengine: %s expects 0 arguments, got %d", e.Name, len(e.Args)))
 		}
-		return &bexpr{op: eFunc, fn: fn, kids: r.exprs(e.Args...)}
-	case *InExpr:
-		return &bexpr{op: eIn, not: e.Not, kids: append(r.exprs(e.X), r.exprs(e.List...)...)}
-	case *BetweenExpr:
-		return &bexpr{op: eBetween, not: e.Not, kids: r.exprs(e.X, e.Lo, e.Hi)}
-	case *IsNullExpr:
-		return &bexpr{op: eIsNull, not: e.Not, kids: r.exprs(e.X)}
-	case *LikeExpr:
-		return &bexpr{op: eLike, not: e.Not, like: new(likeProg), kids: r.exprs(e.X, e.Pattern)}
+		return &bexpr{op: eNow}
 	}
 	r.fail(fmt.Errorf("sqlengine: cannot evaluate %T", e))
 	return &bexpr{op: eConst}
+}
+
+// pred binds e where a truth is read: an AND of predicates, a comparison, IN
+// or LIKE over values, or a value on its own.
+func (r *resolver) pred(e Expr) *bexpr {
+	switch e := e.(type) {
+	case *Binary:
+		op := binaryOpOf(e.Op)
+		switch op {
+		case eInvalid:
+			r.fail(fmt.Errorf("sqlengine: unknown operator %q", e.Op))
+		case eAnd:
+			return &bexpr{op: op, kids: r.preds(e.L, e.R)}
+		}
+		return &bexpr{op: op, kids: r.values(e.L, e.R)}
+	case *InExpr:
+		return &bexpr{op: eIn, kids: append(r.values(e.X), r.values(e.List...)...)}
+	case *LikeExpr:
+		return &bexpr{op: eLike, like: new(likeProg), kids: r.values(e.X, e.Pattern)}
+	}
+	return r.value(e)
 }
 
 // aggregate registers one aggregate call of a post-aggregation expression and
@@ -123,7 +136,7 @@ func (r *resolver) aggregate(f *FuncCall, agg aggKind) *bexpr {
 		r.fail(fmt.Errorf("sqlengine: aggregate %s not allowed here", f.Name))
 		return &bexpr{op: eConst}
 	}
-	spec := aggSpec{agg: agg, distinct: f.Distinct}
+	spec := aggSpec{agg: agg}
 	if agg == aggCount && f.Star {
 		spec.star = true
 	} else if len(f.Args) != 1 {
@@ -131,7 +144,7 @@ func (r *resolver) aggregate(f *FuncCall, agg aggKind) *bexpr {
 	} else {
 		aggs := r.aggs
 		r.aggs = nil
-		spec.arg = r.expr(f.Args[0])
+		spec.arg = r.value(f.Args[0])
 		r.aggs = aggs
 	}
 	*r.aggs = append(*r.aggs, spec)
@@ -150,15 +163,17 @@ type orderKey struct {
 func (p *Plan) resolve(st *SelectStmt) error {
 	r := &resolver{tables: p.tables}
 	for _, n := range p.nodes {
-		n.where = r.exprs(n.filters...)
-		n.eq = r.expr(n.eqExpr)
+		n.where = r.preds(n.filters...)
+		n.eq = r.value(n.eqExpr)
 		p.joins = p.joins || n.kind == opNLJoin || n.kind == opINLJoin || n.kind == opHashJoin
 	}
 	if p.aggregated = st.aggregated(); p.aggregated {
 		// From here on expressions are evaluated per group.
-		p.groupBy = r.exprs(st.GroupBy...)
+		p.groupBy = r.values(st.GroupBy...)
 		r.aggs = &p.aggs
-		p.having = r.expr(st.Having)
+		if st.Having != nil {
+			p.having = r.pred(st.Having)
+		}
 	}
 
 	// Projection: * expands to every column of every table in slot order;
@@ -169,15 +184,12 @@ func (p *Plan) resolve(st *SelectStmt) error {
 			if se.Alias != "" {
 				aliasPos[strings.ToLower(se.Alias)] = len(p.proj)
 			}
-			p.proj = append(p.proj, r.expr(se.Expr))
+			p.proj = append(p.proj, r.value(se.Expr))
 			p.cols = append(p.cols, selectColName(se))
 			continue
 		}
 		if p.aggregated {
 			return fmt.Errorf("sqlengine: SELECT * cannot be mixed with aggregates")
-		}
-		if len(p.tables) == 0 {
-			return fmt.Errorf("sqlengine: SELECT * requires FROM")
 		}
 		for slot, t := range p.tables {
 			for pos, c := range t.tbl.Columns {
@@ -194,7 +206,7 @@ func (p *Plan) resolve(st *SelectStmt) error {
 			}
 		}
 		if key.x == nil {
-			key.x = r.expr(o.Expr)
+			key.x = r.value(o.Expr)
 		}
 		p.order = append(p.order, key)
 	}
@@ -207,16 +219,12 @@ func (p *Plan) resolve(st *SelectStmt) error {
 	if !runtimeConst(st.Offset) {
 		return fmt.Errorf("sqlengine: OFFSET must be constant")
 	}
-	p.limit, p.offset = r.expr(st.Limit), r.expr(st.Offset)
+	p.limit, p.offset = r.value(st.Limit), r.value(st.Offset)
 	if r.err != nil {
 		return r.err
 	}
 
-	src := rowIter(&onceIter{})
-	if p.root != nil {
-		src = buildIter(&p.rt, p.root)
-	}
-	p.bindRun(len(p.tables), src)
+	p.bindRun(len(p.tables), buildIter(&p.rt, p.root))
 	return nil
 }
 

@@ -320,8 +320,8 @@ type rowStore struct {
 	// graveyard, all that prune visits.
 	chained []*Row
 	// src is the image the store was restored from while nothing has written
-	// to it since — and whose view its heap and index maps then are. own and
-	// truncate clear it.
+	// to it since — and whose view its heap and index maps then are. own
+	// clears it.
 	src *storeImage
 
 	rowSlab slab[Row]
@@ -341,25 +341,12 @@ func (st *rowStore) init(t *Table, keyed []*Index) {
 	}
 }
 
-// truncate drops every row. TRUNCATE is DDL, not a versioned write: the
-// graveyard and version chains go with the heap, so snapshot readers lose
-// pre-truncate images (documented MVCC scope, DESIGN.md §12). A store that
-// shares its image owns an empty one after it, nothing copied.
-func (st *rowStore) truncate() {
-	st.rows, st.graveyard, st.chained, st.src = nil, nil, nil, nil
-	st.rowSlab, st.imgSlab, st.verSlab, st.post = slab[Row]{}, slab[Value]{unit: st.ncols}, slab[rowVersion]{}, postings{}
-	for _, ix := range st.keyed {
-		ix.buckets = keyMap[bucket]{}
-	}
-}
-
 // live returns the number of rows in the heap.
 func (st *rowStore) live() int { return len(st.rows) }
 
 // mustOwn panics when st still shares its image's view: its caller would write
 // the image, and every store restored from it. Every mutator calls it but
-// truncate, which drops the sharing, and prune, which visits only what a
-// shared store has none of.
+// prune, which visits only what a shared store has none of.
 func (st *rowStore) mustOwn() {
 	if st.src != nil {
 		panic("sqlengine: table " + st.table.Name + " written while it shares its restored image")

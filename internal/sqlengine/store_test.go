@@ -513,7 +513,7 @@ func TestGCFollowsWrites(t *testing.T) {
 		// gcEvery-1 commits: 40 rewrites and 23 deletes. What the next sweep
 		// will walk is exactly the rows these touched.
 		for i := 0; i < gcEvery-1; i++ {
-			q := "UPDATE t SET v = v + 1 WHERE id = ?"
+			q := "UPDATE t SET v = -1 WHERE id = ?"
 			if i >= 40 {
 				q = "DELETE FROM t WHERE id = ?"
 			}
@@ -525,7 +525,7 @@ func TestGCFollowsWrites(t *testing.T) {
 			t.Fatalf("%d rows: the sweep would visit %d rows after %d one-row writes", size, visit, gcEvery-1)
 		}
 		// The 64th commit sweeps: with no reader behind, everything goes.
-		if _, err := s.Exec("UPDATE t SET v = v + 1 WHERE id = ?", NewInt(int64(size-1))); err != nil {
+		if _, err := s.Exec("UPDATE t SET v = -1 WHERE id = ?", NewInt(int64(size-1))); err != nil {
 			t.Fatal(err)
 		}
 		r2, v2, d2 := eng.GCStats()

@@ -19,8 +19,8 @@ type Table struct {
 	store   rowStore
 	// stats is the planner's statistics profile (stats.go): exact live row
 	// count from the store, lazily analyzed per-column NDV and bounds.
-	// statsGen counts the times it was rebuilt or emptied — ANALYZE and
-	// TRUNCATE of this table — and retires the cost-based plans that read it.
+	// statsGen counts the times ANALYZE rebuilt it and retires the cost-based
+	// plans that read it.
 	stats    tableStats
 	statsGen uint64
 }
@@ -130,8 +130,8 @@ func coerce(v Value, col ColumnDef) (Value, error) {
 			return NewInt(int64(v.Float())), nil
 		case KindString:
 			var n int64
-			if _, err := fmt.Sscanf(strings.TrimSpace(v.Str()), "%d", &n); err != nil {
-				return v, fmt.Errorf("cannot convert %q to integer", v.Str())
+			if _, err := fmt.Sscanf(strings.TrimSpace(v.s), "%d", &n); err != nil {
+				return v, fmt.Errorf("cannot convert %q to integer", v.s)
 			}
 			return NewInt(n), nil
 		}
@@ -140,8 +140,8 @@ func coerce(v Value, col ColumnDef) (Value, error) {
 			return NewFloat(v.Float()), nil
 		}
 		var f float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(v.Str()), "%g", &f); err != nil {
-			return v, fmt.Errorf("cannot convert %q to double", v.Str())
+		if _, err := fmt.Sscanf(strings.TrimSpace(v.s), "%g", &f); err != nil {
+			return v, fmt.Errorf("cannot convert %q to double", v.s)
 		}
 		return NewFloat(f), nil
 	case KindString:

@@ -27,10 +27,9 @@ import (
 
 // aggSpec is one aggregate call of an aggregated SELECT.
 type aggSpec struct {
-	agg      aggKind
-	star     bool // COUNT(*)
-	distinct bool
-	arg      *bexpr
+	agg  aggKind
+	star bool // COUNT(*)
+	arg  *bexpr
 }
 
 // aggAcc folds one aggregate over one group.
@@ -40,19 +39,11 @@ type aggAcc struct {
 	sumF     float64
 	anyFloat bool
 	min, max Value
-	seen     keyMap[struct{}] // DISTINCT values folded so far
 }
 
-func (a *aggAcc) add(v *Value, distinct bool) {
+func (a *aggAcc) add(v *Value) {
 	if v.IsNull() {
 		return
-	}
-	if distinct {
-		k := v.hashKey()
-		if _, dup := a.seen.get(k); dup {
-			return
-		}
-		a.seen.put(k, struct{}{})
 	}
 	a.count++
 	a.anyFloat = a.anyFloat || v.Kind() == KindFloat
@@ -76,22 +67,19 @@ func (a *aggAcc) result(agg aggKind) Value {
 		return a.max
 	case a.count == 0:
 		return Null
-	case agg == aggAvg:
-		return NewFloat(a.sumF / float64(a.count))
 	case a.anyFloat:
 		return NewFloat(a.sumF)
 	}
 	return NewInt(a.sumI)
 }
 
-// execPlan runs a plan into out. acts, when non-nil, receives per-node output
-// counts for EXPLAIN ANALYZE.
-func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64, out *Reply) (*Result, error) {
+// execPlan runs a plan into out.
+func (e *Engine) execPlan(s *Session, p *Plan, args []Value, out *Reply) (*Result, error) {
 	if len(args) != p.nparams {
 		return nil, fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", p.nparams, len(args))
 	}
 	rt := &p.rt
-	rt.e, rt.s, rt.args, rt.acts = e, s, args, acts
+	rt.e, rt.s, rt.args = e, s, args
 	rt.stats = ExecStats{Class: ClassRead}
 	// Visibility is decided per execution, never per plan.
 	rt.view = e.readViewFor(s)
@@ -112,7 +100,7 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64, out *
 // end drops what the run referenced — session, arguments, row images — so a
 // cached plan pins nothing between executions; capacity stays.
 func (rt *runState) end() {
-	rt.s, rt.view, rt.args, rt.acts, rt.aggs = nil, readView{}, nil, nil, nil
+	rt.s, rt.view, rt.args, rt.aggs = nil, readView{}, nil, nil
 	clear(rt.live)
 	clear(rt.refs)
 	clear(rt.keys)
@@ -123,31 +111,15 @@ func (rt *runState) end() {
 	rt.refs, rt.keys, rt.seq, rt.order, rt.aggv, rt.accs = rt.refs[:0], rt.keys[:0], rt.seq[:0], rt.order[:0], rt.aggv[:0], rt.accs[:0]
 }
 
-// count records a tail node's actual output for EXPLAIN ANALYZE.
-func (p *Plan) count(rt *runState, kind opKind, n int) {
-	if rt.acts == nil {
-		return
-	}
-	for _, node := range p.tail {
-		if node.kind == kind {
-			rt.acts[node.id] = int64(n)
-		}
-	}
-}
-
 // bound evaluates LIMIT or OFFSET; absent reads as def.
 func (rt *runState) bound(x *bexpr, what string, def int) (int, error) {
 	if x == nil {
 		return def, nil
 	}
-	v, err := x.eval(rt)
-	if err != nil {
-		return 0, fmt.Errorf("sqlengine: %s must be constant", what)
+	if n := x.ref(rt).Int(); n >= 0 {
+		return int(n), nil
 	}
-	if v.Int() < 0 {
-		return 0, fmt.Errorf("sqlengine: %s must not be negative", what)
-	}
-	return int(v.Int()), nil
+	return 0, fmt.Errorf("sqlengine: %s must not be negative", what)
 }
 
 // enter makes gathered entry i the frame bound expressions read.
@@ -179,13 +151,10 @@ func (rt *runState) Swap(i, j int)      { rt.order[i], rt.order[j] = rt.order[j]
 func (rt *runState) Less(i, j int) bool { return rt.before(rt.order[i], rt.order[j]) }
 
 // sortKeys computes the current frame's sort keys into dst.
-func (rt *runState) sortKeys(dst []Value) error {
+func (rt *runState) sortKeys(dst []Value) {
 	for k := range rt.by {
-		if err := rt.by[k].x.into(rt, &dst[k]); err != nil {
-			return err
-		}
+		rt.by[k].x.into(rt, &dst[k])
 	}
-	return nil
 }
 
 // run executes the tail over the source and materializes the result set,
@@ -207,15 +176,10 @@ func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 	}
 	rt.src.reset()
 	if p.aggregated {
-		err = p.gatherGroups(rt)
+		p.gatherGroups(rt)
 	} else {
-		err = p.gatherRows(rt, keep)
+		p.gatherRows(rt, keep)
 	}
-	if err != nil {
-		return err
-	}
-	p.count(rt, opSort, len(rt.order))
-	p.count(rt, opTopN, len(rt.order))
 
 	out := rt.order
 	if !p.distinct {
@@ -234,19 +198,13 @@ func (p *Plan) run(rt *runState, set *ResultSet, sp *rowSpace) error {
 		rt.enter(p, i)
 		row := vals[k*w : (k+1)*w : (k+1)*w]
 		for j, x := range p.proj {
-			if err := x.into(rt, &row[j]); err != nil {
-				return err
-			}
+			x.into(rt, &row[j])
 		}
 		rows[k] = row
 	}
-	p.count(rt, opProject, len(rows))
 	if p.distinct {
-		rows = rt.dedupe(rows)
-		p.count(rt, opDistinct, len(rows))
-		rows = window(rows, offset, limit)
+		rows = window(rt.dedupe(rows), offset, limit)
 	}
-	p.count(rt, opLimit, len(rows))
 	rt.stats.RowsReturned = len(rows)
 	*set = ResultSet{Columns: p.cols, Rows: rows}
 	return nil
@@ -299,18 +257,11 @@ func window[T any](s []T, offset, limit int) []T {
 // computed straight into the spare slot and decide on their own whether the
 // row is kept (topN), in which case the slot of the entry it pushes out
 // becomes the spare.
-func (p *Plan) gatherRows(rt *runState, keep int) error {
+func (p *Plan) gatherRows(rt *runState, keep int) {
 	nt, nk := len(rt.live), len(rt.by)
 	n, at, sorted := 0, 0, false // the buffer is rt.order[at:at+n]
 	free := 0                    // the slot the next row is written to
-	for arrival := int32(0); ; arrival++ {
-		ok, err := rt.src.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	for arrival := int32(0); rt.src.next(); arrival++ {
 		if n == keep && nk == 0 {
 			if !p.joins {
 				break
@@ -323,9 +274,7 @@ func (p *Plan) gatherRows(rt *runState, keep int) error {
 			rt.refs = extend(rt.refs, nt)
 		}
 		rt.seq[free] = arrival
-		if err := rt.sortKeys(rt.keys[free*nk : (free+1)*nk]); err != nil {
-			return err
-		}
+		rt.sortKeys(rt.keys[free*nk : (free+1)*nk])
 		row := int32(free)
 		switch {
 		case n < keep || keep < 0:
@@ -355,7 +304,6 @@ func (p *Plan) gatherRows(rt *runState, keep int) error {
 	} else if nk > 0 {
 		sort.Sort(rt)
 	}
-	return nil
 }
 
 // topN puts entry row where it belongs in the sorted buffer rt.order[at:at+n]
@@ -427,7 +375,7 @@ func (rt *runState) file(tuple []Value, n int32) int32 {
 // order: the group's first row images (what non-aggregate expressions read)
 // and one accumulator per aggregate call. Groups that pass HAVING get their
 // sort keys and are sorted.
-func (p *Plan) gatherGroups(rt *runState) error {
+func (p *Plan) gatherGroups(rt *runState) {
 	na := len(p.aggs)
 	newGroup := func() {
 		rt.refs = append(rt.refs, rt.live...)
@@ -435,20 +383,11 @@ func (p *Plan) gatherGroups(rt *runState) error {
 	}
 	ng := 0
 	var v Value
-	for {
-		ok, err := rt.src.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	for rt.src.next() {
 		g := 0
 		if len(p.groupBy) > 0 {
 			for j, x := range p.groupBy {
-				if err := x.into(rt, &rt.tuple[j]); err != nil {
-					return err
-				}
+				x.into(rt, &rt.tuple[j])
 			}
 			g = int(rt.file(rt.tuple, int32(ng)))
 		}
@@ -463,10 +402,8 @@ func (p *Plan) gatherGroups(rt *runState) error {
 				accs[j].count++
 				continue
 			}
-			if err := spec.arg.into(rt, &v); err != nil {
-				return err
-			}
-			accs[j].add(&v, spec.distinct)
+			spec.arg.into(rt, &v)
+			accs[j].add(&v)
 		}
 	}
 	if ng == 0 && len(p.groupBy) == 0 {
@@ -483,25 +420,14 @@ func (p *Plan) gatherGroups(rt *runState) error {
 		rt.enter(p, g)
 		rt.seq = append(rt.seq, g)
 		rt.keys = extend(rt.keys, nk)
-		if err := rt.sortKeys(rt.keys[int(g)*nk:]); err != nil {
-			return err
+		rt.sortKeys(rt.keys[int(g)*nk:])
+		if p.having == nil || p.having.holds(rt) {
+			rt.order = append(rt.order, g)
 		}
-		if p.having != nil {
-			ok, err := p.having.holds(rt)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		rt.order = append(rt.order, g)
 	}
-	p.count(rt, opHashAgg, len(rt.order))
 	if nk > 0 {
 		sort.Sort(rt)
 	}
-	return nil
 }
 
 // dedupe drops rows equal to an earlier one, in place.

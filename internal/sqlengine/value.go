@@ -90,9 +90,6 @@ func (v Value) Float() float64 {
 	return float64(v.i)
 }
 
-// Str returns the underlying string (valid for String kind).
-func (v Value) Str() string { return v.s }
-
 // Bool returns the value's truthiness: non-zero numbers and non-empty
 // strings are true; NULL is false.
 func (v Value) Bool() bool {
@@ -238,10 +235,6 @@ func cmpFloat(a, b float64) int {
 		return 0
 	}
 }
-
-// Equal reports value equality under Compare semantics, with NULL ≠ NULL
-// handled by the caller when three-valued logic applies.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // hashKey is v's map key in comparable form, for hash tables probed once per
 // row and the row store's index maps, where a string per probe or entry would

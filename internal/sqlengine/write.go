@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -12,7 +11,7 @@ import (
 // evaluation time, as in a SELECT plan), and the UPDATE/DELETE driving access
 // decided once. A prepared Statement keeps its current write plan per
 // database; like a Plan it embeds *Table pointers, so a catalog epoch change
-// (CREATE TABLE, DROP TABLE, Restore) retires it. Nothing else does: it read
+// (CREATE TABLE, Restore) retires it. Nothing else does: it read
 // no statistics, so it outlives every ANALYZE.
 //
 // The driving access is rule-based, not costed: the first WHERE conjunct that
@@ -112,7 +111,7 @@ func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 			if len(row) != len(wp.pos) {
 				return nil, fmt.Errorf("sqlengine: INSERT row has %d values, want %d", len(row), len(wp.pos))
 			}
-			wp.rows = append(wp.rows, r.exprs(row...))
+			wp.rows = append(wp.rows, r.values(row...))
 		}
 		return wp, r.err
 	}
@@ -125,7 +124,7 @@ func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 			return nil, fmt.Errorf("sqlengine: unknown column %s in UPDATE", a.Column)
 		}
 		wp.setPos = append(wp.setPos, pos)
-		wp.sets = append(wp.sets, r.expr(a.Value))
+		wp.sets = append(wp.sets, r.value(a.Value))
 	}
 	// The access is a one-step plan, the whole WHERE its filter.
 	b := planBuilder{tables: r.tables, steps: []accessChoice{drivingRule(pt, where)}}
@@ -133,21 +132,10 @@ func (e *Engine) compileWrite(s *Session, stmt Stmt) (*writePlan, error) {
 		b.pool = []pooledConjunct{{expr: where}}
 	}
 	n := b.node(0)
-	n.where, n.eq = r.exprs(n.filters...), r.expr(n.eqExpr)
+	n.where, n.eq = r.preds(n.filters...), r.value(n.eqExpr)
 	wp.access = n
 	wp.scan = scanIter{rt: &wp.rt, n: n}
 	return wp, r.err
-}
-
-// explainLine renders an UPDATE's or DELETE's driving access in the plan-line
-// format, the verb marking it as a write.
-func (wp *writePlan) explainLine() string {
-	n, verb := wp.access, "delete"
-	if wp.kind == effUpdate {
-		verb = "update"
-	}
-	est := strconv.Itoa(int(n.estRows))
-	return n.kind.String() + " " + n.detail + " (" + verb + " est=" + est + " cost=" + est + ")"
 }
 
 // execWrite runs a compiled write into out.
@@ -177,15 +165,10 @@ func (e *Engine) execWrite(s *Session, wp *writePlan, args []Value, out *Reply) 
 }
 
 // fill evaluates xs against the current frame into vals at positions pos.
-func (rt *runState) fill(vals []Value, pos []int, xs []*bexpr) error {
+func (rt *runState) fill(vals []Value, pos []int, xs []*bexpr) {
 	for i, x := range xs {
-		v, err := x.eval(rt)
-		if err != nil {
-			return err
-		}
-		vals[pos[i]] = v
+		x.into(rt, &vals[pos[i]])
 	}
-	return nil
 }
 
 // run executes the statement row by row, appending one change per row it
@@ -198,9 +181,7 @@ func (wp *writePlan) run(rt *runState) error {
 	if wp.kind == effInsert {
 		for _, row := range wp.rows {
 			img := tbl.store.image(nil) // unset columns are NULL
-			if err := rt.fill(img, wp.pos, row); err != nil {
-				return err
-			}
+			rt.fill(img, wp.pos, row)
 			c, err := tbl.put(nil, img, provisionalVersion, s.writer())
 			if err != nil {
 				return err
@@ -214,10 +195,7 @@ func (wp *writePlan) run(rt *runState) error {
 	it := &wp.scan
 	it.reset()
 	wp.hits = wp.hits[:0]
-	for ok, err := it.next(); ok || err != nil; ok, err = it.next() {
-		if err != nil {
-			return err
-		}
+	for it.next() {
 		wp.hits = append(wp.hits, it.cur.row())
 	}
 	for _, r := range wp.hits {
@@ -228,9 +206,7 @@ func (wp *writePlan) run(rt *runState) error {
 		// Assignments read the row as it was: one never sees another's.
 		rt.live[0] = r.Values()
 		img := tbl.store.image(r.Values())
-		if err := rt.fill(img, wp.setPos, wp.sets); err != nil {
-			return err
-		}
+		rt.fill(img, wp.setPos, wp.sets)
 		c, err := tbl.put(r, img, provisionalVersion, s.writer())
 		if err != nil {
 			return err
