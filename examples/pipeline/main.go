@@ -109,7 +109,6 @@ func main() {
 	run("full-pipeline", repl.PipelineConfig{
 		GroupCommitWindow: 60 * time.Millisecond,
 		BatchMaxEntries:   32,
-		BatchMaxBytes:     64 << 10,
 		ApplyWorkers:      4,
 	})
 }

@@ -11,6 +11,11 @@
 // interpolated statement text, rendered from that form, and nothing else;
 // WireSize and Bytes count that text without rendering it, and DecodeFrom
 // leaves the prepared form empty, so the replica parses.
+//
+// The unit of replication is the commit: the consecutive entries one
+// AppendCommit wrote, every one but the last flagged More. Readers hand out
+// whole commits only (Reader.NextBatch), so everything downstream — relay,
+// dispatch, apply, acknowledgements — takes the commit it is handed.
 package binlog
 
 import (
@@ -29,6 +34,10 @@ type Entry struct {
 	Database string
 	// TimestampMicros is the master's local clock at commit, in µs.
 	TimestampMicros int64
+	// More reports that the next entry belongs to the same commit: set on
+	// every write of a commit but its last, so an autocommit write — a
+	// commit of one — never carries it.
+	More bool
 	// LoggedWrite is the statement: its text (SQL, or Text() for a prepared
 	// form) and its prepared form (Stmt, Args), which is in-memory only,
 	// never encoded. Args is shared by every copy of the entry and must not
@@ -38,6 +47,12 @@ type Entry struct {
 
 // WireSize returns the encoded size in bytes, used for transfer accounting.
 func (e Entry) WireSize() int { return 8 + 8 + 4 + len(e.Database) + 4 + e.TextLen() }
+
+// moreBit is More's place on the wire: the high bit of the text's length
+// word. A text that long does not fit any buffer DecodeFrom is handed — it
+// has always failed there as truncated — so the bit changes no encoding that
+// was valid before.
+const moreBit = 1 << 31
 
 // Encode serializes the entry (length-prefixed strings, little endian).
 func (e Entry) Encode() []byte {
@@ -50,7 +65,11 @@ func (e Entry) Encode() []byte {
 	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(e.Database)))
 	buf = append(buf, tmp[:4]...)
 	buf = append(buf, e.Database...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(e.TextLen()))
+	textLen := uint32(e.TextLen())
+	if e.More {
+		textLen |= moreBit
+	}
+	binary.LittleEndian.PutUint32(tmp[:4], textLen)
 	buf = append(buf, tmp[:4]...)
 	buf = append(buf, e.Text()...)
 	return buf
@@ -74,6 +93,7 @@ func DecodeFrom(buf []byte) (Entry, int, error) {
 	off := 20 + int(dbLen)
 	e.Database = string(buf[20:off])
 	sqlLen := binary.LittleEndian.Uint32(buf[off : off+4])
+	e.More, sqlLen = sqlLen&moreBit != 0, sqlLen&^moreBit
 	off += 4
 	if uint64(sqlLen) > uint64(len(buf)-off) {
 		return Entry{}, 0, fmt.Errorf("binlog: truncated SQL text")
@@ -171,11 +191,12 @@ func (l *Log) Append(database, sql string, tsMicros int64) uint64 {
 
 // AppendCommit appends one commit's writes, as the engine's commit hook
 // reports them (prepared forms included), as consecutive entries under one
-// commit timestamp, then wakes tailing readers once. It returns the sequence
-// of the commit's last entry. writes is not kept.
+// commit timestamp, each but the last flagged More, then wakes tailing
+// readers once. It returns the sequence of the commit's last entry. writes
+// is not kept.
 func (l *Log) AppendCommit(database string, writes []sqlengine.LoggedWrite, tsMicros int64) uint64 {
-	for _, w := range writes {
-		e := Entry{Seq: l.LastSeq() + 1, Database: database, TimestampMicros: tsMicros, LoggedWrite: w}
+	for i, w := range writes {
+		e := Entry{Seq: l.LastSeq() + 1, Database: database, TimestampMicros: tsMicros, More: i < len(writes)-1, LoggedWrite: w}
 		l.entries = append(l.entries, e)
 		l.committedAt = append(l.committedAt, l.env.Now())
 		l.bytes += int64(e.WireSize())
@@ -238,9 +259,10 @@ func (l *Log) NewReader(pos uint64) (*Reader, error) {
 }
 
 // NextBatch blocks until the reader is behind the tail, then returns the
-// run of entries after its position that one dump-thread transit carries: at
-// least one, at most maxEntries (a value below 1 counts as 1), and no further
-// once their encoded sizes have reached maxBytes (0 = no byte cap). It never
+// run of whole commits after its position that one dump-thread transit
+// carries: at least one commit, and no further once another would take the
+// run past maxEntries (a value below 1 counts as 1). A run never ends inside
+// a commit, so a commit longer than maxEntries ships alone, whole. It never
 // waits for a run to fill.
 //
 // The run is a window onto the log's own storage, not a copy. The log is
@@ -248,27 +270,41 @@ func (l *Log) NewReader(pos uint64) (*Reader, error) {
 // valid for as long as it is held, through any number of later appends;
 // its capacity equals its length, so appending to it copies. Holders must
 // not assign to its elements.
-func (r *Reader) NextBatch(p *sim.Proc, maxEntries, maxBytes int) []Entry {
+func (r *Reader) NextBatch(p *sim.Proc, maxEntries int) []Entry {
 	for r.pos >= r.log.LastSeq() {
 		r.log.appended.Wait(p)
 	}
-	return r.TryNextBatch(maxEntries, maxBytes)
+	return r.TryNextBatch(maxEntries)
 }
 
 // TryNextBatch is NextBatch without blocking: nil when the reader is at the
 // tail.
-func (r *Reader) TryNextBatch(maxEntries, maxBytes int) []Entry {
+func (r *Reader) TryNextBatch(maxEntries int) []Entry {
 	entries := r.log.entries
 	from := int(r.pos - r.log.base)
-	if from >= len(entries) {
-		return nil
+	to := from
+	for to < len(entries) {
+		end := to + CommitLen(entries[to:])
+		if to > from && end-from > maxEntries {
+			break
+		}
+		to = end
 	}
-	to := from + 1
-	bytes := entries[from].WireSize()
-	for to < len(entries) && to-from < maxEntries && (maxBytes <= 0 || bytes < maxBytes) {
-		bytes += entries[to].WireSize()
-		to++
+	if to == from {
+		return nil
 	}
 	r.pos = r.log.base + uint64(to)
 	return entries[from:to:to]
+}
+
+// CommitLen returns the number of entries in the commit entries starts with:
+// up to and including its first entry not flagged More (all of them if none
+// is unflagged).
+func CommitLen(entries []Entry) int {
+	for i := range entries {
+		if !entries[i].More {
+			return i + 1
+		}
+	}
+	return len(entries)
 }

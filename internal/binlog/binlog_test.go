@@ -48,6 +48,46 @@ func TestAppendAssignsDenseSequences(t *testing.T) {
 	}
 }
 
+// TestAppendCommitFlagsAllButTheLast: AppendCommit flags every write of a
+// commit but its last, Append (a commit of one) flags nothing, the flag costs
+// no byte on the wire and survives the round trip, and a reader hands out
+// the commit whole whatever its entry cap.
+func TestAppendCommitFlagsAllButTheLast(t *testing.T) {
+	l := New(sim.NewEnv(1))
+	l.Append("db", "A", 0)
+	writes := []sqlengine.LoggedWrite{{SQL: "B"}, {SQL: "C"}, {SQL: "D"}}
+	if seq := l.AppendCommit("db", writes, 1); seq != 4 {
+		t.Fatalf("commit ends at seq %d, want 4", seq)
+	}
+	l.Append("db", "E", 2)
+	var size int64
+	for i, want := range []bool{false, true, true, false, false} {
+		seq := i + 1
+		e, _ := l.At(uint64(seq))
+		if e.More != want {
+			t.Errorf("seq %d: More %v, want %v", seq, e.More, want)
+		}
+		plain := e
+		plain.More = false
+		if e.WireSize() != plain.WireSize() || len(e.Encode()) != len(plain.Encode()) {
+			t.Errorf("seq %d: the flag changed the entry's size", seq)
+		}
+		if d, _, err := DecodeFrom(e.Encode()); err != nil || !reflect.DeepEqual(d, e) {
+			t.Errorf("seq %d: decoded %+v, %v; want %+v", seq, d, err, e)
+		}
+		size += int64(e.WireSize())
+	}
+	if l.Bytes() != size {
+		t.Errorf("Bytes %d, want %d", l.Bytes(), size)
+	}
+	r := readerAt(t, l, 0)
+	for _, want := range []int{1, 3, 1} {
+		if b := r.TryNextBatch(1); len(b) != want {
+			t.Fatalf("batch of %d entries, want %d", len(b), want)
+		}
+	}
+}
+
 func TestReaderTailsBlocking(t *testing.T) {
 	env := sim.NewEnv(1)
 	l := New(env)
@@ -55,7 +95,7 @@ func TestReaderTailsBlocking(t *testing.T) {
 	var got []uint64
 	env.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			for _, e := range r.NextBatch(p, 1, 0) {
+			for _, e := range r.NextBatch(p, 1) {
 				got = append(got, e.Seq)
 			}
 		}
@@ -78,11 +118,11 @@ func TestReaderStartsMidLog(t *testing.T) {
 	l.Append("db", "A", 0)
 	l.Append("db", "B", 0)
 	r := readerAt(t, l, l.LastSeq())
-	if b := r.TryNextBatch(1, 0); b != nil {
+	if b := r.TryNextBatch(1); b != nil {
 		t.Fatalf("reader at tail returned %+v", b)
 	}
 	l.Append("db", "C", 0)
-	b := r.TryNextBatch(1, 0)
+	b := r.TryNextBatch(1)
 	if len(b) != 1 || b[0].SQL != "C" {
 		t.Fatalf("got %+v, want C", b)
 	}
@@ -97,7 +137,7 @@ func TestMultipleReadersIndependent(t *testing.T) {
 	l.Append("db", "A", 0)
 	l.Append("db", "B", 0)
 	r1, r2 := readerAt(t, l, 0), readerAt(t, l, 1)
-	b1, b2 := r1.TryNextBatch(1, 0), r2.TryNextBatch(1, 0)
+	b1, b2 := r1.TryNextBatch(1), r2.TryNextBatch(1)
 	if len(b1) != 1 || len(b2) != 1 || b1[0].SQL != "A" || b2[0].SQL != "B" {
 		t.Fatalf("readers interfered: %+v %+v", b1, b2)
 	}
@@ -180,49 +220,56 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
-// coalesce is the dump thread's batching rule as it stood when batches were
-// built entry by entry: one entry unconditionally, then more while both caps
-// allow. NextBatch must cut the same runs.
-func coalesce(entries []Entry, maxEntries, maxBytes int) []Entry {
-	if maxEntries < 1 {
-		maxEntries = 1
+// coalesce is the dump thread's batching rule stated commit by commit: the
+// first commit unconditionally, then each next commit while the run stays
+// within maxEntries. NextBatch must cut the same runs.
+func coalesce(commits [][]Entry, maxEntries int) (batch []Entry, taken int) {
+	for _, c := range commits {
+		if taken > 0 && len(batch)+len(c) > maxEntries {
+			break
+		}
+		batch = append(batch, c...)
+		taken++
 	}
-	batch := []Entry{entries[0]}
-	bytes := entries[0].WireSize()
-	for len(batch) < maxEntries && (maxBytes <= 0 || bytes < maxBytes) && len(batch) < len(entries) {
-		next := entries[len(batch)]
-		batch = append(batch, next)
-		bytes += next.WireSize()
-	}
-	return batch
+	return batch, taken
 }
 
 func TestNextBatchCutsTheSameRuns(t *testing.T) {
-	f := func(base uint16, sizes []uint8, maxEntries uint8, maxBytes uint16) bool {
+	f := func(base uint16, sizes []uint8, maxEntries uint8) bool {
 		if len(sizes) == 0 {
 			return true
 		}
 		// An odd base is a log that starts at that position.
 		start := uint64(base) * uint64(base%2)
 		l := NewAt(sim.NewEnv(1), start)
-		var all []Entry
+		// Each size makes one commit of 1 + size%4 writes of size bytes.
+		var commits [][]Entry
 		for i, n := range sizes {
-			l.Append("db", string(make([]byte, n)), int64(i))
-			e, _ := l.At(start + uint64(i+1))
-			all = append(all, e)
+			writes := make([]sqlengine.LoggedWrite, 1+n%4)
+			for w := range writes {
+				writes[w].SQL = string(make([]byte, n))
+			}
+			from := l.LastSeq()
+			l.AppendCommit("db", writes, int64(i))
+			var c []Entry
+			for seq := from + 1; seq <= l.LastSeq(); seq++ {
+				e, _ := l.At(seq)
+				c = append(c, e)
+			}
+			commits = append(commits, c)
 		}
-		// -1 and 0 exercise "no batching" and "no byte cap".
-		me, mb := int(maxEntries%70)-1, int(maxBytes%600)
+		// -1 and 0 exercise "no batching".
+		me := int(maxEntries%12) - 1
 		r := readerAt(t, l, start)
-		for rest := all; len(rest) > 0; {
-			want := coalesce(rest, me, mb)
-			got := r.TryNextBatch(me, mb)
+		for rest := commits; len(rest) > 0; {
+			want, taken := coalesce(rest, me)
+			got := r.TryNextBatch(me)
 			if !reflect.DeepEqual(got, want) || r.pos != want[len(want)-1].Seq {
 				return false
 			}
-			rest = rest[len(want):]
+			rest = rest[taken:]
 		}
-		return r.TryNextBatch(me, mb) == nil && r.pos == l.LastSeq()
+		return r.TryNextBatch(me) == nil && r.pos == l.LastSeq()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -239,7 +286,7 @@ func TestNextBatchIsAWindowOntoTheLog(t *testing.T) {
 		l.Append("db", "stmt", int64(i))
 	}
 	r := readerAt(t, l, 2)
-	b := r.TryNextBatch(3, 0)
+	b := r.TryNextBatch(3)
 	if len(b) != 3 || cap(b) != 3 || b[0].Seq != 3 {
 		t.Fatalf("window len %d cap %d first seq %d, want 3, 3, 3", len(b), cap(b), b[0].Seq)
 	}
@@ -270,7 +317,7 @@ func TestNextBatchIsAWindowOntoTheLog(t *testing.T) {
 		t.Fatal("log never moved; the test proved nothing")
 	}
 	// The reader goes on from where the window ended, in the new array.
-	if next := r.TryNextBatch(2, 0); len(next) != 2 || next[0].Seq != 6 || &next[0] != &l.entries[5] {
+	if next := r.TryNextBatch(2); len(next) != 2 || next[0].Seq != 6 || &next[0] != &l.entries[5] {
 		t.Fatalf("next batch %+v", next)
 	}
 }
@@ -327,7 +374,7 @@ func TestLogStartingAtAPosition(t *testing.T) {
 	// tail, nothing until the next append.
 	for _, c := range []struct{ pos, first, n uint64 }{{base, base + 1, 3}, {base + 2, base + 3, 1}, {base + 3, 0, 0}} {
 		r := readerAt(t, l, c.pos)
-		b := r.TryNextBatch(10, 0)
+		b := r.TryNextBatch(10)
 		if uint64(len(b)) != c.n || c.n > 0 && (b[0].Seq != c.first || r.pos != base+3) {
 			t.Errorf("reader at %d: batch %+v, pos %d", c.pos, b, r.pos)
 		}

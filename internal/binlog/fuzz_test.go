@@ -16,6 +16,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(entry(1, "app", "INSERT INTO t VALUES (1)", 99).Encode())
 	f.Add(entry(1<<40, "", "", -1).Encode())
+	// An entry that more of its commit follows: the flag rides in the high
+	// bit of the text's length word.
+	more := entry(5, "app", "INSERT INTO t VALUES (5)", 99)
+	more.More = true
+	f.Add(more.Encode())
 	// Oversized length prefixes: a header that claims 4 GiB of database
 	// name, and one that claims more SQL than the buffer holds.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
@@ -45,6 +50,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		entry(1, "app", "UPDATE t SET v = 1", 7),
 		entry(2, "app", "DELETE FROM u", 8),
 	}))
+	// A commit of two writes followed by an autocommit write.
+	first := entry(3, "app", "INSERT INTO t VALUES (3)", 9)
+	first.More = true
+	f.Add(EncodeBatch([]Entry{first, entry(4, "app", "INSERT INTO u VALUES (3)", 9), entry(5, "app", "DELETE FROM u", 10)}))
 	// Count prefix far larger than the payload could hold.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {

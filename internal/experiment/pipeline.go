@@ -22,12 +22,11 @@ type PipelineVariant struct {
 func PipelineVariants() []PipelineVariant {
 	return []PipelineVariant{
 		{Name: "baseline", PC: repl.PipelineConfig{}},
-		{Name: "batch", PC: repl.PipelineConfig{BatchMaxEntries: 32, BatchMaxBytes: 64 << 10}},
+		{Name: "batch", PC: repl.PipelineConfig{BatchMaxEntries: 32}},
 		{Name: "parallel-apply", PC: repl.PipelineConfig{ApplyWorkers: 4}},
 		{Name: "full-pipeline", PC: repl.PipelineConfig{
 			GroupCommitWindow: 60 * time.Millisecond,
 			BatchMaxEntries:   32,
-			BatchMaxBytes:     64 << 10,
 			ApplyWorkers:      4,
 		}},
 	}

@@ -342,17 +342,10 @@ func (px *Proxy) Stats() Stats { return px.stats }
 func (px *Proxy) SetMaster(m *repl.Master) { px.master = m }
 
 // IsRead classifies a statement the way Connector/J does: by its leading
-// verb, after stripping comments. SELECT, SHOW, DESCRIBE/DESC and EXPLAIN
-// are read-only and safe to route to a replica; everything else takes the
-// write path to the master.
-func IsRead(sql string) bool {
-	verb := leadingVerb(sql)
-	switch verb {
-	case "SELECT", "SHOW", "DESCRIBE", "DESC", "EXPLAIN":
-		return true
-	}
-	return false
-}
+// verb, after stripping comments. SELECT, the one read the engine speaks, is
+// safe to route to a replica; everything else takes the write path to the
+// master.
+func IsRead(sql string) bool { return leadingVerb(sql) == "SELECT" }
 
 // leadingVerb returns the first keyword of sql, upper-cased, after
 // skipping leading whitespace and SQL comments (/* ... */, -- line, # line).
@@ -441,8 +434,9 @@ type Reply struct {
 }
 
 // Exec routes and executes one statement, blocking the calling process for
-// the network round trip, queueing and service time. Write statements also
-// honor the cluster's synchronization model before returning. Retryable
+// the network round trip, queueing and service time. A statement that
+// commits — an autocommit write, DDL, COMMIT — also honors the cluster's
+// synchronization model before returning. Retryable
 // failures (dead or unreachable backends) are retried with exponential
 // backoff; a benched master triggers the OnMasterFailure hook.
 func (c *Conn) Exec(p *sim.Proc, sql string, args ...sqlengine.Value) (*ExecResult, error) {
@@ -561,14 +555,21 @@ func (c *Conn) execOnce(p *sim.Proc, isRead bool, sql string, args []sqlengine.V
 	if !px.masterUsable(p) {
 		return ErrNoBackend
 	}
+	m := px.master
+	before := m.Srv.Log.LastSeq()
 	res, err := c.execOn(p, nil, sql, args, &out.eng)
 	if err != nil {
 		return err
 	}
+	// A statement after which the master's log has advanced committed: an
+	// autocommit write, DDL, or a COMMIT, which logs the writes its
+	// transaction held back. The connection's token moves to the log's end
+	// and the synchronization model is waited for; another connection's
+	// commit landing meanwhile only makes both stricter.
 	degraded := false
-	if res.Stats.Class == sqlengine.ClassWrite {
-		c.token = Token{Epoch: px.master.Epoch, Seq: px.master.Srv.Log.LastSeq()}
-		degraded = !px.master.WaitCommitted(p, c.token.Seq)
+	if last := m.Srv.Log.LastSeq(); last > before {
+		c.token = Token{Epoch: m.Epoch, Seq: last}
+		degraded = !m.WaitCommitted(p, last)
 		if degraded {
 			px.stats.DegradedCommits++
 		}

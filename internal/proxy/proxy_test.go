@@ -66,12 +66,13 @@ func TestIsRead(t *testing.T) {
 		{"/* comment */ INSERT INTO t VALUES (1)", false},
 		{"-- only a comment", false},
 		{"/* unterminated SELECT", false},
-		// Metadata statements are read-only and safe on a replica.
-		{"SHOW TABLES", true},
-		{"show databases", true},
-		{"DESCRIBE t", true},
-		{"DESC t", true},
-		{"EXPLAIN SELECT * FROM t", true},
+		// The engine speaks no metadata statement: they take the master
+		// path like any other verb that is not SELECT.
+		{"SHOW TABLES", false},
+		{"show databases", false},
+		{"DESCRIBE t", false},
+		{"DESC t", false},
+		{"EXPLAIN SELECT * FROM t", false},
 		// Prefix matching must stop at the word boundary.
 		{"SELECTION IS NOT A VERB", false},
 		{"SHOWING OFF", false},
@@ -459,6 +460,74 @@ func TestReadYourWritesSessionConsistency(t *testing.T) {
 	}
 	env.Stop()
 	env.Shutdown()
+}
+
+// TestReadYourWritesAfterCommit: a transaction's writes reach the log only
+// at COMMIT, so it is the COMMIT that moves the session's token and waits for
+// the synchronization model. With both slaves frozen, the Session-tier read
+// after BEGIN, INSERT, COMMIT must be served by the master and see the row.
+// Under Sync, the transaction must commit, and its COMMIT must not return
+// before every slave has applied it.
+func TestReadYourWritesAfterCommit(t *testing.T) {
+	env, px := topo(t, 12, 2, &RoundRobin{})
+	px.Consistency = Session
+	for _, sl := range px.master.Slaves() {
+		sl.Stop()
+	}
+	conn := px.Connect("app")
+	txn := func(p *sim.Proc, id int64) bool {
+		for _, sql := range []string{"BEGIN", "INSERT INTO t (id, v) VALUES (?, 'x')", "COMMIT"} {
+			var args []sqlengine.Value
+			if sql[0] == 'I' {
+				args = []sqlengine.Value{sqlengine.NewInt(id)}
+			}
+			if _, err := conn.Exec(p, sql, args...); err != nil {
+				t.Errorf("%s: %v", sql, err)
+				return false
+			}
+		}
+		return true
+	}
+	env.Go("client", func(p *sim.Proc) {
+		if !txn(p, 1) {
+			return
+		}
+		if tok, last := conn.token, px.master.Srv.Log.LastSeq(); tok.Seq != last {
+			t.Errorf("token at seq %d after COMMIT, the commit is seq %d", tok.Seq, last)
+		}
+		res, err := conn.Exec(p, "SELECT COUNT(*) FROM t")
+		if err != nil {
+			t.Errorf("read: %v", err)
+			return
+		}
+		if got := res.Result.Set.Rows[0][0].Int(); got != 1 || !res.OnMaster {
+			t.Errorf("read after COMMIT: count %d, on master %v; want 1, true", got, res.OnMaster)
+		}
+	})
+	env.RunUntil(time.Minute)
+	env.Stop()
+	env.Shutdown()
+
+	env, px = topo(t, 12, 2, &RoundRobin{})
+	px.master.Mode = repl.Sync
+	conn = px.Connect("app")
+	committed := false
+	env.Go("client", func(p *sim.Proc) {
+		if committed = txn(p, 1); !committed {
+			return
+		}
+		for _, sl := range px.master.Slaves() {
+			if sl.AppliedSeq() < px.master.Srv.Log.LastSeq() {
+				t.Errorf("COMMIT returned under Sync before %s applied it", sl.Srv.Name)
+			}
+		}
+	})
+	env.RunUntil(time.Minute)
+	env.Stop()
+	env.Shutdown()
+	if !committed {
+		t.Error("the transaction never committed under Sync")
+	}
 }
 
 // TestReadYourWritesReleasesAfterCatchUp: once a slave applies the write,

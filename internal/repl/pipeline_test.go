@@ -161,7 +161,7 @@ func TestParallelApplyDrainsFasterUnderReads(t *testing.T) {
 		// entry per CPU-queue round trip on a read-loaded slave, so the
 		// relay log never builds the backlog that lets apply workers
 		// overlap. This isolates the apply stage as the variable.
-		pc := PipelineConfig{BatchMaxEntries: 16, BatchMaxBytes: 64 << 10, ApplyWorkers: workers}
+		pc := PipelineConfig{BatchMaxEntries: 16, ApplyWorkers: workers}
 		r := newPipelineRig(t, 3, 1, Async, sameZone(), pc)
 		sl := r.slaves[0]
 		// Saturating read traffic on the slave, alternating tables so the
@@ -209,7 +209,7 @@ func TestParallelApplyDrainsFasterUnderReads(t *testing.T) {
 // Batched shipping coalesces a backlog into far fewer network transits
 // without losing or reordering anything.
 func TestBatchedShippingCoalescesBacklog(t *testing.T) {
-	pc := PipelineConfig{BatchMaxEntries: 16, BatchMaxBytes: 64 << 10}
+	pc := PipelineConfig{BatchMaxEntries: 16}
 	r := newPipelineRig(t, 4, 1, Async, sameZone(), pc)
 	for i := 0; i < 48; i++ {
 		r.write(t, i, "v")
@@ -252,7 +252,7 @@ func TestBatchingDoesNotDelayIdlemaster(t *testing.T) {
 		return at
 	}
 	baseline := applyTime(PipelineConfig{})
-	batched := applyTime(PipelineConfig{BatchMaxEntries: 32, BatchMaxBytes: 64 << 10})
+	batched := applyTime(PipelineConfig{BatchMaxEntries: 32})
 	if baseline == 0 || batched == 0 {
 		t.Fatal("write never applied")
 	}
@@ -330,7 +330,7 @@ func TestSemiSyncDegradationCountsAndReupgrades(t *testing.T) {
 // the master (a double-applied INSERT would also surface as a primary-key
 // apply error).
 func TestPipelineChaosExactlyOnce(t *testing.T) {
-	pc := PipelineConfig{BatchMaxEntries: 16, BatchMaxBytes: 64 << 10, ApplyWorkers: 4}
+	pc := PipelineConfig{BatchMaxEntries: 16, ApplyWorkers: 4}
 	r := newPipelineRig(t, 8, 2, Async, sameZone(), pc)
 
 	sched := (&chaos.Schedule{}).

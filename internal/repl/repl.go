@@ -1,17 +1,22 @@
 // Package repl implements MySQL-style master-slave replication on top of
 // the server, binlog and cloud packages.
 //
-// Per attached slave, the master runs a dump thread that tails the binlog
-// and ships events over the (simulated) network in order. Each slave runs
-// an I/O thread that appends received events to a relay log, and a single
-// SQL applier thread that re-executes them against the slave's engine —
-// competing with read traffic for the slave instance's CPU, which is the
-// mechanism behind the paper's replication-delay blow-up near saturation.
+// The unit of replication is the commit the binlog hands out: the entries
+// one master transaction logged. Per attached slave, the master runs a dump
+// thread that tails the binlog and ships whole commits over the (simulated)
+// network in order. Each slave runs an I/O thread that appends received
+// commits to a relay log, and a single SQL applier thread that re-executes
+// each commit against the slave's engine as one transaction — competing with
+// read traffic for the slave instance's CPU, which is the mechanism behind
+// the paper's replication-delay blow-up near saturation. A replica therefore
+// never shows part of a commit, and since only whole commits are shipped and
+// applied, every acknowledgement and every failover survivor's position sits
+// on a commit boundary.
 //
 // Three synchronization models are provided (§II of the paper): Async
 // returns to the writer immediately after the master commit; SemiSync waits
-// until at least one slave's I/O thread has the event in its relay log;
-// Sync waits until every attached slave has applied the event.
+// until at least one slave's I/O thread has the commit in its relay log;
+// Sync waits until every attached slave has applied the commit.
 package repl
 
 import (
@@ -49,24 +54,22 @@ func (m Mode) String() string {
 }
 
 // PipelineConfig tunes the replication data path. The zero value is the
-// legacy per-entry pipeline: no group commit, one network transit per
-// binlog event, a single SQL applier thread per slave.
+// legacy per-commit pipeline: no group commit, one network transit per
+// commit, a single SQL applier thread per slave.
 type PipelineConfig struct {
 	// GroupCommitWindow enables master-side binlog group commit (see
 	// server.DBServer.GroupCommitWindow); cluster wiring copies it onto
 	// the master's server.
 	GroupCommitWindow time.Duration
 	// BatchMaxEntries caps how many binlog entries a dump thread coalesces
-	// into one network transit (≤1 disables batching). The dump thread
-	// never waits to fill a batch: it drains whatever backlog exists and
-	// ships immediately, so an idle master keeps per-entry latency.
+	// into one network transit (≤1 disables batching); a commit longer than
+	// the cap still ships whole, alone (binlog.Reader.NextBatch). The dump
+	// thread never waits to fill a batch: it drains whatever backlog exists
+	// and ships immediately, so an idle master keeps per-commit latency.
 	BatchMaxEntries int
-	// BatchMaxBytes additionally caps a batch by encoded wire size
-	// (0 = no byte cap).
-	BatchMaxBytes int
 	// ApplyWorkers is the number of SQL applier threads per slave (≤1
-	// keeps the single-threaded applier). Workers apply entries touching
-	// disjoint tables concurrently; conflicting entries keep commit order
+	// keeps the single-threaded applier). Workers apply commits touching
+	// disjoint tables concurrently; conflicting commits keep commit order
 	// via table-level dependency tracking.
 	ApplyWorkers int
 }
@@ -177,7 +180,7 @@ type Slave struct {
 
 	master *Master
 	io     *sim.Queue[[]binlog.Entry] // network delivery (batches) → I/O thread
-	relay  *sim.Queue[binlog.Entry]   // relay log → SQL thread(s)
+	relay  *sim.Queue[[]binlog.Entry] // relay log → SQL thread(s), one commit per item
 
 	receivedSeq uint64 // newest seq in relay log
 	// The entries that have run here, and those whose CPU is also paid for.
@@ -195,7 +198,7 @@ func NewSlave(env *sim.Env, srv *server.DBServer) *Slave {
 	return &Slave{
 		Srv:   srv,
 		io:    sim.NewQueue[[]binlog.Entry](env, srv.Name+"/io"),
-		relay: sim.NewQueue[binlog.Entry](env, srv.Name+"/relay"),
+		relay: sim.NewQueue[[]binlog.Entry](env, srv.Name+"/relay"),
 	}
 }
 
@@ -208,10 +211,11 @@ func (s *Slave) AppliedSeq() uint64 { return s.applied.Low }
 // replica, paid for or not: what a re-attach must not ship to it again.
 func (s *Slave) Executed() Executed { return s.executed.clone() }
 
-// ApplyErrors returns the count of statements that failed to re-execute.
+// ApplyErrors returns the count of commits that failed, wholly or in part,
+// to re-execute.
 func (s *Slave) ApplyErrors() int { return s.applyErrs }
 
-// RelayBacklog returns the number of received-but-unapplied events.
+// RelayBacklog returns the number of received-but-unapplied commits.
 func (s *Slave) RelayBacklog() int { return s.relay.Len() }
 
 // EventsBehindMaster reports replication lag as the master's binlog
@@ -275,16 +279,16 @@ func (m *Master) Attach(sl *Slave, from Executed) error {
 	pipe := cloud.NewPipe(m.Net, m.Srv.Inst.Place, sl.Srv.Inst.Place, sl.io)
 
 	maxEntries := m.Pipeline.BatchMaxEntries
-	maxBytes := m.Pipeline.BatchMaxBytes
 
 	m.env.Go(m.Srv.Name+"/dump→"+sl.Srv.Name, func(p *sim.Proc) {
 		for !sl.stopped && m.Srv.Up() {
-			// Whatever backlog exists, up to the entry/byte caps, goes out
-			// as one transit. The reader never waits for more: an idle
-			// master ships a batch of one immediately, so unloaded latency
-			// is the per-entry path's. The batch is a read-only window onto
-			// the master's log, not a copy (binlog.Reader.NextBatch).
-			batch := reader.NextBatch(p, maxEntries, maxBytes)
+			// Whatever backlog exists, in whole commits up to the entry
+			// cap, goes out as one transit. The reader never waits for
+			// more: an idle master ships a batch of one commit immediately,
+			// so unloaded latency is the per-commit path's. The batch is a
+			// read-only window onto the master's log, not a copy
+			// (binlog.Reader.NextBatch).
+			batch := reader.NextBatch(p, maxEntries)
 			// The master may have died or the slave detached while the
 			// reader was blocked at the log tail.
 			if sl.stopped || !m.Srv.Up() {
@@ -322,35 +326,30 @@ func (m *Master) Attach(sl *Slave, from Executed) error {
 			// are already queued on the socket and relay them under one
 			// amortized CPU charge. Without this, a read-loaded slave
 			// ingests one batch per CPU-queue round trip and the relay log
-			// can never build the backlog parallel apply needs.
-			if maxEntries > 1 || maxBytes > 0 {
-				bytes := 0
-				for _, e := range batch {
-					bytes += e.WireSize()
+			// can never build the backlog parallel apply needs. Every batch
+			// holds whole commits, so the merged one does too.
+			for len(batch) < maxEntries {
+				more, any := sl.io.TryGet()
+				if !any {
+					break
 				}
-				for len(batch) < maxEntries && (maxBytes <= 0 || bytes < maxBytes) {
-					more, any := sl.io.TryGet()
-					if !any {
-						break
-					}
-					for _, e := range more {
-						batch = append(batch, e)
-						bytes += e.WireSize()
-					}
-				}
+				batch = append(batch, more...)
 			}
 			sl.Srv.RelayBatchWork(p, len(batch))
 			prev := sl.receivedSeq
-			for _, e := range batch {
-				// Drop already-received entries (a reattach or retransmit
+			for len(batch) > 0 {
+				n := binlog.CommitLen(batch)
+				c, last := batch[:n:n], batch[n-1].Seq
+				batch = batch[n:]
+				// Drop already-received commits (a reattach or retransmit
 				// can replay the stream) so nothing enters the relay log —
 				// and the appliers — twice; nor do the members of from.
-				if e.Seq <= sl.receivedSeq {
+				if last <= sl.receivedSeq {
 					continue
 				}
-				sl.receivedSeq = e.Seq
-				if !sl.executed.Has(e.Seq) {
-					sl.relay.Put(e)
+				sl.receivedSeq = last
+				if !sl.executed.Has(last) {
+					sl.relay.Put(c)
 				}
 			}
 			if m.Mode == SemiSync && sl.receivedSeq > prev {
@@ -368,8 +367,8 @@ func (m *Master) Attach(sl *Slave, from Executed) error {
 	sess := sl.Srv.Session("")
 	m.env.Go(sl.Srv.Name+"/sql", func(p *sim.Proc) {
 		for {
-			e, ok := sl.relay.Get(p)
-			if !ok || !m.applyEntry(p, sl, sess, e) {
+			c, ok := sl.relay.Get(p)
+			if !ok || !m.applyCommit(p, sl, sess, c) {
 				return
 			}
 		}
@@ -386,34 +385,40 @@ func (m *Master) sendAck(a ack) {
 	})
 }
 
-// applyEntry is the body the single applier and the K-worker applier share;
-// they differ only in how entries reach it. It parks across a crash
+// applyCommit is the body the single applier and the K-worker applier
+// share; they differ only in how commits reach it. It parks across a crash
 // (re-apply resumes from the relay log when the instance comes back: the
-// database layer retains state), replays e under an "apply" span linked to
-// the write that logged it, counts a failed replay, and raises the engine's
-// commit version to e's sequence — replica MVCC stamps track master commit
-// order, and the raise is a monotone max, so out-of-order workers still
-// converge on it. e joins the executed set as it runs and the applied set,
-// whose Low a Sync ack carries, once paid for. It reports false, with e not
-// applied, once the slave has been stopped.
-func (m *Master) applyEntry(p *sim.Proc, sl *Slave, sess *sqlengine.Session, e binlog.Entry) bool {
+// database layer retains state), replays commit c as one slave transaction
+// under an "apply" span linked to the write that logged it, counts a failed
+// replay, and raises the engine's commit version to c's last sequence —
+// replica MVCC stamps track master commit order, and the raise is a monotone
+// max, so out-of-order workers still converge on it. c's sequences join the
+// executed set together as it runs, and the applied set, whose Low a Sync ack
+// carries, together once paid for. It reports false, with c not applied,
+// once the slave has been stopped.
+func (m *Master) applyCommit(p *sim.Proc, sl *Slave, sess *sqlengine.Session, c []binlog.Entry) bool {
 	sl.Srv.Inst.AwaitUp(p)
 	if sl.stopped {
 		return false
 	}
-	asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(m.Srv.Log, e.Seq))
+	first, last := c[0].Seq, c[len(c)-1].Seq
+	asp := m.Tracer.StartLinked(p, "apply", "apply", m.Tracer.SeqRef(m.Srv.Log, first))
 	asp.SetAttr("slave", sl.Srv.Name)
-	asp.SetAttrInt("seq", int64(e.Seq))
-	// Apply replays before it first parks, so nothing can observe the
-	// executed set without the statement.
-	sl.executed.Add(e.Seq)
-	if err := sl.Srv.Apply(p, sess, e); err != nil {
+	asp.SetAttrInt("seq", int64(first))
+	// ApplyCommit replays before it first parks, so nothing can observe the
+	// executed set without the commit.
+	for seq := first; seq <= last; seq++ {
+		sl.executed.Add(seq)
+	}
+	if err := sl.Srv.ApplyCommit(p, sess, c); err != nil {
 		sl.applyErrs++
 		asp.SetAttr("error", "apply")
 	}
 	asp.End(p)
-	sl.Srv.Eng.AdvanceVersion(e.Seq)
-	sl.applied.Add(e.Seq)
+	sl.Srv.Eng.AdvanceVersion(last)
+	for seq := first; seq <= last; seq++ {
+		sl.applied.Add(seq)
+	}
 	if m.Mode == Sync {
 		m.sendAck(ack{slave: sl, seq: sl.applied.Low, applied: true})
 	}

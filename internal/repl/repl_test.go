@@ -513,7 +513,9 @@ func TestSlaveRestartReattachesAtPosition(t *testing.T) {
 
 // TestTransactionReplicatesAtomicallyInOrder: statements buffered inside
 // BEGIN/COMMIT reach the binlog only at commit, in execution order, and a
-// rolled-back transaction never replicates.
+// rolled-back transaction never replicates. That a replica shows the commit
+// all at once, never a part of it, is TestReplicaNeverShowsHalfATransaction's
+// to check.
 func TestTransactionReplicatesAtomicallyInOrder(t *testing.T) {
 	r := newRig(t, 13, 1, Async, sameZone())
 	sess := r.master.Srv.Session("app")

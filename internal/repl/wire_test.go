@@ -21,7 +21,8 @@ import (
 
 // TestWireSizeIsExact holds the binlog's byte accounting to its encoding for
 // every entry a Cloudstone write mix logs — prepared forms, parameterless
-// statements, DDL, a raw Append — and for the same entries decoded off the
+// statements, DDL, a raw Append, a commit of two writes whose first carries
+// the More flag — and for the same entries decoded off the
 // wire: WireSize is len(Encode()), Log.Bytes is the sum of WireSize, and the
 // text every entry renders is the one the binlog has always carried
 // (testdata/logged_text.txt, rendered by the tree that materialised the text
@@ -49,20 +50,26 @@ func TestWireSizeIsExact(t *testing.T) {
 	})
 	env.RunUntil(time.Hour)
 	m.Log.Append(cloudstone.DatabaseName, "DELETE FROM wire_ddl", 0)
+	hb := m.Session(heartbeat.DatabaseName)
+	for _, sql := range []string{"BEGIN", "INSERT INTO heartbeat (id, ts) VALUES (-1, UTC_MICROS())", "INSERT INTO heartbeat (id, ts) VALUES (-2, UTC_MICROS())", "COMMIT"} {
+		if _, err := m.ExecFree(hb, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
 	env.Shutdown()
 
 	r, err := m.Log.NewReader(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := r.TryNextBatch(math.MaxInt, 0)
+	all := r.TryNextBatch(math.MaxInt)
 	wire, err := binlog.DecodeBatch(binlog.EncodeBatch(all))
 	if err != nil || len(wire) != len(all) {
 		t.Fatalf("%d entries decoded of %d (%v)", len(wire), len(all), err)
 	}
 	var golden strings.Builder
 	var sum int64
-	prepared := 0
+	prepared, more := 0, 0
 	golden.WriteString("== statement\n")
 	for i, e := range all {
 		size := e.WireSize()
@@ -70,11 +77,14 @@ func TestWireSizeIsExact(t *testing.T) {
 		if e.Stmt != "" {
 			prepared++
 		}
+		if e.More {
+			more++
+		}
 		if enc := e.Encode(); len(enc) != size {
 			t.Errorf("seq %d: WireSize %d, encoded %d bytes", e.Seq, size, len(enc))
 		}
 		d := wire[i]
-		if d.SQL != e.Text() || d.WireSize() != size || len(d.Encode()) != size || !bytes.Equal(d.Encode(), e.Encode()) {
+		if d.SQL != e.Text() || d.More != e.More || d.WireSize() != size || len(d.Encode()) != size || !bytes.Equal(d.Encode(), e.Encode()) {
 			t.Errorf("seq %d: decoded %q (%d bytes), in memory %q (%d bytes)", e.Seq, d.SQL, d.WireSize(), e.Text(), size)
 		}
 		if e.Seq > from {
@@ -88,6 +98,9 @@ func TestWireSizeIsExact(t *testing.T) {
 	// the rest are prepared forms.
 	if prepared == 0 || prepared == len(all) {
 		t.Errorf("%d of %d entries carry a prepared form: the mix covers one kind only", prepared, len(all))
+	}
+	if more != 1 {
+		t.Errorf("%d entries flagged More, want the two-write commit's first", more)
 	}
 	compareLoggedText(t, filepath.Join("testdata", "logged_text.txt"), golden.String())
 }
@@ -141,7 +154,7 @@ func TestLoggedArgumentsAreOwned(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		e = r.TryNextBatch(1, 0)[0]
+		e = r.TryNextBatch(1)[0]
 		copy(args, []sqlengine.Value{sqlengine.NewInt(6000), sqlengine.NewInt(3), sqlengine.NewInt(4), sqlengine.NewString("overwritten by the caller")})
 		if err := replica.Apply(p, replica.Session(""), e); err != nil {
 			t.Error(err)

@@ -370,30 +370,56 @@ func (s *DBServer) ExecFree(sess *sqlengine.Session, sql string, args ...sqlengi
 	return stmt.Run(sess, args...)
 }
 
-// Apply re-executes a replicated statement on this server (the slave SQL
-// thread path): time builtins re-evaluate against this instance's clock,
-// and CPU is charged at the apply rate.
+// Apply re-executes one replicated statement on this server: ApplyCommit for
+// a commit of that one entry.
 func (s *DBServer) Apply(p *sim.Proc, sess *sqlengine.Session, e binlog.Entry) error {
+	return s.ApplyCommit(p, sess, []binlog.Entry{e})
+}
+
+// ApplyCommit re-executes one replicated commit on this server (the slave SQL
+// thread path). Its writes replay in one engine transaction without yielding,
+// so a reader sees all of the commit or none of it, and this server's own
+// binlog takes it as one commit — a replica promoted or cascaded from keeps
+// the boundary. Then their summed CPU is charged at the apply rate. Time
+// builtins re-evaluate against this instance's clock. A write that fails is
+// skipped and the rest still commit; the last failure is returned.
+func (s *DBServer) ApplyCommit(p *sim.Proc, sess *sqlengine.Session, c []binlog.Entry) error {
 	if !s.Up() {
 		return ErrServerDown
 	}
-	if e.Database != "" && sess.DB() != e.Database {
-		if err := sess.Use(e.Database); err != nil {
+	if db := c[0].Database; db != "" && sess.DB() != db {
+		if err := sess.Use(db); err != nil {
 			return err
 		}
 	}
-	res, err := sess.Replay(e.LoggedWrite)
-	if err != nil {
-		return err
+	txn := len(c) > 1
+	if txn {
+		if _, err := sess.Exec("BEGIN"); err != nil {
+			return err
+		}
 	}
-	s.stats.Applied++
-	cost := s.Cost.StatementCost(res.Stats, true)
+	var cost time.Duration
+	var failed error
+	for _, e := range c {
+		res, err := sess.Replay(e.LoggedWrite)
+		if err != nil {
+			failed = err
+			continue
+		}
+		s.stats.Applied++
+		cost += s.Cost.StatementCost(res.Stats, true)
+	}
+	if txn {
+		if _, err := sess.Exec("COMMIT"); err != nil {
+			failed = err
+		}
+	}
 	if s.PriorityApply {
 		s.Inst.WorkHigh(p, cost)
 	} else {
 		s.Inst.Work(p, cost)
 	}
-	return nil
+	return failed
 }
 
 // DumpBatchWork charges the master CPU for shipping a batch of n binlog
